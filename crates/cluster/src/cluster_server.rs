@@ -11,7 +11,7 @@
 //! shared agent network, same counters (summed across the per-partition
 //! sinks), same event log.
 
-use crate::handle::{PartitionHandle, RemotePartition};
+use crate::handle::{FromPayload, PartitionHandle, Probe, RemotePartition};
 use crate::partition::{plan_bounds, PartitionMap, Router};
 use crate::wire::InitConfig;
 use mobieyes_core::server::{srv_keys, Net};
@@ -26,7 +26,7 @@ use mobieyes_net::{
     SocketTransport, Transport, WireSized,
 };
 use mobieyes_store::{self as store, Store, StoreConfig};
-use mobieyes_telemetry::{rebal_keys, rec_keys, EventKind, Telemetry};
+use mobieyes_telemetry::{rebal_keys, rec_keys, rpc_keys, EventKind, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
@@ -38,6 +38,14 @@ use std::sync::Arc;
 /// [`TransportError::Timeout`] instead of blocking the coordinator
 /// forever. Override via [`ClusterServer::set_rpc_deadline`].
 const DEFAULT_RPC_DEADLINE: std::time::Duration = std::time::Duration::from_secs(30);
+
+/// Bound on the posted lane: at most this many closed ops, or this many
+/// request bytes, await collection at once. Far below either direction's
+/// socket buffer (the replies of closed ops are of request size), so a
+/// coordinator flushing its window and a partition flushing the replies
+/// can never block on each other.
+const POST_WINDOW_OPS: usize = 256;
+const POST_WINDOW_BYTES: usize = 32 * 1024;
 
 /// One bus frame: an inter-server message plus its destination partition.
 #[derive(Debug, Clone)]
@@ -171,6 +179,13 @@ pub struct ClusterServer {
     /// partitions own their store inside the partition process; their
     /// slot stays `None` (the coordinator reaches the log over RPC).
     stores: Vec<Option<Store>>,
+    /// The posted lane: one entry (the partition index) per closed op
+    /// posted to a remote handle and not yet collected, in issue order —
+    /// the order their downlinks must reach the agent network in. Empty
+    /// outside [`Self::tick`] / [`Self::handle_uplink`].
+    lane: Vec<u32>,
+    /// Request bytes behind `lane`.
+    lane_bytes: usize,
 }
 
 impl ClusterServer {
@@ -284,7 +299,7 @@ impl ClusterServer {
                         store_fresh: false,
                     })
                     .unwrap_or_else(|e| panic!("partition {p} failed to initialize: {e}"));
-                PartitionHandle::Remote(remote)
+                PartitionHandle::Remote(Box::new(remote))
             })
             .collect();
         let bus_sink = Telemetry::new();
@@ -345,6 +360,8 @@ impl ClusterServer {
             orphans: Vec::new(),
             store_root: None,
             stores: (0..n).map(|_| None).collect(),
+            lane: Vec::new(),
+            lane_bytes: 0,
         }
     }
 
@@ -381,16 +398,28 @@ impl ClusterServer {
     /// remote, in one pipelined probe round — the load signal behind the
     /// rebalance telemetry. Zeroes for a dead peer.
     pub fn load_signals(&self) -> Vec<(u64, u64, u64)> {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_load_signal())
-            .collect();
-        self.partitions
-            .iter()
-            .zip(probes)
-            .map(|(p, pr)| p.finish_load_signal(pr))
-            .collect()
+        self.fan_out(|p| p.start_load_signal())
+    }
+
+    /// One pipelined probe round: every partition has its request before
+    /// the first reply is awaited; results in partition order.
+    fn fan_out<T: FromPayload + Default>(
+        &self,
+        start: impl Fn(&PartitionHandle) -> Probe<T>,
+    ) -> Vec<T> {
+        let probes: Vec<_> = self.partitions.iter().map(start).collect();
+        let finish = |(p, pr): (&PartitionHandle, _)| p.finish(pr);
+        self.partitions.iter().zip(probes).map(finish).collect()
+    }
+
+    /// [`Self::fan_out`] for ops that mutate the partitions.
+    fn fan_out_mut<T: FromPayload + Default>(
+        &mut self,
+        start: impl FnMut(&mut PartitionHandle) -> Probe<T>,
+    ) -> Vec<T> {
+        let probes: Vec<_> = self.partitions.iter_mut().map(start).collect();
+        let finish = |(p, pr): (&PartitionHandle, _)| p.finish(pr);
+        self.partitions.iter().zip(probes).map(finish).collect()
     }
 
     /// The backend carrying the inter-server bus.
@@ -584,31 +613,12 @@ impl ClusterServer {
     }
 
     pub fn num_queries(&self) -> usize {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_num_queries())
-            .collect();
-        self.partitions
-            .iter()
-            .zip(probes)
-            .map(|(p, pr)| p.finish_num_queries(pr))
-            .sum()
+        self.partitions.iter().map(|p| p.num_queries()).sum()
     }
 
     /// All installed query ids, ascending (merged across partitions).
     pub fn query_ids(&self) -> Vec<QueryId> {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_query_ids())
-            .collect();
-        let mut ids: Vec<QueryId> = self
-            .partitions
-            .iter()
-            .zip(probes)
-            .flat_map(|(p, pr)| p.finish_query_ids(pr))
-            .collect();
+        let mut ids = self.fan_out(|p| p.start_query_ids()).concat();
         ids.sort_unstable();
         ids
     }
@@ -620,71 +630,26 @@ impl ClusterServer {
         self.partitions.iter().find_map(|s| s.query_result_ref(qid))
     }
 
-    /// Owned copy of a query's result set, local or remote. All partitions
-    /// are probed in one pipelined round; the query is homed on at most
-    /// one, so the first hit wins.
+    /// Owned copy of a query's result set, local or remote, fetched from
+    /// the partition homing the query.
     pub fn fetch_query_result(&self, qid: QueryId) -> Option<Vec<ObjectId>> {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_query_result(qid))
-            .collect();
-        let mut found = None;
-        for (p, pr) in self.partitions.iter().zip(probes) {
-            if let Some(r) = p.finish_query_result(pr) {
-                found.get_or_insert(r);
-            }
-        }
-        found
+        self.partitions[self.find_query(qid)?].query_result_owned(qid)
     }
 
     pub fn query_focal(&self, qid: QueryId) -> Option<ObjectId> {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_query_focal(qid))
-            .collect();
-        let mut found = None;
-        for (p, pr) in self.partitions.iter().zip(probes) {
-            if let Some(oid) = p.finish_query_focal(pr) {
-                found.get_or_insert(oid);
-            }
-        }
-        found
+        self.partitions[self.find_query(qid)?].query_focal(qid)
     }
 
-    /// The partition currently holding the FOT row of `oid` (its home).
-    /// One pipelined probe round instead of sequential per-partition
-    /// round trips; `oid` is homed on at most one partition.
+    /// The partition currently holding the FOT row of `oid` (its home);
+    /// `oid` is homed on at most one. No RPC: remote handles answer from
+    /// their `homes` mirror.
     fn find_focal(&self, oid: ObjectId) -> Option<usize> {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_has_focal(oid))
-            .collect();
-        let mut found = None;
-        for (i, (p, pr)) in self.partitions.iter().zip(probes).enumerate() {
-            if p.finish_has_focal(pr) {
-                found.get_or_insert(i);
-            }
-        }
-        found
+        self.partitions.iter().position(|p| p.has_focal(oid))
     }
 
-    /// The partition currently homing query `qid`.
+    /// The partition currently homing query `qid` (mirror-answered too).
     fn find_query(&self, qid: QueryId) -> Option<usize> {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_has_query(qid))
-            .collect();
-        let mut found = None;
-        for (i, (p, pr)) in self.partitions.iter().zip(probes).enumerate() {
-            if p.finish_has_query(pr) {
-                found.get_or_insert(i);
-            }
-        }
-        found
+        self.partitions.iter().position(|p| p.has_query(qid))
     }
 
     /// Drains every partition's outbox onto the bus (partition order) and
@@ -738,6 +703,23 @@ impl ClusterServer {
     fn merge_sinks(&mut self) {
         for s in &self.sinks {
             self.shared.merge_registry(&s.drain());
+        }
+        self.fold_rpc_counts();
+    }
+
+    /// Moves the remote handles' RPC counts into the bus sink (never the
+    /// protocol sink: they differ across transports by design).
+    fn fold_rpc_counts(&self) {
+        for counts in self.partitions.iter().filter_map(|p| p.take_rpc_counts()) {
+            for (key, n) in [
+                (rpc_keys::ROUND_TRIPS, counts.round_trips),
+                (rpc_keys::POSTED, counts.posted),
+                (rpc_keys::MIRROR_HITS, counts.mirror_hits),
+            ] {
+                if n > 0 {
+                    self.bus_sink.add(key, n);
+                }
+            }
         }
     }
 
@@ -807,14 +789,10 @@ impl ClusterServer {
     /// Removes every query whose lifetime has ended; ascending query-id
     /// order across all partitions, like the single server's SQT scan.
     pub fn expire_queries(&mut self, now: f64, net: &mut Net) -> Vec<QueryId> {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_expired_query_ids(now))
-            .collect();
+        let per_partition = self.fan_out(|s| s.start_expired_query_ids(now));
         let mut expired: Vec<(usize, QueryId)> = Vec::new();
-        for (p, (s, pr)) in self.partitions.iter().zip(probes).enumerate() {
-            expired.extend(s.finish_expired_query_ids(pr).into_iter().map(|q| (p, q)));
+        for (p, qids) in per_partition.into_iter().enumerate() {
+            expired.extend(qids.into_iter().map(|q| (p, q)));
         }
         expired.sort_unstable_by_key(|&(_, q)| q);
         let mut out = Vec::with_capacity(expired.len());
@@ -836,14 +814,9 @@ impl ClusterServer {
     /// the single server's ascending-flat-index scan.
     pub fn heartbeat(&mut self, now: f64, net: &mut Net) {
         self.now = now;
-        let probes: Vec<_> = self
-            .partitions
-            .iter_mut()
-            .map(|p| p.start_set_time(now))
-            .collect();
-        for (p, (s, pr)) in self.partitions.iter().zip(probes).enumerate() {
-            s.finish_unit(pr, "SetTime");
-            self.sinks[p].set_now(now);
+        self.fan_out_mut(|p| p.start_set_time(now));
+        for sink in &self.sinks {
+            sink.set_now(now);
         }
         if !self.config.fault_tolerant() || now - self.last_heartbeat < self.config.heartbeat_secs {
             self.merge_sinks();
@@ -853,18 +826,10 @@ impl ClusterServer {
         self.sinks[0].incr(srv_keys::HEARTBEATS);
 
         // (1) Lease expiry, ascending object id across all partitions.
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_expired_leases())
-            .collect();
+        let per_partition = self.fan_out(|s| s.start_expired_leases());
         let mut expired: Vec<(usize, ObjectId, Vec<QueryId>)> = Vec::new();
-        for (p, (s, pr)) in self.partitions.iter().zip(probes).enumerate() {
-            expired.extend(
-                s.finish_expired_leases(pr)
-                    .into_iter()
-                    .map(|(o, q)| (p, o, q)),
-            );
+        for (p, leases) in per_partition.into_iter().enumerate() {
+            expired.extend(leases.into_iter().map(|(o, q)| (p, o, q)));
         }
         expired.sort_unstable_by_key(|&(_, oid, _)| oid);
         for (home, oid, qids) in expired {
@@ -895,15 +860,7 @@ impl ClusterServer {
         // (3) Digest beacon over the shared epoch (partitions share the
         // sequencer, so bumping through partition 0 is global).
         let epoch = self.bump_shared_epoch();
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_digest_cells())
-            .collect();
-        let mut cell_digests = Vec::new();
-        for (s, pr) in self.partitions.iter().zip(probes) {
-            cell_digests.extend(s.finish_digest_cells(pr));
-        }
+        let cell_digests = self.fan_out(|p| p.start_digest_cells()).concat();
         let sent = net.broadcast_all(Downlink::Heartbeat {
             epoch,
             cell_digests,
@@ -923,13 +880,53 @@ impl ClusterServer {
     pub fn tick(&mut self, net: &mut Net) {
         let uplinks = net.drain_uplinks();
         for (from, msg) in uplinks {
-            self.handle_uplink(from, msg, net);
+            self.decompose_uplink(from, msg, net);
         }
+        self.drain_posted(net);
         self.merge_sinks();
     }
 
     /// Processes one uplink, decomposed into owner-partition primitives.
     pub fn handle_uplink(&mut self, from: NodeId, msg: Uplink, net: &mut Net) {
+        self.decompose_uplink(from, msg, net);
+        self.drain_posted(net);
+    }
+
+    /// Accounts for a closed op just posted to partition `home` (`bytes`
+    /// is 0 when it ran inline or the peer is dead: nothing to collect)
+    /// and drains the lane once the window is full.
+    fn posted(&mut self, home: usize, bytes: usize, net: &mut Net) {
+        if bytes == 0 {
+            return;
+        }
+        self.lane.push(home as u32);
+        self.lane_bytes += bytes;
+        if self.lane.len() >= POST_WINDOW_OPS || self.lane_bytes >= POST_WINDOW_BYTES {
+            self.drain_posted(net);
+        }
+    }
+
+    /// Collects the reply of every posted op, in issue order, replaying
+    /// their downlinks onto `net` in that order. Runs before any call is
+    /// issued (calls move the epoch, pump the bus or write to `net`
+    /// themselves), when the window fills, and at the end of the tick.
+    fn drain_posted(&mut self, net: &mut Net) {
+        if self.lane.is_empty() {
+            return;
+        }
+        for p in &self.partitions {
+            p.flush_posted();
+        }
+        for p in self.lane.drain(..) {
+            self.partitions[p as usize].collect_posted(net);
+        }
+        self.lane_bytes = 0;
+    }
+
+    /// [`Self::handle_uplink`] minus the final drain: result reports leave
+    /// their closed ops posted, so a run of them (the whole ingest phase)
+    /// costs one write and one read per partition process.
+    fn decompose_uplink(&mut self, from: NodeId, msg: Uplink, net: &mut Net) {
         let primary_flat =
             Router::primary_cell(&self.config.grid, &msg).map(|c| self.config.grid.flat_index(c));
         let primary = primary_flat
@@ -951,14 +948,17 @@ impl ClusterServer {
         // FOT row is homed. Leases only matter under the fault-tolerance
         // layer; without it `last_heard` is never read.
         if self.config.fault_tolerant() {
-            let probes: Vec<_> = self
-                .partitions
-                .iter_mut()
-                .map(|p| p.start_renew_lease(ObjectId(from.0)))
-                .collect();
-            for (s, pr) in self.partitions.iter().zip(probes) {
-                s.finish_unit(pr, "RenewLease");
+            for p in 0..self.partitions.len() {
+                let bytes = self.partitions[p].post_renew_lease(ObjectId(from.0));
+                self.posted(p, bytes, net);
             }
+        }
+        if !matches!(
+            msg,
+            Uplink::ResultUpdate { .. } | Uplink::GroupResultUpdate { .. }
+        ) {
+            // Everything below is a call.
+            self.drain_posted(net);
         }
         match msg {
             Uplink::VelocityReport { oid, motion } => {
@@ -980,7 +980,9 @@ impl ClusterServer {
                 self.sinks[primary].incr(srv_keys::RESULT_UPDATES);
                 for (qid, is_target) in changes {
                     if let Some(home) = self.find_query(qid) {
-                        self.partitions[home].apply_result_change(qid, oid, is_target, net);
+                        let bytes =
+                            self.partitions[home].post_result_change(qid, oid, is_target, net);
+                        self.posted(home, bytes, net);
                     }
                 }
             }
@@ -992,7 +994,9 @@ impl ClusterServer {
             } => {
                 self.sinks[primary].incr(srv_keys::RESULT_UPDATES);
                 if let Some(home) = self.find_focal(focal) {
-                    self.partitions[home].apply_group_result_update(oid, focal, mask, targets, net);
+                    let bytes = self.partitions[home]
+                        .post_group_result_update(oid, focal, mask, targets, net);
+                    self.posted(home, bytes, net);
                 }
             }
             Uplink::PositionReply {
@@ -1252,14 +1256,7 @@ impl ClusterServer {
         self.bump_shared_epoch();
         let generation = self.map.install(&new_bounds);
         self.journal_bounds(generation, &new_bounds);
-        let probes: Vec<_> = self
-            .partitions
-            .iter_mut()
-            .map(|h| h.start_install_bounds(generation, &new_bounds))
-            .collect();
-        for (h, pr) in self.partitions.iter().zip(probes) {
-            h.finish_unit(pr, "InstallBounds");
-        }
+        self.fan_out_mut(|h| h.start_install_bounds(generation, &new_bounds));
 
         // (4a) RQI rows of every reassigned cell, batched per (from, to)
         // pair in ascending partition order. Every exporter cuts its rows
@@ -1284,11 +1281,7 @@ impl ClusterServer {
         }
         let mut exports = Vec::with_capacity(moves.len());
         for ((&(from, to), _), pr) in moves.iter().zip(export_probes) {
-            exports.push((
-                from,
-                to,
-                self.partitions[from as usize].finish_export_cells(pr),
-            ));
+            exports.push((from, to, self.partitions[from as usize].finish(pr)));
         }
         let mut aborted = false;
         for (from, to, msg) in exports {
@@ -1305,17 +1298,7 @@ impl ClusterServer {
         // border handoff. Census and extraction are pipelined rounds.
         if !aborted {
             self.pump_bus();
-            let probes: Vec<_> = self
-                .partitions
-                .iter()
-                .map(|h| h.start_focal_ids())
-                .collect();
-            let ids: Vec<Vec<ObjectId>> = self
-                .partitions
-                .iter()
-                .zip(probes)
-                .map(|(h, pr)| h.finish_focal_ids(pr))
-                .collect();
+            let ids = self.fan_out(|h| h.start_focal_ids());
             let mut anchors = Vec::new();
             for (p, oids) in ids.iter().enumerate() {
                 for &oid in oids {
@@ -1324,7 +1307,7 @@ impl ClusterServer {
             }
             let mut rehome: Vec<(ObjectId, usize, usize)> = Vec::new();
             for (p, oid, pr) in anchors {
-                let Some(cell) = self.partitions[p].finish_focal_anchor_cell(pr) else {
+                let Some(cell) = self.partitions[p].finish(pr) else {
                     continue;
                 };
                 let to = self.map.owner_of_cell(&self.config.grid, cell) as usize;
@@ -1338,9 +1321,8 @@ impl ClusterServer {
                 extract_probes.push(self.partitions[from].start_extract_focal(oid));
             }
             let mut migrations = Vec::with_capacity(rehome.len());
-            for (&(oid, from, to), pr) in rehome.iter().zip(extract_probes) {
-                let _ = oid;
-                migrations.push((from, to, self.partitions[from].finish_extract_focal(pr)));
+            for (&(_, from, to), pr) in rehome.iter().zip(extract_probes) {
+                migrations.push((from, to, self.partitions[from].finish(pr)));
             }
             for (from, to, msg) in migrations {
                 if let Some(msg) = msg {
@@ -1355,14 +1337,7 @@ impl ClusterServer {
         // Hygiene: stubs whose monitoring region left a shrunk span.
         if !aborted {
             self.pump_bus();
-            let probes: Vec<_> = self
-                .partitions
-                .iter_mut()
-                .map(|h| h.start_prune_stubs())
-                .collect();
-            for (h, pr) in self.partitions.iter().zip(probes) {
-                h.finish_unit(pr, "PruneStubs");
-            }
+            self.fan_out_mut(|h| h.start_prune_stubs());
         }
         self.bus.set_fault(saved_fault);
         // Start the next observation window fresh.
@@ -1873,7 +1848,9 @@ impl ClusterServer {
             // respawned process wipes it and journals from scratch.
             store_fresh: true,
         })?;
-        self.partitions[p as usize] = PartitionHandle::Remote(remote);
+        // The dead handle goes away with its not yet folded counts.
+        self.fold_rpc_counts();
+        self.partitions[p as usize] = PartitionHandle::Remote(Box::new(remote));
         self.dead.remove(&p);
         self.readopt(p);
         Ok(())
@@ -1999,18 +1976,18 @@ impl ClusterServer {
     /// the cross-partition ones — each query homed on exactly one
     /// partition, each focal object on exactly one partition.
     pub fn check_invariants(&self) {
+        debug_assert!(self.lane.is_empty(), "posted ops outlived their tick");
         for s in &self.partitions {
             s.check_invariants();
         }
         let mut seen_q: BTreeSet<QueryId> = BTreeSet::new();
-        for s in &self.partitions {
-            for q in s.query_ids() {
-                assert!(seen_q.insert(q), "query {q:?} homed on two partitions");
-            }
+        for q in self.fan_out(|p| p.start_query_ids()).concat() {
+            assert!(seen_q.insert(q), "query {q:?} homed on two partitions");
         }
-        let mut ids = self.query_ids();
-        ids.dedup();
-        assert_eq!(ids.len(), seen_q.len());
+        let mut seen_o: BTreeSet<ObjectId> = BTreeSet::new();
+        for o in self.fan_out(|p| p.start_focal_ids()).concat() {
+            assert!(seen_o.insert(o), "focal {o:?} homed on two partitions");
+        }
     }
 }
 

@@ -8,40 +8,75 @@
 //! [`wire`](crate::wire) RPC protocol to a partition process over a framed
 //! socket connection.
 //!
-//! Remote calls are strictly serialized (one request, one reply), carry
-//! the coordinator's epoch view as a floor, and fold the reply's epoch
-//! back with a `fetch_max` — reproducing the shared atomic epoch counter
-//! of the in-process deployment. Side effects come back in the reply: bus
-//! envelopes are buffered until [`PartitionHandle::take_outbox`] (so the
-//! coordinator's pump discipline is unchanged) and downlink traffic is
-//! replayed onto the real agent network in emission order.
+//! A remote op is one request frame and, later, one reply frame; the
+//! service answers in request order, so a handle may have several
+//! requests outstanding as long as their replies are collected in the
+//! same order. Three shapes are built on that one mechanism:
 //!
-//! A mid-run transport failure on a remote handle is *classified*: a
-//! failure that means the peer is gone ([`TransportError::is_peer_death`]
-//! — closed socket, stream I/O error, or an elapsed read deadline) marks
-//! the handle dead and makes it permanently inert — every subsequent call
-//! returns a neutral fallback (empty, `None`, `false`) and nothing more
-//! goes on the wire, so the coordinator's fan-out discipline survives the
-//! loss and can notice via [`PartitionHandle::crashed`] at the next tick
-//! boundary and fence the partition off. A dead handle is never reused:
-//! a late reply from a half-executed primitive would desynchronize the
-//! connection, so recovery always builds a fresh handle (respawn) or
-//! abandons the slot (failover). Protocol violations — wrong payload
-//! shape, undecodable reply — still panic: they are bugs, not crashes.
+//! - a *call* sends and waits — every op that can move the epoch, queue a
+//!   bus envelope or change what the partition homes is a call, so the
+//!   coordinator has folded its reply before it issues anything else;
+//! - a [`Probe`] (`start_*` then [`PartitionHandle::finish`]) puts the same
+//!   read-only or fence op on the wire of every partition before waiting
+//!   for the first reply, so the partition processes work concurrently;
+//! - a *posted* op (`post_*` then [`PartitionHandle::collect_posted`]) is
+//!   a closed op ([`PartitionOp::is_closed`]) written without even a
+//!   flush; the coordinator keeps issuing closed ops and collects the
+//!   replies, in issue order, before the next call.
+//!
+//! Every request carries the coordinator's epoch view as a floor, and
+//! every reply folds its epoch back with a `fetch_max` — reproducing the
+//! shared atomic epoch counter of the in-process deployment. Side effects
+//! come back in the reply: bus envelopes are buffered until
+//! [`PartitionHandle::take_outbox`] (so the coordinator's pump discipline
+//! is unchanged), downlink traffic is replayed onto the real agent network
+//! in emission order, and the `homes` delta is folded into the handle's
+//! mirror of the partition's FOT and SQT key sets. The partition is a
+//! passive server whose state changes only inside ops issued on this
+//! connection, so the mirror is exact whenever no call is outstanding —
+//! [`PartitionHandle::has_focal`], [`has_query`](PartitionHandle::has_query)
+//! and [`num_queries`](PartitionHandle::num_queries) read it instead of
+//! asking.
+//!
+//! Any failure on a remote handle kills it: a transport failure that
+//! means the peer is gone ([`TransportError::is_peer_death`] — closed
+//! socket, stream I/O error, or an elapsed read deadline) is recorded as
+//! is; an undecodable or mis-shaped reply is recorded as a
+//! [`TransportError::Protocol`] violation. Either way the handle is
+//! permanently inert from then on — every subsequent op returns a neutral
+//! fallback (empty, `None`, `false`), the mirror reads empty and nothing
+//! more goes on the wire — so the coordinator's fan-out discipline
+//! survives the loss and can notice via [`PartitionHandle::crashed`] at
+//! the next tick boundary and fence the partition off. A dead handle is
+//! never reused: a late reply from a half-executed primitive would
+//! desynchronize the connection, so recovery always builds a fresh handle
+//! (respawn) or abandons the slot (failover).
 
 use crate::wire::{self, NetAction, PartitionOp, PartitionReply, ReplyPayload};
 use mobieyes_core::server::Net;
-use mobieyes_core::{ClusterMsg, Filter, ObjectId, QueryId, Server};
+use mobieyes_core::{ClusterMsg, Filter, HomeChange, ObjectId, QueryId, Server};
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
 use mobieyes_net::{FramedConn, NodeId, StationId, TransportError};
-use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Deterministic coordinator-side RPC counts (see `telemetry::rpc_keys`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RpcCounts {
+    /// Requests whose reply the coordinator waited for (calls and probes).
+    pub round_trips: u64,
+    /// Closed ops written without waiting.
+    pub posted: u64,
+    /// Ownership lookups answered by the `homes` mirror; each was one
+    /// round trip before the mirror existed.
+    pub mirror_hits: u64,
+}
+
 /// A connected remote partition: the coordinator side of the RPC link.
 pub struct RemotePartition {
-    /// This partition's index (labels panic messages).
+    /// This partition's index (labels failure reports).
     partition: u32,
     conn: RefCell<FramedConn>,
     /// Coordinator-side view of the shared epoch, updated from every
@@ -53,12 +88,14 @@ pub struct RemotePartition {
     /// Reusable request/reply frame scratch — steady-state RPC traffic
     /// allocates no per-call buffers.
     frame: RefCell<Vec<u8>>,
-    /// Set on the first transport failure classified as peer death; the
-    /// handle is inert from then on (see module docs).
-    dead: std::cell::Cell<bool>,
-    /// The failure that killed the handle, for the coordinator's
-    /// detection report.
+    /// Mirror of the partition's FOT key set, folded from `homes`.
+    focals: RefCell<HashSet<ObjectId>>,
+    /// Mirror of the partition's SQT key set, folded from `homes`.
+    queries: RefCell<HashSet<QueryId>>,
+    /// The failure that killed the handle; it is inert once set (see
+    /// module docs).
     death: RefCell<Option<TransportError>>,
+    counts: Cell<RpcCounts>,
 }
 
 impl RemotePartition {
@@ -71,8 +108,10 @@ impl RemotePartition {
             epoch,
             outbox: RefCell::new(Vec::new()),
             frame: RefCell::new(Vec::new()),
-            dead: std::cell::Cell::new(false),
+            focals: RefCell::new(HashSet::new()),
+            queries: RefCell::new(HashSet::new()),
             death: RefCell::new(None),
+            counts: Cell::new(RpcCounts::default()),
         }
     }
 
@@ -83,132 +122,153 @@ impl RemotePartition {
         let _ = self.conn.borrow().set_read_timeout(dur);
     }
 
-    /// The transport failure that killed this handle, if any.
+    /// The failure that killed this handle, if any.
     pub fn crashed(&self) -> Option<TransportError> {
         self.death.borrow().clone()
     }
 
-    /// Classifies a transport failure: peer death marks the handle dead
-    /// (first error wins) and returns `None`; anything else is a protocol
-    /// bug and panics.
-    fn classify<T>(&self, e: TransportError, what: &str) -> Option<T> {
-        if e.is_peer_death() {
-            self.dead.set(true);
-            self.death.borrow_mut().get_or_insert(e);
-            None
-        } else {
-            panic!("remote partition {} {what}: {e}", self.partition)
-        }
+    fn dead(&self) -> bool {
+        self.death.borrow().is_some()
     }
 
-    /// Request half of an RPC: encodes and flushes the op without waiting
-    /// for the reply. Every send must be paired with exactly one
-    /// [`Self::recv_reply`] on this handle, in send order — the service
-    /// loop replies strictly in request order, so requests to *different*
-    /// partitions can be in flight simultaneously (pipelined fan-out).
-    fn send_request(&self, op: &PartitionOp) -> Result<(), TransportError> {
+    /// Kills the handle (first failure wins). Peer death is recorded as
+    /// is; anything else — an undecodable or mis-shaped reply — becomes a
+    /// protocol violation naming the partition. The mirror is cleared so a
+    /// dead handle homes nothing.
+    fn kill(&self, e: TransportError) {
+        let e = if e.is_peer_death() {
+            e
+        } else {
+            TransportError::Protocol(format!("partition {}: {e}", self.partition))
+        };
+        self.death.borrow_mut().get_or_insert(e);
+        self.focals.borrow_mut().clear();
+        self.queries.borrow_mut().clear();
+    }
+
+    fn count(&self, bump: impl FnOnce(&mut RpcCounts)) {
+        let mut c = self.counts.get();
+        bump(&mut c);
+        self.counts.set(c);
+    }
+
+    /// Queues one request frame behind whatever is already unflushed and
+    /// returns its size; 0 means the handle is dead and nothing was
+    /// written. Every queued request must be paired with exactly one
+    /// [`Self::recv`], in order.
+    fn send(&self, op: &PartitionOp) -> usize {
+        if self.dead() {
+            return 0;
+        }
         let floor = self.epoch.load(Ordering::Relaxed);
         let mut frame = self.frame.borrow_mut();
         frame.clear();
         wire::encode_request(floor, op, &mut frame);
-        let mut conn = self.conn.borrow_mut();
-        conn.write_frame(&frame)?;
-        conn.flush()
+        match self.conn.borrow_mut().write_frame(&frame) {
+            Ok(()) => 4 + frame.len(),
+            Err(e) => {
+                self.kill(e);
+                0
+            }
+        }
     }
 
-    /// Reply half of an RPC: blocks for the next reply frame, folds its
-    /// epoch into the shared view and buffers its outbox envelopes.
-    fn recv_reply(&self) -> Result<(Vec<NetAction>, ReplyPayload), TransportError> {
+    /// Pushes queued requests onto the wire.
+    fn flush(&self) {
+        if self.dead() {
+            return;
+        }
+        if let Err(e) = self.conn.borrow_mut().flush() {
+            self.kill(e);
+        }
+    }
+
+    /// Collects the oldest outstanding reply: folds its epoch into the
+    /// shared view, its `homes` into the mirror, buffers its outbox
+    /// envelopes and hands back the rest. `None` means the handle is dead
+    /// (already, or this wait killed it) and the reply will never come.
+    fn recv(&self) -> Option<(Vec<NetAction>, ReplyPayload)> {
+        self.flush();
+        if self.dead() {
+            return None;
+        }
         let mut frame = self.frame.borrow_mut();
-        self.conn.borrow_mut().read_frame_into(&mut frame)?;
+        let reply = self
+            .conn
+            .borrow_mut()
+            .read_frame_into(&mut frame)
+            .and_then(|()| wire::decode_reply(&frame));
         let PartitionReply {
             epoch,
             outbox,
             net,
             payload,
-        } = wire::decode_reply(&frame)?;
+            homes,
+        } = match reply {
+            Ok(reply) => reply,
+            Err(e) => {
+                self.kill(e);
+                return None;
+            }
+        };
         self.epoch.fetch_max(epoch, Ordering::Relaxed);
         self.outbox.borrow_mut().extend(outbox);
-        Ok((net, payload))
-    }
-
-    /// One strictly-serialized RPC round trip. The reply's outbox is
-    /// buffered; the net actions and payload are returned to the caller.
-    fn try_call(&self, op: &PartitionOp) -> Result<(Vec<NetAction>, ReplyPayload), TransportError> {
-        self.send_request(op)?;
-        self.recv_reply()
-    }
-
-    /// Pipelined request half with crash classification: `true` means the
-    /// request is on the wire and a reply must be collected; `false`
-    /// means the handle is (or just became) dead and no reply will come.
-    fn send_classified(&self, op: &PartitionOp) -> bool {
-        if self.dead.get() {
-            return false;
-        }
-        match self.send_request(op) {
-            Ok(()) => true,
-            Err(e) => self.classify::<()>(e, "failed sending a request").is_some(),
-        }
-    }
-
-    /// Collects the reply to a previously pipelined quiet (no-downlink)
-    /// op; `None` means the peer died before replying.
-    fn recv_quiet_classified(&self, what: &str) -> Option<ReplyPayload> {
-        match self.recv_reply() {
-            Ok((net, payload)) => {
-                debug_assert!(net.is_empty(), "op unexpectedly emitted downlinks");
-                Some(payload)
+        if !homes.is_empty() {
+            let mut focals = self.focals.borrow_mut();
+            let mut queries = self.queries.borrow_mut();
+            for change in homes {
+                match change {
+                    HomeChange::FocalAdded(oid) => focals.insert(oid),
+                    HomeChange::FocalRemoved(oid) => focals.remove(&oid),
+                    HomeChange::QueryAdded(qid) => queries.insert(qid),
+                    HomeChange::QueryRemoved(qid) => queries.remove(&qid),
+                };
             }
-            Err(e) => self.classify(e, what),
         }
+        Some((net, payload))
     }
 
-    /// One classified round trip: `None` means the peer is dead (already,
-    /// or it died during this call) and the op did not take effect.
-    fn call(&self, op: PartitionOp) -> Option<(Vec<NetAction>, ReplyPayload)> {
-        if self.dead.get() {
-            return None;
+    /// Collects one reply and checks its shape. A dead peer, or a reply of
+    /// the wrong shape (which kills the handle), yields `T`'s default —
+    /// the op's neutral fallback. Downlinks go to `net`; an op collected
+    /// without one must not have emitted any.
+    fn recv_as<T: FromPayload + Default>(&self, net: Option<&mut Net>) -> T {
+        let Some((actions, payload)) = self.recv() else {
+            return T::default();
+        };
+        match net {
+            Some(net) => replay_net(actions, net),
+            None => debug_assert!(actions.is_empty(), "op unexpectedly emitted downlinks"),
         }
-        match self.try_call(&op) {
-            Ok(result) => Some(result),
-            Err(e) => self.classify(e, "failed executing a request"),
+        T::from_payload(payload).unwrap_or_else(|other| {
+            self.kill(TransportError::Protocol(format!(
+                "reply {other:?} where {} was expected",
+                std::any::type_name::<T>()
+            )));
+            T::default()
+        })
+    }
+
+    /// One round trip.
+    fn call<T: FromPayload + Default>(&self, op: &PartitionOp, net: Option<&mut Net>) -> T {
+        if self.send(op) == 0 {
+            return T::default();
         }
+        self.count(|c| c.round_trips += 1);
+        self.recv_as(net)
     }
 
-    /// A call whose op must not emit downlink traffic.
-    fn call_quiet(&self, op: PartitionOp) -> Option<ReplyPayload> {
-        let (net, payload) = self.call(op)?;
-        debug_assert!(net.is_empty(), "op unexpectedly emitted downlinks");
-        Some(payload)
-    }
-
-    /// A call whose downlink side effects are replayed onto `net`.
-    fn call_net(&self, op: PartitionOp, net: &mut Net) -> Option<ReplyPayload> {
-        let (actions, payload) = self.call(op)?;
-        replay_net(actions, net);
-        Some(payload)
-    }
-
-    /// A fire-and-forget quiet call: the payload is ignored and a dead
-    /// peer makes the whole op a no-op.
-    fn call_quiet_void(&self, op: PartitionOp) {
-        let _ = self.call_quiet(op);
-    }
-
-    /// A fire-and-forget call with downlink replay; no-op on a dead peer.
-    fn call_net_void(&self, op: PartitionOp, net: &mut Net) {
-        let _ = self.call_net(op, net);
-    }
-
-    /// Configures the peer; must be the first call on the connection.
+    /// Configures the peer; must be the first call on the connection. Its
+    /// reply seeds the mirror with whatever a replayed log brought back.
     pub fn init(&self, init: wire::InitConfig) -> Result<(), TransportError> {
-        self.try_call(&PartitionOp::Init(init)).map(|_| ())
+        self.call::<()>(&PartitionOp::Init(init), None);
+        self.crashed().map_or(Ok(()), Err)
     }
 
     /// Sends the shutdown op; the peer replies and exits its service loop.
     pub fn shutdown(&self) -> Result<(), TransportError> {
-        self.try_call(&PartitionOp::Shutdown).map(|_| ())
+        self.call::<()>(&PartitionOp::Shutdown, None);
+        self.crashed().map_or(Ok(()), Err)
     }
 }
 
@@ -224,8 +284,72 @@ fn replay_net(actions: Vec<NetAction>, net: &mut Net) {
     }
 }
 
-fn bad_payload(what: &str, got: &ReplyPayload) -> ! {
-    panic!("remote partition returned wrong payload for {what}: {got:?}")
+/// The reply shape an op's return type travels as; a reply of any other
+/// shape is handed back (boxed: it only feeds the failure report).
+pub trait FromPayload: Sized {
+    fn from_payload(payload: ReplyPayload) -> Result<Self, Box<ReplyPayload>>;
+}
+
+macro_rules! payload_shapes {
+    ($($ty:ty => $variant:ident),* $(,)?) => {$(
+        impl FromPayload for $ty {
+            fn from_payload(payload: ReplyPayload) -> Result<Self, Box<ReplyPayload>> {
+                match payload {
+                    ReplyPayload::$variant(v) => Ok(v),
+                    other => Err(Box::new(other)),
+                }
+            }
+        }
+    )*};
+}
+
+payload_shapes! {
+    bool => Bool,
+    u64 => U64,
+    Vec<QueryId> => Qids,
+    Option<Vec<QueryId>> => OptQids,
+    Option<ClusterMsg> => OptCluster,
+    Option<LinearMotion> => OptMotion,
+    Option<CellId> => OptCell,
+    Option<ObjectId> => OptOid,
+    Vec<(CellId, u64)> => Digests,
+    Vec<(ObjectId, Vec<QueryId>)> => Leases,
+    Option<Vec<ObjectId>> => ResultSet,
+    Vec<ObjectId> => Oids,
+    Vec<LinearMotion> => Motions,
+}
+
+impl FromPayload for () {
+    fn from_payload(payload: ReplyPayload) -> Result<Self, Box<ReplyPayload>> {
+        match payload {
+            ReplyPayload::Unit => Ok(()),
+            other => Err(Box::new(other)),
+        }
+    }
+}
+
+impl FromPayload for (u64, u64, u64) {
+    fn from_payload(payload: ReplyPayload) -> Result<Self, Box<ReplyPayload>> {
+        match payload {
+            ReplyPayload::Load {
+                focals,
+                queries,
+                stubs,
+            } => Ok((focals, queries, stubs)),
+            other => Err(Box::new(other)),
+        }
+    }
+}
+
+impl FromPayload for Option<(QueryRegion, Arc<Filter>, Option<f64>)> {
+    fn from_payload(payload: ReplyPayload) -> Result<Self, Box<ReplyPayload>> {
+        match payload {
+            ReplyPayload::Reinstall(info) => {
+                Ok(info.map(|(region, filter, expires_at)| (region, Arc::new(filter), expires_at)))
+            }
+            other => Err(Box::new(other)),
+        }
+    }
 }
 
 /// A two-phase partition probe: the request half of a pipelined RPC.
@@ -250,7 +374,7 @@ pub enum Probe<T> {
 /// decomposition uses; see the `Server` docs for semantics.
 pub enum PartitionHandle {
     Local(Box<Server>),
-    Remote(RemotePartition),
+    Remote(Box<RemotePartition>),
 }
 
 impl PartitionHandle {
@@ -265,235 +389,359 @@ impl PartitionHandle {
         }
     }
 
-    fn local_mut(&mut self) -> Option<&mut Server> {
-        match self {
-            PartitionHandle::Local(s) => Some(s),
-            PartitionHandle::Remote(_) => None,
-        }
-    }
-
     pub fn is_remote(&self) -> bool {
         matches!(self, PartitionHandle::Remote(_))
     }
 
-    // --- pipelined probes -------------------------------------------------
+    // --- the three op shapes ------------------------------------------------
     //
-    // The coordinator's fan-out loops (ownership probes, digest beacons,
-    // lease scans) hit every partition with the same read-only op. Issued
-    // through `try_call` those serialize: each remote round trip completes
-    // before the next request leaves. The start/finish pairs below put
-    // every request on the wire first, so all partition processes compute
-    // concurrently, then collect replies in the same order — identical
-    // results, one round-trip latency instead of N.
+    // Every op below is one line over these: `op` builds the wire form
+    // (only evaluated for remote handles), `local` runs it in-process.
 
-    /// Generic request half: local handles compute inline; a dead remote
-    /// resolves to the fallback at finish time without touching the wire.
-    fn start<T>(&self, op: PartitionOp, local: impl FnOnce(&Server) -> T) -> Probe<T> {
+    /// Request half of a probe: local handles compute inline; a remote
+    /// request is flushed at once so the partition starts on it while the
+    /// coordinator probes its siblings.
+    fn start<T>(
+        &self,
+        op: impl FnOnce() -> PartitionOp,
+        local: impl FnOnce(&Server) -> T,
+    ) -> Probe<T> {
         match self {
             PartitionHandle::Local(s) => Probe::Ready(local(s)),
+            PartitionHandle::Remote(r) => Self::start_remote(r, &op()),
+        }
+    }
+
+    /// [`Self::start`] for ops that mutate the partition.
+    fn start_mut<T>(
+        &mut self,
+        op: impl FnOnce() -> PartitionOp,
+        local: impl FnOnce(&mut Server) -> T,
+    ) -> Probe<T> {
+        match self {
+            PartitionHandle::Local(s) => Probe::Ready(local(s)),
+            PartitionHandle::Remote(r) => Self::start_remote(r, &op()),
+        }
+    }
+
+    fn start_remote<T>(r: &RemotePartition, op: &PartitionOp) -> Probe<T> {
+        if r.send(op) == 0 {
+            return Probe::Dead;
+        }
+        r.count(|c| c.round_trips += 1);
+        r.flush();
+        Probe::Pending
+    }
+
+    /// Reply half of a probe. A probe whose peer is dead — at start, or
+    /// dying before the reply — yields `T`'s default, the op's neutral
+    /// fallback.
+    pub fn finish<T: FromPayload + Default>(&self, probe: Probe<T>) -> T {
+        match (probe, self) {
+            (Probe::Ready(v), _) => v,
+            (Probe::Pending, PartitionHandle::Remote(r)) => r.recv_as(None),
+            (Probe::Pending, PartitionHandle::Local(_)) => {
+                unreachable!("pending probe on a local handle")
+            }
+            (Probe::Dead, _) => T::default(),
+        }
+    }
+
+    /// One quiet (no-downlink) call: a probe finished at once.
+    fn ask<T: FromPayload + Default>(
+        &self,
+        op: impl FnOnce() -> PartitionOp,
+        local: impl FnOnce(&Server) -> T,
+    ) -> T {
+        self.finish(self.start(op, local))
+    }
+
+    /// One quiet call that mutates the partition.
+    fn ask_mut<T: FromPayload + Default>(
+        &mut self,
+        op: impl FnOnce() -> PartitionOp,
+        local: impl FnOnce(&mut Server) -> T,
+    ) -> T {
+        let probe = self.start_mut(op, local);
+        self.finish(probe)
+    }
+
+    /// One call whose downlinks land on `net`.
+    fn ask_net<T: FromPayload + Default>(
+        &mut self,
+        net: &mut Net,
+        op: impl FnOnce() -> PartitionOp,
+        local: impl FnOnce(&mut Server, &mut Net) -> T,
+    ) -> T {
+        match self {
+            PartitionHandle::Local(s) => local(s, net),
+            PartitionHandle::Remote(r) => r.call(&op(), Some(net)),
+        }
+    }
+
+    /// Issues a closed op without waiting: local handles execute inline, a
+    /// remote request is queued unflushed. Returns the bytes queued — when
+    /// non-zero the caller owes one [`Self::collect_posted`], after every
+    /// earlier post on any handle has been collected.
+    fn post(&mut self, op: impl FnOnce() -> PartitionOp, local: impl FnOnce(&mut Server)) -> usize {
+        match self {
+            PartitionHandle::Local(s) => {
+                local(s);
+                0
+            }
             PartitionHandle::Remote(r) => {
-                if r.send_classified(&op) {
-                    Probe::Pending
-                } else {
-                    Probe::Dead
+                let op = op();
+                debug_assert!(op.is_closed(), "only closed ops may be posted");
+                let bytes = r.send(&op);
+                if bytes > 0 {
+                    r.count(|c| c.posted += 1);
                 }
+                bytes
             }
         }
     }
 
-    /// Generic reply half for quiet (no-downlink) ops. A probe whose peer
-    /// is dead — at start, or dying before the reply — yields `T`'s
-    /// default, the op's neutral fallback.
-    fn finish<T: Default>(
-        &self,
-        probe: Probe<T>,
-        what: &str,
-        parse: impl FnOnce(ReplyPayload) -> T,
-    ) -> T {
-        match probe {
-            Probe::Ready(v) => v,
-            Probe::Dead => T::default(),
-            Probe::Pending => match self {
-                PartitionHandle::Local(_) => unreachable!("pending probe on a local handle"),
-                PartitionHandle::Remote(r) => match r.recv_quiet_classified(what) {
-                    Some(payload) => parse(payload),
-                    None => T::default(),
-                },
-            },
+    /// Pushes posted requests onto the wire, so this partition works on
+    /// them while the coordinator collects from its siblings.
+    pub fn flush_posted(&self) {
+        if let PartitionHandle::Remote(r) = self {
+            r.flush();
         }
     }
 
-    pub fn start_has_focal(&self, oid: ObjectId) -> Probe<bool> {
-        self.start(PartitionOp::HasFocal(oid), |s| s.has_focal(oid))
+    /// Collects the reply of the oldest posted op, replaying its downlinks
+    /// onto `net`. A dead peer's replies are skipped, not waited for.
+    pub fn collect_posted(&self, net: &mut Net) {
+        if let PartitionHandle::Remote(r) = self {
+            if let Some((actions, _)) = r.recv() {
+                replay_net(actions, net);
+            }
+        }
     }
 
-    pub fn finish_has_focal(&self, probe: Probe<bool>) -> bool {
-        self.finish(probe, "HasFocal", |p| match p {
-            ReplyPayload::Bool(b) => b,
-            other => bad_payload("HasFocal", &other),
-        })
+    // --- posted (closed) ops ------------------------------------------------
+
+    pub fn post_renew_lease(&mut self, oid: ObjectId) -> usize {
+        self.post(|| PartitionOp::RenewLease(oid), |s| s.renew_lease(oid))
     }
 
-    pub fn start_has_query(&self, qid: QueryId) -> Probe<bool> {
-        self.start(PartitionOp::HasQuery(qid), |s| s.has_query(qid))
+    pub fn post_result_change(
+        &mut self,
+        qid: QueryId,
+        oid: ObjectId,
+        is_target: bool,
+        net: &mut Net,
+    ) -> usize {
+        self.post(
+            || PartitionOp::ResultChange {
+                qid,
+                oid,
+                is_target,
+            },
+            |s| {
+                s.apply_result_change(qid, oid, is_target, net);
+            },
+        )
     }
 
-    pub fn finish_has_query(&self, probe: Probe<bool>) -> bool {
-        self.finish(probe, "HasQuery", |p| match p {
-            ReplyPayload::Bool(b) => b,
-            other => bad_payload("HasQuery", &other),
-        })
+    pub fn post_group_result_update(
+        &mut self,
+        oid: ObjectId,
+        focal: ObjectId,
+        mask: u64,
+        targets: u64,
+        net: &mut Net,
+    ) -> usize {
+        self.post(
+            || PartitionOp::GroupResultUpdate {
+                oid,
+                focal,
+                mask,
+                targets,
+            },
+            |s| s.apply_group_result_update(oid, focal, mask, targets, net),
+        )
     }
 
-    pub fn start_num_queries(&self) -> Probe<usize> {
-        self.start(PartitionOp::NumQueries, |s| s.num_queries())
+    // --- the homes mirror ---------------------------------------------------
+
+    pub fn has_focal(&self, oid: ObjectId) -> bool {
+        match self {
+            PartitionHandle::Local(s) => s.has_focal(oid),
+            PartitionHandle::Remote(r) => {
+                r.count(|c| c.mirror_hits += 1);
+                r.focals.borrow().contains(&oid)
+            }
+        }
     }
 
-    pub fn finish_num_queries(&self, probe: Probe<usize>) -> usize {
-        self.finish(probe, "NumQueries", |p| match p {
-            ReplyPayload::U64(n) => n as usize,
-            other => bad_payload("NumQueries", &other),
-        })
+    pub fn has_query(&self, qid: QueryId) -> bool {
+        match self {
+            PartitionHandle::Local(s) => s.has_query(qid),
+            PartitionHandle::Remote(r) => {
+                r.count(|c| c.mirror_hits += 1);
+                r.queries.borrow().contains(&qid)
+            }
+        }
+    }
+
+    pub fn num_queries(&self) -> usize {
+        match self {
+            PartitionHandle::Local(s) => s.num_queries(),
+            PartitionHandle::Remote(r) => r.queries.borrow().len(),
+        }
+    }
+
+    /// Drains the RPC counts accumulated since the last call; `None` for
+    /// local handles.
+    pub fn take_rpc_counts(&self) -> Option<RpcCounts> {
+        match self {
+            PartitionHandle::Local(_) => None,
+            PartitionHandle::Remote(r) => Some(r.counts.take()),
+        }
+    }
+
+    // --- probes (fan-out ops) -----------------------------------------------
+    //
+    // The coordinator's fan-out loops (digest beacons, lease scans, the
+    // fences' per-partition rounds) hit every partition with the same op.
+    // Issued as calls those serialize: each round trip completes before
+    // the next request leaves. Starting every probe first and finishing
+    // them in the same order gives identical results in one round-trip
+    // latency instead of N.
+
+    pub fn start_set_time(&mut self, now: f64) -> Probe<()> {
+        self.start_mut(|| PartitionOp::SetTime(now), |s| s.set_time(now))
     }
 
     pub fn start_query_ids(&self) -> Probe<Vec<QueryId>> {
-        self.start(PartitionOp::QueryIds, |s| s.query_ids().collect())
-    }
-
-    pub fn finish_query_ids(&self, probe: Probe<Vec<QueryId>>) -> Vec<QueryId> {
-        self.finish(probe, "QueryIds", |p| match p {
-            ReplyPayload::Qids(qids) => qids,
-            other => bad_payload("QueryIds", &other),
-        })
-    }
-
-    pub fn start_query_result(&self, qid: QueryId) -> Probe<Option<Vec<ObjectId>>> {
-        self.start(PartitionOp::QueryResult(qid), |s| {
-            s.query_result(qid).map(|r| r.iter().copied().collect())
-        })
-    }
-
-    pub fn finish_query_result(
-        &self,
-        probe: Probe<Option<Vec<ObjectId>>>,
-    ) -> Option<Vec<ObjectId>> {
-        self.finish(probe, "QueryResult", |p| match p {
-            ReplyPayload::ResultSet(oids) => oids,
-            other => bad_payload("QueryResult", &other),
-        })
-    }
-
-    pub fn start_query_focal(&self, qid: QueryId) -> Probe<Option<ObjectId>> {
-        self.start(PartitionOp::QueryFocal(qid), |s| s.query_focal(qid))
-    }
-
-    pub fn finish_query_focal(&self, probe: Probe<Option<ObjectId>>) -> Option<ObjectId> {
-        self.finish(probe, "QueryFocal", |p| match p {
-            ReplyPayload::OptOid(oid) => oid,
-            other => bad_payload("QueryFocal", &other),
-        })
+        self.start(|| PartitionOp::QueryIds, |s| s.query_ids().collect())
     }
 
     pub fn start_expired_query_ids(&self, now: f64) -> Probe<Vec<QueryId>> {
-        self.start(PartitionOp::ExpiredQueryIds(now), |s| {
-            s.expired_query_ids(now)
-        })
-    }
-
-    pub fn finish_expired_query_ids(&self, probe: Probe<Vec<QueryId>>) -> Vec<QueryId> {
-        self.finish(probe, "ExpiredQueryIds", |p| match p {
-            ReplyPayload::Qids(qids) => qids,
-            other => bad_payload("ExpiredQueryIds", &other),
-        })
+        self.start(
+            || PartitionOp::ExpiredQueryIds(now),
+            |s| s.expired_query_ids(now),
+        )
     }
 
     pub fn start_expired_leases(&self) -> Probe<Vec<(ObjectId, Vec<QueryId>)>> {
-        self.start(PartitionOp::ExpiredLeases, |s| s.expired_leases())
-    }
-
-    pub fn finish_expired_leases(
-        &self,
-        probe: Probe<Vec<(ObjectId, Vec<QueryId>)>>,
-    ) -> Vec<(ObjectId, Vec<QueryId>)> {
-        self.finish(probe, "ExpiredLeases", |p| match p {
-            ReplyPayload::Leases(leases) => leases,
-            other => bad_payload("ExpiredLeases", &other),
-        })
+        self.start(|| PartitionOp::ExpiredLeases, |s| s.expired_leases())
     }
 
     pub fn start_digest_cells(&self) -> Probe<Vec<(CellId, u64)>> {
-        self.start(PartitionOp::DigestCells, |s| s.digest_cells())
+        self.start(|| PartitionOp::DigestCells, |s| s.digest_cells())
     }
 
-    pub fn finish_digest_cells(&self, probe: Probe<Vec<(CellId, u64)>>) -> Vec<(CellId, u64)> {
-        self.finish(probe, "DigestCells", |p| match p {
-            ReplyPayload::Digests(digests) => digests,
-            other => bad_payload("DigestCells", &other),
-        })
+    /// Syncs a remote partition's ownership-table copy to the
+    /// coordinator's exact bounds and generation after a fence. Local
+    /// handles share the coordinator's table and need nothing.
+    pub fn start_install_bounds(&mut self, generation: u64, bounds: &[usize]) -> Probe<()> {
+        self.start_mut(
+            || PartitionOp::InstallBounds {
+                generation,
+                bounds: bounds.iter().map(|&b| b as u64).collect(),
+            },
+            |_| (),
+        )
     }
 
-    /// Mutating fan-out ops (lease renewal, clock distribution): local
-    /// handles apply immediately, remote requests pipeline.
-    pub fn start_renew_lease(&mut self, oid: ObjectId) -> Probe<()> {
-        match self {
-            PartitionHandle::Local(s) => {
-                s.renew_lease(oid);
-                Probe::Ready(())
-            }
-            PartitionHandle::Remote(r) => {
-                if r.send_classified(&PartitionOp::RenewLease(oid)) {
-                    Probe::Pending
-                } else {
-                    Probe::Dead
-                }
-            }
-        }
+    pub fn start_export_cells(
+        &mut self,
+        flats: &[usize],
+        generation: u64,
+    ) -> Probe<Option<ClusterMsg>> {
+        self.start_mut(
+            || PartitionOp::ExportCells {
+                flats: flats.iter().map(|&f| f as u32).collect(),
+                generation,
+            },
+            |s| s.export_cells(flats, generation),
+        )
     }
 
-    pub fn start_set_time(&mut self, now: f64) -> Probe<()> {
-        match self {
-            PartitionHandle::Local(s) => {
-                s.set_time(now);
-                Probe::Ready(())
-            }
-            PartitionHandle::Remote(r) => {
-                if r.send_classified(&PartitionOp::SetTime(now)) {
-                    Probe::Pending
-                } else {
-                    Probe::Dead
-                }
-            }
-        }
+    pub fn start_focal_ids(&self) -> Probe<Vec<ObjectId>> {
+        self.start(|| PartitionOp::FocalIds, |s| s.focal_ids())
     }
 
-    pub fn finish_unit(&self, probe: Probe<()>, what: &str) {
-        self.finish(probe, what, |p| match p {
-            ReplyPayload::Unit => (),
-            other => bad_payload(what, &other),
-        })
+    pub fn start_focal_anchor_cell(&self, oid: ObjectId) -> Probe<Option<CellId>> {
+        self.start(
+            || PartitionOp::FocalAnchorCell(oid),
+            |s| s.focal_anchor_cell(oid),
+        )
     }
+
+    pub fn start_extract_focal(&mut self, oid: ObjectId) -> Probe<Option<ClusterMsg>> {
+        self.start_mut(|| PartitionOp::ExtractFocal(oid), |s| s.extract_focal(oid))
+    }
+
+    pub fn start_prune_stubs(&mut self) -> Probe<()> {
+        self.start_mut(|| PartitionOp::PruneStubs, |s| s.prune_stubs())
+    }
+
+    /// Partition state weight `(focals, queries, stubs)` for rebalance
+    /// telemetry. Zeroes on a dead peer.
+    pub fn start_load_signal(&self) -> Probe<(u64, u64, u64)> {
+        self.start(
+            || PartitionOp::LoadSignal,
+            |s| {
+                (
+                    s.focal_ids().len() as u64,
+                    s.num_queries() as u64,
+                    s.num_stubs() as u64,
+                )
+            },
+        )
+    }
+
+    // The single-partition forms of the probes above, for the fences'
+    // sequential rounds.
 
     pub fn set_time(&mut self, now: f64) {
-        match self {
-            PartitionHandle::Local(s) => s.set_time(now),
-            PartitionHandle::Remote(r) => r.call_quiet_void(PartitionOp::SetTime(now)),
-        }
+        let probe = self.start_set_time(now);
+        self.finish(probe)
     }
 
-    pub fn renew_lease(&mut self, oid: ObjectId) {
-        match self {
-            PartitionHandle::Local(s) => s.renew_lease(oid),
-            PartitionHandle::Remote(r) => r.call_quiet_void(PartitionOp::RenewLease(oid)),
-        }
+    pub fn query_ids(&self) -> Vec<QueryId> {
+        self.finish(self.start_query_ids())
     }
+
+    pub fn install_bounds(&mut self, generation: u64, bounds: &[usize]) {
+        let probe = self.start_install_bounds(generation, bounds);
+        self.finish(probe)
+    }
+
+    pub fn export_cells(&mut self, flats: &[usize], generation: u64) -> Option<ClusterMsg> {
+        let probe = self.start_export_cells(flats, generation);
+        self.finish(probe)
+    }
+
+    pub fn focal_ids(&self) -> Vec<ObjectId> {
+        self.finish(self.start_focal_ids())
+    }
+
+    pub fn focal_anchor_cell(&self, oid: ObjectId) -> Option<CellId> {
+        self.finish(self.start_focal_anchor_cell(oid))
+    }
+
+    pub fn extract_focal(&mut self, oid: ObjectId) -> Option<ClusterMsg> {
+        let probe = self.start_extract_focal(oid);
+        self.finish(probe)
+    }
+
+    pub fn prune_stubs(&mut self) {
+        let probe = self.start_prune_stubs();
+        self.finish(probe)
+    }
+
+    // --- calls ----------------------------------------------------------------
 
     pub fn on_velocity_report(&mut self, oid: ObjectId, motion: LinearMotion, net: &mut Net) {
-        match self {
-            PartitionHandle::Local(s) => s.on_velocity_report(oid, motion, net),
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(PartitionOp::VelocityReport { oid, motion }, net);
-            }
-        }
+        self.ask_net(
+            net,
+            || PartitionOp::VelocityReport { oid, motion },
+            |s, net| s.on_velocity_report(oid, motion, net),
+        )
     }
 
     pub fn apply_cell_change_focal(
@@ -503,19 +751,15 @@ impl PartitionHandle {
         motion: LinearMotion,
         net: &mut Net,
     ) {
-        match self {
-            PartitionHandle::Local(s) => s.apply_cell_change_focal(oid, new_cell, motion, net),
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(
-                    PartitionOp::CellChangeFocal {
-                        oid,
-                        new_cell,
-                        motion,
-                    },
-                    net,
-                );
-            }
-        }
+        self.ask_net(
+            net,
+            || PartitionOp::CellChangeFocal {
+                oid,
+                new_cell,
+                motion,
+            },
+            |s, net| s.apply_cell_change_focal(oid, new_cell, motion, net),
+        )
     }
 
     pub fn apply_cell_change_fresh(
@@ -526,74 +770,16 @@ impl PartitionHandle {
         motion: LinearMotion,
         net: &mut Net,
     ) {
-        match self {
-            PartitionHandle::Local(s) => {
-                s.apply_cell_change_fresh(oid, prev_cell, new_cell, motion, net)
-            }
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(
-                    PartitionOp::CellChangeFresh {
-                        oid,
-                        prev_cell,
-                        new_cell,
-                        motion,
-                    },
-                    net,
-                );
-            }
-        }
-    }
-
-    pub fn apply_result_change(
-        &mut self,
-        qid: QueryId,
-        oid: ObjectId,
-        is_target: bool,
-        net: &mut Net,
-    ) -> bool {
-        match self {
-            PartitionHandle::Local(s) => s.apply_result_change(qid, oid, is_target, net),
-            PartitionHandle::Remote(r) => {
-                match r.call_net(
-                    PartitionOp::ResultChange {
-                        qid,
-                        oid,
-                        is_target,
-                    },
-                    net,
-                ) {
-                    Some(ReplyPayload::Bool(b)) => b,
-                    None => false,
-                    Some(other) => bad_payload("ResultChange", &other),
-                }
-            }
-        }
-    }
-
-    pub fn apply_group_result_update(
-        &mut self,
-        oid: ObjectId,
-        focal: ObjectId,
-        mask: u64,
-        targets: u64,
-        net: &mut Net,
-    ) {
-        match self {
-            PartitionHandle::Local(s) => {
-                s.apply_group_result_update(oid, focal, mask, targets, net)
-            }
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(
-                    PartitionOp::GroupResultUpdate {
-                        oid,
-                        focal,
-                        mask,
-                        targets,
-                    },
-                    net,
-                );
-            }
-        }
+        self.ask_net(
+            net,
+            || PartitionOp::CellChangeFresh {
+                oid,
+                prev_cell,
+                new_cell,
+                motion,
+            },
+            |s, net| s.apply_cell_change_fresh(oid, prev_cell, new_cell, motion, net),
+        )
     }
 
     pub fn refresh_focal_motion(
@@ -603,17 +789,15 @@ impl PartitionHandle {
         max_vel: f64,
         insert: bool,
     ) {
-        match self {
-            PartitionHandle::Local(s) => s.refresh_focal_motion(oid, motion, max_vel, insert),
-            PartitionHandle::Remote(r) => {
-                r.call_quiet_void(PartitionOp::RefreshFocalMotion {
-                    oid,
-                    motion,
-                    max_vel,
-                    insert,
-                });
-            }
-        }
+        self.ask_mut(
+            || PartitionOp::RefreshFocalMotion {
+                oid,
+                motion,
+                max_vel,
+                insert,
+            },
+            |s| s.refresh_focal_motion(oid, motion, max_vel, insert),
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -630,117 +814,51 @@ impl PartitionHandle {
             PartitionHandle::Local(s) => {
                 s.complete_install_at(qid, focal, region, filter, expires_at, net)
             }
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(
-                    PartitionOp::CompleteInstall {
-                        qid,
-                        focal,
-                        region,
-                        filter,
-                        expires_at,
-                    },
-                    net,
-                );
-            }
+            PartitionHandle::Remote(r) => r.call(
+                &PartitionOp::CompleteInstall {
+                    qid,
+                    focal,
+                    region,
+                    filter,
+                    expires_at,
+                },
+                Some(net),
+            ),
         }
     }
 
     pub fn remove_query(&mut self, qid: QueryId, net: &mut Net) -> bool {
-        match self {
-            PartitionHandle::Local(s) => s.remove_query(qid, net),
-            PartitionHandle::Remote(r) => match r.call_net(PartitionOp::RemoveQuery(qid), net) {
-                Some(ReplyPayload::Bool(b)) => b,
-                None => false,
-                Some(other) => bad_payload("RemoveQuery", &other),
-            },
-        }
-    }
-
-    pub fn expired_query_ids(&self, now: f64) -> Vec<QueryId> {
-        match self {
-            PartitionHandle::Local(s) => s.expired_query_ids(now),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::ExpiredQueryIds(now)) {
-                Some(ReplyPayload::Qids(qids)) => qids,
-                None => Vec::new(),
-                Some(other) => bad_payload("ExpiredQueryIds", &other),
-            },
-        }
-    }
-
-    pub fn expired_leases(&self) -> Vec<(ObjectId, Vec<QueryId>)> {
-        match self {
-            PartitionHandle::Local(s) => s.expired_leases(),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::ExpiredLeases) {
-                Some(ReplyPayload::Leases(leases)) => leases,
-                None => Vec::new(),
-                Some(other) => bad_payload("ExpiredLeases", &other),
-            },
-        }
+        self.ask_net(
+            net,
+            || PartitionOp::RemoveQuery(qid),
+            |s, net| s.remove_query(qid, net),
+        )
     }
 
     pub fn reinstall_info(&self, qid: QueryId) -> Option<(QueryRegion, Arc<Filter>, Option<f64>)> {
-        match self {
-            PartitionHandle::Local(s) => s.reinstall_info(qid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::ReinstallInfo(qid)) {
-                Some(ReplyPayload::Reinstall(info)) => {
-                    info.map(|(region, filter, expires_at)| (region, Arc::new(filter), expires_at))
-                }
-                None => None,
-                Some(other) => bad_payload("ReinstallInfo", &other),
-            },
-        }
-    }
-
-    pub fn digest_cells(&self) -> Vec<(CellId, u64)> {
-        match self {
-            PartitionHandle::Local(s) => s.digest_cells(),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::DigestCells) {
-                Some(ReplyPayload::Digests(digests)) => digests,
-                None => Vec::new(),
-                Some(other) => bad_payload("DigestCells", &other),
-            },
-        }
+        self.ask(
+            || PartitionOp::ReinstallInfo(qid),
+            |s| s.reinstall_info(qid),
+        )
     }
 
     pub fn bump_epoch_for_coordinator(&mut self) -> u64 {
         match self {
             PartitionHandle::Local(s) => s.bump_epoch_for_coordinator(),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::BumpEpoch) {
-                Some(ReplyPayload::U64(epoch)) => epoch,
-                None => r.epoch.load(Ordering::Relaxed),
-                Some(other) => bad_payload("BumpEpoch", &other),
-            },
+            PartitionHandle::Remote(r) => {
+                // A dead peer answers 0: the coordinator's view stands.
+                let bumped: u64 = r.call(&PartitionOp::BumpEpoch, None);
+                bumped.max(r.epoch.load(Ordering::Relaxed))
+            }
         }
     }
 
     pub fn current_epoch(&self) -> u64 {
         match self {
             PartitionHandle::Local(s) => s.current_epoch(),
-            // Exact under strict serialization: every epoch movement flows
-            // through a reply this view already folded in.
+            // Exact whenever no call is outstanding: every epoch movement
+            // flows through a reply this view already folded in.
             PartitionHandle::Remote(r) => r.epoch.load(Ordering::Relaxed),
-        }
-    }
-
-    pub fn num_queries(&self) -> usize {
-        match self {
-            PartitionHandle::Local(s) => s.num_queries(),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::NumQueries) {
-                Some(ReplyPayload::U64(n)) => n as usize,
-                None => 0,
-                Some(other) => bad_payload("NumQueries", &other),
-            },
-        }
-    }
-
-    pub fn query_ids(&self) -> Vec<QueryId> {
-        match self {
-            PartitionHandle::Local(s) => s.query_ids().collect(),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::QueryIds) {
-                Some(ReplyPayload::Qids(qids)) => qids,
-                None => Vec::new(),
-                Some(other) => bad_payload("QueryIds", &other),
-            },
         }
     }
 
@@ -756,91 +874,30 @@ impl PartitionHandle {
 
     /// Owned copy of a query's result set, local or remote.
     pub fn query_result_owned(&self, qid: QueryId) -> Option<Vec<ObjectId>> {
-        match self {
-            PartitionHandle::Local(s) => s.query_result(qid).map(|r| r.iter().copied().collect()),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::QueryResult(qid)) {
-                Some(ReplyPayload::ResultSet(oids)) => oids,
-                None => None,
-                Some(other) => bad_payload("QueryResult", &other),
-            },
-        }
+        self.ask(
+            || PartitionOp::QueryResult(qid),
+            |s| s.query_result(qid).map(|r| r.iter().copied().collect()),
+        )
     }
 
     pub fn query_focal(&self, qid: QueryId) -> Option<ObjectId> {
-        match self {
-            PartitionHandle::Local(s) => s.query_focal(qid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::QueryFocal(qid)) {
-                Some(ReplyPayload::OptOid(oid)) => oid,
-                None => None,
-                Some(other) => bad_payload("QueryFocal", &other),
-            },
-        }
-    }
-
-    pub fn has_focal(&self, oid: ObjectId) -> bool {
-        match self {
-            PartitionHandle::Local(s) => s.has_focal(oid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::HasFocal(oid)) {
-                Some(ReplyPayload::Bool(b)) => b,
-                None => false,
-                Some(other) => bad_payload("HasFocal", &other),
-            },
-        }
-    }
-
-    pub fn has_query(&self, qid: QueryId) -> bool {
-        match self {
-            PartitionHandle::Local(s) => s.has_query(qid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::HasQuery(qid)) {
-                Some(ReplyPayload::Bool(b)) => b,
-                None => false,
-                Some(other) => bad_payload("HasQuery", &other),
-            },
-        }
+        self.ask(|| PartitionOp::QueryFocal(qid), |s| s.query_focal(qid))
     }
 
     pub fn focal_motion(&self, oid: ObjectId) -> Option<LinearMotion> {
-        match self {
-            PartitionHandle::Local(s) => s.focal_motion(oid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::FocalMotion(oid)) {
-                Some(ReplyPayload::OptMotion(m)) => m,
-                None => None,
-                Some(other) => bad_payload("FocalMotion", &other),
-            },
-        }
+        self.ask(|| PartitionOp::FocalMotion(oid), |s| s.focal_motion(oid))
     }
 
     pub fn focal_queries(&self, oid: ObjectId) -> Option<Vec<QueryId>> {
-        match self {
-            PartitionHandle::Local(s) => s.focal_queries(oid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::FocalQueries(oid)) {
-                Some(ReplyPayload::OptQids(qids)) => qids,
-                None => None,
-                Some(other) => bad_payload("FocalQueries", &other),
-            },
-        }
+        self.ask(|| PartitionOp::FocalQueries(oid), |s| s.focal_queries(oid))
     }
 
     pub fn query_cell(&self, qid: QueryId) -> Option<CellId> {
-        match self {
-            PartitionHandle::Local(s) => s.query_cell(qid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::QueryCell(qid)) {
-                Some(ReplyPayload::OptCell(cell)) => cell,
-                None => None,
-                Some(other) => bad_payload("QueryCell", &other),
-            },
-        }
+        self.ask(|| PartitionOp::QueryCell(qid), |s| s.query_cell(qid))
     }
 
     pub fn purge_object(&mut self, oid: ObjectId) -> Vec<QueryId> {
-        match self {
-            PartitionHandle::Local(s) => s.purge_object(oid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::PurgeObject(oid)) {
-                Some(ReplyPayload::Qids(qids)) => qids,
-                None => Vec::new(),
-                Some(other) => bad_payload("PurgeObject", &other),
-            },
-        }
+        self.ask_mut(|| PartitionOp::PurgeObject(oid), |s| s.purge_object(oid))
     }
 
     pub fn deliver_result_delta(
@@ -850,58 +907,38 @@ impl PartitionHandle {
         entered: bool,
         net: &mut Net,
     ) {
-        match self {
-            PartitionHandle::Local(s) => s.deliver_result_delta(qid, oid, entered, net),
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(PartitionOp::DeliverResultDelta { qid, oid, entered }, net);
-            }
-        }
+        self.ask_net(
+            net,
+            || PartitionOp::DeliverResultDelta { qid, oid, entered },
+            |s, net| s.deliver_result_delta(qid, oid, entered, net),
+        )
     }
 
     pub fn lqt_reconcile_one(&mut self, qid: QueryId, oid: ObjectId, is_target: bool) -> bool {
-        match self {
-            PartitionHandle::Local(s) => s.lqt_reconcile_one(qid, oid, is_target),
-            PartitionHandle::Remote(r) => {
-                match r.call_quiet(PartitionOp::LqtReconcileOne {
-                    qid,
-                    oid,
-                    is_target,
-                }) {
-                    Some(ReplyPayload::Bool(b)) => b,
-                    None => false,
-                    Some(other) => bad_payload("LqtReconcileOne", &other),
-                }
-            }
-        }
+        self.ask_mut(
+            || PartitionOp::LqtReconcileOne {
+                qid,
+                oid,
+                is_target,
+            },
+            |s| s.lqt_reconcile_one(qid, oid, is_target),
+        )
     }
 
     pub fn focal_reassert(&mut self, oid: ObjectId, net: &mut Net) {
-        match self {
-            PartitionHandle::Local(s) => s.focal_reassert(oid, net),
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(PartitionOp::FocalReassert(oid), net);
-            }
-        }
+        self.ask_net(
+            net,
+            || PartitionOp::FocalReassert(oid),
+            |s, net| s.focal_reassert(oid, net),
+        )
     }
 
     pub fn cell_sync_reply(&mut self, oid: ObjectId, cell: CellId, net: &mut Net) {
-        match self {
-            PartitionHandle::Local(s) => s.cell_sync_reply(oid, cell, net),
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(PartitionOp::CellSyncReply { oid, cell }, net);
-            }
-        }
-    }
-
-    pub fn extract_focal(&mut self, oid: ObjectId) -> Option<ClusterMsg> {
-        match self {
-            PartitionHandle::Local(s) => s.extract_focal(oid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::ExtractFocal(oid)) {
-                Some(ReplyPayload::OptCluster(msg)) => msg,
-                None => None,
-                Some(other) => bad_payload("ExtractFocal", &other),
-            },
-        }
+        self.ask_net(
+            net,
+            || PartitionOp::CellSyncReply { oid, cell },
+            |s, net| s.cell_sync_reply(oid, cell, net),
+        )
     }
 
     pub fn take_outbox(&mut self) -> Vec<(u32, ClusterMsg)> {
@@ -912,209 +949,39 @@ impl PartitionHandle {
     }
 
     pub fn apply_cluster_msg(&mut self, msg: &ClusterMsg) {
-        match self {
-            PartitionHandle::Local(s) => s.apply_cluster_msg(msg),
-            PartitionHandle::Remote(r) => {
-                r.call_quiet_void(PartitionOp::Deliver(msg.clone()));
-            }
-        }
+        self.ask_mut(
+            || PartitionOp::Deliver(msg.clone()),
+            |s| s.apply_cluster_msg(msg),
+        )
     }
 
+    /// The partition's structural self-check; for a remote handle also the
+    /// audit of the `homes` mirror against the key sets the partition
+    /// reports. Panics on a violation (a test and smoke-run facility).
     pub fn check_invariants(&self) {
-        match self {
-            PartitionHandle::Local(s) => s.check_invariants(),
-            PartitionHandle::Remote(r) => {
-                r.call_quiet_void(PartitionOp::CheckInvariants);
-            }
+        self.ask(|| PartitionOp::CheckInvariants, |s| s.check_invariants());
+        let PartitionHandle::Remote(r) = self else {
+            return;
+        };
+        let focals = self.focal_ids();
+        let queries = self.query_ids();
+        if r.dead() {
+            return;
         }
-    }
-
-    // --- rebalance / recovery surface ------------------------------------
-    //
-    // The fence's per-partition rounds (ownership sync, RQI export, focal
-    // census, stub prune) are fan-outs like the read probes above, so each
-    // op also has a pipelined start/finish pair: all partition processes
-    // cut their state concurrently and the coordinator collects replies in
-    // start order.
-
-    /// Pipelined ownership-table sync: local handles share the
-    /// coordinator's table and resolve immediately.
-    pub fn start_install_bounds(&mut self, generation: u64, bounds: &[usize]) -> Probe<()> {
-        match self {
-            PartitionHandle::Local(_) => Probe::Ready(()),
-            PartitionHandle::Remote(r) => {
-                let bounds = bounds.iter().map(|&b| b as u64).collect();
-                if r.send_classified(&PartitionOp::InstallBounds { generation, bounds }) {
-                    Probe::Pending
-                } else {
-                    Probe::Dead
-                }
-            }
-        }
-    }
-
-    pub fn start_export_cells(
-        &mut self,
-        flats: &[usize],
-        generation: u64,
-    ) -> Probe<Option<ClusterMsg>> {
-        match self {
-            PartitionHandle::Local(s) => Probe::Ready(s.export_cells(flats, generation)),
-            PartitionHandle::Remote(r) => {
-                let flats = flats.iter().map(|&f| f as u32).collect();
-                if r.send_classified(&PartitionOp::ExportCells { flats, generation }) {
-                    Probe::Pending
-                } else {
-                    Probe::Dead
-                }
-            }
-        }
-    }
-
-    pub fn finish_export_cells(&self, probe: Probe<Option<ClusterMsg>>) -> Option<ClusterMsg> {
-        self.finish(probe, "ExportCells", |p| match p {
-            ReplyPayload::OptCluster(msg) => msg,
-            other => bad_payload("ExportCells", &other),
-        })
-    }
-
-    pub fn start_focal_ids(&self) -> Probe<Vec<ObjectId>> {
-        self.start(PartitionOp::FocalIds, |s| s.focal_ids())
-    }
-
-    pub fn finish_focal_ids(&self, probe: Probe<Vec<ObjectId>>) -> Vec<ObjectId> {
-        self.finish(probe, "FocalIds", |p| match p {
-            ReplyPayload::Oids(oids) => oids,
-            other => bad_payload("FocalIds", &other),
-        })
-    }
-
-    pub fn start_focal_anchor_cell(&self, oid: ObjectId) -> Probe<Option<CellId>> {
-        self.start(PartitionOp::FocalAnchorCell(oid), |s| {
-            s.focal_anchor_cell(oid)
-        })
-    }
-
-    pub fn finish_focal_anchor_cell(&self, probe: Probe<Option<CellId>>) -> Option<CellId> {
-        self.finish(probe, "FocalAnchorCell", |p| match p {
-            ReplyPayload::OptCell(cell) => cell,
-            other => bad_payload("FocalAnchorCell", &other),
-        })
-    }
-
-    pub fn start_extract_focal(&mut self, oid: ObjectId) -> Probe<Option<ClusterMsg>> {
-        match self {
-            PartitionHandle::Local(s) => Probe::Ready(s.extract_focal(oid)),
-            PartitionHandle::Remote(r) => {
-                if r.send_classified(&PartitionOp::ExtractFocal(oid)) {
-                    Probe::Pending
-                } else {
-                    Probe::Dead
-                }
-            }
-        }
-    }
-
-    pub fn finish_extract_focal(&self, probe: Probe<Option<ClusterMsg>>) -> Option<ClusterMsg> {
-        self.finish(probe, "ExtractFocal", |p| match p {
-            ReplyPayload::OptCluster(msg) => msg,
-            other => bad_payload("ExtractFocal", &other),
-        })
-    }
-
-    pub fn start_prune_stubs(&mut self) -> Probe<()> {
-        match self {
-            PartitionHandle::Local(s) => {
-                s.prune_stubs();
-                Probe::Ready(())
-            }
-            PartitionHandle::Remote(r) => {
-                if r.send_classified(&PartitionOp::PruneStubs) {
-                    Probe::Pending
-                } else {
-                    Probe::Dead
-                }
-            }
-        }
-    }
-
-    /// Partition state weight `(focals, queries, stubs)` for rebalance
-    /// telemetry. Zeroes on a dead peer.
-    pub fn start_load_signal(&self) -> Probe<(u64, u64, u64)> {
-        self.start(PartitionOp::LoadSignal, |s| {
-            (
-                s.focal_ids().len() as u64,
-                s.num_queries() as u64,
-                s.num_stubs() as u64,
-            )
-        })
-    }
-
-    pub fn finish_load_signal(&self, probe: Probe<(u64, u64, u64)>) -> (u64, u64, u64) {
-        self.finish(probe, "LoadSignal", |p| match p {
-            ReplyPayload::Load {
-                focals,
-                queries,
-                stubs,
-            } => (focals, queries, stubs),
-            other => bad_payload("LoadSignal", &other),
-        })
-    }
-
-    pub fn export_cells(&mut self, flats: &[usize], generation: u64) -> Option<ClusterMsg> {
-        match self {
-            PartitionHandle::Local(s) => s.export_cells(flats, generation),
-            PartitionHandle::Remote(r) => {
-                let flats = flats.iter().map(|&f| f as u32).collect();
-                match r.call_quiet(PartitionOp::ExportCells { flats, generation }) {
-                    Some(ReplyPayload::OptCluster(msg)) => msg,
-                    None => None,
-                    Some(other) => bad_payload("ExportCells", &other),
-                }
-            }
-        }
-    }
-
-    pub fn prune_stubs(&mut self) {
-        match self {
-            PartitionHandle::Local(s) => s.prune_stubs(),
-            PartitionHandle::Remote(r) => r.call_quiet_void(PartitionOp::PruneStubs),
-        }
-    }
-
-    pub fn focal_ids(&self) -> Vec<ObjectId> {
-        match self {
-            PartitionHandle::Local(s) => s.focal_ids(),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::FocalIds) {
-                Some(ReplyPayload::Oids(oids)) => oids,
-                None => Vec::new(),
-                Some(other) => bad_payload("FocalIds", &other),
-            },
-        }
-    }
-
-    pub fn focal_anchor_cell(&self, oid: ObjectId) -> Option<CellId> {
-        match self {
-            PartitionHandle::Local(s) => s.focal_anchor_cell(oid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::FocalAnchorCell(oid)) {
-                Some(ReplyPayload::OptCell(cell)) => cell,
-                None => None,
-                Some(other) => bad_payload("FocalAnchorCell", &other),
-            },
-        }
-    }
-
-    /// Syncs a remote partition's ownership-table copy to the
-    /// coordinator's exact bounds and generation after a fence. Local
-    /// handles share the coordinator's table and need nothing.
-    pub fn install_bounds(&mut self, generation: u64, bounds: &[usize]) {
-        match self {
-            PartitionHandle::Local(_) => {}
-            PartitionHandle::Remote(r) => {
-                let bounds = bounds.iter().map(|&b| b as u64).collect();
-                r.call_quiet_void(PartitionOp::InstallBounds { generation, bounds });
-            }
-        }
+        let mut mirrored: Vec<ObjectId> = r.focals.borrow().iter().copied().collect();
+        mirrored.sort_unstable();
+        assert_eq!(
+            mirrored, focals,
+            "partition {}: focal mirror diverged from the FOT",
+            r.partition
+        );
+        let mut mirrored: Vec<QueryId> = r.queries.borrow().iter().copied().collect();
+        mirrored.sort_unstable();
+        assert_eq!(
+            mirrored, queries,
+            "partition {}: query mirror diverged from the SQT",
+            r.partition
+        );
     }
 
     // --- durable store surface --------------------------------------------
@@ -1122,15 +989,13 @@ impl PartitionHandle {
     /// Cuts a checkpoint into a remote partition's durable log, returning
     /// the log's next sequence number. `None` for local handles (the
     /// coordinator owns their stores directly), storeless deployments
-    /// (the op replies 0, mapped to `None`) and dead peers.
+    /// (the op replies 0) and dead peers.
     pub fn checkpoint_remote(&self) -> Option<u64> {
         match self {
             PartitionHandle::Local(_) => None,
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::Checkpoint) {
-                Some(ReplyPayload::U64(0)) | None => None,
-                Some(ReplyPayload::U64(seq)) => Some(seq),
-                Some(other) => bad_payload("Checkpoint", &other),
-            },
+            PartitionHandle::Remote(r) => {
+                Some(r.call::<u64>(&PartitionOp::Checkpoint, None)).filter(|&seq| seq > 0)
+            }
         }
     }
 
@@ -1140,21 +1005,15 @@ impl PartitionHandle {
     pub fn trajectory_remote(&self, oid: ObjectId, t0: f64, t1: f64) -> Vec<LinearMotion> {
         match self {
             PartitionHandle::Local(_) => Vec::new(),
-            PartitionHandle::Remote(r) => {
-                match r.call_quiet(PartitionOp::Trajectory { oid, t0, t1 }) {
-                    Some(ReplyPayload::Motions(motions)) => motions,
-                    None => Vec::new(),
-                    Some(other) => bad_payload("Trajectory", &other),
-                }
-            }
+            PartitionHandle::Remote(r) => r.call(&PartitionOp::Trajectory { oid, t0, t1 }, None),
         }
     }
 
     // --- crash detection --------------------------------------------------
 
-    /// The transport failure that killed this handle, if any. Local
-    /// handles never die this way (in-process crashes are injected
-    /// through the coordinator instead).
+    /// The failure that killed this handle, if any. Local handles never
+    /// die this way (in-process crashes are injected through the
+    /// coordinator instead).
     pub fn crashed(&self) -> Option<TransportError> {
         match self {
             PartitionHandle::Local(_) => None,
@@ -1176,23 +1035,194 @@ impl PartitionHandle {
     /// state — the coordinator's crash-injection primitive (the lockstep
     /// analogue of `kill -9` on a partition process).
     pub fn replace_local(&mut self, fresh: Server) {
-        *self
-            .local_mut()
-            .expect("crash injection replaces in-process servers only") = fresh;
+        match self {
+            PartitionHandle::Local(s) => **s = fresh,
+            PartitionHandle::Remote(_) => {
+                panic!("crash injection replaces in-process servers only")
+            }
+        }
     }
 
     /// Actively verifies the peer is alive with a trivial round trip
     /// (`CurrentEpoch`). A crashed or hung peer fails the call, which
-    /// classifies the handle dead; the verdict is then readable via
+    /// kills the handle; the verdict is then readable via
     /// [`Self::crashed`]. Local handles are trivially alive.
     pub fn probe_alive(&self) -> bool {
         match self {
             PartitionHandle::Local(_) => true,
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::CurrentEpoch) {
-                Some(ReplyPayload::U64(_)) => true,
-                None => false,
-                Some(other) => bad_payload("CurrentEpoch", &other),
-            },
+            PartitionHandle::Remote(r) => {
+                r.call::<u64>(&PartitionOp::CurrentEpoch, None);
+                !r.dead()
+            }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mobieyes_geo::Rect;
+    use mobieyes_net::{BaseStationLayout, Endpoint, Listener};
+    use std::time::{Duration, Instant};
+
+    /// A handle connected to a scripted peer: `peer` gets the service end
+    /// of the connection and plays the partition process.
+    fn with_peer(
+        peer: impl FnOnce(FramedConn) + Send + 'static,
+    ) -> (PartitionHandle, std::thread::JoinHandle<()>) {
+        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
+        let client = listener.local_endpoint().expect("endpoint").connect();
+        let server = FramedConn::new(listener.accept().expect("accept"));
+        let thread = std::thread::spawn(move || peer(server));
+        let remote = RemotePartition::new(
+            3,
+            FramedConn::new(client.expect("connect")),
+            Arc::new(AtomicU64::new(0)),
+        );
+        (PartitionHandle::Remote(Box::new(remote)), thread)
+    }
+
+    /// Reads one request and answers it with `payload` and `homes`.
+    fn answer(conn: &mut FramedConn, payload: ReplyPayload, homes: Vec<HomeChange>) {
+        let request = conn.read_frame().expect("request");
+        wire::decode_request(&request).expect("well-formed request");
+        let mut frame = Vec::new();
+        let reply = PartitionReply {
+            epoch: 1,
+            outbox: Vec::new(),
+            net: Vec::new(),
+            payload,
+            homes,
+        };
+        wire::encode_reply(&reply, &mut frame);
+        conn.write_frame(&frame).expect("write");
+        conn.flush().expect("flush");
+    }
+
+    fn test_net() -> Net {
+        Net::new(BaseStationLayout::new(
+            Rect::new(0.0, 0.0, 100.0, 100.0),
+            10.0,
+        ))
+    }
+
+    /// Posts `n` result changes and collects them all, as the coordinator's
+    /// lane would.
+    fn post_and_drain(handle: &mut PartitionHandle, n: u32, net: &mut Net) {
+        for i in 0..n {
+            assert!(handle.post_result_change(QueryId(1), ObjectId(i), true, net) > 0);
+        }
+        handle.flush_posted();
+        for _ in 0..n {
+            handle.collect_posted(net);
+        }
+    }
+
+    #[test]
+    fn mirror_follows_homes_and_a_dead_handle_homes_nothing() {
+        let (mut handle, peer) = with_peer(|mut conn| {
+            let seeded = vec![
+                HomeChange::FocalAdded(ObjectId(7)),
+                HomeChange::QueryAdded(QueryId(2)),
+                HomeChange::QueryAdded(QueryId(5)),
+            ];
+            answer(&mut conn, ReplyPayload::Unit, seeded);
+            let removed = vec![HomeChange::QueryRemoved(QueryId(2))];
+            answer(&mut conn, ReplyPayload::Bool(true), removed);
+            // The wrong shape for `FocalMotion`: a protocol violation.
+            answer(&mut conn, ReplyPayload::Unit, Vec::new());
+        });
+        let mut net = test_net();
+        // Any first reply seeds the mirror; `Init`'s does in a deployment.
+        handle.set_time(0.0);
+        assert!(handle.has_focal(ObjectId(7)) && !handle.has_focal(ObjectId(8)));
+        assert_eq!(handle.num_queries(), 2);
+        assert!(handle.remove_query(QueryId(2), &mut net));
+        assert!(!handle.has_query(QueryId(2)) && handle.has_query(QueryId(5)));
+        assert_eq!(handle.focal_motion(ObjectId(7)), None);
+        assert!(
+            matches!(handle.crashed(), Some(TransportError::Protocol(_))),
+            "a mis-shaped reply kills the handle: {:?}",
+            handle.crashed()
+        );
+        assert!(!handle.has_focal(ObjectId(7)) && handle.num_queries() == 0);
+        let counts = handle.take_rpc_counts().expect("remote");
+        assert_eq!((counts.round_trips, counts.posted), (3, 0));
+        assert_eq!(counts.mirror_hits, 5);
+        peer.join().expect("peer");
+    }
+
+    #[test]
+    fn undecodable_reply_is_a_protocol_death_not_a_panic() {
+        let (handle, peer) = with_peer(|mut conn| {
+            conn.read_frame().expect("request");
+            // A well-formed reply whose `homes` count promises more
+            // entries than the frame holds.
+            let mut frame = Vec::new();
+            let reply = PartitionReply {
+                epoch: 1,
+                outbox: Vec::new(),
+                net: Vec::new(),
+                payload: ReplyPayload::Oids(Vec::new()),
+                homes: Vec::new(),
+            };
+            wire::encode_reply(&reply, &mut frame);
+            *frame.last_mut().expect("homes count") = 9;
+            conn.write_frame(&frame).expect("write");
+            conn.flush().expect("flush");
+        });
+        assert!(handle.focal_ids().is_empty());
+        assert!(matches!(
+            handle.crashed(),
+            Some(TransportError::Protocol(_))
+        ));
+        // Inert from here on: nothing is sent, fallbacks come back.
+        assert!(handle.query_ids().is_empty());
+        assert!(!handle.probe_alive());
+        peer.join().expect("peer");
+    }
+
+    #[test]
+    fn peer_death_with_posted_ops_in_flight_is_classified_once() {
+        let (mut handle, peer) = with_peer(|mut conn| {
+            // Answer the first two posted ops, then die with the rest
+            // unread or unanswered.
+            answer(&mut conn, ReplyPayload::Bool(true), Vec::new());
+            answer(&mut conn, ReplyPayload::Bool(true), Vec::new());
+        });
+        let mut net = test_net();
+        post_and_drain(&mut handle, 40, &mut net);
+        peer.join().expect("peer");
+        let death = handle.crashed().expect("the drain noticed the death");
+        assert!(death.is_peer_death(), "classified as a crash: {death}");
+        assert_eq!(
+            handle.post_result_change(QueryId(1), ObjectId(0), true, &mut net),
+            0,
+            "a dead handle posts nothing"
+        );
+        handle.collect_posted(&mut net);
+        assert_eq!(handle.crashed(), Some(death), "first failure wins");
+    }
+
+    #[test]
+    fn hung_peer_costs_a_posted_drain_one_deadline() {
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (mut handle, peer) = with_peer(move |mut conn| {
+            answer(&mut conn, ReplyPayload::Bool(true), Vec::new());
+            // Hang: keep the socket open, read nothing, answer nothing.
+            let _ = release_rx.recv();
+        });
+        let mut net = test_net();
+        handle.set_rpc_deadline(Some(Duration::from_millis(100)));
+        let start = Instant::now();
+        post_and_drain(&mut handle, 60, &mut net);
+        assert_eq!(handle.crashed(), Some(TransportError::Timeout));
+        assert!(
+            start.elapsed() < Duration::from_secs(3),
+            "59 missing replies must not cost 59 deadlines ({:?})",
+            start.elapsed()
+        );
+        release_tx.send(()).expect("release the peer");
+        peer.join().expect("peer");
     }
 }

@@ -2,7 +2,7 @@
 //! [`wire`](crate::wire) RPC protocol.
 //!
 //! A partition process accepts exactly one coordinator connection, then
-//! executes strictly-serialized [`PartitionOp`]s until
+//! executes [`PartitionOp`]s one at a time, in arrival order, until
 //! [`Shutdown`](PartitionOp::Shutdown). Per request it:
 //!
 //! 1. raises its local epoch to the request's floor (`fetch_max`), so the
@@ -13,11 +13,18 @@
 //!    coordinator uses — so broadcast cover sets resolve identically;
 //! 3. replies with the post-op epoch, the drained inter-server outbox,
 //!    every downlink the op emitted (as [`NetAction`]s the coordinator
-//!    replays onto the real network) and the op's return value.
+//!    replays onto the real network), the op's return value and the
+//!    FOT/SQT keys it added or removed (the coordinator's `homes` mirror).
 //!
-//! The service is deliberately synchronous and single-connection: the
-//! coordinator's decomposition depends on one-op-at-a-time execution, and
-//! the process model (one partition per process) is the unit of scaling.
+//! Replies leave in batches: while the read buffer already holds the next
+//! request (the coordinator pipelined or posted several), the reply is
+//! only queued; the journal and then the socket are flushed once the
+//! buffer runs dry, so *acknowledged implies journaled* holds for every
+//! reply in the batch at the cost of one write each.
+//!
+//! The service is deliberately single-connection: the coordinator's
+//! decomposition depends on one-op-at-a-time execution, and the process
+//! model (one partition per process) is the unit of scaling.
 
 use crate::partition::PartitionMap;
 use crate::wire::{self, InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload};
@@ -102,6 +109,9 @@ impl ServiceState {
             server.set_journal(Some(Arc::new(store.clone())));
             store
         });
+        // Switched on after the replay: the seed is the replayed key sets,
+        // not the history that produced them. The `Init` reply ships it.
+        server.enable_home_log();
         ServiceState {
             server,
             net,
@@ -145,57 +155,61 @@ pub fn serve_connection(mut conn: FramedConn) -> Result<(), TransportError> {
     loop {
         conn.read_frame_into(&mut request)?;
         let (floor, op) = wire::decode_request(&request)?;
-        if let PartitionOp::Shutdown = op {
-            let reply = PartitionReply {
-                epoch: state
-                    .as_ref()
-                    .map_or(0, |s| s.epoch.load(Ordering::Relaxed)),
-                outbox: Vec::new(),
-                net: Vec::new(),
-                payload: ReplyPayload::Unit,
-            };
-            frame.clear();
-            wire::encode_reply(&reply, &mut frame);
-            conn.write_frame(&frame)?;
-            conn.flush()?;
-            return Ok(());
-        }
-        if let PartitionOp::Init(init) = &op {
-            state = Some(ServiceState::build(init));
-            let reply = PartitionReply {
-                epoch: 0,
-                outbox: Vec::new(),
-                net: Vec::new(),
-                payload: ReplyPayload::Unit,
-            };
-            frame.clear();
-            wire::encode_reply(&reply, &mut frame);
-            conn.write_frame(&frame)?;
-            conn.flush()?;
-            continue;
-        }
-        let Some(s) = state.as_mut() else {
-            return Err(TransportError::Protocol(format!("op before Init: {op:?}")));
+        let shutdown = matches!(op, PartitionOp::Shutdown);
+        let ack = |epoch, homes| PartitionReply {
+            epoch,
+            outbox: Vec::new(),
+            net: Vec::new(),
+            payload: ReplyPayload::Unit,
+            homes,
         };
-        s.epoch.fetch_max(floor, Ordering::Relaxed);
-        let payload = execute(s, op);
-        // Acknowledged implies journaled: push buffered frames to the OS
-        // before the reply, so a SIGKILL never loses an op the
-        // coordinator saw complete (a buffered write, not an fsync — the
-        // page cache survives process death).
-        if let Some(st) = &s.store {
-            st.flush();
-        }
-        let reply = PartitionReply {
-            epoch: s.epoch.load(Ordering::Relaxed),
-            outbox: s.server.take_outbox(),
-            net: s.drain_net_actions(),
-            payload,
+        let reply = match op {
+            PartitionOp::Shutdown => {
+                let epoch = state.as_ref().map(|s| s.epoch.load(Ordering::Relaxed));
+                ack(epoch.unwrap_or(0), Vec::new())
+            }
+            PartitionOp::Init(init) => {
+                let s = state.insert(ServiceState::build(&init));
+                ack(0, s.server.take_home_log())
+            }
+            op => {
+                let Some(s) = state.as_mut() else {
+                    return Err(TransportError::Protocol(format!("op before Init: {op:?}")));
+                };
+                s.epoch.fetch_max(floor, Ordering::Relaxed);
+                let payload = execute(s, op);
+                PartitionReply {
+                    epoch: s.epoch.load(Ordering::Relaxed),
+                    outbox: s.server.take_outbox(),
+                    net: s.drain_net_actions(),
+                    payload,
+                    homes: s.server.take_home_log(),
+                }
+            }
         };
         frame.clear();
         wire::encode_reply(&reply, &mut frame);
         conn.write_frame(&frame)?;
-        conn.flush()?;
+        // The reply waits while the requests queued behind it are served.
+        let send_now = shutdown || !conn.has_buffered_frame();
+        if let Some(st) = state.as_ref().and_then(|s| s.store.as_ref()) {
+            // Acknowledged implies journaled: buffered journal frames reach
+            // the OS before any reply that acknowledges them leaves the
+            // process, so a SIGKILL never loses an op the coordinator saw
+            // complete (a buffered write, not an fsync — the page cache
+            // survives process death). A full segment is flushed (and so
+            // rotated) at once, where one flush per op would have rotated
+            // it: the log's bytes do not depend on how requests batch.
+            if send_now || st.segment_full() {
+                st.flush();
+            }
+        }
+        if send_now {
+            conn.flush()?;
+        }
+        if shutdown {
+            return Ok(());
+        }
     }
 }
 
@@ -283,7 +297,6 @@ fn execute(s: &mut ServiceState, op: PartitionOp) -> ReplyPayload {
         PartitionOp::DigestCells => ReplyPayload::Digests(s.server.digest_cells()),
         PartitionOp::BumpEpoch => ReplyPayload::U64(s.server.bump_epoch_for_coordinator()),
         PartitionOp::CurrentEpoch => ReplyPayload::U64(s.server.current_epoch()),
-        PartitionOp::NumQueries => ReplyPayload::U64(s.server.num_queries() as u64),
         PartitionOp::QueryIds => ReplyPayload::Qids(s.server.query_ids().collect()),
         PartitionOp::QueryResult(qid) => ReplyPayload::ResultSet(
             s.server
@@ -291,8 +304,6 @@ fn execute(s: &mut ServiceState, op: PartitionOp) -> ReplyPayload {
                 .map(|r| r.iter().copied().collect()),
         ),
         PartitionOp::QueryFocal(qid) => ReplyPayload::OptOid(s.server.query_focal(qid)),
-        PartitionOp::HasFocal(oid) => ReplyPayload::Bool(s.server.has_focal(oid)),
-        PartitionOp::HasQuery(qid) => ReplyPayload::Bool(s.server.has_query(qid)),
         PartitionOp::FocalMotion(oid) => ReplyPayload::OptMotion(s.server.focal_motion(oid)),
         PartitionOp::FocalQueries(oid) => ReplyPayload::OptQids(s.server.focal_queries(oid)),
         PartitionOp::QueryCell(qid) => ReplyPayload::OptCell(s.server.query_cell(qid)),
@@ -374,4 +385,96 @@ pub fn serve_partition(listener: Listener, partition: u32) -> Result<(), Transpo
     conn.send_hello(partition)?;
     let _coordinator = conn.expect_hello()?;
     serve_connection(conn)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mobieyes_core::{ObjectId, Propagation, QueryId};
+    use mobieyes_geo::Rect;
+    use mobieyes_net::Endpoint;
+
+    fn init(store_dir: &Path) -> PartitionOp {
+        PartitionOp::Init(InitConfig {
+            universe: Rect::new(0.0, 0.0, 100.0, 100.0),
+            alpha: 5.0,
+            alen: 10.0,
+            delta: 0.2,
+            propagation: Propagation::Eager,
+            grouping: false,
+            safe_period: false,
+            deliver_results: false,
+            system_max_speed: 0.07,
+            lease_secs: 0.0,
+            heartbeat_secs: 0.0,
+            partition: 0,
+            num_partitions: 1,
+            store_dir: Some(store_dir.to_string_lossy().into_owned()),
+            store_fresh: true,
+        })
+    }
+
+    /// *Acknowledged implies journaled* with replies held back: a batch of
+    /// posted ops arrives in one write, so the service executes a run of
+    /// them before it answers any — and whenever a reply is readable, the
+    /// op it acknowledges must already be in the log files (40 records
+    /// stay under the store's own 64-record group flush, so only the
+    /// service's flush-before-reply can have put them there).
+    #[test]
+    fn batched_replies_leave_only_after_their_journal_records() {
+        const BATCH: u32 = 40;
+        let dir = std::env::temp_dir().join(format!(
+            "mobieyes-serve-ack-{}-journaled",
+            std::process::id()
+        ));
+        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
+        let mut conn = FramedConn::new(
+            listener
+                .local_endpoint()
+                .expect("endpoint")
+                .connect()
+                .expect("connect"),
+        );
+        let service = std::thread::spawn({
+            let served = FramedConn::new(listener.accept().expect("accept"));
+            move || serve_connection(served)
+        });
+        let mut frame = Vec::new();
+        let mut call = |conn: &mut FramedConn, op: &PartitionOp, flush: bool| {
+            frame.clear();
+            wire::encode_request(0, op, &mut frame);
+            conn.write_frame(&frame).expect("write");
+            if flush {
+                conn.flush().expect("flush");
+            }
+        };
+        call(&mut conn, &init(&dir), true);
+        wire::decode_reply(&conn.read_frame().expect("init reply")).expect("decodes");
+        let logged = |dir: &Path| {
+            let scan = store::read_log_dir(dir, 0).expect("readable log");
+            let is_result = |r: &LogRecord| matches!(r, LogRecord::ResultChange { .. });
+            scan.records.iter().filter(|(_, r)| is_result(r)).count()
+        };
+        assert_eq!(logged(&dir), 0);
+        for i in 0..BATCH {
+            let op = PartitionOp::ResultChange {
+                qid: QueryId(1),
+                oid: ObjectId(i),
+                is_target: true,
+            };
+            call(&mut conn, &op, i + 1 == BATCH);
+        }
+        for acknowledged in 1..=BATCH as usize {
+            wire::decode_reply(&conn.read_frame().expect("reply")).expect("decodes");
+            assert!(
+                logged(&dir) >= acknowledged,
+                "reply {acknowledged} left before its op was journaled"
+            );
+        }
+        call(&mut conn, &PartitionOp::Shutdown, true);
+        conn.read_frame().expect("shutdown reply");
+        service.join().expect("service thread").expect("clean exit");
+        store::wipe_dir(&dir).expect("clean up");
+        let _ = std::fs::remove_dir(&dir);
+    }
 }

@@ -2,21 +2,27 @@
 //!
 //! A remote partition process holds one [`mobieyes_core::Server`] and
 //! executes the same primitive operations the coordinator would call on an
-//! in-process partition, strictly serialized: the coordinator sends one
-//! [`PartitionOp`] at a time and waits for the [`PartitionReply`] before
-//! issuing the next. Each request carries the coordinator's epoch view
-//! (the *floor*); the partition raises its local epoch to at least the
-//! floor before executing, and the reply carries the post-op epoch back —
-//! under strict serialization this reproduces the shared atomic epoch
-//! counter of the in-process deployment exactly.
+//! in-process partition, in request order, answering each [`PartitionOp`]
+//! with one [`PartitionReply`]. Each request carries the coordinator's
+//! epoch view (the *floor*); the partition raises its local epoch to at
+//! least the floor before executing, and the reply carries the post-op
+//! epoch back. The coordinator waits for the reply of every op that can
+//! move the epoch before issuing the next op anywhere, which reproduces
+//! the shared atomic epoch counter of the in-process deployment exactly;
+//! only *closed* ops ([`PartitionOp::is_closed`]) may be in flight
+//! together.
 //!
 //! Replies also carry every side effect the operation produced:
 //!
 //! - the partition's inter-server outbox (bus envelopes the coordinator
 //!   feeds through its [`Transport`](mobieyes_net::Transport), so fault
-//!   plans apply uniformly to local and remote partitions), and
+//!   plans apply uniformly to local and remote partitions),
 //! - the downlink traffic the operation emitted ([`NetAction`]), which the
-//!   coordinator replays onto the real agent network in operation order.
+//!   coordinator replays onto the real agent network in operation order,
+//!   and
+//! - the changes the operation made to the set of focal objects and
+//!   queries the partition homes ([`HomeChange`]), from which the
+//!   coordinator keeps an exact mirror of both key sets instead of asking.
 //!
 //! Everything here rides on the bounds-checked primitives of
 //! [`mobieyes_core::codec`] — a malformed frame is a [`TransportError`],
@@ -27,7 +33,7 @@ use mobieyes_core::codec::{
     self, decode_cluster, decode_downlink, encode_cluster, encode_downlink, DecodeError, Put,
     Reader,
 };
-use mobieyes_core::{ClusterMsg, Downlink, Filter, ObjectId, Propagation, QueryId};
+use mobieyes_core::{ClusterMsg, Downlink, Filter, HomeChange, ObjectId, Propagation, QueryId};
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion, Rect};
 use mobieyes_net::{Frame, Routed, TransportError};
 use std::sync::Arc;
@@ -144,12 +150,9 @@ pub enum PartitionOp {
     DigestCells,
     BumpEpoch,
     CurrentEpoch,
-    NumQueries,
     QueryIds,
     QueryResult(QueryId),
     QueryFocal(QueryId),
-    HasFocal(ObjectId),
-    HasQuery(QueryId),
     FocalMotion(ObjectId),
     FocalQueries(ObjectId),
     QueryCell(QueryId),
@@ -216,6 +219,22 @@ pub enum PartitionOp {
     LoadSignal,
 }
 
+impl PartitionOp {
+    /// Whether the op is *closed*: it bumps no epoch, queues no bus
+    /// envelope and changes no FOT/SQT key, so it commutes with ops on
+    /// other partitions and the coordinator may have several in flight
+    /// (DESIGN.md §11). Every other op must be answered before the next
+    /// op is issued anywhere.
+    pub fn is_closed(&self) -> bool {
+        matches!(
+            self,
+            PartitionOp::RenewLease(_)
+                | PartitionOp::ResultChange { .. }
+                | PartitionOp::GroupResultUpdate { .. }
+        )
+    }
+}
+
 /// A downlink the partition emitted while executing an op. The coordinator
 /// replays these onto the real agent network in operation order, which
 /// reproduces the exact queue contents (and thus delivery and downlink
@@ -264,6 +283,10 @@ pub struct PartitionReply {
     /// Downlink traffic the op emitted, in emission order.
     pub net: Vec<NetAction>,
     pub payload: ReplyPayload,
+    /// Focal objects and queries the partition started or stopped homing
+    /// during the op (on the `Init` reply: everything a replayed log
+    /// brought back), in the order it happened.
+    pub homes: Vec<HomeChange>,
 }
 
 // --- request encoding --------------------------------------------------------
@@ -321,7 +344,32 @@ fn get_qids(buf: &mut Reader<'_>) -> std::result::Result<Vec<QueryId>, DecodeErr
     Ok(out)
 }
 
+/// LEB128 count prefix — one byte for the (almost always empty) `homes`
+/// list, where the fixed-width `u32` prefixes used elsewhere would add
+/// three bytes to every reply.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.put_u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.put_u8(v as u8);
+}
+
+fn get_varint(buf: &mut Reader<'_>, what: &str) -> std::result::Result<u64, DecodeError> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let b = buf.get_u8(what)?;
+        v |= u64::from(b & 0x7f) << shift;
+        if b & 0x80 == 0 {
+            return Ok(v);
+        }
+    }
+    Err(DecodeError(format!("overlong varint in {what}")))
+}
+
 /// Encodes a request frame: the coordinator's epoch floor, then the op.
+/// Op tags 17, 21 and 22 (`NumQueries`, `HasFocal`, `HasQuery`) are
+/// retired: the coordinator answers those from its `homes` mirror.
 pub fn encode_request(epoch_floor: u64, op: &PartitionOp, out: &mut Vec<u8>) {
     out.put_u64_le(epoch_floor);
     match op {
@@ -454,7 +502,6 @@ pub fn encode_request(epoch_floor: u64, op: &PartitionOp, out: &mut Vec<u8>) {
         PartitionOp::DigestCells => out.put_u8(14),
         PartitionOp::BumpEpoch => out.put_u8(15),
         PartitionOp::CurrentEpoch => out.put_u8(16),
-        PartitionOp::NumQueries => out.put_u8(17),
         PartitionOp::QueryIds => out.put_u8(18),
         PartitionOp::QueryResult(qid) => {
             out.put_u8(19);
@@ -462,14 +509,6 @@ pub fn encode_request(epoch_floor: u64, op: &PartitionOp, out: &mut Vec<u8>) {
         }
         PartitionOp::QueryFocal(qid) => {
             out.put_u8(20);
-            put_qid(out, *qid);
-        }
-        PartitionOp::HasFocal(oid) => {
-            out.put_u8(21);
-            put_oid(out, *oid);
-        }
-        PartitionOp::HasQuery(qid) => {
-            out.put_u8(22);
             put_qid(out, *qid);
         }
         PartitionOp::FocalMotion(oid) => {
@@ -644,12 +683,9 @@ pub fn decode_request(bytes: &[u8]) -> Result<(u64, PartitionOp)> {
             14 => PartitionOp::DigestCells,
             15 => PartitionOp::BumpEpoch,
             16 => PartitionOp::CurrentEpoch,
-            17 => PartitionOp::NumQueries,
             18 => PartitionOp::QueryIds,
             19 => PartitionOp::QueryResult(get_qid(&mut buf)?),
             20 => PartitionOp::QueryFocal(get_qid(&mut buf)?),
-            21 => PartitionOp::HasFocal(get_oid(&mut buf)?),
-            22 => PartitionOp::HasQuery(get_qid(&mut buf)?),
             23 => PartitionOp::FocalMotion(get_oid(&mut buf)?),
             24 => PartitionOp::FocalQueries(get_oid(&mut buf)?),
             25 => PartitionOp::QueryCell(get_qid(&mut buf)?),
@@ -876,6 +912,17 @@ pub fn encode_reply(reply: &PartitionReply, out: &mut Vec<u8>) {
             out.put_u64_le(*stubs);
         }
     }
+    put_varint(out, reply.homes.len() as u64);
+    for change in &reply.homes {
+        let (tag, id) = match *change {
+            HomeChange::FocalAdded(o) => (0, o.0),
+            HomeChange::FocalRemoved(o) => (1, o.0),
+            HomeChange::QueryAdded(q) => (2, q.0),
+            HomeChange::QueryRemoved(q) => (3, q.0),
+        };
+        out.put_u8(tag);
+        out.put_u32_le(id);
+    }
 }
 
 /// Decodes a reply frame.
@@ -1013,11 +1060,28 @@ pub fn decode_reply(bytes: &[u8]) -> Result<PartitionReply> {
             },
             t => return Err(DecodeError(format!("unknown reply payload tag {t}"))),
         };
+        let n = get_varint(&mut buf, "home change count")? as usize;
+        if n.saturating_mul(5) > buf.remaining() {
+            return Err(DecodeError(format!("oversized home change count {n}")));
+        }
+        let mut homes = Vec::with_capacity(n);
+        for _ in 0..n {
+            let tag = buf.get_u8("home change tag")?;
+            let id = buf.get_u32_le("home change id")?;
+            homes.push(match tag {
+                0 => HomeChange::FocalAdded(ObjectId(id)),
+                1 => HomeChange::FocalRemoved(ObjectId(id)),
+                2 => HomeChange::QueryAdded(QueryId(id)),
+                3 => HomeChange::QueryRemoved(QueryId(id)),
+                t => return Err(DecodeError(format!("unknown home change tag {t}"))),
+            });
+        }
         Ok(PartitionReply {
             epoch,
             outbox,
             net,
             payload,
+            homes,
         })
     };
     let reply = inner().map_err(frame_err)?;
@@ -1106,12 +1170,9 @@ mod tests {
             PartitionOp::DigestCells,
             PartitionOp::BumpEpoch,
             PartitionOp::CurrentEpoch,
-            PartitionOp::NumQueries,
             PartitionOp::QueryIds,
             PartitionOp::QueryResult(QueryId(6)),
             PartitionOp::QueryFocal(QueryId(6)),
-            PartitionOp::HasFocal(ObjectId(7)),
-            PartitionOp::HasQuery(QueryId(6)),
             PartitionOp::FocalMotion(ObjectId(7)),
             PartitionOp::FocalQueries(ObjectId(7)),
             PartitionOp::QueryCell(QueryId(6)),
@@ -1219,40 +1280,138 @@ mod tests {
         }
     }
 
+    /// A reply exercising every side-effect section around `payload`.
+    fn full_reply(payload: ReplyPayload, homes: Vec<HomeChange>) -> PartitionReply {
+        PartitionReply {
+            epoch: 9,
+            outbox: vec![(
+                1,
+                ClusterMsg::StubRemove {
+                    qid: QueryId(3),
+                    mon_region: GridRect {
+                        x0: 1,
+                        y0: 1,
+                        x1: 2,
+                        y1: 2,
+                    },
+                    epoch: 4,
+                },
+            )],
+            net: vec![
+                NetAction::Unicast {
+                    node: 7,
+                    msg: Downlink::PositionRequest,
+                },
+                NetAction::Broadcast {
+                    station: 3,
+                    msg: Downlink::FocalNotify { is_focal: true },
+                },
+            ],
+            payload,
+            homes,
+        }
+    }
+
+    fn sample_homes() -> Vec<HomeChange> {
+        vec![
+            HomeChange::FocalAdded(ObjectId(7)),
+            HomeChange::QueryAdded(QueryId(6)),
+            HomeChange::QueryRemoved(QueryId(6)),
+            HomeChange::FocalRemoved(ObjectId(u32::MAX)),
+        ]
+    }
+
     #[test]
     fn reply_roundtrip_covers_every_payload() {
         for payload in sample_payloads() {
-            let reply = PartitionReply {
-                epoch: 9,
-                outbox: vec![(
-                    1,
-                    ClusterMsg::StubRemove {
-                        qid: QueryId(3),
-                        mon_region: GridRect {
-                            x0: 1,
-                            y0: 1,
-                            x1: 2,
-                            y1: 2,
-                        },
-                        epoch: 4,
-                    },
-                )],
-                net: vec![
-                    NetAction::Unicast {
-                        node: 7,
-                        msg: Downlink::PositionRequest,
-                    },
-                    NetAction::Broadcast {
-                        station: 3,
-                        msg: Downlink::FocalNotify { is_focal: true },
-                    },
-                ],
-                payload,
-            };
+            for homes in [Vec::new(), sample_homes()] {
+                let reply = full_reply(payload.clone(), homes);
+                let mut bytes = Vec::new();
+                encode_reply(&reply, &mut bytes);
+                let decoded = decode_reply(&bytes).expect("reply decodes");
+                assert_eq!(decoded, reply, "reply did not survive the wire");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_homes_cost_one_byte_and_long_lists_keep_their_count() {
+        let mut empty = Vec::new();
+        encode_reply(&full_reply(ReplyPayload::Unit, Vec::new()), &mut empty);
+        let mut one = Vec::new();
+        let homes = vec![HomeChange::FocalAdded(ObjectId(1))];
+        encode_reply(&full_reply(ReplyPayload::Unit, homes), &mut one);
+        assert_eq!(one.len(), empty.len() + 5, "count stays one byte");
+        // 300 entries need a two-byte varint count.
+        let many: Vec<HomeChange> = (0..300)
+            .map(|i| HomeChange::QueryAdded(QueryId(i)))
+            .collect();
+        let reply = full_reply(ReplyPayload::Unit, many);
+        let mut bytes = Vec::new();
+        encode_reply(&reply, &mut bytes);
+        assert_eq!(bytes.len(), empty.len() + 1 + 300 * 5);
+        assert_eq!(decode_reply(&bytes).expect("decodes"), reply);
+    }
+
+    /// Arbitrary bytes — random frames, and valid frames with random
+    /// bytes overwritten, cut or appended — must decode or fail cleanly;
+    /// whatever decodes must survive a further round trip unchanged.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_reply_decoder() {
+        let mut state = 0x5eed_1207_0c0du64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let check = |bytes: &[u8]| {
+            if let Ok(reply) = decode_reply(bytes) {
+                // Compared as bytes: a corrupted float may decode to NaN,
+                // which never equals itself.
+                let mut once = Vec::new();
+                encode_reply(&reply, &mut once);
+                let mut twice = Vec::new();
+                encode_reply(&decode_reply(&once).expect("re-encoded reply"), &mut twice);
+                assert_eq!(once, twice);
+            }
+        };
+        let mut seeds: Vec<Vec<u8>> = Vec::new();
+        for payload in sample_payloads() {
             let mut bytes = Vec::new();
-            encode_reply(&reply, &mut bytes);
-            let decoded = decode_reply(&bytes).expect("reply decodes");
-            assert_eq!(decoded, reply, "reply did not survive the wire");
+            encode_reply(&full_reply(payload, sample_homes()), &mut bytes);
+            seeds.push(bytes);
+        }
+        for round in 0..4000 {
+            let mut bytes = seeds[round % seeds.len()].clone();
+            match next() % 4 {
+                0 => {
+                    let n = next() as usize % 96;
+                    bytes = (0..n).map(|_| next() as u8).collect();
+                }
+                1 => {
+                    for _ in 0..1 + next() % 4 {
+                        let at = next() as usize % bytes.len();
+                        bytes[at] = next() as u8;
+                    }
+                }
+                2 => {
+                    // Corrupt the tail, where `homes` lives.
+                    let tail = 1 + next() as usize % 24;
+                    let from = bytes.len().saturating_sub(tail);
+                    for b in &mut bytes[from..] {
+                        *b = next() as u8;
+                    }
+                }
+                _ => {
+                    let cut = next() as usize % bytes.len();
+                    bytes.truncate(cut);
+                    let extra = next() as usize % 8;
+                    bytes.extend((0..extra).map(|_| next() as u8));
+                }
+            }
+            check(&bytes);
         }
     }
 
@@ -1273,6 +1432,7 @@ mod tests {
             outbox: vec![],
             net: vec![],
             payload: ReplyPayload::Qids(vec![QueryId(1)]),
+            homes: sample_homes(),
         };
         let mut bytes = Vec::new();
         encode_reply(&reply, &mut bytes);

@@ -170,7 +170,9 @@ fn every_cluster_msg_roundtrips_over_tcp() {
 
 #[test]
 fn every_cluster_msg_roundtrips_over_uds() {
-    let path = std::env::temp_dir().join(format!("mobieyes-rt-{}.sock", std::process::id()));
+    // One path per call site: tests of this binary share a pid.
+    let path =
+        std::env::temp_dir().join(format!("mobieyes-rt-{}-every-msg.sock", std::process::id()));
     roundtrip_all(SocketTransport::loopback_uds(&path).expect("uds pair"));
 }
 

@@ -41,4 +41,4 @@ pub use messages::{
 };
 pub use model::{ObjectId, PropValue, Properties, QueryId};
 pub use object::{AgentStats, MovingObjectAgent};
-pub use server::{PartitionScope, PartitionTable, Server, ServerStats};
+pub use server::{HomeChange, PartitionScope, PartitionTable, Server, ServerStats};

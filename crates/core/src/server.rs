@@ -158,6 +158,18 @@ struct SqtEntry {
     result: BTreeSet<ObjectId>,
 }
 
+/// One change to the key set of a server's FOT or SQT — which focal
+/// objects and which queries it *homes*. A coordinator that folds every
+/// change in emission order holds an exact copy of both key sets (see
+/// [`Server::enable_home_log`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HomeChange {
+    FocalAdded(ObjectId),
+    FocalRemoved(ObjectId),
+    QueryAdded(QueryId),
+    QueryRemoved(QueryId),
+}
+
 /// A query whose installation is waiting for the focal object's position.
 #[derive(Debug)]
 struct PendingInstall {
@@ -457,6 +469,11 @@ pub struct Server {
     /// Last shared-epoch floor written to the journal (scoped servers
     /// only) — deduplicates [`LogRecord::Floor`] records.
     journal_floor: u64,
+    /// FOT/SQT key-set changes since the last
+    /// [`take_home_log`](Self::take_home_log); `None` (the default) keeps
+    /// no log — in-process servers answer `has_focal`/`has_query` directly
+    /// and nothing would drain it.
+    home_log: Option<Vec<HomeChange>>,
 }
 
 impl Server {
@@ -481,6 +498,7 @@ impl Server {
             journal: None,
             jdepth: 0,
             journal_floor: 0,
+            home_log: None,
         }
     }
 
@@ -579,6 +597,37 @@ impl Server {
             }
         }
         j.append(&rec);
+    }
+
+    /// Starts logging FOT/SQT key-set changes, seeded with the current
+    /// contents (ascending) — so the first drain hands a mirror everything
+    /// a replayed server already homes. The partition service switches
+    /// this on; its coordinator keeps the mirror.
+    pub fn enable_home_log(&mut self) {
+        let seed = self
+            .fot
+            .keys()
+            .map(|&o| HomeChange::FocalAdded(o))
+            .chain(self.sqt.keys().map(|&q| HomeChange::QueryAdded(q)))
+            .collect();
+        self.home_log = Some(seed);
+    }
+
+    /// Drains the key-set changes logged since the last call, in the order
+    /// they happened. Always empty unless
+    /// [`enable_home_log`](Self::enable_home_log) was called.
+    pub fn take_home_log(&mut self) -> Vec<HomeChange> {
+        self.home_log
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    #[inline]
+    fn note_home(&mut self, change: HomeChange) {
+        if let Some(log) = &mut self.home_log {
+            log.push(change);
+        }
     }
 
     /// Number of remote-region stubs currently installed.
@@ -760,20 +809,20 @@ impl Server {
         if let Some(s) = self.stubs.remove(&qid) {
             self.rqi_remove(qid, &s.mon_region);
         }
-        self.sqt.insert(
-            qid,
-            SqtEntry {
-                focal,
-                region,
-                filter,
-                curr_cell,
-                mon_region,
-                slot,
-                seq,
-                expires_at,
-                result: BTreeSet::new(),
-            },
-        );
+        let row = SqtEntry {
+            focal,
+            region,
+            filter,
+            curr_cell,
+            mon_region,
+            slot,
+            seq,
+            expires_at,
+            result: BTreeSet::new(),
+        };
+        if self.sqt.insert(qid, row).is_none() {
+            self.note_home(HomeChange::QueryAdded(qid));
+        }
         self.rqi_insert(qid, &mon_region);
         self.emit_stub_update(qid, None);
         self.telemetry.event(EventKind::QueryInstalled {
@@ -846,6 +895,7 @@ impl Server {
         let Some(entry) = self.sqt.remove(&qid) else {
             return false;
         };
+        self.note_home(HomeChange::QueryRemoved(qid));
         self.rqi_remove(qid, &entry.mon_region);
         if let Some(fot) = self.fot.get_mut(&entry.focal) {
             fot.queries.retain(|&q| q != qid);
@@ -854,6 +904,7 @@ impl Server {
             }
             if fot.queries.is_empty() {
                 self.fot.remove(&entry.focal);
+                self.note_home(HomeChange::FocalRemoved(entry.focal));
                 self.telemetry.incr(srv_keys::UNICAST_OPS);
                 net.send_unicast(
                     entry.focal.node(),
@@ -984,7 +1035,7 @@ impl Server {
         // Focal motion is part of the cell-change payload but a refresh
         // does not bump the epoch, so drop the memo explicitly.
         self.fresh_memo.clear();
-        if insert {
+        if insert && !self.fot.contains_key(&oid) {
             self.fot.entry_or_insert(
                 oid,
                 FotEntry {
@@ -995,6 +1046,7 @@ impl Server {
                     last_heard: now,
                 },
             );
+            self.note_home(HomeChange::FocalAdded(oid));
         }
         let mut refreshed: Option<(f64, Vec<QueryId>)> = None;
         if let Some(f) = self.fot.get_mut(&oid) {
@@ -1943,9 +1995,11 @@ impl Server {
         let owned = self.owned_span();
         let grid = self.config.grid.clone();
         let fot = self.fot.remove(&oid)?;
+        self.note_home(HomeChange::FocalRemoved(oid));
         let mut queries = Vec::new();
         for &qid in &fot.queries {
             let e = self.sqt.remove(&qid).expect("FOT query in SQT");
+            self.note_home(HomeChange::QueryRemoved(qid));
             let overlap = e
                 .mon_region
                 .iter()
@@ -2126,17 +2180,21 @@ impl Server {
                 // The FOT row must materialize even for a query-less focal
                 // (created by a PositionReply): its later cell changes
                 // still drive the shared epoch, like on the single server.
-                // `or_insert` keeps this idempotent under bus duplication.
-                self.fot.entry_or_insert(
-                    *oid,
-                    FotEntry {
-                        motion: *motion,
-                        max_vel: *max_vel,
-                        queries: Vec::new(),
-                        used_slots: *used_slots,
-                        last_heard: *last_heard,
-                    },
-                );
+                // Inserting only when absent keeps this idempotent under
+                // bus duplication.
+                if !self.fot.contains_key(oid) {
+                    self.fot.entry_or_insert(
+                        *oid,
+                        FotEntry {
+                            motion: *motion,
+                            max_vel: *max_vel,
+                            queries: Vec::new(),
+                            used_slots: *used_slots,
+                            last_heard: *last_heard,
+                        },
+                    );
+                    self.note_home(HomeChange::FocalAdded(*oid));
+                }
                 for q in queries {
                     let qid = q.spec.qid;
                     // Replay guard: an already-applied (or newer) row wins.
@@ -2144,20 +2202,20 @@ impl Server {
                         continue;
                     }
                     self.stubs.remove(&qid);
-                    self.sqt.insert(
-                        qid,
-                        SqtEntry {
-                            focal: *oid,
-                            region: q.spec.region,
-                            filter: Arc::clone(&q.spec.filter),
-                            curr_cell: q.curr_cell,
-                            mon_region: q.mon_region,
-                            slot: q.spec.slot,
-                            seq: q.spec.seq,
-                            expires_at: q.expires_at,
-                            result: q.result.iter().copied().collect(),
-                        },
-                    );
+                    let row = SqtEntry {
+                        focal: *oid,
+                        region: q.spec.region,
+                        filter: Arc::clone(&q.spec.filter),
+                        curr_cell: q.curr_cell,
+                        mon_region: q.mon_region,
+                        slot: q.spec.slot,
+                        seq: q.spec.seq,
+                        expires_at: q.expires_at,
+                        result: q.result.iter().copied().collect(),
+                    };
+                    if self.sqt.insert(qid, row).is_none() {
+                        self.note_home(HomeChange::QueryAdded(qid));
+                    }
                     let f = self.fot.get_mut(oid).expect("FOT row created above");
                     if !f.queries.contains(&qid) {
                         f.queries.push(qid);
@@ -2839,10 +2897,17 @@ impl Server {
 
         let observed = buf.get_u64_le("observed epoch")?;
 
-        // Commit.
+        // Commit. The tables are replaced wholesale, so a home log sees
+        // every old key leave and every restored key arrive.
         let mut fot = FotTable::default();
         for (oid, e) in fot_entries {
             fot.entry_or_insert(oid, e);
+        }
+        if let Some(log) = &mut self.home_log {
+            log.extend(self.fot.keys().map(|&o| HomeChange::FocalRemoved(o)));
+            log.extend(self.sqt.keys().map(|&q| HomeChange::QueryRemoved(q)));
+            log.extend(fot.keys().map(|&o| HomeChange::FocalAdded(o)));
+            log.extend(sqt.keys().map(|&q| HomeChange::QueryAdded(q)));
         }
         self.fot = fot;
         self.sqt = sqt;

@@ -6,10 +6,13 @@
 
 use mobieyes_core::server::Net;
 use mobieyes_core::{
-    Filter, MovingObjectAgent, ObjectId, Propagation, Properties, ProtocolConfig, Server,
+    Filter, HomeChange, MovingObjectAgent, ObjectId, PartitionScope, PartitionTable, Propagation,
+    Properties, ProtocolConfig, QueryId, Server,
 };
-use mobieyes_geo::{Grid, Point, QueryRegion, Rect, Vec2};
+use mobieyes_geo::{Grid, LinearMotion, Point, QueryRegion, Rect, Vec2};
 use mobieyes_net::BaseStationLayout;
+use std::collections::BTreeSet;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 const SIDE: f64 = 60.0;
@@ -41,6 +44,37 @@ impl Rng {
 
     fn coin(&mut self) -> bool {
         self.next_u64() & 1 == 1
+    }
+}
+
+/// What a coordinator keeps of a partition: the drained home log folded
+/// into two key sets, starting from empty.
+#[derive(Default)]
+struct HomeMirror {
+    focals: BTreeSet<ObjectId>,
+    queries: BTreeSet<QueryId>,
+}
+
+impl HomeMirror {
+    /// Folds the server's drained log and demands the result equal the
+    /// FOT and SQT key sets the server reports.
+    fn sync(&mut self, server: &mut Server) {
+        for change in server.take_home_log() {
+            match change {
+                HomeChange::FocalAdded(o) => self.focals.insert(o),
+                HomeChange::FocalRemoved(o) => self.focals.remove(&o),
+                HomeChange::QueryAdded(q) => self.queries.insert(q),
+                HomeChange::QueryRemoved(q) => self.queries.remove(&q),
+            };
+        }
+        let focals: Vec<ObjectId> = self.focals.iter().copied().collect();
+        assert_eq!(focals, server.focal_ids(), "focal mirror diverged");
+        let queries: Vec<QueryId> = self.queries.iter().copied().collect();
+        assert_eq!(
+            queries,
+            server.query_ids().collect::<Vec<_>>(),
+            "query mirror diverged"
+        );
     }
 }
 
@@ -92,6 +126,20 @@ fn run_scenario(case: usize, s: &Scenario) {
     );
     let mut net = Net::new(BaseStationLayout::new(universe, 15.0));
     let mut server = Server::new(Arc::clone(&config));
+    // Three cases in four keep a home log and audit it after every step;
+    // the fourth checks a server that was never asked to keeps none.
+    let logged = !case.is_multiple_of(4);
+    let mut homes = HomeMirror::default();
+    if logged {
+        server.enable_home_log();
+    }
+    let audit = |server: &mut Server, homes: &mut HomeMirror| {
+        if logged {
+            homes.sync(server);
+        } else {
+            assert!(server.take_home_log().is_empty(), "log kept unasked");
+        }
+    };
     let n = s.objects.len();
     let mut positions: Vec<Point> = s.objects.iter().map(|&(x, y)| Point::new(x, y)).collect();
     let mut agents: Vec<MovingObjectAgent> = positions
@@ -120,14 +168,15 @@ fn run_scenario(case: usize, s: &Scenario) {
             )
         })
         .collect();
+    audit(&mut server, &mut homes);
 
     let ticks = s.moves.len() / n;
-    let step = |t: f64,
-                positions: &mut Vec<Point>,
-                agents: &mut Vec<MovingObjectAgent>,
-                server: &mut Server,
-                net: &mut Net,
-                vels: &[Vec2]| {
+    let mut step = |t: f64,
+                    positions: &mut Vec<Point>,
+                    agents: &mut Vec<MovingObjectAgent>,
+                    server: &mut Server,
+                    net: &mut Net,
+                    vels: &[Vec2]| {
         for i in 0..n {
             let p = positions[i] + vels[i] * TS;
             positions[i] = Point::new(p.x.clamp(0.0, SIDE), p.y.clamp(0.0, SIDE));
@@ -144,6 +193,7 @@ fn run_scenario(case: usize, s: &Scenario) {
         net.end_tick();
         server.tick(net);
         server.check_invariants();
+        audit(server, &mut homes);
     };
 
     // Moving phase.
@@ -199,6 +249,18 @@ fn run_scenario(case: usize, s: &Scenario) {
             );
         }
     }
+
+    // The remaining ways a key set changes: a wholesale checkpoint
+    // restore, then tearing every query down (the last one of a focal
+    // object takes its FOT row along).
+    let image = server.checkpoint_bytes();
+    server.restore_checkpoint(&image).expect("own checkpoint");
+    audit(&mut server, &mut homes);
+    for qid in qids {
+        assert!(server.remove_query(qid, &mut net));
+        audit(&mut server, &mut homes);
+    }
+    assert!(server.focal_ids().is_empty() && homes.focals.is_empty());
 }
 
 #[test]
@@ -207,5 +269,69 @@ fn random_scenarios_converge_to_exact_results() {
     for case in 0..48 {
         let s = rand_scenario(&mut rng);
         run_scenario(case, &s);
+    }
+}
+
+/// The cluster-only ways a key set changes: a focal object with its
+/// queries leaving one scoped server (`extract_focal`) and arriving at
+/// another (`MigrateFocal`, delivered twice as a duplicating bus would),
+/// and a server switched to logging late, after it already homes state.
+#[test]
+fn home_log_follows_migration_between_scoped_servers() {
+    let universe = Rect::new(0.0, 0.0, SIDE, SIDE);
+    let config = Arc::new(ProtocolConfig::new(Grid::new(universe, 8.0)));
+    let table = Arc::new(PartitionTable::new(vec![0, 32, 64]));
+    let epoch = Arc::new(AtomicU64::new(0));
+    let scoped = |p: u32| {
+        Server::new(Arc::clone(&config)).with_scope(PartitionScope::new(
+            p,
+            Arc::clone(&table),
+            Arc::clone(&epoch),
+        ))
+    };
+    let mut net = Net::new(BaseStationLayout::new(universe, 15.0));
+    let mut rng = Rng(0x5eed_1207_40e5);
+    for _ in 0..24 {
+        let (mut a, mut b) = (scoped(0), scoped(1));
+        let (mut homes_a, mut homes_b) = (HomeMirror::default(), HomeMirror::default());
+        a.enable_home_log();
+        let focals = 1 + rng.below(3) as u32;
+        let mut next_qid = 0;
+        for f in 0..focals {
+            let pos = Point::new(rng.range(2.0, 58.0), rng.range(2.0, 20.0));
+            let motion = LinearMotion::new(pos, Vec2::ZERO, 0.0);
+            a.refresh_focal_motion(ObjectId(f), motion, 0.05, true);
+            homes_a.sync(&mut a);
+            for _ in 0..rng.below(3) {
+                a.complete_install_at(
+                    QueryId(next_qid),
+                    ObjectId(f),
+                    QueryRegion::circle(rng.range(1.0, 6.0)),
+                    Arc::new(Filter::True),
+                    None,
+                    &mut net,
+                );
+                next_qid += 1;
+                homes_a.sync(&mut a);
+            }
+        }
+        a.take_outbox();
+        // `b` starts logging only after the first focal has arrived: the
+        // seed must carry what it already homes.
+        for f in 0..focals {
+            let msg = a.extract_focal(ObjectId(f)).expect("homed on a");
+            homes_a.sync(&mut a);
+            b.apply_cluster_msg(&msg);
+            b.apply_cluster_msg(&msg);
+            if f == 0 {
+                b.enable_home_log();
+            }
+            homes_b.sync(&mut b);
+        }
+        assert!(homes_a.focals.is_empty() && homes_a.queries.is_empty());
+        assert_eq!(homes_b.focals.len(), focals as usize);
+        assert_eq!(homes_b.queries.len(), next_qid as usize);
+        assert!(a.extract_focal(ObjectId(0)).is_none());
+        assert!(a.take_home_log().is_empty(), "a miss changes nothing");
     }
 }

@@ -41,7 +41,8 @@ use std::path::PathBuf;
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 const HELLO_MAGIC: &[u8; 4] = b"MEYE";
-const WIRE_VERSION: u8 = 1;
+/// Version 2: partition replies carry the `homes` membership delta.
+const WIRE_VERSION: u8 = 2;
 
 /// A transport address: `tcp:host:port` or `uds:/path/to.sock`. A bare
 /// `host:port` parses as TCP.
@@ -177,12 +178,16 @@ impl Write for Stream {
     }
 }
 
-/// A bound server socket. Unix-domain listeners unlink a stale socket file
-/// on bind and remove it again on drop.
+/// A bound server socket. A Unix-domain listener holds an exclusive lock
+/// on `<path>.lock` for as long as it lives: binding a path whose lock is
+/// held fails (another listener is live there), while a socket file whose
+/// lock is free was left by a dead process and is unlinked. The socket
+/// file is removed again on drop; the kernel drops the lock with the
+/// process, so a `SIGKILL` never leaves a path unbindable.
 #[derive(Debug)]
 pub enum Listener {
     Tcp(TcpListener),
-    Unix(UnixListener, PathBuf),
+    Unix(UnixListener, PathBuf, std::fs::File),
 }
 
 impl Listener {
@@ -190,10 +195,21 @@ impl Listener {
         match ep {
             Endpoint::Tcp(addr) => Ok(Listener::Tcp(TcpListener::bind(addr)?)),
             Endpoint::Uds(path) => {
+                let lock = std::fs::File::create(lock_path(path))?;
+                if lock.try_lock().is_err() {
+                    return Err(TransportError::Io(format!(
+                        "{} is in use by a live listener",
+                        path.display()
+                    )));
+                }
                 if path.exists() {
                     std::fs::remove_file(path)?;
                 }
-                Ok(Listener::Unix(UnixListener::bind(path)?, path.clone()))
+                Ok(Listener::Unix(
+                    UnixListener::bind(path)?,
+                    path.clone(),
+                    lock,
+                ))
             }
         }
     }
@@ -202,7 +218,7 @@ impl Listener {
     pub fn local_endpoint(&self) -> Result<Endpoint, TransportError> {
         match self {
             Listener::Tcp(l) => Ok(Endpoint::Tcp(l.local_addr()?.to_string())),
-            Listener::Unix(_, path) => Ok(Endpoint::Uds(path.clone())),
+            Listener::Unix(_, path, _) => Ok(Endpoint::Uds(path.clone())),
         }
     }
 
@@ -213,7 +229,7 @@ impl Listener {
                 s.set_nodelay(true)?;
                 Ok(Stream::Tcp(s))
             }
-            Listener::Unix(l, _) => {
+            Listener::Unix(l, _, _) => {
                 let (s, _) = l.accept()?;
                 Ok(Stream::Unix(s))
             }
@@ -221,10 +237,17 @@ impl Listener {
     }
 }
 
+fn lock_path(socket: &std::path::Path) -> PathBuf {
+    let mut p = socket.as_os_str().to_owned();
+    p.push(".lock");
+    PathBuf::from(p)
+}
+
 impl Drop for Listener {
     fn drop(&mut self) {
-        if let Listener::Unix(_, path) = self {
-            let _ = std::fs::remove_file(path);
+        if let Listener::Unix(_, path, _) = self {
+            let _ = std::fs::remove_file(&*path);
+            let _ = std::fs::remove_file(lock_path(path));
         }
     }
 }
@@ -291,12 +314,12 @@ impl FramedConn {
         Ok(())
     }
 
-    /// Extracts one complete frame from the read buffer into `out`, if
-    /// present. Returns whether a frame was extracted.
-    fn buffered_frame_into(&mut self, out: &mut Vec<u8>) -> Result<bool, TransportError> {
+    /// Payload length of the next frame, when the read buffer already
+    /// holds all of it.
+    fn buffered_frame_len(&self) -> Result<Option<usize>, TransportError> {
         let avail = self.rbuf.len() - self.rpos;
         if avail < 4 {
-            return Ok(false);
+            return Ok(None);
         }
         let len = u32::from_le_bytes(
             self.rbuf[self.rpos..self.rpos + 4]
@@ -309,9 +332,24 @@ impl FramedConn {
                 max: MAX_FRAME,
             });
         }
-        if avail < 4 + len {
+        Ok((avail >= 4 + len).then_some(len))
+    }
+
+    /// Whether the next [`read_frame_into`](Self::read_frame_into) would
+    /// return without touching the socket: a complete frame (or a length
+    /// prefix it will reject) is already buffered. A server uses this to
+    /// hold its reply flush back while pipelined requests are still queued
+    /// behind the one it just answered.
+    pub fn has_buffered_frame(&self) -> bool {
+        !matches!(self.buffered_frame_len(), Ok(None))
+    }
+
+    /// Extracts one complete frame from the read buffer into `out`, if
+    /// present. Returns whether a frame was extracted.
+    fn buffered_frame_into(&mut self, out: &mut Vec<u8>) -> Result<bool, TransportError> {
+        let Some(len) = self.buffered_frame_len()? else {
             return Ok(false);
-        }
+        };
         out.clear();
         out.extend_from_slice(&self.rbuf[self.rpos + 4..self.rpos + 4 + len]);
         self.rpos += 4 + len;
@@ -565,6 +603,57 @@ mod tests {
         drop(server);
         let mut reader = FramedConn::new(client);
         assert_eq!(reader.read_frame().unwrap_err(), TransportError::Closed);
+    }
+
+    #[test]
+    fn uds_bind_refuses_a_live_path_and_reclaims_a_stale_one() {
+        let path = std::env::temp_dir().join(format!(
+            "mobieyes-bind-{}-live-or-stale.sock",
+            std::process::id()
+        ));
+        let ep = Endpoint::Uds(path.clone());
+        // Stale: a socket file nobody holds the lock of (what a SIGKILLed
+        // service leaves behind) is unlinked and rebound.
+        drop(std::os::unix::net::UnixListener::bind(&path).expect("plant a stale socket"));
+        assert!(path.exists());
+        let live = Listener::bind(&ep).expect("stale socket is reclaimed");
+        // Live: a second bind must fail cleanly and leave the first
+        // listener reachable.
+        let err = Listener::bind(&ep).expect_err("path is in use");
+        assert!(
+            matches!(&err, TransportError::Io(m) if m.contains("in use")),
+            "{err}"
+        );
+        ep.connect().expect("first listener still owns the path");
+        drop(live);
+        assert!(!path.exists() && !lock_path(&path).exists());
+        drop(Listener::bind(&ep).expect("free again after drop"));
+    }
+
+    #[test]
+    fn buffered_frame_query_sees_pipelined_frames_only() {
+        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+        let mut writer = FramedConn::new(listener.local_endpoint().unwrap().connect().unwrap());
+        let mut reader = FramedConn::new(listener.accept().unwrap());
+        assert!(!reader.has_buffered_frame());
+        writer.write_frame(b"one").unwrap();
+        writer.write_frame(b"two").unwrap();
+        writer.flush().unwrap();
+        // A third frame cut short: its prefix promises more than arrives.
+        writer.stream.write_all(&[9, 0, 0, 0, b'x']).unwrap();
+        assert_eq!(reader.read_frame().unwrap(), b"one");
+        // "two" normally came with the same read; pull until it has, so
+        // the assertion never races the kernel.
+        while !reader.has_buffered_frame() {
+            let mut chunk = [0u8; 64];
+            let n = reader.stream.read(&mut chunk).unwrap();
+            reader.rbuf.extend_from_slice(&chunk[..n]);
+        }
+        assert_eq!(reader.read_frame().unwrap(), b"two");
+        assert!(
+            !reader.has_buffered_frame(),
+            "a partial frame is not a frame"
+        );
     }
 
     #[test]

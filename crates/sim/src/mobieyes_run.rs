@@ -171,6 +171,8 @@ pub struct MobiEyesSim {
     /// Partitions awaiting respawn, with the tick at which to restart
     /// them (the failover fence runs first; the respawn fence follows).
     pending_respawn: Vec<(u32, usize)>,
+    /// Whether every step ends with the server tier's self-check.
+    audit: bool,
     /// Out-of-process kill callback: terminates partition `p`'s child
     /// process so the coordinator's detection path sees a real death.
     crash_hook: Option<Box<dyn FnMut(u32)>>,
@@ -385,6 +387,7 @@ impl MobiEyesSim {
             crash_plan: PartitionCrashPlan::none(),
             recovery: RecoveryKind::Failover,
             pending_respawn: Vec::new(),
+            audit: false,
             crash_hook: None,
             respawn_hook: None,
             store: single_store,
@@ -658,6 +661,15 @@ impl MobiEyesSim {
         self.recovery = r;
     }
 
+    /// Makes every step end with the server tier's structural self-check
+    /// (`check_invariants`) — on a remote deployment that includes the
+    /// audit of each handle's `homes` mirror against the key sets the
+    /// partition process reports. Panics on a violation; for tests and
+    /// smoke runs, never for timed ones.
+    pub fn set_audit(&mut self, on: bool) {
+        self.audit = on;
+    }
+
     /// Installs the out-of-process kill callback: invoked with the victim
     /// partition id at the crash tick instead of the in-process kill, so
     /// a multi-process driver can SIGKILL the real child.
@@ -896,6 +908,13 @@ impl MobiEyesSim {
             && self.tick_index.is_multiple_of(self.store_checkpoint_ticks)
         {
             self.checkpoint_now();
+        }
+
+        if self.audit {
+            match &self.tier {
+                ServerTier::Single(s) => s.check_invariants(),
+                ServerTier::Cluster(c) => c.check_invariants(),
+            }
         }
 
         if measured {

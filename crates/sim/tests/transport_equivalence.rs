@@ -28,6 +28,9 @@ fn config(seed: u64, propagation: Propagation, partitions: usize) -> SimConfig {
 /// Steps `sim` for the comparison window, capturing every query's result
 /// set after each tick (owned fetch: works on remote deployments too).
 fn trace(sim: &mut MobiEyesSim) -> ResultTrace {
+    // Every partition's invariants — and, on a remote deployment, every
+    // handle's mirror of what its partition homes — hold after each tick.
+    sim.set_audit(true);
     (0..TICKS)
         .map(|_| {
             sim.step(true);

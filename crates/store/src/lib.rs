@@ -404,6 +404,15 @@ impl Store {
         self.inner.lock().unwrap().flush();
     }
 
+    /// Whether flushing now would fill the current segment and rotate. A
+    /// caller that batches several ops per [`flush`](Self::flush) checks
+    /// this after each op and flushes when it holds, so segments end at
+    /// the same record they would with one flush per op.
+    pub fn segment_full(&self) -> bool {
+        let inner = self.inner.lock().unwrap();
+        inner.seg_bytes + inner.buf.len() as u64 >= inner.cfg.segment_bytes
+    }
+
     /// Cuts a checkpoint: flushes, rotates to a fresh segment whose first
     /// record is `Checkpoint(state)`, syncs it durably, and garbage
     /// collects segments older than `keep_segments` before it. `state` is

@@ -67,6 +67,21 @@ pub mod rebal_keys {
     pub const ABORTS: &str = "rebal.aborts";
 }
 
+/// The `cluster.rpc.*` telemetry counter keys: what the coordinator put
+/// on the partition RPC links. Deterministic counts (no timings), recorded
+/// into the cluster bus sink like [`rec_keys`]: they are zero for
+/// in-process partitions, so they must stay out of the protocol snapshot
+/// compared across transports.
+pub mod rpc_keys {
+    /// Requests whose reply the coordinator waited for.
+    pub const ROUND_TRIPS: &str = "cluster.rpc.round_trips";
+    /// Closed ops written without waiting (replies collected in batches).
+    pub const POSTED: &str = "cluster.rpc.posted";
+    /// Ownership lookups answered from the reply-maintained mirror of a
+    /// partition's FOT/SQT keys instead of a round trip.
+    pub const MIRROR_HITS: &str = "cluster.rpc.mirror_hits";
+}
+
 /// The `store.*` telemetry counter keys of the durable trajectory log
 /// (`mobieyes-store`).
 pub mod store_keys {

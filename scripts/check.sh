@@ -172,15 +172,22 @@ rm -f "$persist_out"
 # Store-backed kill -9 across a real process boundary: the dead
 # partition's queries must come back via log replay (the fast path, no
 # agent round trip) and the final digest must still match lock-step.
+# Replies — batched ones included — leave a partition only after the
+# journal records they acknowledge (pinned by the serve.rs unit test), so
+# the replayed log holds everything the coordinator saw complete. Under
+# `respawn` the restarted process wipes its stale log (`store_fresh`) and
+# the coordinator starts it with an empty mirror.
 persist_drive=$(mktemp) && persist_store=$(mktemp -d)
-cargo run -q --release --bin mobieyes-serve -- drive --transport uds \
-  --partitions 4 --ticks 40 --seed 7 --crash-tick 8 --kill 1 \
-  --recovery failover --store-dir "$persist_store" --json "$persist_drive" >/dev/null
-assert_json "$persist_drive" require digests_match true \
-  || { echo "persist smoke: store-backed drive digest diverged from lock-step"; exit 1; }
-replayed=$(assert_json "$persist_drive" get queries_replayed)
-awk -v n="$replayed" 'BEGIN { exit !(n >= 1) }' \
-  || { echo "persist smoke: no query was recovered via log replay"; exit 1; }
+for rec in failover respawn; do
+  cargo run -q --release --bin mobieyes-serve -- drive --transport uds \
+    --partitions 4 --ticks 40 --seed 7 --crash-tick 8 --kill 1 \
+    --recovery "$rec" --store-dir "$persist_store" --json "$persist_drive" >/dev/null
+  assert_json "$persist_drive" require digests_match true \
+    || { echo "persist smoke ($rec): store-backed drive digest diverged from lock-step"; exit 1; }
+  replayed=$(assert_json "$persist_drive" get queries_replayed)
+  awk -v n="$replayed" 'BEGIN { exit !(n >= 1) }' \
+    || { echo "persist smoke ($rec): no query was recovered via log replay"; exit 1; }
+done
 rm -rf "$persist_drive" "$persist_store"
 # Historical trajectories through the CLI: journal a short run, then
 # query an object's motion history back out of the cold log.
@@ -201,16 +208,37 @@ echo "==> socket smoke (multi-process partitions over UDS)"
 # Two partition services in separate OS processes behind Unix-domain
 # sockets, driven for 50 ticks by the coordinator; the final result digest
 # must match an in-process lock-step run of the identical configuration.
-# `drive` already exits non-zero on divergence; the JSON assertion keeps
-# the contract visible in this gate. The in-process socket bus rides the
-# same code path through the CLI flag below.
+# `drive` already exits non-zero on divergence (and audits every
+# partition, and the coordinator's mirror of what it homes, after every
+# tick); the JSON assertion keeps the contract visible in this gate. The
+# in-process socket bus rides the same code path through the CLI flag
+# below.
+#
+# The same run guards the wire budget without a timing run: the
+# coordinator may wait for at most 1.5 RPC round trips per uplink, counted
+# over the whole run (cluster.rpc.round_trips over uplinks decomposed;
+# 2000 objects so the per-tick audit and result fetches stay a small
+# share). A per-uplink ownership probe — 2 per lookup at 2 partitions, the
+# state before the homes mirror — puts the ratio near 4.
 socket_out=$(mktemp)
 cargo run -q --release --bin mobieyes-serve -- drive --transport uds \
-  --partitions 2 --ticks 50 --seed 7 --json "$socket_out" >/dev/null
+  --partitions 2 --objects 2000 --ticks 50 --seed 7 --json "$socket_out" >/dev/null
 assert_json "$socket_out" require digests_match true \
   || { echo "socket smoke: live digest diverged from lock-step"; exit 1; }
+rpc_trips=$(assert_json "$socket_out" get rpc_round_trips)
+rpc_uplinks=$(assert_json "$socket_out" get uplinks)
+awk -v r="$rpc_trips" -v u="$rpc_uplinks" 'BEGIN { exit !(u > 0 && r / u <= 1.5) }' \
+  || { echo "socket smoke: $rpc_trips round trips for $rpc_uplinks uplinks blows the 1.5 per-uplink budget"; exit 1; }
 rm -f "$socket_out"
 cargo run -q --release --bin mobieyes -- --partitions 2 --transport uds \
   --objects 400 --queries 40 --nmo 40 --ticks 8 --warmup 2 --area 10000 >/dev/null
+
+echo "==> benchmark harness (self-test + smoke)"
+# The benchmark's own unit tests, then every workload once at smoke size
+# with all correctness gates on (twin digests, exact-output agreement,
+# store probes): a change that breaks the harness, or a gate, fails here
+# instead of in the next timing run. No number from this stage is kept.
+benchmark/run.sh --self-test
+benchmark/run.sh --smoke >/dev/null
 
 echo "All checks passed."

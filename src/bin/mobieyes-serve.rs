@@ -314,6 +314,9 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let client =
         ClusterClient::connect(&endpoints, Duration::from_secs(10)).map_err(|e| e.to_string())?;
     let mut sim = client.into_sim(config.clone(), Telemetry::new());
+    // `drive` is a verification run: audit every partition (and the
+    // coordinator's mirror of what each one homes) after every tick.
+    sim.set_audit(true);
     if crash_tick > 0 {
         // Kill hook: SIGKILL the victim and reap it, so its sockets are
         // provably closed before the coordinator's liveness probe runs.
@@ -375,6 +378,11 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     // compare).
     let snapshot = sim.cluster().bus_telemetry().snapshot();
     let map_generation = sim.cluster().map_generation();
+    // Whole-run base for the RPC counts below (neither is reset at the
+    // end of warm-up).
+    let uplinks: u64 = (0..partitions)
+        .map(|p| sim.cluster().partition_ops(p))
+        .sum();
     sim.shutdown();
     drop(sim);
     // Surviving children (and respawned victims) saw `Shutdown` and must
@@ -408,6 +416,9 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let rebalance_installs = snapshot.counter(mobieyes::telemetry::rebal_keys::INSTALLS);
     let rebalance_skips = snapshot.counter(mobieyes::telemetry::rebal_keys::SKIPPED);
     let rebalance_aborts = snapshot.counter(mobieyes::telemetry::rebal_keys::ABORTS);
+    let rpc_round_trips = snapshot.counter(mobieyes::telemetry::rpc_keys::ROUND_TRIPS);
+    let rpc_posted = snapshot.counter(mobieyes::telemetry::rpc_keys::POSTED);
+    let rpc_mirror_hits = snapshot.counter(mobieyes::telemetry::rpc_keys::MIRROR_HITS);
     let json = format!(
         concat!(
             "{{\n",
@@ -428,6 +439,10 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             "  \"rebalance_installs\": {},\n",
             "  \"rebalance_skips\": {},\n",
             "  \"rebalance_aborts\": {},\n",
+            "  \"uplinks\": {},\n",
+            "  \"rpc_round_trips\": {},\n",
+            "  \"rpc_posted\": {},\n",
+            "  \"rpc_mirror_hits\": {},\n",
             "  \"digest\": \"{:016x}\",\n",
             "  \"reference_digest\": \"{:016x}\",\n",
             "  \"digests_match\": {},\n",
@@ -456,6 +471,10 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         rebalance_installs,
         rebalance_skips,
         rebalance_aborts,
+        uplinks,
+        rpc_round_trips,
+        rpc_posted,
+        rpc_mirror_hits,
         digest,
         reference_digest,
         matched,

@@ -12,6 +12,7 @@ use std::cell::RefCell;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 const PARTITIONS: usize = 4;
@@ -29,14 +30,18 @@ fn crash_config(seed: u64) -> SimConfig {
 }
 
 /// Spawns one `mobieyes-serve partition` child on a fresh Unix socket and
-/// waits for its `READY` line.
-fn spawn_service(p: usize, incarnation: u64) -> (Child, Endpoint) {
+/// waits for its `READY` line. The tests of this file run on parallel
+/// threads of one process, so the path is keyed on a process-wide spawn
+/// counter — never on anything two tests could share.
+fn spawn_service(p: usize) -> (Child, Endpoint) {
+    static SPAWNS: AtomicU64 = AtomicU64::new(0);
     let listen = format!(
         "uds:{}",
         std::env::temp_dir()
             .join(format!(
-                "mobieyes-crashtest-{}-{p}-{incarnation}.sock",
-                std::process::id()
+                "mobieyes-crashtest-{}-{}.sock",
+                std::process::id(),
+                SPAWNS.fetch_add(1, Ordering::Relaxed)
             ))
             .display()
     );
@@ -149,11 +154,14 @@ fn assert_process_crash_recovery(seed: u64, recovery: RecoveryKind, rebalance_ti
     let children: Rc<RefCell<Vec<Option<Child>>>> = Rc::new(RefCell::new(Vec::new()));
     let mut conns = Vec::with_capacity(PARTITIONS);
     for p in 0..PARTITIONS {
-        let (child, endpoint) = spawn_service(p, 0);
+        let (child, endpoint) = spawn_service(p);
         conns.push(connect(&endpoint, p as u32));
         children.borrow_mut().push(Some(child));
     }
     let mut sim = MobiEyesSim::with_remote_cluster(config(), Telemetry::new(), conns);
+    // Every tick — through the SIGKILL, the fences and the respawn — each
+    // live handle's mirror must equal what its partition process homes.
+    sim.set_audit(true);
     sim.set_crash_plan(plan.clone());
     sim.set_recovery(recovery);
     let kill_slots = Rc::clone(&children);
@@ -167,10 +175,8 @@ fn assert_process_crash_recovery(seed: u64, recovery: RecoveryKind, rebalance_ti
     });
     if recovery == RecoveryKind::Respawn {
         let respawn_slots = Rc::clone(&children);
-        let incarnation = RefCell::new(0u64);
         sim.set_respawn_hook(move |p| {
-            *incarnation.borrow_mut() += 1;
-            let (child, endpoint) = spawn_service(p as usize, *incarnation.borrow());
+            let (child, endpoint) = spawn_service(p as usize);
             let conn = connect(&endpoint, p);
             respawn_slots.borrow_mut()[p as usize] = Some(child);
             Some(conn)
