@@ -2,10 +2,12 @@
 //!
 //! Sweeps the struct-of-arrays tick engine from 2 000 to 1 000 000
 //! objects at the Table 1 density (0.1 objects / sq mile — the area grows
-//! with the population), recording wall-clock per tick and wireless bytes
-//! per object per tick, then runs the seed engine head-to-head at the
-//! 100 000-object point for the headline speedup. Writes
-//! `BENCH_scale.json`.
+//! with the population), recording wall-clock per tick, wireless bytes
+//! per object per tick and the share of the population the processing
+//! phase had to look at (`MobiEyesSim::tick_work`: a deterministic count,
+//! so `check.sh` can put a ceiling on it that holds on a noisy host),
+//! then runs the seed engine head-to-head at the 100 000-object point for
+//! the headline speedup. Writes `BENCH_scale.json`.
 //!
 //! The two engines are byte-identical in everything but wall clock
 //! (`tests/engine_equivalence.rs`); this binary only measures. Set
@@ -23,6 +25,7 @@ struct Sample {
     objects: usize,
     seconds_per_tick: f64,
     bytes_per_object_tick: f64,
+    visited_per_object_tick: f64,
 }
 
 fn config_for(objects: usize, engine: EngineKind) -> SimConfig {
@@ -44,9 +47,9 @@ fn config_for(objects: usize, engine: EngineKind) -> SimConfig {
     config
 }
 
-/// Runs `measured` ticks after warmup, returning (seconds/tick,
-/// bytes/object/tick) over the measured window.
-fn measure(config: SimConfig, warmup: usize, measured: usize) -> (f64, f64) {
+/// Runs `measured` ticks after warmup, returning the sample over the
+/// measured window.
+fn measure(config: SimConfig, warmup: usize, measured: usize) -> Sample {
     let objects = config.num_objects;
     let mut sim = MobiEyesSim::new(config);
     for _ in 0..warmup {
@@ -59,17 +62,24 @@ fn measure(config: SimConfig, warmup: usize, measured: usize) -> (f64, f64) {
             + snap.counter("net.broadcast.bytes")
     };
     let bytes_before = bytes_at(&sim);
+    let mut visited = 0;
     let t0 = Instant::now();
     for _ in 0..measured {
         // step(false): skip the harness's exact ground-truth scoring pass —
         // engine-independent instrumentation that would dilute the tick-path
         // comparison equally on both sides.
         sim.step(false);
+        visited += sim.tick_work().process_visited;
     }
     let seconds_per_tick = t0.elapsed().as_secs_f64() / measured as f64;
     let bytes = bytes_at(&sim) - bytes_before;
-    let bytes_per_object_tick = bytes as f64 / (objects as f64 * measured as f64);
-    (seconds_per_tick, bytes_per_object_tick)
+    let object_ticks = objects as f64 * measured as f64;
+    Sample {
+        objects,
+        seconds_per_tick,
+        bytes_per_object_tick: bytes as f64 / object_ticks,
+        visited_per_object_tick: visited as f64 / object_ticks,
+    }
 }
 
 fn main() {
@@ -85,21 +95,17 @@ fn main() {
         // Big populations amortize less per tick, so fewer measured ticks
         // keep the full sweep tractable without hiding the steady state.
         let measured = if objects > 100_000 { 3 } else { 5 };
-        let (seconds_per_tick, bytes_per_object_tick) =
-            measure(config_for(objects, EngineKind::Soa), 2, measured);
+        let sample = measure(config_for(objects, EngineKind::Soa), 2, measured);
         println!(
-            "objects={objects:<9} {:>10.2} ms/tick  {:>8.2} bytes/object/tick",
-            seconds_per_tick * 1e3,
-            bytes_per_object_tick
+            "objects={objects:<9} {:>10.2} ms/tick  {:>8.2} bytes/object/tick  {:>6.3} visited/object/tick",
+            sample.seconds_per_tick * 1e3,
+            sample.bytes_per_object_tick,
+            sample.visited_per_object_tick
         );
-        samples.push(Sample {
-            objects,
-            seconds_per_tick,
-            bytes_per_object_tick,
-        });
+        samples.push(sample);
     }
 
-    let (seed_spt, _) = measure(config_for(compare_at, EngineKind::Seed), 2, 3);
+    let seed_spt = measure(config_for(compare_at, EngineKind::Seed), 2, 3).seconds_per_tick;
     let soa_spt = samples
         .iter()
         .find(|s| s.objects == compare_at)
@@ -131,10 +137,11 @@ fn main() {
     for (i, s) in samples.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{ \"objects\": {}, \"seconds_per_tick\": {:.6}, \"bytes_per_object_tick\": {:.3} }}{}",
+            "    {{ \"objects\": {}, \"seconds_per_tick\": {:.6}, \"bytes_per_object_tick\": {:.3}, \"process_visited_per_object_tick\": {:.4} }}{}",
             s.objects,
             s.seconds_per_tick,
             s.bytes_per_object_tick,
+            s.visited_per_object_tick,
             if i + 1 == samples.len() { "" } else { "," }
         );
     }

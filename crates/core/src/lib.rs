@@ -40,5 +40,5 @@ pub use messages::{
     ClusterMsg, Downlink, QueryGroupInfo, QueryMigration, QuerySpec, StubSeed, Uplink,
 };
 pub use model::{ObjectId, PropValue, Properties, QueryId};
-pub use object::{AgentStats, MovingObjectAgent};
+pub use object::{AgentOutbox, AgentStats, AgentTally, MovingObjectAgent};
 pub use server::{HomeChange, PartitionScope, PartitionTable, Server, ServerStats};

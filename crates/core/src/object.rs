@@ -19,6 +19,7 @@ use crate::messages::{state_digest, Downlink, QueryGroupInfo, Uplink, EMPTY_STAT
 use crate::model::{ObjectId, Properties, QueryId};
 use crate::server::Net;
 use mobieyes_geo::{CellId, GridRect, LinearMotion, Point, QueryRegion, Region, Vec2};
+use mobieyes_net::NodeId;
 use mobieyes_telemetry::{EventKind, MetricsSnapshot, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -103,6 +104,93 @@ impl AgentStats {
             eval_nanos: snapshot.wall(agent_keys::EVAL_NANOS),
         }
     }
+}
+
+/// Plain accumulator for everything agents record while they run: the
+/// `agent.*` counters, the LQT-size samples and the cell-crossing events.
+/// Agents never touch a telemetry lock on their hot path; whoever owns
+/// the tally — a tick engine holds one per shard and phase, the
+/// single-agent convenience calls a local one — publishes it with one
+/// [`flush`](Self::flush). Counter and histogram updates commute and the
+/// events keep their order, so a flushed tally is indistinguishable from
+/// recording every sample directly.
+#[derive(Debug, Default)]
+pub struct AgentTally {
+    pub evaluated: u64,
+    pub skipped_safe_period: u64,
+    pub skipped_group_prune: u64,
+    pub result_changes: u64,
+    pub uplinks_sent: u64,
+    pub stale_discarded: u64,
+    pub resync_requests: u64,
+    pub lqt_syncs: u64,
+    pub eval_nanos: u64,
+    /// `lqt_sizes[v]`: how many `agent.lqt_size` samples had value `v`.
+    lqt_sizes: Vec<u64>,
+    /// Cell crossings `(time, oid)` in occurrence order.
+    crossings: Vec<(f64, u64)>,
+}
+
+impl AgentTally {
+    /// Records `n` `agent.lqt_size` samples of value `len`.
+    #[inline]
+    pub fn observe_lqt_size(&mut self, len: usize, n: u64) {
+        if self.lqt_sizes.len() <= len {
+            self.lqt_sizes.resize(len + 1, 0);
+        }
+        self.lqt_sizes[len] += n;
+    }
+
+    /// Publishes everything accumulated into `sink` under one lock and
+    /// leaves the tally empty (buffers keep their allocations). Zero
+    /// counters are not written, exactly as if they had never been
+    /// recorded.
+    pub fn flush(&mut self, sink: &Telemetry) {
+        sink.record_batch(|r| {
+            for (key, n) in [
+                (agent_keys::EVALUATED, self.evaluated),
+                (agent_keys::SKIPPED_SAFE_PERIOD, self.skipped_safe_period),
+                (agent_keys::SKIPPED_GROUP_PRUNE, self.skipped_group_prune),
+                (agent_keys::RESULT_CHANGES, self.result_changes),
+                (agent_keys::UPLINKS_SENT, self.uplinks_sent),
+                (agent_keys::STALE_DISCARDED, self.stale_discarded),
+                (agent_keys::RESYNC_REQUESTS, self.resync_requests),
+                (agent_keys::LQT_SYNCS, self.lqt_syncs),
+            ] {
+                if n > 0 {
+                    r.add(key, n);
+                }
+            }
+            if self.eval_nanos > 0 {
+                r.wall_add(agent_keys::EVAL_NANOS, self.eval_nanos);
+            }
+            for (len, &n) in self.lqt_sizes.iter().enumerate() {
+                // Integer-valued samples: `observe_n` equals `n` observes.
+                r.observe_n(agent_keys::LQT_SIZE, len as f64, n);
+            }
+            for &(t, oid) in &self.crossings {
+                r.event_at(t, EventKind::CellCrossing { oid });
+            }
+        });
+        self.lqt_sizes.clear();
+        self.crossings.clear();
+        *self = AgentTally {
+            lqt_sizes: std::mem::take(&mut self.lqt_sizes),
+            crossings: std::mem::take(&mut self.crossings),
+            ..AgentTally::default()
+        };
+    }
+}
+
+/// Where agents leave a phase's side effects: their uplinks in send
+/// order and their metric [`AgentTally`]. A tick engine keeps one per
+/// shard, hands the uplinks to the network in bulk
+/// ([`NetworkSim::send_uplinks`](mobieyes_net::NetworkSim::send_uplinks))
+/// and flushes the tally once per phase.
+#[derive(Debug, Default)]
+pub struct AgentOutbox {
+    pub uplinks: Vec<(NodeId, Uplink)>,
+    pub tally: AgentTally,
 }
 
 /// The moving-object protocol agent.
@@ -217,9 +305,9 @@ impl MovingObjectAgent {
     /// Whether the next processing phase has real work beyond telemetry:
     /// an installed query to evaluate or a buffered departure to flush.
     /// When this is false and no downlink is pending, `tick_process` is a
-    /// no-op except for its `agent.lqt_size`/`agent.eval_nanos` samples —
-    /// the struct-of-arrays engine skips the call and batch-records the
-    /// samples instead.
+    /// no-op except for its `agent.lqt_size` sample — the
+    /// struct-of-arrays engine skips the call and batch-records the
+    /// sample instead.
     pub fn needs_process(&self) -> bool {
         !self.lqt.is_empty() || !self.pending_departures.is_empty()
     }
@@ -295,18 +383,22 @@ impl MovingObjectAgent {
     /// same time step — the paper's simulation resolves updates within a
     /// step.
     pub fn tick_motion(&mut self, t: f64, pos: Point, vel: Vec2, net: &mut Net) {
+        let mut out = AgentOutbox::default();
+        self.tick_motion_into(t, pos, vel, &mut out);
+        self.hand_over(out, net);
+    }
+
+    /// [`tick_motion`](Self::tick_motion) recording into a caller-owned
+    /// outbox instead of a network and this agent's telemetry sink — the
+    /// form tick engines use, one outbox per shard.
+    pub fn tick_motion_into(&mut self, t: f64, pos: Point, vel: Vec2, out: &mut AgentOutbox) {
         self.pos = pos;
         self.vel = vel;
         let new_cell = self.config.grid.cell_of(pos);
         if new_cell != self.curr_cell {
             let prev = self.curr_cell;
             self.curr_cell = new_cell;
-            self.telemetry.event_at(
-                t,
-                EventKind::CellCrossing {
-                    oid: self.oid.0 as u64,
-                },
-            );
+            out.tally.crossings.push((t, self.oid.0 as u64));
             // Drop queries whose monitoring region no longer covers us.
             // Leaving a monitoring region implies leaving the query region
             // (the circle is contained in it), so any entry we were a
@@ -324,10 +416,9 @@ impl MovingObjectAgent {
             });
             self.shadow.retain(|_, (_, mon)| mon.contains(new_cell));
             if !departures.is_empty() {
-                self.telemetry
-                    .add(agent_keys::RESULT_CHANGES, departures.len() as u64);
+                out.tally.result_changes += departures.len() as u64;
                 self.send(
-                    net,
+                    out,
                     Uplink::ResultUpdate {
                         oid: self.oid,
                         changes: departures,
@@ -339,7 +430,7 @@ impl MovingObjectAgent {
             if self.config.propagation == Propagation::Eager || self.has_mq {
                 let motion = LinearMotion::new(pos, vel, t);
                 self.send(
-                    net,
+                    out,
                     Uplink::CellChange {
                         oid: self.oid,
                         prev_cell: prev,
@@ -358,7 +449,7 @@ impl MovingObjectAgent {
             if needs_report {
                 let motion = LinearMotion::new(pos, vel, t);
                 self.send(
-                    net,
+                    out,
                     Uplink::VelocityReport {
                         oid: self.oid,
                         motion,
@@ -380,16 +471,53 @@ impl MovingObjectAgent {
     where
         I: IntoIterator<Item = &'a Downlink>,
     {
-        let my_cell = self.config.grid.cell_of(self.pos);
+        let mut out = AgentOutbox::default();
+        self.tick_process_into(t, inbox, &mut out);
+        self.hand_over(out, net);
+    }
+
+    /// [`tick_process`](Self::tick_process) recording into a caller-owned
+    /// outbox (see [`tick_motion_into`](Self::tick_motion_into)).
+    pub fn tick_process_into<'a, I>(&mut self, t: f64, inbox: I, out: &mut AgentOutbox)
+    where
+        I: IntoIterator<Item = &'a Downlink>,
+    {
+        // `curr_cell` is the cell of `pos`: every store to one updates
+        // the other.
+        let my_cell = self.curr_cell;
         for msg in inbox {
-            self.handle_downlink(t, my_cell, msg, net);
+            self.handle_downlink(t, my_cell, msg, out);
         }
-        let start = std::time::Instant::now();
-        self.evaluate(t, net);
-        self.telemetry
-            .wall_add(agent_keys::EVAL_NANOS, start.elapsed().as_nanos() as u64);
-        self.telemetry
-            .observe(agent_keys::LQT_SIZE, self.lqt.len() as f64);
+        // With nothing installed or buffered there is no LQT processing
+        // to time; two clock reads would cost more than the call.
+        if self.needs_process() {
+            let start = std::time::Instant::now();
+            self.evaluate(t, out);
+            out.tally.eval_nanos += start.elapsed().as_nanos() as u64;
+        }
+        out.tally.observe_lqt_size(self.lqt.len(), 1);
+    }
+
+    /// Absorbs a new position and velocity *without* motion-event
+    /// detection. Only for callers that already know the agent stayed in
+    /// its registered cell and is not focal — then
+    /// [`tick_motion`](Self::tick_motion) would store the same two fields
+    /// and do nothing else. The struct-of-arrays engine uses it to
+    /// re-sync agents its motion scan skipped.
+    pub fn sync_kinematics(&mut self, pos: Point, vel: Vec2) {
+        debug_assert!(
+            self.config.grid.cell_of(pos) == self.curr_cell && !self.has_mq,
+            "sync_kinematics would swallow a motion event"
+        );
+        self.pos = pos;
+        self.vel = vel;
+    }
+
+    /// Delivers a locally filled outbox: uplinks into `net` in send
+    /// order, the tally into this agent's own sink.
+    fn hand_over(&self, mut out: AgentOutbox, net: &mut Net) {
+        net.send_uplinks(&mut out.uplinks);
+        out.tally.flush(&self.telemetry);
     }
 
     /// Advances the agent one full time step in one call (motion phase
@@ -405,17 +533,18 @@ impl MovingObjectAgent {
         self.tick_process(t, inbox, net);
     }
 
-    fn send(&mut self, net: &mut Net, msg: Uplink) {
-        self.telemetry.incr(agent_keys::UPLINKS_SENT);
-        net.send_uplink(self.oid.node(), msg);
+    fn send(&self, out: &mut AgentOutbox, msg: Uplink) {
+        out.tally.uplinks_sent += 1;
+        out.uplinks.push((self.oid.node(), msg));
     }
 
-    fn handle_downlink(&mut self, t: f64, my_cell: CellId, msg: &Downlink, net: &mut Net) {
+    fn handle_downlink(&mut self, t: f64, my_cell: CellId, msg: &Downlink, out: &mut AgentOutbox) {
+        let tally = &mut out.tally;
         match msg {
-            Downlink::QueryState { info } => self.apply_query_state(my_cell, info),
+            Downlink::QueryState { info } => self.apply_query_state(my_cell, info, tally),
             Downlink::NewQueries { infos } => {
                 for info in infos {
-                    self.apply_query_state(my_cell, info);
+                    self.apply_query_state(my_cell, info, tally);
                 }
             }
             Downlink::VelocityChange {
@@ -427,7 +556,7 @@ impl MovingObjectAgent {
                             e.motion = *motion;
                             e.seq = *seq;
                         } else {
-                            self.telemetry.incr(agent_keys::STALE_DISCARDED);
+                            tally.stale_discarded += 1;
                         }
                     }
                     if let Some(s) = self.shadow.get_mut(qid) {
@@ -445,7 +574,7 @@ impl MovingObjectAgent {
                     || self.shadow.get(qid).is_some_and(|s| s.0 > *epoch)
                     || self.removed.get(qid).is_some_and(|&te| te >= *epoch);
                 if newer_local {
-                    self.telemetry.incr(agent_keys::STALE_DISCARDED);
+                    tally.stale_discarded += 1;
                 } else {
                     if self.lqt.remove(qid).is_some_and(|e| e.is_target) {
                         // Targethood ends with the query; the server's
@@ -462,7 +591,7 @@ impl MovingObjectAgent {
                 if *epoch <= self.last_heartbeat_epoch {
                     // Same beacon via another station or a duplication
                     // fault: already answered.
-                    self.telemetry.incr(agent_keys::STALE_DISCARDED);
+                    tally.stale_discarded += 1;
                 } else {
                     let prev = self.last_heartbeat_epoch;
                     self.last_heartbeat_epoch = *epoch;
@@ -481,14 +610,14 @@ impl MovingObjectAgent {
                     // Focal objects send their *advertised* motion, so a
                     // server that did receive it sees nothing new.
                     if self.local_digest() != expected || self.has_mq {
-                        self.telemetry.incr(agent_keys::RESYNC_REQUESTS);
+                        tally.resync_requests += 1;
                         let motion = match &self.advertised {
                             Some(adv) if self.has_mq => *adv,
                             _ => LinearMotion::new(self.pos, self.vel, t),
                         };
                         let (oid, max_vel) = (self.oid, self.max_vel);
                         self.send(
-                            net,
+                            out,
                             Uplink::Resync {
                                 oid,
                                 cell: my_cell,
@@ -503,15 +632,15 @@ impl MovingObjectAgent {
                     // an *empty* view matters just as much, because a lost
                     // departure report (or a crash the server has not
                     // noticed) must not strand a stale member server-side.
-                    self.telemetry.incr(agent_keys::LQT_SYNCS);
+                    out.tally.lqt_syncs += 1;
                     let entries: Vec<(QueryId, bool)> =
                         self.lqt.iter().map(|(&q, e)| (q, e.is_target)).collect();
                     let oid = self.oid;
-                    self.send(net, Uplink::LqtSync { oid, entries });
+                    self.send(out, Uplink::LqtSync { oid, entries });
                 }
             }
             Downlink::CellSync { cell, infos, .. } => {
-                self.apply_cell_sync(my_cell, *cell, infos);
+                self.apply_cell_sync(my_cell, *cell, infos, tally);
             }
             Downlink::FocalNotify { is_focal } => {
                 self.has_mq = *is_focal;
@@ -534,7 +663,7 @@ impl MovingObjectAgent {
             Downlink::PositionRequest => {
                 let motion = LinearMotion::new(self.pos, self.vel, t);
                 self.send(
-                    net,
+                    out,
                     Uplink::PositionReply {
                         oid: self.oid,
                         motion,
@@ -549,7 +678,12 @@ impl MovingObjectAgent {
     /// Installs, updates or removes the queries of a full-state group
     /// message, depending on whether our cell is inside the group's
     /// monitoring region and whether the filters accept us (§3.3, §3.5).
-    fn apply_query_state(&mut self, my_cell: CellId, info: &QueryGroupInfo) {
+    fn apply_query_state(
+        &mut self,
+        my_cell: CellId,
+        info: &QueryGroupInfo,
+        tally: &mut AgentTally,
+    ) {
         if info.mon_region.contains(my_cell) {
             for spec in info.queries.iter() {
                 // A removal we already applied supersedes this install:
@@ -559,13 +693,13 @@ impl MovingObjectAgent {
                     .get(&spec.qid)
                     .is_some_and(|&te| spec.seq <= te)
                 {
-                    self.telemetry.incr(agent_keys::STALE_DISCARDED);
+                    tally.stale_discarded += 1;
                     continue;
                 }
                 self.removed.remove(&spec.qid);
                 if let Some(e) = self.lqt.get_mut(&spec.qid) {
                     if spec.seq < e.seq {
-                        self.telemetry.incr(agent_keys::STALE_DISCARDED);
+                        tally.stale_discarded += 1;
                         continue;
                     }
                     // Refresh motion and region state (idempotent on
@@ -613,7 +747,7 @@ impl MovingObjectAgent {
             for spec in info.queries.iter() {
                 if self.lqt.get(&spec.qid).is_some_and(|e| spec.seq < e.seq) {
                     // Stale broadcast must not tear down newer state.
-                    self.telemetry.incr(agent_keys::STALE_DISCARDED);
+                    tally.stale_discarded += 1;
                     continue;
                 }
                 if let Some(e) = self.lqt.remove(&spec.qid) {
@@ -626,8 +760,7 @@ impl MovingObjectAgent {
                 }
             }
             if !departures.is_empty() {
-                self.telemetry
-                    .add(agent_keys::RESULT_CHANGES, departures.len() as u64);
+                tally.result_changes += departures.len() as u64;
                 self.pending_departures.extend(departures);
             }
         }
@@ -636,7 +769,13 @@ impl MovingObjectAgent {
     /// Authoritative rebuild of the local query view for `cell` from a
     /// server `CellSync` reply. Anything the server does not list is gone;
     /// listed queries install or refresh under the usual seq rules.
-    fn apply_cell_sync(&mut self, my_cell: CellId, cell: CellId, infos: &[QueryGroupInfo]) {
+    fn apply_cell_sync(
+        &mut self,
+        my_cell: CellId,
+        cell: CellId,
+        infos: &[QueryGroupInfo],
+        tally: &mut AgentTally,
+    ) {
         if cell != my_cell {
             // We moved between requesting the resync and its arrival; the
             // reply describes a cell we no longer occupy. The next
@@ -659,8 +798,7 @@ impl MovingObjectAgent {
         self.shadow
             .retain(|qid, _| mentioned.binary_search(qid).is_ok());
         if !departures.is_empty() {
-            self.telemetry
-                .add(agent_keys::RESULT_CHANGES, departures.len() as u64);
+            tally.result_changes += departures.len() as u64;
             self.pending_departures.extend(departures);
         }
         for info in infos {
@@ -669,7 +807,7 @@ impl MovingObjectAgent {
                 // must not silence dead reckoning forever.
                 self.has_mq = true;
             }
-            self.apply_query_state(my_cell, info);
+            self.apply_query_state(my_cell, info, tally);
         }
     }
 
@@ -691,6 +829,21 @@ impl MovingObjectAgent {
     /// a `Resync` uplink so the server replays its cell's query state and
     /// completes any installs that were waiting for it.
     pub fn reconnect(&mut self, t: f64, pos: Point, vel: Vec2, fresh: bool, net: &mut Net) {
+        let mut out = AgentOutbox::default();
+        self.reconnect_into(t, pos, vel, fresh, &mut out);
+        self.hand_over(out, net);
+    }
+
+    /// [`reconnect`](Self::reconnect) recording into a caller-owned
+    /// outbox (see [`tick_motion_into`](Self::tick_motion_into)).
+    pub fn reconnect_into(
+        &mut self,
+        t: f64,
+        pos: Point,
+        vel: Vec2,
+        fresh: bool,
+        out: &mut AgentOutbox,
+    ) {
         self.pos = pos;
         self.vel = vel;
         self.curr_cell = self.config.grid.cell_of(pos);
@@ -713,16 +866,15 @@ impl MovingObjectAgent {
             });
             self.shadow.retain(|_, (_, mon)| mon.contains(cell));
             if !departures.is_empty() {
-                self.telemetry
-                    .add(agent_keys::RESULT_CHANGES, departures.len() as u64);
+                out.tally.result_changes += departures.len() as u64;
                 self.pending_departures.extend(departures);
             }
         }
         let motion = LinearMotion::new(pos, vel, t);
-        self.telemetry.incr(agent_keys::RESYNC_REQUESTS);
+        out.tally.resync_requests += 1;
         let (oid, max_vel, cell) = (self.oid, self.max_vel, self.curr_cell);
         self.send(
-            net,
+            out,
             Uplink::Resync {
                 oid,
                 cell,
@@ -735,19 +887,16 @@ impl MovingObjectAgent {
     }
 
     /// Evaluates all installed queries, reporting containment changes.
-    fn evaluate(&mut self, t: f64, net: &mut Net) {
-        if self.lqt.is_empty() && self.pending_departures.is_empty() {
-            return;
-        }
+    fn evaluate(&mut self, t: f64, out: &mut AgentOutbox) {
         self.scratch_changes.clear();
         self.scratch_changes.append(&mut self.pending_departures);
         let grouping = self.config.grouping;
         let safe_period = self.config.safe_period;
         let mut changed_focals: Vec<ObjectId> = Vec::new();
         if grouping {
-            self.evaluate_grouped(t, safe_period, &mut changed_focals);
+            self.evaluate_grouped(t, safe_period, &mut changed_focals, &mut out.tally);
         } else {
-            self.evaluate_plain(t, safe_period);
+            self.evaluate_plain(t, safe_period, &mut out.tally);
         }
 
         if self.scratch_changes.is_empty() {
@@ -770,7 +919,7 @@ impl MovingObjectAgent {
                 }
                 if mask != 0 {
                     self.send(
-                        net,
+                        out,
                         Uplink::GroupResultUpdate {
                             oid: self.oid,
                             focal,
@@ -789,7 +938,7 @@ impl MovingObjectAgent {
             }
             if !itemized.is_empty() {
                 self.send(
-                    net,
+                    out,
                     Uplink::ResultUpdate {
                         oid: self.oid,
                         changes: itemized,
@@ -799,7 +948,7 @@ impl MovingObjectAgent {
         } else {
             let changes = std::mem::take(&mut self.scratch_changes);
             self.send(
-                net,
+                out,
                 Uplink::ResultUpdate {
                     oid: self.oid,
                     changes,
@@ -811,9 +960,7 @@ impl MovingObjectAgent {
 
     /// Evaluation without grouping: one independent prediction and
     /// containment check per LQT entry (plus safe-period skips).
-    fn evaluate_plain(&mut self, t: f64, safe_period: bool) {
-        // Accumulate locally; one telemetry flush per call keeps the hot
-        // loop free of lock traffic.
+    fn evaluate_plain(&mut self, t: f64, safe_period: bool, tally: &mut AgentTally) {
         let mut evaluated = 0u64;
         let mut skipped_safe = 0u64;
         let mut changes = 0u64;
@@ -841,13 +988,21 @@ impl MovingObjectAgent {
                 self.scratch_changes.push((*qid, inside));
             }
         }
-        self.flush_eval_counters(evaluated, skipped_safe, 0, changes);
+        tally.evaluated += evaluated;
+        tally.skipped_safe_period += skipped_safe;
+        tally.result_changes += changes;
     }
 
     /// Grouped evaluation (§4.1): entries are processed per focal object,
     /// largest circle first, so one shared prediction serves the group and
     /// an "outside" verdict on a larger circle prunes the smaller ones.
-    fn evaluate_grouped(&mut self, t: f64, safe_period: bool, changed_focals: &mut Vec<ObjectId>) {
+    fn evaluate_grouped(
+        &mut self,
+        t: f64,
+        safe_period: bool,
+        changed_focals: &mut Vec<ObjectId>,
+        tally: &mut AgentTally,
+    ) {
         self.scratch_groups.clear();
         for (qid, e) in &self.lqt {
             self.scratch_groups.push((e.focal, *qid, e.region.reach()));
@@ -919,28 +1074,10 @@ impl MovingObjectAgent {
             i = j;
         }
         self.scratch_groups = groups;
-        self.flush_eval_counters(evaluated, skipped_safe, skipped_prune, changes);
-    }
-
-    /// Flushes locally accumulated evaluation counters into the sink,
-    /// touching the lock only for non-zero deltas.
-    fn flush_eval_counters(
-        &self,
-        evaluated: u64,
-        skipped_safe: u64,
-        skipped_prune: u64,
-        changes: u64,
-    ) {
-        for (key, n) in [
-            (agent_keys::EVALUATED, evaluated),
-            (agent_keys::SKIPPED_SAFE_PERIOD, skipped_safe),
-            (agent_keys::SKIPPED_GROUP_PRUNE, skipped_prune),
-            (agent_keys::RESULT_CHANGES, changes),
-        ] {
-            if n > 0 {
-                self.telemetry.add(key, n);
-            }
-        }
+        tally.evaluated += evaluated;
+        tally.skipped_safe_period += skipped_safe;
+        tally.skipped_group_prune += skipped_prune;
+        tally.result_changes += changes;
     }
 }
 

@@ -11,6 +11,13 @@
 //! outside hear nothing, objects covered by two transmitting stations hear
 //! the message twice (the protocol layer must be idempotent, which the
 //! MobiEyes installation logic is).
+//!
+//! Traffic accounting is lock-free on the send path: every transmission
+//! bumps a plain per-direction counter, and the totals reach the shared
+//! telemetry sink at the queue hand-over points (`drain_uplinks*`,
+//! `take_downlinks`, `end_tick`) or on an explicit
+//! [`NetworkSim::publish_traffic`]. [`NetworkSim::meter`] always includes
+//! what is still unpublished.
 
 use crate::fault::FaultPlan;
 use crate::meter::{keys, Direction, MessageMeter};
@@ -49,7 +56,18 @@ pub struct NetworkSim<U, D> {
     sent_by_node: Vec<u64>,
     /// Bytes physically received per node.
     received_by_node: Vec<u64>,
+    /// Transmissions per [`Direction`] not yet published to `telemetry`.
+    unpublished: [Traffic; 3],
 }
+
+/// Message and byte totals of one direction.
+#[derive(Debug, Default, Clone, Copy)]
+struct Traffic {
+    msgs: u64,
+    bytes: u64,
+}
+
+const DIRECTIONS: [Direction; 3] = [Direction::Uplink, Direction::Unicast, Direction::Broadcast];
 
 impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
     pub fn new(layout: BaseStationLayout) -> Self {
@@ -63,6 +81,7 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
             broadcasts: Vec::new(),
             sent_by_node: Vec::new(),
             received_by_node: Vec::new(),
+            unpublished: [Traffic::default(); 3],
         }
     }
 
@@ -81,20 +100,49 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
         &self.layout
     }
 
-    /// Materializes the traffic view from the telemetry counters and the
-    /// per-node byte vectors.
+    /// Materializes the traffic view from the telemetry counters, the
+    /// transmissions not yet published to them, and the per-node byte
+    /// vectors.
     pub fn meter(&self) -> MessageMeter {
-        MessageMeter::from_snapshot(
+        let mut meter = MessageMeter::from_snapshot(
             &self.telemetry.snapshot(),
             self.sent_by_node.clone(),
             self.received_by_node.clone(),
-        )
+        );
+        let [up, uni, bc] = self.unpublished;
+        meter.uplink_msgs += up.msgs;
+        meter.uplink_bytes += up.bytes;
+        meter.unicast_msgs += uni.msgs;
+        meter.unicast_bytes += uni.bytes;
+        meter.broadcast_msgs += bc.msgs;
+        meter.broadcast_bytes += bc.bytes;
+        meter
     }
 
-    fn record(&self, dir: Direction, bytes: usize) {
-        let (msgs_key, bytes_key) = dir.counter_keys();
-        self.telemetry.incr(msgs_key);
-        self.telemetry.add(bytes_key, bytes as u64);
+    fn record(&mut self, dir: Direction, bytes: usize) {
+        let t = &mut self.unpublished[dir as usize];
+        t.msgs += 1;
+        t.bytes += bytes as u64;
+    }
+
+    /// Publishes the transmissions counted since the last call into the
+    /// telemetry sink (one lock acquisition). Runs at every queue
+    /// hand-over; drivers whose sink is read between hand-overs (a
+    /// per-tick snapshot) call it at their own boundary.
+    pub fn publish_traffic(&mut self) {
+        if self.unpublished.iter().all(|t| t.msgs == 0) {
+            return;
+        }
+        let traffic = std::mem::take(&mut self.unpublished);
+        self.telemetry.record_batch(|r| {
+            for (dir, t) in DIRECTIONS.iter().zip(traffic) {
+                if t.msgs > 0 {
+                    let (msgs_key, bytes_key) = dir.counter_keys();
+                    r.add(msgs_key, t.msgs);
+                    r.add(bytes_key, t.bytes);
+                }
+            }
+        });
     }
 
     /// Records that `node` physically received `bytes` downlink. Exposed
@@ -166,8 +214,37 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
         }
     }
 
+    /// Forwards a buffer of uplinks in one call, leaving it empty (its
+    /// allocation is kept): each message is sized and counted exactly
+    /// once and the queue grows by one append. Indistinguishable from
+    /// [`send_uplink`](Self::send_uplink) per message — which is what runs
+    /// while an uplink fault plan is armed, because the plan is a stateful
+    /// RNG consumed once per message in send order.
+    pub fn send_uplinks(&mut self, batch: &mut Vec<(NodeId, U)>)
+    where
+        U: Clone,
+    {
+        if !self.uplink_fault.is_noop() {
+            for (from, msg) in batch.drain(..) {
+                self.send_uplink(from, msg);
+            }
+            return;
+        }
+        let mut total = 0u64;
+        for (from, msg) in batch.iter() {
+            let bytes = msg.wire_size();
+            total += bytes as u64;
+            self.record_node_sent(from.0 as usize, bytes);
+        }
+        let t = &mut self.unpublished[Direction::Uplink as usize];
+        t.msgs += batch.len() as u64;
+        t.bytes += total;
+        self.uplinks.append(batch);
+    }
+
     /// Server side: take all pending uplink messages.
     pub fn drain_uplinks(&mut self) -> Vec<(NodeId, U)> {
+        self.publish_traffic();
         std::mem::take(&mut self.uplinks)
     }
 
@@ -176,6 +253,7 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
     /// server draining into a persistent scratch every tick settles into
     /// a zero-allocation steady state.
     pub fn drain_uplinks_into(&mut self, out: &mut Vec<(NodeId, U)>) {
+        self.publish_traffic();
         out.append(&mut self.uplinks);
     }
 
@@ -291,6 +369,7 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
         Vec<(NodeId, Arc<D>, usize)>,
         Vec<(StationId, Arc<D>, usize)>,
     ) {
+        self.publish_traffic();
         (
             std::mem::take(&mut self.unicasts),
             std::mem::take(&mut self.broadcasts),
@@ -299,6 +378,7 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
 
     /// Clears the downlink queues; call after every object polled.
     pub fn end_tick(&mut self) {
+        self.publish_traffic();
         self.unicasts.clear();
         self.broadcasts.clear();
     }
@@ -493,6 +573,102 @@ mod tests {
                 .counter(keys::FAULT_UPLINK_DUPLICATED),
             1
         );
+    }
+
+    /// An uplink whose wire size is its payload, so byte totals tell
+    /// messages apart.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Sized(u32);
+
+    impl WireSized for Sized {
+        fn wire_size(&self) -> usize {
+            self.0 as usize
+        }
+    }
+
+    /// Everything an uplink forward can change: the published counters,
+    /// the meter view, per-node sent bytes and the server-side queue.
+    type ForwardOutcome = (
+        Vec<(&'static str, u64)>,
+        [u64; 2],
+        Vec<u64>,
+        Vec<(NodeId, Sized)>,
+    );
+
+    fn forward_outcome(bulk: bool, fault: FaultPlan) -> ForwardOutcome {
+        let mut n: NetworkSim<Sized, Msg> = NetworkSim::new(BaseStationLayout::new(
+            Rect::new(0.0, 0.0, 100.0, 100.0),
+            10.0,
+        ));
+        n.set_uplink_fault(fault);
+        let mut batch: Vec<(NodeId, Sized)> = [(5, 11), (2, 7), (5, 3), (9, 40), (0, 1), (2, 2)]
+            .iter()
+            .cycle()
+            .take(60)
+            .map(|&(node, size)| (NodeId(node), Sized(size)))
+            .collect();
+        if bulk {
+            n.send_uplinks(&mut batch);
+            assert!(batch.is_empty(), "bulk forward must drain the buffer");
+        } else {
+            for (from, msg) in batch {
+                n.send_uplink(from, msg);
+            }
+        }
+        let meter = n.meter();
+        let sent = (0..10).map(|i| meter.node_sent_bytes(i)).collect();
+        let queue = n.drain_uplinks();
+        let snapshot = n.telemetry().snapshot();
+        let counters = [
+            keys::UPLINK_MSGS,
+            keys::UPLINK_BYTES,
+            keys::FAULT_UPLINK_DROPPED,
+            keys::FAULT_UPLINK_DUPLICATED,
+        ]
+        .map(|k| (k, snapshot.counter(k)))
+        .to_vec();
+        (
+            counters,
+            [meter.uplink_msgs, meter.uplink_bytes],
+            sent,
+            queue,
+        )
+    }
+
+    #[test]
+    fn bulk_uplink_forward_equals_per_message_forward() {
+        let bulk = forward_outcome(true, FaultPlan::none());
+        assert_eq!(bulk, forward_outcome(false, FaultPlan::none()));
+        // Sized and counted exactly once: 10 rounds of the 6-message cycle.
+        assert_eq!(bulk.1, [60, 10 * (11 + 7 + 3 + 40 + 1 + 2)]);
+        assert_eq!(bulk.0[0].1, 60, "drain publishes the counters");
+        assert_eq!(bulk.3.len(), 60);
+    }
+
+    #[test]
+    fn armed_uplink_fault_forwards_per_message() {
+        // The plan is a stateful RNG: the bulk call must consume it once
+        // per message in send order, exactly like the per-message path.
+        let plan = || FaultPlan::new(0.3, 0.3, 77);
+        let bulk = forward_outcome(true, plan());
+        assert_eq!(bulk, forward_outcome(false, plan()));
+        assert!(bulk.0[2].1 > 0 && bulk.0[3].1 > 0, "plan must fire");
+        assert_ne!(bulk.3.len(), 60, "drops and duplicates reshape the queue");
+    }
+
+    #[test]
+    fn traffic_is_published_at_hand_over_and_metered_before() {
+        let mut n = net();
+        n.send_unicast(NodeId(1), Msg(1));
+        n.broadcast(StationId(0), Msg(2));
+        // Not yet in the sink, already in the meter view.
+        assert_eq!(n.telemetry().snapshot().counter(keys::UNICAST_MSGS), 0);
+        assert_eq!(n.meter().downlink_msgs(), 2);
+        n.publish_traffic();
+        let snap = n.telemetry().snapshot();
+        assert_eq!(snap.counter(keys::UNICAST_MSGS), 1);
+        assert_eq!(snap.counter(keys::BROADCAST_BYTES), 8);
+        assert_eq!(n.meter().downlink_msgs(), 2, "published once, not twice");
     }
 
     #[test]

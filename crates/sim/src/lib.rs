@@ -29,7 +29,7 @@ pub use config::{
     ConfigError, EngineKind, RecoveryKind, SimConfig, SimConfigBuilder, TransportKind,
 };
 pub use metrics::RunMetrics;
-pub use mobieyes_run::MobiEyesSim;
+pub use mobieyes_run::{MobiEyesSim, TickWork};
 pub use mobility::{Mobility, MobilityKind};
 pub use rng::{Normal, Rng, Zipf};
 pub use transport_run::{ClusterClient, HostedPartitions};

@@ -5,19 +5,17 @@ use crate::config::{EngineKind, RecoveryKind, SimConfig, TransportKind};
 use crate::metrics::{sim_keys, RunMetrics};
 use crate::mobility::Mobility;
 use crate::soa::{
-    self, AgentSoa, BcastClass, ShardScratch, SoaShard, FLAG_FOCAL, FLAG_LQT, FLAG_PENDING,
-    FLAG_SHADOW,
+    self, AgentSoa, BcastClass, SoaShard, FLAG_FOCAL, FLAG_LQT, FLAG_PENDING, FLAG_SHADOW,
 };
 use crate::truth::{result_error, GroundTruth};
 use crate::workload::Workload;
 use mobieyes_cluster::{ClusterServer, Envelope};
-use mobieyes_core::object::agent_keys;
 use mobieyes_core::server::Net;
 use mobieyes_core::{
-    Downlink, Filter, LogRecord, MovingObjectAgent, ObjectId, Propagation, Properties,
+    AgentOutbox, Downlink, Filter, LogRecord, MovingObjectAgent, ObjectId, Propagation, Properties,
     ProtocolConfig, QueryId, Server,
 };
-use mobieyes_geo::{Grid, LinearMotion, Point, QueryRegion, Vec2};
+use mobieyes_geo::{FlatCellProbe, Grid, LinearMotion, Point, QueryRegion, Vec2};
 use mobieyes_net::{
     BaseStationLayout, ChurnPlan, FaultPlan, FramedConn, NodeId, PartitionCrashPlan, RadioModel,
     SocketTransport, StationId,
@@ -99,13 +97,14 @@ fn unique_bus_path() -> std::path::PathBuf {
 ///
 /// The tick engine shards agents into contiguous index ranges, one per
 /// worker thread (`SimConfig::threads`, 0 = auto). Each phase runs the
-/// shards under `std::thread::scope`; every worker buffers its agents'
-/// uplinks in a private per-shard network and its metrics in a per-shard
-/// telemetry sink, and the coordinator merges both in ascending shard
-/// (therefore node-id) order after the phase — so uplink queue order,
-/// counters, histograms and the event log are byte-identical to the
-/// sequential engine at any thread count. With one shard the same
-/// buffer-and-merge path runs inline, without spawning.
+/// shards under `std::thread::scope`; every worker leaves its agents'
+/// uplinks and metrics in a private per-shard [`AgentOutbox`] — plain
+/// vectors and integers, no lock — and the coordinator forwards the
+/// uplinks and flushes the tallies in ascending shard (therefore node-id)
+/// order after the phase, so uplink queue order, counters, histograms and
+/// the event log are byte-identical to the sequential engine at any
+/// thread count. With one shard the same buffer-and-merge path runs
+/// inline, without spawning.
 pub struct MobiEyesSim {
     pub config: SimConfig,
     pub workload: Workload,
@@ -125,13 +124,11 @@ pub struct MobiEyesSim {
     layout: BaseStationLayout,
     /// Agents `[s * shard_chunk, (s + 1) * shard_chunk)` belong to shard `s`.
     shard_chunk: usize,
-    /// Per-shard uplink buffers. Their private telemetry is discarded:
-    /// uplink traffic is metered exactly once, when the coordinator
-    /// forwards buffered messages into the real network in shard order.
-    shard_nets: Vec<Net>,
-    /// Per-shard metric accumulators the agents record into; drained and
-    /// merged into the shared sink once per phase.
-    shard_sinks: Vec<Telemetry>,
+    /// Per-shard uplink buffers and metric tallies the agents record
+    /// into; forwarded and flushed once per phase by
+    /// [`merge_shards`](Self::merge_shards), the only place an uplink is
+    /// sized and counted.
+    shard_out: Vec<AgentOutbox>,
     /// Deterministic object churn schedule (no-op by default). The
     /// schedule is a pure function of `(seed, oid)`, so it is identical
     /// at every thread count.
@@ -142,6 +139,11 @@ pub struct MobiEyesSim {
     /// Per-agent offline state: `Some(fresh)` while disconnected, where
     /// `fresh` says whether the rejoin loses local state (a crash).
     offline: Vec<Option<bool>>,
+    /// How many `offline` entries are `Some`.
+    offline_count: usize,
+    /// Whether `rejoin_now` / `skip_now` may hold flags from a churned
+    /// step; with `offline_count` it makes the quiet-step check O(1).
+    churn_flags_dirty: bool,
     /// Rejoins to perform this step (computed once per step, read by the
     /// motion phase): `Some(fresh)` triggers the reconnect handshake.
     rejoin_now: Vec<Option<bool>>,
@@ -161,6 +163,8 @@ pub struct MobiEyesSim {
     grid: Grid,
     /// Struct-of-arrays scheduling mirror + persistent phase scratch.
     soa: AgentSoa,
+    /// What the last step's two agent phases actually touched.
+    work: TickWork,
     /// Deterministic partition-crash schedule (no-op by default);
     /// resolved from the configuration at build, overridable for tests
     /// via [`set_crash_plan`](Self::set_crash_plan).
@@ -320,8 +324,7 @@ impl MobiEyesSim {
         let threads = config.resolved_threads().min(n.max(1)).max(1);
         let shard_chunk = n.max(1).div_ceil(threads);
         let shards = n.max(1).div_ceil(shard_chunk);
-        let shard_sinks: Vec<Telemetry> = (0..shards).map(|_| Telemetry::new()).collect();
-        let shard_nets: Vec<Net> = (0..shards).map(|_| Net::new(layout.clone())).collect();
+        let shard_out: Vec<AgentOutbox> = (0..shards).map(|_| AgentOutbox::default()).collect();
         let agents: Vec<MovingObjectAgent> = workload
             .objects
             .iter()
@@ -335,7 +338,9 @@ impl MobiEyesSim {
                     mobility.velocities[i],
                     Arc::clone(&pconf),
                 )
-                .with_telemetry(shard_sinks[i / shard_chunk].clone())
+                // The engine records through `shard_out`; sharing the
+                // deployment's sink here only spares 100k private ones.
+                .with_telemetry(telemetry.clone())
             })
             .collect();
         // Install the full query workload up front; the position-request
@@ -372,11 +377,12 @@ impl MobiEyesSim {
             telemetry,
             layout,
             shard_chunk,
-            shard_nets,
-            shard_sinks,
+            shard_out,
             churn: ChurnPlan::none(),
             churn_base: 0,
             offline: vec![None; n],
+            offline_count: 0,
+            churn_flags_dirty: false,
             rejoin_now: vec![None; n],
             skip_now: vec![false; n],
             frozen: false,
@@ -384,6 +390,7 @@ impl MobiEyesSim {
             engine,
             grid: grid_copy,
             soa: AgentSoa::new(n, shards),
+            work: TickWork::default(),
             crash_plan: PartitionCrashPlan::none(),
             recovery: RecoveryKind::Failover,
             pending_respawn: Vec::new(),
@@ -425,6 +432,7 @@ impl MobiEyesSim {
             );
             sim.set_churn(plan);
         }
+        sim.net.publish_traffic();
         sim
     }
 
@@ -436,6 +444,14 @@ impl MobiEyesSim {
     /// The resolved tick engine this deployment runs.
     pub fn engine(&self) -> EngineKind {
         self.engine
+    }
+
+    /// What the last [`step`](Self::step)'s agent phases touched — the
+    /// deterministic witness that work follows activity, not population.
+    /// Kept outside the metrics registry, so protocol snapshots of the
+    /// two engines stay comparable.
+    pub fn tick_work(&self) -> TickWork {
+        self.work
     }
 
     /// Current simulated time in seconds.
@@ -767,15 +783,16 @@ impl MobiEyesSim {
     /// agents, no rejoins — the precondition for the fast engine's
     /// every-agent-is-reachable assumption.
     fn apply_churn(&mut self) -> bool {
-        let any_offline = self.offline.iter().any(|o| o.is_some());
-        if !self.churn.has_churn() && !any_offline {
+        if !self.churn.has_churn() && self.offline_count == 0 {
             // Clear rejoin flags left over from the final reconnect step.
-            if self.rejoin_now.iter().any(|r| r.is_some()) {
+            if self.churn_flags_dirty {
                 self.rejoin_now.iter_mut().for_each(|r| *r = None);
                 self.skip_now.iter_mut().for_each(|s| *s = false);
+                self.churn_flags_dirty = false;
             }
             return true;
         }
+        self.churn_flags_dirty = true;
         let rel = (self.tick_index - self.churn_base) as u64;
         for i in 0..self.agents.len() {
             self.rejoin_now[i] = None;
@@ -783,10 +800,12 @@ impl MobiEyesSim {
             let want_off = self.churn.is_offline(rel, oid);
             if want_off && self.offline[i].is_none() {
                 self.offline[i] = Some(self.churn.crashes(oid));
+                self.offline_count += 1;
                 self.telemetry
                     .event(EventKind::ObjectOffline { oid: oid as u64 });
             } else if !want_off {
                 if let Some(fresh) = self.offline[i].take() {
+                    self.offline_count -= 1;
                     self.telemetry.event(EventKind::ObjectOnline {
                         oid: oid as u64,
                         fresh: fresh as u64,
@@ -819,9 +838,6 @@ impl MobiEyesSim {
         self.tick_index += 1;
         let t = self.now();
         self.telemetry.set_now(t);
-        for sink in &self.shard_sinks {
-            sink.set_now(t);
-        }
         {
             let _span = self.telemetry.span(Phase::Mobility);
             if !self.frozen {
@@ -910,6 +926,11 @@ impl MobiEyesSim {
             self.checkpoint_now();
         }
 
+        // Downlinks the ingest (or a fence) queued were counted after the
+        // last queue hand-over; a snapshot taken between steps must
+        // already hold them.
+        self.net.publish_traffic();
+
         if self.audit {
             match &self.tier {
                 ServerTier::Single(s) => s.check_invariants(),
@@ -942,59 +963,45 @@ impl MobiEyesSim {
     }
 
     /// Phase A over every shard: agents report motion events (cell
-    /// crossings, dead-reckoning violations) into their shard's private
-    /// uplink buffer and metric sink.
+    /// crossings, dead-reckoning violations) into their shard's outbox.
     fn run_motion_phase(&mut self, t: f64) {
         let chunk = self.shard_chunk;
         let positions = &self.mobility.positions;
         let velocities = &self.mobility.velocities;
         let rejoin = &self.rejoin_now;
         let skip = &self.skip_now;
-        if self.shard_nets.len() <= 1 {
-            let net = &mut self.shard_nets[0];
-            for (i, agent) in self.agents.iter_mut().enumerate() {
+        let motion = |agents: &mut [MovingObjectAgent], out: &mut AgentOutbox, base: usize| {
+            let mut touched = 0;
+            for (off, agent) in agents.iter_mut().enumerate() {
+                let i = base + off;
                 match rejoin[i] {
-                    Some(fresh) => agent.reconnect(t, positions[i], velocities[i], fresh, net),
-                    None if skip[i] => {}
-                    None => agent.tick_motion(t, positions[i], velocities[i], net),
+                    Some(fresh) => agent.reconnect_into(t, positions[i], velocities[i], fresh, out),
+                    None if skip[i] => continue,
+                    None => agent.tick_motion_into(t, positions[i], velocities[i], out),
                 }
+                touched += 1;
             }
-            return;
-        }
-        std::thread::scope(|s| {
-            for (c, (agents, net)) in self
-                .agents
-                .chunks_mut(chunk)
-                .zip(self.shard_nets.iter_mut())
-                .enumerate()
-            {
-                let base = c * chunk;
-                s.spawn(move || {
-                    for (off, agent) in agents.iter_mut().enumerate() {
-                        let i = base + off;
-                        match rejoin[i] {
-                            Some(fresh) => {
-                                agent.reconnect(t, positions[i], velocities[i], fresh, net)
-                            }
-                            None if skip[i] => {}
-                            None => agent.tick_motion(t, positions[i], velocities[i], net),
-                        }
-                    }
-                });
-            }
-        });
+            touched
+        };
+        let shards = self.agents.chunks_mut(chunk).zip(self.shard_out.iter_mut());
+        self.work.motion_touched =
+            over_shards(shards, |c, (agents, out)| motion(agents, out, c * chunk));
     }
 
     /// Phase B over every shard: deliver the pending downlinks to each
     /// agent and run local evaluation; result reports buffer in the shard
-    /// nets. The fault plan is a stateful RNG consumed per delivery, so
-    /// fault-injection runs walk the agents sequentially; the fault-free
-    /// path distributes physical delivery across the workers (read-only
-    /// over the `Arc`-shared queues) and accounts received bytes after the
-    /// scope ends.
+    /// outboxes. The fault plan is a stateful RNG consumed per delivery,
+    /// so fault-injection runs walk the agents sequentially; the
+    /// fault-free path distributes physical delivery across the workers
+    /// (read-only over the `Arc`-shared queues, every (agent, broadcast)
+    /// pair decided by the `covers` test — the oracle the fast engine's
+    /// push-built runs are pinned against) and accounts received bytes
+    /// after the scope ends.
     fn run_process_phase(&mut self, t: f64) {
         let chunk = self.shard_chunk;
-        if self.shard_nets.len() <= 1 || !self.net.fault().is_noop() || self.churn.has_churn() {
+        let n = self.agents.len();
+        let (mut visited, mut delivered) = (0, 0);
+        if self.shard_out.len() <= 1 || !self.net.fault().is_noop() || self.churn.has_churn() {
             for i in 0..self.agents.len() {
                 if self.skip_now[i] {
                     // Offline: the radio is off; pending downlinks stay
@@ -1005,60 +1012,69 @@ impl MobiEyesSim {
                 self.inbox.clear();
                 let pos = self.mobility.positions[i];
                 self.net.deliver(NodeId(i as u32), pos, &mut self.inbox);
-                let shard_net = &mut self.shard_nets[i / chunk];
-                self.agents[i].tick_process(t, self.inbox.iter().map(|m| &**m), shard_net);
+                visited += 1;
+                delivered += self.inbox.len();
+                self.agents[i].tick_process_into(
+                    t,
+                    self.inbox.iter().map(|m| &**m),
+                    &mut self.shard_out[i / chunk],
+                );
             }
+            self.work.set_seed_process(visited, delivered, n);
             return;
         }
         let (unicasts, broadcasts) = self.net.take_downlinks();
-        // Sorted (node, queue index) runs — persistent scratch shared with
-        // the fast engine — so a worker touches only its own agents'
-        // messages while preserving each node's queue order.
-        build_node_runs(&mut self.soa.pairs, &unicasts);
+        // Sorted (node, queue index) runs, so a worker touches only its
+        // own agents' unicasts while preserving each node's queue order.
+        self.soa
+            .deliveries
+            .build_unicasts(unicasts.iter().map(|(to, _, _)| to.0));
         let positions = &self.mobility.positions;
         let layout = &self.layout;
         let (unicasts, broadcasts) = (&unicasts, &broadcasts);
-        let pairs: &[(u32, u32)] = &self.soa.pairs;
+        let deliveries = &self.soa.deliveries;
         std::thread::scope(|s| {
-            for (c, ((agents, net), scratch)) in self
+            for (c, ((agents, out), rx)) in self
                 .agents
                 .chunks_mut(chunk)
-                .zip(self.shard_nets.iter_mut())
-                .zip(self.soa.scratch.iter_mut())
+                .zip(self.shard_out.iter_mut())
+                .zip(self.soa.rx.iter_mut())
                 .enumerate()
             {
                 let base = c * chunk;
                 s.spawn(move || {
-                    scratch.rx.clear();
-                    let mut cur = pairs.partition_point(|&(n, _)| (n as usize) < base);
-                    let hi = pairs.partition_point(|&(n, _)| (n as usize) < base + agents.len());
+                    rx.clear();
+                    let pairs = deliveries.shard(base, agents.len());
+                    let mut cur = 0;
                     let mut inbox: Vec<&Downlink> = Vec::new();
                     for (off, agent) in agents.iter_mut().enumerate() {
                         let i = (base + off) as u32;
                         let pos = positions[base + off];
                         inbox.clear();
-                        while cur < hi && pairs[cur].0 == i {
+                        while cur < pairs.len() && pairs[cur].0 == i {
                             let (_, msg, bytes) = &unicasts[pairs[cur].1 as usize];
-                            scratch.rx.push((i, *bytes));
+                            rx.push((i, *bytes));
                             inbox.push(&**msg);
                             cur += 1;
                         }
                         for (station, msg, bytes) in broadcasts.iter() {
                             if layout.covers(*station, pos) {
-                                scratch.rx.push((i, *bytes));
+                                rx.push((i, *bytes));
                                 inbox.push(&**msg);
                             }
                         }
-                        agent.tick_process(t, inbox.iter().copied(), net);
+                        agent.tick_process_into(t, inbox.iter().copied(), out);
                     }
                 });
             }
         });
-        for scratch in &self.soa.scratch {
-            for &(node, bytes) in &scratch.rx {
+        for rx in &self.soa.rx {
+            delivered += rx.len();
+            for &(node, bytes) in rx {
                 self.net.record_node_received(node as usize, bytes);
             }
         }
+        self.work.set_seed_process(n, delivered, n);
     }
 
     /// Rebuilds the struct-of-arrays mirror from agent heap state after a
@@ -1081,29 +1097,34 @@ impl MobiEyesSim {
     /// `tick_motion` only for agents that changed grid cell or are focal
     /// (dead reckoning can fire without a crossing). Everyone else keeps a
     /// stale `pos`/`vel` inside the agent struct, which is sound because
-    /// the processing phase re-syncs through `tick_motion` before any
-    /// agent does real work — and a same-cell, non-focal `tick_motion` is
-    /// a silent store (no messages, no telemetry, no state beyond
-    /// pos/vel).
+    /// the processing phase re-syncs every agent it runs — and a
+    /// same-cell, non-focal `tick_motion` is a silent store (no messages,
+    /// no telemetry, no state beyond pos/vel). The scan itself is
+    /// division-free for agents safely inside a cell ([`FlatCellProbe`]);
+    /// only positions on a cell margin or outside the universe pay for
+    /// the exact `flat_cell_of`. Either way `soa.cells` is exact for
+    /// every agent when the phase ends.
     fn run_motion_phase_fast(&mut self, t: f64) {
         if !self.soa.valid {
             self.rebuild_soa();
         }
-        if self.agents.is_empty() {
-            return;
-        }
-        let tick = self.tick_index as u32;
         let chunk = self.shard_chunk;
         let Self {
             agents,
-            shard_nets,
+            shard_out,
             soa,
             mobility,
             grid,
             ..
         } = self;
-        let positions = &mobility.positions;
-        let velocities = &mobility.velocities;
+        let ctx = MotionCtx {
+            positions: &mobility.positions,
+            velocities: &mobility.velocities,
+            grid,
+            probe: grid.flat_probe(),
+            t,
+            tick: self.tick_index as u32,
+        };
         let views = soa::shard_views(
             &mut soa.cells,
             &mut soa.flags,
@@ -1112,70 +1133,54 @@ impl MobiEyesSim {
             &mut soa.synced_at,
             chunk,
         );
-        if shard_nets.len() <= 1 {
-            let view = views.into_iter().next().expect("one shard view");
-            motion_shard(
-                agents,
-                &mut shard_nets[0],
-                view,
-                0,
-                positions,
-                velocities,
-                grid,
-                t,
-                tick,
-            );
-            return;
-        }
-        std::thread::scope(|s| {
-            for (c, ((agents, net), view)) in agents
-                .chunks_mut(chunk)
-                .zip(shard_nets.iter_mut())
-                .zip(views)
-                .enumerate()
-            {
-                let base = c * chunk;
-                let grid = &*grid;
-                s.spawn(move || {
-                    motion_shard(
-                        agents, net, view, base, positions, velocities, grid, t, tick,
-                    )
-                });
-            }
+        let shards = agents
+            .chunks_mut(chunk)
+            .zip(shard_out.iter_mut())
+            .zip(views);
+        self.work.motion_touched = over_shards(shards, |c, ((agents, out), view)| {
+            motion_shard(&ctx, agents, out, view, c * chunk)
         });
     }
 
-    /// Phase B, fast engine: indexed downlink delivery plus the cold and
-    /// safe-period skips, with the skipped agents' telemetry footprint
-    /// restored in batch (see [`crate::soa`] for the contract).
+    /// Phase B, fast engine: push-built deliveries ([`soa::Deliveries`]),
+    /// a pass that visits only agents with a delivery or query state, and
+    /// the safe-period / inert-delivery whole-agent skips among those,
+    /// with every skipped agent's telemetry footprint restored in batch
+    /// (see [`crate::soa`] for the contract).
     fn run_process_phase_fast(&mut self, t: f64) {
         debug_assert!(self.soa.valid, "motion phase rebuilds the mirror first");
-        if self.agents.is_empty() {
-            self.net.end_tick();
-            return;
-        }
-        let tick = self.tick_index as u32;
         let chunk = self.shard_chunk;
-        let safe_period = self.config.safe_period;
         let (unicasts, broadcasts) = self.net.take_downlinks();
         let Self {
             agents,
-            shard_nets,
-            shard_sinks,
+            shard_out,
             soa,
             mobility,
             layout,
             grid,
             ..
         } = self;
-        build_node_runs(&mut soa.pairs, &unicasts);
-        soa.bucket_broadcasts(
-            layout.num_stations(),
+        soa.deliveries.build(
+            unicasts.iter().map(|(to, _, _)| to.0),
             broadcasts.iter().map(|(station, _, _)| station.0),
+            &soa.cells,
+            &mobility.positions,
+            layout,
+            grid,
         );
         soa.classify_broadcasts(broadcasts.iter().map(|(_, msg, _)| &**msg));
-        let positions = &mobility.positions;
-        let velocities = &mobility.velocities;
+        let ctx = ProcessCtx {
+            deliveries: &soa.deliveries,
+            unicasts: &unicasts,
+            broadcasts: &broadcasts,
+            class: &soa.bcast_class,
+            positions: &mobility.positions,
+            velocities: &mobility.velocities,
+            grid,
+            safe_period: self.config.safe_period,
+            t,
+            tick: self.tick_index as u32,
+        };
         let views = soa::shard_views(
             &mut soa.cells,
             &mut soa.flags,
@@ -1184,88 +1189,32 @@ impl MobiEyesSim {
             &mut soa.synced_at,
             chunk,
         );
-        let pairs: &[(u32, u32)] = &soa.pairs;
-        let bcasts = BcastIndex {
-            pairs: &soa.bcast_pairs,
-            offsets: &soa.bcast_offsets,
-            class: &soa.bcast_class,
-        };
-        let (unicasts, broadcasts) = (&unicasts, &broadcasts);
-        if shard_nets.len() <= 1 {
-            let view = views.into_iter().next().expect("one shard view");
-            process_shard(
-                agents,
-                &mut shard_nets[0],
-                &shard_sinks[0],
-                view,
-                &mut soa.scratch[0],
-                0,
-                pairs,
-                unicasts,
-                broadcasts,
-                bcasts,
-                positions,
-                velocities,
-                layout,
-                grid,
-                safe_period,
-                t,
-                tick,
-            );
-        } else {
-            std::thread::scope(|s| {
-                for (c, ((((agents, net), sink), view), scratch)) in agents
-                    .chunks_mut(chunk)
-                    .zip(shard_nets.iter_mut())
-                    .zip(shard_sinks.iter())
-                    .zip(views)
-                    .zip(soa.scratch.iter_mut())
-                    .enumerate()
-                {
-                    let base = c * chunk;
-                    let layout = &*layout;
-                    let grid = &*grid;
-                    s.spawn(move || {
-                        process_shard(
-                            agents,
-                            net,
-                            sink,
-                            view,
-                            scratch,
-                            base,
-                            pairs,
-                            unicasts,
-                            broadcasts,
-                            bcasts,
-                            positions,
-                            velocities,
-                            layout,
-                            grid,
-                            safe_period,
-                            t,
-                            tick,
-                        )
-                    });
-                }
-            });
+        let shards = agents
+            .chunks_mut(chunk)
+            .zip(shard_out.iter_mut())
+            .zip(views);
+        let work: ProcessWork = over_shards(shards, |c, ((agents, out), view)| {
+            process_shard(&ctx, agents, out, view, c * chunk)
+        });
+        // Reception is physical: every delivery is metered at its node,
+        // whether the agent went on to process it or dropped it as inert.
+        let pairs = ctx.deliveries.pairs();
+        for &(node, k) in pairs {
+            self.net
+                .record_node_received(node as usize, ctx.downlink(k).1);
         }
-        for scratch in &self.soa.scratch {
-            for &(node, bytes) in &scratch.rx {
-                self.net.record_node_received(node as usize, bytes);
-            }
-        }
+        self.work.set_process(work, pairs.len(), self.agents.len());
     }
 
-    /// Forwards every shard's buffered uplinks into the real network and
-    /// folds the shard metric accumulators into the shared sink, walking
-    /// shards in ascending order — exactly the uplink queue order and
-    /// event order the sequential engine produces.
+    /// Forwards every shard's buffered uplinks into the real network —
+    /// in bulk, each message sized and counted exactly once — and flushes
+    /// the shard tallies into the shared sink, walking shards in
+    /// ascending order: exactly the uplink queue order and event order the
+    /// sequential engine produces.
     fn merge_shards(&mut self) {
-        for s in 0..self.shard_nets.len() {
-            for (node, up) in self.shard_nets[s].drain_uplinks() {
-                self.net.send_uplink(node, up);
-            }
-            self.telemetry.merge_registry(&self.shard_sinks[s].drain());
+        for out in &mut self.shard_out {
+            self.net.send_uplinks(&mut out.uplinks);
+            out.tally.flush(&self.telemetry);
         }
     }
 
@@ -1322,208 +1271,255 @@ impl MobiEyesSim {
     }
 }
 
-/// Rebuilds the per-tick `(node, unicast queue index)` runs into a
-/// persistent buffer: cleared, filled, sorted — never reallocated in
-/// steady state. Sorting preserves each node's queue order because the
-/// queue index is strictly increasing within a node.
-fn build_node_runs(pairs: &mut Vec<(u32, u32)>, unicasts: &[(NodeId, Arc<Downlink>, usize)]) {
-    pairs.clear();
-    pairs.reserve(unicasts.len());
-    for (k, (to, _, _)) in unicasts.iter().enumerate() {
-        pairs.push((to.0, k as u32));
+/// What one [`MobiEyesSim::step`] touched on the agent side. Plain
+/// counts, deterministic for a given configuration and seed.
+///
+/// The processing phase partitions the population: every agent is
+/// either `cold` (never looked at) or `process_visited`, and a visited
+/// agent is `safe_skipped`, `inert`, or ran its full `tick_process`. On
+/// the fast engine `process_visited` is bounded by the tick's
+/// `deliveries` plus the agents holding query state — not by the
+/// population. Seed-engine steps touch and visit every online agent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TickWork {
+    /// Agents whose `tick_motion` (or reconnect) ran in the motion phase.
+    pub motion_touched: usize,
+    /// `(agent, downlink)` deliveries of the tick: unicasts plus every
+    /// broadcast copy heard.
+    pub deliveries: usize,
+    /// Agents the processing phase looked at.
+    pub process_visited: usize,
+    /// Visited agents skipped whole inside their safe period (§4.2).
+    pub safe_skipped: usize,
+    /// Visited agents whose deliveries were all provably no-ops.
+    pub inert: usize,
+    /// Agents the processing phase never looked at.
+    pub cold: usize,
+}
+
+impl TickWork {
+    /// A seed-engine processing phase: `visited` agents each ran their
+    /// full `tick_process`.
+    fn set_seed_process(&mut self, visited: usize, deliveries: usize, population: usize) {
+        let work = ProcessWork {
+            visited,
+            ..ProcessWork::default()
+        };
+        self.set_process(work, deliveries, population);
     }
-    pairs.sort_unstable();
+
+    fn set_process(&mut self, work: ProcessWork, deliveries: usize, population: usize) {
+        self.deliveries = deliveries;
+        self.process_visited = work.visited;
+        self.safe_skipped = work.safe_skipped;
+        self.inert = work.inert;
+        self.cold = population - work.visited;
+    }
+}
+
+/// One shard's (summed: one tick's) share of [`TickWork`]'s processing
+/// fields.
+#[derive(Clone, Copy, Default)]
+struct ProcessWork {
+    visited: usize,
+    safe_skipped: usize,
+    inert: usize,
+}
+
+impl std::iter::Sum for ProcessWork {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(ProcessWork::default(), |a, b| ProcessWork {
+            visited: a.visited + b.visited,
+            safe_skipped: a.safe_skipped + b.safe_skipped,
+            inert: a.inert + b.inert,
+        })
+    }
+}
+
+/// Runs `work(shard index, shard)` over every shard and sums the results:
+/// inline when there is a single shard, otherwise one scoped worker per
+/// shard (a worker's panic is re-raised on the coordinator).
+fn over_shards<S, R>(
+    shards: impl ExactSizeIterator<Item = S>,
+    work: impl Fn(usize, S) -> R + Sync,
+) -> R
+where
+    S: Send,
+    R: Send + std::iter::Sum,
+{
+    if shards.len() <= 1 {
+        return shards.enumerate().map(|(c, shard)| work(c, shard)).sum();
+    }
+    std::thread::scope(|s| {
+        let work = &work;
+        let workers: Vec<_> = shards
+            .enumerate()
+            .map(|(c, shard)| s.spawn(move || work(c, shard)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .sum()
+    })
+}
+
+/// What every shard of a fast motion phase reads.
+struct MotionCtx<'a> {
+    positions: &'a [Point],
+    velocities: &'a [Vec2],
+    grid: &'a Grid,
+    probe: FlatCellProbe,
+    t: f64,
+    tick: u32,
 }
 
 /// Fast-engine motion phase over one shard (see
 /// [`MobiEyesSim::run_motion_phase_fast`] for the skip argument).
-#[allow(clippy::too_many_arguments)]
+/// Returns how many agents it ran.
 fn motion_shard(
+    ctx: &MotionCtx<'_>,
     agents: &mut [MovingObjectAgent],
-    net: &mut Net,
+    out: &mut AgentOutbox,
     mut view: SoaShard<'_>,
     base: usize,
-    positions: &[Point],
-    velocities: &[Vec2],
-    grid: &Grid,
-    t: f64,
-    tick: u32,
-) {
+) -> usize {
+    let mut touched = 0;
     for (off, agent) in agents.iter_mut().enumerate() {
-        let i = base + off;
-        let fc = grid.flat_cell_of(positions[i]) as u32;
+        let pos = ctx.positions[base + off];
+        let fc = match ctx.probe.get(pos) {
+            Some(fc) => fc,
+            None => ctx.grid.flat_cell_of(pos) as u32,
+        };
         if fc == view.cells[off] && view.flags[off] & FLAG_FOCAL == 0 {
             continue;
         }
-        agent.tick_motion(t, positions[i], velocities[i], net);
+        agent.tick_motion_into(ctx.t, pos, ctx.velocities[base + off], out);
         view.cells[off] = fc;
-        view.synced_at[off] = tick;
+        view.synced_at[off] = ctx.tick;
         view.refresh(off, agent);
+        touched += 1;
     }
+    touched
 }
 
-/// The tick's station-bucketed broadcast index (built by
-/// [`AgentSoa::bucket_broadcasts`]), shared read-only across shards.
-#[derive(Clone, Copy)]
-struct BcastIndex<'a> {
-    /// Sorted `(station, broadcast queue index)` pairs.
-    pairs: &'a [(u32, u32)],
-    /// `station -> first pair index`, length `num_stations + 1`.
-    offsets: &'a [u32],
+/// What every shard of a fast processing phase reads.
+struct ProcessCtx<'a> {
+    deliveries: &'a soa::Deliveries,
+    unicasts: &'a [(NodeId, Arc<Downlink>, usize)],
+    broadcasts: &'a [(StationId, Arc<Downlink>, usize)],
     /// Per-broadcast inert-delivery classification, by queue position.
     class: &'a [BcastClass],
-}
-
-impl BcastIndex<'_> {
-    /// Pushes `nu + k` for every broadcast covering `pos` onto `ib`,
-    /// in broadcast-queue order — the same entries the linear
-    /// every-broadcast scan would select, without touching stations that
-    /// cannot reach the agent. Only the 3×3 lattice neighborhood of the
-    /// agent's home square can cover it: the coverage radius is
-    /// `alen·√2/2 ≈ 0.707·alen`, while a station two squares away is at
-    /// least `1.5·alen` from any point of the home square.
-    fn deliver_into(&self, layout: &BaseStationLayout, pos: Point, nu: u32, ib: &mut Vec<u32>) {
-        let start = ib.len();
-        let home = layout.station_at(pos).0 as i64;
-        let cols = layout.cols() as i64;
-        let rows = layout.rows() as i64;
-        let (hx, hy) = (home % cols, home / cols);
-        for y in (hy - 1).max(0)..=(hy + 1).min(rows - 1) {
-            for x in (hx - 1).max(0)..=(hx + 1).min(cols - 1) {
-                let s = (y * cols + x) as u32;
-                let lo = self.offsets[s as usize] as usize;
-                let hi = self.offsets[s as usize + 1] as usize;
-                if lo == hi || !layout.covers(StationId(s), pos) {
-                    continue;
-                }
-                for &(_, k) in &self.pairs[lo..hi] {
-                    ib.push(nu + k);
-                }
-            }
-        }
-        // Runs were appended station by station; one sort of the tail
-        // restores the global broadcast-queue order behind the unicasts.
-        ib[start..].sort_unstable();
-    }
-}
-
-/// Fast-engine processing phase over one shard: indexed downlink
-/// delivery, the cold and safe-period whole-agent skips, batched
-/// restoration of the skipped agents' telemetry footprint, and the
-/// stale-position re-sync for agents the motion phase skipped.
-#[allow(clippy::too_many_arguments)]
-fn process_shard(
-    agents: &mut [MovingObjectAgent],
-    net: &mut Net,
-    sink: &Telemetry,
-    mut view: SoaShard<'_>,
-    scratch: &mut ShardScratch,
-    base: usize,
-    pairs: &[(u32, u32)],
-    unicasts: &[(NodeId, Arc<Downlink>, usize)],
-    broadcasts: &[(StationId, Arc<Downlink>, usize)],
-    bcasts: BcastIndex<'_>,
-    positions: &[Point],
-    velocities: &[Vec2],
-    layout: &BaseStationLayout,
-    grid: &Grid,
+    positions: &'a [Point],
+    velocities: &'a [Vec2],
+    grid: &'a Grid,
     safe_period: bool,
     t: f64,
     tick: u32,
-) {
-    scratch.rx.clear();
-    // This shard's slice of the sorted per-node runs.
-    let mut cur = pairs.partition_point(|&(n, _)| (n as usize) < base);
-    let hi = pairs.partition_point(|&(n, _)| (n as usize) < base + agents.len());
-    let nu = unicasts.len() as u32;
-    let mut cold: u64 = 0;
-    let mut safe_skips: u64 = 0;
-    for (off, agent) in agents.iter_mut().enumerate() {
-        let i = (base + off) as u32;
-        let pos = positions[base + off];
-        scratch.ib.clear();
-        while cur < hi && pairs[cur].0 == i {
-            scratch.ib.push(pairs[cur].1);
-            cur += 1;
-        }
-        if !broadcasts.is_empty() {
-            bcasts.deliver_into(layout, pos, nu, &mut scratch.ib);
-        }
-        let f = view.flags[off];
-        if scratch.ib.is_empty() {
-            if f & (FLAG_LQT | FLAG_PENDING) == 0 {
-                // Cold: `tick_process` would only record the eval timer
-                // (excluded from protocol equality) and a zero LQT-size
-                // sample, restored in one batch below.
-                cold += 1;
-                continue;
+}
+
+impl ProcessCtx<'_> {
+    /// The message and wire size behind inbox index `k` (unicasts first,
+    /// then broadcasts — see [`soa::Deliveries`]).
+    #[inline]
+    fn downlink(&self, k: u32) -> (&Downlink, usize) {
+        let nu = self.unicasts.len();
+        let (msg, bytes) = match self.unicasts.get(k as usize) {
+            Some((_, msg, bytes)) => (msg, bytes),
+            None => {
+                let (_, msg, bytes) = &self.broadcasts[k as usize - nu];
+                (msg, bytes)
             }
-            if safe_period && f & FLAG_PENDING == 0 && t < view.safe_until[off] {
+        };
+        (msg, *bytes)
+    }
+}
+
+/// Fast-engine processing phase over one shard: walks the shard's
+/// delivery runs and its `flags` bytes in step, visits only agents with a
+/// delivery or `LQT|PENDING` state, applies the safe-period and
+/// inert-delivery whole-agent skips to those, re-syncs the stale
+/// position of agents the motion phase skipped, and accounts everyone it
+/// never looked at with one batched zero LQT-size sample.
+fn process_shard(
+    ctx: &ProcessCtx<'_>,
+    agents: &mut [MovingObjectAgent],
+    out: &mut AgentOutbox,
+    mut view: SoaShard<'_>,
+    base: usize,
+) -> ProcessWork {
+    const ACTIVE: u8 = FLAG_LQT | FLAG_PENDING;
+    let n = agents.len();
+    let nu = ctx.unicasts.len() as u32;
+    let mut pairs = ctx.deliveries.shard(base, n);
+    let mut work = ProcessWork::default();
+    let mut safe_skips = 0u64;
+    let mut off = 0;
+    loop {
+        // The next agent worth a look: the first with query state, or
+        // failing that the next addressee of a delivery.
+        let addressee = pairs.first().map_or(n, |&(node, _)| node as usize - base);
+        let at = view.flags[off..addressee]
+            .iter()
+            .position(|f| f & ACTIVE != 0)
+            .map_or(addressee, |p| off + p);
+        if at == n {
+            break;
+        }
+        off = at + 1;
+        let node = (base + at) as u32;
+        let run = pairs.iter().take_while(|&&(to, _)| to == node).count();
+        let (inbox, rest) = pairs.split_at(run);
+        pairs = rest;
+        work.visited += 1;
+        let f = view.flags[at];
+        if inbox.is_empty() {
+            if ctx.safe_period && f & FLAG_PENDING == 0 && ctx.t < view.safe_until[at] {
                 // Every LQT entry is inside its safe period: the seed
                 // evaluation bumps the skip counter per entry, samples
                 // the LQT size, and changes nothing else.
-                safe_skips += view.lqt_len[off] as u64;
-                sink.observe(agent_keys::LQT_SIZE, view.lqt_len[off] as f64);
+                safe_skips += view.lqt_len[at] as u64;
+                out.tally.observe_lqt_size(view.lqt_len[at] as usize, 1);
+                work.safe_skipped += 1;
                 continue;
             }
-        } else if f & (FLAG_LQT | FLAG_PENDING | FLAG_SHADOW) == 0 && scratch.ib[0] >= nu {
+        } else if f & (ACTIVE | FLAG_SHADOW) == 0 && inbox[0].1 >= nu {
             // Inert-delivery skip: every inbox entry is a broadcast
-            // (unicasts sort first, so `ib[0] >= nu` means none), and the
-            // agent holds no query state a broadcast could touch. If each
-            // message is provably a no-op for such an agent
-            // ([`BcastClass`]), meter the reception and drop it without
-            // running `tick_process` — the seed run would only restore
-            // the zero LQT-size sample batched below.
-            let cell = grid.cell_of(pos);
-            let inert = scratch
-                .ib
+            // (unicasts sort first, so `inbox[0] >= nu` means none), and
+            // the agent holds no query state a broadcast could touch. If
+            // each message is provably a no-op for such an agent
+            // ([`BcastClass`]), drop it without running `tick_process` —
+            // the seed run would only record the zero LQT-size sample
+            // batched below. (Reception is still metered, by the caller.)
+            let cell = ctx.grid.cell_at(view.cells[at] as usize);
+            let inert = inbox
                 .iter()
-                .all(|&k| match bcasts.class[(k - nu) as usize] {
+                .all(|&(_, k)| match ctx.class[(k - nu) as usize] {
                     BcastClass::Inert => true,
                     BcastClass::Outside(region) => !region.contains(cell),
                     BcastClass::Hot => false,
                 });
             if inert {
-                for &k in &scratch.ib {
-                    scratch.rx.push((i, broadcasts[(k - nu) as usize].2));
-                }
-                cold += 1;
+                work.inert += 1;
                 continue;
             }
         }
-        if view.synced_at[off] != tick {
-            // The motion phase skipped this agent, so its internal
-            // pos/vel are stale; a same-cell non-focal sync is silent.
-            agent.tick_motion(t, pos, velocities[base + off], net);
-            view.synced_at[off] = tick;
+        let agent = &mut agents[at];
+        if view.synced_at[at] != ctx.tick {
+            // The motion phase skipped this agent — same cell, not focal
+            // — so only its internal pos/vel are stale.
+            agent.sync_kinematics(ctx.positions[base + at], ctx.velocities[base + at]);
+            view.synced_at[at] = ctx.tick;
         }
-        for &k in &scratch.ib {
-            let bytes = if k < nu {
-                unicasts[k as usize].2
-            } else {
-                broadcasts[(k - nu) as usize].2
-            };
-            scratch.rx.push((i, bytes));
-        }
-        agent.tick_process(
-            t,
-            scratch.ib.iter().map(|&k| {
-                if k < nu {
-                    &*unicasts[k as usize].1
-                } else {
-                    &*broadcasts[(k - nu) as usize].1
-                }
-            }),
-            net,
-        );
-        view.refresh(off, agent);
+        agent.tick_process_into(ctx.t, inbox.iter().map(|&(_, k)| ctx.downlink(k).0), out);
+        view.refresh(at, agent);
     }
-    if cold > 0 {
-        sink.observe_n(agent_keys::LQT_SIZE, 0.0, cold);
-    }
-    if safe_skips > 0 {
-        sink.add(agent_keys::SKIPPED_SAFE_PERIOD, safe_skips);
-    }
+    // Cold and inert agents: `tick_process` would only have recorded the
+    // eval timer (excluded from protocol equality) and a zero LQT-size
+    // sample.
+    out.tally
+        .observe_lqt_size(0, (n - work.visited + work.inert) as u64);
+    out.tally.skipped_safe_period += safe_skips;
+    work
 }
 
 #[cfg(test)]

@@ -24,19 +24,25 @@
 //! position/velocity store when the cell is unchanged and the agent is not
 //! focal) — `synced_at` carries the tick stamp that enforces it.
 //!
+//! The processing phase is *push-built* ([`Deliveries`]): instead of
+//! every agent probing the stations around it for pending broadcasts, the
+//! few stations that transmit this tick look up the agents inside their
+//! coverage through a per-tick cell→agents index, and the phase then
+//! visits only agents that received something or hold query state. Work
+//! follows activity, not population.
+//!
 //! Equivalence contract (pinned by `tests/engine_equivalence.rs`): per
-//! tick, per shard sink, the fast path reproduces the seed path's exact
+//! tick, per shard, the fast path reproduces the seed path's exact
 //! message sequences and metric totals — cold agents restore their
-//! `agent.lqt_size` zero-sample via one batched [`observe_n`] call, and
+//! `agent.lqt_size` zero-sample as one batched tally entry, and
 //! safe-period-skipped agents restore their `agent.skipped_safe_period`
 //! increment and LQT-size sample without touching the B-tree. The only
 //! deliberately unrestored signal is `agent.eval_nanos`, a wall-clock
 //! timer excluded from protocol equality.
-//!
-//! [`observe_n`]: mobieyes_telemetry::Telemetry::observe_n
 
 use mobieyes_core::{Downlink, MovingObjectAgent};
-use mobieyes_geo::GridRect;
+use mobieyes_geo::{Grid, GridRect, Point};
+use mobieyes_net::{BaseStationLayout, StationId};
 
 /// Flag bit: the agent is focal for at least one monitoring query. Focal
 /// agents can emit dead-reckoning reports without crossing a cell, so the
@@ -54,20 +60,6 @@ pub const FLAG_SHADOW: u8 = 1 << 3;
 
 /// `synced_at` sentinel: agent `pos`/`vel` never synced under this mirror.
 pub const NEVER: u32 = u32::MAX;
-
-/// Per-shard reusable buffers for the fast processing phase. Cleared, not
-/// reallocated, every tick — steady-state ticks allocate nothing.
-#[derive(Default)]
-pub struct ShardScratch {
-    /// The current agent's inbox as indices into the tick's downlink
-    /// queues: `k < unicasts.len()` selects `unicasts[k]`, anything above
-    /// selects `broadcasts[k - unicasts.len()]` (queue order preserved:
-    /// unicasts first, then covering broadcasts, as `Net::deliver` does).
-    pub ib: Vec<u32>,
-    /// Received-byte ledger `(node, bytes)` replayed into the real
-    /// network's per-node meters after the shard scope ends.
-    pub rx: Vec<(u32, usize)>,
-}
 
 /// A shard's mutable window over the parallel vectors; one per worker,
 /// produced by [`shard_views`] with the same chunk size as the agent
@@ -141,6 +133,150 @@ impl BcastClass {
     }
 }
 
+/// One tick's downlink deliveries as sorted `(node, inbox index)` runs,
+/// built by *pushing* from the senders rather than letting every agent
+/// pull.
+///
+/// Inbox index `k < unicasts` selects unicast `k` of the tick's queue,
+/// anything above selects broadcast `k - unicasts`. Sorting the pairs
+/// therefore yields, per node, exactly the inbox `NetworkSim::deliver`
+/// assembles: its unicasts in queue order, then the broadcasts that
+/// physically cover it in queue order. The order is a property of the
+/// sorted set alone, so it cannot depend on the order stations or cells
+/// were walked in, nor on the thread count (shards take contiguous
+/// slices of the one global run list).
+///
+/// Broadcast runs come from a cell→agents index over the mirror's flat
+/// cell ids, counting-sorted afresh every tick (offsets + ids, ascending
+/// id inside a cell): one linear pass over a dense `u32` vector costs
+/// less than keeping per-cell lists coherent across the ~13 % of agents
+/// that change cell each tick, and leaves nothing to invalidate when a
+/// step falls back to the seed engine. All buffers persist; steady-state
+/// ticks allocate nothing.
+#[derive(Default)]
+pub struct Deliveries {
+    /// Sorted `(node, inbox index)`.
+    pairs: Vec<(u32, u32)>,
+    /// Sorted `(station, broadcast queue index)`: each station's run of
+    /// this tick's transmissions, in queue order.
+    station_runs: Vec<(u32, u32)>,
+    /// Cell `c`'s agents are `cell_agents[cell_start[c]..cell_start[c + 1]]`
+    /// (length `cells + 2`: the spare slot lets one array serve as both
+    /// the counting sort's cursors and the final offsets).
+    cell_start: Vec<u32>,
+    cell_agents: Vec<u32>,
+}
+
+impl Deliveries {
+    /// Every delivery of the tick, sorted by `(node, inbox index)`.
+    pub fn pairs(&self) -> &[(u32, u32)] {
+        &self.pairs
+    }
+
+    /// The contiguous slice of [`pairs`](Self::pairs) addressed to nodes
+    /// `[base, base + len)` — one shard's share.
+    pub fn shard(&self, base: usize, len: usize) -> &[(u32, u32)] {
+        let lo = self.pairs.partition_point(|&(n, _)| (n as usize) < base);
+        let hi = self
+            .pairs
+            .partition_point(|&(n, _)| (n as usize) < base + len);
+        &self.pairs[lo..hi]
+    }
+
+    /// Rebuilds only the unicast runs (the seed engine's parallel path
+    /// scans broadcasts per agent, which is what makes it the oracle).
+    pub fn build_unicasts(&mut self, unicast_to: impl Iterator<Item = u32>) {
+        self.start(unicast_to);
+        self.pairs.sort_unstable();
+    }
+
+    /// Restarts the pair list with the tick's unicasts (unsorted) and
+    /// returns how many there are.
+    fn start(&mut self, unicast_to: impl Iterator<Item = u32>) -> u32 {
+        self.pairs.clear();
+        self.pairs
+            .extend(unicast_to.enumerate().map(|(k, to)| (to, k as u32)));
+        self.pairs.len() as u32
+    }
+
+    /// Rebuilds the tick's runs from the addressee of every queued
+    /// unicast and the station of every queued broadcast (both in queue
+    /// order). `cells[i]` must be agent `i`'s exact clamped flat cell
+    /// (`grid.flat_cell_of(positions[i])`), which is what the mirror
+    /// holds once the motion phase ran.
+    ///
+    /// A broadcasting station visits the grid cells under the bounding
+    /// box of its coverage circle and applies the exact physical test —
+    /// the same `Circle::contains_point` as `BaseStationLayout::covers` —
+    /// to the agents indexed there. Agents that overshot the universe sit
+    /// in the boundary cell their position clamps to; the box corners
+    /// clamp through the same monotone `cell_of`, so a covered agent's
+    /// cell always lies inside the visited range, wherever it is.
+    pub fn build(
+        &mut self,
+        unicast_to: impl Iterator<Item = u32>,
+        broadcast_from: impl Iterator<Item = u32>,
+        cells: &[u32],
+        positions: &[Point],
+        layout: &BaseStationLayout,
+        grid: &Grid,
+    ) {
+        let nu = self.start(unicast_to);
+        self.station_runs.clear();
+        self.station_runs
+            .extend(broadcast_from.enumerate().map(|(k, s)| (s, k as u32)));
+        if !self.station_runs.is_empty() {
+            self.station_runs.sort_unstable();
+            self.index_cells(cells, grid.num_cells());
+            let cols = grid.cols as usize;
+            for run in self.station_runs.chunk_by(|a, b| a.0 == b.0) {
+                let circle = layout.coverage(StationId(run[0].0));
+                let c = circle.center;
+                // The box is only a candidate filter; a hair of slack
+                // keeps float rounding inside the exact test from ever
+                // admitting a point the box excludes.
+                let reach = circle.r + 1e-9 * (1.0 + c.x.abs().max(c.y.abs()));
+                let lo = grid.cell_of(Point::new(c.x - reach, c.y - reach));
+                let hi = grid.cell_of(Point::new(c.x + reach, c.y + reach));
+                for y in lo.y as usize..=hi.y as usize {
+                    // A row's cells are adjacent in the flat order, so
+                    // their agents are one contiguous slice of the index.
+                    let first = self.cell_start[y * cols + lo.x as usize] as usize;
+                    let end = self.cell_start[y * cols + hi.x as usize + 1] as usize;
+                    for &agent in &self.cell_agents[first..end] {
+                        if circle.contains_point(positions[agent as usize]) {
+                            self.pairs.extend(run.iter().map(|&(_, k)| (agent, nu + k)));
+                        }
+                    }
+                }
+            }
+        }
+        self.pairs.sort_unstable();
+    }
+
+    /// Counting sort of the agents by flat cell id.
+    fn index_cells(&mut self, cells: &[u32], num_cells: usize) {
+        let start = &mut self.cell_start;
+        start.clear();
+        start.resize(num_cells + 2, 0);
+        for &c in cells {
+            start[c as usize + 2] += 1;
+        }
+        for c in 2..start.len() {
+            start[c] += start[c - 1];
+        }
+        // `start[c + 1]` is now cell `c`'s first slot; scattering through
+        // it leaves it at cell `c + 1`'s first slot, i.e. `start[c]` ends
+        // up where cell `c` begins.
+        self.cell_agents.resize(cells.len(), 0);
+        for (i, &c) in cells.iter().enumerate() {
+            let slot = &mut start[c as usize + 1];
+            self.cell_agents[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+    }
+}
+
 /// The struct-of-arrays mirror itself, plus the persistent scratch the
 /// fast phases reuse tick over tick.
 pub struct AgentSoa {
@@ -156,26 +292,15 @@ pub struct AgentSoa {
     /// Tick stamp of the agent's last `pos`/`vel` sync ([`NEVER`] = not
     /// since the last rebuild). Guards the stale-position rule above.
     pub synced_at: Vec<u32>,
-    /// Sorted `(node, unicast queue index)` runs for the tick — the
-    /// persistent replacement for the per-tick `HashMap<u32, Vec<usize>>`
-    /// the seed parallel path used to rebuild. Sorting the pairs keeps
-    /// each node's queue order because the index component is strictly
-    /// increasing within a node.
-    pub pairs: Vec<(u32, u32)>,
-    /// Sorted `(station, broadcast queue index)` runs for the tick: the
-    /// station-bucketed broadcast index. Delivery probes only the 3×3
-    /// station neighborhood of an agent instead of scanning every
-    /// broadcast (a station's circle reaches `alen·√2/2 < 1.5·alen`, so
-    /// no center outside the neighborhood can cover the agent).
-    pub bcast_pairs: Vec<(u32, u32)>,
-    /// `station -> first index in bcast_pairs` (length `stations + 1`),
-    /// so a station's run is an O(1) slice.
-    pub bcast_offsets: Vec<u32>,
+    /// The tick's deliveries (unicast runs + push-built broadcast runs).
+    pub deliveries: Deliveries,
     /// Per-broadcast [`BcastClass`] for the tick, indexed by queue
     /// position.
     pub bcast_class: Vec<BcastClass>,
-    /// One reusable scratch per shard.
-    pub scratch: Vec<ShardScratch>,
+    /// Per-shard received-byte ledgers `(node, bytes)` of the seed
+    /// engine's parallel delivery, replayed into the real network's
+    /// per-node meters after the shard scope ends.
+    pub rx: Vec<Vec<(u32, usize)>>,
     /// Whether the mirror matches agent state. Any step that leaves the
     /// fast path clears this; the next fast step rebuilds lazily.
     pub valid: bool,
@@ -189,11 +314,9 @@ impl AgentSoa {
             lqt_len: vec![0; n],
             safe_until: vec![f64::NEG_INFINITY; n],
             synced_at: vec![NEVER; n],
-            pairs: Vec::new(),
-            bcast_pairs: Vec::new(),
-            bcast_offsets: Vec::new(),
+            deliveries: Deliveries::default(),
             bcast_class: Vec::new(),
-            scratch: (0..shards).map(|_| ShardScratch::default()).collect(),
+            rx: vec![Vec::new(); shards],
             valid: false,
         }
     }
@@ -213,26 +336,6 @@ impl AgentSoa {
     pub fn classify_broadcasts<'a>(&mut self, messages: impl Iterator<Item = &'a Downlink>) {
         self.bcast_class.clear();
         self.bcast_class.extend(messages.map(BcastClass::of));
-    }
-
-    /// Rebuilds the station-bucketed broadcast index for the tick from
-    /// each broadcast's station id, in queue order. Sorting the `(station,
-    /// queue index)` pairs keeps every station's run in ascending queue
-    /// order (the index component is strictly increasing).
-    pub fn bucket_broadcasts(&mut self, stations: usize, station_ids: impl Iterator<Item = u32>) {
-        self.bcast_pairs.clear();
-        for (k, s) in station_ids.enumerate() {
-            self.bcast_pairs.push((s, k as u32));
-        }
-        self.bcast_pairs.sort_unstable();
-        self.bcast_offsets.clear();
-        self.bcast_offsets.resize(stations + 1, 0);
-        for &(s, _) in &self.bcast_pairs {
-            self.bcast_offsets[s as usize + 1] += 1;
-        }
-        for i in 0..stations {
-            self.bcast_offsets[i + 1] += self.bcast_offsets[i];
-        }
     }
 }
 
@@ -262,4 +365,145 @@ pub fn shard_views<'a>(
             },
         )
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::Rng;
+    use mobieyes_geo::Rect;
+
+    /// The deleted pull model, kept as the oracle: every (agent,
+    /// broadcast) pair decided by the physical `covers` test alone.
+    fn oracle(
+        unicast_to: &[u32],
+        broadcast_from: &[u32],
+        positions: &[Point],
+        layout: &BaseStationLayout,
+    ) -> Vec<(u32, u32)> {
+        let nu = unicast_to.len() as u32;
+        let mut out = Vec::new();
+        for (i, &pos) in positions.iter().enumerate() {
+            for (k, &to) in unicast_to.iter().enumerate() {
+                if to as usize == i {
+                    out.push((i as u32, k as u32));
+                }
+            }
+            for (k, &s) in broadcast_from.iter().enumerate() {
+                if layout.covers(StationId(s), pos) {
+                    out.push((i as u32, nu + k as u32));
+                }
+            }
+        }
+        out
+    }
+
+    /// A position drawn to hit the awkward places: cell boundaries,
+    /// station lattice lines and corners, the universe edge, and up to a
+    /// station's reach *outside* the universe (clamped cells).
+    fn awkward_point(rng: &mut Rng, universe: &Rect, alpha: f64, alen: f64) -> Point {
+        let mut coord = |lo: f64, len: f64| match rng.below(6) {
+            0 => lo + alpha * rng.below((len / alpha) as usize + 2) as f64,
+            1 => lo + alen * rng.below((len / alen) as usize + 2) as f64,
+            2 => lo - rng.range(0.0, alen),
+            3 => lo + len + rng.range(0.0, alen),
+            _ => lo + rng.range(0.0, len),
+        };
+        Point::new(
+            coord(universe.lx, universe.w()),
+            coord(universe.ly, universe.h()),
+        )
+    }
+
+    #[test]
+    fn push_built_runs_equal_the_pull_oracle() {
+        // (universe side, alpha, alen): aligned, `alen` not a multiple of
+        // `alpha`, `alpha` not dividing the universe, the scale-smoke
+        // shape (alen = 50), one huge station, stations finer than cells.
+        let shapes = [
+            (100.0, 5.0, 10.0),
+            (100.0, 5.0, 7.0),
+            (95.0, 6.0, 10.0),
+            (400.0, 5.0, 50.0),
+            (60.0, 5.0, 150.0),
+            (60.0, 10.0, 4.0),
+        ];
+        let mut rng = Rng::new(0xD311_7E21);
+        for case in 0..240 {
+            let (side, alpha, alen) = shapes[case % shapes.len()];
+            let universe = Rect::new(-20.0, 35.0, side, side * 0.75);
+            let grid = Grid::new(universe, alpha);
+            let layout = BaseStationLayout::new(universe, alen);
+            let n = 1 + rng.below(120);
+            let positions: Vec<Point> = (0..n)
+                .map(|_| awkward_point(&mut rng, &universe, alpha, alen))
+                .collect();
+            let cells: Vec<u32> = positions
+                .iter()
+                .map(|&p| grid.flat_cell_of(p) as u32)
+                .collect();
+            let stations = layout.num_stations();
+            let (cols, rows) = (layout.cols() as usize, layout.rows() as usize);
+            // Several broadcasts per station; edge and corner stations on
+            // purpose, the rest anywhere.
+            let broadcast_from: Vec<u32> = (0..rng.below(12))
+                .map(|_| match rng.below(4) {
+                    0 => [0, cols - 1, stations - cols, stations - 1][rng.below(4)],
+                    1 => rng.below(rows) * cols,
+                    _ => rng.below(stations),
+                } as u32)
+                .flat_map(|s| std::iter::repeat_n(s, 1 + (s as usize + case) % 3))
+                .collect();
+            let unicast_to: Vec<u32> = (0..rng.below(8)).map(|_| rng.below(n) as u32).collect();
+
+            let mut built = Deliveries::default();
+            // Rebuilding over a dirty buffer must not leak the last tick.
+            built.build(
+                (0..n as u32).rev(),
+                0..stations.min(5) as u32,
+                &cells,
+                &positions,
+                &layout,
+                &grid,
+            );
+            built.build(
+                unicast_to.iter().copied(),
+                broadcast_from.iter().copied(),
+                &cells,
+                &positions,
+                &layout,
+                &grid,
+            );
+            let expected = oracle(&unicast_to, &broadcast_from, &positions, &layout);
+            assert_eq!(
+                built.pairs(),
+                &expected[..],
+                "case {case}: {side}/{alpha}/{alen}"
+            );
+
+            // Shard boundaries at 1/2/4 threads: the slices tile the run
+            // list in order, each holding exactly its nodes.
+            for threads in [1usize, 2, 4] {
+                let chunk = n.div_ceil(threads);
+                let mut tiled = Vec::new();
+                for base in (0..n).step_by(chunk) {
+                    let len = chunk.min(n - base);
+                    let part = built.shard(base, len);
+                    assert!(part
+                        .iter()
+                        .all(|&(a, _)| (base..base + len).contains(&(a as usize))));
+                    tiled.extend_from_slice(part);
+                }
+                assert_eq!(tiled, expected, "case {case} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn unicast_only_runs_keep_queue_order_per_node() {
+        let mut d = Deliveries::default();
+        d.build_unicasts([3u32, 1, 3, 0, 1, 3].into_iter());
+        assert_eq!(d.pairs(), &[(0, 3), (1, 1), (1, 4), (3, 0), (3, 2), (3, 5)]);
+        assert_eq!(d.shard(1, 2), &[(1, 1), (1, 4)]);
+    }
 }

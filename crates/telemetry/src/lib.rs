@@ -245,6 +245,13 @@ impl Telemetry {
     pub fn with_registry<T>(&self, f: impl FnOnce(&MetricsRegistry) -> T) -> T {
         f(&self.lock())
     }
+
+    /// Records a batch under one lock acquisition: the flush primitive
+    /// for components that accumulate a phase's metrics in plain fields
+    /// and publish them at the phase boundary.
+    pub fn record_batch<T>(&self, f: impl FnOnce(&mut MetricsRegistry) -> T) -> T {
+        f(&mut self.lock())
+    }
 }
 
 /// Drop guard produced by [`Telemetry::span`].

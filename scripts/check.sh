@@ -110,7 +110,8 @@ awk -v a="$r_after" -v b="$r_before" 'BEGIN { exit !(a < b) }' \
 echo "==> scale smoke (struct-of-arrays hot path at 20k objects)"
 # The quick scale sweep runs the SoA engine up to 20 000 objects plus the
 # seed head-to-head at the ceiling (engine equivalence is pinned byte for
-# byte by tests/engine_equivalence.rs; this stage guards the wall clock).
+# byte by tests/engine_equivalence.rs; this stage guards the wall clock
+# and the activity-proportionality of the processing phase).
 # The budget is ~10x the measured steady state on a slow host — it only
 # catches order-of-magnitude regressions, never timing noise.
 scale_out=$(mktemp)
@@ -120,6 +121,14 @@ assert_json "$scale_out" require bench scale-sweep
 scale_spt=$(assert_json "$scale_out" max seconds_per_tick)
 awk -v spt="$scale_spt" 'BEGIN { exit !(spt < 0.25) }' \
   || { echo "scale smoke: ${scale_spt}s/tick blows the 0.25s budget"; exit 1; }
+# The deterministic twin of the budget: the share of the population the
+# processing phase looks at per tick (MobiEyesSim::tick_work) is a count,
+# not a timing, so it holds on a noisy host. The quick sweep is dense (up
+# to 10 % focal objects, two warm-up ticks), yet its sparsest point stays
+# near 0.74; an every-agent scan reads exactly 1.0 at every point.
+scale_visited=$(assert_json "$scale_out" min process_visited_per_object_tick)
+awk -v v="$scale_visited" 'BEGIN { exit !(v < 0.85) }' \
+  || { echo "scale smoke: processing visits ${scale_visited} of the population per tick (ceiling 0.85) - work no longer follows activity"; exit 1; }
 rm -f "$scale_out"
 
 echo "==> recovery smoke (partition crash failover + supervised respawn)"

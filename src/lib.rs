@@ -159,7 +159,7 @@ pub mod prelude {
     pub use mobieyes_sim::{
         run_approach, run_approach_with, Approach, ClusterClient, ConfigError, EngineKind,
         HostedPartitions, MobiEyesSim, Mobility, RecoveryKind, RunMetrics, RunReport, SimConfig,
-        SimConfigBuilder, TransportKind, Workload,
+        SimConfigBuilder, TickWork, TransportKind, Workload,
     };
     pub use mobieyes_telemetry::{
         MetricsRegistry, MetricsSnapshot, Phase, Telemetry, TickProfiler,

@@ -8,8 +8,9 @@
 //! differ, because skipping provably-inert agents is the whole point.
 //! These tests pin that contract at ~2k objects across seeds, both
 //! propagation modes, the grouping + safe-period optimizations, lease
-//! heartbeats, and 1 vs 4 worker threads — plus the churn fallback that
-//! invalidates and lazily rebuilds the mirror mid-run.
+//! heartbeats, a station lattice that lines up with neither the grid nor
+//! the universe, and 1, 2 and 4 worker threads — plus the churn fallback
+//! that invalidates and lazily rebuilds the mirror mid-run.
 
 use mobieyes::prelude::*;
 use std::collections::BTreeSet;
@@ -138,6 +139,29 @@ fn soa_matches_seed_under_lease_heartbeats() {
     // full-delivery ticks; the indexed broadcast delivery must agree with
     // the seed engine message-for-message.
     assert_matrix(|s| config_2k(s).with_lease_ticks(4), &[84], "EQP+leases");
+}
+
+#[test]
+fn soa_matches_seed_with_non_aligned_stations() {
+    // `alen = 7` is no multiple of `alpha = 5` and does not divide the
+    // 100-mile universe: coverage circles straddle grid cells unevenly
+    // and the last lattice row/column hangs over the edge, where agents
+    // that overshoot the universe sit in clamped cells.
+    assert_matrix(
+        |s| config_2k(s).with_alen(7.0).with_safe_period(true),
+        &[86],
+        "EQP+safe alen=7",
+    );
+}
+
+#[test]
+fn soa_matches_seed_with_safe_period_and_leases_at_two_threads() {
+    // Safe-period sleepers woken by heartbeat beacons, with the delivery
+    // runs split at a single mid-population shard boundary.
+    let make = || config_2k(87).with_safe_period(true).with_lease_ticks(4);
+    let reference = run_engine(make(), EngineKind::Seed, 1);
+    let soa = run_engine(make(), EngineKind::Soa, 2);
+    assert_equivalent(&reference, &soa, "EQP+safe+leases threads=2");
 }
 
 #[test]

@@ -1,8 +1,10 @@
 //! Large-population smoke: the struct-of-arrays engine must stand up and
 //! tick a 100k-object deployment without panicking, with monotonic tick
-//! progress and live protocol traffic. (The perf claim itself lives in
-//! `BENCH_scale.json`; this test only pins that the path *works* at a
-//! scale the seed engine was never exercised at.)
+//! progress and live protocol traffic — and its per-tick work must follow
+//! *activity*, not population: `MobiEyesSim::tick_work` is a
+//! deterministic count, so a reintroduced every-agent scan fails here on
+//! any host, however noisy. (Wall-clock claims live in `benchmark/`; see
+//! `benchmark/README.md` and the README's before/after table.)
 
 use mobieyes::prelude::*;
 
@@ -19,13 +21,33 @@ fn hundred_thousand_objects_tick_without_panic() {
         .with_engine(EngineKind::Soa);
     config.area = 1_000_000.0;
     let dt = config.time_step;
+    let n = config.num_objects;
     let mut sim = MobiEyesSim::new(config);
     for tick in 1..=3 {
+        // The motion phase only ever shrinks an LQT, so the agents
+        // holding query state when the processing phase starts are a
+        // subset of those holding it now.
+        let active = (0..n).filter(|&i| sim.agent(i).needs_process()).count();
         sim.step(false);
         assert_eq!(
             sim.now(),
             tick as f64 * dt,
             "tick progress must be monotonic"
+        );
+        let w = sim.tick_work();
+        assert_eq!(w.process_visited + w.cold, n, "tick {tick}: {w:?}");
+        assert!(
+            w.safe_skipped + w.inert <= w.process_visited && w.motion_touched <= n,
+            "tick {tick}: {w:?}"
+        );
+        assert!(
+            w.process_visited <= w.deliveries + active,
+            "tick {tick}: visited agents with neither a delivery nor query state: \
+             {w:?}, active {active}"
+        );
+        assert!(
+            w.cold > n / 2,
+            "tick {tick}: a quiet 100k population must stay mostly cold: {w:?}"
         );
     }
     let snapshot = sim.telemetry().snapshot();
