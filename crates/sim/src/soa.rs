@@ -20,9 +20,10 @@
 //! invalid wholesale and rebuilt lazily from agent state on the next fast
 //! step. Skipped agents have stale `pos`/`vel` inside the agent struct;
 //! the one ordering rule that keeps this sound is that any agent about to
-//! run `tick_process` is first re-synced through `tick_motion` (a silent
-//! position/velocity store when the cell is unchanged and the agent is not
-//! focal) — `synced_at` carries the tick stamp that enforces it.
+//! run `tick_process` is first re-synced (`sync_kinematics`: for an agent
+//! the motion phase skipped — cell unchanged, not focal — `tick_motion`
+//! would be a silent position/velocity store) — `synced_at` carries the
+//! tick stamp that enforces it.
 //!
 //! The processing phase is *push-built* ([`Deliveries`]): instead of
 //! every agent probing the stations around it for pending broadcasts, the
