@@ -5,7 +5,8 @@
 //! with the population), recording wall-clock per tick, wireless bytes
 //! per object per tick and the share of the population the processing
 //! phase had to look at (`MobiEyesSim::tick_work`: a deterministic count,
-//! so `check.sh` can put a ceiling on it that holds on a noisy host),
+//! so `check.sh` can put a ceiling on the sparsest, largest point that
+//! holds on a noisy host),
 //! then runs the seed engine head-to-head at the 100 000-object point for
 //! the headline speedup. Writes `BENCH_scale.json`.
 //!
@@ -132,6 +133,12 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"seed_comparison\": {{ \"objects\": {compare_at}, \"seed_seconds_per_tick\": {seed_spt:.6}, \"soa_seconds_per_tick\": {soa_spt:.6}, \"soa_speedup\": {speedup:.3} }},"
+    );
+    let largest = samples.last().expect("nonempty sweep");
+    let _ = writeln!(
+        json,
+        "  \"largest_process_visited_per_object_tick\": {:.4},",
+        largest.visited_per_object_tick
     );
     let _ = writeln!(json, "  \"series\": [");
     for (i, s) in samples.iter().enumerate() {

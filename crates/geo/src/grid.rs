@@ -144,19 +144,6 @@ impl Grid {
         self.flat_index(self.cell_of(p))
     }
 
-    /// A division-free [`flat_cell_of`](Self::flat_cell_of) for scans
-    /// over many positions.
-    pub fn flat_probe(&self) -> FlatCellProbe {
-        FlatCellProbe {
-            lx: self.universe.lx,
-            ly: self.universe.ly,
-            inv_alpha: 1.0 / self.alpha,
-            cols: self.cols,
-            max_x: self.cols as f64 - FlatCellProbe::MARGIN,
-            max_y: self.rows as f64 - FlatCellProbe::MARGIN,
-        }
-    }
-
     /// Inverse of [`flat_index`](Self::flat_index): the cell at a
     /// row-major flat index.
     #[inline]
@@ -232,54 +219,6 @@ impl Grid {
     /// box of a query whose focal object sits in `cell`.
     pub fn monitoring_region(&self, cell: CellId, reach: f64) -> GridRect {
         self.cells_overlapping(&self.bound_box(cell, reach))
-    }
-}
-
-/// [`Grid::flat_cell_of`] without the two divisions, the two `floor`
-/// calls and the clamps, for positions *safely inside* a cell.
-///
-/// The probe scales by a precomputed `1/α`. Against the exact quotient
-/// that product is off by at most a few ulps — below `2⁻¹⁹` in absolute
-/// terms for any grid whose dimensions fit a `u32` — so whenever the
-/// scaled coordinate lies at least [`MARGIN`](Self::MARGIN) away from
-/// every cell boundary (and from the clamped outside of the grid), its
-/// integer part *is* the exact cell coordinate. Everything else — on the
-/// margin, outside the universe, NaN — returns `None` and the caller runs
-/// the exact test.
-#[derive(Debug, Clone, Copy)]
-pub struct FlatCellProbe {
-    lx: f64,
-    ly: f64,
-    inv_alpha: f64,
-    cols: u32,
-    max_x: f64,
-    max_y: f64,
-}
-
-impl FlatCellProbe {
-    /// Distance (in cells) a scaled coordinate keeps from a cell boundary
-    /// before the division-free answer is trusted: `2⁻¹⁶`, eight times
-    /// the worst-case rounding error.
-    pub const MARGIN: f64 = 1.0 / 65536.0;
-
-    /// The flat cell index of `p`, or `None` when `p` is too close to a
-    /// cell boundary (or outside the grid) to decide without dividing.
-    #[inline]
-    pub fn get(&self, p: Point) -> Option<u32> {
-        let fx = (p.x - self.lx) * self.inv_alpha;
-        let fy = (p.y - self.ly) * self.inv_alpha;
-        // Inside `[MARGIN, max]` both are positive, so the truncating
-        // cast is `floor`.
-        let (ix, iy) = (fx as u32, fy as u32);
-        let (rx, ry) = (fx - ix as f64, fy - iy as f64);
-        let inside = |f: f64, r: f64, max: f64| {
-            (Self::MARGIN..=max).contains(&f) && (Self::MARGIN..=1.0 - Self::MARGIN).contains(&r)
-        };
-        if inside(fx, rx, self.max_x) && inside(fy, ry, self.max_y) {
-            Some(iy * self.cols + ix)
-        } else {
-            None
-        }
     }
 }
 
@@ -638,49 +577,5 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert!(s.contains(CellId::new(4, 2)));
         assert!(!s.contains(CellId::new(4, 3)));
-    }
-
-    #[test]
-    fn flat_probe_agrees_with_the_exact_cell_wherever_it_answers() {
-        // Awkward α (not a power of two, does not divide the universe)
-        // and an offset origin, so the scaled coordinates really round.
-        let g = Grid::new(Rect::new(-13.7, 41.3, 1000.0, 730.0), 0.7);
-        let probe = g.flat_probe();
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut unit = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut answered = 0;
-        for _ in 0..200_000 {
-            // 10 % overshoot on every side exercises the clamped outside.
-            let p = Point::new(-113.7 + 1200.0 * unit(), -31.7 + 876.0 * unit());
-            if let Some(flat) = probe.get(p) {
-                assert_eq!(flat as usize, g.flat_cell_of(p), "at {p:?}");
-                answered += 1;
-            }
-        }
-        assert!(answered > 120_000, "probe declined too often: {answered}");
-    }
-
-    #[test]
-    fn flat_probe_declines_on_boundaries_and_outside() {
-        let g = grid10();
-        let probe = g.flat_probe();
-        assert_eq!(probe.get(Point::new(15.0, 25.0)), Some(21));
-        for p in [
-            Point::new(20.0, 25.0),        // on a column boundary
-            Point::new(15.0, 30.0),        // on a row boundary
-            Point::new(20.0 - 1e-9, 25.0), // inside the margin
-            Point::new(0.0, 5.0),          // universe edge
-            Point::new(-3.0, 5.0),         // clamped outside, low
-            Point::new(5.0, 100.0),        // far edge
-            Point::new(5.0, 250.0),        // clamped outside, high
-            Point::new(f64::NAN, 5.0),
-        ] {
-            assert_eq!(probe.get(p), None, "at {p:?}");
-        }
     }
 }

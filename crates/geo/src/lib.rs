@@ -18,7 +18,7 @@ pub mod rect;
 pub mod region;
 
 pub use circle::Circle;
-pub use grid::{CellId, FlatCellProbe, Grid, GridRect};
+pub use grid::{CellId, Grid, GridRect};
 pub use motion::LinearMotion;
 pub use point::{Point, Vec2};
 pub use rect::Rect;

@@ -12,12 +12,10 @@
 //! the message twice (the protocol layer must be idempotent, which the
 //! MobiEyes installation logic is).
 //!
-//! Traffic accounting is lock-free on the send path: every transmission
-//! bumps a plain per-direction counter, and the totals reach the shared
-//! telemetry sink at the queue hand-over points (`drain_uplinks*`,
-//! `take_downlinks`, `end_tick`) or on an explicit
-//! [`NetworkSim::publish_traffic`]. [`NetworkSim::meter`] always includes
-//! what is still unpublished.
+//! Traffic accounting reaches the shared telemetry sink before the send
+//! call returns, one lock acquisition per call: a per-message send
+//! records itself, a bulk [`NetworkSim::send_uplinks`] records the whole
+//! buffer at once. A snapshot of the sink is never behind the network.
 
 use crate::fault::FaultPlan;
 use crate::meter::{keys, Direction, MessageMeter};
@@ -56,18 +54,7 @@ pub struct NetworkSim<U, D> {
     sent_by_node: Vec<u64>,
     /// Bytes physically received per node.
     received_by_node: Vec<u64>,
-    /// Transmissions per [`Direction`] not yet published to `telemetry`.
-    unpublished: [Traffic; 3],
 }
-
-/// Message and byte totals of one direction.
-#[derive(Debug, Default, Clone, Copy)]
-struct Traffic {
-    msgs: u64,
-    bytes: u64,
-}
-
-const DIRECTIONS: [Direction; 3] = [Direction::Uplink, Direction::Unicast, Direction::Broadcast];
 
 impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
     pub fn new(layout: BaseStationLayout) -> Self {
@@ -81,7 +68,6 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
             broadcasts: Vec::new(),
             sent_by_node: Vec::new(),
             received_by_node: Vec::new(),
-            unpublished: [Traffic::default(); 3],
         }
     }
 
@@ -100,48 +86,22 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
         &self.layout
     }
 
-    /// Materializes the traffic view from the telemetry counters, the
-    /// transmissions not yet published to them, and the per-node byte
-    /// vectors.
+    /// Materializes the traffic view from the telemetry counters and the
+    /// per-node byte vectors.
     pub fn meter(&self) -> MessageMeter {
-        let mut meter = MessageMeter::from_snapshot(
+        MessageMeter::from_snapshot(
             &self.telemetry.snapshot(),
             self.sent_by_node.clone(),
             self.received_by_node.clone(),
-        );
-        let [up, uni, bc] = self.unpublished;
-        meter.uplink_msgs += up.msgs;
-        meter.uplink_bytes += up.bytes;
-        meter.unicast_msgs += uni.msgs;
-        meter.unicast_bytes += uni.bytes;
-        meter.broadcast_msgs += bc.msgs;
-        meter.broadcast_bytes += bc.bytes;
-        meter
+        )
     }
 
-    fn record(&mut self, dir: Direction, bytes: usize) {
-        let t = &mut self.unpublished[dir as usize];
-        t.msgs += 1;
-        t.bytes += bytes as u64;
-    }
-
-    /// Publishes the transmissions counted since the last call into the
-    /// telemetry sink (one lock acquisition). Runs at every queue
-    /// hand-over; drivers whose sink is read between hand-overs (a
-    /// per-tick snapshot) call it at their own boundary.
-    pub fn publish_traffic(&mut self) {
-        if self.unpublished.iter().all(|t| t.msgs == 0) {
-            return;
-        }
-        let traffic = std::mem::take(&mut self.unpublished);
+    /// Counts `msgs` transmissions totalling `bytes` in one direction.
+    fn record(&self, dir: Direction, msgs: u64, bytes: u64) {
+        let (msgs_key, bytes_key) = dir.counter_keys();
         self.telemetry.record_batch(|r| {
-            for (dir, t) in DIRECTIONS.iter().zip(traffic) {
-                if t.msgs > 0 {
-                    let (msgs_key, bytes_key) = dir.counter_keys();
-                    r.add(msgs_key, t.msgs);
-                    r.add(bytes_key, t.bytes);
-                }
-            }
+            r.add(msgs_key, msgs);
+            r.add(bytes_key, bytes);
         });
     }
 
@@ -200,8 +160,37 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
     where
         U: Clone,
     {
+        let bytes = self.enqueue_uplink(from, msg);
+        self.record(Direction::Uplink, 1, bytes);
+    }
+
+    /// Forwards a buffer of uplinks in send order, leaving it empty (its
+    /// allocation is kept). Indistinguishable from
+    /// [`send_uplink`](Self::send_uplink) per message, except that the
+    /// traffic counters take one update for the whole buffer.
+    pub fn send_uplinks(&mut self, batch: &mut Vec<(NodeId, U)>)
+    where
+        U: Clone,
+    {
+        if batch.is_empty() {
+            return;
+        }
+        let msgs = batch.len() as u64;
+        let mut bytes = 0;
+        for (from, msg) in batch.drain(..) {
+            bytes += self.enqueue_uplink(from, msg);
+        }
+        self.record(Direction::Uplink, msgs, bytes);
+    }
+
+    /// Sizes one uplink, charges it to its sender, runs it through the
+    /// uplink fault plan (a stateful RNG consumed once per message) and
+    /// queues what survives. Returns the wire size.
+    fn enqueue_uplink(&mut self, from: NodeId, msg: U) -> u64
+    where
+        U: Clone,
+    {
         let bytes = msg.wire_size();
-        self.record(Direction::Uplink, bytes);
         self.record_node_sent(from.0 as usize, bytes);
         match self.uplink_fault.copies() {
             0 => self.telemetry.incr(keys::FAULT_UPLINK_DROPPED),
@@ -212,39 +201,11 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
                 self.uplinks.push((from, msg));
             }
         }
-    }
-
-    /// Forwards a buffer of uplinks in one call, leaving it empty (its
-    /// allocation is kept): each message is sized and counted exactly
-    /// once and the queue grows by one append. Indistinguishable from
-    /// [`send_uplink`](Self::send_uplink) per message — which is what runs
-    /// while an uplink fault plan is armed, because the plan is a stateful
-    /// RNG consumed once per message in send order.
-    pub fn send_uplinks(&mut self, batch: &mut Vec<(NodeId, U)>)
-    where
-        U: Clone,
-    {
-        if !self.uplink_fault.is_noop() {
-            for (from, msg) in batch.drain(..) {
-                self.send_uplink(from, msg);
-            }
-            return;
-        }
-        let mut total = 0u64;
-        for (from, msg) in batch.iter() {
-            let bytes = msg.wire_size();
-            total += bytes as u64;
-            self.record_node_sent(from.0 as usize, bytes);
-        }
-        let t = &mut self.unpublished[Direction::Uplink as usize];
-        t.msgs += batch.len() as u64;
-        t.bytes += total;
-        self.uplinks.append(batch);
+        bytes as u64
     }
 
     /// Server side: take all pending uplink messages.
     pub fn drain_uplinks(&mut self) -> Vec<(NodeId, U)> {
-        self.publish_traffic();
         std::mem::take(&mut self.uplinks)
     }
 
@@ -253,7 +214,6 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
     /// server draining into a persistent scratch every tick settles into
     /// a zero-allocation steady state.
     pub fn drain_uplinks_into(&mut self, out: &mut Vec<(NodeId, U)>) {
-        self.publish_traffic();
         out.append(&mut self.uplinks);
     }
 
@@ -265,7 +225,7 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
     /// Server → one object. Counts as one downlink message on the medium.
     pub fn send_unicast(&mut self, to: NodeId, msg: D) {
         let bytes = msg.wire_size();
-        self.record(Direction::Unicast, bytes);
+        self.record(Direction::Unicast, 1, bytes as u64);
         self.unicasts.push((to, Arc::new(msg), bytes));
     }
 
@@ -277,7 +237,7 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
 
     fn broadcast_shared(&mut self, station: StationId, msg: Arc<D>) {
         let bytes = msg.wire_size();
-        self.record(Direction::Broadcast, bytes);
+        self.record(Direction::Broadcast, 1, bytes as u64);
         self.broadcasts.push((station, msg, bytes));
     }
 
@@ -369,7 +329,6 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
         Vec<(NodeId, Arc<D>, usize)>,
         Vec<(StationId, Arc<D>, usize)>,
     ) {
-        self.publish_traffic();
         (
             std::mem::take(&mut self.unicasts),
             std::mem::take(&mut self.broadcasts),
@@ -378,7 +337,6 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
 
     /// Clears the downlink queues; call after every object polled.
     pub fn end_tick(&mut self) {
-        self.publish_traffic();
         self.unicasts.clear();
         self.broadcasts.clear();
     }
@@ -586,14 +544,10 @@ mod tests {
         }
     }
 
-    /// Everything an uplink forward can change: the published counters,
-    /// the meter view, per-node sent bytes and the server-side queue.
-    type ForwardOutcome = (
-        Vec<(&'static str, u64)>,
-        [u64; 2],
-        Vec<u64>,
-        Vec<(NodeId, Sized)>,
-    );
+    /// Everything an uplink forward can change: the counters in the sink
+    /// (read with no queue hand-over in between), the meter view,
+    /// per-node sent bytes and the server-side queue.
+    type ForwardOutcome = (Vec<u64>, [u64; 2], Vec<u64>, Vec<(NodeId, Sized)>);
 
     fn forward_outcome(bulk: bool, fault: FaultPlan) -> ForwardOutcome {
         let mut n: NetworkSim<Sized, Msg> = NetworkSim::new(BaseStationLayout::new(
@@ -615,9 +569,6 @@ mod tests {
                 n.send_uplink(from, msg);
             }
         }
-        let meter = n.meter();
-        let sent = (0..10).map(|i| meter.node_sent_bytes(i)).collect();
-        let queue = n.drain_uplinks();
         let snapshot = n.telemetry().snapshot();
         let counters = [
             keys::UPLINK_MSGS,
@@ -625,13 +576,15 @@ mod tests {
             keys::FAULT_UPLINK_DROPPED,
             keys::FAULT_UPLINK_DUPLICATED,
         ]
-        .map(|k| (k, snapshot.counter(k)))
+        .map(|k| snapshot.counter(k))
         .to_vec();
+        let meter = n.meter();
+        let sent = (0..10).map(|i| meter.node_sent_bytes(i)).collect();
         (
             counters,
             [meter.uplink_msgs, meter.uplink_bytes],
             sent,
-            queue,
+            n.drain_uplinks(),
         )
     }
 
@@ -640,35 +593,36 @@ mod tests {
         let bulk = forward_outcome(true, FaultPlan::none());
         assert_eq!(bulk, forward_outcome(false, FaultPlan::none()));
         // Sized and counted exactly once: 10 rounds of the 6-message cycle.
-        assert_eq!(bulk.1, [60, 10 * (11 + 7 + 3 + 40 + 1 + 2)]);
-        assert_eq!(bulk.0[0].1, 60, "drain publishes the counters");
+        let bytes = 10 * (11 + 7 + 3 + 40 + 1 + 2);
+        assert_eq!(bulk.0, [60, bytes, 0, 0], "sink is current, no drain");
+        assert_eq!(bulk.1, [60, bytes]);
         assert_eq!(bulk.3.len(), 60);
-    }
 
-    #[test]
-    fn armed_uplink_fault_forwards_per_message() {
-        // The plan is a stateful RNG: the bulk call must consume it once
-        // per message in send order, exactly like the per-message path.
+        // An armed plan is a stateful RNG: the bulk call consumes it once
+        // per message in send order, like the per-message sends.
         let plan = || FaultPlan::new(0.3, 0.3, 77);
-        let bulk = forward_outcome(true, plan());
-        assert_eq!(bulk, forward_outcome(false, plan()));
-        assert!(bulk.0[2].1 > 0 && bulk.0[3].1 > 0, "plan must fire");
-        assert_ne!(bulk.3.len(), 60, "drops and duplicates reshape the queue");
+        let faulty = forward_outcome(true, plan());
+        assert_eq!(faulty, forward_outcome(false, plan()));
+        assert!(faulty.0[2] > 0 && faulty.0[3] > 0, "plan must fire");
+        assert_eq!(faulty.1, [60, bytes], "the sender pays once per message");
+        assert_ne!(faulty.3.len(), 60, "drops and duplicates reshape the queue");
     }
 
     #[test]
-    fn traffic_is_published_at_hand_over_and_metered_before() {
+    fn sink_is_current_after_every_send() {
         let mut n = net();
         n.send_unicast(NodeId(1), Msg(1));
         n.broadcast(StationId(0), Msg(2));
-        // Not yet in the sink, already in the meter view.
-        assert_eq!(n.telemetry().snapshot().counter(keys::UNICAST_MSGS), 0);
-        assert_eq!(n.meter().downlink_msgs(), 2);
-        n.publish_traffic();
+        n.send_uplinks(&mut vec![(NodeId(3), Msg(3)), (NodeId(4), Msg(4))]);
+        n.send_uplinks(&mut Vec::new());
+        // No drain, no `take_downlinks`, no `end_tick` in between.
         let snap = n.telemetry().snapshot();
         assert_eq!(snap.counter(keys::UNICAST_MSGS), 1);
         assert_eq!(snap.counter(keys::BROADCAST_BYTES), 8);
-        assert_eq!(n.meter().downlink_msgs(), 2, "published once, not twice");
+        assert_eq!(snap.counter(keys::UPLINK_MSGS), 2);
+        assert_eq!(snap.counter(keys::UPLINK_BYTES), 16);
+        let meter = n.meter();
+        assert_eq!((meter.downlink_msgs(), meter.uplink_msgs), (2, 2));
     }
 
     #[test]

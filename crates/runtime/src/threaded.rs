@@ -252,9 +252,6 @@ impl ThreadedSim {
             h.join().expect("worker thread panicked");
         }
 
-        // The last ingest's downlinks were counted after the final queue
-        // hand-over; publish them before the snapshot is cut.
-        net.publish_traffic();
         let meter = net.meter();
         let snapshot = telemetry.snapshot();
         let results = qids

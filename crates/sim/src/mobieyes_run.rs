@@ -5,7 +5,8 @@ use crate::config::{EngineKind, RecoveryKind, SimConfig, TransportKind};
 use crate::metrics::{sim_keys, RunMetrics};
 use crate::mobility::Mobility;
 use crate::soa::{
-    self, AgentSoa, BcastClass, SoaShard, FLAG_FOCAL, FLAG_LQT, FLAG_PENDING, FLAG_SHADOW,
+    self, AgentSoa, BcastClass, FlatCellProbe, SoaShard, FLAG_FOCAL, FLAG_LQT, FLAG_PENDING,
+    FLAG_SHADOW,
 };
 use crate::truth::{result_error, GroundTruth};
 use crate::workload::Workload;
@@ -15,7 +16,7 @@ use mobieyes_core::{
     AgentOutbox, Downlink, Filter, LogRecord, MovingObjectAgent, ObjectId, Propagation, Properties,
     ProtocolConfig, QueryId, Server,
 };
-use mobieyes_geo::{FlatCellProbe, Grid, LinearMotion, Point, QueryRegion, Vec2};
+use mobieyes_geo::{Grid, LinearMotion, Point, QueryRegion, Vec2};
 use mobieyes_net::{
     BaseStationLayout, ChurnPlan, FaultPlan, FramedConn, NodeId, PartitionCrashPlan, RadioModel,
     SocketTransport, StationId,
@@ -432,7 +433,6 @@ impl MobiEyesSim {
             );
             sim.set_churn(plan);
         }
-        sim.net.publish_traffic();
         sim
     }
 
@@ -926,11 +926,6 @@ impl MobiEyesSim {
             self.checkpoint_now();
         }
 
-        // Downlinks the ingest (or a fence) queued were counted after the
-        // last queue hand-over; a snapshot taken between steps must
-        // already hold them.
-        self.net.publish_traffic();
-
         if self.audit {
             match &self.tier {
                 ServerTier::Single(s) => s.check_invariants(),
@@ -1000,13 +995,14 @@ impl MobiEyesSim {
     fn run_process_phase(&mut self, t: f64) {
         let chunk = self.shard_chunk;
         let n = self.agents.len();
-        let (mut visited, mut delivered) = (0, 0);
+        let (mut visited, mut offline, mut delivered) = (0, 0, 0);
         if self.shard_out.len() <= 1 || !self.net.fault().is_noop() || self.churn.has_churn() {
             for i in 0..self.agents.len() {
                 if self.skip_now[i] {
                     // Offline: the radio is off; pending downlinks stay
                     // queued in the network and lapse at `end_tick`
                     // (closed-loop delivery semantics, same as a drop).
+                    offline += 1;
                     continue;
                 }
                 self.inbox.clear();
@@ -1020,7 +1016,7 @@ impl MobiEyesSim {
                     &mut self.shard_out[i / chunk],
                 );
             }
-            self.work.set_seed_process(visited, delivered, n);
+            self.work.set_seed_process(visited, offline, delivered);
             return;
         }
         let (unicasts, broadcasts) = self.net.take_downlinks();
@@ -1074,7 +1070,7 @@ impl MobiEyesSim {
                 self.net.record_node_received(node as usize, bytes);
             }
         }
-        self.work.set_seed_process(n, delivered, n);
+        self.work.set_seed_process(n, 0, delivered);
     }
 
     /// Rebuilds the struct-of-arrays mirror from agent heap state after a
@@ -1121,7 +1117,7 @@ impl MobiEyesSim {
             positions: &mobility.positions,
             velocities: &mobility.velocities,
             grid,
-            probe: grid.flat_probe(),
+            probe: FlatCellProbe::new(grid),
             t,
             tick: self.tick_index as u32,
         };
@@ -1203,7 +1199,7 @@ impl MobiEyesSim {
             self.net
                 .record_node_received(node as usize, ctx.downlink(k).1);
         }
-        self.work.set_process(work, pairs.len(), self.agents.len());
+        self.work.set_process(work, pairs.len());
     }
 
     /// Forwards every shard's buffered uplinks into the real network —
@@ -1299,21 +1295,22 @@ pub struct TickWork {
 
 impl TickWork {
     /// A seed-engine processing phase: `visited` agents each ran their
-    /// full `tick_process`.
-    fn set_seed_process(&mut self, visited: usize, deliveries: usize, population: usize) {
+    /// full `tick_process`; the `offline` rest were never looked at.
+    fn set_seed_process(&mut self, visited: usize, offline: usize, deliveries: usize) {
         let work = ProcessWork {
             visited,
+            cold: offline,
             ..ProcessWork::default()
         };
-        self.set_process(work, deliveries, population);
+        self.set_process(work, deliveries);
     }
 
-    fn set_process(&mut self, work: ProcessWork, deliveries: usize, population: usize) {
+    fn set_process(&mut self, work: ProcessWork, deliveries: usize) {
         self.deliveries = deliveries;
         self.process_visited = work.visited;
         self.safe_skipped = work.safe_skipped;
         self.inert = work.inert;
-        self.cold = population - work.visited;
+        self.cold = work.cold;
     }
 }
 
@@ -1324,6 +1321,9 @@ struct ProcessWork {
     visited: usize,
     safe_skipped: usize,
     inert: usize,
+    /// Agents stepped over between two visits, counted as they are
+    /// skipped — not derived from `visited`.
+    cold: usize,
 }
 
 impl std::iter::Sum for ProcessWork {
@@ -1332,6 +1332,7 @@ impl std::iter::Sum for ProcessWork {
             visited: a.visited + b.visited,
             safe_skipped: a.safe_skipped + b.safe_skipped,
             inert: a.inert + b.inert,
+            cold: a.cold + b.cold,
         })
     }
 }
@@ -1462,6 +1463,7 @@ fn process_shard(
             .iter()
             .position(|f| f & ACTIVE != 0)
             .map_or(addressee, |p| off + p);
+        work.cold += at - off;
         if at == n {
             break;
         }
@@ -1517,7 +1519,7 @@ fn process_shard(
     // eval timer (excluded from protocol equality) and a zero LQT-size
     // sample.
     out.tally
-        .observe_lqt_size(0, (n - work.visited + work.inert) as u64);
+        .observe_lqt_size(0, (work.cold + work.inert) as u64);
     out.tally.skipped_safe_period += safe_skips;
     work
 }

@@ -123,12 +123,13 @@ awk -v spt="$scale_spt" 'BEGIN { exit !(spt < 0.25) }' \
   || { echo "scale smoke: ${scale_spt}s/tick blows the 0.25s budget"; exit 1; }
 # The deterministic twin of the budget: the share of the population the
 # processing phase looks at per tick (MobiEyesSim::tick_work) is a count,
-# not a timing, so it holds on a noisy host. The quick sweep is dense (up
-# to 10 % focal objects, two warm-up ticks), yet its sparsest point stays
-# near 0.74; an every-agent scan reads exactly 1.0 at every point.
-scale_visited=$(assert_json "$scale_out" min process_visited_per_object_tick)
-awk -v v="$scale_visited" 'BEGIN { exit !(v < 0.85) }' \
-  || { echo "scale smoke: processing visits ${scale_visited} of the population per tick (ceiling 0.85) - work no longer follows activity"; exit 1; }
+# not a timing, so it holds on a noisy host and the ceiling can sit close.
+# It is taken at the largest point of the sweep, the only sparse one
+# (5 % focal objects; the smaller points run 10 % and read ~0.93): 0.737
+# today, and an every-agent scan reads 1.0.
+scale_visited=$(assert_json "$scale_out" get largest_process_visited_per_object_tick)
+awk -v v="$scale_visited" 'BEGIN { exit !(v < 0.78) }' \
+  || { echo "scale smoke: processing visits ${scale_visited} of the population per tick at the largest point (ceiling 0.78) - work no longer follows activity"; exit 1; }
 rm -f "$scale_out"
 
 echo "==> recovery smoke (partition crash failover + supervised respawn)"

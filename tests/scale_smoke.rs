@@ -35,6 +35,9 @@ fn hundred_thousand_objects_tick_without_panic() {
             "tick progress must be monotonic"
         );
         let w = sim.tick_work();
+        // `cold` is counted where the shard loop steps over agents, not
+        // derived from `process_visited`: an agent visited twice or
+        // dropped between two visits breaks the sum.
         assert_eq!(w.process_visited + w.cold, n, "tick {tick}: {w:?}");
         assert!(
             w.safe_skipped + w.inert <= w.process_visited && w.motion_touched <= n,
