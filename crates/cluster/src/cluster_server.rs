@@ -1169,20 +1169,33 @@ impl ClusterServer {
         self.partitions[owner].cell_sync_reply(oid, cell, net);
     }
 
-    /// Soft-state refresh against an object's full local view, walked in
-    /// ascending query order across all partitions.
+    /// Soft-state refresh against an object's full local view. Only a
+    /// query the object mentions or is a member of can change: each
+    /// partition is asked once for the object's memberships, and the
+    /// union is walked in ascending query order across all partitions,
+    /// issuing a reconcile only where claim and membership disagree.
     fn lqt_sync(&mut self, oid: ObjectId, entries: Vec<(QueryId, bool)>, net: &mut Net) {
         self.sinks[0].incr(srv_keys::LQT_SYNCS);
         let mentioned: BTreeMap<QueryId, bool> = entries.into_iter().collect();
-        let mut qids: Vec<(usize, QueryId)> = Vec::new();
-        for (p, s) in self.partitions.iter().enumerate() {
-            qids.extend(s.query_ids().into_iter().map(|q| (p, q)));
+        let mut member_at: BTreeMap<QueryId, usize> = BTreeMap::new();
+        let per_partition = self.fan_out(|p| p.start_object_memberships(oid));
+        for (p, homed) in per_partition.into_iter().enumerate() {
+            member_at.extend(homed.into_iter().map(|q| (q, p)));
         }
-        qids.sort_unstable_by_key(|&(_, q)| q);
+        let qids: BTreeSet<QueryId> = mentioned.keys().chain(member_at.keys()).copied().collect();
         let mut deltas: Vec<(usize, QueryId, bool)> = Vec::new();
         let mut stale = 0u64;
-        for (home, qid) in qids {
+        for qid in qids {
             let is_target = mentioned.get(&qid).copied().unwrap_or(false);
+            let home = match member_at.get(&qid) {
+                Some(&home) if !is_target => home,
+                None if is_target => match self.find_query(qid) {
+                    Some(home) => home,
+                    None => continue,
+                },
+                // Already as claimed.
+                _ => continue,
+            };
             if self.partitions[home].lqt_reconcile_one(qid, oid, is_target) {
                 if !is_target && !mentioned.contains_key(&qid) {
                     stale += 1;

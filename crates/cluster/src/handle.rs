@@ -629,6 +629,13 @@ impl PartitionHandle {
         self.start(|| PartitionOp::ExpiredLeases, |s| s.expired_leases())
     }
 
+    pub fn start_object_memberships(&self, oid: ObjectId) -> Probe<Vec<QueryId>> {
+        self.start(
+            || PartitionOp::ObjectMemberships(oid),
+            |s| s.object_memberships(oid),
+        )
+    }
+
     pub fn start_digest_cells(&self) -> Probe<Vec<(CellId, u64)>> {
         self.start(|| PartitionOp::DigestCells, |s| s.digest_cells())
     }

@@ -306,6 +306,7 @@ fn execute(s: &mut ServiceState, op: PartitionOp) -> ReplyPayload {
         PartitionOp::QueryFocal(qid) => ReplyPayload::OptOid(s.server.query_focal(qid)),
         PartitionOp::FocalMotion(oid) => ReplyPayload::OptMotion(s.server.focal_motion(oid)),
         PartitionOp::FocalQueries(oid) => ReplyPayload::OptQids(s.server.focal_queries(oid)),
+        PartitionOp::ObjectMemberships(oid) => ReplyPayload::Qids(s.server.object_memberships(oid)),
         PartitionOp::QueryCell(qid) => ReplyPayload::OptCell(s.server.query_cell(qid)),
         PartitionOp::PurgeObject(oid) => ReplyPayload::Qids(s.server.purge_object(oid)),
         PartitionOp::DeliverResultDelta { qid, oid, entered } => {

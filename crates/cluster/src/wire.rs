@@ -155,6 +155,9 @@ pub enum PartitionOp {
     QueryFocal(QueryId),
     FocalMotion(ObjectId),
     FocalQueries(ObjectId),
+    /// The homed queries whose result holds the object, ascending.
+    /// Replies `Qids`.
+    ObjectMemberships(ObjectId),
     QueryCell(QueryId),
     PurgeObject(ObjectId),
     DeliverResultDelta {
@@ -592,6 +595,10 @@ pub fn encode_request(epoch_floor: u64, op: &PartitionOp, out: &mut Vec<u8>) {
             out.put_f64_le(*t1);
         }
         PartitionOp::LoadSignal => out.put_u8(42),
+        PartitionOp::ObjectMemberships(oid) => {
+            out.put_u8(43);
+            put_oid(out, *oid);
+        }
     }
 }
 
@@ -743,6 +750,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<(u64, PartitionOp)> {
                 t1: buf.get_f64_le("trajectory end")?,
             },
             42 => PartitionOp::LoadSignal,
+            43 => PartitionOp::ObjectMemberships(get_oid(&mut buf)?),
             t => return Err(DecodeError(format!("unknown partition op tag {t}"))),
         };
         Ok((floor, op))
@@ -1175,6 +1183,7 @@ mod tests {
             PartitionOp::QueryFocal(QueryId(6)),
             PartitionOp::FocalMotion(ObjectId(7)),
             PartitionOp::FocalQueries(ObjectId(7)),
+            PartitionOp::ObjectMemberships(ObjectId(7)),
             PartitionOp::QueryCell(QueryId(6)),
             PartitionOp::PurgeObject(ObjectId(7)),
             PartitionOp::DeliverResultDelta {

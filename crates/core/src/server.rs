@@ -423,6 +423,13 @@ pub struct Server {
     /// expiry and byte-identical runs at any thread count depend on it.
     fot: FotTable,
     sqt: BTreeMap<QueryId, SqtEntry>,
+    /// Result-membership index: the inverse of every `SqtEntry::result`
+    /// as one ordered pair set, so an object's memberships are a range
+    /// scan in ascending query id — no per-object allocation. Derived
+    /// state: maintained by [`set_member`](Self::set_member) (one
+    /// membership) and [`index_row`](Self::index_row) (a whole SQT row
+    /// arriving or leaving), rebuilt on restore, never serialized.
+    members: BTreeSet<(ObjectId, QueryId)>,
     /// RQI: per grid cell (flat row-major index), the queries whose
     /// monitoring region intersects the cell.
     rqi: Vec<Vec<QueryId>>,
@@ -483,6 +490,7 @@ impl Server {
             config,
             fot: FotTable::default(),
             sqt: BTreeMap::new(),
+            members: BTreeSet::new(),
             rqi: vec![Vec::new(); cells],
             pending: BTreeMap::new(),
             next_qid: 0,
@@ -820,8 +828,9 @@ impl Server {
             expires_at,
             result: BTreeSet::new(),
         };
-        if self.sqt.insert(qid, row).is_none() {
-            self.note_home(HomeChange::QueryAdded(qid));
+        match self.sqt.insert(qid, row) {
+            None => self.note_home(HomeChange::QueryAdded(qid)),
+            Some(old) => self.index_row(qid, old.result, false),
         }
         self.rqi_insert(qid, &mon_region);
         self.emit_stub_update(qid, None);
@@ -897,6 +906,7 @@ impl Server {
         };
         self.note_home(HomeChange::QueryRemoved(qid));
         self.rqi_remove(qid, &entry.mon_region);
+        self.index_row(qid, entry.result, false);
         if let Some(fot) = self.fot.get_mut(&entry.focal) {
             fot.queries.retain(|&q| q != qid);
             if entry.slot != crate::messages::NO_SLOT {
@@ -1136,10 +1146,62 @@ impl Server {
         if self.journaling() {
             self.jot(LogRecord::PurgeObject(oid));
         }
-        self.sqt
-            .iter_mut()
-            .filter_map(|(&q, e)| e.result.remove(&oid).then_some(q))
-            .collect()
+        let stale: Vec<QueryId> = self.memberships(oid).collect();
+        for &qid in &stale {
+            self.set_member(qid, oid, false);
+        }
+        stale
+    }
+
+    /// The queries whose result currently holds `oid`, ascending — one
+    /// range scan of the membership index.
+    fn memberships(&self, oid: ObjectId) -> impl Iterator<Item = QueryId> + '_ {
+        self.members
+            .range((oid, QueryId(0))..=(oid, QueryId(u32::MAX)))
+            .map(|&(_, qid)| qid)
+    }
+
+    /// [`memberships`](Self::memberships) for the cluster coordinator,
+    /// which merges them across partitions to reconcile an `LqtSync`.
+    #[doc(hidden)]
+    pub fn object_memberships(&self, oid: ObjectId) -> Vec<QueryId> {
+        self.memberships(oid).collect()
+    }
+
+    /// Sets whether `oid` is in `qid`'s result, keeping the membership
+    /// index in step; returns whether the membership changed (`false`
+    /// for an unknown query). The only code that edits a result set in
+    /// place.
+    fn set_member(&mut self, qid: QueryId, oid: ObjectId, is_target: bool) -> bool {
+        let Some(e) = self.sqt.get_mut(&qid) else {
+            return false;
+        };
+        let changed = if is_target {
+            e.result.insert(oid)
+        } else {
+            e.result.remove(&oid)
+        };
+        if changed {
+            self.index_row(qid, [oid], is_target);
+        }
+        changed
+    }
+
+    /// Row-level index maintenance: `qid`'s SQT row arrived with
+    /// (`present`) or left with `result` as its whole result set.
+    fn index_row(
+        &mut self,
+        qid: QueryId,
+        result: impl IntoIterator<Item = ObjectId>,
+        present: bool,
+    ) {
+        for oid in result {
+            if present {
+                self.members.insert((oid, qid));
+            } else {
+                self.members.remove(&(oid, qid));
+            }
+        }
     }
 
     /// Re-asserts focality: the original FocalNotify may have been lost
@@ -1184,13 +1246,18 @@ impl Server {
         );
     }
 
-    /// Soft-state refresh: reconcile every query's result membership for
-    /// `oid` against the object's full local view. Queries the object does
-    /// not mention are queries it does not hold — it cannot be a target.
+    /// Soft-state refresh: reconcile `oid`'s result memberships against
+    /// the object's full local view. Queries the object does not mention
+    /// are queries it does not hold — it cannot be a target. Only a query
+    /// it mentions or is currently a member of can change, so those (in
+    /// ascending id, the delta order) are all that is visited.
     fn on_lqt_sync(&mut self, oid: ObjectId, entries: Vec<(QueryId, bool)>, net: &mut Net) {
         self.telemetry.incr(srv_keys::LQT_SYNCS);
         let mentioned: BTreeMap<QueryId, bool> = entries.into_iter().collect();
-        let qids: Vec<QueryId> = self.sqt.keys().copied().collect();
+        let mut qids: Vec<QueryId> = mentioned.keys().copied().collect();
+        qids.extend(self.memberships(oid));
+        qids.sort_unstable();
+        qids.dedup();
         let mut deltas: Vec<(QueryId, bool)> = Vec::new();
         let mut stale = 0u64;
         for qid in qids {
@@ -1220,14 +1287,7 @@ impl Server {
                 is_target,
             });
         }
-        let Some(e) = self.sqt.get_mut(&qid) else {
-            return false;
-        };
-        if is_target {
-            e.result.insert(oid)
-        } else {
-            e.result.remove(&oid)
-        }
+        self.set_member(qid, oid, is_target)
     }
 
     /// Runs the periodic fault-tolerance duties; the driver calls this
@@ -1880,14 +1940,7 @@ impl Server {
         is_target: bool,
         net: &mut Net,
     ) -> bool {
-        let Some(e) = self.sqt.get_mut(&qid) else {
-            return false;
-        };
-        let changed = if is_target {
-            e.result.insert(oid)
-        } else {
-            e.result.remove(&oid)
-        };
+        let changed = self.set_member(qid, oid, is_target);
         if changed {
             self.deliver_result_delta(qid, oid, is_target, net);
         }
@@ -2000,6 +2053,7 @@ impl Server {
         for &qid in &fot.queries {
             let e = self.sqt.remove(&qid).expect("FOT query in SQT");
             self.note_home(HomeChange::QueryRemoved(qid));
+            self.index_row(qid, e.result.iter().copied(), false);
             let overlap = e
                 .mon_region
                 .iter()
@@ -2213,9 +2267,11 @@ impl Server {
                         expires_at: q.expires_at,
                         result: q.result.iter().copied().collect(),
                     };
-                    if self.sqt.insert(qid, row).is_none() {
-                        self.note_home(HomeChange::QueryAdded(qid));
+                    match self.sqt.insert(qid, row) {
+                        None => self.note_home(HomeChange::QueryAdded(qid)),
+                        Some(old) => self.index_row(qid, old.result, false),
                     }
+                    self.index_row(qid, q.result.iter().copied(), true);
                     let f = self.fot.get_mut(oid).expect("FOT row created above");
                     if !f.queries.contains(&qid) {
                         f.queries.push(qid);
@@ -2910,6 +2966,10 @@ impl Server {
             log.extend(sqt.keys().map(|&q| HomeChange::QueryAdded(q)));
         }
         self.fot = fot;
+        self.members = sqt
+            .iter()
+            .flat_map(|(&qid, e)| e.result.iter().map(move |&oid| (oid, qid)))
+            .collect();
         self.sqt = sqt;
         self.rqi = rqi;
         self.pending = pending;
@@ -2984,6 +3044,21 @@ impl Server {
             assert!(
                 !self.sqt.contains_key(qid),
                 "query {qid:?} both homed and stubbed"
+            );
+        }
+        // The membership index is exactly the inverse of the result sets.
+        for (qid, e) in &self.sqt {
+            for oid in &e.result {
+                assert!(
+                    self.members.contains(&(*oid, *qid)),
+                    "membership index missing {oid:?} in {qid:?}"
+                );
+            }
+        }
+        for (oid, qid) in &self.members {
+            assert!(
+                self.sqt.get(qid).is_some_and(|e| e.result.contains(oid)),
+                "membership index holds {oid:?} in {qid:?}, the result set does not"
             );
         }
     }

@@ -134,9 +134,10 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
         self.fault = plan;
     }
 
-    /// The installed downlink fault plan. Parallel drivers check
-    /// [`FaultPlan::is_noop`] to decide whether delivery must stay
-    /// sequential (the plan is a stateful RNG consumed in delivery order).
+    /// The installed downlink fault plan. Drivers that distribute
+    /// delivery themselves check [`FaultPlan::is_noop`]: an armed plan is
+    /// a stateful RNG that must be consumed sequentially, in delivery
+    /// order ([`filter_deliveries`](Self::filter_deliveries)).
     pub fn fault(&self) -> &FaultPlan {
         &self.fault
     }
@@ -281,9 +282,7 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
         let mut received = Vec::new();
         for (to, msg, bytes) in &self.unicasts {
             if *to == node {
-                let copies = self.fault.copies();
-                Self::note_fault(&self.telemetry, copies, node);
-                for _ in 0..copies {
+                for _ in 0..Self::fate(&mut self.fault, &self.telemetry, node) {
                     received.push(*bytes);
                     out.push(Arc::clone(msg));
                 }
@@ -291,9 +290,7 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
         }
         for (station, msg, bytes) in &self.broadcasts {
             if self.layout.covers(*station, pos) {
-                let copies = self.fault.copies();
-                Self::note_fault(&self.telemetry, copies, node);
-                for _ in 0..copies {
+                for _ in 0..Self::fate(&mut self.fault, &self.telemetry, node) {
                     received.push(*bytes);
                     out.push(Arc::clone(msg));
                 }
@@ -304,7 +301,40 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
         }
     }
 
-    fn note_fault(telemetry: &Telemetry, copies: usize, node: NodeId) {
+    /// Runs a tick's deliveries, assembled by the caller as `(node, inbox
+    /// index)` pairs in ascending order, through the downlink fault plan
+    /// and appends what arrives to `out`: a dropped pair is left out, a
+    /// duplicated one appears twice. Per node that is the inbox
+    /// [`deliver`](Self::deliver) hands out, and walking the sorted list
+    /// consumes the plan's RNG — and records drops and duplicates — in
+    /// the order per-node `deliver` calls in ascending node order would.
+    ///
+    /// Pairs of a node for which `offline` holds are removed without a
+    /// draw: its radio is off, exactly like a node `deliver` is never
+    /// called for, so every later node sees an unchanged RNG stream.
+    /// Receive accounting stays with the caller
+    /// ([`record_node_received`](Self::record_node_received)).
+    pub fn filter_deliveries(
+        &mut self,
+        pairs: &[(u32, u32)],
+        offline: impl Fn(u32) -> bool,
+        out: &mut Vec<(u32, u32)>,
+    ) {
+        for &(node, k) in pairs {
+            if offline(node) {
+                continue;
+            }
+            for _ in 0..Self::fate(&mut self.fault, &self.telemetry, NodeId(node)) {
+                out.push((node, k));
+            }
+        }
+    }
+
+    /// The one place a downlink delivery's fate is decided: how many
+    /// copies `node` receives (0 = dropped, 2 = duplicated) — one draw of
+    /// the fault plan, with the drop or duplicate counted and logged.
+    fn fate(fault: &mut FaultPlan, telemetry: &Telemetry, node: NodeId) -> usize {
+        let copies = fault.copies();
         match copies {
             0 => {
                 telemetry.incr(keys::FAULT_DROPPED);
@@ -316,6 +346,7 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
             }
             _ => {}
         }
+        copies
     }
 
     /// Takes the pending downlink queues out of the network, leaving them
@@ -346,6 +377,7 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
 mod tests {
     use super::*;
     use mobieyes_geo::Rect;
+    use mobieyes_telemetry::MetricsSnapshot;
 
     #[derive(Debug, Clone, PartialEq)]
     struct Msg(u32);
@@ -606,6 +638,115 @@ mod tests {
         assert!(faulty.0[2] > 0 && faulty.0[3] > 0, "plan must fire");
         assert_eq!(faulty.1, [60, bytes], "the sender pays once per message");
         assert_ne!(faulty.3.len(), 60, "drops and duplicates reshape the queue");
+    }
+
+    /// A 12-node network with a mixed downlink queue (message `k` is
+    /// `Sized(10 + k)`, so inboxes and byte totals tell messages apart)
+    /// under an armed plan; nodes 3 and 7 are offline.
+    fn armed_net() -> (NetworkSim<Msg, Sized>, Vec<Point>) {
+        let mut n: NetworkSim<Msg, Sized> = NetworkSim::new(BaseStationLayout::new(
+            Rect::new(0.0, 0.0, 100.0, 100.0),
+            10.0,
+        ));
+        n.set_fault(FaultPlan::new(0.25, 0.25, 0xFA7E));
+        let positions: Vec<Point> = (0..12)
+            .map(|i| Point::new(5.0 + 2.5 * i as f64, 5.0 + (i % 3) as f64 * 5.0))
+            .collect();
+        for (k, to) in [4u32, 3, 9, 4, 0, 7, 11, 4].into_iter().enumerate() {
+            n.send_unicast(NodeId(to), Sized(10 + k as u32));
+        }
+        for (k, station) in [0u32, 1, 2, 1, 0, 3, 12, 1].into_iter().enumerate() {
+            n.broadcast(StationId(station), Sized(18 + k as u32));
+        }
+        n.send_uplink(NodeId(5), Msg(1));
+        (n, positions)
+    }
+
+    const OFFLINE: [u32; 2] = [3, 7];
+
+    /// What a round of deliveries leaves behind: per-node inboxes, the
+    /// sink (counters and event order), and the per-node byte meters.
+    fn delivery_outcome(
+        n: &NetworkSim<Msg, Sized>,
+        inboxes: Vec<Vec<u32>>,
+    ) -> (Vec<Vec<u32>>, MetricsSnapshot, Vec<(u64, u64)>) {
+        let meter = n.meter();
+        let bytes = (0..12)
+            .map(|i| (meter.node_sent_bytes(i), meter.node_received_bytes(i)))
+            .collect();
+        (inboxes, n.telemetry().snapshot(), bytes)
+    }
+
+    #[test]
+    fn filtered_pair_list_equals_per_node_deliver_under_an_armed_plan() {
+        // Pull: every online node polls in ascending order.
+        let (mut pull, positions) = armed_net();
+        let mut pulled = vec![Vec::new(); 12];
+        for (i, &pos) in positions.iter().enumerate() {
+            if OFFLINE.contains(&(i as u32)) {
+                continue;
+            }
+            let mut got = Vec::new();
+            pull.deliver(NodeId(i as u32), pos, &mut got);
+            pulled[i] = got.iter().map(|m| m.0).collect();
+        }
+        let pulled = delivery_outcome(&pull, pulled);
+
+        // Push: the whole tick as one sorted pair list — offline nodes'
+        // pairs included — through the same plan.
+        let (mut push, _) = armed_net();
+        let (unicasts, broadcasts) = push.take_downlinks();
+        let nu = unicasts.len() as u32;
+        let mut pairs = Vec::new();
+        for (i, &pos) in positions.iter().enumerate() {
+            for (k, (to, _, _)) in unicasts.iter().enumerate() {
+                if to.0 as usize == i {
+                    pairs.push((i as u32, k as u32));
+                }
+            }
+            for (k, (station, _, _)) in broadcasts.iter().enumerate() {
+                if push.layout().covers(*station, pos) {
+                    pairs.push((i as u32, nu + k as u32));
+                }
+            }
+        }
+        assert!(
+            OFFLINE.iter().all(|o| pairs.iter().any(|&(n, _)| n == *o)),
+            "offline nodes must have had deliveries to lose"
+        );
+        let mut kept = Vec::new();
+        push.filter_deliveries(&pairs, |node| OFFLINE.contains(&node), &mut kept);
+        let mut pushed = vec![Vec::new(); 12];
+        for &(node, k) in &kept {
+            let (msg, bytes) = match unicasts.get(k as usize) {
+                Some((_, msg, bytes)) => (msg, *bytes),
+                None => {
+                    let (_, msg, bytes) = &broadcasts[(k - nu) as usize];
+                    (msg, *bytes)
+                }
+            };
+            pushed[node as usize].push(msg.0);
+            push.record_node_received(node as usize, bytes);
+        }
+        let pushed = delivery_outcome(&push, pushed);
+
+        assert_eq!(pushed.0, pulled.0, "per-node inbox sequences");
+        assert!(
+            pushed.1.protocol_eq(&pulled.1),
+            "counters or event order diverged"
+        );
+        assert_eq!(pushed.2, pulled.2, "per-node sent/received bytes");
+        let (dropped, duplicated) = (
+            pushed.1.counter(keys::FAULT_DROPPED),
+            pushed.1.counter(keys::FAULT_DUPLICATED),
+        );
+        assert!(dropped > 0 && duplicated > 0, "the plan must fire");
+        assert_eq!(
+            kept.len() as u64 + dropped - duplicated,
+            pairs.iter().filter(|(n, _)| !OFFLINE.contains(n)).count() as u64,
+            "one draw per online pair"
+        );
+        assert!(pushed.0[3].is_empty() && pushed.0[7].is_empty());
     }
 
     #[test]

@@ -93,12 +93,13 @@ pub enum EngineKind {
     /// not focal, cell unchanged, nothing to deliver — are skipped from
     /// per-agent flag/cell/deadline vectors without touching their heap
     /// state. Protocol-identical to the seed engine (only wall-clock
-    /// samples differ); falls back to the seed path per step whenever
-    /// faults or churn are active.
+    /// samples differ) and takes every step, faulted and churned ones
+    /// included.
     #[default]
     Soa,
     /// The original engine: every agent's motion and processing hooks run
-    /// every tick.
+    /// every tick. Kept as the reference the SoA engine is checked
+    /// against (tests, the benchmark's twin).
     Seed,
 }
 

@@ -5,8 +5,8 @@ use crate::config::{EngineKind, RecoveryKind, SimConfig, TransportKind};
 use crate::metrics::{sim_keys, RunMetrics};
 use crate::mobility::Mobility;
 use crate::soa::{
-    self, AgentSoa, BcastClass, FlatCellProbe, SoaShard, FLAG_FOCAL, FLAG_LQT, FLAG_PENDING,
-    FLAG_SHADOW,
+    self, AgentSoa, BcastClass, FlatCellProbe, SoaShard, FLAG_FOCAL, FLAG_LQT, FLAG_OFFLINE,
+    FLAG_PENDING, FLAG_SHADOW,
 };
 use crate::truth::{result_error, GroundTruth};
 use crate::workload::Workload;
@@ -143,7 +143,7 @@ pub struct MobiEyesSim {
     /// How many `offline` entries are `Some`.
     offline_count: usize,
     /// Whether `rejoin_now` / `skip_now` may hold flags from a churned
-    /// step; with `offline_count` it makes the quiet-step check O(1).
+    /// step; with `offline_count` it makes the no-churn check O(1).
     churn_flags_dirty: bool,
     /// Rejoins to perform this step (computed once per step, read by the
     /// motion phase): `Some(fresh)` triggers the reconnect handshake.
@@ -156,13 +156,15 @@ pub struct MobiEyesSim {
     /// Rebalance cadence in ticks (0 = off); resolved once at build so
     /// the environment is read exactly once per run.
     rebalance_ticks: usize,
-    /// Resolved tick engine: the struct-of-arrays fast path or the seed
-    /// reference path (see [`crate::soa`] for the contract between them).
+    /// Resolved tick engine: the struct-of-arrays engine, or the seed
+    /// reference phases it is checked against (see [`crate::soa`] for
+    /// the contract between them). One engine runs every step of a run.
     engine: EngineKind,
     /// The universe grid (cheap clone of the protocol config's) for the
     /// fast engine's flat-cell computations.
     grid: Grid,
-    /// Struct-of-arrays scheduling mirror + persistent phase scratch.
+    /// Struct-of-arrays scheduling mirror + persistent phase scratch,
+    /// mirrored from the agents at build and kept row by row since.
     soa: AgentSoa,
     /// What the last step's two agent phases actually touched.
     work: TickWork,
@@ -364,6 +366,7 @@ impl MobiEyesSim {
             .map(|q| q.radius)
             .fold(1.0f64, f64::max);
         let truth = GroundTruth::new(&workload, max_radius.max(config.alpha)).with_threads(threads);
+        let soa = AgentSoa::new(&agents, &grid_copy, shards);
         let mut sim = MobiEyesSim {
             config,
             workload,
@@ -390,7 +393,7 @@ impl MobiEyesSim {
             rebalance_ticks: 0,
             engine,
             grid: grid_copy,
-            soa: AgentSoa::new(n, shards),
+            soa,
             work: TickWork::default(),
             crash_plan: PartitionCrashPlan::none(),
             recovery: RecoveryKind::Failover,
@@ -777,12 +780,10 @@ impl MobiEyesSim {
     /// Computes this step's offline/rejoin sets from the churn schedule.
     /// Transitions are driven by the plan's per-object windows; an object
     /// still offline when the plan is cleared rejoins on the next step
-    /// with the crash flag captured at disconnect time.
-    ///
-    /// Returns whether the step is *quiet*: no churn plan, no offline
-    /// agents, no rejoins — the precondition for the fast engine's
-    /// every-agent-is-reachable assumption.
-    fn apply_churn(&mut self) -> bool {
+    /// with the crash flag captured at disconnect time. The mirror's
+    /// [`FLAG_OFFLINE`] goes up with the disconnect and stays up through
+    /// the rejoin step, where the motion phase's handshake clears it.
+    fn apply_churn(&mut self) {
         if !self.churn.has_churn() && self.offline_count == 0 {
             // Clear rejoin flags left over from the final reconnect step.
             if self.churn_flags_dirty {
@@ -790,7 +791,7 @@ impl MobiEyesSim {
                 self.skip_now.iter_mut().for_each(|s| *s = false);
                 self.churn_flags_dirty = false;
             }
-            return true;
+            return;
         }
         self.churn_flags_dirty = true;
         let rel = (self.tick_index - self.churn_base) as u64;
@@ -801,6 +802,7 @@ impl MobiEyesSim {
             if want_off && self.offline[i].is_none() {
                 self.offline[i] = Some(self.churn.crashes(oid));
                 self.offline_count += 1;
+                self.soa.flags[i] |= FLAG_OFFLINE;
                 self.telemetry
                     .event(EventKind::ObjectOffline { oid: oid as u64 });
             } else if !want_off {
@@ -815,7 +817,6 @@ impl MobiEyesSim {
             }
             self.skip_now[i] = self.offline[i].is_some();
         }
-        false
     }
 
     pub fn query_ids(&self) -> &[QueryId] {
@@ -849,16 +850,11 @@ impl MobiEyesSim {
         // rejoins the motion phase must perform. Runs in ascending object
         // order on the coordinator, so events and the resulting Resync
         // uplinks are deterministic at any thread count.
-        let quiet = self.apply_churn();
+        self.apply_churn();
 
-        // The fast engine requires a quiet step (no churn, nobody offline
-        // or rejoining) and delivery without a stateful downlink fault
-        // RNG; anything else runs the seed phases and invalidates the
-        // mirror, which rebuilds lazily on the next fast step.
-        let fast = quiet && self.engine == EngineKind::Soa && self.net.fault().is_noop();
-        if !fast {
-            self.soa.valid = false;
-        }
+        // One engine takes every step, churned and faulted ones included;
+        // the seed phases run only as the reference (`EngineKind::Seed`).
+        let fast = self.engine == EngineKind::Soa;
 
         // Phase A: motion reports.
         {
@@ -957,8 +953,9 @@ impl MobiEyesSim {
         }
     }
 
-    /// Phase A over every shard: agents report motion events (cell
-    /// crossings, dead-reckoning violations) into their shard's outbox.
+    /// Phase A of the seed engine, over every shard: agents report motion
+    /// events (cell crossings, dead-reckoning violations) into their
+    /// shard's outbox.
     fn run_motion_phase(&mut self, t: f64) {
         let chunk = self.shard_chunk;
         let positions = &self.mobility.positions;
@@ -983,15 +980,17 @@ impl MobiEyesSim {
             over_shards(shards, |c, (agents, out)| motion(agents, out, c * chunk));
     }
 
-    /// Phase B over every shard: deliver the pending downlinks to each
-    /// agent and run local evaluation; result reports buffer in the shard
-    /// outboxes. The fault plan is a stateful RNG consumed per delivery,
-    /// so fault-injection runs walk the agents sequentially; the
-    /// fault-free path distributes physical delivery across the workers
-    /// (read-only over the `Arc`-shared queues, every (agent, broadcast)
-    /// pair decided by the `covers` test — the oracle the fast engine's
-    /// push-built runs are pinned against) and accounts received bytes
-    /// after the scope ends.
+    /// Phase B of the seed engine, over every shard: deliver the pending
+    /// downlinks to each agent and run local evaluation; result reports
+    /// buffer in the shard outboxes. The fault plan is a stateful RNG
+    /// consumed per delivery, so fault-injection runs walk the agents
+    /// sequentially, each pulling its inbox through
+    /// `NetworkSim::deliver`; the fault-free path distributes physical
+    /// delivery across the workers (read-only over the `Arc`-shared
+    /// queues, every (agent, broadcast) pair decided by the `covers`
+    /// test) and accounts received bytes after the scope ends. Either
+    /// way it shares no code with the fast engine's push-built,
+    /// pre-filtered runs — which is what makes it their oracle.
     fn run_process_phase(&mut self, t: f64) {
         let chunk = self.shard_chunk;
         let n = self.agents.len();
@@ -1073,22 +1072,6 @@ impl MobiEyesSim {
         self.work.set_seed_process(n, 0, delivered);
     }
 
-    /// Rebuilds the struct-of-arrays mirror from agent heap state after a
-    /// sequence of seed-path steps (or at the first fast step of a run).
-    /// Cells come from each agent's *registered* cell — not its mobility
-    /// position, which has already advanced past the agent's last sync.
-    fn rebuild_soa(&mut self) {
-        let Self {
-            agents, soa, grid, ..
-        } = self;
-        for (i, agent) in agents.iter().enumerate() {
-            soa.cells[i] = grid.flat_index(agent.current_cell()) as u32;
-            soa.synced_at[i] = soa::NEVER;
-            soa.refresh_row(i, agent);
-        }
-        soa.valid = true;
-    }
-
     /// Phase A, fast engine: scans the flat cell mirror and runs
     /// `tick_motion` only for agents that changed grid cell or are focal
     /// (dead reckoning can fire without a crossing). Everyone else keeps a
@@ -1099,11 +1082,11 @@ impl MobiEyesSim {
     /// division-free for agents safely inside a cell ([`FlatCellProbe`]);
     /// only positions on a cell margin or outside the universe pay for
     /// the exact `flat_cell_of`. Either way `soa.cells` is exact for
-    /// every agent when the phase ends.
+    /// every agent when the phase ends — offline agents included: they are
+    /// not run, but the cell→agents index of the processing phase is one
+    /// counting sort over everyone. An agent coming back online runs the
+    /// reconnect handshake here instead of `tick_motion`.
     fn run_motion_phase_fast(&mut self, t: f64) {
-        if !self.soa.valid {
-            self.rebuild_soa();
-        }
         let chunk = self.shard_chunk;
         let Self {
             agents,
@@ -1116,6 +1099,7 @@ impl MobiEyesSim {
         let ctx = MotionCtx {
             positions: &mobility.positions,
             velocities: &mobility.velocities,
+            rejoin: &self.rejoin_now,
             grid,
             probe: FlatCellProbe::new(grid),
             t,
@@ -1139,12 +1123,13 @@ impl MobiEyesSim {
     }
 
     /// Phase B, fast engine: push-built deliveries ([`soa::Deliveries`]),
-    /// a pass that visits only agents with a delivery or query state, and
-    /// the safe-period / inert-delivery whole-agent skips among those,
-    /// with every skipped agent's telemetry footprint restored in batch
-    /// (see [`crate::soa`] for the contract).
+    /// struck and doubled on the coordinator by offline radios and an
+    /// armed downlink fault plan, then a pass that visits only agents
+    /// with a delivery or query state, and the safe-period /
+    /// inert-delivery whole-agent skips among those, with every skipped
+    /// agent's telemetry footprint restored in batch (see [`crate::soa`]
+    /// for the contract).
     fn run_process_phase_fast(&mut self, t: f64) {
-        debug_assert!(self.soa.valid, "motion phase rebuilds the mirror first");
         let chunk = self.shard_chunk;
         let (unicasts, broadcasts) = self.net.take_downlinks();
         let Self {
@@ -1164,6 +1149,13 @@ impl MobiEyesSim {
             layout,
             grid,
         );
+        if self.offline_count > 0 || !self.net.fault().is_noop() {
+            let (net, flags) = (&mut self.net, &soa.flags);
+            soa.deliveries.rewrite(|pairs, out| {
+                let offline = |node: u32| flags[node as usize] & FLAG_OFFLINE != 0;
+                net.filter_deliveries(pairs, offline, out)
+            });
+        }
         soa.classify_broadcasts(broadcasts.iter().map(|(_, msg, _)| &**msg));
         let ctx = ProcessCtx {
             deliveries: &soa.deliveries,
@@ -1271,11 +1263,15 @@ impl MobiEyesSim {
 /// counts, deterministic for a given configuration and seed.
 ///
 /// The processing phase partitions the population: every agent is
-/// either `cold` (never looked at) or `process_visited`, and a visited
-/// agent is `safe_skipped`, `inert`, or ran its full `tick_process`. On
-/// the fast engine `process_visited` is bounded by the tick's
-/// `deliveries` plus the agents holding query state — not by the
-/// population. Seed-engine steps touch and visit every online agent.
+/// either `cold` (never looked at — offline agents included) or
+/// `process_visited`, and a visited agent is `safe_skipped`, `inert`, or
+/// ran its full `tick_process`. On the fast engine `process_visited` is
+/// bounded by the tick's `deliveries` plus the agents holding query
+/// state — not by the population — on every step, churned and faulted
+/// ones included: `deliveries` counts what the downlink fault plan and
+/// offline radios let through, and only a beacon tick (a heartbeat heard
+/// by everyone) visits every online agent. Seed-engine steps touch and
+/// visit every online agent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickWork {
     /// Agents whose `tick_motion` (or reconnect) ran in the motion phase.
@@ -1299,7 +1295,7 @@ impl TickWork {
     fn set_seed_process(&mut self, visited: usize, offline: usize, deliveries: usize) {
         let work = ProcessWork {
             visited,
-            cold: offline,
+            offline,
             ..ProcessWork::default()
         };
         self.set_process(work, deliveries);
@@ -1310,7 +1306,7 @@ impl TickWork {
         self.process_visited = work.visited;
         self.safe_skipped = work.safe_skipped;
         self.inert = work.inert;
-        self.cold = work.cold;
+        self.cold = work.cold + work.offline;
     }
 }
 
@@ -1321,9 +1317,11 @@ struct ProcessWork {
     visited: usize,
     safe_skipped: usize,
     inert: usize,
-    /// Agents stepped over between two visits, counted as they are
-    /// skipped — not derived from `visited`.
+    /// Online agents stepped over between two visits, counted as they
+    /// are skipped — not derived from `visited`.
     cold: usize,
+    /// Offline agents stepped over.
+    offline: usize,
 }
 
 impl std::iter::Sum for ProcessWork {
@@ -1333,6 +1331,7 @@ impl std::iter::Sum for ProcessWork {
             safe_skipped: a.safe_skipped + b.safe_skipped,
             inert: a.inert + b.inert,
             cold: a.cold + b.cold,
+            offline: a.offline + b.offline,
         })
     }
 }
@@ -1368,6 +1367,9 @@ where
 struct MotionCtx<'a> {
     positions: &'a [Point],
     velocities: &'a [Vec2],
+    /// This step's rejoins (`Some(fresh)`); read only for agents whose
+    /// row carries [`FLAG_OFFLINE`].
+    rejoin: &'a [Option<bool>],
     grid: &'a Grid,
     probe: FlatCellProbe,
     t: f64,
@@ -1391,11 +1393,19 @@ fn motion_shard(
             Some(fc) => fc,
             None => ctx.grid.flat_cell_of(pos) as u32,
         };
-        if fc == view.cells[off] && view.flags[off] & FLAG_FOCAL == 0 {
+        if fc == view.cells[off] && view.flags[off] & (FLAG_FOCAL | FLAG_OFFLINE) == 0 {
             continue;
         }
-        agent.tick_motion_into(ctx.t, pos, ctx.velocities[base + off], out);
         view.cells[off] = fc;
+        let vel = ctx.velocities[base + off];
+        if view.flags[off] & FLAG_OFFLINE == 0 {
+            agent.tick_motion_into(ctx.t, pos, vel, out);
+        } else if let Some(fresh) = ctx.rejoin[base + off] {
+            agent.reconnect_into(ctx.t, pos, vel, fresh, out);
+        } else {
+            // Still offline: its cell stays exact, the agent is not run.
+            continue;
+        }
         view.synced_at[off] = ctx.tick;
         view.refresh(off, agent);
         touched += 1;
@@ -1440,7 +1450,9 @@ impl ProcessCtx<'_> {
 /// delivery or `LQT|PENDING` state, applies the safe-period and
 /// inert-delivery whole-agent skips to those, re-syncs the stale
 /// position of agents the motion phase skipped, and accounts everyone it
-/// never looked at with one batched zero LQT-size sample.
+/// never looked at with one batched zero LQT-size sample. Offline agents
+/// (no deliveries left by construction) are stepped over without that
+/// sample: the seed engine records nothing for them.
 fn process_shard(
     ctx: &ProcessCtx<'_>,
     agents: &mut [MovingObjectAgent],
@@ -1449,6 +1461,9 @@ fn process_shard(
     base: usize,
 ) -> ProcessWork {
     const ACTIVE: u8 = FLAG_LQT | FLAG_PENDING;
+    // Offline rows stop the scan like active ones, so the cold runs in
+    // between hold online agents only.
+    const STOP: u8 = ACTIVE | FLAG_OFFLINE;
     let n = agents.len();
     let nu = ctx.unicasts.len() as u32;
     let mut pairs = ctx.deliveries.shard(base, n);
@@ -1461,13 +1476,17 @@ fn process_shard(
         let addressee = pairs.first().map_or(n, |&(node, _)| node as usize - base);
         let at = view.flags[off..addressee]
             .iter()
-            .position(|f| f & ACTIVE != 0)
+            .position(|f| f & STOP != 0)
             .map_or(addressee, |p| off + p);
         work.cold += at - off;
         if at == n {
             break;
         }
         off = at + 1;
+        if view.flags[at] & FLAG_OFFLINE != 0 {
+            work.offline += 1;
+            continue;
+        }
         let node = (base + at) as u32;
         let run = pairs.iter().take_while(|&&(to, _)| to == node).count();
         let (inbox, rest) = pairs.split_at(run);

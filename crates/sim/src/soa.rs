@@ -15,15 +15,17 @@
 //! dense arrays and touch `MovingObjectAgent` heap state only for agents
 //! that actually do protocol work that tick.
 //!
-//! The mirror is *conservative*: whenever a step leaves the fast path
-//! (churn, offline agents, downlink faults, the seed engine), it is marked
-//! invalid wholesale and rebuilt lazily from agent state on the next fast
-//! step. Skipped agents have stale `pos`/`vel` inside the agent struct;
-//! the one ordering rule that keeps this sound is that any agent about to
-//! run `tick_process` is first re-synced (`sync_kinematics`: for an agent
-//! the motion phase skipped — cell unchanged, not focal — `tick_motion`
-//! would be a silent position/velocity store) — `synced_at` carries the
-//! tick stamp that enforces it.
+//! The mirror is built once, from the freshly constructed agents, and
+//! kept row by row from then on: every agent that runs a real tick phase
+//! (or the reconnect handshake) is re-mirrored right after, and nothing
+//! else can change an agent. There is no invalidation — the engine takes
+//! every step, quiet or not. Skipped agents have stale `pos`/`vel` inside
+//! the agent struct; the one ordering rule that keeps this sound is that
+//! any agent about to run `tick_process` is first re-synced
+//! (`sync_kinematics`: for an agent the motion phase skipped — cell
+//! unchanged, not focal — `tick_motion` would be a silent
+//! position/velocity store) — `synced_at` carries the tick stamp that
+//! enforces it.
 //!
 //! The processing phase is *push-built* ([`Deliveries`]): instead of
 //! every agent probing the stations around it for pending broadcasts, the
@@ -32,14 +34,32 @@
 //! visits only agents that received something or hold query state. Work
 //! follows activity, not population.
 //!
-//! Equivalence contract (pinned by `tests/engine_equivalence.rs`): per
-//! tick, per shard, the fast path reproduces the seed path's exact
-//! message sequences and metric totals — cold agents restore their
-//! `agent.lqt_size` zero-sample as one batched tally entry, and
-//! safe-period-skipped agents restore their `agent.skipped_safe_period`
-//! increment and LQT-size sample without touching the B-tree. The only
-//! deliberately unrestored signal is `agent.eval_nanos`, a wall-clock
-//! timer excluded from protocol equality.
+//! Non-quiet steps change two things, neither of them the loops above.
+//! *Churn*: an agent the churn plan took offline carries [`FLAG_OFFLINE`]
+//! in the `flags` byte the scans already load. The motion scan keeps its
+//! cell exact (so the cell→agents index stays one counting sort over
+//! everyone) but does not run it, its deliveries are struck from the run
+//! list, and the processing pass steps over it — no `tick_process`, no
+//! LQT-size sample, exactly what the seed engine's `continue` does. A
+//! rejoin runs the reconnect handshake in the motion shard and re-mirrors
+//! the row, which clears the bit. *Downlink faults*: an armed plan is a
+//! stateful RNG consumed once per delivery in `(node, inbox index)` order,
+//! so it cannot be drawn from inside the shards. The coordinator runs the
+//! sorted run list through `NetworkSim::filter_deliveries` before the
+//! shards start — a drop removes the pair, a duplicate doubles it, offline
+//! nodes' pairs go without a draw — and the shards then walk the filtered
+//! list unchanged, at any thread count.
+//!
+//! Equivalence contract (pinned by `tests/engine_equivalence.rs`, quiet
+//! and chaos rows alike): per tick, per shard, the fast path reproduces
+//! the seed path's exact message sequences and metric totals — cold
+//! agents restore their `agent.lqt_size` zero-sample as one batched tally
+//! entry, and safe-period-skipped agents restore their
+//! `agent.skipped_safe_period` increment and LQT-size sample without
+//! touching the B-tree. The only deliberately unrestored signal is
+//! `agent.eval_nanos`, a wall-clock timer excluded from protocol
+//! equality. The seed phases share none of this code and run only under
+//! `EngineKind::Seed`: the test oracle and the benchmark's reference twin.
 
 use mobieyes_core::{Downlink, MovingObjectAgent};
 use mobieyes_geo::{Grid, GridRect, Point};
@@ -58,6 +78,11 @@ pub const FLAG_PENDING: u8 = 1 << 2;
 /// otherwise-inert broadcasts observable (sequence refreshes, shadow
 /// teardown), so the inert-delivery skip requires this bit clear.
 pub const FLAG_SHADOW: u8 = 1 << 3;
+/// Flag bit: the churn plan has the agent offline — radio off, no tick
+/// phase runs. Set by the coordinator when the agent disconnects; cleared
+/// when the rejoin handshake re-mirrors the row ([`classify`] never sets
+/// it).
+pub const FLAG_OFFLINE: u8 = 1 << 4;
 
 /// `synced_at` sentinel: agent `pos`/`vel` never synced under this mirror.
 pub const NEVER: u32 = u32::MAX;
@@ -151,13 +176,14 @@ impl BcastClass {
 /// cell ids, counting-sorted afresh every tick (offsets + ids, ascending
 /// id inside a cell): one linear pass over a dense `u32` vector costs
 /// less than keeping per-cell lists coherent across the ~13 % of agents
-/// that change cell each tick, and leaves nothing to invalidate when a
-/// step falls back to the seed engine. All buffers persist; steady-state
-/// ticks allocate nothing.
+/// that change cell each tick. All buffers persist; steady-state ticks
+/// allocate nothing.
 #[derive(Default)]
 pub struct Deliveries {
     /// Sorted `(node, inbox index)`.
     pairs: Vec<(u32, u32)>,
+    /// The list [`rewrite`](Self::rewrite) fills; swapped with `pairs`.
+    spare: Vec<(u32, u32)>,
     /// Sorted `(station, broadcast queue index)`: each station's run of
     /// this tick's transmissions, in queue order.
     station_runs: Vec<(u32, u32)>,
@@ -182,6 +208,16 @@ impl Deliveries {
             .pairs
             .partition_point(|&(n, _)| (n as usize) < base + len);
         &self.pairs[lo..hi]
+    }
+
+    /// Replaces the run list with `filter`'s rewrite of it (what the
+    /// downlink fault plan and offline radios let through). `filter`
+    /// must emit in ascending order.
+    pub fn rewrite(&mut self, filter: impl FnOnce(&[(u32, u32)], &mut Vec<(u32, u32)>)) {
+        self.spare.clear();
+        filter(&self.pairs, &mut self.spare);
+        debug_assert!(self.spare.is_sorted());
+        std::mem::swap(&mut self.pairs, &mut self.spare);
     }
 
     /// Rebuilds only the unicast runs (the seed engine's parallel path
@@ -291,7 +327,7 @@ pub struct AgentSoa {
     /// the whole agent skips evaluation while `t < safe_until`.
     pub safe_until: Vec<f64>,
     /// Tick stamp of the agent's last `pos`/`vel` sync ([`NEVER`] = not
-    /// since the last rebuild). Guards the stale-position rule above.
+    /// yet). Guards the stale-position rule above.
     pub synced_at: Vec<u32>,
     /// The tick's deliveries (unicast runs + push-built broadcast runs).
     pub deliveries: Deliveries,
@@ -302,34 +338,31 @@ pub struct AgentSoa {
     /// engine's parallel delivery, replayed into the real network's
     /// per-node meters after the shard scope ends.
     pub rx: Vec<Vec<(u32, usize)>>,
-    /// Whether the mirror matches agent state. Any step that leaves the
-    /// fast path clears this; the next fast step rebuilds lazily.
-    pub valid: bool,
 }
 
 impl AgentSoa {
-    pub fn new(n: usize, shards: usize) -> Self {
-        AgentSoa {
-            cells: vec![0; n],
-            flags: vec![0; n],
-            lqt_len: vec![0; n],
-            safe_until: vec![f64::NEG_INFINITY; n],
+    /// Mirrors freshly built agents: cells from each agent's *registered*
+    /// cell, rows from its (still empty) query state.
+    pub fn new(agents: &[MovingObjectAgent], grid: &Grid, shards: usize) -> Self {
+        let n = agents.len();
+        let mut soa = AgentSoa {
+            cells: Vec::with_capacity(n),
+            flags: Vec::with_capacity(n),
+            lqt_len: Vec::with_capacity(n),
+            safe_until: Vec::with_capacity(n),
             synced_at: vec![NEVER; n],
             deliveries: Deliveries::default(),
             bcast_class: Vec::new(),
             rx: vec![Vec::new(); shards],
-            valid: false,
+        };
+        for agent in agents {
+            let (flags, lqt_len, safe_until) = classify(agent);
+            soa.cells.push(grid.flat_index(agent.current_cell()) as u32);
+            soa.flags.push(flags);
+            soa.lqt_len.push(lqt_len);
+            soa.safe_until.push(safe_until);
         }
-    }
-
-    /// Re-mirrors row `i` (rebuild path; the sharded phases go through
-    /// [`SoaShard::refresh`]).
-    #[inline]
-    pub fn refresh_row(&mut self, i: usize, agent: &MovingObjectAgent) {
-        let (flags, lqt_len, safe_until) = classify(agent);
-        self.flags[i] = flags;
-        self.lqt_len[i] = lqt_len;
-        self.safe_until[i] = safe_until;
+        soa
     }
 
     /// Classifies the tick's broadcasts for the inert-delivery skip, in

@@ -29,21 +29,28 @@ diff_benches() {
   diff <(grep -v '"host_cores"' "$1") <(grep -v '"host_cores"' "$2")
 }
 
-echo "==> chaos smoke (seq/parallel equivalence + convergence)"
+echo "==> chaos smoke (seq/parallel + engine equivalence, convergence)"
 # The chaos-recovery bench is fully deterministic; the same scenario must
-# produce byte-identical results and telemetry at 1 and 4 worker threads,
-# and every seed must converge back to exact ground truth (the bench caps
-# recovery at the documented contract bound, so a non-converging seed
-# shows up as recovery_ticks == contract_bound_ticks).
-chaos_out_1=$(mktemp) && chaos_out_4=$(mktemp)
+# produce byte-identical results and telemetry at 1 and 4 worker threads
+# and under both tick engines (the default SoA engine takes the churned,
+# faulted steps itself; the seed phases are its oracle), and every seed
+# must converge back to exact ground truth (the bench caps recovery at
+# the documented contract bound, so a non-converging seed shows up as
+# recovery_ticks == contract_bound_ticks).
+chaos_out_1=$(mktemp) && chaos_out_4=$(mktemp) && chaos_out_seed=$(mktemp)
 cluster_out_1=$(mktemp) && cluster_out_4=$(mktemp)
-trap 'rm -f "$chaos_out_1" "$chaos_out_4" "$cluster_out_1" "$cluster_out_4"' EXIT
+trap 'rm -f "$chaos_out_1" "$chaos_out_4" "$chaos_out_seed" "$cluster_out_1" "$cluster_out_4"' EXIT
 MOBIEYES_QUICK=1 MOBIEYES_THREADS=1 cargo run -q --release -p mobieyes-bench --bin chaos
 mv BENCH_chaos.json "$chaos_out_1"
 MOBIEYES_QUICK=1 MOBIEYES_THREADS=4 cargo run -q --release -p mobieyes-bench --bin chaos
 mv BENCH_chaos.json "$chaos_out_4"
 diff_benches "$chaos_out_1" "$chaos_out_4" \
   || { echo "chaos smoke: thread counts disagree"; exit 1; }
+MOBIEYES_QUICK=1 MOBIEYES_THREADS=1 MOBIEYES_ENGINE=seed \
+  cargo run -q --release -p mobieyes-bench --bin chaos
+mv BENCH_chaos.json "$chaos_out_seed"
+diff_benches "$chaos_out_1" "$chaos_out_seed" \
+  || { echo "chaos smoke: tick engines disagree"; exit 1; }
 bound=$(assert_json "$chaos_out_1" get contract_bound_ticks)
 assert_json "$chaos_out_1" forbid recovery_ticks "$bound" \
   || { echo "chaos smoke: a seed failed to converge within $bound ticks"; exit 1; }

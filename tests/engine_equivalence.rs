@@ -9,8 +9,10 @@
 //! These tests pin that contract at ~2k objects across seeds, both
 //! propagation modes, the grouping + safe-period optimizations, lease
 //! heartbeats, a station lattice that lines up with neither the grid nor
-//! the universe, and 1, 2 and 4 worker threads — plus the churn fallback
-//! that invalidates and lazily rebuilds the mirror mid-run.
+//! the universe, and 1, 2 and 4 worker threads — quiet steps and chaos
+//! steps (churn, lossy and duplicating links both ways, the plan cleared
+//! mid-run) alike: the SoA engine takes every step, and the seed phases,
+//! which share none of its delivery code, are the oracle.
 
 use mobieyes::prelude::*;
 use std::collections::BTreeSet;
@@ -164,30 +166,115 @@ fn soa_matches_seed_with_safe_period_and_leases_at_two_threads() {
     assert_equivalent(&reference, &soa, "EQP+safe+leases threads=2");
 }
 
-#[test]
-fn soa_falls_back_under_churn_and_rebuilds_after() {
-    // Churn forces the seed phases (stateful fault RNG, offline radios);
-    // clearing it mid-run flips back to the fast path, which must rebuild
-    // its mirror from agent heap state without diverging.
-    let run = |engine: EngineKind| {
-        let mut sim = MobiEyesSim::new(config_2k(85).with_engine(engine).with_threads(4));
-        sim.set_churn(mobieyes::net::ChurnPlan::new(
-            0.05, 0.02, 0.05, 0.02, 0.05, 40, 7,
-        ));
-        for _ in 0..6 {
-            sim.step(false);
-        }
-        sim.clear_faults();
-        for _ in 0..10 {
-            sim.step(false);
-        }
-        (sim.result_digest(), sim.telemetry().snapshot())
-    };
-    let (seed_digest, seed_snap) = run(EngineKind::Seed);
-    let (soa_digest, soa_snap) = run(EngineKind::Soa);
-    assert_eq!(seed_digest, soa_digest, "results diverged across churn");
+/// Chaos steps before the plan is cleared mid-run, and calm steps after
+/// it (agents still offline rejoin on the first of those).
+const CHAOS_TICKS: usize = 12;
+const CALM_TICKS: usize = 8;
+
+struct ChaosRun {
+    /// Result digest after every step.
+    digests: Vec<u64>,
+    snapshot: MetricsSnapshot,
+    /// Per chaos step: what the agent phases touched, and whether the
+    /// server sent a heartbeat beacon (heard by every online agent).
+    work: Vec<(TickWork, bool)>,
+}
+
+/// The `mono_chaos` fault shape: 10 % loss each way, 5 % duplication,
+/// 5 % churn (half of it crashes) — armed mid-run, then cleared.
+fn chaos_run(config: SimConfig, engine: EngineKind, threads: usize) -> ChaosRun {
+    let mut sim = MobiEyesSim::new(config.with_engine(engine).with_threads(threads));
+    let heartbeats = |sim: &MobiEyesSim| sim.telemetry().snapshot().counter("srv.heartbeats");
+    let (mut digests, mut work) = (Vec::new(), Vec::new());
+    for _ in 0..3 {
+        sim.step(false);
+        digests.push(sim.result_digest());
+    }
+    sim.set_churn(mobieyes::net::ChurnPlan::new(
+        0.10, 0.05, 0.10, 0.05, 0.05, 40, 7,
+    ));
+    for _ in 0..CHAOS_TICKS {
+        let before = heartbeats(&sim);
+        sim.step(false);
+        digests.push(sim.result_digest());
+        work.push((sim.tick_work(), heartbeats(&sim) > before));
+    }
+    sim.clear_faults();
+    for _ in 0..CALM_TICKS {
+        sim.step(false);
+        digests.push(sim.result_digest());
+    }
+    ChaosRun {
+        digests,
+        snapshot: sim.telemetry().snapshot(),
+        work,
+    }
+}
+
+/// SoA at 1, 2 and 4 threads against the seed phases on the same chaos
+/// schedule: per-tick results, protocol counters and histograms, and the
+/// event sequence (fault drops and duplicates, offline/online
+/// transitions, everything the agents and the server log) must all
+/// agree — the seed engine pulls every inbox through
+/// `NetworkSim::deliver`, the SoA engine pre-filters its push-built run
+/// list, and the fault RNG must come out consumed in the same order.
+fn assert_chaos_matrix(make: impl Fn() -> SimConfig, label: &str) {
+    let n = make().num_objects;
+    let reference = chaos_run(make(), EngineKind::Seed, 1);
     assert!(
-        seed_snap.protocol_eq(&soa_snap),
-        "protocol metrics diverged across the churn fallback / rebuild"
+        reference.snapshot.counter("net.fault.dropped") > 0
+            && reference.snapshot.counter("net.fault.duplicated") > 0
+            && reference.snapshot.counter("agent.resync_requests") > 0,
+        "{label}: the plan must drop, duplicate and churn"
+    );
+    for threads in [1, 2, 4] {
+        let soa = chaos_run(make(), EngineKind::Soa, threads);
+        assert_eq!(
+            reference.digests, soa.digests,
+            "{label} threads={threads}: per-tick result digests diverged"
+        );
+        assert!(
+            reference.snapshot.protocol_eq(&soa.snapshot),
+            "{label} threads={threads}: protocol metrics or event sequence diverged"
+        );
+        // The non-quiet step follows activity: unless a heartbeat beacon
+        // reached everyone, some agents are never looked at, and the
+        // motion phase runs only cell-crossers, focals and rejoiners (the
+        // seed phases touch the whole online population, ~95 % here).
+        let quiet_air: Vec<&TickWork> = soa
+            .work
+            .iter()
+            .filter(|(_, beacon)| !beacon)
+            .map(|(w, _)| w)
+            .collect();
+        assert!(!quiet_air.is_empty(), "{label}: no non-beacon chaos tick");
+        for w in quiet_air {
+            assert!(
+                w.cold > 0 && w.process_visited < n && w.motion_touched < n / 2,
+                "{label} threads={threads}: a non-beacon chaos tick ran everyone: {w:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn soa_matches_seed_under_chaos_eqp() {
+    assert_chaos_matrix(|| config_2k(85), "EQP chaos");
+}
+
+#[test]
+fn soa_matches_seed_under_chaos_lqp_with_leases() {
+    // The `mono_chaos` benchmark shape at 2k objects: heartbeat beacons,
+    // LqtSync answers from every online agent, fresh resyncs and lease
+    // expiries on top of the lossy links.
+    assert_chaos_matrix(
+        || {
+            let mut c = config_2k(88)
+                .with_propagation(Propagation::Lazy)
+                .with_lease_ticks(6);
+            c.area = c.num_objects as f64 * 10.0;
+            c
+        },
+        "LQP+leases chaos",
     );
 }
