@@ -13,7 +13,7 @@
 //! smaller smoke run.
 
 use mobieyes_core::ObjectId;
-use mobieyes_sim::{ClusterClient, ClusterSim, HostedPartitions, MobiEyesSim, SimConfig};
+use mobieyes_sim::{ClusterClient, HostedPartitions, MobiEyesSim, SimConfig};
 use mobieyes_telemetry::{MetricsSnapshot, Telemetry};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -40,7 +40,7 @@ struct Run {
 }
 
 fn run_one(config: &SimConfig, partitions: usize, ticks: usize) -> Run {
-    let mut sim = ClusterSim::new(config.clone(), partitions);
+    let mut sim = MobiEyesSim::new(config.clone().with_partitions(partitions));
     // Manual stepping without the post-warmup reset: uplink totals then
     // cover the whole run, matching the per-partition op counters.
     for _ in 0..WARMUP {
@@ -55,27 +55,24 @@ fn run_one(config: &SimConfig, partitions: usize, ticks: usize) -> Run {
         .map(|&q| sim.query_result(q).cloned().unwrap_or_default())
         .collect();
     let snapshot = sim.telemetry().snapshot();
-    let (per_partition, bus_msgs, bus_bytes) = match sim.cluster() {
-        Some(c) => {
-            let loads = (0..partitions)
-                .map(|p| Load {
-                    uplinks_handled: c.partition_ops(p),
-                    sqt_entries: c.partition(p).expect("lockstep partition").num_queries(),
-                    stub_entries: c.partition(p).expect("lockstep partition").num_stubs(),
-                })
-                .collect();
-            let meter = c.bus_meter();
-            (loads, meter.total_msgs(), meter.total_bytes())
-        }
-        None => (
-            vec![Load {
-                uplinks_handled: snapshot.counter("srv.uplinks_processed"),
-                sqt_entries: sim.sim().server().num_queries(),
-                stub_entries: 0,
-            }],
-            0,
-            0,
-        ),
+    let (per_partition, bus_msgs, bus_bytes) = if partitions > 1 {
+        let c = sim.cluster();
+        let loads = (0..partitions)
+            .map(|p| Load {
+                uplinks_handled: c.partition_ops(p),
+                sqt_entries: c.partition(p).expect("lockstep partition").num_queries(),
+                stub_entries: c.partition(p).expect("lockstep partition").num_stubs(),
+            })
+            .collect();
+        let meter = c.bus_meter();
+        (loads, meter.total_msgs(), meter.total_bytes())
+    } else {
+        let single = Load {
+            uplinks_handled: snapshot.counter("srv.uplinks_processed"),
+            sqt_entries: sim.server().num_queries(),
+            stub_entries: 0,
+        };
+        (vec![single], 0, 0)
     };
     Run {
         results,
@@ -95,31 +92,37 @@ struct RebalanceRun {
     window_ops: Vec<u64>,
 }
 
+/// Steps a rebalancing deployment through warm-up and `ticks` measured
+/// ticks; returns the per-partition primary uplinks handled after the
+/// first map install.
+fn step_rebalanced(sim: &mut MobiEyesSim, partitions: usize, ticks: usize) -> Vec<u64> {
+    let ops = |sim: &MobiEyesSim| -> Vec<u64> {
+        (0..partitions)
+            .map(|p| sim.cluster().partition_ops(p))
+            .collect()
+    };
+    let mut base: Option<Vec<u64>> = None;
+    for i in 0..WARMUP + ticks {
+        sim.step(i >= WARMUP);
+        if base.is_none() && sim.cluster().map_generation() > 0 {
+            base = Some(ops(sim));
+        }
+    }
+    let base = base.expect("rebalance cadence must fire inside the bench window");
+    ops(sim).iter().zip(&base).map(|(now, b)| now - b).collect()
+}
+
 /// Runs `partitions` servers with periodic load-driven rebalancing and
 /// measures how evenly the primary-uplink load divides once the first
 /// recomputed partition map is installed.
 fn run_rebalanced(config: &SimConfig, partitions: usize, ticks: usize) -> RebalanceRun {
-    let mut sim = ClusterSim::new(
-        config.clone().with_rebalance_ticks(REBALANCE_TICKS),
-        partitions,
+    let mut sim = MobiEyesSim::new(
+        config
+            .clone()
+            .with_partitions(partitions)
+            .with_rebalance_ticks(REBALANCE_TICKS),
     );
-    let mut base: Option<Vec<u64>> = None;
-    let ops = |sim: &ClusterSim| -> Vec<u64> {
-        let c = sim.cluster().expect("rebalance run is partitioned");
-        (0..partitions).map(|p| c.partition_ops(p)).collect()
-    };
-    for i in 0..WARMUP + ticks {
-        sim.step(i >= WARMUP);
-        if base.is_none() && sim.cluster().expect("partitioned").map_generation() > 0 {
-            base = Some(ops(&sim));
-        }
-    }
-    let base = base.expect("rebalance cadence must fire inside the bench window");
-    let window_ops = ops(&sim)
-        .iter()
-        .zip(&base)
-        .map(|(now, b)| now - b)
-        .collect();
+    let window_ops = step_rebalanced(&mut sim, partitions, ticks);
     RebalanceRun {
         results: sim
             .query_ids()
@@ -127,7 +130,7 @@ fn run_rebalanced(config: &SimConfig, partitions: usize, ticks: usize) -> Rebala
             .map(|&q| sim.query_result(q).cloned().unwrap_or_default())
             .collect(),
         snapshot: sim.telemetry().snapshot(),
-        map_generation: sim.cluster().expect("partitioned").map_generation(),
+        map_generation: sim.cluster().map_generation(),
         window_ops,
     }
 }
@@ -143,24 +146,7 @@ fn run_rebalanced_remote(config: &SimConfig, partitions: usize, ticks: usize) ->
         config.clone().with_rebalance_ticks(REBALANCE_TICKS),
         Telemetry::new(),
     );
-    let mut base: Option<Vec<u64>> = None;
-    let ops = |sim: &MobiEyesSim| -> Vec<u64> {
-        (0..partitions)
-            .map(|p| sim.cluster().partition_ops(p))
-            .collect()
-    };
-    for i in 0..WARMUP + ticks {
-        sim.step(i >= WARMUP);
-        if base.is_none() && sim.cluster().map_generation() > 0 {
-            base = Some(ops(&sim));
-        }
-    }
-    let base = base.expect("rebalance cadence must fire inside the bench window");
-    let window_ops = ops(&sim)
-        .iter()
-        .zip(&base)
-        .map(|(now, b)| now - b)
-        .collect();
+    let window_ops = step_rebalanced(&mut sim, partitions, ticks);
     let run = RebalanceRun {
         results: sim
             .query_ids()

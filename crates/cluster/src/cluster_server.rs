@@ -12,7 +12,10 @@
 //! sinks), same event log.
 
 use crate::handle::{FromPayload, PartitionHandle, Probe, RemotePartition};
-use crate::partition::{plan_bounds, PartitionMap, Router};
+use crate::partition::{
+    failover_bounds, moved_cells, plan_bounds, readopt_bounds, PartitionMap, Router,
+};
+use crate::serve::store_failed;
 use crate::wire::InitConfig;
 use mobieyes_core::server::{srv_keys, Net};
 use mobieyes_core::LogRecord;
@@ -22,13 +25,13 @@ use mobieyes_core::{
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
 use mobieyes_net::TransportError;
 use mobieyes_net::{
-    BaseStationLayout, FaultPlan, FramedConn, LockstepTransport, MessageMeter, NetworkSim, NodeId,
+    BaseStationLayout, FaultPlan, FramedConn, LockstepTransport, MessageMeter, NodeId,
     SocketTransport, Transport, WireSized,
 };
 use mobieyes_store::{self as store, Store, StoreConfig};
 use mobieyes_telemetry::{rebal_keys, rec_keys, rpc_keys, EventKind, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -59,16 +62,6 @@ impl WireSized for Envelope {
         4 + self.msg.wire_size()
     }
 }
-
-/// The server↔server link substrate: the same deterministic [`NetworkSim`]
-/// the agents use, so `FaultPlan` drop/duplication applies to handoff
-/// traffic too. Only the uplink path is used (partitions are peers; there
-/// is no broadcast tier between them).
-#[deprecated(
-    since = "0.6.0",
-    note = "the bus is behind the `Transport` trait now; use `LockstepTransport<Envelope>`"
-)]
-pub type Bus = NetworkSim<Envelope, Envelope>;
 
 /// A deferred install owned by the coordinator (the single server keeps
 /// these per-focal on its own pending table).
@@ -120,6 +113,55 @@ pub struct RecoveryReport {
     /// durable log — installed at the new owner with their full result
     /// set, skipping the pending + `PositionRequest` round trip.
     pub queries_replayed: usize,
+}
+
+/// The `Init` op of partition `p` of `n`: the deployment's protocol
+/// config, the shared base-station coverage length and the partition's
+/// durable-log directory (`store_fresh` wipes a stale log first).
+fn init_config(
+    config: &ProtocolConfig,
+    alen: f64,
+    store_root: Option<&Path>,
+    p: u32,
+    n: usize,
+    store_fresh: bool,
+) -> InitConfig {
+    InitConfig {
+        universe: config.grid.universe,
+        alpha: config.grid.alpha,
+        alen,
+        delta: config.delta,
+        propagation: config.propagation,
+        grouping: config.grouping,
+        safe_period: config.safe_period,
+        deliver_results: config.deliver_results,
+        system_max_speed: config.system_max_speed,
+        lease_secs: config.lease_secs,
+        heartbeat_secs: config.heartbeat_secs,
+        partition: p,
+        num_partitions: n as u32,
+        store_dir: store_root.map(|r| r.join(format!("p{p}")).to_string_lossy().into_owned()),
+        store_fresh,
+    }
+}
+
+/// One installed fence, as its body and its caller see it.
+struct Fence {
+    generation: u64,
+    /// The shared epoch after the fence bump.
+    epoch: u64,
+    /// Flat cells whose owner changed, ascending, keyed by `(from, to)`.
+    moves: BTreeMap<(u32, u32), Vec<usize>>,
+    /// `false` while the body runs, and for good once a peer died under
+    /// the fence: the generation is installed, the transfers are partial
+    /// and the next [`ClusterServer::recover_crashed`] pass repairs them.
+    completed: bool,
+}
+
+impl Fence {
+    fn cells_moved(&self) -> u64 {
+        self.moves.values().map(|flats| flats.len() as u64).sum()
+    }
 }
 
 /// Grid-sharded MobiEyes server tier.
@@ -248,18 +290,8 @@ impl ClusterServer {
     /// A multi-process deployment: each connection drives one partition
     /// process (hello exchange already completed). `alen` is the shared
     /// base-station coverage length, forwarded so every process builds the
-    /// identical downlink layout.
-    pub fn new_remote(
-        config: Arc<ProtocolConfig>,
-        shared: Telemetry,
-        conns: Vec<FramedConn>,
-        alen: f64,
-    ) -> Self {
-        Self::new_remote_with_store(config, shared, conns, alen, None)
-    }
-
-    /// [`Self::new_remote`] with per-partition durable logs: each process
-    /// opens (and replays) `<root>/p<N>` before serving its first op, so
+    /// identical downlink layout. With a `store_root`, each process opens
+    /// (and replays) `<root>/p<N>` before serving its first op, so
     /// restarting a killed process recovers its partition's state.
     pub fn new_remote_with_store(
         config: Arc<ProtocolConfig>,
@@ -279,25 +311,14 @@ impl ClusterServer {
                 let remote = RemotePartition::new(p as u32, conn, Arc::clone(&epoch));
                 remote.set_rpc_deadline(Some(DEFAULT_RPC_DEADLINE));
                 remote
-                    .init(InitConfig {
-                        universe: config.grid.universe,
-                        alpha: config.grid.alpha,
+                    .init(init_config(
+                        &config,
                         alen,
-                        delta: config.delta,
-                        propagation: config.propagation,
-                        grouping: config.grouping,
-                        safe_period: config.safe_period,
-                        deliver_results: config.deliver_results,
-                        system_max_speed: config.system_max_speed,
-                        lease_secs: config.lease_secs,
-                        heartbeat_secs: config.heartbeat_secs,
-                        partition: p as u32,
-                        num_partitions: n as u32,
-                        store_dir: store_root
-                            .as_ref()
-                            .map(|r| r.join(format!("p{p}")).to_string_lossy().into_owned()),
-                        store_fresh: false,
-                    })
+                        store_root.as_deref(),
+                        p as u32,
+                        n,
+                        false,
+                    ))
                     .unwrap_or_else(|e| panic!("partition {p} failed to initialize: {e}"));
                 PartitionHandle::Remote(Box::new(remote))
             })
@@ -567,27 +588,9 @@ impl ClusterServer {
         let store = self.stores[p as usize]
             .clone()
             .expect("rebuild requires a store-backed in-process partition");
-        let dir = self
-            .store_root
-            .as_ref()
-            .expect("store root set with the stores")
-            .join(format!("p{p}"));
-        // Push buffered frames to disk first — replay reads the files, not
-        // the writer's in-memory tail.
-        store.flush();
-        let scratch_map = PartitionMap::contiguous(&self.config.grid, self.partitions.len());
-        let mut twin = Server::new(Arc::clone(&self.config))
-            .with_telemetry(Telemetry::new())
-            .with_scope(PartitionScope::new(
-                p,
-                Arc::clone(scratch_map.table()),
-                Arc::new(AtomicU64::new(0)),
-            ));
-        let mut scratch_net =
-            Net::new(BaseStationLayout::new(self.config.grid.universe, self.alen));
-        store::replay_into(&dir, p, &mut twin, &mut scratch_net, &Telemetry::new())
-            .unwrap_or_else(|e| panic!("replaying store {}: {e}", dir.display()));
-        twin.take_outbox();
+        let mut twin = self
+            .replay_scratch(p)
+            .unwrap_or_else(|e| panic!("replaying the store of partition {p}: {e}"));
         twin.rebind_scope(PartitionScope::new(
             p,
             Arc::clone(self.map.table()),
@@ -596,6 +599,34 @@ impl ClusterServer {
         twin.set_telemetry(self.sinks[p as usize].clone());
         twin.set_journal(Some(Arc::new(store)));
         self.partitions[p as usize].replace_local(twin);
+    }
+
+    /// A scratch server rebuilt purely from partition `p`'s durable log,
+    /// under a private ownership table and epoch.
+    fn replay_scratch(&self, p: u32) -> std::io::Result<Server> {
+        // Push buffered frames to disk first — replay reads the files, not
+        // the writer's in-memory tail.
+        if let Some(st) = &self.stores[p as usize] {
+            st.flush();
+        }
+        let dir = self
+            .store_root
+            .as_ref()
+            .expect("replay requires a store root")
+            .join(format!("p{p}"));
+        let scratch_map = PartitionMap::contiguous(&self.config.grid, self.partitions.len());
+        let mut scratch = Server::new(Arc::clone(&self.config))
+            .with_telemetry(Telemetry::new())
+            .with_scope(PartitionScope::new(
+                p,
+                Arc::clone(scratch_map.table()),
+                Arc::new(AtomicU64::new(0)),
+            ));
+        let mut scratch_net =
+            Net::new(BaseStationLayout::new(self.config.grid.universe, self.alen));
+        store::replay_into(&dir, p, &mut scratch, &mut scratch_net, &Telemetry::new())?;
+        scratch.take_outbox();
+        Ok(scratch)
     }
 
     /// Uplinks handled with partition `p` as primary (scaling bench).
@@ -1209,30 +1240,179 @@ impl ClusterServer {
         }
     }
 
-    /// Load-aware partition rebalancing: recomputes the block bounds from
-    /// the per-cell primary-uplink load observed since the last install
-    /// and migrates every piece of reassigned state under an *epoch
-    /// fence*. Returns `true` when a new map generation was installed.
+    // --- the epoch fence (DESIGN.md §10) ----------------------------------
+
+    /// The epoch fence: the one way cells change owner. `new_bounds` is
+    /// the plan — a load rebalance, a failover or a re-adoption differ
+    /// only in how they computed it — and `body` moves (or rebuilds) the
+    /// state of the cells it reassigns, returning `false` once a peer
+    /// died under one of its bus sends. The sequence:
     ///
-    /// The fence sequence (DESIGN.md §10):
-    /// 1. quiesce the bus — drain any in-flight envelope against the old
-    ///    owner table, so no transfer straddles two generations;
-    /// 2. bump the shared epoch — a uniform shift of all later seq
+    /// 1. quiesce — drain every in-flight envelope against the old owner
+    ///    table, so no transfer straddles two generations, and suspend
+    ///    the bus fault plan: fence traffic is a coordinator control
+    ///    action whose loss would break the byte-identity with the single
+    ///    server, unlike data-path handoffs which lease-repair;
+    /// 2. liveness scan — a peer that died mid-tick has a classified dead
+    ///    handle, and fencing around a corpse would strand its exports:
+    ///    the fence aborts with the old generation installed (`None`) and
+    ///    the next [`Self::recover_crashed`] pass fences the corpse first;
+    /// 3. bump the shared epoch — a uniform shift of all later seq
     ///    stamps, invisible to agents (they only compare stamps) but a
     ///    clean pre/post separator in the event log;
-    /// 3. install the new bounds, bumping the map generation every
-    ///    [`PartitionScope`] resolves ownership through;
-    /// 4. transfer the RQI rows of every reassigned cell verbatim
-    ///    ([`ClusterMsg::RebalanceCells`], generation-stamped), then
-    ///    rehome focal objects whose anchor cell changed owner through
-    ///    the ordinary `MigrateFocal` machinery.
+    /// 4. install the bounds: the shared table every [`PartitionScope`]
+    ///    resolves ownership through, the journals, then every remote
+    ///    ownership-table copy — before any transfer leaves, because a
+    ///    generation-stamped transfer is a whole-message no-op at any
+    ///    other generation;
+    /// 5. the body;
+    /// 6. prune the stubs whose monitoring region left a shrunk span,
+    ///    restore the fault plan, restart the load observation window.
+    ///
+    /// A slot fenced off as dead is inert in every round: a dead remote
+    /// handle puts nothing on the wire, and a killed in-process slot holds
+    /// an empty, journal-less server.
+    fn fence(
+        &mut self,
+        new_bounds: &[usize],
+        body: impl FnOnce(&mut Self, &Fence) -> bool,
+    ) -> Option<Fence> {
+        self.pump_bus();
+        let saved_fault = self.bus.fault().clone();
+        self.bus.set_fault(FaultPlan::none());
+        let fence = if self.peer_died() {
+            None
+        } else {
+            let epoch = self.bump_shared_epoch();
+            let moves = moved_cells(&self.map.bounds_snapshot(), new_bounds);
+            let generation = self.map.install(new_bounds);
+            self.journal_bounds(generation, new_bounds);
+            self.fan_out_mut(|h| h.start_install_bounds(generation, new_bounds));
+            let mut fence = Fence {
+                generation,
+                epoch,
+                moves,
+                completed: false,
+            };
+            if body(self, &fence) {
+                self.pump_bus();
+                self.fan_out_mut(|h| h.start_prune_stubs());
+                // A handle death reaches no bus send on a lock-step bus:
+                // the dead handle's rounds just came back empty.
+                fence.completed = !self.peer_died();
+            }
+            // Ownership moved: the load observation window restarts.
+            self.cell_ops.fill(0);
+            Some(fence)
+        };
+        self.bus.set_fault(saved_fault);
+        self.merge_sinks();
+        fence
+    }
+
+    /// Whether a slot not fenced off as dead has a dead remote handle;
+    /// records the abort if so.
+    fn peer_died(&self) -> bool {
+        let corpse = (0..self.partitions.len() as u32)
+            .find(|&p| !self.dead.contains(&p) && self.partitions[p as usize].crashed().is_some());
+        if let Some(p) = corpse {
+            self.fence_abort(p);
+        }
+        corpse.is_some()
+    }
+
+    /// Records a fence abandoned because `partition` died under it.
+    fn fence_abort(&self, partition: u32) {
+        self.bus_sink.incr(rebal_keys::ABORTS);
+        self.bus_sink.event(EventKind::RebalanceAborted {
+            partition: partition as u64,
+        });
+    }
+
+    /// One pipelined round of fence transfers `(from, to, what)`: every
+    /// `from` partition cuts its message concurrently — all requests
+    /// start before the first reply is awaited — then the bus carries the
+    /// messages in round order, the same traffic as a sequential pass.
+    /// Failure is classified the way the RPC path does: peer death
+    /// records an abort and stops the round (the next `recover_crashed`
+    /// pass fences the corpse and failover repairs the lost rows) instead
+    /// of killing the coordinator mid-fence; anything else is a protocol
+    /// bug and still panics.
+    fn transfer_round<K>(
+        &mut self,
+        round: &[(u32, u32, K)],
+        mut start: impl FnMut(&mut PartitionHandle, &K) -> Probe<Option<ClusterMsg>>,
+    ) -> bool {
+        let mut probes = Vec::with_capacity(round.len());
+        for (from, _, what) in round {
+            probes.push(start(&mut self.partitions[*from as usize], what));
+        }
+        let mut cut = Vec::with_capacity(round.len());
+        for ((from, to, _), pr) in round.iter().zip(probes) {
+            cut.push((*from, *to, self.partitions[*from as usize].finish(pr)));
+        }
+        for (from, to, msg) in cut {
+            let Some(msg) = msg else { continue };
+            match self.bus.send(NodeId(from), Envelope { to, msg }) {
+                Ok(()) => {}
+                Err(e) if e.is_peer_death() => {
+                    self.fence_abort(to);
+                    return false;
+                }
+                Err(e) => panic!("bus send failed during a fence: {e}"),
+            }
+        }
+        true
+    }
+
+    /// The fence body that moves live state (rebalance, re-adoption). The
+    /// RQI rows of every reassigned cell travel verbatim
+    /// ([`ClusterMsg::RebalanceCells`], generation-stamped), batched per
+    /// `(from, to)` pair in ascending partition order; then the focal
+    /// objects whose anchor cell changed owner are rehomed in ascending
+    /// object id through the ordinary `MigrateFocal` machinery.
+    fn transfer(&mut self, fence: &Fence) -> bool {
+        let exports: Vec<(u32, u32, &[usize])> = fence
+            .moves
+            .iter()
+            .map(|(&(from, to), flats)| (from, to, flats.as_slice()))
+            .collect();
+        let generation = fence.generation;
+        if !self.transfer_round(&exports, |h, flats| h.start_export_cells(flats, generation)) {
+            return false;
+        }
+        self.pump_bus();
+
+        let ids = self.fan_out(|h| h.start_focal_ids());
+        let mut anchors = Vec::new();
+        for (p, oids) in ids.iter().enumerate() {
+            for &oid in oids {
+                anchors.push((p, oid, self.partitions[p].start_focal_anchor_cell(oid)));
+            }
+        }
+        let mut rehome: Vec<(u32, u32, ObjectId)> = Vec::new();
+        for (p, oid, pr) in anchors {
+            let Some(cell) = self.partitions[p].finish(pr) else {
+                continue;
+            };
+            let to = self.map.owner_of_cell(&self.config.grid, cell);
+            if to != p as u32 {
+                rehome.push((p as u32, to, oid));
+            }
+        }
+        rehome.sort_unstable_by_key(|&(_, _, oid)| oid);
+        self.transfer_round(&rehome, |h, &oid| h.start_extract_focal(oid))
+    }
+
+    /// Load-aware partition rebalancing: recomputes the block bounds from
+    /// the per-cell primary-uplink load observed since the last install
+    /// and moves every piece of reassigned state under the epoch fence.
+    /// Returns `true` when a new map generation was installed.
     ///
     /// Rebalancing must never change query results — every transfer is
     /// counter-neutral and order-preserving, so an N-partition run stays
     /// byte-identical to the single server whether or not (and whenever)
-    /// this runs. The bus fault plan is suspended for the fence window:
-    /// transfers are a coordinator control action whose loss would break
-    /// that invariant, unlike data-path handoffs which lease-repair.
+    /// this runs.
     pub fn rebalance(&mut self) -> bool {
         let n = self.partitions.len();
         // The load planner assumes every partition can own cells; while
@@ -1244,125 +1424,19 @@ impl ClusterServer {
         if n <= 1 || self.cell_ops.iter().all(|&c| c == 0) {
             return self.rebalance_skip(rebal_keys::SKIPPED_NO_LOAD, skip_reason::NO_LOAD);
         }
-        let old_bounds = self.map.bounds_snapshot();
         let new_bounds = plan_bounds(&self.cell_ops, n);
-        if new_bounds == old_bounds {
+        if new_bounds == self.map.bounds_snapshot() {
             return self.rebalance_skip(rebal_keys::SKIPPED_UNCHANGED, skip_reason::UNCHANGED);
         }
-        // (1) Quiesce: nothing may be in flight across the install.
-        self.pump_bus();
-        let saved_fault = self.bus.fault().clone();
-        self.bus.set_fault(FaultPlan::none());
-        // A peer that died mid-tick has a classified dead handle; fencing
-        // around a corpse would strand its exports. Leave the old
-        // generation installed and let the next `recover_crashed` pass
-        // fence the dead partition first.
-        if let Some(p) = (0..n as u32).find(|&p| self.partition_down(p)) {
-            self.bus.set_fault(saved_fault);
-            self.rebalance_abort(p);
+        let Some(fence) = self.fence(&new_bounds, Self::transfer) else {
             return false;
-        }
-        // (2) + (3) Fence bump, then the install itself. Remote ownership
-        // tables sync BEFORE any transfer leaves the coordinator: a
-        // `RebalanceCells` cut for generation G is a whole-message no-op
-        // at any other G, so the receiving table must already be at G.
-        self.bump_shared_epoch();
-        let generation = self.map.install(&new_bounds);
-        self.journal_bounds(generation, &new_bounds);
-        self.fan_out_mut(|h| h.start_install_bounds(generation, &new_bounds));
-
-        // (4a) RQI rows of every reassigned cell, batched per (from, to)
-        // pair in ascending partition order. Every exporter cuts its rows
-        // concurrently (pipelined); replies and bus sends keep the batch
-        // order, so the bus sees the same traffic as a sequential pass.
-        let owner_in = |bounds: &[usize], flat: usize| -> u32 {
-            (bounds.partition_point(|&b| b <= flat) - 1) as u32
         };
-        let mut moves: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-        for flat in 0..self.cell_ops.len() {
-            let from = owner_in(&old_bounds, flat);
-            let to = owner_in(&new_bounds, flat);
-            if from != to {
-                moves.entry((from, to)).or_default().push(flat);
-            }
-        }
-        let cells_moved: usize = moves.values().map(Vec::len).sum();
-        let mut export_probes = Vec::with_capacity(moves.len());
-        for (&(from, _), flats) in &moves {
-            export_probes
-                .push(self.partitions[from as usize].start_export_cells(flats, generation));
-        }
-        let mut exports = Vec::with_capacity(moves.len());
-        for ((&(from, to), _), pr) in moves.iter().zip(export_probes) {
-            exports.push((from, to, self.partitions[from as usize].finish(pr)));
-        }
-        let mut aborted = false;
-        for (from, to, msg) in exports {
-            if let Some(msg) = msg {
-                if !self.fence_send(from, Envelope { to, msg }) {
-                    aborted = true;
-                    break;
-                }
-            }
-        }
-
-        // (4b) Rehome focal objects whose anchor cell changed owner,
-        // ascending object id — the same MigrateFocal machinery as a
-        // border handoff. Census and extraction are pipelined rounds.
-        if !aborted {
-            self.pump_bus();
-            let ids = self.fan_out(|h| h.start_focal_ids());
-            let mut anchors = Vec::new();
-            for (p, oids) in ids.iter().enumerate() {
-                for &oid in oids {
-                    anchors.push((p, oid, self.partitions[p].start_focal_anchor_cell(oid)));
-                }
-            }
-            let mut rehome: Vec<(ObjectId, usize, usize)> = Vec::new();
-            for (p, oid, pr) in anchors {
-                let Some(cell) = self.partitions[p].finish(pr) else {
-                    continue;
-                };
-                let to = self.map.owner_of_cell(&self.config.grid, cell) as usize;
-                if to != p {
-                    rehome.push((oid, p, to));
-                }
-            }
-            rehome.sort_unstable();
-            let mut extract_probes = Vec::with_capacity(rehome.len());
-            for &(oid, from, _) in &rehome {
-                extract_probes.push(self.partitions[from].start_extract_focal(oid));
-            }
-            let mut migrations = Vec::with_capacity(rehome.len());
-            for (&(_, from, to), pr) in rehome.iter().zip(extract_probes) {
-                migrations.push((from, to, self.partitions[from].finish(pr)));
-            }
-            for (from, to, msg) in migrations {
-                if let Some(msg) = msg {
-                    if !self.fence_send(from as u32, Envelope { to: to as u32, msg }) {
-                        aborted = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        // Hygiene: stubs whose monitoring region left a shrunk span.
-        if !aborted {
-            self.pump_bus();
-            self.fan_out_mut(|h| h.start_prune_stubs());
-        }
-        self.bus.set_fault(saved_fault);
-        // Start the next observation window fresh.
-        for c in self.cell_ops.iter_mut() {
-            *c = 0;
-        }
+        let cells = fence.cells_moved();
         self.bus_sink.incr(rebal_keys::INSTALLS);
-        self.bus_sink
-            .add(rebal_keys::CELLS_MOVED, cells_moved as u64);
+        self.bus_sink.add(rebal_keys::CELLS_MOVED, cells);
         self.bus_sink.event(EventKind::RebalanceInstalled {
-            generation,
-            cells: cells_moved as u64,
+            generation: fence.generation,
+            cells,
         });
         true
     }
@@ -1376,31 +1450,6 @@ impl ClusterServer {
         self.bus_sink.incr(key);
         self.bus_sink.event(EventKind::RebalanceSkipped { reason });
         false
-    }
-
-    /// Records a fence abandoned because `partition` died under it.
-    fn rebalance_abort(&self, partition: u32) {
-        self.bus_sink.incr(rebal_keys::ABORTS);
-        self.bus_sink.event(EventKind::RebalanceAborted {
-            partition: partition as u64,
-        });
-    }
-
-    /// Sends one fence transfer on the bus, classifying failure the way
-    /// the RPC path does: peer death records an abort (the next
-    /// `recover_crashed` pass fences the corpse and failover repairs the
-    /// lost rows) instead of killing the coordinator mid-fence; anything
-    /// else is a protocol bug and still panics.
-    fn fence_send(&mut self, from: u32, env: Envelope) -> bool {
-        let to = env.to;
-        match self.bus.send(NodeId(from), env) {
-            Ok(()) => true,
-            Err(e) if e.is_peer_death() => {
-                self.rebalance_abort(to);
-                false
-            }
-            Err(e) => panic!("bus send failed during a fence: {e}"),
-        }
     }
 
     // --- partition crash recovery (DESIGN.md §13) -------------------------
@@ -1441,6 +1490,12 @@ impl ClusterServer {
                 Arc::clone(&self.epoch),
             ));
         self.partitions[p as usize].replace_local(fresh);
+        self.mark_dead(p);
+    }
+
+    /// Records a newly found death: `p` receives nothing from here on and
+    /// the next [`Self::recover_crashed`] pass fails its cells over.
+    fn mark_dead(&mut self, p: u32) {
         self.dead.insert(p);
         self.unfenced.push(p);
         self.bus_sink.incr(rec_keys::CRASH_DETECTIONS);
@@ -1455,28 +1510,17 @@ impl ClusterServer {
     /// peer that died silently between ticks is caught here rather than
     /// corrupting the next fan-out).
     fn detect_crashes(&mut self) {
-        let mut newly = Vec::new();
         for p in 0..self.partitions.len() as u32 {
-            if self.dead.contains(&p) {
-                continue;
-            }
             let h = &self.partitions[p as usize];
-            if h.crashed().is_some() || !h.probe_alive() {
-                newly.push(p);
+            if !self.dead.contains(&p) && (h.crashed().is_some() || !h.probe_alive()) {
+                self.mark_dead(p);
             }
-        }
-        for p in newly {
-            self.dead.insert(p);
-            self.unfenced.push(p);
-            self.bus_sink.incr(rec_keys::CRASH_DETECTIONS);
-            self.bus_sink.event(EventKind::PartitionCrashed {
-                partition: p as u64,
-            });
         }
     }
 
     /// Detects dead partitions and runs the failover fence over every one
-    /// not yet fenced. Returns `None` when nothing new was found. Call at
+    /// not yet fenced. Returns `None` when nothing was fenced: no new
+    /// death, or the fence aborted and retries at the next pass. Call at
     /// tick boundaries (next to [`Self::rebalance`]); the per-tick cost
     /// with all partitions healthy is one liveness probe per remote.
     pub fn recover_crashed(&mut self, net: &mut Net) -> Option<RecoveryReport> {
@@ -1485,93 +1529,73 @@ impl ClusterServer {
             return None;
         }
         let newly = std::mem::take(&mut self.unfenced);
-        Some(self.fail_over(newly, net))
+        self.fail_over(newly, net)
     }
 
-    /// The failover fence: reassigns every cell owned by the newly dead
-    /// partitions to survivors under an epoch fence, re-routes orphaned
-    /// bus traffic, and re-enters lost queries into the pending-install
-    /// pipeline. Unlike a rebalance, no state rides along — the dead
-    /// rows are unrecoverable. Each adopter rebuilds what it can from its
-    /// own SQT and stubs ([`ClusterMsg::RecoverCells`]); everything else
-    /// reconverges through the §8 machinery (heartbeat digests → agent
-    /// `Resync` → re-install at the new owners).
-    fn fail_over(&mut self, newly: Vec<u32>, net: &mut Net) -> RecoveryReport {
-        let n = self.partitions.len();
-        assert!(
-            self.dead.len() < n,
-            "every partition is dead; no survivor can adopt the cells"
-        );
-        // (1) Quiesce: live traffic drains; frames to down partitions are
-        // captured in `orphans` by the pump.
-        self.pump_bus();
-        let saved_fault = self.bus.fault().clone();
-        self.bus.set_fault(FaultPlan::none());
-        // (2) Fence bump — post-fence re-installs carry seq stamps above
-        // anything a stale stub still holds.
-        let epoch = self.bump_shared_epoch();
-        self.bus_sink.incr(rec_keys::FENCES);
-
-        // (3) Degenerate rebalance: record each dead partition's span for
-        // a later re-adoption, zero its width, and split every maximal
-        // dead run between its nearest live neighbors (midpoint split —
-        // each block stays contiguous).
+    /// The failover fence: [`failover_bounds`] hands every cell of the
+    /// newly dead partitions to survivors and [`Self::recover`] rebuilds
+    /// what can be rebuilt. Each dead partition's span is recorded so a
+    /// respawn can re-adopt exactly it.
+    fn fail_over(&mut self, newly: Vec<u32>, net: &mut Net) -> Option<RecoveryReport> {
         let old_bounds = self.map.bounds_snapshot();
-        for &p in &newly {
-            self.lost_spans
-                .insert(p, (old_bounds[p as usize], old_bounds[p as usize + 1]));
+        let alive: Vec<bool> = (0..self.partitions.len() as u32)
+            .map(|p| !self.dead.contains(&p))
+            .collect();
+        let new_bounds = failover_bounds(&old_bounds, &alive);
+        let mut report = RecoveryReport {
+            partitions: newly,
+            ..RecoveryReport::default()
+        };
+        let fenced = self.fence(&new_bounds, |this, fence| {
+            this.recover(fence, net, &mut report);
+            true
+        });
+        if fenced.is_none() {
+            self.unfenced = report.partitions;
+            return None;
         }
-        let alive: Vec<bool> = (0..n).map(|i| !self.dead.contains(&(i as u32))).collect();
-        let mut w: Vec<usize> = (0..n).map(|i| old_bounds[i + 1] - old_bounds[i]).collect();
-        let mut i = 0;
-        while i < n {
-            if alive[i] {
-                i += 1;
-                continue;
-            }
-            let start = i;
-            let mut run = 0usize;
-            while i < n && !alive[i] {
-                run += w[i];
-                w[i] = 0;
-                i += 1;
-            }
-            let left = (0..start).rev().find(|&j| alive[j]);
-            let right = (i..n).find(|&j| alive[j]);
-            match (left, right) {
-                (Some(l), Some(r)) => {
-                    let half = run / 2;
-                    w[l] += half;
-                    w[r] += run - half;
-                }
-                (Some(l), None) => w[l] += run,
-                (None, Some(r)) => w[r] += run,
-                (None, None) => unreachable!("a live partition exists"),
-            }
+        self.bus_sink.incr(rec_keys::FENCES);
+        for (key, count) in [
+            (rec_keys::ENVELOPES_REROUTED, report.envelopes_rerouted),
+            (rec_keys::CELLS_FAILED_OVER, report.cells_reassigned),
+            (rec_keys::QUERIES_REINSTALLED, report.queries_reinstalled),
+            (rec_keys::QUERIES_REPLAYED, report.queries_replayed),
+        ] {
+            self.bus_sink.add(key, count as u64);
         }
-        let mut new_bounds = vec![0usize; n + 1];
-        for i in 0..n {
-            new_bounds[i + 1] = new_bounds[i] + w[i];
+        for &p in &report.partitions {
+            let span = (old_bounds[p as usize], old_bounds[p as usize + 1]);
+            // A span kept from a re-adoption that never completed stands:
+            // the slot may own nothing now.
+            self.lost_spans.entry(p).or_insert(span);
+            self.bus_sink.event(EventKind::PartitionFailedOver {
+                partition: p as u64,
+                cells: (span.1 - span.0) as u64,
+            });
         }
-        let generation = self.map.install(&new_bounds);
-        self.journal_bounds(generation, &new_bounds);
-        for (p, &live) in alive.iter().enumerate() {
-            if live {
-                self.partitions[p].install_bounds(generation, &new_bounds);
-            }
-        }
+        Some(report)
+    }
 
-        // (4) Orphaned envelopes, re-routed under the new map. A focal
+    /// The failover fence body. Unlike a transfer, no state rides along —
+    /// the dead rows are unrecoverable. Orphaned bus traffic is re-routed,
+    /// each adopter rebuilds what it can from its own SQT and stubs
+    /// ([`ClusterMsg::RecoverCells`]), and the queries lost with the dead
+    /// partitions re-enter from the durable log or the pending-install
+    /// pipeline; everything else reconverges through the §8 machinery
+    /// (heartbeat digests → agent `Resync` → re-install at the new owners).
+    fn recover(&mut self, fence: &Fence, net: &mut Net, report: &mut RecoveryReport) {
+        // (1) Orphaned envelopes, re-routed under the new map. A focal
         // migration caught mid-handoff goes to the new owner of its
         // anchor cell; stub synchronization is ownership- and seq-guarded
         // (idempotent), so every live partition gets a copy; stale
         // generation-stamped transfers are dead by construction. Runs
         // BEFORE the RecoverCells rebuild so a re-routed home row is in
         // the adopter's SQT when its new cells' RQI rows are recomputed.
-        let orphans = std::mem::take(&mut self.orphans);
-        let mut rerouted = 0usize;
-        let mut dropped = 0usize;
-        for env in orphans {
+        let live: Vec<usize> = (0..self.partitions.len())
+            .filter(|&p| !self.dead.contains(&(p as u32)))
+            .collect();
+        let mut dropped = 0u64;
+        for env in std::mem::take(&mut self.orphans) {
             match &env.msg {
                 ClusterMsg::MigrateFocal {
                     motion, queries, ..
@@ -1581,9 +1605,9 @@ impl ClusterServer {
                         .map(|q| q.curr_cell)
                         .unwrap_or_else(|| self.config.grid.cell_of(motion.pos));
                     let to = self.map.owner_of_cell(&self.config.grid, anchor) as usize;
-                    if alive[to] {
+                    if live.contains(&to) {
                         self.partitions[to].apply_cluster_msg(&env.msg);
-                        rerouted += 1;
+                        report.envelopes_rerouted += 1;
                     } else {
                         dropped += 1;
                     }
@@ -1591,12 +1615,10 @@ impl ClusterServer {
                 ClusterMsg::StubUpdate { .. }
                 | ClusterMsg::StubMotion { .. }
                 | ClusterMsg::StubRemove { .. } => {
-                    for (p, &live) in alive.iter().enumerate() {
-                        if live {
-                            self.partitions[p].apply_cluster_msg(&env.msg);
-                        }
+                    for &p in &live {
+                        self.partitions[p].apply_cluster_msg(&env.msg);
                     }
-                    rerouted += 1;
+                    report.envelopes_rerouted += 1;
                 }
                 ClusterMsg::RebalanceCells { .. } | ClusterMsg::RecoverCells { .. } => {
                     dropped += 1;
@@ -1604,61 +1626,29 @@ impl ClusterServer {
             }
         }
         self.pump_bus();
-        self.bus_sink
-            .add(rec_keys::ENVELOPES_REROUTED, rerouted as u64);
-        self.bus_sink
-            .add(rec_keys::ENVELOPES_DROPPED, dropped as u64);
+        self.bus_sink.add(rec_keys::ENVELOPES_DROPPED, dropped);
 
-        // (5) Adopters rebuild the RQI rows of their new cells from their
+        // (2) Adopters rebuild the RQI rows of their new cells from their
         // own query tables; generation-guarded exactly like a rebalance
         // transfer. Applied directly — this is a coordinator control
         // action, not data-path traffic.
-        let owner_in = |bounds: &[usize], flat: usize| -> u32 {
-            (bounds.partition_point(|&b| b <= flat) - 1) as u32
-        };
         let mut adopt: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        let mut cells_reassigned = 0usize;
-        for &p in &newly {
-            let (s, e) = self.lost_spans[&p];
-            cells_reassigned += e - s;
-            for flat in s..e {
-                adopt
-                    .entry(owner_in(&new_bounds, flat))
-                    .or_default()
-                    .push(flat as u32);
-            }
-            self.bus_sink.event(EventKind::PartitionFailedOver {
-                partition: p as u64,
-                cells: (e - s) as u64,
-            });
+        for (&(_, to), flats) in &fence.moves {
+            let cells = adopt.entry(to).or_default();
+            cells.extend(flats.iter().map(|&flat| flat as u32));
         }
         for (to, cells) in adopt {
-            let msg = ClusterMsg::RecoverCells {
-                generation,
-                epoch,
+            self.partitions[to as usize].apply_cluster_msg(&ClusterMsg::RecoverCells {
+                generation: fence.generation,
+                epoch: fence.epoch,
                 cells,
-            };
-            self.partitions[to as usize].apply_cluster_msg(&msg);
+            });
         }
-        self.bus_sink
-            .add(rec_keys::CELLS_FAILED_OVER, cells_reassigned as u64);
+        report.cells_reassigned = fence.cells_moved() as usize;
 
-        // (6) Hygiene, then re-enter every query lost with the dead
-        // partitions into the pending-install pipeline: the agent answers
-        // the PositionRequest, the focal row re-forms at the new owner,
-        // and the deferred install completes with the ORIGINAL query id
-        // (result digests stay comparable with an uncrashed run).
-        for (p, &live) in alive.iter().enumerate() {
-            if live {
-                self.partitions[p].prune_stubs();
-            }
-        }
-        let mut present: BTreeSet<QueryId> = BTreeSet::new();
-        for (p, &live) in alive.iter().enumerate() {
-            if live {
-                present.extend(self.partitions[p].query_ids());
-            }
-        }
+        // (3) Every registered query no live partition homes and no
+        // pending install covers was lost with the dead partitions.
+        let mut present: BTreeSet<QueryId> = self.query_ids().into_iter().collect();
         for q in self.pending.values() {
             present.extend(q.iter().map(|pi| pi.qid));
         }
@@ -1668,86 +1658,16 @@ impl ClusterServer {
             .copied()
             .filter(|q| !present.contains(q))
             .collect();
-
-        // (6b) Prefer recovering lost queries by replaying the dead
-        // partitions' durable logs: a replayed scratch server holds the
-        // exact focal motion, query spec and result set at the crash, so
-        // the query re-forms at its new owner immediately — skipping the
-        // pending + PositionRequest round trip through the agent. Queries
-        // no log can produce (storeless deployment, torn or stale log)
-        // fall back to the pending-install pipeline below.
-        let mut queries_replayed = 0usize;
-        let mut fallback: Vec<QueryId> = Vec::new();
-        if lost.is_empty() || self.store_root.is_none() {
-            fallback = lost;
-        } else {
-            let root = self.store_root.clone().expect("checked above");
-            let mut scratches: Vec<Server> = Vec::new();
-            for &p in &newly {
-                if let Some(st) = &self.stores[p as usize] {
-                    st.flush();
-                }
-                let dir = root.join(format!("p{p}"));
-                let scratch_map = PartitionMap::contiguous(&self.config.grid, n);
-                let mut scratch = Server::new(Arc::clone(&self.config))
-                    .with_telemetry(Telemetry::new())
-                    .with_scope(PartitionScope::new(
-                        p,
-                        Arc::clone(scratch_map.table()),
-                        Arc::new(AtomicU64::new(0)),
-                    ));
-                let mut scratch_net =
-                    Net::new(BaseStationLayout::new(self.config.grid.universe, self.alen));
-                if store::replay_into(&dir, p, &mut scratch, &mut scratch_net, &Telemetry::new())
-                    .is_ok()
-                {
-                    scratch.take_outbox();
-                    scratches.push(scratch);
-                }
-            }
-            for qid in lost {
-                let (focal, region, filter, expires_at) = {
-                    let r = &self.registry[&qid];
-                    (r.focal, r.region, Arc::clone(&r.filter), r.expires_at)
-                };
-                let recovered = scratches.iter().find(|s| s.has_query(qid)).and_then(|s| {
-                    debug_assert_eq!(
-                        s.query_focal(qid),
-                        Some(focal),
-                        "journaled query {qid:?} disagrees with the registry"
-                    );
-                    let motion = s.focal_motion(focal)?;
-                    let max_vel = s
-                        .focal_max_vel(focal)
-                        .unwrap_or(self.config.system_max_speed);
-                    let members: Vec<ObjectId> = s
-                        .query_result(qid)
-                        .map(|m| m.iter().copied().collect())
-                        .unwrap_or_default();
-                    Some((motion, max_vel, members))
-                });
-                let Some((motion, max_vel, members)) = recovered else {
-                    fallback.push(qid);
-                    continue;
-                };
-                let home = self
-                    .map
-                    .owner_of_cell(&self.config.grid, self.config.grid.cell_of(motion.pos))
-                    as usize;
-                self.partitions[home].refresh_focal_motion(focal, motion, max_vel, true);
-                self.pump_bus();
-                self.partitions[home]
-                    .complete_install_at(qid, focal, region, filter, expires_at, net);
-                self.pump_bus();
-                // Restore the journaled result set quietly: the members
-                // were already announced to the agent before the crash.
-                for m in members {
-                    self.partitions[home].lqt_reconcile_one(qid, m, true);
-                }
-                queries_replayed += 1;
-            }
-        }
-
+        // Prefer the dead partitions' durable logs: a replayed scratch
+        // server holds the exact focal motion, query spec and result set
+        // at the crash, so the query re-forms at its new owner at once.
+        // Queries no log can produce (storeless deployment, torn or stale
+        // log) re-enter the pending-install pipeline instead: the agent
+        // answers the PositionRequest, the focal row re-forms at the new
+        // owner, and the deferred install completes with the ORIGINAL
+        // query id (result digests stay comparable with an uncrashed run).
+        let (replayed, fallback) = self.replay_lost(&report.partitions, lost, net);
+        report.queries_replayed = replayed;
         let mut focals: BTreeSet<ObjectId> = BTreeSet::new();
         for qid in &fallback {
             let r = &self.registry[qid];
@@ -1767,222 +1687,177 @@ impl ClusterServer {
             self.sinks[first_live].incr(srv_keys::UNICAST_OPS);
             net.send_unicast(oid.node(), Downlink::PositionRequest);
         }
-        self.bus_sink
-            .add(rec_keys::QUERIES_REINSTALLED, fallback.len() as u64);
-        self.bus_sink
-            .add(rec_keys::QUERIES_REPLAYED, queries_replayed as u64);
+        report.queries_reinstalled = fallback.len();
+    }
 
-        self.bus.set_fault(saved_fault);
-        // Ownership moved; the load observation window restarts.
-        for c in self.cell_ops.iter_mut() {
-            *c = 0;
+    /// Re-forms `lost` queries at their new owners from the journals of
+    /// the `newly` dead partitions, each with the result set it held at
+    /// the crash. Returns how many came back and the queries no log held.
+    fn replay_lost(
+        &mut self,
+        newly: &[u32],
+        lost: Vec<QueryId>,
+        net: &mut Net,
+    ) -> (usize, Vec<QueryId>) {
+        if lost.is_empty() || self.store_root.is_none() {
+            return (0, lost);
         }
-        self.merge_sinks();
-        RecoveryReport {
-            partitions: newly,
-            cells_reassigned,
-            queries_reinstalled: fallback.len(),
-            envelopes_rerouted: rerouted,
-            queries_replayed,
+        let scratches: Vec<Server> = newly
+            .iter()
+            .filter_map(|&p| self.replay_scratch(p).ok())
+            .collect();
+        let mut replayed = 0usize;
+        let mut fallback = Vec::new();
+        for qid in lost {
+            let (focal, region, filter, expires_at) = {
+                let r = &self.registry[&qid];
+                (r.focal, r.region, Arc::clone(&r.filter), r.expires_at)
+            };
+            let recovered = scratches.iter().find(|s| s.has_query(qid)).and_then(|s| {
+                debug_assert_eq!(
+                    s.query_focal(qid),
+                    Some(focal),
+                    "journaled query {qid:?} disagrees with the registry"
+                );
+                let motion = s.focal_motion(focal)?;
+                let max_vel = s
+                    .focal_max_vel(focal)
+                    .unwrap_or(self.config.system_max_speed);
+                let members: Vec<ObjectId> = s
+                    .query_result(qid)
+                    .map(|m| m.iter().copied().collect())
+                    .unwrap_or_default();
+                Some((motion, max_vel, members))
+            });
+            let Some((motion, max_vel, members)) = recovered else {
+                fallback.push(qid);
+                continue;
+            };
+            let home = self
+                .map
+                .owner_of_cell(&self.config.grid, self.config.grid.cell_of(motion.pos))
+                as usize;
+            self.partitions[home].refresh_focal_motion(focal, motion, max_vel, true);
+            self.pump_bus();
+            self.partitions[home].complete_install_at(qid, focal, region, filter, expires_at, net);
+            self.pump_bus();
+            // Restore the journaled result set quietly: the members
+            // were already announced to the agent before the crash.
+            for m in members {
+                self.partitions[home].lqt_reconcile_one(qid, m, true);
+            }
+            replayed += 1;
         }
+        (replayed, fallback)
     }
 
     /// Brings a killed in-process partition back: its slot already holds
     /// the fresh empty server installed by [`Self::kill_partition`], so
-    /// this is purely the re-adoption fence. The failover fence must have
-    /// run first (the span to re-adopt is recorded there).
-    pub fn respawn_partition(&mut self, p: u32) {
-        assert!(self.dead.contains(&p), "respawn of a live partition");
-        assert!(
-            !self.unfenced.contains(&p),
-            "failover fence must run before a respawn"
-        );
-        self.dead.remove(&p);
-        self.reattach_store_fresh(p);
-        self.readopt(p);
+    /// this is the store hygiene plus the re-adoption fence. On an error
+    /// the slot stays dead and a later call retries.
+    pub fn respawn_partition(&mut self, p: u32) -> Result<(), TransportError> {
+        self.readopt(p, |this| this.reattach_store_fresh(p))
     }
 
     /// Post-failover store hygiene for an in-process respawn: the dead
     /// partition's journal is stale (the survivors own its span's live
     /// state now), so the directory is wiped and a fresh log attached —
     /// the re-adoption transfers journal into it from sequence zero.
-    fn reattach_store_fresh(&mut self, p: u32) {
-        let Some(root) = &self.store_root else { return };
-        if self.partitions[p as usize].is_remote() {
-            return;
-        }
+    fn reattach_store_fresh(&mut self, p: u32) -> Result<(), TransportError> {
+        let Some(root) = &self.store_root else {
+            return Ok(());
+        };
+        let num_partitions = self.partitions.len() as u32;
+        let PartitionHandle::Local(server) = &mut self.partitions[p as usize] else {
+            return Ok(());
+        };
         let dir = root.join(format!("p{p}"));
-        store::wipe_dir(&dir)
-            .unwrap_or_else(|e| panic!("wiping stale store {}: {e}", dir.display()));
+        let failed = |what, e| store_failed(what, &dir, e);
+        store::wipe_dir(&dir).map_err(|e| failed("wiping stale", e))?;
         let st = Store::open(StoreConfig::new(&dir, p), self.sinks[p as usize].clone())
-            .unwrap_or_else(|e| panic!("reopening store {}: {e}", dir.display()));
+            .map_err(|e| failed("reopening", e))?;
         st.append_record(&LogRecord::Meta {
             partition: p,
-            num_partitions: self.partitions.len() as u32,
+            num_partitions,
         });
-        if let PartitionHandle::Local(server) = &mut self.partitions[p as usize] {
-            server.set_journal(Some(Arc::new(st.clone())));
-        }
+        server.set_journal(Some(Arc::new(st.clone())));
         self.stores[p as usize] = Some(st);
+        Ok(())
     }
 
     /// Respawned-process variant: wraps the supervisor's fresh connection
     /// (hello exchange completed) in a new remote handle — the dead one is
     /// never reused — re-initializes the process with the deployment
-    /// config, syncs its ownership table and re-adopts its span.
+    /// config and re-adopts its span. The failover fence already ran: the
+    /// survivors own this span's live state, so the old journal is stale
+    /// and the process starts from a wiped store.
     pub fn respawn_remote(&mut self, p: u32, conn: FramedConn) -> Result<(), TransportError> {
-        assert!(self.dead.contains(&p), "respawn of a live partition");
-        assert!(
-            !self.unfenced.contains(&p),
-            "failover fence must run before a respawn"
-        );
-        let remote = RemotePartition::new(p, conn, Arc::clone(&self.epoch));
-        remote.set_rpc_deadline(Some(DEFAULT_RPC_DEADLINE));
-        remote.init(InitConfig {
-            universe: self.config.grid.universe,
-            alpha: self.config.grid.alpha,
-            alen: self.alen,
-            delta: self.config.delta,
-            propagation: self.config.propagation,
-            grouping: self.config.grouping,
-            safe_period: self.config.safe_period,
-            deliver_results: self.config.deliver_results,
-            system_max_speed: self.config.system_max_speed,
-            lease_secs: self.config.lease_secs,
-            heartbeat_secs: self.config.heartbeat_secs,
-            partition: p,
-            num_partitions: self.partitions.len() as u32,
-            store_dir: self
-                .store_root
-                .as_ref()
-                .map(|r| r.join(format!("p{p}")).to_string_lossy().into_owned()),
-            // The failover fence already ran: the survivors own this
-            // span's live state, so the old journal is stale — the
-            // respawned process wipes it and journals from scratch.
-            store_fresh: true,
-        })?;
-        // The dead handle goes away with its not yet folded counts.
-        self.fold_rpc_counts();
-        self.partitions[p as usize] = PartitionHandle::Remote(Box::new(remote));
-        self.dead.remove(&p);
-        self.readopt(p);
-        Ok(())
+        self.readopt(p, |this| {
+            let remote = RemotePartition::new(p, conn, Arc::clone(&this.epoch));
+            remote.set_rpc_deadline(Some(DEFAULT_RPC_DEADLINE));
+            let n = this.partitions.len();
+            let root = this.store_root.as_deref();
+            remote.init(init_config(&this.config, this.alen, root, p, n, true))?;
+            // The dead handle goes away with its not yet folded counts.
+            this.fold_rpc_counts();
+            this.partitions[p as usize] = PartitionHandle::Remote(Box::new(remote));
+            Ok(())
+        })
     }
 
-    /// The re-adoption fence: restores the respawned partition's saved
-    /// span (clamping the current cuts — the exact inverse of the
-    /// failover split when no rebalance intervened) and moves the interim
-    /// owners' state back through the rebalance transfer machinery, this
-    /// time with content (the survivors' rows are live state worth
-    /// preserving, unlike the crashed rows the failover wrote off).
-    fn readopt(&mut self, p: u32) {
-        let n = self.partitions.len();
-        debug_assert!(
-            self.unfenced.is_empty(),
-            "re-adoption requires every crash to be fenced"
-        );
-        // (1) Quiesce + fence.
-        self.pump_bus();
-        let saved_fault = self.bus.fault().clone();
-        self.bus.set_fault(FaultPlan::none());
-        self.bump_shared_epoch();
-        self.bus_sink.incr(rec_keys::FENCES);
-
-        // (2) Restore the saved span by clamping: cuts at or below `p`
-        // come down to the span start, cuts above go up to its end.
-        let (s, e) = self
-            .lost_spans
-            .remove(&p)
-            .expect("failover recorded the lost span");
-        let cur = self.map.bounds_snapshot();
-        let mut new_bounds = cur.clone();
-        for b in new_bounds.iter_mut().take(p as usize + 1).skip(1) {
-            *b = (*b).min(s);
-        }
-        for b in new_bounds.iter_mut().take(n).skip(p as usize + 1) {
-            *b = (*b).max(e);
-        }
-        let generation = self.map.install(&new_bounds);
-        self.journal_bounds(generation, &new_bounds);
-        for q in 0..n {
-            if !self.dead.contains(&(q as u32)) {
-                self.partitions[q].install_bounds(generation, &new_bounds);
+    /// The re-adoption fence: once `revive` has put a working server in
+    /// the slot, [`readopt_bounds`] gives it the span its failover fence
+    /// recorded and [`Self::transfer`] moves the interim owners' state
+    /// home — the rebalance machinery with content (the survivors' rows
+    /// are live state worth preserving, unlike the crashed rows the
+    /// failover wrote off). If a peer dies under the fence the slot is
+    /// written off again with its span kept, and the next
+    /// [`Self::recover_crashed`] pass fences it.
+    fn readopt(
+        &mut self,
+        p: u32,
+        revive: impl FnOnce(&mut Self) -> Result<(), TransportError>,
+    ) -> Result<(), TransportError> {
+        assert!(self.dead.contains(&p), "respawn of a live partition");
+        let span = match self.lost_spans.get(&p) {
+            Some(&span) if self.unfenced.is_empty() => span,
+            _ => {
+                return Err(TransportError::Protocol(format!(
+                    "partition {p} cannot be re-adopted before every crash is fenced"
+                )))
             }
-        }
-        // The respawned slot starts at time zero; align it before any
-        // lease-stamped rows arrive.
-        self.partitions[p as usize].set_time(self.now);
-
-        // (3) Transfer every reassigned cell verbatim from its interim
-        // owner (always live — failover only assigns to survivors).
-        let owner_in = |bounds: &[usize], flat: usize| -> u32 {
-            (bounds.partition_point(|&b| b <= flat) - 1) as u32
         };
-        let mut moves: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-        for flat in 0..self.cell_ops.len() {
-            let from = owner_in(&cur, flat);
-            let to = owner_in(&new_bounds, flat);
-            if from != to {
-                moves.entry((from, to)).or_default().push(flat);
-            }
-        }
-        let mut readopted = 0usize;
-        for ((from, to), flats) in moves {
-            readopted += flats.len();
-            if let Some(msg) = self.partitions[from as usize].export_cells(&flats, generation) {
-                self.fence_send(from, Envelope { to, msg });
-            }
-        }
-        self.pump_bus();
-
-        // (4) Rehome focal objects whose anchor cell went home, ascending
-        // object id — the same machinery as a rebalance.
-        let mut rehome: Vec<(ObjectId, usize, usize)> = Vec::new();
-        for (q, h) in self.partitions.iter().enumerate() {
-            if self.dead.contains(&(q as u32)) {
-                continue;
-            }
-            for oid in h.focal_ids() {
-                let Some(cell) = h.focal_anchor_cell(oid) else {
-                    continue;
-                };
-                let to = self.map.owner_of_cell(&self.config.grid, cell) as usize;
-                if to != q {
-                    rehome.push((oid, q, to));
-                }
-            }
-        }
-        rehome.sort_unstable();
-        for (oid, from, to) in rehome {
-            if let Some(m) = self.partitions[from].extract_focal(oid) {
-                self.fence_send(
-                    from as u32,
-                    Envelope {
-                        to: to as u32,
-                        msg: m,
-                    },
-                );
-            }
-        }
-        self.pump_bus();
-
-        // (5) Hygiene on the shrunk survivors.
-        for q in 0..n {
-            if !self.dead.contains(&(q as u32)) {
-                self.partitions[q].prune_stubs();
-            }
-        }
-        self.bus.set_fault(saved_fault);
-        for c in self.cell_ops.iter_mut() {
-            *c = 0;
-        }
-        self.bus_sink
-            .add(rec_keys::CELLS_READOPTED, readopted as u64);
-        self.bus_sink.incr(rec_keys::RESPAWNS);
-        self.bus_sink.event(EventKind::PartitionRespawned {
-            partition: p as u64,
+        revive(self)?;
+        self.dead.remove(&p);
+        let new_bounds = readopt_bounds(&self.map.bounds_snapshot(), p, span);
+        let now = self.now;
+        let fence = self.fence(&new_bounds, |this, fence| {
+            // The respawned slot starts at time zero; align it before any
+            // lease-stamped rows arrive.
+            let slot = &mut this.partitions[p as usize];
+            let aligned = slot.start_set_time(now);
+            slot.finish(aligned);
+            this.transfer(fence)
         });
-        self.merge_sinks();
+        match fence {
+            Some(fence) if fence.completed => {
+                self.lost_spans.remove(&p);
+                self.bus_sink.incr(rec_keys::FENCES);
+                self.bus_sink
+                    .add(rec_keys::CELLS_READOPTED, fence.cells_moved());
+                self.bus_sink.incr(rec_keys::RESPAWNS);
+                self.bus_sink.event(EventKind::PartitionRespawned {
+                    partition: p as u64,
+                });
+                Ok(())
+            }
+            _ => {
+                let death = self.partitions[p as usize].crashed();
+                self.dead.insert(p);
+                self.unfenced.push(p);
+                Err(death.unwrap_or(TransportError::Closed))
+            }
+        }
     }
 
     /// Structural self-check: every partition's local invariants, plus
@@ -2007,6 +1882,8 @@ impl ClusterServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handle::tests::{answer, loopback_pair};
+    use crate::wire::ReplyPayload;
     use mobieyes_core::QueryMigration;
     use mobieyes_geo::{Grid, GridRect, Point, Rect, Vec2};
     use mobieyes_net::BaseStationLayout;
@@ -2127,7 +2004,7 @@ mod tests {
             .query_ids()
             .next()
             .is_none());
-        cluster.respawn_partition(2);
+        cluster.respawn_partition(2).expect("respawn");
         assert_eq!(
             cluster.map.bounds_snapshot(),
             vec![0, 100, 200, 300, 400],
@@ -2177,6 +2054,86 @@ mod tests {
             "the focal agent is asked to re-report its position"
         );
         cluster.check_invariants();
+    }
+
+    /// A respawned peer that dies inside its re-adoption fence is an abort,
+    /// not a respawn: no `rec.respawns`, no `PartitionRespawned`, and the
+    /// slot is dead and unfenced again with its span kept, so the next
+    /// pass fails it over like any other crash.
+    #[test]
+    fn peer_dying_inside_the_readoption_fence_aborts_the_respawn() {
+        let (mut cluster, mut net) = test_cluster(4);
+        cluster.kill_partition(2);
+        cluster.recover_crashed(&mut net).expect("fence");
+        // The "restarted process": acknowledges `Init`, reads the fence's
+        // first request (the ownership sync) and dies without answering.
+        let (client, mut served) = loopback_pair();
+        let peer = std::thread::spawn(move || {
+            answer(&mut served, ReplyPayload::Unit, Vec::new());
+            let _ = served.read_frame();
+        });
+        let err = cluster
+            .respawn_remote(2, client)
+            .expect_err("the fence must abort");
+        peer.join().expect("peer");
+        assert!(err.is_peer_death(), "classified as a crash: {err}");
+        let snap = cluster.bus_telemetry().snapshot();
+        assert_eq!(snap.counter(rebal_keys::ABORTS), 1);
+        assert_eq!(snap.counter(rec_keys::RESPAWNS), 0);
+        assert_eq!(snap.counter(rec_keys::FENCES), 1, "only the failover");
+        let aborted_on: Vec<u64> = snap
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::RebalanceAborted { partition } => Some(partition),
+                EventKind::PartitionRespawned { .. } => panic!("respawn never completed"),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(aborted_on, vec![2]);
+        assert_eq!(cluster.dead_partitions(), vec![2]);
+        assert_eq!(cluster.unfenced, vec![2]);
+        assert_eq!(cluster.lost_spans.get(&2), Some(&(200, 300)));
+        // The generation was installed before the peer died, so the slot
+        // owns its span again; the next pass hands it back to survivors.
+        let report = cluster.recover_crashed(&mut net).expect("re-fence");
+        assert_eq!(report.partitions, vec![2]);
+        assert_eq!(cluster.map.bounds_snapshot(), vec![0, 100, 250, 250, 400]);
+        assert_eq!(cluster.lost_spans.get(&2), Some(&(200, 300)));
+        cluster.check_invariants();
+    }
+
+    /// Disk state must not abort the coordinator: a respawn whose store
+    /// directory cannot be reopened is a classified error that leaves the
+    /// slot dead with its span kept, and a later respawn succeeds.
+    #[test]
+    fn respawn_over_an_unusable_store_dir_leaves_the_slot_dead() {
+        let root = std::env::temp_dir().join(format!(
+            "mobieyes-cluster-respawn-{}-unusable-store",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let (cluster, mut net) = test_cluster(4);
+        let mut cluster = cluster.with_store(&root);
+        cluster.kill_partition(2);
+        cluster.recover_crashed(&mut net).expect("fence");
+        let dir = root.join("p2");
+        std::fs::remove_dir_all(&dir).expect("drop the stale log");
+        std::fs::write(&dir, b"in the way").expect("block the directory");
+        let err = cluster.respawn_partition(2).expect_err("store is unusable");
+        assert!(
+            matches!(&err, TransportError::Io(text) if text.contains(&*dir.to_string_lossy())),
+            "unclassified store failure: {err}"
+        );
+        assert_eq!(cluster.dead_partitions(), vec![2]);
+        assert_eq!(cluster.lost_spans.get(&2), Some(&(200, 300)));
+        std::fs::remove_file(&dir).expect("unblock");
+        cluster.respawn_partition(2).expect("respawn");
+        assert!(cluster.dead_partitions().is_empty());
+        assert_eq!(cluster.map.bounds_snapshot(), vec![0, 100, 200, 300, 400]);
+        cluster.check_invariants();
+        drop(cluster);
+        std::fs::remove_dir_all(&root).expect("clean up");
     }
 
     /// Every `rebalance()` outcome is diagnosable from the bus sink: each

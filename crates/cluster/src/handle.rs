@@ -5,7 +5,7 @@
 //! [`Local`](PartitionHandle::Local) handle owns the `Server` in-process
 //! (the original deployment, zero overhead); a
 //! [`Remote`](PartitionHandle::Remote) handle speaks the
-//! [`wire`](crate::wire) RPC protocol to a partition process over a framed
+//! [`wire`] RPC protocol to a partition process over a framed
 //! socket connection.
 //!
 //! A remote op is one request frame and, later, one reply frame; the
@@ -701,47 +701,12 @@ impl PartitionHandle {
         )
     }
 
-    // The single-partition forms of the probes above, for the fences'
-    // sequential rounds.
-
-    pub fn set_time(&mut self, now: f64) {
-        let probe = self.start_set_time(now);
-        self.finish(probe)
-    }
-
-    pub fn query_ids(&self) -> Vec<QueryId> {
-        self.finish(self.start_query_ids())
-    }
-
-    pub fn install_bounds(&mut self, generation: u64, bounds: &[usize]) {
-        let probe = self.start_install_bounds(generation, bounds);
-        self.finish(probe)
-    }
-
-    pub fn export_cells(&mut self, flats: &[usize], generation: u64) -> Option<ClusterMsg> {
-        let probe = self.start_export_cells(flats, generation);
-        self.finish(probe)
-    }
-
-    pub fn focal_ids(&self) -> Vec<ObjectId> {
-        self.finish(self.start_focal_ids())
-    }
-
-    pub fn focal_anchor_cell(&self, oid: ObjectId) -> Option<CellId> {
-        self.finish(self.start_focal_anchor_cell(oid))
-    }
+    // --- calls ----------------------------------------------------------------
 
     pub fn extract_focal(&mut self, oid: ObjectId) -> Option<ClusterMsg> {
         let probe = self.start_extract_focal(oid);
         self.finish(probe)
     }
-
-    pub fn prune_stubs(&mut self) {
-        let probe = self.start_prune_stubs();
-        self.finish(probe)
-    }
-
-    // --- calls ----------------------------------------------------------------
 
     pub fn on_velocity_report(&mut self, oid: ObjectId, motion: LinearMotion, net: &mut Net) {
         self.ask_net(
@@ -970,8 +935,8 @@ impl PartitionHandle {
         let PartitionHandle::Remote(r) = self else {
             return;
         };
-        let focals = self.focal_ids();
-        let queries = self.query_ids();
+        let focals = self.finish(self.start_focal_ids());
+        let queries = self.finish(self.start_query_ids());
         if r.dead() {
             return;
         }
@@ -1066,31 +1031,21 @@ impl PartitionHandle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mobieyes_geo::Rect;
     use mobieyes_net::{BaseStationLayout, Endpoint, Listener};
-    use std::time::{Duration, Instant};
 
-    /// A handle connected to a scripted peer: `peer` gets the service end
-    /// of the connection and plays the partition process.
-    fn with_peer(
-        peer: impl FnOnce(FramedConn) + Send + 'static,
-    ) -> (PartitionHandle, std::thread::JoinHandle<()>) {
+    /// A connected loopback pair: `(coordinator end, service end)`.
+    pub(crate) fn loopback_pair() -> (FramedConn, FramedConn) {
         let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
         let client = listener.local_endpoint().expect("endpoint").connect();
-        let server = FramedConn::new(listener.accept().expect("accept"));
-        let thread = std::thread::spawn(move || peer(server));
-        let remote = RemotePartition::new(
-            3,
-            FramedConn::new(client.expect("connect")),
-            Arc::new(AtomicU64::new(0)),
-        );
-        (PartitionHandle::Remote(Box::new(remote)), thread)
+        let served = FramedConn::new(listener.accept().expect("accept"));
+        (FramedConn::new(client.expect("connect")), served)
     }
 
     /// Reads one request and answers it with `payload` and `homes`.
-    fn answer(conn: &mut FramedConn, payload: ReplyPayload, homes: Vec<HomeChange>) {
+    pub(crate) fn answer(conn: &mut FramedConn, payload: ReplyPayload, homes: Vec<HomeChange>) {
         let request = conn.read_frame().expect("request");
         wire::decode_request(&request).expect("well-formed request");
         let mut frame = Vec::new();
@@ -1104,6 +1059,18 @@ mod tests {
         wire::encode_reply(&reply, &mut frame);
         conn.write_frame(&frame).expect("write");
         conn.flush().expect("flush");
+    }
+    use std::time::{Duration, Instant};
+
+    /// A handle connected to a scripted peer: `peer` gets the service end
+    /// of the connection and plays the partition process.
+    fn with_peer(
+        peer: impl FnOnce(FramedConn) + Send + 'static,
+    ) -> (PartitionHandle, std::thread::JoinHandle<()>) {
+        let (client, server) = loopback_pair();
+        let thread = std::thread::spawn(move || peer(server));
+        let remote = RemotePartition::new(3, client, Arc::new(AtomicU64::new(0)));
+        (PartitionHandle::Remote(Box::new(remote)), thread)
     }
 
     fn test_net() -> Net {
@@ -1141,7 +1108,8 @@ mod tests {
         });
         let mut net = test_net();
         // Any first reply seeds the mirror; `Init`'s does in a deployment.
-        handle.set_time(0.0);
+        let seeding = handle.start_set_time(0.0);
+        handle.finish(seeding);
         assert!(handle.has_focal(ObjectId(7)) && !handle.has_focal(ObjectId(8)));
         assert_eq!(handle.num_queries(), 2);
         assert!(handle.remove_query(QueryId(2), &mut net));
@@ -1178,13 +1146,13 @@ mod tests {
             conn.write_frame(&frame).expect("write");
             conn.flush().expect("flush");
         });
-        assert!(handle.focal_ids().is_empty());
+        assert!(handle.finish(handle.start_focal_ids()).is_empty());
         assert!(matches!(
             handle.crashed(),
             Some(TransportError::Protocol(_))
         ));
         // Inert from here on: nothing is sent, fallbacks come back.
-        assert!(handle.query_ids().is_empty());
+        assert!(handle.finish(handle.start_query_ids()).is_empty());
         assert!(!handle.probe_alive());
         peer.join().expect("peer");
     }

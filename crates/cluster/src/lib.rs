@@ -13,8 +13,6 @@ pub mod partition;
 pub mod serve;
 pub mod wire;
 
-#[allow(deprecated)]
-pub use cluster_server::Bus;
 pub use cluster_server::{skip_reason, ClusterServer, Envelope};
 pub use handle::{PartitionHandle, RemotePartition};
 pub use partition::{plan_bounds, PartitionMap, Router};

@@ -2,6 +2,7 @@
 
 use mobieyes_core::{PartitionTable, Uplink};
 use mobieyes_geo::{CellId, Grid};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Assignment of contiguous grid-cell blocks (flat row-major indices) to
@@ -109,6 +110,75 @@ pub fn plan_bounds(cell_loads: &[u64], n: usize) -> Vec<usize> {
     }
     bounds.push(cells);
     bounds
+}
+
+/// The failover plan: every dead partition's width drops to zero and each
+/// maximal dead run is split at its midpoint between the nearest live
+/// neighbours (a run at either end goes whole to its one neighbour), so
+/// every block stays contiguous and survivors only grow.
+pub(crate) fn failover_bounds(old: &[usize], alive: &[bool]) -> Vec<usize> {
+    let n = alive.len();
+    assert!(alive.contains(&true), "no survivor can adopt the cells");
+    let mut w: Vec<usize> = old.windows(2).map(|b| b[1] - b[0]).collect();
+    let mut i = 0;
+    while i < n {
+        if alive[i] {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        let mut run = 0usize;
+        while i < n && !alive[i] {
+            run += std::mem::take(&mut w[i]);
+            i += 1;
+        }
+        let left = (0..start).rev().find(|&j| alive[j]);
+        let right = (i..n).find(|&j| alive[j]);
+        match (left, right) {
+            (Some(l), Some(r)) => {
+                w[l] += run / 2;
+                w[r] += run - run / 2;
+            }
+            (Some(j), None) | (None, Some(j)) => w[j] += run,
+            (None, None) => unreachable!("a live partition exists"),
+        }
+    }
+    let mut bounds = Vec::with_capacity(n + 1);
+    bounds.push(old[0]);
+    for width in w {
+        bounds.push(bounds.last().unwrap() + width);
+    }
+    bounds
+}
+
+/// The re-adoption plan: partition `p` gets `span` back by clamping the
+/// current cuts — those at or below `p` come down to the span start,
+/// those above go up to its end. The exact inverse of
+/// [`failover_bounds`] when no rebalance intervened.
+pub(crate) fn readopt_bounds(cur: &[usize], p: u32, span: (usize, usize)) -> Vec<usize> {
+    let (p, n) = (p as usize, cur.len() - 1);
+    let mut bounds = cur.to_vec();
+    for b in &mut bounds[1..=p] {
+        *b = (*b).min(span.0);
+    }
+    for b in &mut bounds[p + 1..n] {
+        *b = (*b).max(span.1);
+    }
+    bounds
+}
+
+/// The cells a fence has to move: every flat index whose owner differs
+/// between two bounds vectors, ascending, keyed by `(from, to)`.
+pub(crate) fn moved_cells(old: &[usize], new: &[usize]) -> BTreeMap<(u32, u32), Vec<usize>> {
+    let owner = |bounds: &[usize], flat| (bounds.partition_point(|&b| b <= flat) - 1) as u32;
+    let mut moves: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
+    for flat in old[0]..*old.last().unwrap() {
+        let (from, to) = (owner(old, flat), owner(new, flat));
+        if from != to {
+            moves.entry((from, to)).or_default().push(flat);
+        }
+    }
+    moves
 }
 
 /// Stateless uplink router: picks the *primary* partition for a message —
@@ -232,6 +302,103 @@ mod tests {
         for w in b.windows(2) {
             assert!(w[0] < w[1]);
         }
+    }
+
+    /// Owner of `flat` by linear scan — shares nothing with the planners.
+    fn owner_by_scan(bounds: &[usize], flat: usize) -> u32 {
+        (0..bounds.len() - 1)
+            .find(|&p| (bounds[p]..bounds[p + 1]).contains(&flat))
+            .expect("bounds tile the grid") as u32
+    }
+
+    /// Every single-victim and adjacent-double-victim crash over
+    /// generated non-empty blocks at n = 2, 4, 8: `(bounds, victims)`.
+    fn crash_cases() -> Vec<(Vec<usize>, Vec<u32>)> {
+        let mut cases = Vec::new();
+        let mut lcg = 0x2545_F491u64;
+        for n in [2usize, 4, 8] {
+            for _ in 0..4 {
+                let mut bounds = vec![0usize];
+                for _ in 0..n {
+                    lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    bounds.push(bounds.last().unwrap() + 1 + (lcg >> 33) as usize % 9);
+                }
+                for p in 0..n as u32 {
+                    cases.push((bounds.clone(), vec![p]));
+                    if n > 2 && p + 1 < n as u32 {
+                        cases.push((bounds.clone(), vec![p, p + 1]));
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn failover_keeps_blocks_contiguous_and_survivors_nonempty() {
+        for (bounds, victims) in crash_cases() {
+            let n = bounds.len() - 1;
+            let alive: Vec<bool> = (0..n as u32).map(|p| !victims.contains(&p)).collect();
+            let fenced = failover_bounds(&bounds, &alive);
+            assert_eq!(fenced.len(), n + 1);
+            assert_eq!((fenced[0], fenced[n]), (bounds[0], bounds[n]));
+            for p in 0..n {
+                let width = fenced[p + 1]
+                    .checked_sub(fenced[p])
+                    .unwrap_or_else(|| panic!("cuts cross in {fenced:?}"));
+                if alive[p] {
+                    assert!(width >= bounds[p + 1] - bounds[p], "survivor {p} shrank");
+                } else {
+                    assert_eq!(width, 0, "dead {p} still owns cells in {fenced:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn readopt_inverts_failover_in_either_order() {
+        for (bounds, victims) in crash_cases() {
+            let n = bounds.len() - 1;
+            let alive: Vec<bool> = (0..n as u32).map(|p| !victims.contains(&p)).collect();
+            let fenced = failover_bounds(&bounds, &alive);
+            let span = |p: u32| (bounds[p as usize], bounds[p as usize + 1]);
+            for order in [victims.clone(), victims.iter().rev().copied().collect()] {
+                let mut cur = fenced.clone();
+                for p in order {
+                    cur = readopt_bounds(&cur, p, span(p));
+                    assert!(
+                        cur.windows(2).all(|w| w[0] <= w[1]),
+                        "cuts cross in {cur:?}"
+                    );
+                    // At least its span: it also covers for a neighbour
+                    // that is still dead.
+                    let (start, end) = (cur[p as usize], cur[p as usize + 1]);
+                    assert!(start <= span(p).0 && span(p).1 <= end, "{cur:?}");
+                }
+                assert_eq!(cur, bounds, "victims {victims:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn moved_cells_tiles_exactly_the_reassigned_flats() {
+        for (bounds, victims) in crash_cases() {
+            let n = bounds.len() - 1;
+            let alive: Vec<bool> = (0..n as u32).map(|p| !victims.contains(&p)).collect();
+            let fenced = failover_bounds(&bounds, &alive);
+            for (old, new) in [(&bounds, &fenced), (&fenced, &bounds)] {
+                let moves = moved_cells(old, new);
+                let mut expected: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
+                for flat in 0..bounds[n] {
+                    let (from, to) = (owner_by_scan(old, flat), owner_by_scan(new, flat));
+                    if from != to {
+                        expected.entry((from, to)).or_default().push(flat);
+                    }
+                }
+                assert_eq!(moves, expected, "{old:?} -> {new:?}");
+            }
+        }
+        assert!(moved_cells(&[0, 5, 9], &[0, 5, 9]).is_empty());
     }
 
     #[test]

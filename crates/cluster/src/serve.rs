@@ -1,5 +1,5 @@
 //! The partition-process service loop: one [`Server`] behind the
-//! [`wire`](crate::wire) RPC protocol.
+//! [`wire`] RPC protocol.
 //!
 //! A partition process accepts exactly one coordinator connection, then
 //! executes [`PartitionOp`]s one at a time, in arrival order, until
@@ -54,8 +54,18 @@ struct ServiceState {
     store: Option<Store>,
 }
 
+/// A store that cannot be wiped, opened or replayed, as the classified
+/// error of a dead partition; the text names the path.
+pub(crate) fn store_failed(what: &str, dir: &Path, e: std::io::Error) -> TransportError {
+    TransportError::Io(format!("{what} store {}: {e}", dir.display()))
+}
+
 impl ServiceState {
-    fn build(init: &InitConfig) -> ServiceState {
+    /// Builds the partition named by `init`. A store that cannot be wiped,
+    /// opened or replayed is a classified [`TransportError::Io`] naming
+    /// the path — the session ends and the coordinator sees a dead
+    /// partition — never a panic on disk state.
+    fn build(init: &InitConfig) -> Result<ServiceState, TransportError> {
         let grid = mobieyes_geo::Grid::new(init.universe, init.alpha);
         let mut config = ProtocolConfig::new(grid);
         config.delta = init.delta;
@@ -78,47 +88,51 @@ impl ServiceState {
                 Arc::clone(&epoch),
             ));
         let mut net = Net::new(BaseStationLayout::new(init.universe, init.alen));
-        let store = init.store_dir.as_ref().map(|dir| {
-            let dir = Path::new(dir);
-            if init.store_fresh {
-                // Post-failover respawn: the survivors own this span's
-                // state now; replaying the stale journal would fork it.
-                store::wipe_dir(dir)
-                    .unwrap_or_else(|e| panic!("wiping stale store {}: {e}", dir.display()));
-            }
-            let store = Store::open(StoreConfig::new(dir, init.partition), telemetry.clone())
-                .unwrap_or_else(|e| panic!("opening store {}: {e}", dir.display()));
-            // Crash recovery: rebuild FOT/SQT/RQI by replaying the journal
-            // into the fresh server. The replay re-emits the historical
-            // downlinks and bus envelopes; those were already delivered in
-            // the previous life, so they are discarded — only state stays.
-            let summary =
-                store::replay_into(dir, init.partition, &mut server, &mut net, &telemetry)
-                    .unwrap_or_else(|e| panic!("replaying store {}: {e}", dir.display()));
-            if summary.records_applied > 0 {
-                net.take_downlinks();
-                server.take_outbox();
-            }
-            if store.next_seq() == 0 {
-                store.append_record(&LogRecord::Meta {
-                    partition: init.partition,
-                    num_partitions: init.num_partitions,
-                });
-            }
-            // Attach AFTER replay so replayed ops do not re-journal.
-            server.set_journal(Some(Arc::new(store.clone())));
-            store
-        });
+        let store = init
+            .store_dir
+            .as_ref()
+            .map(|dir| -> Result<Store, TransportError> {
+                let dir = Path::new(dir);
+                let failed = |what, e| store_failed(what, dir, e);
+                if init.store_fresh {
+                    // Post-failover respawn: the survivors own this span's
+                    // state now; replaying the stale journal would fork it.
+                    store::wipe_dir(dir).map_err(|e| failed("wiping stale", e))?;
+                }
+                let store = Store::open(StoreConfig::new(dir, init.partition), telemetry.clone())
+                    .map_err(|e| failed("opening", e))?;
+                // Crash recovery: rebuild FOT/SQT/RQI by replaying the journal
+                // into the fresh server. The replay re-emits the historical
+                // downlinks and bus envelopes; those were already delivered in
+                // the previous life, so they are discarded — only state stays.
+                let summary =
+                    store::replay_into(dir, init.partition, &mut server, &mut net, &telemetry)
+                        .map_err(|e| failed("replaying", e))?;
+                if summary.records_applied > 0 {
+                    net.take_downlinks();
+                    server.take_outbox();
+                }
+                if store.next_seq() == 0 {
+                    store.append_record(&LogRecord::Meta {
+                        partition: init.partition,
+                        num_partitions: init.num_partitions,
+                    });
+                }
+                // Attach AFTER replay so replayed ops do not re-journal.
+                server.set_journal(Some(Arc::new(store.clone())));
+                Ok(store)
+            });
+        let store = store.transpose()?;
         // Switched on after the replay: the seed is the replayed key sets,
         // not the history that produced them. The `Init` reply ships it.
         server.enable_home_log();
-        ServiceState {
+        Ok(ServiceState {
             server,
             net,
             epoch,
             map,
             store,
-        }
+        })
     }
 
     /// Drains the downlinks the last op queued on the local network into
@@ -169,7 +183,7 @@ pub fn serve_connection(mut conn: FramedConn) -> Result<(), TransportError> {
                 ack(epoch.unwrap_or(0), Vec::new())
             }
             PartitionOp::Init(init) => {
-                let s = state.insert(ServiceState::build(&init));
+                let s = state.insert(ServiceState::build(&init)?);
                 ack(0, s.server.take_home_log())
             }
             op => {
@@ -393,7 +407,6 @@ mod tests {
     use super::*;
     use mobieyes_core::{ObjectId, Propagation, QueryId};
     use mobieyes_geo::Rect;
-    use mobieyes_net::Endpoint;
 
     fn init(store_dir: &Path) -> PartitionOp {
         PartitionOp::Init(InitConfig {
@@ -415,6 +428,49 @@ mod tests {
         })
     }
 
+    /// A coordinator-side connection to a service thread.
+    fn serve_on_loopback() -> (
+        FramedConn,
+        std::thread::JoinHandle<Result<(), TransportError>>,
+    ) {
+        let (conn, served) = crate::handle::tests::loopback_pair();
+        (conn, std::thread::spawn(move || serve_connection(served)))
+    }
+
+    fn call(conn: &mut FramedConn, op: &PartitionOp, flush: bool) {
+        let mut frame = Vec::new();
+        wire::encode_request(0, op, &mut frame);
+        conn.write_frame(&frame).expect("write");
+        if flush {
+            conn.flush().expect("flush");
+        }
+    }
+
+    /// Disk state is outside input: an `Init` whose `store_dir` cannot
+    /// hold a log (here: it is a regular file) ends the session with a
+    /// classified I/O error naming the path. The coordinator gets no
+    /// reply and classifies the partition as dead; nothing panics.
+    #[test]
+    fn init_over_an_unusable_store_dir_is_an_error_not_a_panic() {
+        let file = std::env::temp_dir().join(format!(
+            "mobieyes-serve-init-{}-not-a-dir",
+            std::process::id()
+        ));
+        std::fs::write(&file, b"in the way").expect("create the blocking file");
+        let (mut conn, service) = serve_on_loopback();
+        call(&mut conn, &init(&file), true);
+        let err = service
+            .join()
+            .expect("the service must not panic")
+            .expect_err("the session must end");
+        assert!(
+            matches!(&err, TransportError::Io(text) if text.contains(&*file.to_string_lossy())),
+            "unclassified init failure: {err}"
+        );
+        assert!(conn.read_frame().is_err(), "no reply acknowledges the Init");
+        std::fs::remove_file(&file).expect("clean up");
+    }
+
     /// *Acknowledged implies journaled* with replies held back: a batch of
     /// posted ops arrives in one write, so the service executes a run of
     /// them before it answers any — and whenever a reply is readable, the
@@ -428,27 +484,7 @@ mod tests {
             "mobieyes-serve-ack-{}-journaled",
             std::process::id()
         ));
-        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
-        let mut conn = FramedConn::new(
-            listener
-                .local_endpoint()
-                .expect("endpoint")
-                .connect()
-                .expect("connect"),
-        );
-        let service = std::thread::spawn({
-            let served = FramedConn::new(listener.accept().expect("accept"));
-            move || serve_connection(served)
-        });
-        let mut frame = Vec::new();
-        let mut call = |conn: &mut FramedConn, op: &PartitionOp, flush: bool| {
-            frame.clear();
-            wire::encode_request(0, op, &mut frame);
-            conn.write_frame(&frame).expect("write");
-            if flush {
-                conn.flush().expect("flush");
-            }
-        };
+        let (mut conn, service) = serve_on_loopback();
         call(&mut conn, &init(&dir), true);
         wire::decode_reply(&conn.read_frame().expect("init reply")).expect("decodes");
         let logged = |dir: &Path| {

@@ -19,8 +19,9 @@
 //! propagation (§3.5), query grouping (§4.1) and safe periods (§4.2).
 //!
 //! The protocol logic is pure message-passing (uplink in → downlink out), so
-//! the same server/agent types run under the lock-step simulator
-//! (`mobieyes-sim`) and the threaded actor runtime (`mobieyes-runtime`).
+//! the same server/agent types run under the sequential and the sharded
+//! tick engine (`mobieyes-sim`) and inside partition processes behind
+//! sockets (`mobieyes-cluster`).
 
 pub mod codec;
 pub mod config;

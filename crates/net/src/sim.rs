@@ -107,7 +107,7 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
 
     /// Records that `node` physically received `bytes` downlink. Exposed
     /// for deployments that perform physical delivery themselves (the
-    /// threaded runtime).
+    /// sharded tick engine).
     pub fn record_node_received(&mut self, node: usize, bytes: usize) {
         if self.received_by_node.len() <= node {
             self.received_by_node.resize(node + 1, 0);
@@ -351,7 +351,8 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
 
     /// Takes the pending downlink queues out of the network, leaving them
     /// empty. Used by deployments that distribute delivery themselves (the
-    /// threaded runtime): the caller becomes responsible for physical
+    /// sharded tick engine; a partition service shipping its downlinks
+    /// back over the socket): the caller becomes responsible for physical
     /// delivery semantics and receive accounting.
     #[allow(clippy::type_complexity)]
     pub fn take_downlinks(

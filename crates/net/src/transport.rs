@@ -1,6 +1,6 @@
 //! Transport abstraction for the inter-server cluster bus.
 //!
-//! The partitioned server tier moves [`mobieyes-cluster`] envelopes between
+//! The partitioned server tier moves `mobieyes-cluster` envelopes between
 //! partitions. Historically that link was hard-wired to the deterministic
 //! in-memory [`NetworkSim`]; this module extracts the contract into a
 //! [`Transport`] trait so the same coordinator runs unchanged over the

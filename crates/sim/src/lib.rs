@@ -10,7 +10,6 @@
 pub mod alpha_model;
 pub mod approach;
 pub mod central_run;
-pub mod cluster_run;
 pub mod config;
 pub mod metrics;
 pub mod mobieyes_run;
@@ -24,7 +23,6 @@ pub mod workload;
 pub use alpha_model::{optimal_alpha, AlphaCost, WorkloadMoments};
 pub use approach::{run_approach, run_approach_with, Approach, RunReport};
 pub use central_run::{CentralKind, CentralSim, MessagingKind, MessagingModel};
-pub use cluster_run::ClusterSim;
 pub use config::{
     ConfigError, EngineKind, RecoveryKind, SimConfig, SimConfigBuilder, TransportKind,
 };

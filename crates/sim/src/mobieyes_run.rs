@@ -761,8 +761,7 @@ impl MobiEyesSim {
                     None => false,
                 }
             } else if let ServerTier::Cluster(c) = &mut self.tier {
-                c.respawn_partition(p);
-                true
+                c.respawn_partition(p).is_ok()
             } else {
                 true
             };

@@ -14,7 +14,7 @@ use mobieyes_core::server::srv_keys;
 use mobieyes_core::{ObjectId, Propagation};
 use mobieyes_net::PartitionCrashPlan;
 use mobieyes_sim::{MobiEyesSim, RecoveryKind, SimConfig};
-use mobieyes_telemetry::MetricsSnapshot;
+use mobieyes_telemetry::{rebal_keys, rec_keys, MetricsSnapshot};
 use std::collections::BTreeSet;
 
 /// Ticks stepped in every run (warm-up is part of the comparison: the
@@ -156,6 +156,30 @@ fn lqp_chaos_matches_single_server() {
     }
 }
 
+/// The driver surface of a partitioned run: queries get answered, the
+/// cross-partition invariants hold after it, and border handoffs put
+/// traffic on the inter-server bus.
+#[test]
+fn partitioned_runs_answer_queries_and_use_the_bus() {
+    let mut sim = MobiEyesSim::new(SimConfig::small_test(41).with_partitions(2));
+    sim.run();
+    let total: usize = sim
+        .query_ids()
+        .iter()
+        .filter_map(|&q| sim.query_result(q))
+        .map(|r| r.len())
+        .sum();
+    assert!(total > 0, "no query produced any result");
+    sim.cluster().check_invariants();
+
+    let mut sim = MobiEyesSim::new(SimConfig::small_test(42).with_partitions(4));
+    sim.run();
+    assert!(
+        sim.cluster().bus_meter().total_msgs() > 0,
+        "a 4-partition run must migrate state across borders"
+    );
+}
+
 // --- partition crash recovery (DESIGN.md §13) ---
 
 /// Lease duration for the crash runs; heartbeats fire every 3 ticks.
@@ -184,6 +208,10 @@ struct CrashTrace {
     /// Ticks of frozen mobility needed to reach exact ground truth.
     converged_after: usize,
     digest: u64,
+    /// The coordinator's private sink (`rebal.*` / `rec.*`) at the end.
+    bus: MetricsSnapshot,
+    /// Inter-server bus traffic over the whole run: `(msgs, bytes)`.
+    bus_traffic: (u64, u64),
 }
 
 fn collect_results(sim: &MobiEyesSim) -> Vec<BTreeSet<ObjectId>> {
@@ -216,6 +244,7 @@ fn run_crash_traced(
     let plan = PartitionCrashPlan::seeded(seed, partitions as u32, kills, CRASH_TICK);
     let victims = plan.victims.clone();
     let mut sim = MobiEyesSim::new(config.with_threads(threads));
+    sim.set_audit(true);
     sim.set_crash_plan(plan);
     sim.set_recovery(recovery);
     let mut results = Vec::new();
@@ -259,10 +288,13 @@ fn run_crash_traced(
              seed {seed} partitions={partitions} kills={kills} recovery={recovery}"
         )
     });
+    let meter = sim.cluster().bus_meter();
     CrashTrace {
         results,
         converged_after,
         digest: sim.result_digest(),
+        bus: sim.bus_snapshot().expect("partitioned deployment"),
+        bus_traffic: (meter.total_msgs(), meter.total_bytes()),
     }
 }
 
@@ -319,6 +351,43 @@ fn eqp_respawn_reconverges_exactly() {
 #[test]
 fn lqp_respawn_reconverges_exactly() {
     assert_crash_recovery(Propagation::Lazy, RecoveryKind::Respawn);
+}
+
+/// All three fence kinds in one lock-step run, audited after every tick:
+/// load rebalancing every 5 ticks, a crash at tick 8 fenced by failover,
+/// and the victim re-adopted by a respawn (the `process_crash_recovery`
+/// shape minus the processes). The coordinator's `rebal.*` / `rec.*`
+/// counters and the bus totals are pinned, so a fence that sends one
+/// envelope more or fewer — or runs a round out of order — fails here.
+#[test]
+fn all_three_fences_in_one_run_keep_their_bus_traffic() {
+    let trace = run_crash_traced(
+        crash_config(82, Propagation::Eager, 4).with_rebalance_ticks(5),
+        1,
+        RecoveryKind::Respawn,
+        1,
+    );
+    assert!(trace.converged_after <= MAX_RECOVERY);
+    let pinned = [
+        (rebal_keys::INSTALLS, 1),
+        (rebal_keys::CELLS_MOVED, 38),
+        (rebal_keys::SKIPPED, 1),
+        (rebal_keys::ABORTS, 0),
+        (rec_keys::CRASH_DETECTIONS, 1),
+        (rec_keys::FENCES, 2),
+        (rec_keys::CELLS_FAILED_OVER, 103),
+        (rec_keys::CELLS_READOPTED, 103),
+        (rec_keys::ENVELOPES_REROUTED, 0),
+        (rec_keys::ENVELOPES_DROPPED, 0),
+        (rec_keys::QUERIES_REINSTALLED, 9),
+        (rec_keys::RESPAWNS, 1),
+    ];
+    let read: Vec<(&str, u64)> = pinned
+        .iter()
+        .map(|&(key, _)| (key, trace.bus.counter(key)))
+        .collect();
+    assert_eq!(read, pinned);
+    assert_eq!(trace.bus_traffic, (90, 12807), "bus (msgs, bytes)");
 }
 
 /// Regression: a query lost with a crashed partition is re-installed at a

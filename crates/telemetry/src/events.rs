@@ -3,10 +3,10 @@
 //! Events capture discrete protocol occurrences (query lifecycle,
 //! cell-crossings, velocity reports, broadcast fan-out, injected faults)
 //! with the *simulation* timestamp at which they happened — never wall
-//! time — so the lock-step simulator and the threaded runtime log the
-//! same events. Because the threaded runtime records events from worker
-//! threads in a nondeterministic interleaving, snapshots sort events into
-//! a canonical order before export or comparison.
+//! time — so the sequential and the sharded tick engine log the same
+//! events. Because per-shard and per-partition sinks are merged after the
+//! fact, snapshots sort events into a canonical order before export or
+//! comparison.
 
 /// A discrete protocol occurrence at a simulation time.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,8 +178,8 @@ impl EventKind {
 
 impl Event {
     /// Canonical sort key: time, then kind name, then payload values.
-    /// Total and deployment-independent, so sorted event lists from the
-    /// lock-step simulator and the threaded runtime compare equal.
+    /// Total and deployment-independent, so sorted event lists compare
+    /// equal across thread counts, partition counts and transports.
     pub fn sort_key(&self) -> (u64, &'static str, Vec<u64>) {
         // Simulation times are non-negative finite floats, for which the
         // bit pattern sorts the same way as the value.

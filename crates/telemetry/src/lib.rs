@@ -11,9 +11,10 @@
 //!
 //! * **Deterministic.** Counter/gauge/histogram updates are commutative,
 //!   keys are `&'static str` in `BTreeMap`s, and events carry simulation
-//!   time and are canonically sorted at snapshot; the lock-step
-//!   simulator and the threaded runtime therefore produce identical
-//!   *protocol* snapshots ([`MetricsSnapshot::protocol_eq`]).
+//!   time and are canonically sorted at snapshot; the sequential engine,
+//!   the sharded engine at any thread count and the partitioned tier
+//!   therefore produce identical *protocol* snapshots
+//!   ([`MetricsSnapshot::protocol_eq`]).
 //! * **Allocation-light.** Recording a counter is a `BTreeMap` upsert
 //!   under a short-lived mutex; events are pushed into a pre-bounded
 //!   buffer and counted (not stored) past capacity.

@@ -1,4 +1,4 @@
-//! Point-in-time export of a [`MetricsRegistry`](crate::MetricsRegistry):
+//! Point-in-time export of a [`MetricsRegistry`]:
 //! a plain-data snapshot plus JSON and CSV serializers and parsers.
 //!
 //! Snapshots split into a *protocol* part (counters, gauges, histograms,
@@ -119,7 +119,7 @@ impl MetricsSnapshot {
     }
 
     /// The snapshot with all wall-time data removed: what must match
-    /// exactly between the lock-step simulator and the threaded runtime.
+    /// exactly across tick engines, thread counts and transports.
     pub fn protocol_view(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             wall_nanos: BTreeMap::new(),

@@ -1,7 +1,6 @@
 //! Scalability comparison at paper scale: MobiEyes (eager and lazy) vs the
-//! naive and central-optimal reporting schemes, plus the threaded actor
-//! runtime on multiple cores — the headline claims of the paper in one
-//! program.
+//! naive and central-optimal reporting schemes, on the sharded tick engine
+//! — the headline claims of the paper in one program.
 //!
 //! Run with: `cargo run --example scalability --release`
 
@@ -51,21 +50,11 @@ fn main() {
         eager.avg_lqt_size, eager.avg_evals_per_object_tick
     );
 
-    // The same protocol on the threaded actor runtime.
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(8);
+    // `threads = 0` (the default) shards the agents across
+    // MOBIEYES_THREADS workers, or every available core.
     println!(
-        "\nrunning the identical scenario on the threaded runtime ({threads} worker shards)..."
+        "\nsharded tick engine: {} worker threads (the parallel_equivalence tests prove \
+         every thread count is byte-identical to the sequential run)",
+        base.resolved_threads()
     );
-    let start = std::time::Instant::now();
-    let out = ThreadedSim::new(base, threads).run();
-    println!(
-        "threaded runtime: {} total msgs, avg LQT {:.2}, wall time {:.1}s",
-        out.total_msgs,
-        out.avg_lqt_size,
-        start.elapsed().as_secs_f64()
-    );
-    println!("(the runtime_equivalence tests prove it is bit-identical to the lock-step run)");
 }

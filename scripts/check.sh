@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, lints, release build, full test suite.
+# Tier-1 gate: formatting, lints, rustdoc, release build, full test suite.
 # Run from the repository root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -9,6 +9,11 @@ cargo fmt --all --check
 
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings"
+# Intra-doc links are checked like code: a link to an item this tree no
+# longer has fails the gate instead of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo build --release"
 cargo build --release --workspace

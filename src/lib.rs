@@ -21,7 +21,6 @@
 //!   force oracle).
 //! - [`sim`]: Table 1 workload generation, mobility, ground truth and the
 //!   measurement drivers behind every figure of the paper.
-//! - [`runtime`]: a threaded actor deployment of the same protocol.
 //!
 //! ## Quickstart
 //!
@@ -74,7 +73,6 @@ pub use mobieyes_core as core;
 pub use mobieyes_geo as geo;
 pub use mobieyes_net as net;
 pub use mobieyes_rstar as rstar;
-pub use mobieyes_runtime as runtime;
 pub use mobieyes_sim as sim;
 pub use mobieyes_store as store;
 pub use mobieyes_telemetry as telemetry;
@@ -131,20 +129,21 @@ impl From<mobieyes_net::TransportError> for Error {
     }
 }
 
-/// The common vocabulary in one import: `use mobieyes::prelude::*;`.
-///
-/// Re-exports the types almost every program touches — the protocol
-/// endpoints ([`Server`], [`MovingObjectAgent`]), the transport layer
-/// ([`Transport`], [`SocketTransport`], [`TransportKind`]), geometry
-/// primitives, the simulation drivers and their configuration, the
-/// unified [`Approach`] entry point, and the telemetry sink every layer
-/// records into.
-///
-/// The simulated-network plumbing (`NetworkSim`, `BaseStationLayout`,
-/// `MessageMeter`, `RadioModel`) is no longer part of the prelude: those
-/// are internals of the lockstep backend. Deprecated aliases keep old
-/// imports compiling; reach them at [`crate::net`] directly.
 pub mod prelude {
+    //! The common vocabulary in one import: `use mobieyes::prelude::*;`.
+    //!
+    //! Re-exports the types almost every program touches — the protocol
+    //! endpoints ([`Server`], [`MovingObjectAgent`]), the transport layer
+    //! ([`Transport`], [`SocketTransport`], [`TransportKind`]), geometry
+    //! primitives, the simulation drivers and their configuration, the
+    //! unified [`Approach`] entry point, and the telemetry sink every layer
+    //! records into.
+    //!
+    //! The simulated-network plumbing (`NetworkSim`, `BaseStationLayout`,
+    //! `MessageMeter`, `RadioModel`) is no longer part of the prelude: those
+    //! are internals of the lockstep backend; reach them at [`crate::net`]
+    //! directly.
+
     pub use crate::Error;
     pub use mobieyes_core::{
         Filter, MovingObjectAgent, ObjectId, PropValue, Propagation, Properties, ProtocolConfig,
@@ -155,7 +154,6 @@ pub mod prelude {
         Endpoint, FramedConn, Listener, LockstepTransport, SocketTransport, Transport,
         TransportError,
     };
-    pub use mobieyes_runtime::{ThreadedOutcome, ThreadedSim};
     pub use mobieyes_sim::{
         run_approach, run_approach_with, Approach, ClusterClient, ConfigError, EngineKind,
         HostedPartitions, MobiEyesSim, Mobility, RecoveryKind, RunMetrics, RunReport, SimConfig,
@@ -164,39 +162,4 @@ pub mod prelude {
     pub use mobieyes_telemetry::{
         MetricsRegistry, MetricsSnapshot, Phase, Telemetry, TickProfiler,
     };
-
-    /// Deprecated alias kept so pre-0.6 `prelude::Net` imports compile.
-    #[deprecated(
-        since = "0.6.0",
-        note = "`Net` is lockstep-backend plumbing; import `mobieyes::core::server::Net` directly"
-    )]
-    pub type Net = mobieyes_core::server::Net;
-
-    /// Deprecated alias kept so pre-0.6 `prelude::NetworkSim` imports compile.
-    #[deprecated(
-        since = "0.6.0",
-        note = "`NetworkSim` is lockstep-backend plumbing; import `mobieyes::net::NetworkSim` directly"
-    )]
-    pub type NetworkSim<U, D> = mobieyes_net::NetworkSim<U, D>;
-
-    /// Deprecated alias kept so pre-0.6 `prelude::BaseStationLayout` imports compile.
-    #[deprecated(
-        since = "0.6.0",
-        note = "`BaseStationLayout` is lockstep-backend plumbing; import `mobieyes::net::BaseStationLayout` directly"
-    )]
-    pub type BaseStationLayout = mobieyes_net::BaseStationLayout;
-
-    /// Deprecated alias kept so pre-0.6 `prelude::MessageMeter` imports compile.
-    #[deprecated(
-        since = "0.6.0",
-        note = "`MessageMeter` is lockstep-backend plumbing; import `mobieyes::net::MessageMeter` directly"
-    )]
-    pub type MessageMeter = mobieyes_net::MessageMeter;
-
-    /// Deprecated alias kept so pre-0.6 `prelude::RadioModel` imports compile.
-    #[deprecated(
-        since = "0.6.0",
-        note = "`RadioModel` is lockstep-backend plumbing; import `mobieyes::net::RadioModel` directly"
-    )]
-    pub type RadioModel = mobieyes_net::RadioModel;
 }
