@@ -43,12 +43,15 @@ use std::sync::Arc;
 const DEFAULT_RPC_DEADLINE: std::time::Duration = std::time::Duration::from_secs(30);
 
 /// Bound on the posted lane: at most this many closed ops, or this many
-/// request bytes, await collection at once. Far below either direction's
-/// socket buffer (the replies of closed ops are of request size), so a
-/// coordinator flushing its window and a partition flushing the replies
-/// can never block on each other.
-const POST_WINDOW_OPS: usize = 256;
-const POST_WINDOW_BYTES: usize = 32 * 1024;
+/// request bytes, await collection at once. Only the request direction
+/// needs the bound. A window of requests always fits the partition's
+/// receive buffer, so [`ClusterServer::drain_posted`]'s flush never blocks
+/// and the coordinator always reaches its reads. Replies may be far larger
+/// than requests (a `NewQueries` runs to kilobytes), and a partition may
+/// well block writing them — but only until the coordinator, which has
+/// nothing left to write, reads them.
+pub(crate) const POST_WINDOW_OPS: usize = 256;
+pub(crate) const POST_WINDOW_BYTES: usize = 32 * 1024;
 
 /// One bus frame: an inter-server message plus its destination partition.
 #[derive(Debug, Clone)]
@@ -428,6 +431,7 @@ impl ClusterServer {
         &self,
         start: impl Fn(&PartitionHandle) -> Probe<T>,
     ) -> Vec<T> {
+        debug_assert!(self.lane.is_empty(), "probe round over a posted lane");
         let probes: Vec<_> = self.partitions.iter().map(start).collect();
         let finish = |(p, pr): (&PartitionHandle, _)| p.finish(pr);
         self.partitions.iter().zip(probes).map(finish).collect()
@@ -438,6 +442,7 @@ impl ClusterServer {
         &mut self,
         start: impl FnMut(&mut PartitionHandle) -> Probe<T>,
     ) -> Vec<T> {
+        debug_assert!(self.lane.is_empty(), "probe round over a posted lane");
         let probes: Vec<_> = self.partitions.iter_mut().map(start).collect();
         let finish = |(p, pr): (&PartitionHandle, _)| p.finish(pr);
         self.partitions.iter().zip(probes).map(finish).collect()
@@ -689,6 +694,7 @@ impl ClusterServer {
     /// operation reads it. Message applications never emit follow-ups, so
     /// one round drains the system.
     fn pump_bus(&mut self) {
+        debug_assert!(self.lane.is_empty(), "bus pump over a posted lane");
         for p in 0..self.partitions.len() {
             for (to, msg) in self.partitions[p].take_outbox() {
                 self.bus
@@ -923,10 +929,17 @@ impl ClusterServer {
         self.drain_posted(net);
     }
 
-    /// Accounts for a closed op just posted to partition `home` (`bytes`
-    /// is 0 when it ran inline or the peer is dead: nothing to collect)
-    /// and drains the lane once the window is full.
-    fn posted(&mut self, home: usize, bytes: usize, net: &mut Net) {
+    /// Posts one closed op (`post`, a `PartitionHandle::post_*`) to
+    /// partition `home` and enters it in the lane — unless it ran inline or
+    /// the peer is dead (0 bytes queued: nothing to collect) — draining
+    /// the lane once the window is full.
+    fn post_at(
+        &mut self,
+        home: usize,
+        net: &mut Net,
+        post: impl FnOnce(&mut PartitionHandle, &mut Net) -> usize,
+    ) {
+        let bytes = post(&mut self.partitions[home], net);
         if bytes == 0 {
             return;
         }
@@ -938,9 +951,9 @@ impl ClusterServer {
     }
 
     /// Collects the reply of every posted op, in issue order, replaying
-    /// their downlinks onto `net` in that order. Runs before any call is
-    /// issued (calls move the epoch, pump the bus or write to `net`
-    /// themselves), when the window fills, and at the end of the tick.
+    /// their downlinks onto `net` in that order. Runs before any call or
+    /// probe ([`Self::call_at`], [`Self::probe_all`]), when the window
+    /// fills, and at the end of the tick.
     fn drain_posted(&mut self, net: &mut Net) {
         if self.lane.is_empty() {
             return;
@@ -954,9 +967,30 @@ impl ClusterServer {
         self.lane_bytes = 0;
     }
 
-    /// [`Self::handle_uplink`] minus the final drain: result reports leave
-    /// their closed ops posted, so a run of them (the whole ingest phase)
-    /// costs one write and one read per partition process.
+    /// Partition `p`, for a call. Every data-path op that is not posted
+    /// ([`Self::post_at`]) reaches its partition through here (or
+    /// [`Self::probe_all`]): a call moves the epoch, pumps the bus or
+    /// writes to `net` itself, so the posted lane — on every handle, not
+    /// only `p`'s — is collected first.
+    fn call_at(&mut self, p: usize, net: &mut Net) -> &mut PartitionHandle {
+        self.drain_posted(net);
+        &mut self.partitions[p]
+    }
+
+    /// [`Self::fan_out`] from the data path: the lane is collected first.
+    fn probe_all<T: FromPayload + Default>(
+        &mut self,
+        net: &mut Net,
+        start: impl Fn(&PartitionHandle) -> Probe<T>,
+    ) -> Vec<T> {
+        self.drain_posted(net);
+        self.fan_out(start)
+    }
+
+    /// [`Self::handle_uplink`] minus the final drain: closed ops are left
+    /// posted, so a run of them — result reports, lease renewals, the cell
+    /// changes of non-focal objects — costs one write and one read per
+    /// partition process.
     fn decompose_uplink(&mut self, from: NodeId, msg: Uplink, net: &mut Net) {
         let primary_flat =
             Router::primary_cell(&self.config.grid, &msg).map(|c| self.config.grid.flat_index(c));
@@ -980,22 +1014,15 @@ impl ClusterServer {
         // layer; without it `last_heard` is never read.
         if self.config.fault_tolerant() {
             for p in 0..self.partitions.len() {
-                let bytes = self.partitions[p].post_renew_lease(ObjectId(from.0));
-                self.posted(p, bytes, net);
+                self.post_at(p, net, |h, _| h.post_renew_lease(ObjectId(from.0)));
             }
-        }
-        if !matches!(
-            msg,
-            Uplink::ResultUpdate { .. } | Uplink::GroupResultUpdate { .. }
-        ) {
-            // Everything below is a call.
-            self.drain_posted(net);
         }
         match msg {
             Uplink::VelocityReport { oid, motion } => {
                 debug_assert_eq!(from.0, oid.0);
                 let target = self.find_focal(oid).unwrap_or(primary);
-                self.partitions[target].on_velocity_report(oid, motion, net);
+                self.call_at(target, net)
+                    .on_velocity_report(oid, motion, net);
                 self.pump_bus();
             }
             Uplink::CellChange {
@@ -1005,15 +1032,16 @@ impl ClusterServer {
                 motion,
             } => {
                 self.sinks[primary].incr(srv_keys::CELL_CHANGES);
-                self.cell_change(oid, prev_cell, new_cell, motion, net);
+                let home = self.find_focal(oid);
+                self.cell_change(oid, home, prev_cell, new_cell, motion, net);
             }
             Uplink::ResultUpdate { oid, changes } => {
                 self.sinks[primary].incr(srv_keys::RESULT_UPDATES);
                 for (qid, is_target) in changes {
                     if let Some(home) = self.find_query(qid) {
-                        let bytes =
-                            self.partitions[home].post_result_change(qid, oid, is_target, net);
-                        self.posted(home, bytes, net);
+                        self.post_at(home, net, |h, net| {
+                            h.post_result_change(qid, oid, is_target, net)
+                        });
                     }
                 }
             }
@@ -1025,9 +1053,9 @@ impl ClusterServer {
             } => {
                 self.sinks[primary].incr(srv_keys::RESULT_UPDATES);
                 if let Some(home) = self.find_focal(focal) {
-                    let bytes = self.partitions[home]
-                        .post_group_result_update(oid, focal, mask, targets, net);
-                    self.posted(home, bytes, net);
+                    self.post_at(home, net, |h, net| {
+                        h.post_group_result_update(oid, focal, mask, targets, net)
+                    });
                 }
             }
             Uplink::PositionReply {
@@ -1036,7 +1064,8 @@ impl ClusterServer {
                 max_vel,
             } => {
                 let target = self.find_focal(oid).unwrap_or(primary);
-                self.partitions[target].refresh_focal_motion(oid, motion, max_vel, true);
+                self.call_at(target, net)
+                    .refresh_focal_motion(oid, motion, max_vel, true);
                 self.pump_bus();
                 self.complete_pending(oid, net);
             }
@@ -1058,10 +1087,13 @@ impl ClusterServer {
     /// Cross-partition cell change: migrate the focal object's FOT/SQT
     /// rows to the partition owning the new cell (border handoff), then
     /// run the focal and fresh halves at their owners — the same primitive
-    /// sequence, in the same order, as the single server.
+    /// sequence, in the same order, as the single server. `home` is the
+    /// caller's `find_focal(oid)`: a non-focal object (`None`, the common
+    /// case) issues no call at all, only the posted fresh half.
     fn cell_change(
         &mut self,
         oid: ObjectId,
+        mut home: Option<usize>,
         prev_cell: CellId,
         new_cell: CellId,
         motion: LinearMotion,
@@ -1071,31 +1103,33 @@ impl ClusterServer {
         // clamp before any flat-index lookup.
         let new_cell = self.config.grid.clamp_cell(new_cell);
         let new_home = self.map.owner_of_cell(&self.config.grid, new_cell) as usize;
-        if let Some(home) = self.find_focal(oid) {
-            if home != new_home {
-                if let Some(m) = self.partitions[home].extract_focal(oid) {
-                    self.bus
-                        .send(
-                            NodeId(home as u32),
-                            Envelope {
-                                to: new_home as u32,
-                                msg: m,
-                            },
-                        )
-                        .expect("bus send failed");
-                    self.pump_bus();
-                }
-            }
-            // Re-resolve: under a faulty bus the migration may have been
-            // lost, leaving the object temporarily homeless (repaired by
-            // lease expiry, like any other lost state).
-            if let Some(h) = self.find_focal(oid) {
-                self.partitions[h].apply_cell_change_focal(oid, new_cell, motion, net);
+        if let Some(old_home) = home.filter(|&h| h != new_home) {
+            if let Some(m) = self.call_at(old_home, net).extract_focal(oid) {
+                self.bus
+                    .send(
+                        NodeId(old_home as u32),
+                        Envelope {
+                            to: new_home as u32,
+                            msg: m,
+                        },
+                    )
+                    .expect("bus send failed");
                 self.pump_bus();
+                // Re-resolve: under a faulty bus the migration may have
+                // been lost, leaving the object temporarily homeless
+                // (repaired by lease expiry, like any other lost state).
+                home = self.find_focal(oid);
             }
         }
-        self.partitions[new_home].apply_cell_change_fresh(oid, prev_cell, new_cell, motion, net);
-        self.pump_bus();
+        if let Some(h) = home {
+            self.call_at(h, net)
+                .apply_cell_change_focal(oid, new_cell, motion, net);
+            self.pump_bus();
+        }
+        // Closed: no outbox to pump behind it.
+        self.post_at(new_home, net, |h, net| {
+            h.post_cell_change_fresh(oid, prev_cell, new_cell, motion, net)
+        });
     }
 
     /// Completes the coordinator-owned deferred installs of `oid` at its
@@ -1112,7 +1146,7 @@ impl ClusterServer {
             return;
         };
         for p in pending {
-            self.partitions[home].complete_install_at(
+            self.call_at(home, net).complete_install_at(
                 p.qid,
                 oid,
                 p.region,
@@ -1145,24 +1179,23 @@ impl ClusterServer {
         // missing piece as "no prior state" instead of panicking — the
         // lease teardown reclaims the queries.
         let prior = home0.and_then(|h| {
-            Some((
-                self.partitions[h].focal_motion(oid)?,
-                self.partitions[h].focal_queries(oid)?,
-            ))
+            let home = self.call_at(h, net);
+            Some((home.focal_motion(oid)?, home.focal_queries(oid)?))
         });
         let target = home0.unwrap_or_else(|| {
             self.map
                 .owner_of_cell(&self.config.grid, self.config.grid.cell_of(motion.pos))
                 as usize
         });
-        self.partitions[target].refresh_focal_motion(oid, motion, max_vel, has_pending);
+        self.call_at(target, net)
+            .refresh_focal_motion(oid, motion, max_vel, has_pending);
         self.pump_bus();
         if let Some((old_motion, queries)) = prior {
             if !queries.is_empty() {
                 let home = home0.expect("prior implies a home");
                 let reported: Vec<CellId> = queries
                     .iter()
-                    .filter_map(|q| self.partitions[home].query_cell(*q))
+                    .filter_map(|q| self.call_at(home, net).query_cell(*q))
                     .collect();
                 let stale_cell = reported.iter().any(|&c| c != cell);
                 if stale_cell {
@@ -1172,9 +1205,9 @@ impl ClusterServer {
                     let prev = reported[0];
                     self.sinks[self.map.owner_of_cell(&self.config.grid, cell) as usize]
                         .incr(srv_keys::CELL_CHANGES);
-                    self.cell_change(oid, prev, cell, motion, net);
+                    self.cell_change(oid, home0, prev, cell, motion, net);
                 } else if motion.tm > old_motion.tm {
-                    self.partitions[home].on_velocity_report(oid, motion, net);
+                    self.call_at(home, net).on_velocity_report(oid, motion, net);
                     self.pump_bus();
                 }
             }
@@ -1183,21 +1216,24 @@ impl ClusterServer {
             // Purge the crashed object from every result set, delivering
             // the deltas in ascending query order across all partitions.
             let mut stale: Vec<(usize, QueryId)> = Vec::new();
-            for (p, s) in self.partitions.iter_mut().enumerate() {
-                stale.extend(s.purge_object(oid).into_iter().map(|q| (p, q)));
+            for p in 0..self.partitions.len() {
+                let purged = self.call_at(p, net).purge_object(oid);
+                stale.extend(purged.into_iter().map(|q| (p, q)));
             }
             stale.sort_unstable_by_key(|&(_, q)| q);
             self.sinks[0].add(srv_keys::STALE_RESULTS_PURGED, stale.len() as u64);
             for (home, qid) in stale {
-                self.partitions[home].deliver_result_delta(qid, oid, false, net);
+                self.post_at(home, net, |h, net| {
+                    h.post_deliver_result_delta(qid, oid, false, net)
+                });
             }
         }
         self.complete_pending(oid, net);
         if let Some(home) = self.find_focal(oid) {
-            self.partitions[home].focal_reassert(oid, net);
+            self.post_at(home, net, |h, net| h.post_focal_reassert(oid, net));
         }
         let owner = self.map.owner_of_cell(&self.config.grid, cell) as usize;
-        self.partitions[owner].cell_sync_reply(oid, cell, net);
+        self.post_at(owner, net, |h, net| h.post_cell_sync_reply(oid, cell, net));
     }
 
     /// Soft-state refresh against an object's full local view. Only a
@@ -1209,7 +1245,7 @@ impl ClusterServer {
         self.sinks[0].incr(srv_keys::LQT_SYNCS);
         let mentioned: BTreeMap<QueryId, bool> = entries.into_iter().collect();
         let mut member_at: BTreeMap<QueryId, usize> = BTreeMap::new();
-        let per_partition = self.fan_out(|p| p.start_object_memberships(oid));
+        let per_partition = self.probe_all(net, |p| p.start_object_memberships(oid));
         for (p, homed) in per_partition.into_iter().enumerate() {
             member_at.extend(homed.into_iter().map(|q| (q, p)));
         }
@@ -1227,7 +1263,10 @@ impl ClusterServer {
                 // Already as claimed.
                 _ => continue,
             };
-            if self.partitions[home].lqt_reconcile_one(qid, oid, is_target) {
+            if self
+                .call_at(home, net)
+                .lqt_reconcile_one(qid, oid, is_target)
+            {
                 if !is_target && !mentioned.contains_key(&qid) {
                     stale += 1;
                 }
@@ -1236,7 +1275,9 @@ impl ClusterServer {
         }
         self.sinks[0].add(srv_keys::STALE_RESULTS_PURGED, stale);
         for (home, qid, entered) in deltas {
-            self.partitions[home].deliver_result_delta(qid, oid, entered, net);
+            self.post_at(home, net, |h, net| {
+                h.post_deliver_result_delta(qid, oid, entered, net)
+            });
         }
     }
 

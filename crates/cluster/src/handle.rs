@@ -14,15 +14,27 @@
 //! same order. Three shapes are built on that one mechanism:
 //!
 //! - a *call* sends and waits — every op that can move the epoch, queue a
-//!   bus envelope or change what the partition homes is a call, so the
-//!   coordinator has folded its reply before it issues anything else;
+//!   bus envelope or change what the partition homes, and every read the
+//!   coordinator branches on, is a call, so the coordinator has folded its
+//!   reply before it issues anything else;
 //! - a [`Probe`] (`start_*` then [`PartitionHandle::finish`]) puts the same
 //!   read-only or fence op on the wire of every partition before waiting
 //!   for the first reply, so the partition processes work concurrently;
 //! - a *posted* op (`post_*` then [`PartitionHandle::collect_posted`]) is
 //!   a closed op ([`PartitionOp::is_closed`]) written without even a
 //!   flush; the coordinator keeps issuing closed ops and collects the
-//!   replies, in issue order, before the next call.
+//!   replies, in issue order, before the next call. An op has exactly one
+//!   shape: every closed op has a `post_*` and no call form.
+//!
+//! The one rule posting adds — collect every posted reply before the next
+//! call or probe — is the coordinator's to keep (it owns the lane across
+//! handles; see `ClusterServer::call_at`). The handle only counts its
+//! uncollected posts and, in debug builds, refuses a call or probe over
+//! them: that is the case that would desynchronise the connection, the
+//! call reading a posted op's reply as its own. Replies of posted ops may
+//! be much larger than their requests; the coordinator bounds the
+//! *requests* it queues between drains, which is what keeps its flush
+//! from blocking (DESIGN.md §11).
 //!
 //! Every request carries the coordinator's epoch view as a floor, and
 //! every reply folds its epoch back with a `fetch_max` — reproducing the
@@ -96,6 +108,10 @@ pub struct RemotePartition {
     /// module docs).
     death: RefCell<Option<TransportError>>,
     counts: Cell<RpcCounts>,
+    /// Posted ops whose reply is still owed. A call or probe issued while
+    /// this is non-zero would read a posted op's reply as its own, so
+    /// both assert it is zero (debug builds).
+    uncollected: Cell<u32>,
 }
 
 impl RemotePartition {
@@ -112,6 +128,7 @@ impl RemotePartition {
             queries: RefCell::new(HashSet::new()),
             death: RefCell::new(None),
             counts: Cell::new(RpcCounts::default()),
+            uncollected: Cell::new(0),
         }
     }
 
@@ -249,8 +266,21 @@ impl RemotePartition {
         })
     }
 
+    /// The drain-before-call rule, where breaking it would desynchronise
+    /// the connection: the oldest outstanding reply must be the one the
+    /// caller is about to wait for.
+    fn assert_lane_collected(&self, op: &PartitionOp) {
+        debug_assert_eq!(
+            self.uncollected.get(),
+            0,
+            "partition {}: {op:?} issued with posted replies uncollected",
+            self.partition
+        );
+    }
+
     /// One round trip.
     fn call<T: FromPayload + Default>(&self, op: &PartitionOp, net: Option<&mut Net>) -> T {
+        self.assert_lane_collected(op);
         if self.send(op) == 0 {
             return T::default();
         }
@@ -425,6 +455,7 @@ impl PartitionHandle {
     }
 
     fn start_remote<T>(r: &RemotePartition, op: &PartitionOp) -> Probe<T> {
+        r.assert_lane_collected(op);
         if r.send(op) == 0 {
             return Probe::Dead;
         }
@@ -495,6 +526,7 @@ impl PartitionHandle {
                 let bytes = r.send(&op);
                 if bytes > 0 {
                     r.count(|c| c.posted += 1);
+                    r.uncollected.set(r.uncollected.get() + 1);
                 }
                 bytes
             }
@@ -513,6 +545,7 @@ impl PartitionHandle {
     /// onto `net`. A dead peer's replies are skipped, not waited for.
     pub fn collect_posted(&self, net: &mut Net) {
         if let PartitionHandle::Remote(r) = self {
+            r.uncollected.set(r.uncollected.get().saturating_sub(1));
             if let Some((actions, _)) = r.recv() {
                 replay_net(actions, net);
             }
@@ -560,6 +593,52 @@ impl PartitionHandle {
                 targets,
             },
             |s| s.apply_group_result_update(oid, focal, mask, targets, net),
+        )
+    }
+
+    pub fn post_cell_change_fresh(
+        &mut self,
+        oid: ObjectId,
+        prev_cell: CellId,
+        new_cell: CellId,
+        motion: LinearMotion,
+        net: &mut Net,
+    ) -> usize {
+        self.post(
+            || PartitionOp::CellChangeFresh {
+                oid,
+                prev_cell,
+                new_cell,
+                motion,
+            },
+            |s| s.apply_cell_change_fresh(oid, prev_cell, new_cell, motion, net),
+        )
+    }
+
+    pub fn post_deliver_result_delta(
+        &mut self,
+        qid: QueryId,
+        oid: ObjectId,
+        entered: bool,
+        net: &mut Net,
+    ) -> usize {
+        self.post(
+            || PartitionOp::DeliverResultDelta { qid, oid, entered },
+            |s| s.deliver_result_delta(qid, oid, entered, net),
+        )
+    }
+
+    pub fn post_focal_reassert(&mut self, oid: ObjectId, net: &mut Net) -> usize {
+        self.post(
+            || PartitionOp::FocalReassert(oid),
+            |s| s.focal_reassert(oid, net),
+        )
+    }
+
+    pub fn post_cell_sync_reply(&mut self, oid: ObjectId, cell: CellId, net: &mut Net) -> usize {
+        self.post(
+            || PartitionOp::CellSyncReply { oid, cell },
+            |s| s.cell_sync_reply(oid, cell, net),
         )
     }
 
@@ -734,26 +813,6 @@ impl PartitionHandle {
         )
     }
 
-    pub fn apply_cell_change_fresh(
-        &mut self,
-        oid: ObjectId,
-        prev_cell: CellId,
-        new_cell: CellId,
-        motion: LinearMotion,
-        net: &mut Net,
-    ) {
-        self.ask_net(
-            net,
-            || PartitionOp::CellChangeFresh {
-                oid,
-                prev_cell,
-                new_cell,
-                motion,
-            },
-            |s, net| s.apply_cell_change_fresh(oid, prev_cell, new_cell, motion, net),
-        )
-    }
-
     pub fn refresh_focal_motion(
         &mut self,
         oid: ObjectId,
@@ -872,20 +931,6 @@ impl PartitionHandle {
         self.ask_mut(|| PartitionOp::PurgeObject(oid), |s| s.purge_object(oid))
     }
 
-    pub fn deliver_result_delta(
-        &mut self,
-        qid: QueryId,
-        oid: ObjectId,
-        entered: bool,
-        net: &mut Net,
-    ) {
-        self.ask_net(
-            net,
-            || PartitionOp::DeliverResultDelta { qid, oid, entered },
-            |s, net| s.deliver_result_delta(qid, oid, entered, net),
-        )
-    }
-
     pub fn lqt_reconcile_one(&mut self, qid: QueryId, oid: ObjectId, is_target: bool) -> bool {
         self.ask_mut(
             || PartitionOp::LqtReconcileOne {
@@ -894,22 +939,6 @@ impl PartitionHandle {
                 is_target,
             },
             |s| s.lqt_reconcile_one(qid, oid, is_target),
-        )
-    }
-
-    pub fn focal_reassert(&mut self, oid: ObjectId, net: &mut Net) {
-        self.ask_net(
-            net,
-            || PartitionOp::FocalReassert(oid),
-            |s, net| s.focal_reassert(oid, net),
-        )
-    }
-
-    pub fn cell_sync_reply(&mut self, oid: ObjectId, cell: CellId, net: &mut Net) {
-        self.ask_net(
-            net,
-            || PartitionOp::CellSyncReply { oid, cell },
-            |s, net| s.cell_sync_reply(oid, cell, net),
         )
     }
 
@@ -1036,9 +1065,13 @@ pub(crate) mod tests {
     use mobieyes_geo::Rect;
     use mobieyes_net::{BaseStationLayout, Endpoint, Listener};
 
-    /// A connected loopback pair: `(coordinator end, service end)`.
+    /// A connected loopback TCP pair: `(coordinator end, service end)`.
     pub(crate) fn loopback_pair() -> (FramedConn, FramedConn) {
-        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
+        pair_on(&Endpoint::Tcp("127.0.0.1:0".into()))
+    }
+
+    fn pair_on(endpoint: &Endpoint) -> (FramedConn, FramedConn) {
+        let listener = Listener::bind(endpoint).expect("bind");
         let client = listener.local_endpoint().expect("endpoint").connect();
         let served = FramedConn::new(listener.accept().expect("accept"));
         (FramedConn::new(client.expect("connect")), served)
@@ -1046,13 +1079,22 @@ pub(crate) mod tests {
 
     /// Reads one request and answers it with `payload` and `homes`.
     pub(crate) fn answer(conn: &mut FramedConn, payload: ReplyPayload, homes: Vec<HomeChange>) {
+        answer_with(conn, Vec::new(), payload, homes);
+    }
+
+    fn answer_with(
+        conn: &mut FramedConn,
+        net: Vec<NetAction>,
+        payload: ReplyPayload,
+        homes: Vec<HomeChange>,
+    ) {
         let request = conn.read_frame().expect("request");
         wire::decode_request(&request).expect("well-formed request");
         let mut frame = Vec::new();
         let reply = PartitionReply {
             epoch: 1,
             outbox: Vec::new(),
-            net: Vec::new(),
+            net,
             payload,
             homes,
         };
@@ -1067,7 +1109,13 @@ pub(crate) mod tests {
     fn with_peer(
         peer: impl FnOnce(FramedConn) + Send + 'static,
     ) -> (PartitionHandle, std::thread::JoinHandle<()>) {
-        let (client, server) = loopback_pair();
+        with_peer_on(loopback_pair(), peer)
+    }
+
+    fn with_peer_on(
+        (client, server): (FramedConn, FramedConn),
+        peer: impl FnOnce(FramedConn) + Send + 'static,
+    ) -> (PartitionHandle, std::thread::JoinHandle<()>) {
         let thread = std::thread::spawn(move || peer(server));
         let remote = RemotePartition::new(3, client, Arc::new(AtomicU64::new(0)));
         (PartitionHandle::Remote(Box::new(remote)), thread)
@@ -1177,6 +1225,92 @@ pub(crate) mod tests {
         );
         handle.collect_posted(&mut net);
         assert_eq!(handle.crashed(), Some(death), "first failure wins");
+    }
+
+    /// The window bounds requests, not replies: a full window of fresh
+    /// cell changes whose replies dwarf the requests (and, together, any
+    /// socket buffer) drains, because once the coordinator has flushed its
+    /// window it only reads — which is what unblocks a partition stuck
+    /// writing. The unicasts land on the network in issue order.
+    #[test]
+    fn a_full_window_of_large_replies_drains_in_issue_order() {
+        use crate::cluster_server::{POST_WINDOW_BYTES, POST_WINDOW_OPS};
+        use mobieyes_core::Downlink;
+        const REPLY_BYTES: usize = 4096;
+        let uds = std::env::temp_dir().join(format!(
+            "mobieyes-handle-window-{}.sock",
+            std::process::id()
+        ));
+        for endpoint in [Endpoint::Tcp("127.0.0.1:0".into()), Endpoint::Uds(uds)] {
+            let (mut handle, peer) = with_peer_on(pair_on(&endpoint), |mut conn| {
+                for i in 0..POST_WINDOW_OPS as u64 {
+                    // Any downlink will do for bulk; the epoch numbers it.
+                    let msg = Downlink::Heartbeat {
+                        epoch: i,
+                        cell_digests: vec![(CellId::new(1, 2), i); REPLY_BYTES / 16 + 1],
+                    };
+                    let unicast = NetAction::Unicast { node: 9, msg };
+                    answer_with(&mut conn, vec![unicast], ReplyPayload::Unit, Vec::new());
+                }
+            });
+            // A deadlock would surface as this deadline, not a hung test.
+            handle.set_rpc_deadline(Some(Duration::from_secs(20)));
+            let mut net = test_net();
+            let motion = LinearMotion::new(
+                mobieyes_geo::Point::new(1.0, 2.0),
+                mobieyes_geo::Vec2::new(0.0, 0.0),
+                0.0,
+            );
+            let mut queued = 0;
+            for i in 0..POST_WINDOW_OPS as u32 {
+                let (prev, new) = (CellId::new(0, 2), CellId::new(1, 2));
+                queued += handle.post_cell_change_fresh(ObjectId(i), prev, new, motion, &mut net);
+            }
+            assert!(
+                queued <= POST_WINDOW_BYTES,
+                "a window of fresh cell changes is {queued} request bytes"
+            );
+            handle.flush_posted();
+            for _ in 0..POST_WINDOW_OPS {
+                handle.collect_posted(&mut net);
+            }
+            assert_eq!(handle.crashed(), None, "{endpoint}");
+            peer.join().expect("peer");
+            let (unicasts, broadcasts) = net.take_downlinks();
+            assert!(broadcasts.is_empty());
+            let order: Vec<u64> = unicasts
+                .iter()
+                .map(|(node, msg, _)| match (&**msg, node.0) {
+                    (Downlink::Heartbeat { epoch, .. }, 9) => *epoch,
+                    other => panic!("unexpected unicast {other:?}"),
+                })
+                .collect();
+            assert_eq!(
+                order,
+                (0..POST_WINDOW_OPS as u64).collect::<Vec<_>>(),
+                "{endpoint}"
+            );
+            let counts = handle.take_rpc_counts().expect("remote");
+            assert_eq!(
+                (counts.round_trips, counts.posted),
+                (0, POST_WINDOW_OPS as u64)
+            );
+        }
+    }
+
+    /// Drain-before-call, where a miss would desynchronise the
+    /// connection: a call over an uncollected post is a bug in the
+    /// coordinator, caught by the first debug-build test that reaches it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "posted replies uncollected")]
+    fn a_call_over_an_uncollected_post_trips_the_drain_assertion() {
+        // The peer outlives the unwinding test: it reads until the handle
+        // drops and answers nothing.
+        let (mut handle, _peer) = with_peer(|mut conn| while conn.read_frame().is_ok() {});
+        let mut net = test_net();
+        assert!(handle.post_focal_reassert(ObjectId(1), &mut net) > 0);
+        handle.probe_alive();
     }
 
     #[test]

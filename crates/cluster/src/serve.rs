@@ -16,6 +16,11 @@
 //!    replays onto the real network), the op's return value and the
 //!    FOT/SQT keys it added or removed (the coordinator's `homes` mirror).
 //!
+//! A *closed* op ([`PartitionOp::is_closed`]) is one the coordinator does
+//! not wait for; step 3 is refused — the session ends with a classified
+//! protocol error — if such an op moved the epoch, the outbox or the home
+//! log after all.
+//!
 //! Replies leave in batches: while the read buffer already holds the next
 //! request (the coordinator pipelined or posted several), the reply is
 //! only queued; the journal and then the socket are flushed once the
@@ -29,7 +34,7 @@
 use crate::partition::PartitionMap;
 use crate::wire::{self, InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload};
 use mobieyes_core::server::Net;
-use mobieyes_core::{LogRecord, PartitionScope, ProtocolConfig, Server};
+use mobieyes_core::{Downlink, LogRecord, PartitionScope, ProtocolConfig, Server};
 use mobieyes_net::{BaseStationLayout, FramedConn, Listener, TransportError};
 use mobieyes_store::{self as store, Store, StoreConfig};
 use mobieyes_telemetry::Telemetry;
@@ -136,24 +141,72 @@ impl ServiceState {
     }
 
     /// Drains the downlinks the last op queued on the local network into
-    /// replayable actions, preserving emission order within each kind.
+    /// replayable actions, preserving emission order within each kind. The
+    /// capture network never delivers, so a unicast's message is uniquely
+    /// held and moves out of its `Arc`; only a broadcast fanned out to
+    /// several stations is copied.
     fn drain_net_actions(&mut self) -> Vec<NetAction> {
+        let owned =
+            |msg: Arc<Downlink>| Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone());
         let (unicasts, broadcasts) = self.net.take_downlinks();
         let mut actions = Vec::with_capacity(unicasts.len() + broadcasts.len());
         for (node, msg, _) in unicasts {
             actions.push(NetAction::Unicast {
                 node: node.0,
-                msg: (*msg).clone(),
+                msg: owned(msg),
             });
         }
         for (station, msg, _) in broadcasts {
             actions.push(NetAction::Broadcast {
                 station: station.0,
-                msg: (*msg).clone(),
+                msg: owned(msg),
             });
         }
         actions
     }
+}
+
+/// Executes one op against the configured partition and builds its reply:
+/// raise the epoch to the request's floor, run the op, collect what it
+/// left behind. `closed` is [`PartitionOp::is_closed`] of the op — a
+/// parameter so the check below can be tested against a mis-listed op.
+///
+/// Closedness is verified here, where it is true or not: the coordinator
+/// posts closed ops without waiting, so one that moved the epoch, queued a
+/// bus envelope or changed a FOT/SQT key would be folded in the wrong
+/// order on the other side. Such a reply is never sent; the session ends
+/// with a [`TransportError::Protocol`] naming the op and the coordinator
+/// fences the partition like any other dead peer.
+fn serve_op(
+    s: &mut ServiceState,
+    floor: u64,
+    op: PartitionOp,
+    closed: bool,
+) -> Result<PartitionReply, TransportError> {
+    s.epoch.fetch_max(floor, Ordering::Relaxed);
+    // Closed ops hold ids and a motion at most: the copy is a few words.
+    let witness = closed.then(|| (op.clone(), s.epoch.load(Ordering::Relaxed)));
+    let payload = execute(s, op);
+    let reply = PartitionReply {
+        epoch: s.epoch.load(Ordering::Relaxed),
+        outbox: s.server.take_outbox(),
+        net: s.drain_net_actions(),
+        payload,
+        homes: s.server.take_home_log(),
+    };
+    if let Some((op, epoch)) = witness {
+        let effects = [
+            (reply.epoch != epoch, "moved the epoch"),
+            (!reply.outbox.is_empty(), "queued a bus envelope"),
+            (!reply.homes.is_empty(), "changed what the partition homes"),
+        ];
+        if let Some((_, effect)) = effects.iter().find(|(happened, _)| *happened) {
+            return Err(TransportError::Protocol(format!(
+                "{op:?} is listed as closed but {effect}"
+            )));
+        }
+    }
+    Ok(reply)
 }
 
 /// Serves one coordinator connection until `Shutdown` or disconnect.
@@ -190,15 +243,8 @@ pub fn serve_connection(mut conn: FramedConn) -> Result<(), TransportError> {
                 let Some(s) = state.as_mut() else {
                     return Err(TransportError::Protocol(format!("op before Init: {op:?}")));
                 };
-                s.epoch.fetch_max(floor, Ordering::Relaxed);
-                let payload = execute(s, op);
-                PartitionReply {
-                    epoch: s.epoch.load(Ordering::Relaxed),
-                    outbox: s.server.take_outbox(),
-                    net: s.drain_net_actions(),
-                    payload,
-                    homes: s.server.take_home_log(),
-                }
+                let closed = op.is_closed();
+                serve_op(s, floor, op, closed)?
             }
         };
         frame.clear();
@@ -405,11 +451,15 @@ pub fn serve_partition(listener: Listener, partition: u32) -> Result<(), Transpo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobieyes_core::{ObjectId, Propagation, QueryId};
-    use mobieyes_geo::Rect;
+    use mobieyes_core::{Filter, ObjectId, Propagation, QueryId};
+    use mobieyes_geo::{CellId, LinearMotion, Point, QueryRegion, Rect, Vec2};
 
     fn init(store_dir: &Path) -> PartitionOp {
-        PartitionOp::Init(InitConfig {
+        PartitionOp::Init(init_config(store_dir))
+    }
+
+    fn init_config(store_dir: &Path) -> InitConfig {
+        InitConfig {
             universe: Rect::new(0.0, 0.0, 100.0, 100.0),
             alpha: 5.0,
             alen: 10.0,
@@ -425,7 +475,7 @@ mod tests {
             num_partitions: 1,
             store_dir: Some(store_dir.to_string_lossy().into_owned()),
             store_fresh: true,
-        })
+        }
     }
 
     /// A coordinator-side connection to a service thread.
@@ -476,7 +526,9 @@ mod tests {
     /// them before it answers any — and whenever a reply is readable, the
     /// op it acknowledges must already be in the log files (40 records
     /// stay under the store's own 64-record group flush, so only the
-    /// service's flush-before-reply can have put them there).
+    /// service's flush-before-reply can have put them there). Once for
+    /// result changes, once for a run of fresh cell changes — the op the
+    /// lane mostly carries.
     #[test]
     fn batched_replies_leave_only_after_their_journal_records() {
         const BATCH: u32 = 40;
@@ -487,31 +539,218 @@ mod tests {
         let (mut conn, service) = serve_on_loopback();
         call(&mut conn, &init(&dir), true);
         wire::decode_reply(&conn.read_frame().expect("init reply")).expect("decodes");
-        let logged = |dir: &Path| {
-            let scan = store::read_log_dir(dir, 0).expect("readable log");
-            let is_result = |r: &LogRecord| matches!(r, LogRecord::ResultChange { .. });
-            scan.records.iter().filter(|(_, r)| is_result(r)).count()
-        };
-        assert_eq!(logged(&dir), 0);
-        for i in 0..BATCH {
-            let op = PartitionOp::ResultChange {
-                qid: QueryId(1),
-                oid: ObjectId(i),
-                is_target: true,
+        type Batch = (fn(u32) -> PartitionOp, fn(&LogRecord) -> bool);
+        let batches: [Batch; 2] = [
+            (
+                |i| PartitionOp::ResultChange {
+                    qid: QueryId(1),
+                    oid: ObjectId(i),
+                    is_target: true,
+                },
+                |r| matches!(r, LogRecord::ResultChange { .. }),
+            ),
+            (
+                |i| PartitionOp::CellChangeFresh {
+                    oid: ObjectId(i),
+                    prev_cell: CellId::new(3, 3),
+                    new_cell: CellId::new(4, 3),
+                    motion: motion_at(22.0, 17.0, 1.0),
+                },
+                |r| matches!(r, LogRecord::CellChangeFresh { .. }),
+            ),
+        ];
+        for (op, is_logged) in batches {
+            let logged = || {
+                let scan = store::read_log_dir(&dir, 0).expect("readable log");
+                scan.records.iter().filter(|(_, r)| is_logged(r)).count()
             };
-            call(&mut conn, &op, i + 1 == BATCH);
-        }
-        for acknowledged in 1..=BATCH as usize {
-            wire::decode_reply(&conn.read_frame().expect("reply")).expect("decodes");
-            assert!(
-                logged(&dir) >= acknowledged,
-                "reply {acknowledged} left before its op was journaled"
-            );
+            assert_eq!(logged(), 0);
+            for i in 0..BATCH {
+                call(&mut conn, &op(i), i + 1 == BATCH);
+            }
+            for acknowledged in 1..=BATCH as usize {
+                wire::decode_reply(&conn.read_frame().expect("reply")).expect("decodes");
+                assert!(
+                    logged() >= acknowledged,
+                    "reply {acknowledged} left before its op was journaled"
+                );
+            }
         }
         call(&mut conn, &PartitionOp::Shutdown, true);
         conn.read_frame().expect("shutdown reply");
         service.join().expect("service thread").expect("clean exit");
         store::wipe_dir(&dir).expect("clean up");
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    fn motion_at(x: f64, y: f64, tm: f64) -> LinearMotion {
+        LinearMotion::new(Point::new(x, y), Vec2::new(0.01, 0.0), tm)
+    }
+
+    /// Focal objects of the populated partition, one query each. The last
+    /// one's monitoring region reaches across the partition border.
+    const FOCALS: [(u32, f64, f64); 3] = [(7, 12.0, 12.0), (4, 71.0, 30.0), (9, 50.0, 47.0)];
+
+    /// Partition 0 of 2 (rows 0..10 of the 20 x 20 grid) with leases,
+    /// result delivery and grouping on, so every branch a closed op can
+    /// take is live; three focals, a query and a result member each.
+    fn populated() -> ServiceState {
+        let mut config = init_config(Path::new("unused"));
+        config.store_dir = None;
+        config.num_partitions = 2;
+        config.deliver_results = true;
+        config.grouping = true;
+        config.lease_secs = 120.0;
+        config.heartbeat_secs = 60.0;
+        let mut s = ServiceState::build(&config).expect("storeless build");
+        for (i, &(oid, x, y)) in FOCALS.iter().enumerate() {
+            let qid = QueryId(i as u32);
+            let setup = [
+                PartitionOp::RefreshFocalMotion {
+                    oid: ObjectId(oid),
+                    motion: motion_at(x, y, 0.0),
+                    max_vel: 0.05,
+                    insert: true,
+                },
+                PartitionOp::CompleteInstall {
+                    qid,
+                    focal: ObjectId(oid),
+                    region: QueryRegion::circle(8.0),
+                    filter: Arc::new(Filter::True),
+                    expires_at: None,
+                },
+                PartitionOp::ResultChange {
+                    qid,
+                    oid: ObjectId(100 + i as u32),
+                    is_target: true,
+                },
+            ];
+            for op in setup {
+                let closed = op.is_closed();
+                serve_op(&mut s, 0, op, closed).expect("setup op");
+            }
+        }
+        s
+    }
+
+    /// `template` with its arguments redrawn: ids that hit and miss the
+    /// populated state, cells anywhere on the grid.
+    fn redraw(template: &PartitionOp, rng: &mut u64) -> PartitionOp {
+        let mut draw = |n: u32| {
+            *rng += 1;
+            (mobieyes_net::fault::mix64(*rng) % u64::from(n)) as u32
+        };
+        const OIDS: [u32; 8] = [7, 4, 9, 100, 101, 102, 55, 3000];
+        let oid = ObjectId(OIDS[draw(8) as usize]);
+        let focal = ObjectId(OIDS[draw(4) as usize]);
+        let qid = QueryId(draw(5));
+        let flag = draw(2) == 0;
+        let cell = CellId::new(draw(20), draw(20));
+        let prev_cell = CellId::new(draw(20), draw(20));
+        match template {
+            PartitionOp::RenewLease(_) => PartitionOp::RenewLease(oid),
+            PartitionOp::CellChangeFresh { .. } => PartitionOp::CellChangeFresh {
+                oid,
+                prev_cell,
+                new_cell: cell,
+                motion: motion_at(1.0, 1.0, 2.0),
+            },
+            PartitionOp::ResultChange { .. } => PartitionOp::ResultChange {
+                qid,
+                oid,
+                is_target: flag,
+            },
+            PartitionOp::GroupResultUpdate { .. } => PartitionOp::GroupResultUpdate {
+                oid,
+                focal,
+                mask: u64::from(draw(8)),
+                targets: u64::from(draw(8)),
+            },
+            PartitionOp::DeliverResultDelta { .. } => PartitionOp::DeliverResultDelta {
+                qid,
+                oid,
+                entered: flag,
+            },
+            PartitionOp::FocalReassert(_) => PartitionOp::FocalReassert(focal),
+            PartitionOp::CellSyncReply { .. } => PartitionOp::CellSyncReply { oid, cell },
+            other => panic!("closed op without a generator (add one here): {other:?}"),
+        }
+    }
+
+    /// The closed class is what `is_closed` lists *and* what the server
+    /// does: every listed op, over generated arguments against a populated
+    /// scoped server, leaves the epoch (past the request's floor), the
+    /// outbox and the home log alone — the service-side check passes and
+    /// the reply shows it.
+    #[test]
+    fn every_closed_op_leaves_epoch_outbox_and_home_log_untouched() {
+        let closed: Vec<PartitionOp> = wire::tests::sample_ops()
+            .into_iter()
+            .filter(PartitionOp::is_closed)
+            .collect();
+        assert_eq!(closed.len(), 7, "DESIGN.md §11 lists the closed ops");
+        let mut s = populated();
+        let mut rng = 22u64;
+        let mut downlinks = 0;
+        for round in 0..300u64 {
+            for template in &closed {
+                let op = redraw(template, &mut rng);
+                let epoch = s.epoch.load(Ordering::Relaxed);
+                // Now and then the coordinator's view is ahead.
+                let floor = if round % 7 == 0 { epoch + 2 } else { epoch };
+                let reply = serve_op(&mut s, floor, op.clone(), true)
+                    .unwrap_or_else(|e| panic!("round {round}: {e}"));
+                assert_eq!(reply.epoch, floor, "{op:?} moved the epoch");
+                assert!(reply.outbox.is_empty(), "{op:?} queued {:?}", reply.outbox);
+                assert!(reply.homes.is_empty(), "{op:?} changed {:?}", reply.homes);
+                assert!(s.server.take_outbox().is_empty() && s.server.take_home_log().is_empty());
+                downlinks += reply.net.len();
+            }
+        }
+        assert!(downlinks > 300, "the generated ops mostly missed the state");
+        s.server.check_invariants();
+    }
+
+    /// A mis-listed op — one the coordinator would post although it moves
+    /// shared state — is refused where it executes: a classified protocol
+    /// error naming the op and the effect, no reply, no panic.
+    #[test]
+    fn a_mislisted_closed_op_is_a_protocol_error_naming_it() {
+        let cases = [
+            (PartitionOp::BumpEpoch, "BumpEpoch", "moved the epoch"),
+            (
+                PartitionOp::RefreshFocalMotion {
+                    oid: ObjectId(55),
+                    motion: motion_at(30.0, 30.0, 1.0),
+                    max_vel: 0.05,
+                    insert: true,
+                },
+                "RefreshFocalMotion",
+                "changed what the partition homes",
+            ),
+            (
+                // A newer sample for the border focal: a stub refresh.
+                PartitionOp::RefreshFocalMotion {
+                    oid: ObjectId(9),
+                    motion: motion_at(50.0, 47.5, 1.0),
+                    max_vel: 0.05,
+                    insert: false,
+                },
+                "RefreshFocalMotion",
+                "queued a bus envelope",
+            ),
+        ];
+        for (op, name, effect) in cases {
+            assert!(!op.is_closed());
+            let mut s = populated();
+            assert!(serve_op(&mut s, 0, op.clone(), false).is_ok(), "{name}");
+            let mut s = populated();
+            let err = serve_op(&mut s, 0, op, true).expect_err("refused");
+            assert!(
+                matches!(&err, TransportError::Protocol(text)
+                    if text.starts_with(name) && text.ends_with(effect)),
+                "{name}: {err}"
+            );
+        }
     }
 }

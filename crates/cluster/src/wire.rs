@@ -10,7 +10,11 @@
 //! move the epoch before issuing the next op anywhere, which reproduces
 //! the shared atomic epoch counter of the in-process deployment exactly;
 //! only *closed* ops ([`PartitionOp::is_closed`]) may be in flight
-//! together.
+//! together — ops that move no epoch, queue no envelope, change no
+//! FOT/SQT key and whose reply carries nothing the coordinator acts on
+//! but downlinks. The wire format does not mark them: closedness is a
+//! property of what the op does at the partition, listed here and
+//! verified there on every execution (`serve::serve_op`).
 //!
 //! Replies also carry every side effect the operation produced:
 //!
@@ -224,16 +228,23 @@ pub enum PartitionOp {
 
 impl PartitionOp {
     /// Whether the op is *closed*: it bumps no epoch, queues no bus
-    /// envelope and changes no FOT/SQT key, so it commutes with ops on
-    /// other partitions and the coordinator may have several in flight
+    /// envelope and changes no FOT/SQT key, and the coordinator needs
+    /// nothing from its reply but the downlinks — so it commutes with ops
+    /// on other partitions and the coordinator may have several in flight
     /// (DESIGN.md §11). Every other op must be answered before the next
-    /// op is issued anywhere.
+    /// op is issued anywhere. The list is checked, not trusted: the
+    /// service refuses to acknowledge a closed op that moved the epoch,
+    /// the outbox or the home log (`serve::serve_op`).
     pub fn is_closed(&self) -> bool {
         matches!(
             self,
             PartitionOp::RenewLease(_)
+                | PartitionOp::CellChangeFresh { .. }
                 | PartitionOp::ResultChange { .. }
                 | PartitionOp::GroupResultUpdate { .. }
+                | PartitionOp::DeliverResultDelta { .. }
+                | PartitionOp::FocalReassert(_)
+                | PartitionOp::CellSyncReply { .. }
         )
     }
 }
@@ -1103,7 +1114,7 @@ pub fn decode_reply(bytes: &[u8]) -> Result<PartitionReply> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mobieyes_geo::{GridRect, Point, Vec2};
 
@@ -1111,7 +1122,9 @@ mod tests {
         LinearMotion::new(Point::new(3.0, -1.5), Vec2::new(0.25, -0.125), 60.0)
     }
 
-    fn sample_ops() -> Vec<PartitionOp> {
+    /// One instance of every op (the closedness table in `serve` walks it
+    /// too, so a new closed op is checked the day it is listed).
+    pub(crate) fn sample_ops() -> Vec<PartitionOp> {
         vec![
             PartitionOp::Init(InitConfig {
                 universe: Rect::new(0.0, 0.0, 100.0, 100.0),

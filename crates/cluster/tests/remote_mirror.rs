@@ -4,15 +4,17 @@
 //! so a fresh coordinator resolves homes — and counts queries — without
 //! asking, from its first op on.
 
-use mobieyes_cluster::{serve_partition, ClusterServer};
+mod common;
+
+use common::{host_partitions, stop, Services};
+use mobieyes_cluster::ClusterServer;
 use mobieyes_core::server::Net;
 use mobieyes_core::{Filter, ObjectId, ProtocolConfig, QueryId, Uplink};
 use mobieyes_geo::{Grid, LinearMotion, Point, QueryRegion, Rect, Vec2};
-use mobieyes_net::{BaseStationLayout, Endpoint, FramedConn, Listener, TransportError};
+use mobieyes_net::BaseStationLayout;
 use mobieyes_telemetry::Telemetry;
 use std::path::Path;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 const PARTITIONS: usize = 2;
 
@@ -20,22 +22,10 @@ fn universe() -> Rect {
     Rect::new(0.0, 0.0, 100.0, 100.0)
 }
 
-type Services = Vec<JoinHandle<Result<(), TransportError>>>;
-
-/// Thread-hosted partition services on loopback TCP plus a coordinator
-/// journaling under `root` (whatever is there already gets replayed).
+/// Thread-hosted partition services plus a coordinator journaling under
+/// `root` (whatever is there already gets replayed).
 fn deployment(root: &Path) -> (ClusterServer, Services) {
-    let mut conns = Vec::new();
-    let mut services = Vec::new();
-    for p in 0..PARTITIONS as u32 {
-        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
-        let endpoint = listener.local_endpoint().expect("endpoint");
-        services.push(std::thread::spawn(move || serve_partition(listener, p)));
-        let mut conn = FramedConn::new(endpoint.connect().expect("connect"));
-        conn.send_hello(0).expect("hello");
-        assert_eq!(conn.expect_hello().expect("hello back"), p);
-        conns.push(conn);
-    }
+    let (conns, services) = host_partitions(PARTITIONS);
     let config = Arc::new(ProtocolConfig::new(Grid::new(universe(), 5.0)));
     let cluster = ClusterServer::new_remote_with_store(
         config,
@@ -45,13 +35,6 @@ fn deployment(root: &Path) -> (ClusterServer, Services) {
         Some(root.to_path_buf()),
     );
     (cluster, services)
-}
-
-fn stop(mut cluster: ClusterServer, services: Services) {
-    cluster.shutdown_remote();
-    for s in services {
-        s.join().expect("service thread").expect("clean exit");
-    }
 }
 
 #[test]

@@ -7,11 +7,15 @@
 //! the identical service loop `mobieyes-serve` runs behind a process
 //! boundary). All three must produce identical per-tick result sets for
 //! every query, on every seed × propagation × partition-count cell of the
-//! matrix.
+//! matrix. A chaos row runs the fault-tolerant paths (leases, resyncs,
+//! soft-state refreshes under churn and message faults) over the remote
+//! handles too.
 
+use mobieyes_core::server::srv_keys;
 use mobieyes_core::{ObjectId, Propagation};
+use mobieyes_net::ChurnPlan;
 use mobieyes_sim::{ClusterClient, HostedPartitions, MobiEyesSim, SimConfig, TransportKind};
-use mobieyes_telemetry::Telemetry;
+use mobieyes_telemetry::{rpc_keys, Telemetry};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -25,13 +29,13 @@ fn config(seed: u64, propagation: Propagation, partitions: usize) -> SimConfig {
         .with_partitions(partitions)
 }
 
-/// Steps `sim` for the comparison window, capturing every query's result
-/// set after each tick (owned fetch: works on remote deployments too).
-fn trace(sim: &mut MobiEyesSim) -> ResultTrace {
+/// Steps `sim` for `ticks`, capturing every query's result set after each
+/// tick (owned fetch: works on remote deployments too).
+fn trace_ticks(sim: &mut MobiEyesSim, ticks: usize) -> ResultTrace {
     // Every partition's invariants — and, on a remote deployment, every
     // handle's mirror of what its partition homes — hold after each tick.
     sim.set_audit(true);
-    (0..TICKS)
+    (0..ticks)
         .map(|_| {
             sim.step(true);
             sim.query_ids()
@@ -40,6 +44,11 @@ fn trace(sim: &mut MobiEyesSim) -> ResultTrace {
                 .collect()
         })
         .collect()
+}
+
+/// [`trace_ticks`] over the comparison window.
+fn trace(sim: &mut MobiEyesSim) -> ResultTrace {
+    trace_ticks(sim, TICKS)
 }
 
 fn assert_traces_match(label: &str, reference: &ResultTrace, candidate: &ResultTrace) {
@@ -179,6 +188,78 @@ fn check_rebalance_cell(seed: u64, propagation: Propagation, partitions: usize, 
         remote_digest,
         "rebalance digest diverges: seed={seed} p={partitions} {propagation:?}"
     );
+}
+
+/// Warm-up, a chaos window (uplink and downlink drops and duplicates,
+/// objects disconnecting and crashing), then fault-free recovery — every
+/// tick traced.
+fn chaos_trace(sim: &mut MobiEyesSim, seed: u64) -> ResultTrace {
+    const WARMUP: usize = 3;
+    const CHAOS: usize = 8;
+    const RECOVERY: usize = 8;
+    let mut results = trace_ticks(sim, WARMUP);
+    sim.set_churn(ChurnPlan::new(
+        0.3,
+        0.2,
+        0.3,
+        0.2,
+        0.12,
+        CHAOS as u64,
+        seed ^ 0xC0A5_7A11,
+    ));
+    results.extend(trace_ticks(sim, CHAOS));
+    sim.clear_faults();
+    results.extend(trace_ticks(sim, RECOVERY));
+    results
+}
+
+/// The fault-tolerant paths over real sockets: with leases on, churn and
+/// message faults drive resyncs (`resync → cell_change → posted fresh half
+/// → calls`, purge deltas, focal reassert and cell-sync reply on the
+/// lane) and soft-state refreshes (`lqt_sync`'s posted result deltas)
+/// through remote handles, audited every tick, against the lock-step run
+/// of the same plan.
+fn check_chaos_cell(seed: u64, propagation: Propagation, partitions: usize, uds: bool) {
+    let label = format!("chaos seed={seed} p={partitions} {propagation:?} uds={uds}");
+    let cfg = config(seed, propagation, partitions).with_lease_ticks(3);
+    let mut reference = MobiEyesSim::new(cfg.clone());
+    let reference_trace = chaos_trace(&mut reference, seed);
+    // Lock-step partitions count into the shared sink: the plan reached
+    // the paths this row exists for.
+    let counted = reference.telemetry().snapshot();
+    let resyncs = counted.counter(srv_keys::RESYNC_REPLIES);
+    assert!(resyncs > 0, "{label}: no resync");
+    assert!(
+        counted.counter(srv_keys::LQT_SYNCS) > 0,
+        "{label}: no LQT sync"
+    );
+
+    let hosted = HostedPartitions::spawn(partitions, uds).expect("spawn partition services");
+    let client = ClusterClient::connect(hosted.endpoints(), Duration::from_secs(5))
+        .expect("connect to hosted partitions");
+    let mut sim = client.into_sim(cfg, Telemetry::new());
+    let remote_trace = chaos_trace(&mut sim, seed);
+    let digest = sim.result_digest();
+    let rpc = sim.bus_snapshot().expect("a cluster deployment");
+    sim.shutdown();
+    hosted.join().expect("partition services exit cleanly");
+
+    assert_traces_match(&label, &reference_trace, &remote_trace);
+    assert_eq!(reference.result_digest(), digest, "{label}: digest");
+    // Every resync ends in a posted cell-sync reply, whatever else it did.
+    let posted = rpc.counter(rpc_keys::POSTED);
+    assert!(
+        posted >= resyncs,
+        "{label}: {posted} posted ops for {resyncs} resyncs"
+    );
+}
+
+#[test]
+fn chaos_matches_across_transports() {
+    check_chaos_cell(61, Propagation::Eager, 2, true);
+    check_chaos_cell(62, Propagation::Lazy, 2, false);
+    check_chaos_cell(63, Propagation::Lazy, 4, true);
+    check_chaos_cell(64, Propagation::Eager, 4, false);
 }
 
 #[test]
