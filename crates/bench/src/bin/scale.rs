@@ -6,7 +6,10 @@
 //! per object per tick and the share of the population the processing
 //! phase had to look at (`MobiEyesSim::tick_work`: a deterministic count,
 //! so `check.sh` can put a ceiling on the sparsest, largest point that
-//! holds on a noisy host),
+//! holds on a noisy host) and, after the largest point, the process's
+//! peak resident set per object (`rss_bytes_per_object`: `VmHWM` over the
+//! population, process baseline included — the ceiling `check.sh` puts on
+//! it catches per-agent state growing back, not a few hundred KB),
 //! then runs the seed engine head-to-head at the 100 000-object point for
 //! the headline speedup. Writes `BENCH_scale.json`.
 //!
@@ -83,6 +86,14 @@ fn measure(config: SimConfig, warmup: usize, measured: usize) -> Sample {
     }
 }
 
+/// The process's peak resident set (`VmHWM`), where procfs has one.
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: u64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb * 1024)
+}
+
 fn main() {
     let quick = mobieyes_bench::quick();
     let sizes = if quick { QUICK_SIZES } else { SIZES };
@@ -105,6 +116,9 @@ fn main() {
         );
         samples.push(sample);
     }
+    // Read before the seed-engine run below adds its own population.
+    let largest_objects = samples.last().expect("nonempty sweep").objects;
+    let rss_per_object = peak_rss_bytes().map(|b| b / largest_objects as u64);
 
     let seed_spt = measure(config_for(compare_at, EngineKind::Seed), 2, 3).seconds_per_tick;
     let soa_spt = samples
@@ -140,6 +154,10 @@ fn main() {
         "  \"largest_process_visited_per_object_tick\": {:.4},",
         largest.visited_per_object_tick
     );
+    // Left out where there is no procfs, so a gate on it fails loudly.
+    if let Some(rss) = rss_per_object {
+        let _ = writeln!(json, "  \"rss_bytes_per_object\": {rss},");
+    }
     let _ = writeln!(json, "  \"series\": [");
     for (i, s) in samples.iter().enumerate() {
         let _ = writeln!(

@@ -26,6 +26,7 @@
 pub mod codec;
 pub mod config;
 pub mod filter;
+mod flat;
 pub mod journal;
 pub mod knn;
 pub mod messages;

@@ -60,8 +60,10 @@ pub struct Properties {
 }
 
 impl Properties {
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Properties {
+            values: BTreeMap::new(),
+        }
     }
 
     /// Builder-style property setter.

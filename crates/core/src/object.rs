@@ -13,15 +13,27 @@
 //!    linearly — and reports containment *changes* to the server,
 //!    optionally grouped into query bitmaps and pruned by nested radii and
 //!    safe periods.
+//!
+//! # Layout
+//!
+//! Most agents of a deployment hold no query, so the struct is laid out
+//! for the quiet case (DESIGN.md §12 "Agent layout"): [`MovingObjectAgent`]
+//! is 128 bytes — kinematics, the LQT and filter-shadow tables, two
+//! pointers — and owns no heap until a query reaches it. The tables are
+//! key-sorted vectors (`crate::flat::FlatMap`) that release their buffer
+//! when they empty, state a quiet tick never reads sits behind a pointer
+//! that stays null until needed, and evaluation scratch belongs to the
+//! caller's [`AgentOutbox`] — one set per shard, not per agent.
 
 use crate::config::{Propagation, ProtocolConfig};
+use crate::flat::FlatMap;
 use crate::messages::{state_digest, Downlink, QueryGroupInfo, Uplink, EMPTY_STATE_DIGEST};
 use crate::model::{ObjectId, Properties, QueryId};
 use crate::server::Net;
 use mobieyes_geo::{CellId, GridRect, LinearMotion, Point, QueryRegion, Region, Vec2};
 use mobieyes_net::NodeId;
 use mobieyes_telemetry::{EventKind, MetricsSnapshot, Telemetry};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The `agent.*` telemetry keys recorded by [`MovingObjectAgent`].
@@ -191,46 +203,80 @@ impl AgentTally {
 pub struct AgentOutbox {
     pub uplinks: Vec<(NodeId, Uplink)>,
     pub tally: AgentTally,
+    scratch: AgentScratch,
+}
+
+/// Working buffers of one agent call, shared by every agent that records
+/// into the outbox. Nothing in here survives the call that filled it.
+#[derive(Debug, Default)]
+struct AgentScratch {
+    /// Containment changes of the running evaluation.
+    changes: Vec<(QueryId, bool)>,
+    /// `(focal, qid, reach)` evaluation order of a grouped evaluation.
+    groups: Vec<(ObjectId, QueryId, f64)>,
+    /// Focal groups with a change in the running grouped evaluation.
+    changed_focals: Vec<ObjectId>,
+    /// Query ids a `CellSync` lists, sorted.
+    mentioned: Vec<QueryId>,
 }
 
 /// The moving-object protocol agent.
+///
+/// The struct itself is the *hot* part: what a quiet tick reads, in 128
+/// contiguous bytes (asserted below). Everything else lives in `AgentCold`
+/// behind one pointer that stays null until first needed.
 #[derive(Debug)]
 pub struct MovingObjectAgent {
-    oid: ObjectId,
-    config: Arc<ProtocolConfig>,
-    props: Properties,
-    max_vel: f64,
     pos: Point,
     vel: Vec2,
     curr_cell: CellId,
+    oid: ObjectId,
     has_mq: bool,
-    /// Motion sample last advertised to the server (dead-reckoning base).
-    advertised: Option<LinearMotion>,
-    lqt: BTreeMap<QueryId, LqtEntry>,
-    /// Local view of the results of queries this object issued (filled by
-    /// `ResultDelta` pushes when result delivery is enabled).
-    own_results: BTreeMap<QueryId, std::collections::BTreeSet<ObjectId>>,
-    /// Departure reports produced while handling downlink messages
-    /// (monitoring-region shrinks); flushed with the next evaluation.
-    pending_departures: Vec<(QueryId, bool)>,
+    max_vel: f64,
+    config: Arc<ProtocolConfig>,
+    lqt: FlatMap<QueryId, LqtEntry>,
     /// Queries covering our cell whose filter rejected us. Tracked (with
     /// seq and monitoring region) so the heartbeat digest of "queries of
     /// my cell" matches the server's RQI view even when we evaluate none
     /// of them.
-    shadow: BTreeMap<QueryId, (u64, GridRect)>,
+    shadow: FlatMap<QueryId, (u64, GridRect)>,
+    /// Motion sample last advertised to the server (dead-reckoning base).
+    /// Read only while focal but written by every reported cell change, so
+    /// it is a block of its own instead of pulling the cold part in.
+    advertised: Option<Box<LinearMotion>>,
+    cold: Option<Box<AgentCold>>,
+}
+
+const _: () = assert!(std::mem::size_of::<MovingObjectAgent>() <= 128);
+
+/// Agent state a quiet non-focal tick never reads. Allocated on first
+/// need — non-empty properties, a tombstone, a buffered departure, a
+/// heartbeat, a result push, or use of the agent's private telemetry
+/// sink — and kept from then on.
+#[derive(Debug, Default)]
+struct AgentCold {
+    props: Properties,
+    /// Local view of the results of queries this object issued (filled by
+    /// `ResultDelta` pushes when result delivery is enabled).
+    own_results: FlatMap<QueryId, BTreeSet<ObjectId>>,
+    /// Departure reports produced while handling downlink messages
+    /// (monitoring-region shrinks); flushed with the next evaluation.
+    pending_departures: Vec<(QueryId, bool)>,
     /// Tombstones of removed queries: qid → removal epoch. Installs with
     /// an older or equal seq are resurrection attempts by late duplicates
     /// and are discarded.
-    removed: BTreeMap<QueryId, u64>,
+    removed: FlatMap<QueryId, u64>,
     /// Epoch of the last server heartbeat answered; beacons arrive once
     /// per covering base station (plus duplication faults) and must be
     /// answered exactly once.
     last_heartbeat_epoch: u64,
-    telemetry: Telemetry,
-    /// Scratch buffers reused across ticks.
-    scratch_changes: Vec<(QueryId, bool)>,
-    scratch_groups: Vec<(ObjectId, QueryId, f64)>,
+    /// Private sink of the single-agent convenience calls (`tick` and
+    /// friends); engines record through their [`AgentOutbox`] instead.
+    telemetry: Option<Telemetry>,
 }
+
+/// The properties of an agent without a cold part.
+static NO_PROPERTIES: Properties = Properties::new();
 
 impl MovingObjectAgent {
     /// Creates an agent at an initial position/velocity at time `t0`.
@@ -243,36 +289,41 @@ impl MovingObjectAgent {
         config: Arc<ProtocolConfig>,
     ) -> Self {
         let curr_cell = config.grid.cell_of(pos);
+        let cold = (!props.is_empty()).then(|| {
+            Box::new(AgentCold {
+                props,
+                ..AgentCold::default()
+            })
+        });
         MovingObjectAgent {
-            oid,
-            config,
-            props,
-            max_vel,
             pos,
             vel,
             curr_cell,
+            oid,
             has_mq: false,
+            max_vel,
+            config,
+            lqt: FlatMap::default(),
+            shadow: FlatMap::default(),
             advertised: None,
-            lqt: BTreeMap::new(),
-            own_results: BTreeMap::new(),
-            pending_departures: Vec::new(),
-            shadow: BTreeMap::new(),
-            removed: BTreeMap::new(),
-            last_heartbeat_epoch: 0,
-            telemetry: Telemetry::new(),
-            scratch_changes: Vec::new(),
-            scratch_groups: Vec::new(),
+            cold,
         }
     }
 
-    /// Redirects this agent's instrumentation into a shared sink.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
+    /// The cold part, allocated on first use.
+    fn cold_mut(&mut self) -> &mut AgentCold {
+        self.cold.get_or_insert_with(Box::default)
     }
 
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+    fn advertise(&mut self, motion: LinearMotion) {
+        match &mut self.advertised {
+            Some(adv) => **adv = motion,
+            None => self.advertised = Some(Box::new(motion)),
+        }
+    }
+
+    fn tombstone(&self, qid: &QueryId) -> Option<u64> {
+        self.cold.as_ref().and_then(|c| c.removed.get(qid).copied())
     }
 
     pub fn oid(&self) -> ObjectId {
@@ -284,7 +335,7 @@ impl MovingObjectAgent {
     }
 
     pub fn properties(&self) -> &Properties {
-        &self.props
+        self.cold.as_ref().map_or(&NO_PROPERTIES, |c| &c.props)
     }
 
     /// Number of queries currently installed in the LQT (the paper's
@@ -309,13 +360,15 @@ impl MovingObjectAgent {
     /// struct-of-arrays engine skips the call and batch-records the
     /// sample instead.
     pub fn needs_process(&self) -> bool {
-        !self.lqt.is_empty() || !self.pending_departures.is_empty()
+        !self.lqt.is_empty() || self.has_pending_departures()
     }
 
     /// Whether departures are buffered for the next evaluation (these
     /// force a full evaluation even inside every entry's safe period).
     pub fn has_pending_departures(&self) -> bool {
-        !self.pending_departures.is_empty()
+        self.cold
+            .as_ref()
+            .is_some_and(|c| !c.pending_departures.is_empty())
     }
 
     /// Whether the filter-shadow table is empty. With an empty LQT *and*
@@ -366,14 +419,19 @@ impl MovingObjectAgent {
 
     /// The locally-known result of a query this object issued (only
     /// populated when the protocol runs with result delivery enabled).
-    pub fn own_result(&self, qid: QueryId) -> Option<&std::collections::BTreeSet<ObjectId>> {
-        self.own_results.get(&qid)
+    pub fn own_result(&self, qid: QueryId) -> Option<&BTreeSet<ObjectId>> {
+        self.cold.as_ref()?.own_results.get(&qid)
     }
 
-    /// The agent-side work counters, materialized from the telemetry
-    /// sink. Aggregated across agents when the sink is shared.
+    /// The agent-side work counters of the single-agent convenience calls
+    /// ([`tick`](Self::tick), [`reconnect`](Self::reconnect)),
+    /// materialized from the agent's private telemetry sink. The `_into`
+    /// entry points record into the caller's outbox instead.
     pub fn stats(&self) -> AgentStats {
-        AgentStats::from_snapshot(&self.telemetry.snapshot())
+        let sink = self.cold.as_ref().and_then(|c| c.telemetry.as_ref());
+        sink.map_or_else(AgentStats::default, |s| {
+            AgentStats::from_snapshot(&s.snapshot())
+        })
     }
 
     /// Phase A of a time step: absorb the new kinematic state and report
@@ -438,7 +496,7 @@ impl MovingObjectAgent {
                         motion,
                     },
                 );
-                self.advertised = Some(motion);
+                self.advertise(motion);
             }
         } else if self.has_mq {
             // Dead reckoning (focal objects only, §3.4).
@@ -455,7 +513,7 @@ impl MovingObjectAgent {
                         motion,
                     },
                 );
-                self.advertised = Some(motion);
+                self.advertise(motion);
             }
         }
     }
@@ -515,9 +573,10 @@ impl MovingObjectAgent {
 
     /// Delivers a locally filled outbox: uplinks into `net` in send
     /// order, the tally into this agent's own sink.
-    fn hand_over(&self, mut out: AgentOutbox, net: &mut Net) {
+    fn hand_over(&mut self, mut out: AgentOutbox, net: &mut Net) {
         net.send_uplinks(&mut out.uplinks);
-        out.tally.flush(&self.telemetry);
+        out.tally
+            .flush(self.cold_mut().telemetry.get_or_insert_with(Telemetry::new));
     }
 
     /// Advances the agent one full time step in one call (motion phase
@@ -572,32 +631,32 @@ impl MovingObjectAgent {
                 // already applied this or a later removal.
                 let newer_local = self.lqt.get(qid).is_some_and(|e| e.seq > *epoch)
                     || self.shadow.get(qid).is_some_and(|s| s.0 > *epoch)
-                    || self.removed.get(qid).is_some_and(|&te| te >= *epoch);
+                    || self.tombstone(qid).is_some_and(|te| te >= *epoch);
                 if newer_local {
                     tally.stale_discarded += 1;
                 } else {
-                    if self.lqt.remove(qid).is_some_and(|e| e.is_target) {
-                        // Targethood ends with the query; the server's
-                        // removal already cleared its result set.
-                    }
+                    // Targethood ends with the query; the server's
+                    // removal already cleared its result set.
+                    self.lqt.remove(qid);
                     self.shadow.remove(qid);
-                    self.removed.insert(*qid, *epoch);
+                    self.cold_mut().removed.insert(*qid, *epoch);
                 }
             }
             Downlink::Heartbeat {
                 epoch,
                 cell_digests,
             } => {
-                if *epoch <= self.last_heartbeat_epoch {
+                let cold = self.cold_mut();
+                if *epoch <= cold.last_heartbeat_epoch {
                     // Same beacon via another station or a duplication
                     // fault: already answered.
                     tally.stale_discarded += 1;
                 } else {
-                    let prev = self.last_heartbeat_epoch;
-                    self.last_heartbeat_epoch = *epoch;
+                    let prev = cold.last_heartbeat_epoch;
+                    cold.last_heartbeat_epoch = *epoch;
                     // Tombstones older than the previous beacon can no
                     // longer race any in-flight message.
-                    self.removed.retain(|_, te| *te >= prev);
+                    cold.removed.retain(|_, te| *te >= prev);
                     let expected = cell_digests
                         .iter()
                         .find(|(c, _)| *c == my_cell)
@@ -612,7 +671,7 @@ impl MovingObjectAgent {
                     if self.local_digest() != expected || self.has_mq {
                         tally.resync_requests += 1;
                         let motion = match &self.advertised {
-                            Some(adv) if self.has_mq => *adv,
+                            Some(adv) if self.has_mq => **adv,
                             _ => LinearMotion::new(self.pos, self.vel, t),
                         };
                         let (oid, max_vel) = (self.oid, self.max_vel);
@@ -640,7 +699,7 @@ impl MovingObjectAgent {
                 }
             }
             Downlink::CellSync { cell, infos, .. } => {
-                self.apply_cell_sync(my_cell, *cell, infos, tally);
+                self.apply_cell_sync(my_cell, *cell, infos, out);
             }
             Downlink::FocalNotify { is_focal } => {
                 self.has_mq = *is_focal;
@@ -653,7 +712,10 @@ impl MovingObjectAgent {
                 object,
                 entered,
             } => {
-                let set = self.own_results.entry(*qid).or_default();
+                let set = self
+                    .cold_mut()
+                    .own_results
+                    .get_or_insert_with(*qid, BTreeSet::new);
                 if *entered {
                     set.insert(*object);
                 } else {
@@ -670,7 +732,7 @@ impl MovingObjectAgent {
                         max_vel: self.max_vel,
                     },
                 );
-                self.advertised = Some(motion);
+                self.advertise(motion);
             }
         }
     }
@@ -688,15 +750,13 @@ impl MovingObjectAgent {
             for spec in info.queries.iter() {
                 // A removal we already applied supersedes this install:
                 // late duplicates must not resurrect dead queries.
-                if self
-                    .removed
-                    .get(&spec.qid)
-                    .is_some_and(|&te| spec.seq <= te)
-                {
-                    tally.stale_discarded += 1;
-                    continue;
+                if let Some(te) = self.tombstone(&spec.qid) {
+                    if spec.seq <= te {
+                        tally.stale_discarded += 1;
+                        continue;
+                    }
+                    self.cold_mut().removed.remove(&spec.qid);
                 }
-                self.removed.remove(&spec.qid);
                 if let Some(e) = self.lqt.get_mut(&spec.qid) {
                     if spec.seq < e.seq {
                         tally.stale_discarded += 1;
@@ -710,7 +770,7 @@ impl MovingObjectAgent {
                     e.region = spec.region;
                     e.focal_max_vel = info.max_vel;
                     e.slot = spec.slot;
-                } else if spec.filter.matches(self.oid, &self.props) {
+                } else if spec.filter.matches(self.oid, self.properties()) {
                     self.shadow.remove(&spec.qid);
                     self.lqt.insert(
                         spec.qid,
@@ -732,8 +792,7 @@ impl MovingObjectAgent {
                     // stays aligned with the server's RQI.
                     let s = self
                         .shadow
-                        .entry(spec.qid)
-                        .or_insert((spec.seq, info.mon_region));
+                        .get_or_insert_with(spec.qid, || (spec.seq, info.mon_region));
                     if spec.seq >= s.0 {
                         *s = (spec.seq, info.mon_region);
                     }
@@ -743,25 +802,19 @@ impl MovingObjectAgent {
             // Our cell is outside the (possibly shrunk or moved) monitoring
             // region: forget these queries, reporting any targethood we
             // lose so the server's result set stays clean.
-            let mut departures: Vec<(QueryId, bool)> = Vec::new();
             for spec in info.queries.iter() {
                 if self.lqt.get(&spec.qid).is_some_and(|e| spec.seq < e.seq) {
                     // Stale broadcast must not tear down newer state.
                     tally.stale_discarded += 1;
                     continue;
                 }
-                if let Some(e) = self.lqt.remove(&spec.qid) {
-                    if e.is_target {
-                        departures.push((spec.qid, false));
-                    }
+                if self.lqt.remove(&spec.qid).is_some_and(|e| e.is_target) {
+                    tally.result_changes += 1;
+                    self.cold_mut().pending_departures.push((spec.qid, false));
                 }
                 if self.shadow.get(&spec.qid).is_some_and(|s| spec.seq >= s.0) {
                     self.shadow.remove(&spec.qid);
                 }
-            }
-            if !departures.is_empty() {
-                tally.result_changes += departures.len() as u64;
-                self.pending_departures.extend(departures);
             }
         }
     }
@@ -774,7 +827,7 @@ impl MovingObjectAgent {
         my_cell: CellId,
         cell: CellId,
         infos: &[QueryGroupInfo],
-        tally: &mut AgentTally,
+        out: &mut AgentOutbox,
     ) {
         if cell != my_cell {
             // We moved between requesting the resync and its arrival; the
@@ -782,25 +835,14 @@ impl MovingObjectAgent {
             // heartbeat re-checks the new cell.
             return;
         }
-        let mut mentioned: Vec<QueryId> = infos
-            .iter()
-            .flat_map(|i| i.queries.iter().map(|s| s.qid))
-            .collect();
+        let tally = &mut out.tally;
+        let mentioned = &mut out.scratch.mentioned;
+        mentioned.clear();
+        mentioned.extend(infos.iter().flat_map(|i| i.queries.iter().map(|s| s.qid)));
         mentioned.sort_unstable();
-        let mut departures: Vec<(QueryId, bool)> = Vec::new();
-        self.lqt.retain(|qid, e| {
-            let keep = mentioned.binary_search(qid).is_ok();
-            if !keep && e.is_target {
-                departures.push((*qid, false));
-            }
-            keep
-        });
+        self.drop_lqt_rows(|qid, _| mentioned.binary_search(qid).is_ok(), tally);
         self.shadow
             .retain(|qid, _| mentioned.binary_search(qid).is_ok());
-        if !departures.is_empty() {
-            tally.result_changes += departures.len() as u64;
-            self.pending_departures.extend(departures);
-        }
         for info in infos {
             if info.focal == self.oid {
                 // The server still considers us focal; a lost FocalNotify
@@ -809,6 +851,26 @@ impl MovingObjectAgent {
             }
             self.apply_query_state(my_cell, info, tally);
         }
+    }
+
+    /// Keeps the LQT rows `keep` accepts; a dropped row we were a target of
+    /// buffers its departure report for the next evaluation.
+    fn drop_lqt_rows(
+        &mut self,
+        mut keep: impl FnMut(&QueryId, &LqtEntry) -> bool,
+        tally: &mut AgentTally,
+    ) {
+        let cold = &mut self.cold;
+        self.lqt.retain(|qid, e| {
+            let keep = keep(qid, e);
+            if !keep && e.is_target {
+                tally.result_changes += 1;
+                cold.get_or_insert_with(Box::default)
+                    .pending_departures
+                    .push((*qid, false));
+            }
+            keep
+        });
     }
 
     /// The digest of this object's view of the queries covering its cell
@@ -850,25 +912,16 @@ impl MovingObjectAgent {
         if fresh {
             self.lqt.clear();
             self.shadow.clear();
-            self.removed.clear();
-            self.own_results.clear();
-            self.pending_departures.clear();
+            if let Some(cold) = &mut self.cold {
+                cold.removed.clear();
+                cold.own_results.clear();
+                cold.pending_departures.clear();
+            }
             self.has_mq = false;
         } else {
             let cell = self.curr_cell;
-            let mut departures: Vec<(QueryId, bool)> = Vec::new();
-            self.lqt.retain(|qid, e| {
-                let keep = e.mon_region.contains(cell);
-                if !keep && e.is_target {
-                    departures.push((*qid, false));
-                }
-                keep
-            });
+            self.drop_lqt_rows(|_, e| e.mon_region.contains(cell), &mut out.tally);
             self.shadow.retain(|_, (_, mon)| mon.contains(cell));
-            if !departures.is_empty() {
-                out.tally.result_changes += departures.len() as u64;
-                self.pending_departures.extend(departures);
-            }
         }
         let motion = LinearMotion::new(pos, vel, t);
         out.tally.resync_requests += 1;
@@ -883,30 +936,38 @@ impl MovingObjectAgent {
                 fresh,
             },
         );
-        self.advertised = Some(motion);
+        self.advertise(motion);
     }
 
     /// Evaluates all installed queries, reporting containment changes.
     fn evaluate(&mut self, t: f64, out: &mut AgentOutbox) {
-        self.scratch_changes.clear();
-        self.scratch_changes.append(&mut self.pending_departures);
+        // Held by value while `out` takes the uplinks.
+        let mut scratch = std::mem::take(&mut out.scratch);
+        self.evaluate_with(t, &mut scratch, out);
+        out.scratch = scratch;
+    }
+
+    fn evaluate_with(&mut self, t: f64, scratch: &mut AgentScratch, out: &mut AgentOutbox) {
+        scratch.changes.clear();
+        if let Some(cold) = &mut self.cold {
+            scratch.changes.append(&mut cold.pending_departures);
+        }
         let grouping = self.config.grouping;
         let safe_period = self.config.safe_period;
-        let mut changed_focals: Vec<ObjectId> = Vec::new();
         if grouping {
-            self.evaluate_grouped(t, safe_period, &mut changed_focals, &mut out.tally);
+            self.evaluate_grouped(t, safe_period, scratch, &mut out.tally);
         } else {
-            self.evaluate_plain(t, safe_period, &mut out.tally);
+            self.evaluate_plain(t, safe_period, &mut scratch.changes, &mut out.tally);
         }
 
-        if self.scratch_changes.is_empty() {
+        if scratch.changes.is_empty() {
             return;
         }
         if grouping {
             // One bitmap per focal group with changes (§4.1). Queries
             // beyond the 64-slot bitmap (NO_SLOT) report itemized below.
             let mut itemized: Vec<(QueryId, bool)> = Vec::new();
-            for focal in changed_focals {
+            for &focal in &scratch.changed_focals {
                 let mut mask = 0u64;
                 let mut targets = 0u64;
                 for e in self.lqt.values() {
@@ -929,7 +990,7 @@ impl MovingObjectAgent {
                     );
                 }
             }
-            for &(qid, is_target) in &self.scratch_changes {
+            for &(qid, is_target) in &scratch.changes {
                 // Itemize slotless queries and departures of entries that
                 // are no longer in the LQT (region shrinks).
                 if self.lqt.get(&qid).map(|e| e.slot >= 64).unwrap_or(true) {
@@ -946,21 +1007,25 @@ impl MovingObjectAgent {
                 );
             }
         } else {
-            let changes = std::mem::take(&mut self.scratch_changes);
             self.send(
                 out,
                 Uplink::ResultUpdate {
                     oid: self.oid,
-                    changes,
+                    changes: scratch.changes.clone(),
                 },
             );
         }
-        self.scratch_changes.clear();
     }
 
     /// Evaluation without grouping: one independent prediction and
     /// containment check per LQT entry (plus safe-period skips).
-    fn evaluate_plain(&mut self, t: f64, safe_period: bool, tally: &mut AgentTally) {
+    fn evaluate_plain(
+        &mut self,
+        t: f64,
+        safe_period: bool,
+        reported: &mut Vec<(QueryId, bool)>,
+        tally: &mut AgentTally,
+    ) {
         let mut evaluated = 0u64;
         let mut skipped_safe = 0u64;
         let mut changes = 0u64;
@@ -985,7 +1050,7 @@ impl MovingObjectAgent {
             if inside != e.is_target {
                 e.is_target = inside;
                 changes += 1;
-                self.scratch_changes.push((*qid, inside));
+                reported.push((*qid, inside));
             }
         }
         tally.evaluated += evaluated;
@@ -1000,14 +1065,23 @@ impl MovingObjectAgent {
         &mut self,
         t: f64,
         safe_period: bool,
-        changed_focals: &mut Vec<ObjectId>,
+        scratch: &mut AgentScratch,
         tally: &mut AgentTally,
     ) {
-        self.scratch_groups.clear();
-        for (qid, e) in &self.lqt {
-            self.scratch_groups.push((e.focal, *qid, e.region.reach()));
-        }
-        self.scratch_groups.sort_by(|a, b| {
+        let AgentScratch {
+            changes: reported,
+            groups,
+            changed_focals,
+            ..
+        } = scratch;
+        changed_focals.clear();
+        groups.clear();
+        groups.extend(
+            self.lqt
+                .iter()
+                .map(|(qid, e)| (e.focal, *qid, e.region.reach())),
+        );
+        groups.sort_by(|a, b| {
             (a.0, b.2)
                 .partial_cmp(&(b.0, a.2))
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -1018,7 +1092,6 @@ impl MovingObjectAgent {
         let mut skipped_prune = 0u64;
         let mut changes = 0u64;
         let mut i = 0;
-        let groups = std::mem::take(&mut self.scratch_groups);
         while i < groups.len() {
             let focal = groups[i].0;
             let mut j = i;
@@ -1064,7 +1137,7 @@ impl MovingObjectAgent {
                 if inside != e.is_target {
                     e.is_target = inside;
                     changes += 1;
-                    self.scratch_changes.push((qid, inside));
+                    reported.push((qid, inside));
                     if !changed_focals.contains(&focal) {
                         changed_focals.push(focal);
                     }
@@ -1073,7 +1146,6 @@ impl MovingObjectAgent {
             }
             i = j;
         }
-        self.scratch_groups = groups;
         tally.evaluated += evaluated;
         tally.skipped_safe_period += skipped_safe;
         tally.skipped_group_prune += skipped_prune;

@@ -233,13 +233,23 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
     /// Server → everyone inside one station's coverage circle. Counts as one
     /// downlink message on the medium regardless of audience size.
     pub fn broadcast(&mut self, station: StationId, msg: D) {
-        self.broadcast_shared(station, Arc::new(msg));
+        self.broadcast_through(std::iter::once(station), msg);
     }
 
-    fn broadcast_shared(&mut self, station: StationId, msg: Arc<D>) {
+    /// Queues one shared payload for every station of `stations`, sizing
+    /// it once and counting the transmissions under one telemetry lock.
+    /// Returns the number of station transmissions.
+    fn broadcast_through(&mut self, stations: impl Iterator<Item = StationId>, msg: D) -> usize {
         let bytes = msg.wire_size();
-        self.record(Direction::Broadcast, 1, bytes as u64);
-        self.broadcasts.push((station, msg, bytes));
+        let payload = Arc::new(msg);
+        let before = self.broadcasts.len();
+        self.broadcasts
+            .extend(stations.map(|s| (s, Arc::clone(&payload), bytes)));
+        let n = self.broadcasts.len() - before;
+        if n > 0 {
+            self.record(Direction::Broadcast, n as u64, (n * bytes) as u64);
+        }
+        n
     }
 
     /// Broadcasts `msg` through *every* base station, reaching the whole
@@ -247,11 +257,8 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
     /// payload is allocated once and shared. Returns the number of station
     /// transmissions.
     pub fn broadcast_all(&mut self, msg: D) -> usize {
-        let n = self.layout.num_stations();
-        let payload = Arc::new(msg);
-        for s in 0..n {
-            self.broadcast_shared(StationId(s as u32), Arc::clone(&payload));
-        }
+        let stations = 0..self.layout.num_stations() as u32;
+        let n = self.broadcast_through(stations.map(StationId), msg);
         self.telemetry
             .event(EventKind::BroadcastFanout { stations: n as u64 });
         n
@@ -263,14 +270,10 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
     /// (and every recipient). Returns the number of station transmissions.
     pub fn broadcast_region(&mut self, grid: &Grid, region: &GridRect, msg: D) -> usize {
         let stations = self.layout.minimal_cover(grid, region);
-        let payload = Arc::new(msg);
-        for &s in &stations {
-            self.broadcast_shared(s, Arc::clone(&payload));
-        }
-        self.telemetry.event(EventKind::BroadcastFanout {
-            stations: stations.len() as u64,
-        });
-        stations.len()
+        let n = self.broadcast_through(stations.into_iter(), msg);
+        self.telemetry
+            .event(EventKind::BroadcastFanout { stations: n as u64 });
+        n
     }
 
     /// Object side: collect everything addressed to / audible at this

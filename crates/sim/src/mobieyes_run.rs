@@ -341,9 +341,6 @@ impl MobiEyesSim {
                     mobility.velocities[i],
                     Arc::clone(&pconf),
                 )
-                // The engine records through `shard_out`; sharing the
-                // deployment's sink here only spares 100k private ones.
-                .with_telemetry(telemetry.clone())
             })
             .collect();
         // Install the full query workload up front; the position-request

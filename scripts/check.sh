@@ -142,6 +142,12 @@ awk -v spt="$scale_spt" 'BEGIN { exit !(spt < 0.25) }' \
 scale_visited=$(assert_json "$scale_out" get largest_process_visited_per_object_tick)
 awk -v v="$scale_visited" 'BEGIN { exit !(v < 0.78) }' \
   || { echo "scale smoke: processing visits ${scale_visited} of the population per tick at the largest point (ceiling 0.78) - work no longer follows activity"; exit 1; }
+# Footprint twin: peak resident bytes per object after the largest point
+# (process baseline included). 893 with flat agent tables and the hot/cold
+# split; the per-agent B-tree layout read 1972 on the same host.
+scale_rss=$(assert_json "$scale_out" max rss_bytes_per_object)
+awk -v v="$scale_rss" 'BEGIN { exit !(v < 1200) }' \
+  || { echo "scale smoke: ${scale_rss} resident bytes per object at the largest point (ceiling 1200) - per-agent state grew back"; exit 1; }
 rm -f "$scale_out"
 
 echo "==> recovery smoke (partition crash failover + supervised respawn)"

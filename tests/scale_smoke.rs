@@ -3,10 +3,24 @@
 //! progress and live protocol traffic — and its per-tick work must follow
 //! *activity*, not population: `MobiEyesSim::tick_work` is a
 //! deterministic count, so a reintroduced every-agent scan fails here on
-//! any host, however noisy. (Wall-clock claims live in `benchmark/`; see
-//! `benchmark/README.md` and the README's before/after table.)
+//! any host, however noisy. So is its heap: a counting allocator (this
+//! file is its own binary with one test) puts a per-agent ceiling on what
+//! the deployment holds after the ticks. (Wall-clock claims live in
+//! `benchmark/`; see `benchmark/README.md` and the README's before/after
+//! table.)
+
+mod common;
 
 use mobieyes::prelude::*;
+
+#[global_allocator]
+static ALLOCATOR: common::CountingAllocator = common::CountingAllocator;
+
+/// ~1.2x the 347 B per agent the flat-table / hot-cold layout holds after
+/// three ticks (whole deployment; the agents are 128 B of it inline). The
+/// per-agent B-tree layout read 555 this early, before its emptied leaves
+/// pile up (`tests/agent_footprint.rs` runs long enough to see those).
+const LIVE_BYTES_PER_AGENT: usize = 415;
 
 #[test]
 fn hundred_thousand_objects_tick_without_panic() {
@@ -22,6 +36,7 @@ fn hundred_thousand_objects_tick_without_panic() {
     config.area = 1_000_000.0;
     let dt = config.time_step;
     let n = config.num_objects;
+    let heap_before = common::live_bytes();
     let mut sim = MobiEyesSim::new(config);
     for tick in 1..=3 {
         // The motion phase only ever shrinks an LQT, so the agents
@@ -53,6 +68,12 @@ fn hundred_thousand_objects_tick_without_panic() {
             "tick {tick}: a quiet 100k population must stay mostly cold: {w:?}"
         );
     }
+    let live = (common::live_bytes() - heap_before) / n;
+    println!("scale_smoke: {live} live heap bytes per agent after 3 ticks");
+    assert!(
+        live <= LIVE_BYTES_PER_AGENT,
+        "{live} live heap bytes per agent after 3 ticks"
+    );
     let snapshot = sim.telemetry().snapshot();
     let uplinks = snapshot.counter("srv.uplinks_processed");
     assert!(uplinks > 0, "100k objects produced no uplink traffic");
