@@ -16,11 +16,11 @@ use crate::partition::{
     failover_bounds, moved_cells, plan_bounds, readopt_bounds, PartitionMap, Router,
 };
 use crate::serve::store_failed;
-use crate::wire::InitConfig;
+use crate::wire::{InitConfig, PartitionOp};
 use mobieyes_core::server::{srv_keys, Net};
-use mobieyes_core::LogRecord;
 use mobieyes_core::{
-    ClusterMsg, Downlink, Filter, ObjectId, PartitionScope, ProtocolConfig, QueryId, Server, Uplink,
+    ClusterMsg, Downlink, Filter, LogRecord, ObjectId, PartitionScope, ProtocolConfig, QueryId,
+    Server, Uplink,
 };
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
 use mobieyes_net::TransportError;
@@ -28,7 +28,7 @@ use mobieyes_net::{
     BaseStationLayout, FaultPlan, FramedConn, LockstepTransport, MessageMeter, NodeId,
     SocketTransport, Transport, WireSized,
 };
-use mobieyes_store::{self as store, Store, StoreConfig};
+use mobieyes_store::{self as store, Store};
 use mobieyes_telemetry::{rebal_keys, rec_keys, rpc_keys, EventKind, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -231,6 +231,11 @@ pub struct ClusterServer {
     lane: Vec<u32>,
     /// Request bytes behind `lane`.
     lane_bytes: usize,
+    /// The network the coordinator's own ops run against in-process
+    /// partitions — fence rounds, bus delivery, log replay at attach.
+    /// None of them emits a downlink, but [`Server::apply`] takes a
+    /// network.
+    quiet: Net,
 }
 
 impl ClusterServer {
@@ -361,6 +366,7 @@ impl ClusterServer {
     ) -> Self {
         let n = partitions.len();
         let cells = config.grid.num_cells();
+        let quiet = Net::new(BaseStationLayout::new(config.grid.universe, alen));
         ClusterServer {
             config,
             map,
@@ -386,6 +392,7 @@ impl ClusterServer {
             stores: (0..n).map(|_| None).collect(),
             lane: Vec::new(),
             lane_bytes: 0,
+            quiet,
         }
     }
 
@@ -422,28 +429,28 @@ impl ClusterServer {
     /// remote, in one pipelined probe round — the load signal behind the
     /// rebalance telemetry. Zeroes for a dead peer.
     pub fn load_signals(&self) -> Vec<(u64, u64, u64)> {
-        self.fan_out(|p| p.start_load_signal())
+        self.fan_out(&PartitionOp::LoadSignal)
     }
 
-    /// One pipelined probe round: every partition has its request before
-    /// the first reply is awaited; results in partition order.
-    fn fan_out<T: FromPayload + Default>(
-        &self,
-        start: impl Fn(&PartitionHandle) -> Probe<T>,
-    ) -> Vec<T> {
+    /// One pipelined probe round of a read: every partition has its
+    /// request before the first reply is awaited; results in partition
+    /// order.
+    fn fan_out<T: FromPayload + Default>(&self, op: &PartitionOp) -> Vec<T> {
         debug_assert!(self.lane.is_empty(), "probe round over a posted lane");
-        let probes: Vec<_> = self.partitions.iter().map(start).collect();
-        let finish = |(p, pr): (&PartitionHandle, _)| p.finish(pr);
-        self.partitions.iter().zip(probes).map(finish).collect()
+        let probes: Vec<_> = self.partitions.iter().map(|p| p.start(op)).collect();
+        self.finish_all(probes)
     }
 
-    /// [`Self::fan_out`] for ops that mutate the partitions.
-    fn fan_out_mut<T: FromPayload + Default>(
-        &mut self,
-        start: impl FnMut(&mut PartitionHandle) -> Probe<T>,
-    ) -> Vec<T> {
+    /// [`Self::fan_out`] of a mutation.
+    fn fan_out_mut<T: FromPayload + Default>(&mut self, rec: &LogRecord) -> Vec<T> {
         debug_assert!(self.lane.is_empty(), "probe round over a posted lane");
+        let quiet = &mut self.quiet;
+        let start = |p: &mut PartitionHandle| p.start_apply(rec, quiet);
         let probes: Vec<_> = self.partitions.iter_mut().map(start).collect();
+        self.finish_all(probes)
+    }
+
+    fn finish_all<T: FromPayload + Default>(&self, probes: Vec<Probe<T>>) -> Vec<T> {
         let finish = |(p, pr): (&PartitionHandle, _)| p.finish(pr);
         self.partitions.iter().zip(probes).map(finish).collect()
     }
@@ -483,31 +490,15 @@ impl ClusterServer {
     /// [`Self::new_remote_with_store`] instead (each process owns its log).
     pub fn with_store(mut self, root: impl Into<PathBuf>) -> Self {
         let root = root.into();
-        let n = self.partitions.len();
-        for p in 0..n {
+        let n = self.partitions.len() as u32;
+        for p in 0..self.partitions.len() {
             let PartitionHandle::Local(server) = &mut self.partitions[p] else {
                 continue;
             };
             let dir = root.join(format!("p{p}"));
-            let store = Store::open(StoreConfig::new(&dir, p as u32), self.sinks[p].clone())
-                .unwrap_or_else(|e| panic!("opening store {}: {e}", dir.display()));
-            let mut scratch_net =
-                Net::new(BaseStationLayout::new(self.config.grid.universe, self.alen));
-            let summary =
-                store::replay_into(&dir, p as u32, server, &mut scratch_net, &self.sinks[p])
-                    .unwrap_or_else(|e| panic!("replaying store {}: {e}", dir.display()));
-            if summary.records_applied > 0 {
-                // Historical side effects were delivered in the previous
-                // life; only the rebuilt state is kept.
-                server.take_outbox();
-            }
-            if store.next_seq() == 0 {
-                store.append_record(&LogRecord::Meta {
-                    partition: p as u32,
-                    num_partitions: n as u32,
-                });
-            }
-            server.set_journal(Some(Arc::new(store.clone())));
+            let sink = &self.sinks[p];
+            let store = store::attach(&dir, p as u32, n, server, &mut self.quiet, sink)
+                .unwrap_or_else(|e| panic!("{e}"));
             self.stores[p] = Some(store);
         }
         self.store_root = Some(root);
@@ -517,23 +508,6 @@ impl ClusterServer {
     /// Whether this deployment journals to durable logs.
     pub fn has_store(&self) -> bool {
         self.store_root.is_some()
-    }
-
-    /// Journals an ownership-table install into every live in-process
-    /// partition's log (remote partitions journal their own
-    /// `InstallBounds` op inside the service loop).
-    fn journal_bounds(&self, generation: u64, bounds: &[usize]) {
-        let bounds: Vec<u64> = bounds.iter().map(|&b| b as u64).collect();
-        for (p, slot) in self.stores.iter().enumerate() {
-            let Some(st) = slot else { continue };
-            if self.partitions[p].is_remote() || self.partition_down(p as u32) {
-                continue;
-            }
-            st.append_record(&LogRecord::Bounds {
-                generation,
-                bounds: bounds.clone(),
-            });
-        }
     }
 
     /// Cuts a checkpoint of every live partition into its durable log
@@ -654,7 +628,7 @@ impl ClusterServer {
 
     /// All installed query ids, ascending (merged across partitions).
     pub fn query_ids(&self) -> Vec<QueryId> {
-        let mut ids = self.fan_out(|p| p.start_query_ids()).concat();
+        let mut ids = self.fan_out::<Vec<_>>(&PartitionOp::QueryIds).concat();
         ids.sort_unstable();
         ids
     }
@@ -669,11 +643,11 @@ impl ClusterServer {
     /// Owned copy of a query's result set, local or remote, fetched from
     /// the partition homing the query.
     pub fn fetch_query_result(&self, qid: QueryId) -> Option<Vec<ObjectId>> {
-        self.partitions[self.find_query(qid)?].query_result_owned(qid)
+        self.partitions[self.find_query(qid)?].ask(&PartitionOp::QueryResult(qid))
     }
 
     pub fn query_focal(&self, qid: QueryId) -> Option<ObjectId> {
-        self.partitions[self.find_query(qid)?].query_focal(qid)
+        self.partitions[self.find_query(qid)?].ask(&PartitionOp::QueryFocal(qid))
     }
 
     /// The partition currently holding the FOT row of `oid` (its home);
@@ -712,7 +686,8 @@ impl ClusterServer {
                 self.orphans.push(env);
                 continue;
             }
-            self.partitions[env.to as usize].apply_cluster_msg(&env.msg);
+            let rec = LogRecord::Cluster(env.msg);
+            self.partitions[env.to as usize].call::<()>(&rec, &mut self.quiet);
         }
         debug_assert!(self
             .partitions
@@ -791,7 +766,14 @@ impl ClusterServer {
             },
         );
         if let Some(home) = self.find_focal(focal) {
-            self.partitions[home].complete_install_at(qid, focal, region, filter, expires_at, net);
+            let install = LogRecord::CompleteInstall {
+                qid,
+                focal,
+                region,
+                filter,
+                expires_at,
+            };
+            self.partitions[home].call::<()>(&install, net);
             self.pump_bus();
         } else {
             let q = self.pending.entry(focal).or_default();
@@ -817,7 +799,7 @@ impl ClusterServer {
         let Some(home) = self.find_query(qid) else {
             return false;
         };
-        let removed = self.partitions[home].remove_query(qid, net);
+        let removed = self.partitions[home].call(&LogRecord::RemoveQuery(qid), net);
         self.pump_bus();
         self.merge_sinks();
         removed
@@ -826,7 +808,7 @@ impl ClusterServer {
     /// Removes every query whose lifetime has ended; ascending query-id
     /// order across all partitions, like the single server's SQT scan.
     pub fn expire_queries(&mut self, now: f64, net: &mut Net) -> Vec<QueryId> {
-        let per_partition = self.fan_out(|s| s.start_expired_query_ids(now));
+        let per_partition: Vec<Vec<QueryId>> = self.fan_out(&PartitionOp::ExpiredQueryIds(now));
         let mut expired: Vec<(usize, QueryId)> = Vec::new();
         for (p, qids) in per_partition.into_iter().enumerate() {
             expired.extend(qids.into_iter().map(|q| (p, q)));
@@ -836,7 +818,7 @@ impl ClusterServer {
         for (home, qid) in expired {
             self.registry.remove(&qid);
             self.sinks[home].event(EventKind::QueryExpired { qid: qid.0 as u64 });
-            self.partitions[home].remove_query(qid, net);
+            self.partitions[home].call::<bool>(&LogRecord::RemoveQuery(qid), net);
             self.pump_bus();
             out.push(qid);
         }
@@ -851,7 +833,7 @@ impl ClusterServer {
     /// the single server's ascending-flat-index scan.
     pub fn heartbeat(&mut self, now: f64, net: &mut Net) {
         self.now = now;
-        self.fan_out_mut(|p| p.start_set_time(now));
+        self.fan_out_mut::<()>(&LogRecord::SetTime(now));
         for sink in &self.sinks {
             sink.set_now(now);
         }
@@ -863,7 +845,8 @@ impl ClusterServer {
         self.sinks[0].incr(srv_keys::HEARTBEATS);
 
         // (1) Lease expiry, ascending object id across all partitions.
-        let per_partition = self.fan_out(|s| s.start_expired_leases());
+        let per_partition: Vec<Vec<(ObjectId, Vec<QueryId>)>> =
+            self.fan_out(&PartitionOp::ExpiredLeases);
         let mut expired: Vec<(usize, ObjectId, Vec<QueryId>)> = Vec::new();
         for (p, leases) in per_partition.into_iter().enumerate() {
             expired.extend(leases.into_iter().map(|(o, q)| (p, o, q)));
@@ -873,10 +856,10 @@ impl ClusterServer {
             self.sinks[home].incr(srv_keys::LEASES_EXPIRED);
             self.sinks[home].event(EventKind::LeaseExpired { oid: oid.0 as u64 });
             for qid in qids {
-                let (region, filter, expires_at) = self.partitions[home]
-                    .reinstall_info(qid)
-                    .expect("leased query in SQT");
-                self.partitions[home].remove_query(qid, net);
+                let info: Option<(QueryRegion, Arc<Filter>, Option<f64>)> =
+                    self.partitions[home].ask(&PartitionOp::ReinstallInfo(qid));
+                let (region, filter, expires_at) = info.expect("leased query in SQT");
+                self.partitions[home].call::<bool>(&LogRecord::RemoveQuery(qid), net);
                 self.pump_bus();
                 self.pending.entry(oid).or_default().push(PendingInstall {
                     qid,
@@ -897,7 +880,7 @@ impl ClusterServer {
         // (3) Digest beacon over the shared epoch (partitions share the
         // sequencer, so bumping through partition 0 is global).
         let epoch = self.bump_shared_epoch();
-        let cell_digests = self.fan_out(|p| p.start_digest_cells()).concat();
+        let cell_digests = self.fan_out::<Vec<_>>(&PartitionOp::DigestCells).concat();
         let sent = net.broadcast_all(Downlink::Heartbeat {
             epoch,
             cell_digests,
@@ -908,7 +891,9 @@ impl ClusterServer {
 
     fn bump_shared_epoch(&mut self) -> u64 {
         let p = self.first_live();
-        self.partitions[p].bump_epoch_for_coordinator()
+        // A dead peer answers 0: the coordinator's view stands.
+        let bumped: u64 = self.partitions[p].call(&LogRecord::BumpEpoch, &mut self.quiet);
+        bumped.max(self.partitions[p].current_epoch())
     }
 
     /// Drains and processes all pending uplink messages. Call once per
@@ -929,17 +914,11 @@ impl ClusterServer {
         self.drain_posted(net);
     }
 
-    /// Posts one closed op (`post`, a `PartitionHandle::post_*`) to
-    /// partition `home` and enters it in the lane — unless it ran inline or
-    /// the peer is dead (0 bytes queued: nothing to collect) — draining
-    /// the lane once the window is full.
-    fn post_at(
-        &mut self,
-        home: usize,
-        net: &mut Net,
-        post: impl FnOnce(&mut PartitionHandle, &mut Net) -> usize,
-    ) {
-        let bytes = post(&mut self.partitions[home], net);
+    /// Posts one closed record to partition `home` and enters it in the
+    /// lane — unless it ran inline or the peer is dead (0 bytes queued:
+    /// nothing to collect) — draining the lane once the window is full.
+    fn post_at(&mut self, home: usize, net: &mut Net, rec: &LogRecord) {
+        let bytes = self.partitions[home].post(rec, net);
         if bytes == 0 {
             return;
         }
@@ -978,13 +957,9 @@ impl ClusterServer {
     }
 
     /// [`Self::fan_out`] from the data path: the lane is collected first.
-    fn probe_all<T: FromPayload + Default>(
-        &mut self,
-        net: &mut Net,
-        start: impl Fn(&PartitionHandle) -> Probe<T>,
-    ) -> Vec<T> {
+    fn probe_all<T: FromPayload + Default>(&mut self, net: &mut Net, op: &PartitionOp) -> Vec<T> {
         self.drain_posted(net);
-        self.fan_out(start)
+        self.fan_out(op)
     }
 
     /// [`Self::handle_uplink`] minus the final drain: closed ops are left
@@ -1013,16 +988,17 @@ impl ClusterServer {
         // FOT row is homed. Leases only matter under the fault-tolerance
         // layer; without it `last_heard` is never read.
         if self.config.fault_tolerant() {
+            let renew = LogRecord::RenewLease(ObjectId(from.0));
             for p in 0..self.partitions.len() {
-                self.post_at(p, net, |h, _| h.post_renew_lease(ObjectId(from.0)));
+                self.post_at(p, net, &renew);
             }
         }
         match msg {
             Uplink::VelocityReport { oid, motion } => {
                 debug_assert_eq!(from.0, oid.0);
                 let target = self.find_focal(oid).unwrap_or(primary);
-                self.call_at(target, net)
-                    .on_velocity_report(oid, motion, net);
+                let report = LogRecord::VelocityReport { oid, motion };
+                self.call_at(target, net).call::<()>(&report, net);
                 self.pump_bus();
             }
             Uplink::CellChange {
@@ -1039,9 +1015,12 @@ impl ClusterServer {
                 self.sinks[primary].incr(srv_keys::RESULT_UPDATES);
                 for (qid, is_target) in changes {
                     if let Some(home) = self.find_query(qid) {
-                        self.post_at(home, net, |h, net| {
-                            h.post_result_change(qid, oid, is_target, net)
-                        });
+                        let change = LogRecord::ResultChange {
+                            qid,
+                            oid,
+                            is_target,
+                        };
+                        self.post_at(home, net, &change);
                     }
                 }
             }
@@ -1053,9 +1032,13 @@ impl ClusterServer {
             } => {
                 self.sinks[primary].incr(srv_keys::RESULT_UPDATES);
                 if let Some(home) = self.find_focal(focal) {
-                    self.post_at(home, net, |h, net| {
-                        h.post_group_result_update(oid, focal, mask, targets, net)
-                    });
+                    let update = LogRecord::GroupResultUpdate {
+                        oid,
+                        focal,
+                        mask,
+                        targets,
+                    };
+                    self.post_at(home, net, &update);
                 }
             }
             Uplink::PositionReply {
@@ -1064,8 +1047,13 @@ impl ClusterServer {
                 max_vel,
             } => {
                 let target = self.find_focal(oid).unwrap_or(primary);
-                self.call_at(target, net)
-                    .refresh_focal_motion(oid, motion, max_vel, true);
+                let refresh = LogRecord::RefreshFocalMotion {
+                    oid,
+                    motion,
+                    max_vel,
+                    insert: true,
+                };
+                self.call_at(target, net).call::<()>(&refresh, net);
                 self.pump_bus();
                 self.complete_pending(oid, net);
             }
@@ -1104,7 +1092,8 @@ impl ClusterServer {
         let new_cell = self.config.grid.clamp_cell(new_cell);
         let new_home = self.map.owner_of_cell(&self.config.grid, new_cell) as usize;
         if let Some(old_home) = home.filter(|&h| h != new_home) {
-            if let Some(m) = self.call_at(old_home, net).extract_focal(oid) {
+            let extract = LogRecord::ExtractFocal(oid);
+            if let Some(m) = self.call_at(old_home, net).call(&extract, net) {
                 self.bus
                     .send(
                         NodeId(old_home as u32),
@@ -1122,14 +1111,22 @@ impl ClusterServer {
             }
         }
         if let Some(h) = home {
-            self.call_at(h, net)
-                .apply_cell_change_focal(oid, new_cell, motion, net);
+            let focal = LogRecord::CellChangeFocal {
+                oid,
+                new_cell,
+                motion,
+            };
+            self.call_at(h, net).call::<()>(&focal, net);
             self.pump_bus();
         }
         // Closed: no outbox to pump behind it.
-        self.post_at(new_home, net, |h, net| {
-            h.post_cell_change_fresh(oid, prev_cell, new_cell, motion, net)
-        });
+        let fresh = LogRecord::CellChangeFresh {
+            oid,
+            prev_cell,
+            new_cell,
+            motion,
+        };
+        self.post_at(new_home, net, &fresh);
     }
 
     /// Completes the coordinator-owned deferred installs of `oid` at its
@@ -1146,14 +1143,14 @@ impl ClusterServer {
             return;
         };
         for p in pending {
-            self.call_at(home, net).complete_install_at(
-                p.qid,
-                oid,
-                p.region,
-                p.filter,
-                p.expires_at,
-                net,
-            );
+            let install = LogRecord::CompleteInstall {
+                qid: p.qid,
+                focal: oid,
+                region: p.region,
+                filter: p.filter,
+                expires_at: p.expires_at,
+            };
+            self.call_at(home, net).call::<()>(&install, net);
             self.pump_bus();
         }
     }
@@ -1180,22 +1177,29 @@ impl ClusterServer {
         // lease teardown reclaims the queries.
         let prior = home0.and_then(|h| {
             let home = self.call_at(h, net);
-            Some((home.focal_motion(oid)?, home.focal_queries(oid)?))
+            let motion: LinearMotion = home.ask::<Option<_>>(&PartitionOp::FocalMotion(oid))?;
+            let queries: Vec<QueryId> = home.ask::<Option<_>>(&PartitionOp::FocalQueries(oid))?;
+            Some((motion, queries))
         });
         let target = home0.unwrap_or_else(|| {
             self.map
                 .owner_of_cell(&self.config.grid, self.config.grid.cell_of(motion.pos))
                 as usize
         });
-        self.call_at(target, net)
-            .refresh_focal_motion(oid, motion, max_vel, has_pending);
+        let refresh = LogRecord::RefreshFocalMotion {
+            oid,
+            motion,
+            max_vel,
+            insert: has_pending,
+        };
+        self.call_at(target, net).call::<()>(&refresh, net);
         self.pump_bus();
         if let Some((old_motion, queries)) = prior {
             if !queries.is_empty() {
                 let home = home0.expect("prior implies a home");
                 let reported: Vec<CellId> = queries
                     .iter()
-                    .filter_map(|q| self.call_at(home, net).query_cell(*q))
+                    .filter_map(|q| self.call_at(home, net).ask(&PartitionOp::QueryCell(*q)))
                     .collect();
                 let stale_cell = reported.iter().any(|&c| c != cell);
                 if stale_cell {
@@ -1207,7 +1211,8 @@ impl ClusterServer {
                         .incr(srv_keys::CELL_CHANGES);
                     self.cell_change(oid, home0, prev, cell, motion, net);
                 } else if motion.tm > old_motion.tm {
-                    self.call_at(home, net).on_velocity_report(oid, motion, net);
+                    let report = LogRecord::VelocityReport { oid, motion };
+                    self.call_at(home, net).call::<()>(&report, net);
                     self.pump_bus();
                 }
             }
@@ -1217,23 +1222,27 @@ impl ClusterServer {
             // the deltas in ascending query order across all partitions.
             let mut stale: Vec<(usize, QueryId)> = Vec::new();
             for p in 0..self.partitions.len() {
-                let purged = self.call_at(p, net).purge_object(oid);
+                let purged: Vec<QueryId> =
+                    self.call_at(p, net).call(&LogRecord::PurgeObject(oid), net);
                 stale.extend(purged.into_iter().map(|q| (p, q)));
             }
             stale.sort_unstable_by_key(|&(_, q)| q);
             self.sinks[0].add(srv_keys::STALE_RESULTS_PURGED, stale.len() as u64);
             for (home, qid) in stale {
-                self.post_at(home, net, |h, net| {
-                    h.post_deliver_result_delta(qid, oid, false, net)
-                });
+                let delta = LogRecord::ResultDelta {
+                    qid,
+                    oid,
+                    entered: false,
+                };
+                self.post_at(home, net, &delta);
             }
         }
         self.complete_pending(oid, net);
         if let Some(home) = self.find_focal(oid) {
-            self.post_at(home, net, |h, net| h.post_focal_reassert(oid, net));
+            self.post_at(home, net, &LogRecord::FocalReassert(oid));
         }
         let owner = self.map.owner_of_cell(&self.config.grid, cell) as usize;
-        self.post_at(owner, net, |h, net| h.post_cell_sync_reply(oid, cell, net));
+        self.post_at(owner, net, &LogRecord::CellSyncReply { oid, cell });
     }
 
     /// Soft-state refresh against an object's full local view. Only a
@@ -1245,7 +1254,8 @@ impl ClusterServer {
         self.sinks[0].incr(srv_keys::LQT_SYNCS);
         let mentioned: BTreeMap<QueryId, bool> = entries.into_iter().collect();
         let mut member_at: BTreeMap<QueryId, usize> = BTreeMap::new();
-        let per_partition = self.probe_all(net, |p| p.start_object_memberships(oid));
+        let memberships = PartitionOp::ObjectMemberships(oid);
+        let per_partition: Vec<Vec<QueryId>> = self.probe_all(net, &memberships);
         for (p, homed) in per_partition.into_iter().enumerate() {
             member_at.extend(homed.into_iter().map(|q| (q, p)));
         }
@@ -1263,10 +1273,12 @@ impl ClusterServer {
                 // Already as claimed.
                 _ => continue,
             };
-            if self
-                .call_at(home, net)
-                .lqt_reconcile_one(qid, oid, is_target)
-            {
+            let reconcile = LogRecord::LqtReconcile {
+                qid,
+                oid,
+                is_target,
+            };
+            if self.call_at(home, net).call(&reconcile, net) {
                 if !is_target && !mentioned.contains_key(&qid) {
                     stale += 1;
                 }
@@ -1275,9 +1287,7 @@ impl ClusterServer {
         }
         self.sinks[0].add(srv_keys::STALE_RESULTS_PURGED, stale);
         for (home, qid, entered) in deltas {
-            self.post_at(home, net, |h, net| {
-                h.post_deliver_result_delta(qid, oid, entered, net)
-            });
+            self.post_at(home, net, &LogRecord::ResultDelta { qid, oid, entered });
         }
     }
 
@@ -1302,10 +1312,11 @@ impl ClusterServer {
     ///    stamps, invisible to agents (they only compare stamps) but a
     ///    clean pre/post separator in the event log;
     /// 4. install the bounds: the shared table every [`PartitionScope`]
-    ///    resolves ownership through, the journals, then every remote
-    ///    ownership-table copy — before any transfer leaves, because a
-    ///    generation-stamped transfer is a whole-message no-op at any
-    ///    other generation;
+    ///    resolves ownership through, then a `Bounds` record to every
+    ///    partition — journaled where it is applied, installed into every
+    ///    remote ownership-table copy — before any transfer leaves,
+    ///    because a generation-stamped transfer is a whole-message no-op at
+    ///    any other generation;
     /// 5. the body;
     /// 6. prune the stubs whose monitoring region left a shrunk span,
     ///    restore the fault plan, restart the load observation window.
@@ -1327,8 +1338,8 @@ impl ClusterServer {
             let epoch = self.bump_shared_epoch();
             let moves = moved_cells(&self.map.bounds_snapshot(), new_bounds);
             let generation = self.map.install(new_bounds);
-            self.journal_bounds(generation, new_bounds);
-            self.fan_out_mut(|h| h.start_install_bounds(generation, new_bounds));
+            let bounds = new_bounds.iter().map(|&b| b as u64).collect();
+            self.fan_out_mut::<()>(&LogRecord::Bounds { generation, bounds });
             let mut fence = Fence {
                 generation,
                 epoch,
@@ -1337,7 +1348,7 @@ impl ClusterServer {
             };
             if body(self, &fence) {
                 self.pump_bus();
-                self.fan_out_mut(|h| h.start_prune_stubs());
+                self.fan_out_mut::<()>(&LogRecord::PruneStubs);
                 // A handle death reaches no bus send on a lock-step bus:
                 // the dead handle's rounds just came back empty.
                 fence.completed = !self.peer_died();
@@ -1382,17 +1393,17 @@ impl ClusterServer {
     fn transfer_round<K>(
         &mut self,
         round: &[(u32, u32, K)],
-        mut start: impl FnMut(&mut PartitionHandle, &K) -> Probe<Option<ClusterMsg>>,
+        cut: impl Fn(&K) -> LogRecord,
     ) -> bool {
-        let mut probes = Vec::with_capacity(round.len());
+        let mut probes: Vec<Probe<Option<ClusterMsg>>> = Vec::with_capacity(round.len());
         for (from, _, what) in round {
-            probes.push(start(&mut self.partitions[*from as usize], what));
+            probes.push(self.partitions[*from as usize].start_apply(&cut(what), &mut self.quiet));
         }
-        let mut cut = Vec::with_capacity(round.len());
+        let mut msgs = Vec::with_capacity(round.len());
         for ((from, to, _), pr) in round.iter().zip(probes) {
-            cut.push((*from, *to, self.partitions[*from as usize].finish(pr)));
+            msgs.push((*from, *to, self.partitions[*from as usize].finish(pr)));
         }
-        for (from, to, msg) in cut {
+        for (from, to, msg) in msgs {
             let Some(msg) = msg else { continue };
             match self.bus.send(NodeId(from), Envelope { to, msg }) {
                 Ok(()) => {}
@@ -1419,21 +1430,26 @@ impl ClusterServer {
             .map(|(&(from, to), flats)| (from, to, flats.as_slice()))
             .collect();
         let generation = fence.generation;
-        if !self.transfer_round(&exports, |h, flats| h.start_export_cells(flats, generation)) {
+        let export = |flats: &&[usize]| LogRecord::ExportCells {
+            flats: flats.iter().map(|&f| f as u32).collect(),
+            generation,
+        };
+        if !self.transfer_round(&exports, export) {
             return false;
         }
         self.pump_bus();
 
-        let ids = self.fan_out(|h| h.start_focal_ids());
+        let ids: Vec<Vec<ObjectId>> = self.fan_out(&PartitionOp::FocalIds);
         let mut anchors = Vec::new();
         for (p, oids) in ids.iter().enumerate() {
             for &oid in oids {
-                anchors.push((p, oid, self.partitions[p].start_focal_anchor_cell(oid)));
+                let anchor = self.partitions[p].start(&PartitionOp::FocalAnchorCell(oid));
+                anchors.push((p, oid, anchor));
             }
         }
         let mut rehome: Vec<(u32, u32, ObjectId)> = Vec::new();
         for (p, oid, pr) in anchors {
-            let Some(cell) = self.partitions[p].finish(pr) else {
+            let Some(cell) = self.partitions[p].finish::<Option<CellId>>(pr) else {
                 continue;
             };
             let to = self.map.owner_of_cell(&self.config.grid, cell);
@@ -1442,7 +1458,7 @@ impl ClusterServer {
             }
         }
         rehome.sort_unstable_by_key(|&(_, _, oid)| oid);
-        self.transfer_round(&rehome, |h, &oid| h.start_extract_focal(oid))
+        self.transfer_round(&rehome, |&oid| LogRecord::ExtractFocal(oid))
     }
 
     /// Load-aware partition rebalancing: recomputes the block bounds from
@@ -1637,7 +1653,7 @@ impl ClusterServer {
             .collect();
         let mut dropped = 0u64;
         for env in std::mem::take(&mut self.orphans) {
-            match &env.msg {
+            let to: Vec<usize> = match &env.msg {
                 ClusterMsg::MigrateFocal {
                     motion, queries, ..
                 } => {
@@ -1646,25 +1662,22 @@ impl ClusterServer {
                         .map(|q| q.curr_cell)
                         .unwrap_or_else(|| self.config.grid.cell_of(motion.pos));
                     let to = self.map.owner_of_cell(&self.config.grid, anchor) as usize;
-                    if live.contains(&to) {
-                        self.partitions[to].apply_cluster_msg(&env.msg);
-                        report.envelopes_rerouted += 1;
-                    } else {
-                        dropped += 1;
-                    }
+                    live.iter().copied().filter(|&p| p == to).collect()
                 }
                 ClusterMsg::StubUpdate { .. }
                 | ClusterMsg::StubMotion { .. }
-                | ClusterMsg::StubRemove { .. } => {
-                    for &p in &live {
-                        self.partitions[p].apply_cluster_msg(&env.msg);
-                    }
-                    report.envelopes_rerouted += 1;
-                }
-                ClusterMsg::RebalanceCells { .. } | ClusterMsg::RecoverCells { .. } => {
-                    dropped += 1;
-                }
+                | ClusterMsg::StubRemove { .. } => live.clone(),
+                ClusterMsg::RebalanceCells { .. } | ClusterMsg::RecoverCells { .. } => Vec::new(),
+            };
+            if to.is_empty() {
+                dropped += 1;
+                continue;
             }
+            let rec = LogRecord::Cluster(env.msg);
+            for p in to {
+                self.partitions[p].call::<()>(&rec, net);
+            }
+            report.envelopes_rerouted += 1;
         }
         self.pump_bus();
         self.bus_sink.add(rec_keys::ENVELOPES_DROPPED, dropped);
@@ -1679,11 +1692,12 @@ impl ClusterServer {
             cells.extend(flats.iter().map(|&flat| flat as u32));
         }
         for (to, cells) in adopt {
-            self.partitions[to as usize].apply_cluster_msg(&ClusterMsg::RecoverCells {
+            let rec = LogRecord::Cluster(ClusterMsg::RecoverCells {
                 generation: fence.generation,
                 epoch: fence.epoch,
                 cells,
             });
+            self.partitions[to as usize].call::<()>(&rec, net);
         }
         report.cells_reassigned = fence.cells_moved() as usize;
 
@@ -1778,14 +1792,32 @@ impl ClusterServer {
                 .map
                 .owner_of_cell(&self.config.grid, self.config.grid.cell_of(motion.pos))
                 as usize;
-            self.partitions[home].refresh_focal_motion(focal, motion, max_vel, true);
+            let refresh = LogRecord::RefreshFocalMotion {
+                oid: focal,
+                motion,
+                max_vel,
+                insert: true,
+            };
+            self.partitions[home].call::<()>(&refresh, net);
             self.pump_bus();
-            self.partitions[home].complete_install_at(qid, focal, region, filter, expires_at, net);
+            let install = LogRecord::CompleteInstall {
+                qid,
+                focal,
+                region,
+                filter,
+                expires_at,
+            };
+            self.partitions[home].call::<()>(&install, net);
             self.pump_bus();
             // Restore the journaled result set quietly: the members
             // were already announced to the agent before the crash.
-            for m in members {
-                self.partitions[home].lqt_reconcile_one(qid, m, true);
+            for oid in members {
+                let member = LogRecord::LqtReconcile {
+                    qid,
+                    oid,
+                    is_target: true,
+                };
+                self.partitions[home].call::<bool>(&member, net);
             }
             replayed += 1;
         }
@@ -1808,20 +1840,15 @@ impl ClusterServer {
         let Some(root) = &self.store_root else {
             return Ok(());
         };
-        let num_partitions = self.partitions.len() as u32;
+        let n = self.partitions.len() as u32;
         let PartitionHandle::Local(server) = &mut self.partitions[p as usize] else {
             return Ok(());
         };
         let dir = root.join(format!("p{p}"));
-        let failed = |what, e| store_failed(what, &dir, e);
-        store::wipe_dir(&dir).map_err(|e| failed("wiping stale", e))?;
-        let st = Store::open(StoreConfig::new(&dir, p), self.sinks[p as usize].clone())
-            .map_err(|e| failed("reopening", e))?;
-        st.append_record(&LogRecord::Meta {
-            partition: p,
-            num_partitions,
-        });
-        server.set_journal(Some(Arc::new(st.clone())));
+        store::wipe_dir(&dir).map_err(|e| store_failed("wiping stale", &dir, e))?;
+        let sink = &self.sinks[p as usize];
+        let st = store::attach(&dir, p, n, server, &mut self.quiet, sink)
+            .map_err(|e| TransportError::Io(e.to_string()))?;
         self.stores[p as usize] = Some(st);
         Ok(())
     }
@@ -1875,9 +1902,8 @@ impl ClusterServer {
         let fence = self.fence(&new_bounds, |this, fence| {
             // The respawned slot starts at time zero; align it before any
             // lease-stamped rows arrive.
-            let slot = &mut this.partitions[p as usize];
-            let aligned = slot.start_set_time(now);
-            slot.finish(aligned);
+            let align = LogRecord::SetTime(now);
+            this.partitions[p as usize].call::<()>(&align, &mut this.quiet);
             this.transfer(fence)
         });
         match fence {
@@ -1910,11 +1936,17 @@ impl ClusterServer {
             s.check_invariants();
         }
         let mut seen_q: BTreeSet<QueryId> = BTreeSet::new();
-        for q in self.fan_out(|p| p.start_query_ids()).concat() {
+        for q in self
+            .fan_out::<Vec<QueryId>>(&PartitionOp::QueryIds)
+            .concat()
+        {
             assert!(seen_q.insert(q), "query {q:?} homed on two partitions");
         }
         let mut seen_o: BTreeSet<ObjectId> = BTreeSet::new();
-        for o in self.fan_out(|p| p.start_focal_ids()).concat() {
+        for o in self
+            .fan_out::<Vec<ObjectId>>(&PartitionOp::FocalIds)
+            .concat()
+        {
             assert!(seen_o.insert(o), "focal {o:?} homed on two partitions");
         }
     }
@@ -2030,7 +2062,8 @@ mod tests {
     fn failover_splits_and_respawn_restores_bounds() {
         let (mut cluster, mut net) = test_cluster(4);
         let cell = cluster.config.grid.cell_from_flat(250);
-        cluster.partitions[2].apply_cluster_msg(&migrate_msg(7, 3, cell));
+        let seed = LogRecord::Cluster(migrate_msg(7, 3, cell));
+        cluster.partitions[2].call::<()>(&seed, &mut net);
         assert_eq!(cluster.map.bounds_snapshot(), vec![0, 100, 200, 300, 400]);
         cluster.kill_partition(2);
         cluster.recover_crashed(&mut net).expect("fence");
@@ -2069,7 +2102,7 @@ mod tests {
         if let ClusterMsg::MigrateFocal { queries, .. } = &mut seed {
             queries.clear();
         }
-        cluster.partitions[2].apply_cluster_msg(&seed);
+        cluster.partitions[2].call::<()>(&LogRecord::Cluster(seed), &mut net);
         let qid = cluster.install_query(
             ObjectId(7),
             QueryRegion::circle(2.5),

@@ -1,30 +1,39 @@
 //! Uniform handle over a partition server, local or remote.
 //!
-//! The coordinator drives every partition through [`PartitionHandle`],
-//! which mirrors the [`Server`] methods the decomposition uses. A
+//! The coordinator drives every partition through [`PartitionHandle`]. A
 //! [`Local`](PartitionHandle::Local) handle owns the `Server` in-process
 //! (the original deployment, zero overhead); a
-//! [`Remote`](PartitionHandle::Remote) handle speaks the
-//! [`wire`] RPC protocol to a partition process over a framed
-//! socket connection.
+//! [`Remote`](PartitionHandle::Remote) handle speaks the [`wire`] RPC
+//! protocol to a partition process over a framed socket connection.
+//!
+//! The handle names no op. A mutation is a [`LogRecord`]: the local arm
+//! hands it to [`Server::apply`], the remote arm sends it as
+//! [`PartitionOp::Apply`]. A read is a [`PartitionOp`]: the local arm
+//! answers it through `serve::read`, the dispatch the partition service
+//! answers it with, and the remote arm sends it. [`FromPayload`] types the
+//! answer of either arm.
 //!
 //! A remote op is one request frame and, later, one reply frame; the
 //! service answers in request order, so a handle may have several
 //! requests outstanding as long as their replies are collected in the
 //! same order. Three shapes are built on that one mechanism:
 //!
-//! - a *call* sends and waits — every op that can move the epoch, queue a
-//!   bus envelope or change what the partition homes, and every read the
-//!   coordinator branches on, is a call, so the coordinator has folded its
-//!   reply before it issues anything else;
-//! - a [`Probe`] (`start_*` then [`PartitionHandle::finish`]) puts the same
-//!   read-only or fence op on the wire of every partition before waiting
-//!   for the first reply, so the partition processes work concurrently;
-//! - a *posted* op (`post_*` then [`PartitionHandle::collect_posted`]) is
-//!   a closed op ([`PartitionOp::is_closed`]) written without even a
-//!   flush; the coordinator keeps issuing closed ops and collects the
-//!   replies, in issue order, before the next call. An op has exactly one
-//!   shape: every closed op has a `post_*` and no call form.
+//! - a *call* ([`call`](PartitionHandle::call) a record,
+//!   [`ask`](PartitionHandle::ask) a read) sends and waits — every op that
+//!   can move the epoch, queue a bus envelope or change what the partition
+//!   homes, and every read the coordinator branches on, is a call, so the
+//!   coordinator has folded its reply before it issues anything else;
+//! - a [`Probe`] ([`start`](PartitionHandle::start) /
+//!   [`start_apply`](PartitionHandle::start_apply) then
+//!   [`PartitionHandle::finish`]) puts the same read or fence op on the
+//!   wire of every partition before waiting for the first reply, so the
+//!   partition processes work concurrently;
+//! - a *posted* record ([`post`](PartitionHandle::post) then
+//!   [`PartitionHandle::collect_posted`]) is a closed one
+//!   ([`wire::is_closed`]) written without even a flush; the coordinator
+//!   keeps posting and collects the replies, in issue order, before the
+//!   next call. A record has exactly one shape: a closed record is always
+//!   posted, any other never is (debug builds assert both).
 //!
 //! The one rule posting adds — collect every posted reply before the next
 //! call or probe — is the coordinator's to keep (it owns the lane across
@@ -64,13 +73,16 @@
 //! desynchronize the connection, so recovery always builds a fresh handle
 //! (respawn) or abandons the slot (failover).
 
+use crate::serve;
 use crate::wire::{self, NetAction, PartitionOp, PartitionReply, ReplyPayload};
+use mobieyes_core::codec::DecodeError;
 use mobieyes_core::server::Net;
-use mobieyes_core::{ClusterMsg, Filter, HomeChange, ObjectId, QueryId, Server};
+use mobieyes_core::{ClusterMsg, Filter, HomeChange, LogRecord, ObjectId, QueryId, Server};
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
 use mobieyes_net::{FramedConn, NodeId, StationId, TransportError};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashSet};
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -113,6 +125,9 @@ pub struct RemotePartition {
     /// both assert it is zero (debug builds).
     uncollected: Cell<u32>,
 }
+
+/// Writes one request frame, given the coordinator's epoch floor.
+type Encode<'a> = &'a dyn Fn(u64, &mut Vec<u8>);
 
 impl RemotePartition {
     /// Wraps a connected, hello-completed connection. `epoch` is the
@@ -173,14 +188,14 @@ impl RemotePartition {
     /// returns its size; 0 means the handle is dead and nothing was
     /// written. Every queued request must be paired with exactly one
     /// [`Self::recv`], in order.
-    fn send(&self, op: &PartitionOp) -> usize {
+    fn send(&self, encode: Encode<'_>) -> usize {
         if self.dead() {
             return 0;
         }
         let floor = self.epoch.load(Ordering::Relaxed);
         let mut frame = self.frame.borrow_mut();
         frame.clear();
-        wire::encode_request(floor, op, &mut frame);
+        encode(floor, &mut frame);
         match self.conn.borrow_mut().write_frame(&frame) {
             Ok(()) => 4 + frame.len(),
             Err(e) => {
@@ -269,35 +284,52 @@ impl RemotePartition {
     /// The drain-before-call rule, where breaking it would desynchronise
     /// the connection: the oldest outstanding reply must be the one the
     /// caller is about to wait for.
-    fn assert_lane_collected(&self, op: &PartitionOp) {
+    fn assert_lane_collected(&self) {
         debug_assert_eq!(
             self.uncollected.get(),
             0,
-            "partition {}: {op:?} issued with posted replies uncollected",
+            "partition {}: a call or probe issued with posted replies uncollected",
             self.partition
         );
     }
 
     /// One round trip.
-    fn call<T: FromPayload + Default>(&self, op: &PartitionOp, net: Option<&mut Net>) -> T {
-        self.assert_lane_collected(op);
-        if self.send(op) == 0 {
+    fn call<T: FromPayload + Default>(&self, encode: Encode<'_>, net: Option<&mut Net>) -> T {
+        self.assert_lane_collected();
+        if self.send(encode) == 0 {
             return T::default();
         }
         self.count(|c| c.round_trips += 1);
         self.recv_as(net)
     }
 
+    /// One round trip of an op that emits no downlinks.
+    fn ask<T: FromPayload + Default>(&self, op: &PartitionOp) -> T {
+        self.call(&|floor, out| wire::encode_request(floor, op, out), None)
+    }
+
+    /// Request half of a probe, flushed at once so the partition starts on
+    /// it while the coordinator probes its siblings.
+    fn start<T>(&self, encode: Encode<'_>) -> Probe<T> {
+        self.assert_lane_collected();
+        if self.send(encode) == 0 {
+            return Probe::Dead;
+        }
+        self.count(|c| c.round_trips += 1);
+        self.flush();
+        Probe::Pending
+    }
+
     /// Configures the peer; must be the first call on the connection. Its
     /// reply seeds the mirror with whatever a replayed log brought back.
     pub fn init(&self, init: wire::InitConfig) -> Result<(), TransportError> {
-        self.call::<()>(&PartitionOp::Init(init), None);
+        self.ask::<()>(&PartitionOp::Init(init));
         self.crashed().map_or(Ok(()), Err)
     }
 
     /// Sends the shutdown op; the peer replies and exits its service loop.
     pub fn shutdown(&self) -> Result<(), TransportError> {
-        self.call::<()>(&PartitionOp::Shutdown, None);
+        self.ask::<()>(&PartitionOp::Shutdown);
         self.crashed().map_or(Ok(()), Err)
     }
 }
@@ -344,6 +376,7 @@ payload_shapes! {
     Option<ObjectId> => OptOid,
     Vec<(CellId, u64)> => Digests,
     Vec<(ObjectId, Vec<QueryId>)> => Leases,
+    Option<(QueryRegion, Arc<Filter>, Option<f64>)> => Reinstall,
     Option<Vec<ObjectId>> => ResultSet,
     Vec<ObjectId> => Oids,
     Vec<LinearMotion> => Motions,
@@ -371,15 +404,19 @@ impl FromPayload for (u64, u64, u64) {
     }
 }
 
-impl FromPayload for Option<(QueryRegion, Arc<Filter>, Option<f64>)> {
+/// Any shape: what a posted record answers is not read.
+impl FromPayload for ReplyPayload {
     fn from_payload(payload: ReplyPayload) -> Result<Self, Box<ReplyPayload>> {
-        match payload {
-            ReplyPayload::Reinstall(info) => {
-                Ok(info.map(|(region, filter, expires_at)| (region, Arc::new(filter), expires_at)))
-            }
-            other => Err(Box::new(other)),
-        }
+        Ok(payload)
     }
+}
+
+/// An in-process partition's answer to `op`, typed like a remote reply.
+/// The coordinator built the op itself, so a refused record or an answer
+/// of the wrong shape is a bug in it, not a peer failure: it panics.
+fn local_value<T: FromPayload>(op: &dyn Debug, answer: Result<ReplyPayload, DecodeError>) -> T {
+    let payload = answer.unwrap_or_else(|e| panic!("in-process partition refused {op:?}: {e}"));
+    T::from_payload(payload).unwrap_or_else(|p| panic!("{op:?} answered {p:?}"))
 }
 
 /// A two-phase partition probe: the request half of a pipelined RPC.
@@ -399,9 +436,6 @@ pub enum Probe<T> {
 }
 
 /// A partition server the coordinator can drive: in-process or over RPC.
-///
-/// Method-for-method mirror of the [`Server`] surface the coordinator's
-/// decomposition uses; see the `Server` docs for semantics.
 pub enum PartitionHandle {
     Local(Box<Server>),
     Remote(Box<RemotePartition>),
@@ -424,44 +458,28 @@ impl PartitionHandle {
     }
 
     // --- the three op shapes ------------------------------------------------
-    //
-    // Every op below is one line over these: `op` builds the wire form
-    // (only evaluated for remote handles), `local` runs it in-process.
 
-    /// Request half of a probe: local handles compute inline; a remote
-    /// request is flushed at once so the partition starts on it while the
-    /// coordinator probes its siblings.
-    fn start<T>(
-        &self,
-        op: impl FnOnce() -> PartitionOp,
-        local: impl FnOnce(&Server) -> T,
-    ) -> Probe<T> {
+    /// Request half of a read probe: a local handle answers at once, a
+    /// remote request is flushed at once.
+    pub fn start<T: FromPayload>(&self, op: &PartitionOp) -> Probe<T> {
         match self {
-            PartitionHandle::Local(s) => Probe::Ready(local(s)),
-            PartitionHandle::Remote(r) => Self::start_remote(r, &op()),
+            PartitionHandle::Local(s) => Probe::Ready(local_value(op, Ok(serve::read(s, op)))),
+            PartitionHandle::Remote(r) => {
+                r.start(&|floor, out| wire::encode_request(floor, op, out))
+            }
         }
     }
 
-    /// [`Self::start`] for ops that mutate the partition.
-    fn start_mut<T>(
-        &mut self,
-        op: impl FnOnce() -> PartitionOp,
-        local: impl FnOnce(&mut Server) -> T,
-    ) -> Probe<T> {
+    /// Request half of a mutation probe; a local handle applies the record
+    /// against `net` at once.
+    pub fn start_apply<T: FromPayload>(&mut self, rec: &LogRecord, net: &mut Net) -> Probe<T> {
+        debug_assert!(!wire::is_closed(rec), "closed records are posted");
         match self {
-            PartitionHandle::Local(s) => Probe::Ready(local(s)),
-            PartitionHandle::Remote(r) => Self::start_remote(r, &op()),
+            PartitionHandle::Local(s) => Probe::Ready(local_value(rec, s.apply(rec, net))),
+            PartitionHandle::Remote(r) => {
+                r.start(&|floor, out| wire::encode_apply(floor, rec, out))
+            }
         }
-    }
-
-    fn start_remote<T>(r: &RemotePartition, op: &PartitionOp) -> Probe<T> {
-        r.assert_lane_collected(op);
-        if r.send(op) == 0 {
-            return Probe::Dead;
-        }
-        r.count(|c| c.round_trips += 1);
-        r.flush();
-        Probe::Pending
     }
 
     /// Reply half of a probe. A probe whose peer is dead — at start, or
@@ -478,52 +496,35 @@ impl PartitionHandle {
         }
     }
 
-    /// One quiet (no-downlink) call: a probe finished at once.
-    fn ask<T: FromPayload + Default>(
-        &self,
-        op: impl FnOnce() -> PartitionOp,
-        local: impl FnOnce(&Server) -> T,
-    ) -> T {
-        self.finish(self.start(op, local))
+    /// One read call: a probe finished at once.
+    pub fn ask<T: FromPayload + Default>(&self, op: &PartitionOp) -> T {
+        self.finish(self.start(op))
     }
 
-    /// One quiet call that mutates the partition.
-    fn ask_mut<T: FromPayload + Default>(
-        &mut self,
-        op: impl FnOnce() -> PartitionOp,
-        local: impl FnOnce(&mut Server) -> T,
-    ) -> T {
-        let probe = self.start_mut(op, local);
-        self.finish(probe)
-    }
-
-    /// One call whose downlinks land on `net`.
-    fn ask_net<T: FromPayload + Default>(
-        &mut self,
-        net: &mut Net,
-        op: impl FnOnce() -> PartitionOp,
-        local: impl FnOnce(&mut Server, &mut Net) -> T,
-    ) -> T {
+    /// One mutation call, whose downlinks land on `net`.
+    pub fn call<T: FromPayload + Default>(&mut self, rec: &LogRecord, net: &mut Net) -> T {
+        debug_assert!(!wire::is_closed(rec), "closed records are posted");
         match self {
-            PartitionHandle::Local(s) => local(s, net),
-            PartitionHandle::Remote(r) => r.call(&op(), Some(net)),
+            PartitionHandle::Local(s) => local_value(rec, s.apply(rec, net)),
+            PartitionHandle::Remote(r) => {
+                r.call(&|floor, out| wire::encode_apply(floor, rec, out), Some(net))
+            }
         }
     }
 
-    /// Issues a closed op without waiting: local handles execute inline, a
-    /// remote request is queued unflushed. Returns the bytes queued — when
-    /// non-zero the caller owes one [`Self::collect_posted`], after every
-    /// earlier post on any handle has been collected.
-    fn post(&mut self, op: impl FnOnce() -> PartitionOp, local: impl FnOnce(&mut Server)) -> usize {
+    /// Issues a closed record without waiting: a local handle applies it
+    /// inline, a remote request is queued unflushed. Returns the bytes
+    /// queued — when non-zero the caller owes one [`Self::collect_posted`],
+    /// after every earlier post on any handle has been collected.
+    pub fn post(&mut self, rec: &LogRecord, net: &mut Net) -> usize {
+        debug_assert!(wire::is_closed(rec), "only closed records may be posted");
         match self {
             PartitionHandle::Local(s) => {
-                local(s);
+                local_value::<ReplyPayload>(rec, s.apply(rec, net));
                 0
             }
             PartitionHandle::Remote(r) => {
-                let op = op();
-                debug_assert!(op.is_closed(), "only closed ops may be posted");
-                let bytes = r.send(&op);
+                let bytes = r.send(&|floor, out| wire::encode_apply(floor, rec, out));
                 if bytes > 0 {
                     r.count(|c| c.posted += 1);
                     r.uncollected.set(r.uncollected.get() + 1);
@@ -550,96 +551,6 @@ impl PartitionHandle {
                 replay_net(actions, net);
             }
         }
-    }
-
-    // --- posted (closed) ops ------------------------------------------------
-
-    pub fn post_renew_lease(&mut self, oid: ObjectId) -> usize {
-        self.post(|| PartitionOp::RenewLease(oid), |s| s.renew_lease(oid))
-    }
-
-    pub fn post_result_change(
-        &mut self,
-        qid: QueryId,
-        oid: ObjectId,
-        is_target: bool,
-        net: &mut Net,
-    ) -> usize {
-        self.post(
-            || PartitionOp::ResultChange {
-                qid,
-                oid,
-                is_target,
-            },
-            |s| {
-                s.apply_result_change(qid, oid, is_target, net);
-            },
-        )
-    }
-
-    pub fn post_group_result_update(
-        &mut self,
-        oid: ObjectId,
-        focal: ObjectId,
-        mask: u64,
-        targets: u64,
-        net: &mut Net,
-    ) -> usize {
-        self.post(
-            || PartitionOp::GroupResultUpdate {
-                oid,
-                focal,
-                mask,
-                targets,
-            },
-            |s| s.apply_group_result_update(oid, focal, mask, targets, net),
-        )
-    }
-
-    pub fn post_cell_change_fresh(
-        &mut self,
-        oid: ObjectId,
-        prev_cell: CellId,
-        new_cell: CellId,
-        motion: LinearMotion,
-        net: &mut Net,
-    ) -> usize {
-        self.post(
-            || PartitionOp::CellChangeFresh {
-                oid,
-                prev_cell,
-                new_cell,
-                motion,
-            },
-            |s| s.apply_cell_change_fresh(oid, prev_cell, new_cell, motion, net),
-        )
-    }
-
-    pub fn post_deliver_result_delta(
-        &mut self,
-        qid: QueryId,
-        oid: ObjectId,
-        entered: bool,
-        net: &mut Net,
-    ) -> usize {
-        self.post(
-            || PartitionOp::DeliverResultDelta { qid, oid, entered },
-            |s| s.deliver_result_delta(qid, oid, entered, net),
-        )
-    }
-
-    pub fn post_focal_reassert(&mut self, oid: ObjectId, net: &mut Net) -> usize {
-        self.post(
-            || PartitionOp::FocalReassert(oid),
-            |s| s.focal_reassert(oid, net),
-        )
-    }
-
-    pub fn post_cell_sync_reply(&mut self, oid: ObjectId, cell: CellId, net: &mut Net) -> usize {
-        self.post(
-            || PartitionOp::CellSyncReply { oid, cell },
-            |s| s.cell_sync_reply(oid, cell, net),
-        )
     }
 
     // --- the homes mirror ---------------------------------------------------
@@ -680,207 +591,10 @@ impl PartitionHandle {
         }
     }
 
-    // --- probes (fan-out ops) -----------------------------------------------
-    //
-    // The coordinator's fan-out loops (digest beacons, lease scans, the
-    // fences' per-partition rounds) hit every partition with the same op.
-    // Issued as calls those serialize: each round trip completes before
-    // the next request leaves. Starting every probe first and finishing
-    // them in the same order gives identical results in one round-trip
-    // latency instead of N.
-
-    pub fn start_set_time(&mut self, now: f64) -> Probe<()> {
-        self.start_mut(|| PartitionOp::SetTime(now), |s| s.set_time(now))
-    }
-
-    pub fn start_query_ids(&self) -> Probe<Vec<QueryId>> {
-        self.start(|| PartitionOp::QueryIds, |s| s.query_ids().collect())
-    }
-
-    pub fn start_expired_query_ids(&self, now: f64) -> Probe<Vec<QueryId>> {
-        self.start(
-            || PartitionOp::ExpiredQueryIds(now),
-            |s| s.expired_query_ids(now),
-        )
-    }
-
-    pub fn start_expired_leases(&self) -> Probe<Vec<(ObjectId, Vec<QueryId>)>> {
-        self.start(|| PartitionOp::ExpiredLeases, |s| s.expired_leases())
-    }
-
-    pub fn start_object_memberships(&self, oid: ObjectId) -> Probe<Vec<QueryId>> {
-        self.start(
-            || PartitionOp::ObjectMemberships(oid),
-            |s| s.object_memberships(oid),
-        )
-    }
-
-    pub fn start_digest_cells(&self) -> Probe<Vec<(CellId, u64)>> {
-        self.start(|| PartitionOp::DigestCells, |s| s.digest_cells())
-    }
-
-    /// Syncs a remote partition's ownership-table copy to the
-    /// coordinator's exact bounds and generation after a fence. Local
-    /// handles share the coordinator's table and need nothing.
-    pub fn start_install_bounds(&mut self, generation: u64, bounds: &[usize]) -> Probe<()> {
-        self.start_mut(
-            || PartitionOp::InstallBounds {
-                generation,
-                bounds: bounds.iter().map(|&b| b as u64).collect(),
-            },
-            |_| (),
-        )
-    }
-
-    pub fn start_export_cells(
-        &mut self,
-        flats: &[usize],
-        generation: u64,
-    ) -> Probe<Option<ClusterMsg>> {
-        self.start_mut(
-            || PartitionOp::ExportCells {
-                flats: flats.iter().map(|&f| f as u32).collect(),
-                generation,
-            },
-            |s| s.export_cells(flats, generation),
-        )
-    }
-
-    pub fn start_focal_ids(&self) -> Probe<Vec<ObjectId>> {
-        self.start(|| PartitionOp::FocalIds, |s| s.focal_ids())
-    }
-
-    pub fn start_focal_anchor_cell(&self, oid: ObjectId) -> Probe<Option<CellId>> {
-        self.start(
-            || PartitionOp::FocalAnchorCell(oid),
-            |s| s.focal_anchor_cell(oid),
-        )
-    }
-
-    pub fn start_extract_focal(&mut self, oid: ObjectId) -> Probe<Option<ClusterMsg>> {
-        self.start_mut(|| PartitionOp::ExtractFocal(oid), |s| s.extract_focal(oid))
-    }
-
-    pub fn start_prune_stubs(&mut self) -> Probe<()> {
-        self.start_mut(|| PartitionOp::PruneStubs, |s| s.prune_stubs())
-    }
-
-    /// Partition state weight `(focals, queries, stubs)` for rebalance
-    /// telemetry. Zeroes on a dead peer.
-    pub fn start_load_signal(&self) -> Probe<(u64, u64, u64)> {
-        self.start(
-            || PartitionOp::LoadSignal,
-            |s| {
-                (
-                    s.focal_ids().len() as u64,
-                    s.num_queries() as u64,
-                    s.num_stubs() as u64,
-                )
-            },
-        )
-    }
-
-    // --- calls ----------------------------------------------------------------
-
-    pub fn extract_focal(&mut self, oid: ObjectId) -> Option<ClusterMsg> {
-        let probe = self.start_extract_focal(oid);
-        self.finish(probe)
-    }
-
-    pub fn on_velocity_report(&mut self, oid: ObjectId, motion: LinearMotion, net: &mut Net) {
-        self.ask_net(
-            net,
-            || PartitionOp::VelocityReport { oid, motion },
-            |s, net| s.on_velocity_report(oid, motion, net),
-        )
-    }
-
-    pub fn apply_cell_change_focal(
-        &mut self,
-        oid: ObjectId,
-        new_cell: CellId,
-        motion: LinearMotion,
-        net: &mut Net,
-    ) {
-        self.ask_net(
-            net,
-            || PartitionOp::CellChangeFocal {
-                oid,
-                new_cell,
-                motion,
-            },
-            |s, net| s.apply_cell_change_focal(oid, new_cell, motion, net),
-        )
-    }
-
-    pub fn refresh_focal_motion(
-        &mut self,
-        oid: ObjectId,
-        motion: LinearMotion,
-        max_vel: f64,
-        insert: bool,
-    ) {
-        self.ask_mut(
-            || PartitionOp::RefreshFocalMotion {
-                oid,
-                motion,
-                max_vel,
-                insert,
-            },
-            |s| s.refresh_focal_motion(oid, motion, max_vel, insert),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn complete_install_at(
-        &mut self,
-        qid: QueryId,
-        focal: ObjectId,
-        region: QueryRegion,
-        filter: Arc<Filter>,
-        expires_at: Option<f64>,
-        net: &mut Net,
-    ) {
+    pub fn take_outbox(&mut self) -> Vec<(u32, ClusterMsg)> {
         match self {
-            PartitionHandle::Local(s) => {
-                s.complete_install_at(qid, focal, region, filter, expires_at, net)
-            }
-            PartitionHandle::Remote(r) => r.call(
-                &PartitionOp::CompleteInstall {
-                    qid,
-                    focal,
-                    region,
-                    filter,
-                    expires_at,
-                },
-                Some(net),
-            ),
-        }
-    }
-
-    pub fn remove_query(&mut self, qid: QueryId, net: &mut Net) -> bool {
-        self.ask_net(
-            net,
-            || PartitionOp::RemoveQuery(qid),
-            |s, net| s.remove_query(qid, net),
-        )
-    }
-
-    pub fn reinstall_info(&self, qid: QueryId) -> Option<(QueryRegion, Arc<Filter>, Option<f64>)> {
-        self.ask(
-            || PartitionOp::ReinstallInfo(qid),
-            |s| s.reinstall_info(qid),
-        )
-    }
-
-    pub fn bump_epoch_for_coordinator(&mut self) -> u64 {
-        match self {
-            PartitionHandle::Local(s) => s.bump_epoch_for_coordinator(),
-            PartitionHandle::Remote(r) => {
-                // A dead peer answers 0: the coordinator's view stands.
-                let bumped: u64 = r.call(&PartitionOp::BumpEpoch, None);
-                bumped.max(r.epoch.load(Ordering::Relaxed))
-            }
+            PartitionHandle::Local(s) => s.take_outbox(),
+            PartitionHandle::Remote(r) => std::mem::take(&mut *r.outbox.borrow_mut()),
         }
     }
 
@@ -895,7 +609,7 @@ impl PartitionHandle {
 
     /// Borrowed result set — in-process handles only (the lockstep
     /// deployments every existing caller runs). `None` for remote
-    /// handles; those callers use [`Self::query_result_owned`].
+    /// handles; those callers ask for [`PartitionOp::QueryResult`].
     pub fn query_result_ref(&self, qid: QueryId) -> Option<&BTreeSet<ObjectId>> {
         match self {
             PartitionHandle::Local(s) => s.query_result(qid),
@@ -903,69 +617,16 @@ impl PartitionHandle {
         }
     }
 
-    /// Owned copy of a query's result set, local or remote.
-    pub fn query_result_owned(&self, qid: QueryId) -> Option<Vec<ObjectId>> {
-        self.ask(
-            || PartitionOp::QueryResult(qid),
-            |s| s.query_result(qid).map(|r| r.iter().copied().collect()),
-        )
-    }
-
-    pub fn query_focal(&self, qid: QueryId) -> Option<ObjectId> {
-        self.ask(|| PartitionOp::QueryFocal(qid), |s| s.query_focal(qid))
-    }
-
-    pub fn focal_motion(&self, oid: ObjectId) -> Option<LinearMotion> {
-        self.ask(|| PartitionOp::FocalMotion(oid), |s| s.focal_motion(oid))
-    }
-
-    pub fn focal_queries(&self, oid: ObjectId) -> Option<Vec<QueryId>> {
-        self.ask(|| PartitionOp::FocalQueries(oid), |s| s.focal_queries(oid))
-    }
-
-    pub fn query_cell(&self, qid: QueryId) -> Option<CellId> {
-        self.ask(|| PartitionOp::QueryCell(qid), |s| s.query_cell(qid))
-    }
-
-    pub fn purge_object(&mut self, oid: ObjectId) -> Vec<QueryId> {
-        self.ask_mut(|| PartitionOp::PurgeObject(oid), |s| s.purge_object(oid))
-    }
-
-    pub fn lqt_reconcile_one(&mut self, qid: QueryId, oid: ObjectId, is_target: bool) -> bool {
-        self.ask_mut(
-            || PartitionOp::LqtReconcileOne {
-                qid,
-                oid,
-                is_target,
-            },
-            |s| s.lqt_reconcile_one(qid, oid, is_target),
-        )
-    }
-
-    pub fn take_outbox(&mut self) -> Vec<(u32, ClusterMsg)> {
-        match self {
-            PartitionHandle::Local(s) => s.take_outbox(),
-            PartitionHandle::Remote(r) => std::mem::take(&mut *r.outbox.borrow_mut()),
-        }
-    }
-
-    pub fn apply_cluster_msg(&mut self, msg: &ClusterMsg) {
-        self.ask_mut(
-            || PartitionOp::Deliver(msg.clone()),
-            |s| s.apply_cluster_msg(msg),
-        )
-    }
-
     /// The partition's structural self-check; for a remote handle also the
     /// audit of the `homes` mirror against the key sets the partition
     /// reports. Panics on a violation (a test and smoke-run facility).
     pub fn check_invariants(&self) {
-        self.ask(|| PartitionOp::CheckInvariants, |s| s.check_invariants());
+        self.ask::<()>(&PartitionOp::CheckInvariants);
         let PartitionHandle::Remote(r) = self else {
             return;
         };
-        let focals = self.finish(self.start_focal_ids());
-        let queries = self.finish(self.start_query_ids());
+        let focals: Vec<ObjectId> = self.ask(&PartitionOp::FocalIds);
+        let queries: Vec<QueryId> = self.ask(&PartitionOp::QueryIds);
         if r.dead() {
             return;
         }
@@ -995,7 +656,7 @@ impl PartitionHandle {
         match self {
             PartitionHandle::Local(_) => None,
             PartitionHandle::Remote(r) => {
-                Some(r.call::<u64>(&PartitionOp::Checkpoint, None)).filter(|&seq| seq > 0)
+                Some(r.ask::<u64>(&PartitionOp::Checkpoint)).filter(|&seq| seq > 0)
             }
         }
     }
@@ -1006,7 +667,7 @@ impl PartitionHandle {
     pub fn trajectory_remote(&self, oid: ObjectId, t0: f64, t1: f64) -> Vec<LinearMotion> {
         match self {
             PartitionHandle::Local(_) => Vec::new(),
-            PartitionHandle::Remote(r) => r.call(&PartitionOp::Trajectory { oid, t0, t1 }, None),
+            PartitionHandle::Remote(r) => r.ask(&PartitionOp::Trajectory { oid, t0, t1 }),
         }
     }
 
@@ -1052,7 +713,7 @@ impl PartitionHandle {
         match self {
             PartitionHandle::Local(_) => true,
             PartitionHandle::Remote(r) => {
-                r.call::<u64>(&PartitionOp::CurrentEpoch, None);
+                r.ask::<u64>(&PartitionOp::CurrentEpoch);
                 !r.dead()
             }
         }
@@ -1128,11 +789,19 @@ pub(crate) mod tests {
         ))
     }
 
+    fn result_change(oid: u32) -> LogRecord {
+        LogRecord::ResultChange {
+            qid: QueryId(1),
+            oid: ObjectId(oid),
+            is_target: true,
+        }
+    }
+
     /// Posts `n` result changes and collects them all, as the coordinator's
     /// lane would.
     fn post_and_drain(handle: &mut PartitionHandle, n: u32, net: &mut Net) {
         for i in 0..n {
-            assert!(handle.post_result_change(QueryId(1), ObjectId(i), true, net) > 0);
+            assert!(handle.post(&result_change(i), net) > 0);
         }
         handle.flush_posted();
         for _ in 0..n {
@@ -1156,13 +825,13 @@ pub(crate) mod tests {
         });
         let mut net = test_net();
         // Any first reply seeds the mirror; `Init`'s does in a deployment.
-        let seeding = handle.start_set_time(0.0);
-        handle.finish(seeding);
+        handle.call::<()>(&LogRecord::SetTime(0.0), &mut net);
         assert!(handle.has_focal(ObjectId(7)) && !handle.has_focal(ObjectId(8)));
         assert_eq!(handle.num_queries(), 2);
-        assert!(handle.remove_query(QueryId(2), &mut net));
+        assert!(handle.call::<bool>(&LogRecord::RemoveQuery(QueryId(2)), &mut net));
         assert!(!handle.has_query(QueryId(2)) && handle.has_query(QueryId(5)));
-        assert_eq!(handle.focal_motion(ObjectId(7)), None);
+        let motion: Option<LinearMotion> = handle.ask(&PartitionOp::FocalMotion(ObjectId(7)));
+        assert_eq!(motion, None);
         assert!(
             matches!(handle.crashed(), Some(TransportError::Protocol(_))),
             "a mis-shaped reply kills the handle: {:?}",
@@ -1194,13 +863,17 @@ pub(crate) mod tests {
             conn.write_frame(&frame).expect("write");
             conn.flush().expect("flush");
         });
-        assert!(handle.finish(handle.start_focal_ids()).is_empty());
+        assert!(handle
+            .ask::<Vec<ObjectId>>(&PartitionOp::FocalIds)
+            .is_empty());
         assert!(matches!(
             handle.crashed(),
             Some(TransportError::Protocol(_))
         ));
         // Inert from here on: nothing is sent, fallbacks come back.
-        assert!(handle.finish(handle.start_query_ids()).is_empty());
+        assert!(handle
+            .ask::<Vec<QueryId>>(&PartitionOp::QueryIds)
+            .is_empty());
         assert!(!handle.probe_alive());
         peer.join().expect("peer");
     }
@@ -1219,7 +892,7 @@ pub(crate) mod tests {
         let death = handle.crashed().expect("the drain noticed the death");
         assert!(death.is_peer_death(), "classified as a crash: {death}");
         assert_eq!(
-            handle.post_result_change(QueryId(1), ObjectId(0), true, &mut net),
+            handle.post(&result_change(0), &mut net),
             0,
             "a dead handle posts nothing"
         );
@@ -1264,7 +937,13 @@ pub(crate) mod tests {
             let mut queued = 0;
             for i in 0..POST_WINDOW_OPS as u32 {
                 let (prev, new) = (CellId::new(0, 2), CellId::new(1, 2));
-                queued += handle.post_cell_change_fresh(ObjectId(i), prev, new, motion, &mut net);
+                let rec = LogRecord::CellChangeFresh {
+                    oid: ObjectId(i),
+                    prev_cell: prev,
+                    new_cell: new,
+                    motion,
+                };
+                queued += handle.post(&rec, &mut net);
             }
             assert!(
                 queued <= POST_WINDOW_BYTES,
@@ -1309,7 +988,7 @@ pub(crate) mod tests {
         // drops and answers nothing.
         let (mut handle, _peer) = with_peer(|mut conn| while conn.read_frame().is_ok() {});
         let mut net = test_net();
-        assert!(handle.post_focal_reassert(ObjectId(1), &mut net) > 0);
+        assert!(handle.post(&LogRecord::FocalReassert(ObjectId(1)), &mut net) > 0);
         handle.probe_alive();
     }
 

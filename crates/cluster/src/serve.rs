@@ -10,16 +10,19 @@
 //!    the in-process deployment;
 //! 2. executes the op against the `Server` and a *partition-local* agent
 //!    network built from the same deterministic base-station layout the
-//!    coordinator uses — so broadcast cover sets resolve identically;
+//!    coordinator uses — so broadcast cover sets resolve identically. A
+//!    mutation goes through [`Server::apply`], the dispatch replay uses; a
+//!    read through `read`, the dispatch an in-process handle uses;
 //! 3. replies with the post-op epoch, the drained inter-server outbox,
 //!    every downlink the op emitted (as [`NetAction`]s the coordinator
 //!    replays onto the real network), the op's return value and the
 //!    FOT/SQT keys it added or removed (the coordinator's `homes` mirror).
 //!
-//! A *closed* op ([`PartitionOp::is_closed`]) is one the coordinator does
-//! not wait for; step 3 is refused — the session ends with a classified
-//! protocol error — if such an op moved the epoch, the outbox or the home
-//! log after all.
+//! Step 3 is refused — the session ends with a classified protocol error —
+//! when `apply` refuses the record (partition bounds the table cannot
+//! take, a flat cell off the grid), or when a *closed* record
+//! ([`wire::is_closed`], one the coordinator does not wait for) moved the
+//! epoch, the outbox or the home log after all.
 //!
 //! Replies leave in batches: while the read buffer already holds the next
 //! request (the coordinator pipelined or posted several), the reply is
@@ -34,9 +37,9 @@
 use crate::partition::PartitionMap;
 use crate::wire::{self, InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload};
 use mobieyes_core::server::Net;
-use mobieyes_core::{Downlink, LogRecord, PartitionScope, ProtocolConfig, Server};
+use mobieyes_core::{Downlink, PartitionScope, ProtocolConfig, Server};
 use mobieyes_net::{BaseStationLayout, FramedConn, Listener, TransportError};
-use mobieyes_store::{self as store, Store, StoreConfig};
+use mobieyes_store::{self as store, Store};
 use mobieyes_telemetry::Telemetry;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,16 +47,14 @@ use std::sync::Arc;
 
 /// The configured state of a running partition service.
 struct ServiceState {
+    /// Its scope holds this process's copy of the cell-ownership table,
+    /// contiguous until a fence installs another.
     server: Server,
     /// Partition-local downlink capture network; never delivers to an
     /// agent, only queues so the service can ship the actions back.
     net: Net,
     /// This process's shard of the distributed epoch.
     epoch: Arc<AtomicU64>,
-    /// This process's copy of the cell-ownership table. Starts as the
-    /// contiguous default and tracks the coordinator's table through
-    /// [`PartitionOp::InstallBounds`] after rebalance/failover fences.
-    map: PartitionMap,
     /// The partition's durable input journal, when the deployment runs
     /// with a `--store-dir`. Opened (and replayed) before the first op.
     store: Option<Store>,
@@ -93,41 +94,21 @@ impl ServiceState {
                 Arc::clone(&epoch),
             ));
         let mut net = Net::new(BaseStationLayout::new(init.universe, init.alen));
-        let store = init
-            .store_dir
-            .as_ref()
-            .map(|dir| -> Result<Store, TransportError> {
+        let store = match &init.store_dir {
+            Some(dir) => {
                 let dir = Path::new(dir);
-                let failed = |what, e| store_failed(what, dir, e);
                 if init.store_fresh {
                     // Post-failover respawn: the survivors own this span's
                     // state now; replaying the stale journal would fork it.
-                    store::wipe_dir(dir).map_err(|e| failed("wiping stale", e))?;
+                    store::wipe_dir(dir).map_err(|e| store_failed("wiping stale", dir, e))?;
                 }
-                let store = Store::open(StoreConfig::new(dir, init.partition), telemetry.clone())
-                    .map_err(|e| failed("opening", e))?;
-                // Crash recovery: rebuild FOT/SQT/RQI by replaying the journal
-                // into the fresh server. The replay re-emits the historical
-                // downlinks and bus envelopes; those were already delivered in
-                // the previous life, so they are discarded — only state stays.
-                let summary =
-                    store::replay_into(dir, init.partition, &mut server, &mut net, &telemetry)
-                        .map_err(|e| failed("replaying", e))?;
-                if summary.records_applied > 0 {
-                    net.take_downlinks();
-                    server.take_outbox();
-                }
-                if store.next_seq() == 0 {
-                    store.append_record(&LogRecord::Meta {
-                        partition: init.partition,
-                        num_partitions: init.num_partitions,
-                    });
-                }
-                // Attach AFTER replay so replayed ops do not re-journal.
-                server.set_journal(Some(Arc::new(store.clone())));
-                Ok(store)
-            });
-        let store = store.transpose()?;
+                // Crash recovery: the replay rebuilds FOT/SQT/RQI.
+                let (p, n) = (init.partition, init.num_partitions);
+                let attached = store::attach(dir, p, n, &mut server, &mut net, &telemetry);
+                Some(attached.map_err(|e| TransportError::Io(e.to_string()))?)
+            }
+            None => None,
+        };
         // Switched on after the replay: the seed is the replayed key sets,
         // not the history that produced them. The `Init` reply ships it.
         server.enable_home_log();
@@ -135,7 +116,6 @@ impl ServiceState {
             server,
             net,
             epoch,
-            map,
             store,
         })
     }
@@ -168,15 +148,17 @@ impl ServiceState {
 
 /// Executes one op against the configured partition and builds its reply:
 /// raise the epoch to the request's floor, run the op, collect what it
-/// left behind. `closed` is [`PartitionOp::is_closed`] of the op — a
-/// parameter so the check below can be tested against a mis-listed op.
+/// left behind. `closed` is whether the op is an `Apply` of a
+/// [`wire::is_closed`] record — a parameter so the check below can be
+/// tested against a mis-listed record.
 ///
 /// Closedness is verified here, where it is true or not: the coordinator
-/// posts closed ops without waiting, so one that moved the epoch, queued a
-/// bus envelope or changed a FOT/SQT key would be folded in the wrong
-/// order on the other side. Such a reply is never sent; the session ends
-/// with a [`TransportError::Protocol`] naming the op and the coordinator
-/// fences the partition like any other dead peer.
+/// posts closed records without waiting, so one that moved the epoch,
+/// queued a bus envelope or changed a FOT/SQT key would be folded in the
+/// wrong order on the other side. Such a reply is never sent; the session
+/// ends with a [`TransportError::Protocol`] naming the op and the
+/// coordinator fences the partition like any other dead peer. So does a
+/// record [`Server::apply`] refuses.
 fn serve_op(
     s: &mut ServiceState,
     floor: u64,
@@ -184,9 +166,23 @@ fn serve_op(
     closed: bool,
 ) -> Result<PartitionReply, TransportError> {
     s.epoch.fetch_max(floor, Ordering::Relaxed);
-    // Closed ops hold ids and a motion at most: the copy is a few words.
+    // Closed records hold ids and a motion at most: the copy is a few words.
     let witness = closed.then(|| (op.clone(), s.epoch.load(Ordering::Relaxed)));
-    let payload = execute(s, op);
+    let payload = match op {
+        PartitionOp::Apply(rec) => s
+            .server
+            .apply(&rec, &mut s.net)
+            .map_err(|e| TransportError::Protocol(format!("refused record: {e}")))?,
+        PartitionOp::Checkpoint => ReplyPayload::U64(s.store.as_ref().map_or(0, |store| {
+            store.checkpoint(s.server.checkpoint_bytes());
+            store.next_seq()
+        })),
+        PartitionOp::Trajectory { oid, t0, t1 } => ReplyPayload::Motions(match &s.store {
+            Some(store) => store.trajectory(oid, t0, t1).unwrap_or_default(),
+            None => Vec::new(),
+        }),
+        op => read(&s.server, &op),
+    };
     let reply = PartitionReply {
         epoch: s.epoch.load(Ordering::Relaxed),
         outbox: s.server.take_outbox(),
@@ -207,6 +203,48 @@ fn serve_op(
         }
     }
     Ok(reply)
+}
+
+/// The one dispatch for reads: what the service answers and what an
+/// in-process handle computes. `Init`, `Shutdown`, `Apply` and the two
+/// store ops are not reads — the service takes them first, and a handle
+/// never asks for them here.
+pub(crate) fn read(server: &Server, op: &PartitionOp) -> ReplyPayload {
+    use ReplyPayload as P;
+    match *op {
+        PartitionOp::ExpiredQueryIds(now) => P::Qids(server.expired_query_ids(now)),
+        PartitionOp::ExpiredLeases => P::Leases(server.expired_leases()),
+        PartitionOp::ReinstallInfo(qid) => P::Reinstall(server.reinstall_info(qid)),
+        PartitionOp::DigestCells => P::Digests(server.digest_cells()),
+        PartitionOp::CurrentEpoch => P::U64(server.current_epoch()),
+        PartitionOp::QueryIds => P::Qids(server.query_ids().collect()),
+        PartitionOp::QueryResult(qid) => P::ResultSet(
+            server
+                .query_result(qid)
+                .map(|r| r.iter().copied().collect()),
+        ),
+        PartitionOp::QueryFocal(qid) => P::OptOid(server.query_focal(qid)),
+        PartitionOp::FocalMotion(oid) => P::OptMotion(server.focal_motion(oid)),
+        PartitionOp::FocalQueries(oid) => P::OptQids(server.focal_queries(oid)),
+        PartitionOp::ObjectMemberships(oid) => P::Qids(server.object_memberships(oid)),
+        PartitionOp::QueryCell(qid) => P::OptCell(server.query_cell(qid)),
+        PartitionOp::CheckInvariants => {
+            server.check_invariants();
+            P::Unit
+        }
+        PartitionOp::FocalIds => P::Oids(server.focal_ids()),
+        PartitionOp::FocalAnchorCell(oid) => P::OptCell(server.focal_anchor_cell(oid)),
+        PartitionOp::LoadSignal => P::Load {
+            focals: server.focal_ids().len() as u64,
+            queries: server.num_queries() as u64,
+            stubs: server.num_stubs() as u64,
+        },
+        PartitionOp::Init(_)
+        | PartitionOp::Apply(_)
+        | PartitionOp::Shutdown
+        | PartitionOp::Checkpoint
+        | PartitionOp::Trajectory { .. } => unreachable!("{op:?} is not a read"),
+    }
 }
 
 /// Serves one coordinator connection until `Shutdown` or disconnect.
@@ -243,7 +281,7 @@ pub fn serve_connection(mut conn: FramedConn) -> Result<(), TransportError> {
                 let Some(s) = state.as_mut() else {
                     return Err(TransportError::Protocol(format!("op before Init: {op:?}")));
                 };
-                let closed = op.is_closed();
+                let closed = matches!(&op, PartitionOp::Apply(rec) if wire::is_closed(rec));
                 serve_op(s, floor, op, closed)?
             }
         };
@@ -273,170 +311,6 @@ pub fn serve_connection(mut conn: FramedConn) -> Result<(), TransportError> {
     }
 }
 
-fn execute(s: &mut ServiceState, op: PartitionOp) -> ReplyPayload {
-    match op {
-        // Handled by the service loop before dispatch.
-        PartitionOp::Init(_) | PartitionOp::Shutdown => unreachable!(),
-        PartitionOp::SetTime(now) => {
-            s.server.set_time(now);
-            ReplyPayload::Unit
-        }
-        PartitionOp::RenewLease(oid) => {
-            s.server.renew_lease(oid);
-            ReplyPayload::Unit
-        }
-        PartitionOp::VelocityReport { oid, motion } => {
-            s.server.on_velocity_report(oid, motion, &mut s.net);
-            ReplyPayload::Unit
-        }
-        PartitionOp::CellChangeFocal {
-            oid,
-            new_cell,
-            motion,
-        } => {
-            s.server
-                .apply_cell_change_focal(oid, new_cell, motion, &mut s.net);
-            ReplyPayload::Unit
-        }
-        PartitionOp::CellChangeFresh {
-            oid,
-            prev_cell,
-            new_cell,
-            motion,
-        } => {
-            s.server
-                .apply_cell_change_fresh(oid, prev_cell, new_cell, motion, &mut s.net);
-            ReplyPayload::Unit
-        }
-        PartitionOp::ResultChange {
-            qid,
-            oid,
-            is_target,
-        } => ReplyPayload::Bool(
-            s.server
-                .apply_result_change(qid, oid, is_target, &mut s.net),
-        ),
-        PartitionOp::GroupResultUpdate {
-            oid,
-            focal,
-            mask,
-            targets,
-        } => {
-            s.server
-                .apply_group_result_update(oid, focal, mask, targets, &mut s.net);
-            ReplyPayload::Unit
-        }
-        PartitionOp::RefreshFocalMotion {
-            oid,
-            motion,
-            max_vel,
-            insert,
-        } => {
-            s.server.refresh_focal_motion(oid, motion, max_vel, insert);
-            ReplyPayload::Unit
-        }
-        PartitionOp::CompleteInstall {
-            qid,
-            focal,
-            region,
-            filter,
-            expires_at,
-        } => {
-            s.server
-                .complete_install_at(qid, focal, region, filter, expires_at, &mut s.net);
-            ReplyPayload::Unit
-        }
-        PartitionOp::RemoveQuery(qid) => ReplyPayload::Bool(s.server.remove_query(qid, &mut s.net)),
-        PartitionOp::ExpiredQueryIds(now) => ReplyPayload::Qids(s.server.expired_query_ids(now)),
-        PartitionOp::ExpiredLeases => ReplyPayload::Leases(s.server.expired_leases()),
-        PartitionOp::ReinstallInfo(qid) => ReplyPayload::Reinstall(
-            s.server
-                .reinstall_info(qid)
-                .map(|(region, filter, expires_at)| (region, (*filter).clone(), expires_at)),
-        ),
-        PartitionOp::DigestCells => ReplyPayload::Digests(s.server.digest_cells()),
-        PartitionOp::BumpEpoch => ReplyPayload::U64(s.server.bump_epoch_for_coordinator()),
-        PartitionOp::CurrentEpoch => ReplyPayload::U64(s.server.current_epoch()),
-        PartitionOp::QueryIds => ReplyPayload::Qids(s.server.query_ids().collect()),
-        PartitionOp::QueryResult(qid) => ReplyPayload::ResultSet(
-            s.server
-                .query_result(qid)
-                .map(|r| r.iter().copied().collect()),
-        ),
-        PartitionOp::QueryFocal(qid) => ReplyPayload::OptOid(s.server.query_focal(qid)),
-        PartitionOp::FocalMotion(oid) => ReplyPayload::OptMotion(s.server.focal_motion(oid)),
-        PartitionOp::FocalQueries(oid) => ReplyPayload::OptQids(s.server.focal_queries(oid)),
-        PartitionOp::ObjectMemberships(oid) => ReplyPayload::Qids(s.server.object_memberships(oid)),
-        PartitionOp::QueryCell(qid) => ReplyPayload::OptCell(s.server.query_cell(qid)),
-        PartitionOp::PurgeObject(oid) => ReplyPayload::Qids(s.server.purge_object(oid)),
-        PartitionOp::DeliverResultDelta { qid, oid, entered } => {
-            s.server.deliver_result_delta(qid, oid, entered, &mut s.net);
-            ReplyPayload::Unit
-        }
-        PartitionOp::LqtReconcileOne {
-            qid,
-            oid,
-            is_target,
-        } => ReplyPayload::Bool(s.server.lqt_reconcile_one(qid, oid, is_target)),
-        PartitionOp::FocalReassert(oid) => {
-            s.server.focal_reassert(oid, &mut s.net);
-            ReplyPayload::Unit
-        }
-        PartitionOp::CellSyncReply { oid, cell } => {
-            s.server.cell_sync_reply(oid, cell, &mut s.net);
-            ReplyPayload::Unit
-        }
-        PartitionOp::ExtractFocal(oid) => ReplyPayload::OptCluster(s.server.extract_focal(oid)),
-        PartitionOp::Deliver(msg) => {
-            s.server.apply_cluster_msg(&msg);
-            ReplyPayload::Unit
-        }
-        PartitionOp::CheckInvariants => {
-            s.server.check_invariants();
-            ReplyPayload::Unit
-        }
-        PartitionOp::InstallBounds { generation, bounds } => {
-            // Ownership changes shape every later op; journal them so a
-            // replay resolves cells against the same table history.
-            if let Some(store) = &s.store {
-                store.append_record(&LogRecord::Bounds {
-                    generation,
-                    bounds: bounds.clone(),
-                });
-            }
-            let bounds: Vec<usize> = bounds.iter().map(|&b| b as usize).collect();
-            s.map.table().install_at(&bounds, generation);
-            ReplyPayload::Unit
-        }
-        PartitionOp::ExportCells { flats, generation } => {
-            let flats: Vec<usize> = flats.iter().map(|&f| f as usize).collect();
-            ReplyPayload::OptCluster(s.server.export_cells(&flats, generation))
-        }
-        PartitionOp::PruneStubs => {
-            s.server.prune_stubs();
-            ReplyPayload::Unit
-        }
-        PartitionOp::FocalIds => ReplyPayload::Oids(s.server.focal_ids()),
-        PartitionOp::FocalAnchorCell(oid) => ReplyPayload::OptCell(s.server.focal_anchor_cell(oid)),
-        PartitionOp::Checkpoint => ReplyPayload::U64(match &s.store {
-            Some(store) => {
-                store.checkpoint(s.server.checkpoint_bytes());
-                store.next_seq()
-            }
-            None => 0,
-        }),
-        PartitionOp::Trajectory { oid, t0, t1 } => ReplyPayload::Motions(match &s.store {
-            Some(store) => store.trajectory(oid, t0, t1).unwrap_or_default(),
-            None => Vec::new(),
-        }),
-        PartitionOp::LoadSignal => ReplyPayload::Load {
-            focals: s.server.focal_ids().len() as u64,
-            queries: s.server.num_queries() as u64,
-            stubs: s.server.num_stubs() as u64,
-        },
-    }
-}
-
 /// Binds `listener`'s endpoint, accepts exactly one coordinator, completes
 /// the hello exchange (the partition announces its id, the coordinator
 /// its own node id 0) and runs the service loop to completion.
@@ -451,7 +325,7 @@ pub fn serve_partition(listener: Listener, partition: u32) -> Result<(), Transpo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobieyes_core::{Filter, ObjectId, Propagation, QueryId};
+    use mobieyes_core::{Filter, LogRecord, ObjectId, Propagation, QueryId};
     use mobieyes_geo::{CellId, LinearMotion, Point, QueryRegion, Rect, Vec2};
 
     fn init(store_dir: &Path) -> PartitionOp {
@@ -539,10 +413,10 @@ mod tests {
         let (mut conn, service) = serve_on_loopback();
         call(&mut conn, &init(&dir), true);
         wire::decode_reply(&conn.read_frame().expect("init reply")).expect("decodes");
-        type Batch = (fn(u32) -> PartitionOp, fn(&LogRecord) -> bool);
+        type Batch = (fn(u32) -> LogRecord, fn(&LogRecord) -> bool);
         let batches: [Batch; 2] = [
             (
-                |i| PartitionOp::ResultChange {
+                |i| LogRecord::ResultChange {
                     qid: QueryId(1),
                     oid: ObjectId(i),
                     is_target: true,
@@ -550,7 +424,7 @@ mod tests {
                 |r| matches!(r, LogRecord::ResultChange { .. }),
             ),
             (
-                |i| PartitionOp::CellChangeFresh {
+                |i| LogRecord::CellChangeFresh {
                     oid: ObjectId(i),
                     prev_cell: CellId::new(3, 3),
                     new_cell: CellId::new(4, 3),
@@ -559,14 +433,14 @@ mod tests {
                 |r| matches!(r, LogRecord::CellChangeFresh { .. }),
             ),
         ];
-        for (op, is_logged) in batches {
+        for (rec, is_logged) in batches {
             let logged = || {
                 let scan = store::read_log_dir(&dir, 0).expect("readable log");
                 scan.records.iter().filter(|(_, r)| is_logged(r)).count()
             };
             assert_eq!(logged(), 0);
             for i in 0..BATCH {
-                call(&mut conn, &op(i), i + 1 == BATCH);
+                call(&mut conn, &PartitionOp::Apply(rec(i)), i + 1 == BATCH);
             }
             for acknowledged in 1..=BATCH as usize {
                 wire::decode_reply(&conn.read_frame().expect("reply")).expect("decodes");
@@ -606,28 +480,28 @@ mod tests {
         for (i, &(oid, x, y)) in FOCALS.iter().enumerate() {
             let qid = QueryId(i as u32);
             let setup = [
-                PartitionOp::RefreshFocalMotion {
+                LogRecord::RefreshFocalMotion {
                     oid: ObjectId(oid),
                     motion: motion_at(x, y, 0.0),
                     max_vel: 0.05,
                     insert: true,
                 },
-                PartitionOp::CompleteInstall {
+                LogRecord::CompleteInstall {
                     qid,
                     focal: ObjectId(oid),
                     region: QueryRegion::circle(8.0),
                     filter: Arc::new(Filter::True),
                     expires_at: None,
                 },
-                PartitionOp::ResultChange {
+                LogRecord::ResultChange {
                     qid,
                     oid: ObjectId(100 + i as u32),
                     is_target: true,
                 },
             ];
-            for op in setup {
-                let closed = op.is_closed();
-                serve_op(&mut s, 0, op, closed).expect("setup op");
+            for rec in setup {
+                let closed = wire::is_closed(&rec);
+                serve_op(&mut s, 0, PartitionOp::Apply(rec), closed).expect("setup op");
             }
         }
         s
@@ -635,7 +509,7 @@ mod tests {
 
     /// `template` with its arguments redrawn: ids that hit and miss the
     /// populated state, cells anywhere on the grid.
-    fn redraw(template: &PartitionOp, rng: &mut u64) -> PartitionOp {
+    fn redraw(template: &LogRecord, rng: &mut u64) -> LogRecord {
         let mut draw = |n: u32| {
             *rng += 1;
             (mobieyes_net::fault::mix64(*rng) % u64::from(n)) as u32
@@ -648,61 +522,61 @@ mod tests {
         let cell = CellId::new(draw(20), draw(20));
         let prev_cell = CellId::new(draw(20), draw(20));
         match template {
-            PartitionOp::RenewLease(_) => PartitionOp::RenewLease(oid),
-            PartitionOp::CellChangeFresh { .. } => PartitionOp::CellChangeFresh {
+            LogRecord::RenewLease(_) => LogRecord::RenewLease(oid),
+            LogRecord::CellChangeFresh { .. } => LogRecord::CellChangeFresh {
                 oid,
                 prev_cell,
                 new_cell: cell,
                 motion: motion_at(1.0, 1.0, 2.0),
             },
-            PartitionOp::ResultChange { .. } => PartitionOp::ResultChange {
+            LogRecord::ResultChange { .. } => LogRecord::ResultChange {
                 qid,
                 oid,
                 is_target: flag,
             },
-            PartitionOp::GroupResultUpdate { .. } => PartitionOp::GroupResultUpdate {
+            LogRecord::GroupResultUpdate { .. } => LogRecord::GroupResultUpdate {
                 oid,
                 focal,
                 mask: u64::from(draw(8)),
                 targets: u64::from(draw(8)),
             },
-            PartitionOp::DeliverResultDelta { .. } => PartitionOp::DeliverResultDelta {
+            LogRecord::ResultDelta { .. } => LogRecord::ResultDelta {
                 qid,
                 oid,
                 entered: flag,
             },
-            PartitionOp::FocalReassert(_) => PartitionOp::FocalReassert(focal),
-            PartitionOp::CellSyncReply { .. } => PartitionOp::CellSyncReply { oid, cell },
-            other => panic!("closed op without a generator (add one here): {other:?}"),
+            LogRecord::FocalReassert(_) => LogRecord::FocalReassert(focal),
+            LogRecord::CellSyncReply { .. } => LogRecord::CellSyncReply { oid, cell },
+            other => panic!("closed record without a generator (add one here): {other:?}"),
         }
     }
 
     /// The closed class is what `is_closed` lists *and* what the server
-    /// does: every listed op, over generated arguments against a populated
-    /// scoped server, leaves the epoch (past the request's floor), the
-    /// outbox and the home log alone — the service-side check passes and
-    /// the reply shows it.
+    /// does: every listed record, over generated arguments against a
+    /// populated scoped server, leaves the epoch (past the request's
+    /// floor), the outbox and the home log alone — the service-side check
+    /// passes and the reply shows it.
     #[test]
     fn every_closed_op_leaves_epoch_outbox_and_home_log_untouched() {
-        let closed: Vec<PartitionOp> = wire::tests::sample_ops()
+        let closed: Vec<LogRecord> = wire::tests::sample_records()
             .into_iter()
-            .filter(PartitionOp::is_closed)
+            .filter(wire::is_closed)
             .collect();
-        assert_eq!(closed.len(), 7, "DESIGN.md §11 lists the closed ops");
+        assert_eq!(closed.len(), 7, "DESIGN.md §11 lists the closed records");
         let mut s = populated();
         let mut rng = 22u64;
         let mut downlinks = 0;
         for round in 0..300u64 {
             for template in &closed {
-                let op = redraw(template, &mut rng);
+                let rec = redraw(template, &mut rng);
                 let epoch = s.epoch.load(Ordering::Relaxed);
                 // Now and then the coordinator's view is ahead.
                 let floor = if round % 7 == 0 { epoch + 2 } else { epoch };
-                let reply = serve_op(&mut s, floor, op.clone(), true)
+                let reply = serve_op(&mut s, floor, PartitionOp::Apply(rec.clone()), true)
                     .unwrap_or_else(|e| panic!("round {round}: {e}"));
-                assert_eq!(reply.epoch, floor, "{op:?} moved the epoch");
-                assert!(reply.outbox.is_empty(), "{op:?} queued {:?}", reply.outbox);
-                assert!(reply.homes.is_empty(), "{op:?} changed {:?}", reply.homes);
+                assert_eq!(reply.epoch, floor, "{rec:?} moved the epoch");
+                assert!(reply.outbox.is_empty(), "{rec:?} queued {:?}", reply.outbox);
+                assert!(reply.homes.is_empty(), "{rec:?} changed {:?}", reply.homes);
                 assert!(s.server.take_outbox().is_empty() && s.server.take_home_log().is_empty());
                 downlinks += reply.net.len();
             }
@@ -711,15 +585,15 @@ mod tests {
         s.server.check_invariants();
     }
 
-    /// A mis-listed op — one the coordinator would post although it moves
-    /// shared state — is refused where it executes: a classified protocol
-    /// error naming the op and the effect, no reply, no panic.
+    /// A mis-listed record — one the coordinator would post although it
+    /// moves shared state — is refused where it executes: a classified
+    /// protocol error naming the record and the effect, no reply, no panic.
     #[test]
     fn a_mislisted_closed_op_is_a_protocol_error_naming_it() {
         let cases = [
-            (PartitionOp::BumpEpoch, "BumpEpoch", "moved the epoch"),
+            (LogRecord::BumpEpoch, "BumpEpoch", "moved the epoch"),
             (
-                PartitionOp::RefreshFocalMotion {
+                LogRecord::RefreshFocalMotion {
                     oid: ObjectId(55),
                     motion: motion_at(30.0, 30.0, 1.0),
                     max_vel: 0.05,
@@ -730,7 +604,7 @@ mod tests {
             ),
             (
                 // A newer sample for the border focal: a stub refresh.
-                PartitionOp::RefreshFocalMotion {
+                LogRecord::RefreshFocalMotion {
                     oid: ObjectId(9),
                     motion: motion_at(50.0, 47.5, 1.0),
                     max_vel: 0.05,
@@ -740,17 +614,119 @@ mod tests {
                 "queued a bus envelope",
             ),
         ];
-        for (op, name, effect) in cases {
-            assert!(!op.is_closed());
+        for (rec, name, effect) in cases {
+            assert!(!wire::is_closed(&rec));
+            let op = PartitionOp::Apply(rec);
             let mut s = populated();
             assert!(serve_op(&mut s, 0, op.clone(), false).is_ok(), "{name}");
             let mut s = populated();
             let err = serve_op(&mut s, 0, op, true).expect_err("refused");
             assert!(
                 matches!(&err, TransportError::Protocol(text)
-                    if text.starts_with(name) && text.ends_with(effect)),
+                    if text.starts_with(&format!("Apply({name}")) && text.ends_with(effect)),
                 "{name}: {err}"
             );
+        }
+    }
+
+    /// Well-formed records no entry point can take: partition bounds the
+    /// 2-partition, 400-cell table at generation 0 must refuse, and an
+    /// export of a cell off the grid.
+    fn refused_records() -> Vec<LogRecord> {
+        let bounds = |generation, bounds: &[u64]| LogRecord::Bounds {
+            generation,
+            bounds: bounds.to_vec(),
+        };
+        vec![
+            bounds(1, &[0, 400]),
+            bounds(1, &[0, 100, 200, 400]),
+            bounds(1, &[0, 300, 200]),
+            bounds(1, &[5, 200, 400]),
+            bounds(1, &[0, 200, 399]),
+            bounds(1, &[0, 200, 401]),
+            LogRecord::ExportCells {
+                flats: vec![12, 400],
+                generation: 0,
+            },
+            LogRecord::ExportCells {
+                flats: vec![u32::MAX],
+                generation: 0,
+            },
+        ]
+    }
+
+    /// Refuses `rec` the way the service must: a classified protocol
+    /// error, no reply, the partition as it was.
+    fn assert_refused(s: &mut ServiceState, rec: LogRecord) {
+        let generation = s.server.scope().expect("scoped").generation();
+        let digest = s.server.state_digest();
+        let err = serve_op(s, 0, PartitionOp::Apply(rec.clone()), false).expect_err("refused");
+        assert!(matches!(err, TransportError::Protocol(_)), "{rec:?}: {err}");
+        assert_eq!(s.server.scope().expect("scoped").generation(), generation);
+        assert_eq!(s.server.state_digest(), digest, "{rec:?} changed state");
+    }
+
+    /// Each refused record ends the session instead of panicking the
+    /// partition; so does a valid split that would rewind the generation.
+    #[test]
+    fn records_apply_refuses_are_protocol_errors_not_panics() {
+        let mut s = populated();
+        for rec in refused_records() {
+            assert_refused(&mut s, rec);
+        }
+        let split = |generation| LogRecord::Bounds {
+            generation,
+            bounds: vec![0, 200, 400],
+        };
+        serve_op(&mut s, 0, PartitionOp::Apply(split(2)), false).expect("a valid install");
+        assert_refused(&mut s, split(1));
+        s.server.check_invariants();
+    }
+
+    /// A fresh cell change whose new cell overshoots the grid is served
+    /// against the clamped cell — the one its payload memo is keyed by —
+    /// instead of indexing the RQI out of bounds.
+    #[test]
+    fn a_fresh_cell_change_off_the_grid_is_served_clamped() {
+        let mut s = populated();
+        let off = [CellId::new(2, 40), CellId::new(u32::MAX, u32::MAX)];
+        for new_cell in off {
+            let rec = LogRecord::CellChangeFresh {
+                oid: ObjectId(55),
+                prev_cell: CellId::new(0, 0),
+                new_cell,
+                motion: motion_at(1.0, 1.0, 2.0),
+            };
+            serve_op(&mut s, 0, PartitionOp::Apply(rec), true).expect("served");
+        }
+        s.server.check_invariants();
+    }
+
+    /// A CRC-valid log holding a record `apply` refuses fails its replay
+    /// with an error instead of panicking the process replaying it.
+    #[test]
+    fn replaying_a_log_with_a_refused_record_is_an_error() {
+        for (i, rec) in refused_records().into_iter().enumerate() {
+            let dir = std::env::temp_dir()
+                .join(format!("mobieyes-serve-refused-{}-{i}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let st = Store::open(store::StoreConfig::new(&dir, 0), Telemetry::new()).expect("open");
+            st.append_record(&LogRecord::Meta {
+                partition: 0,
+                num_partitions: 2,
+            });
+            st.append_record(&rec);
+            st.flush();
+            drop(st);
+            let mut s = populated();
+            let err = store::replay_into(&dir, 0, &mut s.server, &mut s.net, &Telemetry::new())
+                .expect_err("replay must refuse");
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidData,
+                "{rec:?}: {err}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }

@@ -1,20 +1,27 @@
 //! RPC wire format for remote partitions.
 //!
 //! A remote partition process holds one [`mobieyes_core::Server`] and
-//! executes the same primitive operations the coordinator would call on an
-//! in-process partition, in request order, answering each [`PartitionOp`]
-//! with one [`PartitionReply`]. Each request carries the coordinator's
-//! epoch view (the *floor*); the partition raises its local epoch to at
-//! least the floor before executing, and the reply carries the post-op
-//! epoch back. The coordinator waits for the reply of every op that can
-//! move the epoch before issuing the next op anywhere, which reproduces
-//! the shared atomic epoch counter of the in-process deployment exactly;
-//! only *closed* ops ([`PartitionOp::is_closed`]) may be in flight
-//! together — ops that move no epoch, queue no envelope, change no
-//! FOT/SQT key and whose reply carries nothing the coordinator acts on
-//! but downlinks. The wire format does not mark them: closedness is a
-//! property of what the op does at the partition, listed here and
-//! verified there on every execution (`serve::serve_op`).
+//! executes the ops the coordinator would run on an in-process partition,
+//! in request order, answering each [`PartitionOp`] with one
+//! [`PartitionReply`]. The op vocabulary is the server's own: a mutation
+//! is [`PartitionOp::Apply`] of the journal record
+//! ([`LogRecord`]) that names the entry point, encoded with the journal
+//! codec, and a read is one of the other variants. Only the records
+//! [`is_partition_record`] lists travel; the rest of the journal vocabulary
+//! is the single server's or the log's own.
+//!
+//! Each request carries the coordinator's epoch view (the *floor*); the
+//! partition raises its local epoch to at least the floor before
+//! executing, and the reply carries the post-op epoch back. The
+//! coordinator waits for the reply of every op that can move the epoch
+//! before issuing the next op anywhere, which reproduces the shared atomic
+//! epoch counter of the in-process deployment exactly; only *closed*
+//! records ([`is_closed`]) may be in flight together — records that move
+//! no epoch, queue no envelope, change no FOT/SQT key and whose reply
+//! carries nothing the coordinator acts on but downlinks. The wire format
+//! does not mark them: closedness is a property of what the op does at the
+//! partition, listed here and verified there on every execution
+//! (`serve::serve_op`).
 //!
 //! Replies also carry every side effect the operation produced:
 //!
@@ -37,10 +44,11 @@ use mobieyes_core::codec::{
     self, decode_cluster, decode_downlink, encode_cluster, encode_downlink, DecodeError, Put,
     Reader,
 };
-use mobieyes_core::{ClusterMsg, Downlink, Filter, HomeChange, ObjectId, Propagation, QueryId};
-use mobieyes_geo::{CellId, LinearMotion, QueryRegion, Rect};
+use mobieyes_core::journal::{decode_record, encode_record};
+pub use mobieyes_core::ReplyPayload;
+use mobieyes_core::{ClusterMsg, Downlink, HomeChange, LogRecord, ObjectId, Propagation, QueryId};
+use mobieyes_geo::Rect;
 use mobieyes_net::{Frame, Routed, TransportError};
-use std::sync::Arc;
 
 impl Frame for Envelope {
     fn encode_frame(&self, out: &mut Vec<u8>) {
@@ -100,59 +108,23 @@ pub struct InitConfig {
     pub store_fresh: bool,
 }
 
-/// One primitive operation against a remote partition — the RPC mirror of
-/// the [`mobieyes_core::Server`] methods the coordinator drives.
+/// One request to a remote partition: its configuration, a mutation, a
+/// read of the [`mobieyes_core::Server`] it hosts, or the end of the
+/// session.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PartitionOp {
     /// Must be the first op on a connection; configures the partition.
     Init(InitConfig),
-    SetTime(f64),
-    RenewLease(ObjectId),
-    VelocityReport {
-        oid: ObjectId,
-        motion: LinearMotion,
-    },
-    CellChangeFocal {
-        oid: ObjectId,
-        new_cell: CellId,
-        motion: LinearMotion,
-    },
-    CellChangeFresh {
-        oid: ObjectId,
-        prev_cell: CellId,
-        new_cell: CellId,
-        motion: LinearMotion,
-    },
-    ResultChange {
-        qid: QueryId,
-        oid: ObjectId,
-        is_target: bool,
-    },
-    GroupResultUpdate {
-        oid: ObjectId,
-        focal: ObjectId,
-        mask: u64,
-        targets: u64,
-    },
-    RefreshFocalMotion {
-        oid: ObjectId,
-        motion: LinearMotion,
-        max_vel: f64,
-        insert: bool,
-    },
-    CompleteInstall {
-        qid: QueryId,
-        focal: ObjectId,
-        region: QueryRegion,
-        filter: Arc<Filter>,
-        expires_at: Option<f64>,
-    },
-    RemoveQuery(QueryId),
+    /// Runs the entry point the record names
+    /// ([`Server::apply`](mobieyes_core::Server::apply)) and replies with
+    /// its value. Only [`is_partition_record`] records decode.
+    Apply(LogRecord),
+    /// Ends the service loop; the process exits cleanly.
+    Shutdown,
     ExpiredQueryIds(f64),
     ExpiredLeases,
     ReinstallInfo(QueryId),
     DigestCells,
-    BumpEpoch,
     CurrentEpoch,
     QueryIds,
     QueryResult(QueryId),
@@ -163,48 +135,7 @@ pub enum PartitionOp {
     /// Replies `Qids`.
     ObjectMemberships(ObjectId),
     QueryCell(QueryId),
-    PurgeObject(ObjectId),
-    DeliverResultDelta {
-        qid: QueryId,
-        oid: ObjectId,
-        entered: bool,
-    },
-    LqtReconcileOne {
-        qid: QueryId,
-        oid: ObjectId,
-        is_target: bool,
-    },
-    FocalReassert(ObjectId),
-    CellSyncReply {
-        oid: ObjectId,
-        cell: CellId,
-    },
-    ExtractFocal(ObjectId),
-    /// A bus envelope that survived the coordinator's fault plan.
-    Deliver(ClusterMsg),
     CheckInvariants,
-    /// Ends the service loop; the process exits cleanly.
-    Shutdown,
-    /// Forces the partition's local [`PartitionTable`] copy to exact
-    /// bounds and generation, syncing it with the coordinator's table
-    /// after a failover or re-adoption fence. Bounds are in flat cells.
-    ///
-    /// [`PartitionTable`]: mobieyes_core::PartitionTable
-    InstallBounds {
-        generation: u64,
-        bounds: Vec<u64>,
-    },
-    /// Extracts the state rows for the given flat cells (the partition
-    /// stops owning them); replies `OptCluster` with the resulting
-    /// [`ClusterMsg::RebalanceCells`] transfer for the coordinator to
-    /// route.
-    ExportCells {
-        flats: Vec<u32>,
-        generation: u64,
-    },
-    /// Drops stub rows for queries whose owner region no longer reaches
-    /// this partition (post-fence cleanup).
-    PruneStubs,
     /// All focal object ids homed on this partition, ascending.
     FocalIds,
     /// The anchor cell of one homed focal object.
@@ -226,27 +157,57 @@ pub enum PartitionOp {
     LoadSignal,
 }
 
-impl PartitionOp {
-    /// Whether the op is *closed*: it bumps no epoch, queues no bus
-    /// envelope and changes no FOT/SQT key, and the coordinator needs
-    /// nothing from its reply but the downlinks — so it commutes with ops
-    /// on other partitions and the coordinator may have several in flight
-    /// (DESIGN.md §11). Every other op must be answered before the next
-    /// op is issued anywhere. The list is checked, not trusted: the
-    /// service refuses to acknowledge a closed op that moved the epoch,
-    /// the outbox or the home log (`serve::serve_op`).
-    pub fn is_closed(&self) -> bool {
-        matches!(
-            self,
-            PartitionOp::RenewLease(_)
-                | PartitionOp::CellChangeFresh { .. }
-                | PartitionOp::ResultChange { .. }
-                | PartitionOp::GroupResultUpdate { .. }
-                | PartitionOp::DeliverResultDelta { .. }
-                | PartitionOp::FocalReassert(_)
-                | PartitionOp::CellSyncReply { .. }
-        )
-    }
+/// The records a coordinator sends as [`PartitionOp::Apply`]: the
+/// partition-side entry points of the server. Every other record — an
+/// uplink, a single-server install, replay context, a checkpoint — is not
+/// a partition op, and a request carrying one is a protocol violation.
+pub fn is_partition_record(rec: &LogRecord) -> bool {
+    use LogRecord::*;
+    matches!(
+        rec,
+        SetTime(_)
+            | RenewLease(_)
+            | VelocityReport { .. }
+            | CellChangeFocal { .. }
+            | CellChangeFresh { .. }
+            | ResultChange { .. }
+            | GroupResultUpdate { .. }
+            | RefreshFocalMotion { .. }
+            | CompleteInstall { .. }
+            | RemoveQuery(_)
+            | BumpEpoch
+            | PurgeObject(_)
+            | ResultDelta { .. }
+            | LqtReconcile { .. }
+            | FocalReassert(_)
+            | CellSyncReply { .. }
+            | ExtractFocal(_)
+            | Cluster(_)
+            | Bounds { .. }
+            | ExportCells { .. }
+            | PruneStubs
+    )
+}
+
+/// Whether a record is *closed*: it bumps no epoch, queues no bus envelope
+/// and changes no FOT/SQT key, and the coordinator needs nothing from its
+/// reply but the downlinks — so it commutes with ops on other partitions
+/// and the coordinator may have several in flight (DESIGN.md §11). Every
+/// other op must be answered before the next op is issued anywhere. The
+/// list is checked, not trusted: the service refuses to acknowledge a
+/// closed record that moved the epoch, the outbox or the home log
+/// (`serve::serve_op`).
+pub fn is_closed(rec: &LogRecord) -> bool {
+    matches!(
+        rec,
+        LogRecord::RenewLease(_)
+            | LogRecord::CellChangeFresh { .. }
+            | LogRecord::ResultChange { .. }
+            | LogRecord::GroupResultUpdate { .. }
+            | LogRecord::ResultDelta { .. }
+            | LogRecord::FocalReassert(_)
+            | LogRecord::CellSyncReply { .. }
+    )
 }
 
 /// A downlink the partition emitted while executing an op. The coordinator
@@ -257,33 +218,6 @@ impl PartitionOp {
 pub enum NetAction {
     Unicast { node: u32, msg: Downlink },
     Broadcast { station: u32, msg: Downlink },
-}
-
-/// The operation's return value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplyPayload {
-    Unit,
-    Bool(bool),
-    U64(u64),
-    Qids(Vec<QueryId>),
-    OptQids(Option<Vec<QueryId>>),
-    OptCluster(Option<ClusterMsg>),
-    OptMotion(Option<LinearMotion>),
-    OptCell(Option<CellId>),
-    OptOid(Option<ObjectId>),
-    Digests(Vec<(CellId, u64)>),
-    Leases(Vec<(ObjectId, Vec<QueryId>)>),
-    Reinstall(Option<(QueryRegion, Filter, Option<f64>)>),
-    ResultSet(Option<Vec<ObjectId>>),
-    Oids(Vec<ObjectId>),
-    /// Motion samples from the durable log, ascending by report time.
-    Motions(Vec<LinearMotion>),
-    /// Partition state weight: homed focals, owned queries, stub rows.
-    Load {
-        focals: u64,
-        queries: u64,
-        stubs: u64,
-    },
 }
 
 /// Reply to one [`PartitionOp`].
@@ -381,9 +315,10 @@ fn get_varint(buf: &mut Reader<'_>, what: &str) -> std::result::Result<u64, Deco
     Err(DecodeError(format!("overlong varint in {what}")))
 }
 
+/// Tag of [`PartitionOp::Apply`]; the journal codec's record follows it.
+const APPLY: u8 = 1;
+
 /// Encodes a request frame: the coordinator's epoch floor, then the op.
-/// Op tags 17, 21 and 22 (`NumQueries`, `HasFocal`, `HasQuery`) are
-/// retired: the coordinator answers those from its `homes` mirror.
 pub fn encode_request(epoch_floor: u64, op: &PartitionOp, out: &mut Vec<u8>) {
     out.put_u64_le(epoch_floor);
     match op {
@@ -417,203 +352,74 @@ pub fn encode_request(epoch_floor: u64, op: &PartitionOp, out: &mut Vec<u8>) {
             }
             out.put_u8(c.store_fresh as u8);
         }
-        PartitionOp::SetTime(t) => {
-            out.put_u8(1);
-            out.put_f64_le(*t);
+        PartitionOp::Apply(rec) => {
+            out.put_u8(APPLY);
+            encode_record(rec, out);
         }
-        PartitionOp::RenewLease(oid) => {
-            out.put_u8(2);
-            put_oid(out, *oid);
-        }
-        PartitionOp::VelocityReport { oid, motion } => {
-            out.put_u8(3);
-            put_oid(out, *oid);
-            codec::put_motion(out, motion);
-        }
-        PartitionOp::CellChangeFocal {
-            oid,
-            new_cell,
-            motion,
-        } => {
-            out.put_u8(4);
-            put_oid(out, *oid);
-            codec::put_cell(out, *new_cell);
-            codec::put_motion(out, motion);
-        }
-        PartitionOp::CellChangeFresh {
-            oid,
-            prev_cell,
-            new_cell,
-            motion,
-        } => {
-            out.put_u8(5);
-            put_oid(out, *oid);
-            codec::put_cell(out, *prev_cell);
-            codec::put_cell(out, *new_cell);
-            codec::put_motion(out, motion);
-        }
-        PartitionOp::ResultChange {
-            qid,
-            oid,
-            is_target,
-        } => {
-            out.put_u8(6);
-            put_qid(out, *qid);
-            put_oid(out, *oid);
-            out.put_u8(*is_target as u8);
-        }
-        PartitionOp::GroupResultUpdate {
-            oid,
-            focal,
-            mask,
-            targets,
-        } => {
-            out.put_u8(7);
-            put_oid(out, *oid);
-            put_oid(out, *focal);
-            out.put_u64_le(*mask);
-            out.put_u64_le(*targets);
-        }
-        PartitionOp::RefreshFocalMotion {
-            oid,
-            motion,
-            max_vel,
-            insert,
-        } => {
-            out.put_u8(8);
-            put_oid(out, *oid);
-            codec::put_motion(out, motion);
-            out.put_f64_le(*max_vel);
-            out.put_u8(*insert as u8);
-        }
-        PartitionOp::CompleteInstall {
-            qid,
-            focal,
-            region,
-            filter,
-            expires_at,
-        } => {
-            out.put_u8(9);
-            put_qid(out, *qid);
-            put_oid(out, *focal);
-            codec::put_region(out, region);
-            codec::put_filter(out, filter);
-            put_opt_f64(out, *expires_at);
-        }
-        PartitionOp::RemoveQuery(qid) => {
-            out.put_u8(10);
-            put_qid(out, *qid);
-        }
+        PartitionOp::Shutdown => out.put_u8(2),
         PartitionOp::ExpiredQueryIds(now) => {
-            out.put_u8(11);
+            out.put_u8(3);
             out.put_f64_le(*now);
         }
-        PartitionOp::ExpiredLeases => out.put_u8(12),
+        PartitionOp::ExpiredLeases => out.put_u8(4),
         PartitionOp::ReinstallInfo(qid) => {
-            out.put_u8(13);
+            out.put_u8(5);
             put_qid(out, *qid);
         }
-        PartitionOp::DigestCells => out.put_u8(14),
-        PartitionOp::BumpEpoch => out.put_u8(15),
-        PartitionOp::CurrentEpoch => out.put_u8(16),
-        PartitionOp::QueryIds => out.put_u8(18),
+        PartitionOp::DigestCells => out.put_u8(6),
+        PartitionOp::CurrentEpoch => out.put_u8(7),
+        PartitionOp::QueryIds => out.put_u8(8),
         PartitionOp::QueryResult(qid) => {
-            out.put_u8(19);
+            out.put_u8(9);
             put_qid(out, *qid);
         }
         PartitionOp::QueryFocal(qid) => {
-            out.put_u8(20);
+            out.put_u8(10);
             put_qid(out, *qid);
         }
         PartitionOp::FocalMotion(oid) => {
-            out.put_u8(23);
+            out.put_u8(11);
             put_oid(out, *oid);
         }
         PartitionOp::FocalQueries(oid) => {
-            out.put_u8(24);
+            out.put_u8(12);
+            put_oid(out, *oid);
+        }
+        PartitionOp::ObjectMemberships(oid) => {
+            out.put_u8(13);
             put_oid(out, *oid);
         }
         PartitionOp::QueryCell(qid) => {
-            out.put_u8(25);
+            out.put_u8(14);
             put_qid(out, *qid);
         }
-        PartitionOp::PurgeObject(oid) => {
-            out.put_u8(26);
-            put_oid(out, *oid);
-        }
-        PartitionOp::DeliverResultDelta { qid, oid, entered } => {
-            out.put_u8(27);
-            put_qid(out, *qid);
-            put_oid(out, *oid);
-            out.put_u8(*entered as u8);
-        }
-        PartitionOp::LqtReconcileOne {
-            qid,
-            oid,
-            is_target,
-        } => {
-            out.put_u8(28);
-            put_qid(out, *qid);
-            put_oid(out, *oid);
-            out.put_u8(*is_target as u8);
-        }
-        PartitionOp::FocalReassert(oid) => {
-            out.put_u8(29);
-            put_oid(out, *oid);
-        }
-        PartitionOp::CellSyncReply { oid, cell } => {
-            out.put_u8(30);
-            put_oid(out, *oid);
-            codec::put_cell(out, *cell);
-        }
-        PartitionOp::ExtractFocal(oid) => {
-            out.put_u8(31);
-            put_oid(out, *oid);
-        }
-        PartitionOp::Deliver(msg) => {
-            out.put_u8(32);
-            encode_cluster(msg, out);
-        }
-        PartitionOp::CheckInvariants => out.put_u8(33),
-        PartitionOp::Shutdown => out.put_u8(34),
-        PartitionOp::InstallBounds { generation, bounds } => {
-            out.put_u8(35);
-            out.put_u64_le(*generation);
-            out.put_u32_le(bounds.len() as u32);
-            for b in bounds {
-                out.put_u64_le(*b);
-            }
-        }
-        PartitionOp::ExportCells { flats, generation } => {
-            out.put_u8(36);
-            out.put_u64_le(*generation);
-            out.put_u32_le(flats.len() as u32);
-            for f in flats {
-                out.put_u32_le(*f);
-            }
-        }
-        PartitionOp::PruneStubs => out.put_u8(37),
-        PartitionOp::FocalIds => out.put_u8(38),
+        PartitionOp::CheckInvariants => out.put_u8(15),
+        PartitionOp::FocalIds => out.put_u8(16),
         PartitionOp::FocalAnchorCell(oid) => {
-            out.put_u8(39);
+            out.put_u8(17);
             put_oid(out, *oid);
         }
-        PartitionOp::Checkpoint => out.put_u8(40),
+        PartitionOp::Checkpoint => out.put_u8(18),
         PartitionOp::Trajectory { oid, t0, t1 } => {
-            out.put_u8(41);
+            out.put_u8(19);
             put_oid(out, *oid);
             out.put_f64_le(*t0);
             out.put_f64_le(*t1);
         }
-        PartitionOp::LoadSignal => out.put_u8(42),
-        PartitionOp::ObjectMemberships(oid) => {
-            out.put_u8(43);
-            put_oid(out, *oid);
-        }
+        PartitionOp::LoadSignal => out.put_u8(20),
     }
 }
 
-/// Decodes a request frame into `(epoch_floor, op)`.
+/// Encodes the request frame of `Apply(rec)` from a borrowed record — what
+/// a handle sends, so no record is copied into an op to be encoded.
+pub(crate) fn encode_apply(epoch_floor: u64, rec: &LogRecord, out: &mut Vec<u8>) {
+    out.put_u64_le(epoch_floor);
+    out.put_u8(APPLY);
+    encode_record(rec, out);
+}
+
+/// Decodes a request frame into `(epoch_floor, op)`. An `Apply` of a record
+/// [`is_partition_record`] does not list is a [`TransportError::Protocol`].
 pub fn decode_request(bytes: &[u8]) -> Result<(u64, PartitionOp)> {
     let mut buf = Reader::new(bytes);
     let mut inner = || -> std::result::Result<(u64, PartitionOp), DecodeError> {
@@ -653,115 +459,30 @@ pub fn decode_request(bytes: &[u8]) -> Result<(u64, PartitionOp)> {
                     store_fresh: buf.get_u8("store fresh")? != 0,
                 })
             }
-            1 => PartitionOp::SetTime(buf.get_f64_le("time")?),
-            2 => PartitionOp::RenewLease(get_oid(&mut buf)?),
-            3 => PartitionOp::VelocityReport {
-                oid: get_oid(&mut buf)?,
-                motion: codec::get_motion(&mut buf)?,
-            },
-            4 => PartitionOp::CellChangeFocal {
-                oid: get_oid(&mut buf)?,
-                new_cell: codec::get_cell(&mut buf)?,
-                motion: codec::get_motion(&mut buf)?,
-            },
-            5 => PartitionOp::CellChangeFresh {
-                oid: get_oid(&mut buf)?,
-                prev_cell: codec::get_cell(&mut buf)?,
-                new_cell: codec::get_cell(&mut buf)?,
-                motion: codec::get_motion(&mut buf)?,
-            },
-            6 => PartitionOp::ResultChange {
-                qid: get_qid(&mut buf)?,
-                oid: get_oid(&mut buf)?,
-                is_target: buf.get_u8("is target")? != 0,
-            },
-            7 => PartitionOp::GroupResultUpdate {
-                oid: get_oid(&mut buf)?,
-                focal: get_oid(&mut buf)?,
-                mask: buf.get_u64_le("mask")?,
-                targets: buf.get_u64_le("targets")?,
-            },
-            8 => PartitionOp::RefreshFocalMotion {
-                oid: get_oid(&mut buf)?,
-                motion: codec::get_motion(&mut buf)?,
-                max_vel: buf.get_f64_le("max vel")?,
-                insert: buf.get_u8("insert")? != 0,
-            },
-            9 => PartitionOp::CompleteInstall {
-                qid: get_qid(&mut buf)?,
-                focal: get_oid(&mut buf)?,
-                region: codec::get_region(&mut buf)?,
-                filter: Arc::new(codec::get_filter(&mut buf)?),
-                expires_at: get_opt_f64(&mut buf)?,
-            },
-            10 => PartitionOp::RemoveQuery(get_qid(&mut buf)?),
-            11 => PartitionOp::ExpiredQueryIds(buf.get_f64_le("now")?),
-            12 => PartitionOp::ExpiredLeases,
-            13 => PartitionOp::ReinstallInfo(get_qid(&mut buf)?),
-            14 => PartitionOp::DigestCells,
-            15 => PartitionOp::BumpEpoch,
-            16 => PartitionOp::CurrentEpoch,
-            18 => PartitionOp::QueryIds,
-            19 => PartitionOp::QueryResult(get_qid(&mut buf)?),
-            20 => PartitionOp::QueryFocal(get_qid(&mut buf)?),
-            23 => PartitionOp::FocalMotion(get_oid(&mut buf)?),
-            24 => PartitionOp::FocalQueries(get_oid(&mut buf)?),
-            25 => PartitionOp::QueryCell(get_qid(&mut buf)?),
-            26 => PartitionOp::PurgeObject(get_oid(&mut buf)?),
-            27 => PartitionOp::DeliverResultDelta {
-                qid: get_qid(&mut buf)?,
-                oid: get_oid(&mut buf)?,
-                entered: buf.get_u8("entered")? != 0,
-            },
-            28 => PartitionOp::LqtReconcileOne {
-                qid: get_qid(&mut buf)?,
-                oid: get_oid(&mut buf)?,
-                is_target: buf.get_u8("is target")? != 0,
-            },
-            29 => PartitionOp::FocalReassert(get_oid(&mut buf)?),
-            30 => PartitionOp::CellSyncReply {
-                oid: get_oid(&mut buf)?,
-                cell: codec::get_cell(&mut buf)?,
-            },
-            31 => PartitionOp::ExtractFocal(get_oid(&mut buf)?),
-            32 => PartitionOp::Deliver(decode_cluster(&mut buf)?),
-            33 => PartitionOp::CheckInvariants,
-            34 => PartitionOp::Shutdown,
-            35 => {
-                let generation = buf.get_u64_le("table generation")?;
-                let n = buf.get_u32_le("bound count")? as usize;
-                if n * 8 > buf.remaining() {
-                    return Err(DecodeError(format!("oversized bound count {n}")));
-                }
-                let mut bounds = Vec::with_capacity(n);
-                for _ in 0..n {
-                    bounds.push(buf.get_u64_le("bound")?);
-                }
-                PartitionOp::InstallBounds { generation, bounds }
-            }
-            36 => {
-                let generation = buf.get_u64_le("table generation")?;
-                let n = buf.get_u32_le("flat count")? as usize;
-                if n * 4 > buf.remaining() {
-                    return Err(DecodeError(format!("oversized flat count {n}")));
-                }
-                let mut flats = Vec::with_capacity(n);
-                for _ in 0..n {
-                    flats.push(buf.get_u32_le("flat cell")?);
-                }
-                PartitionOp::ExportCells { flats, generation }
-            }
-            37 => PartitionOp::PruneStubs,
-            38 => PartitionOp::FocalIds,
-            39 => PartitionOp::FocalAnchorCell(get_oid(&mut buf)?),
-            40 => PartitionOp::Checkpoint,
-            41 => PartitionOp::Trajectory {
+            APPLY => PartitionOp::Apply(decode_record(&mut buf)?),
+            2 => PartitionOp::Shutdown,
+            3 => PartitionOp::ExpiredQueryIds(buf.get_f64_le("now")?),
+            4 => PartitionOp::ExpiredLeases,
+            5 => PartitionOp::ReinstallInfo(get_qid(&mut buf)?),
+            6 => PartitionOp::DigestCells,
+            7 => PartitionOp::CurrentEpoch,
+            8 => PartitionOp::QueryIds,
+            9 => PartitionOp::QueryResult(get_qid(&mut buf)?),
+            10 => PartitionOp::QueryFocal(get_qid(&mut buf)?),
+            11 => PartitionOp::FocalMotion(get_oid(&mut buf)?),
+            12 => PartitionOp::FocalQueries(get_oid(&mut buf)?),
+            13 => PartitionOp::ObjectMemberships(get_oid(&mut buf)?),
+            14 => PartitionOp::QueryCell(get_qid(&mut buf)?),
+            15 => PartitionOp::CheckInvariants,
+            16 => PartitionOp::FocalIds,
+            17 => PartitionOp::FocalAnchorCell(get_oid(&mut buf)?),
+            18 => PartitionOp::Checkpoint,
+            19 => PartitionOp::Trajectory {
                 oid: get_oid(&mut buf)?,
                 t0: buf.get_f64_le("trajectory start")?,
                 t1: buf.get_f64_le("trajectory end")?,
             },
-            42 => PartitionOp::LoadSignal,
-            43 => PartitionOp::ObjectMemberships(get_oid(&mut buf)?),
+            20 => PartitionOp::LoadSignal,
             t => return Err(DecodeError(format!("unknown partition op tag {t}"))),
         };
         Ok((floor, op))
@@ -772,6 +493,13 @@ pub fn decode_request(bytes: &[u8]) -> Result<(u64, PartitionOp)> {
             "{} trailing bytes after partition op",
             buf.remaining()
         )));
+    }
+    if let PartitionOp::Apply(rec) = &op {
+        if !is_partition_record(rec) {
+            return Err(TransportError::Protocol(format!(
+                "{rec:?} is not a partition op"
+            )));
+        }
     }
     Ok((floor, op))
 }
@@ -1032,7 +760,7 @@ pub fn decode_reply(bytes: &[u8]) -> Result<PartitionReply> {
             }
             11 => ReplyPayload::Reinstall(if buf.get_u8("option flag")? != 0 {
                 let region = codec::get_region(&mut buf)?;
-                let filter = codec::get_filter(&mut buf)?;
+                let filter = codec::get_filter(&mut buf)?.into();
                 Some((region, filter, get_opt_f64(&mut buf)?))
             } else {
                 None
@@ -1116,106 +844,80 @@ pub fn decode_reply(bytes: &[u8]) -> Result<PartitionReply> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use mobieyes_geo::{GridRect, Point, Vec2};
+    use mobieyes_core::{Filter, Uplink};
+    use mobieyes_geo::{CellId, GridRect, LinearMotion, Point, QueryRegion, Vec2};
+    use std::sync::Arc;
 
     fn motion() -> LinearMotion {
         LinearMotion::new(Point::new(3.0, -1.5), Vec2::new(0.25, -0.125), 60.0)
     }
 
-    /// One instance of every op (the closedness table in `serve` walks it
-    /// too, so a new closed op is checked the day it is listed).
-    pub(crate) fn sample_ops() -> Vec<PartitionOp> {
+    /// One instance of every record a coordinator sends (the closedness
+    /// table in `serve` walks it too, so a new closed record is checked the
+    /// day it is listed).
+    pub(crate) fn sample_records() -> Vec<LogRecord> {
         vec![
-            PartitionOp::Init(InitConfig {
-                universe: Rect::new(0.0, 0.0, 100.0, 100.0),
-                alpha: 5.0,
-                alen: 10.0,
-                delta: 0.2,
-                propagation: Propagation::Lazy,
-                grouping: true,
-                safe_period: false,
-                deliver_results: true,
-                system_max_speed: 0.07,
-                lease_secs: 120.0,
-                heartbeat_secs: 60.0,
-                partition: 2,
-                num_partitions: 4,
-                store_dir: Some("/tmp/mobieyes-store/p2".into()),
-                store_fresh: true,
-            }),
-            PartitionOp::SetTime(90.0),
-            PartitionOp::RenewLease(ObjectId(7)),
-            PartitionOp::VelocityReport {
+            LogRecord::SetTime(90.0),
+            LogRecord::RenewLease(ObjectId(7)),
+            LogRecord::VelocityReport {
                 oid: ObjectId(8),
                 motion: motion(),
             },
-            PartitionOp::CellChangeFocal {
+            LogRecord::CellChangeFocal {
                 oid: ObjectId(9),
                 new_cell: CellId::new(2, 3),
                 motion: motion(),
             },
-            PartitionOp::CellChangeFresh {
+            LogRecord::CellChangeFresh {
                 oid: ObjectId(9),
                 prev_cell: CellId::new(1, 3),
                 new_cell: CellId::new(2, 3),
                 motion: motion(),
             },
-            PartitionOp::ResultChange {
+            LogRecord::ResultChange {
                 qid: QueryId(1),
                 oid: ObjectId(2),
                 is_target: true,
             },
-            PartitionOp::GroupResultUpdate {
+            LogRecord::GroupResultUpdate {
                 oid: ObjectId(3),
                 focal: ObjectId(4),
                 mask: 0b101,
                 targets: 0b001,
             },
-            PartitionOp::RefreshFocalMotion {
+            LogRecord::RefreshFocalMotion {
                 oid: ObjectId(5),
                 motion: motion(),
                 max_vel: 0.05,
                 insert: true,
             },
-            PartitionOp::CompleteInstall {
+            LogRecord::CompleteInstall {
                 qid: QueryId(6),
                 focal: ObjectId(7),
                 region: QueryRegion::circle(4.0),
                 filter: Arc::new(Filter::Gt("speed".into(), 2.0)),
                 expires_at: Some(300.0),
             },
-            PartitionOp::RemoveQuery(QueryId(6)),
-            PartitionOp::ExpiredQueryIds(120.0),
-            PartitionOp::ExpiredLeases,
-            PartitionOp::ReinstallInfo(QueryId(6)),
-            PartitionOp::DigestCells,
-            PartitionOp::BumpEpoch,
-            PartitionOp::CurrentEpoch,
-            PartitionOp::QueryIds,
-            PartitionOp::QueryResult(QueryId(6)),
-            PartitionOp::QueryFocal(QueryId(6)),
-            PartitionOp::FocalMotion(ObjectId(7)),
-            PartitionOp::FocalQueries(ObjectId(7)),
-            PartitionOp::ObjectMemberships(ObjectId(7)),
-            PartitionOp::QueryCell(QueryId(6)),
-            PartitionOp::PurgeObject(ObjectId(7)),
-            PartitionOp::DeliverResultDelta {
+            LogRecord::RemoveQuery(QueryId(6)),
+            LogRecord::BumpEpoch,
+            LogRecord::PurgeObject(ObjectId(7)),
+            LogRecord::ResultDelta {
                 qid: QueryId(6),
                 oid: ObjectId(7),
                 entered: false,
             },
-            PartitionOp::LqtReconcileOne {
+            LogRecord::LqtReconcile {
                 qid: QueryId(6),
                 oid: ObjectId(7),
                 is_target: true,
             },
-            PartitionOp::FocalReassert(ObjectId(7)),
-            PartitionOp::CellSyncReply {
+            LogRecord::FocalReassert(ObjectId(7)),
+            LogRecord::CellSyncReply {
                 oid: ObjectId(7),
                 cell: CellId::new(4, 4),
             },
-            PartitionOp::ExtractFocal(ObjectId(7)),
-            PartitionOp::Deliver(ClusterMsg::StubRemove {
+            LogRecord::ExtractFocal(ObjectId(7)),
+            LogRecord::Cluster(ClusterMsg::StubRemove {
                 qid: QueryId(6),
                 mon_region: GridRect {
                     x0: 0,
@@ -1225,17 +927,52 @@ pub(crate) mod tests {
                 },
                 epoch: 5,
             }),
-            PartitionOp::CheckInvariants,
-            PartitionOp::Shutdown,
-            PartitionOp::InstallBounds {
+            LogRecord::Bounds {
                 generation: 7,
                 bounds: vec![0, 12, 24, 36],
             },
-            PartitionOp::ExportCells {
+            LogRecord::ExportCells {
                 flats: vec![12, 13, 17],
                 generation: 7,
             },
-            PartitionOp::PruneStubs,
+            LogRecord::PruneStubs,
+        ]
+    }
+
+    /// One instance of every op: `Init`, an `Apply` of every sample record,
+    /// every read, `Shutdown`.
+    pub(crate) fn sample_ops() -> Vec<PartitionOp> {
+        let init = PartitionOp::Init(InitConfig {
+            universe: Rect::new(0.0, 0.0, 100.0, 100.0),
+            alpha: 5.0,
+            alen: 10.0,
+            delta: 0.2,
+            propagation: Propagation::Lazy,
+            grouping: true,
+            safe_period: false,
+            deliver_results: true,
+            system_max_speed: 0.07,
+            lease_secs: 120.0,
+            heartbeat_secs: 60.0,
+            partition: 2,
+            num_partitions: 4,
+            store_dir: Some("/tmp/mobieyes-store/p2".into()),
+            store_fresh: true,
+        });
+        let reads = [
+            PartitionOp::ExpiredQueryIds(120.0),
+            PartitionOp::ExpiredLeases,
+            PartitionOp::ReinstallInfo(QueryId(6)),
+            PartitionOp::DigestCells,
+            PartitionOp::CurrentEpoch,
+            PartitionOp::QueryIds,
+            PartitionOp::QueryResult(QueryId(6)),
+            PartitionOp::QueryFocal(QueryId(6)),
+            PartitionOp::FocalMotion(ObjectId(7)),
+            PartitionOp::FocalQueries(ObjectId(7)),
+            PartitionOp::ObjectMemberships(ObjectId(7)),
+            PartitionOp::QueryCell(QueryId(6)),
+            PartitionOp::CheckInvariants,
             PartitionOp::FocalIds,
             PartitionOp::FocalAnchorCell(ObjectId(7)),
             PartitionOp::Checkpoint,
@@ -1245,7 +982,12 @@ pub(crate) mod tests {
                 t1: 240.0,
             },
             PartitionOp::LoadSignal,
-        ]
+        ];
+        std::iter::once(init)
+            .chain(sample_records().into_iter().map(PartitionOp::Apply))
+            .chain(reads)
+            .chain([PartitionOp::Shutdown])
+            .collect()
     }
 
     fn sample_payloads() -> Vec<ReplyPayload> {
@@ -1273,7 +1015,7 @@ pub(crate) mod tests {
             ReplyPayload::Leases(vec![(ObjectId(4), vec![QueryId(1)]), (ObjectId(9), vec![])]),
             ReplyPayload::Reinstall(Some((
                 QueryRegion::rect(2.0, 3.0),
-                Filter::True,
+                Arc::new(Filter::True),
                 Some(500.0),
             ))),
             ReplyPayload::Reinstall(None),
@@ -1299,6 +1041,63 @@ pub(crate) mod tests {
             let (floor, decoded) = decode_request(&bytes).expect("request decodes");
             assert_eq!(floor, 17);
             assert_eq!(decoded, op, "op did not survive the wire");
+        }
+    }
+
+    /// A mutation costs one tag byte over the journal record it carries,
+    /// and a borrowed record encodes to the same frame as the op.
+    #[test]
+    fn an_apply_request_is_the_floor_a_tag_and_the_journal_record() {
+        for rec in sample_records() {
+            let mut framed = Vec::new();
+            encode_apply(17, &rec, &mut framed);
+            let mut op = Vec::new();
+            encode_request(17, &PartitionOp::Apply(rec.clone()), &mut op);
+            assert_eq!(framed, op);
+            let record = mobieyes_core::journal::record_bytes(&rec);
+            assert_eq!(framed.len(), 8 + 1 + record.len(), "{rec:?}");
+            assert_eq!(&framed[9..], &record[..]);
+        }
+    }
+
+    /// The journal vocabulary is wider than the partition surface: a
+    /// well-formed request carrying any other record is refused as a
+    /// protocol violation, not executed.
+    #[test]
+    fn a_record_the_coordinator_never_sends_is_a_protocol_error() {
+        let outside = [
+            LogRecord::Meta {
+                partition: 0,
+                num_partitions: 1,
+            },
+            LogRecord::Floor(9),
+            LogRecord::Heartbeat(60.0),
+            LogRecord::Uplink {
+                from: 3,
+                msg: Uplink::VelocityReport {
+                    oid: ObjectId(3),
+                    motion: motion(),
+                },
+            },
+            LogRecord::InstallQuery {
+                qid: QueryId(1),
+                focal: ObjectId(2),
+                region: QueryRegion::circle(4.0),
+                filter: Filter::True,
+                expires_at: None,
+            },
+            LogRecord::UpdateRegion {
+                qid: QueryId(1),
+                region: QueryRegion::circle(2.0),
+            },
+            LogRecord::Checkpoint(vec![1, 2, 3]),
+        ];
+        for rec in outside {
+            assert!(!is_partition_record(&rec));
+            let mut bytes = Vec::new();
+            encode_apply(0, &rec, &mut bytes);
+            let err = decode_request(&bytes).expect_err("refused");
+            assert!(matches!(err, TransportError::Protocol(_)), "{rec:?}: {err}");
         }
     }
 
@@ -1375,12 +1174,9 @@ pub(crate) mod tests {
         assert_eq!(decode_reply(&bytes).expect("decodes"), reply);
     }
 
-    /// Arbitrary bytes — random frames, and valid frames with random
-    /// bytes overwritten, cut or appended — must decode or fail cleanly;
-    /// whatever decodes must survive a further round trip unchanged.
-    #[test]
-    fn arbitrary_bytes_never_panic_the_reply_decoder() {
-        let mut state = 0x5eed_1207_0c0du64;
+    /// Feeds `check` arbitrary bytes: random frames, and the `seeds` with
+    /// random bytes overwritten, their tail scrambled, or cut and extended.
+    fn fuzz(seeds: &[Vec<u8>], mut state: u64, check: impl Fn(&[u8])) {
         let mut next = move || {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = state;
@@ -1388,23 +1184,6 @@ pub(crate) mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
-        let check = |bytes: &[u8]| {
-            if let Ok(reply) = decode_reply(bytes) {
-                // Compared as bytes: a corrupted float may decode to NaN,
-                // which never equals itself.
-                let mut once = Vec::new();
-                encode_reply(&reply, &mut once);
-                let mut twice = Vec::new();
-                encode_reply(&decode_reply(&once).expect("re-encoded reply"), &mut twice);
-                assert_eq!(once, twice);
-            }
-        };
-        let mut seeds: Vec<Vec<u8>> = Vec::new();
-        for payload in sample_payloads() {
-            let mut bytes = Vec::new();
-            encode_reply(&full_reply(payload, sample_homes()), &mut bytes);
-            seeds.push(bytes);
-        }
         for round in 0..4000 {
             let mut bytes = seeds[round % seeds.len()].clone();
             match next() % 4 {
@@ -1419,7 +1198,8 @@ pub(crate) mod tests {
                     }
                 }
                 2 => {
-                    // Corrupt the tail, where `homes` lives.
+                    // Corrupt the tail (a reply's `homes`, a record's
+                    // last fields).
                     let tail = 1 + next() as usize % 24;
                     let from = bytes.len().saturating_sub(tail);
                     for b in &mut bytes[from..] {
@@ -1435,6 +1215,56 @@ pub(crate) mod tests {
             }
             check(&bytes);
         }
+    }
+
+    /// Arbitrary bytes must decode or fail cleanly; whatever decodes must
+    /// survive a further round trip unchanged.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_reply_decoder() {
+        let seeds: Vec<Vec<u8>> = sample_payloads()
+            .into_iter()
+            .map(|payload| {
+                let mut bytes = Vec::new();
+                encode_reply(&full_reply(payload, sample_homes()), &mut bytes);
+                bytes
+            })
+            .collect();
+        fuzz(&seeds, 0x5eed_1207_0c0d, |bytes| {
+            if let Ok(reply) = decode_reply(bytes) {
+                // Compared as bytes: a corrupted float may decode to NaN,
+                // which never equals itself.
+                let mut once = Vec::new();
+                encode_reply(&reply, &mut once);
+                let mut twice = Vec::new();
+                encode_reply(&decode_reply(&once).expect("re-encoded reply"), &mut twice);
+                assert_eq!(once, twice);
+            }
+        });
+    }
+
+    /// The request decoder is the partition's outside boundary: the same
+    /// arbitrary-byte treatment, seeded with every op — an `Apply` of every
+    /// record the coordinator sends included.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_request_decoder() {
+        let seeds: Vec<Vec<u8>> = sample_ops()
+            .iter()
+            .map(|op| {
+                let mut bytes = Vec::new();
+                encode_request(17, op, &mut bytes);
+                bytes
+            })
+            .collect();
+        fuzz(&seeds, 0x5eed_0026_0a11, |bytes| {
+            if let Ok((floor, op)) = decode_request(bytes) {
+                let mut once = Vec::new();
+                encode_request(floor, &op, &mut once);
+                let (floor, again) = decode_request(&once).expect("re-encoded request");
+                let mut twice = Vec::new();
+                encode_request(floor, &again, &mut twice);
+                assert_eq!(once, twice);
+            }
+        });
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! The durable input journal: typed log records for every mutating entry
-//! point of the [`Server`](crate::Server).
+//! The server's op vocabulary: typed log records for every mutating entry
+//! point of the [`Server`](crate::Server), and the values they return.
 //!
 //! The persistence layer (`mobieyes-store`) does not snapshot tables on
 //! every change — it journals the server's *inputs*. Every public mutating
-//! method of the `Server` (the same surface the cluster's `PartitionOp`
-//! RPC dispatches) appends one [`LogRecord`] describing its arguments, and
-//! replaying those records against a fresh server reproduces the exact
-//! FOT/SQT/RQI byte-for-byte, because the protocol logic is deterministic.
+//! method of the `Server` appends one [`LogRecord`] describing its
+//! arguments, and replaying those records against a fresh server
+//! reproduces the exact FOT/SQT/RQI byte-for-byte, because the protocol
+//! logic is deterministic. The same records are the mutation requests of
+//! the cluster's partition RPC: [`Server::apply`](crate::Server::apply) is
+//! the one dispatch behind replay, the partition service and an in-process
+//! partition handle, answering with a [`ReplyPayload`].
 //!
 //! Two record kinds carry context a replayed partition cannot rederive on
 //! its own:
@@ -37,6 +40,7 @@ use crate::filter::Filter;
 use crate::messages::{ClusterMsg, Uplink};
 use crate::model::{ObjectId, QueryId};
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
+use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, DecodeError>;
 
@@ -72,7 +76,7 @@ pub enum LogRecord {
         qid: QueryId,
         focal: ObjectId,
         region: QueryRegion,
-        filter: Filter,
+        filter: Arc<Filter>,
         expires_at: Option<f64>,
     },
     RemoveQuery(QueryId),
@@ -170,6 +174,35 @@ impl LogRecord {
             _ => None,
         }
     }
+}
+
+/// What a partition op returns: a [`Server::apply`](crate::Server::apply)
+/// of a record, or a read. The cluster's RPC carries it as the reply's
+/// value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ReplyPayload {
+    Unit,
+    Bool(bool),
+    U64(u64),
+    Qids(Vec<QueryId>),
+    OptQids(Option<Vec<QueryId>>),
+    OptCluster(Option<ClusterMsg>),
+    OptMotion(Option<LinearMotion>),
+    OptCell(Option<CellId>),
+    OptOid(Option<ObjectId>),
+    Digests(Vec<(CellId, u64)>),
+    Leases(Vec<(ObjectId, Vec<QueryId>)>),
+    Reinstall(Option<(QueryRegion, Arc<Filter>, Option<f64>)>),
+    ResultSet(Option<Vec<ObjectId>>),
+    Oids(Vec<ObjectId>),
+    /// Motion samples from the durable log, ascending by report time.
+    Motions(Vec<LinearMotion>),
+    /// Partition state weight: homed focals, owned queries, stub rows.
+    Load {
+        focals: u64,
+        queries: u64,
+        stubs: u64,
+    },
 }
 
 /// Where a server sends its journal records. Implemented by the
@@ -471,7 +504,7 @@ pub fn decode_record(buf: &mut Reader<'_>) -> Result<LogRecord> {
                 qid,
                 focal,
                 region,
-                filter,
+                filter: Arc::new(filter),
                 expires_at,
             }
         }

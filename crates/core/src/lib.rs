@@ -36,7 +36,7 @@ pub mod server;
 
 pub use config::{Propagation, ProtocolConfig};
 pub use filter::Filter;
-pub use journal::{JournalSink, LogRecord};
+pub use journal::{JournalSink, LogRecord, ReplyPayload};
 pub use knn::{KnnConfig, KnnCoordinator};
 pub use messages::{
     ClusterMsg, Downlink, QueryGroupInfo, QueryMigration, QuerySpec, StubSeed, Uplink,

@@ -9,10 +9,10 @@
 //! object reports. It never computes containment itself — that work lives
 //! on the moving objects.
 
-use crate::codec;
+use crate::codec::{self, DecodeError};
 use crate::config::{Propagation, ProtocolConfig};
 use crate::filter::Filter;
-use crate::journal::{JournalSink, LogRecord};
+use crate::journal::{JournalSink, LogRecord, ReplyPayload};
 use crate::messages::{
     state_digest, ClusterMsg, Downlink, QueryGroupInfo, QueryMigration, QuerySpec, StubSeed, Uplink,
 };
@@ -258,17 +258,8 @@ impl PartitionTable {
     /// returns the new generation. Must only be called by a cluster
     /// coordinator with the bus quiesced (see DESIGN.md §10).
     pub fn install(&self, bounds: &[usize]) -> u64 {
-        assert_eq!(bounds.len(), self.bounds.len(), "partition count is fixed");
-        assert!(
-            bounds.windows(2).all(|w| w[0] <= w[1]),
-            "bounds must be ascending"
-        );
-        assert_eq!(
-            bounds.last(),
-            Some(&self.bounds.last().unwrap().load(Ordering::Relaxed)),
-            "total cell count is fixed"
-        );
-        assert_eq!(bounds.first(), Some(&0));
+        self.validate(bounds, self.generation())
+            .unwrap_or_else(|e| panic!("{e}"));
         for (slot, &b) in self.bounds.iter().zip(bounds) {
             slot.store(b, Ordering::Relaxed);
         }
@@ -284,12 +275,29 @@ impl PartitionTable {
     /// forward (a respawned process at generation 0 catches up; a stale
     /// install must never rewind a newer table).
     pub fn install_at(&self, bounds: &[usize], generation: u64) {
-        assert!(
-            generation >= self.generation.load(Ordering::Relaxed),
-            "table generation cannot rewind"
-        );
+        self.validate(bounds, generation)
+            .unwrap_or_else(|e| panic!("{e}"));
         self.install(bounds);
         self.generation.store(generation, Ordering::Relaxed);
+    }
+
+    /// What [`install_at`](Self::install_at) demands of an install: the
+    /// same partition count, bounds ascending from 0 to the fixed cell
+    /// count, no generation rewind. An install read off the wire or a log
+    /// is refused with this error instead of panicking.
+    pub(crate) fn validate(&self, bounds: &[usize], generation: u64) -> Result<(), DecodeError> {
+        let cells = self.bounds.last().map(|b| b.load(Ordering::Relaxed));
+        let fits = bounds.len() == self.bounds.len()
+            && bounds.first() == Some(&0)
+            && bounds.last().copied() == cells
+            && bounds.windows(2).all(|w| w[0] <= w[1]);
+        if fits && generation >= self.generation() {
+            return Ok(());
+        }
+        let (n, at) = (bounds.len(), self.generation());
+        Err(DecodeError(format!(
+            "{n} bounds at generation {generation} refused at {at}"
+        )))
     }
 }
 
@@ -1622,7 +1630,8 @@ impl Server {
             }
             return;
         }
-        let new_qids = &self.rqi[grid.flat_index(new_cell)];
+        // The memo key's clamped cell: a wire-carried cell may overshoot.
+        let new_qids = &self.rqi[key.1 as usize];
         let fresh: Vec<QueryId> = new_qids
             .iter()
             .filter(|q| !self.q_mon(**q).is_some_and(|m| m.contains(prev_cell)))
@@ -2019,7 +2028,7 @@ impl Server {
                 qid,
                 focal,
                 region,
-                filter: (*filter).clone(),
+                filter: Arc::clone(&filter),
                 expires_at,
             });
         }
@@ -2567,141 +2576,136 @@ impl Server {
         self.fot.get(&oid).map(|f| f.max_vel)
     }
 
-    /// Applies one journal record — the replay image of the mutating entry
-    /// point that wrote it. Journaling is suppressed for the duration, so
-    /// replaying against a server with a sink attached does not re-log.
+    /// Applies one journal record with journaling suppressed — the replay
+    /// image of the mutating entry point that wrote it, so replaying
+    /// against a server with a sink attached does not re-log.
     ///
     /// Replay must start from the newest [`LogRecord::Checkpoint`] of a
     /// compacted log (see `mobieyes-store`): records before it reference
     /// state the checkpoint subsumes.
-    pub fn apply_log_record(
-        &mut self,
-        rec: &LogRecord,
-        net: &mut Net,
-    ) -> Result<(), crate::codec::DecodeError> {
+    pub fn apply_log_record(&mut self, rec: &LogRecord, net: &mut Net) -> Result<(), DecodeError> {
         self.jdepth += 1;
-        let r = self.apply_log_record_inner(rec, net);
+        let r = self.apply(rec, net);
         self.jdepth -= 1;
-        r
+        r.map(drop)
     }
 
-    fn apply_log_record_inner(
-        &mut self,
-        rec: &LogRecord,
-        net: &mut Net,
-    ) -> Result<(), crate::codec::DecodeError> {
-        match rec {
+    /// Runs the entry point a record names and returns its value — the one
+    /// dispatch for mutations, shared by replay, the partition service and
+    /// an in-process partition handle. The entry point journals the record
+    /// as usual. A record no entry point could take without panicking
+    /// (partition bounds the table refuses, a flat cell off the grid) is an
+    /// error, applied and journaled nowhere.
+    pub fn apply(&mut self, rec: &LogRecord, net: &mut Net) -> Result<ReplyPayload, DecodeError> {
+        use ReplyPayload::{Bool, OptCluster, Qids, U64};
+        match *rec {
             LogRecord::Meta { .. } => {} // provenance; validated by the reader
-            LogRecord::Floor(v) => self.raise_epoch(*v),
-            LogRecord::SetTime(t) => self.set_time(*t),
-            LogRecord::Heartbeat(t) => self.heartbeat(*t, net),
-            LogRecord::Uplink { from, msg } => self.handle_uplink(NodeId(*from), msg.clone(), net),
+            LogRecord::Floor(v) => self.raise_epoch(v),
+            LogRecord::SetTime(t) => self.set_time(t),
+            LogRecord::Heartbeat(t) => self.heartbeat(t, net),
+            LogRecord::Uplink { from, ref msg } => {
+                self.handle_uplink(NodeId(from), msg.clone(), net)
+            }
             LogRecord::InstallQuery {
                 qid,
                 focal,
                 region,
-                filter,
+                ref filter,
                 expires_at,
             } => {
                 let got = self.install_query_with_lifetime(
-                    *focal,
-                    *region,
+                    focal,
+                    region,
                     filter.clone(),
-                    *expires_at,
+                    expires_at,
                     net,
                 );
-                debug_assert_eq!(got, *qid, "replayed install drifted off the journaled qid");
+                debug_assert_eq!(got, qid, "replayed install drifted off the journaled qid");
             }
             LogRecord::CompleteInstall {
                 qid,
                 focal,
                 region,
-                filter,
+                ref filter,
                 expires_at,
-            } => self.complete_install_at(
-                *qid,
-                *focal,
-                *region,
-                Arc::new(filter.clone()),
-                *expires_at,
-                net,
-            ),
-            LogRecord::RemoveQuery(qid) => {
-                self.remove_query(*qid, net);
-            }
+            } => self.complete_install_at(qid, focal, region, Arc::clone(filter), expires_at, net),
+            LogRecord::RemoveQuery(qid) => return Ok(Bool(self.remove_query(qid, net))),
             LogRecord::UpdateRegion { qid, region } => {
-                self.update_query_region(*qid, *region, net);
+                self.update_query_region(qid, region, net);
             }
-            LogRecord::RenewLease(oid) => self.renew_lease(*oid),
-            LogRecord::VelocityReport { oid, motion } => {
-                self.on_velocity_report(*oid, *motion, net)
-            }
+            LogRecord::RenewLease(oid) => self.renew_lease(oid),
+            LogRecord::VelocityReport { oid, motion } => self.on_velocity_report(oid, motion, net),
             LogRecord::CellChangeFocal {
                 oid,
                 new_cell,
                 motion,
-            } => self.apply_cell_change_focal(*oid, *new_cell, *motion, net),
+            } => self.apply_cell_change_focal(oid, new_cell, motion, net),
             LogRecord::CellChangeFresh {
                 oid,
                 prev_cell,
                 new_cell,
                 motion,
-            } => self.apply_cell_change_fresh(*oid, *prev_cell, *new_cell, *motion, net),
+            } => self.apply_cell_change_fresh(oid, prev_cell, new_cell, motion, net),
             LogRecord::ResultChange {
                 qid,
                 oid,
                 is_target,
-            } => {
-                self.apply_result_change(*qid, *oid, *is_target, net);
-            }
+            } => return Ok(Bool(self.apply_result_change(qid, oid, is_target, net))),
             LogRecord::GroupResultUpdate {
                 oid,
                 focal,
                 mask,
                 targets,
-            } => self.apply_group_result_update(*oid, *focal, *mask, *targets, net),
+            } => self.apply_group_result_update(oid, focal, mask, targets, net),
             LogRecord::RefreshFocalMotion {
                 oid,
                 motion,
                 max_vel,
                 insert,
-            } => self.refresh_focal_motion(*oid, *motion, *max_vel, *insert),
-            LogRecord::PurgeObject(oid) => {
-                self.purge_object(*oid);
-            }
+            } => self.refresh_focal_motion(oid, motion, max_vel, insert),
+            LogRecord::PurgeObject(oid) => return Ok(Qids(self.purge_object(oid))),
             LogRecord::ResultDelta { qid, oid, entered } => {
-                self.deliver_result_delta(*qid, *oid, *entered, net)
+                self.deliver_result_delta(qid, oid, entered, net)
             }
             LogRecord::LqtReconcile {
                 qid,
                 oid,
                 is_target,
+            } => return Ok(Bool(self.lqt_reconcile_one(qid, oid, is_target))),
+            LogRecord::FocalReassert(oid) => self.focal_reassert(oid, net),
+            LogRecord::CellSyncReply { oid, cell } => self.cell_sync_reply(oid, cell, net),
+            LogRecord::ExtractFocal(oid) => return Ok(OptCluster(self.extract_focal(oid))),
+            LogRecord::Cluster(ref msg) => self.apply_cluster_msg(msg),
+            LogRecord::ExportCells {
+                ref flats,
+                generation,
             } => {
-                self.lqt_reconcile_one(*qid, *oid, *is_target);
-            }
-            LogRecord::FocalReassert(oid) => self.focal_reassert(*oid, net),
-            LogRecord::CellSyncReply { oid, cell } => self.cell_sync_reply(*oid, *cell, net),
-            LogRecord::ExtractFocal(oid) => {
-                self.extract_focal(*oid);
-            }
-            LogRecord::Cluster(msg) => self.apply_cluster_msg(msg),
-            LogRecord::ExportCells { flats, generation } => {
+                if let Some(f) = flats.iter().find(|&&f| f as usize >= self.rqi.len()) {
+                    return Err(DecodeError(format!("export of flat cell {f} off the grid")));
+                }
                 let flats: Vec<usize> = flats.iter().map(|&f| f as usize).collect();
-                self.export_cells(&flats, *generation);
+                return Ok(OptCluster(self.export_cells(&flats, generation)));
             }
             LogRecord::PruneStubs => self.prune_stubs(),
-            LogRecord::BumpEpoch => {
-                self.bump_epoch_for_coordinator();
-            }
-            LogRecord::Bounds { generation, bounds } => {
+            LogRecord::BumpEpoch => return Ok(U64(self.bump_epoch_for_coordinator())),
+            LogRecord::Bounds {
+                generation,
+                ref bounds,
+            } => {
                 if let Some(s) = &self.scope {
                     let bounds: Vec<usize> = bounds.iter().map(|&b| b as usize).collect();
-                    s.table.install_at(&bounds, *generation);
+                    s.table.validate(&bounds, generation)?;
+                    // No floor record: ownership reads no epoch, and the
+                    // next op's record logs the floor it observes.
+                    if let Some(j) = self.journal.as_ref().filter(|_| self.journaling()) {
+                        j.append(rec);
+                    }
+                    s.table.install_at(&bounds, generation);
                 }
             }
-            LogRecord::Checkpoint(bytes) => self.restore_checkpoint(bytes)?,
+            LogRecord::Checkpoint(ref bytes) => self.restore_checkpoint(bytes)?,
         }
-        Ok(())
+        Ok(ReplyPayload::Unit)
     }
 
     /// Serializes the complete server state — the payload of a

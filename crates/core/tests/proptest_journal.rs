@@ -249,7 +249,7 @@ fn rand_record(rng: &mut Rng, tag: u64) -> LogRecord {
             qid: QueryId(rng.next_u64() as u32),
             focal: ObjectId(rng.next_u64() as u32),
             region: rand_region(rng),
-            filter: rand_filter(rng, 3),
+            filter: rand_filter(rng, 3).into(),
             expires_at: rng.coin().then(|| rng.range(0.0, 1e6)),
         },
         7 => LogRecord::RemoveQuery(QueryId(rng.next_u64() as u32)),

@@ -41,8 +41,8 @@ use std::path::PathBuf;
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 const HELLO_MAGIC: &[u8; 4] = b"MEYE";
-/// Version 2: partition replies carry the `homes` membership delta.
-const WIRE_VERSION: u8 = 2;
+/// Version 3: a partition mutation is one `Apply` of a journal record.
+const WIRE_VERSION: u8 = 3;
 
 /// A transport address: `tcp:host:port` or `uds:/path/to.sock`. A bare
 /// `host:port` parses as TCP.
@@ -654,6 +654,28 @@ mod tests {
             !reader.has_buffered_frame(),
             "a partial frame is not a frame"
         );
+    }
+
+    /// A peer speaking another wire version is refused at the hello,
+    /// before a single request could be misread.
+    #[test]
+    fn hello_from_another_wire_version_is_a_handshake_error() {
+        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+        let mut older = FramedConn::new(listener.local_endpoint().unwrap().connect().unwrap());
+        let mut served = FramedConn::new(listener.accept().unwrap());
+        let mut hello = HELLO_MAGIC.to_vec();
+        hello.push(WIRE_VERSION - 1);
+        hello.extend_from_slice(&7u32.to_le_bytes());
+        older.write_frame(&hello).unwrap();
+        older.flush().unwrap();
+        let err = served.expect_hello().unwrap_err();
+        assert!(
+            matches!(&err, TransportError::Handshake(m) if m.contains("wire version")),
+            "{err}"
+        );
+        // The same peer at this build's version is accepted.
+        older.send_hello(7).unwrap();
+        assert_eq!(served.expect_hello().unwrap(), 7);
     }
 
     #[test]

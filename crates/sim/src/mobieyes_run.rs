@@ -13,7 +13,7 @@ use crate::workload::Workload;
 use mobieyes_cluster::{ClusterServer, Envelope};
 use mobieyes_core::server::Net;
 use mobieyes_core::{
-    AgentOutbox, Downlink, Filter, LogRecord, MovingObjectAgent, ObjectId, Propagation, Properties,
+    AgentOutbox, Downlink, Filter, MovingObjectAgent, ObjectId, Propagation, Properties,
     ProtocolConfig, QueryId, Server,
 };
 use mobieyes_geo::{Grid, LinearMotion, Point, QueryRegion, Vec2};
@@ -21,7 +21,7 @@ use mobieyes_net::{
     BaseStationLayout, ChurnPlan, FaultPlan, FramedConn, NodeId, PartitionCrashPlan, RadioModel,
     SocketTransport, StationId,
 };
-use mobieyes_store::{self as store, Store, StoreConfig};
+use mobieyes_store::{self as store, Store};
 use mobieyes_telemetry::{EventKind, Phase, Telemetry};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -291,26 +291,11 @@ impl MobiEyesSim {
             None => {
                 let mut server = Server::new(Arc::clone(&pconf)).with_telemetry(telemetry.clone());
                 if let Some(root) = &store_root {
-                    let dir = root.join("p0");
-                    let st = Store::open(StoreConfig::new(&dir, 0), telemetry.clone())
-                        .unwrap_or_else(|e| panic!("opening store {}: {e}", dir.display()));
-                    let summary = store::replay_into(&dir, 0, &mut server, &mut net, &telemetry)
-                        .unwrap_or_else(|e| panic!("replaying store {}: {e}", dir.display()));
-                    if summary.records_applied > 0 {
-                        // Replay re-emits historical downlinks; the agents
-                        // of the previous incarnation already saw them.
-                        net.take_downlinks();
-                        server.take_outbox();
-                    }
-                    if st.next_seq() == 0 {
-                        st.append_record(&LogRecord::Meta {
-                            partition: 0,
-                            num_partitions: 1,
-                        });
-                    }
-                    // Attach after replay so replayed ops don't re-journal,
-                    // and before the query installs below so they do.
-                    server.set_journal(Some(Arc::new(st.clone())));
+                    // Attached before the query installs below, so they
+                    // are journaled.
+                    let st =
+                        store::attach(&root.join("p0"), 0, 1, &mut server, &mut net, &telemetry)
+                            .unwrap_or_else(|e| panic!("{e}"));
                     single_store = Some(st);
                 }
                 ServerTier::Single(Box::new(server))

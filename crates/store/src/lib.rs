@@ -730,6 +730,37 @@ pub fn replay_into(
     })
 }
 
+/// Attaches the log at `dir` to `server` as its journal: opens it, replays
+/// what it holds into `server` (dropping the downlinks and bus envelopes
+/// the replay re-emits — the previous life delivered them), starts a fresh
+/// log with its `Meta` record, and only then attaches it, so replayed ops
+/// are not journaled twice. An error names the step and the directory.
+pub fn attach(
+    dir: &Path,
+    partition: u32,
+    num_partitions: u32,
+    server: &mut Server,
+    net: &mut Net,
+    telemetry: &Telemetry,
+) -> io::Result<Store> {
+    let failed = |what: &'static str| {
+        move |e: io::Error| io::Error::new(e.kind(), format!("{what} store {}: {e}", dir.display()))
+    };
+    let store = Store::open(StoreConfig::new(dir, partition), telemetry.clone())
+        .map_err(failed("opening"))?;
+    replay_into(dir, partition, server, net, telemetry).map_err(failed("replaying"))?;
+    net.take_downlinks();
+    server.take_outbox();
+    if store.next_seq() == 0 {
+        store.append_record(&LogRecord::Meta {
+            partition,
+            num_partitions,
+        });
+    }
+    server.set_journal(Some(Arc::new(store.clone())));
+    Ok(store)
+}
+
 /// Historical trajectory query over a log directory on disk (the offline
 /// twin of [`Store::trajectory`]).
 pub fn read_trajectory(

@@ -204,17 +204,31 @@ rm -f "$persist_out"
 # journal records they acknowledge (pinned by the serve.rs unit test), so
 # the replayed log holds everything the coordinator saw complete. Under
 # `respawn` the restarted process wipes its stale log (`store_fresh`) and
-# the coordinator starts it with an empty mirror.
+# the coordinator starts it with an empty mirror. The rows with a 5-tick
+# rebalance cadence crash between installed generations (tick 8 falls
+# after the tick-5 install), so the dead partition's replay must honour
+# the `Bounds` record its log holds, and the fences must still install
+# and never abort.
 persist_drive=$(mktemp) && persist_store=$(mktemp -d)
-for rec in failover respawn; do
-  cargo run -q --release --bin mobieyes-serve -- drive --transport uds \
-    --partitions 4 --ticks 40 --seed 7 --crash-tick 8 --kill 1 \
-    --recovery "$rec" --store-dir "$persist_store" --json "$persist_drive" >/dev/null
-  assert_json "$persist_drive" require digests_match true \
-    || { echo "persist smoke ($rec): store-backed drive digest diverged from lock-step"; exit 1; }
-  replayed=$(assert_json "$persist_drive" get queries_replayed)
-  awk -v n="$replayed" 'BEGIN { exit !(n >= 1) }' \
-    || { echo "persist smoke ($rec): no query was recovered via log replay"; exit 1; }
+for rebalance in 0 5; do
+  for rec in failover respawn; do
+    row="$rec, --rebalance-ticks $rebalance"
+    cargo run -q --release --bin mobieyes-serve -- drive --transport uds \
+      --partitions 4 --ticks 40 --seed 7 --crash-tick 8 --kill 1 \
+      --recovery "$rec" --rebalance-ticks "$rebalance" \
+      --store-dir "$persist_store" --json "$persist_drive" >/dev/null
+    assert_json "$persist_drive" require digests_match true \
+      || { echo "persist smoke ($row): store-backed drive digest diverged from lock-step"; exit 1; }
+    replayed=$(assert_json "$persist_drive" get queries_replayed)
+    awk -v n="$replayed" 'BEGIN { exit !(n >= 1) }' \
+      || { echo "persist smoke ($row): no query was recovered via log replay"; exit 1; }
+    [ "$rebalance" -eq 0 ] && continue
+    installs=$(assert_json "$persist_drive" get rebalance_installs)
+    awk -v n="$installs" 'BEGIN { exit !(n >= 1) }' \
+      || { echo "persist smoke ($row): no partition-map generation installed"; exit 1; }
+    assert_json "$persist_drive" require rebalance_aborts 0 \
+      || { echo "persist smoke ($row): a rebalance fence aborted"; exit 1; }
+  done
 done
 rm -rf "$persist_drive" "$persist_store"
 # Historical trajectories through the CLI: journal a short run, then
