@@ -62,7 +62,7 @@ pub struct Envelope {
 
 impl WireSized for Envelope {
     fn wire_size(&self) -> usize {
-        4 + self.msg.wire_size()
+        mobieyes_core::codec::encoded_len(self)
     }
 }
 

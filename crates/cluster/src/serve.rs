@@ -395,6 +395,26 @@ mod tests {
         std::fs::remove_file(&file).expect("clean up");
     }
 
+    /// Each `Init` the partition could not be built from — a degenerate
+    /// grid, station layout or partition split — ends the session with a
+    /// classified frame error before anything is built: no reply, no panic.
+    #[test]
+    fn a_bad_init_ends_the_session_with_a_frame_error_not_a_panic() {
+        for (name, init) in wire::tests::bad_inits() {
+            let (mut conn, service) = serve_on_loopback();
+            call(&mut conn, &PartitionOp::Init(init), true);
+            let err = service
+                .join()
+                .unwrap_or_else(|_| panic!("{name}: the service panicked"))
+                .expect_err(name);
+            assert!(matches!(err, TransportError::Frame(_)), "{name}: {err}");
+            assert!(
+                conn.read_frame().is_err(),
+                "{name}: no reply acknowledges the Init"
+            );
+        }
+    }
+
     /// *Acknowledged implies journaled* with replies held back: a batch of
     /// posted ops arrives in one write, so the service executes a run of
     /// them before it answers any — and whenever a reply is readable, the

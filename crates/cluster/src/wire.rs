@@ -35,38 +35,32 @@
 //!   queries the partition homes ([`HomeChange`]), from which the
 //!   coordinator keeps an exact mirror of both key sets instead of asking.
 //!
-//! Everything here rides on the bounds-checked primitives of
-//! [`mobieyes_core::codec`] — a malformed frame is a [`TransportError`],
-//! never a panic.
+//! Every frame layout is one [`Wire`] declaration — the ops, the replies,
+//! the bus envelope — over the record, message and payload layouts of
+//! [`mobieyes_core::codec`] and [`mobieyes_core::journal`]. A malformed
+//! frame is a [`TransportError`], never a panic.
 
 use crate::cluster_server::Envelope;
-use mobieyes_core::codec::{
-    self, decode_cluster, decode_downlink, encode_cluster, encode_downlink, DecodeError, Put,
-    Reader,
-};
-use mobieyes_core::journal::{decode_record, encode_record};
+use mobieyes_core::codec::{self, get_n, DecodeError, Put, Reader, Wire};
 pub use mobieyes_core::ReplyPayload;
 use mobieyes_core::{ClusterMsg, Downlink, HomeChange, LogRecord, ObjectId, Propagation, QueryId};
 use mobieyes_geo::Rect;
 use mobieyes_net::{Frame, Routed, TransportError};
 
+mobieyes_core::wire!(
+    struct Envelope {
+        to: u32,
+        msg: ClusterMsg,
+    }
+);
+
 impl Frame for Envelope {
     fn encode_frame(&self, out: &mut Vec<u8>) {
-        out.put_u32_le(self.to);
-        encode_cluster(&self.msg, out);
+        self.put(out);
     }
 
-    fn decode_frame(bytes: &[u8]) -> std::result::Result<Self, TransportError> {
-        let mut buf = Reader::new(bytes);
-        let to = buf.get_u32_le("envelope destination").map_err(frame_err)?;
-        let msg = decode_cluster(&mut buf).map_err(frame_err)?;
-        if buf.remaining() != 0 {
-            return Err(TransportError::Frame(format!(
-                "{} trailing bytes after envelope",
-                buf.remaining()
-            )));
-        }
-        Ok(Envelope { to, msg })
+    fn decode_frame(bytes: &[u8]) -> Result<Self> {
+        decode_frame(bytes, "envelope")
     }
 }
 
@@ -76,11 +70,20 @@ impl Routed for Envelope {
     }
 }
 
-fn frame_err(e: DecodeError) -> TransportError {
-    TransportError::Frame(e.to_string())
-}
-
 type Result<T> = std::result::Result<T, TransportError>;
+
+/// Decodes exactly one `T` from a frame: malformed input or bytes left
+/// behind it are a [`TransportError::Frame`].
+fn decode_frame<T: Wire>(bytes: &[u8], what: &str) -> Result<T> {
+    let mut buf = Reader::new(bytes);
+    let value = T::get(&mut buf).map_err(|e| TransportError::Frame(e.to_string()))?;
+    match buf.remaining() {
+        0 => Ok(value),
+        n => Err(TransportError::Frame(format!(
+            "{n} trailing bytes after {what}"
+        ))),
+    }
+}
 
 /// Everything a partition process needs to reconstruct the deployment the
 /// coordinator runs: the protocol configuration, the base-station layout
@@ -237,263 +240,176 @@ pub struct PartitionReply {
     pub homes: Vec<HomeChange>,
 }
 
-// --- request encoding --------------------------------------------------------
+// --- layouts -------------------------------------------------------------------
 
-fn put_oid(out: &mut Vec<u8>, oid: ObjectId) {
-    out.put_u32_le(oid.0);
-}
+/// `Init`'s layout. Decoding refuses every configuration the partition
+/// could not be built from — a degenerate or non-finite universe, a cell
+/// or station side that is not a positive finite length, a grid or
+/// station lattice whose ids overflow the `u32` they travel as, no
+/// partitions, more partitions than cells, a slot outside the count — so
+/// a bad `Init` is a classified frame error, never an assertion failing
+/// in the partition process.
+impl Wire for InitConfig {
+    const MIN_LEN: usize = 10 * f64::MIN_LEN
+        + Propagation::MIN_LEN
+        + 4 * bool::MIN_LEN
+        + 2 * u32::MIN_LEN
+        + Option::<String>::MIN_LEN;
 
-fn get_oid(buf: &mut Reader<'_>) -> std::result::Result<ObjectId, DecodeError> {
-    Ok(ObjectId(buf.get_u32_le("object id")?))
-}
+    fn put(&self, out: &mut impl Put) {
+        let u = &self.universe;
+        (u.lx, u.ly, u.hx(), u.hy()).put(out);
+        (self.alpha, self.alen, self.delta, self.propagation).put(out);
+        (self.grouping, self.safe_period, self.deliver_results).put(out);
+        (self.system_max_speed, self.lease_secs, self.heartbeat_secs).put(out);
+        (self.partition, self.num_partitions).put(out);
+        self.store_dir.put(out);
+        self.store_fresh.put(out);
+    }
 
-fn put_qid(out: &mut Vec<u8>, qid: QueryId) {
-    out.put_u32_le(qid.0);
-}
-
-fn get_qid(buf: &mut Reader<'_>) -> std::result::Result<QueryId, DecodeError> {
-    Ok(QueryId(buf.get_u32_le("query id")?))
-}
-
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        Some(x) => {
-            out.put_u8(1);
-            out.put_f64_le(x);
+    fn get(buf: &mut Reader<'_>) -> codec::Result<Self> {
+        let refuse = |why: String| Err(DecodeError(format!("unusable Init: {why}")));
+        let (lx, ly, hx, hy) = <(f64, f64, f64, f64)>::get(buf)?;
+        if ![lx, ly, hx, hy].iter().all(|v| v.is_finite()) || hx <= lx || hy <= ly {
+            return refuse(format!("universe ({lx}, {ly})..({hx}, {hy})"));
         }
-        None => out.put_u8(0),
-    }
-}
-
-fn get_opt_f64(buf: &mut Reader<'_>) -> std::result::Result<Option<f64>, DecodeError> {
-    Ok(if buf.get_u8("option flag")? != 0 {
-        Some(buf.get_f64_le("f64 value")?)
-    } else {
-        None
-    })
-}
-
-fn put_qids(out: &mut Vec<u8>, qids: &[QueryId]) {
-    out.put_u32_le(qids.len() as u32);
-    for q in qids {
-        put_qid(out, *q);
-    }
-}
-
-fn get_qids(buf: &mut Reader<'_>) -> std::result::Result<Vec<QueryId>, DecodeError> {
-    let n = buf.get_u32_le("qid count")? as usize;
-    if n * 4 > buf.remaining() {
-        return Err(DecodeError(format!("oversized qid count {n}")));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_qid(buf)?);
-    }
-    Ok(out)
-}
-
-/// LEB128 count prefix — one byte for the (almost always empty) `homes`
-/// list, where the fixed-width `u32` prefixes used elsewhere would add
-/// three bytes to every reply.
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.put_u8(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.put_u8(v as u8);
-}
-
-fn get_varint(buf: &mut Reader<'_>, what: &str) -> std::result::Result<u64, DecodeError> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let b = buf.get_u8(what)?;
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
+        let (alpha, alen, delta, propagation) = Wire::get(buf)?;
+        let (grouping, safe_period, deliver_results) = Wire::get(buf)?;
+        let (system_max_speed, lease_secs, heartbeat_secs) = Wire::get(buf)?;
+        let (partition, num_partitions) = <(u32, u32)>::get(buf)?;
+        let init = InitConfig {
+            universe: Rect::from_bounds(lx, ly, hx, hy),
+            alpha,
+            alen,
+            delta,
+            propagation,
+            grouping,
+            safe_period,
+            deliver_results,
+            system_max_speed,
+            lease_secs,
+            heartbeat_secs,
+            partition,
+            num_partitions,
+            store_dir: Wire::get(buf)?,
+            store_fresh: Wire::get(buf)?,
+        };
+        // Ids on a lattice of `side`-long squares over the universe.
+        let lattice = |side: f64| {
+            let span = |len: f64| (len / side).ceil().max(1.0);
+            span(hx - lx) * span(hy - ly)
+        };
+        let positive = |v: f64| v > 0.0 && v.is_finite();
+        let cells = lattice(alpha);
+        if !positive(alpha) || cells > f64::from(u32::MAX) {
+            return refuse(format!("cell side {alpha}"));
         }
+        if !positive(alen) || lattice(alen) > f64::from(u32::MAX) {
+            return refuse(format!("station side {alen}"));
+        }
+        if num_partitions == 0 || f64::from(num_partitions) > cells {
+            return refuse(format!("{num_partitions} partitions over {cells} cells"));
+        }
+        if partition >= num_partitions {
+            return refuse(format!("partition {partition} of {num_partitions}"));
+        }
+        Ok(init)
     }
-    Err(DecodeError(format!("overlong varint in {what}")))
 }
 
-/// Tag of [`PartitionOp::Apply`]; the journal codec's record follows it.
+/// Tag of [`PartitionOp::Apply`] in the layout below, which
+/// [`encode_apply`] writes by hand.
 const APPLY: u8 = 1;
+
+mobieyes_core::wire!(enum PartitionOp {
+    0 => Init(config: InitConfig),
+    1 => Apply(rec: LogRecord),
+    2 => Shutdown,
+    3 => ExpiredQueryIds(now: f64),
+    4 => ExpiredLeases,
+    5 => ReinstallInfo(qid: QueryId),
+    6 => DigestCells,
+    7 => CurrentEpoch,
+    8 => QueryIds,
+    9 => QueryResult(qid: QueryId),
+    10 => QueryFocal(qid: QueryId),
+    11 => FocalMotion(oid: ObjectId),
+    12 => FocalQueries(oid: ObjectId),
+    13 => ObjectMemberships(oid: ObjectId),
+    14 => QueryCell(qid: QueryId),
+    15 => CheckInvariants,
+    16 => FocalIds,
+    17 => FocalAnchorCell(oid: ObjectId),
+    18 => Checkpoint,
+    19 => Trajectory { oid: ObjectId, t0: f64, t1: f64 },
+    20 => LoadSignal,
+});
+
+mobieyes_core::wire!(enum NetAction {
+    0 => Unicast { node: u32, msg: Downlink },
+    1 => Broadcast { station: u32, msg: Downlink },
+});
+
+/// The `homes` list's count: LEB128 — one byte for the (almost always
+/// empty) list, where the fixed-width `u32` count used elsewhere would add
+/// three bytes to every reply — then each element.
+mod varint_seq {
+    use super::{codec, get_n, DecodeError, Put, Reader, Wire};
+
+    pub const MIN_LEN: usize = 1;
+
+    pub fn put<T: Wire>(out: &mut impl Put, items: &[T]) {
+        let mut n = items.len() as u64;
+        while n >= 0x80 {
+            (n as u8 | 0x80).put(out);
+            n >>= 7;
+        }
+        (n as u8).put(out);
+        for item in items {
+            item.put(out);
+        }
+    }
+
+    pub fn get<T: Wire>(buf: &mut Reader<'_>) -> codec::Result<Vec<T>> {
+        let mut n = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = u8::get(buf)?;
+            n |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return get_n(buf, n as usize, T::MIN_LEN, T::get);
+            }
+        }
+        Err(DecodeError("overlong varint count".into()))
+    }
+}
+
+mobieyes_core::wire!(struct PartitionReply {
+    epoch: u64,
+    outbox: Vec<(u32, ClusterMsg)>,
+    net: Vec<NetAction>,
+    payload: ReplyPayload,
+    homes: Vec<HomeChange> as varint_seq,
+});
+
+// --- frames ------------------------------------------------------------------
 
 /// Encodes a request frame: the coordinator's epoch floor, then the op.
 pub fn encode_request(epoch_floor: u64, op: &PartitionOp, out: &mut Vec<u8>) {
-    out.put_u64_le(epoch_floor);
-    match op {
-        PartitionOp::Init(c) => {
-            out.put_u8(0);
-            out.put_f64_le(c.universe.lx);
-            out.put_f64_le(c.universe.ly);
-            out.put_f64_le(c.universe.hx());
-            out.put_f64_le(c.universe.hy());
-            out.put_f64_le(c.alpha);
-            out.put_f64_le(c.alen);
-            out.put_f64_le(c.delta);
-            out.put_u8(match c.propagation {
-                Propagation::Eager => 0,
-                Propagation::Lazy => 1,
-            });
-            out.put_u8(c.grouping as u8);
-            out.put_u8(c.safe_period as u8);
-            out.put_u8(c.deliver_results as u8);
-            out.put_f64_le(c.system_max_speed);
-            out.put_f64_le(c.lease_secs);
-            out.put_f64_le(c.heartbeat_secs);
-            out.put_u32_le(c.partition);
-            out.put_u32_le(c.num_partitions);
-            match &c.store_dir {
-                Some(dir) => {
-                    out.put_u8(1);
-                    codec::put_string(out, dir);
-                }
-                None => out.put_u8(0),
-            }
-            out.put_u8(c.store_fresh as u8);
-        }
-        PartitionOp::Apply(rec) => {
-            out.put_u8(APPLY);
-            encode_record(rec, out);
-        }
-        PartitionOp::Shutdown => out.put_u8(2),
-        PartitionOp::ExpiredQueryIds(now) => {
-            out.put_u8(3);
-            out.put_f64_le(*now);
-        }
-        PartitionOp::ExpiredLeases => out.put_u8(4),
-        PartitionOp::ReinstallInfo(qid) => {
-            out.put_u8(5);
-            put_qid(out, *qid);
-        }
-        PartitionOp::DigestCells => out.put_u8(6),
-        PartitionOp::CurrentEpoch => out.put_u8(7),
-        PartitionOp::QueryIds => out.put_u8(8),
-        PartitionOp::QueryResult(qid) => {
-            out.put_u8(9);
-            put_qid(out, *qid);
-        }
-        PartitionOp::QueryFocal(qid) => {
-            out.put_u8(10);
-            put_qid(out, *qid);
-        }
-        PartitionOp::FocalMotion(oid) => {
-            out.put_u8(11);
-            put_oid(out, *oid);
-        }
-        PartitionOp::FocalQueries(oid) => {
-            out.put_u8(12);
-            put_oid(out, *oid);
-        }
-        PartitionOp::ObjectMemberships(oid) => {
-            out.put_u8(13);
-            put_oid(out, *oid);
-        }
-        PartitionOp::QueryCell(qid) => {
-            out.put_u8(14);
-            put_qid(out, *qid);
-        }
-        PartitionOp::CheckInvariants => out.put_u8(15),
-        PartitionOp::FocalIds => out.put_u8(16),
-        PartitionOp::FocalAnchorCell(oid) => {
-            out.put_u8(17);
-            put_oid(out, *oid);
-        }
-        PartitionOp::Checkpoint => out.put_u8(18),
-        PartitionOp::Trajectory { oid, t0, t1 } => {
-            out.put_u8(19);
-            put_oid(out, *oid);
-            out.put_f64_le(*t0);
-            out.put_f64_le(*t1);
-        }
-        PartitionOp::LoadSignal => out.put_u8(20),
-    }
+    epoch_floor.put(out);
+    op.put(out);
 }
 
 /// Encodes the request frame of `Apply(rec)` from a borrowed record — what
 /// a handle sends, so no record is copied into an op to be encoded.
 pub(crate) fn encode_apply(epoch_floor: u64, rec: &LogRecord, out: &mut Vec<u8>) {
-    out.put_u64_le(epoch_floor);
-    out.put_u8(APPLY);
-    encode_record(rec, out);
+    (epoch_floor, APPLY).put(out);
+    rec.put(out);
 }
 
 /// Decodes a request frame into `(epoch_floor, op)`. An `Apply` of a record
 /// [`is_partition_record`] does not list is a [`TransportError::Protocol`].
 pub fn decode_request(bytes: &[u8]) -> Result<(u64, PartitionOp)> {
-    let mut buf = Reader::new(bytes);
-    let mut inner = || -> std::result::Result<(u64, PartitionOp), DecodeError> {
-        let floor = buf.get_u64_le("epoch floor")?;
-        let op = match buf.get_u8("op tag")? {
-            0 => {
-                let lx = buf.get_f64_le("universe")?;
-                let ly = buf.get_f64_le("universe")?;
-                let hx = buf.get_f64_le("universe")?;
-                let hy = buf.get_f64_le("universe")?;
-                if !(lx.is_finite() && ly.is_finite() && hx >= lx && hy >= ly) {
-                    return Err(DecodeError("invalid universe bounds".into()));
-                }
-                PartitionOp::Init(InitConfig {
-                    universe: Rect::from_bounds(lx, ly, hx, hy),
-                    alpha: buf.get_f64_le("alpha")?,
-                    alen: buf.get_f64_le("alen")?,
-                    delta: buf.get_f64_le("delta")?,
-                    propagation: match buf.get_u8("propagation")? {
-                        0 => Propagation::Eager,
-                        1 => Propagation::Lazy,
-                        t => return Err(DecodeError(format!("unknown propagation tag {t}"))),
-                    },
-                    grouping: buf.get_u8("grouping")? != 0,
-                    safe_period: buf.get_u8("safe period")? != 0,
-                    deliver_results: buf.get_u8("deliver results")? != 0,
-                    system_max_speed: buf.get_f64_le("system max speed")?,
-                    lease_secs: buf.get_f64_le("lease secs")?,
-                    heartbeat_secs: buf.get_f64_le("heartbeat secs")?,
-                    partition: buf.get_u32_le("partition")?,
-                    num_partitions: buf.get_u32_le("num partitions")?,
-                    store_dir: if buf.get_u8("store dir flag")? != 0 {
-                        Some(codec::get_string(&mut buf)?)
-                    } else {
-                        None
-                    },
-                    store_fresh: buf.get_u8("store fresh")? != 0,
-                })
-            }
-            APPLY => PartitionOp::Apply(decode_record(&mut buf)?),
-            2 => PartitionOp::Shutdown,
-            3 => PartitionOp::ExpiredQueryIds(buf.get_f64_le("now")?),
-            4 => PartitionOp::ExpiredLeases,
-            5 => PartitionOp::ReinstallInfo(get_qid(&mut buf)?),
-            6 => PartitionOp::DigestCells,
-            7 => PartitionOp::CurrentEpoch,
-            8 => PartitionOp::QueryIds,
-            9 => PartitionOp::QueryResult(get_qid(&mut buf)?),
-            10 => PartitionOp::QueryFocal(get_qid(&mut buf)?),
-            11 => PartitionOp::FocalMotion(get_oid(&mut buf)?),
-            12 => PartitionOp::FocalQueries(get_oid(&mut buf)?),
-            13 => PartitionOp::ObjectMemberships(get_oid(&mut buf)?),
-            14 => PartitionOp::QueryCell(get_qid(&mut buf)?),
-            15 => PartitionOp::CheckInvariants,
-            16 => PartitionOp::FocalIds,
-            17 => PartitionOp::FocalAnchorCell(get_oid(&mut buf)?),
-            18 => PartitionOp::Checkpoint,
-            19 => PartitionOp::Trajectory {
-                oid: get_oid(&mut buf)?,
-                t0: buf.get_f64_le("trajectory start")?,
-                t1: buf.get_f64_le("trajectory end")?,
-            },
-            20 => PartitionOp::LoadSignal,
-            t => return Err(DecodeError(format!("unknown partition op tag {t}"))),
-        };
-        Ok((floor, op))
-    };
-    let (floor, op) = inner().map_err(frame_err)?;
-    if buf.remaining() != 0 {
-        return Err(TransportError::Frame(format!(
-            "{} trailing bytes after partition op",
-            buf.remaining()
-        )));
-    }
+    let (floor, op) = decode_frame(bytes, "partition op")?;
     if let PartitionOp::Apply(rec) = &op {
         if !is_partition_record(rec) {
             return Err(TransportError::Protocol(format!(
@@ -504,347 +420,28 @@ pub fn decode_request(bytes: &[u8]) -> Result<(u64, PartitionOp)> {
     Ok((floor, op))
 }
 
-// --- reply encoding ----------------------------------------------------------
-
 /// Encodes a reply frame.
 pub fn encode_reply(reply: &PartitionReply, out: &mut Vec<u8>) {
-    out.put_u64_le(reply.epoch);
-    out.put_u32_le(reply.outbox.len() as u32);
-    for (to, msg) in &reply.outbox {
-        out.put_u32_le(*to);
-        encode_cluster(msg, out);
-    }
-    out.put_u32_le(reply.net.len() as u32);
-    for action in &reply.net {
-        match action {
-            NetAction::Unicast { node, msg } => {
-                out.put_u8(0);
-                out.put_u32_le(*node);
-                encode_downlink(msg, out);
-            }
-            NetAction::Broadcast { station, msg } => {
-                out.put_u8(1);
-                out.put_u32_le(*station);
-                encode_downlink(msg, out);
-            }
-        }
-    }
-    match &reply.payload {
-        ReplyPayload::Unit => out.put_u8(0),
-        ReplyPayload::Bool(b) => {
-            out.put_u8(1);
-            out.put_u8(*b as u8);
-        }
-        ReplyPayload::U64(v) => {
-            out.put_u8(2);
-            out.put_u64_le(*v);
-        }
-        ReplyPayload::Qids(qids) => {
-            out.put_u8(3);
-            put_qids(out, qids);
-        }
-        ReplyPayload::OptQids(v) => {
-            out.put_u8(4);
-            match v {
-                Some(qids) => {
-                    out.put_u8(1);
-                    put_qids(out, qids);
-                }
-                None => out.put_u8(0),
-            }
-        }
-        ReplyPayload::OptCluster(v) => {
-            out.put_u8(5);
-            match v {
-                Some(msg) => {
-                    out.put_u8(1);
-                    encode_cluster(msg, out);
-                }
-                None => out.put_u8(0),
-            }
-        }
-        ReplyPayload::OptMotion(v) => {
-            out.put_u8(6);
-            match v {
-                Some(m) => {
-                    out.put_u8(1);
-                    codec::put_motion(out, m);
-                }
-                None => out.put_u8(0),
-            }
-        }
-        ReplyPayload::OptCell(v) => {
-            out.put_u8(7);
-            match v {
-                Some(c) => {
-                    out.put_u8(1);
-                    codec::put_cell(out, *c);
-                }
-                None => out.put_u8(0),
-            }
-        }
-        ReplyPayload::OptOid(v) => {
-            out.put_u8(8);
-            match v {
-                Some(oid) => {
-                    out.put_u8(1);
-                    put_oid(out, *oid);
-                }
-                None => out.put_u8(0),
-            }
-        }
-        ReplyPayload::Digests(digests) => {
-            out.put_u8(9);
-            out.put_u32_le(digests.len() as u32);
-            for (cell, digest) in digests {
-                codec::put_cell(out, *cell);
-                out.put_u64_le(*digest);
-            }
-        }
-        ReplyPayload::Leases(leases) => {
-            out.put_u8(10);
-            out.put_u32_le(leases.len() as u32);
-            for (oid, qids) in leases {
-                put_oid(out, *oid);
-                put_qids(out, qids);
-            }
-        }
-        ReplyPayload::Reinstall(v) => {
-            out.put_u8(11);
-            match v {
-                Some((region, filter, expires_at)) => {
-                    out.put_u8(1);
-                    codec::put_region(out, region);
-                    codec::put_filter(out, filter);
-                    put_opt_f64(out, *expires_at);
-                }
-                None => out.put_u8(0),
-            }
-        }
-        ReplyPayload::ResultSet(v) => {
-            out.put_u8(12);
-            match v {
-                Some(oids) => {
-                    out.put_u8(1);
-                    out.put_u32_le(oids.len() as u32);
-                    for oid in oids {
-                        put_oid(out, *oid);
-                    }
-                }
-                None => out.put_u8(0),
-            }
-        }
-        ReplyPayload::Oids(oids) => {
-            out.put_u8(13);
-            out.put_u32_le(oids.len() as u32);
-            for oid in oids {
-                put_oid(out, *oid);
-            }
-        }
-        ReplyPayload::Motions(motions) => {
-            out.put_u8(14);
-            out.put_u32_le(motions.len() as u32);
-            for m in motions {
-                codec::put_motion(out, m);
-            }
-        }
-        ReplyPayload::Load {
-            focals,
-            queries,
-            stubs,
-        } => {
-            out.put_u8(15);
-            out.put_u64_le(*focals);
-            out.put_u64_le(*queries);
-            out.put_u64_le(*stubs);
-        }
-    }
-    put_varint(out, reply.homes.len() as u64);
-    for change in &reply.homes {
-        let (tag, id) = match *change {
-            HomeChange::FocalAdded(o) => (0, o.0),
-            HomeChange::FocalRemoved(o) => (1, o.0),
-            HomeChange::QueryAdded(q) => (2, q.0),
-            HomeChange::QueryRemoved(q) => (3, q.0),
-        };
-        out.put_u8(tag);
-        out.put_u32_le(id);
-    }
+    reply.put(out);
 }
 
 /// Decodes a reply frame.
 pub fn decode_reply(bytes: &[u8]) -> Result<PartitionReply> {
-    let mut buf = Reader::new(bytes);
-    let mut inner = || -> std::result::Result<PartitionReply, DecodeError> {
-        let epoch = buf.get_u64_le("reply epoch")?;
-        let n = buf.get_u32_le("outbox count")? as usize;
-        if n * 5 > buf.remaining() {
-            return Err(DecodeError(format!("oversized outbox count {n}")));
-        }
-        let mut outbox = Vec::with_capacity(n);
-        for _ in 0..n {
-            let to = buf.get_u32_le("outbox destination")?;
-            outbox.push((to, decode_cluster(&mut buf)?));
-        }
-        let n = buf.get_u32_le("net action count")? as usize;
-        if n * 6 > buf.remaining() {
-            return Err(DecodeError(format!("oversized net action count {n}")));
-        }
-        let mut net = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tag = buf.get_u8("net action tag")?;
-            let target = buf.get_u32_le("net action target")?;
-            let msg = decode_downlink(&mut buf)?;
-            net.push(match tag {
-                0 => NetAction::Unicast { node: target, msg },
-                1 => NetAction::Broadcast {
-                    station: target,
-                    msg,
-                },
-                t => return Err(DecodeError(format!("unknown net action tag {t}"))),
-            });
-        }
-        let payload = match buf.get_u8("payload tag")? {
-            0 => ReplyPayload::Unit,
-            1 => ReplyPayload::Bool(buf.get_u8("bool")? != 0),
-            2 => ReplyPayload::U64(buf.get_u64_le("u64")?),
-            3 => ReplyPayload::Qids(get_qids(&mut buf)?),
-            4 => ReplyPayload::OptQids(if buf.get_u8("option flag")? != 0 {
-                Some(get_qids(&mut buf)?)
-            } else {
-                None
-            }),
-            5 => ReplyPayload::OptCluster(if buf.get_u8("option flag")? != 0 {
-                Some(decode_cluster(&mut buf)?)
-            } else {
-                None
-            }),
-            6 => ReplyPayload::OptMotion(if buf.get_u8("option flag")? != 0 {
-                Some(codec::get_motion(&mut buf)?)
-            } else {
-                None
-            }),
-            7 => ReplyPayload::OptCell(if buf.get_u8("option flag")? != 0 {
-                Some(codec::get_cell(&mut buf)?)
-            } else {
-                None
-            }),
-            8 => ReplyPayload::OptOid(if buf.get_u8("option flag")? != 0 {
-                Some(get_oid(&mut buf)?)
-            } else {
-                None
-            }),
-            9 => {
-                let n = buf.get_u32_le("digest count")? as usize;
-                if n * 16 > buf.remaining() {
-                    return Err(DecodeError(format!("oversized digest count {n}")));
-                }
-                let mut digests = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let cell = codec::get_cell(&mut buf)?;
-                    digests.push((cell, buf.get_u64_le("digest")?));
-                }
-                ReplyPayload::Digests(digests)
-            }
-            10 => {
-                let n = buf.get_u32_le("lease count")? as usize;
-                if n * 8 > buf.remaining() {
-                    return Err(DecodeError(format!("oversized lease count {n}")));
-                }
-                let mut leases = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let oid = get_oid(&mut buf)?;
-                    leases.push((oid, get_qids(&mut buf)?));
-                }
-                ReplyPayload::Leases(leases)
-            }
-            11 => ReplyPayload::Reinstall(if buf.get_u8("option flag")? != 0 {
-                let region = codec::get_region(&mut buf)?;
-                let filter = codec::get_filter(&mut buf)?.into();
-                Some((region, filter, get_opt_f64(&mut buf)?))
-            } else {
-                None
-            }),
-            12 => ReplyPayload::ResultSet(if buf.get_u8("option flag")? != 0 {
-                let n = buf.get_u32_le("result count")? as usize;
-                if n * 4 > buf.remaining() {
-                    return Err(DecodeError(format!("oversized result count {n}")));
-                }
-                let mut oids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    oids.push(get_oid(&mut buf)?);
-                }
-                Some(oids)
-            } else {
-                None
-            }),
-            13 => {
-                let n = buf.get_u32_le("oid count")? as usize;
-                if n * 4 > buf.remaining() {
-                    return Err(DecodeError(format!("oversized oid count {n}")));
-                }
-                let mut oids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    oids.push(get_oid(&mut buf)?);
-                }
-                ReplyPayload::Oids(oids)
-            }
-            14 => {
-                let n = buf.get_u32_le("motion count")? as usize;
-                if n * 40 > buf.remaining() {
-                    return Err(DecodeError(format!("oversized motion count {n}")));
-                }
-                let mut motions = Vec::with_capacity(n);
-                for _ in 0..n {
-                    motions.push(codec::get_motion(&mut buf)?);
-                }
-                ReplyPayload::Motions(motions)
-            }
-            15 => ReplyPayload::Load {
-                focals: buf.get_u64_le("load focals")?,
-                queries: buf.get_u64_le("load queries")?,
-                stubs: buf.get_u64_le("load stubs")?,
-            },
-            t => return Err(DecodeError(format!("unknown reply payload tag {t}"))),
-        };
-        let n = get_varint(&mut buf, "home change count")? as usize;
-        if n.saturating_mul(5) > buf.remaining() {
-            return Err(DecodeError(format!("oversized home change count {n}")));
-        }
-        let mut homes = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tag = buf.get_u8("home change tag")?;
-            let id = buf.get_u32_le("home change id")?;
-            homes.push(match tag {
-                0 => HomeChange::FocalAdded(ObjectId(id)),
-                1 => HomeChange::FocalRemoved(ObjectId(id)),
-                2 => HomeChange::QueryAdded(QueryId(id)),
-                3 => HomeChange::QueryRemoved(QueryId(id)),
-                t => return Err(DecodeError(format!("unknown home change tag {t}"))),
-            });
-        }
-        Ok(PartitionReply {
-            epoch,
-            outbox,
-            net,
-            payload,
-            homes,
-        })
-    };
-    let reply = inner().map_err(frame_err)?;
-    if buf.remaining() != 0 {
-        return Err(TransportError::Frame(format!(
-            "{} trailing bytes after partition reply",
-            buf.remaining()
-        )));
-    }
-    Ok(reply)
+    decode_frame(bytes, "partition reply")
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use mobieyes_core::{Filter, Uplink};
+
+    // Reply sequences are counted against at least the minimums their
+    // hand-written decoders used.
+    const _: () = {
+        assert!(<(u32, ClusterMsg)>::MIN_LEN >= 5);
+        assert!(NetAction::MIN_LEN >= 6);
+        assert!(HomeChange::MIN_LEN >= 5);
+    };
     use mobieyes_geo::{CellId, GridRect, LinearMotion, Point, QueryRegion, Vec2};
     use std::sync::Arc;
 
@@ -942,7 +539,16 @@ pub(crate) mod tests {
     /// One instance of every op: `Init`, an `Apply` of every sample record,
     /// every read, `Shutdown`.
     pub(crate) fn sample_ops() -> Vec<PartitionOp> {
-        let init = PartitionOp::Init(InitConfig {
+        std::iter::once(PartitionOp::Init(sample_init()))
+            .chain(sample_records().into_iter().map(PartitionOp::Apply))
+            .chain(reads())
+            .chain([PartitionOp::Shutdown])
+            .collect()
+    }
+
+    /// Partition 2 of 4 over a 20 x 20 grid (400 cells).
+    fn sample_init() -> InitConfig {
+        InitConfig {
             universe: Rect::new(0.0, 0.0, 100.0, 100.0),
             alpha: 5.0,
             alen: 10.0,
@@ -958,8 +564,62 @@ pub(crate) mod tests {
             num_partitions: 4,
             store_dir: Some("/tmp/mobieyes-store/p2".into()),
             store_fresh: true,
-        });
-        let reads = [
+        }
+    }
+
+    /// `sample_init` broken in each field the partition could not be
+    /// built from, one case per field and way.
+    pub(crate) fn bad_inits() -> Vec<(&'static str, InitConfig)> {
+        let with = |name, f: fn(&mut InitConfig)| {
+            let mut init = sample_init();
+            f(&mut init);
+            (name, init)
+        };
+        fn universe(hx: f64, hy: f64) -> Rect {
+            Rect::from_bounds(0.0, 0.0, hx, hy)
+        }
+        vec![
+            with("zero-width universe", |c| c.universe = universe(0.0, 100.0)),
+            with("zero-height universe", |c| {
+                c.universe = universe(100.0, 0.0)
+            }),
+            with("infinite hx", |c| {
+                c.universe = universe(f64::INFINITY, 100.0)
+            }),
+            with("infinite hy", |c| {
+                c.universe = universe(100.0, f64::INFINITY)
+            }),
+            with("zero alpha", |c| c.alpha = 0.0),
+            with("negative alpha", |c| c.alpha = -5.0),
+            with("NaN alpha", |c| c.alpha = f64::NAN),
+            with("infinite alpha", |c| c.alpha = f64::INFINITY),
+            with("cells beyond u32 ids", |c| c.alpha = 1e-6),
+            with("zero alen", |c| c.alen = 0.0),
+            with("NaN alen", |c| c.alen = f64::NAN),
+            with("infinite alen", |c| c.alen = f64::INFINITY),
+            with("stations beyond u32 ids", |c| c.alen = 1e-6),
+            with("no partitions", |c| c.num_partitions = 0),
+            with("more partitions than cells", |c| c.num_partitions = 401),
+            with("partition out of range", |c| c.partition = 4),
+        ]
+    }
+
+    /// Every bad `Init` is refused as a frame error at decode, naming why.
+    #[test]
+    fn an_init_the_partition_cannot_be_built_from_is_refused_at_decode() {
+        for (name, init) in bad_inits() {
+            let mut bytes = Vec::new();
+            encode_request(0, &PartitionOp::Init(init), &mut bytes);
+            let err = decode_request(&bytes).expect_err(name);
+            assert!(
+                matches!(&err, TransportError::Frame(text) if text.contains("unusable Init")),
+                "{name}: {err}"
+            );
+        }
+    }
+
+    fn reads() -> Vec<PartitionOp> {
+        vec![
             PartitionOp::ExpiredQueryIds(120.0),
             PartitionOp::ExpiredLeases,
             PartitionOp::ReinstallInfo(QueryId(6)),
@@ -982,12 +642,7 @@ pub(crate) mod tests {
                 t1: 240.0,
             },
             PartitionOp::LoadSignal,
-        ];
-        std::iter::once(init)
-            .chain(sample_records().into_iter().map(PartitionOp::Apply))
-            .chain(reads)
-            .chain([PartitionOp::Shutdown])
-            .collect()
+        ]
     }
 
     fn sample_payloads() -> Vec<ReplyPayload> {
@@ -1054,7 +709,7 @@ pub(crate) mod tests {
             let mut op = Vec::new();
             encode_request(17, &PartitionOp::Apply(rec.clone()), &mut op);
             assert_eq!(framed, op);
-            let record = mobieyes_core::journal::record_bytes(&rec);
+            let record = codec::to_bytes(&rec);
             assert_eq!(framed.len(), 8 + 1 + record.len(), "{rec:?}");
             assert_eq!(&framed[9..], &record[..]);
         }

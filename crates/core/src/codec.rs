@@ -1,33 +1,44 @@
-//! Canonical binary wire encoding for the protocol messages.
+//! The one binary codec: every byte format of the system — the protocol
+//! messages, the journal records, the partition RPC frames and the
+//! checkpoint image — is stated once, as the [`Wire`] implementation of
+//! each type it carries, and encoding, decoding and sizing all follow
+//! from that one statement.
 //!
-//! The message accounting (and thus the paper's messaging-cost and power
-//! figures) is driven by [`mobieyes_net::WireSized::wire_size`]; this module provides the
-//! actual encoding those sizes describe, so the accounting is not a guess:
-//! the `codec` property tests assert `encode(msg).len() == msg.wire_size()`
-//! for every message shape, and that decoding inverts encoding exactly.
+//! The message accounting behind the paper's messaging-cost and power
+//! figures ([`mobieyes_net::WireSized::wire_size`]) is not a separate
+//! description of the format: a message's size is the length of its
+//! encoding, counted by encoding it into a sink that only counts
+//! ([`encoded_len`]).
 //!
-//! Format: little-endian fixed-width scalars, 1-byte enum tags, u16 length
-//! prefixes on strings and vectors. No varints, no compression — the point
-//! is a transparent, auditable cost model, not maximal density.
+//! Format: little-endian fixed-width scalars, 1-byte enum tags and option
+//! flags, `u32` counts on sequences, maps and sets — except inside the
+//! protocol messages, whose sequences carry the `u16` count of [`seq16`]
+//! because that 2-byte prefix is part of the paper's cost model. No
+//! varints, no compression: the point is a transparent, auditable cost
+//! model, not maximal density.
 //!
-//! Since the socket transport landed this is an *untrusted* boundary:
-//! every read through [`Reader`] is bounds-checked and returns a
-//! [`DecodeError`] on truncated or oversized input — malformed bytes can
-//! never panic the decoder. The primitive accessors and the composite
-//! helpers ([`put_motion`]/[`get_motion`] and friends) are public so the
-//! cluster RPC codec composes the same building blocks.
+//! Decoding is an *untrusted* boundary (sockets, disk): every read through
+//! [`Reader`] is bounds-checked and returns a [`DecodeError`] on truncated
+//! input, and every sequence decoder ([`get_n`]) refuses a count whose
+//! elements could not fit in the bytes left — each type declares its
+//! minimum encoded length, [`Wire::MIN_LEN`] — before allocating. Malformed
+//! bytes never panic a decoder.
+//!
+//! Most layouts are declared with [`wire!`](crate::wire): the fields in
+//! the order they are written, from which `put`, `get` and `MIN_LEN` derive.
 
+use crate::config::Propagation;
 use crate::filter::Filter;
 use crate::messages::{
     ClusterMsg, Downlink, QueryGroupInfo, QueryMigration, QuerySpec, StubSeed, Uplink,
 };
 use crate::model::{ObjectId, PropValue, QueryId};
 use mobieyes_geo::{CellId, GridRect, LinearMotion, Point, QueryRegion, Vec2};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Cursor over an encoded byte slice. Every accessor is bounds-checked:
-/// reading past the end returns a [`DecodeError`] naming the field that
-/// was being read, never a slice panic.
+/// Cursor over an encoded byte slice. Reading past the end returns a
+/// [`DecodeError`] naming what was being read, never a slice panic.
 #[derive(Debug, Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -35,107 +46,60 @@ pub struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Takes the next `n` bytes, or errors (`what` names the field) when
-    /// fewer remain.
+    /// fewer remain; a failed take consumes nothing.
+    #[inline]
     pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
         if self.remaining() < n {
-            return Err(DecodeError(format!(
-                "truncated input: {what} needs {n} bytes, {} remain",
-                self.remaining()
-            )));
+            return Err(short_input(
+                format_args!("truncated input: {what} needs {n} bytes"),
+                self.remaining(),
+            ));
         }
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
     }
-
-    pub fn get_u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    pub fn get_u16_le(&mut self, what: &str) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
-    }
-
-    pub fn get_u32_le(&mut self, what: &str) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    pub fn get_u64_le(&mut self, what: &str) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    pub fn get_i64_le(&mut self, what: &str) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    pub fn get_f64_le(&mut self, what: &str) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    /// Reads a u16 element count and sanity-checks it against the bytes
-    /// remaining: a count that could not possibly be satisfied (fewer than
-    /// `min_elem_size` bytes per element left) is an oversized-length
-    /// error, caught before any allocation.
-    pub fn get_count(&mut self, min_elem_size: usize, what: &str) -> Result<usize> {
-        let n = self.get_u16_le(what)? as usize;
-        if n * min_elem_size > self.remaining() {
-            return Err(DecodeError(format!(
-                "oversized length prefix: {what} claims {n} elements but only {} bytes remain",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
 }
 
-/// Little-endian append helpers over the output buffer. Public so other
-/// codecs (the cluster RPC wire format) compose the same primitives.
+/// The error of a read the bytes left cannot satisfy — kept out of line,
+/// so the inlined readers carry no formatting code.
+#[cold]
+#[inline(never)]
+fn short_input(what: std::fmt::Arguments<'_>, remaining: usize) -> DecodeError {
+    DecodeError(format!("{what}, {remaining} remain"))
+}
+
+/// Where encoded bytes go: a buffer, or a counter of them.
 pub trait Put {
-    fn put_u8(&mut self, v: u8);
-    fn put_u16_le(&mut self, v: u16);
-    fn put_u32_le(&mut self, v: u32);
-    fn put_u64_le(&mut self, v: u64);
-    fn put_i64_le(&mut self, v: i64);
-    fn put_f64_le(&mut self, v: f64);
-    fn put_slice(&mut self, v: &[u8]);
+    fn put_slice(&mut self, bytes: &[u8]);
 }
 
 impl Put for Vec<u8> {
-    fn put_u8(&mut self, v: u8) {
-        self.push(v);
+    #[inline]
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
+}
 
-    fn put_u16_le(&mut self, v: u16) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
+/// A sink that counts the bytes an encoding would write instead of
+/// writing them — how a message's wire size is taken from its encoder.
+struct ByteCount(usize);
 
-    fn put_u32_le(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64_le(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_i64_le(&mut self, v: i64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_f64_le(&mut self, v: f64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_slice(&mut self, v: &[u8]) {
-        self.extend_from_slice(v);
+impl Put for ByteCount {
+    #[inline]
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
     }
 }
 
@@ -151,900 +115,561 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-type Result<T> = std::result::Result<T, DecodeError>;
+pub type Result<T> = std::result::Result<T, DecodeError>;
 
-fn err<T>(what: &str) -> Result<T> {
-    Err(DecodeError(what.to_string()))
+/// A type's byte format: how a value is written, and how one is read back.
+pub trait Wire: Sized {
+    /// The fewest bytes any value encodes to. Sequence decoders refuse a
+    /// count of elements that could not fit in the bytes left.
+    const MIN_LEN: usize;
+
+    fn put(&self, out: &mut impl Put);
+
+    fn get(buf: &mut Reader<'_>) -> Result<Self>;
 }
 
-// --- primitive helpers -----------------------------------------------------
-
-pub fn put_string(out: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize);
-    out.put_u16_le(s.len() as u16);
-    out.put_slice(s.as_bytes());
+/// Encodes a value into a fresh buffer.
+pub fn to_bytes<T: Wire>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    value.put(&mut out);
+    out
 }
 
-pub fn get_string(buf: &mut Reader<'_>) -> Result<String> {
-    let len = buf.get_u16_le("string length")? as usize;
-    String::from_utf8(buf.take(len, "string body")?.to_vec())
-        .map_err(|_| DecodeError("invalid utf8".into()))
+/// The length of a value's encoding, counted without writing it.
+pub fn encoded_len<T: Wire>(value: &T) -> usize {
+    let mut count = ByteCount(0);
+    value.put(&mut count);
+    count.0
 }
 
-pub fn put_motion(out: &mut Vec<u8>, m: &LinearMotion) {
-    out.put_f64_le(m.pos.x);
-    out.put_f64_le(m.pos.y);
-    out.put_f64_le(m.vel.x);
-    out.put_f64_le(m.vel.y);
-    out.put_f64_le(m.tm);
-}
-
-pub fn get_motion(buf: &mut Reader<'_>) -> Result<LinearMotion> {
-    Ok(LinearMotion::new(
-        Point::new(buf.get_f64_le("motion")?, buf.get_f64_le("motion")?),
-        Vec2::new(buf.get_f64_le("motion")?, buf.get_f64_le("motion")?),
-        buf.get_f64_le("motion")?,
-    ))
-}
-
-pub fn put_cell(out: &mut Vec<u8>, c: CellId) {
-    out.put_u32_le(c.x);
-    out.put_u32_le(c.y);
-}
-
-pub fn get_cell(buf: &mut Reader<'_>) -> Result<CellId> {
-    Ok(CellId::new(
-        buf.get_u32_le("cell id")?,
-        buf.get_u32_le("cell id")?,
-    ))
-}
-
-pub fn put_grid_rect(out: &mut Vec<u8>, r: &GridRect) {
-    out.put_u32_le(r.x0);
-    out.put_u32_le(r.y0);
-    out.put_u32_le(r.x1);
-    out.put_u32_le(r.y1);
-}
-
-pub fn get_grid_rect(buf: &mut Reader<'_>) -> Result<GridRect> {
-    Ok(GridRect {
-        x0: buf.get_u32_le("grid rect")?,
-        y0: buf.get_u32_le("grid rect")?,
-        x1: buf.get_u32_le("grid rect")?,
-        y1: buf.get_u32_le("grid rect")?,
-    })
-}
-
-pub fn put_region(out: &mut Vec<u8>, r: &QueryRegion) {
-    match *r {
-        QueryRegion::Circle { radius } => {
-            out.put_u8(0);
-            out.put_f64_le(radius);
-        }
-        QueryRegion::Rect { half_w, half_h } => {
-            out.put_u8(1);
-            out.put_f64_le(half_w);
-            out.put_f64_le(half_h);
-        }
+/// The one sequence decoder: `n` elements read by `each`, refused before
+/// anything is allocated when `n` elements of at least `min` bytes could
+/// not fit in what remains.
+pub fn get_n<'a, T>(
+    buf: &mut Reader<'a>,
+    n: usize,
+    min: usize,
+    mut each: impl FnMut(&mut Reader<'a>) -> Result<T>,
+) -> Result<Vec<T>> {
+    if n.saturating_mul(min.max(1)) > buf.remaining() {
+        let what = std::any::type_name::<T>();
+        return Err(short_input(
+            format_args!("oversized length prefix: {n} × {what} claimed"),
+            buf.remaining(),
+        ));
     }
-}
-
-pub fn get_region(buf: &mut Reader<'_>) -> Result<QueryRegion> {
-    match buf.get_u8("region tag")? {
-        0 => Ok(QueryRegion::Circle {
-            radius: buf.get_f64_le("circle radius")?,
-        }),
-        1 => Ok(QueryRegion::Rect {
-            half_w: buf.get_f64_le("rect extents")?,
-            half_h: buf.get_f64_le("rect extents")?,
-        }),
-        t => err(&format!("unknown region tag {t}")),
-    }
-}
-
-fn put_prop_value(out: &mut Vec<u8>, v: &PropValue) {
-    match v {
-        PropValue::Int(i) => {
-            out.put_u8(0);
-            out.put_i64_le(*i);
-        }
-        PropValue::Float(f) => {
-            out.put_u8(1);
-            out.put_f64_le(*f);
-        }
-        PropValue::Text(s) => {
-            out.put_u8(2);
-            put_string(out, s);
-        }
-        PropValue::Bool(b) => {
-            out.put_u8(3);
-            out.put_u8(*b as u8);
-        }
-    }
-}
-
-fn get_prop_value(buf: &mut Reader<'_>) -> Result<PropValue> {
-    match buf.get_u8("prop value tag")? {
-        0 => Ok(PropValue::Int(buf.get_i64_le("int value")?)),
-        1 => Ok(PropValue::Float(buf.get_f64_le("float value")?)),
-        2 => Ok(PropValue::Text(get_string(buf)?)),
-        3 => Ok(PropValue::Bool(buf.get_u8("bool value")? != 0)),
-        t => err(&format!("unknown prop value tag {t}")),
-    }
-}
-
-pub fn put_filter(out: &mut Vec<u8>, f: &Filter) {
-    match f {
-        Filter::True => out.put_u8(0),
-        Filter::False => out.put_u8(1),
-        Filter::Selectivity { selectivity, salt } => {
-            out.put_u8(2);
-            out.put_f64_le(*selectivity);
-            out.put_u64_le(*salt);
-        }
-        Filter::Eq(k, v) => {
-            out.put_u8(3);
-            put_string(out, k);
-            put_prop_value(out, v);
-        }
-        Filter::Lt(k, x) => {
-            out.put_u8(4);
-            put_string(out, k);
-            out.put_f64_le(*x);
-        }
-        Filter::Gt(k, x) => {
-            out.put_u8(5);
-            put_string(out, k);
-            out.put_f64_le(*x);
-        }
-        Filter::And(a, b) => {
-            out.put_u8(6);
-            put_filter(out, a);
-            put_filter(out, b);
-        }
-        Filter::Or(a, b) => {
-            out.put_u8(7);
-            put_filter(out, a);
-            put_filter(out, b);
-        }
-        Filter::Not(inner) => {
-            out.put_u8(8);
-            put_filter(out, inner);
-        }
-    }
-}
-
-pub fn get_filter(buf: &mut Reader<'_>) -> Result<Filter> {
-    Ok(match buf.get_u8("filter tag")? {
-        0 => Filter::True,
-        1 => Filter::False,
-        2 => Filter::Selectivity {
-            selectivity: buf.get_f64_le("selectivity")?,
-            salt: buf.get_u64_le("selectivity salt")?,
-        },
-        3 => Filter::Eq(get_string(buf)?, get_prop_value(buf)?),
-        4 => {
-            let k = get_string(buf)?;
-            Filter::Lt(k, buf.get_f64_le("lt threshold")?)
-        }
-        5 => {
-            let k = get_string(buf)?;
-            Filter::Gt(k, buf.get_f64_le("gt threshold")?)
-        }
-        6 => Filter::And(Box::new(get_filter(buf)?), Box::new(get_filter(buf)?)),
-        7 => Filter::Or(Box::new(get_filter(buf)?), Box::new(get_filter(buf)?)),
-        8 => Filter::Not(Box::new(get_filter(buf)?)),
-        t => return err(&format!("unknown filter tag {t}")),
-    })
-}
-
-fn put_group_info(out: &mut Vec<u8>, info: &QueryGroupInfo) {
-    out.put_u32_le(info.focal.0);
-    put_motion(out, &info.motion);
-    out.put_f64_le(info.max_vel);
-    put_grid_rect(out, &info.mon_region);
-    debug_assert!(info.queries.len() <= u16::MAX as usize);
-    out.put_u16_le(info.queries.len() as u16);
-    for spec in info.queries.iter() {
-        put_spec(out, spec);
-    }
-}
-
-fn get_group_info(buf: &mut Reader<'_>) -> Result<QueryGroupInfo> {
-    let focal = ObjectId(buf.get_u32_le("focal id")?);
-    let motion = get_motion(buf)?;
-    let max_vel = buf.get_f64_le("max vel")?;
-    let mon_region = get_grid_rect(buf)?;
-    let n = buf.get_count(14, "spec count")?;
-    let mut queries = Vec::with_capacity(n);
+    let mut items = Vec::with_capacity(n);
     for _ in 0..n {
-        queries.push(get_spec(buf)?);
+        items.push(each(buf)?);
     }
-    Ok(QueryGroupInfo {
-        focal,
-        motion,
-        max_vel,
-        mon_region,
-        queries: Arc::new(queries),
-    })
+    Ok(items)
 }
 
-// --- uplink ------------------------------------------------------------------
+/// The protocol messages' sequences: a `u16` count — the 2-byte prefix the
+/// paper's cost model charges — then each element. Declared in a
+/// [`wire!`](crate::wire) layout as `field: Vec<T> as seq16`.
+pub mod seq16 {
+    use super::{get_n, Put, Reader, Result, Wire};
 
-/// Encodes an uplink message into `out`.
-pub fn encode_uplink(msg: &Uplink, out: &mut Vec<u8>) {
-    match msg {
-        Uplink::VelocityReport { oid, motion } => {
-            out.put_u8(0);
-            out.put_u32_le(oid.0);
-            put_motion(out, motion);
+    pub const MIN_LEN: usize = 2;
+
+    pub fn put<T: Wire>(out: &mut impl Put, items: &[T]) {
+        put_with(out, items, T::put);
+    }
+
+    pub fn get<T: Wire>(buf: &mut Reader<'_>) -> Result<Vec<T>> {
+        get_with(buf, T::MIN_LEN, T::get)
+    }
+
+    /// [`put`] with the elements written by `each`.
+    pub(crate) fn put_with<P: Put, T>(out: &mut P, items: &[T], each: impl Fn(&T, &mut P)) {
+        debug_assert!(items.len() <= u16::MAX as usize);
+        (items.len() as u16).put(out);
+        for item in items {
+            each(item, out);
         }
-        Uplink::CellChange {
-            oid,
-            prev_cell,
-            new_cell,
-            motion,
-        } => {
-            out.put_u8(1);
-            out.put_u32_le(oid.0);
-            put_cell(out, *prev_cell);
-            put_cell(out, *new_cell);
-            put_motion(out, motion);
-        }
-        Uplink::ResultUpdate { oid, changes } => {
-            out.put_u8(2);
-            out.put_u32_le(oid.0);
-            debug_assert!(changes.len() <= u16::MAX as usize);
-            out.put_u16_le(changes.len() as u16);
-            for (qid, is_target) in changes {
-                out.put_u32_le(qid.0);
-                out.put_u8(*is_target as u8);
-            }
-        }
-        Uplink::GroupResultUpdate {
-            oid,
-            focal,
-            mask,
-            targets,
-        } => {
-            out.put_u8(3);
-            out.put_u32_le(oid.0);
-            out.put_u32_le(focal.0);
-            out.put_u64_le(*mask);
-            out.put_u64_le(*targets);
-        }
-        Uplink::PositionReply {
-            oid,
-            motion,
-            max_vel,
-        } => {
-            out.put_u8(4);
-            out.put_u32_le(oid.0);
-            put_motion(out, motion);
-            out.put_f64_le(*max_vel);
-        }
-        Uplink::Resync {
-            oid,
-            cell,
-            motion,
-            max_vel,
-            fresh,
-        } => {
-            out.put_u8(5);
-            out.put_u32_le(oid.0);
-            put_cell(out, *cell);
-            put_motion(out, motion);
-            out.put_f64_le(*max_vel);
-            out.put_u8(*fresh as u8);
-        }
-        Uplink::LqtSync { oid, entries } => {
-            out.put_u8(6);
-            out.put_u32_le(oid.0);
-            debug_assert!(entries.len() <= u16::MAX as usize);
-            out.put_u16_le(entries.len() as u16);
-            for (qid, is_target) in entries {
-                out.put_u32_le(qid.0);
-                out.put_u8(*is_target as u8);
-            }
-        }
+    }
+
+    /// [`get`] with the elements read by `each`, each at least `min` bytes.
+    pub(crate) fn get_with<'a, T>(
+        buf: &mut Reader<'a>,
+        min: usize,
+        each: impl FnMut(&mut Reader<'a>) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let n = u16::get(buf)?;
+        get_n(buf, n.into(), min, each)
     }
 }
 
-/// Decodes one uplink message from `buf`.
-pub fn decode_uplink(buf: &mut Reader<'_>) -> Result<Uplink> {
-    Ok(match buf.get_u8("uplink tag")? {
-        0 => Uplink::VelocityReport {
-            oid: ObjectId(buf.get_u32_le("oid")?),
-            motion: get_motion(buf)?,
-        },
-        1 => Uplink::CellChange {
-            oid: ObjectId(buf.get_u32_le("oid")?),
-            prev_cell: get_cell(buf)?,
-            new_cell: get_cell(buf)?,
-            motion: get_motion(buf)?,
-        },
-        2 => {
-            let oid = ObjectId(buf.get_u32_le("oid")?);
-            let n = buf.get_count(5, "result change count")?;
-            let mut changes = Vec::with_capacity(n);
-            for _ in 0..n {
-                changes.push((
-                    QueryId(buf.get_u32_le("result change qid")?),
-                    buf.get_u8("result change flag")? != 0,
-                ));
+/// Declares a type's byte layout once and derives its
+/// [`Wire`](crate::codec::Wire) implementation — `put`, `get` and `MIN_LEN` —
+/// from it:
+///
+/// ```ignore
+/// wire!(struct ObjectId(u32));
+/// wire!(struct CellId { x: u32, y: u32 });
+/// wire!(enum QueryRegion {
+///     0 => Circle { radius: f64 },
+///     1 => Rect { half_w: f64, half_h: f64 },
+/// });
+/// ```
+///
+/// A struct is its fields in the order listed (a newtype, its one field);
+/// an enum is a tag byte, then the variant's fields. Unit, brace and tuple
+/// variants are accepted; a tuple variant names its fields to bind them
+/// (`Eq(key: String, value: PropValue)`). A field written
+/// `name: Type as adapter` is encoded by `adapter::put` / `adapter::get`
+/// (minimum `adapter::MIN_LEN`) instead of `Type`'s own implementation — the
+/// `u16`-counted [`seq16`](crate::codec::seq16), for instance. The encoder
+/// is an exhaustive match, so a variant the layout misses does not compile.
+#[macro_export]
+macro_rules! wire {
+    (struct $name:ident($t:ty)) => {
+        impl $crate::codec::Wire for $name {
+            const MIN_LEN: usize = <$t as $crate::codec::Wire>::MIN_LEN;
+            fn put(&self, out: &mut impl $crate::codec::Put) {
+                $crate::codec::Wire::put(&self.0, out)
             }
-            Uplink::ResultUpdate { oid, changes }
-        }
-        3 => Uplink::GroupResultUpdate {
-            oid: ObjectId(buf.get_u32_le("oid")?),
-            focal: ObjectId(buf.get_u32_le("focal")?),
-            mask: buf.get_u64_le("mask")?,
-            targets: buf.get_u64_le("targets")?,
-        },
-        4 => {
-            let oid = ObjectId(buf.get_u32_le("oid")?);
-            let motion = get_motion(buf)?;
-            Uplink::PositionReply {
-                oid,
-                motion,
-                max_vel: buf.get_f64_le("max vel")?,
+            fn get(buf: &mut $crate::codec::Reader<'_>) -> $crate::codec::Result<Self> {
+                <$t as $crate::codec::Wire>::get(buf).map($name)
             }
         }
-        5 => {
-            let oid = ObjectId(buf.get_u32_le("oid")?);
-            let cell = get_cell(buf)?;
-            let motion = get_motion(buf)?;
-            Uplink::Resync {
-                oid,
-                cell,
-                motion,
-                max_vel: buf.get_f64_le("max vel")?,
-                fresh: buf.get_u8("fresh flag")? != 0,
-            }
-        }
-        6 => {
-            let oid = ObjectId(buf.get_u32_le("oid")?);
-            let n = buf.get_count(5, "lqt sync count")?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push((
-                    QueryId(buf.get_u32_le("lqt sync qid")?),
-                    buf.get_u8("lqt sync flag")? != 0,
-                ));
-            }
-            Uplink::LqtSync { oid, entries }
-        }
-        t => return err(&format!("unknown uplink tag {t}")),
-    })
-}
-
-// --- downlink ----------------------------------------------------------------
-
-/// Encodes a downlink message into `out`.
-pub fn encode_downlink(msg: &Downlink, out: &mut Vec<u8>) {
-    match msg {
-        Downlink::QueryState { info } => {
-            out.put_u8(0);
-            put_group_info(out, info);
-        }
-        Downlink::VelocityChange {
-            focal,
-            motion,
-            qids,
-            seq,
-        } => {
-            out.put_u8(1);
-            out.put_u32_le(focal.0);
-            put_motion(out, motion);
-            out.put_u64_le(*seq);
-            debug_assert!(qids.len() <= u16::MAX as usize);
-            out.put_u16_le(qids.len() as u16);
-            for q in qids {
-                out.put_u32_le(q.0);
-            }
-        }
-        Downlink::NewQueries { infos } => {
-            out.put_u8(2);
-            debug_assert!(infos.len() <= u16::MAX as usize);
-            out.put_u16_le(infos.len() as u16);
-            for info in infos {
-                put_group_info(out, info);
-            }
-        }
-        Downlink::RemoveQuery { qid, epoch } => {
-            out.put_u8(3);
-            out.put_u32_le(qid.0);
-            out.put_u64_le(*epoch);
-        }
-        Downlink::FocalNotify { is_focal } => {
-            out.put_u8(4);
-            out.put_u8(*is_focal as u8);
-        }
-        Downlink::PositionRequest => out.put_u8(5),
-        Downlink::ResultDelta {
-            qid,
-            object,
-            entered,
-        } => {
-            out.put_u8(6);
-            out.put_u32_le(qid.0);
-            out.put_u32_le(object.0);
-            out.put_u8(*entered as u8);
-        }
-        Downlink::Heartbeat {
-            epoch,
-            cell_digests,
-        } => {
-            out.put_u8(7);
-            out.put_u64_le(*epoch);
-            debug_assert!(cell_digests.len() <= u16::MAX as usize);
-            out.put_u16_le(cell_digests.len() as u16);
-            for (cell, digest) in cell_digests {
-                put_cell(out, *cell);
-                out.put_u64_le(*digest);
-            }
-        }
-        Downlink::CellSync { cell, epoch, infos } => {
-            out.put_u8(8);
-            put_cell(out, *cell);
-            out.put_u64_le(*epoch);
-            debug_assert!(infos.len() <= u16::MAX as usize);
-            out.put_u16_le(infos.len() as u16);
-            for info in infos {
-                put_group_info(out, info);
-            }
-        }
-    }
-}
-
-/// Decodes one downlink message from `buf`.
-pub fn decode_downlink(buf: &mut Reader<'_>) -> Result<Downlink> {
-    Ok(match buf.get_u8("downlink tag")? {
-        0 => Downlink::QueryState {
-            info: get_group_info(buf)?,
-        },
-        1 => {
-            let focal = ObjectId(buf.get_u32_le("focal id")?);
-            let motion = get_motion(buf)?;
-            let seq = buf.get_u64_le("seq")?;
-            let n = buf.get_count(4, "qid count")?;
-            let mut qids = Vec::with_capacity(n);
-            for _ in 0..n {
-                qids.push(QueryId(buf.get_u32_le("qid")?));
-            }
-            Downlink::VelocityChange {
-                focal,
-                motion,
-                qids,
-                seq,
-            }
-        }
-        2 => {
-            let n = buf.get_count(70, "info count")?;
-            let mut infos = Vec::with_capacity(n);
-            for _ in 0..n {
-                infos.push(get_group_info(buf)?);
-            }
-            Downlink::NewQueries { infos }
-        }
-        3 => Downlink::RemoveQuery {
-            qid: QueryId(buf.get_u32_le("remove qid")?),
-            epoch: buf.get_u64_le("remove epoch")?,
-        },
-        4 => Downlink::FocalNotify {
-            is_focal: buf.get_u8("flag")? != 0,
-        },
-        5 => Downlink::PositionRequest,
-        6 => Downlink::ResultDelta {
-            qid: QueryId(buf.get_u32_le("result delta qid")?),
-            object: ObjectId(buf.get_u32_le("result delta oid")?),
-            entered: buf.get_u8("result delta flag")? != 0,
-        },
-        7 => {
-            let epoch = buf.get_u64_le("heartbeat epoch")?;
-            let n = buf.get_count(16, "cell digest count")?;
-            let mut cell_digests = Vec::with_capacity(n);
-            for _ in 0..n {
-                let cell = get_cell(buf)?;
-                cell_digests.push((cell, buf.get_u64_le("cell digest")?));
-            }
-            Downlink::Heartbeat {
-                epoch,
-                cell_digests,
-            }
-        }
-        8 => {
-            let cell = get_cell(buf)?;
-            let epoch = buf.get_u64_le("cell sync epoch")?;
-            let n = buf.get_count(70, "cell sync info count")?;
-            let mut infos = Vec::with_capacity(n);
-            for _ in 0..n {
-                infos.push(get_group_info(buf)?);
-            }
-            Downlink::CellSync { cell, epoch, infos }
-        }
-        t => return err(&format!("unknown downlink tag {t}")),
-    })
-}
-
-// --- cluster (server ↔ server) ----------------------------------------------
-
-pub fn put_spec(out: &mut Vec<u8>, spec: &QuerySpec) {
-    out.put_u32_le(spec.qid.0);
-    out.put_u8(spec.slot);
-    out.put_u64_le(spec.seq);
-    put_region(out, &spec.region);
-    put_filter(out, &spec.filter);
-}
-
-pub fn get_spec(buf: &mut Reader<'_>) -> Result<QuerySpec> {
-    let qid = QueryId(buf.get_u32_le("spec qid")?);
-    let slot = buf.get_u8("spec slot")?;
-    let seq = buf.get_u64_le("spec seq")?;
-    let region = get_region(buf)?;
-    let filter = Arc::new(get_filter(buf)?);
-    Ok(QuerySpec {
-        qid,
-        region,
-        filter,
-        slot,
-        seq,
-    })
-}
-
-fn put_migration(out: &mut Vec<u8>, m: &QueryMigration) {
-    put_spec(out, &m.spec);
-    put_cell(out, m.curr_cell);
-    put_grid_rect(out, &m.mon_region);
-    match m.expires_at {
-        Some(t) => {
-            out.put_u8(1);
-            out.put_f64_le(t);
-        }
-        None => out.put_u8(0),
-    }
-    debug_assert!(m.result.len() <= u16::MAX as usize);
-    out.put_u16_le(m.result.len() as u16);
-    for oid in &m.result {
-        out.put_u32_le(oid.0);
-    }
-}
-
-fn get_migration(buf: &mut Reader<'_>) -> Result<QueryMigration> {
-    let spec = get_spec(buf)?;
-    let curr_cell = get_cell(buf)?;
-    let mon_region = get_grid_rect(buf)?;
-    let expires_at = if buf.get_u8("expiry flag")? != 0 {
-        Some(buf.get_f64_le("expiry time")?)
-    } else {
-        None
     };
-    let n = buf.get_count(4, "result count")?;
-    let mut result = Vec::with_capacity(n);
-    for _ in 0..n {
-        result.push(ObjectId(buf.get_u32_le("result member")?));
-    }
-    Ok(QueryMigration {
-        spec,
-        curr_cell,
-        mon_region,
-        expires_at,
-        result,
-    })
-}
-
-/// Encodes an inter-server cluster message into `out`.
-pub fn encode_cluster(msg: &ClusterMsg, out: &mut Vec<u8>) {
-    match msg {
-        ClusterMsg::MigrateFocal {
-            oid,
-            motion,
-            max_vel,
-            used_slots,
-            last_heard,
-            epoch,
-            queries,
-        } => {
-            out.put_u8(0);
-            out.put_u32_le(oid.0);
-            put_motion(out, motion);
-            out.put_f64_le(*max_vel);
-            out.put_u64_le(*used_slots);
-            out.put_f64_le(*last_heard);
-            out.put_u64_le(*epoch);
-            debug_assert!(queries.len() <= u16::MAX as usize);
-            out.put_u16_le(queries.len() as u16);
-            for q in queries {
-                put_migration(out, q);
+    (struct $name:ident { $($f:ident: $t:ty $(as $via:ident)?),* $(,)? }) => {
+        impl $crate::codec::Wire for $name {
+            const MIN_LEN: usize = 0 $(+ $crate::wire!(@min $t $(, $via)?))*;
+            fn put(&self, out: &mut impl $crate::codec::Put) {
+                let $name { $($f),* } = self;
+                $($crate::wire!(@put out, $f, $t $(, $via)?);)*
+            }
+            fn get(buf: &mut $crate::codec::Reader<'_>) -> $crate::codec::Result<Self> {
+                Ok($name { $($f: $crate::wire!(@get buf, $t $(, $via)?)),* })
             }
         }
-        ClusterMsg::StubUpdate {
-            focal,
-            motion,
-            max_vel,
-            curr_cell,
-            mon_region,
-            old_mon,
-            spec,
-        } => {
-            out.put_u8(1);
-            out.put_u32_le(focal.0);
-            put_motion(out, motion);
-            out.put_f64_le(*max_vel);
-            put_cell(out, *curr_cell);
-            put_grid_rect(out, mon_region);
-            match old_mon {
-                Some(r) => {
-                    out.put_u8(1);
-                    put_grid_rect(out, r);
-                }
-                None => out.put_u8(0),
-            }
-            put_spec(out, spec);
-        }
-        ClusterMsg::StubMotion {
-            focal,
-            motion,
-            max_vel,
-            qids,
-        } => {
-            out.put_u8(2);
-            out.put_u32_le(focal.0);
-            put_motion(out, motion);
-            out.put_f64_le(*max_vel);
-            debug_assert!(qids.len() <= u16::MAX as usize);
-            out.put_u16_le(qids.len() as u16);
-            for (qid, seq) in qids {
-                out.put_u32_le(qid.0);
-                out.put_u64_le(*seq);
-            }
-        }
-        ClusterMsg::StubRemove {
-            qid,
-            mon_region,
-            epoch,
-        } => {
-            out.put_u8(3);
-            out.put_u32_le(qid.0);
-            put_grid_rect(out, mon_region);
-            out.put_u64_le(*epoch);
-        }
-        ClusterMsg::RebalanceCells {
-            generation,
-            epoch,
-            cells,
-            stubs,
-        } => {
-            out.put_u8(4);
-            out.put_u64_le(*generation);
-            out.put_u64_le(*epoch);
-            debug_assert!(cells.len() <= u16::MAX as usize);
-            out.put_u16_le(cells.len() as u16);
-            for (flat, qids) in cells {
-                out.put_u32_le(*flat);
-                debug_assert!(qids.len() <= u16::MAX as usize);
-                out.put_u16_le(qids.len() as u16);
-                for qid in qids {
-                    out.put_u32_le(qid.0);
-                }
-            }
-            debug_assert!(stubs.len() <= u16::MAX as usize);
-            out.put_u16_le(stubs.len() as u16);
-            for s in stubs {
-                out.put_u32_le(s.focal.0);
-                put_motion(out, &s.motion);
-                out.put_f64_le(s.max_vel);
-                put_grid_rect(out, &s.mon_region);
-                put_spec(out, &s.spec);
-            }
-        }
-        ClusterMsg::RecoverCells {
-            generation,
-            epoch,
-            cells,
-        } => {
-            out.put_u8(5);
-            out.put_u64_le(*generation);
-            out.put_u64_le(*epoch);
-            debug_assert!(cells.len() <= u16::MAX as usize);
-            out.put_u16_le(cells.len() as u16);
-            for flat in cells {
-                out.put_u32_le(*flat);
-            }
-        }
-    }
-}
-
-/// Decodes one inter-server cluster message from `buf`.
-pub fn decode_cluster(buf: &mut Reader<'_>) -> Result<ClusterMsg> {
-    Ok(match buf.get_u8("cluster tag")? {
-        0 => {
-            let oid = ObjectId(buf.get_u32_le("oid")?);
-            let motion = get_motion(buf)?;
-            let max_vel = buf.get_f64_le("max vel")?;
-            let used_slots = buf.get_u64_le("used slots")?;
-            let last_heard = buf.get_f64_le("last heard")?;
-            let epoch = buf.get_u64_le("epoch")?;
-            let n = buf.get_count(48, "migration count")?;
-            let mut queries = Vec::with_capacity(n);
-            for _ in 0..n {
-                queries.push(get_migration(buf)?);
-            }
-            ClusterMsg::MigrateFocal {
-                oid,
-                motion,
-                max_vel,
-                used_slots,
-                last_heard,
-                epoch,
-                queries,
-            }
-        }
-        1 => {
-            let focal = ObjectId(buf.get_u32_le("focal")?);
-            let motion = get_motion(buf)?;
-            let max_vel = buf.get_f64_le("max vel")?;
-            let curr_cell = get_cell(buf)?;
-            let mon_region = get_grid_rect(buf)?;
-            let old_mon = if buf.get_u8("old-region flag")? != 0 {
-                Some(get_grid_rect(buf)?)
-            } else {
-                None
+    };
+    (enum $name:ident {
+        $($tag:literal => $var:ident
+            $({ $($f:ident: $t:ty $(as $via:ident)?),* $(,)? })?
+            $(( $($pf:ident: $pt:ty $(as $pvia:ident)?),* $(,)? ))?
+        ),* $(,)?
+    }) => {
+        impl $crate::codec::Wire for $name {
+            const MIN_LEN: usize = 1 + {
+                let mut min = usize::MAX;
+                $(
+                    let fields = 0
+                        $($(+ $crate::wire!(@min $t $(, $via)?))*)?
+                        $($(+ $crate::wire!(@min $pt $(, $pvia)?))*)?;
+                    if fields < min {
+                        min = fields;
+                    }
+                )*
+                min
             };
-            let spec = get_spec(buf)?;
-            ClusterMsg::StubUpdate {
-                focal,
-                motion,
-                max_vel,
-                curr_cell,
-                mon_region,
-                old_mon,
-                spec,
-            }
-        }
-        2 => {
-            let focal = ObjectId(buf.get_u32_le("focal")?);
-            let motion = get_motion(buf)?;
-            let max_vel = buf.get_f64_le("max vel")?;
-            let n = buf.get_count(12, "stub motion count")?;
-            let mut qids = Vec::with_capacity(n);
-            for _ in 0..n {
-                qids.push((
-                    QueryId(buf.get_u32_le("stub motion qid")?),
-                    buf.get_u64_le("stub motion seq")?,
-                ));
-            }
-            ClusterMsg::StubMotion {
-                focal,
-                motion,
-                max_vel,
-                qids,
-            }
-        }
-        3 => {
-            let qid = QueryId(buf.get_u32_le("qid")?);
-            let mon_region = get_grid_rect(buf)?;
-            ClusterMsg::StubRemove {
-                qid,
-                mon_region,
-                epoch: buf.get_u64_le("epoch")?,
-            }
-        }
-        4 => {
-            let generation = buf.get_u64_le("generation")?;
-            let epoch = buf.get_u64_le("epoch")?;
-            let n = buf.get_count(6, "rebalance cell count")?;
-            let mut cells = Vec::with_capacity(n);
-            for _ in 0..n {
-                let flat = buf.get_u32_le("rebalance cell flat")?;
-                let k = buf.get_count(4, "rebalance qid count")?;
-                let mut qids = Vec::with_capacity(k);
-                for _ in 0..k {
-                    qids.push(QueryId(buf.get_u32_le("rebalance qid")?));
+            fn put(&self, out: &mut impl $crate::codec::Put) {
+                match self {
+                    $($name::$var $({ $($f),* })? $(( $($pf),* ))? => {
+                        <u8 as $crate::codec::Wire>::put(&$tag, out);
+                        $($($crate::wire!(@put out, $f, $t $(, $via)?);)*)?
+                        $($($crate::wire!(@put out, $pf, $pt $(, $pvia)?);)*)?
+                    })*
                 }
-                cells.push((flat, qids));
             }
-            let m = buf.get_count(85, "stub seed count")?;
-            let mut stubs = Vec::with_capacity(m);
-            for _ in 0..m {
-                let focal = ObjectId(buf.get_u32_le("stub seed focal")?);
-                let motion = get_motion(buf)?;
-                let max_vel = buf.get_f64_le("stub seed max vel")?;
-                let mon_region = get_grid_rect(buf)?;
-                let spec = get_spec(buf)?;
-                stubs.push(StubSeed {
-                    focal,
-                    motion,
-                    max_vel,
-                    mon_region,
-                    spec,
-                });
-            }
-            ClusterMsg::RebalanceCells {
-                generation,
-                epoch,
-                cells,
-                stubs,
+            fn get(buf: &mut $crate::codec::Reader<'_>) -> $crate::codec::Result<Self> {
+                Ok(match <u8 as $crate::codec::Wire>::get(buf)? {
+                    $($tag => $name::$var
+                        $({ $($f: $crate::wire!(@get buf, $t $(, $via)?)),* })?
+                        $(( $($crate::wire!(@get buf, $pt $(, $pvia)?)),* ))?,)*
+                    tag => {
+                        return Err($crate::codec::DecodeError(format!(
+                            concat!("unknown ", stringify!($name), " tag {}"),
+                            tag
+                        )))
+                    }
+                })
             }
         }
-        5 => {
-            let generation = buf.get_u64_le("generation")?;
-            let epoch = buf.get_u64_le("epoch")?;
-            let n = buf.get_count(4, "recover cell count")?;
-            let mut cells = Vec::with_capacity(n);
-            for _ in 0..n {
-                cells.push(buf.get_u32_le("recover cell flat")?);
+    };
+    (@min $t:ty) => { <$t as $crate::codec::Wire>::MIN_LEN };
+    (@min $t:ty, $via:ident) => { $via::MIN_LEN };
+    (@put $out:ident, $f:ident, $t:ty) => { <$t as $crate::codec::Wire>::put($f, $out) };
+    (@put $out:ident, $f:ident, $t:ty, $via:ident) => { $via::put($out, $f) };
+    (@get $buf:ident, $t:ty) => { <$t as $crate::codec::Wire>::get($buf)? };
+    (@get $buf:ident, $t:ty, $via:ident) => { $via::get($buf)? };
+}
+
+// --- scalars and containers --------------------------------------------------
+
+macro_rules! le_scalars {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn put(&self, out: &mut impl Put) {
+                out.put_slice(&self.to_le_bytes());
             }
-            ClusterMsg::RecoverCells {
-                generation,
-                epoch,
-                cells,
+            #[inline]
+            fn get(buf: &mut Reader<'_>) -> Result<Self> {
+                let mut le = [0; std::mem::size_of::<$t>()];
+                le.copy_from_slice(buf.take(Self::MIN_LEN, stringify!($t))?);
+                Ok(<$t>::from_le_bytes(le))
             }
         }
-        t => return err(&format!("unknown cluster tag {t}")),
-    })
+    )*};
 }
 
-/// Convenience: encodes to a fresh buffer.
-pub fn cluster_bytes(msg: &ClusterMsg) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_cluster(msg, &mut out);
-    out
+le_scalars!(u8, u16, u32, u64, i64, f64);
+
+impl Wire for bool {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut impl Put) {
+        u8::from(*self).put(out);
+    }
+    fn get(buf: &mut Reader<'_>) -> Result<Self> {
+        Ok(u8::get(buf)? != 0)
+    }
 }
 
-/// Convenience: encodes to a fresh buffer.
-pub fn uplink_bytes(msg: &Uplink) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_uplink(msg, &mut out);
-    out
+/// A flag byte, then the value when it is present; any non-zero flag
+/// reads as present.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut impl Put) {
+        self.is_some().put(out);
+        if let Some(v) = self {
+            v.put(out);
+        }
+    }
+    fn get(buf: &mut Reader<'_>) -> Result<Self> {
+        Ok(if bool::get(buf)? {
+            Some(T::get(buf)?)
+        } else {
+            None
+        })
+    }
 }
 
-/// Convenience: encodes to a fresh buffer.
-pub fn downlink_bytes(msg: &Downlink) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_downlink(msg, &mut out);
-    out
+impl<T: Wire> Wire for Arc<T> {
+    const MIN_LEN: usize = T::MIN_LEN;
+    fn put(&self, out: &mut impl Put) {
+        (**self).put(out);
+    }
+    fn get(buf: &mut Reader<'_>) -> Result<Self> {
+        T::get(buf).map(Arc::new)
+    }
 }
+
+/// A box is how a type holds itself (a filter's operands), so its minimum
+/// is a tag byte's — `T::MIN_LEN` would be defined in terms of itself.
+impl<T: Wire> Wire for Box<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut impl Put) {
+        (**self).put(out);
+    }
+    fn get(buf: &mut Reader<'_>) -> Result<Self> {
+        T::get(buf).map(Box::new)
+    }
+}
+
+macro_rules! tuples {
+    ($(($($t:ident),*)),*) => {$(
+        #[allow(non_snake_case)]
+        impl<$($t: Wire),*> Wire for ($($t,)*) {
+            const MIN_LEN: usize = 0 $(+ $t::MIN_LEN)*;
+            fn put(&self, out: &mut impl Put) {
+                let ($($t,)*) = self;
+                $($t.put(out);)*
+            }
+            fn get(buf: &mut Reader<'_>) -> Result<Self> {
+                Ok(($($t::get(buf)?,)*))
+            }
+        }
+    )*};
+}
+
+tuples!((A, B), (A, B, C), (A, B, C, D));
+
+/// A `u32` count, then each element.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut impl Put) {
+        (self.len() as u32).put(out);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn get(buf: &mut Reader<'_>) -> Result<Self> {
+        let n = u32::get(buf)?;
+        get_n(buf, n as usize, T::MIN_LEN, T::get)
+    }
+}
+
+/// Laid out like the `Vec` of its entries in key order.
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut impl Put) {
+        (self.len() as u32).put(out);
+        for (k, v) in self {
+            k.put(out);
+            v.put(out);
+        }
+    }
+    fn get(buf: &mut Reader<'_>) -> Result<Self> {
+        Ok(Vec::<(K, V)>::get(buf)?.into_iter().collect())
+    }
+}
+
+/// Laid out like the `Vec` of its members in order.
+impl<T: Wire + Ord> Wire for BTreeSet<T> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut impl Put) {
+        (self.len() as u32).put(out);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn get(buf: &mut Reader<'_>) -> Result<Self> {
+        Ok(Vec::<T>::get(buf)?.into_iter().collect())
+    }
+}
+
+/// A `u16` byte length, then the UTF-8 bytes.
+impl Wire for String {
+    const MIN_LEN: usize = 2;
+    fn put(&self, out: &mut impl Put) {
+        debug_assert!(self.len() <= u16::MAX as usize);
+        (self.len() as u16).put(out);
+        out.put_slice(self.as_bytes());
+    }
+    fn get(buf: &mut Reader<'_>) -> Result<Self> {
+        let len = u16::get(buf)?;
+        String::from_utf8(buf.take(len.into(), "string body")?.to_vec())
+            .map_err(|_| DecodeError("invalid utf8".into()))
+    }
+}
+
+// --- geometry, ids, filters --------------------------------------------------
+
+crate::wire!(struct ObjectId(u32));
+crate::wire!(struct QueryId(u32));
+crate::wire!(
+    struct CellId {
+        x: u32,
+        y: u32,
+    }
+);
+crate::wire!(
+    struct GridRect {
+        x0: u32,
+        y0: u32,
+        x1: u32,
+        y1: u32,
+    }
+);
+crate::wire!(
+    struct Point {
+        x: f64,
+        y: f64,
+    }
+);
+crate::wire!(
+    struct Vec2 {
+        x: f64,
+        y: f64,
+    }
+);
+crate::wire!(
+    struct LinearMotion {
+        pos: Point,
+        vel: Vec2,
+        tm: f64,
+    }
+);
+
+crate::wire!(enum Propagation {
+    0 => Eager,
+    1 => Lazy,
+});
+
+crate::wire!(enum QueryRegion {
+    0 => Circle { radius: f64 },
+    1 => Rect { half_w: f64, half_h: f64 },
+});
+
+crate::wire!(enum PropValue {
+    0 => Int(v: i64),
+    1 => Float(v: f64),
+    2 => Text(v: String),
+    3 => Bool(v: bool),
+});
+
+crate::wire!(enum Filter {
+    0 => True,
+    1 => False,
+    2 => Selectivity { selectivity: f64, salt: u64 },
+    3 => Eq(key: String, value: PropValue),
+    4 => Lt(key: String, threshold: f64),
+    5 => Gt(key: String, threshold: f64),
+    6 => And(a: Box<Filter>, b: Box<Filter>),
+    7 => Or(a: Box<Filter>, b: Box<Filter>),
+    8 => Not(inner: Box<Filter>),
+});
+
+// --- protocol messages -------------------------------------------------------
+
+crate::wire!(
+    struct QuerySpec {
+        qid: QueryId,
+        slot: u8,
+        seq: u64,
+        region: QueryRegion,
+        filter: Arc<Filter>,
+    }
+);
+
+/// Written out by hand only because its specs sit behind an `Arc`.
+impl Wire for QueryGroupInfo {
+    const MIN_LEN: usize = ObjectId::MIN_LEN
+        + LinearMotion::MIN_LEN
+        + f64::MIN_LEN
+        + GridRect::MIN_LEN
+        + seq16::MIN_LEN;
+    fn put(&self, out: &mut impl Put) {
+        self.focal.put(out);
+        self.motion.put(out);
+        self.max_vel.put(out);
+        self.mon_region.put(out);
+        seq16::put(out, &self.queries);
+    }
+    fn get(buf: &mut Reader<'_>) -> Result<Self> {
+        Ok(QueryGroupInfo {
+            focal: Wire::get(buf)?,
+            motion: Wire::get(buf)?,
+            max_vel: Wire::get(buf)?,
+            mon_region: Wire::get(buf)?,
+            queries: Arc::new(seq16::get(buf)?),
+        })
+    }
+}
+
+crate::wire!(enum Uplink {
+    0 => VelocityReport { oid: ObjectId, motion: LinearMotion },
+    1 => CellChange { oid: ObjectId, prev_cell: CellId, new_cell: CellId, motion: LinearMotion },
+    2 => ResultUpdate { oid: ObjectId, changes: Vec<(QueryId, bool)> as seq16 },
+    3 => GroupResultUpdate { oid: ObjectId, focal: ObjectId, mask: u64, targets: u64 },
+    4 => PositionReply { oid: ObjectId, motion: LinearMotion, max_vel: f64 },
+    5 => Resync { oid: ObjectId, cell: CellId, motion: LinearMotion, max_vel: f64, fresh: bool },
+    6 => LqtSync { oid: ObjectId, entries: Vec<(QueryId, bool)> as seq16 },
+});
+
+crate::wire!(enum Downlink {
+    0 => QueryState { info: QueryGroupInfo },
+    1 => VelocityChange {
+        focal: ObjectId,
+        motion: LinearMotion,
+        seq: u64,
+        qids: Vec<QueryId> as seq16,
+    },
+    2 => NewQueries { infos: Vec<QueryGroupInfo> as seq16 },
+    3 => RemoveQuery { qid: QueryId, epoch: u64 },
+    4 => FocalNotify { is_focal: bool },
+    5 => PositionRequest,
+    6 => ResultDelta { qid: QueryId, object: ObjectId, entered: bool },
+    7 => Heartbeat { epoch: u64, cell_digests: Vec<(CellId, u64)> as seq16 },
+    8 => CellSync { cell: CellId, epoch: u64, infos: Vec<QueryGroupInfo> as seq16 },
+});
+
+crate::wire!(struct QueryMigration {
+    spec: QuerySpec,
+    curr_cell: CellId,
+    mon_region: GridRect,
+    expires_at: Option<f64>,
+    result: Vec<ObjectId> as seq16,
+});
+
+crate::wire!(
+    struct StubSeed {
+        focal: ObjectId,
+        motion: LinearMotion,
+        max_vel: f64,
+        mon_region: GridRect,
+        spec: QuerySpec,
+    }
+);
+
+/// The RQI rows of a rebalance transfer: a [`seq16`] of
+/// `(flat cell, seq16 of query ids)`.
+mod rows16 {
+    use super::{seq16, Put, QueryId, Reader, Result, Wire};
+
+    pub const MIN_LEN: usize = seq16::MIN_LEN;
+
+    pub fn put(out: &mut impl Put, rows: &[(u32, Vec<QueryId>)]) {
+        seq16::put_with(out, rows, |(flat, qids), out| {
+            flat.put(out);
+            seq16::put(out, qids);
+        });
+    }
+
+    pub fn get(buf: &mut Reader<'_>) -> Result<Vec<(u32, Vec<QueryId>)>> {
+        seq16::get_with(buf, u32::MIN_LEN + seq16::MIN_LEN, |b| {
+            Ok((u32::get(b)?, seq16::get(b)?))
+        })
+    }
+}
+
+crate::wire!(enum ClusterMsg {
+    0 => MigrateFocal {
+        oid: ObjectId,
+        motion: LinearMotion,
+        max_vel: f64,
+        used_slots: u64,
+        last_heard: f64,
+        epoch: u64,
+        queries: Vec<QueryMigration> as seq16,
+    },
+    1 => StubUpdate {
+        focal: ObjectId,
+        motion: LinearMotion,
+        max_vel: f64,
+        curr_cell: CellId,
+        mon_region: GridRect,
+        old_mon: Option<GridRect>,
+        spec: QuerySpec,
+    },
+    2 => StubMotion {
+        focal: ObjectId,
+        motion: LinearMotion,
+        max_vel: f64,
+        qids: Vec<(QueryId, u64)> as seq16,
+    },
+    3 => StubRemove { qid: QueryId, mon_region: GridRect, epoch: u64 },
+    4 => RebalanceCells {
+        generation: u64,
+        epoch: u64,
+        cells: Vec<(u32, Vec<QueryId>)> as rows16,
+        stubs: Vec<StubSeed> as seq16,
+    },
+    5 => RecoverCells { generation: u64, epoch: u64, cells: Vec<u32> as seq16 },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobieyes_net::WireSized;
 
     fn motion() -> LinearMotion {
         LinearMotion::new(Point::new(1.5, -2.25), Vec2::new(0.125, 0.0625), 90.0)
     }
 
-    pub(crate) fn sample_uplinks() -> Vec<Uplink> {
+    fn uplinks() -> Vec<Uplink> {
         vec![
             Uplink::VelocityReport {
                 oid: ObjectId(7),
                 motion: motion(),
             },
-            Uplink::CellChange {
-                oid: ObjectId(8),
-                prev_cell: CellId::new(1, 2),
-                new_cell: CellId::new(2, 2),
-                motion: motion(),
-            },
-            Uplink::ResultUpdate {
-                oid: ObjectId(9),
-                changes: vec![],
-            },
             Uplink::ResultUpdate {
                 oid: ObjectId(9),
                 changes: vec![(QueryId(1), true), (QueryId(2), false)],
-            },
-            Uplink::GroupResultUpdate {
-                oid: ObjectId(10),
-                focal: ObjectId(11),
-                mask: 0b1011,
-                targets: 0b0010,
-            },
-            Uplink::PositionReply {
-                oid: ObjectId(12),
-                motion: motion(),
-                max_vel: 0.069,
             },
             Uplink::Resync {
                 oid: ObjectId(13),
@@ -1053,337 +678,37 @@ mod tests {
                 max_vel: 0.05,
                 fresh: true,
             },
-            Uplink::Resync {
-                oid: ObjectId(14),
-                cell: CellId::new(0, 0),
-                motion: motion(),
-                max_vel: 0.02,
-                fresh: false,
-            },
             Uplink::LqtSync {
                 oid: ObjectId(15),
                 entries: vec![],
             },
-            Uplink::LqtSync {
-                oid: ObjectId(15),
-                entries: vec![(QueryId(3), true), (QueryId(9), false)],
-            },
         ]
-    }
-
-    fn sample_downlinks() -> Vec<Downlink> {
-        let specs = vec![
-            QuerySpec {
-                qid: QueryId(1),
-                region: QueryRegion::circle(3.5),
-                filter: Arc::new(Filter::True),
-                slot: 0,
-                seq: 11,
-            },
-            QuerySpec {
-                qid: QueryId(2),
-                region: QueryRegion::rect(2.0, 1.0),
-                filter: Arc::new(Filter::And(
-                    Box::new(Filter::Eq("kind".into(), PropValue::Text("taxi".into()))),
-                    Box::new(Filter::Not(Box::new(Filter::Lt("weight".into(), 2.5)))),
-                )),
-                slot: 5,
-                seq: 12,
-            },
-        ];
-        let info = QueryGroupInfo {
-            focal: ObjectId(3),
-            motion: motion(),
-            max_vel: 0.05,
-            mon_region: GridRect {
-                x0: 1,
-                y0: 2,
-                x1: 4,
-                y1: 5,
-            },
-            queries: Arc::new(specs),
-        };
-        vec![
-            Downlink::QueryState { info: info.clone() },
-            Downlink::VelocityChange {
-                focal: ObjectId(3),
-                motion: motion(),
-                qids: vec![QueryId(1), QueryId(2), QueryId(3)],
-                seq: 6,
-            },
-            Downlink::NewQueries {
-                infos: vec![info.clone(), info.clone()],
-            },
-            Downlink::NewQueries { infos: vec![] },
-            Downlink::RemoveQuery {
-                qid: QueryId(42),
-                epoch: 17,
-            },
-            Downlink::FocalNotify { is_focal: true },
-            Downlink::FocalNotify { is_focal: false },
-            Downlink::PositionRequest,
-            Downlink::ResultDelta {
-                qid: QueryId(9),
-                object: ObjectId(77),
-                entered: true,
-            },
-            Downlink::Heartbeat {
-                epoch: 0,
-                cell_digests: vec![],
-            },
-            Downlink::Heartbeat {
-                epoch: 99,
-                cell_digests: vec![(CellId::new(1, 2), 0xDEAD), (CellId::new(3, 4), 0xBEEF)],
-            },
-            Downlink::CellSync {
-                cell: CellId::new(5, 6),
-                epoch: 21,
-                infos: vec![info],
-            },
-            Downlink::CellSync {
-                cell: CellId::new(0, 0),
-                epoch: 0,
-                infos: vec![],
-            },
-        ]
-    }
-
-    pub(crate) fn sample_cluster_msgs() -> Vec<ClusterMsg> {
-        let spec = QuerySpec {
-            qid: QueryId(5),
-            region: QueryRegion::circle(2.5),
-            filter: Arc::new(Filter::Gt("speed".into(), 1.5)),
-            slot: 3,
-            seq: 21,
-        };
-        let mon = GridRect {
-            x0: 2,
-            y0: 3,
-            x1: 5,
-            y1: 6,
-        };
-        vec![
-            ClusterMsg::MigrateFocal {
-                oid: ObjectId(9),
-                motion: motion(),
-                max_vel: 0.04,
-                used_slots: 0b1001,
-                last_heard: 120.0,
-                epoch: 33,
-                queries: vec![
-                    QueryMigration {
-                        spec: spec.clone(),
-                        curr_cell: CellId::new(3, 4),
-                        mon_region: mon,
-                        expires_at: Some(600.0),
-                        result: vec![ObjectId(1), ObjectId(2), ObjectId(8)],
-                    },
-                    QueryMigration {
-                        spec: spec.clone(),
-                        curr_cell: CellId::new(3, 4),
-                        mon_region: mon,
-                        expires_at: None,
-                        result: vec![],
-                    },
-                ],
-            },
-            ClusterMsg::MigrateFocal {
-                oid: ObjectId(10),
-                motion: motion(),
-                max_vel: 0.01,
-                used_slots: 0,
-                last_heard: 0.0,
-                epoch: 1,
-                queries: vec![],
-            },
-            ClusterMsg::StubUpdate {
-                focal: ObjectId(9),
-                motion: motion(),
-                max_vel: 0.04,
-                curr_cell: CellId::new(3, 4),
-                mon_region: mon,
-                old_mon: Some(GridRect {
-                    x0: 1,
-                    y0: 2,
-                    x1: 4,
-                    y1: 5,
-                }),
-                spec: spec.clone(),
-            },
-            ClusterMsg::StubUpdate {
-                focal: ObjectId(9),
-                motion: motion(),
-                max_vel: 0.04,
-                curr_cell: CellId::new(3, 4),
-                mon_region: mon,
-                old_mon: None,
-                spec,
-            },
-            ClusterMsg::StubMotion {
-                focal: ObjectId(9),
-                motion: motion(),
-                max_vel: 0.04,
-                qids: vec![(QueryId(5), 22), (QueryId(6), 22)],
-            },
-            ClusterMsg::StubMotion {
-                focal: ObjectId(9),
-                motion: motion(),
-                max_vel: 0.04,
-                qids: vec![],
-            },
-            ClusterMsg::StubRemove {
-                qid: QueryId(5),
-                mon_region: mon,
-                epoch: 40,
-            },
-            ClusterMsg::RebalanceCells {
-                generation: 3,
-                epoch: 44,
-                cells: vec![
-                    (17, vec![QueryId(5), QueryId(6)]),
-                    (18, vec![]),
-                    (19, vec![QueryId(6)]),
-                ],
-                stubs: vec![StubSeed {
-                    focal: ObjectId(9),
-                    motion: motion(),
-                    max_vel: 0.04,
-                    mon_region: mon,
-                    spec: QuerySpec {
-                        qid: QueryId(6),
-                        region: QueryRegion::circle(1.0),
-                        filter: Arc::new(Filter::True),
-                        slot: 0,
-                        seq: 44,
-                    },
-                }],
-            },
-            ClusterMsg::RebalanceCells {
-                generation: 1,
-                epoch: 2,
-                cells: vec![],
-                stubs: vec![],
-            },
-            ClusterMsg::RecoverCells {
-                generation: 4,
-                epoch: 50,
-                cells: vec![17, 18, 19],
-            },
-            ClusterMsg::RecoverCells {
-                generation: 1,
-                epoch: 2,
-                cells: vec![],
-            },
-        ]
-    }
-
-    #[test]
-    fn cluster_roundtrip_and_size() {
-        for msg in sample_cluster_msgs() {
-            let bytes = cluster_bytes(&msg);
-            assert_eq!(
-                bytes.len(),
-                msg.wire_size(),
-                "declared wire size mismatch for {msg:?}"
-            );
-            let mut buf = Reader::new(&bytes);
-            let decoded = decode_cluster(&mut buf).expect("decodes");
-            assert_eq!(decoded, msg);
-            assert_eq!(buf.remaining(), 0, "trailing bytes after {msg:?}");
-        }
-    }
-
-    #[test]
-    fn cluster_truncated_input_errors_cleanly() {
-        for msg in sample_cluster_msgs() {
-            let bytes = cluster_bytes(&msg);
-            for cut in 0..bytes.len() {
-                let mut buf = Reader::new(&bytes[0..cut]);
-                let _ = decode_cluster(&mut buf);
-            }
-        }
-        let mut buf = Reader::new(&[250u8, 0, 0]);
-        assert!(decode_cluster(&mut buf).is_err());
-    }
-
-    #[test]
-    fn uplink_roundtrip_and_size() {
-        for msg in sample_uplinks() {
-            let bytes = uplink_bytes(&msg);
-            assert_eq!(
-                bytes.len(),
-                msg.wire_size(),
-                "declared wire size mismatch for {msg:?}"
-            );
-            let mut buf = Reader::new(&bytes);
-            let decoded = decode_uplink(&mut buf).expect("decodes");
-            assert_eq!(decoded, msg);
-            assert_eq!(buf.remaining(), 0, "trailing bytes after {msg:?}");
-        }
-    }
-
-    #[test]
-    fn downlink_roundtrip_and_size() {
-        for msg in sample_downlinks() {
-            let bytes = downlink_bytes(&msg);
-            assert_eq!(
-                bytes.len(),
-                msg.wire_size(),
-                "declared wire size mismatch for {msg:?}"
-            );
-            let mut buf = Reader::new(&bytes);
-            let decoded = decode_downlink(&mut buf).expect("decodes");
-            assert_eq!(decoded, msg);
-            assert_eq!(buf.remaining(), 0, "trailing bytes after {msg:?}");
-        }
-    }
-
-    #[test]
-    fn truncated_input_errors_cleanly() {
-        for msg in sample_downlinks() {
-            let bytes = downlink_bytes(&msg);
-            for cut in 0..bytes.len() {
-                let mut buf = Reader::new(&bytes[0..cut]);
-                // Must never panic; empty PositionRequest-like prefixes may
-                // legitimately decode to a shorter message, but only if the
-                // cut produced a valid full message (impossible here since
-                // cut < len and our encoding has no trailing slack).
-                let _ = decode_downlink(&mut buf);
-            }
-        }
     }
 
     #[test]
     fn unknown_tags_error() {
-        let mut buf = Reader::new(&[250u8, 0, 0]);
-        assert!(decode_uplink(&mut buf).is_err());
-        let mut buf = Reader::new(&[250u8, 0, 0]);
-        assert!(decode_downlink(&mut buf).is_err());
+        let bytes = [250u8, 0, 0];
+        assert!(Uplink::get(&mut Reader::new(&bytes)).is_err());
+        assert!(Downlink::get(&mut Reader::new(&bytes)).is_err());
+        assert!(ClusterMsg::get(&mut Reader::new(&bytes)).is_err());
     }
 
     #[test]
     fn oversized_length_prefix_errors_before_allocating() {
         // A ResultUpdate whose count claims 65535 entries with 3 bytes of
         // body: the count sanity check must reject it up front.
-        let mut bytes = Vec::new();
-        bytes.put_u8(2); // ResultUpdate tag
-        bytes.put_u32_le(9); // oid
-        bytes.put_u16_le(u16::MAX); // hostile count
-        bytes.put_slice(&[0, 0, 0]); // far too short a body
-        let mut buf = Reader::new(&bytes);
-        let e = decode_uplink(&mut buf).unwrap_err();
+        let mut bytes = to_bytes(&(2u8, 9u32, u16::MAX));
+        bytes.put_slice(&[0, 0, 0]);
+        let e = Uplink::get(&mut Reader::new(&bytes)).unwrap_err();
         assert!(
-            e.0.contains("oversized"),
+            e.0.contains("oversized length prefix"),
             "expected an oversized-length error, got: {e}"
         );
 
         // Same for a string length prefix overrunning the buffer.
-        let mut bytes = Vec::new();
-        bytes.put_u8(3); // Filter::Eq tag
-        bytes.put_u16_le(u16::MAX); // hostile string length
+        let mut bytes = to_bytes(&(3u8, u16::MAX));
         bytes.put_slice(b"abc");
-        let mut buf = Reader::new(&bytes);
-        assert!(get_filter(&mut buf).is_err());
+        assert!(Filter::get(&mut Reader::new(&bytes)).is_err());
     }
 
     #[test]
@@ -1393,21 +718,67 @@ mod tests {
         assert!(buf.take(2, "x").is_err(), "overrun must error, not panic");
         // The failed take consumes nothing.
         assert_eq!(buf.remaining(), 1);
-        assert_eq!(buf.get_u8("y").unwrap(), 3);
-        assert!(buf.get_u8("y").is_err());
+        assert_eq!(u8::get(&mut buf).unwrap(), 3);
+        assert!(u8::get(&mut buf).is_err());
     }
 
     #[test]
     fn back_to_back_messages_decode_in_sequence() {
         let mut out = Vec::new();
-        let msgs = sample_uplinks();
+        let msgs = uplinks();
         for m in &msgs {
-            encode_uplink(m, &mut out);
+            m.put(&mut out);
         }
         let mut buf = Reader::new(&out);
         for m in &msgs {
-            assert_eq!(&decode_uplink(&mut buf).unwrap(), m);
+            assert_eq!(&Uplink::get(&mut buf).unwrap(), m);
         }
         assert_eq!(buf.remaining(), 0);
     }
+
+    /// Filter sizes: a tag byte, `u16`-prefixed keys, tagged values.
+    #[test]
+    fn filter_sizes_compose() {
+        assert_eq!(encoded_len(&Filter::True), 1);
+        assert_eq!(encoded_len(&Filter::with_selectivity(0.5, 1)), 17);
+        let a = Filter::Eq("k".into(), PropValue::Int(1));
+        assert_eq!(encoded_len(&a), 1 + 2 + 1 + 1 + 8);
+        let b = Filter::Lt("key2".into(), 3.0);
+        assert_eq!(encoded_len(&b), 1 + 2 + 4 + 8);
+        let and = Filter::And(Box::new(a.clone()), Box::new(b.clone()));
+        assert_eq!(encoded_len(&and), 1 + encoded_len(&a) + encoded_len(&b));
+        let text = Filter::Eq("tag".into(), PropValue::Text("ab".into()));
+        assert_eq!(encoded_len(&text), 1 + 2 + 3 + 1 + 2 + 2);
+    }
+
+    #[test]
+    fn region_and_geometry_sizes() {
+        assert_eq!(encoded_len(&QueryRegion::circle(1.0)), 9);
+        assert_eq!(encoded_len(&QueryRegion::rect(1.0, 1.0)), 17);
+        assert_eq!(encoded_len(&motion()), 40);
+        assert_eq!(encoded_len(&GridRect::EMPTY), 16);
+        assert_eq!(
+            (
+                LinearMotion::MIN_LEN,
+                GridRect::MIN_LEN,
+                QueryRegion::MIN_LEN
+            ),
+            (40, 16, 9)
+        );
+    }
+
+    // The minimum a sequence decoder checks a count against is never below
+    // what it was when each count was checked by hand.
+    const _: () = {
+        assert!(QuerySpec::MIN_LEN >= 14);
+        assert!(QueryGroupInfo::MIN_LEN >= 70);
+        assert!(QueryMigration::MIN_LEN >= 48);
+        assert!(StubSeed::MIN_LEN >= 85);
+        assert!(LinearMotion::MIN_LEN >= 40);
+        assert!(<(QueryId, bool)>::MIN_LEN >= 5);
+        assert!(<(CellId, u64)>::MIN_LEN >= 16);
+        assert!(<(QueryId, u64)>::MIN_LEN >= 12);
+        assert!(<(u32, ClusterMsg)>::MIN_LEN >= 5);
+        assert!(<(ObjectId, Vec<QueryId>)>::MIN_LEN >= 8);
+    };
 }

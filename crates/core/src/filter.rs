@@ -61,30 +61,6 @@ impl Filter {
             Filter::Not(f) => !f.matches(oid, props),
         }
     }
-
-    /// Exact serialized size in bytes under the canonical wire encoding
-    /// (see [`crate::codec`]); drives message accounting. Keys are
-    /// u16-length-prefixed, property values carry a 1-byte type tag, text
-    /// values a u16 length.
-    pub fn wire_size(&self) -> usize {
-        1 + match self {
-            Filter::True | Filter::False => 0,
-            Filter::Selectivity { .. } => 16,
-            Filter::Eq(k, v) => 2 + k.len() + prop_value_wire_size(v),
-            Filter::Lt(k, _) | Filter::Gt(k, _) => 2 + k.len() + 8,
-            Filter::And(a, b) | Filter::Or(a, b) => a.wire_size() + b.wire_size(),
-            Filter::Not(f) => f.wire_size(),
-        }
-    }
-}
-
-/// Serialized size of a property value: type tag plus payload.
-pub(crate) fn prop_value_wire_size(v: &PropValue) -> usize {
-    1 + match v {
-        PropValue::Int(_) | PropValue::Float(_) => 8,
-        PropValue::Text(s) => 2 + s.len(),
-        PropValue::Bool(_) => 1,
-    }
 }
 
 fn numeric(v: Option<&PropValue>) -> Option<f64> {
@@ -191,19 +167,5 @@ mod tests {
         let b = Filter::with_selectivity(0.5, 2);
         let differs = (0..1000).any(|i| a.matches(ObjectId(i), &p) != b.matches(ObjectId(i), &p));
         assert!(differs);
-    }
-
-    #[test]
-    fn wire_sizes_are_positive_and_compose() {
-        assert_eq!(Filter::True.wire_size(), 1);
-        assert_eq!(Filter::with_selectivity(0.5, 1).wire_size(), 17);
-        let a = Filter::Eq("k".into(), PropValue::Int(1));
-        assert_eq!(a.wire_size(), 1 + 2 + 1 + 1 + 8);
-        let b = Filter::Lt("key2".into(), 3.0);
-        assert_eq!(b.wire_size(), 1 + 2 + 4 + 8);
-        let and = Filter::And(Box::new(a.clone()), Box::new(b.clone()));
-        assert_eq!(and.wire_size(), 1 + a.wire_size() + b.wire_size());
-        let text = Filter::Eq("tag".into(), PropValue::Text("ab".into()));
-        assert_eq!(text.wire_size(), 1 + 2 + 3 + 1 + 2 + 2);
     }
 }

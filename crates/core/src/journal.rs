@@ -29,20 +29,19 @@
 //! ([`Server::checkpoint_bytes`](crate::Server::checkpoint_bytes)); replay
 //! starts at the newest checkpoint and applies the tail after it.
 //!
-//! Encoding composes the existing in-tree codec primitives; like every
-//! other decoder in the tree, [`decode_record`] returns an error on any
-//! malformed input and never panics.
+//! The byte layouts of [`LogRecord`], [`ReplyPayload`] and
+//! [`HomeChange`] are declared here, once each, in the form of the
+//! [`Wire`](crate::codec::Wire) trait every format of the tree uses: the
+//! same declaration writes a record to the log and to the partition RPC
+//! and reads it back from either, and like every decoder in the tree it
+//! returns an error on malformed input, never a panic.
 
-use crate::codec::{
-    self, decode_cluster, decode_uplink, encode_cluster, encode_uplink, DecodeError, Put, Reader,
-};
 use crate::filter::Filter;
 use crate::messages::{ClusterMsg, Uplink};
 use crate::model::{ObjectId, QueryId};
+use crate::server::HomeChange;
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
 use std::sync::Arc;
-
-type Result<T> = std::result::Result<T, DecodeError>;
 
 /// One journaled server input. Variants map 1:1 onto the public mutating
 /// entry points of the [`Server`](crate::Server), plus the replay-context
@@ -223,374 +222,97 @@ impl JournalSink for VecSink {
     }
 }
 
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        Some(x) => {
-            out.put_u8(1);
-            out.put_f64_le(x);
-        }
-        None => out.put_u8(0),
+/// The checkpoint image inside a [`LogRecord::Checkpoint`]: a `u32` byte
+/// length, then the bytes, copied in bulk.
+mod bytes32 {
+    use crate::codec::{Put, Reader, Result, Wire};
+
+    pub const MIN_LEN: usize = 4;
+
+    pub fn put(out: &mut impl Put, bytes: &[u8]) {
+        (bytes.len() as u32).put(out);
+        out.put_slice(bytes);
+    }
+
+    pub fn get(buf: &mut Reader<'_>) -> Result<Vec<u8>> {
+        let n = u32::get(buf)?;
+        Ok(buf.take(n as usize, "checkpoint bytes")?.to_vec())
     }
 }
 
-fn get_opt_f64(buf: &mut Reader<'_>) -> Result<Option<f64>> {
-    Ok(if buf.get_u8("option flag")? != 0 {
-        Some(buf.get_f64_le("f64 value")?)
-    } else {
-        None
-    })
-}
+crate::wire!(enum LogRecord {
+    0 => Meta { partition: u32, num_partitions: u32 },
+    1 => Floor(floor: u64),
+    2 => SetTime(t: f64),
+    3 => Heartbeat(t: f64),
+    4 => Uplink { from: u32, msg: Uplink },
+    5 => InstallQuery {
+        qid: QueryId,
+        focal: ObjectId,
+        region: QueryRegion,
+        filter: Filter,
+        expires_at: Option<f64>,
+    },
+    6 => CompleteInstall {
+        qid: QueryId,
+        focal: ObjectId,
+        region: QueryRegion,
+        filter: Arc<Filter>,
+        expires_at: Option<f64>,
+    },
+    7 => RemoveQuery(qid: QueryId),
+    8 => UpdateRegion { qid: QueryId, region: QueryRegion },
+    9 => RenewLease(oid: ObjectId),
+    10 => VelocityReport { oid: ObjectId, motion: LinearMotion },
+    11 => CellChangeFocal { oid: ObjectId, new_cell: CellId, motion: LinearMotion },
+    12 => CellChangeFresh {
+        oid: ObjectId,
+        prev_cell: CellId,
+        new_cell: CellId,
+        motion: LinearMotion,
+    },
+    13 => ResultChange { qid: QueryId, oid: ObjectId, is_target: bool },
+    14 => GroupResultUpdate { oid: ObjectId, focal: ObjectId, mask: u64, targets: u64 },
+    15 => RefreshFocalMotion { oid: ObjectId, motion: LinearMotion, max_vel: f64, insert: bool },
+    16 => PurgeObject(oid: ObjectId),
+    17 => ResultDelta { qid: QueryId, oid: ObjectId, entered: bool },
+    18 => LqtReconcile { qid: QueryId, oid: ObjectId, is_target: bool },
+    19 => FocalReassert(oid: ObjectId),
+    20 => CellSyncReply { oid: ObjectId, cell: CellId },
+    21 => ExtractFocal(oid: ObjectId),
+    22 => Cluster(msg: ClusterMsg),
+    23 => ExportCells { generation: u64, flats: Vec<u32> },
+    24 => PruneStubs,
+    25 => BumpEpoch,
+    26 => Bounds { generation: u64, bounds: Vec<u64> },
+    27 => Checkpoint(image: Vec<u8> as bytes32),
+});
 
-/// Bounds-checked u32 length prefix (journal counts are u32 — checkpoint
-/// payloads and cell lists can exceed the u16 the message codec uses).
-pub(crate) fn get_count32(buf: &mut Reader<'_>, min_elem_size: usize, what: &str) -> Result<usize> {
-    let n = buf.get_u32_le(what)? as usize;
-    if n * min_elem_size > buf.remaining() {
-        return Err(DecodeError(format!(
-            "oversized length prefix: {what} claims {n} elements but only {} bytes remain",
-            buf.remaining()
-        )));
-    }
-    Ok(n)
-}
+crate::wire!(enum ReplyPayload {
+    0 => Unit,
+    1 => Bool(v: bool),
+    2 => U64(v: u64),
+    3 => Qids(qids: Vec<QueryId>),
+    4 => OptQids(qids: Option<Vec<QueryId>>),
+    5 => OptCluster(msg: Option<ClusterMsg>),
+    6 => OptMotion(motion: Option<LinearMotion>),
+    7 => OptCell(cell: Option<CellId>),
+    8 => OptOid(oid: Option<ObjectId>),
+    9 => Digests(digests: Vec<(CellId, u64)>),
+    10 => Leases(leases: Vec<(ObjectId, Vec<QueryId>)>),
+    11 => Reinstall(install: Option<(QueryRegion, Arc<Filter>, Option<f64>)>),
+    12 => ResultSet(oids: Option<Vec<ObjectId>>),
+    13 => Oids(oids: Vec<ObjectId>),
+    14 => Motions(motions: Vec<LinearMotion>),
+    15 => Load { focals: u64, queries: u64, stubs: u64 },
+});
 
-fn put_install(
-    out: &mut Vec<u8>,
-    qid: QueryId,
-    focal: ObjectId,
-    region: &QueryRegion,
-    filter: &Filter,
-    expires_at: Option<f64>,
-) {
-    out.put_u32_le(qid.0);
-    out.put_u32_le(focal.0);
-    codec::put_region(out, region);
-    codec::put_filter(out, filter);
-    put_opt_f64(out, expires_at);
-}
-
-type Install = (QueryId, ObjectId, QueryRegion, Filter, Option<f64>);
-
-fn get_install(buf: &mut Reader<'_>) -> Result<Install> {
-    let qid = QueryId(buf.get_u32_le("query id")?);
-    let focal = ObjectId(buf.get_u32_le("focal id")?);
-    let region = codec::get_region(buf)?;
-    let filter = codec::get_filter(buf)?;
-    let expires_at = get_opt_f64(buf)?;
-    Ok((qid, focal, region, filter, expires_at))
-}
-
-/// Encodes one record (tag byte + payload) onto `out`.
-pub fn encode_record(rec: &LogRecord, out: &mut Vec<u8>) {
-    match rec {
-        LogRecord::Meta {
-            partition,
-            num_partitions,
-        } => {
-            out.put_u8(0);
-            out.put_u32_le(*partition);
-            out.put_u32_le(*num_partitions);
-        }
-        LogRecord::Floor(v) => {
-            out.put_u8(1);
-            out.put_u64_le(*v);
-        }
-        LogRecord::SetTime(t) => {
-            out.put_u8(2);
-            out.put_f64_le(*t);
-        }
-        LogRecord::Heartbeat(t) => {
-            out.put_u8(3);
-            out.put_f64_le(*t);
-        }
-        LogRecord::Uplink { from, msg } => {
-            out.put_u8(4);
-            out.put_u32_le(*from);
-            encode_uplink(msg, out);
-        }
-        LogRecord::InstallQuery {
-            qid,
-            focal,
-            region,
-            filter,
-            expires_at,
-        } => {
-            out.put_u8(5);
-            put_install(out, *qid, *focal, region, filter, *expires_at);
-        }
-        LogRecord::CompleteInstall {
-            qid,
-            focal,
-            region,
-            filter,
-            expires_at,
-        } => {
-            out.put_u8(6);
-            put_install(out, *qid, *focal, region, filter, *expires_at);
-        }
-        LogRecord::RemoveQuery(qid) => {
-            out.put_u8(7);
-            out.put_u32_le(qid.0);
-        }
-        LogRecord::UpdateRegion { qid, region } => {
-            out.put_u8(8);
-            out.put_u32_le(qid.0);
-            codec::put_region(out, region);
-        }
-        LogRecord::RenewLease(oid) => {
-            out.put_u8(9);
-            out.put_u32_le(oid.0);
-        }
-        LogRecord::VelocityReport { oid, motion } => {
-            out.put_u8(10);
-            out.put_u32_le(oid.0);
-            codec::put_motion(out, motion);
-        }
-        LogRecord::CellChangeFocal {
-            oid,
-            new_cell,
-            motion,
-        } => {
-            out.put_u8(11);
-            out.put_u32_le(oid.0);
-            codec::put_cell(out, *new_cell);
-            codec::put_motion(out, motion);
-        }
-        LogRecord::CellChangeFresh {
-            oid,
-            prev_cell,
-            new_cell,
-            motion,
-        } => {
-            out.put_u8(12);
-            out.put_u32_le(oid.0);
-            codec::put_cell(out, *prev_cell);
-            codec::put_cell(out, *new_cell);
-            codec::put_motion(out, motion);
-        }
-        LogRecord::ResultChange {
-            qid,
-            oid,
-            is_target,
-        } => {
-            out.put_u8(13);
-            out.put_u32_le(qid.0);
-            out.put_u32_le(oid.0);
-            out.put_u8(*is_target as u8);
-        }
-        LogRecord::GroupResultUpdate {
-            oid,
-            focal,
-            mask,
-            targets,
-        } => {
-            out.put_u8(14);
-            out.put_u32_le(oid.0);
-            out.put_u32_le(focal.0);
-            out.put_u64_le(*mask);
-            out.put_u64_le(*targets);
-        }
-        LogRecord::RefreshFocalMotion {
-            oid,
-            motion,
-            max_vel,
-            insert,
-        } => {
-            out.put_u8(15);
-            out.put_u32_le(oid.0);
-            codec::put_motion(out, motion);
-            out.put_f64_le(*max_vel);
-            out.put_u8(*insert as u8);
-        }
-        LogRecord::PurgeObject(oid) => {
-            out.put_u8(16);
-            out.put_u32_le(oid.0);
-        }
-        LogRecord::ResultDelta { qid, oid, entered } => {
-            out.put_u8(17);
-            out.put_u32_le(qid.0);
-            out.put_u32_le(oid.0);
-            out.put_u8(*entered as u8);
-        }
-        LogRecord::LqtReconcile {
-            qid,
-            oid,
-            is_target,
-        } => {
-            out.put_u8(18);
-            out.put_u32_le(qid.0);
-            out.put_u32_le(oid.0);
-            out.put_u8(*is_target as u8);
-        }
-        LogRecord::FocalReassert(oid) => {
-            out.put_u8(19);
-            out.put_u32_le(oid.0);
-        }
-        LogRecord::CellSyncReply { oid, cell } => {
-            out.put_u8(20);
-            out.put_u32_le(oid.0);
-            codec::put_cell(out, *cell);
-        }
-        LogRecord::ExtractFocal(oid) => {
-            out.put_u8(21);
-            out.put_u32_le(oid.0);
-        }
-        LogRecord::Cluster(msg) => {
-            out.put_u8(22);
-            encode_cluster(msg, out);
-        }
-        LogRecord::ExportCells { flats, generation } => {
-            out.put_u8(23);
-            out.put_u64_le(*generation);
-            out.put_u32_le(flats.len() as u32);
-            for f in flats {
-                out.put_u32_le(*f);
-            }
-        }
-        LogRecord::PruneStubs => out.put_u8(24),
-        LogRecord::BumpEpoch => out.put_u8(25),
-        LogRecord::Bounds { generation, bounds } => {
-            out.put_u8(26);
-            out.put_u64_le(*generation);
-            out.put_u32_le(bounds.len() as u32);
-            for b in bounds {
-                out.put_u64_le(*b);
-            }
-        }
-        LogRecord::Checkpoint(bytes) => {
-            out.put_u8(27);
-            out.put_u32_le(bytes.len() as u32);
-            out.put_slice(bytes);
-        }
-    }
-}
-
-/// Encodes one record into a fresh buffer.
-pub fn record_bytes(rec: &LogRecord) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_record(rec, &mut out);
-    out
-}
-
-/// Decodes one record. Errors (never panics) on truncated input, unknown
-/// tags or oversized counts.
-pub fn decode_record(buf: &mut Reader<'_>) -> Result<LogRecord> {
-    let tag = buf.get_u8("record tag")?;
-    Ok(match tag {
-        0 => LogRecord::Meta {
-            partition: buf.get_u32_le("partition")?,
-            num_partitions: buf.get_u32_le("num partitions")?,
-        },
-        1 => LogRecord::Floor(buf.get_u64_le("epoch floor")?),
-        2 => LogRecord::SetTime(buf.get_f64_le("time")?),
-        3 => LogRecord::Heartbeat(buf.get_f64_le("time")?),
-        4 => LogRecord::Uplink {
-            from: buf.get_u32_le("from node")?,
-            msg: decode_uplink(buf)?,
-        },
-        5 => {
-            let (qid, focal, region, filter, expires_at) = get_install(buf)?;
-            LogRecord::InstallQuery {
-                qid,
-                focal,
-                region,
-                filter,
-                expires_at,
-            }
-        }
-        6 => {
-            let (qid, focal, region, filter, expires_at) = get_install(buf)?;
-            LogRecord::CompleteInstall {
-                qid,
-                focal,
-                region,
-                filter: Arc::new(filter),
-                expires_at,
-            }
-        }
-        7 => LogRecord::RemoveQuery(QueryId(buf.get_u32_le("query id")?)),
-        8 => LogRecord::UpdateRegion {
-            qid: QueryId(buf.get_u32_le("query id")?),
-            region: codec::get_region(buf)?,
-        },
-        9 => LogRecord::RenewLease(ObjectId(buf.get_u32_le("object id")?)),
-        10 => LogRecord::VelocityReport {
-            oid: ObjectId(buf.get_u32_le("object id")?),
-            motion: codec::get_motion(buf)?,
-        },
-        11 => LogRecord::CellChangeFocal {
-            oid: ObjectId(buf.get_u32_le("object id")?),
-            new_cell: codec::get_cell(buf)?,
-            motion: codec::get_motion(buf)?,
-        },
-        12 => LogRecord::CellChangeFresh {
-            oid: ObjectId(buf.get_u32_le("object id")?),
-            prev_cell: codec::get_cell(buf)?,
-            new_cell: codec::get_cell(buf)?,
-            motion: codec::get_motion(buf)?,
-        },
-        13 => LogRecord::ResultChange {
-            qid: QueryId(buf.get_u32_le("query id")?),
-            oid: ObjectId(buf.get_u32_le("object id")?),
-            is_target: buf.get_u8("is_target")? != 0,
-        },
-        14 => LogRecord::GroupResultUpdate {
-            oid: ObjectId(buf.get_u32_le("object id")?),
-            focal: ObjectId(buf.get_u32_le("focal id")?),
-            mask: buf.get_u64_le("mask")?,
-            targets: buf.get_u64_le("targets")?,
-        },
-        15 => LogRecord::RefreshFocalMotion {
-            oid: ObjectId(buf.get_u32_le("object id")?),
-            motion: codec::get_motion(buf)?,
-            max_vel: buf.get_f64_le("max_vel")?,
-            insert: buf.get_u8("insert")? != 0,
-        },
-        16 => LogRecord::PurgeObject(ObjectId(buf.get_u32_le("object id")?)),
-        17 => LogRecord::ResultDelta {
-            qid: QueryId(buf.get_u32_le("query id")?),
-            oid: ObjectId(buf.get_u32_le("object id")?),
-            entered: buf.get_u8("entered")? != 0,
-        },
-        18 => LogRecord::LqtReconcile {
-            qid: QueryId(buf.get_u32_le("query id")?),
-            oid: ObjectId(buf.get_u32_le("object id")?),
-            is_target: buf.get_u8("is_target")? != 0,
-        },
-        19 => LogRecord::FocalReassert(ObjectId(buf.get_u32_le("object id")?)),
-        20 => LogRecord::CellSyncReply {
-            oid: ObjectId(buf.get_u32_le("object id")?),
-            cell: codec::get_cell(buf)?,
-        },
-        21 => LogRecord::ExtractFocal(ObjectId(buf.get_u32_le("object id")?)),
-        22 => LogRecord::Cluster(decode_cluster(buf)?),
-        23 => {
-            let generation = buf.get_u64_le("generation")?;
-            let n = get_count32(buf, 4, "flat cell count")?;
-            let mut flats = Vec::with_capacity(n);
-            for _ in 0..n {
-                flats.push(buf.get_u32_le("flat cell")?);
-            }
-            LogRecord::ExportCells { flats, generation }
-        }
-        24 => LogRecord::PruneStubs,
-        25 => LogRecord::BumpEpoch,
-        26 => {
-            let generation = buf.get_u64_le("generation")?;
-            let n = get_count32(buf, 8, "bounds count")?;
-            let mut bounds = Vec::with_capacity(n);
-            for _ in 0..n {
-                bounds.push(buf.get_u64_le("bound")?);
-            }
-            LogRecord::Bounds { generation, bounds }
-        }
-        27 => {
-            let n = get_count32(buf, 1, "checkpoint size")?;
-            LogRecord::Checkpoint(buf.take(n, "checkpoint bytes")?.to_vec())
-        }
-        t => return Err(DecodeError(format!("unknown log record tag {t}"))),
-    })
-}
+crate::wire!(enum HomeChange {
+    0 => FocalAdded(oid: ObjectId),
+    1 => FocalRemoved(oid: ObjectId),
+    2 => QueryAdded(qid: QueryId),
+    3 => QueryRemoved(qid: QueryId),
+});
 
 /// FNV-1a over a byte slice — the digest primitive behind
 /// [`Server::state_digest`](crate::Server::state_digest).

@@ -1,11 +1,14 @@
 //! Protocol wire messages.
 //!
-//! Every variant declares a serialized size (in bytes) through
+//! Every message reports its serialized size (in bytes) through
 //! [`WireSized`]; the sizes drive the message/byte accounting behind the
-//! paper's messaging-cost and power figures. Sizes follow a simple fixed
-//! encoding: u32 ids (4), f64 scalars (8), `LinearMotion` (40), `GridRect`
-//! (16), plus a 1-byte message tag and 2-byte length prefixes on vectors.
+//! paper's messaging-cost and power figures. A size is the length of the
+//! message's encoding, counted off the one layout [`crate::codec`]
+//! declares for it: u32 ids (4), f64 scalars (8), `LinearMotion` (40),
+//! `GridRect` (16), a 1-byte message tag and 2-byte length prefixes on
+//! vectors.
 
+use crate::codec;
 use crate::filter::Filter;
 use crate::model::{ObjectId, QueryId};
 use mobieyes_geo::{CellId, GridRect, LinearMotion, QueryRegion};
@@ -53,12 +56,6 @@ pub struct QuerySpec {
     pub seq: u64,
 }
 
-impl QuerySpec {
-    fn wire_size(&self) -> usize {
-        4 + 1 + 8 + self.region.wire_size() + self.filter.wire_size()
-    }
-}
-
 /// Full state of one *query group*: all queries bound to the same focal
 /// object that share a monitoring region. Without grouping each group
 /// carries exactly one query.
@@ -75,16 +72,6 @@ pub struct QueryGroupInfo {
     pub max_vel: f64,
     pub mon_region: GridRect,
     pub queries: Arc<Vec<QuerySpec>>,
-}
-
-impl QueryGroupInfo {
-    fn wire_size(&self) -> usize {
-        4 + LinearMotion::WIRE_SIZE
-            + 8
-            + GridRect::WIRE_SIZE
-            + 2
-            + self.queries.iter().map(QuerySpec::wire_size).sum::<usize>()
-    }
 }
 
 /// Object → server messages.
@@ -153,20 +140,6 @@ pub enum Uplink {
     },
 }
 
-impl WireSized for Uplink {
-    fn wire_size(&self) -> usize {
-        1 + match self {
-            Uplink::VelocityReport { .. } => 4 + LinearMotion::WIRE_SIZE,
-            Uplink::CellChange { .. } => 4 + 8 + 8 + LinearMotion::WIRE_SIZE,
-            Uplink::ResultUpdate { changes, .. } => 4 + 2 + changes.len() * 5,
-            Uplink::GroupResultUpdate { .. } => 4 + 4 + 8 + 8,
-            Uplink::PositionReply { .. } => 4 + LinearMotion::WIRE_SIZE + 8,
-            Uplink::Resync { .. } => 4 + 8 + LinearMotion::WIRE_SIZE + 8 + 1,
-            Uplink::LqtSync { entries, .. } => 4 + 2 + entries.len() * 5,
-        }
-    }
-}
-
 /// Server → object messages (unicast or broadcast).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Downlink {
@@ -226,28 +199,6 @@ pub enum Downlink {
     },
 }
 
-impl WireSized for Downlink {
-    fn wire_size(&self) -> usize {
-        1 + match self {
-            Downlink::QueryState { info } => info.wire_size(),
-            Downlink::VelocityChange { qids, .. } => {
-                4 + LinearMotion::WIRE_SIZE + 2 + qids.len() * 4 + 8
-            }
-            Downlink::NewQueries { infos } => {
-                2 + infos.iter().map(QueryGroupInfo::wire_size).sum::<usize>()
-            }
-            Downlink::RemoveQuery { .. } => 4 + 8,
-            Downlink::FocalNotify { .. } => 1,
-            Downlink::PositionRequest => 0,
-            Downlink::ResultDelta { .. } => 4 + 4 + 1,
-            Downlink::Heartbeat { cell_digests, .. } => 8 + 2 + cell_digests.len() * 16,
-            Downlink::CellSync { infos, .. } => {
-                8 + 8 + 2 + infos.iter().map(QueryGroupInfo::wire_size).sum::<usize>()
-            }
-        }
-    }
-}
-
 /// One query's full server-side state in flight during a focal handoff:
 /// the SQT row (including the current result set) that migrates to the
 /// partition taking ownership of the focal object's new cell.
@@ -262,18 +213,6 @@ pub struct QueryMigration {
     pub result: Vec<ObjectId>,
 }
 
-impl QueryMigration {
-    fn wire_size(&self) -> usize {
-        self.spec.wire_size()
-            + 8
-            + GridRect::WIRE_SIZE
-            + 1
-            + if self.expires_at.is_some() { 8 } else { 0 }
-            + 2
-            + self.result.len() * 4
-    }
-}
-
 /// Everything a partition needs to reconstruct one remote-region stub
 /// during a rebalance cell transfer: the query spec plus the focal
 /// object's motion state. See [`ClusterMsg::RebalanceCells`].
@@ -284,12 +223,6 @@ pub struct StubSeed {
     pub max_vel: f64,
     pub mon_region: GridRect,
     pub spec: QuerySpec,
-}
-
-impl StubSeed {
-    fn wire_size(&self) -> usize {
-        4 + LinearMotion::WIRE_SIZE + 8 + GridRect::WIRE_SIZE + self.spec.wire_size()
-    }
 }
 
 /// Server ↔ server messages of the partitioned cluster tier.
@@ -381,49 +314,19 @@ pub enum ClusterMsg {
     },
 }
 
-impl WireSized for ClusterMsg {
-    fn wire_size(&self) -> usize {
-        1 + match self {
-            ClusterMsg::MigrateFocal { queries, .. } => {
-                4 + LinearMotion::WIRE_SIZE
-                    + 8
-                    + 8
-                    + 8
-                    + 8
-                    + 2
-                    + queries.iter().map(QueryMigration::wire_size).sum::<usize>()
+/// A message costs what its encoding is long: the size the paper's
+/// messaging-cost accounting charges is counted off the encoder.
+macro_rules! sized_by_encoding {
+    ($($t:ty),*) => {$(
+        impl WireSized for $t {
+            fn wire_size(&self) -> usize {
+                codec::encoded_len(self)
             }
-            ClusterMsg::StubUpdate { old_mon, spec, .. } => {
-                4 + LinearMotion::WIRE_SIZE
-                    + 8
-                    + 8
-                    + GridRect::WIRE_SIZE
-                    + 1
-                    + if old_mon.is_some() {
-                        GridRect::WIRE_SIZE
-                    } else {
-                        0
-                    }
-                    + spec.wire_size()
-            }
-            ClusterMsg::StubMotion { qids, .. } => {
-                4 + LinearMotion::WIRE_SIZE + 8 + 2 + qids.len() * 12
-            }
-            ClusterMsg::StubRemove { .. } => 4 + GridRect::WIRE_SIZE + 8,
-            ClusterMsg::RebalanceCells { cells, stubs, .. } => {
-                8 + 8
-                    + 2
-                    + cells
-                        .iter()
-                        .map(|(_, qids)| 4 + 2 + qids.len() * 4)
-                        .sum::<usize>()
-                    + 2
-                    + stubs.iter().map(StubSeed::wire_size).sum::<usize>()
-            }
-            ClusterMsg::RecoverCells { cells, .. } => 8 + 8 + 2 + cells.len() * 4,
         }
-    }
+    )*};
 }
+
+sized_by_encoding!(Uplink, Downlink, ClusterMsg);
 
 #[cfg(test)]
 mod tests {
@@ -442,6 +345,14 @@ mod tests {
             slot: qid as u8,
             seq: qid as u64,
         }
+    }
+
+    /// `spec(_)`: qid, slot, seq, a circle (tag + radius), `Filter::True`.
+    const SPEC_LEN: usize = 4 + 1 + 8 + 9 + 1;
+
+    #[test]
+    fn spec_size() {
+        assert_eq!(codec::encoded_len(&spec(0)), SPEC_LEN);
     }
 
     fn group(n: u32) -> QueryGroupInfo {
@@ -628,7 +539,7 @@ mod tests {
             }],
         };
         // tag + oid + motion + 3 f64/u64 + epoch + count + one migration.
-        let one = spec(0).wire_size() + 8 + 16 + 1 + 8 + 2 + 8;
+        let one = SPEC_LEN + 8 + 16 + 1 + 8 + 2 + 8;
         assert_eq!(mig.wire_size(), 1 + 4 + 40 + 8 + 8 + 8 + 8 + 2 + one);
         let stub = ClusterMsg::StubUpdate {
             focal: ObjectId(1),
@@ -644,10 +555,7 @@ mod tests {
             old_mon: None,
             spec: spec(0),
         };
-        assert_eq!(
-            stub.wire_size(),
-            1 + 4 + 40 + 8 + 8 + 16 + 1 + spec(0).wire_size()
-        );
+        assert_eq!(stub.wire_size(), 1 + 4 + 40 + 8 + 8 + 16 + 1 + SPEC_LEN);
         let refresh = ClusterMsg::StubMotion {
             focal: ObjectId(1),
             motion: motion(),
@@ -683,7 +591,7 @@ mod tests {
                 spec: spec(0),
             }],
         };
-        let seed = 4 + 40 + 8 + 16 + spec(0).wire_size();
+        let seed = 4 + 40 + 8 + 16 + SPEC_LEN;
         assert_eq!(
             reb.wire_size(),
             1 + 8 + 8 + 2 + (4 + 2 + 8) + (4 + 2) + 2 + seed

@@ -9,7 +9,7 @@
 //! object reports. It never computes containment itself — that work lives
 //! on the moving objects.
 
-use crate::codec::{self, DecodeError};
+use crate::codec::{DecodeError, Reader, Wire};
 use crate::config::{Propagation, ProtocolConfig};
 use crate::filter::Filter;
 use crate::journal::{JournalSink, LogRecord, ReplyPayload};
@@ -43,6 +43,53 @@ struct FotEntry {
     last_heard: f64,
 }
 
+// The checkpoint layouts of the table rows (keys travel beside them).
+crate::wire!(
+    struct FotEntry {
+        motion: LinearMotion,
+        max_vel: f64,
+        used_slots: u64,
+        last_heard: f64,
+        queries: Vec<QueryId>,
+    }
+);
+
+crate::wire!(
+    struct SqtEntry {
+        focal: ObjectId,
+        region: QueryRegion,
+        filter: Arc<Filter>,
+        curr_cell: CellId,
+        mon_region: GridRect,
+        slot: u8,
+        seq: u64,
+        expires_at: Option<f64>,
+        result: BTreeSet<ObjectId>,
+    }
+);
+
+crate::wire!(
+    struct PendingInstall {
+        qid: QueryId,
+        region: QueryRegion,
+        filter: Arc<Filter>,
+        expires_at: Option<f64>,
+    }
+);
+
+crate::wire!(
+    struct StubEntry {
+        focal: ObjectId,
+        motion: LinearMotion,
+        max_vel: f64,
+        mon_region: GridRect,
+        region: QueryRegion,
+        filter: Arc<Filter>,
+        slot: u8,
+        seq: u64,
+    }
+);
+
 /// The focal-object table, laid out for the million-object uplink path.
 ///
 /// Every uplink probes the FOT at least once (`renew_lease`), so the old
@@ -54,22 +101,29 @@ struct FotEntry {
 /// walks the same deterministic ascending order the tree gave; inserts
 /// and removals shift and re-index the tail, which is fine because they
 /// only happen on install/teardown, never in the steady-state uplink
-/// path.
+/// path. Ids from [`SLOTTED_IDS`] up are found by binary search instead,
+/// so one stray id off the wire or out of a corrupt checkpoint cannot
+/// grow the slot array to gigabytes.
 #[derive(Debug, Default)]
 struct FotTable {
     /// Object id → entry row + 1; `0` means absent. Grows to the highest
-    /// focal object id seen (4 bytes per object of headroom).
+    /// slotted focal object id seen (4 bytes per object of headroom).
     slots: Vec<u32>,
     /// `(oid, row)` pairs sorted by object id.
     entries: Vec<(ObjectId, FotEntry)>,
 }
 
+/// Object ids below this are slot-indexed in a [`FotTable`] (a 16 MiB
+/// slot array at most).
+const SLOTTED_IDS: usize = 1 << 22;
+
 impl FotTable {
     #[inline]
     fn row(&self, oid: &ObjectId) -> Option<usize> {
         match self.slots.get(oid.0 as usize) {
-            Some(&s) if s != 0 => Some((s - 1) as usize),
-            _ => None,
+            Some(&s) => s.checked_sub(1).map(|r| r as usize),
+            None if (oid.0 as usize) < SLOTTED_IDS => None,
+            None => self.entries.binary_search_by_key(oid, |(k, _)| *k).ok(),
         }
     }
 
@@ -93,7 +147,7 @@ impl FotTable {
     fn entry_or_insert(&mut self, oid: ObjectId, default: FotEntry) -> &mut FotEntry {
         if self.row(&oid).is_none() {
             let o = oid.0 as usize;
-            if self.slots.len() <= o {
+            if o < SLOTTED_IDS && self.slots.len() <= o {
                 self.slots.resize(o + 1, 0);
             }
             let pos = self.entries.partition_point(|(k, _)| *k < oid);
@@ -106,7 +160,9 @@ impl FotTable {
 
     fn remove(&mut self, oid: &ObjectId) -> Option<FotEntry> {
         let i = self.row(oid)?;
-        self.slots[oid.0 as usize] = 0;
+        if let Some(s) = self.slots.get_mut(oid.0 as usize) {
+            *s = 0;
+        }
         let (_, entry) = self.entries.remove(i);
         self.reindex_from(i);
         Some(entry)
@@ -115,7 +171,9 @@ impl FotTable {
     fn reindex_from(&mut self, pos: usize) {
         for i in pos..self.entries.len() {
             let o = self.entries[i].0 .0 as usize;
-            self.slots[o] = (i + 1) as u32;
+            if let Some(s) = self.slots.get_mut(o) {
+                *s = (i + 1) as u32;
+            }
         }
     }
 
@@ -2719,243 +2777,51 @@ impl Server {
     /// excludes them so a replayed partition — whose private sequencer only
     /// saw the floors its own ops observed — digests equal to its live twin.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        use crate::codec::Put;
         let mut out = Vec::new();
-        out.put_u32_le(self.next_qid);
-        out.put_u64_le(self.epoch);
-        out.put_f64_le(self.now);
-        out.put_f64_le(self.last_heartbeat);
-
-        out.put_u32_le(self.fot.entries.len() as u32);
-        for (oid, f) in self.fot.iter() {
-            out.put_u32_le(oid.0);
-            codec::put_motion(&mut out, &f.motion);
-            out.put_f64_le(f.max_vel);
-            out.put_u64_le(f.used_slots);
-            out.put_f64_le(f.last_heard);
-            out.put_u32_le(f.queries.len() as u32);
-            for q in &f.queries {
-                out.put_u32_le(q.0);
-            }
-        }
-
-        out.put_u32_le(self.sqt.len() as u32);
-        for (qid, e) in &self.sqt {
-            out.put_u32_le(qid.0);
-            out.put_u32_le(e.focal.0);
-            codec::put_region(&mut out, &e.region);
-            codec::put_filter(&mut out, &e.filter);
-            codec::put_cell(&mut out, e.curr_cell);
-            codec::put_grid_rect(&mut out, &e.mon_region);
-            out.put_u8(e.slot);
-            out.put_u64_le(e.seq);
-            match e.expires_at {
-                Some(t) => {
-                    out.put_u8(1);
-                    out.put_f64_le(t);
-                }
-                None => out.put_u8(0),
-            }
-            out.put_u32_le(e.result.len() as u32);
-            for o in &e.result {
-                out.put_u32_le(o.0);
-            }
-        }
-
+        (self.next_qid, self.epoch, self.now, self.last_heartbeat).put(&mut out);
+        self.fot.entries.put(&mut out);
+        self.sqt.put(&mut out);
         // RQI rows verbatim — order within a row is load-bearing (it
         // drives fresh-query reply ordering), so rows are not derivable
-        // from the SQT alone.
-        let occupied = self.rqi.iter().filter(|r| !r.is_empty()).count();
-        out.put_u32_le(occupied as u32);
-        for (flat, row) in self.rqi.iter().enumerate() {
-            if row.is_empty() {
-                continue;
-            }
-            out.put_u32_le(flat as u32);
-            out.put_u32_le(row.len() as u32);
-            for q in row {
-                out.put_u32_le(q.0);
-            }
+        // from the SQT alone. Only occupied rows travel, behind their flat
+        // index: the layout of a `Vec<(u32, Vec<QueryId>)>`.
+        let rows = || self.rqi.iter().enumerate().filter(|(_, r)| !r.is_empty());
+        (rows().count() as u32).put(&mut out);
+        for (flat, row) in rows() {
+            (flat as u32).put(&mut out);
+            row.put(&mut out);
         }
-
-        out.put_u32_le(self.pending.len() as u32);
-        for (oid, installs) in &self.pending {
-            out.put_u32_le(oid.0);
-            out.put_u32_le(installs.len() as u32);
-            for p in installs {
-                out.put_u32_le(p.qid.0);
-                codec::put_region(&mut out, &p.region);
-                codec::put_filter(&mut out, &p.filter);
-                match p.expires_at {
-                    Some(t) => {
-                        out.put_u8(1);
-                        out.put_f64_le(t);
-                    }
-                    None => out.put_u8(0),
-                }
-            }
-        }
-
-        out.put_u32_le(self.stubs.len() as u32);
-        for (qid, s) in &self.stubs {
-            out.put_u32_le(qid.0);
-            out.put_u32_le(s.focal.0);
-            codec::put_motion(&mut out, &s.motion);
-            out.put_f64_le(s.max_vel);
-            codec::put_grid_rect(&mut out, &s.mon_region);
-            codec::put_region(&mut out, &s.region);
-            codec::put_filter(&mut out, &s.filter);
-            out.put_u8(s.slot);
-            out.put_u64_le(s.seq);
-        }
-
-        out.put_u64_le(self.current_epoch());
+        self.pending.put(&mut out);
+        self.stubs.put(&mut out);
+        self.current_epoch().put(&mut out);
         out
     }
 
     /// Restores the full server state from [`checkpoint_bytes`](Self::checkpoint_bytes)
     /// output. Decodes everything before committing, so a malformed
     /// payload leaves the server untouched.
-    pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), crate::codec::DecodeError> {
-        let buf = &mut crate::codec::Reader::new(bytes);
-        let next_qid = buf.get_u32_le("next qid")?;
-        let epoch = buf.get_u64_le("epoch mirror")?;
-        let now = buf.get_f64_le("now")?;
-        let last_heartbeat = buf.get_f64_le("last heartbeat")?;
-
-        let n = crate::journal::get_count32(buf, 20, "FOT count")?;
-        let mut fot_entries: Vec<(ObjectId, FotEntry)> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let oid = ObjectId(buf.get_u32_le("focal id")?);
-            let motion = codec::get_motion(buf)?;
-            let max_vel = buf.get_f64_le("max vel")?;
-            let used_slots = buf.get_u64_le("used slots")?;
-            let last_heard = buf.get_f64_le("last heard")?;
-            let nq = crate::journal::get_count32(buf, 4, "focal query count")?;
-            let mut queries = Vec::with_capacity(nq);
-            for _ in 0..nq {
-                queries.push(QueryId(buf.get_u32_le("query id")?));
-            }
-            fot_entries.push((
-                oid,
-                FotEntry {
-                    motion,
-                    max_vel,
-                    queries,
-                    used_slots,
-                    last_heard,
-                },
-            ));
+    pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
+        let buf = &mut Reader::new(bytes);
+        let (next_qid, epoch, now, last_heartbeat) = <(u32, u64, f64, f64)>::get(buf)?;
+        let fot_entries: Vec<(ObjectId, FotEntry)> = Wire::get(buf)?;
+        let sqt: BTreeMap<QueryId, SqtEntry> = Wire::get(buf)?;
+        let rows: Vec<(u32, Vec<QueryId>)> = Wire::get(buf)?;
+        let pending: BTreeMap<ObjectId, Vec<PendingInstall>> = Wire::get(buf)?;
+        let stubs: BTreeMap<QueryId, StubEntry> = Wire::get(buf)?;
+        let observed = u64::get(buf)?;
+        if buf.remaining() != 0 {
+            let n = buf.remaining();
+            return Err(DecodeError(format!("{n} trailing bytes after checkpoint")));
         }
-
-        let n = crate::journal::get_count32(buf, 24, "SQT count")?;
-        let mut sqt = BTreeMap::new();
-        for _ in 0..n {
-            let qid = QueryId(buf.get_u32_le("query id")?);
-            let focal = ObjectId(buf.get_u32_le("focal id")?);
-            let region = codec::get_region(buf)?;
-            let filter = Arc::new(codec::get_filter(buf)?);
-            let curr_cell = codec::get_cell(buf)?;
-            let mon_region = codec::get_grid_rect(buf)?;
-            let slot = buf.get_u8("slot")?;
-            let seq = buf.get_u64_le("seq")?;
-            let expires_at = if buf.get_u8("expiry flag")? != 0 {
-                Some(buf.get_f64_le("expiry")?)
-            } else {
-                None
-            };
-            let nr = crate::journal::get_count32(buf, 4, "result count")?;
-            let mut result = BTreeSet::new();
-            for _ in 0..nr {
-                result.insert(ObjectId(buf.get_u32_le("result member")?));
-            }
-            sqt.insert(
-                qid,
-                SqtEntry {
-                    focal,
-                    region,
-                    filter,
-                    curr_cell,
-                    mon_region,
-                    slot,
-                    seq,
-                    expires_at,
-                    result,
-                },
-            );
-        }
-
         let cells = self.config.grid.num_cells();
-        let n = crate::journal::get_count32(buf, 8, "RQI row count")?;
         let mut rqi = vec![Vec::new(); cells];
-        for _ in 0..n {
-            let flat = buf.get_u32_le("flat index")? as usize;
-            if flat >= cells {
-                return Err(crate::codec::DecodeError(format!(
-                    "RQI flat index {flat} out of range ({cells} cells)"
-                )));
-            }
-            let nq = crate::journal::get_count32(buf, 4, "RQI row length")?;
-            let mut row = Vec::with_capacity(nq);
-            for _ in 0..nq {
-                row.push(QueryId(buf.get_u32_le("query id")?));
-            }
-            rqi[flat] = row;
+        for (flat, row) in rows {
+            let Some(slot) = rqi.get_mut(flat as usize) else {
+                let e = format!("RQI flat index {flat} out of range ({cells} cells)");
+                return Err(DecodeError(e));
+            };
+            *slot = row;
         }
-
-        let n = crate::journal::get_count32(buf, 8, "pending count")?;
-        let mut pending: BTreeMap<ObjectId, Vec<PendingInstall>> = BTreeMap::new();
-        for _ in 0..n {
-            let oid = ObjectId(buf.get_u32_le("pending focal")?);
-            let ni = crate::journal::get_count32(buf, 8, "pending installs")?;
-            let mut installs = Vec::with_capacity(ni);
-            for _ in 0..ni {
-                let qid = QueryId(buf.get_u32_le("pending qid")?);
-                let region = codec::get_region(buf)?;
-                let filter = Arc::new(codec::get_filter(buf)?);
-                let expires_at = if buf.get_u8("expiry flag")? != 0 {
-                    Some(buf.get_f64_le("expiry")?)
-                } else {
-                    None
-                };
-                installs.push(PendingInstall {
-                    qid,
-                    region,
-                    filter,
-                    expires_at,
-                });
-            }
-            pending.insert(oid, installs);
-        }
-
-        let n = crate::journal::get_count32(buf, 24, "stub count")?;
-        let mut stubs = BTreeMap::new();
-        for _ in 0..n {
-            let qid = QueryId(buf.get_u32_le("stub qid")?);
-            let focal = ObjectId(buf.get_u32_le("stub focal")?);
-            let motion = codec::get_motion(buf)?;
-            let max_vel = buf.get_f64_le("stub max vel")?;
-            let mon_region = codec::get_grid_rect(buf)?;
-            let region = codec::get_region(buf)?;
-            let filter = Arc::new(codec::get_filter(buf)?);
-            let slot = buf.get_u8("stub slot")?;
-            let seq = buf.get_u64_le("stub seq")?;
-            stubs.insert(
-                qid,
-                StubEntry {
-                    focal,
-                    motion,
-                    max_vel,
-                    mon_region,
-                    region,
-                    filter,
-                    slot,
-                    seq,
-                },
-            );
-        }
-
-        let observed = buf.get_u64_le("observed epoch")?;
 
         // Commit. The tables are replaced wholesale, so a home log sees
         // every old key leave and every restored key arrive.
@@ -3073,6 +2939,40 @@ mod tests {
     use super::*;
     use mobieyes_geo::{Grid, Point, Rect, Vec2};
     use mobieyes_net::BaseStationLayout;
+
+    // A checkpoint table count is checked against at least the minimum
+    // its hand-written decoder used.
+    const _: () = {
+        assert!(<(ObjectId, FotEntry)>::MIN_LEN >= 20);
+        assert!(<(QueryId, SqtEntry)>::MIN_LEN >= 24);
+        assert!(<(u32, Vec<QueryId>)>::MIN_LEN >= 8);
+        assert!(<(ObjectId, Vec<PendingInstall>)>::MIN_LEN >= 8);
+        assert!(PendingInstall::MIN_LEN >= 8);
+        assert!(<(QueryId, StubEntry)>::MIN_LEN >= 24);
+    };
+
+    /// A focal id past the slotted range — a stray id off the wire, a
+    /// damaged checkpoint — is stored, found and removed without growing
+    /// the slot array to its value.
+    #[test]
+    fn fot_ids_past_the_slotted_range_take_no_slot() {
+        let row = || FotEntry {
+            motion: LinearMotion::at_rest(Point::new(1.0, 1.0), 0.0),
+            max_vel: 0.05,
+            queries: Vec::new(),
+            used_slots: 0,
+            last_heard: 0.0,
+        };
+        let (near, far) = (ObjectId(3), ObjectId(u32::MAX));
+        let mut fot = FotTable::default();
+        fot.entry_or_insert(far, row());
+        fot.entry_or_insert(near, row());
+        assert_eq!(fot.slots.len(), 4, "only the slotted id took slots");
+        assert!(fot.contains_key(&near) && fot.contains_key(&far));
+        assert_eq!(fot.keys().collect::<Vec<_>>(), [&near, &far]);
+        assert!(fot.remove(&far).is_some());
+        assert!(!fot.contains_key(&far) && fot.get(&near).is_some());
+    }
 
     fn setup(propagation: Propagation, grouping: bool) -> (Server, Net, Arc<ProtocolConfig>) {
         let universe = Rect::new(0.0, 0.0, 100.0, 100.0);

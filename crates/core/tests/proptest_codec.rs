@@ -1,366 +1,37 @@
-//! Codec property tests: for *randomized* protocol messages, the binary
-//! encoding must round-trip exactly and its length must equal the declared
-//! `wire_size` that drives all messaging-cost accounting.
+//! Message format properties: for *randomized* protocol messages — every
+//! `Uplink`, `Downlink` and `ClusterMsg` variant — the encoding
+//! round-trips exactly, its length is the `wire_size` that drives all
+//! messaging-cost accounting, and damaged bytes never panic the decoder
+//! ([`common::check_format`]).
 //!
 //! Uses a seeded splitmix64 sweep so every run checks the same cases.
 
-use mobieyes_core::codec::{
-    cluster_bytes, decode_cluster, decode_downlink, decode_uplink, downlink_bytes, uplink_bytes,
-    Reader,
-};
-use mobieyes_core::{
-    ClusterMsg, Downlink, Filter, ObjectId, PropValue, QueryGroupInfo, QueryId, QueryMigration,
-    QuerySpec, Uplink,
-};
-use mobieyes_geo::{CellId, GridRect, LinearMotion, Point, QueryRegion, Vec2};
+mod common;
+
+use common::{check_format, rand_cluster, rand_downlink, rand_uplink, Rng};
+use mobieyes_core::codec::to_bytes;
 use mobieyes_net::WireSized;
-use std::sync::Arc;
 
-/// Deterministic splitmix64 generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
+fn sweep<T: WireSized + mobieyes_core::codec::Wire>(seed: u64, draw: fn(&mut Rng) -> T) -> Vec<T> {
+    let mut rng = Rng(seed);
+    let samples: Vec<T> = (0..256).map(|_| draw(&mut rng)).collect();
+    for msg in &samples {
+        assert_eq!(msg.wire_size(), to_bytes(msg).len());
     }
-
-    fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.unit() * (hi - lo)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-
-    fn coin(&mut self) -> bool {
-        self.next_u64() & 1 == 1
-    }
-}
-
-fn rand_motion(rng: &mut Rng) -> LinearMotion {
-    LinearMotion::new(
-        Point::new(rng.range(-1e3, 1e3), rng.range(-1e3, 1e3)),
-        Vec2::new(rng.range(-1.0, 1.0), rng.range(-1.0, 1.0)),
-        rng.range(0.0, 1e6),
-    )
-}
-
-fn rand_text(rng: &mut Rng, max_len: u64) -> String {
-    let len = rng.below(max_len + 1);
-    (0..len)
-        .map(|_| (b'a' + rng.below(26) as u8) as char)
-        .collect()
-}
-
-fn rand_key(rng: &mut Rng) -> String {
-    let len = 1 + rng.below(8);
-    (0..len)
-        .map(|_| (b'a' + rng.below(26) as u8) as char)
-        .collect()
-}
-
-fn rand_prop_value(rng: &mut Rng) -> PropValue {
-    match rng.below(4) {
-        0 => PropValue::Int(rng.next_u64() as i64),
-        1 => PropValue::Float(rng.range(-1e6, 1e6)),
-        2 => PropValue::Text(rand_text(rng, 12)),
-        _ => PropValue::Bool(rng.coin()),
-    }
-}
-
-fn rand_filter(rng: &mut Rng, depth: u32) -> Filter {
-    let pick = if depth == 0 {
-        rng.below(6)
-    } else {
-        rng.below(9)
-    };
-    match pick {
-        0 => Filter::True,
-        1 => Filter::False,
-        2 => Filter::Selectivity {
-            selectivity: rng.unit(),
-            salt: rng.next_u64(),
-        },
-        3 => Filter::Eq(rand_key(rng), rand_prop_value(rng)),
-        4 => Filter::Lt(rand_key(rng), rng.range(-100.0, 100.0)),
-        5 => Filter::Gt(rand_key(rng), rng.range(-100.0, 100.0)),
-        6 => Filter::And(
-            Box::new(rand_filter(rng, depth - 1)),
-            Box::new(rand_filter(rng, depth - 1)),
-        ),
-        7 => Filter::Or(
-            Box::new(rand_filter(rng, depth - 1)),
-            Box::new(rand_filter(rng, depth - 1)),
-        ),
-        _ => Filter::Not(Box::new(rand_filter(rng, depth - 1))),
-    }
-}
-
-fn rand_region(rng: &mut Rng) -> QueryRegion {
-    if rng.coin() {
-        QueryRegion::circle(rng.range(0.0, 50.0))
-    } else {
-        QueryRegion::rect(rng.range(0.0, 50.0), rng.range(0.0, 50.0))
-    }
-}
-
-fn rand_group_info(rng: &mut Rng) -> QueryGroupInfo {
-    let x0 = rng.below(100) as u32;
-    let y0 = rng.below(100) as u32;
-    let specs: Vec<QuerySpec> = (0..rng.below(5))
-        .map(|_| QuerySpec {
-            qid: QueryId(rng.next_u64() as u32),
-            region: rand_region(rng),
-            filter: Arc::new(rand_filter(rng, 3)),
-            slot: rng.next_u64() as u8,
-            seq: rng.next_u64(),
-        })
-        .collect();
-    QueryGroupInfo {
-        focal: ObjectId(rng.next_u64() as u32),
-        motion: rand_motion(rng),
-        max_vel: rng.range(0.0, 0.1),
-        mon_region: GridRect {
-            x0,
-            y0,
-            x1: x0 + rng.below(10) as u32,
-            y1: y0 + rng.below(10) as u32,
-        },
-        queries: Arc::new(specs),
-    }
-}
-
-fn rand_uplink(rng: &mut Rng) -> Uplink {
-    match rng.below(7) {
-        0 => Uplink::VelocityReport {
-            oid: ObjectId(rng.next_u64() as u32),
-            motion: rand_motion(rng),
-        },
-        1 => Uplink::CellChange {
-            oid: ObjectId(rng.next_u64() as u32),
-            prev_cell: CellId::new(rng.below(100) as u32, rng.below(100) as u32),
-            new_cell: CellId::new(rng.below(100) as u32, rng.below(100) as u32),
-            motion: rand_motion(rng),
-        },
-        2 => Uplink::ResultUpdate {
-            oid: ObjectId(rng.next_u64() as u32),
-            changes: (0..rng.below(20))
-                .map(|_| (QueryId(rng.next_u64() as u32), rng.coin()))
-                .collect(),
-        },
-        3 => Uplink::GroupResultUpdate {
-            oid: ObjectId(rng.next_u64() as u32),
-            focal: ObjectId(rng.next_u64() as u32),
-            mask: rng.next_u64(),
-            targets: rng.next_u64(),
-        },
-        4 => Uplink::PositionReply {
-            oid: ObjectId(rng.next_u64() as u32),
-            motion: rand_motion(rng),
-            max_vel: rng.range(0.0, 0.1),
-        },
-        5 => Uplink::Resync {
-            oid: ObjectId(rng.next_u64() as u32),
-            cell: CellId::new(rng.below(100) as u32, rng.below(100) as u32),
-            motion: rand_motion(rng),
-            max_vel: rng.range(0.0, 0.1),
-            fresh: rng.coin(),
-        },
-        _ => Uplink::LqtSync {
-            oid: ObjectId(rng.next_u64() as u32),
-            entries: (0..rng.below(20))
-                .map(|_| (QueryId(rng.next_u64() as u32), rng.coin()))
-                .collect(),
-        },
-    }
-}
-
-fn rand_downlink(rng: &mut Rng) -> Downlink {
-    match rng.below(9) {
-        0 => Downlink::QueryState {
-            info: rand_group_info(rng),
-        },
-        1 => Downlink::VelocityChange {
-            focal: ObjectId(rng.next_u64() as u32),
-            motion: rand_motion(rng),
-            qids: (0..rng.below(20))
-                .map(|_| QueryId(rng.next_u64() as u32))
-                .collect(),
-            seq: rng.next_u64(),
-        },
-        2 => Downlink::NewQueries {
-            infos: (0..rng.below(3)).map(|_| rand_group_info(rng)).collect(),
-        },
-        3 => Downlink::RemoveQuery {
-            qid: QueryId(rng.next_u64() as u32),
-            epoch: rng.next_u64(),
-        },
-        4 => Downlink::FocalNotify {
-            is_focal: rng.coin(),
-        },
-        5 => Downlink::PositionRequest,
-        6 => Downlink::ResultDelta {
-            qid: QueryId(rng.next_u64() as u32),
-            object: ObjectId(rng.next_u64() as u32),
-            entered: rng.coin(),
-        },
-        7 => Downlink::Heartbeat {
-            epoch: rng.next_u64(),
-            cell_digests: (0..rng.below(12))
-                .map(|_| {
-                    (
-                        CellId::new(rng.below(100) as u32, rng.below(100) as u32),
-                        rng.next_u64(),
-                    )
-                })
-                .collect(),
-        },
-        _ => Downlink::CellSync {
-            cell: CellId::new(rng.below(100) as u32, rng.below(100) as u32),
-            epoch: rng.next_u64(),
-            infos: (0..rng.below(3)).map(|_| rand_group_info(rng)).collect(),
-        },
-    }
-}
-
-fn rand_spec(rng: &mut Rng) -> QuerySpec {
-    QuerySpec {
-        qid: QueryId(rng.next_u64() as u32),
-        region: rand_region(rng),
-        filter: Arc::new(rand_filter(rng, 3)),
-        slot: rng.next_u64() as u8,
-        seq: rng.next_u64(),
-    }
-}
-
-fn rand_grid_rect(rng: &mut Rng) -> GridRect {
-    let x0 = rng.below(100) as u32;
-    let y0 = rng.below(100) as u32;
-    GridRect {
-        x0,
-        y0,
-        x1: x0 + rng.below(10) as u32,
-        y1: y0 + rng.below(10) as u32,
-    }
-}
-
-fn rand_migration(rng: &mut Rng) -> QueryMigration {
-    QueryMigration {
-        spec: rand_spec(rng),
-        curr_cell: CellId::new(rng.below(100) as u32, rng.below(100) as u32),
-        mon_region: rand_grid_rect(rng),
-        expires_at: rng.coin().then(|| rng.range(0.0, 1e6)),
-        result: (0..rng.below(20))
-            .map(|_| ObjectId(rng.next_u64() as u32))
-            .collect(),
-    }
-}
-
-fn rand_cluster(rng: &mut Rng) -> ClusterMsg {
-    match rng.below(4) {
-        0 => ClusterMsg::MigrateFocal {
-            oid: ObjectId(rng.next_u64() as u32),
-            motion: rand_motion(rng),
-            max_vel: rng.range(0.0, 0.1),
-            used_slots: rng.next_u64(),
-            last_heard: rng.range(0.0, 1e6),
-            epoch: rng.next_u64(),
-            queries: (0..rng.below(5)).map(|_| rand_migration(rng)).collect(),
-        },
-        1 => ClusterMsg::StubUpdate {
-            focal: ObjectId(rng.next_u64() as u32),
-            motion: rand_motion(rng),
-            max_vel: rng.range(0.0, 0.1),
-            curr_cell: CellId::new(rng.below(100) as u32, rng.below(100) as u32),
-            mon_region: rand_grid_rect(rng),
-            old_mon: rng.coin().then(|| rand_grid_rect(rng)),
-            spec: rand_spec(rng),
-        },
-        2 => ClusterMsg::StubMotion {
-            focal: ObjectId(rng.next_u64() as u32),
-            motion: rand_motion(rng),
-            max_vel: rng.range(0.0, 0.1),
-            qids: (0..rng.below(20))
-                .map(|_| (QueryId(rng.next_u64() as u32), rng.next_u64()))
-                .collect(),
-        },
-        _ => ClusterMsg::StubRemove {
-            qid: QueryId(rng.next_u64() as u32),
-            mon_region: rand_grid_rect(rng),
-            epoch: rng.next_u64(),
-        },
-    }
+    samples
 }
 
 #[test]
-fn uplink_roundtrip() {
-    let mut rng = Rng(0x5eed_c0de_c001);
-    for case in 0..256 {
-        let msg = rand_uplink(&mut rng);
-        let bytes = uplink_bytes(&msg);
-        assert_eq!(
-            bytes.len(),
-            msg.wire_size(),
-            "case {case}: wire_size mismatch for {msg:?}"
-        );
-        let mut buf = Reader::new(&bytes);
-        let decoded = decode_uplink(&mut buf).expect("decodes");
-        assert_eq!(decoded, msg, "case {case}");
-        assert_eq!(buf.remaining(), 0, "case {case}: trailing bytes");
-    }
+fn uplink_format() {
+    check_format(&sweep(0x5eed_c0de_c001, rand_uplink), 0x5eed_c0de_f001);
 }
 
 #[test]
-fn downlink_roundtrip() {
-    let mut rng = Rng(0x5eed_c0de_c002);
-    for case in 0..256 {
-        let msg = rand_downlink(&mut rng);
-        let bytes = downlink_bytes(&msg);
-        assert_eq!(
-            bytes.len(),
-            msg.wire_size(),
-            "case {case}: wire_size mismatch for {msg:?}"
-        );
-        let mut buf = Reader::new(&bytes);
-        let decoded = decode_downlink(&mut buf).expect("decodes");
-        assert_eq!(decoded, msg, "case {case}");
-        assert_eq!(buf.remaining(), 0, "case {case}: trailing bytes");
-    }
+fn downlink_format() {
+    check_format(&sweep(0x5eed_c0de_c002, rand_downlink), 0x5eed_c0de_f002);
 }
 
 #[test]
-fn cluster_roundtrip() {
-    let mut rng = Rng(0x5eed_c0de_c004);
-    for case in 0..256 {
-        let msg = rand_cluster(&mut rng);
-        let bytes = cluster_bytes(&msg);
-        assert_eq!(
-            bytes.len(),
-            msg.wire_size(),
-            "case {case}: wire_size mismatch for {msg:?}"
-        );
-        let mut buf = Reader::new(&bytes);
-        let decoded = decode_cluster(&mut buf).expect("decodes");
-        assert_eq!(decoded, msg, "case {case}");
-        assert_eq!(buf.remaining(), 0, "case {case}: trailing bytes");
-    }
-}
-
-#[test]
-fn decoder_never_panics_on_garbage() {
-    let mut rng = Rng(0x5eed_c0de_c003);
-    for _ in 0..256 {
-        let data: Vec<u8> = (0..rng.below(200)).map(|_| rng.next_u64() as u8).collect();
-        let _ = decode_uplink(&mut Reader::new(&data));
-        let _ = decode_downlink(&mut Reader::new(&data));
-        let _ = decode_cluster(&mut Reader::new(&data));
-    }
+fn cluster_format() {
+    check_format(&sweep(0x5eed_c0de_c004, rand_cluster), 0x5eed_c0de_f004);
 }

@@ -309,9 +309,6 @@ impl GridRect {
             .flat_map(move |y| (x0..=x1).map(move |x| CellId { x, y }))
             .filter(move |_| !empty)
     }
-
-    /// Serialized size on the wire (4 × u32).
-    pub const WIRE_SIZE: usize = 16;
 }
 
 #[cfg(test)]

@@ -56,9 +56,6 @@ impl LinearMotion {
     pub fn should_report(&self, t: f64, actual: Point, delta: f64) -> bool {
         self.deviation(t, actual) > delta
     }
-
-    /// Serialized size on the wire: pos (16) + vel (16) + tm (8).
-    pub const WIRE_SIZE: usize = 40;
 }
 
 #[cfg(test)]

@@ -49,15 +49,6 @@ impl QueryRegion {
         debug_assert!(half_w >= 0.0 && half_h >= 0.0);
         QueryRegion::Rect { half_w, half_h }
     }
-
-    /// Serialized size of the shape on the wire, in bytes (tag + payload).
-    /// Used by the network substrate's message accounting.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            QueryRegion::Circle { .. } => 1 + 8,
-            QueryRegion::Rect { .. } => 1 + 16,
-        }
-    }
 }
 
 impl Region for QueryRegion {
@@ -139,12 +130,6 @@ mod tests {
         assert!(q.contains_from(Point::new(0.0, 0.0), Point::new(0.5, 0.0)));
         assert!(!q.contains_from(Point::new(10.0, 0.0), Point::new(0.5, 0.0)));
         assert!(q.contains_from(Point::new(10.0, 0.0), Point::new(10.5, 0.0)));
-    }
-
-    #[test]
-    fn wire_sizes() {
-        assert_eq!(QueryRegion::circle(1.0).wire_size(), 9);
-        assert_eq!(QueryRegion::rect(1.0, 1.0).wire_size(), 17);
     }
 
     #[test]

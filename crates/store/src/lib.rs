@@ -31,8 +31,8 @@
 //! by frames `[len u32][crc u32][seq u64][payload]`, where `crc` is
 //! CRC-32 (IEEE) over `seq ‖ payload` and `len` counts payload bytes.
 
-use mobieyes_core::codec::{Put, Reader};
-use mobieyes_core::journal::{decode_record, encode_record, JournalSink, LogRecord};
+use mobieyes_core::codec::{Reader, Wire};
+use mobieyes_core::journal::{JournalSink, LogRecord};
 use mobieyes_core::server::Net;
 use mobieyes_core::{ObjectId, Server};
 use mobieyes_geo::LinearMotion;
@@ -234,10 +234,8 @@ fn scan_segment(bytes: &[u8], partition: u32, expect_seq: Option<u64>) -> io::Re
         return Err(bad_data("segment shorter than its header"));
     }
     let hdr = &mut Reader::new(&bytes[..SEGMENT_HEADER_LEN]);
-    let magic = hdr.get_u32_le("magic").map_err(|e| bad_data(e.0))?;
-    let version = hdr.get_u32_le("version").map_err(|e| bad_data(e.0))?;
-    let seg_partition = hdr.get_u32_le("partition").map_err(|e| bad_data(e.0))?;
-    let first_seq = hdr.get_u64_le("first seq").map_err(|e| bad_data(e.0))?;
+    let (magic, version, seg_partition, first_seq) =
+        <(u32, u32, u32, u64)>::get(hdr).map_err(|e| bad_data(e.0))?;
     if magic != MAGIC {
         return Err(bad_data(format!("bad segment magic {magic:#x}")));
     }
@@ -262,26 +260,26 @@ fn scan_segment(bytes: &[u8], partition: u32, expect_seq: Option<u64>) -> io::Re
     let mut seq = first_seq;
     let mut torn = false;
     while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        if rest.len() < FRAME_HEADER_LEN {
+        let frame = &mut Reader::new(&bytes[offset..]);
+        let Ok((len, crc, frame_seq)) = <(u32, u32, u64)>::get(frame) else {
             torn = true;
             break;
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-        let frame_seq = u64::from_le_bytes(rest[8..16].try_into().unwrap());
-        if len > MAX_RECORD || rest.len() < FRAME_HEADER_LEN + len || frame_seq != seq {
-            torn = true;
-            break;
-        }
-        let guarded = &rest[8..FRAME_HEADER_LEN + len];
+        };
+        let len = len as usize;
+        let payload = match frame.take(len, "frame payload") {
+            Ok(payload) if len <= MAX_RECORD && frame_seq == seq => payload,
+            _ => {
+                torn = true;
+                break;
+            }
+        };
+        let guarded = &bytes[offset + 8..offset + FRAME_HEADER_LEN + len];
         if crc32(guarded) != crc {
             torn = true;
             break;
         }
-        let payload = &rest[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len];
         let buf = &mut Reader::new(payload);
-        let Ok(rec) = decode_record(buf) else {
+        let Ok(rec) = LogRecord::get(buf) else {
             torn = true;
             break;
         };
@@ -303,10 +301,8 @@ fn scan_segment(bytes: &[u8], partition: u32, expect_seq: Option<u64>) -> io::Re
 
 fn encode_frame(seq: u64, rec: &LogRecord, out: &mut Vec<u8>) -> usize {
     let start = out.len();
-    out.put_u32_le(0); // len placeholder
-    out.put_u32_le(0); // crc placeholder
-    out.put_u64_le(seq);
-    encode_record(rec, out);
+    (0u32, 0u32, seq).put(out); // len and crc placeholders
+    rec.put(out);
     let len = out.len() - start - FRAME_HEADER_LEN;
     let crc = crc32(&out[start + 8..]);
     out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
@@ -497,10 +493,7 @@ impl JournalSink for Store {
 impl Inner {
     fn open_segment(&mut self, index: u64) -> io::Result<()> {
         let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN);
-        header.put_u32_le(MAGIC);
-        header.put_u32_le(VERSION);
-        header.put_u32_le(self.cfg.partition);
-        header.put_u64_le(self.next_seq);
+        (MAGIC, VERSION, self.cfg.partition, self.next_seq).put(&mut header);
         let mut f = OpenOptions::new()
             .create_new(true)
             .write(true)
@@ -895,7 +888,7 @@ mod tests {
         // Frame boundaries: prefix lengths that keep k whole frames.
         let mut boundaries = vec![SEGMENT_HEADER_LEN];
         for r in &recs {
-            let payload = mobieyes_core::journal::record_bytes(r);
+            let payload = mobieyes_core::codec::to_bytes(r);
             boundaries.push(boundaries.last().unwrap() + FRAME_HEADER_LEN + payload.len());
         }
         assert_eq!(*boundaries.last().unwrap(), full.len());

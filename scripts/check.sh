@@ -34,6 +34,31 @@ diff_benches() {
   diff <(grep -v '"host_cores"' "$1") <(grep -v '"host_cores"' "$2")
 }
 
+echo "==> cost model pin (the paper's wireless byte accounting, exact)"
+# The messaging-cost and power results rest on per-message byte counts,
+# and those are counted off the encoder (codec::encoded_len): a changed
+# message layout moves them. Two seeded runs — EQP, and LQP on four
+# rebalancing partitions under loss, duplication and churn — pin the three
+# wireless byte counters to the byte (each measured twice, identical both
+# times). Changing a number here is a deliberate protocol change: update
+# it and record why in CHANGES.md.
+cost_out=$(mktemp)
+cost_pin() { # <label> <uplink> <unicast> <broadcast> <mobieyes args...>
+  local label=$1 pinned="$2 $3 $4" got="" key
+  shift 4
+  cargo run -q --release --bin mobieyes -- "$@" --metrics-out "$cost_out" >/dev/null
+  for key in uplink unicast broadcast; do
+    got="$got $(assert_json "$cost_out" get "net.$key.bytes")"
+  done
+  [ "${got# }" = "$pinned" ] \
+    || { echo "cost model pin ($label): uplink/unicast/broadcast bytes${got}, pinned $pinned"; exit 1; }
+}
+cost_pin eqp 3551150 4393920 3926469 --objects 10000 --ticks 40 --seed 7
+cost_pin lqp-chaos 761440 255109 4390760 --mode lqp --partitions 4 --rebalance-ticks 5 \
+  --objects 4000 --ticks 40 --seed 7 --uplink-drop 0.1 --downlink-drop 0.1 --dup-rate 0.05 \
+  --churn-rate 0.05
+rm -f "$cost_out"
+
 echo "==> chaos smoke (seq/parallel + engine equivalence, convergence)"
 # The chaos-recovery bench is fully deterministic; the same scenario must
 # produce byte-identical results and telemetry at 1 and 4 worker threads
