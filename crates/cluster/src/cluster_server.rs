@@ -17,7 +17,7 @@ use crate::partition::{
 };
 use crate::serve::store_failed;
 use crate::wire::{InitConfig, PartitionOp};
-use mobieyes_core::server::{srv_keys, Net};
+use mobieyes_core::server::{srv_keys, srv_slots, Net, ServerTally};
 use mobieyes_core::{
     ClusterMsg, Downlink, Filter, LogRecord, ObjectId, PartitionScope, ProtocolConfig, QueryId,
     Server, Uplink,
@@ -181,6 +181,10 @@ pub struct ClusterServer {
     sinks: Vec<Telemetry>,
     /// The shared protocol sink (the one the agent network records into).
     shared: Telemetry,
+    /// The `srv.*` counters the coordinator records itself (uplinks it
+    /// decomposed, heartbeats, position requests), published into
+    /// `shared` with the partitions' counters.
+    tally: ServerTally,
     bus: Box<dyn Transport<Envelope>>,
     /// The bus records into its own sink so cluster-transport metrics
     /// never leak into the protocol snapshot (which must compare equal
@@ -373,6 +377,7 @@ impl ClusterServer {
             partitions,
             sinks,
             shared,
+            tally: ServerTally::new(srv_keys::ALL),
             bus,
             bus_sink,
             pending: BTreeMap::new(),
@@ -711,9 +716,16 @@ impl ClusterServer {
     }
 
     /// Folds the per-partition sinks into the shared protocol sink, in
-    /// partition order.
+    /// partition order, after publishing every counter counted since the
+    /// last fold: the coordinator's, and each in-process partition's and
+    /// store's into its sink.
     fn merge_sinks(&mut self) {
-        for s in &self.sinks {
+        self.tally.flush(&self.shared);
+        for (p, s) in self.sinks.iter().enumerate() {
+            self.partitions[p].publish();
+            if let Some(st) = &self.stores[p] {
+                st.publish();
+            }
             self.shared.merge_registry(&s.drain());
         }
         self.fold_rpc_counts();
@@ -785,7 +797,7 @@ impl ClusterServer {
                 expires_at,
             });
             if first {
-                self.sinks[0].incr(srv_keys::UNICAST_OPS);
+                self.tally.incr(srv_slots::UNICAST_OPS);
                 net.send_unicast(focal.node(), Downlink::PositionRequest);
             }
         }
@@ -842,7 +854,7 @@ impl ClusterServer {
             return;
         }
         self.last_heartbeat = now;
-        self.sinks[0].incr(srv_keys::HEARTBEATS);
+        self.tally.incr(srv_slots::HEARTBEATS);
 
         // (1) Lease expiry, ascending object id across all partitions.
         let per_partition: Vec<Vec<(ObjectId, Vec<QueryId>)>> =
@@ -853,7 +865,7 @@ impl ClusterServer {
         }
         expired.sort_unstable_by_key(|&(_, oid, _)| oid);
         for (home, oid, qids) in expired {
-            self.sinks[home].incr(srv_keys::LEASES_EXPIRED);
+            self.tally.incr(srv_slots::LEASES_EXPIRED);
             self.sinks[home].event(EventKind::LeaseExpired { oid: oid.0 as u64 });
             for qid in qids {
                 let info: Option<(QueryRegion, Arc<Filter>, Option<f64>)> =
@@ -873,7 +885,7 @@ impl ClusterServer {
         // (2) Retry pending installs.
         let waiting: Vec<ObjectId> = self.pending.keys().copied().collect();
         for oid in waiting {
-            self.sinks[0].incr(srv_keys::UNICAST_OPS);
+            self.tally.incr(srv_slots::UNICAST_OPS);
             net.send_unicast(oid.node(), Downlink::PositionRequest);
         }
 
@@ -885,7 +897,7 @@ impl ClusterServer {
             epoch,
             cell_digests,
         });
-        self.sinks[0].add(srv_keys::BROADCAST_OPS, sent as u64);
+        self.tally.add(srv_slots::BROADCAST_OPS, sent as u64);
         self.merge_sinks();
     }
 
@@ -983,7 +995,7 @@ impl ClusterServer {
             self.cell_ops[flat] += 1;
         }
         self.ops[primary] += 1;
-        self.sinks[primary].incr(srv_keys::UPLINKS);
+        self.tally.incr(srv_slots::UPLINKS);
         // Any uplink from a focal object renews its lease, wherever the
         // FOT row is homed. Leases only matter under the fault-tolerance
         // layer; without it `last_heard` is never read.
@@ -1007,12 +1019,12 @@ impl ClusterServer {
                 new_cell,
                 motion,
             } => {
-                self.sinks[primary].incr(srv_keys::CELL_CHANGES);
+                self.tally.incr(srv_slots::CELL_CHANGES);
                 let home = self.find_focal(oid);
                 self.cell_change(oid, home, prev_cell, new_cell, motion, net);
             }
             Uplink::ResultUpdate { oid, changes } => {
-                self.sinks[primary].incr(srv_keys::RESULT_UPDATES);
+                self.tally.incr(srv_slots::RESULT_UPDATES);
                 for (qid, is_target) in changes {
                     if let Some(home) = self.find_query(qid) {
                         let change = LogRecord::ResultChange {
@@ -1030,7 +1042,7 @@ impl ClusterServer {
                 mask,
                 targets,
             } => {
-                self.sinks[primary].incr(srv_keys::RESULT_UPDATES);
+                self.tally.incr(srv_slots::RESULT_UPDATES);
                 if let Some(home) = self.find_focal(focal) {
                     let update = LogRecord::GroupResultUpdate {
                         oid,
@@ -1207,8 +1219,7 @@ impl ClusterServer {
                     // migration has a well-defined previous cell; a focal
                     // whose queries vanished mid-handoff simply skips it.
                     let prev = reported[0];
-                    self.sinks[self.map.owner_of_cell(&self.config.grid, cell) as usize]
-                        .incr(srv_keys::CELL_CHANGES);
+                    self.tally.incr(srv_slots::CELL_CHANGES);
                     self.cell_change(oid, home0, prev, cell, motion, net);
                 } else if motion.tm > old_motion.tm {
                     let report = LogRecord::VelocityReport { oid, motion };
@@ -1227,7 +1238,8 @@ impl ClusterServer {
                 stale.extend(purged.into_iter().map(|q| (p, q)));
             }
             stale.sort_unstable_by_key(|&(_, q)| q);
-            self.sinks[0].add(srv_keys::STALE_RESULTS_PURGED, stale.len() as u64);
+            self.tally
+                .add(srv_slots::STALE_RESULTS_PURGED, stale.len() as u64);
             for (home, qid) in stale {
                 let delta = LogRecord::ResultDelta {
                     qid,
@@ -1251,7 +1263,7 @@ impl ClusterServer {
     /// union is walked in ascending query order across all partitions,
     /// issuing a reconcile only where claim and membership disagree.
     fn lqt_sync(&mut self, oid: ObjectId, entries: Vec<(QueryId, bool)>, net: &mut Net) {
-        self.sinks[0].incr(srv_keys::LQT_SYNCS);
+        self.tally.incr(srv_slots::LQT_SYNCS);
         let mentioned: BTreeMap<QueryId, bool> = entries.into_iter().collect();
         let mut member_at: BTreeMap<QueryId, usize> = BTreeMap::new();
         let memberships = PartitionOp::ObjectMemberships(oid);
@@ -1285,7 +1297,7 @@ impl ClusterServer {
                 deltas.push((home, qid, is_target));
             }
         }
-        self.sinks[0].add(srv_keys::STALE_RESULTS_PURGED, stale);
+        self.tally.add(srv_slots::STALE_RESULTS_PURGED, stale);
         for (home, qid, entered) in deltas {
             self.post_at(home, net, &LogRecord::ResultDelta { qid, oid, entered });
         }
@@ -1737,9 +1749,8 @@ impl ClusterServer {
                     expires_at: r.expires_at,
                 });
         }
-        let first_live = self.first_live();
         for oid in &focals {
-            self.sinks[first_live].incr(srv_keys::UNICAST_OPS);
+            self.tally.incr(srv_slots::UNICAST_OPS);
             net.send_unicast(oid.node(), Downlink::PositionRequest);
         }
         report.queries_reinstalled = fallback.len();

@@ -582,6 +582,14 @@ impl PartitionHandle {
         }
     }
 
+    /// Publishes an in-process server's pending counters into its sink
+    /// ([`Server::publish`]). A partition process keeps its own counters.
+    pub fn publish(&mut self) {
+        if let PartitionHandle::Local(s) = self {
+            s.publish();
+        }
+    }
+
     /// Drains the RPC counts accumulated since the last call; `None` for
     /// local handles.
     pub fn take_rpc_counts(&self) -> Option<RpcCounts> {
@@ -695,10 +703,14 @@ impl PartitionHandle {
 
     /// Swaps in a fresh in-process server, dropping the old one's entire
     /// state — the coordinator's crash-injection primitive (the lockstep
-    /// analogue of `kill -9` on a partition process).
+    /// analogue of `kill -9` on a partition process). What the old server
+    /// counted is published first: it happened.
     pub fn replace_local(&mut self, fresh: Server) {
         match self {
-            PartitionHandle::Local(s) => **s = fresh,
+            PartitionHandle::Local(s) => {
+                s.publish();
+                **s = fresh;
+            }
             PartitionHandle::Remote(_) => {
                 panic!("crash injection replaces in-process servers only")
             }

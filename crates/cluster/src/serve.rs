@@ -704,8 +704,8 @@ mod tests {
     }
 
     /// A fresh cell change whose new cell overshoots the grid is served
-    /// against the clamped cell — the one its payload memo is keyed by —
-    /// instead of indexing the RQI out of bounds.
+    /// against the clamped cell's RQI row instead of indexing the RQI out
+    /// of bounds.
     #[test]
     fn a_fresh_cell_change_off_the_grid_is_served_clamped() {
         let mut s = populated();

@@ -715,6 +715,57 @@ pub(crate) mod tests {
         }
     }
 
+    /// A request whose install carries a filter of `Not`s nested `depth`
+    /// levels deep around `True` (written as bytes: a value that deep
+    /// could not be encoded by recursion either).
+    fn nested_install_request(depth: usize) -> Vec<u8> {
+        let marker = Filter::Eq(
+            "filter-goes-here".into(),
+            mobieyes_core::PropValue::Bool(true),
+        );
+        let install = LogRecord::CompleteInstall {
+            qid: QueryId(6),
+            focal: ObjectId(7),
+            region: QueryRegion::circle(4.0),
+            filter: Arc::new(marker.clone()),
+            expires_at: None,
+        };
+        let mut bytes = Vec::new();
+        encode_apply(3, &install, &mut bytes);
+        let key = b"filter-goes-here";
+        let at = bytes
+            .windows(key.len())
+            .position(|w| w == key)
+            .expect("marker")
+            - 3;
+        let mut chain = vec![8u8; depth];
+        chain.push(0);
+        bytes.splice(at..at + codec::encoded_len(&marker), chain);
+        bytes
+    }
+
+    /// Filters arrive in partition requests, so the request decoder is
+    /// where a hostile nesting depth must stop: past the codec's bound it
+    /// is a frame error — however deep, without exhausting the stack —
+    /// and at the bound the install decodes.
+    #[test]
+    fn a_filter_nested_past_the_bound_is_a_frame_error_not_an_abort() {
+        use mobieyes_core::codec::MAX_NESTING;
+        for depth in [MAX_NESTING + 1, 100_000, 1_000_000] {
+            let err = decode_request(&nested_install_request(depth)).expect_err("refused");
+            assert!(
+                matches!(&err, TransportError::Frame(text) if text.contains("nested deeper")),
+                "depth {depth}: {err}"
+            );
+        }
+        let (floor, op) = decode_request(&nested_install_request(MAX_NESTING)).expect("decodes");
+        let PartitionOp::Apply(LogRecord::CompleteInstall { filter, .. }) = op else {
+            panic!("decoded {op:?}");
+        };
+        assert_eq!(floor, 3);
+        assert_eq!(codec::encoded_len(&*filter), MAX_NESTING + 1);
+    }
+
     /// The journal vocabulary is wider than the partition surface: a
     /// well-formed request carrying any other record is refused as a
     /// protocol violation, not executed.

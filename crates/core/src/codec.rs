@@ -21,8 +21,9 @@
 //! [`Reader`] is bounds-checked and returns a [`DecodeError`] on truncated
 //! input, and every sequence decoder ([`get_n`]) refuses a count whose
 //! elements could not fit in the bytes left — each type declares its
-//! minimum encoded length, [`Wire::MIN_LEN`] — before allocating. Malformed
-//! bytes never panic a decoder.
+//! minimum encoded length, [`Wire::MIN_LEN`] — before allocating — and a
+//! recursive value is followed at most [`MAX_NESTING`] levels deep.
+//! Malformed bytes never panic a decoder or exhaust its stack.
 //!
 //! Most layouts are declared with [`wire!`](crate::wire): the fields in
 //! the order they are written, from which `put`, `get` and `MIN_LEN` derive.
@@ -38,17 +39,44 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Cursor over an encoded byte slice. Reading past the end returns a
-/// [`DecodeError`] naming what was being read, never a slice panic.
+/// [`DecodeError`] naming what was being read, never a slice panic, and so
+/// does input nested deeper than [`MAX_NESTING`].
 #[derive(Debug, Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Nesting levels entered and not yet left ([`Reader::nested`]).
+    depth: usize,
 }
+
+/// The deepest nesting a decoder follows: a recursive value (a filter's
+/// `And` / `Or` / `Not` operands) is decoded by recursion, one stack frame
+/// per level, so the depth of untrusted input must be bounded before the
+/// stack is. Far above any filter a query is built with.
+pub const MAX_NESTING: usize = 64;
 
 impl<'a> Reader<'a> {
     #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Decodes with `get` one nesting level deeper; input nested past
+    /// [`MAX_NESTING`] levels is an error, not a stack overflow.
+    fn nested<T>(&mut self, get: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(DecodeError(format!(
+                "input nested deeper than {MAX_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        let value = get(self);
+        self.depth -= 1;
+        value
     }
 
     #[inline]
@@ -360,14 +388,15 @@ impl<T: Wire> Wire for Arc<T> {
 }
 
 /// A box is how a type holds itself (a filter's operands), so its minimum
-/// is a tag byte's — `T::MIN_LEN` would be defined in terms of itself.
+/// is a tag byte's — `T::MIN_LEN` would be defined in terms of itself —
+/// and each box is one nesting level of the input.
 impl<T: Wire> Wire for Box<T> {
     const MIN_LEN: usize = 1;
     fn put(&self, out: &mut impl Put) {
         (**self).put(out);
     }
     fn get(buf: &mut Reader<'_>) -> Result<Self> {
-        T::get(buf).map(Box::new)
+        buf.nested(|buf| T::get(buf).map(Box::new))
     }
 }
 
@@ -709,6 +738,38 @@ mod tests {
         let mut bytes = to_bytes(&(3u8, u16::MAX));
         bytes.put_slice(b"abc");
         assert!(Filter::get(&mut Reader::new(&bytes)).is_err());
+    }
+
+    /// A `Not` chain of `depth` levels around `True`, as bytes.
+    fn not_chain(depth: usize) -> Vec<u8> {
+        let mut bytes = vec![8u8; depth];
+        bytes.push(0);
+        bytes
+    }
+
+    /// The decoder follows filter nesting to [`MAX_NESTING`] levels and
+    /// refuses the next one; a chain far deeper than any stack could
+    /// recurse through is a decode error, not an abort.
+    #[test]
+    fn filter_nesting_is_bounded_at_decode() {
+        let mut deepest = Filter::True;
+        for _ in 0..MAX_NESTING {
+            deepest = Filter::Not(Box::new(deepest));
+        }
+        let bytes = to_bytes(&deepest);
+        assert_eq!(bytes, not_chain(MAX_NESTING));
+        assert_eq!(Filter::get(&mut Reader::new(&bytes)), Ok(deepest));
+        for depth in [MAX_NESTING + 1, 100_000] {
+            let e = Filter::get(&mut Reader::new(&not_chain(depth))).unwrap_err();
+            assert!(e.0.contains("nested deeper"), "depth {depth}: {e}");
+        }
+        // The bound is on depth, not size: a balanced filter of 1 024
+        // leaves decodes whole.
+        let balanced = (0..10).fold(Filter::False, |acc, _| {
+            Filter::Or(Box::new(acc.clone()), Box::new(acc))
+        });
+        let bytes = to_bytes(&balanced);
+        assert_eq!(Filter::get(&mut Reader::new(&bytes)), Ok(balanced));
     }
 
     #[test]

@@ -19,8 +19,8 @@ use crate::messages::{
 use crate::model::{ObjectId, QueryId};
 use mobieyes_geo::{CellId, GridRect, LinearMotion, QueryRegion, Region};
 use mobieyes_net::{NetworkSim, NodeId};
-use mobieyes_telemetry::{EventKind, MetricsSnapshot, Telemetry};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use mobieyes_telemetry::{EventKind, MetricsSnapshot, Tally, Telemetry};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -463,7 +463,45 @@ pub mod srv_keys {
     pub const RESYNC_REPLIES: &str = "srv.resync_replies";
     pub const LQT_SYNCS: &str = "srv.lqt_syncs";
     pub const STALE_RESULTS_PURGED: &str = "srv.stale_results_purged";
+
+    /// Every key, in the slot order of a [`ServerTally`](super::ServerTally)
+    /// ([`srv_slots`](super::srv_slots)).
+    pub const ALL: [&str; 12] = [
+        UPLINKS,
+        VELOCITY_REPORTS,
+        CELL_CHANGES,
+        RESULT_UPDATES,
+        BROADCAST_OPS,
+        UNICAST_OPS,
+        RQI_UPDATES,
+        HEARTBEATS,
+        LEASES_EXPIRED,
+        RESYNC_REPLIES,
+        LQT_SYNCS,
+        STALE_RESULTS_PURGED,
+    ];
 }
+
+/// The slots of a [`ServerTally`]: slot `srv_slots::X` counts `srv_keys::X`.
+pub mod srv_slots {
+    pub const UPLINKS: usize = 0;
+    pub const VELOCITY_REPORTS: usize = 1;
+    pub const CELL_CHANGES: usize = 2;
+    pub const RESULT_UPDATES: usize = 3;
+    pub const BROADCAST_OPS: usize = 4;
+    pub const UNICAST_OPS: usize = 5;
+    pub const RQI_UPDATES: usize = 6;
+    pub const HEARTBEATS: usize = 7;
+    pub const LEASES_EXPIRED: usize = 8;
+    pub const RESYNC_REPLIES: usize = 9;
+    pub const LQT_SYNCS: usize = 10;
+    pub const STALE_RESULTS_PURGED: usize = 11;
+}
+
+/// The `srv.*` counters of a recorder, counted plainly and published with
+/// one lock per phase: a [`Server`] keeps one, and so does a cluster
+/// coordinator for the counters it records itself.
+pub type ServerTally = Tally<{ srv_keys::ALL.len() }>;
 
 impl ServerStats {
     /// Materializes the view from a metrics snapshot.
@@ -512,6 +550,11 @@ pub struct Server {
     /// Time of the last heartbeat broadcast.
     last_heartbeat: f64,
     telemetry: Telemetry,
+    /// The `srv.*` counters since the last [`publish`](Self::publish):
+    /// every entry point a tick loop calls publishes before it returns,
+    /// the per-op primitives and [`apply`](Self::apply) leave that to
+    /// their caller (`apply` publishes at the tick-boundary records).
+    tally: ServerTally,
     /// `Some` when this server is one partition of a cluster; `None` for
     /// the classic single-server deployment (whose code paths are
     /// untouched by the scope machinery).
@@ -523,15 +566,6 @@ pub struct Server {
     outbox: Vec<(u32, ClusterMsg)>,
     /// Reusable per-tick uplink drain buffer (cleared, not reallocated).
     uplink_scratch: Vec<(NodeId, Uplink)>,
-    /// Per-tick memo for [`apply_cell_change_fresh`]: the `NewQueries`
-    /// payload for a `(prev, new)` cell pair — keyed by clamped flat cell
-    /// ids — is a pure function of disseminated server state, so the
-    /// runs of non-focal cell changes that dominate a large tick reuse
-    /// one computed payload instead of re-walking RQI/SQT/FOT per
-    /// object. Any mutation of that state clears the memo (see
-    /// [`invalidate_fresh_memo`](Self::invalidate_fresh_memo)), keeping
-    /// replies byte-identical to point-wise application.
-    fresh_memo: HashMap<(u32, u32), Vec<QueryGroupInfo>>,
     /// Durable input journal (see [`crate::journal`]); `None` = no
     /// persistence. Injected like `telemetry`.
     journal: Option<Arc<dyn JournalSink>>,
@@ -564,11 +598,11 @@ impl Server {
             now: 0.0,
             last_heartbeat: f64::NEG_INFINITY,
             telemetry: Telemetry::new(),
+            tally: Tally::new(srv_keys::ALL),
             scope: None,
             stubs: BTreeMap::new(),
             outbox: Vec::new(),
             uplink_scratch: Vec::new(),
-            fresh_memo: HashMap::new(),
             journal: None,
             jdepth: 0,
             journal_floor: 0,
@@ -579,7 +613,7 @@ impl Server {
     /// Redirects instrumentation into a shared telemetry sink (builder
     /// style). By default a private sink is used.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.set_telemetry(telemetry);
         self
     }
 
@@ -607,8 +641,19 @@ impl Server {
 
     /// Redirects instrumentation into a (possibly shared) telemetry sink
     /// at runtime — the setter twin of [`with_telemetry`](Self::with_telemetry).
+    /// Counts not yet published go to the old sink, where they were made.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.publish();
         self.telemetry = telemetry;
+    }
+
+    /// Publishes the `srv.*` counters counted since the last publish into
+    /// the telemetry sink (one lock; none when nothing was counted). Every
+    /// entry point a tick loop calls does this before it returns; a caller
+    /// of the per-op primitives or of [`apply`](Self::apply) publishes
+    /// whenever it wants the sink to be current.
+    pub fn publish(&mut self) {
+        self.tally.flush(&self.telemetry);
     }
 
     /// The partition scope, when this server is part of a cluster.
@@ -714,9 +759,6 @@ impl Server {
     /// stamps form a single global order; the single-server path keeps
     /// its private counter.
     fn bump_epoch(&mut self) -> u64 {
-        // Every disseminated state change flows through here, so the
-        // cell-change payload memo can never serve a stale reply.
-        self.fresh_memo.clear();
         match &self.scope {
             Some(s) => {
                 let v = s.epoch.fetch_add(1, Ordering::Relaxed) + 1;
@@ -800,6 +842,21 @@ impl Server {
         expires_at: Option<f64>,
         net: &mut Net,
     ) -> QueryId {
+        let qid = self.install(focal, region, filter, expires_at, net);
+        self.publish();
+        qid
+    }
+
+    /// [`install_query_with_lifetime`](Self::install_query_with_lifetime)
+    /// without the publish.
+    fn install(
+        &mut self,
+        focal: ObjectId,
+        region: QueryRegion,
+        filter: Filter,
+        expires_at: Option<f64>,
+        net: &mut Net,
+    ) -> QueryId {
         let qid = QueryId(self.next_qid);
         if self.journaling() {
             self.jot(LogRecord::InstallQuery {
@@ -824,7 +881,7 @@ impl Server {
                 expires_at,
             });
             if first {
-                self.telemetry.incr(srv_keys::UNICAST_OPS);
+                self.tally.incr(srv_slots::UNICAST_OPS);
                 net.send_unicast(focal.node(), Downlink::PositionRequest);
             }
         }
@@ -838,8 +895,9 @@ impl Server {
         for &qid in &expired {
             self.telemetry
                 .event(EventKind::QueryExpired { qid: qid.0 as u64 });
-            self.remove_query(qid, net);
+            self.remove(qid, net);
         }
+        self.publish();
         expired
     }
 
@@ -907,13 +965,13 @@ impl Server {
 
         // Make sure the focal object knows it must report motion changes.
         if newly_focal {
-            self.telemetry.incr(srv_keys::UNICAST_OPS);
+            self.tally.incr(srv_slots::UNICAST_OPS);
             net.send_unicast(focal.node(), Downlink::FocalNotify { is_focal: true });
         }
         // Ship the query to every object in the monitoring region.
         let info = self.group_info_for(qid);
-        self.telemetry.add(
-            srv_keys::BROADCAST_OPS,
+        self.tally.add(
+            srv_slots::BROADCAST_OPS,
             net.broadcast_region(
                 &self.config.grid,
                 &mon_region,
@@ -934,6 +992,14 @@ impl Server {
         region: QueryRegion,
         net: &mut Net,
     ) -> bool {
+        let updated = self.update_region(qid, region, net);
+        self.publish();
+        updated
+    }
+
+    /// [`update_query_region`](Self::update_query_region) without the
+    /// publish.
+    fn update_region(&mut self, qid: QueryId, region: QueryRegion, net: &mut Net) -> bool {
         if self.journaling() {
             self.jot(LogRecord::UpdateRegion { qid, region });
         }
@@ -955,8 +1021,8 @@ impl Server {
         let msg = Downlink::QueryState {
             info: self.group_info_for(qid),
         };
-        self.telemetry.add(
-            srv_keys::BROADCAST_OPS,
+        self.tally.add(
+            srv_slots::BROADCAST_OPS,
             net.broadcast_region(&grid, &combined, msg) as u64,
         );
         true
@@ -964,6 +1030,13 @@ impl Server {
 
     /// Removes a query from the system, notifying its monitoring region.
     pub fn remove_query(&mut self, qid: QueryId, net: &mut Net) -> bool {
+        let removed = self.remove(qid, net);
+        self.publish();
+        removed
+    }
+
+    /// [`remove_query`](Self::remove_query) without the publish.
+    fn remove(&mut self, qid: QueryId, net: &mut Net) -> bool {
         if self.journaling() {
             self.jot(LogRecord::RemoveQuery(qid));
         }
@@ -981,7 +1054,7 @@ impl Server {
             if fot.queries.is_empty() {
                 self.fot.remove(&entry.focal);
                 self.note_home(HomeChange::FocalRemoved(entry.focal));
-                self.telemetry.incr(srv_keys::UNICAST_OPS);
+                self.tally.incr(srv_slots::UNICAST_OPS);
                 net.send_unicast(
                     entry.focal.node(),
                     Downlink::FocalNotify { is_focal: false },
@@ -990,8 +1063,8 @@ impl Server {
         }
         let epoch = self.bump_epoch();
         self.emit_stub_remove(qid, entry.mon_region, epoch);
-        self.telemetry.add(
-            srv_keys::BROADCAST_OPS,
+        self.tally.add(
+            srv_slots::BROADCAST_OPS,
             net.broadcast_region(
                 &self.config.grid,
                 &entry.mon_region,
@@ -1010,13 +1083,20 @@ impl Server {
         let mut uplinks = std::mem::take(&mut self.uplink_scratch);
         net.drain_uplinks_into(&mut uplinks);
         for (from, msg) in uplinks.drain(..) {
-            self.handle_uplink(from, msg, net);
+            self.uplink(from, msg, net);
         }
         self.uplink_scratch = uplinks;
+        self.publish();
     }
 
     /// Processes one uplink message.
     pub fn handle_uplink(&mut self, from: NodeId, msg: Uplink, net: &mut Net) {
+        self.uplink(from, msg, net);
+        self.publish();
+    }
+
+    /// [`handle_uplink`](Self::handle_uplink) without the publish.
+    fn uplink(&mut self, from: NodeId, msg: Uplink, net: &mut Net) {
         // Journal the uplink whole at the outermost dispatch; the
         // primitives it decomposes into below are suppressed.
         if self.journaling() {
@@ -1031,7 +1111,7 @@ impl Server {
     }
 
     fn handle_uplink_inner(&mut self, from: NodeId, msg: Uplink, net: &mut Net) {
-        self.telemetry.incr(srv_keys::UPLINKS);
+        self.tally.incr(srv_slots::UPLINKS);
         // Any uplink from a focal object renews its lease.
         self.renew_lease(ObjectId(from.0));
         match msg {
@@ -1048,7 +1128,7 @@ impl Server {
                 self.on_cell_change(oid, prev_cell, new_cell, motion, net);
             }
             Uplink::ResultUpdate { oid, changes } => {
-                self.telemetry.incr(srv_keys::RESULT_UPDATES);
+                self.tally.incr(srv_slots::RESULT_UPDATES);
                 for (qid, is_target) in changes {
                     self.apply_result_change(qid, oid, is_target, net);
                 }
@@ -1059,7 +1139,7 @@ impl Server {
                 mask,
                 targets,
             } => {
-                self.telemetry.incr(srv_keys::RESULT_UPDATES);
+                self.tally.incr(srv_slots::RESULT_UPDATES);
                 self.apply_group_result_update(oid, focal, mask, targets, net);
             }
             Uplink::PositionReply {
@@ -1108,9 +1188,6 @@ impl Server {
             });
         }
         let now = self.now;
-        // Focal motion is part of the cell-change payload but a refresh
-        // does not bump the epoch, so drop the memo explicitly.
-        self.fresh_memo.clear();
         if insert && !self.fot.contains_key(&oid) {
             self.fot.entry_or_insert(
                 oid,
@@ -1190,8 +1267,8 @@ impl Server {
             // A crashed object lost its local state: its containment
             // reports are void until it re-evaluates.
             let stale = self.purge_object(oid);
-            self.telemetry
-                .add(srv_keys::STALE_RESULTS_PURGED, stale.len() as u64);
+            self.tally
+                .add(srv_slots::STALE_RESULTS_PURGED, stale.len() as u64);
             for qid in stale {
                 self.deliver_result_delta(qid, oid, false, net);
             }
@@ -1278,7 +1355,7 @@ impl Server {
             self.jot(LogRecord::FocalReassert(oid));
         }
         if self.fot.get(&oid).is_some_and(|f| !f.queries.is_empty()) {
-            self.telemetry.incr(srv_keys::UNICAST_OPS);
+            self.tally.incr(srv_slots::UNICAST_OPS);
             net.send_unicast(oid.node(), Downlink::FocalNotify { is_focal: true });
         }
     }
@@ -1300,8 +1377,8 @@ impl Server {
             .into_iter()
             .map(|g| self.group_info_for(g[0]))
             .collect();
-        self.telemetry.incr(srv_keys::RESYNC_REPLIES);
-        self.telemetry.incr(srv_keys::UNICAST_OPS);
+        self.tally.incr(srv_slots::RESYNC_REPLIES);
+        self.tally.incr(srv_slots::UNICAST_OPS);
         net.send_unicast(
             oid.node(),
             Downlink::CellSync {
@@ -1318,7 +1395,7 @@ impl Server {
     /// it mentions or is currently a member of can change, so those (in
     /// ascending id, the delta order) are all that is visited.
     fn on_lqt_sync(&mut self, oid: ObjectId, entries: Vec<(QueryId, bool)>, net: &mut Net) {
-        self.telemetry.incr(srv_keys::LQT_SYNCS);
+        self.tally.incr(srv_slots::LQT_SYNCS);
         let mentioned: BTreeMap<QueryId, bool> = entries.into_iter().collect();
         let mut qids: Vec<QueryId> = mentioned.keys().copied().collect();
         qids.extend(self.memberships(oid));
@@ -1335,7 +1412,7 @@ impl Server {
                 deltas.push((qid, is_target));
             }
         }
-        self.telemetry.add(srv_keys::STALE_RESULTS_PURGED, stale);
+        self.tally.add(srv_slots::STALE_RESULTS_PURGED, stale);
         for (qid, entered) in deltas {
             self.deliver_result_delta(qid, oid, entered, net);
         }
@@ -1378,6 +1455,7 @@ impl Server {
         self.jdepth += 1;
         self.heartbeat_inner(now, net);
         self.jdepth -= 1;
+        self.publish();
     }
 
     fn heartbeat_inner(&mut self, now: f64, net: &mut Net) {
@@ -1386,18 +1464,18 @@ impl Server {
             return;
         }
         self.last_heartbeat = now;
-        self.telemetry.incr(srv_keys::HEARTBEATS);
+        self.tally.incr(srv_slots::HEARTBEATS);
 
         // (1) Lease expiry. Deterministic order via the BTreeMap.
         let expired = self.expired_leases();
         for (oid, qids) in expired {
-            self.telemetry.incr(srv_keys::LEASES_EXPIRED);
+            self.tally.incr(srv_slots::LEASES_EXPIRED);
             self.telemetry
                 .event(EventKind::LeaseExpired { oid: oid.0 as u64 });
             for qid in qids {
                 let (region, filter, expires_at) =
                     self.reinstall_info(qid).expect("leased query in SQT");
-                self.remove_query(qid, net);
+                self.remove(qid, net);
                 // Re-announce under the same id; the install completes
                 // when the object answers the position request below.
                 self.pending.entry(oid).or_default().push(PendingInstall {
@@ -1412,7 +1490,7 @@ impl Server {
         // (2) Retry pending installs.
         let waiting: Vec<ObjectId> = self.pending.keys().copied().collect();
         for oid in waiting {
-            self.telemetry.incr(srv_keys::UNICAST_OPS);
+            self.tally.incr(srv_slots::UNICAST_OPS);
             net.send_unicast(oid.node(), Downlink::PositionRequest);
         }
 
@@ -1426,7 +1504,7 @@ impl Server {
             epoch,
             cell_digests,
         });
-        self.telemetry.add(srv_keys::BROADCAST_OPS, sent as u64);
+        self.tally.add(srv_slots::BROADCAST_OPS, sent as u64);
     }
 
     /// Focal objects whose lease has lapsed, with their queries (in
@@ -1497,7 +1575,7 @@ impl Server {
         if self.journaling() {
             self.jot(LogRecord::VelocityReport { oid, motion });
         }
-        self.telemetry.incr(srv_keys::VELOCITY_REPORTS);
+        self.tally.incr(srv_slots::VELOCITY_REPORTS);
         self.telemetry
             .event(EventKind::VelocityReport { oid: oid.0 as u64 });
         let Some(fot) = self.fot.get_mut(&oid) else {
@@ -1534,8 +1612,8 @@ impl Server {
                     info: self.group_info_for(group[0]),
                 },
             };
-            self.telemetry.add(
-                srv_keys::BROADCAST_OPS,
+            self.tally.add(
+                srv_slots::BROADCAST_OPS,
                 net.broadcast_region(&self.config.grid, &mon_region, msg) as u64,
             );
         }
@@ -1550,7 +1628,7 @@ impl Server {
         motion: LinearMotion,
         net: &mut Net,
     ) {
-        self.telemetry.incr(srv_keys::CELL_CHANGES);
+        self.tally.incr(srv_slots::CELL_CHANGES);
         self.apply_cell_change_focal(oid, new_cell, motion, net);
         self.apply_cell_change_fresh(oid, prev_cell, new_cell, motion, net);
     }
@@ -1633,8 +1711,8 @@ impl Server {
             let msg = Downlink::QueryState {
                 info: self.group_info_for(group[0]),
             };
-            self.telemetry.add(
-                srv_keys::BROADCAST_OPS,
+            self.tally.add(
+                srv_slots::BROADCAST_OPS,
                 net.broadcast_region(&grid, &combined, msg) as u64,
             );
         }
@@ -1666,30 +1744,12 @@ impl Server {
                 motion,
             });
         }
-        let grid = &self.config.grid;
-        // The payload is a pure function of (prev_cell, new_cell) given the
-        // disseminated query state, which only changes at memo-invalidation
-        // chokepoints (epoch bumps, RQI edits, tick boundary). Under a batch
-        // of uplinks many objects cross the same cell border, so cache the
-        // built groups per (prev, new) pair — including negative results.
-        let key = (
-            grid.clamped_flat_index(prev_cell) as u32,
-            grid.clamped_flat_index(new_cell) as u32,
-        );
-        if let Some(infos) = self.fresh_memo.get(&key) {
-            if !infos.is_empty() {
-                self.telemetry.incr(srv_keys::UNICAST_OPS);
-                net.send_unicast(
-                    oid.node(),
-                    Downlink::NewQueries {
-                        infos: infos.clone(),
-                    },
-                );
-            }
+        // The clamped cell: a wire-carried cell may overshoot the grid.
+        let new_qids = &self.rqi[self.config.grid.clamped_flat_index(new_cell)];
+        // Most crossings land in a cell no query monitors: no reply.
+        if new_qids.is_empty() {
             return;
         }
-        // The memo key's clamped cell: a wire-carried cell may overshoot.
-        let new_qids = &self.rqi[key.1 as usize];
         let fresh: Vec<QueryId> = new_qids
             .iter()
             .filter(|q| !self.q_mon(**q).is_some_and(|m| m.contains(prev_cell)))
@@ -1701,15 +1761,9 @@ impl Server {
             .map(|g| self.group_info_for(g[0]))
             .collect();
         if !infos.is_empty() {
-            self.telemetry.incr(srv_keys::UNICAST_OPS);
-            net.send_unicast(
-                oid.node(),
-                Downlink::NewQueries {
-                    infos: infos.clone(),
-                },
-            );
+            self.tally.incr(srv_slots::UNICAST_OPS);
+            net.send_unicast(oid.node(), Downlink::NewQueries { infos });
         }
-        self.fresh_memo.insert(key, infos);
     }
 
     /// Splits a set of same-focal queries into dissemination groups. With
@@ -1824,7 +1878,7 @@ impl Server {
             return;
         }
         let Some(e) = self.sqt.get(&qid) else { return };
-        self.telemetry.incr(srv_keys::UNICAST_OPS);
+        self.tally.incr(srv_slots::UNICAST_OPS);
         net.send_unicast(
             e.focal.node(),
             Downlink::ResultDelta {
@@ -1850,7 +1904,6 @@ impl Server {
     }
 
     fn rqi_insert(&mut self, qid: QueryId, region: &GridRect) {
-        self.fresh_memo.clear();
         let owned = self.owned_span();
         let grid = &self.config.grid;
         let mut touched = 0u64;
@@ -1866,11 +1919,10 @@ impl Server {
         }
         // Partitions tile the grid, so per-query RQI work summed across a
         // cluster equals the single server's `region.len()` exactly.
-        self.telemetry.add(srv_keys::RQI_UPDATES, touched);
+        self.tally.add(srv_slots::RQI_UPDATES, touched);
     }
 
     fn rqi_remove(&mut self, qid: QueryId, region: &GridRect) {
-        self.fresh_memo.clear();
         let owned = self.owned_span();
         let grid = &self.config.grid;
         let mut touched = 0u64;
@@ -1882,7 +1934,7 @@ impl Server {
             touched += 1;
             self.rqi[idx].retain(|&q| q != qid);
         }
-        self.telemetry.add(srv_keys::RQI_UPDATES, touched);
+        self.tally.add(srv_slots::RQI_UPDATES, touched);
     }
 
     /// Monitoring region of a query, whether homed here or stubbed.
@@ -1937,8 +1989,6 @@ impl Server {
             self.jot(LogRecord::SetTime(now));
         }
         self.now = now;
-        // Tick boundary: start the new tick's payload memo fresh.
-        self.fresh_memo.clear();
     }
 
     #[doc(hidden)]
@@ -2111,7 +2161,6 @@ impl Server {
             self.jot(LogRecord::ExtractFocal(oid));
         }
         debug_assert!(self.scope.is_some(), "migration needs a scoped server");
-        self.fresh_memo.clear();
         let owned = self.owned_span();
         let grid = self.config.grid.clone();
         let fot = self.fot.remove(&oid)?;
@@ -2285,9 +2334,6 @@ impl Server {
         if self.journaling() {
             self.jot(LogRecord::Cluster(msg.clone()));
         }
-        // Stub/SQT/FOT state may change below; cheap to drop the memo
-        // wholesale (cluster traffic is orders below uplink volume).
-        self.fresh_memo.clear();
         match msg {
             ClusterMsg::MigrateFocal {
                 oid,
@@ -2651,7 +2697,11 @@ impl Server {
     /// Runs the entry point a record names and returns its value — the one
     /// dispatch for mutations, shared by replay, the partition service and
     /// an in-process partition handle. The entry point journals the record
-    /// as usual. A record no entry point could take without panicking
+    /// as usual; its counters are published at the next tick-boundary
+    /// record (`SetTime`, `Heartbeat`), so a replay or a partition service
+    /// takes the telemetry lock once per tick, not once per record; a
+    /// caller that reads the sink before then calls
+    /// [`publish`](Self::publish) first. A record no entry point could take without panicking
     /// (partition bounds the table refuses, a flat cell off the grid) is an
     /// error, applied and journaled nowhere.
     pub fn apply(&mut self, rec: &LogRecord, net: &mut Net) -> Result<ReplyPayload, DecodeError> {
@@ -2659,11 +2709,12 @@ impl Server {
         match *rec {
             LogRecord::Meta { .. } => {} // provenance; validated by the reader
             LogRecord::Floor(v) => self.raise_epoch(v),
-            LogRecord::SetTime(t) => self.set_time(t),
-            LogRecord::Heartbeat(t) => self.heartbeat(t, net),
-            LogRecord::Uplink { from, ref msg } => {
-                self.handle_uplink(NodeId(from), msg.clone(), net)
+            LogRecord::SetTime(t) => {
+                self.set_time(t);
+                self.publish();
             }
+            LogRecord::Heartbeat(t) => self.heartbeat(t, net),
+            LogRecord::Uplink { from, ref msg } => self.uplink(NodeId(from), msg.clone(), net),
             LogRecord::InstallQuery {
                 qid,
                 focal,
@@ -2671,13 +2722,7 @@ impl Server {
                 ref filter,
                 expires_at,
             } => {
-                let got = self.install_query_with_lifetime(
-                    focal,
-                    region,
-                    filter.clone(),
-                    expires_at,
-                    net,
-                );
+                let got = self.install(focal, region, filter.clone(), expires_at, net);
                 debug_assert_eq!(got, qid, "replayed install drifted off the journaled qid");
             }
             LogRecord::CompleteInstall {
@@ -2687,9 +2732,9 @@ impl Server {
                 ref filter,
                 expires_at,
             } => self.complete_install_at(qid, focal, region, Arc::clone(filter), expires_at, net),
-            LogRecord::RemoveQuery(qid) => return Ok(Bool(self.remove_query(qid, net))),
+            LogRecord::RemoveQuery(qid) => return Ok(Bool(self.remove(qid, net))),
             LogRecord::UpdateRegion { qid, region } => {
-                self.update_query_region(qid, region, net);
+                self.update_region(qid, region, net);
             }
             LogRecord::RenewLease(oid) => self.renew_lease(oid),
             LogRecord::VelocityReport { oid, motion } => self.on_velocity_report(oid, motion, net),
@@ -2768,7 +2813,7 @@ impl Server {
 
     /// Serializes the complete server state — the payload of a
     /// [`LogRecord::Checkpoint`]. Transient per-op buffers (outbox, uplink
-    /// scratch, payload memo) are excluded: checkpoints are cut at
+    /// scratch) are excluded: checkpoints are cut at
     /// quiesced tick boundaries where they are empty, and
     /// [`restore_checkpoint`](Self::restore_checkpoint) clears them.
     ///
@@ -2850,7 +2895,6 @@ impl Server {
         self.last_heartbeat = last_heartbeat;
         self.outbox.clear();
         self.uplink_scratch.clear();
-        self.fresh_memo.clear();
         self.raise_epoch(observed);
         Ok(())
     }

@@ -902,6 +902,12 @@ impl MobiEyesSim {
         {
             self.checkpoint_now();
         }
+        // The single-server store counts its appends plainly: publish the
+        // step's, so the sink is whole between steps (the cluster tier
+        // publishes its stores whenever it folds its sinks).
+        if let Some(st) = &self.store {
+            st.publish();
+        }
 
         if self.audit {
             match &self.tier {

@@ -37,7 +37,7 @@ use mobieyes_core::server::Net;
 use mobieyes_core::{ObjectId, Server};
 use mobieyes_geo::LinearMotion;
 use mobieyes_net::TornWritePlan;
-use mobieyes_telemetry::{store_keys, Telemetry};
+use mobieyes_telemetry::{store_keys, Tally, Telemetry};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -57,33 +57,68 @@ pub const FRAME_HEADER_LEN: usize = 16;
 /// large servers; anything bigger on disk is corruption).
 pub const MAX_RECORD: usize = 1 << 24;
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The per-record counters, counted in a [`Tally`] (slot order) and
+/// published at every group flush and by [`Store::publish`].
+const APPEND_KEYS: [&str; 2] = [store_keys::APPENDS, store_keys::BYTES];
+const APPENDS: usize = 0;
+const BYTES: usize = 1;
+
+/// The slice-by-8 tables of CRC-32 (IEEE 802.3, reflected polynomial
+/// `0xEDB8_8320`): `CRC_TABLES[0][b]` is the CRC register after byte `b`,
+/// and `CRC_TABLES[k][b]` the register after `b` followed by `k` zero bytes,
+/// so eight input bytes fold into the register with eight independent
+/// lookups instead of eight dependent ones.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
+        let mut bit = 0;
+        while bit < 8 {
             c = if c & 1 != 0 {
                 0xEDB8_8320 ^ (c >> 1)
             } else {
                 c >> 1
             };
-            k += 1;
+            bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// CRC-32 (IEEE 802.3) — the frame guard.
+/// CRC-32 (IEEE 802.3) — the frame guard. Eight bytes per step
+/// (slice-by-8), the tail byte by byte.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -151,6 +186,8 @@ impl SegStat {
 struct Inner {
     cfg: StoreConfig,
     telemetry: Telemetry,
+    /// `store.appends` / `store.bytes` since the last publish.
+    appended: Tally<2>,
     /// Current segment writer; `None` after a (simulated) crash or I/O
     /// error — the store is poisoned and drops further appends, like the
     /// dead process it models.
@@ -364,6 +401,7 @@ impl Store {
         let mut inner = Inner {
             cfg,
             telemetry,
+            appended: Tally::new(APPEND_KEYS),
             file: None,
             seg_index,
             seg_bytes: 0,
@@ -398,6 +436,13 @@ impl Store {
     /// Forces the buffered frames onto disk.
     pub fn flush(&self) {
         self.inner.lock().unwrap().flush();
+    }
+
+    /// Publishes the append counters counted since the last group flush
+    /// into the telemetry sink, without touching the log. The owner of the
+    /// sink calls this before it drains, resets or reads it.
+    pub fn publish(&self) {
+        self.inner.lock().unwrap().publish();
     }
 
     /// Whether flushing now would fill the current segment and rotate. A
@@ -526,8 +571,8 @@ impl Inner {
         if matches!(rec, LogRecord::Checkpoint(_)) {
             self.checkpoint_seg = Some(self.seg_index);
         }
-        self.telemetry.incr(store_keys::APPENDS);
-        self.telemetry.add(store_keys::BYTES, frame_len as u64);
+        self.appended.incr(APPENDS);
+        self.appended.add(BYTES, frame_len as u64);
         let boundary = matches!(rec, LogRecord::SetTime(_) | LogRecord::Heartbeat(_));
         if boundary || self.pending >= self.cfg.flush_every {
             self.flush();
@@ -541,7 +586,13 @@ impl Inner {
         self.telemetry.incr(counter);
     }
 
+    fn publish(&mut self) {
+        self.appended.flush(&self.telemetry);
+    }
+
+    /// The group flush: buffered frames to the file, counters to the sink.
     fn flush(&mut self) {
+        self.publish();
         if self.buf.is_empty() {
             return;
         }
@@ -829,6 +880,44 @@ mod tests {
         out
     }
 
+    /// The CRC a byte at a time — the loop slice-by-8 replaced, kept as
+    /// its oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_matches_known_answers_and_the_bytewise_oracle() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        // Every length around the 8-byte step, at every start offset.
+        let buf: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
+            }
+        }
+        // Seeded random buffers up to 4 KiB.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..200 {
+            let len = (next() % 4097) as usize;
+            let s: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&s), crc32_bytewise(&s), "len {len}");
+        }
+    }
+
     #[test]
     fn frames_roundtrip_across_reopen() {
         let dir = tmp_dir("roundtrip");
@@ -858,6 +947,49 @@ mod tests {
         let scan = read_log_dir(&dir, 0).unwrap();
         assert_eq!(scan.records.last().unwrap().1, LogRecord::Heartbeat(999.0));
         assert_eq!(scan.records.len(), recs.len() + 1);
+    }
+
+    /// `store.appends` / `store.bytes` take no lock per record: they reach
+    /// the sink at the group flush, or when the owner publishes.
+    #[test]
+    fn append_counters_publish_at_group_flush_not_per_record() {
+        let dir = tmp_dir("tally");
+        let tel = Telemetry::new();
+        let store = Store::open(StoreConfig::new(&dir, 0), tel.clone()).unwrap();
+        let recs = sample_records(40);
+        let (head, tail) = recs.split_at(10);
+        let frame_bytes = |recs: &[LogRecord]| -> u64 {
+            let frame = |r| mobieyes_core::codec::encoded_len(r) + FRAME_HEADER_LEN;
+            recs.iter().map(frame).sum::<usize>() as u64
+        };
+        // No tick boundary among them, and fewer than a flush batch.
+        let quiet: Vec<LogRecord> = head
+            .iter()
+            .filter(|r| !matches!(r, LogRecord::Heartbeat(_)))
+            .cloned()
+            .collect();
+        let locks = tel.acquisitions();
+        for r in &quiet {
+            store.append_record(r);
+        }
+        assert_eq!(tel.acquisitions(), locks, "an append took the lock");
+        store.publish();
+        assert_eq!(tel.counter(store_keys::APPENDS), quiet.len() as u64);
+        assert_eq!(tel.counter(store_keys::BYTES), frame_bytes(&quiet));
+        tel.reset();
+        // Each tick-boundary record flushes, and publishes with it.
+        for r in tail {
+            store.append_record(r);
+        }
+        let last_boundary = tail
+            .iter()
+            .rposition(|r| matches!(r, LogRecord::Heartbeat(_)))
+            .unwrap();
+        let flushed = &tail[..=last_boundary];
+        assert_eq!(tel.counter(store_keys::APPENDS), flushed.len() as u64);
+        assert_eq!(tel.counter(store_keys::BYTES), frame_bytes(flushed));
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   therefore produce identical *protocol* snapshots
 //!   ([`MetricsSnapshot::protocol_eq`]).
 //! * **Allocation-light.** Recording a counter is a `BTreeMap` upsert
-//!   under a short-lived mutex; events are pushed into a pre-bounded
-//!   buffer and counted (not stored) past capacity.
+//!   under a short-lived mutex; hot paths count into a plain [`Tally`]
+//!   instead and publish it once per phase. Events are pushed into a
+//!   pre-bounded buffer and counted (not stored) past capacity.
 //! * **Wall time is quarantined.** Only profiler spans and named `wall`
 //!   timers read the clock, and both live in snapshot sections excluded
 //!   from protocol equivalence.
@@ -143,7 +144,17 @@ impl Telemetry {
     fn lock(&self) -> std::sync::MutexGuard<'_, MetricsRegistry> {
         // A poisoned registry only means a panicking thread held the lock
         // mid-update of plain counters; the data is still usable.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        let mut registry = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        registry.acquisitions += 1;
+        registry
+    }
+
+    /// How many times the registry lock has been taken through this sink
+    /// (reading this count takes it once more, uncounted). The witness of
+    /// how much recording costs in locks; never part of a snapshot.
+    pub fn acquisitions(&self) -> u64 {
+        let registry = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        registry.acquisitions
     }
 
     pub fn incr(&self, key: &'static str) {
@@ -255,6 +266,52 @@ impl Telemetry {
     }
 }
 
+/// A recorder's counters as plain `u64`s: slot `i` counts `keys[i]`, and
+/// [`flush`](Self::flush) publishes them all under one lock. A recorder on
+/// a hot path bumps its tally and flushes it at a phase boundary instead
+/// of taking the registry lock per increment. A zero is never written, so
+/// a flushed tally leaves the registry exactly as recording every
+/// increment directly would.
+#[derive(Debug, Clone)]
+pub struct Tally<const N: usize> {
+    keys: [&'static str; N],
+    counts: [u64; N],
+}
+
+impl<const N: usize> Tally<N> {
+    pub const fn new(keys: [&'static str; N]) -> Self {
+        Tally {
+            keys,
+            counts: [0; N],
+        }
+    }
+
+    #[inline]
+    pub fn add(&mut self, slot: usize, n: u64) {
+        self.counts[slot] += n;
+    }
+
+    #[inline]
+    pub fn incr(&mut self, slot: usize) {
+        self.add(slot, 1);
+    }
+
+    /// Publishes the counts into `sink` and zeroes them; takes no lock
+    /// when there is nothing to publish.
+    pub fn flush(&mut self, sink: &Telemetry) {
+        if self.counts.iter().all(|&n| n == 0) {
+            return;
+        }
+        sink.record_batch(|r| {
+            for (&key, n) in self.keys.iter().zip(&mut self.counts) {
+                if *n > 0 {
+                    r.add(key, std::mem::take(n));
+                }
+            }
+        });
+    }
+}
+
 /// Drop guard produced by [`Telemetry::span`].
 pub struct Span {
     telemetry: Telemetry,
@@ -294,6 +351,36 @@ mod tests {
         let snap = t.snapshot();
         let process = snap.profiler.iter().find(|p| p.phase == "process").unwrap();
         assert_eq!(process.spans, 2);
+    }
+
+    #[test]
+    fn a_tally_publishes_in_one_lock_and_never_writes_a_zero() {
+        let t = Telemetry::new();
+        let mut tally = Tally::new(["a", "b", "c"]);
+        tally.flush(&t);
+        assert_eq!(t.acquisitions(), 0, "an empty tally takes no lock");
+        tally.incr(0);
+        tally.add(2, 5);
+        tally.add(0, 2);
+        tally.flush(&t);
+        assert_eq!(t.acquisitions(), 1);
+        let snap = t.snapshot();
+        assert_eq!((snap.counter("a"), snap.counter("c")), (3, 5));
+        assert!(!snap.counters.contains_key("b"), "a zero is never written");
+        tally.flush(&t);
+        assert_eq!(t.counter("a"), 3, "a flush empties the tally");
+    }
+
+    #[test]
+    fn acquisitions_count_every_lock_and_survive_reset() {
+        let t = Telemetry::new();
+        t.incr("x");
+        t.add("x", 2);
+        let _ = t.snapshot();
+        t.reset();
+        assert_eq!(t.acquisitions(), 4);
+        assert_eq!(t.clone().acquisitions(), 4, "clones share the count");
+        assert!(t.snapshot().protocol_eq(&Telemetry::new().snapshot()));
     }
 
     #[test]

@@ -127,6 +127,10 @@ pub struct MetricsRegistry {
     /// Ambient simulation time stamped onto events recorded via
     /// [`event`](Self::event). Drivers advance it once per tick.
     now: f64,
+    /// Lock acquisitions of the [`crate::Telemetry`] handle guarding this
+    /// registry. Not recorded data: no snapshot, reset, drain or merge
+    /// touches it.
+    pub(crate) acquisitions: u64,
 }
 
 impl MetricsRegistry {

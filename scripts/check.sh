@@ -34,7 +34,7 @@ diff_benches() {
   diff <(grep -v '"host_cores"' "$1") <(grep -v '"host_cores"' "$2")
 }
 
-echo "==> cost model pin (the paper's wireless byte accounting, exact)"
+echo "==> cost model and counter pins (exact)"
 # The messaging-cost and power results rest on per-message byte counts,
 # and those are counted off the encoder (codec::encoded_len): a changed
 # message layout moves them. Two seeded runs — EQP, and LQP on four
@@ -42,22 +42,44 @@ echo "==> cost model pin (the paper's wireless byte accounting, exact)"
 # wireless byte counters to the byte (each measured twice, identical both
 # times). Changing a number here is a deliberate protocol change: update
 # it and record why in CHANGES.md.
-cost_out=$(mktemp)
-cost_pin() { # <label> <uplink> <unicast> <broadcast> <mobieyes args...>
-  local label=$1 pinned="$2 $3 $4" got="" key
-  shift 4
-  cargo run -q --release --bin mobieyes -- "$@" --metrics-out "$cost_out" >/dev/null
-  for key in uplink unicast broadcast; do
-    got="$got $(assert_json "$cost_out" get "net.$key.bytes")"
+#
+# The same runs pin the server's work counters. The server, the cluster
+# coordinator and the journal count them in plain tallies and publish
+# them once per phase, so a tally published late, twice or not at all
+# shows here as a wrong number. The third run pins the journal itself: a
+# store-backed 4-partition run writes 20 segment files whose sorted
+# concatenation has one checksum, and its `store.appends` counts the
+# measured ticks only (the warm-up's records are published before the
+# warm-up reset clears them).
+pin_out=$(mktemp) && pin_store=$(mktemp -d)
+pin() { # <label> <"keys"> <"values">: the keys' values in $pin_out, exactly
+  local got="" key
+  for key in $2; do
+    got="$got $(assert_json "$pin_out" get "$key")"
   done
-  [ "${got# }" = "$pinned" ] \
-    || { echo "cost model pin ($label): uplink/unicast/broadcast bytes${got}, pinned $pinned"; exit 1; }
+  [ "${got# }" = "$3" ] || { echo "$1: $2 read${got}, pinned $3"; exit 1; }
 }
-cost_pin eqp 3551150 4393920 3926469 --objects 10000 --ticks 40 --seed 7
-cost_pin lqp-chaos 761440 255109 4390760 --mode lqp --partitions 4 --rebalance-ticks 5 \
-  --objects 4000 --ticks 40 --seed 7 --uplink-drop 0.1 --downlink-drop 0.1 --dup-rate 0.05 \
-  --churn-rate 0.05
-rm -f "$cost_out"
+net_bytes="net.uplink.bytes net.unicast.bytes net.broadcast.bytes"
+srv_work="srv.uplinks_processed srv.velocity_reports srv.cell_changes srv.result_updates \
+srv.broadcast_ops srv.unicast_ops srv.rqi_updates"
+pin_run() { cargo run -q --release --bin mobieyes -- "$@" --metrics-out "$pin_out" >/dev/null; }
+pin_run --objects 10000 --ticks 40 --seed 7
+pin "cost model pin (eqp)" "$net_bytes" "3551150 4393920 3926469"
+pin "counter pin (eqp)" "$srv_work" "79071 3108 50911 25052 42117 26494 106773"
+pin_run --mode lqp --partitions 4 --rebalance-ticks 5 --objects 4000 --ticks 40 --seed 7 \
+  --uplink-drop 0.1 --downlink-drop 0.1 --dup-rate 0.05 --churn-rate 0.05
+pin "cost model pin (lqp-chaos)" "$net_bytes" "761440 255109 4390760"
+pin "counter pin (lqp-chaos)" "$srv_work srv.resync_replies srv.stale_results_purged" \
+  "15146 4478 2951 7584 39916 1499 67109 168 28"
+pin_run --partitions 4 --rebalance-ticks 5 --objects 4000 --ticks 40 --seed 7 \
+  --store-dir "$pin_store" --checkpoint-ticks 10
+pin "counter pin (store)" "store.appends store.bytes" "65528 4223542"
+segments=$(find "$pin_store" -type f | sort)
+store_sum="$(echo "$segments" | wc -l) $(echo "$segments" | xargs cat | cksum)"
+[ "$store_sum" = "20 3764039595 4786129" ] \
+  || { echo "journal pin: files / cksum / bytes read $store_sum, pinned 20 3764039595 4786129"; exit 1; }
+rm -rf "$pin_out" "$pin_store"
+unset -f pin_run
 
 echo "==> chaos smoke (seq/parallel + engine equivalence, convergence)"
 # The chaos-recovery bench is fully deterministic; the same scenario must
