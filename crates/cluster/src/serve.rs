@@ -325,7 +325,7 @@ pub fn serve_partition(listener: Listener, partition: u32) -> Result<(), Transpo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobieyes_core::{Filter, LogRecord, ObjectId, Propagation, QueryId};
+    use mobieyes_core::{ClusterMsg, Filter, LogRecord, ObjectId, Propagation, QueryId};
     use mobieyes_geo::{CellId, LinearMotion, Point, QueryRegion, Rect, Vec2};
 
     fn init(store_dir: &Path) -> PartitionOp {
@@ -528,7 +528,7 @@ mod tests {
     }
 
     /// `template` with its arguments redrawn: ids that hit and miss the
-    /// populated state, cells anywhere on the grid.
+    /// populated state, cells anywhere on the grid and past its edge.
     fn redraw(template: &LogRecord, rng: &mut u64) -> LogRecord {
         let mut draw = |n: u32| {
             *rng += 1;
@@ -539,8 +539,10 @@ mod tests {
         let focal = ObjectId(OIDS[draw(4) as usize]);
         let qid = QueryId(draw(5));
         let flag = draw(2) == 0;
-        let cell = CellId::new(draw(20), draw(20));
-        let prev_cell = CellId::new(draw(20), draw(20));
+        // Coordinates past 19 are off the 20 x 20 grid.
+        let mut coord = || if draw(8) == 0 { u32::MAX } else { draw(41) };
+        let cell = CellId::new(coord(), coord());
+        let prev_cell = CellId::new(coord(), coord());
         match template {
             LogRecord::RenewLease(_) => LogRecord::RenewLease(oid),
             LogRecord::CellChangeFresh { .. } => LogRecord::CellChangeFresh {
@@ -649,9 +651,10 @@ mod tests {
         }
     }
 
-    /// Well-formed records no entry point can take: partition bounds the
-    /// 2-partition, 400-cell table at generation 0 must refuse, and an
-    /// export of a cell off the grid.
+    /// Well-formed records no handler can take: partition bounds the
+    /// 2-partition, 400-cell table at generation 0 must refuse, an export,
+    /// a transfer and an adoption of a cell off the grid, and an install
+    /// for a focal object the partition has no FOT row for.
     fn refused_records() -> Vec<LogRecord> {
         let bounds = |generation, bounds: &[u64]| LogRecord::Bounds {
             generation,
@@ -671,6 +674,24 @@ mod tests {
             LogRecord::ExportCells {
                 flats: vec![u32::MAX],
                 generation: 0,
+            },
+            LogRecord::Cluster(ClusterMsg::RebalanceCells {
+                generation: 0,
+                epoch: 0,
+                cells: vec![(12, vec![QueryId(0)]), (10_000, vec![QueryId(1)])],
+                stubs: Vec::new(),
+            }),
+            LogRecord::Cluster(ClusterMsg::RecoverCells {
+                generation: 0,
+                epoch: 0,
+                cells: vec![10_000],
+            }),
+            LogRecord::CompleteInstall {
+                qid: QueryId(7),
+                focal: ObjectId(55),
+                region: QueryRegion::circle(4.0),
+                filter: Arc::new(Filter::True),
+                expires_at: None,
             },
         ]
     }

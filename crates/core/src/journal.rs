@@ -1,15 +1,16 @@
-//! The server's op vocabulary: typed log records for every mutating entry
-//! point of the [`Server`](crate::Server), and the values they return.
+//! The server's op vocabulary: typed log records for every mutation of
+//! the [`Server`](crate::Server), and the values they return.
 //!
 //! The persistence layer (`mobieyes-store`) does not snapshot tables on
-//! every change — it journals the server's *inputs*. Every public mutating
-//! method of the `Server` appends one [`LogRecord`] describing its
-//! arguments, and replaying those records against a fresh server
-//! reproduces the exact FOT/SQT/RQI byte-for-byte, because the protocol
-//! logic is deterministic. The same records are the mutation requests of
-//! the cluster's partition RPC: [`Server::apply`](crate::Server::apply) is
-//! the one dispatch behind replay, the partition service and an in-process
-//! partition handle, answering with a [`ReplyPayload`].
+//! every change — it journals the server's *inputs*. Every mutation is one
+//! [`LogRecord`] describing its arguments, run through
+//! [`Server::apply`](crate::Server::apply), which appends the record to
+//! the journal before running it; replaying those records against a fresh
+//! server reproduces the exact FOT/SQT/RQI byte-for-byte, because the
+//! protocol logic is deterministic. The same records are the mutation
+//! requests of the cluster's partition RPC: `apply` is the one way in for
+//! the single server's entry points, replay, the partition service and an
+//! in-process partition handle, answering with a [`ReplyPayload`].
 //!
 //! Two record kinds carry context a replayed partition cannot rederive on
 //! its own:
@@ -43,9 +44,11 @@ use crate::server::HomeChange;
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
 use std::sync::Arc;
 
-/// One journaled server input. Variants map 1:1 onto the public mutating
-/// entry points of the [`Server`](crate::Server), plus the replay-context
-/// records (`Meta`, `Floor`, `Bounds`, `Checkpoint`).
+/// One journaled server input: a mutation
+/// [`Server::apply`](crate::Server::apply) runs, or one of the
+/// replay-context records (`Meta`, `Floor`, `Bounds`, `Checkpoint`). The
+/// server never journals `Meta`, `Floor` or `Checkpoint` as records it
+/// was given; the store writes those.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
     /// First record of a journal: which partition slot this log belongs
@@ -58,8 +61,9 @@ pub enum LogRecord {
     Floor(u64),
     SetTime(f64),
     Heartbeat(f64),
-    /// One agent uplink, journaled at the outermost dispatch; the nested
-    /// primitives it decomposes into are suppressed.
+    /// One agent uplink, journaled as received. Its handler's nested work
+    /// (a resync's focal repair, result deltas) writes no records of its
+    /// own.
     Uplink {
         from: u32,
         msg: Uplink,

@@ -1,14 +1,16 @@
 //! Shared by the format property tests: one seeded generator per wire
 //! type, and [`check_format`], the one property every byte format must
-//! hold.
+//! hold. The server property tests take [`extract_focal`] and
+//! [`deliver_cluster_msg`] from here.
 
 #![allow(dead_code)]
 
 use mobieyes_core::codec::{encoded_len, to_bytes, Reader, Wire};
-use mobieyes_core::journal::LogRecord;
+use mobieyes_core::journal::{LogRecord, ReplyPayload};
+use mobieyes_core::server::Net;
 use mobieyes_core::{
     ClusterMsg, Downlink, Filter, ObjectId, PropValue, QueryGroupInfo, QueryId, QueryMigration,
-    QuerySpec, StubSeed, Uplink,
+    QuerySpec, Server, StubSeed, Uplink,
 };
 use mobieyes_geo::{CellId, GridRect, LinearMotion, Point, QueryRegion, Vec2};
 use std::fmt::Debug;
@@ -485,4 +487,19 @@ pub fn check_format<T: Wire + PartialEq + Debug>(samples: &[T], seed: u64) {
             assert_eq!(to_bytes(&again), once, "unstable re-encoding of {value:?}");
         }
     }
+}
+
+/// What an `ExtractFocal` record answers: `oid`'s migration payload, or
+/// `None` when `server` does not home it.
+pub fn extract_focal(server: &mut Server, oid: ObjectId, net: &mut Net) -> Option<ClusterMsg> {
+    match server.apply(&LogRecord::ExtractFocal(oid), net) {
+        Ok(ReplyPayload::OptCluster(msg)) => msg,
+        other => panic!("ExtractFocal({oid:?}) answered {other:?}"),
+    }
+}
+
+/// Applies an inter-server message to `server`, as the bus delivers it.
+pub fn deliver_cluster_msg(server: &mut Server, msg: &ClusterMsg, net: &mut Net) {
+    let rec = LogRecord::Cluster(msg.clone());
+    server.apply(&rec, net).expect("a cluster message applies");
 }

@@ -8,10 +8,14 @@
 //!
 //! Uses a seeded splitmix64 sweep so every run checks the same cases.
 
+mod common;
+
+use common::{deliver_cluster_msg, extract_focal};
 use mobieyes_core::server::Net;
 use mobieyes_core::{
-    ClusterMsg, Downlink, Filter, MovingObjectAgent, ObjectId, PartitionScope, PartitionTable,
-    Properties, ProtocolConfig, QueryGroupInfo, QueryId, QuerySpec, Server, Uplink,
+    ClusterMsg, Downlink, Filter, LogRecord, MovingObjectAgent, ObjectId, PartitionScope,
+    PartitionTable, Properties, ProtocolConfig, QueryGroupInfo, QueryId, QuerySpec, ReplyPayload,
+    Server, Uplink,
 };
 use mobieyes_geo::{CellId, Grid, GridRect, LinearMotion, Point, QueryRegion, Rect, Vec2};
 use mobieyes_net::BaseStationLayout;
@@ -237,12 +241,13 @@ fn run_handoff(case: u64, duplicate: bool) -> (usize, ServerFingerprint) {
     let focal = ObjectId(1 + rng.below(9) as u32);
     let pos = Point::new(rng.range(5.0, 55.0), rng.range(25.0, 31.0));
     let vel = Vec2::new(rng.range(-0.05, 0.05), rng.range(-0.05, 0.05));
-    p0.refresh_focal_motion(
-        focal,
-        LinearMotion::new(pos, vel, rng.range(0.0, 50.0)),
-        0.08,
-        true,
-    );
+    let refresh = LogRecord::RefreshFocalMotion {
+        oid: focal,
+        motion: LinearMotion::new(pos, vel, rng.range(0.0, 50.0)),
+        max_vel: 0.08,
+        insert: true,
+    };
+    p0.apply(&refresh, &mut net).expect("applies");
 
     let mut msgs = Vec::new();
     let drain = |p0: &mut Server, msgs: &mut Vec<_>| {
@@ -267,13 +272,19 @@ fn run_handoff(case: u64, duplicate: bool) -> (usize, ServerFingerprint) {
         vel,
         60.0 + rng.range(0.0, 5.0),
     );
-    p0.refresh_focal_motion(focal, newer, 0.08, false);
+    let refresh = LogRecord::RefreshFocalMotion {
+        oid: focal,
+        motion: newer,
+        max_vel: 0.08,
+        insert: false,
+    };
+    p0.apply(&refresh, &mut net).expect("applies");
     drain(&mut p0, &mut msgs); // StubMotion
     if rng.coin() && qids.len() > 1 {
         p0.remove_query(qids[0], &mut net);
         drain(&mut p0, &mut msgs); // StubRemove
     }
-    let migration = p0.extract_focal(focal).expect("focal homed on p0");
+    let migration = extract_focal(&mut p0, focal, &mut net).expect("focal homed on p0");
     msgs.push(migration.clone());
     assert!(
         msgs.len() >= 2,
@@ -281,13 +292,13 @@ fn run_handoff(case: u64, duplicate: bool) -> (usize, ServerFingerprint) {
     );
 
     for m in &msgs {
-        p1.apply_cluster_msg(m);
+        deliver_cluster_msg(&mut p1, m, &mut net);
         if duplicate {
-            p1.apply_cluster_msg(m);
+            deliver_cluster_msg(&mut p1, m, &mut net);
         }
     }
     if duplicate {
-        p1.apply_cluster_msg(&migration);
+        deliver_cluster_msg(&mut p1, &migration, &mut net);
     }
     let _ = net.drain_uplinks();
     (msgs.len(), server_fingerprint(&p1))
@@ -343,12 +354,13 @@ fn run_rebalance(case: u64, duplicate: bool, stale_replay: bool) -> (usize, Serv
     let focal = ObjectId(1 + rng.below(9) as u32);
     let pos = Point::new(rng.range(5.0, 55.0), rng.range(17.0, 30.0));
     let vel = Vec2::new(rng.range(-0.05, 0.05), rng.range(-0.05, 0.05));
-    p0.refresh_focal_motion(
-        focal,
-        LinearMotion::new(pos, vel, rng.range(0.0, 50.0)),
-        0.08,
-        true,
-    );
+    let refresh = LogRecord::RefreshFocalMotion {
+        oid: focal,
+        motion: LinearMotion::new(pos, vel, rng.range(0.0, 50.0)),
+        max_vel: 0.08,
+        insert: true,
+    };
+    p0.apply(&refresh, &mut net).expect("applies");
     for _ in 0..1 + rng.below(3) {
         p0.install_query(
             focal,
@@ -360,26 +372,27 @@ fn run_rebalance(case: u64, duplicate: bool, stale_replay: bool) -> (usize, Serv
     // Forward any straddling-stub traffic so both partitions start consistent.
     for (to, m) in p0.take_outbox() {
         assert_eq!(to, 1, "two-partition split: all stubs go to partition 1");
-        p1.apply_cluster_msg(&m);
+        deliver_cluster_msg(&mut p1, &m, &mut net);
     }
 
     let generation = table.install(&[0, total / 4, total]);
-    let moved: Vec<usize> = (total / 4..total / 2).collect();
-    let msg = p0
-        .export_cells(&moved, generation)
-        .expect("focal's monitoring region occupies reassigned cells");
+    let flats: Vec<u32> = (total as u32 / 4..total as u32 / 2).collect();
+    let export = LogRecord::ExportCells { flats, generation };
+    let Ok(ReplyPayload::OptCluster(Some(msg))) = p0.apply(&export, &mut net) else {
+        panic!("focal's monitoring region occupies reassigned cells");
+    };
     let exported = match &msg {
         ClusterMsg::RebalanceCells { cells, .. } => cells.len(),
         other => panic!("export_cells produced {other:?}"),
     };
 
-    p1.apply_cluster_msg(&msg);
+    deliver_cluster_msg(&mut p1, &msg, &mut net);
     if duplicate {
-        p1.apply_cluster_msg(&msg);
+        deliver_cluster_msg(&mut p1, &msg, &mut net);
     }
     if stale_replay {
         table.install(&[0, total / 2, total]);
-        p1.apply_cluster_msg(&msg); // generation mismatch: dropped whole
+        deliver_cluster_msg(&mut p1, &msg, &mut net); // generation mismatch: dropped whole
     }
     let _ = net.drain_uplinks();
     (exported, server_fingerprint(&p1))

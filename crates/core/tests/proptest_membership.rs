@@ -21,10 +21,13 @@
 //!
 //! Uses a seeded splitmix64 sweep so every run checks the same cases.
 
+mod common;
+
+use common::{deliver_cluster_msg, extract_focal};
 use mobieyes_core::server::Net;
 use mobieyes_core::{
-    Downlink, Filter, ObjectId, PartitionScope, PartitionTable, ProtocolConfig, QueryId, Server,
-    Uplink,
+    Downlink, Filter, LogRecord, ObjectId, PartitionScope, PartitionTable, ProtocolConfig, QueryId,
+    ReplyPayload, Server, Uplink,
 };
 use mobieyes_geo::{Grid, LinearMotion, Point, QueryRegion, Rect, Vec2};
 use mobieyes_net::BaseStationLayout;
@@ -221,15 +224,22 @@ impl World {
         // mirror), but on an epoch counter of its own.
         let private_epoch = Arc::new(AtomicU64::new(0));
         let mut twin = scoped(&self.config, &self.table, private_epoch, si as u32);
-        twin.restore_checkpoint(&self.servers[si].checkpoint_bytes())
-            .expect("own checkpoint decodes");
         let mut twin_net = new_net();
-        twin.renew_lease(oid);
+        let image = LogRecord::Checkpoint(self.servers[si].checkpoint_bytes());
+        twin.apply(&image, &mut twin_net)
+            .expect("own checkpoint decodes");
+        twin.apply(&LogRecord::RenewLease(oid), &mut twin_net)
+            .expect("applies");
         let mentioned: BTreeMap<QueryId, bool> = entries.iter().copied().collect();
         let (mut deltas, mut stale) = (Vec::new(), 0u64);
         for qid in twin.query_ids().collect::<Vec<_>>() {
             let is_target = mentioned.get(&qid).copied().unwrap_or(false);
-            if twin.lqt_reconcile_one(qid, oid, is_target) {
+            let reconcile = LogRecord::LqtReconcile {
+                qid,
+                oid,
+                is_target,
+            };
+            if twin.apply(&reconcile, &mut twin_net) == Ok(ReplyPayload::Bool(true)) {
                 if !is_target && !mentioned.contains_key(&qid) {
                     stale += 1;
                 }
@@ -237,7 +247,8 @@ impl World {
             }
         }
         for &(qid, entered) in &deltas {
-            twin.deliver_result_delta(qid, oid, entered, &mut twin_net);
+            let delta = LogRecord::ResultDelta { qid, oid, entered };
+            twin.apply(&delta, &mut twin_net).expect("applies");
         }
 
         let stale_before = self.servers[si].telemetry().snapshot().counter(STALE);
@@ -294,7 +305,9 @@ impl World {
     /// get an uplink through after the clock moved.
     fn expire_leases(&mut self, si: usize) {
         self.now += LEASE_SECS + 10.0;
-        self.servers[si].set_time(self.now);
+        self.servers[si]
+            .apply(&LogRecord::SetTime(self.now), &mut self.net)
+            .expect("applies");
         for focal in self.servers[si].focal_ids() {
             if self.rng.coin() {
                 let changes = vec![(self.some_qid(si), self.rng.coin())];
@@ -319,14 +332,13 @@ impl World {
         let Some(oid) = self.rng.pick(&focals) else {
             return;
         };
-        let msg = self.servers[si]
-            .extract_focal(oid)
+        let msg = extract_focal(&mut self.servers[si], oid, &mut self.net)
             .expect("listed focal extracts");
-        self.servers[1 - si].apply_cluster_msg(&msg);
+        deliver_cluster_msg(&mut self.servers[1 - si], &msg, &mut self.net);
         if self.rng.below(4) == 0 {
             // Bus duplication: the replay guard must keep index and rows
             // in step too.
-            self.servers[1 - si].apply_cluster_msg(&msg);
+            deliver_cluster_msg(&mut self.servers[1 - si], &msg, &mut self.net);
         }
     }
 
@@ -338,7 +350,7 @@ impl World {
             self.servers[si] = scoped(&self.config, &self.table, epoch, si as u32);
         }
         self.servers[si]
-            .restore_checkpoint(&bytes)
+            .apply(&LogRecord::Checkpoint(bytes.clone()), &mut self.net)
             .expect("own checkpoint decodes");
         assert_eq!(self.servers[si].checkpoint_bytes(), bytes);
     }
@@ -367,7 +379,7 @@ impl World {
         // The coordinator's bus pump: stub traffic between the two.
         for from in 0..2 {
             for (to, msg) in self.servers[from].take_outbox() {
-                self.servers[to as usize].apply_cluster_msg(&msg);
+                deliver_cluster_msg(&mut self.servers[to as usize], &msg, &mut self.net);
             }
         }
         self.net.take_downlinks();

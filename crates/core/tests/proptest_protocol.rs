@@ -4,10 +4,13 @@
 //!
 //! Uses a seeded splitmix64 sweep so every run checks the same cases.
 
+mod common;
+
+use common::extract_focal;
 use mobieyes_core::server::Net;
 use mobieyes_core::{
-    Filter, HomeChange, MovingObjectAgent, ObjectId, PartitionScope, PartitionTable, Propagation,
-    Properties, ProtocolConfig, QueryId, Server,
+    Filter, HomeChange, LogRecord, MovingObjectAgent, ObjectId, PartitionScope, PartitionTable,
+    Propagation, Properties, ProtocolConfig, QueryId, Server,
 };
 use mobieyes_geo::{Grid, LinearMotion, Point, QueryRegion, Rect, Vec2};
 use mobieyes_net::BaseStationLayout;
@@ -254,7 +257,9 @@ fn run_scenario(case: usize, s: &Scenario) {
     // restore, then tearing every query down (the last one of a focal
     // object takes its FOT row along).
     let image = server.checkpoint_bytes();
-    server.restore_checkpoint(&image).expect("own checkpoint");
+    server
+        .apply(&LogRecord::Checkpoint(image), &mut net)
+        .expect("own checkpoint");
     audit(&mut server, &mut homes);
     for qid in qids {
         assert!(server.remove_query(qid, &mut net));
@@ -300,17 +305,23 @@ fn home_log_follows_migration_between_scoped_servers() {
         for f in 0..focals {
             let pos = Point::new(rng.range(2.0, 58.0), rng.range(2.0, 20.0));
             let motion = LinearMotion::new(pos, Vec2::ZERO, 0.0);
-            a.refresh_focal_motion(ObjectId(f), motion, 0.05, true);
+            let refresh = LogRecord::RefreshFocalMotion {
+                oid: ObjectId(f),
+                motion,
+                max_vel: 0.05,
+                insert: true,
+            };
+            a.apply(&refresh, &mut net).expect("applies");
             homes_a.sync(&mut a);
             for _ in 0..rng.below(3) {
-                a.complete_install_at(
-                    QueryId(next_qid),
-                    ObjectId(f),
-                    QueryRegion::circle(rng.range(1.0, 6.0)),
-                    Arc::new(Filter::True),
-                    None,
-                    &mut net,
-                );
+                let install = LogRecord::CompleteInstall {
+                    qid: QueryId(next_qid),
+                    focal: ObjectId(f),
+                    region: QueryRegion::circle(rng.range(1.0, 6.0)),
+                    filter: Arc::new(Filter::True),
+                    expires_at: None,
+                };
+                a.apply(&install, &mut net).expect("applies");
                 next_qid += 1;
                 homes_a.sync(&mut a);
             }
@@ -319,10 +330,11 @@ fn home_log_follows_migration_between_scoped_servers() {
         // `b` starts logging only after the first focal has arrived: the
         // seed must carry what it already homes.
         for f in 0..focals {
-            let msg = a.extract_focal(ObjectId(f)).expect("homed on a");
+            let msg = extract_focal(&mut a, ObjectId(f), &mut net).expect("homed on a");
             homes_a.sync(&mut a);
-            b.apply_cluster_msg(&msg);
-            b.apply_cluster_msg(&msg);
+            let arrival = LogRecord::Cluster(msg);
+            b.apply(&arrival, &mut net).expect("applies");
+            b.apply(&arrival, &mut net).expect("applies");
             if f == 0 {
                 b.enable_home_log();
             }
@@ -331,7 +343,7 @@ fn home_log_follows_migration_between_scoped_servers() {
         assert!(homes_a.focals.is_empty() && homes_a.queries.is_empty());
         assert_eq!(homes_b.focals.len(), focals as usize);
         assert_eq!(homes_b.queries.len(), next_qid as usize);
-        assert!(a.extract_focal(ObjectId(0)).is_none());
+        assert!(extract_focal(&mut a, ObjectId(0), &mut net).is_none());
         assert!(a.take_home_log().is_empty(), "a miss changes nothing");
     }
 }

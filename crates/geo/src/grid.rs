@@ -128,14 +128,6 @@ impl Grid {
         c.y as usize * self.cols as usize + c.x as usize
     }
 
-    /// Clamped flat index of a wire-carried cell: in-range for any cell
-    /// coordinate, matching [`clamp_cell`](Self::clamp_cell) +
-    /// [`flat_index`](Self::flat_index).
-    #[inline]
-    pub fn clamped_flat_index(&self, c: CellId) -> usize {
-        self.flat_index(self.clamp_cell(c))
-    }
-
     /// Flat cell index of a position in one step —
     /// `flat_index(cell_of(p))`, the hot-path form used by the
     /// struct-of-arrays tick engine's cell-change test.

@@ -735,6 +735,11 @@ pub struct ReplaySummary {
 /// byte-identical to the server that wrote the log. Downlinks and cluster
 /// messages regenerated into `net`/the server's outbox during replay are
 /// echoes of traffic already delivered live; the caller discards them.
+///
+/// Every record goes through [`Server::apply`], which journals what it
+/// applies, so the target must not have a journal attached (an
+/// [`io::ErrorKind::InvalidInput`] error): attach it after the replay, as
+/// [`attach`] does.
 pub fn replay_into(
     dir: &Path,
     partition: u32,
@@ -742,6 +747,12 @@ pub fn replay_into(
     net: &mut Net,
     telemetry: &Telemetry,
 ) -> io::Result<ReplaySummary> {
+    if server.has_journal() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "replay target has a journal attached: it would journal the replayed records again",
+        ));
+    }
     let scan = read_log_dir(dir, partition)?;
     let start = scan
         .records
@@ -758,9 +769,7 @@ pub fn replay_into(
     let mut applied = 0u64;
     let mut last_seq = None;
     for (seq, rec) in &scan.records[start..] {
-        server
-            .apply_log_record(rec, net)
-            .map_err(|e| bad_data(e.0))?;
+        server.apply(rec, net).map_err(|e| bad_data(e.0))?;
         applied += 1;
         last_seq = Some(*seq);
     }
@@ -1293,6 +1302,30 @@ mod tests {
         assert_eq!(tel.counter(store_keys::REPLAYED), summary.records_applied);
         assert_eq!(twin.state_digest(), server.state_digest());
         twin.check_invariants();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A replay target with a journal attached is refused before anything
+    /// is applied: `apply` would journal every replayed record again.
+    #[test]
+    fn replay_refuses_a_server_with_a_journal() {
+        let dir = tmp_dir("journaled-target");
+        let universe = Rect::new(0.0, 0.0, 60.0, 60.0);
+        let config = Arc::new(ProtocolConfig::new(Grid::new(universe, 8.0)));
+        let store = Store::open(StoreConfig::new(&dir, 0), Telemetry::new()).unwrap();
+        let mut net = Net::new(BaseStationLayout::new(universe, 15.0));
+        let mut server = Server::new(Arc::clone(&config)).with_journal(Arc::new(store.clone()));
+        server.heartbeat(30.0, &mut net);
+        store.flush();
+        let digest = server.state_digest();
+        let err = replay_into(&dir, 0, &mut server, &mut net, &Telemetry::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(
+            server.state_digest(),
+            digest,
+            "a refused replay applied records"
+        );
+        assert_eq!(store.next_seq(), 1, "a refused replay journaled records");
         fs::remove_dir_all(&dir).unwrap();
     }
 

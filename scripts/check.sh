@@ -46,11 +46,14 @@ echo "==> cost model and counter pins (exact)"
 # The same runs pin the server's work counters. The server, the cluster
 # coordinator and the journal count them in plain tallies and publish
 # them once per phase, so a tally published late, twice or not at all
-# shows here as a wrong number. The third run pins the journal itself: a
-# store-backed 4-partition run writes 20 segment files whose sorted
-# concatenation has one checksum, and its `store.appends` counts the
-# measured ticks only (the warm-up's records are published before the
-# warm-up reset clears them).
+# shows here as a wrong number. The last two runs pin the journal itself:
+# a store-backed run writes segment files whose sorted concatenation has
+# one checksum, and its `store.appends` counts the measured ticks only
+# (the warm-up's records are published before the warm-up reset clears
+# them). The 4-partition run writes 20 files. The single server's run
+# writes 5: its `Uplink` and `Heartbeat` records, and nothing for the 36
+# lease teardowns nested in those heartbeats — `Server::apply` journals
+# the record it is given and its handlers journal nothing.
 pin_out=$(mktemp) && pin_store=$(mktemp -d)
 pin() { # <label> <"keys"> <"values">: the keys' values in $pin_out, exactly
   local got="" key
@@ -58,6 +61,14 @@ pin() { # <label> <"keys"> <"values">: the keys' values in $pin_out, exactly
     got="$got $(assert_json "$pin_out" get "$key")"
   done
   [ "${got# }" = "$3" ] || { echo "$1: $2 read${got}, pinned $3"; exit 1; }
+}
+journal_pin() { # <label> <"files cksum bytes">: the segment files under $pin_store
+  local segments store_sum
+  segments=$(find "$pin_store" -type f | sort)
+  store_sum="$(echo "$segments" | wc -l) $(echo "$segments" | xargs cat | cksum)"
+  [ "$store_sum" = "$2" ] \
+    || { echo "$1: files / cksum / bytes read $store_sum, pinned $2"; exit 1; }
+  rm -rf "$pin_store" && mkdir "$pin_store"
 }
 net_bytes="net.uplink.bytes net.unicast.bytes net.broadcast.bytes"
 srv_work="srv.uplinks_processed srv.velocity_reports srv.cell_changes srv.result_updates \
@@ -74,12 +85,14 @@ pin "counter pin (lqp-chaos)" "$srv_work srv.resync_replies srv.stale_results_pu
 pin_run --partitions 4 --rebalance-ticks 5 --objects 4000 --ticks 40 --seed 7 \
   --store-dir "$pin_store" --checkpoint-ticks 10
 pin "counter pin (store)" "store.appends store.bytes" "65528 4223542"
-segments=$(find "$pin_store" -type f | sort)
-store_sum="$(echo "$segments" | wc -l) $(echo "$segments" | xargs cat | cksum)"
-[ "$store_sum" = "20 3764039595 4786129" ] \
-  || { echo "journal pin: files / cksum / bytes read $store_sum, pinned 20 3764039595 4786129"; exit 1; }
+journal_pin "journal pin" "20 3764039595 4786129"
+pin_run --mode lqp --objects 4000 --ticks 40 --seed 7 --uplink-drop 0.1 --downlink-drop 0.1 \
+  --dup-rate 0.05 --churn-rate 0.05 --lease-ticks 6 --store-dir "$pin_store" --checkpoint-ticks 10
+pin "counter pin (store, single server)" "store.appends store.bytes srv.leases_expired" \
+  "83812 5127425 36"
+journal_pin "journal pin (single server)" "5 1086384886 3299208"
 rm -rf "$pin_out" "$pin_store"
-unset -f pin_run
+unset -f pin_run journal_pin
 
 echo "==> chaos smoke (seq/parallel + engine equivalence, convergence)"
 # The chaos-recovery bench is fully deterministic; the same scenario must
