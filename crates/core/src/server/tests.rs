@@ -1,0 +1,530 @@
+use super::*;
+use crate::codec::Wire;
+use mobieyes_geo::{Grid, Point, Rect, Vec2};
+use mobieyes_net::BaseStationLayout;
+
+// A checkpoint table count is checked against at least the minimum
+// its hand-written decoder used.
+const _: () = {
+    assert!(<(ObjectId, FotEntry)>::MIN_LEN >= 20);
+    assert!(<(QueryId, SqtEntry)>::MIN_LEN >= 24);
+    assert!(<(u32, Vec<QueryId>)>::MIN_LEN >= 8);
+    assert!(<(ObjectId, Vec<PendingInstall>)>::MIN_LEN >= 8);
+    assert!(PendingInstall::MIN_LEN >= 8);
+    assert!(<(QueryId, StubEntry)>::MIN_LEN >= 24);
+};
+
+/// A focal id past the slotted range — a stray id off the wire, a
+/// damaged checkpoint — is stored, found and removed without growing
+/// the slot array to its value.
+#[test]
+fn fot_ids_past_the_slotted_range_take_no_slot() {
+    let row = || FotEntry {
+        motion: LinearMotion::at_rest(Point::new(1.0, 1.0), 0.0),
+        max_vel: 0.05,
+        queries: Vec::new(),
+        used_slots: 0,
+        last_heard: 0.0,
+    };
+    let (near, far) = (ObjectId(3), ObjectId(u32::MAX));
+    let mut fot = FotTable::default();
+    fot.entry_or_insert(far, row());
+    fot.entry_or_insert(near, row());
+    assert_eq!(fot.slots.len(), 4, "only the slotted id took slots");
+    assert!(fot.contains_key(&near) && fot.contains_key(&far));
+    assert_eq!(fot.keys().collect::<Vec<_>>(), [&near, &far]);
+    assert!(fot.remove(&far).is_some());
+    assert!(!fot.contains_key(&far) && fot.get(&near).is_some());
+}
+
+fn setup(propagation: Propagation, grouping: bool) -> (Server, Net, Arc<ProtocolConfig>) {
+    let universe = Rect::new(0.0, 0.0, 100.0, 100.0);
+    let grid = Grid::new(universe, 10.0);
+    let config = Arc::new(
+        ProtocolConfig::new(grid)
+            .with_propagation(propagation)
+            .with_grouping(grouping),
+    );
+    let server = Server::new(Arc::clone(&config));
+    let net = Net::new(BaseStationLayout::new(universe, 20.0));
+    (server, net, config)
+}
+
+fn motion_at(x: f64, y: f64) -> LinearMotion {
+    LinearMotion::new(Point::new(x, y), Vec2::new(0.001, 0.0), 0.0)
+}
+
+/// Puts `oid` into the FOT by replaying the position-request handshake.
+fn register(server: &mut Server, net: &mut Net, oid: ObjectId, x: f64, y: f64) {
+    server.handle_uplink(
+        oid.node(),
+        Uplink::PositionReply {
+            oid,
+            motion: motion_at(x, y),
+            max_vel: 0.03,
+        },
+        net,
+    );
+}
+
+#[test]
+fn install_with_unknown_focal_defers_and_requests_position() {
+    let (mut server, mut net, _) = setup(Propagation::Eager, false);
+    let qid = server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(3.0),
+        Filter::True,
+        &mut net,
+    );
+    // Not installed yet; a position request went out.
+    assert_eq!(server.num_queries(), 0);
+    assert_eq!(net.meter().unicast_msgs, 1);
+    // The reply completes the install.
+    register(&mut server, &mut net, ObjectId(1), 55.0, 55.0);
+    assert_eq!(server.num_queries(), 1);
+    assert_eq!(server.query_focal(qid), Some(ObjectId(1)));
+    server.check_invariants();
+    // Install broadcast(s) plus the focal notification.
+    assert!(net.meter().broadcast_msgs >= 1);
+    assert!(net.meter().unicast_msgs >= 2);
+}
+
+#[test]
+fn install_with_known_focal_is_immediate() {
+    let (mut server, mut net, _) = setup(Propagation::Eager, false);
+    register(&mut server, &mut net, ObjectId(1), 55.0, 55.0);
+    let qid = server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(3.0),
+        Filter::True,
+        &mut net,
+    );
+    assert_eq!(server.num_queries(), 1);
+    server.check_invariants();
+    // Monitoring region covers the focal cell and neighbors.
+    let cell = server.config().grid.cell_of(Point::new(55.0, 55.0));
+    assert!(server.nearby_queries(cell).contains(&qid));
+}
+
+#[test]
+fn multiple_pending_installs_one_position_request() {
+    let (mut server, mut net, _) = setup(Propagation::Eager, false);
+    server.install_query(
+        ObjectId(9),
+        QueryRegion::circle(2.0),
+        Filter::True,
+        &mut net,
+    );
+    server.install_query(
+        ObjectId(9),
+        QueryRegion::circle(5.0),
+        Filter::True,
+        &mut net,
+    );
+    assert_eq!(
+        net.meter().unicast_msgs,
+        1,
+        "one position request for both installs"
+    );
+    register(&mut server, &mut net, ObjectId(9), 20.0, 20.0);
+    assert_eq!(server.num_queries(), 2);
+    server.check_invariants();
+}
+
+#[test]
+fn remove_query_cleans_all_state() {
+    let (mut server, mut net, _) = setup(Propagation::Eager, false);
+    register(&mut server, &mut net, ObjectId(1), 55.0, 55.0);
+    let qid = server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(3.0),
+        Filter::True,
+        &mut net,
+    );
+    assert!(server.remove_query(qid, &mut net));
+    assert_eq!(server.num_queries(), 0);
+    let cell = server.config().grid.cell_of(Point::new(55.0, 55.0));
+    assert!(server.nearby_queries(cell).is_empty());
+    server.check_invariants();
+    assert!(!server.remove_query(qid, &mut net), "double remove fails");
+}
+
+#[test]
+fn result_updates_are_differential() {
+    let (mut server, mut net, _) = setup(Propagation::Eager, false);
+    register(&mut server, &mut net, ObjectId(1), 55.0, 55.0);
+    let qid = server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(3.0),
+        Filter::True,
+        &mut net,
+    );
+    server.handle_uplink(
+        NodeId(2),
+        Uplink::ResultUpdate {
+            oid: ObjectId(2),
+            changes: vec![(qid, true)],
+        },
+        &mut net,
+    );
+    assert!(server.query_result(qid).unwrap().contains(&ObjectId(2)));
+    server.handle_uplink(
+        NodeId(2),
+        Uplink::ResultUpdate {
+            oid: ObjectId(2),
+            changes: vec![(qid, false)],
+        },
+        &mut net,
+    );
+    assert!(!server.query_result(qid).unwrap().contains(&ObjectId(2)));
+}
+
+#[test]
+fn velocity_report_triggers_region_broadcast() {
+    let (mut server, mut net, _) = setup(Propagation::Eager, false);
+    register(&mut server, &mut net, ObjectId(1), 55.0, 55.0);
+    server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(3.0),
+        Filter::True,
+        &mut net,
+    );
+    let before = net.meter().broadcast_msgs;
+    server.handle_uplink(
+        NodeId(1),
+        Uplink::VelocityReport {
+            oid: ObjectId(1),
+            motion: motion_at(56.0, 55.0),
+        },
+        &mut net,
+    );
+    assert!(net.meter().broadcast_msgs > before);
+    assert_eq!(server.stats().velocity_reports, 1);
+}
+
+#[test]
+fn velocity_report_from_non_focal_is_ignored() {
+    let (mut server, mut net, _) = setup(Propagation::Eager, false);
+    let before = net.meter().broadcast_msgs;
+    server.handle_uplink(
+        NodeId(3),
+        Uplink::VelocityReport {
+            oid: ObjectId(3),
+            motion: motion_at(1.0, 1.0),
+        },
+        &mut net,
+    );
+    assert_eq!(net.meter().broadcast_msgs, before);
+}
+
+#[test]
+fn focal_cell_change_moves_monitoring_region() {
+    let (mut server, mut net, _) = setup(Propagation::Eager, false);
+    register(&mut server, &mut net, ObjectId(1), 55.0, 55.0);
+    let qid = server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(3.0),
+        Filter::True,
+        &mut net,
+    );
+    let grid = server.config().grid.clone();
+    let old_cell = grid.cell_of(Point::new(55.0, 55.0));
+    let new_cell = grid.cell_of(Point::new(75.0, 55.0));
+    server.handle_uplink(
+        NodeId(1),
+        Uplink::CellChange {
+            oid: ObjectId(1),
+            prev_cell: old_cell,
+            new_cell,
+            motion: motion_at(75.0, 55.0),
+        },
+        &mut net,
+    );
+    server.check_invariants();
+    assert!(server.nearby_queries(new_cell).contains(&qid));
+    // The old cell is two cells away from the new one, outside the new
+    // monitoring region for r=3 < α=10.
+    assert!(!server.nearby_queries(old_cell).contains(&qid));
+}
+
+#[test]
+fn non_focal_cell_change_gets_new_queries_unicast() {
+    let (mut server, mut net, _) = setup(Propagation::Eager, false);
+    register(&mut server, &mut net, ObjectId(1), 55.0, 55.0);
+    server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(3.0),
+        Filter::True,
+        &mut net,
+    );
+    let grid = server.config().grid.clone();
+    // Object 2 moves from far away into the query's monitoring region.
+    let before = net.meter().unicast_msgs;
+    server.handle_uplink(
+        NodeId(2),
+        Uplink::CellChange {
+            oid: ObjectId(2),
+            prev_cell: grid.cell_of(Point::new(5.0, 5.0)),
+            new_cell: grid.cell_of(Point::new(55.0, 55.0)),
+            motion: motion_at(55.0, 55.0),
+        },
+        &mut net,
+    );
+    assert_eq!(
+        net.meter().unicast_msgs,
+        before + 1,
+        "expected NewQueries unicast"
+    );
+    // Moving between two cells both outside any monitoring region sends
+    // nothing.
+    let before = net.meter().unicast_msgs;
+    server.handle_uplink(
+        NodeId(3),
+        Uplink::CellChange {
+            oid: ObjectId(3),
+            prev_cell: grid.cell_of(Point::new(5.0, 5.0)),
+            new_cell: grid.cell_of(Point::new(15.0, 5.0)),
+            motion: motion_at(15.0, 5.0),
+        },
+        &mut net,
+    );
+    assert_eq!(net.meter().unicast_msgs, before);
+}
+
+#[test]
+fn grouping_coalesces_same_region_queries() {
+    // Two queries, same focal, same radius class -> same monitoring
+    // region -> one grouped broadcast per velocity report.
+    let (mut server, mut net, _) = setup(Propagation::Eager, true);
+    register(&mut server, &mut net, ObjectId(1), 55.0, 55.0);
+    server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(3.0),
+        Filter::True,
+        &mut net,
+    );
+    server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(2.5),
+        Filter::True,
+        &mut net,
+    );
+    let before = net.meter().broadcast_msgs;
+    server.handle_uplink(
+        NodeId(1),
+        Uplink::VelocityReport {
+            oid: ObjectId(1),
+            motion: motion_at(56.0, 55.0),
+        },
+        &mut net,
+    );
+    let grouped_broadcasts = net.meter().broadcast_msgs - before;
+
+    // Same scenario without grouping: two broadcasts.
+    let (mut server2, mut net2, _) = setup(Propagation::Eager, false);
+    register(&mut server2, &mut net2, ObjectId(1), 55.0, 55.0);
+    server2.install_query(
+        ObjectId(1),
+        QueryRegion::circle(3.0),
+        Filter::True,
+        &mut net2,
+    );
+    server2.install_query(
+        ObjectId(1),
+        QueryRegion::circle(2.5),
+        Filter::True,
+        &mut net2,
+    );
+    let before2 = net2.meter().broadcast_msgs;
+    server2.handle_uplink(
+        NodeId(1),
+        Uplink::VelocityReport {
+            oid: ObjectId(1),
+            motion: motion_at(56.0, 55.0),
+        },
+        &mut net2,
+    );
+    let ungrouped_broadcasts = net2.meter().broadcast_msgs - before2;
+    assert!(grouped_broadcasts < ungrouped_broadcasts);
+}
+
+#[test]
+fn group_result_update_sets_membership_by_slot() {
+    let (mut server, mut net, _) = setup(Propagation::Eager, true);
+    register(&mut server, &mut net, ObjectId(1), 55.0, 55.0);
+    let q1 = server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(3.0),
+        Filter::True,
+        &mut net,
+    );
+    let q2 = server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(2.0),
+        Filter::True,
+        &mut net,
+    );
+    // Object 5 reports: inside q1 (slot 0), outside q2 (slot 1).
+    server.handle_uplink(
+        NodeId(5),
+        Uplink::GroupResultUpdate {
+            oid: ObjectId(5),
+            focal: ObjectId(1),
+            mask: 0b11,
+            targets: 0b01,
+        },
+        &mut net,
+    );
+    assert!(server.query_result(q1).unwrap().contains(&ObjectId(5)));
+    assert!(!server.query_result(q2).unwrap().contains(&ObjectId(5)));
+    // Masked-out bits leave membership untouched.
+    server.handle_uplink(
+        NodeId(5),
+        Uplink::GroupResultUpdate {
+            oid: ObjectId(5),
+            focal: ObjectId(1),
+            mask: 0b10,
+            targets: 0b10,
+        },
+        &mut net,
+    );
+    assert!(
+        server.query_result(q1).unwrap().contains(&ObjectId(5)),
+        "q1 untouched"
+    );
+    assert!(server.query_result(q2).unwrap().contains(&ObjectId(5)));
+}
+
+#[test]
+fn lazy_propagation_sends_full_state_on_velocity_change() {
+    let (mut server, mut net, _) = setup(Propagation::Lazy, false);
+    register(&mut server, &mut net, ObjectId(1), 55.0, 55.0);
+    server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(3.0),
+        Filter::True,
+        &mut net,
+    );
+    server.handle_uplink(
+        NodeId(1),
+        Uplink::VelocityReport {
+            oid: ObjectId(1),
+            motion: motion_at(56.0, 55.0),
+        },
+        &mut net,
+    );
+    // Deliver at a point inside the monitoring region and inspect.
+    let mut inbox = Vec::new();
+    net.deliver(NodeId(7), Point::new(55.0, 55.0), &mut inbox);
+    assert!(
+        inbox
+            .iter()
+            .any(|m| matches!(&**m, Downlink::QueryState { .. })),
+        "lazy mode must ship full query state, got {inbox:?}"
+    );
+    assert!(
+        !inbox
+            .iter()
+            .any(|m| matches!(&**m, Downlink::VelocityChange { .. })),
+        "lazy mode must not ship bare velocity changes"
+    );
+}
+
+#[test]
+fn slot_reuse_after_removal() {
+    let (mut server, mut net, _) = setup(Propagation::Eager, true);
+    register(&mut server, &mut net, ObjectId(1), 55.0, 55.0);
+    let _q1 = server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(3.0),
+        Filter::True,
+        &mut net,
+    );
+    let q2 = server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(2.0),
+        Filter::True,
+        &mut net,
+    );
+    server.remove_query(q2, &mut net);
+    let q3 = server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(1.0),
+        Filter::True,
+        &mut net,
+    );
+    // q3 reuses q2's slot (slot 1).
+    server.check_invariants();
+    server.handle_uplink(
+        NodeId(5),
+        Uplink::GroupResultUpdate {
+            oid: ObjectId(5),
+            focal: ObjectId(1),
+            mask: 0b10,
+            targets: 0b10,
+        },
+        &mut net,
+    );
+    assert!(server.query_result(q3).unwrap().contains(&ObjectId(5)));
+}
+
+#[test]
+fn removing_last_query_clears_focal_flag() {
+    let (mut server, mut net, _) = setup(Propagation::Eager, false);
+    register(&mut server, &mut net, ObjectId(1), 55.0, 55.0);
+    let qid = server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(3.0),
+        Filter::True,
+        &mut net,
+    );
+    server.remove_query(qid, &mut net);
+    // A FocalNotify{false} unicast went to the ex-focal object.
+    let mut inbox = Vec::new();
+    net.deliver(NodeId(1), Point::new(55.0, 55.0), &mut inbox);
+    assert!(inbox
+        .iter()
+        .any(|m| **m == Downlink::FocalNotify { is_focal: false }));
+}
+
+/// A cell change or resync naming a cell off the grid is served for
+/// the clamped cell, for a focal object and an ordinary one alike,
+/// instead of indexing the RQI out of bounds.
+#[test]
+fn uplinks_naming_cells_off_the_grid_are_served_clamped() {
+    let (mut server, mut net, config) = setup(Propagation::Eager, true);
+    register(&mut server, &mut net, ObjectId(1), 95.0, 55.0);
+    server.install_query(
+        ObjectId(1),
+        QueryRegion::circle(3.0),
+        Filter::True,
+        &mut net,
+    );
+    for cell in [CellId::new(2, 40), CellId::new(u32::MAX, u32::MAX)] {
+        let clamped = config.grid.clamp_cell(cell);
+        for oid in [ObjectId(1), ObjectId(2)] {
+            let (prev_cell, motion) = (CellId::new(0, 0), motion_at(95.0, 95.0));
+            let change = Uplink::CellChange {
+                oid,
+                prev_cell,
+                new_cell: cell,
+                motion,
+            };
+            server.handle_uplink(oid.node(), change, &mut net);
+            net.take_downlinks();
+            let resync = Uplink::Resync {
+                oid,
+                cell,
+                motion,
+                max_vel: 0.03,
+                fresh: true,
+            };
+            server.handle_uplink(oid.node(), resync, &mut net);
+            let (unicasts, _) = net.take_downlinks();
+            assert!(unicasts.iter().any(|(to, msg, _)| *to == oid.node()
+                && matches!(**msg, Downlink::CellSync { cell, .. } if cell == clamped)));
+            server.check_invariants();
+        }
+        assert_eq!(server.query_cell(QueryId(0)), Some(clamped));
+    }
+}
