@@ -17,10 +17,11 @@ use crate::partition::{
 };
 use crate::serve::store_failed;
 use crate::wire::{InitConfig, PartitionOp};
+use mobieyes_core::server::lqt_sync::LqtSyncScratch;
 use mobieyes_core::server::{srv_keys, srv_slots, Net, ServerTally};
 use mobieyes_core::{
-    ClusterMsg, Downlink, Filter, LogRecord, ObjectId, PartitionScope, ProtocolConfig, QueryId,
-    Server, Uplink,
+    CellDigests, ClusterMsg, Downlink, Filter, LogRecord, ObjectId, PartitionScope, ProtocolConfig,
+    QueryId, Server, Uplink,
 };
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
 use mobieyes_net::TransportError;
@@ -240,6 +241,9 @@ pub struct ClusterServer {
     /// None of them emits a downlink, but [`Server::apply`] takes a
     /// network.
     quiet: Net,
+    /// Reusable buffers of the `LqtSync` reconcile walk; a membership is
+    /// tagged with the partition holding it.
+    lqt_scratch: LqtSyncScratch<usize>,
 }
 
 impl ClusterServer {
@@ -398,6 +402,7 @@ impl ClusterServer {
             lane: Vec::new(),
             lane_bytes: 0,
             quiet,
+            lqt_scratch: LqtSyncScratch::default(),
         }
     }
 
@@ -870,7 +875,12 @@ impl ClusterServer {
             for qid in qids {
                 let info: Option<(QueryRegion, Arc<Filter>, Option<f64>)> =
                     self.partitions[home].ask(&PartitionOp::ReinstallInfo(qid));
-                let (region, filter, expires_at) = info.expect("leased query in SQT");
+                // A home that died since the lease scan answers `None`: its
+                // teardown is the crash fence's. The query stays in the
+                // registry, and the next pass re-enters it.
+                let Some((region, filter, expires_at)) = info else {
+                    continue;
+                };
                 self.partitions[home].call::<bool>(&LogRecord::RemoveQuery(qid), net);
                 self.pump_bus();
                 self.pending.entry(oid).or_default().push(PendingInstall {
@@ -892,7 +902,12 @@ impl ClusterServer {
         // (3) Digest beacon over the shared epoch (partitions share the
         // sequencer, so bumping through partition 0 is global).
         let epoch = self.bump_shared_epoch();
-        let cell_digests = self.fan_out::<Vec<_>>(&PartitionOp::DigestCells).concat();
+        let cell_digests =
+            CellDigests::new(self.fan_out::<Vec<_>>(&PartitionOp::DigestCells).concat());
+        debug_assert!(
+            cell_digests.is_row_major(),
+            "partition spans out of order: beacon off the agents' fast path"
+        );
         let sent = net.broadcast_all(Downlink::Heartbeat {
             epoch,
             cell_digests,
@@ -1264,26 +1279,20 @@ impl ClusterServer {
     /// issuing a reconcile only where claim and membership disagree.
     fn lqt_sync(&mut self, oid: ObjectId, entries: Vec<(QueryId, bool)>, net: &mut Net) {
         self.tally.incr(srv_slots::LQT_SYNCS);
-        let mentioned: BTreeMap<QueryId, bool> = entries.into_iter().collect();
-        let mut member_at: BTreeMap<QueryId, usize> = BTreeMap::new();
         let memberships = PartitionOp::ObjectMemberships(oid);
         let per_partition: Vec<Vec<QueryId>> = self.probe_all(net, &memberships);
-        for (p, homed) in per_partition.into_iter().enumerate() {
-            member_at.extend(homed.into_iter().map(|q| (q, p)));
-        }
-        let qids: BTreeSet<QueryId> = mentioned.keys().chain(member_at.keys()).copied().collect();
+        let members = per_partition
+            .iter()
+            .enumerate()
+            .flat_map(|(p, homed)| homed.iter().map(move |&q| (q, p)));
+        let mut scratch = std::mem::take(&mut self.lqt_scratch);
         let mut deltas: Vec<(usize, QueryId, bool)> = Vec::new();
-        let mut stale = 0u64;
-        for qid in qids {
-            let is_target = mentioned.get(&qid).copied().unwrap_or(false);
-            let home = match member_at.get(&qid) {
-                Some(&home) if !is_target => home,
-                None if is_target => match self.find_query(qid) {
-                    Some(home) => home,
-                    None => continue,
-                },
-                // Already as claimed.
-                _ => continue,
+        for flip in scratch.walk(&entries, members) {
+            let (qid, is_target) = (flip.qid, flip.is_target);
+            // A member leaves at the partition holding the membership; a
+            // claimed target joins at the query's home, if it has one.
+            let Some(home) = flip.member.or_else(|| self.find_query(qid)) else {
+                continue;
             };
             let reconcile = LogRecord::LqtReconcile {
                 qid,
@@ -1291,13 +1300,13 @@ impl ClusterServer {
                 is_target,
             };
             if self.call_at(home, net).call(&reconcile, net) {
-                if !is_target && !mentioned.contains_key(&qid) {
-                    stale += 1;
+                if !flip.claimed {
+                    self.tally.incr(srv_slots::STALE_RESULTS_PURGED);
                 }
                 deltas.push((home, qid, is_target));
             }
         }
-        self.tally.add(srv_slots::STALE_RESULTS_PURGED, stale);
+        self.lqt_scratch = scratch;
         for (home, qid, entered) in deltas {
             self.post_at(home, net, &LogRecord::ResultDelta { qid, oid, entered });
         }
@@ -2139,6 +2148,55 @@ mod tests {
             "the focal agent is asked to re-report its position"
         );
         cluster.check_invariants();
+    }
+
+    /// A home partition that answers the heartbeat's lease scan and then
+    /// dies does not abort the coordinator: the expired query's teardown
+    /// is skipped (no removal, no pending install), the query stays in the
+    /// registry, and the next crash fence fails the partition over and
+    /// re-enters the query under its original id.
+    #[test]
+    fn a_home_dying_after_the_lease_scan_leaves_the_heartbeat_standing() {
+        let grid = Grid::new(universe(), 5.0);
+        let config = Arc::new(ProtocolConfig::new(grid).with_lease(10.0, 5.0));
+        let mut cluster = ClusterServer::new(config, 4, Telemetry::new());
+        let mut net = Net::new(BaseStationLayout::new(universe(), 10.0));
+        let cell = cluster.config.grid.cell_from_flat(250);
+        let mut seed = migrate_msg(7, 3, cell);
+        if let ClusterMsg::MigrateFocal { queries, .. } = &mut seed {
+            queries.clear();
+        }
+        cluster.partitions[2].call::<()>(&LogRecord::Cluster(seed), &mut net);
+        let qid = cluster.install_query(
+            ObjectId(7),
+            QueryRegion::circle(2.5),
+            Filter::True,
+            &mut net,
+        );
+        net.take_downlinks();
+        // Partition 2 becomes a process that takes the time push, reports
+        // the focal's lease as lapsed, and exits.
+        let (client, mut served) = loopback_pair();
+        let peer = std::thread::spawn(move || {
+            answer(&mut served, ReplyPayload::Unit, Vec::new());
+            let lapsed = ReplyPayload::Leases(vec![(ObjectId(7), vec![qid])]);
+            answer(&mut served, lapsed, Vec::new());
+        });
+        let remote = RemotePartition::new(2, client, Arc::clone(&cluster.epoch));
+        cluster.partitions[2] = PartitionHandle::Remote(Box::new(remote));
+        cluster.heartbeat(100.0, &mut net);
+        peer.join().expect("peer");
+        assert!(cluster.partitions[2].crashed().is_some());
+        assert!(cluster.pending.is_empty(), "the teardown was skipped");
+        assert!(cluster.registry.contains_key(&qid));
+        let report = cluster.recover_crashed(&mut net).expect("fence");
+        assert_eq!(report.partitions, vec![2]);
+        assert_eq!(report.queries_reinstalled, 1);
+        let pending: Vec<QueryId> = cluster.pending[&ObjectId(7)]
+            .iter()
+            .map(|pi| pi.qid)
+            .collect();
+        assert_eq!(pending, vec![qid]);
     }
 
     /// A respawned peer that dies inside its re-adoption fence is an abort,

@@ -920,7 +920,7 @@ pub(crate) mod tests {
     #[test]
     fn a_full_window_of_large_replies_drains_in_issue_order() {
         use crate::cluster_server::{POST_WINDOW_BYTES, POST_WINDOW_OPS};
-        use mobieyes_core::Downlink;
+        use mobieyes_core::{CellDigests, Downlink};
         const REPLY_BYTES: usize = 4096;
         let uds = std::env::temp_dir().join(format!(
             "mobieyes-handle-window-{}.sock",
@@ -932,7 +932,10 @@ pub(crate) mod tests {
                     // Any downlink will do for bulk; the epoch numbers it.
                     let msg = Downlink::Heartbeat {
                         epoch: i,
-                        cell_digests: vec![(CellId::new(1, 2), i); REPLY_BYTES / 16 + 1],
+                        cell_digests: CellDigests::new(vec![
+                            (CellId::new(1, 2), i);
+                            REPLY_BYTES / 16 + 1
+                        ]),
                     };
                     let unicast = NetAction::Unicast { node: 9, msg };
                     answer_with(&mut conn, vec![unicast], ReplyPayload::Unit, Vec::new());

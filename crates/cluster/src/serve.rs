@@ -325,8 +325,10 @@ pub fn serve_partition(listener: Listener, partition: u32) -> Result<(), Transpo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobieyes_core::{ClusterMsg, Filter, LogRecord, ObjectId, Propagation, QueryId};
-    use mobieyes_geo::{CellId, LinearMotion, Point, QueryRegion, Rect, Vec2};
+    use mobieyes_core::{
+        ClusterMsg, Filter, LogRecord, ObjectId, Propagation, QueryId, QuerySpec, StubSeed,
+    };
+    use mobieyes_geo::{CellId, GridRect, LinearMotion, Point, QueryRegion, Rect, Vec2};
 
     fn init(store_dir: &Path) -> PartitionOp {
         PartitionOp::Init(init_config(store_dir))
@@ -527,8 +529,22 @@ mod tests {
         s
     }
 
+    /// A monitoring region anywhere: on the 20 x 20 grid, past its edge,
+    /// four billion rows long, or empty.
+    fn draw_region(draw: &mut impl FnMut(u32) -> u32) -> GridRect {
+        let (x0, y0) = (draw(21), draw(21));
+        let mut corner = |lo: u32| match draw(6) {
+            0 => u32::MAX,
+            1 => lo.saturating_sub(1),
+            _ => lo + draw(4),
+        };
+        let (x1, y1) = (corner(x0), corner(y0));
+        GridRect { x0, y0, x1, y1 }
+    }
+
     /// `template` with its arguments redrawn: ids that hit and miss the
-    /// populated state, cells anywhere on the grid and past its edge.
+    /// populated state, cells and monitoring regions anywhere on the grid
+    /// and past its edge.
     fn redraw(template: &LogRecord, rng: &mut u64) -> LogRecord {
         let mut draw = |n: u32| {
             *rng += 1;
@@ -569,8 +585,92 @@ mod tests {
             },
             LogRecord::FocalReassert(_) => LogRecord::FocalReassert(focal),
             LogRecord::CellSyncReply { .. } => LogRecord::CellSyncReply { oid, cell },
-            other => panic!("closed record without a generator (add one here): {other:?}"),
+            LogRecord::Cluster(ClusterMsg::StubUpdate { spec, .. }) => {
+                let mon_region = draw_region(&mut draw);
+                let old_mon = (draw(2) == 0).then(|| draw_region(&mut draw));
+                let spec = QuerySpec {
+                    qid,
+                    seq: u64::from(draw(50)),
+                    ..spec.clone()
+                };
+                LogRecord::Cluster(ClusterMsg::StubUpdate {
+                    focal,
+                    motion: motion_at(1.0, 1.0, 2.0),
+                    max_vel: 0.05,
+                    curr_cell: cell,
+                    mon_region,
+                    old_mon,
+                    spec,
+                })
+            }
+            LogRecord::Cluster(ClusterMsg::StubRemove { .. }) => {
+                LogRecord::Cluster(ClusterMsg::StubRemove {
+                    qid,
+                    mon_region: draw_region(&mut draw),
+                    epoch: u64::from(draw(50)),
+                })
+            }
+            other => panic!("record without a generator (add one here): {other:?}"),
         }
+    }
+
+    /// Stub records redrawn with monitoring regions anywhere are applied
+    /// when the region is on the grid or empty and refused when it reaches
+    /// past the grid — never a panic, never a walk over four billion rows.
+    #[test]
+    fn stub_records_are_refused_exactly_when_a_region_is_off_the_grid() {
+        let spec = QuerySpec {
+            qid: QueryId(0),
+            region: QueryRegion::circle(4.0),
+            filter: Arc::new(Filter::True),
+            slot: 0,
+            seq: 0,
+        };
+        let templates = [
+            LogRecord::Cluster(ClusterMsg::StubUpdate {
+                focal: ObjectId(9),
+                motion: motion_at(1.0, 1.0, 2.0),
+                max_vel: 0.05,
+                curr_cell: CellId::new(0, 0),
+                mon_region: GridRect::EMPTY,
+                old_mon: None,
+                spec,
+            }),
+            LogRecord::Cluster(ClusterMsg::StubRemove {
+                qid: QueryId(0),
+                mon_region: GridRect::EMPTY,
+                epoch: 0,
+            }),
+        ];
+        let off = |r: &GridRect| !r.is_empty() && (r.x1 >= 20 || r.y1 >= 20);
+        let mut s = populated();
+        let mut rng = 5u64;
+        let (mut applied, mut refused) = (0, 0);
+        for _ in 0..300 {
+            for template in &templates {
+                let rec = redraw(template, &mut rng);
+                let off_grid = match &rec {
+                    LogRecord::Cluster(ClusterMsg::StubUpdate {
+                        mon_region,
+                        old_mon,
+                        ..
+                    }) => off(mon_region) || old_mon.as_ref().is_some_and(off),
+                    LogRecord::Cluster(ClusterMsg::StubRemove { mon_region, .. }) => {
+                        off(mon_region)
+                    }
+                    other => unreachable!("{other:?}"),
+                };
+                match serve_op(&mut s, 0, PartitionOp::Apply(rec.clone()), false) {
+                    Ok(_) if !off_grid => applied += 1,
+                    Err(TransportError::Protocol(_)) if off_grid => refused += 1,
+                    other => panic!("{rec:?} answered {other:?}"),
+                }
+            }
+        }
+        assert!(
+            applied > 100 && refused > 100,
+            "{applied} applied, {refused} refused"
+        );
     }
 
     /// The closed class is what `is_closed` lists *and* what the server
@@ -653,14 +753,72 @@ mod tests {
 
     /// Well-formed records no handler can take: partition bounds the
     /// 2-partition, 400-cell table at generation 0 must refuse, an export,
-    /// a transfer and an adoption of a cell off the grid, and an install
-    /// for a focal object the partition has no FOT row for.
+    /// a transfer and an adoption of a cell off the grid, stub records and
+    /// a transfer's stub seed with a monitoring region past the grid, and
+    /// an install for a focal object the partition has no FOT row for.
     fn refused_records() -> Vec<LogRecord> {
         let bounds = |generation, bounds: &[u64]| LogRecord::Bounds {
             generation,
             bounds: bounds.to_vec(),
         };
+        let spec = QuerySpec {
+            qid: QueryId(12),
+            region: QueryRegion::circle(4.0),
+            filter: Arc::new(Filter::True),
+            slot: 0,
+            seq: 1,
+        };
+        let stub_update = |mon_region, old_mon| {
+            LogRecord::Cluster(ClusterMsg::StubUpdate {
+                focal: ObjectId(55),
+                motion: motion_at(95.0, 45.0, 1.0),
+                max_vel: 0.05,
+                curr_cell: CellId::new(19, 9),
+                mon_region,
+                old_mon,
+                spec: spec.clone(),
+            })
+        };
+        // Past the last column (on a partition, it would alias into the
+        // next row), and four billion rows long.
+        let wide = GridRect {
+            x0: 18,
+            y0: 8,
+            x1: 22,
+            y1: 9,
+        };
+        let long = GridRect {
+            x0: 0,
+            y0: 0,
+            x1: 1,
+            y1: u32::MAX,
+        };
+        let on_grid = GridRect {
+            x0: 18,
+            y0: 8,
+            x1: 19,
+            y1: 9,
+        };
         vec![
+            stub_update(wide, None),
+            stub_update(on_grid, Some(long)),
+            LogRecord::Cluster(ClusterMsg::StubRemove {
+                qid: QueryId(12),
+                mon_region: long,
+                epoch: 3,
+            }),
+            LogRecord::Cluster(ClusterMsg::RebalanceCells {
+                generation: 0,
+                epoch: 0,
+                cells: vec![(12, vec![QueryId(12)])],
+                stubs: vec![StubSeed {
+                    focal: ObjectId(55),
+                    motion: motion_at(95.0, 45.0, 1.0),
+                    max_vel: 0.05,
+                    mon_region: wide,
+                    spec: spec.clone(),
+                }],
+            }),
             bounds(1, &[0, 400]),
             bounds(1, &[0, 100, 200, 400]),
             bounds(1, &[0, 300, 200]),

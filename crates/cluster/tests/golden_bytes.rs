@@ -20,9 +20,9 @@ use mobieyes_cluster::wire::{encode_reply, encode_request};
 use mobieyes_cluster::{InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload};
 use mobieyes_core::server::Net;
 use mobieyes_core::{
-    ClusterMsg, Downlink, Filter, HomeChange, LogRecord, ObjectId, PartitionScope, PartitionTable,
-    PropValue, Propagation, ProtocolConfig, QueryGroupInfo, QueryId, QueryMigration, QuerySpec,
-    Server, StubSeed, Uplink,
+    CellDigests, ClusterMsg, Downlink, Filter, HomeChange, LogRecord, ObjectId, PartitionScope,
+    PartitionTable, PropValue, Propagation, ProtocolConfig, QueryGroupInfo, QueryId,
+    QueryMigration, QuerySpec, Server, StubSeed, Uplink,
 };
 use mobieyes_geo::{CellId, Grid, GridRect, LinearMotion, Point, QueryRegion, Rect, Vec2};
 use mobieyes_net::BaseStationLayout;
@@ -160,7 +160,10 @@ fn downlinks() -> Vec<Downlink> {
         },
         Downlink::Heartbeat {
             epoch: 99,
-            cell_digests: vec![(CellId::new(1, 2), 0xDEAD), (CellId::new(3, 4), 0xBEEF)],
+            cell_digests: CellDigests::new(vec![
+                (CellId::new(1, 2), 0xDEAD),
+                (CellId::new(3, 4), 0xBEEF),
+            ]),
         },
         Downlink::CellSync {
             cell: CellId::new(5, 6),

@@ -31,7 +31,7 @@
 use crate::config::Propagation;
 use crate::filter::Filter;
 use crate::messages::{
-    ClusterMsg, Downlink, QueryGroupInfo, QueryMigration, QuerySpec, StubSeed, Uplink,
+    CellDigests, ClusterMsg, Downlink, QueryGroupInfo, QueryMigration, QuerySpec, StubSeed, Uplink,
 };
 use crate::model::{ObjectId, PropValue, QueryId};
 use mobieyes_geo::{CellId, GridRect, LinearMotion, Point, QueryRegion, Vec2};
@@ -581,6 +581,18 @@ impl Wire for QueryGroupInfo {
     }
 }
 
+/// A [`seq16`] of `(cell, digest)`, in the order listed; decoding derives
+/// the lookup order flag from what it read.
+impl Wire for CellDigests {
+    const MIN_LEN: usize = seq16::MIN_LEN;
+    fn put(&self, out: &mut impl Put) {
+        seq16::put(out, self.entries());
+    }
+    fn get(buf: &mut Reader<'_>) -> Result<Self> {
+        seq16::get(buf).map(CellDigests::new)
+    }
+}
+
 crate::wire!(enum Uplink {
     0 => VelocityReport { oid: ObjectId, motion: LinearMotion },
     1 => CellChange { oid: ObjectId, prev_cell: CellId, new_cell: CellId, motion: LinearMotion },
@@ -604,7 +616,7 @@ crate::wire!(enum Downlink {
     4 => FocalNotify { is_focal: bool },
     5 => PositionRequest,
     6 => ResultDelta { qid: QueryId, object: ObjectId, entered: bool },
-    7 => Heartbeat { epoch: u64, cell_digests: Vec<(CellId, u64)> as seq16 },
+    7 => Heartbeat { epoch: u64, cell_digests: CellDigests },
     8 => CellSync { cell: CellId, epoch: u64, infos: Vec<QueryGroupInfo> as seq16 },
 });
 

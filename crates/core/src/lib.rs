@@ -39,7 +39,7 @@ pub use filter::Filter;
 pub use journal::{JournalSink, LogRecord, ReplyPayload};
 pub use knn::{KnnConfig, KnnCoordinator};
 pub use messages::{
-    ClusterMsg, Downlink, QueryGroupInfo, QueryMigration, QuerySpec, StubSeed, Uplink,
+    CellDigests, ClusterMsg, Downlink, QueryGroupInfo, QueryMigration, QuerySpec, StubSeed, Uplink,
 };
 pub use model::{ObjectId, PropValue, Properties, QueryId};
 pub use object::{AgentOutbox, AgentStats, AgentTally, MovingObjectAgent};

@@ -40,6 +40,62 @@ pub fn state_digest<I: IntoIterator<Item = (QueryId, u64)>>(pairs: I) -> u64 {
     h
 }
 
+/// The `(cell, digest)` list of a heartbeat beacon, with the way to look a
+/// cell up in it decided once per message instead of once per agent that
+/// hears it: a list in row-major order (ascending `(y, x)`, which is
+/// ascending flat index on the grid — how every deployment builds it) is
+/// searched by bisection, any other list by the linear scan. Either way
+/// [`get`](Self::get) answers what a first-match scan of the list answers.
+///
+/// The order flag is derived from the list when it is built or decoded
+/// and never travels; the list itself keeps its order exactly, so the
+/// encoding round-trips byte for byte.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellDigests {
+    entries: Vec<(CellId, u64)>,
+    row_major: bool,
+}
+
+/// A cell's place in row-major order.
+fn row_major_key(c: CellId) -> (u32, u32) {
+    (c.y, c.x)
+}
+
+impl CellDigests {
+    pub fn new(entries: Vec<(CellId, u64)>) -> Self {
+        let row_major = entries
+            .windows(2)
+            .all(|w| row_major_key(w[0].0) <= row_major_key(w[1].0));
+        CellDigests { entries, row_major }
+    }
+
+    /// The digest listed for `cell` — its first entry when the list names
+    /// it twice — or `None` when the list leaves it out.
+    #[inline]
+    pub fn get(&self, cell: CellId) -> Option<u64> {
+        let found = if self.row_major {
+            let key = row_major_key(cell);
+            let at = self
+                .entries
+                .partition_point(|(c, _)| row_major_key(*c) < key);
+            self.entries.get(at).filter(|(c, _)| *c == cell)
+        } else {
+            self.entries.iter().find(|(c, _)| *c == cell)
+        };
+        found.map(|&(_, digest)| digest)
+    }
+
+    /// Whether the list is in row-major order: lookups bisect.
+    pub fn is_row_major(&self) -> bool {
+        self.row_major
+    }
+
+    /// The `(cell, digest)` entries in the order they were listed.
+    pub fn entries(&self) -> &[(CellId, u64)] {
+        &self.entries
+    }
+}
+
 /// One query inside a (possibly grouped) dissemination message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
@@ -185,8 +241,8 @@ pub enum Downlink {
     /// query table and request a resync on mismatch.
     Heartbeat {
         epoch: u64,
-        /// `(cell, digest)` pairs, sorted by cell, for non-empty cells.
-        cell_digests: Vec<(CellId, u64)>,
+        /// `(cell, digest)` pairs, in row-major order, for non-empty cells.
+        cell_digests: CellDigests,
     },
     /// Reconnect-handshake reply (unicast): the authoritative query state
     /// for one grid cell — every query group whose monitoring region
@@ -500,7 +556,10 @@ mod tests {
         assert_eq!(
             Downlink::Heartbeat {
                 epoch: 1,
-                cell_digests: vec![(CellId::new(0, 0), 7), (CellId::new(1, 0), 9)]
+                cell_digests: CellDigests::new(vec![
+                    (CellId::new(0, 0), 7),
+                    (CellId::new(1, 0), 9)
+                ])
             }
             .wire_size(),
             1 + 8 + 2 + 2 * 16
@@ -595,6 +654,75 @@ mod tests {
         assert_eq!(
             reb.wire_size(),
             1 + 8 + 8 + 2 + (4 + 2 + 8) + (4 + 2) + 2 + seed
+        );
+    }
+
+    /// What the lookup must answer: the first entry naming `cell`.
+    fn first_match(entries: &[(CellId, u64)], cell: CellId) -> Option<u64> {
+        entries.iter().find(|(c, _)| *c == cell).map(|&(_, d)| d)
+    }
+
+    /// Every cell of a 6 x 5 grid and some past its edge, looked up in
+    /// seeded random lists — row-major and not, with repeated cells, empty
+    /// — answers what a first-match scan answers, and row-major lists are
+    /// recognised as such.
+    #[test]
+    fn cell_digest_lookup_matches_a_first_match_scan() {
+        let mut rng = 7u64;
+        let mut draw = |n: u64| {
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            state_digest([(QueryId(rng as u32), rng)]) % n
+        };
+        let probes: Vec<CellId> = (0..8)
+            .flat_map(|y| (0..8).map(move |x| CellId::new(x, y)))
+            .chain([CellId::new(u32::MAX, 0), CellId::new(0, u32::MAX)])
+            .collect();
+        let mut sorted_lists = 0;
+        for round in 0..400 {
+            let len = draw(12) as usize;
+            let mut entries: Vec<(CellId, u64)> = (0..len)
+                .map(|i| {
+                    let cell = CellId::new(draw(7) as u32, draw(6) as u32);
+                    (cell, 100 * round + i as u64)
+                })
+                .collect();
+            let sort = draw(2) == 0;
+            if sort {
+                // A stable sort keeps repeated cells in listed order.
+                entries.sort_by_key(|&(c, _)| (c.y, c.x));
+            }
+            let digests = CellDigests::new(entries.clone());
+            if sort {
+                assert!(digests.is_row_major(), "{entries:?}");
+                sorted_lists += 1;
+            }
+            assert_eq!(digests.entries(), &entries[..]);
+            for &cell in &probes {
+                assert_eq!(
+                    digests.get(cell),
+                    first_match(&entries, cell),
+                    "{cell:?} in {entries:?}"
+                );
+            }
+        }
+        assert!(sorted_lists > 100);
+        assert!(
+            CellDigests::new(vec![(CellId::new(1, 0), 1), (CellId::new(0, 1), 2)]).is_row_major()
+        );
+        assert!(
+            !CellDigests::new(vec![(CellId::new(0, 1), 1), (CellId::new(1, 0), 2)]).is_row_major(),
+            "column-major is not row-major"
+        );
+        assert_eq!(CellDigests::new(Vec::new()).get(CellId::new(0, 0)), None);
+    }
+
+    /// A heartbeat's digest list carries its lookup flag without making
+    /// every downlink bigger: the largest variant is a full query group.
+    #[test]
+    fn downlink_size_is_set_by_the_query_group() {
+        assert_eq!(
+            std::mem::size_of::<Downlink>(),
+            std::mem::size_of::<QueryGroupInfo>() + 8
         );
     }
 

@@ -657,11 +657,7 @@ impl MovingObjectAgent {
                     // Tombstones older than the previous beacon can no
                     // longer race any in-flight message.
                     cold.removed.retain(|_, te| *te >= prev);
-                    let expected = cell_digests
-                        .iter()
-                        .find(|(c, _)| *c == my_cell)
-                        .map(|&(_, d)| d)
-                        .unwrap_or(EMPTY_STATE_DIGEST);
+                    let expected = cell_digests.get(my_cell).unwrap_or(EMPTY_STATE_DIGEST);
                     // Resync on a digest mismatch — and, if focal, on every
                     // beacon: the resync re-asserts the (cell, motion) the
                     // server should already hold, repairing a dropped
@@ -875,12 +871,21 @@ impl MovingObjectAgent {
 
     /// The digest of this object's view of the queries covering its cell
     /// (installed ∪ filter-shadowed), compared against the server's
-    /// per-cell RQI digest in heartbeats.
+    /// per-cell RQI digest in heartbeats. Both tables ascend by query id
+    /// and never share one, so their merge is the ascending feed the
+    /// digest wants.
     fn local_digest(&self) -> u64 {
-        let mut pairs: Vec<(QueryId, u64)> = self.lqt.iter().map(|(&q, e)| (q, e.seq)).collect();
-        pairs.extend(self.shadow.iter().map(|(&q, s)| (q, s.0)));
-        pairs.sort_unstable_by_key(|p| p.0);
-        state_digest(pairs)
+        debug_assert!(
+            self.shadow.keys().all(|q| self.lqt.get(q).is_none()),
+            "a query both installed and shadowed"
+        );
+        let mut lqt = self.lqt.iter().map(|(&q, e)| (q, e.seq)).peekable();
+        let mut shadow = self.shadow.iter().map(|(&q, s)| (q, s.0)).peekable();
+        state_digest(std::iter::from_fn(|| match (lqt.peek(), shadow.peek()) {
+            (Some(l), Some(s)) if s.0 < l.0 => shadow.next(),
+            (Some(_), _) => lqt.next(),
+            (None, _) => shadow.next(),
+        }))
     }
 
     /// Rejoins the network after an offline window at time `t`. A `fresh`

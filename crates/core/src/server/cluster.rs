@@ -65,14 +65,16 @@ impl Server {
     pub fn digest_cells(&self) -> Vec<(CellId, u64)> {
         let grid = &self.config.grid;
         let mut cell_digests = Vec::new();
+        // One buffer for every row's ascending (query, seq) feed.
+        let mut sorted: Vec<(QueryId, u64)> = Vec::new();
         for (idx, qids) in self.rqi.iter().enumerate() {
             if qids.is_empty() {
                 continue;
             }
-            let mut sorted = qids.clone();
-            sorted.sort_unstable();
-            let digest = state_digest(sorted.iter().map(|q| (*q, self.q_seq(*q))));
-            cell_digests.push((grid.cell_at(idx), digest));
+            sorted.clear();
+            sorted.extend(qids.iter().map(|&q| (q, self.q_seq(q))));
+            sorted.sort_unstable_by_key(|&(q, _)| q);
+            cell_digests.push((grid.cell_at(idx), state_digest(sorted.iter().copied())));
         }
         cell_digests
     }

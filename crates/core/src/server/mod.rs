@@ -13,7 +13,7 @@ use crate::codec::DecodeError;
 use crate::config::{Propagation, ProtocolConfig};
 use crate::filter::Filter;
 use crate::journal::{JournalSink, LogRecord, ReplyPayload};
-use crate::messages::{ClusterMsg, Downlink, QueryGroupInfo, QuerySpec, Uplink};
+use crate::messages::{CellDigests, ClusterMsg, Downlink, QueryGroupInfo, QuerySpec, Uplink};
 use crate::model::{ObjectId, QueryId};
 use mobieyes_geo::{CellId, GridRect, LinearMotion, QueryRegion, Region};
 use mobieyes_net::{NetworkSim, NodeId};
@@ -24,10 +24,12 @@ use std::sync::Arc;
 
 mod checkpoint;
 mod cluster;
+pub mod lqt_sync;
 mod tables;
 #[cfg(test)]
 mod tests;
 
+use lqt_sync::LqtSyncScratch;
 use tables::{usize_bounds, FotEntry, FotTable, PendingInstall, SqtEntry, StubEntry};
 pub use tables::{HomeChange, PartitionScope, PartitionTable};
 
@@ -168,6 +170,8 @@ pub struct Server {
     outbox: Vec<(u32, ClusterMsg)>,
     /// Reusable per-tick uplink drain buffer (cleared, not reallocated).
     uplink_scratch: Vec<(NodeId, Uplink)>,
+    /// Reusable buffers of the `LqtSync` reconcile walk.
+    lqt_scratch: LqtSyncScratch<()>,
     /// Durable input journal (see [`crate::journal`]); `None` = no
     /// persistence. Injected like `telemetry`, and written in one place:
     /// the journal step of [`apply`](Self::apply), once per accepted
@@ -203,6 +207,7 @@ impl Server {
             stubs: BTreeMap::new(),
             outbox: Vec::new(),
             uplink_scratch: Vec::new(),
+            lqt_scratch: LqtSyncScratch::default(),
             journal: None,
             journal_floor: 0,
             home_log: None,
@@ -497,6 +502,32 @@ impl Server {
 
     /// Step one of [`apply`](Self::apply).
     fn refuse(&self, rec: &LogRecord) -> Result<(), DecodeError> {
+        let grid = &self.config.grid;
+        // A stub's region is walked cell by cell into the RQI: a corner
+        // past the grid would index out of it (or, on a partition, alias
+        // into the next row). An empty region walks nothing.
+        let region_off_grid =
+            |r: &&GridRect| !r.is_empty() && !grid.contains_cell(CellId::new(r.x1, r.y1));
+        let region = match rec {
+            LogRecord::Cluster(ClusterMsg::StubUpdate {
+                mon_region,
+                old_mon,
+                ..
+            }) => [Some(mon_region), old_mon.as_ref()]
+                .into_iter()
+                .flatten()
+                .find(region_off_grid),
+            LogRecord::Cluster(ClusterMsg::StubRemove { mon_region, .. }) => {
+                Some(mon_region).filter(region_off_grid)
+            }
+            LogRecord::Cluster(ClusterMsg::RebalanceCells { stubs, .. }) => {
+                stubs.iter().map(|s| &s.mon_region).find(region_off_grid)
+            }
+            _ => None,
+        };
+        if let Some(r) = region {
+            return Err(DecodeError(format!("monitoring region {r:?} off the grid")));
+        }
         let off_grid = |flat: &u32| *flat as usize >= self.rqi.len();
         let flat = match rec {
             LogRecord::Bounds { generation, bounds } => {
@@ -1019,16 +1050,22 @@ impl Server {
     /// Replays the authoritative query state of `cell` to a resyncing
     /// object (`cell` is on the grid: the dispatch clamps it).
     fn cell_sync_reply(&mut self, oid: ObjectId, cell: CellId, net: &mut Net) {
-        let qids = self.rqi[self.config.grid.flat_index(cell)].clone();
-        let infos: Vec<QueryGroupInfo> = self
-            .group_queries(&{
-                let mut sorted = qids;
-                sorted.sort_unstable();
-                sorted
-            })
-            .into_iter()
-            .map(|g| self.group_info_for(g[0]))
-            .collect();
+        let row = &self.rqi[self.config.grid.flat_index(cell)];
+        let infos: Vec<QueryGroupInfo> = if self.config.grouping {
+            let mut sorted = row.clone();
+            sorted.sort_unstable();
+            self.group_queries(&sorted)
+                .into_iter()
+                .map(|g| self.group_info_for(g[0]))
+                .collect()
+        } else {
+            // Every query is its own group, listed by ascending id; a row
+            // names each query once.
+            let mut infos: Vec<QueryGroupInfo> =
+                row.iter().map(|&q| self.group_info_for(q)).collect();
+            infos.sort_unstable_by_key(|info| info.queries[0].qid);
+            infos
+        };
         self.tally.incr(srv_slots::RESYNC_REPLIES);
         self.tally.incr(srv_slots::UNICAST_OPS);
         net.send_unicast(
@@ -1048,26 +1085,19 @@ impl Server {
     /// ascending id, the delta order) are all that is visited.
     fn on_lqt_sync(&mut self, oid: ObjectId, entries: &[(QueryId, bool)], net: &mut Net) {
         self.tally.incr(srv_slots::LQT_SYNCS);
-        let mentioned: BTreeMap<QueryId, bool> = entries.iter().copied().collect();
-        let mut qids: Vec<QueryId> = mentioned.keys().copied().collect();
-        qids.extend(self.memberships(oid));
-        qids.sort_unstable();
-        qids.dedup();
-        let mut deltas: Vec<(QueryId, bool)> = Vec::new();
-        let mut stale = 0u64;
-        for qid in qids {
-            let is_target = mentioned.get(&qid).copied().unwrap_or(false);
-            if self.set_member(qid, oid, is_target) {
-                if !is_target && !mentioned.contains_key(&qid) {
-                    stale += 1;
+        let mut scratch = std::mem::take(&mut self.lqt_scratch);
+        let members = self.memberships(oid).map(|qid| (qid, ()));
+        for flip in scratch.walk(entries, members) {
+            // A delta reads only the query's focal, which no membership
+            // change moves: each goes out as soon as its change is made.
+            if self.set_member(flip.qid, oid, flip.is_target) {
+                if !flip.claimed {
+                    self.tally.incr(srv_slots::STALE_RESULTS_PURGED);
                 }
-                deltas.push((qid, is_target));
+                self.deliver_result_delta(flip.qid, oid, flip.is_target, net);
             }
         }
-        self.tally.add(srv_slots::STALE_RESULTS_PURGED, stale);
-        for (qid, entered) in deltas {
-            self.deliver_result_delta(qid, oid, entered, net);
-        }
+        self.lqt_scratch = scratch;
     }
 
     /// The periodic duties of [`heartbeat`](Self::heartbeat). One record
@@ -1114,7 +1144,11 @@ impl Server {
         // epoch to answer each beacon exactly once however many stations
         // they hear it from.
         let epoch = self.bump_epoch();
-        let cell_digests = self.digest_cells();
+        let cell_digests = CellDigests::new(self.digest_cells());
+        debug_assert!(
+            cell_digests.is_row_major(),
+            "beacon off the agents' fast path"
+        );
         let sent = net.broadcast_all(Downlink::Heartbeat {
             epoch,
             cell_digests,
@@ -1333,27 +1367,32 @@ impl Server {
     /// reconstruct the same group payload the home would build.
     fn group_info_for(&self, qid: QueryId) -> QueryGroupInfo {
         let grouping = self.config.grouping;
-        let (focal, motion, max_vel, mon_region, members) = match self.sqt.get(&qid) {
+        // One table lookup per query: each member's spec comes from the
+        // row that placed it in the group.
+        let (focal, motion, max_vel, mon_region, queries) = match self.sqt.get(&qid) {
             Some(e) => {
                 let fot = &self.fot[&e.focal];
-                let members: Vec<QueryId> = if grouping {
-                    let same = |q: &&QueryId| self.sqt[*q].mon_region == e.mon_region;
-                    fot.queries.iter().filter(same).copied().collect()
+                let queries: Vec<QuerySpec> = if grouping {
+                    let same = |&q: &QueryId| {
+                        let m = &self.sqt[&q];
+                        (m.mon_region == e.mon_region).then(|| m.spec(q))
+                    };
+                    fot.queries.iter().filter_map(same).collect()
                 } else {
-                    vec![qid]
+                    vec![e.spec(qid)]
                 };
-                (e.focal, fot.motion, fot.max_vel, e.mon_region, members)
+                (e.focal, fot.motion, fot.max_vel, e.mon_region, queries)
             }
             None => {
                 let e = &self.stubs[&qid];
-                let members: Vec<QueryId> = if grouping {
+                let queries: Vec<QuerySpec> = if grouping {
                     let same = |s: &StubEntry| s.focal == e.focal && s.mon_region == e.mon_region;
                     let group = self.stubs.iter().filter(|(_, s)| same(s));
-                    group.map(|(&q, _)| q).collect()
+                    group.map(|(&q, s)| s.spec(q)).collect()
                 } else {
-                    vec![qid]
+                    vec![e.spec(qid)]
                 };
-                (e.focal, e.motion, e.max_vel, e.mon_region, members)
+                (e.focal, e.motion, e.max_vel, e.mon_region, queries)
             }
         };
         QueryGroupInfo {
@@ -1361,25 +1400,19 @@ impl Server {
             motion,
             max_vel,
             mon_region,
-            queries: Arc::new(members.into_iter().map(|q| self.spec(q)).collect()),
+            queries: Arc::new(queries),
         }
     }
 
     /// The dissemination spec of a query, whether homed here or stubbed.
     fn spec(&self, qid: QueryId) -> QuerySpec {
-        let (region, filter, slot, seq) = match self.sqt.get(&qid) {
-            Some(e) => (e.region, &e.filter, e.slot, e.seq),
-            None => {
-                let s = self.stubs.get(&qid).expect("query in SQT or stub table");
-                (s.region, &s.filter, s.slot, s.seq)
-            }
-        };
-        QuerySpec {
-            qid,
-            region,
-            filter: Arc::clone(filter),
-            slot,
-            seq,
+        match self.sqt.get(&qid) {
+            Some(e) => e.spec(qid),
+            None => self
+                .stubs
+                .get(&qid)
+                .expect("query in SQT or stub table")
+                .spec(qid),
         }
     }
 

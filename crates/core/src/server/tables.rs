@@ -201,6 +201,19 @@ pub(super) struct SqtEntry {
     pub(super) result: BTreeSet<ObjectId>,
 }
 
+impl SqtEntry {
+    /// The dissemination spec of the homed query `qid`.
+    pub(super) fn spec(&self, qid: QueryId) -> QuerySpec {
+        QuerySpec {
+            qid,
+            region: self.region,
+            filter: Arc::clone(&self.filter),
+            slot: self.slot,
+            seq: self.seq,
+        }
+    }
+}
+
 /// One change to the key set of a server's FOT or SQT — which focal
 /// objects and which queries it *homes*. A coordinator that folds every
 /// change in emission order holds an exact copy of both key sets (see
@@ -440,6 +453,17 @@ impl StubEntry {
             filter: Arc::clone(&spec.filter),
             slot: spec.slot,
             seq: spec.seq,
+        }
+    }
+
+    /// The dissemination spec of the stubbed query `qid`.
+    pub(super) fn spec(&self, qid: QueryId) -> QuerySpec {
+        QuerySpec {
+            qid,
+            region: self.region,
+            filter: Arc::clone(&self.filter),
+            slot: self.slot,
+            seq: self.seq,
         }
     }
 }

@@ -528,3 +528,75 @@ fn uplinks_naming_cells_off_the_grid_are_served_clamped() {
         assert_eq!(server.query_cell(QueryId(0)), Some(clamped));
     }
 }
+
+/// Stub records whose monitoring region reaches past the grid are refused
+/// before they touch the RQI — past the last column, past the last row,
+/// or four billion rows long. An empty region is taken, however far its
+/// corners lie.
+#[test]
+fn stub_regions_off_the_grid_are_refused() {
+    let (mut server, mut net, _) = setup(Propagation::Lazy, false);
+    let rect = |x0, y0, x1, y1| GridRect { x0, y0, x1, y1 };
+    let spec = QuerySpec {
+        qid: QueryId(5),
+        region: QueryRegion::circle(3.0),
+        filter: Arc::new(Filter::True),
+        slot: 0,
+        seq: 1,
+    };
+    let update = |mon_region, old_mon| {
+        LogRecord::Cluster(ClusterMsg::StubUpdate {
+            focal: ObjectId(9),
+            motion: motion_at(85.0, 95.0),
+            max_vel: 0.03,
+            curr_cell: CellId::new(8, 9),
+            mon_region,
+            old_mon,
+            spec: spec.clone(),
+        })
+    };
+    let remove = |mon_region| {
+        LogRecord::Cluster(ClusterMsg::StubRemove {
+            qid: QueryId(5),
+            mon_region,
+            epoch: 3,
+        })
+    };
+    let transfer = |mon_region| {
+        LogRecord::Cluster(ClusterMsg::RebalanceCells {
+            generation: 0,
+            epoch: 0,
+            cells: Vec::new(),
+            stubs: vec![crate::messages::StubSeed {
+                focal: ObjectId(9),
+                motion: motion_at(85.0, 95.0),
+                max_vel: 0.03,
+                mon_region,
+                spec: spec.clone(),
+            }],
+        })
+    };
+    let on_grid = rect(7, 8, 9, 9);
+    for off in [
+        rect(8, 9, 12, 12),
+        rect(9, 0, 10, 0),
+        rect(0, 0, 3, u32::MAX),
+    ] {
+        for rec in [
+            update(off, None),
+            update(on_grid, Some(off)),
+            remove(off),
+            transfer(off),
+        ] {
+            let e = server.apply(&rec, &mut net).expect_err("refused");
+            assert!(e.0.contains("off the grid"), "{rec:?}: {e}");
+            assert_eq!(server.num_stubs(), 0);
+        }
+    }
+    let empty = rect(5, 0, 0, u32::MAX);
+    for rec in [update(on_grid, Some(empty)), remove(on_grid), remove(empty)] {
+        server.apply(&rec, &mut net).expect("accepted");
+    }
+    assert_eq!(server.num_stubs(), 0);
+    server.check_invariants();
+}

@@ -9,8 +9,8 @@ use mobieyes_core::codec::{encoded_len, to_bytes, Reader, Wire};
 use mobieyes_core::journal::{LogRecord, ReplyPayload};
 use mobieyes_core::server::Net;
 use mobieyes_core::{
-    ClusterMsg, Downlink, Filter, ObjectId, PropValue, QueryGroupInfo, QueryId, QueryMigration,
-    QuerySpec, Server, StubSeed, Uplink,
+    CellDigests, ClusterMsg, Downlink, Filter, ObjectId, PropValue, QueryGroupInfo, QueryId,
+    QueryMigration, QuerySpec, Server, StubSeed, Uplink,
 };
 use mobieyes_geo::{CellId, GridRect, LinearMotion, Point, QueryRegion, Vec2};
 use std::fmt::Debug;
@@ -225,10 +225,11 @@ pub fn rand_downlink(rng: &mut Rng) -> Downlink {
         },
         7 => Downlink::Heartbeat {
             epoch: rng.next_u64(),
-            cell_digests: rng
-                .count(11)
-                .map(|_| (rand_cell(rng), rng.next_u64()))
-                .collect(),
+            cell_digests: CellDigests::new(
+                rng.count(11)
+                    .map(|_| (rand_cell(rng), rng.next_u64()))
+                    .collect(),
+            ),
         },
         _ => Downlink::CellSync {
             cell: rand_cell(rng),

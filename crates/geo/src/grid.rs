@@ -294,12 +294,15 @@ impl GridRect {
     }
 
     /// Iterates the covered cells in row-major order.
+    /// An empty range visits no row, however many its corners span.
     pub fn iter(&self) -> impl Iterator<Item = CellId> + '_ {
-        let empty = self.is_empty();
-        let (x0, x1, y0, y1) = (self.x0, self.x1, self.y0, self.y1);
-        (y0..=y1)
-            .flat_map(move |y| (x0..=x1).map(move |x| CellId { x, y }))
-            .filter(move |_| !empty)
+        let (y0, y1) = if self.is_empty() {
+            (1, 0)
+        } else {
+            (self.y0, self.y1)
+        };
+        let (x0, x1) = (self.x0, self.x1);
+        (y0..=y1).flat_map(move |y| (x0..=x1).map(move |x| CellId { x, y }))
     }
 }
 

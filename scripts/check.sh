@@ -90,6 +90,14 @@ pin_run --mode lqp --objects 4000 --ticks 40 --seed 7 --uplink-drop 0.1 --downli
   --dup-rate 0.05 --churn-rate 0.05 --lease-ticks 6 --store-dir "$pin_store" --checkpoint-ticks 10
 pin "counter pin (store, single server)" "store.appends store.bytes srv.leases_expired" \
   "83812 5127425 36"
+# The only pinned run with leases is also the beacon path's pin: what the
+# agents ask for on hearing a heartbeat and what the server answers. A
+# digest looked up wrong shows as resyncs; a reconcile walked wrong as
+# purges or bytes.
+pin "beacon path pin (single server)" "agent.resync_requests agent.lqt_syncs \
+agent.stale_discarded srv.lqt_syncs srv.resync_replies srv.stale_results_purged srv.heartbeats" \
+  "19638 48655 26734 46027 18498 69 13"
+pin "cost model pin (single server chaos)" "$net_bytes" "2662982 7532976 768016020"
 journal_pin "journal pin (single server)" "5 1086384886 3299208"
 rm -rf "$pin_out" "$pin_store"
 unset -f pin_run journal_pin
