@@ -1,27 +1,32 @@
 //! The cluster coordinator: N partition-scoped [`Server`]s behind the
 //! single-server API.
 //!
-//! The coordinator decomposes every uplink into the same primitive
-//! operations the single server performs — executed at the partitions
-//! owning the affected state, in the same global order — and pumps the
-//! inter-server bus between operations so cross-partition state (RQI
-//! stubs, migrated FOT/SQT rows) is in place before the next operation
-//! reads it. That discipline is what makes an N-partition run
-//! byte-identical to the single server: same downlink byte stream on the
-//! shared agent network, same counters (summed across the per-partition
-//! sinks), same event log.
+//! Every entry point runs the single server's own sequence
+//! ([`mobieyes_core::server::mediate`]) through the coordinator's
+//! [`Mediator`] impl: each primitive runs at the partition owning the
+//! state it touches, and the inter-server bus is pumped after every call
+//! so cross-partition state (RQI stubs, migrated FOT/SQT rows) is in place
+//! before the next one reads it. One sequence in one global order is what
+//! makes an N-partition run byte-identical to the single server: the same
+//! downlink byte stream on the shared agent network, the same counters
+//! (summed across the per-partition sinks), the same event log. What is
+//! left here is the coordinator's own: the query registry, per-partition
+//! load, sink merging, the posted lane and the fences.
 
-use crate::handle::{FromPayload, PartitionHandle, Probe, RemotePartition};
+use crate::handle::{PartitionHandle, Probe, RemotePartition};
 use crate::partition::{
     failover_bounds, moved_cells, plan_bounds, readopt_bounds, PartitionMap, Router,
 };
 use crate::serve::store_failed;
 use crate::wire::{InitConfig, PartitionOp};
 use mobieyes_core::server::lqt_sync::LqtSyncScratch;
-use mobieyes_core::server::{srv_keys, srv_slots, Net, ServerTally};
+use mobieyes_core::server::mediate::{self, Focal, Reinstall};
+use mobieyes_core::server::{
+    srv_keys, srv_slots, FromPayload, Mediator, Net, PendingInstall, ServerTally,
+};
 use mobieyes_core::{
-    CellDigests, ClusterMsg, Downlink, Filter, LogRecord, ObjectId, PartitionScope, ProtocolConfig,
-    QueryId, Server, Uplink,
+    ClusterMsg, Downlink, Filter, LogRecord, ObjectId, PartitionScope, ProtocolConfig, QueryId,
+    Server, Uplink,
 };
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
 use mobieyes_net::TransportError;
@@ -65,28 +70,6 @@ impl WireSized for Envelope {
     fn wire_size(&self) -> usize {
         mobieyes_core::codec::encoded_len(self)
     }
-}
-
-/// A deferred install owned by the coordinator (the single server keeps
-/// these per-focal on its own pending table).
-#[derive(Debug)]
-struct PendingInstall {
-    qid: QueryId,
-    region: QueryRegion,
-    filter: Arc<Filter>,
-    expires_at: Option<f64>,
-}
-
-/// The coordinator's durable record of an installed query — enough to
-/// re-issue the install if the partition homing the query dies before the
-/// lease machinery would have repaired it. The registry is coordinator
-/// state (like `pending`), so it survives any partition crash.
-#[derive(Debug)]
-struct RegisteredQuery {
-    focal: ObjectId,
-    region: QueryRegion,
-    filter: Arc<Filter>,
-    expires_at: Option<f64>,
 }
 
 /// Numeric reason codes carried by [`EventKind::RebalanceSkipped`]
@@ -170,7 +153,7 @@ impl Fence {
 
 /// Grid-sharded MobiEyes server tier.
 ///
-/// Mirrors the [`Server`] driver surface (`install_query`, `heartbeat`,
+/// Offers the [`Server`] driver surface (`install_query`, `heartbeat`,
 /// `tick`, `query_result`, …) so simulation drivers can swap it in behind
 /// a `--partitions N` knob.
 pub struct ClusterServer {
@@ -182,9 +165,8 @@ pub struct ClusterServer {
     sinks: Vec<Telemetry>,
     /// The shared protocol sink (the one the agent network records into).
     shared: Telemetry,
-    /// The `srv.*` counters the coordinator records itself (uplinks it
-    /// decomposed, heartbeats, position requests), published into
-    /// `shared` with the partitions' counters.
+    /// The `srv.*` counters the coordinator's sequences count, published
+    /// into `shared` with the partitions' counters.
     tally: ServerTally,
     bus: Box<dyn Transport<Envelope>>,
     /// The bus records into its own sink so cluster-transport metrics
@@ -217,8 +199,11 @@ pub struct ClusterServer {
     /// The flat-cell span `[start, end)` each dead partition owned when
     /// its failover fence ran, so a respawn can re-adopt exactly it.
     lost_spans: BTreeMap<u32, (usize, usize)>,
-    /// Durable install records for crash re-installation.
-    registry: BTreeMap<QueryId, RegisteredQuery>,
+    /// Every installed query with its focal object: enough to re-issue
+    /// the install if the partition homing the query dies before the lease
+    /// machinery would have repaired it. Coordinator state, like
+    /// `pending`, so it survives any partition crash.
+    registry: BTreeMap<QueryId, (ObjectId, PendingInstall)>,
     /// Bus envelopes addressed to a down partition, captured by the pump
     /// instead of being applied; the next failover fence re-routes them.
     orphans: Vec<Envelope>,
@@ -284,18 +269,9 @@ impl ClusterServer {
         let map = PartitionMap::contiguous(&config.grid, n);
         let epoch = Arc::new(AtomicU64::new(0));
         let sinks: Vec<Telemetry> = (0..n).map(|_| Telemetry::new()).collect();
-        let partitions: Vec<PartitionHandle> = (0..n)
-            .map(|p| {
-                PartitionHandle::Local(Box::new(
-                    Server::new(Arc::clone(&config))
-                        .with_telemetry(sinks[p].clone())
-                        .with_scope(PartitionScope::new(
-                            p as u32,
-                            Arc::clone(map.table()),
-                            Arc::clone(&epoch),
-                        )),
-                ))
-            })
+        let local = |p: usize| map.server(&config, p as u32, &epoch, sinks[p].clone());
+        let partitions = (0..n)
+            .map(|p| PartitionHandle::Local(Box::new(local(p))))
             .collect();
         let alen = config.grid.alpha;
         Self::assemble(
@@ -604,13 +580,8 @@ impl ClusterServer {
             .expect("replay requires a store root")
             .join(format!("p{p}"));
         let scratch_map = PartitionMap::contiguous(&self.config.grid, self.partitions.len());
-        let mut scratch = Server::new(Arc::clone(&self.config))
-            .with_telemetry(Telemetry::new())
-            .with_scope(PartitionScope::new(
-                p,
-                Arc::clone(scratch_map.table()),
-                Arc::new(AtomicU64::new(0)),
-            ));
+        let epoch = Arc::new(AtomicU64::new(0));
+        let mut scratch = scratch_map.server(&self.config, p, &epoch, Telemetry::new());
         let mut scratch_net =
             Net::new(BaseStationLayout::new(self.config.grid.universe, self.alen));
         store::replay_into(&dir, p, &mut scratch, &mut scratch_net, &Telemetry::new())?;
@@ -653,23 +624,11 @@ impl ClusterServer {
     /// Owned copy of a query's result set, local or remote, fetched from
     /// the partition homing the query.
     pub fn fetch_query_result(&self, qid: QueryId) -> Option<Vec<ObjectId>> {
-        self.partitions[self.find_query(qid)?].ask(&PartitionOp::QueryResult(qid))
+        self.partitions[self.query_home(qid)?].ask(&PartitionOp::QueryResult(qid))
     }
 
     pub fn query_focal(&self, qid: QueryId) -> Option<ObjectId> {
-        self.partitions[self.find_query(qid)?].ask(&PartitionOp::QueryFocal(qid))
-    }
-
-    /// The partition currently holding the FOT row of `oid` (its home);
-    /// `oid` is homed on at most one. No RPC: remote handles answer from
-    /// their `homes` mirror.
-    fn find_focal(&self, oid: ObjectId) -> Option<usize> {
-        self.partitions.iter().position(|p| p.has_focal(oid))
-    }
-
-    /// The partition currently homing query `qid` (mirror-answered too).
-    fn find_query(&self, qid: QueryId) -> Option<usize> {
-        self.partitions.iter().position(|p| p.has_query(qid))
+        self.partitions[self.query_home(qid)?].ask(&PartitionOp::QueryFocal(qid))
     }
 
     /// Drains every partition's outbox onto the bus (partition order) and
@@ -772,40 +731,14 @@ impl ClusterServer {
     ) -> QueryId {
         let qid = QueryId(self.next_qid);
         self.next_qid += 1;
-        let filter = Arc::new(filter);
-        self.registry.insert(
+        let p = PendingInstall {
             qid,
-            RegisteredQuery {
-                focal,
-                region,
-                filter: Arc::clone(&filter),
-                expires_at,
-            },
-        );
-        if let Some(home) = self.find_focal(focal) {
-            let install = LogRecord::CompleteInstall {
-                qid,
-                focal,
-                region,
-                filter,
-                expires_at,
-            };
-            self.partitions[home].call::<()>(&install, net);
-            self.pump_bus();
-        } else {
-            let q = self.pending.entry(focal).or_default();
-            let first = q.is_empty();
-            q.push(PendingInstall {
-                qid,
-                region,
-                filter,
-                expires_at,
-            });
-            if first {
-                self.tally.incr(srv_slots::UNICAST_OPS);
-                net.send_unicast(focal.node(), Downlink::PositionRequest);
-            }
-        }
+            region,
+            filter: Arc::new(filter),
+            expires_at,
+        };
+        self.registry.insert(qid, (focal, p.clone()));
+        mediate::install(self, focal, p, net);
         self.merge_sinks();
         qid
     }
@@ -813,114 +746,24 @@ impl ClusterServer {
     /// Removes a query from the system, wherever it is homed.
     pub fn remove_query(&mut self, qid: QueryId, net: &mut Net) -> bool {
         self.registry.remove(&qid);
-        let Some(home) = self.find_query(qid) else {
-            return false;
-        };
-        let removed = self.partitions[home].call(&LogRecord::RemoveQuery(qid), net);
-        self.pump_bus();
+        let removed = mediate::remove(self, qid, net);
         self.merge_sinks();
         removed
     }
 
-    /// Removes every query whose lifetime has ended; ascending query-id
-    /// order across all partitions, like the single server's SQT scan.
+    /// Removes every query whose lifetime has ended, in ascending query-id
+    /// order across all partitions.
     pub fn expire_queries(&mut self, now: f64, net: &mut Net) -> Vec<QueryId> {
-        let per_partition: Vec<Vec<QueryId>> = self.fan_out(&PartitionOp::ExpiredQueryIds(now));
-        let mut expired: Vec<(usize, QueryId)> = Vec::new();
-        for (p, qids) in per_partition.into_iter().enumerate() {
-            expired.extend(qids.into_iter().map(|q| (p, q)));
-        }
-        expired.sort_unstable_by_key(|&(_, q)| q);
-        let mut out = Vec::with_capacity(expired.len());
-        for (home, qid) in expired {
-            self.registry.remove(&qid);
-            self.sinks[home].event(EventKind::QueryExpired { qid: qid.0 as u64 });
-            self.partitions[home].call::<bool>(&LogRecord::RemoveQuery(qid), net);
-            self.pump_bus();
-            out.push(qid);
-        }
+        let expired = mediate::expire(self, now, net);
         self.merge_sinks();
-        out
+        expired
     }
 
-    /// Periodic fault-tolerance duties; mirrors [`Server::heartbeat`]
-    /// with the lease table sharded across partitions (expiry runs in
-    /// ascending object order merged across them) and the digest beacon
-    /// concatenating per-partition digests in partition order — exactly
-    /// the single server's ascending-flat-index scan.
+    /// Periodic fault-tolerance duties ([`mediate::heartbeat`]), with the
+    /// lease table sharded across partitions.
     pub fn heartbeat(&mut self, now: f64, net: &mut Net) {
-        self.now = now;
-        self.fan_out_mut::<()>(&LogRecord::SetTime(now));
-        for sink in &self.sinks {
-            sink.set_now(now);
-        }
-        if !self.config.fault_tolerant() || now - self.last_heartbeat < self.config.heartbeat_secs {
-            self.merge_sinks();
-            return;
-        }
-        self.last_heartbeat = now;
-        self.tally.incr(srv_slots::HEARTBEATS);
-
-        // (1) Lease expiry, ascending object id across all partitions.
-        let per_partition: Vec<Vec<(ObjectId, Vec<QueryId>)>> =
-            self.fan_out(&PartitionOp::ExpiredLeases);
-        let mut expired: Vec<(usize, ObjectId, Vec<QueryId>)> = Vec::new();
-        for (p, leases) in per_partition.into_iter().enumerate() {
-            expired.extend(leases.into_iter().map(|(o, q)| (p, o, q)));
-        }
-        expired.sort_unstable_by_key(|&(_, oid, _)| oid);
-        for (home, oid, qids) in expired {
-            self.tally.incr(srv_slots::LEASES_EXPIRED);
-            self.sinks[home].event(EventKind::LeaseExpired { oid: oid.0 as u64 });
-            for qid in qids {
-                let info: Option<(QueryRegion, Arc<Filter>, Option<f64>)> =
-                    self.partitions[home].ask(&PartitionOp::ReinstallInfo(qid));
-                // A home that died since the lease scan answers `None`: its
-                // teardown is the crash fence's. The query stays in the
-                // registry, and the next pass re-enters it.
-                let Some((region, filter, expires_at)) = info else {
-                    continue;
-                };
-                self.partitions[home].call::<bool>(&LogRecord::RemoveQuery(qid), net);
-                self.pump_bus();
-                self.pending.entry(oid).or_default().push(PendingInstall {
-                    qid,
-                    region,
-                    filter,
-                    expires_at,
-                });
-            }
-        }
-
-        // (2) Retry pending installs.
-        let waiting: Vec<ObjectId> = self.pending.keys().copied().collect();
-        for oid in waiting {
-            self.tally.incr(srv_slots::UNICAST_OPS);
-            net.send_unicast(oid.node(), Downlink::PositionRequest);
-        }
-
-        // (3) Digest beacon over the shared epoch (partitions share the
-        // sequencer, so bumping through partition 0 is global).
-        let epoch = self.bump_shared_epoch();
-        let cell_digests =
-            CellDigests::new(self.fan_out::<Vec<_>>(&PartitionOp::DigestCells).concat());
-        debug_assert!(
-            cell_digests.is_row_major(),
-            "partition spans out of order: beacon off the agents' fast path"
-        );
-        let sent = net.broadcast_all(Downlink::Heartbeat {
-            epoch,
-            cell_digests,
-        });
-        self.tally.add(srv_slots::BROADCAST_OPS, sent as u64);
+        mediate::heartbeat(self, now, net);
         self.merge_sinks();
-    }
-
-    fn bump_shared_epoch(&mut self) -> u64 {
-        let p = self.first_live();
-        // A dead peer answers 0: the coordinator's view stands.
-        let bumped: u64 = self.partitions[p].call(&LogRecord::BumpEpoch, &mut self.quiet);
-        bumped.max(self.partitions[p].current_epoch())
     }
 
     /// Drains and processes all pending uplink messages. Call once per
@@ -929,7 +772,7 @@ impl ClusterServer {
     pub fn tick(&mut self, net: &mut Net) {
         let uplinks = net.drain_uplinks();
         for (from, msg) in uplinks {
-            self.decompose_uplink(from, msg, net);
+            self.uplink(from, &msg, net);
         }
         self.drain_posted(net);
         self.merge_sinks();
@@ -937,23 +780,34 @@ impl ClusterServer {
 
     /// Processes one uplink, decomposed into owner-partition primitives.
     pub fn handle_uplink(&mut self, from: NodeId, msg: Uplink, net: &mut Net) {
-        self.decompose_uplink(from, msg, net);
+        self.uplink(from, &msg, net);
         self.drain_posted(net);
     }
 
-    /// Posts one closed record to partition `home` and enters it in the
-    /// lane — unless it ran inline or the peer is dead (0 bytes queued:
-    /// nothing to collect) — draining the lane once the window is full.
-    fn post_at(&mut self, home: usize, net: &mut Net, rec: &LogRecord) {
-        let bytes = self.partitions[home].post(rec, net);
-        if bytes == 0 {
-            return;
+    /// [`Self::handle_uplink`] minus the final drain: closed ops are left
+    /// posted, so a run of them — result reports, lease renewals, the cell
+    /// changes of non-focal objects — costs one write and one read per
+    /// partition process. The uplink's primary partition — the owner of
+    /// the cell it names, else the home of what it reports on — is
+    /// charged with it for the scaling bench and the rebalance planner.
+    fn uplink(&mut self, from: NodeId, msg: &Uplink, net: &mut Net) {
+        let primary_flat =
+            Router::primary_cell(&self.config.grid, msg).map(|c| self.config.grid.flat_index(c));
+        let primary = primary_flat
+            .map(|f| self.map.owner_of_flat(f) as usize)
+            .or_else(|| match msg {
+                Uplink::ResultUpdate { changes, .. } => {
+                    changes.first().and_then(|(q, _)| self.query_home(*q))
+                }
+                Uplink::GroupResultUpdate { focal, .. } => self.focal_home(*focal),
+                _ => None,
+            })
+            .unwrap_or(0);
+        if let Some(flat) = primary_flat {
+            self.cell_ops[flat] += 1;
         }
-        self.lane.push(home as u32);
-        self.lane_bytes += bytes;
-        if self.lane.len() >= POST_WINDOW_OPS || self.lane_bytes >= POST_WINDOW_BYTES {
-            self.drain_posted(net);
-        }
+        self.ops[primary] += 1;
+        mediate::uplink(self, primary, from, msg, net);
     }
 
     /// Collects the reply of every posted op, in issue order, replaying
@@ -974,7 +828,7 @@ impl ClusterServer {
     }
 
     /// Partition `p`, for a call. Every data-path op that is not posted
-    /// ([`Self::post_at`]) reaches its partition through here (or
+    /// ([`Mediator::post`]) reaches its partition through here (or
     /// [`Self::probe_all`]): a call moves the epoch, pumps the bus or
     /// writes to `net` itself, so the posted lane — on every handle, not
     /// only `p`'s — is collected first.
@@ -987,329 +841,6 @@ impl ClusterServer {
     fn probe_all<T: FromPayload + Default>(&mut self, net: &mut Net, op: &PartitionOp) -> Vec<T> {
         self.drain_posted(net);
         self.fan_out(op)
-    }
-
-    /// [`Self::handle_uplink`] minus the final drain: closed ops are left
-    /// posted, so a run of them — result reports, lease renewals, the cell
-    /// changes of non-focal objects — costs one write and one read per
-    /// partition process.
-    fn decompose_uplink(&mut self, from: NodeId, msg: Uplink, net: &mut Net) {
-        let primary_flat =
-            Router::primary_cell(&self.config.grid, &msg).map(|c| self.config.grid.flat_index(c));
-        let primary = primary_flat
-            .map(|f| self.map.owner_of_flat(f) as usize)
-            .or_else(|| match &msg {
-                Uplink::ResultUpdate { changes, .. } => {
-                    changes.first().and_then(|(q, _)| self.find_query(*q))
-                }
-                Uplink::GroupResultUpdate { focal, .. } => self.find_focal(*focal),
-                _ => None,
-            })
-            .unwrap_or(0);
-        if let Some(flat) = primary_flat {
-            self.cell_ops[flat] += 1;
-        }
-        self.ops[primary] += 1;
-        self.tally.incr(srv_slots::UPLINKS);
-        // Any uplink from a focal object renews its lease, wherever the
-        // FOT row is homed. Leases only matter under the fault-tolerance
-        // layer; without it `last_heard` is never read.
-        if self.config.fault_tolerant() {
-            let renew = LogRecord::RenewLease(ObjectId(from.0));
-            for p in 0..self.partitions.len() {
-                self.post_at(p, net, &renew);
-            }
-        }
-        match msg {
-            Uplink::VelocityReport { oid, motion } => {
-                debug_assert_eq!(from.0, oid.0);
-                let target = self.find_focal(oid).unwrap_or(primary);
-                let report = LogRecord::VelocityReport { oid, motion };
-                self.call_at(target, net).call::<()>(&report, net);
-                self.pump_bus();
-            }
-            Uplink::CellChange {
-                oid,
-                prev_cell,
-                new_cell,
-                motion,
-            } => {
-                self.tally.incr(srv_slots::CELL_CHANGES);
-                let home = self.find_focal(oid);
-                self.cell_change(oid, home, prev_cell, new_cell, motion, net);
-            }
-            Uplink::ResultUpdate { oid, changes } => {
-                self.tally.incr(srv_slots::RESULT_UPDATES);
-                for (qid, is_target) in changes {
-                    if let Some(home) = self.find_query(qid) {
-                        let change = LogRecord::ResultChange {
-                            qid,
-                            oid,
-                            is_target,
-                        };
-                        self.post_at(home, net, &change);
-                    }
-                }
-            }
-            Uplink::GroupResultUpdate {
-                oid,
-                focal,
-                mask,
-                targets,
-            } => {
-                self.tally.incr(srv_slots::RESULT_UPDATES);
-                if let Some(home) = self.find_focal(focal) {
-                    let update = LogRecord::GroupResultUpdate {
-                        oid,
-                        focal,
-                        mask,
-                        targets,
-                    };
-                    self.post_at(home, net, &update);
-                }
-            }
-            Uplink::PositionReply {
-                oid,
-                motion,
-                max_vel,
-            } => {
-                let target = self.find_focal(oid).unwrap_or(primary);
-                let refresh = LogRecord::RefreshFocalMotion {
-                    oid,
-                    motion,
-                    max_vel,
-                    insert: true,
-                };
-                self.call_at(target, net).call::<()>(&refresh, net);
-                self.pump_bus();
-                self.complete_pending(oid, net);
-            }
-            Uplink::Resync {
-                oid,
-                cell,
-                motion,
-                max_vel,
-                fresh,
-            } => {
-                self.resync(oid, cell, motion, max_vel, fresh, net);
-            }
-            Uplink::LqtSync { oid, entries } => {
-                self.lqt_sync(oid, entries, net);
-            }
-        }
-    }
-
-    /// Cross-partition cell change: migrate the focal object's FOT/SQT
-    /// rows to the partition owning the new cell (border handoff), then
-    /// run the focal and fresh halves at their owners — the same primitive
-    /// sequence, in the same order, as the single server. `home` is the
-    /// caller's `find_focal(oid)`: a non-focal object (`None`, the common
-    /// case) issues no call at all, only the posted fresh half.
-    fn cell_change(
-        &mut self,
-        oid: ObjectId,
-        mut home: Option<usize>,
-        prev_cell: CellId,
-        new_cell: CellId,
-        motion: LinearMotion,
-        net: &mut Net,
-    ) {
-        // Wire-carried cells may overshoot the grid (see Router docs);
-        // clamp before any flat-index lookup.
-        let new_cell = self.config.grid.clamp_cell(new_cell);
-        let new_home = self.map.owner_of_cell(&self.config.grid, new_cell) as usize;
-        if let Some(old_home) = home.filter(|&h| h != new_home) {
-            let extract = LogRecord::ExtractFocal(oid);
-            if let Some(m) = self.call_at(old_home, net).call(&extract, net) {
-                self.bus
-                    .send(
-                        NodeId(old_home as u32),
-                        Envelope {
-                            to: new_home as u32,
-                            msg: m,
-                        },
-                    )
-                    .expect("bus send failed");
-                self.pump_bus();
-                // Re-resolve: under a faulty bus the migration may have
-                // been lost, leaving the object temporarily homeless
-                // (repaired by lease expiry, like any other lost state).
-                home = self.find_focal(oid);
-            }
-        }
-        if let Some(h) = home {
-            let focal = LogRecord::CellChangeFocal {
-                oid,
-                new_cell,
-                motion,
-            };
-            self.call_at(h, net).call::<()>(&focal, net);
-            self.pump_bus();
-        }
-        // Closed: no outbox to pump behind it.
-        let fresh = LogRecord::CellChangeFresh {
-            oid,
-            prev_cell,
-            new_cell,
-            motion,
-        };
-        self.post_at(new_home, net, &fresh);
-    }
-
-    /// Completes the coordinator-owned deferred installs of `oid` at its
-    /// home partition.
-    fn complete_pending(&mut self, oid: ObjectId, net: &mut Net) {
-        let Some(pending) = self.pending.remove(&oid) else {
-            return;
-        };
-        // The FOT row normally exists by now, but the partition it was
-        // just created on may have died mid-tick; keep the installs
-        // deferred and let the heartbeat retry.
-        let Some(home) = self.find_focal(oid) else {
-            self.pending.insert(oid, pending);
-            return;
-        };
-        for p in pending {
-            let install = LogRecord::CompleteInstall {
-                qid: p.qid,
-                focal: oid,
-                region: p.region,
-                filter: p.filter,
-                expires_at: p.expires_at,
-            };
-            self.call_at(home, net).call::<()>(&install, net);
-            self.pump_bus();
-        }
-    }
-
-    /// The reconnect / digest-mismatch handshake, decomposed across
-    /// partitions (see [`Server`]'s `on_resync` for the single-server
-    /// original this mirrors step for step).
-    fn resync(
-        &mut self,
-        oid: ObjectId,
-        cell: CellId,
-        motion: LinearMotion,
-        max_vel: f64,
-        fresh: bool,
-        net: &mut Net,
-    ) {
-        let cell = self.config.grid.clamp_cell(cell);
-        let has_pending = self.pending.contains_key(&oid);
-        let home0 = self.find_focal(oid);
-        // A focal crashed by a churn plan mid-handoff (or torn down by a
-        // concurrent lease expiry) may have no FOT row left even though a
-        // partition still answered `has_focal` a moment ago; treat any
-        // missing piece as "no prior state" instead of panicking — the
-        // lease teardown reclaims the queries.
-        let prior = home0.and_then(|h| {
-            let home = self.call_at(h, net);
-            let motion: LinearMotion = home.ask::<Option<_>>(&PartitionOp::FocalMotion(oid))?;
-            let queries: Vec<QueryId> = home.ask::<Option<_>>(&PartitionOp::FocalQueries(oid))?;
-            Some((motion, queries))
-        });
-        let target = home0.unwrap_or_else(|| {
-            self.map
-                .owner_of_cell(&self.config.grid, self.config.grid.cell_of(motion.pos))
-                as usize
-        });
-        let refresh = LogRecord::RefreshFocalMotion {
-            oid,
-            motion,
-            max_vel,
-            insert: has_pending,
-        };
-        self.call_at(target, net).call::<()>(&refresh, net);
-        self.pump_bus();
-        if let Some((old_motion, queries)) = prior {
-            if !queries.is_empty() {
-                let home = home0.expect("prior implies a home");
-                let reported: Vec<CellId> = queries
-                    .iter()
-                    .filter_map(|q| self.call_at(home, net).ask(&PartitionOp::QueryCell(*q)))
-                    .collect();
-                let stale_cell = reported.iter().any(|&c| c != cell);
-                if stale_cell {
-                    // `reported` is non-empty here (`any` matched), so the
-                    // migration has a well-defined previous cell; a focal
-                    // whose queries vanished mid-handoff simply skips it.
-                    let prev = reported[0];
-                    self.tally.incr(srv_slots::CELL_CHANGES);
-                    self.cell_change(oid, home0, prev, cell, motion, net);
-                } else if motion.tm > old_motion.tm {
-                    let report = LogRecord::VelocityReport { oid, motion };
-                    self.call_at(home, net).call::<()>(&report, net);
-                    self.pump_bus();
-                }
-            }
-        }
-        if fresh {
-            // Purge the crashed object from every result set, delivering
-            // the deltas in ascending query order across all partitions.
-            let mut stale: Vec<(usize, QueryId)> = Vec::new();
-            for p in 0..self.partitions.len() {
-                let purged: Vec<QueryId> =
-                    self.call_at(p, net).call(&LogRecord::PurgeObject(oid), net);
-                stale.extend(purged.into_iter().map(|q| (p, q)));
-            }
-            stale.sort_unstable_by_key(|&(_, q)| q);
-            self.tally
-                .add(srv_slots::STALE_RESULTS_PURGED, stale.len() as u64);
-            for (home, qid) in stale {
-                let delta = LogRecord::ResultDelta {
-                    qid,
-                    oid,
-                    entered: false,
-                };
-                self.post_at(home, net, &delta);
-            }
-        }
-        self.complete_pending(oid, net);
-        if let Some(home) = self.find_focal(oid) {
-            self.post_at(home, net, &LogRecord::FocalReassert(oid));
-        }
-        let owner = self.map.owner_of_cell(&self.config.grid, cell) as usize;
-        self.post_at(owner, net, &LogRecord::CellSyncReply { oid, cell });
-    }
-
-    /// Soft-state refresh against an object's full local view. Only a
-    /// query the object mentions or is a member of can change: each
-    /// partition is asked once for the object's memberships, and the
-    /// union is walked in ascending query order across all partitions,
-    /// issuing a reconcile only where claim and membership disagree.
-    fn lqt_sync(&mut self, oid: ObjectId, entries: Vec<(QueryId, bool)>, net: &mut Net) {
-        self.tally.incr(srv_slots::LQT_SYNCS);
-        let memberships = PartitionOp::ObjectMemberships(oid);
-        let per_partition: Vec<Vec<QueryId>> = self.probe_all(net, &memberships);
-        let members = per_partition
-            .iter()
-            .enumerate()
-            .flat_map(|(p, homed)| homed.iter().map(move |&q| (q, p)));
-        let mut scratch = std::mem::take(&mut self.lqt_scratch);
-        let mut deltas: Vec<(usize, QueryId, bool)> = Vec::new();
-        for flip in scratch.walk(&entries, members) {
-            let (qid, is_target) = (flip.qid, flip.is_target);
-            // A member leaves at the partition holding the membership; a
-            // claimed target joins at the query's home, if it has one.
-            let Some(home) = flip.member.or_else(|| self.find_query(qid)) else {
-                continue;
-            };
-            let reconcile = LogRecord::LqtReconcile {
-                qid,
-                oid,
-                is_target,
-            };
-            if self.call_at(home, net).call(&reconcile, net) {
-                if !flip.claimed {
-                    self.tally.incr(srv_slots::STALE_RESULTS_PURGED);
-                }
-                deltas.push((home, qid, is_target));
-            }
-        }
-        self.lqt_scratch = scratch;
-        for (home, qid, entered) in deltas {
-            self.post_at(home, net, &LogRecord::ResultDelta { qid, oid, entered });
-        }
     }
 
     // --- the epoch fence (DESIGN.md §10) ----------------------------------
@@ -1560,13 +1091,8 @@ impl ClusterServer {
         if self.dead.contains(&p) {
             return;
         }
-        let fresh = Server::new(Arc::clone(&self.config))
-            .with_telemetry(self.sinks[p as usize].clone())
-            .with_scope(PartitionScope::new(
-                p,
-                Arc::clone(self.map.table()),
-                Arc::clone(&self.epoch),
-            ));
+        let sink = self.sinks[p as usize].clone();
+        let fresh = self.map.server(&self.config, p, &self.epoch, sink);
         self.partitions[p as usize].replace_local(fresh);
         self.mark_dead(p);
     }
@@ -1746,17 +1272,9 @@ impl ClusterServer {
         report.queries_replayed = replayed;
         let mut focals: BTreeSet<ObjectId> = BTreeSet::new();
         for qid in &fallback {
-            let r = &self.registry[qid];
-            focals.insert(r.focal);
-            self.pending
-                .entry(r.focal)
-                .or_default()
-                .push(PendingInstall {
-                    qid: *qid,
-                    region: r.region,
-                    filter: Arc::clone(&r.filter),
-                    expires_at: r.expires_at,
-                });
+            let (focal, p) = &self.registry[qid];
+            focals.insert(*focal);
+            self.pending.entry(*focal).or_default().push(p.clone());
         }
         for oid in &focals {
             self.tally.incr(srv_slots::UNICAST_OPS);
@@ -1784,10 +1302,7 @@ impl ClusterServer {
         let mut replayed = 0usize;
         let mut fallback = Vec::new();
         for qid in lost {
-            let (focal, region, filter, expires_at) = {
-                let r = &self.registry[&qid];
-                (r.focal, r.region, Arc::clone(&r.filter), r.expires_at)
-            };
+            let (focal, install) = self.registry[&qid].clone();
             let recovered = scratches.iter().find(|s| s.has_query(qid)).and_then(|s| {
                 debug_assert_eq!(
                     s.query_focal(qid),
@@ -1808,27 +1323,15 @@ impl ClusterServer {
                 fallback.push(qid);
                 continue;
             };
-            let home = self
-                .map
-                .owner_of_cell(&self.config.grid, self.config.grid.cell_of(motion.pos))
-                as usize;
+            let home = self.cell_owner(self.config.grid.cell_of(motion.pos));
             let refresh = LogRecord::RefreshFocalMotion {
                 oid: focal,
                 motion,
                 max_vel,
                 insert: true,
             };
-            self.partitions[home].call::<()>(&refresh, net);
-            self.pump_bus();
-            let install = LogRecord::CompleteInstall {
-                qid,
-                focal,
-                region,
-                filter,
-                expires_at,
-            };
-            self.partitions[home].call::<()>(&install, net);
-            self.pump_bus();
+            self.call::<()>(home, &refresh, net);
+            self.call::<()>(home, &install.complete(focal), net);
             // Restore the journaled result set quietly: the members
             // were already announced to the agent before the crash.
             for oid in members {
@@ -1972,12 +1475,174 @@ impl ClusterServer {
     }
 }
 
+/// The coordinator as a mediator: state is homed on the partitions, each
+/// call is routed to its partition and followed by a bus pump, and each
+/// read collects the posted lane first.
+impl Mediator for ClusterServer {
+    type Home = usize;
+    type Homes = std::ops::Range<usize>;
+
+    fn config(&self) -> &ProtocolConfig {
+        &self.config
+    }
+
+    /// No RPC: remote handles answer from their `homes` mirror.
+    fn focal_home(&self, oid: ObjectId) -> Option<usize> {
+        self.partitions.iter().position(|p| p.has_focal(oid))
+    }
+
+    fn query_home(&self, qid: QueryId) -> Option<usize> {
+        self.partitions.iter().position(|p| p.has_query(qid))
+    }
+
+    fn cell_owner(&self, cell: CellId) -> usize {
+        self.map.owner_of_cell(&self.config.grid, cell) as usize
+    }
+
+    fn homes(&self) -> std::ops::Range<usize> {
+        0..self.partitions.len()
+    }
+
+    fn call<T: FromPayload + Default>(&mut self, home: usize, rec: &LogRecord, net: &mut Net) -> T {
+        let answer = self.call_at(home, net).call(rec, net);
+        self.pump_bus();
+        answer
+    }
+
+    /// Enters the record in the lane — unless it ran inline or the peer is
+    /// dead (0 bytes queued: nothing to collect) — and drains the lane once
+    /// the window is full.
+    fn post(&mut self, home: usize, rec: &LogRecord, net: &mut Net) {
+        let bytes = self.partitions[home].post(rec, net);
+        if bytes == 0 {
+            return;
+        }
+        self.lane.push(home as u32);
+        self.lane_bytes += bytes;
+        if self.lane.len() >= POST_WINDOW_OPS || self.lane_bytes >= POST_WINDOW_BYTES {
+            self.drain_posted(net);
+        }
+    }
+
+    fn focal(&mut self, home: usize, oid: ObjectId, net: &mut Net) -> Option<Focal> {
+        let home = self.call_at(home, net);
+        let motion = home.ask::<Option<_>>(&PartitionOp::FocalMotion(oid))?;
+        let queries = home.ask::<Option<_>>(&PartitionOp::FocalQueries(oid))?;
+        Some((motion, queries))
+    }
+
+    fn query_cell(&mut self, home: usize, qid: QueryId, net: &mut Net) -> Option<CellId> {
+        self.call_at(home, net).ask(&PartitionOp::QueryCell(qid))
+    }
+
+    fn reinstall(&mut self, home: usize, qid: QueryId, net: &mut Net) -> Option<Reinstall> {
+        self.call_at(home, net)
+            .ask(&PartitionOp::ReinstallInfo(qid))
+    }
+
+    fn load_memberships(&mut self, oid: ObjectId, into: &mut Vec<(QueryId, usize)>, net: &mut Net) {
+        let op = PartitionOp::ObjectMemberships(oid);
+        let per_partition: Vec<Vec<QueryId>> = self.probe_all(net, &op);
+        for (p, qids) in per_partition.into_iter().enumerate() {
+            into.extend(qids.into_iter().map(|qid| (qid, p)));
+        }
+    }
+
+    fn expired_leases(&mut self, net: &mut Net) -> Vec<Vec<(ObjectId, Vec<QueryId>)>> {
+        self.probe_all(net, &PartitionOp::ExpiredLeases)
+    }
+
+    fn expired_queries(&mut self, now: f64, net: &mut Net) -> Vec<Vec<QueryId>> {
+        self.probe_all(net, &PartitionOp::ExpiredQueryIds(now))
+    }
+
+    fn digest_cells(&mut self, net: &mut Net) -> Vec<Vec<(CellId, u64)>> {
+        self.probe_all(net, &PartitionOp::DigestCells)
+    }
+
+    /// Wherever the FOT row is homed. Leases only matter under the
+    /// fault-tolerance layer; without it `last_heard` is never read.
+    fn renew_leases(&mut self, oid: ObjectId, net: &mut Net) {
+        if self.config.fault_tolerant() {
+            let renew = LogRecord::RenewLease(oid);
+            for p in 0..self.partitions.len() {
+                self.post(p, &renew, net);
+            }
+        }
+    }
+
+    /// The border handoff: the old home cuts a `MigrateFocal` onto the bus.
+    /// Under a faulty bus the migration may be lost, leaving the object
+    /// homeless until lease expiry repairs it, like any other lost state.
+    fn migrate_focal(
+        &mut self,
+        oid: ObjectId,
+        from: usize,
+        to: usize,
+        net: &mut Net,
+    ) -> Option<usize> {
+        let extract = LogRecord::ExtractFocal(oid);
+        let Some(msg) = self.call_at(from, net).call(&extract, net) else {
+            return Some(from);
+        };
+        let envelope = Envelope { to: to as u32, msg };
+        self.bus
+            .send(NodeId(from as u32), envelope)
+            .expect("bus send failed");
+        self.pump_bus();
+        self.focal_home(oid)
+    }
+
+    /// The coordinator owns the heartbeat gate and pushes time down to
+    /// every partition and sink.
+    fn set_time(&mut self, now: f64) {
+        self.now = now;
+        self.fan_out_mut::<()>(&LogRecord::SetTime(now));
+        for sink in &self.sinks {
+            sink.set_now(now);
+        }
+    }
+
+    /// Partitions share the sequencer, so a bump at any live one is global.
+    fn bump_shared_epoch(&mut self) -> u64 {
+        let p = self.first_live();
+        // A dead peer answers 0: the coordinator's view stands.
+        let bumped: u64 = self.partitions[p].call(&LogRecord::BumpEpoch, &mut self.quiet);
+        bumped.max(self.partitions[p].current_epoch())
+    }
+
+    fn remove_expired(&mut self, home: usize, qid: QueryId, net: &mut Net) {
+        self.registry.remove(&qid);
+        self.call::<bool>(home, &LogRecord::RemoveQuery(qid), net);
+    }
+
+    fn pending(&mut self) -> &mut BTreeMap<ObjectId, Vec<PendingInstall>> {
+        &mut self.pending
+    }
+
+    fn tally(&mut self) -> &mut ServerTally {
+        &mut self.tally
+    }
+
+    fn events(&self, home: usize) -> &Telemetry {
+        &self.sinks[home]
+    }
+
+    fn last_heartbeat(&mut self) -> &mut f64 {
+        &mut self.last_heartbeat
+    }
+
+    fn lqt_scratch(&mut self) -> &mut LqtSyncScratch<usize> {
+        &mut self.lqt_scratch
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::handle::tests::{answer, loopback_pair};
     use crate::wire::ReplyPayload;
-    use mobieyes_core::QueryMigration;
+    use mobieyes_core::{HomeChange, QueryMigration};
     use mobieyes_geo::{Grid, GridRect, Point, Rect, Vec2};
     use mobieyes_net::BaseStationLayout;
 
@@ -2197,6 +1862,59 @@ mod tests {
             .map(|pi| pi.qid)
             .collect();
         assert_eq!(pending, vec![qid]);
+    }
+
+    /// A resync whose focal is homed on a peer that exits partway through
+    /// the sequence returns: the peer answers the focal's motion and
+    /// queries and the refresh, then dies at the first query-cell read,
+    /// and every later call at it yields its neutral answer. The next
+    /// crash pass fences the partition.
+    #[test]
+    fn a_home_dying_inside_a_resync_leaves_the_resync_standing() {
+        let (mut cluster, mut net) = test_cluster(4);
+        let cell = cluster.config.grid.cell_from_flat(250);
+        let old = LinearMotion::new(Point::new(52.5, 62.5), Vec2::new(0.0, 0.0), 0.0);
+        let (client, mut served) = loopback_pair();
+        let peer = std::thread::spawn(move || {
+            // The time push seeds the mirror: focal 7 is homed here.
+            let homed = vec![HomeChange::FocalAdded(ObjectId(7))];
+            answer(&mut served, ReplyPayload::Unit, homed);
+            answer(&mut served, ReplyPayload::OptMotion(Some(old)), Vec::new());
+            let queries = ReplyPayload::OptQids(Some(vec![QueryId(3)]));
+            answer(&mut served, queries, Vec::new());
+            answer(&mut served, ReplyPayload::Unit, Vec::new());
+            let _ = served.read_frame();
+        });
+        let remote = RemotePartition::new(2, client, Arc::clone(&cluster.epoch));
+        cluster.partitions[2] = PartitionHandle::Remote(Box::new(remote));
+        cluster.heartbeat(1.0, &mut net);
+        assert_eq!(cluster.focal_home(ObjectId(7)), Some(2));
+        let resync = Uplink::Resync {
+            oid: ObjectId(7),
+            cell,
+            motion: LinearMotion::new(old.pos, Vec2::new(0.01, 0.0), 1.0),
+            max_vel: 0.05,
+            fresh: true,
+        };
+        cluster.handle_uplink(NodeId(7), resync, &mut net);
+        peer.join().expect("peer");
+        assert!(cluster.partitions[2].crashed().is_some());
+        assert_eq!(
+            cluster.focal_home(ObjectId(7)),
+            None,
+            "a dead home homes nothing"
+        );
+        let report = cluster.recover_crashed(&mut net).expect("fence");
+        assert_eq!(report.partitions, vec![2]);
+        assert_eq!(cluster.dead_partitions(), vec![2]);
+        // The time push, motion, queries, refresh and the fatal query-cell
+        // read; nothing is sent to the dead peer after it.
+        let trips = cluster
+            .bus_telemetry()
+            .snapshot()
+            .counter(rpc_keys::ROUND_TRIPS);
+        assert_eq!(trips, 5);
+        cluster.check_invariants();
     }
 
     /// A respawned peer that dies inside its re-adoption fence is an abort,

@@ -76,9 +76,9 @@
 use crate::serve;
 use crate::wire::{self, NetAction, PartitionOp, PartitionReply, ReplyPayload};
 use mobieyes_core::codec::DecodeError;
-use mobieyes_core::server::Net;
-use mobieyes_core::{ClusterMsg, Filter, HomeChange, LogRecord, ObjectId, QueryId, Server};
-use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
+use mobieyes_core::server::{FromPayload, Net};
+use mobieyes_core::{ClusterMsg, HomeChange, LogRecord, ObjectId, QueryId, Server};
+use mobieyes_geo::LinearMotion;
 use mobieyes_net::{FramedConn, NodeId, StationId, TransportError};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashSet};
@@ -343,71 +343,6 @@ fn replay_net(actions: Vec<NetAction>, net: &mut Net) {
             NetAction::Unicast { node, msg } => net.send_unicast(NodeId(node), msg),
             NetAction::Broadcast { station, msg } => net.broadcast(StationId(station), msg),
         }
-    }
-}
-
-/// The reply shape an op's return type travels as; a reply of any other
-/// shape is handed back (boxed: it only feeds the failure report).
-pub trait FromPayload: Sized {
-    fn from_payload(payload: ReplyPayload) -> Result<Self, Box<ReplyPayload>>;
-}
-
-macro_rules! payload_shapes {
-    ($($ty:ty => $variant:ident),* $(,)?) => {$(
-        impl FromPayload for $ty {
-            fn from_payload(payload: ReplyPayload) -> Result<Self, Box<ReplyPayload>> {
-                match payload {
-                    ReplyPayload::$variant(v) => Ok(v),
-                    other => Err(Box::new(other)),
-                }
-            }
-        }
-    )*};
-}
-
-payload_shapes! {
-    bool => Bool,
-    u64 => U64,
-    Vec<QueryId> => Qids,
-    Option<Vec<QueryId>> => OptQids,
-    Option<ClusterMsg> => OptCluster,
-    Option<LinearMotion> => OptMotion,
-    Option<CellId> => OptCell,
-    Option<ObjectId> => OptOid,
-    Vec<(CellId, u64)> => Digests,
-    Vec<(ObjectId, Vec<QueryId>)> => Leases,
-    Option<(QueryRegion, Arc<Filter>, Option<f64>)> => Reinstall,
-    Option<Vec<ObjectId>> => ResultSet,
-    Vec<ObjectId> => Oids,
-    Vec<LinearMotion> => Motions,
-}
-
-impl FromPayload for () {
-    fn from_payload(payload: ReplyPayload) -> Result<Self, Box<ReplyPayload>> {
-        match payload {
-            ReplyPayload::Unit => Ok(()),
-            other => Err(Box::new(other)),
-        }
-    }
-}
-
-impl FromPayload for (u64, u64, u64) {
-    fn from_payload(payload: ReplyPayload) -> Result<Self, Box<ReplyPayload>> {
-        match payload {
-            ReplyPayload::Load {
-                focals,
-                queries,
-                stubs,
-            } => Ok((focals, queries, stubs)),
-            other => Err(Box::new(other)),
-        }
-    }
-}
-
-/// Any shape: what a posted record answers is not read.
-impl FromPayload for ReplyPayload {
-    fn from_payload(payload: ReplyPayload) -> Result<Self, Box<ReplyPayload>> {
-        Ok(payload)
     }
 }
 
@@ -735,7 +670,7 @@ impl PartitionHandle {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use mobieyes_geo::Rect;
+    use mobieyes_geo::{CellId, Rect};
     use mobieyes_net::{BaseStationLayout, Endpoint, Listener};
 
     /// A connected loopback TCP pair: `(coordinator end, service end)`.

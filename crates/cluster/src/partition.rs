@@ -1,8 +1,10 @@
 //! Partition map and stateless uplink router for the sharded server tier.
 
-use mobieyes_core::{PartitionTable, Uplink};
+use mobieyes_core::{PartitionScope, PartitionTable, ProtocolConfig, Server, Uplink};
 use mobieyes_geo::{CellId, Grid};
+use mobieyes_telemetry::Telemetry;
 use std::collections::BTreeMap;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// Assignment of contiguous grid-cell blocks (flat row-major indices) to
@@ -50,6 +52,21 @@ impl PartitionMap {
     /// The shared partition table (for [`mobieyes_core::PartitionScope`]).
     pub fn table(&self) -> &Arc<PartitionTable> {
         &self.table
+    }
+
+    /// An empty server for partition slot `p` of this map, on the shared
+    /// `epoch`, counting into `sink`.
+    pub fn server(
+        &self,
+        config: &Arc<ProtocolConfig>,
+        p: u32,
+        epoch: &Arc<AtomicU64>,
+        sink: Telemetry,
+    ) -> Server {
+        let scope = PartitionScope::new(p, Arc::clone(&self.table), Arc::clone(epoch));
+        Server::new(Arc::clone(config))
+            .with_telemetry(sink)
+            .with_scope(scope)
     }
 
     /// The current map generation (0 until the first rebalance install).

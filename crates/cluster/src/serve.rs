@@ -37,7 +37,7 @@
 use crate::partition::PartitionMap;
 use crate::wire::{self, InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload};
 use mobieyes_core::server::Net;
-use mobieyes_core::{Downlink, PartitionScope, ProtocolConfig, Server};
+use mobieyes_core::{Downlink, ProtocolConfig, Server};
 use mobieyes_net::{BaseStationLayout, FramedConn, Listener, TransportError};
 use mobieyes_store::{self as store, Store};
 use mobieyes_telemetry::Telemetry;
@@ -86,13 +86,7 @@ impl ServiceState {
         let map = PartitionMap::contiguous(&config.grid, init.num_partitions as usize);
         let epoch = Arc::new(AtomicU64::new(0));
         let telemetry = Telemetry::new();
-        let mut server = Server::new(Arc::clone(&config))
-            .with_telemetry(telemetry.clone())
-            .with_scope(PartitionScope::new(
-                init.partition,
-                Arc::clone(map.table()),
-                Arc::clone(&epoch),
-            ));
+        let mut server = map.server(&config, init.partition, &epoch, telemetry.clone());
         let mut net = Net::new(BaseStationLayout::new(init.universe, init.alen));
         let store = match &init.store_dir {
             Some(dir) => {
@@ -226,7 +220,7 @@ pub(crate) fn read(server: &Server, op: &PartitionOp) -> ReplyPayload {
         PartitionOp::QueryFocal(qid) => P::OptOid(server.query_focal(qid)),
         PartitionOp::FocalMotion(oid) => P::OptMotion(server.focal_motion(oid)),
         PartitionOp::FocalQueries(oid) => P::OptQids(server.focal_queries(oid)),
-        PartitionOp::ObjectMemberships(oid) => P::Qids(server.object_memberships(oid)),
+        PartitionOp::ObjectMemberships(oid) => P::Qids(server.memberships(oid).collect()),
         PartitionOp::QueryCell(qid) => P::OptCell(server.query_cell(qid)),
         PartitionOp::CheckInvariants => {
             server.check_invariants();

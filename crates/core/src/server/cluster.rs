@@ -1,16 +1,14 @@
 //! Cluster support: stub emission, focal extraction, RQI export, stub
 //! pruning and the application of inter-server messages — and the reads
-//! that exist for the `mobieyes-cluster` coordinator, which decomposes
-//! each uplink into the same records the single server handles and
-//! applies them at the partitions owning the affected state. The reads are
+//! a partition answers the `mobieyes-cluster` coordinator's
+//! [`Mediator`](super::Mediator) impl with. The reads are
 //! `#[doc(hidden)]` — not part of the protocol's public surface.
 
 use super::tables::{FotEntry, PartitionScope, SqtEntry, StubEntry};
 use super::Server;
-use crate::filter::Filter;
 use crate::messages::{state_digest, ClusterMsg, QueryMigration, QuerySpec, StubSeed};
 use crate::model::{ObjectId, QueryId};
-use mobieyes_geo::{CellId, GridRect, LinearMotion, QueryRegion};
+use mobieyes_geo::{CellId, GridRect, LinearMotion};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -52,7 +50,7 @@ impl Server {
     /// What it takes to re-announce a query under the same id after a
     /// lease expiry.
     #[doc(hidden)]
-    pub fn reinstall_info(&self, qid: QueryId) -> Option<(QueryRegion, Arc<Filter>, Option<f64>)> {
+    pub fn reinstall_info(&self, qid: QueryId) -> Option<super::mediate::Reinstall> {
         self.sqt
             .get(&qid)
             .map(|e| (e.region, Arc::clone(&e.filter), e.expires_at))

@@ -39,19 +39,19 @@ pub struct LqtSyncScratch<H> {
 }
 
 impl<H: Copy> LqtSyncScratch<H> {
-    /// Loads an `LqtSync`'s `entries` and the object's `members` (in any
-    /// order) and walks them: every query where the two disagree, once,
-    /// ascending.
-    pub fn walk(
-        &mut self,
-        entries: &[(QueryId, bool)],
-        members: impl IntoIterator<Item = (QueryId, H)>,
-    ) -> Walk<'_, H> {
+    /// The memberships buffer, emptied: the object's memberships go in
+    /// here, in any order, before the [`walk`](Self::walk).
+    pub fn members(&mut self) -> &mut Vec<(QueryId, H)> {
+        self.members.clear();
+        &mut self.members
+    }
+
+    /// Walks an `LqtSync`'s `entries` (in any order) against the loaded
+    /// memberships: every query where the two disagree, once, ascending.
+    pub fn walk(&mut self, entries: &[(QueryId, bool)]) -> Walk<'_, H> {
         self.claims.clear();
         self.claims.extend_from_slice(entries);
         self.claims.sort_by_key(|&(qid, _)| qid);
-        self.members.clear();
-        self.members.extend(members);
         self.members.sort_by_key(|&(qid, _)| qid);
         Walk {
             claims: &self.claims,
@@ -129,6 +129,15 @@ mod tests {
             .collect()
     }
 
+    fn walk<H: Copy>(
+        scratch: &mut LqtSyncScratch<H>,
+        entries: &[(QueryId, bool)],
+        members: impl IntoIterator<Item = (QueryId, H)>,
+    ) -> Vec<Flip<H>> {
+        scratch.members().extend(members);
+        scratch.walk(entries).collect()
+    }
+
     /// Seeded random claims and memberships over a small id space, so
     /// repeats and overlaps are common, unsorted as often as not: the
     /// walk yields exactly what the map-based reconcile did, with one
@@ -158,7 +167,7 @@ mod tests {
             }
             let ids: BTreeSet<QueryId> = entries.iter().map(|e| e.0).collect();
             repeated += usize::from(ids.len() < entries.len());
-            let walked: Vec<Flip<u8>> = scratch.walk(&entries, members.iter().copied()).collect();
+            let walked = walk(&mut scratch, &entries, members.iter().copied());
             assert_eq!(
                 walked,
                 oracle(&entries, &members),
@@ -177,9 +186,9 @@ mod tests {
         let mut scratch = LqtSyncScratch::default();
         let entries = [(QueryId(4), true), (QueryId(2), false), (QueryId(9), true)];
         let members = [(QueryId(4), ()), (QueryId(9), ())];
-        assert_eq!(scratch.walk(&entries, members).count(), 0);
-        assert_eq!(scratch.walk(&[], []).count(), 0);
-        let stale: Vec<_> = scratch.walk(&[], [(QueryId(3), ())]).collect();
+        assert!(walk(&mut scratch, &entries, members).is_empty());
+        assert!(walk(&mut scratch, &[], []).is_empty());
+        let stale = walk(&mut scratch, &[], [(QueryId(3), ())]);
         assert_eq!(
             stale,
             vec![Flip {

@@ -13,7 +13,7 @@ use crate::codec::DecodeError;
 use crate::config::{Propagation, ProtocolConfig};
 use crate::filter::Filter;
 use crate::journal::{JournalSink, LogRecord, ReplyPayload};
-use crate::messages::{CellDigests, ClusterMsg, Downlink, QueryGroupInfo, QuerySpec, Uplink};
+use crate::messages::{ClusterMsg, Downlink, QueryGroupInfo, QuerySpec, Uplink};
 use crate::model::{ObjectId, QueryId};
 use mobieyes_geo::{CellId, GridRect, LinearMotion, QueryRegion, Region};
 use mobieyes_net::{NetworkSim, NodeId};
@@ -25,13 +25,15 @@ use std::sync::Arc;
 mod checkpoint;
 mod cluster;
 pub mod lqt_sync;
+pub mod mediate;
 mod tables;
 #[cfg(test)]
 mod tests;
 
 use lqt_sync::LqtSyncScratch;
-use tables::{usize_bounds, FotEntry, FotTable, PendingInstall, SqtEntry, StubEntry};
-pub use tables::{HomeChange, PartitionScope, PartitionTable};
+pub use mediate::{FromPayload, Mediator};
+use tables::{usize_bounds, FotEntry, FotTable, SqtEntry, StubEntry};
+pub use tables::{HomeChange, PartitionScope, PartitionTable, PendingInstall};
 
 /// The network type the protocol runs over.
 pub type Net = NetworkSim<Uplink, Downlink>;
@@ -393,12 +395,7 @@ impl Server {
     /// Removes every query whose lifetime has ended (call once per time
     /// step with the current time). Returns the expired query ids.
     pub fn expire_queries(&mut self, now: f64, net: &mut Net) -> Vec<QueryId> {
-        let expired = self.expired_query_ids(now);
-        for &qid in &expired {
-            self.telemetry
-                .event(EventKind::QueryExpired { qid: qid.0 as u64 });
-            self.drive(&LogRecord::RemoveQuery(qid), net);
-        }
+        let expired = mediate::expire(self, now, net);
         self.publish();
         expired
     }
@@ -446,18 +443,10 @@ impl Server {
         self.publish();
     }
 
-    /// Runs the periodic fault-tolerance duties; the driver calls this
-    /// once per time step with the current server time, before processing
-    /// the tick's uplinks. No-op unless [`ProtocolConfig::fault_tolerant`].
-    ///
-    /// Every `heartbeat_secs` the server: (1) expires leases — focal
-    /// objects silent for longer than `lease_secs` get their queries torn
-    /// down (with tombstoned removal broadcasts) and re-announced through
-    /// the position-request handshake; (2) retries the position request of
-    /// every still-pending install (the original unicast may have been
-    /// lost); (3) broadcasts a heartbeat through every base station with
-    /// the current epoch and a per-cell digest of the RQI, against which
-    /// objects verify their local query tables.
+    /// Runs the periodic fault-tolerance duties ([`mediate::heartbeat`]);
+    /// the driver calls this once per time step, before the tick's
+    /// uplinks. One record covers them all: due-ness, lease expiry and the
+    /// nested teardowns replay deterministically from the clock value.
     pub fn heartbeat(&mut self, now: f64, net: &mut Net) {
         // The record publishes: it is a tick boundary.
         self.drive(&LogRecord::Heartbeat(now), net);
@@ -583,9 +572,10 @@ impl Server {
         }
     }
 
-    /// Step three of [`apply`](Self::apply): the handler of each record.
+    /// Step three of [`apply`](Self::apply): the handler of each record —
+    /// here for the entry points and the tick and fence bookkeeping, in
+    /// [`primitive`](Self::primitive) for the rest.
     fn dispatch(&mut self, rec: &LogRecord, net: &mut Net) -> Result<ReplyPayload, DecodeError> {
-        use ReplyPayload::{Bool, OptCluster, Qids, U64};
         match *rec {
             LogRecord::Meta { .. } => {} // provenance; validated by the reader
             LogRecord::Floor(v) => self.raise_epoch(v),
@@ -596,10 +586,12 @@ impl Server {
                 self.publish();
             }
             LogRecord::Heartbeat(t) => {
-                self.on_heartbeat(t, net);
+                mediate::heartbeat(self, t, net);
                 self.publish();
             }
-            LogRecord::Uplink { from, ref msg } => self.on_uplink(NodeId(from), msg, net),
+            LogRecord::Uplink { from, ref msg } => {
+                mediate::uplink(self, (), NodeId(from), msg, net)
+            }
             LogRecord::InstallQuery {
                 qid,
                 focal,
@@ -607,34 +599,47 @@ impl Server {
                 ref filter,
                 expires_at,
             } => {
-                let filter = Arc::new(filter.clone());
+                debug_assert_eq!(qid.0, self.next_qid, "install off the next query id");
+                self.next_qid += 1;
                 let p = PendingInstall {
                     qid,
                     region,
-                    filter,
+                    filter: Arc::new(filter.clone()),
                     expires_at,
                 };
-                self.install(focal, p, net);
+                mediate::install(self, focal, p, net);
             }
+            LogRecord::Bounds {
+                generation,
+                ref bounds,
+            } => {
+                if let Some(s) = &self.scope {
+                    s.table.install_at(&usize_bounds(bounds), generation);
+                }
+            }
+            LogRecord::Checkpoint(ref bytes) => self.restore_checkpoint(bytes)?,
+            _ => return Ok(self.primitive(rec, net)),
+        }
+        Ok(ReplyPayload::Unit)
+    }
+
+    /// The handler of each primitive record, the records a mediation
+    /// sequence calls. Inlined: where the sequence names the record, the
+    /// match folds to its one handler.
+    #[inline(always)]
+    fn primitive(&mut self, rec: &LogRecord, net: &mut Net) -> ReplyPayload {
+        use ReplyPayload::{Bool, OptCluster, Qids, U64};
+        match *rec {
             LogRecord::CompleteInstall {
                 qid,
                 focal,
                 region,
                 ref filter,
                 expires_at,
-            } => {
-                let filter = Arc::clone(filter);
-                let p = PendingInstall {
-                    qid,
-                    region,
-                    filter,
-                    expires_at,
-                };
-                self.complete_install(focal, p, net);
-            }
-            LogRecord::RemoveQuery(qid) => return Ok(Bool(self.remove(qid, net))),
+            } => self.complete_install(focal, qid, region, Arc::clone(filter), expires_at, net),
+            LogRecord::RemoveQuery(qid) => return Bool(self.remove(qid, net)),
             LogRecord::UpdateRegion { qid, region } => {
-                return Ok(Bool(self.update_region(qid, region, net)))
+                return Bool(self.update_region(qid, region, net))
             }
             LogRecord::RenewLease(oid) => self.renew_lease(oid),
             LogRecord::VelocityReport { oid, motion } => self.on_velocity_report(oid, motion, net),
@@ -660,7 +665,7 @@ impl Server {
                 qid,
                 oid,
                 is_target,
-            } => return Ok(Bool(self.apply_result_change(qid, oid, is_target, net))),
+            } => return Bool(self.apply_result_change(qid, oid, is_target, net)),
             LogRecord::GroupResultUpdate {
                 oid,
                 focal,
@@ -673,7 +678,7 @@ impl Server {
                 max_vel,
                 insert,
             } => self.refresh_focal_motion(oid, motion, max_vel, insert),
-            LogRecord::PurgeObject(oid) => return Ok(Qids(self.purge_object(oid))),
+            LogRecord::PurgeObject(oid) => return Qids(self.purge_object(oid)),
             LogRecord::ResultDelta { qid, oid, entered } => {
                 self.deliver_result_delta(qid, oid, entered, net)
             }
@@ -681,70 +686,36 @@ impl Server {
                 qid,
                 oid,
                 is_target,
-            } => return Ok(Bool(self.set_member(qid, oid, is_target))),
+            } => return Bool(self.set_member(qid, oid, is_target)),
             LogRecord::FocalReassert(oid) => self.focal_reassert(oid, net),
             LogRecord::CellSyncReply { oid, cell } => {
                 let cell = self.config.grid.clamp_cell(cell);
                 self.cell_sync_reply(oid, cell, net);
             }
-            LogRecord::ExtractFocal(oid) => return Ok(OptCluster(self.extract_focal(oid))),
+            LogRecord::ExtractFocal(oid) => return OptCluster(self.extract_focal(oid)),
             LogRecord::Cluster(ref msg) => self.apply_cluster_msg(msg),
             LogRecord::ExportCells {
                 ref flats,
                 generation,
-            } => return Ok(OptCluster(self.export_cells(flats, generation))),
+            } => return OptCluster(self.export_cells(flats, generation)),
             LogRecord::PruneStubs => self.prune_stubs(),
-            LogRecord::BumpEpoch => return Ok(U64(self.bump_epoch())),
-            LogRecord::Bounds {
-                generation,
-                ref bounds,
-            } => {
-                if let Some(s) = &self.scope {
-                    s.table.install_at(&usize_bounds(bounds), generation);
-                }
-            }
-            LogRecord::Checkpoint(ref bytes) => self.restore_checkpoint(bytes)?,
+            LogRecord::BumpEpoch => return U64(self.bump_epoch()),
+            _ => unreachable!("{rec:?} is not a primitive"),
         }
-        Ok(ReplyPayload::Unit)
-    }
-
-    /// Installs a query under the next query id: at once when the focal
-    /// object's motion is known, else deferred behind a position request.
-    fn install(&mut self, focal: ObjectId, p: PendingInstall, net: &mut Net) {
-        debug_assert_eq!(
-            p.qid.0, self.next_qid,
-            "install drifted off the next query id"
-        );
-        self.next_qid += 1;
-        if self.fot.contains_key(&focal) {
-            self.complete_install(focal, p, net);
-        } else {
-            let q = self.pending.entry(focal).or_default();
-            let first = q.is_empty();
-            q.push(p);
-            if first {
-                self.tally.incr(srv_slots::UNICAST_OPS);
-                net.send_unicast(focal.node(), Downlink::PositionRequest);
-            }
-        }
-    }
-
-    /// Completes the installs deferred behind `oid`'s position.
-    fn complete_pending(&mut self, oid: ObjectId, net: &mut Net) {
-        for p in self.pending.remove(&oid).unwrap_or_default() {
-            self.complete_install(oid, p, net);
-        }
+        ReplyPayload::Unit
     }
 
     /// Finishes installation once the focal object's motion is in the FOT
     /// (the refusal step of [`apply`](Self::apply) guarantees the row).
-    fn complete_install(&mut self, focal: ObjectId, p: PendingInstall, net: &mut Net) {
-        let PendingInstall {
-            qid,
-            region,
-            filter,
-            expires_at,
-        } = p;
+    fn complete_install(
+        &mut self,
+        focal: ObjectId,
+        qid: QueryId,
+        region: QueryRegion,
+        filter: Arc<Filter>,
+        expires_at: Option<f64>,
+        net: &mut Net,
+    ) {
         let grid = self.config.grid.clone();
         let fot = self
             .fot
@@ -875,62 +846,6 @@ impl Server {
         true
     }
 
-    /// One agent uplink: the protocol handler of each message kind.
-    fn on_uplink(&mut self, from: NodeId, msg: &Uplink, net: &mut Net) {
-        self.tally.incr(srv_slots::UPLINKS);
-        // Any uplink from a focal object renews its lease.
-        self.renew_lease(ObjectId(from.0));
-        match *msg {
-            Uplink::VelocityReport { oid, motion } => {
-                debug_assert_eq!(from.0, oid.0);
-                self.on_velocity_report(oid, motion, net);
-            }
-            Uplink::CellChange {
-                oid,
-                prev_cell,
-                new_cell,
-                motion,
-            } => {
-                let new_cell = self.config.grid.clamp_cell(new_cell);
-                self.on_cell_change(oid, prev_cell, new_cell, motion, net);
-            }
-            Uplink::ResultUpdate { oid, ref changes } => {
-                self.tally.incr(srv_slots::RESULT_UPDATES);
-                for &(qid, is_target) in changes {
-                    self.apply_result_change(qid, oid, is_target, net);
-                }
-            }
-            Uplink::GroupResultUpdate {
-                oid,
-                focal,
-                mask,
-                targets,
-            } => {
-                self.tally.incr(srv_slots::RESULT_UPDATES);
-                self.apply_group_result_update(oid, focal, mask, targets, net);
-            }
-            Uplink::PositionReply {
-                oid,
-                motion,
-                max_vel,
-            } => {
-                self.refresh_focal_motion(oid, motion, max_vel, true);
-                self.complete_pending(oid, net);
-            }
-            Uplink::Resync {
-                oid,
-                cell,
-                motion,
-                max_vel,
-                fresh,
-            } => {
-                let cell = self.config.grid.clamp_cell(cell);
-                self.on_resync(oid, cell, motion, max_vel, fresh, net);
-            }
-            Uplink::LqtSync { oid, ref entries } => self.on_lqt_sync(oid, entries, net),
-        }
-    }
-
     /// Refreshes (or, when `insert` is set, creates) the FOT row for an
     /// object that reported its motion, keeping the fresher sample.
     fn refresh_focal_motion(
@@ -973,59 +888,6 @@ impl Server {
                 self.emit_stub_motion(oid, motion, max_vel, &stamped);
             }
         }
-    }
-
-    /// Reconnect / digest-mismatch handshake: refresh what we know about
-    /// the object, purge it from results it can no longer vouch for when
-    /// it restarted empty, complete any deferred installs, and replay the
-    /// authoritative query state of its grid cell.
-    fn on_resync(
-        &mut self,
-        oid: ObjectId,
-        cell: CellId,
-        motion: LinearMotion,
-        max_vel: f64,
-        fresh: bool,
-        net: &mut Net,
-    ) {
-        // Only materialize a FOT row if an install is waiting on this
-        // object; otherwise just refresh an existing one.
-        let has_pending = self.pending.contains_key(&oid);
-        let prior = self.fot.get(&oid).map(|f| (f.motion, f.queries.clone()));
-        self.refresh_focal_motion(oid, motion, max_vel, has_pending);
-        // Focal repair: a dropped CellChange or VelocityReport leaves our
-        // view of this focal stale — and the focal, believing its report
-        // arrived, would never re-send it. The resync carries the
-        // authoritative (cell, motion); push whichever piece disagrees
-        // back through the normal update machinery (a no-op when nothing
-        // is stale, since focals resync with their advertised motion).
-        if let Some((old_motion, queries)) = prior {
-            if !queries.is_empty() {
-                let stale_cell = queries
-                    .iter()
-                    .filter_map(|q| self.sqt.get(q))
-                    .any(|e| e.curr_cell != cell);
-                if stale_cell {
-                    let prev = self.sqt[&queries[0]].curr_cell;
-                    self.on_cell_change(oid, prev, cell, motion, net);
-                } else if motion.tm > old_motion.tm {
-                    self.on_velocity_report(oid, motion, net);
-                }
-            }
-        }
-        if fresh {
-            // A crashed object lost its local state: its containment
-            // reports are void until it re-evaluates.
-            let stale = self.purge_object(oid);
-            self.tally
-                .add(srv_slots::STALE_RESULTS_PURGED, stale.len() as u64);
-            for qid in stale {
-                self.deliver_result_delta(qid, oid, false, net);
-            }
-        }
-        self.complete_pending(oid, net);
-        self.focal_reassert(oid, net);
-        self.cell_sync_reply(oid, cell, net);
     }
 
     /// Removes `oid` from every local result set, returning the queries it
@@ -1076,84 +938,6 @@ impl Server {
                 infos,
             },
         );
-    }
-
-    /// Soft-state refresh: reconcile `oid`'s result memberships against
-    /// the object's full local view. Queries the object does not mention
-    /// are queries it does not hold — it cannot be a target. Only a query
-    /// it mentions or is currently a member of can change, so those (in
-    /// ascending id, the delta order) are all that is visited.
-    fn on_lqt_sync(&mut self, oid: ObjectId, entries: &[(QueryId, bool)], net: &mut Net) {
-        self.tally.incr(srv_slots::LQT_SYNCS);
-        let mut scratch = std::mem::take(&mut self.lqt_scratch);
-        let members = self.memberships(oid).map(|qid| (qid, ()));
-        for flip in scratch.walk(entries, members) {
-            // A delta reads only the query's focal, which no membership
-            // change moves: each goes out as soon as its change is made.
-            if self.set_member(flip.qid, oid, flip.is_target) {
-                if !flip.claimed {
-                    self.tally.incr(srv_slots::STALE_RESULTS_PURGED);
-                }
-                self.deliver_result_delta(flip.qid, oid, flip.is_target, net);
-            }
-        }
-        self.lqt_scratch = scratch;
-    }
-
-    /// The periodic duties of [`heartbeat`](Self::heartbeat). One record
-    /// covers them all: due-ness, lease expiry and the nested query
-    /// teardowns replay deterministically from the same clock value.
-    fn on_heartbeat(&mut self, now: f64, net: &mut Net) {
-        self.now = now;
-        if !self.config.fault_tolerant() || now - self.last_heartbeat < self.config.heartbeat_secs {
-            return;
-        }
-        self.last_heartbeat = now;
-        self.tally.incr(srv_slots::HEARTBEATS);
-
-        // (1) Lease expiry. Deterministic order via the BTreeMap.
-        let expired = self.expired_leases();
-        for (oid, qids) in expired {
-            self.tally.incr(srv_slots::LEASES_EXPIRED);
-            self.telemetry
-                .event(EventKind::LeaseExpired { oid: oid.0 as u64 });
-            for qid in qids {
-                let (region, filter, expires_at) =
-                    self.reinstall_info(qid).expect("leased query in SQT");
-                self.remove(qid, net);
-                // Re-announce under the same id; the install completes
-                // when the object answers the position request below.
-                self.pending.entry(oid).or_default().push(PendingInstall {
-                    qid,
-                    region,
-                    filter,
-                    expires_at,
-                });
-            }
-        }
-
-        // (2) Retry pending installs.
-        let waiting: Vec<ObjectId> = self.pending.keys().copied().collect();
-        for oid in waiting {
-            self.tally.incr(srv_slots::UNICAST_OPS);
-            net.send_unicast(oid.node(), Downlink::PositionRequest);
-        }
-
-        // (3) Digest beacon. A heartbeat is a state change of its own (it
-        // demands an answer), so it bumps the epoch — objects use the
-        // epoch to answer each beacon exactly once however many stations
-        // they hear it from.
-        let epoch = self.bump_epoch();
-        let cell_digests = CellDigests::new(self.digest_cells());
-        debug_assert!(
-            cell_digests.is_row_major(),
-            "beacon off the agents' fast path"
-        );
-        let sent = net.broadcast_all(Downlink::Heartbeat {
-            epoch,
-            cell_digests,
-        });
-        self.tally.add(srv_slots::BROADCAST_OPS, sent as u64);
     }
 
     /// The current server epoch (monotone state-change counter; shared
@@ -1212,20 +996,6 @@ impl Server {
         }
     }
 
-    /// An object crossed a grid cell boundary.
-    fn on_cell_change(
-        &mut self,
-        oid: ObjectId,
-        prev_cell: CellId,
-        new_cell: CellId,
-        motion: LinearMotion,
-        net: &mut Net,
-    ) {
-        self.tally.incr(srv_slots::CELL_CHANGES);
-        self.apply_cell_change_focal(oid, new_cell, motion, net);
-        self.apply_cell_change_fresh(oid, prev_cell, new_cell, net);
-    }
-
     /// Focal-object half of a cell change: recompute monitoring regions
     /// and push the new query state to the union of old and new regions.
     /// In a cluster this runs on the focal object's home partition (after
@@ -1252,34 +1022,19 @@ impl Server {
             }
         }
         // Group by (old region, new region): queries that travel
-        // together must agree on both, otherwise each goes alone.
-        // (Same old region does not always imply same new region: the
-        // universe boundary clips monitoring regions asymmetrically.)
-        let mut groups: BTreeMap<(GridRect, GridRect), Vec<QueryId>> = BTreeMap::new();
+        // together must agree on both. (Same old region does not always
+        // imply same new region: the universe boundary clips monitoring
+        // regions asymmetrically.) Without grouping each goes alone, in
+        // query order.
+        let mut groups = BTreeMap::<_, Vec<QueryId>>::new();
         for &qid in &queries {
             let e = &self.sqt[&qid];
-            let old_region = e.mon_region;
             let new_region = grid.monitoring_region(new_cell, e.region.reach());
-            let key = if self.config.grouping {
-                (old_region, new_region)
-            } else {
-                // Degenerate per-query key: single-cell marker regions
-                // distinct per query id keep every query separate.
-                (
-                    GridRect {
-                        x0: qid.0,
-                        y0: qid.0,
-                        x1: qid.0,
-                        y1: qid.0,
-                    },
-                    new_region,
-                )
-            };
+            let alone = (!self.config.grouping).then_some(qid);
+            let key = (alone, e.mon_region, new_region);
             groups.entry(key).or_default().push(qid);
         }
-        for ((_, _), group) in groups {
-            let old_region = self.sqt[&group[0]].mon_region;
-            let new_region = grid.monitoring_region(new_cell, self.sqt[&group[0]].region.reach());
+        for ((_, old_region, new_region), group) in groups {
             for &qid in &group {
                 let e = self.sqt.get_mut(&qid).expect("grouped query in SQT");
                 e.curr_cell = new_cell;

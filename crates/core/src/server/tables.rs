@@ -227,12 +227,12 @@ pub enum HomeChange {
 }
 
 /// A query whose installation is waiting for the focal object's position.
-#[derive(Debug)]
-pub(super) struct PendingInstall {
-    pub(super) qid: QueryId,
-    pub(super) region: QueryRegion,
-    pub(super) filter: Arc<Filter>,
-    pub(super) expires_at: Option<f64>,
+#[derive(Debug, Clone)]
+pub struct PendingInstall {
+    pub qid: QueryId,
+    pub region: QueryRegion,
+    pub filter: Arc<Filter>,
+    pub expires_at: Option<f64>,
 }
 
 /// The versioned cell→partition assignment shared by every server of a
@@ -540,17 +540,11 @@ impl Server {
 
     /// The queries whose result currently holds `oid`, ascending — one
     /// range scan of the membership index.
-    pub(super) fn memberships(&self, oid: ObjectId) -> impl Iterator<Item = QueryId> + '_ {
+    #[doc(hidden)]
+    pub fn memberships(&self, oid: ObjectId) -> impl Iterator<Item = QueryId> + '_ {
         self.members
             .range((oid, QueryId(0))..=(oid, QueryId(u32::MAX)))
             .map(|&(_, qid)| qid)
-    }
-
-    /// [`memberships`](Self::memberships) for the cluster coordinator,
-    /// which merges them across partitions to reconcile an `LqtSync`.
-    #[doc(hidden)]
-    pub fn object_memberships(&self, oid: ObjectId) -> Vec<QueryId> {
-        self.memberships(oid).collect()
     }
 
     /// Sets whether `oid` is in `qid`'s result, keeping the membership

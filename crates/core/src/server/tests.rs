@@ -600,3 +600,56 @@ fn stub_regions_off_the_grid_are_refused() {
     assert_eq!(server.num_stubs(), 0);
     server.check_invariants();
 }
+
+/// A journal the server accepts may name one query under two focal
+/// objects: two migrations of the same query, the later one taking the
+/// SQT row. The lease scan then lists the query under both focals. The
+/// heartbeat tears it down and re-announces it once, and skips the copy
+/// that is already gone instead of panicking.
+#[test]
+fn a_query_leased_under_two_focals_expires_once() {
+    let universe = Rect::new(0.0, 0.0, 100.0, 100.0);
+    let config = ProtocolConfig::new(Grid::new(universe, 10.0)).with_lease(5.0, 1.0);
+    let mut server = Server::new(Arc::new(config));
+    let mut net = Net::new(BaseStationLayout::new(universe, 20.0));
+    let migrate = |oid: u32, seq: u64| {
+        let spec = QuerySpec {
+            qid: QueryId(5),
+            region: QueryRegion::circle(3.0),
+            filter: Arc::new(Filter::True),
+            slot: 0,
+            seq,
+        };
+        let query = crate::messages::QueryMigration {
+            spec,
+            curr_cell: CellId::new(5, 5),
+            mon_region: GridRect {
+                x0: 4,
+                y0: 4,
+                x1: 6,
+                y1: 6,
+            },
+            expires_at: None,
+            result: Vec::new(),
+        };
+        LogRecord::Cluster(ClusterMsg::MigrateFocal {
+            oid: ObjectId(oid),
+            motion: motion_at(55.0, 55.0),
+            max_vel: 0.05,
+            used_slots: 1,
+            last_heard: 0.0,
+            epoch: 0,
+            queries: vec![query],
+        })
+    };
+    for rec in [migrate(1, 1), migrate(2, 2), LogRecord::Heartbeat(10.0)] {
+        assert!(server.apply(&rec, &mut net).is_ok(), "{rec:?} refused");
+    }
+    assert_eq!(server.num_queries(), 0, "the query left once");
+    let waiting: Vec<(ObjectId, QueryId)> = server
+        .pending
+        .iter()
+        .flat_map(|(&oid, ps)| ps.iter().map(move |p| (oid, p.qid)))
+        .collect();
+    assert_eq!(waiting, [(ObjectId(1), QueryId(5))], "and waits once");
+}

@@ -402,11 +402,8 @@ impl World {
                     .get(&oid)
                     .map(|qids| qids.iter().copied().collect())
                     .unwrap_or_default();
-                assert_eq!(
-                    s.object_memberships(oid),
-                    expected,
-                    "memberships of {oid:?}"
-                );
+                let memberships: Vec<QueryId> = s.memberships(oid).collect();
+                assert_eq!(memberships, expected, "memberships of {oid:?}");
             }
         }
     }

@@ -346,6 +346,11 @@ awk -v r="$rpc_trips" -v u="$rpc_uplinks" 'BEGIN { exit !(u > 0 && r / u <= 0.3)
   || { echo "socket smoke: $rpc_trips round trips for $rpc_uplinks uplinks blows the 0.3 per-uplink budget"; exit 1; }
 awk -v p="$rpc_posted" -v r="$rpc_trips" 'BEGIN { exit !(p >= r) }' \
   || { echo "socket smoke: $rpc_posted posted ops against $rpc_trips waited round trips — the posted lane is not carrying the closed ops"; exit 1; }
+# The exact counts of this seeded run: a call, a post or a probe gained or
+# lost anywhere in the coordinator's mediation moves them deterministically,
+# where the two ratio checks above only catch a large drift.
+[ "$rpc_uplinks $rpc_trips $rpc_posted" = "14960 2436 14920" ] \
+  || { echo "socket smoke: uplinks/round trips/posted $rpc_uplinks/$rpc_trips/$rpc_posted, want 14960/2436/14920"; exit 1; }
 rm -f "$socket_out"
 cargo run -q --release --bin mobieyes -- --partitions 2 --transport uds \
   --objects 400 --queries 40 --nmo 40 --ticks 8 --warmup 2 --area 10000 >/dev/null
