@@ -11,9 +11,19 @@
 //! downlink byte stream on the shared agent network, the same counters
 //! (summed across the per-partition sinks), the same event log. What is
 //! left here is the coordinator's own: the query registry, per-partition
-//! load, sink merging, the posted lane and the fences.
+//! load, sink merging and the fences.
+//!
+//! A remote partition is reached through the posted lane
+//! (`handle::Lane`): a closed op is posted without waiting, and a
+//! call or read at partition *p* reads only *p*'s connection — *p*'s
+//! posted replies first, then its own. Every other partition's posted
+//! replies wait until that partition is next read, the window fills, or
+//! the tick ends; the lane replays every downlink onto the agent network
+//! in issue order. Each entry point that writes the network itself — the
+//! position requests of an install, a heartbeat or a failover, and the
+//! heartbeat beacon — runs with the lane empty.
 
-use crate::handle::{PartitionHandle, Probe, RemotePartition};
+use crate::handle::{Lane, PartitionHandle, Probe, RemotePartition};
 use crate::partition::{
     failover_bounds, moved_cells, plan_bounds, readopt_bounds, PartitionMap, Router,
 };
@@ -47,17 +57,6 @@ use std::sync::Arc;
 /// [`TransportError::Timeout`] instead of blocking the coordinator
 /// forever. Override via [`ClusterServer::set_rpc_deadline`].
 const DEFAULT_RPC_DEADLINE: std::time::Duration = std::time::Duration::from_secs(30);
-
-/// Bound on the posted lane: at most this many closed ops, or this many
-/// request bytes, await collection at once. Only the request direction
-/// needs the bound. A window of requests always fits the partition's
-/// receive buffer, so [`ClusterServer::drain_posted`]'s flush never blocks
-/// and the coordinator always reaches its reads. Replies may be far larger
-/// than requests (a `NewQueries` runs to kilobytes), and a partition may
-/// well block writing them — but only until the coordinator, which has
-/// nothing left to write, reads them.
-pub(crate) const POST_WINDOW_OPS: usize = 256;
-pub(crate) const POST_WINDOW_BYTES: usize = 32 * 1024;
 
 /// One bus frame: an inter-server message plus its destination partition.
 #[derive(Debug, Clone)]
@@ -214,13 +213,10 @@ pub struct ClusterServer {
     /// partitions own their store inside the partition process; their
     /// slot stays `None` (the coordinator reaches the log over RPC).
     stores: Vec<Option<Store>>,
-    /// The posted lane: one entry (the partition index) per closed op
-    /// posted to a remote handle and not yet collected, in issue order —
-    /// the order their downlinks must reach the agent network in. Empty
-    /// outside [`Self::tick`] / [`Self::handle_uplink`].
-    lane: Vec<u32>,
-    /// Request bytes behind `lane`.
-    lane_bytes: usize,
+    /// The posted lane: the issue order of the downlinks not yet on the
+    /// agent network. Empty outside [`Self::tick`] /
+    /// [`Self::handle_uplink`].
+    lane: Lane,
     /// The network the coordinator's own ops run against in-process
     /// partitions — fence rounds, bus delivery, log replay at attach.
     /// None of them emits a downlink, but [`Server::apply`] takes a
@@ -375,8 +371,7 @@ impl ClusterServer {
             orphans: Vec::new(),
             store_root: None,
             stores: (0..n).map(|_| None).collect(),
-            lane: Vec::new(),
-            lane_bytes: 0,
+            lane: Lane::default(),
             quiet,
             lqt_scratch: LqtSyncScratch::default(),
         }
@@ -422,14 +417,12 @@ impl ClusterServer {
     /// request before the first reply is awaited; results in partition
     /// order.
     fn fan_out<T: FromPayload + Default>(&self, op: &PartitionOp) -> Vec<T> {
-        debug_assert!(self.lane.is_empty(), "probe round over a posted lane");
         let probes: Vec<_> = self.partitions.iter().map(|p| p.start(op)).collect();
         self.finish_all(probes)
     }
 
     /// [`Self::fan_out`] of a mutation.
     fn fan_out_mut<T: FromPayload + Default>(&mut self, rec: &LogRecord) -> Vec<T> {
-        debug_assert!(self.lane.is_empty(), "probe round over a posted lane");
         let quiet = &mut self.quiet;
         let start = |p: &mut PartitionHandle| p.start_apply(rec, quiet);
         let probes: Vec<_> = self.partitions.iter_mut().map(start).collect();
@@ -635,9 +628,10 @@ impl ClusterServer {
     /// applies the surviving frames. Called after every primitive
     /// operation so cross-partition state is in place before the next
     /// operation reads it. Message applications never emit follow-ups, so
-    /// one round drains the system.
+    /// one round drains the system; nor downlinks, so they run against the
+    /// quiet network. An envelope's call reads its partition's posted
+    /// replies first, like any call, and parks them for the lane.
     fn pump_bus(&mut self) {
-        debug_assert!(self.lane.is_empty(), "bus pump over a posted lane");
         for p in 0..self.partitions.len() {
             for (to, msg) in self.partitions[p].take_outbox() {
                 self.bus
@@ -703,6 +697,7 @@ impl ClusterServer {
                 (rpc_keys::ROUND_TRIPS, counts.round_trips),
                 (rpc_keys::POSTED, counts.posted),
                 (rpc_keys::MIRROR_HITS, counts.mirror_hits),
+                (rpc_keys::FLUSHES, counts.flushes),
             ] {
                 if n > 0 {
                     self.bus_sink.add(key, n);
@@ -738,6 +733,7 @@ impl ClusterServer {
             expires_at,
         };
         self.registry.insert(qid, (focal, p.clone()));
+        debug_assert!(self.lane.is_empty(), "install writes the network");
         mediate::install(self, focal, p, net);
         self.merge_sinks();
         qid
@@ -762,6 +758,7 @@ impl ClusterServer {
     /// Periodic fault-tolerance duties ([`mediate::heartbeat`]), with the
     /// lease table sharded across partitions.
     pub fn heartbeat(&mut self, now: f64, net: &mut Net) {
+        debug_assert!(self.lane.is_empty(), "the heartbeat writes the network");
         mediate::heartbeat(self, now, net);
         self.merge_sinks();
     }
@@ -774,22 +771,23 @@ impl ClusterServer {
         for (from, msg) in uplinks {
             self.uplink(from, &msg, net);
         }
-        self.drain_posted(net);
+        self.lane.drain(&self.partitions, net);
         self.merge_sinks();
     }
 
     /// Processes one uplink, decomposed into owner-partition primitives.
     pub fn handle_uplink(&mut self, from: NodeId, msg: Uplink, net: &mut Net) {
         self.uplink(from, &msg, net);
-        self.drain_posted(net);
+        self.lane.drain(&self.partitions, net);
     }
 
     /// [`Self::handle_uplink`] minus the final drain: closed ops are left
     /// posted, so a run of them — result reports, lease renewals, the cell
-    /// changes of non-focal objects — costs one write and one read per
-    /// partition process. The uplink's primary partition — the owner of
-    /// the cell it names, else the home of what it reports on — is
-    /// charged with it for the scaling bench and the rebalance planner.
+    /// changes of non-focal objects — rides the next write to its
+    /// partition and is read with the next read of it. The uplink's
+    /// primary partition — the owner of the cell it names, else the home of
+    /// what it reports on — is charged with it for the scaling bench and
+    /// the rebalance planner.
     fn uplink(&mut self, from: NodeId, msg: &Uplink, net: &mut Net) {
         let primary_flat =
             Router::primary_cell(&self.config.grid, msg).map(|c| self.config.grid.flat_index(c));
@@ -810,37 +808,12 @@ impl ClusterServer {
         mediate::uplink(self, primary, from, msg, net);
     }
 
-    /// Collects the reply of every posted op, in issue order, replaying
-    /// their downlinks onto `net` in that order. Runs before any call or
-    /// probe ([`Self::call_at`], [`Self::probe_all`]), when the window
-    /// fills, and at the end of the tick.
-    fn drain_posted(&mut self, net: &mut Net) {
-        if self.lane.is_empty() {
-            return;
-        }
-        for p in &self.partitions {
-            p.flush_posted();
-        }
-        for p in self.lane.drain(..) {
-            self.partitions[p as usize].collect_posted(net);
-        }
-        self.lane_bytes = 0;
-    }
-
-    /// Partition `p`, for a call. Every data-path op that is not posted
-    /// ([`Mediator::post`]) reaches its partition through here (or
-    /// [`Self::probe_all`]): a call moves the epoch, pumps the bus or
-    /// writes to `net` itself, so the posted lane — on every handle, not
-    /// only `p`'s — is collected first.
-    fn call_at(&mut self, p: usize, net: &mut Net) -> &mut PartitionHandle {
-        self.drain_posted(net);
-        &mut self.partitions[p]
-    }
-
-    /// [`Self::fan_out`] from the data path: the lane is collected first.
+    /// [`Self::fan_out`] from the data path: each partition's posted
+    /// replies are read ahead of its probe's, and the lane replays them.
     fn probe_all<T: FromPayload + Default>(&mut self, net: &mut Net, op: &PartitionOp) -> Vec<T> {
-        self.drain_posted(net);
-        self.fan_out(op)
+        let answers = self.fan_out(op);
+        self.lane.replay(&self.partitions, net);
+        answers
     }
 
     // --- the epoch fence (DESIGN.md §10) ----------------------------------
@@ -881,6 +854,7 @@ impl ClusterServer {
         new_bounds: &[usize],
         body: impl FnOnce(&mut Self, &Fence) -> bool,
     ) -> Option<Fence> {
+        debug_assert!(self.lane.is_empty(), "a fence inside a tick");
         self.pump_bus();
         let saved_fault = self.bus.fault().clone();
         self.bus.set_fault(FaultPlan::none());
@@ -1276,6 +1250,7 @@ impl ClusterServer {
             focals.insert(*focal);
             self.pending.entry(*focal).or_default().push(p.clone());
         }
+        debug_assert!(self.lane.is_empty(), "failover writes the network");
         for oid in &focals {
             self.tally.incr(srv_slots::UNICAST_OPS);
             net.send_unicast(oid.node(), Downlink::PositionRequest);
@@ -1476,8 +1451,8 @@ impl ClusterServer {
 }
 
 /// The coordinator as a mediator: state is homed on the partitions, each
-/// call is routed to its partition and followed by a bus pump, and each
-/// read collects the posted lane first.
+/// call is routed to its partition through the lane and followed by a bus
+/// pump, and each read reads its partition alone.
 impl Mediator for ClusterServer {
     type Home = usize;
     type Homes = std::ops::Range<usize>;
@@ -1504,40 +1479,30 @@ impl Mediator for ClusterServer {
     }
 
     fn call<T: FromPayload + Default>(&mut self, home: usize, rec: &LogRecord, net: &mut Net) -> T {
-        let answer = self.call_at(home, net).call(rec, net);
+        let answer = self.lane.call(&mut self.partitions, home, rec, net);
         self.pump_bus();
         answer
     }
 
-    /// Enters the record in the lane — unless it ran inline or the peer is
-    /// dead (0 bytes queued: nothing to collect) — and drains the lane once
-    /// the window is full.
     fn post(&mut self, home: usize, rec: &LogRecord, net: &mut Net) {
-        let bytes = self.partitions[home].post(rec, net);
-        if bytes == 0 {
-            return;
-        }
-        self.lane.push(home as u32);
-        self.lane_bytes += bytes;
-        if self.lane.len() >= POST_WINDOW_OPS || self.lane_bytes >= POST_WINDOW_BYTES {
-            self.drain_posted(net);
-        }
+        self.lane.post(&mut self.partitions, home, rec, net);
     }
 
     fn focal(&mut self, home: usize, oid: ObjectId, net: &mut Net) -> Option<Focal> {
-        let home = self.call_at(home, net);
-        let motion = home.ask::<Option<_>>(&PartitionOp::FocalMotion(oid))?;
-        let queries = home.ask::<Option<_>>(&PartitionOp::FocalQueries(oid))?;
+        let (lane, hs) = (&mut self.lane, &self.partitions);
+        let motion = lane.ask::<Option<_>>(hs, home, &PartitionOp::FocalMotion(oid), net)?;
+        let queries = lane.ask::<Option<_>>(hs, home, &PartitionOp::FocalQueries(oid), net)?;
         Some((motion, queries))
     }
 
     fn query_cell(&mut self, home: usize, qid: QueryId, net: &mut Net) -> Option<CellId> {
-        self.call_at(home, net).ask(&PartitionOp::QueryCell(qid))
+        let op = PartitionOp::QueryCell(qid);
+        self.lane.ask(&self.partitions, home, &op, net)
     }
 
     fn reinstall(&mut self, home: usize, qid: QueryId, net: &mut Net) -> Option<Reinstall> {
-        self.call_at(home, net)
-            .ask(&PartitionOp::ReinstallInfo(qid))
+        let op = PartitionOp::ReinstallInfo(qid);
+        self.lane.ask(&self.partitions, home, &op, net)
     }
 
     fn load_memberships(&mut self, oid: ObjectId, into: &mut Vec<(QueryId, usize)>, net: &mut Net) {
@@ -1582,7 +1547,7 @@ impl Mediator for ClusterServer {
         net: &mut Net,
     ) -> Option<usize> {
         let extract = LogRecord::ExtractFocal(oid);
-        let Some(msg) = self.call_at(from, net).call(&extract, net) else {
+        let Some(msg) = self.lane.call(&mut self.partitions, from, &extract, net) else {
             return Some(from);
         };
         let envelope = Envelope { to: to as u32, msg };

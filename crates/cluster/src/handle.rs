@@ -28,22 +28,28 @@
 //!   [`PartitionHandle::finish`]) puts the same read or fence op on the
 //!   wire of every partition before waiting for the first reply, so the
 //!   partition processes work concurrently;
-//! - a *posted* record ([`post`](PartitionHandle::post) then
-//!   [`PartitionHandle::collect_posted`]) is a closed one
-//!   ([`wire::is_closed`]) written without even a flush; the coordinator
-//!   keeps posting and collects the replies, in issue order, before the
-//!   next call. A record has exactly one shape: a closed record is always
-//!   posted, any other never is (debug builds assert both).
+//! - a *posted* record (`Lane::post`) is a closed one
+//!   ([`wire::is_closed`]) written without even a flush; its reply is
+//!   collected when the handle is next read. A record has exactly one
+//!   shape: a closed record is always posted, any other never is (debug
+//!   builds assert both).
 //!
-//! The one rule posting adds — collect every posted reply before the next
-//! call or probe — is the coordinator's to keep (it owns the lane across
-//! handles; see `ClusterServer::call_at`). The handle only counts its
-//! uncollected posts and, in debug builds, refuses a call or probe over
-//! them: that is the case that would desynchronise the connection, the
-//! call reading a posted op's reply as its own. Replies of posted ops may
-//! be much larger than their requests; the coordinator bounds the
-//! *requests* it queues between drains, which is what keeps its flush
-//! from blocking (DESIGN.md §11).
+//! **Per connection, collect before you read.** A posted op's reply comes
+//! before the reply of any call or probe sent after it, so a remote handle
+//! counts its uncollected posts and the next call or probe reads their
+//! replies first, parking their downlinks, then its own. The call's
+//! request is queued behind the posts and leaves in the same write: one
+//! wake-up of the partition serves both. No other handle is read.
+//!
+//! **One ordered replay queue across handles.** The `Lane` owns the
+//! coordinator's issue order: a slot per posted op whose reply has not
+//! reached it, and per reply already read whose downlinks wait behind one.
+//! After every read it replays the complete prefix onto the agent network,
+//! so downlinks reach it in issue order although each partition's posted
+//! replies are collected only when that partition is next read, the window
+//! fills, or the tick ends. The window bounds the uncollected posted
+//! *requests* across all handles, which is what keeps any flush from
+//! blocking (DESIGN.md §11).
 //!
 //! Every request carries the coordinator's epoch view as a floor, and
 //! every reply folds its epoch back with a `fetch_max` — reproducing the
@@ -81,10 +87,22 @@ use mobieyes_core::{ClusterMsg, HomeChange, LogRecord, ObjectId, QueryId, Server
 use mobieyes_geo::LinearMotion;
 use mobieyes_net::{FramedConn, NodeId, StationId, TransportError};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Bound on the posted lane: at most this many closed ops, or this many
+/// request bytes, await collection at once, across all handles. Only the
+/// request direction needs the bound. Every request a flush puts on a
+/// connection is uncollected, so a flush never carries more than a window
+/// — which always fits the partition's receive buffer: the flush never
+/// blocks and the coordinator always reaches its reads. Replies may be far
+/// larger than requests (a `NewQueries` runs to kilobytes), and a
+/// partition may well block writing them — but only itself, and only
+/// until the coordinator next reads it.
+pub(crate) const POST_WINDOW_OPS: usize = 256;
+pub(crate) const POST_WINDOW_BYTES: usize = 32 * 1024;
 
 /// Deterministic coordinator-side RPC counts (see `telemetry::rpc_keys`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -96,6 +114,9 @@ pub struct RpcCounts {
     /// Ownership lookups answered by the `homes` mirror; each was one
     /// round trip before the mirror existed.
     pub mirror_hits: u64,
+    /// Flushes that wrote request bytes to the socket — each one wakes
+    /// the partition process.
+    pub flushes: u64,
 }
 
 /// A connected remote partition: the coordinator side of the RPC link.
@@ -120,10 +141,14 @@ pub struct RemotePartition {
     /// module docs).
     death: RefCell<Option<TransportError>>,
     counts: Cell<RpcCounts>,
-    /// Posted ops whose reply is still owed. A call or probe issued while
-    /// this is non-zero would read a posted op's reply as its own, so
-    /// both assert it is zero (debug builds).
+    /// Posted ops whose reply is still owed; their replies come before
+    /// any other on the connection.
     uncollected: Cell<u32>,
+    /// Request bytes of the uncollected posts.
+    uncollected_bytes: Cell<usize>,
+    /// Downlinks of posted replies already read, oldest first, until the
+    /// [`Lane`] replays them.
+    parked: RefCell<VecDeque<Vec<NetAction>>>,
 }
 
 /// Writes one request frame, given the coordinator's epoch floor.
@@ -144,14 +169,19 @@ impl RemotePartition {
             death: RefCell::new(None),
             counts: Cell::new(RpcCounts::default()),
             uncollected: Cell::new(0),
+            uncollected_bytes: Cell::new(0),
+            parked: RefCell::new(VecDeque::new()),
         }
     }
 
-    /// Installs (or clears) the per-RPC read deadline on the connection.
-    /// While set, a partition that hangs instead of crashing surfaces as
-    /// [`TransportError::Timeout`] on the next reply wait.
+    /// Installs (or clears) the per-RPC deadline on the connection, for
+    /// reads and writes alike. While set, a partition that hangs instead
+    /// of crashing surfaces as [`TransportError::Timeout`] on the next
+    /// reply wait, or on the next flush once it has stopped reading.
     pub fn set_rpc_deadline(&self, dur: Option<std::time::Duration>) {
-        let _ = self.conn.borrow().set_read_timeout(dur);
+        let conn = self.conn.borrow();
+        let _ = conn.set_read_timeout(dur);
+        let _ = conn.set_write_timeout(dur);
     }
 
     /// The failure that killed this handle, if any.
@@ -205,12 +235,14 @@ impl RemotePartition {
         }
     }
 
-    /// Pushes queued requests onto the wire.
+    /// Pushes queued requests onto the wire, if there are any.
     fn flush(&self) {
-        if self.dead() {
+        let mut conn = self.conn.borrow_mut();
+        if self.dead() || !conn.has_unflushed() {
             return;
         }
-        if let Err(e) = self.conn.borrow_mut().flush() {
+        self.count(|c| c.flushes += 1);
+        if let Err(e) = conn.flush() {
             self.kill(e);
         }
     }
@@ -260,58 +292,59 @@ impl RemotePartition {
         Some((net, payload))
     }
 
-    /// Collects one reply and checks its shape. A dead peer, or a reply of
-    /// the wrong shape (which kills the handle), yields `T`'s default —
-    /// the op's neutral fallback. Downlinks go to `net`; an op collected
-    /// without one must not have emitted any.
-    fn recv_as<T: FromPayload + Default>(&self, net: Option<&mut Net>) -> T {
-        let Some((actions, payload)) = self.recv() else {
-            return T::default();
-        };
-        match net {
-            Some(net) => replay_net(actions, net),
-            None => debug_assert!(actions.is_empty(), "op unexpectedly emitted downlinks"),
+    /// Reads the reply of every posted op still owed — they come first on
+    /// the connection — and parks their downlinks for the [`Lane`]. A dead
+    /// peer's replies are skipped, not waited for.
+    fn collect_posted(&self) {
+        self.uncollected_bytes.set(0);
+        for _ in 0..self.uncollected.take() {
+            let Some((actions, _)) = self.recv() else {
+                return;
+            };
+            self.parked.borrow_mut().push_back(actions);
         }
-        T::from_payload(payload).unwrap_or_else(|other| {
+    }
+
+    /// Collects the reply of the oldest call or probe, after the posted
+    /// replies ahead of it, and checks its shape. A dead peer, or a reply
+    /// of the wrong shape (which kills the handle), yields `T`'s default —
+    /// the op's neutral fallback — beside whatever downlinks came back.
+    fn recv_as<T: FromPayload + Default>(&self) -> (Vec<NetAction>, T) {
+        self.collect_posted();
+        let Some((actions, payload)) = self.recv() else {
+            return (Vec::new(), T::default());
+        };
+        let value = T::from_payload(payload).unwrap_or_else(|other| {
             self.kill(TransportError::Protocol(format!(
                 "reply {other:?} where {} was expected",
                 std::any::type_name::<T>()
             )));
             T::default()
-        })
+        });
+        (actions, value)
     }
 
-    /// The drain-before-call rule, where breaking it would desynchronise
-    /// the connection: the oldest outstanding reply must be the one the
-    /// caller is about to wait for.
-    fn assert_lane_collected(&self) {
-        debug_assert_eq!(
-            self.uncollected.get(),
-            0,
-            "partition {}: a call or probe issued with posted replies uncollected",
-            self.partition
-        );
-    }
-
-    /// One round trip.
-    fn call<T: FromPayload + Default>(&self, encode: Encode<'_>, net: Option<&mut Net>) -> T {
-        self.assert_lane_collected();
+    /// One round trip, riding behind the uncollected posts in one write;
+    /// the downlinks come back with the answer.
+    fn call<T: FromPayload + Default>(&self, encode: Encode<'_>) -> (Vec<NetAction>, T) {
         if self.send(encode) == 0 {
-            return T::default();
+            return (Vec::new(), T::default());
         }
         self.count(|c| c.round_trips += 1);
-        self.recv_as(net)
+        self.recv_as()
     }
 
     /// One round trip of an op that emits no downlinks.
     fn ask<T: FromPayload + Default>(&self, op: &PartitionOp) -> T {
-        self.call(&|floor, out| wire::encode_request(floor, op, out), None)
+        let (actions, value) = self.call(&|floor, out| wire::encode_request(floor, op, out));
+        debug_assert!(actions.is_empty(), "read op emitted downlinks");
+        value
     }
 
-    /// Request half of a probe, flushed at once so the partition starts on
-    /// it while the coordinator probes its siblings.
+    /// Request half of a probe, flushed at once (behind any uncollected
+    /// posts) so the partition starts on it while the coordinator probes
+    /// its siblings.
     fn start<T>(&self, encode: Encode<'_>) -> Probe<T> {
-        self.assert_lane_collected();
         if self.send(encode) == 0 {
             return Probe::Dead;
         }
@@ -360,7 +393,8 @@ fn local_value<T: FromPayload>(op: &dyn Debug, answer: Result<ReplyPayload, Deco
 /// have the request on the wire ([`Probe::Pending`]) and the partition
 /// process computes while the coordinator issues probes to its siblings.
 /// Every started probe MUST be finished (on the same handle, in start
-/// order) — an unconsumed reply would desynchronize the connection.
+/// order) before the handle is posted to again — an unconsumed reply
+/// would desynchronize the connection.
 /// A probe against a dead remote ([`Probe::Dead`]) put nothing on the
 /// wire; finishing it yields the op's neutral fallback.
 #[must_use = "every started probe must be finished on its handle"]
@@ -423,7 +457,11 @@ impl PartitionHandle {
     pub fn finish<T: FromPayload + Default>(&self, probe: Probe<T>) -> T {
         match (probe, self) {
             (Probe::Ready(v), _) => v,
-            (Probe::Pending, PartitionHandle::Remote(r)) => r.recv_as(None),
+            (Probe::Pending, PartitionHandle::Remote(r)) => {
+                let (actions, value) = r.recv_as();
+                debug_assert!(actions.is_empty(), "probed op emitted downlinks");
+                value
+            }
             (Probe::Pending, PartitionHandle::Local(_)) => {
                 unreachable!("pending probe on a local handle")
             }
@@ -436,22 +474,25 @@ impl PartitionHandle {
         self.finish(self.start(op))
     }
 
-    /// One mutation call, whose downlinks land on `net`.
+    /// One mutation call whose downlinks land on `net` at once — a network
+    /// no `Lane` feeds, or one whose lane is empty.
     pub fn call<T: FromPayload + Default>(&mut self, rec: &LogRecord, net: &mut Net) -> T {
         debug_assert!(!wire::is_closed(rec), "closed records are posted");
         match self {
             PartitionHandle::Local(s) => local_value(rec, s.apply(rec, net)),
             PartitionHandle::Remote(r) => {
-                r.call(&|floor, out| wire::encode_apply(floor, rec, out), Some(net))
+                let (actions, value) = r.call(&|floor, out| wire::encode_apply(floor, rec, out));
+                replay_net(actions, net);
+                value
             }
         }
     }
 
     /// Issues a closed record without waiting: a local handle applies it
     /// inline, a remote request is queued unflushed. Returns the bytes
-    /// queued — when non-zero the caller owes one [`Self::collect_posted`],
-    /// after every earlier post on any handle has been collected.
-    pub fn post(&mut self, rec: &LogRecord, net: &mut Net) -> usize {
+    /// queued — when non-zero the reply is owed, and the handle collects
+    /// it before its next call or probe.
+    fn post(&mut self, rec: &LogRecord, net: &mut Net) -> usize {
         debug_assert!(wire::is_closed(rec), "only closed records may be posted");
         match self {
             PartitionHandle::Local(s) => {
@@ -463,27 +504,9 @@ impl PartitionHandle {
                 if bytes > 0 {
                     r.count(|c| c.posted += 1);
                     r.uncollected.set(r.uncollected.get() + 1);
+                    r.uncollected_bytes.set(r.uncollected_bytes.get() + bytes);
                 }
                 bytes
-            }
-        }
-    }
-
-    /// Pushes posted requests onto the wire, so this partition works on
-    /// them while the coordinator collects from its siblings.
-    pub fn flush_posted(&self) {
-        if let PartitionHandle::Remote(r) = self {
-            r.flush();
-        }
-    }
-
-    /// Collects the reply of the oldest posted op, replaying its downlinks
-    /// onto `net`. A dead peer's replies are skipped, not waited for.
-    pub fn collect_posted(&self, net: &mut Net) {
-        if let PartitionHandle::Remote(r) = self {
-            r.uncollected.set(r.uncollected.get().saturating_sub(1));
-            if let Some((actions, _)) = r.recv() {
-                replay_net(actions, net);
             }
         }
     }
@@ -667,9 +690,143 @@ impl PartitionHandle {
     }
 }
 
+/// The coordinator's posted lane: the issue order of every op whose
+/// downlinks have not reached the agent network yet, across all handles.
+///
+/// A slot is a posted op whose reply no read has reached, or the
+/// downlinks of a reply already read that wait behind such a slot. After
+/// every read the complete prefix is replayed onto the network, so its
+/// queue entries come out in issue order — the order an in-process
+/// deployment, which applies every op inline, pushes them in. An
+/// in-process handle writes the network as it applies, so the lane is
+/// drained before one is posted to or called.
+#[derive(Default)]
+pub(crate) struct Lane {
+    slots: VecDeque<Slot>,
+}
+
+enum Slot {
+    /// A posted op at this partition, its reply not yet parked there.
+    Posted(usize),
+    /// The downlinks of a call's reply, read already.
+    Read(Vec<NetAction>),
+}
+
+impl Lane {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Posts closed `rec` at partition `p` and drains the lane once the
+    /// window is full. A post that ran inline or hit a dead peer (nothing
+    /// queued) takes no slot.
+    pub(crate) fn post(
+        &mut self,
+        hs: &mut [PartitionHandle],
+        p: usize,
+        rec: &LogRecord,
+        net: &mut Net,
+    ) {
+        if !hs[p].is_remote() {
+            self.drain(hs, net);
+        }
+        if hs[p].post(rec, net) == 0 {
+            return;
+        }
+        self.slots.push_back(Slot::Posted(p));
+        let (mut ops, mut bytes) = (0, 0);
+        for h in hs.iter() {
+            if let PartitionHandle::Remote(r) = h {
+                ops += r.uncollected.get() as usize;
+                bytes += r.uncollected_bytes.get();
+            }
+        }
+        if ops >= POST_WINDOW_OPS || bytes >= POST_WINDOW_BYTES {
+            self.drain(hs, net);
+        }
+    }
+
+    /// Calls `rec` at partition `p`: only `p`'s connection is read, and
+    /// the call's downlinks queue behind every earlier op's.
+    pub(crate) fn call<T: FromPayload + Default>(
+        &mut self,
+        hs: &mut [PartitionHandle],
+        p: usize,
+        rec: &LogRecord,
+        net: &mut Net,
+    ) -> T {
+        let PartitionHandle::Remote(r) = &hs[p] else {
+            self.drain(hs, net);
+            return hs[p].call(rec, net);
+        };
+        debug_assert!(!wire::is_closed(rec), "closed records are posted");
+        let (actions, value) = r.call(&|floor, out| wire::encode_apply(floor, rec, out));
+        if !actions.is_empty() {
+            self.slots.push_back(Slot::Read(actions));
+        }
+        self.replay(hs, net);
+        value
+    }
+
+    /// Reads `op` at partition `p`, reading only `p`'s connection.
+    pub(crate) fn ask<T: FromPayload + Default>(
+        &mut self,
+        hs: &[PartitionHandle],
+        p: usize,
+        op: &PartitionOp,
+        net: &mut Net,
+    ) -> T {
+        let value = hs[p].ask(op);
+        self.replay(hs, net);
+        value
+    }
+
+    /// Replays the complete prefix: slots whose downlinks are in hand, and
+    /// posted ops whose peer died before answering (their reply never
+    /// comes).
+    pub(crate) fn replay(&mut self, hs: &[PartitionHandle], net: &mut Net) {
+        while let Some(slot) = self.slots.front_mut() {
+            let actions = match slot {
+                Slot::Read(actions) => std::mem::take(actions),
+                Slot::Posted(p) => {
+                    let PartitionHandle::Remote(r) = &hs[*p] else {
+                        unreachable!("a post to an in-process partition runs inline")
+                    };
+                    match r.parked.borrow_mut().pop_front() {
+                        Some(actions) => actions,
+                        None if r.dead() => Vec::new(),
+                        None => break,
+                    }
+                }
+            };
+            self.slots.pop_front();
+            replay_net(actions, net);
+        }
+    }
+
+    /// Collects every posted reply and replays the whole lane: every
+    /// handle is flushed first, so the partitions work concurrently.
+    pub(crate) fn drain(&mut self, hs: &[PartitionHandle], net: &mut Net) {
+        if self.slots.is_empty() {
+            return;
+        }
+        let remotes = || {
+            hs.iter().filter_map(|h| match h {
+                PartitionHandle::Remote(r) => Some(r),
+                PartitionHandle::Local(_) => None,
+            })
+        };
+        remotes().for_each(|r| r.flush());
+        remotes().for_each(|r| r.collect_posted());
+        self.replay(hs, net);
+        debug_assert!(self.slots.is_empty(), "a drained lane kept a slot");
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use mobieyes_core::{CellDigests, Downlink};
     use mobieyes_geo::{CellId, Rect};
     use mobieyes_net::{BaseStationLayout, Endpoint, Listener};
 
@@ -687,17 +844,19 @@ pub(crate) mod tests {
 
     /// Reads one request and answers it with `payload` and `homes`.
     pub(crate) fn answer(conn: &mut FramedConn, payload: ReplyPayload, homes: Vec<HomeChange>) {
-        answer_with(conn, Vec::new(), payload, homes);
+        let request = conn.read_frame().expect("request");
+        wire::decode_request(&request).expect("well-formed request");
+        reply(conn, Vec::new(), payload, homes).expect("reply");
     }
 
-    fn answer_with(
+    /// Writes and flushes one reply, as the partition service does once
+    /// its read buffer runs dry.
+    fn reply(
         conn: &mut FramedConn,
         net: Vec<NetAction>,
         payload: ReplyPayload,
         homes: Vec<HomeChange>,
-    ) {
-        let request = conn.read_frame().expect("request");
-        wire::decode_request(&request).expect("well-formed request");
+    ) -> Result<(), TransportError> {
         let mut frame = Vec::new();
         let reply = PartitionReply {
             epoch: 1,
@@ -707,8 +866,8 @@ pub(crate) mod tests {
             homes,
         };
         wire::encode_reply(&reply, &mut frame);
-        conn.write_frame(&frame).expect("write");
-        conn.flush().expect("flush");
+        conn.write_frame(&frame)?;
+        conn.flush()
     }
     use std::time::{Duration, Instant};
 
@@ -744,16 +903,50 @@ pub(crate) mod tests {
         }
     }
 
-    /// Posts `n` result changes and collects them all, as the coordinator's
-    /// lane would.
-    fn post_and_drain(handle: &mut PartitionHandle, n: u32, net: &mut Net) {
+    /// A unicast to `node` that carries the number `n`, padded with
+    /// `digests` cell digests of 16 bytes each.
+    fn numbered(node: u32, n: u64, digests: usize) -> NetAction {
+        let msg = Downlink::Heartbeat {
+            epoch: n,
+            cell_digests: CellDigests::new(vec![(CellId::new(1, 2), n); digests]),
+        };
+        NetAction::Unicast { node, msg }
+    }
+
+    /// `(node, number)` of every downlink on `net`, in queue order.
+    fn numbers(net: &mut Net) -> Vec<(u32, u64)> {
+        let (unicasts, broadcasts) = net.take_downlinks();
+        assert!(broadcasts.is_empty());
+        let number = |(node, msg, _): &(NodeId, Arc<Downlink>, _)| match **msg {
+            Downlink::Heartbeat { epoch, .. } => (node.0, epoch),
+            ref other => panic!("unexpected unicast {other:?}"),
+        };
+        unicasts.iter().map(number).collect()
+    }
+
+    /// A partition that answers every request with the next number sent
+    /// to `node`, flushing each reply — so it blocks writing once nobody
+    /// reads — until the coordinator hangs up.
+    fn serve_numbered(mut conn: FramedConn, node: u32, digests: usize) {
+        for n in 0.. {
+            let Ok(request) = conn.read_frame() else {
+                return;
+            };
+            wire::decode_request(&request).expect("well-formed request");
+            let net = vec![numbered(node, n, digests)];
+            if reply(&mut conn, net, ReplyPayload::Unit, Vec::new()).is_err() {
+                return;
+            }
+        }
+    }
+
+    /// Posts `n` result changes at the only partition and drains the lane.
+    fn post_and_drain(hs: &mut [PartitionHandle], n: u32, net: &mut Net) {
+        let mut lane = Lane::default();
         for i in 0..n {
-            assert!(handle.post(&result_change(i), net) > 0);
+            lane.post(hs, 0, &result_change(i), net);
         }
-        handle.flush_posted();
-        for _ in 0..n {
-            handle.collect_posted(net);
-        }
+        lane.drain(hs, net);
     }
 
     #[test]
@@ -827,134 +1020,193 @@ pub(crate) mod tests {
 
     #[test]
     fn peer_death_with_posted_ops_in_flight_is_classified_once() {
-        let (mut handle, peer) = with_peer(|mut conn| {
+        let (handle, peer) = with_peer(|mut conn| {
             // Answer the first two posted ops, then die with the rest
             // unread or unanswered.
             answer(&mut conn, ReplyPayload::Bool(true), Vec::new());
             answer(&mut conn, ReplyPayload::Bool(true), Vec::new());
         });
+        let mut hs = vec![handle];
         let mut net = test_net();
-        post_and_drain(&mut handle, 40, &mut net);
+        post_and_drain(&mut hs, 40, &mut net);
         peer.join().expect("peer");
-        let death = handle.crashed().expect("the drain noticed the death");
+        let death = hs[0].crashed().expect("the drain noticed the death");
         assert!(death.is_peer_death(), "classified as a crash: {death}");
         assert_eq!(
-            handle.post(&result_change(0), &mut net),
+            hs[0].post(&result_change(0), &mut net),
             0,
             "a dead handle posts nothing"
         );
-        handle.collect_posted(&mut net);
-        assert_eq!(handle.crashed(), Some(death), "first failure wins");
+        post_and_drain(&mut hs, 1, &mut net);
+        assert_eq!(hs[0].crashed(), Some(death), "first failure wins");
     }
 
-    /// The window bounds requests, not replies: a full window of fresh
-    /// cell changes whose replies dwarf the requests (and, together, any
-    /// socket buffer) drains, because once the coordinator has flushed its
-    /// window it only reads — which is what unblocks a partition stuck
-    /// writing. The unicasts land on the network in issue order.
+    /// A call behind `posts` uncollected posts, at a peer that reads every
+    /// request before it answers `answered` of them and hangs up — so a
+    /// call that waited for the posted replies before sending would
+    /// deadlock. Returns the call's answer, the replayed downlinks, the
+    /// handle's death and its counts.
+    fn call_behind_posts(
+        posts: u64,
+        answered: u64,
+    ) -> (bool, Vec<(u32, u64)>, Option<TransportError>, RpcCounts) {
+        let (handle, peer) = with_peer(move |mut conn| {
+            for _ in 0..=posts {
+                conn.read_frame().expect("request");
+            }
+            for n in 0..answered {
+                let payload = if n == posts {
+                    ReplyPayload::Bool(true)
+                } else {
+                    ReplyPayload::Unit
+                };
+                reply(&mut conn, vec![numbered(9, n, 1)], payload, Vec::new()).expect("reply");
+            }
+        });
+        handle.set_rpc_deadline(Some(Duration::from_secs(5)));
+        let mut hs = vec![handle];
+        let (mut lane, mut net) = (Lane::default(), test_net());
+        for i in 0..posts {
+            lane.post(&mut hs, 0, &result_change(i as u32), &mut net);
+        }
+        let removed = lane.call::<bool>(&mut hs, 0, &LogRecord::RemoveQuery(QueryId(2)), &mut net);
+        assert!(lane.is_empty(), "the call's read completes the lane");
+        peer.join().expect("peer");
+        let counts = hs[0].take_rpc_counts().expect("remote");
+        (removed, numbers(&mut net), hs[0].crashed(), counts)
+    }
+
+    /// Per connection, collect before you read: the call leaves in the
+    /// same write as the posts ahead of it (one flush), the posted
+    /// replies are read first and their downlinks replayed first, in
+    /// order, and the call returns its own payload. A peer that dies
+    /// partway through the posted replies is classified once and costs
+    /// the call its neutral fallback, without a wait.
+    #[test]
+    fn a_call_behind_uncollected_posts_reads_its_own_reply() {
+        const POSTS: u64 = 5;
+        let (removed, order, death, counts) = call_behind_posts(POSTS, POSTS + 1);
+        assert!(removed, "the call read its own reply");
+        assert_eq!(order, (0..=POSTS).map(|n| (9, n)).collect::<Vec<_>>());
+        assert_eq!(death, None);
+        assert_eq!(
+            (counts.round_trips, counts.posted, counts.flushes),
+            (1, POSTS, 1)
+        );
+
+        let start = Instant::now();
+        let (removed, order, death, _) = call_behind_posts(POSTS, 3);
+        assert!(!removed, "a dead peer's call yields its fallback");
+        assert_eq!(order, vec![(9, 0), (9, 1), (9, 2)], "answered posts replay");
+        let death = death.expect("the death is noticed");
+        assert!(death.is_peer_death(), "classified as a crash: {death}");
+        assert!(start.elapsed() < Duration::from_secs(3), "nothing waited");
+    }
+
+    /// Lazy collection stays live, and the window is what keeps it so.
+    /// Partition 1 holds a full window of posted replies of 4 KiB each —
+    /// more than a socket buffer — while the coordinator makes a hundred
+    /// calls at partition 0, which read only partition 0; then posts to
+    /// partition 1 keep coming, many windows' worth, between more calls,
+    /// and each full window drains. A lane without the window would flush
+    /// all those requests at once into a partition blocked writing replies
+    /// nobody reads: both sides would block, until the write deadline
+    /// killed the handle. The downlinks replay in issue order.
     #[test]
     fn a_full_window_of_large_replies_drains_in_issue_order() {
-        use crate::cluster_server::{POST_WINDOW_BYTES, POST_WINDOW_OPS};
-        use mobieyes_core::{CellDigests, Downlink};
-        const REPLY_BYTES: usize = 4096;
-        let uds = std::env::temp_dir().join(format!(
-            "mobieyes-handle-window-{}.sock",
-            std::process::id()
-        ));
-        for endpoint in [Endpoint::Tcp("127.0.0.1:0".into()), Endpoint::Uds(uds)] {
-            let (mut handle, peer) = with_peer_on(pair_on(&endpoint), |mut conn| {
-                for i in 0..POST_WINDOW_OPS as u64 {
-                    // Any downlink will do for bulk; the epoch numbers it.
-                    let msg = Downlink::Heartbeat {
-                        epoch: i,
-                        cell_digests: CellDigests::new(vec![
-                            (CellId::new(1, 2), i);
-                            REPLY_BYTES / 16 + 1
-                        ]),
-                    };
-                    let unicast = NetAction::Unicast { node: 9, msg };
-                    answer_with(&mut conn, vec![unicast], ReplyPayload::Unit, Vec::new());
-                }
-            });
-            // A deadlock would surface as this deadline, not a hung test.
-            handle.set_rpc_deadline(Some(Duration::from_secs(20)));
-            let mut net = test_net();
-            let motion = LinearMotion::new(
-                mobieyes_geo::Point::new(1.0, 2.0),
-                mobieyes_geo::Vec2::new(0.0, 0.0),
-                0.0,
-            );
-            let mut queued = 0;
-            for i in 0..POST_WINDOW_OPS as u32 {
-                let (prev, new) = (CellId::new(0, 2), CellId::new(1, 2));
-                let rec = LogRecord::CellChangeFresh {
-                    oid: ObjectId(i),
-                    prev_cell: prev,
-                    new_cell: new,
-                    motion,
-                };
-                queued += handle.post(&rec, &mut net);
+        const DIGESTS: usize = 4096 / 16 + 1;
+        const CALLS: u64 = 100;
+        const WINDOWS: usize = 24;
+        let motion = LinearMotion::new(
+            mobieyes_geo::Point::new(1.0, 2.0),
+            mobieyes_geo::Vec2::new(0.0, 0.0),
+            0.0,
+        );
+        let fresh = |oid: u64| LogRecord::CellChangeFresh {
+            oid: ObjectId(oid as u32),
+            prev_cell: CellId::new(0, 2),
+            new_cell: CellId::new(1, 2),
+            motion,
+        };
+        let uds = |p: u32| {
+            let name = format!("mobieyes-handle-window-{}-{p}.sock", std::process::id());
+            Endpoint::Uds(std::env::temp_dir().join(name))
+        };
+        let tcp = |_: u32| Endpoint::Tcp("127.0.0.1:0".into());
+        for endpoint in [&tcp as &dyn Fn(u32) -> Endpoint, &uds] {
+            let (h0, peer0) = with_peer_on(pair_on(&endpoint(0)), |c| serve_numbered(c, 8, 1));
+            let (h1, peer1) =
+                with_peer_on(pair_on(&endpoint(1)), |c| serve_numbered(c, 9, DIGESTS));
+            let family = endpoint(1);
+            let mut hs = vec![h0, h1];
+            for h in &hs {
+                h.set_rpc_deadline(Some(Duration::from_secs(5)));
             }
+            let (mut lane, mut net) = (Lane::default(), test_net());
+            let mut expected = Vec::new();
+            let (mut posted, mut called) = (0, 0);
+            let mut call_at_0 = |lane: &mut Lane, hs: &mut [PartitionHandle], net: &mut Net| {
+                lane.call::<()>(hs, 0, &LogRecord::SetTime(called as f64), net);
+                called += 1;
+                (8, called - 1)
+            };
+            // A window less the post that would drain it, flushed: the
+            // partition answers what its socket takes and blocks.
+            for _ in 1..POST_WINDOW_OPS {
+                lane.post(&mut hs, 1, &fresh(posted), &mut net);
+                expected.push((9, posted));
+                posted += 1;
+            }
+            let PartitionHandle::Remote(r1) = &hs[1] else {
+                unreachable!()
+            };
             assert!(
-                queued <= POST_WINDOW_BYTES,
-                "a window of fresh cell changes is {queued} request bytes"
+                r1.uncollected_bytes.get() < POST_WINDOW_BYTES,
+                "the op bound binds first: a window of fresh cell changes is {} request bytes",
+                r1.uncollected_bytes.get()
             );
-            handle.flush_posted();
-            for _ in 0..POST_WINDOW_OPS {
-                handle.collect_posted(&mut net);
+            r1.flush();
+            for _ in 0..CALLS {
+                expected.push(call_at_0(&mut lane, &mut hs, &mut net));
             }
-            assert_eq!(handle.crashed(), None, "{endpoint}");
-            peer.join().expect("peer");
-            let (unicasts, broadcasts) = net.take_downlinks();
-            assert!(broadcasts.is_empty());
-            let order: Vec<u64> = unicasts
-                .iter()
-                .map(|(node, msg, _)| match (&**msg, node.0) {
-                    (Downlink::Heartbeat { epoch, .. }, 9) => *epoch,
-                    other => panic!("unexpected unicast {other:?}"),
-                })
-                .collect();
-            assert_eq!(
-                order,
-                (0..POST_WINDOW_OPS as u64).collect::<Vec<_>>(),
-                "{endpoint}"
-            );
-            let counts = handle.take_rpc_counts().expect("remote");
-            assert_eq!(
-                (counts.round_trips, counts.posted),
-                (0, POST_WINDOW_OPS as u64)
-            );
+            assert!(!lane.is_empty(), "partition 1's replies wait uncollected");
+            for i in 0..WINDOWS * POST_WINDOW_OPS {
+                lane.post(&mut hs, 1, &fresh(posted), &mut net);
+                expected.push((9, posted));
+                posted += 1;
+                if i % 64 == 0 {
+                    expected.push(call_at_0(&mut lane, &mut hs, &mut net));
+                }
+            }
+            lane.drain(&hs, &mut net);
+            for h in &hs {
+                assert_eq!(h.crashed(), None, "{family}");
+            }
+            assert!(numbers(&mut net) == expected, "{family}: replay order");
+            let counts: Vec<_> = hs.iter().map(|h| h.take_rpc_counts()).collect();
+            let counts: Vec<_> = counts.into_iter().flatten().collect();
+            assert_eq!(counts[0].round_trips, called, "{family}");
+            assert_eq!((counts[1].round_trips, counts[1].posted), (0, posted));
+            drop(hs);
+            peer0.join().expect("peer 0");
+            peer1.join().expect("peer 1");
         }
-    }
-
-    /// Drain-before-call, where a miss would desynchronise the
-    /// connection: a call over an uncollected post is a bug in the
-    /// coordinator, caught by the first debug-build test that reaches it.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "posted replies uncollected")]
-    fn a_call_over_an_uncollected_post_trips_the_drain_assertion() {
-        // The peer outlives the unwinding test: it reads until the handle
-        // drops and answers nothing.
-        let (mut handle, _peer) = with_peer(|mut conn| while conn.read_frame().is_ok() {});
-        let mut net = test_net();
-        assert!(handle.post(&LogRecord::FocalReassert(ObjectId(1)), &mut net) > 0);
-        handle.probe_alive();
     }
 
     #[test]
     fn hung_peer_costs_a_posted_drain_one_deadline() {
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let (mut handle, peer) = with_peer(move |mut conn| {
+        let (handle, peer) = with_peer(move |mut conn| {
             answer(&mut conn, ReplyPayload::Bool(true), Vec::new());
             // Hang: keep the socket open, read nothing, answer nothing.
             let _ = release_rx.recv();
         });
         let mut net = test_net();
         handle.set_rpc_deadline(Some(Duration::from_millis(100)));
+        let mut hs = vec![handle];
         let start = Instant::now();
-        post_and_drain(&mut handle, 60, &mut net);
-        assert_eq!(handle.crashed(), Some(TransportError::Timeout));
+        post_and_drain(&mut hs, 60, &mut net);
+        assert_eq!(hs[0].crashed(), Some(TransportError::Timeout));
         assert!(
             start.elapsed() < Duration::from_secs(3),
             "59 missing replies must not cost 59 deadlines ({:?})",

@@ -151,6 +151,19 @@ impl Stream {
         }
         Ok(())
     }
+
+    /// Sets (or clears) the kernel write timeout: a write that cannot hand
+    /// the kernel a byte within the deadline fails the same way.
+    pub fn set_write_timeout(
+        &self,
+        dur: Option<std::time::Duration>,
+    ) -> Result<(), TransportError> {
+        match self {
+            Stream::Tcp(s) => s.set_write_timeout(dur)?,
+            Stream::Unix(s) => s.set_write_timeout(dur)?,
+        }
+        Ok(())
+    }
 }
 
 impl Read for Stream {
@@ -281,6 +294,21 @@ impl FramedConn {
     /// partition process from a merely slow one.
     pub fn set_read_timeout(&self, dur: Option<std::time::Duration>) -> Result<(), TransportError> {
         self.stream.set_read_timeout(dur)
+    }
+
+    /// Installs (or clears) a write deadline: a [`flush`](Self::flush)
+    /// into a peer that stopped reading fails with
+    /// [`TransportError::Timeout`] instead of blocking forever.
+    pub fn set_write_timeout(
+        &self,
+        dur: Option<std::time::Duration>,
+    ) -> Result<(), TransportError> {
+        self.stream.set_write_timeout(dur)
+    }
+
+    /// Whether frames are queued that no [`flush`](Self::flush) has sent.
+    pub fn has_unflushed(&self) -> bool {
+        !self.wbuf.is_empty()
     }
 
     /// Queues one frame (length prefix + payload) for sending.

@@ -82,6 +82,9 @@ pub mod rpc_keys {
     /// Ownership lookups answered from the reply-maintained mirror of a
     /// partition's FOT/SQT keys instead of a round trip.
     pub const MIRROR_HITS: &str = "cluster.rpc.mirror_hits";
+    /// Flushes that wrote requests to a partition's socket: each one wakes
+    /// the partition process.
+    pub const FLUSHES: &str = "cluster.rpc.flushes";
 }
 
 /// The `store.*` telemetry counter keys of the durable trajectory log

@@ -351,6 +351,14 @@ awk -v p="$rpc_posted" -v r="$rpc_trips" 'BEGIN { exit !(p >= r) }' \
 # where the two ratio checks above only catch a large drift.
 [ "$rpc_uplinks $rpc_trips $rpc_posted" = "14960 2436 14920" ] \
   || { echo "socket smoke: uplinks/round trips/posted $rpc_uplinks/$rpc_trips/$rpc_posted, want 14960/2436/14920"; exit 1; }
+# Partition wake-ups: flushes that wrote requests to a partition's socket.
+# A call or read reads only its own partition, its request riding behind
+# that partition's posted ones in one write; the other partitions' posted
+# replies wait until they are next read. Collecting every partition's
+# lane before each call, the rule this replaced, costs 3082 here.
+rpc_flushes=$(assert_json "$socket_out" get rpc_flushes)
+[ "$rpc_flushes" = "2645" ] \
+  || { echo "socket smoke: $rpc_flushes partition flushes, want 2645"; exit 1; }
 rm -f "$socket_out"
 cargo run -q --release --bin mobieyes -- --partitions 2 --transport uds \
   --objects 400 --queries 40 --nmo 40 --ticks 8 --warmup 2 --area 10000 >/dev/null

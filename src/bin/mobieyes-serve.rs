@@ -419,6 +419,7 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let rpc_round_trips = snapshot.counter(mobieyes::telemetry::rpc_keys::ROUND_TRIPS);
     let rpc_posted = snapshot.counter(mobieyes::telemetry::rpc_keys::POSTED);
     let rpc_mirror_hits = snapshot.counter(mobieyes::telemetry::rpc_keys::MIRROR_HITS);
+    let rpc_flushes = snapshot.counter(mobieyes::telemetry::rpc_keys::FLUSHES);
     let json = format!(
         concat!(
             "{{\n",
@@ -443,6 +444,7 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             "  \"rpc_round_trips\": {},\n",
             "  \"rpc_posted\": {},\n",
             "  \"rpc_mirror_hits\": {},\n",
+            "  \"rpc_flushes\": {},\n",
             "  \"digest\": \"{:016x}\",\n",
             "  \"reference_digest\": \"{:016x}\",\n",
             "  \"digests_match\": {},\n",
@@ -475,6 +477,7 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         rpc_round_trips,
         rpc_posted,
         rpc_mirror_hits,
+        rpc_flushes,
         digest,
         reference_digest,
         matched,
