@@ -1609,7 +1609,7 @@ mod tests {
     use crate::wire::ReplyPayload;
     use mobieyes_core::{HomeChange, QueryMigration};
     use mobieyes_geo::{Grid, GridRect, Point, Rect, Vec2};
-    use mobieyes_net::BaseStationLayout;
+    use mobieyes_net::{BaseStationLayout, StationId};
 
     fn universe() -> Rect {
         Rect::new(0.0, 0.0, 100.0, 100.0)
@@ -2016,5 +2016,56 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e.kind, EventKind::RebalanceInstalled { .. })));
+    }
+
+    /// After a rebalance moved the cell cuts, the coordinator beacons
+    /// exactly what one server holding the same queries beacons: through
+    /// every station, each listing the digests of the cells under it.
+    #[test]
+    fn a_rebalanced_cluster_beacons_per_station_like_one_server() {
+        let grid = Grid::new(universe(), 5.0);
+        let config = Arc::new(ProtocolConfig::new(grid).with_lease(50.0, 1.0));
+        let mut cluster = ClusterServer::new(Arc::clone(&config), 4, Telemetry::new());
+        let mut server = mobieyes_core::Server::new(config);
+        let layout = BaseStationLayout::new(universe(), 10.0);
+        let (mut cnet, mut snet) = (Net::new(layout.clone()), Net::new(layout));
+        for k in 0..12u32 {
+            let (x, y) = (4.0 + 23.0 * (k % 4) as f64, 3.0 + 14.0 * (k / 4) as f64);
+            let reply = Uplink::PositionReply {
+                oid: ObjectId(k),
+                motion: LinearMotion::new(Point::new(x, y), Vec2::new(0.001, 0.0), 0.0),
+                max_vel: 0.03,
+            };
+            cnet.send_uplink(ObjectId(k).node(), reply.clone());
+            cluster.tick(&mut cnet);
+            server.handle_uplink(ObjectId(k).node(), reply, &mut snet);
+            let region = QueryRegion::circle(1.0 + k as f64);
+            cluster.install_query(ObjectId(k), region, Filter::True, &mut cnet);
+            server.install_query(ObjectId(k), region, Filter::True, &mut snet);
+        }
+        cluster.cell_ops[0] = 1000;
+        assert!(cluster.rebalance());
+        cluster.check_invariants();
+        let beacons = |net: &mut Net| -> Vec<(StationId, Vec<(CellId, u64)>)> {
+            let (_, broadcasts) = net.take_downlinks();
+            broadcasts
+                .iter()
+                .filter_map(|(s, msg, _)| match &**msg {
+                    Downlink::Heartbeat { cell_digests, .. } => {
+                        Some((*s, cell_digests.entries().to_vec()))
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        beacons(&mut cnet);
+        beacons(&mut snet);
+        cluster.heartbeat(10.0, &mut cnet);
+        server.heartbeat(10.0, &mut snet);
+        let (ours, single) = (beacons(&mut cnet), beacons(&mut snet));
+        assert_eq!(ours.len(), cnet.layout().num_stations());
+        assert!(ours.iter().any(|(_, list)| list.is_empty()));
+        assert!(ours.iter().filter(|(_, list)| !list.is_empty()).count() > 1);
+        assert_eq!(ours, single);
     }
 }

@@ -30,7 +30,7 @@ use crate::journal::{LogRecord, ReplyPayload};
 use crate::messages::{CellDigests, ClusterMsg, Downlink, Uplink};
 use crate::model::{ObjectId, QueryId};
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
-use mobieyes_net::NodeId;
+use mobieyes_net::{NodeId, StationsOver};
 use mobieyes_telemetry::{EventKind, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -408,17 +408,45 @@ pub fn heartbeat<M: Mediator>(m: &mut M, now: f64, net: &mut Net) {
 
     // (3) Digest beacon. It demands an answer, so it bumps the epoch:
     // objects answer each beacon once however many stations relay it.
+    // Every station sends it, each with the digests of the cells under it.
     let epoch = m.bump_shared_epoch();
-    let cell_digests = CellDigests::new(m.digest_cells(net).concat());
-    debug_assert!(
-        cell_digests.is_row_major(),
-        "beacon off the agents' fast path"
-    );
-    let sent = net.broadcast_all(Downlink::Heartbeat {
+    let all = CellDigests::new(m.digest_cells(net).concat());
+    debug_assert!(all.is_row_major(), "beacon off the agents' fast path");
+    let stations = net.layout().num_stations();
+    let over = net.stations_over(&m.config().grid);
+    let mut slices = station_slices(over, stations, all.entries());
+    let sent = net.broadcast_each(|_, s| Downlink::Heartbeat {
         epoch,
-        cell_digests,
+        cell_digests: CellDigests::new(std::mem::take(&mut slices[s.0 as usize])),
     });
     m.tally().add(srv_slots::BROADCAST_OPS, sent as u64);
+}
+
+/// Each station's share of a beacon, indexed by station: the subsequence
+/// of `entries` whose cells lie under it
+/// ([`BaseStationLayout::cells_under`](mobieyes_net::BaseStationLayout::cells_under)).
+/// An object a station covers is in a cell under it, and a subsequence
+/// keeps every entry of that cell in order, so the object's first-match
+/// lookup answers what it answers on the whole list.
+fn station_slices(
+    over: &StationsOver,
+    stations: usize,
+    entries: &[(CellId, u64)],
+) -> Vec<Vec<(CellId, u64)>> {
+    // Sized first: one allocation per station.
+    let mut lens = vec![0usize; stations];
+    for &(cell, _) in entries {
+        for s in over.of(cell) {
+            lens[s.0 as usize] += 1;
+        }
+    }
+    let mut slices: Vec<Vec<(CellId, u64)>> = lens.into_iter().map(Vec::with_capacity).collect();
+    for &(cell, digest) in entries {
+        for s in over.of(cell) {
+            slices[s.0 as usize].push((cell, digest));
+        }
+    }
+    slices
 }
 
 /// Installs query `p.qid` for `focal`: at once at the focal's home, or

@@ -1,5 +1,6 @@
 use super::*;
 use crate::codec::Wire;
+use crate::messages::CellDigests;
 use mobieyes_geo::{Grid, Point, Rect, Vec2};
 use mobieyes_net::BaseStationLayout;
 
@@ -652,4 +653,73 @@ fn a_query_leased_under_two_focals_expires_once() {
         .flat_map(|(&oid, ps)| ps.iter().map(move |p| (oid, p.qid)))
         .collect();
     assert_eq!(waiting, [(ObjectId(1), QueryId(5))], "and waits once");
+}
+
+/// Each station's beacon lists only the digests of the cells under it
+/// (`BaseStationLayout::cells_under`): a row-major subsequence of the
+/// whole grid's list on which every cell under the station looks up what
+/// it looks up on the whole list, so every object the station covers
+/// answers as it would to the whole list. Every station sends the epoch,
+/// one over empty cells only with an empty list.
+#[test]
+fn each_station_beacons_the_digests_of_the_cells_under_it() {
+    let universe = Rect::new(0.0, 0.0, 100.0, 100.0);
+    let grid = Grid::new(universe, 5.0);
+    let config = ProtocolConfig::new(grid.clone()).with_lease(50.0, 1.0);
+    let mut server = Server::new(Arc::new(config));
+    let mut net = Net::new(BaseStationLayout::new(universe, 10.0));
+    // Queries of growing reach on focals in the lower half.
+    for k in 0..12u32 {
+        let (x, y) = (4.0 + 23.0 * (k % 4) as f64, 3.0 + 14.0 * (k / 4) as f64);
+        register(&mut server, &mut net, ObjectId(k), x, y);
+        let region = QueryRegion::circle(1.0 + k as f64);
+        server.install_query(ObjectId(k), region, Filter::True, &mut net);
+    }
+    net.end_tick();
+    let before = server.stats().broadcast_ops;
+    server.heartbeat(10.0, &mut net);
+    let stations = net.layout().num_stations();
+    assert_eq!(server.stats().broadcast_ops - before, stations as u64);
+
+    let full = CellDigests::new(server.digest_cells());
+    assert!(full.is_row_major());
+    assert!((30..grid.num_cells()).contains(&full.entries().len()));
+    let (unicasts, beacons) = net.take_downlinks();
+    assert!(unicasts.is_empty());
+    assert_eq!(beacons.len(), stations);
+    let mut silent = 0;
+    for (k, (s, msg, _)) in beacons.iter().enumerate() {
+        assert_eq!(s.0 as usize, k, "one beacon per station, in order");
+        let Downlink::Heartbeat {
+            epoch,
+            cell_digests,
+        } = &**msg
+        else {
+            panic!("{s:?} sent {msg:?}");
+        };
+        assert_eq!(*epoch, server.epoch);
+        assert!(cell_digests.is_row_major());
+        let mut rest = full.entries().iter();
+        assert!(
+            cell_digests.entries().iter().all(|e| rest.any(|f| f == e)),
+            "{s:?}'s list is not a subsequence of the whole list"
+        );
+        let under = net.layout().cells_under(*s, &grid);
+        for cell in under.iter() {
+            assert_eq!(cell_digests.get(cell), full.get(cell), "{s:?} at {cell:?}");
+        }
+        let exact: Vec<_> = full
+            .entries()
+            .iter()
+            .filter(|(c, _)| under.contains(*c))
+            .copied()
+            .collect();
+        assert_eq!(
+            cell_digests.entries(),
+            exact,
+            "{s:?} lists a cell not under it"
+        );
+        silent += cell_digests.entries().is_empty() as usize;
+    }
+    assert!(silent > 0, "some station is over empty cells only");
 }

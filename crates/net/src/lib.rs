@@ -32,5 +32,5 @@ pub use meter::{Direction, MessageMeter};
 pub use radio::RadioModel;
 pub use sim::{NetworkSim, NodeId, WireSized};
 pub use socket::{Endpoint, FramedConn, Listener, SocketTransport, Stream, MAX_FRAME};
-pub use station::{BaseStationLayout, StationId};
+pub use station::{BaseStationLayout, StationId, StationsOver};
 pub use transport::{Frame, LockstepTransport, Routed, Transport, TransportError};

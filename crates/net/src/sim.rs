@@ -19,7 +19,7 @@
 
 use crate::fault::FaultPlan;
 use crate::meter::{keys, Direction, MessageMeter};
-use crate::station::{BaseStationLayout, StationId};
+use crate::station::{BaseStationLayout, StationId, StationsOver};
 use mobieyes_geo::{Grid, GridRect, Point};
 use mobieyes_telemetry::{EventKind, Telemetry};
 use std::sync::Arc;
@@ -54,6 +54,8 @@ pub struct NetworkSim<U, D> {
     sent_by_node: Vec<u64>,
     /// Bytes physically received per node.
     received_by_node: Vec<u64>,
+    /// The layout's [`StationsOver`] map for the grid last asked about.
+    stations_over: Option<StationsOver>,
 }
 
 impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
@@ -68,6 +70,7 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
             broadcasts: Vec::new(),
             sent_by_node: Vec::new(),
             received_by_node: Vec::new(),
+            stations_over: None,
         }
     }
 
@@ -84,6 +87,15 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
 
     pub fn layout(&self) -> &BaseStationLayout {
         &self.layout
+    }
+
+    /// The stations over each cell of `grid` ([`StationsOver`]), built on
+    /// first use and kept while the grid is the same: the layout is static.
+    pub fn stations_over(&mut self, grid: &Grid) -> &StationsOver {
+        if self.stations_over.as_ref().is_none_or(|m| m.grid() != grid) {
+            self.stations_over = Some(StationsOver::new(&self.layout, grid));
+        }
+        self.stations_over.as_ref().expect("built above")
     }
 
     /// Materializes the traffic view from the telemetry counters and the
@@ -252,13 +264,26 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
         n
     }
 
-    /// Broadcasts `msg` through *every* base station, reaching the whole
-    /// universe — the dissemination primitive for server heartbeats. The
-    /// payload is allocated once and shared. Returns the number of station
-    /// transmissions.
-    pub fn broadcast_all(&mut self, msg: D) -> usize {
-        let stations = 0..self.layout.num_stations() as u32;
-        let n = self.broadcast_through(stations.map(StationId), msg);
+    /// Broadcasts through *every* base station, each with its own payload:
+    /// `msg(layout, s)` builds station `s`'s, in ascending station order —
+    /// the dissemination primitive for server heartbeats, whose digest
+    /// list each station cuts down to the cells it covers. Each payload is
+    /// sized once and shared by its recipients; the transmissions are
+    /// counted under one telemetry lock. Returns their number.
+    pub fn broadcast_each(
+        &mut self,
+        mut msg: impl FnMut(&BaseStationLayout, StationId) -> D,
+    ) -> usize {
+        let n = self.layout.num_stations();
+        let mut bytes = 0;
+        self.broadcasts.reserve(n);
+        for s in (0..n as u32).map(StationId) {
+            let payload = msg(&self.layout, s);
+            let size = payload.wire_size();
+            bytes += size;
+            self.broadcasts.push((s, Arc::new(payload), size));
+        }
+        self.record(Direction::Broadcast, n as u64, bytes as u64);
         self.telemetry
             .event(EventKind::BroadcastFanout { stations: n as u64 });
         n
@@ -771,17 +796,68 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_all_reaches_every_station() {
-        let mut n = net();
-        let sent = n.broadcast_all(Msg(4));
-        assert_eq!(sent, n.layout().num_stations());
-        // Any position in the universe hears at least one copy.
+    fn broadcast_each_sends_each_station_its_own_payload() {
+        /// A payload whose wire size is its value.
+        #[derive(Debug, PartialEq)]
+        struct Sized(usize);
+        impl WireSized for Sized {
+            fn wire_size(&self) -> usize {
+                self.0
+            }
+        }
+        let mut n: NetworkSim<Sized, Sized> = NetworkSim::new(BaseStationLayout::new(
+            Rect::new(0.0, 0.0, 100.0, 100.0),
+            10.0,
+        ));
+        let stations = n.layout().num_stations();
+        let mut asked = Vec::new();
+        let sent = n.broadcast_each(|layout, s| {
+            assert_eq!(layout.num_stations(), stations);
+            asked.push(s);
+            Sized(1 + s.0 as usize)
+        });
+        assert_eq!(sent, stations);
+        let ascending: Vec<StationId> = (0..stations as u32).map(StationId).collect();
+        assert_eq!(asked, ascending, "one payload per station, in order");
+        let snap = n.telemetry().snapshot();
+        assert_eq!(snap.counter(keys::BROADCAST_MSGS), stations as u64);
+        let bytes: usize = (1..=stations).sum();
+        assert_eq!(snap.counter(keys::BROADCAST_BYTES), bytes as u64);
+        let fanouts: Vec<_> = snap
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::BroadcastFanout { stations } => Some(stations),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fanouts, vec![stations as u64]);
+        // Any position in the universe hears at least one station.
         let mut got = Vec::new();
         n.deliver(NodeId(0), Point::new(73.0, 21.0), &mut got);
         assert!(!got.is_empty());
         let (_, broadcasts) = n.take_downlinks();
-        let first = &broadcasts[0].1;
-        assert!(broadcasts.iter().all(|(_, m, _)| Arc::ptr_eq(m, first)));
+        for (k, (s, msg, size)) in broadcasts.iter().enumerate() {
+            assert_eq!((s.0 as usize, msg.0, *size), (k, k + 1, k + 1));
+        }
+    }
+
+    #[test]
+    fn stations_over_inverts_cells_under_for_the_grid_asked_about() {
+        let mut n = net();
+        for alpha in [5.0, 7.5, 5.0] {
+            let grid = Grid::new(Rect::new(0.0, 0.0, 100.0, 100.0), alpha);
+            let layout = n.layout().clone();
+            let over = n.stations_over(&grid);
+            assert_eq!(over.grid(), &grid);
+            for cell in (0..grid.num_cells()).map(|c| grid.cell_at(c)) {
+                let expected: Vec<StationId> = (0..layout.num_stations() as u32)
+                    .map(StationId)
+                    .filter(|&s| layout.cells_under(s, &grid).contains(cell))
+                    .collect();
+                assert_eq!(over.of(cell), expected, "{cell:?} at alpha {alpha}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! coverage radius `alen·√2/2` — the smallest circle that covers its own
 //! lattice square, so the coverage union always contains the universe.
 
-use mobieyes_geo::{Circle, Grid, GridRect, Point, Rect};
+use mobieyes_geo::{CellId, Circle, Grid, GridRect, Point, Rect};
 
 /// Identifier of a base station (index into the lattice, row-major).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -98,6 +98,28 @@ impl BaseStationLayout {
         StationId(y * self.cols + x)
     }
 
+    /// The grid cells under the bounding box of station `s`'s coverage
+    /// circle: every cell an object `s` covers can be in. For every `p`,
+    /// `covers(s, p)` implies `cells_under(s, grid)` contains
+    /// `grid.cell_of(p)`, off-universe positions included: the box corners
+    /// clamp through the same monotone `cell_of`, and a hair of slack
+    /// keeps float rounding inside the exact circle test from admitting a
+    /// point the box excludes. A superset of the covered cells — the
+    /// corner cells may only touch the circle.
+    pub fn cells_under(&self, s: StationId, grid: &Grid) -> GridRect {
+        let circle = self.coverage(s);
+        let c = circle.center;
+        let reach = circle.r + 1e-9 * (1.0 + c.x.abs().max(c.y.abs()));
+        let lo = grid.cell_of(Point::new(c.x - reach, c.y - reach));
+        let hi = grid.cell_of(Point::new(c.x + reach, c.y + reach));
+        GridRect {
+            x0: lo.x,
+            y0: lo.y,
+            x1: hi.x,
+            y1: hi.y,
+        }
+    }
+
     /// `Bmap(i, j)`: all stations whose coverage circle intersects the given
     /// grid cell.
     pub fn bmap(&self, grid: &Grid, cell: mobieyes_geo::CellId) -> Vec<StationId> {
@@ -162,6 +184,59 @@ impl BaseStationLayout {
         }
         debug_assert!(!out.is_empty(), "cover of non-empty region cannot be empty");
         out
+    }
+}
+
+/// The inverse of [`BaseStationLayout::cells_under`] over one grid: for
+/// every cell, the stations whose range holds it, ascending. Built once
+/// per (static) layout and grid.
+#[derive(Debug)]
+pub struct StationsOver {
+    grid: Grid,
+    /// `stations[start[c]..start[c + 1]]` are flat cell `c`'s.
+    start: Vec<u32>,
+    stations: Vec<StationId>,
+}
+
+impl StationsOver {
+    pub(crate) fn new(layout: &BaseStationLayout, grid: &Grid) -> Self {
+        let under: Vec<GridRect> = (0..layout.num_stations() as u32)
+            .map(|s| layout.cells_under(StationId(s), grid))
+            .collect();
+        // Counting sort of the (cell, station) pairs by cell.
+        let mut start = vec![0u32; grid.num_cells() + 1];
+        for cell in under.iter().flat_map(GridRect::iter) {
+            start[grid.flat_index(cell) + 1] += 1;
+        }
+        for c in 1..start.len() {
+            start[c] += start[c - 1];
+        }
+        let mut fill = start.clone();
+        let mut stations = vec![StationId(0); start[grid.num_cells()] as usize];
+        for (s, cells) in under.iter().enumerate() {
+            for cell in cells.iter() {
+                let slot = &mut fill[grid.flat_index(cell)];
+                stations[*slot as usize] = StationId(s as u32);
+                *slot += 1;
+            }
+        }
+        StationsOver {
+            grid: grid.clone(),
+            start,
+            stations,
+        }
+    }
+
+    /// The grid the map was built for.
+    pub(crate) fn grid(&self) -> &Grid {
+        &self.grid
+    }
+
+    /// The stations whose [`cells_under`](BaseStationLayout::cells_under)
+    /// holds `cell`, a cell of the grid, ascending.
+    pub fn of(&self, cell: CellId) -> &[StationId] {
+        let c = self.grid.flat_index(cell);
+        &self.stations[self.start[c] as usize..self.start[c + 1] as usize]
     }
 }
 

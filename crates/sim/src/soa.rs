@@ -242,13 +242,11 @@ impl Deliveries {
     /// (`grid.flat_cell_of(positions[i])`), which is what the mirror
     /// holds once the motion phase ran.
     ///
-    /// A broadcasting station visits the grid cells under the bounding
-    /// box of its coverage circle and applies the exact physical test —
-    /// the same `Circle::contains_point` as `BaseStationLayout::covers` —
-    /// to the agents indexed there. Agents that overshot the universe sit
-    /// in the boundary cell their position clamps to; the box corners
-    /// clamp through the same monotone `cell_of`, so a covered agent's
-    /// cell always lies inside the visited range, wherever it is.
+    /// A broadcasting station visits the grid cells under it
+    /// ([`BaseStationLayout::cells_under`], which holds every covered
+    /// agent's cell, off-universe agents included) and applies the exact
+    /// physical test — the same `Circle::contains_point` as
+    /// `BaseStationLayout::covers` — to the agents indexed there.
     pub fn build(
         &mut self,
         unicast_to: impl Iterator<Item = u32>,
@@ -267,19 +265,15 @@ impl Deliveries {
             self.index_cells(cells, grid.num_cells());
             let cols = grid.cols as usize;
             for run in self.station_runs.chunk_by(|a, b| a.0 == b.0) {
-                let circle = layout.coverage(StationId(run[0].0));
-                let c = circle.center;
-                // The box is only a candidate filter; a hair of slack
-                // keeps float rounding inside the exact test from ever
-                // admitting a point the box excludes.
-                let reach = circle.r + 1e-9 * (1.0 + c.x.abs().max(c.y.abs()));
-                let lo = grid.cell_of(Point::new(c.x - reach, c.y - reach));
-                let hi = grid.cell_of(Point::new(c.x + reach, c.y + reach));
-                for y in lo.y as usize..=hi.y as usize {
+                let station = StationId(run[0].0);
+                let circle = layout.coverage(station);
+                // The box is only a candidate filter.
+                let under = layout.cells_under(station, grid);
+                for y in under.y0 as usize..=under.y1 as usize {
                     // A row's cells are adjacent in the flat order, so
                     // their agents are one contiguous slice of the index.
-                    let first = self.cell_start[y * cols + lo.x as usize] as usize;
-                    let end = self.cell_start[y * cols + hi.x as usize + 1] as usize;
+                    let first = self.cell_start[y * cols + under.x0 as usize] as usize;
+                    let end = self.cell_start[y * cols + under.x1 as usize + 1] as usize;
                     for &agent in &self.cell_agents[first..end] {
                         if circle.contains_point(positions[agent as usize]) {
                             self.pairs.extend(run.iter().map(|&(_, k)| (agent, nu + k)));

@@ -97,7 +97,7 @@ pin "counter pin (store, single server)" "store.appends store.bytes srv.leases_e
 pin "beacon path pin (single server)" "agent.resync_requests agent.lqt_syncs \
 agent.stale_discarded srv.lqt_syncs srv.resync_replies srv.stale_results_purged srv.heartbeats" \
   "19638 48655 26734 46027 18498 69 13"
-pin "cost model pin (single server chaos)" "$net_bytes" "2662982 7532976 768016020"
+pin "cost model pin (single server chaos)" "$net_bytes" "2662982 7532976 9280532"
 journal_pin "journal pin (single server)" "5 1086384886 3299208"
 rm -rf "$pin_out" "$pin_store"
 unset -f pin_run journal_pin
