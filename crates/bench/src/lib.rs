@@ -24,17 +24,18 @@ pub fn quick() -> bool {
 }
 
 /// Host-provenance JSON fields every `BENCH_*.json` embeds: the machine's
-/// core count and the `MOBIEYES_THREADS` setting the run used (`"auto"`
-/// when unset). Returned as a fragment — `"host_cores": 8,
-/// "mobieyes_threads": "4"` — for splicing into a JSON object.
+/// core count, the `MOBIEYES_THREADS` setting the run used (`"auto"`
+/// when unset) and the transport, always `"lockstep"` (the figures run
+/// in-process partitions). Returned as a fragment — `"host_cores": 8,
+/// "mobieyes_threads": "4", "transport": "lockstep"` — for splicing into
+/// a JSON object.
 pub fn host_fields() -> String {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let threads = std::env::var("MOBIEYES_THREADS").unwrap_or_else(|_| "auto".to_string());
-    let transport = std::env::var("MOBIEYES_TRANSPORT").unwrap_or_else(|_| "lockstep".to_string());
     format!(
-        "\"host_cores\": {cores}, \"mobieyes_threads\": \"{threads}\", \"transport\": \"{transport}\""
+        "\"host_cores\": {cores}, \"mobieyes_threads\": \"{threads}\", \"transport\": \"lockstep\""
     )
 }
 

@@ -40,10 +40,7 @@ use mobieyes_core::{
 };
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
 use mobieyes_net::TransportError;
-use mobieyes_net::{
-    BaseStationLayout, FaultPlan, FramedConn, LockstepTransport, MessageMeter, NodeId,
-    SocketTransport, Transport, WireSized,
-};
+use mobieyes_net::{BaseStationLayout, FramedConn, MessageMeter, NetworkSim, NodeId, WireSized};
 use mobieyes_store::{self as store, Store};
 use mobieyes_telemetry::{rebal_keys, rec_keys, rpc_keys, EventKind, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
@@ -167,7 +164,10 @@ pub struct ClusterServer {
     /// The `srv.*` counters the coordinator's sequences count, published
     /// into `shared` with the partitions' counters.
     tally: ServerTally,
-    bus: Box<dyn Transport<Envelope>>,
+    /// The inter-server bus: the uplink path of a lock-step network. A
+    /// pump delivers every envelope sent since the last one, in send
+    /// order.
+    bus: NetworkSim<Envelope, Envelope>,
     /// The bus records into its own sink so cluster-transport metrics
     /// never leak into the protocol snapshot (which must compare equal
     /// across partition counts).
@@ -228,40 +228,8 @@ pub struct ClusterServer {
 }
 
 impl ClusterServer {
-    /// An all-local deployment over the deterministic lock-step bus — the
-    /// original configuration, byte-identical to the single server.
+    /// An all-local deployment: byte-identical to the single server.
     pub fn new(config: Arc<ProtocolConfig>, n: usize, shared: Telemetry) -> Self {
-        let bus_sink = Telemetry::new();
-        let bus = LockstepTransport::new(BaseStationLayout::new(
-            config.grid.universe,
-            config.grid.alpha,
-        ))
-        .with_telemetry(bus_sink.clone());
-        Self::new_local_with_bus(config, n, shared, Box::new(bus), bus_sink)
-    }
-
-    /// An all-local deployment whose inter-server envelopes ride a real
-    /// loopback socket (`alen` is only used for the lock-step layout, so
-    /// any [`Transport`] with the contract's ordering works). Every frame
-    /// crosses the kernel: same results, real framing.
-    pub fn new_over_socket(
-        config: Arc<ProtocolConfig>,
-        n: usize,
-        shared: Telemetry,
-        bus: SocketTransport<Envelope>,
-    ) -> Self {
-        let bus_sink = Telemetry::new();
-        let bus = bus.with_telemetry(bus_sink.clone());
-        Self::new_local_with_bus(config, n, shared, Box::new(bus), bus_sink)
-    }
-
-    fn new_local_with_bus(
-        config: Arc<ProtocolConfig>,
-        n: usize,
-        shared: Telemetry,
-        bus: Box<dyn Transport<Envelope>>,
-        bus_sink: Telemetry,
-    ) -> Self {
         let map = PartitionMap::contiguous(&config.grid, n);
         let epoch = Arc::new(AtomicU64::new(0));
         let sinks: Vec<Telemetry> = (0..n).map(|_| Telemetry::new()).collect();
@@ -270,9 +238,7 @@ impl ClusterServer {
             .map(|p| PartitionHandle::Local(Box::new(local(p))))
             .collect();
         let alen = config.grid.alpha;
-        Self::assemble(
-            config, map, partitions, sinks, shared, bus, bus_sink, epoch, alen,
-        )
+        Self::assemble(config, map, partitions, sinks, shared, epoch, alen)
     }
 
     /// A multi-process deployment: each connection drives one partition
@@ -311,42 +277,29 @@ impl ClusterServer {
                 PartitionHandle::Remote(Box::new(remote))
             })
             .collect();
-        let bus_sink = Telemetry::new();
-        let bus = LockstepTransport::new(BaseStationLayout::new(
-            config.grid.universe,
-            config.grid.alpha,
-        ))
-        .with_telemetry(bus_sink.clone());
-        let mut this = Self::assemble(
-            config,
-            map,
-            partitions,
-            sinks,
-            shared,
-            Box::new(bus),
-            bus_sink,
-            epoch,
-            alen,
-        );
+        let mut this = Self::assemble(config, map, partitions, sinks, shared, epoch, alen);
         this.store_root = store_root;
         this
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         config: Arc<ProtocolConfig>,
         map: PartitionMap,
         partitions: Vec<PartitionHandle>,
         sinks: Vec<Telemetry>,
         shared: Telemetry,
-        bus: Box<dyn Transport<Envelope>>,
-        bus_sink: Telemetry,
         epoch: Arc<AtomicU64>,
         alen: f64,
     ) -> Self {
         let n = partitions.len();
         let cells = config.grid.num_cells();
         let quiet = Net::new(BaseStationLayout::new(config.grid.universe, alen));
+        let bus_sink = Telemetry::new();
+        let bus = NetworkSim::new(BaseStationLayout::new(
+            config.grid.universe,
+            config.grid.alpha,
+        ))
+        .with_telemetry(bus_sink.clone());
         ClusterServer {
             config,
             map,
@@ -434,11 +387,6 @@ impl ClusterServer {
         self.partitions.iter().zip(probes).map(finish).collect()
     }
 
-    /// The backend carrying the inter-server bus.
-    pub fn bus_kind(&self) -> &'static str {
-        self.bus.kind()
-    }
-
     pub fn partition_map(&self) -> &PartitionMap {
         &self.map
     }
@@ -448,15 +396,10 @@ impl ClusterServer {
         self.bus.meter()
     }
 
-    /// The bus's private telemetry sink (fault events, byte counters).
+    /// The bus's private telemetry sink (byte counters, fence and RPC
+    /// counts).
     pub fn bus_telemetry(&self) -> &Telemetry {
         &self.bus_sink
-    }
-
-    /// Injects a fault plan on the server↔server links: handoff and stub
-    /// traffic gets dropped/duplicated like any other message.
-    pub fn set_bus_fault(&mut self, plan: FaultPlan) {
-        self.bus.set_fault(plan);
     }
 
     // --- durable trajectory logs (DESIGN.md §14) --------------------------
@@ -634,13 +577,10 @@ impl ClusterServer {
     fn pump_bus(&mut self) {
         for p in 0..self.partitions.len() {
             for (to, msg) in self.partitions[p].take_outbox() {
-                self.bus
-                    .send(NodeId(p as u32), Envelope { to, msg })
-                    .expect("bus send failed");
+                self.bus.send_uplink(NodeId(p as u32), Envelope { to, msg });
             }
         }
-        self.bus.flush().expect("bus flush failed");
-        for (_, env) in self.bus.poll().expect("bus poll failed") {
+        for (_, env) in self.bus.drain_uplinks() {
             // Never deliver to a down partition: a remote would silently
             // drop the frame; a killed local slot holds a fresh empty
             // server that must not adopt migrated state. Captured frames
@@ -821,14 +761,10 @@ impl ClusterServer {
     /// The epoch fence: the one way cells change owner. `new_bounds` is
     /// the plan — a load rebalance, a failover or a re-adoption differ
     /// only in how they computed it — and `body` moves (or rebuilds) the
-    /// state of the cells it reassigns, returning `false` once a peer
-    /// died under one of its bus sends. The sequence:
+    /// state of the cells it reassigns. The sequence:
     ///
     /// 1. quiesce — drain every in-flight envelope against the old owner
-    ///    table, so no transfer straddles two generations, and suspend
-    ///    the bus fault plan: fence traffic is a coordinator control
-    ///    action whose loss would break the byte-identity with the single
-    ///    server, unlike data-path handoffs which lease-repair;
+    ///    table, so no transfer straddles two generations;
     /// 2. liveness scan — a peer that died mid-tick has a classified dead
     ///    handle, and fencing around a corpse would strand its exports:
     ///    the fence aborts with the old generation installed (`None`) and
@@ -844,7 +780,7 @@ impl ClusterServer {
     ///    any other generation;
     /// 5. the body;
     /// 6. prune the stubs whose monitoring region left a shrunk span,
-    ///    restore the fault plan, restart the load observation window.
+    ///    restart the load observation window.
     ///
     /// A slot fenced off as dead is inert in every round: a dead remote
     /// handle puts nothing on the wire, and a killed in-process slot holds
@@ -852,12 +788,10 @@ impl ClusterServer {
     fn fence(
         &mut self,
         new_bounds: &[usize],
-        body: impl FnOnce(&mut Self, &Fence) -> bool,
+        body: impl FnOnce(&mut Self, &Fence),
     ) -> Option<Fence> {
         debug_assert!(self.lane.is_empty(), "a fence inside a tick");
         self.pump_bus();
-        let saved_fault = self.bus.fault().clone();
-        self.bus.set_fault(FaultPlan::none());
         let fence = if self.peer_died() {
             None
         } else {
@@ -872,18 +806,16 @@ impl ClusterServer {
                 moves,
                 completed: false,
             };
-            if body(self, &fence) {
-                self.pump_bus();
-                self.fan_out_mut::<()>(&LogRecord::PruneStubs);
-                // A handle death reaches no bus send on a lock-step bus:
-                // the dead handle's rounds just came back empty.
-                fence.completed = !self.peer_died();
-            }
+            body(self, &fence);
+            self.pump_bus();
+            self.fan_out_mut::<()>(&LogRecord::PruneStubs);
+            // A handle death reaches no bus send: the dead handle's
+            // rounds just came back empty.
+            fence.completed = !self.peer_died();
             // Ownership moved: the load observation window restarts.
             self.cell_ops.fill(0);
             Some(fence)
         };
-        self.bus.set_fault(saved_fault);
         self.merge_sinks();
         fence
     }
@@ -910,17 +842,10 @@ impl ClusterServer {
     /// One pipelined round of fence transfers `(from, to, what)`: every
     /// `from` partition cuts its message concurrently — all requests
     /// start before the first reply is awaited — then the bus carries the
-    /// messages in round order, the same traffic as a sequential pass.
-    /// Failure is classified the way the RPC path does: peer death
-    /// records an abort and stops the round (the next `recover_crashed`
-    /// pass fences the corpse and failover repairs the lost rows) instead
-    /// of killing the coordinator mid-fence; anything else is a protocol
-    /// bug and still panics.
-    fn transfer_round<K>(
-        &mut self,
-        round: &[(u32, u32, K)],
-        cut: impl Fn(&K) -> LogRecord,
-    ) -> bool {
+    /// messages in round order, the same traffic as a sequential pass. A
+    /// dead handle cuts nothing; the fence notices it through
+    /// [`Self::peer_died`].
+    fn transfer_round<K>(&mut self, round: &[(u32, u32, K)], cut: impl Fn(&K) -> LogRecord) {
         let mut probes: Vec<Probe<Option<ClusterMsg>>> = Vec::with_capacity(round.len());
         for (from, _, what) in round {
             probes.push(self.partitions[*from as usize].start_apply(&cut(what), &mut self.quiet));
@@ -930,17 +855,10 @@ impl ClusterServer {
             msgs.push((*from, *to, self.partitions[*from as usize].finish(pr)));
         }
         for (from, to, msg) in msgs {
-            let Some(msg) = msg else { continue };
-            match self.bus.send(NodeId(from), Envelope { to, msg }) {
-                Ok(()) => {}
-                Err(e) if e.is_peer_death() => {
-                    self.fence_abort(to);
-                    return false;
-                }
-                Err(e) => panic!("bus send failed during a fence: {e}"),
+            if let Some(msg) = msg {
+                self.bus.send_uplink(NodeId(from), Envelope { to, msg });
             }
         }
-        true
     }
 
     /// The fence body that moves live state (rebalance, re-adoption). The
@@ -949,7 +867,7 @@ impl ClusterServer {
     /// `(from, to)` pair in ascending partition order; then the focal
     /// objects whose anchor cell changed owner are rehomed in ascending
     /// object id through the ordinary `MigrateFocal` machinery.
-    fn transfer(&mut self, fence: &Fence) -> bool {
+    fn transfer(&mut self, fence: &Fence) {
         let exports: Vec<(u32, u32, &[usize])> = fence
             .moves
             .iter()
@@ -960,9 +878,7 @@ impl ClusterServer {
             flats: flats.iter().map(|&f| f as u32).collect(),
             generation,
         };
-        if !self.transfer_round(&exports, export) {
-            return false;
-        }
+        self.transfer_round(&exports, export);
         self.pump_bus();
 
         let ids: Vec<Vec<ObjectId>> = self.fan_out(&PartitionOp::FocalIds);
@@ -984,7 +900,7 @@ impl ClusterServer {
             }
         }
         rehome.sort_unstable_by_key(|&(_, _, oid)| oid);
-        self.transfer_round(&rehome, |&oid| LogRecord::ExtractFocal(oid))
+        self.transfer_round(&rehome, |&oid| LogRecord::ExtractFocal(oid));
     }
 
     /// Load-aware partition rebalancing: recomputes the block bounds from
@@ -1125,8 +1041,7 @@ impl ClusterServer {
             ..RecoveryReport::default()
         };
         let fenced = self.fence(&new_bounds, |this, fence| {
-            this.recover(fence, net, &mut report);
-            true
+            this.recover(fence, net, &mut report)
         });
         if fenced.is_none() {
             self.unfenced = report.partitions;
@@ -1537,8 +1452,6 @@ impl Mediator for ClusterServer {
     }
 
     /// The border handoff: the old home cuts a `MigrateFocal` onto the bus.
-    /// Under a faulty bus the migration may be lost, leaving the object
-    /// homeless until lease expiry repairs it, like any other lost state.
     fn migrate_focal(
         &mut self,
         oid: ObjectId,
@@ -1551,9 +1464,7 @@ impl Mediator for ClusterServer {
             return Some(from);
         };
         let envelope = Envelope { to: to as u32, msg };
-        self.bus
-            .send(NodeId(from as u32), envelope)
-            .expect("bus send failed");
+        self.bus.send_uplink(NodeId(from as u32), envelope);
         self.pump_bus();
         self.focal_home(oid)
     }
@@ -1664,17 +1575,13 @@ mod tests {
         // Flat 250 = cell (10, 12), owned by partition 2 under the
         // contiguous map; after the midpoint split it belongs to 3.
         let cell = cluster.config.grid.cell_from_flat(250);
-        cluster
-            .bus
-            .send(
-                NodeId(0),
-                Envelope {
-                    to: 2,
-                    msg: migrate_msg(7, 3, cell),
-                },
-            )
-            .expect("bus send");
-        cluster.bus.flush().expect("bus flush");
+        cluster.bus.send_uplink(
+            NodeId(0),
+            Envelope {
+                to: 2,
+                msg: migrate_msg(7, 3, cell),
+            },
+        );
         cluster.kill_partition(2);
         let report = cluster
             .recover_crashed(&mut net)

@@ -3,7 +3,7 @@
 //! Splits the α-grid into contiguous blocks of cells owned by independent
 //! partition servers, routes each agent uplink to the partition owning the
 //! sender's cell, and runs an inter-server handoff protocol (focal-object
-//! migration + remote-region stubs) over a deterministic, fault-injectable
+//! migration + remote-region stubs) over a deterministic lock-step
 //! message bus so that an N-partition deployment produces byte-identical
 //! query results and telemetry to the single-server protocol.
 

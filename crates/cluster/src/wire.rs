@@ -26,8 +26,7 @@
 //! Replies also carry every side effect the operation produced:
 //!
 //! - the partition's inter-server outbox (bus envelopes the coordinator
-//!   feeds through its [`Transport`](mobieyes_net::Transport), so fault
-//!   plans apply uniformly to local and remote partitions),
+//!   pumps through its bus exactly like a local partition's),
 //! - the downlink traffic the operation emitted ([`NetAction`]), which the
 //!   coordinator replays onto the real agent network in operation order,
 //!   and
@@ -45,7 +44,7 @@ use mobieyes_core::codec::{self, get_n, DecodeError, Put, Reader, Wire};
 pub use mobieyes_core::ReplyPayload;
 use mobieyes_core::{ClusterMsg, Downlink, HomeChange, LogRecord, ObjectId, Propagation, QueryId};
 use mobieyes_geo::Rect;
-use mobieyes_net::{Frame, Routed, TransportError};
+use mobieyes_net::TransportError;
 
 mobieyes_core::wire!(
     struct Envelope {
@@ -53,22 +52,6 @@ mobieyes_core::wire!(
         msg: ClusterMsg,
     }
 );
-
-impl Frame for Envelope {
-    fn encode_frame(&self, out: &mut Vec<u8>) {
-        self.put(out);
-    }
-
-    fn decode_frame(bytes: &[u8]) -> Result<Self> {
-        decode_frame(bytes, "envelope")
-    }
-}
-
-impl Routed for Envelope {
-    fn dest(&self) -> u32 {
-        self.to
-    }
-}
 
 type Result<T> = std::result::Result<T, TransportError>;
 
@@ -1001,7 +984,6 @@ pub(crate) mod tests {
 
     #[test]
     fn envelope_frame_roundtrip() {
-        use mobieyes_net::Frame;
         let env = Envelope {
             to: 3,
             msg: ClusterMsg::StubRemove {
@@ -1016,12 +998,12 @@ pub(crate) mod tests {
             },
         };
         let mut bytes = Vec::new();
-        env.encode_frame(&mut bytes);
+        env.put(&mut bytes);
         use mobieyes_net::WireSized;
         assert_eq!(bytes.len(), env.wire_size());
-        let back = Envelope::decode_frame(&bytes).expect("decodes");
+        let back = decode_frame::<Envelope>(&bytes, "envelope").expect("decodes");
         assert_eq!(back.to, env.to);
         assert_eq!(back.msg, env.msg);
-        assert!(Envelope::decode_frame(&bytes[..bytes.len() - 1]).is_err());
+        assert!(decode_frame::<Envelope>(&bytes[..bytes.len() - 1], "envelope").is_err());
     }
 }

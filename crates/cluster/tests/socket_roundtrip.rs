@@ -1,16 +1,17 @@
-//! Loopback socket round-trips for the cluster bus.
+//! Loopback socket round-trips of the cluster's handoff messages.
 //!
-//! Every [`ClusterMsg`] variant (populated and edge-case-empty) rides a
-//! real kernel socket — both families — inside an [`Envelope`] and must
-//! come back bit-identical, with the transport's in-flight accounting
-//! returning exactly the frames sent. A separate case dribbles frames
-//! across arbitrary write boundaries to prove reassembly does not depend
-//! on read alignment.
+//! Every [`ClusterMsg`] variant (populated and edge-case-empty) is encoded
+//! inside an [`Envelope`], written as one [`FramedConn`] frame over a real
+//! kernel socket — both families — read back and decoded, and must come
+//! back bit-identical with no byte left over. A separate case dribbles
+//! frames across arbitrary write boundaries to prove reassembly does not
+//! depend on read alignment.
 
 use mobieyes_cluster::Envelope;
+use mobieyes_core::codec::{Reader, Wire};
 use mobieyes_core::{ClusterMsg, Filter, ObjectId, QueryId, QueryMigration, QuerySpec, StubSeed};
 use mobieyes_geo::{CellId, GridRect, LinearMotion, Point, QueryRegion, Vec2};
-use mobieyes_net::{Endpoint, FramedConn, Listener, NodeId, SocketTransport, Transport};
+use mobieyes_net::{Endpoint, FramedConn, Listener};
 use std::sync::Arc;
 
 fn motion() -> LinearMotion {
@@ -137,35 +138,54 @@ fn sample_msgs() -> Vec<ClusterMsg> {
     ]
 }
 
-/// Sends every sample through `bus` and asserts the poll returns each
-/// frame once, in order, bit-identical, addressed as sent.
-fn roundtrip_all(mut bus: SocketTransport<Envelope>) {
-    let samples = sample_msgs();
-    for (i, msg) in samples.iter().enumerate() {
-        bus.send(
-            NodeId(i as u32),
-            Envelope {
-                to: (i as u32) % 4,
-                msg: msg.clone(),
-            },
-        )
-        .expect("send");
+/// The sample envelopes: message `i` addressed to partition `i % 4`.
+fn sample_envelopes() -> Vec<Envelope> {
+    let to = |i: usize| (i as u32) % 4;
+    let envelope = |(i, msg): (usize, ClusterMsg)| Envelope { to: to(i), msg };
+    sample_msgs()
+        .into_iter()
+        .enumerate()
+        .map(envelope)
+        .collect()
+}
+
+fn encode(env: &Envelope) -> Vec<u8> {
+    let mut body = Vec::new();
+    env.put(&mut body);
+    body
+}
+
+/// Decodes one frame back into its envelope; every byte must be consumed.
+fn decode(frame: &[u8]) -> Envelope {
+    let mut buf = Reader::new(frame);
+    let env = Envelope::get(&mut buf).expect("envelope decodes");
+    assert_eq!(buf.remaining(), 0, "no bytes trail the envelope");
+    env
+}
+
+/// Writes every sample envelope as one frame over `endpoint` and asserts
+/// each is read back once, in order, bit-identical, addressed as sent.
+fn roundtrip_all(endpoint: Endpoint) {
+    let listener = Listener::bind(&endpoint).expect("bind");
+    let stream = listener.local_endpoint().expect("endpoint").connect();
+    let mut tx = FramedConn::new(stream.expect("connect"));
+    let mut rx = FramedConn::new(listener.accept().expect("accept"));
+    let samples = sample_envelopes();
+    for env in &samples {
+        tx.write_frame(&encode(env)).expect("write_frame");
     }
-    bus.flush().expect("flush");
-    let received = bus.poll().expect("poll");
-    assert_eq!(received.len(), samples.len(), "every frame comes back");
-    for (i, (from, envelope)) in received.iter().enumerate() {
-        assert_eq!(from.0, i as u32, "sender id survives the wire");
-        assert_eq!(envelope.to, (i as u32) % 4, "destination survives");
-        assert_eq!(&envelope.msg, &samples[i], "payload {i} survives");
+    tx.flush().expect("flush");
+    for (i, sent) in samples.iter().enumerate() {
+        let back = decode(&rx.read_frame().expect("read_frame"));
+        assert_eq!(back.to, sent.to, "destination {i} survives");
+        assert_eq!(back.msg, sent.msg, "payload {i} survives");
     }
-    // A drained bus polls empty (in-flight accounting reached zero).
-    assert!(bus.poll().expect("empty poll").is_empty());
+    assert!(!rx.has_buffered_frame(), "every frame was read once");
 }
 
 #[test]
 fn every_cluster_msg_roundtrips_over_tcp() {
-    roundtrip_all(SocketTransport::loopback_tcp().expect("tcp pair"));
+    roundtrip_all(Endpoint::Tcp("127.0.0.1:0".into()));
 }
 
 #[test]
@@ -173,7 +193,7 @@ fn every_cluster_msg_roundtrips_over_uds() {
     // One path per call site: tests of this binary share a pid.
     let path =
         std::env::temp_dir().join(format!("mobieyes-rt-{}-every-msg.sock", std::process::id()));
-    roundtrip_all(SocketTransport::loopback_uds(&path).expect("uds pair"));
+    roundtrip_all(Endpoint::Uds(path));
 }
 
 /// splitmix64: deterministic chunk sizes for the dribble test.
@@ -198,21 +218,8 @@ fn frames_reassemble_across_split_writes() {
 
     let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
     let endpoint = listener.local_endpoint().expect("endpoint");
-    let samples = sample_msgs();
-    let payloads: Vec<Vec<u8>> = samples
-        .iter()
-        .enumerate()
-        .map(|(i, msg)| {
-            use mobieyes_net::Frame;
-            let mut body = Vec::new();
-            Envelope {
-                to: i as u32,
-                msg: msg.clone(),
-            }
-            .encode_frame(&mut body);
-            body
-        })
-        .collect();
+    let samples = sample_envelopes();
+    let payloads: Vec<Vec<u8>> = samples.iter().map(encode).collect();
 
     let writer = std::thread::spawn({
         let payloads = payloads.clone();
@@ -239,9 +246,11 @@ fn frames_reassemble_across_split_writes() {
     });
 
     let mut conn = FramedConn::new(listener.accept().expect("accept"));
-    for (i, expected) in payloads.iter().enumerate() {
+    for (i, (expected, sent)) in payloads.iter().zip(&samples).enumerate() {
         let frame = conn.read_frame().expect("read_frame");
         assert_eq!(&frame, expected, "frame {i} reassembles bit-identically");
+        let back = decode(&frame);
+        assert_eq!((back.to, &back.msg), (sent.to, &sent.msg), "envelope {i}");
     }
     drop(writer.join().expect("writer thread"));
 }

@@ -31,6 +31,6 @@ pub use fault::{ChurnPlan, FaultPlan, PartitionCrashPlan, TornWritePlan};
 pub use meter::{Direction, MessageMeter};
 pub use radio::RadioModel;
 pub use sim::{NetworkSim, NodeId, WireSized};
-pub use socket::{Endpoint, FramedConn, Listener, SocketTransport, Stream, MAX_FRAME};
+pub use socket::{Endpoint, FramedConn, Listener, Stream, MAX_FRAME};
 pub use station::{BaseStationLayout, StationId, StationsOver};
-pub use transport::{Frame, LockstepTransport, Routed, Transport, TransportError};
+pub use transport::TransportError;

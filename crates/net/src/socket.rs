@@ -1,6 +1,5 @@
-//! Real socket backends: length-prefixed framing over TCP or Unix-domain
-//! streams, the [`SocketTransport`] bus implementation, and the framed
-//! connection primitive the cluster RPC layer builds on.
+//! Real sockets: length-prefixed framing over TCP or Unix-domain streams
+//! — the framed connection primitive the cluster RPC layer builds on.
 //!
 //! ## Framing
 //!
@@ -21,15 +20,10 @@
 //! ## Delivery guarantees
 //!
 //! TCP and Unix-domain streams are reliable and ordered, so a
-//! [`SocketTransport`] delivers every sent frame exactly once, in send
-//! order — message loss exists only where a [`FaultPlan`] injects it,
-//! which keeps chaos semantics identical across backends.
+//! [`FramedConn`] delivers every written frame exactly once, in write
+//! order.
 
-use crate::fault::FaultPlan;
-use crate::meter::{keys, Direction, MessageMeter};
-use crate::sim::NodeId;
-use crate::transport::{Frame, Transport, TransportError};
-use mobieyes_telemetry::Telemetry;
+use crate::transport::TransportError;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -67,8 +61,8 @@ impl Endpoint {
         }
     }
 
-    /// Opens a client connection (TCP gets `TCP_NODELAY`: the bus and RPC
-    /// layers are latency-bound request/response traffic).
+    /// Opens a client connection (TCP gets `TCP_NODELAY`: the RPC layer
+    /// is latency-bound request/response traffic).
     pub fn connect(&self) -> Result<Stream, TransportError> {
         match self {
             Endpoint::Tcp(addr) => {
@@ -313,14 +307,7 @@ impl FramedConn {
 
     /// Queues one frame (length prefix + payload) for sending.
     pub fn write_frame(&mut self, payload: &[u8]) -> Result<(), TransportError> {
-        self.write_frame_parts(&[], payload)
-    }
-
-    /// Queues one frame whose payload is `head` followed by `body` —
-    /// callers with a fixed header (e.g. a node-id prefix) avoid
-    /// assembling a temporary contiguous payload first.
-    pub fn write_frame_parts(&mut self, head: &[u8], body: &[u8]) -> Result<(), TransportError> {
-        let len = head.len() + body.len();
+        let len = payload.len();
         if len > MAX_FRAME {
             return Err(TransportError::Oversize {
                 len,
@@ -328,8 +315,7 @@ impl FramedConn {
             });
         }
         self.wbuf.extend_from_slice(&(len as u32).to_le_bytes());
-        self.wbuf.extend_from_slice(head);
-        self.wbuf.extend_from_slice(body);
+        self.wbuf.extend_from_slice(payload);
         Ok(())
     }
 
@@ -445,157 +431,6 @@ impl FramedConn {
         Ok(u32::from_le_bytes(
             payload[5..9].try_into().expect("4 bytes"),
         ))
-    }
-}
-
-/// The socket-backed bus: frames travel through a real kernel socket pair
-/// (loopback TCP or a Unix-domain socket) instead of an in-memory queue.
-///
-/// The cluster bus topology is coordinator-centric — the coordinator is
-/// both the only sender and the only receiver — so the transport tracks
-/// how many frames are in flight and [`SocketTransport::poll`] reads until
-/// it has them all. That preserves the lock-step guarantee ("poll returns
-/// everything previously sent") over a medium with real buffering.
-#[derive(Debug)]
-pub struct SocketTransport<M> {
-    tx: FramedConn,
-    rx: FramedConn,
-    in_flight: usize,
-    fault: FaultPlan,
-    telemetry: Telemetry,
-    sent_by_node: Vec<u64>,
-    kind: &'static str,
-    /// Reusable encode scratch: one message body per `send`, cleared and
-    /// refilled in place so steady-state sending allocates nothing.
-    encode_buf: Vec<u8>,
-    /// Reusable receive scratch for `poll`'s frame reads.
-    frame_buf: Vec<u8>,
-    _msg: std::marker::PhantomData<M>,
-}
-
-impl<M: Frame> SocketTransport<M> {
-    /// A bus over a fresh loopback TCP socket pair (an OS-assigned port on
-    /// 127.0.0.1, `TCP_NODELAY` on both ends).
-    pub fn loopback_tcp() -> Result<Self, TransportError> {
-        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into()))?;
-        let tx = listener.local_endpoint()?.connect()?;
-        let rx = listener.accept()?;
-        Ok(Self::from_streams(tx, rx, "tcp"))
-    }
-
-    /// A bus over a fresh Unix-domain socket pair at `path`.
-    pub fn loopback_uds(path: &std::path::Path) -> Result<Self, TransportError> {
-        let listener = Listener::bind(&Endpoint::Uds(path.to_path_buf()))?;
-        let tx = listener.local_endpoint()?.connect()?;
-        let rx = listener.accept()?;
-        Ok(Self::from_streams(tx, rx, "uds"))
-    }
-
-    /// Builds a bus from an already-connected send/receive stream pair.
-    pub fn from_streams(tx: Stream, rx: Stream, kind: &'static str) -> Self {
-        SocketTransport {
-            tx: FramedConn::new(tx),
-            rx: FramedConn::new(rx),
-            in_flight: 0,
-            fault: FaultPlan::none(),
-            telemetry: Telemetry::new(),
-            sent_by_node: Vec::new(),
-            kind,
-            encode_buf: Vec::new(),
-            frame_buf: Vec::new(),
-            _msg: std::marker::PhantomData,
-        }
-    }
-
-    /// Records traffic into a shared telemetry sink (builder style).
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    fn write_one(
-        tx: &mut FramedConn,
-        in_flight: &mut usize,
-        from: NodeId,
-        body: &[u8],
-    ) -> Result<(), TransportError> {
-        tx.write_frame_parts(&from.0.to_le_bytes(), body)?;
-        *in_flight += 1;
-        Ok(())
-    }
-}
-
-impl<M: Frame> Transport<M> for SocketTransport<M> {
-    fn send(&mut self, from: NodeId, msg: M) -> Result<(), TransportError> {
-        let bytes = msg.wire_size();
-        let (msgs_key, bytes_key) = Direction::Uplink.counter_keys();
-        self.telemetry.incr(msgs_key);
-        self.telemetry.add(bytes_key, bytes as u64);
-        let node = from.0 as usize;
-        if self.sent_by_node.len() <= node {
-            self.sent_by_node.resize(node + 1, 0);
-        }
-        self.sent_by_node[node] += bytes as u64;
-        self.encode_buf.clear();
-        msg.encode_frame(&mut self.encode_buf);
-        debug_assert_eq!(
-            self.encode_buf.len(),
-            bytes,
-            "wire_size must match encoding"
-        );
-        match self.fault.copies() {
-            0 => self.telemetry.incr(keys::FAULT_UPLINK_DROPPED),
-            1 => Self::write_one(&mut self.tx, &mut self.in_flight, from, &self.encode_buf)?,
-            _ => {
-                self.telemetry.incr(keys::FAULT_UPLINK_DUPLICATED);
-                Self::write_one(&mut self.tx, &mut self.in_flight, from, &self.encode_buf)?;
-                Self::write_one(&mut self.tx, &mut self.in_flight, from, &self.encode_buf)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<(), TransportError> {
-        self.tx.flush()
-    }
-
-    fn poll(&mut self) -> Result<Vec<(NodeId, M)>, TransportError> {
-        self.tx.flush()?;
-        let mut out = Vec::with_capacity(self.in_flight);
-        while self.in_flight > 0 {
-            self.rx.read_frame_into(&mut self.frame_buf)?;
-            let frame = &self.frame_buf;
-            if frame.len() < 4 {
-                return Err(TransportError::Frame(
-                    "bus frame too short for its node-id header".into(),
-                ));
-            }
-            let from = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes"));
-            let msg = M::decode_frame(&frame[4..])?;
-            out.push((NodeId(from), msg));
-            self.in_flight -= 1;
-        }
-        Ok(out)
-    }
-
-    fn set_fault(&mut self, plan: FaultPlan) {
-        self.fault = plan;
-    }
-
-    fn fault(&self) -> &FaultPlan {
-        &self.fault
-    }
-
-    fn meter(&self) -> MessageMeter {
-        MessageMeter::from_snapshot(
-            &self.telemetry.snapshot(),
-            self.sent_by_node.clone(),
-            Vec::new(),
-        )
-    }
-
-    fn kind(&self) -> &'static str {
-        self.kind
     }
 }
 

@@ -104,6 +104,7 @@ pub fn run_approach_with(config: SimConfig, approach: Approach, telemetry: Telem
             let mut sim = MobiEyesSim::with_telemetry(config, telemetry.clone());
             let metrics = sim.run();
             bus_snapshot = sim.bus_snapshot();
+            sim.shutdown();
             metrics
         }
         Approach::MobiEyesLqp => {
@@ -113,6 +114,7 @@ pub fn run_approach_with(config: SimConfig, approach: Approach, telemetry: Telem
             );
             let metrics = sim.run();
             bus_snapshot = sim.bus_snapshot();
+            sim.shutdown();
             metrics
         }
         Approach::Naive => {

@@ -3,17 +3,18 @@
 use crate::mobility::MobilityKind;
 use mobieyes_core::Propagation;
 
-/// Backend for the cluster tier's inter-server bus.
+/// How the cluster tier reaches its partitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// Deterministic in-memory lock-step bus (the default; byte-identical
+    /// In-process partitions called directly (the default; byte-identical
     /// to the single server at any partition count).
     #[default]
     Lockstep,
-    /// Loopback TCP socket: every bus frame crosses the kernel with real
-    /// length-prefixed framing.
+    /// Partition services hosted on threads of this process, reached over
+    /// loopback TCP: every partition op crosses the kernel as a framed RPC.
     Tcp,
-    /// Loopback Unix-domain socket; same framing as TCP.
+    /// Thread-hosted partition services over Unix-domain sockets; same
+    /// framing as TCP.
     Uds,
 }
 
@@ -230,11 +231,11 @@ pub struct SimConfig {
     /// never changes query results — only the load split (see
     /// [`resolved_rebalance_ticks`](Self::resolved_rebalance_ticks)).
     pub rebalance_ticks: usize,
-    /// Inter-server bus backend for the cluster tier. `None` (the
-    /// default) means auto: the `MOBIEYES_TRANSPORT` environment variable
-    /// if set, otherwise lock-step. Ignored on the single-server path;
-    /// results are identical on every backend (see
-    /// [`resolved_transport`](Self::resolved_transport)).
+    /// How the cluster tier reaches its partitions. `None` (the default)
+    /// means lock-step in-process partitions; `tcp` / `uds` host one
+    /// partition service per partition on a thread and drive it over a
+    /// socket. Ignored on the single-server path; results are identical
+    /// either way (see [`resolved_transport`](Self::resolved_transport)).
     pub transport: Option<TransportKind>,
     /// Agent tick-engine variant. `None` (the default) means auto: the
     /// `MOBIEYES_ENGINE` environment variable if set, otherwise the
@@ -509,19 +510,31 @@ impl SimConfig {
         0
     }
 
-    /// Resolves the effective bus backend: an explicit `transport` wins;
-    /// otherwise a valid `MOBIEYES_TRANSPORT` environment variable;
-    /// otherwise lock-step.
+    /// Resolves how the cluster tier reaches its partitions: an explicit
+    /// `transport`, otherwise lock-step.
     pub fn resolved_transport(&self) -> TransportKind {
-        if let Some(t) = self.transport {
-            return t;
+        self.transport.unwrap_or_default()
+    }
+
+    /// Refuses a partition-crash schedule on thread-hosted partition
+    /// services: this process has no way to kill one. Lock-step
+    /// partitions crash in-process; `mobieyes-serve drive` crashes real
+    /// partition processes.
+    pub(crate) fn check_crash_drill(&self) -> Result<(), ConfigError> {
+        let transport = self.resolved_transport();
+        let partitions = self.resolved_partitions();
+        if transport == TransportKind::Lockstep
+            || partitions < 2
+            || self.resolved_partition_crash_ticks() == 0
+        {
+            return Ok(());
         }
-        if let Ok(v) = std::env::var("MOBIEYES_TRANSPORT") {
-            if let Ok(t) = TransportKind::parse(&v) {
-                return t;
-            }
-        }
-        TransportKind::default()
+        Err(ConfigError(format!(
+            "a partition-crash schedule cannot run on --transport {transport} with \
+             {partitions} partitions (thread-hosted services this process cannot kill); \
+             crash real partitions with `mobieyes-serve drive --crash-tick N`, or use \
+             --transport lockstep"
+        )))
     }
 
     /// Resolves the effective agent tick engine: an explicit `engine`
@@ -803,8 +816,8 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Inter-server bus backend; unset = auto (see
-    /// [`SimConfig::resolved_transport`]).
+    /// How the cluster tier reaches its partitions; unset = lock-step
+    /// (see [`SimConfig::resolved_transport`]).
     pub fn transport(mut self, t: TransportKind) -> Self {
         self.config.transport = Some(t);
         self
@@ -932,6 +945,7 @@ impl SimConfigBuilder {
                 c.partition_crash_kills
             ));
         }
+        c.check_crash_drill()?;
         Ok(c)
     }
 
@@ -1119,7 +1133,10 @@ mod tests {
             TransportKind::Lockstep
         );
         assert!(TransportKind::parse("carrier-pigeon").is_err());
-        // Explicit choice wins over the environment.
+        assert_eq!(
+            SimConfig::default().resolved_transport(),
+            TransportKind::Lockstep
+        );
         assert_eq!(
             SimConfig::default()
                 .with_transport(TransportKind::Tcp)
@@ -1195,6 +1212,28 @@ mod tests {
             .partition_crash_ticks(5)
             .partition_crash_kills(2)
             .recovery(RecoveryKind::Respawn)
+            .build()
+            .is_ok());
+    }
+
+    #[test]
+    fn crash_drill_on_hosted_services_is_a_config_error() {
+        let drill = |t: TransportKind| {
+            SimConfig::builder()
+                .partitions(2)
+                .transport(t)
+                .partition_crash_ticks(5)
+                .build()
+        };
+        for t in [TransportKind::Tcp, TransportKind::Uds] {
+            let err = drill(t).expect_err("hosted services cannot be killed");
+            assert!(err.0.contains("mobieyes-serve drive"), "{err}");
+        }
+        assert!(drill(TransportKind::Lockstep).is_ok());
+        // Without a crash schedule, hosted services are fine.
+        assert!(SimConfig::builder()
+            .partitions(2)
+            .transport(TransportKind::Uds)
             .build()
             .is_ok());
     }

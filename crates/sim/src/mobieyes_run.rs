@@ -8,9 +8,10 @@ use crate::soa::{
     self, AgentSoa, BcastClass, FlatCellProbe, SoaShard, FLAG_FOCAL, FLAG_LQT, FLAG_OFFLINE,
     FLAG_PENDING, FLAG_SHADOW,
 };
+use crate::transport_run::{ClusterClient, HostedPartitions};
 use crate::truth::{result_error, GroundTruth};
 use crate::workload::Workload;
-use mobieyes_cluster::{ClusterServer, Envelope};
+use mobieyes_cluster::ClusterServer;
 use mobieyes_core::server::Net;
 use mobieyes_core::{
     AgentOutbox, Downlink, Filter, MovingObjectAgent, ObjectId, Propagation, Properties,
@@ -19,12 +20,13 @@ use mobieyes_core::{
 use mobieyes_geo::{Grid, LinearMotion, Point, QueryRegion, Vec2};
 use mobieyes_net::{
     BaseStationLayout, ChurnPlan, FaultPlan, FramedConn, NodeId, PartitionCrashPlan, RadioModel,
-    SocketTransport, StationId,
+    StationId,
 };
 use mobieyes_store::{self as store, Store};
 use mobieyes_telemetry::{EventKind, Phase, Telemetry};
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The server tier behind a deployment: the plain single server, or the
 /// grid-sharded cluster (`SimConfig::partitions` > 1). Both speak the same
@@ -83,15 +85,6 @@ impl ServerTier {
     fn is_remote(&self) -> bool {
         matches!(self, ServerTier::Cluster(c) if c.has_remote())
     }
-}
-
-/// A fresh, collision-free Unix-domain socket path for an in-process
-/// loopback bus.
-fn unique_bus_path() -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("mobieyes-bus-{}-{seq}.sock", std::process::id()))
 }
 
 /// A complete MobiEyes deployment under simulation.
@@ -196,6 +189,9 @@ pub struct MobiEyesSim {
     /// Checkpoint cadence in ticks (0 = off); resolved once at build so
     /// the environment is read exactly once per run.
     store_checkpoint_ticks: usize,
+    /// The thread-hosted partition services of a `tcp` / `uds`
+    /// deployment, joined by [`shutdown`](Self::shutdown).
+    hosted: Option<HostedPartitions>,
 }
 
 /// Ticks between a partition's failover fence and its respawn fence:
@@ -211,8 +207,16 @@ impl MobiEyesSim {
     /// Builds a deployment whose server, network and agents all record
     /// into the injected telemetry sink. The server tier follows the
     /// configuration: `partitions > 1` builds the cluster, and
-    /// [`SimConfig::resolved_transport`] picks the bus backend it pumps
-    /// (lock-step queue, loopback TCP, or a Unix-domain socket).
+    /// [`SimConfig::resolved_transport`] says where its partitions run —
+    /// in process (lock-step), or as partition services on threads of
+    /// this process, driven over loopback TCP or Unix-domain sockets
+    /// exactly like `mobieyes-serve` processes.
+    ///
+    /// # Panics
+    ///
+    /// On a partition-crash schedule over thread-hosted services, which
+    /// this process cannot kill (`SimConfigBuilder::build` refuses the
+    /// same combination).
     pub fn with_telemetry(config: SimConfig, telemetry: Telemetry) -> Self {
         Self::build(config, telemetry, None)
     }
@@ -251,6 +255,21 @@ impl MobiEyesSim {
         let partitions = config.resolved_partitions();
         let store_root = config.resolved_store_dir();
         let mut single_store = None;
+        let mut hosted = None;
+        let transport = config.resolved_transport();
+        let remote = match remote {
+            None if partitions > 1 && transport != TransportKind::Lockstep => {
+                config.check_crash_drill().unwrap_or_else(|e| panic!("{e}"));
+                let uds = transport == TransportKind::Uds;
+                let services =
+                    HostedPartitions::spawn(partitions, uds).expect("spawn partition services");
+                let client = ClusterClient::connect(services.endpoints(), Duration::from_secs(5))
+                    .expect("connect to the hosted partition services");
+                hosted = Some(services);
+                Some(client.conns)
+            }
+            remote => remote,
+        };
         let mut tier = match remote {
             // Remote partitions open, replay and journal their own logs
             // (see mobieyes-cluster::serve); the coordinator only passes
@@ -263,25 +282,7 @@ impl MobiEyesSim {
                 store_root.clone(),
             ))),
             None if partitions > 1 => {
-                let cluster = match config.resolved_transport() {
-                    TransportKind::Lockstep => {
-                        ClusterServer::new(Arc::clone(&pconf), partitions, telemetry.clone())
-                    }
-                    TransportKind::Tcp => ClusterServer::new_over_socket(
-                        Arc::clone(&pconf),
-                        partitions,
-                        telemetry.clone(),
-                        SocketTransport::<Envelope>::loopback_tcp()
-                            .expect("loopback TCP bus for the cluster"),
-                    ),
-                    TransportKind::Uds => ClusterServer::new_over_socket(
-                        Arc::clone(&pconf),
-                        partitions,
-                        telemetry.clone(),
-                        SocketTransport::<Envelope>::loopback_uds(&unique_bus_path())
-                            .expect("loopback Unix-domain bus for the cluster"),
-                    ),
-                };
+                let cluster = ClusterServer::new(Arc::clone(&pconf), partitions, telemetry.clone());
                 let cluster = match &store_root {
                     Some(root) => cluster.with_store(root.clone()),
                     None => cluster,
@@ -386,6 +387,7 @@ impl MobiEyesSim {
             store: single_store,
             store_root,
             store_checkpoint_ticks: 0,
+            hosted,
         };
         sim.store_checkpoint_ticks = sim.config.resolved_store_checkpoint_ticks();
         sim.rebalance_ticks = sim.config.resolved_rebalance_ticks();
@@ -527,13 +529,19 @@ impl MobiEyesSim {
         h
     }
 
-    /// Tells remote partition processes to exit their service loops after
-    /// a final reply. No-op for in-process deployments.
+    /// Tells remote partition services to exit their service loops after
+    /// a final reply, and joins the thread-hosted ones. No-op for
+    /// in-process deployments.
     pub fn shutdown(&mut self) {
         if let ServerTier::Cluster(c) = &mut self.tier {
             if c.has_remote() {
                 c.shutdown_remote();
             }
+        }
+        if let Some(hosted) = self.hosted.take() {
+            hosted
+                .join()
+                .expect("hosted partition services exit cleanly");
         }
     }
 

@@ -16,7 +16,7 @@ use std::time::Duration;
 /// partition service, agents and the agent-facing network staying in this
 /// process. Only the server tier's partition ops cross the wire.
 pub struct ClusterClient {
-    conns: Vec<FramedConn>,
+    pub(crate) conns: Vec<FramedConn>,
 }
 
 impl ClusterClient {

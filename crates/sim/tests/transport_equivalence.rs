@@ -1,20 +1,20 @@
-//! Transport equivalence: every bus backend must agree on query results.
+//! Transport equivalence: both deployment shapes must agree on query
+//! results.
 //!
-//! The reference deployment pumps inter-server envelopes over the
-//! deterministic lock-step queue. The same workload is then run (a) with
-//! the envelopes riding a real loopback socket bus inside one process and
-//! (b) against live partition services on real sockets (thread-hosted —
-//! the identical service loop `mobieyes-serve` runs behind a process
-//! boundary). All three must produce identical per-tick result sets for
-//! every query, on every seed × propagation × partition-count cell of the
-//! matrix. A chaos row runs the fault-tolerant paths (leases, resyncs,
-//! soft-state refreshes under churn and message faults) over the remote
-//! handles too.
+//! The reference deployment runs its partitions in process, pumping
+//! inter-server envelopes over the deterministic lock-step bus. The same
+//! workload is then run against live partition services on real sockets
+//! (thread-hosted — the identical service loop `mobieyes-serve` runs
+//! behind a process boundary). Both must produce identical per-tick
+//! result sets for every query, on every seed × propagation ×
+//! partition-count cell of the matrix. A chaos row runs the
+//! fault-tolerant paths (leases, resyncs, soft-state refreshes under
+//! churn and message faults) over the remote handles too.
 
 use mobieyes_core::server::srv_keys;
 use mobieyes_core::{ObjectId, Propagation};
 use mobieyes_net::ChurnPlan;
-use mobieyes_sim::{ClusterClient, HostedPartitions, MobiEyesSim, SimConfig, TransportKind};
+use mobieyes_sim::{ClusterClient, HostedPartitions, MobiEyesSim, SimConfig};
 use mobieyes_telemetry::{rpc_keys, Telemetry};
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -81,23 +81,7 @@ fn check_cell(seed: u64, propagation: Propagation, partitions: usize, uds: bool)
         let mut sim = MobiEyesSim::new(config(seed, propagation, partitions));
         trace(&mut sim)
     };
-    // (a) In-process cluster with the bus over a kernel socket pair. Only
-    // meaningful when a bus exists (partitions > 1).
-    if partitions > 1 {
-        let kind = if uds {
-            TransportKind::Uds
-        } else {
-            TransportKind::Tcp
-        };
-        let mut sim = MobiEyesSim::new(config(seed, propagation, partitions).with_transport(kind));
-        let socket_bus = trace(&mut sim);
-        assert_traces_match(
-            &format!("socket bus seed={seed} p={partitions} {propagation:?}"),
-            &reference,
-            &socket_bus,
-        );
-    }
-    // (b) Live services over real sockets, one per partition.
+    // Live services over real sockets, one per partition.
     let (remote, remote_digest) =
         remote_trace(config(seed, propagation, partitions), partitions, uds);
     assert_traces_match(
@@ -136,10 +120,10 @@ fn remote_rebalance_trace(cfg: SimConfig, partitions: usize, uds: bool) -> (Resu
 /// Rebalance equivalence: with periodic load rebalancing enabled, the
 /// coordinator quiesces the bus, installs a new partition-map generation,
 /// and moves RQI cell state between partitions mid-run. The fence rides
-/// the same bus/RPC surface as normal traffic, so lock-step, socket-bus,
-/// and live remote services must still agree per tick — and all three
-/// must install the identical sequence of generations (load planning uses
-/// coordinator-side uplink counts, which are deployment-independent).
+/// the same bus/RPC surface as normal traffic, so lock-step and live
+/// remote services must still agree per tick — and both must install the
+/// identical sequence of generations (load planning uses coordinator-side
+/// uplink counts, which are deployment-independent).
 fn check_rebalance_cell(seed: u64, propagation: Propagation, partitions: usize, uds: bool) {
     let cfg = config(seed, propagation, partitions).with_rebalance_ticks(3);
     let (reference, reference_generation) = {
@@ -150,23 +134,6 @@ fn check_rebalance_cell(seed: u64, propagation: Propagation, partitions: usize, 
     assert!(
         reference_generation >= 1,
         "rebalance never installed a generation: seed={seed} p={partitions}"
-    );
-    let kind = if uds {
-        TransportKind::Uds
-    } else {
-        TransportKind::Tcp
-    };
-    let mut socket_sim = MobiEyesSim::new(cfg.clone().with_transport(kind));
-    let socket_bus = trace(&mut socket_sim);
-    assert_eq!(
-        socket_sim.cluster().map_generation(),
-        reference_generation,
-        "socket bus generation diverges: seed={seed} p={partitions}"
-    );
-    assert_traces_match(
-        &format!("rebalance socket bus seed={seed} p={partitions} {propagation:?}"),
-        &reference,
-        &socket_bus,
     );
     let (remote, remote_digest, remote_generation) =
         remote_rebalance_trace(cfg.clone(), partitions, uds);
@@ -289,4 +256,36 @@ fn rebalance_matches_across_transports() {
     }
     // One lazy cell: the fence must also preserve LQP's deferred state.
     check_rebalance_cell(41, Propagation::Lazy, 4, true);
+}
+
+/// `--transport tcp|uds` on a multi-partition config: the simulator hosts
+/// the partition services itself, every partition op crosses a socket, and
+/// the results are the lock-step run's.
+#[test]
+fn socket_transport_config_hosts_partition_services() {
+    use mobieyes_sim::TransportKind;
+    for (seed, kind) in [(43u64, TransportKind::Uds), (44, TransportKind::Tcp)] {
+        let cfg = config(seed, Propagation::Eager, 2);
+        let mut reference = MobiEyesSim::new(cfg.clone());
+        let reference_trace = trace(&mut reference);
+        let mut sim = MobiEyesSim::new(cfg.with_transport(kind));
+        let hosted_trace = trace(&mut sim);
+        let rpc = sim.bus_snapshot().expect("a cluster deployment");
+        assert!(rpc.counter(rpc_keys::ROUND_TRIPS) > 0, "{kind}: no RPC");
+        assert_eq!(reference.result_digest(), sim.result_digest(), "{kind}");
+        sim.shutdown();
+        assert_traces_match(&format!("hosted {kind}"), &reference_trace, &hosted_trace);
+    }
+}
+
+/// A crash drill needs partitions this process can kill: over
+/// thread-hosted services it is refused up front, naming the tool that
+/// crashes real partition processes.
+#[test]
+#[should_panic(expected = "mobieyes-serve drive")]
+fn crash_drill_on_hosted_services_is_refused() {
+    let cfg = config(45, Propagation::Eager, 2)
+        .with_transport(mobieyes_sim::TransportKind::Uds)
+        .with_partition_crash_ticks(3);
+    MobiEyesSim::new(cfg);
 }

@@ -17,21 +17,16 @@
 #    append throughput, cold-start replay rate (digest-checked) and
 #    checkpoint compaction cost -> BENCH_persist.json
 # All JSON files land at the repository root. Every file records host
-# provenance — the machine's core count, the MOBIEYES_THREADS setting and
-# the cluster-bus transport (MOBIEYES_TRANSPORT, default lockstep) in
-# effect — so numbers from different machines and bus backends stay
-# attributable.
+# provenance — the machine's core count and the MOBIEYES_THREADS setting
+# in effect — so numbers from different machines stay attributable.
 #
 # Run from the repository root: ./scripts/bench.sh
 # Set MOBIEYES_QUICK=1 for a ~10x smaller smoke run.
-# Set MOBIEYES_TRANSPORT=tcp|uds to pump the cluster bus through a real
-# kernel socket pair instead of the in-memory lock-step queue.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "host: $(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo '?') cores," \
-     "MOBIEYES_THREADS=${MOBIEYES_THREADS:-auto}," \
-     "MOBIEYES_TRANSPORT=${MOBIEYES_TRANSPORT:-lockstep}"
+     "MOBIEYES_THREADS=${MOBIEYES_THREADS:-auto}"
 
 cargo run --release -p mobieyes-bench --bin parallel
 cargo run --release -p mobieyes-bench --bin chaos

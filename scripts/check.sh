@@ -320,9 +320,7 @@ echo "==> socket smoke (multi-process partitions over UDS)"
 # must match an in-process lock-step run of the identical configuration.
 # `drive` already exits non-zero on divergence (and audits every
 # partition, and the coordinator's mirror of what it homes, after every
-# tick); the JSON assertion keeps the contract visible in this gate. The
-# in-process socket bus rides the same code path through the CLI flag
-# below.
+# tick); the JSON assertion keeps the contract visible in this gate.
 #
 # The same run guards the wire budget without a timing run: the
 # coordinator may wait for at most 0.3 RPC round trips per uplink, counted
@@ -360,8 +358,21 @@ rpc_flushes=$(assert_json "$socket_out" get rpc_flushes)
 [ "$rpc_flushes" = "2645" ] \
   || { echo "socket smoke: $rpc_flushes partition flushes, want 2645"; exit 1; }
 rm -f "$socket_out"
-cargo run -q --release --bin mobieyes -- --partitions 2 --transport uds \
-  --objects 400 --queries 40 --nmo 40 --ticks 8 --warmup 2 --area 10000 >/dev/null
+# The CLI's `--transport uds` hosts the same partition services on threads
+# of one process. The run must report the lock-step run's result error,
+# and its partition ops must really have crossed the sockets.
+cli_args=(--partitions 2 --objects 400 --queries 40 --nmo 40 --ticks 8 --warmup 2 --area 10000)
+cli_lockstep=$(mktemp) && cli_uds=$(mktemp)
+err_lockstep=$(cargo run -q --release --bin mobieyes -- "${cli_args[@]}" --transport lockstep \
+  --metrics-out "$cli_lockstep" 2>/dev/null | grep 'avg result error:')
+err_uds=$(cargo run -q --release --bin mobieyes -- "${cli_args[@]}" --transport uds \
+  --metrics-out "$cli_uds" 2>/dev/null | grep 'avg result error:')
+[ "$err_uds" = "$err_lockstep" ] \
+  || { echo "socket smoke: --transport uds read '$err_uds', lockstep '$err_lockstep'"; exit 1; }
+cli_trips=$(assert_json "$cli_uds" get cluster.rpc.round_trips)
+[ "${cli_trips:-0}" -gt 0 ] \
+  || { echo "socket smoke: --transport uds made no RPC round trip"; exit 1; }
+rm -f "$cli_lockstep" "$cli_uds"
 
 echo "==> benchmark harness (self-test + smoke)"
 # The benchmark's own unit tests, then every workload once at smoke size

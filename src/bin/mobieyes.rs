@@ -49,10 +49,11 @@ OPTIONS:
     --partitions <N>   grid-sharded server partitions; 0 = auto from
                        MOBIEYES_PARTITIONS, else 1 (single server);
                        results are byte-identical at every count [default: 0]
-    --transport <T>    cluster bus backend: lockstep | tcp | uds; unset =
-                       auto from MOBIEYES_TRANSPORT, else lockstep. Socket
-                       backends pump the same envelopes through a real
-                       kernel socket pair        [default: lockstep]
+    --transport <T>    where partitions run: lockstep | tcp | uds. With
+                       --partitions > 1, tcp / uds host one partition
+                       service per partition on a thread and drive it over
+                       a socket, like mobieyes-serve; results are the same
+                       (crash drills: mobieyes-serve drive) [default: lockstep]
     --engine <E>       tick engine: soa | seed; unset = auto from
                        MOBIEYES_ENGINE, else soa. The struct-of-arrays
                        engine skips provably-inert agents; results are

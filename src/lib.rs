@@ -133,16 +133,16 @@ pub mod prelude {
     //! The common vocabulary in one import: `use mobieyes::prelude::*;`.
     //!
     //! Re-exports the types almost every program touches — the protocol
-    //! endpoints ([`Server`], [`MovingObjectAgent`]), the transport layer
-    //! ([`Transport`], [`SocketTransport`], [`TransportKind`]), geometry
-    //! primitives, the simulation drivers and their configuration, the
+    //! endpoints ([`Server`], [`MovingObjectAgent`]), the socket layer
+    //! ([`FramedConn`], [`HostedPartitions`], [`ClusterClient`],
+    //! [`TransportKind`]), geometry primitives, the simulation drivers and their configuration, the
     //! unified [`Approach`] entry point, and the telemetry sink every layer
     //! records into.
     //!
     //! The simulated-network plumbing (`NetworkSim`, `BaseStationLayout`,
     //! `MessageMeter`, `RadioModel`) is no longer part of the prelude: those
-    //! are internals of the lockstep backend; reach them at [`crate::net`]
-    //! directly.
+    //! are internals of the lock-step simulation; reach them at
+    //! [`crate::net`] directly.
 
     pub use crate::Error;
     pub use mobieyes_core::{
@@ -150,10 +150,7 @@ pub mod prelude {
         QueryId, Server,
     };
     pub use mobieyes_geo::{CellId, Grid, Point, QueryRegion, Rect, Region, Vec2};
-    pub use mobieyes_net::{
-        Endpoint, FramedConn, Listener, LockstepTransport, SocketTransport, Transport,
-        TransportError,
-    };
+    pub use mobieyes_net::{Endpoint, FramedConn, Listener, TransportError};
     pub use mobieyes_sim::{
         run_approach, run_approach_with, Approach, ClusterClient, ConfigError, EngineKind,
         HostedPartitions, MobiEyesSim, Mobility, RecoveryKind, RunMetrics, RunReport, SimConfig,
