@@ -11,7 +11,7 @@
 //! counts is asserted by `tests/parallel_equivalence.rs`; this binary only
 //! measures. Set `MOBIEYES_QUICK=1` to shrink the workload ~10x.
 
-use mobieyes_sim::{MobiEyesSim, SimConfig, SimConfigBuilder};
+use mobieyes_sim::{MobiEyesSim, SimConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -24,12 +24,11 @@ struct Sample {
 }
 
 fn main() {
-    let base = mobieyes_bench::scaled(
-        SimConfig::builder()
-            .ticks(8)
-            .warmup_ticks(3)
-            .build_or_panic(),
-    );
+    let base = mobieyes_bench::scaled(SimConfig {
+        ticks: 8,
+        warmup_ticks: 3,
+        ..SimConfig::default()
+    });
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -44,9 +43,7 @@ fn main() {
 
     let mut samples = Vec::new();
     for &threads in THREADS {
-        let config = SimConfigBuilder::from_config(base.clone())
-            .threads(threads)
-            .build_or_panic();
+        let config = base.clone().with_threads(threads);
         let mut sim = MobiEyesSim::new(config);
         for _ in 0..base.warmup_ticks {
             sim.step(false);

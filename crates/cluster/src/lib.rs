@@ -16,5 +16,5 @@ pub mod wire;
 pub use cluster_server::{skip_reason, ClusterServer, Envelope};
 pub use handle::{PartitionHandle, RemotePartition};
 pub use partition::{plan_bounds, PartitionMap, Router};
-pub use serve::{serve_connection, serve_partition};
+pub use serve::{dial_partition, serve_connection, serve_partition};
 pub use wire::{InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload};

@@ -38,12 +38,13 @@ use crate::partition::PartitionMap;
 use crate::wire::{self, InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload};
 use mobieyes_core::server::Net;
 use mobieyes_core::{Downlink, ProtocolConfig, Server};
-use mobieyes_net::{BaseStationLayout, FramedConn, Listener, TransportError};
+use mobieyes_net::{BaseStationLayout, Endpoint, FramedConn, Listener, TransportError};
 use mobieyes_store::{self as store, Store};
 use mobieyes_telemetry::Telemetry;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The configured state of a running partition service.
 struct ServiceState {
@@ -305,15 +306,38 @@ pub fn serve_connection(mut conn: FramedConn) -> Result<(), TransportError> {
     }
 }
 
-/// Binds `listener`'s endpoint, accepts exactly one coordinator, completes
-/// the hello exchange (the partition announces its id, the coordinator
-/// its own node id 0) and runs the service loop to completion.
+/// Accepts exactly one coordinator on `listener`, completes the hello
+/// exchange and runs the service loop to completion.
+///
+/// The exchange is request then reply, like every later frame: the
+/// partition reads the coordinator's hello (node id 0) before it announces
+/// its own id, so no byte leaves the partition unasked.
+/// [`dial_partition`] is the coordinator's half.
 pub fn serve_partition(listener: Listener, partition: u32) -> Result<(), TransportError> {
-    let stream = listener.accept()?;
-    let mut conn = FramedConn::new(stream);
-    conn.send_hello(partition)?;
+    let mut conn = FramedConn::new(listener.accept()?);
     let _coordinator = conn.expect_hello()?;
+    conn.send_hello(partition)?;
     serve_connection(conn)
+}
+
+/// The coordinator's half of [`serve_partition`]'s hello exchange: dials
+/// `endpoint` (retrying for up to `timeout` while a freshly spawned
+/// service may still be binding), sends the coordinator's hello, and
+/// checks that the service announces partition `p`.
+pub fn dial_partition(
+    endpoint: &Endpoint,
+    p: u32,
+    timeout: Duration,
+) -> Result<FramedConn, TransportError> {
+    let mut conn = FramedConn::new(endpoint.connect_with_retry(timeout)?);
+    conn.send_hello(0)?;
+    let announced = conn.expect_hello()?;
+    if announced != p {
+        return Err(TransportError::Handshake(format!(
+            "service at {endpoint} announced partition {announced}, expected {p}"
+        )));
+    }
+    Ok(conn)
 }
 
 #[cfg(test)]
@@ -471,6 +495,37 @@ mod tests {
         service.join().expect("service thread").expect("clean exit");
         store::wipe_dir(&dir).expect("clean up");
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    /// The hello exchange is request then reply: a client that has not
+    /// sent its hello reads nothing, and after sending it gets the
+    /// partition's hello with the partition's id. A proxy that pairs
+    /// replies with requests (the benchmark's frame tap) otherwise sees a
+    /// reply nobody asked for whenever the partition's hello wins the race.
+    #[test]
+    fn the_partition_speaks_only_after_the_coordinator_hello() {
+        use std::io::Read;
+        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
+        let endpoint = listener.local_endpoint().expect("endpoint");
+        let service = std::thread::spawn(move || serve_partition(listener, 3));
+        let mut raw = endpoint.connect().expect("connect");
+        raw.set_read_timeout(Some(Duration::from_millis(300)))
+            .expect("timeout");
+        match raw.read(&mut [0u8; 1]) {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            other => panic!("the partition spoke before the coordinator's hello: {other:?}"),
+        }
+        raw.set_read_timeout(None).expect("clear timeout");
+        let mut conn = FramedConn::new(raw);
+        conn.send_hello(0).expect("hello");
+        assert_eq!(conn.expect_hello().expect("hello back"), 3);
+        call(&mut conn, &PartitionOp::Shutdown, true);
+        conn.read_frame().expect("shutdown reply");
+        service.join().expect("service thread").expect("clean exit");
     }
 
     fn motion_at(x: f64, y: f64, tm: f64) -> LinearMotion {

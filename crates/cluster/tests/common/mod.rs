@@ -1,9 +1,10 @@
 //! Thread-hosted partition services for the integration tests: the same
 //! service loop `mobieyes-serve` runs, on loopback TCP.
 
-use mobieyes_cluster::{serve_partition, ClusterServer};
+use mobieyes_cluster::{dial_partition, serve_partition, ClusterServer};
 use mobieyes_net::{Endpoint, FramedConn, Listener, TransportError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 pub type Services = Vec<JoinHandle<Result<(), TransportError>>>;
 
@@ -16,10 +17,7 @@ pub fn host_partitions(n: usize) -> (Vec<FramedConn>, Services) {
         let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
         let endpoint = listener.local_endpoint().expect("endpoint");
         services.push(std::thread::spawn(move || serve_partition(listener, p)));
-        let mut conn = FramedConn::new(endpoint.connect().expect("connect"));
-        conn.send_hello(0).expect("hello");
-        assert_eq!(conn.expect_hello().expect("hello back"), p);
-        conns.push(conn);
+        conns.push(dial_partition(&endpoint, p, Duration::from_secs(5)).expect("hello"));
     }
     (conns, services)
 }

@@ -97,7 +97,13 @@ pub fn run_approach(config: SimConfig, approach: Approach) -> RunReport {
 
 /// Like [`run_approach`] but recording into the injected sink (which is
 /// reset when the measured window starts).
+///
+/// # Panics
+///
+/// On a configuration [`SimConfig::validate`] refuses, with its message —
+/// for the centralized baselines as for MobiEyes.
 pub fn run_approach_with(config: SimConfig, approach: Approach, telemetry: Telemetry) -> RunReport {
+    config.validate().unwrap_or_else(|e| panic!("{e}"));
     let mut bus_snapshot = None;
     let metrics = match approach {
         Approach::MobiEyesEqp => {

@@ -145,7 +145,9 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// All knobs of a simulation run. `Default` reproduces Table 1's default
-/// column; the figure harnesses sweep individual fields.
+/// column; the figure harnesses sweep individual fields. Set a knob by its
+/// field or a `with_*` helper; [`validate`](Self::validate) is the one
+/// check, and every run constructor applies it.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Master seed; every run with the same seed and parameters produces
@@ -218,18 +220,14 @@ pub struct SimConfig {
     /// fault-tolerance layer (leases, heartbeats, soft-state refresh).
     /// Heartbeats fire every `max(1, lease_ticks / 2)` ticks.
     pub lease_ticks: usize,
-    /// Server partitions for the grid-sharded cluster tier. `0` (the
-    /// default) means auto: the `MOBIEYES_PARTITIONS` environment variable
-    /// if set, otherwise 1. A resolved count of 1 runs the plain
-    /// single-server path; results are byte-identical at every partition
-    /// count (see [`resolved_partitions`](Self::resolved_partitions)).
+    /// Server partitions for the grid-sharded cluster tier (at least 1;
+    /// the default 1 runs the plain single-server path). Results are
+    /// byte-identical at every partition count.
     pub partitions: usize,
     /// Rebalance cadence for the cluster tier: recompute the partition
-    /// map from observed load every `n` ticks. `0` (the default) means
-    /// auto: the `MOBIEYES_REBALANCE_TICKS` environment variable if set,
-    /// otherwise off. Ignored on the single-server path. Rebalancing
-    /// never changes query results — only the load split (see
-    /// [`resolved_rebalance_ticks`](Self::resolved_rebalance_ticks)).
+    /// map from observed load every `n` ticks; `0` (the default) is off.
+    /// Ignored on the single-server path. Rebalancing never changes query
+    /// results — only the load split.
     pub rebalance_ticks: usize,
     /// How the cluster tier reaches its partitions. `None` (the default)
     /// means lock-step in-process partitions; `tcp` / `uds` host one
@@ -242,37 +240,25 @@ pub struct SimConfig {
     /// struct-of-arrays fast path. Results are protocol-identical on
     /// either engine (see [`resolved_engine`](Self::resolved_engine)).
     pub engine: Option<EngineKind>,
-    /// Tick at which the crash-injection plan kills partitions (once per
-    /// run). `0` (the default) means auto: the
-    /// `MOBIEYES_PARTITION_CRASH_TICKS` environment variable if set,
-    /// otherwise off. Victims are drawn deterministically from the seed;
-    /// partition 0 (the epoch anchor) is never chosen. Requires the
-    /// cluster tier (see
-    /// [`resolved_partition_crash_ticks`](Self::resolved_partition_crash_ticks)).
+    /// Measured tick at which the crash-injection plan kills partitions
+    /// (once per run); `0` (the default) is off. Victims are drawn
+    /// deterministically from the seed; partition 0 (the epoch anchor) is
+    /// never chosen. Needs at least 2 lock-step partitions.
     pub partition_crash_ticks: usize,
-    /// Partitions killed at the crash tick. `0` (the default) means auto:
-    /// the `MOBIEYES_PARTITION_CRASH_KILLS` environment variable if set,
-    /// otherwise 1. Clamped to `partitions - 1` so at least one partition
-    /// survives (see
-    /// [`resolved_partition_crash_kills`](Self::resolved_partition_crash_kills)).
+    /// Partitions killed at the crash tick (default 1). With a crash
+    /// scheduled it must be at least 1 and leave a survivor.
     pub partition_crash_kills: usize,
-    /// Recovery mode for crashed partitions. `None` (the default) means
-    /// auto: the `MOBIEYES_RECOVERY` environment variable if set,
-    /// otherwise failover (see
-    /// [`resolved_recovery`](Self::resolved_recovery)).
-    pub recovery: Option<RecoveryKind>,
+    /// Recovery mode for crashed partitions (default failover).
+    pub recovery: RecoveryKind,
     /// Root directory of the durable trajectory logs (`<dir>/p<N>` per
-    /// partition). `None` (the default) means auto: the
-    /// `MOBIEYES_STORE_DIR` environment variable if set, otherwise no
+    /// partition). `None` (the default) or the empty path means no
     /// persistence (see [`resolved_store_dir`](Self::resolved_store_dir)).
     /// Existing logs under the directory are replayed into the server
     /// tier at build — point a fresh run at a fresh directory.
     pub store_dir: Option<std::path::PathBuf>,
     /// Checkpoint cadence in ticks for the durable logs (snapshot +
-    /// segment GC; this is what bounds log growth). `0` (the default)
-    /// means auto: the `MOBIEYES_STORE_CHECKPOINT_TICKS` environment
-    /// variable if set, otherwise no periodic checkpoints (see
-    /// [`resolved_store_checkpoint_ticks`](Self::resolved_store_checkpoint_ticks)).
+    /// segment GC; this is what bounds log growth); `0` (the default) is
+    /// off.
     pub store_checkpoint_ticks: usize,
 }
 
@@ -306,13 +292,13 @@ impl Default for SimConfig {
             dup_rate: 0.0,
             churn_rate: 0.0,
             lease_ticks: 0,
-            partitions: 0,
+            partitions: 1,
             rebalance_ticks: 0,
             transport: None,
             engine: None,
             partition_crash_ticks: 0,
-            partition_crash_kills: 0,
-            recovery: None,
+            partition_crash_kills: 1,
+            recovery: RecoveryKind::Failover,
             store_dir: None,
             store_checkpoint_ticks: 0,
         }
@@ -320,11 +306,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Starts a validated fluent builder from the Table 1 defaults.
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder::default()
-    }
-
     /// Side length of the square universe of discourse, miles.
     pub fn side(&self) -> f64 {
         self.area.sqrt()
@@ -441,7 +422,7 @@ impl SimConfig {
     }
 
     pub fn with_recovery(mut self, r: RecoveryKind) -> Self {
-        self.recovery = Some(r);
+        self.recovery = r;
         self
     }
 
@@ -455,6 +436,102 @@ impl SimConfig {
         self
     }
 
+    /// Checks that the simulator can meaningfully run this configuration:
+    /// positive α, area, lengths and time step, probabilities within
+    /// [0, 1], at least one object, tick and partition, no more partitions
+    /// than grid cells, a crash schedule it can carry out, and a parsable
+    /// value in each environment variable the run will read. Every run
+    /// constructor calls it, and `mobieyes` and `mobieyes-serve drive` call
+    /// it right after parsing.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        // Written to reject NaN along with non-positive values.
+        let positive = |v: f64| v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
+        let err = |msg: String| Err(ConfigError(msg));
+        for (name, v) in [
+            ("alpha", self.alpha),
+            ("radius_factor", self.radius_factor),
+            ("time_step", self.time_step),
+            ("area", self.area),
+            ("alen", self.alen),
+            ("delta", self.delta),
+        ] {
+            if !positive(v) {
+                return err(format!("{name} must be > 0 (got {v})"));
+            }
+        }
+        for (name, v) in [
+            ("selectivity", self.selectivity),
+            ("uplink_drop", self.uplink_drop),
+            ("downlink_drop", self.downlink_drop),
+            ("dup_rate", self.dup_rate),
+            ("churn_rate", self.churn_rate),
+        ] {
+            // `!(..).contains()` also rejects NaN.
+            if !(0.0..=1.0).contains(&v) {
+                return err(format!("{name} must be within [0, 1] (got {v})"));
+            }
+        }
+        for (name, n) in [
+            ("num_objects", self.num_objects),
+            ("ticks", self.ticks),
+            ("partitions", self.partitions),
+        ] {
+            if n == 0 {
+                return err(format!("{name} must be > 0"));
+            }
+        }
+        if self.radius_means.is_empty() || self.speed_classes_mph.is_empty() {
+            return err("radius_means and speed_classes_mph must be non-empty".to_string());
+        }
+        if self.focal_pool == Some(0) {
+            return err("focal_pool must be > 0 when set".to_string());
+        }
+        // The cluster tier needs at least one grid cell per partition;
+        // catching this here turns a `PartitionMap::contiguous` panic
+        // deep inside the run into a clear configuration error.
+        let (partitions, cells) = (self.partitions, self.grid_cells());
+        if partitions > cells {
+            return err(format!(
+                "partitions ({partitions}) exceeds the grid's cell count ({cells}); \
+                 shrink --partitions, lower alpha, or grow the area"
+            ));
+        }
+        if self.partition_crash_ticks > 0 {
+            // Crash injection needs a victim and a survivor to fail over to.
+            if partitions < 2 {
+                return err(format!(
+                    "partition_crash_ticks requires at least 2 partitions (got {partitions})"
+                ));
+            }
+            let kills = self.partition_crash_kills;
+            if kills == 0 || kills >= partitions {
+                return err(format!(
+                    "partition_crash_kills must be between 1 and {} for {partitions} \
+                     partitions (got {kills})",
+                    partitions - 1
+                ));
+            }
+            // Thread-hosted partition services cannot be killed from this
+            // process; `mobieyes-serve drive` crashes real partitions.
+            let transport = self.resolved_transport();
+            if transport != TransportKind::Lockstep {
+                return err(format!(
+                    "a partition-crash schedule cannot run on --transport {transport} with \
+                     {partitions} partitions (thread-hosted services this process cannot \
+                     kill); crash real partitions with `mobieyes-serve drive --crash-tick N`, \
+                     or use --transport lockstep"
+                ));
+            }
+        }
+        if self.threads == 0 {
+            env_threads()?;
+        }
+        if self.engine.is_none() {
+            env_engine()?;
+        }
+        Ok(())
+    }
+
     /// Resolves the effective worker-thread count: an explicit
     /// `threads > 0` wins; otherwise a positive `MOBIEYES_THREADS`
     /// environment variable; otherwise the machine's available
@@ -463,51 +540,12 @@ impl SimConfig {
         if self.threads > 0 {
             return self.threads;
         }
-        if let Ok(v) = std::env::var("MOBIEYES_THREADS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
+        match env_threads() {
+            Ok(Some(n)) => n,
+            _ => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
-    /// Resolves the effective server-partition count: an explicit
-    /// `partitions > 0` wins; otherwise a positive `MOBIEYES_PARTITIONS`
-    /// environment variable; otherwise 1 (the single-server path).
-    pub fn resolved_partitions(&self) -> usize {
-        if self.partitions > 0 {
-            return self.partitions;
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_PARTITIONS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        1
-    }
-
-    /// Resolves the effective rebalance cadence (in ticks): an explicit
-    /// `rebalance_ticks > 0` wins; otherwise a positive
-    /// `MOBIEYES_REBALANCE_TICKS` environment variable; otherwise 0
-    /// (rebalancing off).
-    pub fn resolved_rebalance_ticks(&self) -> usize {
-        if self.rebalance_ticks > 0 {
-            return self.rebalance_ticks;
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_REBALANCE_TICKS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        0
     }
 
     /// Resolves how the cluster tier reaches its partitions: an explicit
@@ -516,132 +554,21 @@ impl SimConfig {
         self.transport.unwrap_or_default()
     }
 
-    /// Refuses a partition-crash schedule on thread-hosted partition
-    /// services: this process has no way to kill one. Lock-step
-    /// partitions crash in-process; `mobieyes-serve drive` crashes real
-    /// partition processes.
-    pub(crate) fn check_crash_drill(&self) -> Result<(), ConfigError> {
-        let transport = self.resolved_transport();
-        let partitions = self.resolved_partitions();
-        if transport == TransportKind::Lockstep
-            || partitions < 2
-            || self.resolved_partition_crash_ticks() == 0
-        {
-            return Ok(());
-        }
-        Err(ConfigError(format!(
-            "a partition-crash schedule cannot run on --transport {transport} with \
-             {partitions} partitions (thread-hosted services this process cannot kill); \
-             crash real partitions with `mobieyes-serve drive --crash-tick N`, or use \
-             --transport lockstep"
-        )))
-    }
-
     /// Resolves the effective agent tick engine: an explicit `engine`
-    /// wins; otherwise a valid `MOBIEYES_ENGINE` environment variable;
+    /// wins; otherwise the `MOBIEYES_ENGINE` environment variable;
     /// otherwise the struct-of-arrays fast path.
     pub fn resolved_engine(&self) -> EngineKind {
-        if let Some(e) = self.engine {
-            return e;
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_ENGINE") {
-            if let Ok(e) = EngineKind::parse(&v) {
-                return e;
-            }
-        }
-        EngineKind::default()
+        self.engine
+            .or_else(|| env_engine().ok().flatten())
+            .unwrap_or_default()
     }
 
-    /// Resolves the crash-injection tick: an explicit
-    /// `partition_crash_ticks > 0` wins; otherwise a positive
-    /// `MOBIEYES_PARTITION_CRASH_TICKS` environment variable; otherwise 0
-    /// (crash injection off).
-    pub fn resolved_partition_crash_ticks(&self) -> usize {
-        if self.partition_crash_ticks > 0 {
-            return self.partition_crash_ticks;
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_PARTITION_CRASH_TICKS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        0
-    }
-
-    /// Resolves the number of partitions killed at the crash tick: an
-    /// explicit `partition_crash_kills > 0` wins; otherwise a positive
-    /// `MOBIEYES_PARTITION_CRASH_KILLS` environment variable; otherwise 1.
-    /// The crash plan additionally clamps the count to `partitions - 1` so
-    /// at least one partition survives.
-    pub fn resolved_partition_crash_kills(&self) -> usize {
-        if self.partition_crash_kills > 0 {
-            return self.partition_crash_kills;
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_PARTITION_CRASH_KILLS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        1
-    }
-
-    /// Resolves the crash-recovery mode: an explicit `recovery` wins;
-    /// otherwise a valid `MOBIEYES_RECOVERY` environment variable;
-    /// otherwise failover.
-    pub fn resolved_recovery(&self) -> RecoveryKind {
-        if let Some(r) = self.recovery {
-            return r;
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_RECOVERY") {
-            if let Ok(r) = RecoveryKind::parse(&v) {
-                return r;
-            }
-        }
-        RecoveryKind::default()
-    }
-
-    /// Resolves the durable-log root directory: an explicit `store_dir`
-    /// wins; otherwise a non-empty `MOBIEYES_STORE_DIR` environment
-    /// variable; otherwise `None` (persistence off). An explicitly empty
-    /// path (`with_store_dir("")`) pins persistence OFF even when the
-    /// environment variable is set — drivers that run a reference twin
-    /// in the same process use it so both deployments never share (or
-    /// accidentally inherit) a log directory.
+    /// The durable-log root directory, or `None` when persistence is off:
+    /// `store_dir` unset, or set to the empty path. A run with a reference
+    /// twin in the same process pins the twin's to the empty path so the
+    /// two deployments never share a log directory.
     pub fn resolved_store_dir(&self) -> Option<std::path::PathBuf> {
-        if let Some(d) = &self.store_dir {
-            if d.as_os_str().is_empty() {
-                return None;
-            }
-            return Some(d.clone());
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_STORE_DIR") {
-            if !v.is_empty() {
-                return Some(std::path::PathBuf::from(v));
-            }
-        }
-        None
-    }
-
-    /// Resolves the checkpoint cadence (in ticks) for the durable logs:
-    /// an explicit `store_checkpoint_ticks > 0` wins; otherwise a
-    /// positive `MOBIEYES_STORE_CHECKPOINT_TICKS` environment variable;
-    /// otherwise 0 (periodic checkpoints off).
-    pub fn resolved_store_checkpoint_ticks(&self) -> usize {
-        if self.store_checkpoint_ticks > 0 {
-            return self.store_checkpoint_ticks;
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_STORE_CHECKPOINT_TICKS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        0
+        self.store_dir.clone().filter(|d| !d.as_os_str().is_empty())
     }
 
     /// Number of grid cells the run's universe decomposes into, matching
@@ -658,303 +585,39 @@ impl SimConfig {
     }
 }
 
-/// Fluent, validating construction of [`SimConfig`].
-///
-/// Unlike the raw struct (whose fields remain public for sweeps), the
-/// builder rejects configurations the simulator cannot meaningfully run:
-/// non-positive α, zero objects, a non-positive radius factor, and the
-/// analogous degenerate values for the remaining knobs.
-#[derive(Debug, Clone, Default)]
-pub struct SimConfigBuilder {
-    config: SimConfig,
+/// Reads environment variable `name` through `parse`: `Ok(None)` when it
+/// is unset, a [`ConfigError`] naming it when it is set to something
+/// `parse` refuses.
+fn env_knob<T>(
+    name: &str,
+    expected: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, ConfigError> {
+    let Some(raw) = std::env::var_os(name) else {
+        return Ok(None);
+    };
+    match raw.to_str().and_then(parse) {
+        Some(v) => Ok(Some(v)),
+        None => Err(ConfigError(format!(
+            "environment variable {name} is {raw:?}; expected {expected}"
+        ))),
+    }
 }
 
-impl SimConfigBuilder {
-    /// Starts from an existing configuration instead of the defaults.
-    pub fn from_config(config: SimConfig) -> Self {
-        SimConfigBuilder { config }
-    }
+/// `MOBIEYES_THREADS` as a worker count; `Ok(None)` when unset or `0`
+/// (auto).
+fn env_threads() -> Result<Option<usize>, ConfigError> {
+    let count = env_knob("MOBIEYES_THREADS", "a thread count", |v| {
+        v.parse::<usize>().ok()
+    })?;
+    Ok(count.filter(|&n| n > 0))
+}
 
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    pub fn time_step(mut self, seconds: f64) -> Self {
-        self.config.time_step = seconds;
-        self
-    }
-
-    pub fn ticks(mut self, ticks: usize) -> Self {
-        self.config.ticks = ticks;
-        self
-    }
-
-    pub fn warmup_ticks(mut self, ticks: usize) -> Self {
-        self.config.warmup_ticks = ticks;
-        self
-    }
-
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.config.alpha = alpha;
-        self
-    }
-
-    pub fn objects(mut self, n: usize) -> Self {
-        self.config.num_objects = n;
-        self
-    }
-
-    pub fn queries(mut self, n: usize) -> Self {
-        self.config.num_queries = n;
-        self
-    }
-
-    pub fn objects_changing_velocity(mut self, n: usize) -> Self {
-        self.config.objects_changing_velocity = n;
-        self
-    }
-
-    pub fn area(mut self, square_miles: f64) -> Self {
-        self.config.area = square_miles;
-        self
-    }
-
-    pub fn alen(mut self, miles: f64) -> Self {
-        self.config.alen = miles;
-        self
-    }
-
-    pub fn radius_factor(mut self, factor: f64) -> Self {
-        self.config.radius_factor = factor;
-        self
-    }
-
-    pub fn selectivity(mut self, s: f64) -> Self {
-        self.config.selectivity = s;
-        self
-    }
-
-    pub fn delta(mut self, miles: f64) -> Self {
-        self.config.delta = miles;
-        self
-    }
-
-    pub fn propagation(mut self, p: Propagation) -> Self {
-        self.config.propagation = p;
-        self
-    }
-
-    pub fn grouping(mut self, on: bool) -> Self {
-        self.config.grouping = on;
-        self
-    }
-
-    pub fn safe_period(mut self, on: bool) -> Self {
-        self.config.safe_period = on;
-        self
-    }
-
-    pub fn mobility(mut self, kind: MobilityKind) -> Self {
-        self.config.mobility = kind;
-        self
-    }
-
-    pub fn focal_pool(mut self, k: usize) -> Self {
-        self.config.focal_pool = Some(k);
-        self
-    }
-
-    /// Worker threads for the parallel tick engine; `0` = auto (see
-    /// [`SimConfig::resolved_threads`]).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Uplink drop probability ([0, 1]).
-    pub fn uplink_drop(mut self, p: f64) -> Self {
-        self.config.uplink_drop = p;
-        self
-    }
-
-    /// Downlink drop probability ([0, 1]).
-    pub fn downlink_drop(mut self, p: f64) -> Self {
-        self.config.downlink_drop = p;
-        self
-    }
-
-    /// Duplication probability for delivered messages ([0, 1]).
-    pub fn dup_rate(mut self, p: f64) -> Self {
-        self.config.dup_rate = p;
-        self
-    }
-
-    /// Fraction of objects given an offline window ([0, 1]).
-    pub fn churn_rate(mut self, p: f64) -> Self {
-        self.config.churn_rate = p;
-        self
-    }
-
-    /// Focal-object lease duration in ticks (0 = fault tolerance off).
-    pub fn lease_ticks(mut self, ticks: usize) -> Self {
-        self.config.lease_ticks = ticks;
-        self
-    }
-
-    /// Server partitions for the sharded cluster tier; `0` = auto (see
-    /// [`SimConfig::resolved_partitions`]).
-    pub fn partitions(mut self, partitions: usize) -> Self {
-        self.config.partitions = partitions;
-        self
-    }
-
-    /// Rebalance cadence in ticks for the cluster tier; `0` = auto (see
-    /// [`SimConfig::resolved_rebalance_ticks`]).
-    pub fn rebalance_ticks(mut self, ticks: usize) -> Self {
-        self.config.rebalance_ticks = ticks;
-        self
-    }
-
-    /// How the cluster tier reaches its partitions; unset = lock-step
-    /// (see [`SimConfig::resolved_transport`]).
-    pub fn transport(mut self, t: TransportKind) -> Self {
-        self.config.transport = Some(t);
-        self
-    }
-
-    /// Agent tick-engine variant; unset = auto (see
-    /// [`SimConfig::resolved_engine`]).
-    pub fn engine(mut self, e: EngineKind) -> Self {
-        self.config.engine = Some(e);
-        self
-    }
-
-    /// Tick at which the crash plan kills partitions; `0` = auto (see
-    /// [`SimConfig::resolved_partition_crash_ticks`]).
-    pub fn partition_crash_ticks(mut self, tick: usize) -> Self {
-        self.config.partition_crash_ticks = tick;
-        self
-    }
-
-    /// Partitions killed at the crash tick; `0` = auto (see
-    /// [`SimConfig::resolved_partition_crash_kills`]).
-    pub fn partition_crash_kills(mut self, kills: usize) -> Self {
-        self.config.partition_crash_kills = kills;
-        self
-    }
-
-    /// Crash-recovery mode; unset = auto (see
-    /// [`SimConfig::resolved_recovery`]).
-    pub fn recovery(mut self, r: RecoveryKind) -> Self {
-        self.config.recovery = Some(r);
-        self
-    }
-
-    /// Durable-log root directory; unset = auto (see
-    /// [`SimConfig::resolved_store_dir`]).
-    pub fn store_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.config.store_dir = Some(dir.into());
-        self
-    }
-
-    /// Checkpoint cadence for the durable logs; `0` = auto (see
-    /// [`SimConfig::resolved_store_checkpoint_ticks`]).
-    pub fn store_checkpoint_ticks(mut self, ticks: usize) -> Self {
-        self.config.store_checkpoint_ticks = ticks;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<SimConfig, ConfigError> {
-        // Written to reject NaN along with non-positive values.
-        let positive = |v: f64| v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
-        let err = |msg: String| Err(ConfigError(msg));
-        let c = self.config;
-        if !positive(c.alpha) {
-            return err(format!("alpha must be > 0 (got {})", c.alpha));
-        }
-        if c.num_objects == 0 {
-            return err("num_objects must be > 0".to_string());
-        }
-        if !positive(c.radius_factor) {
-            return err(format!(
-                "radius_factor must be > 0 (got {})",
-                c.radius_factor
-            ));
-        }
-        if !positive(c.time_step) {
-            return err(format!("time_step must be > 0 (got {})", c.time_step));
-        }
-        if !positive(c.area) {
-            return err(format!("area must be > 0 (got {})", c.area));
-        }
-        if !positive(c.alen) {
-            return err(format!("alen must be > 0 (got {})", c.alen));
-        }
-        if !positive(c.delta) {
-            return err(format!("delta must be > 0 (got {})", c.delta));
-        }
-        if !(0.0..=1.0).contains(&c.selectivity) {
-            return err(format!(
-                "selectivity must be within [0, 1] (got {})",
-                c.selectivity
-            ));
-        }
-        if c.ticks == 0 {
-            return err("ticks must be > 0".to_string());
-        }
-        if c.radius_means.is_empty() || c.speed_classes_mph.is_empty() {
-            return err("radius_means and speed_classes_mph must be non-empty".to_string());
-        }
-        if c.focal_pool == Some(0) {
-            return err("focal_pool must be > 0 when set".to_string());
-        }
-        for (name, v) in [
-            ("uplink_drop", c.uplink_drop),
-            ("downlink_drop", c.downlink_drop),
-            ("dup_rate", c.dup_rate),
-            ("churn_rate", c.churn_rate),
-        ] {
-            // `!(..).contains()` also rejects NaN.
-            if !(0.0..=1.0).contains(&v) {
-                return err(format!("{name} must be within [0, 1] (got {v})"));
-            }
-        }
-        // The cluster tier needs at least one grid cell per partition;
-        // catching this here turns a `PartitionMap::contiguous` panic
-        // deep inside the run into a clear configuration error.
-        let cells = c.grid_cells();
-        let partitions = c.resolved_partitions();
-        if partitions > cells {
-            return err(format!(
-                "partitions ({partitions}) exceeds the grid's cell count ({cells}); \
-                 shrink --partitions (or MOBIEYES_PARTITIONS), lower alpha, or grow the area"
-            ));
-        }
-        // Crash injection needs a survivor to fail over to; the plan also
-        // clamps, but an explicit impossible request is a config error.
-        if c.partition_crash_ticks > 0 && partitions < 2 {
-            return err(format!(
-                "partition_crash_ticks requires at least 2 partitions (got {partitions})"
-            ));
-        }
-        if c.partition_crash_kills > 0 && c.partition_crash_kills >= partitions {
-            return err(format!(
-                "partition_crash_kills ({}) must leave a survivor out of {partitions} partitions",
-                c.partition_crash_kills
-            ));
-        }
-        c.check_crash_drill()?;
-        Ok(c)
-    }
-
-    /// [`build`](Self::build) that panics on invalid input — for the
-    /// figure binaries, where a bad sweep value is a programming error.
-    pub fn build_or_panic(self) -> SimConfig {
-        self.build()
-            .unwrap_or_else(|e| panic!("invalid SimConfig: {e}"))
-    }
+/// `MOBIEYES_ENGINE` as a tick engine; `Ok(None)` when unset.
+fn env_engine() -> Result<Option<EngineKind>, ConfigError> {
+    env_knob("MOBIEYES_ENGINE", "soa or seed", |v| {
+        EngineKind::parse(v).ok()
+    })
 }
 
 #[cfg(test)]
@@ -975,6 +638,7 @@ mod tests {
         assert_eq!(c.selectivity, 0.75);
         assert_eq!(c.speed_classes_mph, vec![100.0, 50.0, 150.0, 200.0, 250.0]);
         assert!((c.side() - 316.227766).abs() < 1e-6);
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -1000,14 +664,15 @@ mod tests {
 
     #[test]
     fn builder_accepts_valid_configs() {
-        let c = SimConfig::builder()
-            .seed(7)
-            .alpha(2.0)
-            .objects(500)
-            .queries(50)
-            .radius_factor(1.5)
-            .build()
-            .unwrap();
+        let c = SimConfig {
+            seed: 7,
+            ..SimConfig::default()
+        }
+        .with_alpha(2.0)
+        .with_objects(500)
+        .with_queries(50)
+        .with_radius_factor(1.5);
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.seed, 7);
         assert_eq!(c.alpha, 2.0);
         assert_eq!(c.num_objects, 500);
@@ -1015,33 +680,159 @@ mod tests {
         assert_eq!(c.radius_factor, 1.5);
     }
 
+    /// Asserts `validate` refuses every row, with a message carrying the
+    /// row's fragment.
+    fn assert_refused(cases: &[(SimConfig, &str)]) {
+        for (i, (config, fragment)) in cases.iter().enumerate() {
+            let err = config
+                .validate()
+                .expect_err(&format!("case {i} ({fragment}) must be refused"));
+            assert!(
+                err.to_string().contains(fragment),
+                "case {i}: {err} does not name {fragment:?}"
+            );
+        }
+    }
+
     #[test]
     fn builder_rejects_degenerate_values() {
-        assert!(SimConfig::builder().alpha(0.0).build().is_err());
-        assert!(SimConfig::builder().alpha(-1.0).build().is_err());
-        assert!(SimConfig::builder().alpha(f64::NAN).build().is_err());
-        assert!(SimConfig::builder().objects(0).build().is_err());
-        assert!(SimConfig::builder().radius_factor(0.0).build().is_err());
-        assert!(SimConfig::builder().radius_factor(-2.0).build().is_err());
-        assert!(SimConfig::builder().time_step(0.0).build().is_err());
-        assert!(SimConfig::builder().selectivity(1.5).build().is_err());
-        assert!(SimConfig::builder().focal_pool(0).build().is_err());
-        assert!(SimConfig::builder().uplink_drop(1.5).build().is_err());
-        assert!(SimConfig::builder().downlink_drop(-0.1).build().is_err());
-        assert!(SimConfig::builder().dup_rate(f64::NAN).build().is_err());
-        assert!(SimConfig::builder().churn_rate(2.0).build().is_err());
+        let d = SimConfig::default;
+        assert_refused(&[
+            (d().with_alpha(0.0), "alpha"),
+            (d().with_alpha(-1.0), "alpha"),
+            (d().with_alpha(f64::NAN), "alpha"),
+            (d().with_objects(0), "num_objects"),
+            (d().with_radius_factor(0.0), "radius_factor"),
+            (d().with_radius_factor(-2.0), "radius_factor"),
+            (
+                SimConfig {
+                    time_step: 0.0,
+                    ..d()
+                },
+                "time_step",
+            ),
+            (SimConfig { area: 0.0, ..d() }, "area"),
+            (d().with_alen(0.0), "alen"),
+            (SimConfig { delta: 0.0, ..d() }, "delta"),
+            (
+                SimConfig {
+                    selectivity: 1.5,
+                    ..d()
+                },
+                "selectivity",
+            ),
+            (SimConfig { ticks: 0, ..d() }, "ticks"),
+            (
+                SimConfig {
+                    radius_means: Vec::new(),
+                    ..d()
+                },
+                "radius_means",
+            ),
+            (
+                SimConfig {
+                    speed_classes_mph: Vec::new(),
+                    ..d()
+                },
+                "speed_classes_mph",
+            ),
+            (d().with_focal_pool(0), "focal_pool"),
+            (
+                SimConfig {
+                    uplink_drop: 1.5,
+                    ..d()
+                },
+                "uplink_drop",
+            ),
+            (
+                SimConfig {
+                    downlink_drop: -0.1,
+                    ..d()
+                },
+                "downlink_drop",
+            ),
+            (
+                SimConfig {
+                    dup_rate: f64::NAN,
+                    ..d()
+                },
+                "dup_rate",
+            ),
+            (
+                SimConfig {
+                    churn_rate: 2.0,
+                    ..d()
+                },
+                "churn_rate",
+            ),
+        ]);
+    }
+
+    #[test]
+    fn builder_rejects_more_partitions_than_cells() {
+        let d = SimConfig::default;
+        // 100 mi² with α = 5 is a 2×2 grid of 4 cells; 8 partitions can
+        // never tile it.
+        let tiny = || SimConfig { area: 100.0, ..d() };
+        assert_refused(&[
+            (d().with_partitions(0), "partitions must be > 0"),
+            (tiny().with_partitions(8), "exceeds the grid's cell count"),
+        ]);
+        // The boundary case (one cell per partition) stays valid.
+        assert_eq!(tiny().with_partitions(4).validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_bad_crash_drills() {
+        let d = SimConfig::default;
+        let drill = |t: TransportKind| {
+            d().with_partitions(2)
+                .with_transport(t)
+                .with_partition_crash_ticks(5)
+        };
+        assert_refused(&[
+            (
+                d().with_partitions(1).with_partition_crash_ticks(5),
+                "at least 2 partitions",
+            ),
+            (
+                d().with_partitions(4)
+                    .with_partition_crash_ticks(5)
+                    .with_partition_crash_kills(0),
+                "partition_crash_kills",
+            ),
+            (
+                d().with_partitions(4)
+                    .with_partition_crash_ticks(5)
+                    .with_partition_crash_kills(4),
+                "partition_crash_kills",
+            ),
+            (drill(TransportKind::Tcp), "mobieyes-serve drive"),
+            (drill(TransportKind::Uds), "mobieyes-serve drive"),
+        ]);
+        // The boundary cases stay valid: the last kill count that leaves a
+        // survivor, a lock-step crash drill.
+        assert_eq!(
+            d().with_partitions(4)
+                .with_partition_crash_ticks(5)
+                .with_partition_crash_kills(3)
+                .validate(),
+            Ok(())
+        );
+        assert_eq!(drill(TransportKind::Lockstep).validate(), Ok(()));
     }
 
     #[test]
     fn builder_accepts_fault_knobs() {
-        let c = SimConfig::builder()
-            .uplink_drop(0.3)
-            .downlink_drop(0.2)
-            .dup_rate(0.1)
-            .churn_rate(0.15)
-            .lease_ticks(6)
-            .build()
-            .unwrap();
+        let c = SimConfig {
+            uplink_drop: 0.3,
+            downlink_drop: 0.2,
+            dup_rate: 0.1,
+            churn_rate: 0.15,
+            ..SimConfig::default()
+        }
+        .with_lease_ticks(6);
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.uplink_drop, 0.3);
         assert_eq!(c.downlink_drop, 0.2);
         assert_eq!(c.dup_rate, 0.1);
@@ -1053,74 +844,45 @@ mod tests {
     fn thread_resolution_precedence() {
         // An explicit count always wins.
         assert_eq!(SimConfig::default().with_threads(3).resolved_threads(), 3);
-        assert_eq!(SimConfig::builder().threads(2).build().unwrap().threads, 2);
         // Auto resolves to something positive whatever the environment.
         assert!(SimConfig::default().resolved_threads() >= 1);
     }
 
     #[test]
-    fn partition_resolution_precedence() {
-        // An explicit count always wins; auto defaults to 1 when the
-        // environment doesn't say otherwise.
-        assert_eq!(
-            SimConfig::default()
-                .with_partitions(4)
-                .resolved_partitions(),
-            4
+    fn environment_garbage_is_a_config_error() {
+        // A variable of this test's own, so no concurrently running test
+        // reads it.
+        const KNOB: &str = "SIM_CONFIG_TEST_KNOB";
+        let read = || env_knob(KNOB, "soa or seed", |v| EngineKind::parse(v).ok());
+        std::env::remove_var(KNOB);
+        assert_eq!(read(), Ok(None));
+        std::env::set_var(KNOB, "seed");
+        assert_eq!(read(), Ok(Some(EngineKind::Seed)));
+        std::env::set_var(KNOB, "sead");
+        let err = read().unwrap_err();
+        assert!(
+            err.0.contains(KNOB) && err.0.contains("sead"),
+            "the error must name the variable and its value: {err}"
         );
-        assert_eq!(
-            SimConfig::builder()
-                .partitions(2)
-                .build()
-                .unwrap()
-                .partitions,
-            2
-        );
-        assert!(SimConfig::default().resolved_partitions() >= 1);
+        std::env::remove_var(KNOB);
     }
 
     #[test]
-    fn builder_rejects_more_partitions_than_cells() {
-        // 100 mi² with α = 5 → a 2×2 grid of 4 cells; 8 partitions can
-        // never tile it and used to panic deep inside
-        // `PartitionMap::contiguous`.
-        let err = SimConfig::builder()
-            .area(100.0)
-            .alpha(5.0)
-            .partitions(8)
-            .build()
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("exceeds the grid's cell count"),
-            "unhelpful message: {err}"
-        );
-        // The boundary case (one cell per partition) stays valid.
-        assert!(SimConfig::builder()
-            .area(100.0)
-            .alpha(5.0)
-            .partitions(4)
-            .build()
-            .is_ok());
+    fn partition_resolution_precedence() {
+        // One partition (the single server) unless set; the field is the
+        // only source.
+        assert_eq!(SimConfig::default().partitions, 1);
+        assert_eq!(SimConfig::default().with_partitions(4).partitions, 4);
+        assert_eq!(SimConfig::default().with_partitions(2).validate(), Ok(()));
     }
 
     #[test]
     fn rebalance_resolution_precedence() {
         assert_eq!(
-            SimConfig::default()
-                .with_rebalance_ticks(5)
-                .resolved_rebalance_ticks(),
+            SimConfig::default().with_rebalance_ticks(5).rebalance_ticks,
             5
         );
-        assert_eq!(
-            SimConfig::builder()
-                .rebalance_ticks(3)
-                .build()
-                .unwrap()
-                .rebalance_ticks,
-            3
-        );
-        // Auto defaults to off (0) when the environment doesn't say
-        // otherwise; the suite never sets MOBIEYES_REBALANCE_TICKS.
+        // Off (0) unless set.
         assert_eq!(SimConfig::default().rebalance_ticks, 0);
     }
 
@@ -1143,13 +905,13 @@ mod tests {
                 .resolved_transport(),
             TransportKind::Tcp
         );
+        // Hosted services without a crash schedule are fine.
         assert_eq!(
-            SimConfig::builder()
-                .transport(TransportKind::Uds)
-                .build()
-                .unwrap()
-                .transport,
-            Some(TransportKind::Uds)
+            SimConfig::default()
+                .with_partitions(2)
+                .with_transport(TransportKind::Uds)
+                .validate(),
+            Ok(())
         );
     }
 
@@ -1164,88 +926,59 @@ mod tests {
             RecoveryKind::Respawn
         );
         assert!(RecoveryKind::parse("reboot").is_err());
+        assert_eq!(SimConfig::default().recovery, RecoveryKind::Failover);
         assert_eq!(
             SimConfig::default()
                 .with_recovery(RecoveryKind::Respawn)
-                .resolved_recovery(),
-            RecoveryKind::Respawn
-        );
-        assert_eq!(
-            SimConfig::builder()
-                .recovery(RecoveryKind::Failover)
-                .build()
-                .unwrap()
                 .recovery,
-            Some(RecoveryKind::Failover)
+            RecoveryKind::Respawn
         );
     }
 
     #[test]
     fn crash_knob_resolution_and_validation() {
-        // Explicit values win; kills defaults to 1 when unset.
-        let c = SimConfig::default()
+        // Off by default, and one victim once a crash is scheduled.
+        let d = SimConfig::default();
+        assert_eq!((d.partition_crash_ticks, d.partition_crash_kills), (0, 1));
+        // The kill count only matters with a crash scheduled.
+        assert_eq!(d.clone().with_partition_crash_kills(0).validate(), Ok(()));
+        let c = d
             .with_partitions(4)
             .with_partition_crash_ticks(10)
-            .with_partition_crash_kills(2);
-        assert_eq!(c.resolved_partition_crash_ticks(), 10);
-        assert_eq!(c.resolved_partition_crash_kills(), 2);
-        assert_eq!(
-            SimConfig::default().resolved_partition_crash_kills(),
-            1,
-            "auto kill count is one partition"
-        );
-        // Crashing a single-partition deployment is rejected, as is
-        // killing every partition.
-        assert!(SimConfig::builder()
-            .partitions(1)
-            .partition_crash_ticks(5)
-            .build()
-            .is_err());
-        assert!(SimConfig::builder()
-            .partitions(4)
-            .partition_crash_ticks(5)
-            .partition_crash_kills(4)
-            .build()
-            .is_err());
-        assert!(SimConfig::builder()
-            .partitions(4)
-            .partition_crash_ticks(5)
-            .partition_crash_kills(2)
-            .recovery(RecoveryKind::Respawn)
-            .build()
-            .is_ok());
+            .with_partition_crash_kills(2)
+            .with_recovery(RecoveryKind::Respawn);
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!((c.partition_crash_ticks, c.partition_crash_kills), (10, 2));
     }
 
     #[test]
     fn crash_drill_on_hosted_services_is_a_config_error() {
         let drill = |t: TransportKind| {
-            SimConfig::builder()
-                .partitions(2)
-                .transport(t)
-                .partition_crash_ticks(5)
-                .build()
+            SimConfig::default()
+                .with_partitions(2)
+                .with_transport(t)
+                .with_partition_crash_ticks(5)
+                .validate()
         };
         for t in [TransportKind::Tcp, TransportKind::Uds] {
             let err = drill(t).expect_err("hosted services cannot be killed");
             assert!(err.0.contains("mobieyes-serve drive"), "{err}");
         }
-        assert!(drill(TransportKind::Lockstep).is_ok());
-        // Without a crash schedule, hosted services are fine.
-        assert!(SimConfig::builder()
-            .partitions(2)
-            .transport(TransportKind::Uds)
-            .build()
-            .is_ok());
+        assert_eq!(drill(TransportKind::Lockstep), Ok(()));
     }
 
     #[test]
-    fn builder_starts_from_existing_config() {
-        let base = SimConfig::small_test(9);
-        let c = SimConfigBuilder::from_config(base.clone())
-            .queries(77)
-            .build()
-            .unwrap();
-        assert_eq!(c.num_objects, base.num_objects);
-        assert_eq!(c.num_queries, 77);
+    fn empty_store_dir_pins_persistence_off() {
+        assert_eq!(SimConfig::default().resolved_store_dir(), None);
+        assert_eq!(
+            SimConfig::default().with_store_dir("").resolved_store_dir(),
+            None
+        );
+        assert_eq!(
+            SimConfig::default()
+                .with_store_dir("logs")
+                .resolved_store_dir(),
+            Some(std::path::PathBuf::from("logs"))
+        );
     }
 }

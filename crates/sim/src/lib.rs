@@ -23,9 +23,7 @@ pub mod workload;
 pub use alpha_model::{optimal_alpha, AlphaCost, WorkloadMoments};
 pub use approach::{run_approach, run_approach_with, Approach, RunReport};
 pub use central_run::{CentralKind, CentralSim, MessagingKind, MessagingModel};
-pub use config::{
-    ConfigError, EngineKind, RecoveryKind, SimConfig, SimConfigBuilder, TransportKind,
-};
+pub use config::{ConfigError, EngineKind, RecoveryKind, SimConfig, TransportKind};
 pub use metrics::RunMetrics;
 pub use mobieyes_run::{MobiEyesSim, TickWork};
 pub use mobility::{Mobility, MobilityKind};

@@ -214,9 +214,8 @@ impl MobiEyesSim {
     ///
     /// # Panics
     ///
-    /// On a partition-crash schedule over thread-hosted services, which
-    /// this process cannot kill (`SimConfigBuilder::build` refuses the
-    /// same combination).
+    /// On a configuration [`SimConfig::validate`] refuses, with its
+    /// message.
     pub fn with_telemetry(config: SimConfig, telemetry: Telemetry) -> Self {
         Self::build(config, telemetry, None)
     }
@@ -234,6 +233,7 @@ impl MobiEyesSim {
     }
 
     fn build(config: SimConfig, telemetry: Telemetry, remote: Option<Vec<FramedConn>>) -> Self {
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let workload = Workload::generate(&config);
         let engine = config.resolved_engine();
         let grid = Grid::new(workload.universe, config.alpha);
@@ -252,14 +252,13 @@ impl MobiEyesSim {
         );
         let layout = BaseStationLayout::new(workload.universe, config.alen);
         let mut net = Net::new(layout.clone()).with_telemetry(telemetry.clone());
-        let partitions = config.resolved_partitions();
+        let partitions = config.partitions;
         let store_root = config.resolved_store_dir();
         let mut single_store = None;
         let mut hosted = None;
         let transport = config.resolved_transport();
         let remote = match remote {
             None if partitions > 1 && transport != TransportKind::Lockstep => {
-                config.check_crash_drill().unwrap_or_else(|e| panic!("{e}"));
                 let uds = transport == TransportKind::Uds;
                 let services =
                     HostedPartitions::spawn(partitions, uds).expect("spawn partition services");
@@ -350,7 +349,21 @@ impl MobiEyesSim {
             .fold(1.0f64, f64::max);
         let truth = GroundTruth::new(&workload, max_radius.max(config.alpha)).with_threads(threads);
         let soa = AgentSoa::new(&agents, &grid_copy, shards);
+        let crash_plan = match config.partition_crash_ticks {
+            0 => PartitionCrashPlan::none(),
+            tick => PartitionCrashPlan::seeded(
+                config.seed,
+                config.partitions as u32,
+                config.partition_crash_kills,
+                // The plan fires relative to measured ticks; warm-up runs
+                // crash-free so every deployment installs identically.
+                (config.warmup_ticks + tick) as u64,
+            ),
+        };
         let mut sim = MobiEyesSim {
+            rebalance_ticks: config.rebalance_ticks,
+            recovery: config.recovery,
+            store_checkpoint_ticks: config.store_checkpoint_ticks,
             config,
             workload,
             mobility,
@@ -373,37 +386,19 @@ impl MobiEyesSim {
             rejoin_now: vec![None; n],
             skip_now: vec![false; n],
             frozen: false,
-            rebalance_ticks: 0,
             engine,
             grid: grid_copy,
             soa,
             work: TickWork::default(),
-            crash_plan: PartitionCrashPlan::none(),
-            recovery: RecoveryKind::Failover,
+            crash_plan,
             pending_respawn: Vec::new(),
             audit: false,
             crash_hook: None,
             respawn_hook: None,
             store: single_store,
             store_root,
-            store_checkpoint_ticks: 0,
             hosted,
         };
-        sim.store_checkpoint_ticks = sim.config.resolved_store_checkpoint_ticks();
-        sim.rebalance_ticks = sim.config.resolved_rebalance_ticks();
-        sim.recovery = sim.config.resolved_recovery();
-        let crash_tick = sim.config.resolved_partition_crash_ticks();
-        let crash_parts = sim.config.resolved_partitions() as u32;
-        if crash_tick > 0 && crash_parts >= 2 {
-            sim.crash_plan = PartitionCrashPlan::seeded(
-                sim.config.seed,
-                crash_parts,
-                sim.config.resolved_partition_crash_kills(),
-                // The plan fires relative to measured ticks; warm-up runs
-                // crash-free so every deployment installs identically.
-                (sim.config.warmup_ticks + crash_tick) as u64,
-            );
-        }
         // Fault knobs from the configuration apply for the whole run; the
         // chaos harness installs sharper-edged plans via `set_churn`.
         let c = &sim.config;
@@ -550,7 +545,7 @@ impl MobiEyesSim {
     }
 
     /// Whether this deployment journals to a durable store
-    /// ([`SimConfig::store_dir`] / `MOBIEYES_STORE_DIR`).
+    /// ([`SimConfig::store_dir`]).
     pub fn has_store(&self) -> bool {
         match &self.tier {
             ServerTier::Single(_) => self.store.is_some(),

@@ -6,7 +6,7 @@
 use crate::config::SimConfig;
 use crate::metrics::RunMetrics;
 use crate::mobieyes_run::MobiEyesSim;
-use mobieyes_cluster::serve_partition;
+use mobieyes_cluster::{dial_partition, serve_partition};
 use mobieyes_net::{Endpoint, FramedConn, Listener, TransportError};
 use mobieyes_telemetry::Telemetry;
 use std::thread::JoinHandle;
@@ -20,24 +20,17 @@ pub struct ClusterClient {
 }
 
 impl ClusterClient {
-    /// Connects to every endpoint in partition order, retrying each for up
-    /// to `timeout` (freshly spawned services may still be binding),
-    /// completes the hello exchange and checks the service at position `p`
-    /// actually announces partition `p`.
+    /// Connects to every endpoint in partition order through
+    /// [`dial_partition`]: retrying each for up to `timeout` (freshly
+    /// spawned services may still be binding), completing the hello
+    /// exchange and checking the service at position `p` actually
+    /// announces partition `p`.
     pub fn connect(endpoints: &[Endpoint], timeout: Duration) -> Result<Self, TransportError> {
-        let mut conns = Vec::with_capacity(endpoints.len());
-        for (p, ep) in endpoints.iter().enumerate() {
-            let stream = ep.connect_with_retry(timeout)?;
-            let mut conn = FramedConn::new(stream);
-            conn.send_hello(0)?;
-            let announced = conn.expect_hello()?;
-            if announced != p as u32 {
-                return Err(TransportError::Handshake(format!(
-                    "service at {ep} announced partition {announced}, expected {p}"
-                )));
-            }
-            conns.push(conn);
-        }
+        let conns = endpoints
+            .iter()
+            .enumerate()
+            .map(|(p, ep)| dial_partition(ep, p as u32, timeout))
+            .collect::<Result<_, _>>()?;
         Ok(ClusterClient { conns })
     }
 

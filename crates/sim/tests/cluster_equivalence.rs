@@ -22,24 +22,21 @@ use std::collections::BTreeSet;
 const TICKS: usize = 12;
 
 fn base_config(seed: u64, propagation: Propagation, chaos: bool) -> SimConfig {
-    let mut c = SimConfig::small_test(seed).with_propagation(propagation);
-    if chaos {
-        c = SimConfig::builder()
-            .seed(c.seed)
-            .objects(c.num_objects)
-            .queries(c.num_queries)
-            .objects_changing_velocity(c.objects_changing_velocity)
-            .area(c.area)
-            .propagation(propagation)
-            .uplink_drop(0.12)
-            .downlink_drop(0.08)
-            .dup_rate(0.05)
-            .churn_rate(0.10)
-            .lease_ticks(4)
-            .build()
-            .expect("valid chaos config");
+    let c = SimConfig::small_test(seed).with_propagation(propagation);
+    if !chaos {
+        return c;
     }
-    c
+    // Chaos rows keep Table 1's tick counts: the fault plan's window
+    // spans warm-up plus measured ticks.
+    SimConfig {
+        ticks: SimConfig::default().ticks,
+        warmup_ticks: SimConfig::default().warmup_ticks,
+        uplink_drop: 0.12,
+        downlink_drop: 0.08,
+        dup_rate: 0.05,
+        churn_rate: 0.10,
+        ..c.with_lease_ticks(4)
+    }
 }
 
 struct Trace {
@@ -52,7 +49,7 @@ struct Trace {
 }
 
 fn run_traced(config: SimConfig) -> Trace {
-    let partitions = config.resolved_partitions();
+    let partitions = config.partitions;
     let mut sim = MobiEyesSim::new(config);
     let mut results = Vec::with_capacity(TICKS);
     for _ in 0..TICKS {
@@ -239,7 +236,7 @@ fn run_crash_traced(
     recovery: RecoveryKind,
     threads: usize,
 ) -> CrashTrace {
-    let partitions = config.resolved_partitions();
+    let partitions = config.partitions;
     let seed = config.seed;
     let plan = PartitionCrashPlan::seeded(seed, partitions as u32, kills, CRASH_TICK);
     let victims = plan.victims.clone();

@@ -102,6 +102,48 @@ journal_pin "journal pin (single server)" "5 1086384886 3299208"
 rm -rf "$pin_out" "$pin_store"
 unset -f pin_run journal_pin
 
+echo "==> configuration (environment holds no knob but threads and engine; misuse is classified)"
+# A run is configured by its flags (SimConfig's fields) alone: the only
+# variables the program reads are MOBIEYES_THREADS, MOBIEYES_ENGINE and
+# the figure harness's MOBIEYES_QUICK. Seven more used to fill knobs left
+# at 0; each is set here to a value that would have reshaped the run (4
+# rebalancing partitions, a crash drill, a durable store), and the run
+# must read exactly like a clean one and create no store. The names are
+# spelled as prefix + suffix so no source line carries them.
+inert_dir=$(mktemp -d)
+inert_env=()
+for knob in PARTITIONS=4 REBALANCE_TICKS=2 PARTITION_CRASH_TICKS=2 PARTITION_CRASH_KILLS=3 \
+  RECOVERY=respawn STORE_CHECKPOINT_TICKS=1 "STORE_DIR=$inert_dir/store"; do
+  inert_env+=("MOBIEYES_$knob")
+done
+inert_args=(--objects 400 --queries 40 --nmo 40 --ticks 8 --warmup 2 --area 10000 --seed 7)
+err_clean=$(cargo run -q --release --bin mobieyes -- "${inert_args[@]}" \
+  --metrics-out "$inert_dir/clean.json" 2>/dev/null | grep 'avg result error:')
+err_hostile=$(env "${inert_env[@]}" cargo run -q --release --bin mobieyes -- "${inert_args[@]}" \
+  --metrics-out "$inert_dir/hostile.json" 2>/dev/null | grep 'avg result error:')
+[ "$err_hostile" = "$err_clean" ] \
+  || { echo "configuration: removed variables moved the result error ($err_clean -> $err_hostile)"; exit 1; }
+# Wall-clock fields (`*nanos`) differ run to run; every other line agrees.
+diff <(grep -v nanos "$inert_dir/clean.json") <(grep -v nanos "$inert_dir/hostile.json") \
+  || { echo "configuration: removed variables changed the telemetry snapshot"; exit 1; }
+[ ! -e "$inert_dir/store" ] \
+  || { echo "configuration: a removed variable still attached a durable store"; exit 1; }
+rm -rf "$inert_dir"
+refused() { # <label> <command...>: exits non-zero naming the invalid configuration, no panic
+  local label=$1 out
+  shift
+  if out=$("$@" 2>&1); then echo "configuration ($label): accepted"; exit 1; fi
+  grep -q 'invalid configuration' <<<"$out" \
+    || { echo "configuration ($label): not reported as an invalid configuration: $out"; exit 1; }
+  if grep -q 'panicked' <<<"$out"; then echo "configuration ($label): panicked: $out"; exit 1; fi
+}
+refused "--partitions 0" cargo run -q --release --bin mobieyes -- "${inert_args[@]}" --partitions 0
+refused "--alpha 0" cargo run -q --release --bin mobieyes -- "${inert_args[@]}" --alpha 0
+refused "MOBIEYES_ENGINE=sead" env MOBIEYES_ENGINE=sead \
+  cargo run -q --release --bin mobieyes -- "${inert_args[@]}"
+refused "drive --partitions 0" cargo run -q --release --bin mobieyes-serve -- drive --partitions 0
+unset -f refused
+
 echo "==> chaos smoke (seq/parallel + engine equivalence, convergence)"
 # The chaos-recovery bench is fully deterministic; the same scenario must
 # produce byte-identical results and telemetry at 1 and 4 worker threads

@@ -20,7 +20,7 @@
 //! lock-step reference runs the *same* crash plan in-process, so the
 //! final digests must still match exactly.
 
-use mobieyes::cluster::serve_partition;
+use mobieyes::cluster::{dial_partition, serve_partition};
 use mobieyes::net::{Endpoint, Listener};
 use mobieyes::prelude::*;
 use std::cell::RefCell;
@@ -225,63 +225,33 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             other => return Err(format!("unknown drive flag {other:?}")),
         }
     }
-    if partitions == 0 {
-        return Err("--partitions must be at least 1".into());
-    }
-    if crash_tick > 0 {
-        if partitions < 2 {
-            return Err("--crash-tick needs at least 2 partitions".into());
-        }
-        if kills == 0 || kills >= partitions {
-            return Err(format!(
-                "--kill must be between 1 and {} for {partitions} partitions",
-                partitions - 1
-            ));
-        }
-        if crash_tick >= ticks {
-            return Err(format!(
-                "--crash-tick {crash_tick} never fires within --ticks {ticks}"
-            ));
-        }
-    }
-
-    let mut config = SimConfig::small_test(seed)
-        .with_propagation(mode)
-        .with_partitions(partitions);
-    {
-        let mut b = SimConfigBuilder::from_config(config).ticks(ticks);
-        if let Some(n) = objects {
-            b = b.objects(n);
-        }
-        if let Some(n) = queries {
-            b = b.queries(n);
-        }
-        if let Some(n) = warmup {
-            b = b.warmup_ticks(n);
-        }
-        if crash_tick > 0 {
-            b = b
-                .partition_crash_ticks(crash_tick)
-                .partition_crash_kills(kills)
-                .recovery(recovery);
-        }
-        if checkpoint_ticks > 0 {
-            b = b.store_checkpoint_ticks(checkpoint_ticks);
-        }
-        if rebalance_ticks > 0 {
-            b = b.rebalance_ticks(rebalance_ticks);
-        }
-        config = b.build().map_err(|e| e.to_string())?;
+    let small = SimConfig::small_test(seed);
+    let mut config = SimConfig {
+        propagation: mode,
+        partitions,
+        ticks,
+        num_objects: objects.unwrap_or(small.num_objects),
+        num_queries: queries.unwrap_or(small.num_queries),
+        warmup_ticks: warmup.unwrap_or(small.warmup_ticks),
+        partition_crash_ticks: crash_tick,
+        partition_crash_kills: kills,
+        recovery,
+        store_checkpoint_ticks: checkpoint_ticks,
+        rebalance_ticks,
+        ..small
+    };
+    config.validate().map_err(|e| e.to_string())?;
+    if crash_tick > 0 && crash_tick >= ticks {
+        return Err(format!(
+            "--crash-tick {crash_tick} never fires within --ticks {ticks}"
+        ));
     }
 
-    // Resolve persistence exactly once, here: the live deployment and the
-    // lock-step reference run the same configuration in the same process,
-    // so they must never share (or inherit via MOBIEYES_STORE_DIR) a log
+    // The live deployment and the lock-step reference run the same
+    // configuration in the same process, so they must never share a log
     // directory — the reference would replay the live run's journal. An
     // empty store path pins persistence off for both when no root is set.
-    let store_root = store_dir
-        .map(std::path::PathBuf::from)
-        .or_else(|| config.resolved_store_dir());
+    let store_root = store_dir.map(std::path::PathBuf::from);
     let (live_store, reference_store) = match &store_root {
         Some(root) => {
             let (live, reference) = (root.join("live"), root.join("reference"));
@@ -345,20 +315,7 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
                             return None;
                         }
                     };
-                let conn = endpoint
-                    .connect_with_retry(Duration::from_secs(10))
-                    .map(FramedConn::new)
-                    .and_then(|mut conn| {
-                        conn.send_hello(0)?;
-                        let announced = conn.expect_hello()?;
-                        if announced != p {
-                            return Err(TransportError::Handshake(format!(
-                                "respawned service announced partition {announced}, expected {p}"
-                            )));
-                        }
-                        Ok(conn)
-                    });
-                match conn {
+                match dial_partition(&endpoint, p, Duration::from_secs(10)) {
                     Ok(conn) => {
                         respawn_slots.borrow_mut()[p as usize] = Some(child);
                         Some(conn)

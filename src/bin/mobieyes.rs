@@ -46,9 +46,9 @@ OPTIONS:
     --safe-period      enable safe-period optimization
     --threads <N>      tick-engine worker threads; 0 = auto from
                        MOBIEYES_THREADS or the host CPU count [default: 0]
-    --partitions <N>   grid-sharded server partitions; 0 = auto from
-                       MOBIEYES_PARTITIONS, else 1 (single server);
-                       results are byte-identical at every count [default: 0]
+    --partitions <N>   grid-sharded server partitions (at least 1; 1 runs
+                       the single server); results are byte-identical at
+                       every count                       [default: 1]
     --transport <T>    where partitions run: lockstep | tcp | uds. With
                        --partitions > 1, tcp / uds host one partition
                        service per partition on a thread and drive it over
@@ -59,28 +59,24 @@ OPTIONS:
                        engine skips provably-inert agents; results are
                        byte-identical either way         [default: soa]
     --rebalance-ticks <N> rebalance the partition map from observed load
-                       every N ticks; 0 = auto from
-                       MOBIEYES_REBALANCE_TICKS, else off. Never changes
-                       results, only the load split        [default: 0]
+                       every N ticks; 0 = off. Never changes results, only
+                       the load split                    [default: 0]
     --partition-crash-ticks <N> kill seeded victim partitions at measured
-                       tick N and recover (DESIGN.md §13); 0 = auto from
-                       MOBIEYES_PARTITION_CRASH_TICKS, else off [default: 0]
-    --partition-crash-kills <N> partitions to kill at the crash tick;
-                       0 = auto from MOBIEYES_PARTITION_CRASH_KILLS,
-                       else 1                              [default: 0]
+                       tick N and recover (DESIGN.md §13); 0 = off
+                                                         [default: 0]
+    --partition-crash-kills <N> partitions to kill at the crash tick
+                       (fewer than --partitions)         [default: 1]
     --recovery <R>     crash recovery mode: failover (survivors keep the
                        dead cells) | respawn (victims restart and re-adopt
-                       them); unset = auto from MOBIEYES_RECOVERY, else
-                       failover
+                       them)                             [default: failover]
     --store-dir <P>    journal every state-changing server input to an
                        append-only log under P (one `p<N>` directory per
-                       partition); unset = auto from MOBIEYES_STORE_DIR,
-                       else off. A restarted server pointed at the same
-                       directory replays to byte-identical state
+                       partition); unset = off. A restarted server pointed
+                       at the same directory replays to byte-identical
+                       state
     --checkpoint-ticks <N> checkpoint the durable logs every N ticks
-                       (snapshot + segment GC, bounding log size); 0 =
-                       auto from MOBIEYES_STORE_CHECKPOINT_TICKS, else
-                       off                                  [default: 0]
+                       (snapshot + segment GC, bounding log size); 0 = off
+                                                         [default: 0]
     --seed <N>         RNG seed
     --uplink-drop <P>  uplink message drop probability (0..=1)   [default: 0]
     --downlink-drop <P> downlink message drop probability (0..=1) [default: 0]
@@ -110,7 +106,7 @@ fn parse_approach(name: &str) -> Result<Approach, String> {
 }
 
 fn parse_args() -> Result<Cli, String> {
-    let mut builder = SimConfig::builder();
+    let mut c = SimConfig::default();
     let mut approach = Approach::MobiEyesEqp;
     let mut metrics_out = None;
     let mut args = std::env::args().skip(1).peekable();
@@ -125,64 +121,50 @@ fn parse_args() -> Result<Cli, String> {
         };
         match arg.as_str() {
             "--mode" => approach = parse_approach(&value("--mode")?)?,
-            "--objects" => builder = builder.objects(parse(&value("--objects")?)?),
-            "--queries" => builder = builder.queries(parse(&value("--queries")?)?),
-            "--nmo" => {
-                builder = builder.objects_changing_velocity(parse(&value("--nmo")?)?);
-            }
-            "--alpha" => builder = builder.alpha(parse(&value("--alpha")?)?),
-            "--alen" => builder = builder.alen(parse(&value("--alen")?)?),
-            "--area" => builder = builder.area(parse(&value("--area")?)?),
-            "--ticks" => builder = builder.ticks(parse(&value("--ticks")?)?),
-            "--warmup" => builder = builder.warmup_ticks(parse(&value("--warmup")?)?),
-            "--delta" => builder = builder.delta(parse(&value("--delta")?)?),
-            "--radius-factor" => {
-                builder = builder.radius_factor(parse(&value("--radius-factor")?)?);
-            }
-            "--focal-pool" => {
-                builder = builder.focal_pool(parse(&value("--focal-pool")?)?);
-            }
-            "--threads" => builder = builder.threads(parse(&value("--threads")?)?),
-            "--partitions" => builder = builder.partitions(parse(&value("--partitions")?)?),
+            "--objects" => c.num_objects = parse(&value("--objects")?)?,
+            "--queries" => c.num_queries = parse(&value("--queries")?)?,
+            "--nmo" => c.objects_changing_velocity = parse(&value("--nmo")?)?,
+            "--alpha" => c.alpha = parse(&value("--alpha")?)?,
+            "--alen" => c.alen = parse(&value("--alen")?)?,
+            "--area" => c.area = parse(&value("--area")?)?,
+            "--ticks" => c.ticks = parse(&value("--ticks")?)?,
+            "--warmup" => c.warmup_ticks = parse(&value("--warmup")?)?,
+            "--delta" => c.delta = parse(&value("--delta")?)?,
+            "--radius-factor" => c.radius_factor = parse(&value("--radius-factor")?)?,
+            "--focal-pool" => c.focal_pool = Some(parse(&value("--focal-pool")?)?),
+            "--threads" => c.threads = parse(&value("--threads")?)?,
+            "--partitions" => c.partitions = parse(&value("--partitions")?)?,
             "--transport" => {
-                builder = builder.transport(
-                    TransportKind::parse(&value("--transport")?).map_err(|e| e.to_string())?,
-                );
+                let t = TransportKind::parse(&value("--transport")?).map_err(|e| e.to_string())?;
+                c.transport = Some(t);
             }
             "--engine" => {
-                builder = builder
-                    .engine(EngineKind::parse(&value("--engine")?).map_err(|e| e.to_string())?);
+                let e = EngineKind::parse(&value("--engine")?).map_err(|e| e.to_string())?;
+                c.engine = Some(e);
             }
-            "--rebalance-ticks" => {
-                builder = builder.rebalance_ticks(parse(&value("--rebalance-ticks")?)?);
-            }
+            "--rebalance-ticks" => c.rebalance_ticks = parse(&value("--rebalance-ticks")?)?,
             "--partition-crash-ticks" => {
-                builder = builder.partition_crash_ticks(parse(&value("--partition-crash-ticks")?)?);
+                c.partition_crash_ticks = parse(&value("--partition-crash-ticks")?)?;
             }
             "--partition-crash-kills" => {
-                builder = builder.partition_crash_kills(parse(&value("--partition-crash-kills")?)?);
+                c.partition_crash_kills = parse(&value("--partition-crash-kills")?)?;
             }
             "--recovery" => {
-                builder = builder.recovery(
-                    RecoveryKind::parse(&value("--recovery")?).map_err(|e| e.to_string())?,
-                );
+                c.recovery =
+                    RecoveryKind::parse(&value("--recovery")?).map_err(|e| e.to_string())?;
             }
-            "--store-dir" => builder = builder.store_dir(value("--store-dir")?),
+            "--store-dir" => c.store_dir = Some(value("--store-dir")?.into()),
             "--checkpoint-ticks" => {
-                builder = builder.store_checkpoint_ticks(parse(&value("--checkpoint-ticks")?)?);
+                c.store_checkpoint_ticks = parse(&value("--checkpoint-ticks")?)?;
             }
-            "--seed" => builder = builder.seed(parse(&value("--seed")?)?),
-            "--uplink-drop" => {
-                builder = builder.uplink_drop(parse(&value("--uplink-drop")?)?);
-            }
-            "--downlink-drop" => {
-                builder = builder.downlink_drop(parse(&value("--downlink-drop")?)?);
-            }
-            "--dup-rate" => builder = builder.dup_rate(parse(&value("--dup-rate")?)?),
-            "--churn-rate" => builder = builder.churn_rate(parse(&value("--churn-rate")?)?),
-            "--lease-ticks" => builder = builder.lease_ticks(parse(&value("--lease-ticks")?)?),
-            "--grouping" => builder = builder.grouping(true),
-            "--safe-period" => builder = builder.safe_period(true),
+            "--seed" => c.seed = parse(&value("--seed")?)?,
+            "--uplink-drop" => c.uplink_drop = parse(&value("--uplink-drop")?)?,
+            "--downlink-drop" => c.downlink_drop = parse(&value("--downlink-drop")?)?,
+            "--dup-rate" => c.dup_rate = parse(&value("--dup-rate")?)?,
+            "--churn-rate" => c.churn_rate = parse(&value("--churn-rate")?)?,
+            "--lease-ticks" => c.lease_ticks = parse(&value("--lease-ticks")?)?,
+            "--grouping" => c.grouping = true,
+            "--safe-period" => c.safe_period = true,
             "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
             "-h" | "--help" => {
                 print!("{HELP}");
@@ -191,9 +173,10 @@ fn parse_args() -> Result<Cli, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
+    c.validate().map_err(|e| e.to_string())?;
     Ok(Cli {
         approach,
-        config: builder.build().map_err(|e| e.to_string())?,
+        config: c,
         metrics_out,
     })
 }

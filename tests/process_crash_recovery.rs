@@ -6,6 +6,7 @@
 //! per-tick results and the final digest byte-identical to an in-process
 //! lock-step deployment playing the same crash plan.
 
+use mobieyes::cluster::dial_partition;
 use mobieyes::net::PartitionCrashPlan;
 use mobieyes::prelude::*;
 use std::cell::RefCell;
@@ -69,14 +70,7 @@ fn spawn_service(p: usize) -> (Child, Endpoint) {
 }
 
 fn connect(endpoint: &Endpoint, p: u32) -> FramedConn {
-    let stream = endpoint
-        .connect_with_retry(Duration::from_secs(10))
-        .expect("connect to partition service");
-    let mut conn = FramedConn::new(stream);
-    conn.send_hello(0).expect("send hello");
-    let announced = conn.expect_hello().expect("receive hello");
-    assert_eq!(announced, p, "service announced the wrong partition");
-    conn
+    dial_partition(endpoint, p, Duration::from_secs(10)).expect("connect to partition service")
 }
 
 struct Trace {
