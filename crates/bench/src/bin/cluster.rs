@@ -57,11 +57,14 @@ fn run_one(config: &SimConfig, partitions: usize, ticks: usize) -> Run {
     let snapshot = sim.telemetry().snapshot();
     let (per_partition, bus_msgs, bus_bytes) = if partitions > 1 {
         let c = sim.cluster();
-        let loads = (0..partitions)
-            .map(|p| Load {
+        let loads = c
+            .load_signals()
+            .into_iter()
+            .enumerate()
+            .map(|(p, (_, queries, stubs))| Load {
                 uplinks_handled: c.partition_ops(p),
-                sqt_entries: c.partition(p).expect("lockstep partition").num_queries(),
-                stub_entries: c.partition(p).expect("lockstep partition").num_stubs(),
+                sqt_entries: queries as usize,
+                stub_entries: stubs as usize,
             })
             .collect();
         let meter = c.bus_meter();

@@ -3,8 +3,8 @@
 //! reproduction still reproduce?" tests — each asserts the *ordering and
 //! trend* a figure shows, not absolute numbers.
 
-use mobieyes_bench::figures;
-use std::sync::{Mutex, MutexGuard};
+use mobieyes_bench::{figures, Table};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Figure runs measure wall-clock server load; running them concurrently
 /// on shared cores makes those measurements noisy. Serialize the tests.
@@ -180,4 +180,87 @@ fn fig8_shape_messaging_falls_then_flattens_with_station_size() {
     let first_drop = t.rows[0].1[col] - t.rows[1].1[col];
     let last_drop = t.rows[n - 2].1[col] - t.rows[n - 1].1[col];
     assert!(first_drop > last_drop, "savings must flatten out");
+}
+
+/// Figures 5 and 6 come from one sweep; the two tests share it.
+fn fig5_6() -> &'static (Table, Table) {
+    static SWEEP: OnceLock<(Table, Table)> = OnceLock::new();
+    SWEEP.get_or_init(figures::fig5_6)
+}
+
+/// Columns of figures 5 and 6: naive, central-optimal at nmq 100 and
+/// 1000, EQP at nmq 100 and 1000, LQP at nmq 100 and 1000.
+const NAIVE: usize = 0;
+const EQP: [usize; 2] = [3, 4];
+const LQP: [usize; 2] = [5, 6];
+
+#[test]
+fn fig5_shape_naive_grows_linearly_and_loses_only_at_scale() {
+    let _serial = quick();
+    let t = &fig5_6().0;
+    // Naive: every object reports every step, so the cost per object is
+    // one constant.
+    let per_object: Vec<f64> = t.rows.iter().map(|(no, ys)| ys[NAIVE] / no).collect();
+    for (w, (no, _)) in per_object.windows(2).zip(&t.rows[1..]) {
+        assert!(
+            (w[1] / w[0] - 1.0).abs() < 0.01,
+            "naive messaging must be linear in the object count (per object {} -> {} at {no})",
+            w[0],
+            w[1]
+        );
+    }
+    let (_, largest) = t.rows.last().unwrap();
+    for (c, &y) in largest.iter().enumerate().skip(1) {
+        assert!(
+            largest[NAIVE] > y,
+            "at the largest object count naive ({}) must cost the most; {} reads {y}",
+            largest[NAIVE],
+            t.columns[c]
+        );
+    }
+    // With few objects and many queries, MobiEyes' installs and result
+    // reports outweigh the naive position stream.
+    let (no, smallest) = &t.rows[0];
+    for c in [EQP[1], LQP[1]] {
+        assert!(
+            smallest[c] > smallest[NAIVE],
+            "at {no} objects {} ({}) must cost more than naive ({})",
+            t.columns[c],
+            smallest[c],
+            smallest[NAIVE]
+        );
+    }
+}
+
+#[test]
+fn fig6_shape_mobieyes_uplinks_beat_naive_and_lqp_beats_eqp() {
+    let _serial = quick();
+    let t = &fig5_6().1;
+    for (no, ys) in &t.rows {
+        for c in EQP.into_iter().chain(LQP) {
+            assert!(
+                ys[c] < ys[NAIVE],
+                "at {no} objects {} sends {} uplinks, naive {}",
+                t.columns[c],
+                ys[c],
+                ys[NAIVE]
+            );
+        }
+        for (eqp, lqp) in EQP.into_iter().zip(LQP) {
+            assert!(
+                ys[lqp] < ys[eqp],
+                "at {no} objects {} ({}) must send fewer uplinks than {} ({})",
+                t.columns[lqp],
+                ys[lqp],
+                t.columns[eqp],
+                ys[eqp]
+            );
+        }
+        assert!(
+            ys[LQP[0]] * 10.0 <= ys[NAIVE],
+            "at {no} objects LQP at nmq=100 ({}) must send 10x fewer uplinks than naive ({})",
+            ys[LQP[0]],
+            ys[NAIVE]
+        );
+    }
 }

@@ -23,11 +23,11 @@
 //! position requests of an install, a heartbeat or a failover, and the
 //! heartbeat beacon — runs with the lane empty.
 
-use crate::handle::{Lane, PartitionHandle, Probe, RemotePartition};
+use crate::handle::{Lane, PartitionHandle, Probe};
 use crate::partition::{
     failover_bounds, moved_cells, plan_bounds, readopt_bounds, PartitionMap, Router,
 };
-use crate::serve::store_failed;
+use crate::serve::ServiceState;
 use crate::wire::{InitConfig, PartitionOp};
 use mobieyes_core::server::lqt_sync::LqtSyncScratch;
 use mobieyes_core::server::mediate::{self, Focal, Reinstall};
@@ -35,16 +35,15 @@ use mobieyes_core::server::{
     srv_keys, srv_slots, FromPayload, Mediator, Net, PendingInstall, ServerTally,
 };
 use mobieyes_core::{
-    ClusterMsg, Downlink, Filter, LogRecord, ObjectId, PartitionScope, ProtocolConfig, QueryId,
-    Server, Uplink,
+    ClusterMsg, Downlink, Filter, LogRecord, ObjectId, ProtocolConfig, QueryId, Server, Uplink,
 };
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
 use mobieyes_net::TransportError;
 use mobieyes_net::{BaseStationLayout, FramedConn, MessageMeter, NetworkSim, NodeId, WireSized};
-use mobieyes_store::{self as store, Store};
+use mobieyes_store as store;
 use mobieyes_telemetry::{rebal_keys, rec_keys, rpc_keys, EventKind, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -96,36 +95,6 @@ pub struct RecoveryReport {
     /// durable log — installed at the new owner with their full result
     /// set, skipping the pending + `PositionRequest` round trip.
     pub queries_replayed: usize,
-}
-
-/// The `Init` op of partition `p` of `n`: the deployment's protocol
-/// config, the shared base-station coverage length and the partition's
-/// durable-log directory (`store_fresh` wipes a stale log first).
-fn init_config(
-    config: &ProtocolConfig,
-    alen: f64,
-    store_root: Option<&Path>,
-    p: u32,
-    n: usize,
-    store_fresh: bool,
-) -> InitConfig {
-    InitConfig {
-        universe: config.grid.universe,
-        alpha: config.grid.alpha,
-        alen,
-        delta: config.delta,
-        propagation: config.propagation,
-        grouping: config.grouping,
-        safe_period: config.safe_period,
-        deliver_results: config.deliver_results,
-        system_max_speed: config.system_max_speed,
-        lease_secs: config.lease_secs,
-        heartbeat_secs: config.heartbeat_secs,
-        partition: p,
-        num_partitions: n as u32,
-        store_dir: store_root.map(|r| r.join(format!("p{p}")).to_string_lossy().into_owned()),
-        store_fresh,
-    }
 }
 
 /// One installed fence, as its body and its caller see it.
@@ -182,14 +151,14 @@ pub struct ClusterServer {
     /// rebalance install — the load signal the rebalance planner cuts.
     cell_ops: Vec<u64>,
     /// Coordinator's view of the shared epoch — the same `Arc` every
-    /// partition scope (or remote handle) folds into; kept so recovery
-    /// can construct replacement partitions.
+    /// handle folds its replies into; kept so recovery can construct
+    /// replacement partitions.
     epoch: Arc<AtomicU64>,
-    /// Base-station coverage length, kept so a respawned remote partition
-    /// can be re-initialized with the identical downlink layout.
+    /// Base-station coverage length, kept so a respawned partition is
+    /// built with the identical downlink layout.
     alen: f64,
-    /// Partitions currently fenced off as dead (killed in-process or
-    /// detected via a classified transport failure). A dead partition
+    /// Partitions currently fenced off as dead (killed, or detected via
+    /// a classified failure). A dead partition
     /// owns no cells after its failover fence and receives nothing.
     dead: BTreeSet<u32>,
     /// Dead partitions whose cells have not been failed over yet —
@@ -207,20 +176,16 @@ pub struct ClusterServer {
     /// instead of being applied; the next failover fence re-routes them.
     orphans: Vec<Envelope>,
     /// Root directory of the durable trajectory logs (`<root>/p<N>` per
-    /// partition); `None` runs the tier without persistence.
+    /// partition, each owned by its partition); `None` runs the tier
+    /// without persistence.
     store_root: Option<PathBuf>,
-    /// Coordinator-held stores of the in-process partitions. Remote
-    /// partitions own their store inside the partition process; their
-    /// slot stays `None` (the coordinator reaches the log over RPC).
-    stores: Vec<Option<Store>>,
     /// The posted lane: the issue order of the downlinks not yet on the
     /// agent network. Empty outside [`Self::tick`] /
     /// [`Self::handle_uplink`].
     lane: Lane,
-    /// The network the coordinator's own ops run against in-process
-    /// partitions — fence rounds, bus delivery, log replay at attach.
-    /// None of them emits a downlink, but [`Server::apply`] takes a
-    /// network.
+    /// The network the coordinator's own ops run against — fence rounds
+    /// and bus delivery. None of them emits a downlink, but
+    /// [`Server::apply`] takes a network.
     quiet: Net,
     /// Reusable buffers of the `LqtSync` reconcile walk; a membership is
     /// tagged with the partition holding it.
@@ -228,17 +193,24 @@ pub struct ClusterServer {
 }
 
 impl ClusterServer {
-    /// An all-local deployment: byte-identical to the single server.
-    pub fn new(config: Arc<ProtocolConfig>, n: usize, shared: Telemetry) -> Self {
-        let map = PartitionMap::contiguous(&config.grid, n);
-        let epoch = Arc::new(AtomicU64::new(0));
-        let sinks: Vec<Telemetry> = (0..n).map(|_| Telemetry::new()).collect();
-        let local = |p: usize| map.server(&config, p as u32, &epoch, sinks[p].clone());
-        let partitions = (0..n)
-            .map(|p| PartitionHandle::Local(Box::new(local(p))))
-            .collect();
+    /// An in-process deployment, byte-identical to the single server:
+    /// every partition is a `ServiceState` built from the `Init` a
+    /// partition service would be sent, counting into its own sink. With
+    /// a `store_root`, each partition opens (and replays) `<root>/p<N>`
+    /// as it is built — restarting a whole cluster over the same root
+    /// recovers its state — and journals to it from then on. A store that
+    /// cannot be opened or replayed is the error, naming the path.
+    pub fn new(
+        config: Arc<ProtocolConfig>,
+        n: usize,
+        shared: Telemetry,
+        store_root: Option<PathBuf>,
+    ) -> Result<Self, TransportError> {
+        // No agent hears an in-process partition's own network.
         let alen = config.grid.alpha;
-        Self::assemble(config, map, partitions, sinks, shared, epoch, alen)
+        Self::assemble(config, n, shared, alen, store_root, |this, p| {
+            this.build(p, None, false)
+        })
     }
 
     /// A multi-process deployment: each connection drives one partition
@@ -246,52 +218,31 @@ impl ClusterServer {
     /// base-station coverage length, forwarded so every process builds the
     /// identical downlink layout. With a `store_root`, each process opens
     /// (and replays) `<root>/p<N>` before serving its first op, so
-    /// restarting a killed process recovers its partition's state.
+    /// restarting a killed process recovers its partition's state. A
+    /// partition that fails its `Init` is the error.
     pub fn new_remote_with_store(
         config: Arc<ProtocolConfig>,
         shared: Telemetry,
         conns: Vec<FramedConn>,
         alen: f64,
         store_root: Option<PathBuf>,
-    ) -> Self {
+    ) -> Result<Self, TransportError> {
         let n = conns.len();
-        let map = PartitionMap::contiguous(&config.grid, n);
-        let epoch = Arc::new(AtomicU64::new(0));
-        let sinks: Vec<Telemetry> = (0..n).map(|_| Telemetry::new()).collect();
-        let partitions: Vec<PartitionHandle> = conns
-            .into_iter()
-            .enumerate()
-            .map(|(p, conn)| {
-                let remote = RemotePartition::new(p as u32, conn, Arc::clone(&epoch));
-                remote.set_rpc_deadline(Some(DEFAULT_RPC_DEADLINE));
-                remote
-                    .init(init_config(
-                        &config,
-                        alen,
-                        store_root.as_deref(),
-                        p as u32,
-                        n,
-                        false,
-                    ))
-                    .unwrap_or_else(|e| panic!("partition {p} failed to initialize: {e}"));
-                PartitionHandle::Remote(Box::new(remote))
-            })
-            .collect();
-        let mut this = Self::assemble(config, map, partitions, sinks, shared, epoch, alen);
-        this.store_root = store_root;
-        this
+        let mut conns = conns.into_iter();
+        Self::assemble(config, n, shared, alen, store_root, |this, p| {
+            this.build(p, conns.next(), false)
+        })
     }
 
+    /// The coordinator of `n` partitions, each made by `build` in order.
     fn assemble(
         config: Arc<ProtocolConfig>,
-        map: PartitionMap,
-        partitions: Vec<PartitionHandle>,
-        sinks: Vec<Telemetry>,
+        n: usize,
         shared: Telemetry,
-        epoch: Arc<AtomicU64>,
         alen: f64,
-    ) -> Self {
-        let n = partitions.len();
+        store_root: Option<PathBuf>,
+        mut build: impl FnMut(&Self, u32) -> Result<PartitionHandle, TransportError>,
+    ) -> Result<Self, TransportError> {
         let cells = config.grid.num_cells();
         let quiet = Net::new(BaseStationLayout::new(config.grid.universe, alen));
         let bus_sink = Telemetry::new();
@@ -300,11 +251,11 @@ impl ClusterServer {
             config.grid.alpha,
         ))
         .with_telemetry(bus_sink.clone());
-        ClusterServer {
+        let mut this = ClusterServer {
+            map: PartitionMap::contiguous(&config.grid, n),
             config,
-            map,
-            partitions,
-            sinks,
+            partitions: Vec::with_capacity(n),
+            sinks: (0..n).map(|_| Telemetry::new()).collect(),
             shared,
             tally: ServerTally::new(srv_keys::ALL),
             bus,
@@ -315,19 +266,67 @@ impl ClusterServer {
             last_heartbeat: f64::NEG_INFINITY,
             ops: vec![0; n],
             cell_ops: vec![0; cells],
-            epoch,
+            epoch: Arc::new(AtomicU64::new(0)),
             alen,
             dead: BTreeSet::new(),
             unfenced: Vec::new(),
             lost_spans: BTreeMap::new(),
             registry: BTreeMap::new(),
             orphans: Vec::new(),
-            store_root: None,
-            stores: (0..n).map(|_| None).collect(),
+            store_root,
             lane: Lane::default(),
             quiet,
             lqt_scratch: LqtSyncScratch::default(),
+        };
+        for p in 0..n as u32 {
+            let partition = build(&this, p)?;
+            this.partitions.push(partition);
         }
+        Ok(this)
+    }
+
+    /// The `Init` of partition `p`: the deployment's protocol config, the
+    /// shared base-station coverage length and the partition's durable-log
+    /// directory (`store_fresh` wipes a stale log first).
+    fn init_of(&self, p: u32, store_fresh: bool) -> InitConfig {
+        let (config, root) = (&self.config, self.store_root.as_ref());
+        InitConfig {
+            universe: config.grid.universe,
+            alpha: config.grid.alpha,
+            alen: self.alen,
+            delta: config.delta,
+            propagation: config.propagation,
+            grouping: config.grouping,
+            safe_period: config.safe_period,
+            deliver_results: config.deliver_results,
+            system_max_speed: config.system_max_speed,
+            lease_secs: config.lease_secs,
+            heartbeat_secs: config.heartbeat_secs,
+            partition: p,
+            num_partitions: self.map.num_partitions() as u32,
+            store_dir: root.map(|r| r.join(format!("p{p}")).to_string_lossy().into_owned()),
+            store_fresh,
+        }
+    }
+
+    /// Partition `p`, built from its `Init`: in this process, or behind
+    /// `conn` (hello exchange completed), whose service is sent it.
+    fn build(
+        &self,
+        p: u32,
+        conn: Option<FramedConn>,
+        store_fresh: bool,
+    ) -> Result<PartitionHandle, TransportError> {
+        let (init, epoch) = (self.init_of(p, store_fresh), Arc::clone(&self.epoch));
+        // Two links: build the state here, or send its `Init` to a service.
+        let Some(conn) = conn else {
+            let state = ServiceState::build(&init, self.sinks[p as usize].clone())?;
+            return Ok(PartitionHandle::in_process(p, state, epoch));
+        };
+        let remote = PartitionHandle::remote(p, conn, epoch);
+        remote.set_rpc_deadline(Some(DEFAULT_RPC_DEADLINE));
+        remote.init(init)?;
+        Ok(remote)
     }
 
     /// Whether any partition is hosted out-of-process.
@@ -336,12 +335,10 @@ impl ClusterServer {
     }
 
     /// Tells every remote partition process to exit its service loop.
-    /// No-op for local partitions.
+    /// No-op for in-process partitions.
     pub fn shutdown_remote(&mut self) {
         for p in &self.partitions {
-            if let PartitionHandle::Remote(r) = p {
-                let _ = r.shutdown();
-            }
+            let _ = p.shutdown();
         }
     }
 
@@ -353,10 +350,11 @@ impl ClusterServer {
         self.partitions.len()
     }
 
-    /// The in-process server of partition `p`; `None` when the slot is
-    /// remote (that surface is lockstep-only).
-    pub fn partition(&self, p: usize) -> Option<&Server> {
-        self.partitions[p].local()
+    /// The sink partition `p` counts into: its server and journal
+    /// counters when it runs in process, the coordinator's events for it
+    /// either way. Drained into the shared sink after every entry point.
+    pub fn partition_telemetry(&self, p: usize) -> &Telemetry {
+        &self.sinks[p]
     }
 
     /// Per-partition state weight `(focals, queries, stubs)`, local or
@@ -404,29 +402,6 @@ impl ClusterServer {
 
     // --- durable trajectory logs (DESIGN.md §14) --------------------------
 
-    /// Attaches per-partition durable logs at `<root>/p<N>` to an
-    /// in-process deployment (builder style). Existing logs are replayed
-    /// into their partitions first — restarting a whole lockstep cluster
-    /// over the same root recovers its state — then every partition
-    /// journals its ops from here on. Remote deployments pass the root to
-    /// [`Self::new_remote_with_store`] instead (each process owns its log).
-    pub fn with_store(mut self, root: impl Into<PathBuf>) -> Self {
-        let root = root.into();
-        let n = self.partitions.len() as u32;
-        for p in 0..self.partitions.len() {
-            let PartitionHandle::Local(server) = &mut self.partitions[p] else {
-                continue;
-            };
-            let dir = root.join(format!("p{p}"));
-            let sink = &self.sinks[p];
-            let store = store::attach(&dir, p as u32, n, server, &mut self.quiet, sink)
-                .unwrap_or_else(|e| panic!("{e}"));
-            self.stores[p] = Some(store);
-        }
-        self.store_root = Some(root);
-        self
-    }
-
     /// Whether this deployment journals to durable logs.
     pub fn has_store(&self) -> bool {
         self.store_root.is_some()
@@ -435,25 +410,9 @@ impl ClusterServer {
     /// Cuts a checkpoint of every live partition into its durable log
     /// (snapshot + segment GC — this is what bounds log growth). Returns
     /// the per-partition next sequence number, 0 for storeless or dead
-    /// slots. No-op without a store.
+    /// slots.
     pub fn checkpoint_all(&mut self) -> Vec<u64> {
-        (0..self.partitions.len())
-            .map(|p| {
-                if self.partition_down(p as u32) {
-                    return 0;
-                }
-                match &self.partitions[p] {
-                    PartitionHandle::Local(server) => match &self.stores[p] {
-                        Some(st) => {
-                            st.checkpoint(server.checkpoint_bytes());
-                            st.next_seq()
-                        }
-                        None => 0,
-                    },
-                    h @ PartitionHandle::Remote(_) => h.checkpoint_remote().unwrap_or(0),
-                }
-            })
-            .collect()
+        self.ask_live(&PartitionOp::Checkpoint)
     }
 
     /// Historical trajectory of `oid` over `[t0, t1]`, merged across every
@@ -461,55 +420,49 @@ impl ClusterServer {
     /// reports were journaled, so all logs are consulted). Empty without a
     /// store.
     pub fn trajectory(&self, oid: ObjectId, t0: f64, t1: f64) -> Vec<LinearMotion> {
-        let mut out = Vec::new();
-        for p in 0..self.partitions.len() {
-            if self.partition_down(p as u32) {
-                continue;
-            }
-            match &self.partitions[p] {
-                PartitionHandle::Local(_) => {
-                    if let Some(st) = &self.stores[p] {
-                        out.extend(st.trajectory(oid, t0, t1).unwrap_or_default());
-                    }
-                }
-                h @ PartitionHandle::Remote(_) => out.extend(h.trajectory_remote(oid, t0, t1)),
-            }
-        }
+        let op = PartitionOp::Trajectory { oid, t0, t1 };
+        let mut out = self.ask_live::<Vec<_>>(&op).concat();
         store::sort_dedupe_motions(&mut out);
         out
     }
 
-    /// Crash-recovery drill for in-process deployments: swaps partition
-    /// `p`'s live server for one rebuilt purely from its durable log —
-    /// replayed under a scratch scope, then rebound to the shared
-    /// ownership table and epoch. State must be byte-identical afterwards
-    /// (the replay-equivalence tests assert it); the rebuilt server
-    /// resumes journaling to the same log.
+    /// `op` asked of each partition in turn; a partition known dead
+    /// answers the op's neutral fallback unasked.
+    fn ask_live<T: FromPayload + Default>(&self, op: &PartitionOp) -> Vec<T> {
+        let ask = |(p, h): (usize, &PartitionHandle)| {
+            if self.partition_down(p as u32) {
+                T::default()
+            } else {
+                h.ask(op)
+            }
+        };
+        self.partitions.iter().enumerate().map(ask).collect()
+    }
+
+    /// Crash-recovery drill for in-process deployments: stops partition
+    /// `p` and builds it again purely from its durable log — the replay a
+    /// restarted partition service runs (`store_fresh = false`). State
+    /// must be byte-identical afterwards (the replay-equivalence tests
+    /// assert it); the rebuilt partition resumes journaling into a new
+    /// segment of the same log. Panics without a store, or when the log
+    /// cannot be replayed.
     pub fn rebuild_partition_from_log(&mut self, p: u32) {
-        let store = self.stores[p as usize]
-            .clone()
-            .expect("rebuild requires a store-backed in-process partition");
-        let mut twin = self
-            .replay_scratch(p)
-            .unwrap_or_else(|e| panic!("replaying the store of partition {p}: {e}"));
-        twin.rebind_scope(PartitionScope::new(
-            p,
-            Arc::clone(self.map.table()),
-            Arc::clone(&self.epoch),
-        ));
-        twin.set_telemetry(self.sinks[p as usize].clone());
-        twin.set_journal(Some(Arc::new(store)));
-        self.partitions[p as usize].replace_local(twin);
+        let in_process = !self.partitions[p as usize].is_remote();
+        assert!(
+            self.has_store() && in_process,
+            "rebuild needs a store, in process"
+        );
+        self.partitions[p as usize].kill();
+        self.partitions[p as usize] = self
+            .build(p, None, false)
+            .unwrap_or_else(|e| panic!("rebuilding partition {p} from its log: {e}"));
     }
 
     /// A scratch server rebuilt purely from partition `p`'s durable log,
-    /// under a private ownership table and epoch.
+    /// under a private ownership table and epoch. The log is complete: a
+    /// partition's journal is flushed before it acknowledges an op, or
+    /// before its state is dropped.
     fn replay_scratch(&self, p: u32) -> std::io::Result<Server> {
-        // Push buffered frames to disk first — replay reads the files, not
-        // the writer's in-memory tail.
-        if let Some(st) = &self.stores[p as usize] {
-            st.flush();
-        }
         let dir = self
             .store_root
             .as_ref()
@@ -581,10 +534,9 @@ impl ClusterServer {
             }
         }
         for (_, env) in self.bus.drain_uplinks() {
-            // Never deliver to a down partition: a remote would silently
-            // drop the frame; a killed local slot holds a fresh empty
-            // server that must not adopt migrated state. Captured frames
-            // are re-routed (or consciously dropped) at the next fence.
+            // Never deliver to a down partition: its dead handle would
+            // silently drop the frame. Captured frames are re-routed (or
+            // consciously dropped) at the next fence.
             if self.partition_down(env.to) {
                 self.orphans.push(env);
                 continue;
@@ -599,8 +551,8 @@ impl ClusterServer {
     }
 
     /// Whether partition `p` is known dead: fenced off already, or its
-    /// remote handle died mid-tick (classified transport failure) and the
-    /// fence has not run yet.
+    /// handle died mid-tick (a classified failure) and the fence has not
+    /// run yet.
     fn partition_down(&self, p: u32) -> bool {
         self.dead.contains(&p) || self.partitions[p as usize].crashed().is_some()
     }
@@ -615,15 +567,12 @@ impl ClusterServer {
 
     /// Folds the per-partition sinks into the shared protocol sink, in
     /// partition order, after publishing every counter counted since the
-    /// last fold: the coordinator's, and each in-process partition's and
-    /// store's into its sink.
+    /// last fold: the coordinator's, and each in-process partition's
+    /// server and journal counters into its sink.
     fn merge_sinks(&mut self) {
         self.tally.flush(&self.shared);
         for (p, s) in self.sinks.iter().enumerate() {
             self.partitions[p].publish();
-            if let Some(st) = &self.stores[p] {
-                st.publish();
-            }
             self.shared.merge_registry(&s.drain());
         }
         self.fold_rpc_counts();
@@ -782,9 +731,8 @@ impl ClusterServer {
     /// 6. prune the stubs whose monitoring region left a shrunk span,
     ///    restart the load observation window.
     ///
-    /// A slot fenced off as dead is inert in every round: a dead remote
-    /// handle puts nothing on the wire, and a killed in-process slot holds
-    /// an empty, journal-less server.
+    /// A slot fenced off as dead is inert in every round: its dead handle
+    /// reaches no partition, in process or remote.
     fn fence(
         &mut self,
         new_bounds: &[usize],
@@ -820,8 +768,8 @@ impl ClusterServer {
         fence
     }
 
-    /// Whether a slot not fenced off as dead has a dead remote handle;
-    /// records the abort if so.
+    /// Whether a slot not fenced off as dead has a dead handle; records
+    /// the abort if so.
     fn peer_died(&self) -> bool {
         let corpse = (0..self.partitions.len() as u32)
             .find(|&p| !self.dead.contains(&p) && self.partitions[p as usize].crashed().is_some());
@@ -971,8 +919,9 @@ impl ClusterServer {
     /// In-process crash injection: drops partition `p`'s entire state on
     /// the floor — the lockstep analogue of `kill -9` on a partition
     /// process — and records it for the next [`Self::recover_crashed`]
-    /// fence. The slot is swapped to a fresh empty scoped server so a
-    /// later [`Self::respawn_partition`] models a restarted process.
+    /// fence. The slot keeps the dead handle a killed process leaves; its
+    /// journal was flushed first, as a service flushes it before each
+    /// reply, so the failover replays what the coordinator saw complete.
     pub fn kill_partition(&mut self, p: u32) {
         assert!(
             !self.partitions[p as usize].is_remote(),
@@ -981,9 +930,7 @@ impl ClusterServer {
         if self.dead.contains(&p) {
             return;
         }
-        let sink = self.sinks[p as usize].clone();
-        let fresh = self.map.server(&self.config, p, &self.epoch, sink);
-        self.partitions[p as usize].replace_local(fresh);
+        self.partitions[p as usize].kill();
         self.mark_dead(p);
     }
 
@@ -998,11 +945,11 @@ impl ClusterServer {
         });
     }
 
-    /// Scans for partitions that died since the last pass: remote handles
-    /// whose RPC path hit a classified transport failure mid-tick, plus an
-    /// active liveness probe (one trivial round trip per live remote, so a
-    /// peer that died silently between ticks is caught here rather than
-    /// corrupting the next fan-out).
+    /// Scans for partitions that died since the last pass: handles that
+    /// hit a classified failure mid-tick, plus an active liveness probe
+    /// (one trivial round trip per live remote, so a peer that died
+    /// silently between ticks is caught here rather than corrupting the
+    /// next fan-out).
     fn detect_crashes(&mut self) {
         for p in 0..self.partitions.len() as u32 {
             let h = &self.partitions[p as usize];
@@ -1237,33 +1184,16 @@ impl ClusterServer {
         (replayed, fallback)
     }
 
-    /// Brings a killed in-process partition back: its slot already holds
-    /// the fresh empty server installed by [`Self::kill_partition`], so
-    /// this is the store hygiene plus the re-adoption fence. On an error
-    /// the slot stays dead and a later call retries.
+    /// Brings a killed in-process partition back: a fresh partition is
+    /// built as a respawned service builds it — from a wiped store
+    /// (`store_fresh`), since the survivors own its span's live state now
+    /// — and re-adopts its span. On an error the slot stays dead and a
+    /// later call retries.
     pub fn respawn_partition(&mut self, p: u32) -> Result<(), TransportError> {
-        self.readopt(p, |this| this.reattach_store_fresh(p))
-    }
-
-    /// Post-failover store hygiene for an in-process respawn: the dead
-    /// partition's journal is stale (the survivors own its span's live
-    /// state now), so the directory is wiped and a fresh log attached —
-    /// the re-adoption transfers journal into it from sequence zero.
-    fn reattach_store_fresh(&mut self, p: u32) -> Result<(), TransportError> {
-        let Some(root) = &self.store_root else {
-            return Ok(());
-        };
-        let n = self.partitions.len() as u32;
-        let PartitionHandle::Local(server) = &mut self.partitions[p as usize] else {
-            return Ok(());
-        };
-        let dir = root.join(format!("p{p}"));
-        store::wipe_dir(&dir).map_err(|e| store_failed("wiping stale", &dir, e))?;
-        let sink = &self.sinks[p as usize];
-        let st = store::attach(&dir, p, n, server, &mut self.quiet, sink)
-            .map_err(|e| TransportError::Io(e.to_string()))?;
-        self.stores[p as usize] = Some(st);
-        Ok(())
+        self.readopt(p, |this| {
+            this.partitions[p as usize] = this.build(p, None, true)?;
+            Ok(())
+        })
     }
 
     /// Respawned-process variant: wraps the supervisor's fresh connection
@@ -1274,14 +1204,10 @@ impl ClusterServer {
     /// and the process starts from a wiped store.
     pub fn respawn_remote(&mut self, p: u32, conn: FramedConn) -> Result<(), TransportError> {
         self.readopt(p, |this| {
-            let remote = RemotePartition::new(p, conn, Arc::clone(&this.epoch));
-            remote.set_rpc_deadline(Some(DEFAULT_RPC_DEADLINE));
-            let n = this.partitions.len();
-            let root = this.store_root.as_deref();
-            remote.init(init_config(&this.config, this.alen, root, p, n, true))?;
+            let remote = this.build(p, Some(conn), true)?;
             // The dead handle goes away with its not yet folded counts.
             this.fold_rpc_counts();
-            this.partitions[p as usize] = PartitionHandle::Remote(Box::new(remote));
+            this.partitions[p as usize] = remote;
             Ok(())
         })
     }
@@ -1526,12 +1452,17 @@ mod tests {
         Rect::new(0.0, 0.0, 100.0, 100.0)
     }
 
-    /// A 4-partition lockstep cluster over a 20×20 grid (100 flats each).
-    fn test_cluster(n: usize) -> (ClusterServer, Net) {
+    /// An `n`-partition lockstep cluster over a 20×20 grid (100 flats
+    /// each of 4), journaling under `store` if given.
+    fn store_cluster(n: usize, store: Option<PathBuf>) -> (ClusterServer, Net) {
         let config = Arc::new(ProtocolConfig::new(Grid::new(universe(), 5.0)));
-        let cluster = ClusterServer::new(config, n, Telemetry::new());
+        let cluster = ClusterServer::new(config, n, Telemetry::new(), store);
         let net = Net::new(BaseStationLayout::new(universe(), 10.0));
-        (cluster, net)
+        (cluster.expect("in-process cluster"), net)
+    }
+
+    fn test_cluster(n: usize) -> (ClusterServer, Net) {
+        store_cluster(n, None)
     }
 
     /// A focal-row migration anchored at `cell`, carrying one query.
@@ -1568,7 +1499,7 @@ mod tests {
     /// Satellite regression: a `MigrateFocal` in flight to a partition
     /// that dies before delivery must be re-routed to the post-fence
     /// owner of its anchor cell — not dropped, and never adopted by the
-    /// fresh empty server occupying the dead slot.
+    /// dead slot.
     #[test]
     fn orphaned_migrate_focal_reroutes_after_fence() {
         let (mut cluster, mut net) = test_cluster(4);
@@ -1590,22 +1521,13 @@ mod tests {
         assert_eq!(report.cells_reassigned, 100);
         assert_eq!(report.envelopes_rerouted, 1, "the migration is re-routed");
         assert!(
-            cluster
-                .partition(3)
-                .expect("lockstep")
-                .has_focal(ObjectId(7)),
+            cluster.partitions[3].has_focal(ObjectId(7)),
             "the new owner of the anchor cell adopts the focal"
         );
-        assert!(cluster
-            .partition(3)
-            .expect("lockstep")
-            .has_query(QueryId(3)));
+        assert!(cluster.partitions[3].has_query(QueryId(3)));
         assert!(
-            !cluster
-                .partition(2)
-                .expect("lockstep")
-                .has_focal(ObjectId(7)),
-            "the dead slot's fresh server must not adopt migrated state"
+            !cluster.partitions[2].has_focal(ObjectId(7)),
+            "the dead slot must not adopt migrated state"
         );
         // A second pass finds nothing new to fence.
         assert!(cluster.recover_crashed(&mut net).is_none());
@@ -1629,12 +1551,9 @@ mod tests {
             vec![0, 100, 250, 250, 400],
             "dead run split at the midpoint between partitions 1 and 3"
         );
-        assert!(cluster
-            .partition(2)
-            .expect("lockstep")
-            .query_ids()
-            .next()
-            .is_none());
+        assert!(cluster.partitions[2]
+            .ask::<Vec<QueryId>>(&PartitionOp::QueryIds)
+            .is_empty());
         cluster.respawn_partition(2).expect("respawn");
         assert_eq!(
             cluster.map.bounds_snapshot(),
@@ -1666,7 +1585,7 @@ mod tests {
             Filter::True,
             &mut net,
         );
-        assert!(cluster.partition(2).expect("lockstep").has_query(qid));
+        assert!(cluster.partitions[2].has_query(qid));
         net.take_downlinks();
         cluster.kill_partition(2);
         let report = cluster.recover_crashed(&mut net).expect("fence");
@@ -1696,7 +1615,7 @@ mod tests {
     fn a_home_dying_after_the_lease_scan_leaves_the_heartbeat_standing() {
         let grid = Grid::new(universe(), 5.0);
         let config = Arc::new(ProtocolConfig::new(grid).with_lease(10.0, 5.0));
-        let mut cluster = ClusterServer::new(config, 4, Telemetry::new());
+        let mut cluster = ClusterServer::new(config, 4, Telemetry::new(), None).expect("cluster");
         let mut net = Net::new(BaseStationLayout::new(universe(), 10.0));
         let cell = cluster.config.grid.cell_from_flat(250);
         let mut seed = migrate_msg(7, 3, cell);
@@ -1719,8 +1638,7 @@ mod tests {
             let lapsed = ReplyPayload::Leases(vec![(ObjectId(7), vec![qid])]);
             answer(&mut served, lapsed, Vec::new());
         });
-        let remote = RemotePartition::new(2, client, Arc::clone(&cluster.epoch));
-        cluster.partitions[2] = PartitionHandle::Remote(Box::new(remote));
+        cluster.partitions[2] = PartitionHandle::remote(2, client, Arc::clone(&cluster.epoch));
         cluster.heartbeat(100.0, &mut net);
         peer.join().expect("peer");
         assert!(cluster.partitions[2].crashed().is_some());
@@ -1757,8 +1675,7 @@ mod tests {
             answer(&mut served, ReplyPayload::Unit, Vec::new());
             let _ = served.read_frame();
         });
-        let remote = RemotePartition::new(2, client, Arc::clone(&cluster.epoch));
-        cluster.partitions[2] = PartitionHandle::Remote(Box::new(remote));
+        cluster.partitions[2] = PartitionHandle::remote(2, client, Arc::clone(&cluster.epoch));
         cluster.heartbeat(1.0, &mut net);
         assert_eq!(cluster.focal_home(ObjectId(7)), Some(2));
         let resync = Uplink::Resync {
@@ -1846,8 +1763,7 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&root);
-        let (cluster, mut net) = test_cluster(4);
-        let mut cluster = cluster.with_store(&root);
+        let (mut cluster, mut net) = store_cluster(4, Some(root.clone()));
         cluster.kill_partition(2);
         cluster.recover_crashed(&mut net).expect("fence");
         let dir = root.join("p2");
@@ -1867,6 +1783,26 @@ mod tests {
         cluster.check_invariants();
         drop(cluster);
         std::fs::remove_dir_all(&root).expect("clean up");
+    }
+
+    /// Disk state must not abort the coordinator at construction either:
+    /// a store root that is a regular file is a classified I/O error
+    /// naming the path, not a panic.
+    #[test]
+    fn a_store_root_that_is_a_file_is_an_error_not_a_panic() {
+        let root = std::env::temp_dir().join(format!(
+            "mobieyes-cluster-new-{}-root-is-a-file",
+            std::process::id()
+        ));
+        std::fs::write(&root, b"in the way").expect("create the blocking file");
+        let config = Arc::new(ProtocolConfig::new(Grid::new(universe(), 5.0)));
+        let built = ClusterServer::new(config, 4, Telemetry::new(), Some(root.clone()));
+        let err = built.err().expect("no store can open under a file");
+        assert!(
+            matches!(&err, TransportError::Io(text) if text.contains(&*root.to_string_lossy())),
+            "unclassified store failure: {err}"
+        );
+        std::fs::remove_file(&root).expect("clean up");
     }
 
     /// Every `rebalance()` outcome is diagnosable from the bus sink: each
@@ -1932,7 +1868,8 @@ mod tests {
     fn a_rebalanced_cluster_beacons_per_station_like_one_server() {
         let grid = Grid::new(universe(), 5.0);
         let config = Arc::new(ProtocolConfig::new(grid).with_lease(50.0, 1.0));
-        let mut cluster = ClusterServer::new(Arc::clone(&config), 4, Telemetry::new());
+        let cluster = ClusterServer::new(Arc::clone(&config), 4, Telemetry::new(), None);
+        let mut cluster = cluster.expect("cluster");
         let mut server = mobieyes_core::Server::new(config);
         let layout = BaseStationLayout::new(universe(), 10.0);
         let (mut cnet, mut snet) = (Net::new(layout.clone()), Net::new(layout));

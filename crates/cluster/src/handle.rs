@@ -1,17 +1,16 @@
-//! Uniform handle over a partition server, local or remote.
+//! The coordinator's handle on one partition, in process or remote.
 //!
-//! The coordinator drives every partition through [`PartitionHandle`]. A
-//! [`Local`](PartitionHandle::Local) handle owns the `Server` in-process
-//! (the original deployment, zero overhead); a
-//! [`Remote`](PartitionHandle::Remote) handle speaks the [`wire`] RPC
-//! protocol to a partition process over a framed socket connection.
+//! Every partition is a `ServiceState` behind `serve::serve_op`. An
+//! in-process handle holds the state and runs each record through
+//! `serve_op` against the coordinator's own network; a remote handle
+//! speaks the [`wire`] RPC protocol to a partition service running the
+//! same `serve_op` behind a framed socket. Both fold every reply into one
+//! coordinator-side `View`: the epoch, the outbox and the homes mirror.
 //!
-//! The handle names no op. A mutation is a [`LogRecord`]: the local arm
-//! hands it to [`Server::apply`], the remote arm sends it as
-//! [`PartitionOp::Apply`]. A read is a [`PartitionOp`]: the local arm
-//! answers it through `serve::read`, the dispatch the partition service
-//! answers it with, and the remote arm sends it. [`FromPayload`] types the
-//! answer of either arm.
+//! The handle names no op. A mutation is a [`LogRecord`], run in process
+//! or sent as [`PartitionOp::Apply`]; a read is a [`PartitionOp`],
+//! answered in process by `ServiceState::answer` — the dispatch the
+//! service answers it with — or sent. [`FromPayload`] types the answer.
 //!
 //! A remote op is one request frame and, later, one reply frame; the
 //! service answers in request order, so a handle may have several
@@ -32,7 +31,8 @@
 //!   ([`wire::is_closed`]) written without even a flush; its reply is
 //!   collected when the handle is next read. A record has exactly one
 //!   shape: a closed record is always posted, any other never is (debug
-//!   builds assert both).
+//!   builds assert both). In process, a probe is [`Probe::Ready`] at
+//!   once and a post runs inline.
 //!
 //! **Per connection, collect before you read.** A posted op's reply comes
 //! before the reply of any call or probe sent after it, so a remote handle
@@ -51,46 +51,34 @@
 //! *requests* across all handles, which is what keeps any flush from
 //! blocking (DESIGN.md §11).
 //!
-//! Every request carries the coordinator's epoch view as a floor, and
-//! every reply folds its epoch back with a `fetch_max` — reproducing the
-//! shared atomic epoch counter of the in-process deployment. Side effects
-//! come back in the reply: bus envelopes are buffered until
-//! [`PartitionHandle::take_outbox`] (so the coordinator's pump discipline
-//! is unchanged), downlink traffic is replayed onto the real agent network
-//! in emission order, and the `homes` delta is folded into the handle's
-//! mirror of the partition's FOT and SQT key sets. The partition is a
-//! passive server whose state changes only inside ops issued on this
-//! connection, so the mirror is exact whenever no call is outstanding —
-//! [`PartitionHandle::has_focal`], [`has_query`](PartitionHandle::has_query)
-//! and [`num_queries`](PartitionHandle::num_queries) read it instead of
-//! asking.
+//! Every op carries the coordinator's epoch view as a floor and every
+//! reply folds its epoch back, so the partitions share one epoch counter.
+//! Bus envelopes wait in the view until [`PartitionHandle::take_outbox`];
+//! the `homes` delta updates the mirror of the partition's FOT and SQT key
+//! sets, exact whenever no call is outstanding (DESIGN.md §11).
 //!
-//! Any failure on a remote handle kills it: a transport failure that
-//! means the peer is gone ([`TransportError::is_peer_death`] — closed
-//! socket, stream I/O error, or an elapsed read deadline) is recorded as
-//! is; an undecodable or mis-shaped reply is recorded as a
-//! [`TransportError::Protocol`] violation. Either way the handle is
-//! permanently inert from then on — every subsequent op returns a neutral
-//! fallback (empty, `None`, `false`), the mirror reads empty and nothing
-//! more goes on the wire — so the coordinator's fan-out discipline
-//! survives the loss and can notice via [`PartitionHandle::crashed`] at
-//! the next tick boundary and fence the partition off. A dead handle is
-//! never reused: a late reply from a half-executed primitive would
-//! desynchronize the connection, so recovery always builds a fresh handle
-//! (respawn) or abandons the slot (failover).
+//! Any failure kills a handle: peer death ([`TransportError::is_peer_death`]
+//! — closed socket, stream I/O error, an elapsed read deadline) is
+//! recorded as is; an undecodable or mis-shaped reply, or a refused
+//! record, as a [`TransportError::Protocol`] violation; an in-process
+//! partition also dies by `PartitionHandle::kill`. A dead handle is
+//! inert — every op returns a neutral fallback (empty, `None`, `false`)
+//! and the mirror reads empty — until the coordinator notices it via
+//! [`PartitionHandle::crashed`] at the next tick boundary. It is never
+//! reused: recovery builds a fresh handle (respawn) or abandons the slot
+//! (failover).
 
-use crate::serve;
-use crate::wire::{self, NetAction, PartitionOp, PartitionReply, ReplyPayload};
-use mobieyes_core::codec::DecodeError;
+use crate::serve::{self, ServiceState};
+use crate::wire::{self, InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload};
 use mobieyes_core::server::{FromPayload, Net};
-use mobieyes_core::{ClusterMsg, HomeChange, LogRecord, ObjectId, QueryId, Server};
-use mobieyes_geo::LinearMotion;
+use mobieyes_core::{ClusterMsg, HomeChange, LogRecord, ObjectId, QueryId};
 use mobieyes_net::{FramedConn, NodeId, StationId, TransportError};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashSet, VecDeque};
-use std::fmt::Debug;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Bound on the posted lane: at most this many closed ops, or this many
 /// request bytes, await collection at once, across all handles. Only the
@@ -119,84 +107,59 @@ pub struct RpcCounts {
     pub flushes: u64,
 }
 
-/// A connected remote partition: the coordinator side of the RPC link.
-pub struct RemotePartition {
+/// Hashes an id with one multiply. The mirror is probed at every
+/// partition for most uplinks; ids are the coordinator's own, so SipHash's
+/// flooding resistance buys nothing there.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("an id hashes as one u32")
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+type IdSet<T> = HashSet<T, BuildHasherDefault<IdHasher>>;
+
+/// What the coordinator knows of one partition, folded from its replies —
+/// the same for both links.
+#[derive(Default)]
+struct View {
     /// This partition's index (labels failure reports).
     partition: u32,
-    conn: RefCell<FramedConn>,
-    /// Coordinator-side view of the shared epoch, updated from every
-    /// reply; shared across all remote handles of one deployment.
+    /// Coordinator-side view of the shared epoch, raised by every reply;
+    /// one `Arc` across all handles of a deployment.
     epoch: Arc<AtomicU64>,
     /// Bus envelopes returned by replies, buffered until the coordinator
     /// pumps the bus.
     outbox: RefCell<Vec<(u32, ClusterMsg)>>,
-    /// Reusable request/reply frame scratch — steady-state RPC traffic
-    /// allocates no per-call buffers.
-    frame: RefCell<Vec<u8>>,
     /// Mirror of the partition's FOT key set, folded from `homes`.
-    focals: RefCell<HashSet<ObjectId>>,
+    focals: RefCell<IdSet<ObjectId>>,
     /// Mirror of the partition's SQT key set, folded from `homes`.
-    queries: RefCell<HashSet<QueryId>>,
+    queries: RefCell<IdSet<QueryId>>,
     /// The failure that killed the handle; it is inert once set (see
     /// module docs).
     death: RefCell<Option<TransportError>>,
     counts: Cell<RpcCounts>,
-    /// Posted ops whose reply is still owed; their replies come before
-    /// any other on the connection.
-    uncollected: Cell<u32>,
-    /// Request bytes of the uncollected posts.
-    uncollected_bytes: Cell<usize>,
-    /// Downlinks of posted replies already read, oldest first, until the
-    /// [`Lane`] replays them.
-    parked: RefCell<VecDeque<Vec<NetAction>>>,
 }
 
-/// Writes one request frame, given the coordinator's epoch floor.
-type Encode<'a> = &'a dyn Fn(u64, &mut Vec<u8>);
-
-impl RemotePartition {
-    /// Wraps a connected, hello-completed connection. `epoch` is the
-    /// coordinator's shared epoch view (one `Arc` across all handles).
-    pub fn new(partition: u32, conn: FramedConn, epoch: Arc<AtomicU64>) -> Self {
-        RemotePartition {
-            partition,
-            conn: RefCell::new(conn),
-            epoch,
-            outbox: RefCell::new(Vec::new()),
-            frame: RefCell::new(Vec::new()),
-            focals: RefCell::new(HashSet::new()),
-            queries: RefCell::new(HashSet::new()),
-            death: RefCell::new(None),
-            counts: Cell::new(RpcCounts::default()),
-            uncollected: Cell::new(0),
-            uncollected_bytes: Cell::new(0),
-            parked: RefCell::new(VecDeque::new()),
-        }
-    }
-
-    /// Installs (or clears) the per-RPC deadline on the connection, for
-    /// reads and writes alike. While set, a partition that hangs instead
-    /// of crashing surfaces as [`TransportError::Timeout`] on the next
-    /// reply wait, or on the next flush once it has stopped reading.
-    pub fn set_rpc_deadline(&self, dur: Option<std::time::Duration>) {
-        let conn = self.conn.borrow();
-        let _ = conn.set_read_timeout(dur);
-        let _ = conn.set_write_timeout(dur);
-    }
-
-    /// The failure that killed this handle, if any.
-    pub fn crashed(&self) -> Option<TransportError> {
-        self.death.borrow().clone()
-    }
-
+impl View {
     fn dead(&self) -> bool {
         self.death.borrow().is_some()
     }
 
     /// Kills the handle (first failure wins). Peer death is recorded as
-    /// is; anything else — an undecodable or mis-shaped reply — becomes a
-    /// protocol violation naming the partition. The mirror is cleared so a
-    /// dead handle homes nothing.
+    /// is; anything else — an undecodable or mis-shaped reply, a refused
+    /// record — becomes a protocol violation naming the partition. The
+    /// mirror is cleared so a dead handle homes nothing.
     fn kill(&self, e: TransportError) {
         let e = if e.is_peer_death() {
             e
@@ -214,68 +177,19 @@ impl RemotePartition {
         self.counts.set(c);
     }
 
-    /// Queues one request frame behind whatever is already unflushed and
-    /// returns its size; 0 means the handle is dead and nothing was
-    /// written. Every queued request must be paired with exactly one
-    /// [`Self::recv`], in order.
-    fn send(&self, encode: Encode<'_>) -> usize {
-        if self.dead() {
-            return 0;
-        }
-        let floor = self.epoch.load(Ordering::Relaxed);
-        let mut frame = self.frame.borrow_mut();
-        frame.clear();
-        encode(floor, &mut frame);
-        match self.conn.borrow_mut().write_frame(&frame) {
-            Ok(()) => 4 + frame.len(),
-            Err(e) => {
-                self.kill(e);
-                0
-            }
-        }
-    }
-
-    /// Pushes queued requests onto the wire, if there are any.
-    fn flush(&self) {
-        let mut conn = self.conn.borrow_mut();
-        if self.dead() || !conn.has_unflushed() {
-            return;
-        }
-        self.count(|c| c.flushes += 1);
-        if let Err(e) = conn.flush() {
-            self.kill(e);
-        }
-    }
-
-    /// Collects the oldest outstanding reply: folds its epoch into the
-    /// shared view, its `homes` into the mirror, buffers its outbox
-    /// envelopes and hands back the rest. `None` means the handle is dead
-    /// (already, or this wait killed it) and the reply will never come.
-    fn recv(&self) -> Option<(Vec<NetAction>, ReplyPayload)> {
-        self.flush();
-        if self.dead() {
-            return None;
-        }
-        let mut frame = self.frame.borrow_mut();
-        let reply = self
-            .conn
-            .borrow_mut()
-            .read_frame_into(&mut frame)
-            .and_then(|()| wire::decode_reply(&frame));
+    /// The one reply fold: raises the shared epoch view to the reply's,
+    /// buffers its outbox envelopes, folds its `homes` into the mirror and
+    /// hands back the rest.
+    #[inline(always)]
+    fn fold(&self, reply: PartitionReply) -> (Vec<NetAction>, ReplyPayload) {
         let PartitionReply {
             epoch,
             outbox,
             net,
             payload,
             homes,
-        } = match reply {
-            Ok(reply) => reply,
-            Err(e) => {
-                self.kill(e);
-                return None;
-            }
-        };
-        self.epoch.fetch_max(epoch, Ordering::Relaxed);
+        } = reply;
+        serve::raise(&self.epoch, epoch);
         self.outbox.borrow_mut().extend(outbox);
         if !homes.is_empty() {
             let mut focals = self.focals.borrow_mut();
@@ -289,16 +203,133 @@ impl RemotePartition {
                 };
             }
         }
-        Some((net, payload))
+        (net, payload)
+    }
+
+    /// `payload` as the op's answer type; a reply of the wrong shape
+    /// kills the handle and yields `T`'s default, the op's neutral
+    /// fallback.
+    #[inline(always)]
+    fn typed<T: FromPayload + Default>(&self, payload: ReplyPayload) -> T {
+        T::from_payload(payload).unwrap_or_else(|other| {
+            self.kill(TransportError::Protocol(format!(
+                "reply {other:?} where {} was expected",
+                std::any::type_name::<T>()
+            )));
+            T::default()
+        })
+    }
+
+    /// Runs `rec` at an in-process partition against `net` and folds the
+    /// reply; `None` when the partition is dead, or dies of the record —
+    /// its state is then stopped and dropped, as a service whose session
+    /// ended is gone.
+    #[inline(always)]
+    fn serve(
+        &self,
+        state: &mut Option<Box<ServiceState>>,
+        rec: &LogRecord,
+        closed: bool,
+        net: &mut Net,
+    ) -> Option<ReplyPayload> {
+        let s = state.as_deref_mut().filter(|_| !self.dead())?;
+        let floor = self.epoch.load(Ordering::Relaxed);
+        match serve::serve_op(s, net, floor, rec, closed) {
+            Ok(reply) => Some(self.fold(reply).1),
+            Err(e) => {
+                self.kill(e);
+                if let Some(s) = state.take() {
+                    s.stop();
+                }
+                None
+            }
+        }
+    }
+}
+
+/// Writes one request frame, given the coordinator's epoch floor.
+type Encode<'a> = &'a dyn Fn(u64, &mut Vec<u8>);
+
+/// The coordinator's end of a connection to a partition service.
+struct Wire {
+    conn: RefCell<FramedConn>,
+    /// Reusable request/reply frame scratch — steady-state RPC traffic
+    /// allocates no per-call buffers.
+    frame: RefCell<Vec<u8>>,
+    /// Posted ops whose reply is still owed; their replies come before
+    /// any other on the connection.
+    uncollected: Cell<u32>,
+    /// Request bytes of the uncollected posts.
+    uncollected_bytes: Cell<usize>,
+    /// Downlinks of posted replies already read, oldest first, until the
+    /// [`Lane`] replays them.
+    parked: RefCell<VecDeque<Vec<NetAction>>>,
+}
+
+impl Wire {
+    /// Queues one request frame behind whatever is already unflushed and
+    /// returns its size; 0 means the handle is dead and nothing was
+    /// written. Every queued request must be paired with exactly one
+    /// [`Self::recv`], in order.
+    fn send(&self, view: &View, encode: Encode<'_>) -> usize {
+        if view.dead() {
+            return 0;
+        }
+        let floor = view.epoch.load(Ordering::Relaxed);
+        let mut frame = self.frame.borrow_mut();
+        frame.clear();
+        encode(floor, &mut frame);
+        match self.conn.borrow_mut().write_frame(&frame) {
+            Ok(()) => 4 + frame.len(),
+            Err(e) => {
+                view.kill(e);
+                0
+            }
+        }
+    }
+
+    /// Pushes queued requests onto the wire, if there are any.
+    fn flush(&self, view: &View) {
+        let mut conn = self.conn.borrow_mut();
+        if view.dead() || !conn.has_unflushed() {
+            return;
+        }
+        view.count(|c| c.flushes += 1);
+        if let Err(e) = conn.flush() {
+            view.kill(e);
+        }
+    }
+
+    /// Collects and folds the oldest outstanding reply. `None` means the
+    /// handle is dead (already, or this wait killed it) and the reply will
+    /// never come.
+    fn recv(&self, view: &View) -> Option<(Vec<NetAction>, ReplyPayload)> {
+        self.flush(view);
+        if view.dead() {
+            return None;
+        }
+        let mut frame = self.frame.borrow_mut();
+        let reply = self
+            .conn
+            .borrow_mut()
+            .read_frame_into(&mut frame)
+            .and_then(|()| wire::decode_reply(&frame));
+        match reply {
+            Ok(reply) => Some(view.fold(reply)),
+            Err(e) => {
+                view.kill(e);
+                None
+            }
+        }
     }
 
     /// Reads the reply of every posted op still owed — they come first on
     /// the connection — and parks their downlinks for the [`Lane`]. A dead
     /// peer's replies are skipped, not waited for.
-    fn collect_posted(&self) {
+    fn collect_posted(&self, view: &View) {
         self.uncollected_bytes.set(0);
         for _ in 0..self.uncollected.take() {
-            let Some((actions, _)) = self.recv() else {
+            let Some((actions, _)) = self.recv(view) else {
                 return;
             };
             self.parked.borrow_mut().push_back(actions);
@@ -309,61 +340,49 @@ impl RemotePartition {
     /// replies ahead of it, and checks its shape. A dead peer, or a reply
     /// of the wrong shape (which kills the handle), yields `T`'s default —
     /// the op's neutral fallback — beside whatever downlinks came back.
-    fn recv_as<T: FromPayload + Default>(&self) -> (Vec<NetAction>, T) {
-        self.collect_posted();
-        let Some((actions, payload)) = self.recv() else {
-            return (Vec::new(), T::default());
-        };
-        let value = T::from_payload(payload).unwrap_or_else(|other| {
-            self.kill(TransportError::Protocol(format!(
-                "reply {other:?} where {} was expected",
-                std::any::type_name::<T>()
-            )));
-            T::default()
-        });
-        (actions, value)
+    fn recv_as<T: FromPayload + Default>(&self, view: &View) -> (Vec<NetAction>, T) {
+        self.collect_posted(view);
+        match self.recv(view) {
+            Some((actions, payload)) => (actions, view.typed(payload)),
+            None => (Vec::new(), T::default()),
+        }
     }
 
     /// One round trip, riding behind the uncollected posts in one write;
     /// the downlinks come back with the answer.
-    fn call<T: FromPayload + Default>(&self, encode: Encode<'_>) -> (Vec<NetAction>, T) {
-        if self.send(encode) == 0 {
-            return (Vec::new(), T::default());
+    fn call<T: FromPayload + Default>(
+        &self,
+        view: &View,
+        encode: Encode<'_>,
+    ) -> (Vec<NetAction>, T) {
+        match self.start::<T>(view, encode) {
+            Probe::Pending => self.recv_as(view),
+            _ => (Vec::new(), T::default()),
         }
-        self.count(|c| c.round_trips += 1);
-        self.recv_as()
-    }
-
-    /// One round trip of an op that emits no downlinks.
-    fn ask<T: FromPayload + Default>(&self, op: &PartitionOp) -> T {
-        let (actions, value) = self.call(&|floor, out| wire::encode_request(floor, op, out));
-        debug_assert!(actions.is_empty(), "read op emitted downlinks");
-        value
     }
 
     /// Request half of a probe, flushed at once (behind any uncollected
     /// posts) so the partition starts on it while the coordinator probes
     /// its siblings.
-    fn start<T>(&self, encode: Encode<'_>) -> Probe<T> {
-        if self.send(encode) == 0 {
+    fn start<T>(&self, view: &View, encode: Encode<'_>) -> Probe<T> {
+        if self.send(view, encode) == 0 {
             return Probe::Dead;
         }
-        self.count(|c| c.round_trips += 1);
-        self.flush();
+        view.count(|c| c.round_trips += 1);
+        self.flush(view);
         Probe::Pending
     }
 
-    /// Configures the peer; must be the first call on the connection. Its
-    /// reply seeds the mirror with whatever a replayed log brought back.
-    pub fn init(&self, init: wire::InitConfig) -> Result<(), TransportError> {
-        self.ask::<()>(&PartitionOp::Init(init));
-        self.crashed().map_or(Ok(()), Err)
-    }
-
-    /// Sends the shutdown op; the peer replies and exits its service loop.
-    pub fn shutdown(&self) -> Result<(), TransportError> {
-        self.ask::<()>(&PartitionOp::Shutdown);
-        self.crashed().map_or(Ok(()), Err)
+    /// Queues a closed record unflushed; its reply is owed from here on.
+    fn post(&self, view: &View, rec: &LogRecord) -> usize {
+        let bytes = self.send(view, &|floor, out| wire::encode_apply(floor, rec, out));
+        if bytes > 0 {
+            view.count(|c| c.posted += 1);
+            self.uncollected.set(self.uncollected.get() + 1);
+            self.uncollected_bytes
+                .set(self.uncollected_bytes.get() + bytes);
+        }
+        bytes
     }
 }
 
@@ -379,24 +398,16 @@ fn replay_net(actions: Vec<NetAction>, net: &mut Net) {
     }
 }
 
-/// An in-process partition's answer to `op`, typed like a remote reply.
-/// The coordinator built the op itself, so a refused record or an answer
-/// of the wrong shape is a bug in it, not a peer failure: it panics.
-fn local_value<T: FromPayload>(op: &dyn Debug, answer: Result<ReplyPayload, DecodeError>) -> T {
-    let payload = answer.unwrap_or_else(|e| panic!("in-process partition refused {op:?}: {e}"));
-    T::from_payload(payload).unwrap_or_else(|p| panic!("{op:?} answered {p:?}"))
-}
-
 /// A two-phase partition probe: the request half of a pipelined RPC.
 ///
-/// Local handles resolve immediately ([`Probe::Ready`]); remote handles
-/// have the request on the wire ([`Probe::Pending`]) and the partition
+/// An in-process partition answers at once ([`Probe::Ready`]); a remote
+/// one has the request on the wire ([`Probe::Pending`]) and the partition
 /// process computes while the coordinator issues probes to its siblings.
 /// Every started probe MUST be finished (on the same handle, in start
 /// order) before the handle is posted to again — an unconsumed reply
 /// would desynchronize the connection.
-/// A probe against a dead remote ([`Probe::Dead`]) put nothing on the
-/// wire; finishing it yields the op's neutral fallback.
+/// A probe against a dead partition ([`Probe::Dead`]) reached nothing;
+/// finishing it yields the op's neutral fallback.
 #[must_use = "every started probe must be finished on its handle"]
 pub enum Probe<T> {
     Ready(T),
@@ -404,68 +415,125 @@ pub enum Probe<T> {
     Dead,
 }
 
-/// A partition server the coordinator can drive: in-process or over RPC.
-pub enum PartitionHandle {
-    Local(Box<Server>),
-    Remote(Box<RemotePartition>),
+/// Where a partition's state lives.
+enum Link {
+    /// In this process; `None` once the partition is gone.
+    InProcess(Option<Box<ServiceState>>),
+    /// Behind a socket, in a partition service.
+    Remote(Box<Wire>),
+}
+
+/// A partition the coordinator can drive: one `ServiceState`, in
+/// process or behind the wire, seen through one folded `View`.
+pub struct PartitionHandle {
+    view: View,
+    link: Link,
 }
 
 impl PartitionHandle {
-    /// The in-process server, for APIs that expose partition internals
-    /// (`ClusterServer::partition`, store rebuilds). `None` for remote
-    /// handles — those surfaces are lockstep-only, and callers must
-    /// handle the miss instead of aborting the coordinator.
-    pub fn local(&self) -> Option<&Server> {
-        match self {
-            PartitionHandle::Local(s) => Some(s),
-            PartitionHandle::Remote(_) => None,
+    /// An in-process partition. The build's reply — what a replayed log
+    /// brought back — seeds the view, as `Init`'s reply seeds a remote
+    /// handle's. `epoch` is the coordinator's shared epoch view.
+    pub(crate) fn in_process(p: u32, mut state: ServiceState, epoch: Arc<AtomicU64>) -> Self {
+        let view = View {
+            partition: p,
+            epoch,
+            ..View::default()
+        };
+        view.fold(state.reply(ReplyPayload::Unit));
+        let link = Link::InProcess(Some(Box::new(state)));
+        PartitionHandle { view, link }
+    }
+
+    /// Wraps a connected, hello-completed connection to a partition
+    /// service; [`Self::init`] must be its first op.
+    pub fn remote(partition: u32, conn: FramedConn, epoch: Arc<AtomicU64>) -> Self {
+        let view = View {
+            partition,
+            epoch,
+            ..View::default()
+        };
+        let link = Link::Remote(Box::new(Wire {
+            conn: RefCell::new(conn),
+            frame: RefCell::new(Vec::new()),
+            uncollected: Cell::new(0),
+            uncollected_bytes: Cell::new(0),
+            parked: RefCell::new(VecDeque::new()),
+        }));
+        PartitionHandle { view, link }
+    }
+
+    /// Configures a remote partition; its reply seeds the mirror with
+    /// whatever a replayed log brought back.
+    pub fn init(&self, init: InitConfig) -> Result<(), TransportError> {
+        self.ask::<()>(&PartitionOp::Init(init));
+        self.crashed().map_or(Ok(()), Err)
+    }
+
+    fn wire(&self) -> Option<&Wire> {
+        // Two links: only a remote one has a connection and posted replies.
+        match &self.link {
+            Link::Remote(w) => Some(w),
+            Link::InProcess(_) => None,
         }
     }
 
     pub fn is_remote(&self) -> bool {
-        matches!(self, PartitionHandle::Remote(_))
+        self.wire().is_some()
     }
 
     // --- the three op shapes ------------------------------------------------
 
-    /// Request half of a read probe: a local handle answers at once, a
-    /// remote request is flushed at once.
-    pub fn start<T: FromPayload>(&self, op: &PartitionOp) -> Probe<T> {
-        match self {
-            PartitionHandle::Local(s) => Probe::Ready(local_value(op, Ok(serve::read(s, op)))),
-            PartitionHandle::Remote(r) => {
-                r.start(&|floor, out| wire::encode_request(floor, op, out))
+    /// Request half of a read probe: an in-process partition answers at
+    /// once, a remote request is flushed at once.
+    pub fn start<T: FromPayload + Default>(&self, op: &PartitionOp) -> Probe<T> {
+        // Two links: the state is at hand, or the request goes on the wire.
+        match &self.link {
+            Link::InProcess(Some(s)) if !self.view.dead() => {
+                let floor = self.view.epoch.load(Ordering::Relaxed);
+                Probe::Ready(self.view.typed(s.answer(floor, op)))
             }
+            Link::InProcess(_) => Probe::Dead,
+            Link::Remote(w) => w.start(&self.view, &|floor, out| {
+                wire::encode_request(floor, op, out)
+            }),
         }
     }
 
-    /// Request half of a mutation probe; a local handle applies the record
-    /// against `net` at once.
-    pub fn start_apply<T: FromPayload>(&mut self, rec: &LogRecord, net: &mut Net) -> Probe<T> {
+    /// Request half of a mutation probe; an in-process partition applies
+    /// the record against `net` at once.
+    #[inline(always)]
+    pub fn start_apply<T: FromPayload + Default>(
+        &mut self,
+        rec: &LogRecord,
+        net: &mut Net,
+    ) -> Probe<T> {
         debug_assert!(!wire::is_closed(rec), "closed records are posted");
-        match self {
-            PartitionHandle::Local(s) => Probe::Ready(local_value(rec, s.apply(rec, net))),
-            PartitionHandle::Remote(r) => {
-                r.start(&|floor, out| wire::encode_apply(floor, rec, out))
+        // Two links: the record runs here, or its request goes on the wire.
+        match &mut self.link {
+            Link::InProcess(state) => {
+                let payload = self.view.serve(state, rec, false, net);
+                Probe::Ready(payload.map_or_else(T::default, |p| self.view.typed(p)))
             }
+            Link::Remote(w) => w.start(&self.view, &|floor, out| {
+                wire::encode_apply(floor, rec, out)
+            }),
         }
     }
 
-    /// Reply half of a probe. A probe whose peer is dead — at start, or
-    /// dying before the reply — yields `T`'s default, the op's neutral
+    /// Reply half of a probe. A probe whose partition is dead — at start,
+    /// or dying before the reply — yields `T`'s default, the op's neutral
     /// fallback.
     pub fn finish<T: FromPayload + Default>(&self, probe: Probe<T>) -> T {
-        match (probe, self) {
-            (Probe::Ready(v), _) => v,
-            (Probe::Pending, PartitionHandle::Remote(r)) => {
-                let (actions, value) = r.recv_as();
+        match probe {
+            Probe::Ready(v) => v,
+            Probe::Pending => {
+                let w = self.wire().expect("only a remote probe is pending");
+                let (actions, value) = w.recv_as(&self.view);
                 debug_assert!(actions.is_empty(), "probed op emitted downlinks");
                 value
             }
-            (Probe::Pending, PartitionHandle::Local(_)) => {
-                unreachable!("pending probe on a local handle")
-            }
-            (Probe::Dead, _) => T::default(),
+            Probe::Dead => T::default(),
         }
     }
 
@@ -477,216 +545,178 @@ impl PartitionHandle {
     /// One mutation call whose downlinks land on `net` at once — a network
     /// no `Lane` feeds, or one whose lane is empty.
     pub fn call<T: FromPayload + Default>(&mut self, rec: &LogRecord, net: &mut Net) -> T {
-        debug_assert!(!wire::is_closed(rec), "closed records are posted");
-        match self {
-            PartitionHandle::Local(s) => local_value(rec, s.apply(rec, net)),
-            PartitionHandle::Remote(r) => {
-                let (actions, value) = r.call(&|floor, out| wire::encode_apply(floor, rec, out));
-                replay_net(actions, net);
-                value
+        let (actions, value) = self.exchange(rec, net);
+        replay_net(actions, net);
+        value
+    }
+
+    /// One mutation call: the answer, and the downlinks a remote reply
+    /// brought back (an in-process partition writes `net` as it runs).
+    #[inline(always)]
+    fn exchange<T: FromPayload + Default>(
+        &mut self,
+        rec: &LogRecord,
+        net: &mut Net,
+    ) -> (Vec<NetAction>, T) {
+        // Two links: a probe finished at once, or one round trip.
+        match &self.link {
+            Link::InProcess(_) => {
+                let probe = self.start_apply(rec, net);
+                (Vec::new(), self.finish(probe))
+            }
+            Link::Remote(w) => {
+                debug_assert!(!wire::is_closed(rec), "closed records are posted");
+                let encode = |floor, out: &mut Vec<u8>| wire::encode_apply(floor, rec, out);
+                w.call(&self.view, &encode)
             }
         }
     }
 
-    /// Issues a closed record without waiting: a local handle applies it
-    /// inline, a remote request is queued unflushed. Returns the bytes
-    /// queued — when non-zero the reply is owed, and the handle collects
-    /// it before its next call or probe.
+    /// Issues a closed record without waiting: an in-process partition
+    /// runs it inline, a remote request is queued unflushed. Returns the
+    /// bytes queued — when non-zero the reply is owed, and the handle
+    /// collects it before its next call or probe.
+    #[inline(always)]
     fn post(&mut self, rec: &LogRecord, net: &mut Net) -> usize {
         debug_assert!(wire::is_closed(rec), "only closed records may be posted");
-        match self {
-            PartitionHandle::Local(s) => {
-                local_value::<ReplyPayload>(rec, s.apply(rec, net));
+        // Two links: the record runs here, or its request is queued.
+        match &mut self.link {
+            Link::InProcess(state) => {
+                self.view.serve(state, rec, true, net);
                 0
             }
-            PartitionHandle::Remote(r) => {
-                let bytes = r.send(&|floor, out| wire::encode_apply(floor, rec, out));
-                if bytes > 0 {
-                    r.count(|c| c.posted += 1);
-                    r.uncollected.set(r.uncollected.get() + 1);
-                    r.uncollected_bytes.set(r.uncollected_bytes.get() + bytes);
-                }
-                bytes
-            }
+            Link::Remote(w) => w.post(&self.view, rec),
         }
     }
 
-    // --- the homes mirror ---------------------------------------------------
+    // --- the folded view --------------------------------------------------
 
     pub fn has_focal(&self, oid: ObjectId) -> bool {
-        match self {
-            PartitionHandle::Local(s) => s.has_focal(oid),
-            PartitionHandle::Remote(r) => {
-                r.count(|c| c.mirror_hits += 1);
-                r.focals.borrow().contains(&oid)
-            }
-        }
+        self.view.count(|c| c.mirror_hits += 1);
+        self.view.focals.borrow().contains(&oid)
     }
 
     pub fn has_query(&self, qid: QueryId) -> bool {
-        match self {
-            PartitionHandle::Local(s) => s.has_query(qid),
-            PartitionHandle::Remote(r) => {
-                r.count(|c| c.mirror_hits += 1);
-                r.queries.borrow().contains(&qid)
-            }
-        }
+        self.view.count(|c| c.mirror_hits += 1);
+        self.view.queries.borrow().contains(&qid)
     }
 
     pub fn num_queries(&self) -> usize {
-        match self {
-            PartitionHandle::Local(s) => s.num_queries(),
-            PartitionHandle::Remote(r) => r.queries.borrow().len(),
-        }
+        self.view.queries.borrow().len()
     }
 
-    /// Publishes an in-process server's pending counters into its sink
-    /// ([`Server::publish`]). A partition process keeps its own counters.
+    pub fn take_outbox(&mut self) -> Vec<(u32, ClusterMsg)> {
+        std::mem::take(&mut *self.view.outbox.borrow_mut())
+    }
+
+    /// Exact whenever no call is outstanding: every epoch movement flows
+    /// through a reply this view already folded in.
+    pub fn current_epoch(&self) -> u64 {
+        self.view.epoch.load(Ordering::Relaxed)
+    }
+
+    /// The failure that killed this handle, if any.
+    pub fn crashed(&self) -> Option<TransportError> {
+        self.view.death.borrow().clone()
+    }
+
+    /// Publishes an in-process partition's pending counters into its
+    /// sink. A partition service keeps its own counters.
     pub fn publish(&mut self) {
-        if let PartitionHandle::Local(s) = self {
+        // Two links: a service's sink never reaches the coordinator.
+        if let Link::InProcess(Some(s)) = &mut self.link {
             s.publish();
         }
     }
 
     /// Drains the RPC counts accumulated since the last call; `None` for
-    /// local handles.
+    /// an in-process partition, which has no RPC (its mirror hits saved
+    /// no round trip).
     pub fn take_rpc_counts(&self) -> Option<RpcCounts> {
-        match self {
-            PartitionHandle::Local(_) => None,
-            PartitionHandle::Remote(r) => Some(r.counts.take()),
-        }
+        // Two links: the counts describe the wire.
+        self.is_remote().then(|| self.view.counts.take())
     }
 
-    pub fn take_outbox(&mut self) -> Vec<(u32, ClusterMsg)> {
-        match self {
-            PartitionHandle::Local(s) => s.take_outbox(),
-            PartitionHandle::Remote(r) => std::mem::take(&mut *r.outbox.borrow_mut()),
-        }
-    }
-
-    pub fn current_epoch(&self) -> u64 {
-        match self {
-            PartitionHandle::Local(s) => s.current_epoch(),
-            // Exact whenever no call is outstanding: every epoch movement
-            // flows through a reply this view already folded in.
-            PartitionHandle::Remote(r) => r.epoch.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Borrowed result set — in-process handles only (the lockstep
-    /// deployments every existing caller runs). `None` for remote
-    /// handles; those callers ask for [`PartitionOp::QueryResult`].
+    /// Borrowed result set — only an in-process partition can lend one.
+    /// `None` for a remote or dead partition; those callers ask for
+    /// [`PartitionOp::QueryResult`].
     pub fn query_result_ref(&self, qid: QueryId) -> Option<&BTreeSet<ObjectId>> {
-        match self {
-            PartitionHandle::Local(s) => s.query_result(qid),
-            PartitionHandle::Remote(_) => None,
+        // Two links: a reference cannot cross the socket.
+        match &self.link {
+            Link::InProcess(Some(s)) if !self.view.dead() => s.server.query_result(qid),
+            _ => None,
         }
     }
 
-    /// The partition's structural self-check; for a remote handle also the
-    /// audit of the `homes` mirror against the key sets the partition
-    /// reports. Panics on a violation (a test and smoke-run facility).
+    /// The partition's structural self-check, and the audit of the `homes`
+    /// mirror against the key sets the partition reports. Panics on a
+    /// violation (a test and smoke-run facility).
     pub fn check_invariants(&self) {
         self.ask::<()>(&PartitionOp::CheckInvariants);
-        let PartitionHandle::Remote(r) = self else {
-            return;
-        };
+        // A dead handle reads empty on both sides.
         let focals: Vec<ObjectId> = self.ask(&PartitionOp::FocalIds);
         let queries: Vec<QueryId> = self.ask(&PartitionOp::QueryIds);
-        if r.dead() {
-            return;
-        }
-        let mut mirrored: Vec<ObjectId> = r.focals.borrow().iter().copied().collect();
-        mirrored.sort_unstable();
+        let (view, p) = (&self.view, self.view.partition);
+        let fot = focals.into_iter().collect::<IdSet<_>>();
         assert_eq!(
-            mirrored, focals,
-            "partition {}: focal mirror diverged from the FOT",
-            r.partition
+            *view.focals.borrow(),
+            fot,
+            "partition {p}: focal mirror diverged"
         );
-        let mut mirrored: Vec<QueryId> = r.queries.borrow().iter().copied().collect();
-        mirrored.sort_unstable();
+        let sqt = queries.into_iter().collect::<IdSet<_>>();
         assert_eq!(
-            mirrored, queries,
-            "partition {}: query mirror diverged from the SQT",
-            r.partition
+            *view.queries.borrow(),
+            sqt,
+            "partition {p}: query mirror diverged"
         );
     }
 
-    // --- durable store surface --------------------------------------------
+    // --- liveness ---------------------------------------------------------
 
-    /// Cuts a checkpoint into a remote partition's durable log, returning
-    /// the log's next sequence number. `None` for local handles (the
-    /// coordinator owns their stores directly), storeless deployments
-    /// (the op replies 0) and dead peers.
-    pub fn checkpoint_remote(&self) -> Option<u64> {
-        match self {
-            PartitionHandle::Local(_) => None,
-            PartitionHandle::Remote(r) => {
-                Some(r.ask::<u64>(&PartitionOp::Checkpoint)).filter(|&seq| seq > 0)
-            }
+    /// Installs (or clears) the per-RPC deadline on a remote connection,
+    /// for reads and writes alike, so a hung partition process surfaces as
+    /// a [`TransportError::Timeout`] on the next reply wait (or flush, once
+    /// it has stopped reading) instead of blocking the coordinator
+    /// forever. An in-process partition cannot hang this way.
+    pub fn set_rpc_deadline(&self, dur: Option<Duration>) {
+        if let Some(w) = self.wire() {
+            let conn = w.conn.borrow();
+            let _ = conn.set_read_timeout(dur);
+            let _ = conn.set_write_timeout(dur);
         }
     }
 
-    /// Historical trajectory samples of `oid` in `[t0, t1]` from a remote
-    /// partition's durable log; empty for local handles, storeless
-    /// deployments and dead peers.
-    pub fn trajectory_remote(&self, oid: ObjectId, t0: f64, t1: f64) -> Vec<LinearMotion> {
-        match self {
-            PartitionHandle::Local(_) => Vec::new(),
-            PartitionHandle::Remote(r) => r.ask(&PartitionOp::Trajectory { oid, t0, t1 }),
-        }
-    }
-
-    // --- crash detection --------------------------------------------------
-
-    /// The failure that killed this handle, if any. Local handles never
-    /// die this way (in-process crashes are injected through the
-    /// coordinator instead).
-    pub fn crashed(&self) -> Option<TransportError> {
-        match self {
-            PartitionHandle::Local(_) => None,
-            PartitionHandle::Remote(r) => r.crashed(),
-        }
-    }
-
-    /// Installs (or clears) the per-RPC read deadline on a remote handle,
-    /// so a hung partition process surfaces as a
-    /// [`TransportError::Timeout`] instead of blocking the coordinator
-    /// forever. No-op for local handles.
-    pub fn set_rpc_deadline(&self, dur: Option<std::time::Duration>) {
-        if let PartitionHandle::Remote(r) = self {
-            r.set_rpc_deadline(dur);
-        }
-    }
-
-    /// Swaps in a fresh in-process server, dropping the old one's entire
-    /// state — the coordinator's crash-injection primitive (the lockstep
-    /// analogue of `kill -9` on a partition process). What the old server
-    /// counted is published first: it happened.
-    pub fn replace_local(&mut self, fresh: Server) {
-        match self {
-            PartitionHandle::Local(s) => {
-                s.publish();
-                **s = fresh;
-            }
-            PartitionHandle::Remote(_) => {
-                panic!("crash injection replaces in-process servers only")
-            }
-        }
-    }
-
-    /// Actively verifies the peer is alive with a trivial round trip
-    /// (`CurrentEpoch`). A crashed or hung peer fails the call, which
-    /// kills the handle; the verdict is then readable via
-    /// [`Self::crashed`]. Local handles are trivially alive.
+    /// Actively verifies the partition is alive with a trivial read
+    /// (`CurrentEpoch`). A crashed or hung peer fails it, which kills the
+    /// handle; the verdict is then readable via [`Self::crashed`].
     pub fn probe_alive(&self) -> bool {
-        match self {
-            PartitionHandle::Local(_) => true,
-            PartitionHandle::Remote(r) => {
-                r.ask::<u64>(&PartitionOp::CurrentEpoch);
-                !r.dead()
+        self.ask::<u64>(&PartitionOp::CurrentEpoch);
+        !self.view.dead()
+    }
+
+    /// Kills the partition as SIGKILL kills a partition process: the
+    /// handle is dead from here on and an in-process state is stopped —
+    /// its journal flushed, its counters published — and dropped. A remote
+    /// process is killed by its supervisor instead; its handle learns of
+    /// it through the next op.
+    pub(crate) fn kill(&mut self) {
+        self.view.kill(TransportError::Closed);
+        // Two links: only an in-process state is the coordinator's to drop.
+        if let Link::InProcess(state) = &mut self.link {
+            if let Some(s) = state.take() {
+                s.stop();
             }
         }
+    }
+
+    /// Sends the shutdown op to a remote partition; the service replies
+    /// and exits its loop. Nothing to do in process.
+    pub fn shutdown(&self) -> Result<(), TransportError> {
+        // Two links: only a service has a loop to end.
+        if self.is_remote() {
+            self.ask::<()>(&PartitionOp::Shutdown);
+        }
+        self.crashed().map_or(Ok(()), Err)
     }
 }
 
@@ -698,7 +728,7 @@ impl PartitionHandle {
 /// every read the complete prefix is replayed onto the network, so its
 /// queue entries come out in issue order — the order an in-process
 /// deployment, which applies every op inline, pushes them in. An
-/// in-process handle writes the network as it applies, so the lane is
+/// in-process partition writes the network as it applies, so the lane is
 /// drained before one is posted to or called.
 #[derive(Default)]
 pub(crate) struct Lane {
@@ -735,11 +765,9 @@ impl Lane {
         }
         self.slots.push_back(Slot::Posted(p));
         let (mut ops, mut bytes) = (0, 0);
-        for h in hs.iter() {
-            if let PartitionHandle::Remote(r) = h {
-                ops += r.uncollected.get() as usize;
-                bytes += r.uncollected_bytes.get();
-            }
+        for w in hs.iter().filter_map(PartitionHandle::wire) {
+            ops += w.uncollected.get() as usize;
+            bytes += w.uncollected_bytes.get();
         }
         if ops >= POST_WINDOW_OPS || bytes >= POST_WINDOW_BYTES {
             self.drain(hs, net);
@@ -755,12 +783,10 @@ impl Lane {
         rec: &LogRecord,
         net: &mut Net,
     ) -> T {
-        let PartitionHandle::Remote(r) = &hs[p] else {
+        if !hs[p].is_remote() {
             self.drain(hs, net);
-            return hs[p].call(rec, net);
-        };
-        debug_assert!(!wire::is_closed(rec), "closed records are posted");
-        let (actions, value) = r.call(&|floor, out| wire::encode_apply(floor, rec, out));
+        }
+        let (actions, value) = hs[p].exchange(rec, net);
         if !actions.is_empty() {
             self.slots.push_back(Slot::Read(actions));
         }
@@ -789,12 +815,11 @@ impl Lane {
             let actions = match slot {
                 Slot::Read(actions) => std::mem::take(actions),
                 Slot::Posted(p) => {
-                    let PartitionHandle::Remote(r) = &hs[*p] else {
-                        unreachable!("a post to an in-process partition runs inline")
-                    };
-                    match r.parked.borrow_mut().pop_front() {
+                    let h = &hs[*p];
+                    let w = h.wire().expect("a post in process runs inline");
+                    match w.parked.borrow_mut().pop_front() {
                         Some(actions) => actions,
-                        None if r.dead() => Vec::new(),
+                        None if h.view.dead() => Vec::new(),
                         None => break,
                     }
                 }
@@ -805,19 +830,15 @@ impl Lane {
     }
 
     /// Collects every posted reply and replays the whole lane: every
-    /// handle is flushed first, so the partitions work concurrently.
+    /// remote handle is flushed first, so the partitions work
+    /// concurrently.
     pub(crate) fn drain(&mut self, hs: &[PartitionHandle], net: &mut Net) {
         if self.slots.is_empty() {
             return;
         }
-        let remotes = || {
-            hs.iter().filter_map(|h| match h {
-                PartitionHandle::Remote(r) => Some(r),
-                PartitionHandle::Local(_) => None,
-            })
-        };
-        remotes().for_each(|r| r.flush());
-        remotes().for_each(|r| r.collect_posted());
+        let remotes = || hs.iter().filter_map(|h| Some((h.wire()?, &h.view)));
+        remotes().for_each(|(w, view)| w.flush(view));
+        remotes().for_each(|(w, view)| w.collect_posted(view));
         self.replay(hs, net);
         debug_assert!(self.slots.is_empty(), "a drained lane kept a slot");
     }
@@ -827,7 +848,7 @@ impl Lane {
 pub(crate) mod tests {
     use super::*;
     use mobieyes_core::{CellDigests, Downlink};
-    use mobieyes_geo::{CellId, Rect};
+    use mobieyes_geo::{CellId, LinearMotion, Rect};
     use mobieyes_net::{BaseStationLayout, Endpoint, Listener};
 
     /// A connected loopback TCP pair: `(coordinator end, service end)`.
@@ -884,8 +905,8 @@ pub(crate) mod tests {
         peer: impl FnOnce(FramedConn) + Send + 'static,
     ) -> (PartitionHandle, std::thread::JoinHandle<()>) {
         let thread = std::thread::spawn(move || peer(server));
-        let remote = RemotePartition::new(3, client, Arc::new(AtomicU64::new(0)));
-        (PartitionHandle::Remote(Box::new(remote)), thread)
+        let remote = PartitionHandle::remote(3, client, Arc::new(AtomicU64::new(0)));
+        (remote, thread)
     }
 
     fn test_net() -> Net {
@@ -1157,15 +1178,13 @@ pub(crate) mod tests {
                 expected.push((9, posted));
                 posted += 1;
             }
-            let PartitionHandle::Remote(r1) = &hs[1] else {
-                unreachable!()
-            };
+            let r1 = hs[1].wire().expect("remote");
             assert!(
                 r1.uncollected_bytes.get() < POST_WINDOW_BYTES,
                 "the op bound binds first: a window of fresh cell changes is {} request bytes",
                 r1.uncollected_bytes.get()
             );
-            r1.flush();
+            r1.flush(&hs[1].view);
             for _ in 0..CALLS {
                 expected.push(call_at_0(&mut lane, &mut hs, &mut net));
             }
@@ -1191,6 +1210,130 @@ pub(crate) mod tests {
             peer0.join().expect("peer 0");
             peer1.join().expect("peer 1");
         }
+    }
+
+    /// One reply fold for both links: the same records, run at an
+    /// in-process partition and at a partition service behind a socket,
+    /// leave the two handles agreeing after every op — on the answer, the
+    /// outbox, the downlinks, the homes mirror and the epoch. The run
+    /// homes a focal and installs its query, installs one whose region
+    /// reaches into the other partition (a stub update on the bus), posts
+    /// a result change, hands the border focal off and adopts it back
+    /// (its home moves out and in), moves it a cell, and removes a query.
+    #[test]
+    fn both_links_fold_the_same_replies() {
+        use mobieyes_core::Filter;
+        use mobieyes_geo::{Point, QueryRegion, Vec2};
+        let mut init = crate::serve::tests::init_config(std::path::Path::new("unused"));
+        init.store_dir = None;
+        init.num_partitions = 2;
+        init.deliver_results = true;
+        let sink = mobieyes_telemetry::Telemetry::new();
+        let state = ServiceState::build(&init, sink).expect("storeless build");
+        let local = PartitionHandle::in_process(0, state, Arc::new(AtomicU64::new(0)));
+        let (client, served) = loopback_pair();
+        let service = std::thread::spawn(move || serve::serve_connection(served));
+        let remote = PartitionHandle::remote(0, client, Arc::new(AtomicU64::new(0)));
+        remote.init(init).expect("init");
+        // [in process, remote], each with its own agent network.
+        let mut hs = vec![local, remote];
+        let mut nets = [test_net(), test_net()];
+
+        let motion = |x, y, tm| LinearMotion::new(Point::new(x, y), Vec2::new(0.01, 0.0), tm);
+        let refresh = |oid, x, y| LogRecord::RefreshFocalMotion {
+            oid: ObjectId(oid),
+            motion: motion(x, y, 1.0),
+            max_vel: 0.05,
+            insert: true,
+        };
+        let install = |qid, focal| LogRecord::CompleteInstall {
+            qid: QueryId(qid),
+            focal: ObjectId(focal),
+            region: QueryRegion::circle(8.0),
+            filter: Arc::new(Filter::True),
+            expires_at: None,
+        };
+        let records = [
+            LogRecord::SetTime(1.0),
+            refresh(7, 12.0, 12.0),
+            install(0, 7),
+            refresh(9, 50.0, 47.0),
+            install(1, 9),
+            LogRecord::ResultChange {
+                qid: QueryId(0),
+                oid: ObjectId(100),
+                is_target: true,
+            },
+            LogRecord::ExtractFocal(ObjectId(9)),
+        ];
+        let downlinks = |net: &mut Net| {
+            let (unicasts, broadcasts) = net.take_downlinks();
+            let unicasts: Vec<_> = unicasts.into_iter().map(|(n, m, _)| (n, m)).collect();
+            let broadcasts: Vec<_> = broadcasts.into_iter().map(|(s, m, _)| (s, m)).collect();
+            (unicasts, broadcasts)
+        };
+        let mut envelopes = 0;
+        let mut agree = |hs: &mut Vec<PartitionHandle>, rec: &LogRecord| {
+            let answers: Vec<ReplyPayload> = if wire::is_closed(rec) {
+                let mut lane = Lane::default();
+                for (p, net) in nets.iter_mut().enumerate() {
+                    lane.post(hs, p, rec, net);
+                    lane.drain(hs, net);
+                }
+                vec![ReplyPayload::Unit; 2]
+            } else {
+                let calls = hs.iter_mut().zip(nets.iter_mut());
+                calls.map(|(h, net)| h.call(rec, net)).collect()
+            };
+            assert_eq!(answers[0], answers[1], "{rec:?}: payload");
+            let [l, r] = &mut hs[..] else { unreachable!() };
+            let outbox = l.take_outbox();
+            assert_eq!(outbox, r.take_outbox(), "{rec:?}: outbox");
+            envelopes += outbox.len();
+            let [ln, rn] = &mut nets;
+            assert_eq!(downlinks(ln), downlinks(rn), "{rec:?}: downlinks");
+            for id in [0, 1, 7, 9, 100] {
+                let (oid, qid) = (ObjectId(id), QueryId(id));
+                assert_eq!(l.has_focal(oid), r.has_focal(oid), "{rec:?}: {oid:?}");
+                assert_eq!(l.has_query(qid), r.has_query(qid), "{rec:?}: {qid:?}");
+            }
+            assert_eq!(l.num_queries(), r.num_queries(), "{rec:?}");
+            assert_eq!(l.current_epoch(), r.current_epoch(), "{rec:?}: epoch");
+            assert_eq!((l.crashed(), r.crashed()), (None, None), "{rec:?}");
+            answers.into_iter().next().expect("an answer")
+        };
+        let mut handoffs = 0;
+        for rec in &records {
+            let ReplyPayload::OptCluster(Some(handoff)) = agree(&mut hs, rec) else {
+                continue;
+            };
+            // The handoff moved the home out; adopting the message moves
+            // it back, and the focal's next cell change runs there.
+            assert!(!hs[0].has_focal(ObjectId(9)) && !hs[0].has_query(QueryId(1)));
+            agree(&mut hs, &LogRecord::Cluster(handoff));
+            assert!(hs[0].has_focal(ObjectId(9)) && hs[0].has_query(QueryId(1)));
+            let step = LogRecord::CellChangeFocal {
+                oid: ObjectId(9),
+                new_cell: CellId::new(10, 8),
+                motion: motion(52.0, 43.0, 2.0),
+            };
+            agree(&mut hs, &step);
+            handoffs += 1;
+        }
+        assert_eq!(handoffs, 1, "the handoff cut a message");
+        let removed = agree(&mut hs, &LogRecord::RemoveQuery(QueryId(0)));
+        assert_eq!(removed, ReplyPayload::Bool(true));
+        assert!(!hs[0].has_query(QueryId(0)) && hs[0].has_query(QueryId(1)));
+        assert!(hs[0].current_epoch() > 0, "the installs moved the epoch");
+        assert!(
+            envelopes > 0,
+            "the border query put stub updates on the bus"
+        );
+        for h in &hs {
+            h.check_invariants();
+        }
+        hs[1].shutdown().expect("shutdown");
+        service.join().expect("service thread").expect("clean exit");
     }
 
     #[test]

@@ -1,22 +1,27 @@
-//! The partition-process service loop: one [`Server`] behind the
-//! [`wire`] RPC protocol.
+//! The partition service: one `ServiceState` behind the [`wire`] RPC
+//! protocol — and, without the wire, the in-process partition of a
+//! lock-step deployment.
 //!
 //! A partition process accepts exactly one coordinator connection, then
 //! executes [`PartitionOp`]s one at a time, in arrival order, until
 //! [`Shutdown`](PartitionOp::Shutdown). Per request it:
 //!
 //! 1. raises its local epoch to the request's floor (`fetch_max`), so the
-//!    distributed epoch behaves exactly like the shared atomic counter of
-//!    the in-process deployment;
-//! 2. executes the op against the `Server` and a *partition-local* agent
-//!    network built from the same deterministic base-station layout the
-//!    coordinator uses — so broadcast cover sets resolve identically. A
-//!    mutation goes through [`Server::apply`], the dispatch replay uses; a
-//!    read through `read`, the dispatch an in-process handle uses;
+//!    distributed epoch behaves exactly like one shared atomic counter;
+//! 2. executes the op (`serve_op`) against the `Server` and a
+//!    *partition-local* capture network built from the same deterministic
+//!    base-station layout the coordinator uses — so broadcast cover sets
+//!    resolve identically. A mutation goes through [`Server::apply`], the
+//!    dispatch replay uses; a read through `ServiceState::answer`;
 //! 3. replies with the post-op epoch, the drained inter-server outbox,
 //!    every downlink the op emitted (as [`NetAction`]s the coordinator
 //!    replays onto the real network), the op's return value and the
 //!    FOT/SQT keys it added or removed (the coordinator's `homes` mirror).
+//!
+//! An in-process partition is the same `ServiceState`, built from the
+//! same [`InitConfig`], and its handle runs records through the same
+//! `serve_op` — only the network differs: the coordinator passes the
+//! agent network itself, so nothing is captured, copied or replayed.
 //!
 //! Step 3 is refused — the session ends with a classified protocol error —
 //! when `apply` refuses the record (partition bounds the table cannot
@@ -37,7 +42,7 @@
 use crate::partition::PartitionMap;
 use crate::wire::{self, InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload};
 use mobieyes_core::server::Net;
-use mobieyes_core::{Downlink, ProtocolConfig, Server};
+use mobieyes_core::{Downlink, LogRecord, ProtocolConfig, Server};
 use mobieyes_net::{BaseStationLayout, Endpoint, FramedConn, Listener, TransportError};
 use mobieyes_store::{self as store, Store};
 use mobieyes_telemetry::Telemetry;
@@ -46,33 +51,43 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The configured state of a running partition service.
-struct ServiceState {
-    /// Its scope holds this process's copy of the cell-ownership table,
+/// A configured partition: what a partition service runs, and what an
+/// in-process partition handle holds.
+pub(crate) struct ServiceState {
+    /// Its scope holds this partition's copy of the cell-ownership table,
     /// contiguous until a fence installs another.
-    server: Server,
-    /// Partition-local downlink capture network; never delivers to an
-    /// agent, only queues so the service can ship the actions back.
-    net: Net,
-    /// This process's shard of the distributed epoch.
+    pub(crate) server: Server,
+    /// This partition's shard of the distributed epoch.
     epoch: Arc<AtomicU64>,
     /// The partition's durable input journal, when the deployment runs
     /// with a `--store-dir`. Opened (and replayed) before the first op.
     store: Option<Store>,
 }
 
-/// A store that cannot be wiped, opened or replayed, as the classified
-/// error of a dead partition; the text names the path.
-pub(crate) fn store_failed(what: &str, dir: &Path, e: std::io::Error) -> TransportError {
-    TransportError::Io(format!("{what} store {}: {e}", dir.display()))
+/// Raises `epoch` to `to` — after a plain load: it is there already for
+/// most ops, and a locked read-modify-write per op costs for nothing.
+#[inline(always)]
+pub(crate) fn raise(epoch: &AtomicU64, to: u64) {
+    if epoch.load(Ordering::Relaxed) < to {
+        epoch.fetch_max(to, Ordering::Relaxed);
+    }
+}
+
+/// The partition's network: the layout every agent network of the
+/// deployment has. A service captures its downlinks here.
+fn capture_net(init: &InitConfig) -> Net {
+    Net::new(BaseStationLayout::new(init.universe, init.alen))
 }
 
 impl ServiceState {
-    /// Builds the partition named by `init`. A store that cannot be wiped,
-    /// opened or replayed is a classified [`TransportError::Io`] naming
-    /// the path — the session ends and the coordinator sees a dead
-    /// partition — never a panic on disk state.
-    fn build(init: &InitConfig) -> Result<ServiceState, TransportError> {
+    /// Builds the partition named by `init`, counting into `sink`. A store
+    /// that cannot be wiped, opened or replayed is a classified
+    /// [`TransportError::Io`] naming the path — the session ends and the
+    /// coordinator sees a dead partition — never a panic on disk state.
+    pub(crate) fn build(
+        init: &InitConfig,
+        sink: Telemetry,
+    ) -> Result<ServiceState, TransportError> {
         let grid = mobieyes_geo::Grid::new(init.universe, init.alpha);
         let mut config = ProtocolConfig::new(grid);
         config.delta = init.delta;
@@ -86,66 +101,117 @@ impl ServiceState {
         let config = Arc::new(config);
         let map = PartitionMap::contiguous(&config.grid, init.num_partitions as usize);
         let epoch = Arc::new(AtomicU64::new(0));
-        let telemetry = Telemetry::new();
-        let mut server = map.server(&config, init.partition, &epoch, telemetry.clone());
-        let mut net = Net::new(BaseStationLayout::new(init.universe, init.alen));
+        let mut server = map.server(&config, init.partition, &epoch, sink.clone());
         let store = match &init.store_dir {
             Some(dir) => {
                 let dir = Path::new(dir);
                 if init.store_fresh {
                     // Post-failover respawn: the survivors own this span's
                     // state now; replaying the stale journal would fork it.
-                    store::wipe_dir(dir).map_err(|e| store_failed("wiping stale", dir, e))?;
+                    let stale = format!("wiping stale store {}", dir.display());
+                    store::wipe_dir(dir)
+                        .map_err(|e| TransportError::Io(format!("{stale}: {e}")))?;
                 }
                 // Crash recovery: the replay rebuilds FOT/SQT/RQI.
                 let (p, n) = (init.partition, init.num_partitions);
-                let attached = store::attach(dir, p, n, &mut server, &mut net, &telemetry);
+                let mut replayed = capture_net(init);
+                let attached = store::attach(dir, p, n, &mut server, &mut replayed, &sink);
                 Some(attached.map_err(|e| TransportError::Io(e.to_string()))?)
             }
             None => None,
         };
         // Switched on after the replay: the seed is the replayed key sets,
-        // not the history that produced them. The `Init` reply ships it.
+        // not the history that produced them. The first reply ships it.
         server.enable_home_log();
         Ok(ServiceState {
             server,
-            net,
             epoch,
             store,
         })
     }
 
-    /// Drains the downlinks the last op queued on the local network into
-    /// replayable actions, preserving emission order within each kind. The
-    /// capture network never delivers, so a unicast's message is uniquely
-    /// held and moves out of its `Arc`; only a broadcast fanned out to
-    /// several stations is copied.
-    fn drain_net_actions(&mut self) -> Vec<NetAction> {
-        let owned =
-            |msg: Arc<Downlink>| Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone());
-        let (unicasts, broadcasts) = self.net.take_downlinks();
-        let mut actions = Vec::with_capacity(unicasts.len() + broadcasts.len());
-        for (node, msg, _) in unicasts {
-            actions.push(NetAction::Unicast {
-                node: node.0,
-                msg: owned(msg),
-            });
+    /// The reply to the op that just ran: the epoch, the outbox and the
+    /// home log it left behind, around its value. Built right after the
+    /// build, it acknowledges `Init` with the replayed epoch and keys.
+    #[inline(always)]
+    pub(crate) fn reply(&mut self, payload: ReplyPayload) -> PartitionReply {
+        PartitionReply {
+            epoch: self.epoch.load(Ordering::Relaxed),
+            outbox: self.server.take_outbox(),
+            net: Vec::new(),
+            payload,
+            homes: self.server.take_home_log(),
         }
-        for (station, msg, _) in broadcasts {
-            actions.push(NetAction::Broadcast {
-                station: station.0,
-                msg: owned(msg),
-            });
+    }
+
+    /// The one dispatch for every op but a mutation, `Init` and
+    /// `Shutdown`: the reads and the two store ops, after the floor is
+    /// raised as for every op (a checkpoint records the epoch).
+    pub(crate) fn answer(&self, floor: u64, op: &PartitionOp) -> ReplyPayload {
+        raise(&self.epoch, floor);
+        match op {
+            PartitionOp::Checkpoint => ReplyPayload::U64(self.store.as_ref().map_or(0, |store| {
+                store.checkpoint(self.server.checkpoint_bytes());
+                store.next_seq()
+            })),
+            &PartitionOp::Trajectory { oid, t0, t1 } => ReplyPayload::Motions(match &self.store {
+                Some(store) => store.trajectory(oid, t0, t1).unwrap_or_default(),
+                None => Vec::new(),
+            }),
+            op => read(&self.server, op),
         }
-        actions
+    }
+
+    /// Publishes what the server and its journal counted into the sink.
+    pub(crate) fn publish(&mut self) {
+        self.server.publish();
+        if let Some(store) = &self.store {
+            store.publish();
+        }
+    }
+
+    /// Ends the partition as a SIGKILL ends its process, minus the loss:
+    /// buffered journal frames reach the OS — every record it applied was
+    /// acknowledged — and what it counted is published.
+    pub(crate) fn stop(mut self) {
+        if let Some(store) = &self.store {
+            store.flush();
+        }
+        self.publish();
     }
 }
 
-/// Executes one op against the configured partition and builds its reply:
-/// raise the epoch to the request's floor, run the op, collect what it
-/// left behind. `closed` is whether the op is an `Apply` of a
-/// [`wire::is_closed`] record — a parameter so the check below can be
-/// tested against a mis-listed record.
+/// Drains the downlinks an op queued on a service's capture network into
+/// replayable actions, preserving emission order within each kind. The
+/// capture network never delivers, so a unicast's message is uniquely
+/// held and moves out of its `Arc`; only a broadcast fanned out to
+/// several stations is copied.
+fn drain_net_actions(net: &mut Net) -> Vec<NetAction> {
+    let owned =
+        |msg: Arc<Downlink>| Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone());
+    let (unicasts, broadcasts) = net.take_downlinks();
+    let mut actions = Vec::with_capacity(unicasts.len() + broadcasts.len());
+    for (node, msg, _) in unicasts {
+        actions.push(NetAction::Unicast {
+            node: node.0,
+            msg: owned(msg),
+        });
+    }
+    for (station, msg, _) in broadcasts {
+        actions.push(NetAction::Broadcast {
+            station: station.0,
+            msg: owned(msg),
+        });
+    }
+    actions
+}
+
+/// Runs one record against the configured partition and builds its
+/// reply: raise the epoch to the request's floor, apply the record against
+/// `net`, collect what it left behind. The reply carries no downlinks:
+/// they are on `net`. `closed` is whether the record is
+/// [`wire::is_closed`] — a parameter so the check below can be tested
+/// against a mis-listed record.
 ///
 /// Closedness is verified here, where it is true or not: the coordinator
 /// posts closed records without waiting, so one that moved the epoch,
@@ -154,38 +220,26 @@ impl ServiceState {
 /// ends with a [`TransportError::Protocol`] naming the op and the
 /// coordinator fences the partition like any other dead peer. So does a
 /// record [`Server::apply`] refuses.
-fn serve_op(
+///
+/// Inlined, like the in-process handle's fold: an op there costs tens of
+/// nanoseconds, and copying the 224-byte reply through each frame doubles
+/// that.
+#[inline(always)]
+pub(crate) fn serve_op(
     s: &mut ServiceState,
+    net: &mut Net,
     floor: u64,
-    op: PartitionOp,
+    rec: &LogRecord,
     closed: bool,
 ) -> Result<PartitionReply, TransportError> {
-    s.epoch.fetch_max(floor, Ordering::Relaxed);
-    // Closed records hold ids and a motion at most: the copy is a few words.
-    let witness = closed.then(|| (op.clone(), s.epoch.load(Ordering::Relaxed)));
-    let payload = match op {
-        PartitionOp::Apply(rec) => s
-            .server
-            .apply(&rec, &mut s.net)
-            .map_err(|e| TransportError::Protocol(format!("refused record: {e}")))?,
-        PartitionOp::Checkpoint => ReplyPayload::U64(s.store.as_ref().map_or(0, |store| {
-            store.checkpoint(s.server.checkpoint_bytes());
-            store.next_seq()
-        })),
-        PartitionOp::Trajectory { oid, t0, t1 } => ReplyPayload::Motions(match &s.store {
-            Some(store) => store.trajectory(oid, t0, t1).unwrap_or_default(),
-            None => Vec::new(),
-        }),
-        op => read(&s.server, &op),
-    };
-    let reply = PartitionReply {
-        epoch: s.epoch.load(Ordering::Relaxed),
-        outbox: s.server.take_outbox(),
-        net: s.drain_net_actions(),
-        payload,
-        homes: s.server.take_home_log(),
-    };
-    if let Some((op, epoch)) = witness {
+    raise(&s.epoch, floor);
+    let before = closed.then(|| s.epoch.load(Ordering::Relaxed));
+    let payload = s
+        .server
+        .apply(rec, net)
+        .map_err(|e| TransportError::Protocol(format!("refused record: {e}")))?;
+    let reply = s.reply(payload);
+    if let Some(epoch) = before {
         let effects = [
             (reply.epoch != epoch, "moved the epoch"),
             (!reply.outbox.is_empty(), "queued a bus envelope"),
@@ -193,7 +247,7 @@ fn serve_op(
         ];
         if let Some((_, effect)) = effects.iter().find(|(happened, _)| *happened) {
             return Err(TransportError::Protocol(format!(
-                "{op:?} is listed as closed but {effect}"
+                "Apply({rec:?}) is listed as closed but {effect}"
             )));
         }
     }
@@ -202,9 +256,9 @@ fn serve_op(
 
 /// The one dispatch for reads: what the service answers and what an
 /// in-process handle computes. `Init`, `Shutdown`, `Apply` and the two
-/// store ops are not reads — the service takes them first, and a handle
-/// never asks for them here.
-pub(crate) fn read(server: &Server, op: &PartitionOp) -> ReplyPayload {
+/// store ops are not reads — `ServiceState::answer` and the service loop
+/// take them first.
+fn read(server: &Server, op: &PartitionOp) -> ReplyPayload {
     use ReplyPayload as P;
     match *op {
         PartitionOp::ExpiredQueryIds(now) => P::Qids(server.expired_query_ids(now)),
@@ -247,7 +301,9 @@ pub(crate) fn read(server: &Server, op: &PartitionOp) -> ReplyPayload {
 /// `conn` must already have completed the hello exchange. Returns `Ok(())`
 /// on a clean shutdown, or the transport error that ended the session.
 pub fn serve_connection(mut conn: FramedConn) -> Result<(), TransportError> {
-    let mut state: Option<ServiceState> = None;
+    // The configured partition and the network its downlinks are
+    // captured on.
+    let mut state: Option<(ServiceState, Net)> = None;
     // Persistent request/reply scratch: the service loop allocates nothing
     // per RPC in steady state.
     let mut request = Vec::new();
@@ -256,28 +312,23 @@ pub fn serve_connection(mut conn: FramedConn) -> Result<(), TransportError> {
         conn.read_frame_into(&mut request)?;
         let (floor, op) = wire::decode_request(&request)?;
         let shutdown = matches!(op, PartitionOp::Shutdown);
-        let ack = |epoch, homes| PartitionReply {
-            epoch,
-            outbox: Vec::new(),
-            net: Vec::new(),
-            payload: ReplyPayload::Unit,
-            homes,
-        };
-        let reply = match op {
-            PartitionOp::Shutdown => {
-                let epoch = state.as_ref().map(|s| s.epoch.load(Ordering::Relaxed));
-                ack(epoch.unwrap_or(0), Vec::new())
+        let reply = match (op, &mut state) {
+            (PartitionOp::Init(init), _) => {
+                let built = ServiceState::build(&init, Telemetry::new())?;
+                let (s, _) = state.insert((built, capture_net(&init)));
+                s.reply(ReplyPayload::Unit)
             }
-            PartitionOp::Init(init) => {
-                let s = state.insert(ServiceState::build(&init)?);
-                ack(0, s.server.take_home_log())
+            (PartitionOp::Shutdown, None) => PartitionReply::default(),
+            (op, None) => return Err(TransportError::Protocol(format!("op before Init: {op:?}"))),
+            (PartitionOp::Apply(rec), Some((s, net))) => {
+                let mut reply = serve_op(s, net, floor, &rec, wire::is_closed(&rec))?;
+                reply.net = drain_net_actions(net);
+                reply
             }
-            op => {
-                let Some(s) = state.as_mut() else {
-                    return Err(TransportError::Protocol(format!("op before Init: {op:?}")));
-                };
-                let closed = matches!(&op, PartitionOp::Apply(rec) if wire::is_closed(rec));
-                serve_op(s, floor, op, closed)?
+            (PartitionOp::Shutdown, Some((s, _))) => s.reply(ReplyPayload::Unit),
+            (op, Some((s, _))) => {
+                let payload = s.answer(floor, &op);
+                s.reply(payload)
             }
         };
         frame.clear();
@@ -285,7 +336,7 @@ pub fn serve_connection(mut conn: FramedConn) -> Result<(), TransportError> {
         conn.write_frame(&frame)?;
         // The reply waits while the requests queued behind it are served.
         let send_now = shutdown || !conn.has_buffered_frame();
-        if let Some(st) = state.as_ref().and_then(|s| s.store.as_ref()) {
+        if let Some(st) = state.as_ref().and_then(|(s, _)| s.store.as_ref()) {
             // Acknowledged implies journaled: buffered journal frames reach
             // the OS before any reply that acknowledges them leaves the
             // process, so a SIGKILL never loses an op the coordinator saw
@@ -341,7 +392,7 @@ pub fn dial_partition(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mobieyes_core::{
         ClusterMsg, Filter, LogRecord, ObjectId, Propagation, QueryId, QuerySpec, StubSeed,
@@ -352,7 +403,7 @@ mod tests {
         PartitionOp::Init(init_config(store_dir))
     }
 
-    fn init_config(store_dir: &Path) -> InitConfig {
+    pub(crate) fn init_config(store_dir: &Path) -> InitConfig {
         InitConfig {
             universe: Rect::new(0.0, 0.0, 100.0, 100.0),
             alpha: 5.0,
@@ -532,6 +583,24 @@ mod tests {
         LinearMotion::new(Point::new(x, y), Vec2::new(0.01, 0.0), tm)
     }
 
+    fn test_net() -> Net {
+        capture_net(&init_config(Path::new("unused")))
+    }
+
+    /// `serve_op` of `rec` at `floor`, its downlinks drained into the
+    /// reply as the service loop drains them.
+    fn apply(
+        s: &mut ServiceState,
+        floor: u64,
+        rec: &LogRecord,
+        closed: bool,
+    ) -> Result<PartitionReply, TransportError> {
+        let mut net = test_net();
+        let mut reply = serve_op(s, &mut net, floor, rec, closed)?;
+        reply.net = drain_net_actions(&mut net);
+        Ok(reply)
+    }
+
     /// Focal objects of the populated partition, one query each. The last
     /// one's monitoring region reaches across the partition border.
     const FOCALS: [(u32, f64, f64); 3] = [(7, 12.0, 12.0), (4, 71.0, 30.0), (9, 50.0, 47.0)];
@@ -547,7 +616,7 @@ mod tests {
         config.grouping = true;
         config.lease_secs = 120.0;
         config.heartbeat_secs = 60.0;
-        let mut s = ServiceState::build(&config).expect("storeless build");
+        let mut s = ServiceState::build(&config, Telemetry::new()).expect("storeless build");
         for (i, &(oid, x, y)) in FOCALS.iter().enumerate() {
             let qid = QueryId(i as u32);
             let setup = [
@@ -572,7 +641,7 @@ mod tests {
             ];
             for rec in setup {
                 let closed = wire::is_closed(&rec);
-                serve_op(&mut s, 0, PartitionOp::Apply(rec), closed).expect("setup op");
+                apply(&mut s, 0, &rec, closed).expect("setup op");
             }
         }
         s
@@ -709,7 +778,7 @@ mod tests {
                     }
                     other => unreachable!("{other:?}"),
                 };
-                match serve_op(&mut s, 0, PartitionOp::Apply(rec.clone()), false) {
+                match apply(&mut s, 0, &rec, false) {
                     Ok(_) if !off_grid => applied += 1,
                     Err(TransportError::Protocol(_)) if off_grid => refused += 1,
                     other => panic!("{rec:?} answered {other:?}"),
@@ -743,7 +812,7 @@ mod tests {
                 let epoch = s.epoch.load(Ordering::Relaxed);
                 // Now and then the coordinator's view is ahead.
                 let floor = if round % 7 == 0 { epoch + 2 } else { epoch };
-                let reply = serve_op(&mut s, floor, PartitionOp::Apply(rec.clone()), true)
+                let reply = apply(&mut s, floor, &rec, true)
                     .unwrap_or_else(|e| panic!("round {round}: {e}"));
                 assert_eq!(reply.epoch, floor, "{rec:?} moved the epoch");
                 assert!(reply.outbox.is_empty(), "{rec:?} queued {:?}", reply.outbox);
@@ -787,11 +856,10 @@ mod tests {
         ];
         for (rec, name, effect) in cases {
             assert!(!wire::is_closed(&rec));
-            let op = PartitionOp::Apply(rec);
             let mut s = populated();
-            assert!(serve_op(&mut s, 0, op.clone(), false).is_ok(), "{name}");
+            assert!(apply(&mut s, 0, &rec, false).is_ok(), "{name}");
             let mut s = populated();
-            let err = serve_op(&mut s, 0, op, true).expect_err("refused");
+            let err = apply(&mut s, 0, &rec, true).expect_err("refused");
             assert!(
                 matches!(&err, TransportError::Protocol(text)
                     if text.starts_with(&format!("Apply({name}")) && text.ends_with(effect)),
@@ -908,7 +976,7 @@ mod tests {
     fn assert_refused(s: &mut ServiceState, rec: LogRecord) {
         let generation = s.server.scope().expect("scoped").generation();
         let digest = s.server.state_digest();
-        let err = serve_op(s, 0, PartitionOp::Apply(rec.clone()), false).expect_err("refused");
+        let err = apply(s, 0, &rec, false).expect_err("refused");
         assert!(matches!(err, TransportError::Protocol(_)), "{rec:?}: {err}");
         assert_eq!(s.server.scope().expect("scoped").generation(), generation);
         assert_eq!(s.server.state_digest(), digest, "{rec:?} changed state");
@@ -926,7 +994,7 @@ mod tests {
             generation,
             bounds: vec![0, 200, 400],
         };
-        serve_op(&mut s, 0, PartitionOp::Apply(split(2)), false).expect("a valid install");
+        apply(&mut s, 0, &split(2), false).expect("a valid install");
         assert_refused(&mut s, split(1));
         s.server.check_invariants();
     }
@@ -945,7 +1013,7 @@ mod tests {
                 new_cell,
                 motion: motion_at(1.0, 1.0, 2.0),
             };
-            serve_op(&mut s, 0, PartitionOp::Apply(rec), true).expect("served");
+            apply(&mut s, 0, &rec, true).expect("served");
         }
         s.server.check_invariants();
     }
@@ -967,7 +1035,8 @@ mod tests {
             st.flush();
             drop(st);
             let mut s = populated();
-            let err = store::replay_into(&dir, 0, &mut s.server, &mut s.net, &Telemetry::new())
+            let mut net = test_net();
+            let err = store::replay_into(&dir, 0, &mut s.server, &mut net, &Telemetry::new())
                 .expect_err("replay must refuse");
             assert_eq!(
                 err.kind(),

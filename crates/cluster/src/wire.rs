@@ -206,8 +206,9 @@ pub enum NetAction {
     Broadcast { station: u32, msg: Downlink },
 }
 
-/// Reply to one [`PartitionOp`].
-#[derive(Debug, Clone, PartialEq)]
+/// Reply to one [`PartitionOp`]; the default acknowledges an op that
+/// changed nothing.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PartitionReply {
     /// The partition's epoch after the op (the coordinator folds it into
     /// its shared view with a `fetch_max`).

@@ -129,12 +129,18 @@ fn drive(cluster: &mut ClusterServer, shape: &Shape) -> Run {
 fn hosted_against_reference(shape: &Shape) -> (Run, mobieyes_telemetry::MetricsSnapshot) {
     let config = Arc::new(ProtocolConfig::new(Grid::new(universe(), 5.0)));
 
-    let mut local = ClusterServer::new(Arc::clone(&config), shape.partitions, Telemetry::new());
+    let local = ClusterServer::new(
+        Arc::clone(&config),
+        shape.partitions,
+        Telemetry::new(),
+        None,
+    );
+    let mut local = local.expect("in-process cluster");
     let reference = drive(&mut local, shape);
 
     let (conns, services) = common::host_partitions(shape.partitions);
-    let mut remote =
-        ClusterServer::new_remote_with_store(config, Telemetry::new(), conns, 10.0, None);
+    let remote = ClusterServer::new_remote_with_store(config, Telemetry::new(), conns, 10.0, None);
+    let mut remote = remote.expect("every partition initializes");
     let hosted = drive(&mut remote, shape);
     let rpc = remote.bus_telemetry().snapshot();
     common::stop(remote, services);

@@ -34,7 +34,7 @@ fn deployment(root: &Path) -> (ClusterServer, Services) {
         10.0,
         Some(root.to_path_buf()),
     );
-    (cluster, services)
+    (cluster.expect("every partition initializes"), services)
 }
 
 #[test]

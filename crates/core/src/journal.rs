@@ -182,8 +182,9 @@ impl LogRecord {
 /// What a partition op returns: a [`Server::apply`](crate::Server::apply)
 /// of a record, or a read. The cluster's RPC carries it as the reply's
 /// value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum ReplyPayload {
+    #[default]
     Unit,
     Bool(bool),
     U64(u64),

@@ -4,35 +4,15 @@
 //! [`Mediator`](super::Mediator) impl with. The reads are
 //! `#[doc(hidden)]` — not part of the protocol's public surface.
 
-use super::tables::{FotEntry, PartitionScope, SqtEntry, StubEntry};
+use super::tables::{FotEntry, SqtEntry, StubEntry};
 use super::Server;
 use crate::messages::{state_digest, ClusterMsg, QueryMigration, QuerySpec, StubSeed};
 use crate::model::{ObjectId, QueryId};
 use mobieyes_geo::{CellId, GridRect, LinearMotion};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 impl Server {
-    /// Rebinds a scoped server to a different [`PartitionScope`] of the
-    /// same partition slot — the swap-in step after a journal replay,
-    /// which runs against a *private* table/epoch so historical ownership
-    /// resolves correctly mid-replay. The replayed epoch is carried into
-    /// the new shared sequencer (`fetch_max`, so a fresher shared value
-    /// wins).
-    #[doc(hidden)]
-    pub fn rebind_scope(&mut self, scope: PartitionScope) {
-        let old = self.scope.as_ref().expect("rebind needs a scoped server");
-        assert_eq!(
-            old.partition(),
-            scope.partition(),
-            "rebind keeps the partition slot"
-        );
-        let replayed = old.epoch.load(Ordering::Relaxed);
-        scope.epoch.fetch_max(replayed, Ordering::Relaxed);
-        self.scope = Some(scope);
-    }
-
     /// Focal objects whose lease has lapsed, with their queries (in
     /// deterministic ascending order). Read-only; tear-down is the
     /// caller's job.

@@ -184,8 +184,8 @@ pub struct Server {
     journal_floor: u64,
     /// FOT/SQT key-set changes since the last
     /// [`take_home_log`](Self::take_home_log); `None` (the default) keeps
-    /// no log — in-process servers answer `has_focal`/`has_query` directly
-    /// and nothing would drain it.
+    /// no log — only a cluster partition's coordinator mirrors its keys,
+    /// and nothing would drain it elsewhere.
     home_log: Option<Vec<HomeChange>>,
 }
 

@@ -215,7 +215,9 @@ impl MobiEyesSim {
     /// # Panics
     ///
     /// On a configuration [`SimConfig::validate`] refuses, with its
-    /// message.
+    /// message, and on a partition that cannot be built (a store it
+    /// cannot open or replay, a partition service that fails its `Init`),
+    /// with the error's text.
     pub fn with_telemetry(config: SimConfig, telemetry: Telemetry) -> Self {
         Self::build(config, telemetry, None)
     }
@@ -269,25 +271,26 @@ impl MobiEyesSim {
             }
             remote => remote,
         };
+        let partition_tier = |cluster: Result<ClusterServer, _>| {
+            let cluster = cluster.unwrap_or_else(|e| panic!("partition tier: {e}"));
+            ServerTier::Cluster(Box::new(cluster))
+        };
+        // Every partition opens, replays and journals its own log under
+        // `<root>/p<N>` (see mobieyes-cluster::serve), in process or not.
         let mut tier = match remote {
-            // Remote partitions open, replay and journal their own logs
-            // (see mobieyes-cluster::serve); the coordinator only passes
-            // the root down so respawned children find their directory.
-            Some(conns) => ServerTier::Cluster(Box::new(ClusterServer::new_remote_with_store(
+            Some(conns) => partition_tier(ClusterServer::new_remote_with_store(
                 Arc::clone(&pconf),
                 telemetry.clone(),
                 conns,
                 config.alen,
                 store_root.clone(),
-            ))),
-            None if partitions > 1 => {
-                let cluster = ClusterServer::new(Arc::clone(&pconf), partitions, telemetry.clone());
-                let cluster = match &store_root {
-                    Some(root) => cluster.with_store(root.clone()),
-                    None => cluster,
-                };
-                ServerTier::Cluster(Box::new(cluster))
-            }
+            )),
+            None if partitions > 1 => partition_tier(ClusterServer::new(
+                Arc::clone(&pconf),
+                partitions,
+                telemetry.clone(),
+                store_root.clone(),
+            )),
             None => {
                 let mut server = Server::new(Arc::clone(&pconf)).with_telemetry(telemetry.clone());
                 if let Some(root) = &store_root {

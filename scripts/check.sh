@@ -86,6 +86,17 @@ pin_run --partitions 4 --rebalance-ticks 5 --objects 4000 --ticks 40 --seed 7 \
   --store-dir "$pin_store" --checkpoint-ticks 10
 pin "counter pin (store)" "store.appends store.bytes" "65528 4223542"
 journal_pin "journal pin" "20 3764039595 4786129"
+# The in-process crash drill over a store: one partition is killed at tick 8
+# (its journal flushed as the state is dropped), failed over — its lost
+# queries come back by replaying that journal — and respawned two ticks
+# later from a wiped store. The journals and the recovery counters pin
+# kill -> flush -> failover replay -> fresh respawn.
+pin_run --partitions 4 --partition-crash-ticks 8 --partition-crash-kills 1 --recovery respawn \
+  --store-dir "$pin_store" --checkpoint-ticks 10 --objects 4000 --ticks 40 --seed 7
+pin "counter pin (store, crash drill)" \
+  "store.appends store.bytes rec.crash_detections rec.respawns rec.queries_replayed" \
+  "66574 4274665 1 1 254"
+journal_pin "journal pin (crash drill)" "19 944333207 4489904"
 pin_run --mode lqp --objects 4000 --ticks 40 --seed 7 --uplink-drop 0.1 --downlink-drop 0.1 \
   --dup-rate 0.05 --churn-rate 0.05 --lease-ticks 6 --store-dir "$pin_store" --checkpoint-ticks 10
 pin "counter pin (store, single server)" "store.appends store.bytes srv.leases_expired" \

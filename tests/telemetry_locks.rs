@@ -84,7 +84,7 @@ fn recording_takes_a_lock_per_phase_not_per_op() {
     let all_sinks = |sim: &MobiEyesSim| {
         let cluster = sim.cluster();
         let partitions: u64 = (0..PARTITIONS)
-            .map(|p| cluster.partition(p).expect("in-process").telemetry())
+            .map(|p| cluster.partition_telemetry(p))
             .map(|sink| sink.acquisitions())
             .sum();
         sim.telemetry().acquisitions() + cluster.bus_telemetry().acquisitions() + partitions
