@@ -1310,7 +1310,7 @@ pub(crate) mod tests {
             // The handoff moved the home out; adopting the message moves
             // it back, and the focal's next cell change runs there.
             assert!(!hs[0].has_focal(ObjectId(9)) && !hs[0].has_query(QueryId(1)));
-            agree(&mut hs, &LogRecord::Cluster(handoff));
+            agree(&mut hs, &LogRecord::Cluster(*handoff));
             assert!(hs[0].has_focal(ObjectId(9)) && hs[0].has_query(QueryId(1)));
             let step = LogRecord::CellChangeFocal {
                 oid: ObjectId(9),

@@ -638,12 +638,12 @@ pub(crate) mod tests {
             ReplyPayload::OptQids(None),
             ReplyPayload::OptQids(Some(vec![QueryId(3)])),
             ReplyPayload::OptCluster(None),
-            ReplyPayload::OptCluster(Some(ClusterMsg::StubMotion {
+            ReplyPayload::OptCluster(Some(Box::new(ClusterMsg::StubMotion {
                 focal: ObjectId(1),
                 motion: motion(),
                 max_vel: 0.02,
                 qids: vec![(QueryId(2), 7)],
-            })),
+            }))),
             ReplyPayload::OptMotion(Some(motion())),
             ReplyPayload::OptMotion(None),
             ReplyPayload::OptCell(Some(CellId::new(1, 2))),

@@ -394,11 +394,11 @@ fn replies() -> Vec<PartitionReply> {
         ReplyPayload::U64(42),
         ReplyPayload::Qids(vec![QueryId(1), QueryId(9)]),
         ReplyPayload::OptQids(Some(vec![QueryId(3)])),
-        ReplyPayload::OptCluster(Some(ClusterMsg::RecoverCells {
+        ReplyPayload::OptCluster(Some(Box::new(ClusterMsg::RecoverCells {
             generation: 1,
             epoch: 2,
             cells: vec![5],
-        })),
+        }))),
         ReplyPayload::OptMotion(Some(motion())),
         ReplyPayload::OptCell(Some(CellId::new(1, 2))),
         ReplyPayload::OptOid(None),

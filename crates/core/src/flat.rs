@@ -89,6 +89,11 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
         self.rows = Vec::new();
     }
 
+    /// The first row's address (dangling when empty), for prefetching.
+    pub fn as_ptr(&self) -> *const (K, V) {
+        self.rows.as_ptr()
+    }
+
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.rows.iter().map(|(k, v)| (k, v))
     }

@@ -190,7 +190,9 @@ pub enum ReplyPayload {
     U64(u64),
     Qids(Vec<QueryId>),
     OptQids(Option<Vec<QueryId>>),
-    OptCluster(Option<ClusterMsg>),
+    /// Boxed: a cluster message is the largest answer by far, and every
+    /// reply would otherwise carry its size.
+    OptCluster(Option<Box<ClusterMsg>>),
     OptMotion(Option<LinearMotion>),
     OptCell(Option<CellId>),
     OptOid(Option<ObjectId>),
@@ -208,6 +210,11 @@ pub enum ReplyPayload {
         stubs: u64,
     },
 }
+
+// Every reply carries a payload, and an in-process partition moves each
+// one through `serve_op` and the coordinator's fold: it stays small (it
+// was 144 bytes with the cluster message inline).
+const _: () = assert!(std::mem::size_of::<ReplyPayload>() <= 56);
 
 /// Where a server sends its journal records. Implemented by the
 /// `mobieyes-store` writer; injected into a [`Server`](crate::Server) like
@@ -299,7 +306,7 @@ crate::wire!(enum ReplyPayload {
     2 => U64(v: u64),
     3 => Qids(qids: Vec<QueryId>),
     4 => OptQids(qids: Option<Vec<QueryId>>),
-    5 => OptCluster(msg: Option<ClusterMsg>),
+    5 => OptCluster(msg: Option<Box<ClusterMsg>>),
     6 => OptMotion(motion: Option<LinearMotion>),
     7 => OptCell(cell: Option<CellId>),
     8 => OptOid(oid: Option<ObjectId>),

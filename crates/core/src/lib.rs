@@ -42,5 +42,5 @@ pub use messages::{
     CellDigests, ClusterMsg, Downlink, QueryGroupInfo, QueryMigration, QuerySpec, StubSeed, Uplink,
 };
 pub use model::{ObjectId, PropValue, Properties, QueryId};
-pub use object::{AgentOutbox, AgentStats, AgentTally, MovingObjectAgent};
+pub use object::{prefetch, AgentOutbox, AgentStats, AgentTally, MovingObjectAgent};
 pub use server::{HomeChange, PartitionScope, PartitionTable, Server, ServerStats};

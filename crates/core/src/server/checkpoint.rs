@@ -1,7 +1,7 @@
 //! Checkpointing: the full-state image a `LogRecord::Checkpoint` carries,
 //! its restore, and the state digest cut from it.
 
-use super::tables::{FotEntry, FotTable, PendingInstall, SqtEntry, StubEntry};
+use super::tables::{FotEntry, FotTable, PendingInstall, Rqi, SqtEntry, StubEntry};
 use super::{HomeChange, Server};
 use crate::codec::{DecodeError, Reader, Wire};
 use crate::model::{ObjectId, QueryId};
@@ -27,7 +27,7 @@ impl Server {
         // drives fresh-query reply ordering), so rows are not derivable
         // from the SQT alone. Only occupied rows travel, behind their flat
         // index: the layout of a `Vec<(u32, Vec<QueryId>)>`.
-        let rows = || self.rqi.iter().enumerate().filter(|(_, r)| !r.is_empty());
+        let rows = || self.rqi.occupied_rows();
         (rows().count() as u32).put(&mut out);
         for (flat, row) in rows() {
             (flat as u32).put(&mut out);
@@ -57,13 +57,13 @@ impl Server {
             return Err(DecodeError(format!("{n} trailing bytes after checkpoint")));
         }
         let cells = self.config.grid.num_cells();
-        let mut rqi = vec![Vec::new(); cells];
+        let mut rqi = Rqi::new(cells);
         for (flat, row) in rows {
-            let Some(slot) = rqi.get_mut(flat as usize) else {
+            if flat as usize >= cells {
                 let e = format!("RQI flat index {flat} out of range ({cells} cells)");
                 return Err(DecodeError(e));
-            };
-            *slot = row;
+            }
+            rqi.set(flat as usize, row);
         }
 
         // Commit. The tables are replaced wholesale, so a home log sees

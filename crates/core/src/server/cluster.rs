@@ -45,10 +45,7 @@ impl Server {
         let mut cell_digests = Vec::new();
         // One buffer for every row's ascending (query, seq) feed.
         let mut sorted: Vec<(QueryId, u64)> = Vec::new();
-        for (idx, qids) in self.rqi.iter().enumerate() {
-            if qids.is_empty() {
-                continue;
-            }
+        for (idx, qids) in self.rqi.occupied_rows() {
             sorted.clear();
             sorted.extend(qids.iter().map(|&q| (q, self.q_seq(q))));
             sorted.sort_unstable_by_key(|&(q, _)| q);
@@ -176,7 +173,7 @@ impl Server {
         let mut cells = Vec::new();
         let mut named: BTreeSet<QueryId> = BTreeSet::new();
         for &flat in flats {
-            let row = std::mem::take(&mut self.rqi[flat as usize]);
+            let row = self.rqi.take(flat as usize);
             if row.is_empty() {
                 continue;
             }
@@ -375,7 +372,7 @@ impl Server {
                     // order (which drives fresh-query reply ordering) and
                     // is idempotent under bus duplication. No RQI counter:
                     // coverage did not change, the row changed hands.
-                    self.rqi[*flat as usize] = qids.clone();
+                    self.rqi.set(*flat as usize, qids.clone());
                 }
                 for s in stubs {
                     let qid = s.spec.qid;
@@ -427,7 +424,7 @@ impl Server {
                         }
                     }
                     row.sort_unstable();
-                    self.rqi[flat as usize] = row;
+                    self.rqi.set(flat as usize, row);
                 }
             }
         }

@@ -645,7 +645,7 @@ payload_shapes! {
     u64 => U64(v) => v,
     Vec<QueryId> => Qids(v) => v,
     Option<Vec<QueryId>> => OptQids(v) => v,
-    Option<ClusterMsg> => OptCluster(v) => v,
+    Option<ClusterMsg> => OptCluster(v) => v.map(|m| *m),
     Option<LinearMotion> => OptMotion(v) => v,
     Option<CellId> => OptCell(v) => v,
     Option<ObjectId> => OptOid(v) => v,

@@ -32,7 +32,7 @@ mod tests;
 
 use lqt_sync::LqtSyncScratch;
 pub use mediate::{FromPayload, Mediator};
-use tables::{usize_bounds, FotEntry, FotTable, SqtEntry, StubEntry};
+use tables::{usize_bounds, FotEntry, FotTable, Rqi, SqtEntry, StubEntry};
 pub use tables::{HomeChange, PartitionScope, PartitionTable, PendingInstall};
 
 /// The network type the protocol runs over.
@@ -140,9 +140,7 @@ pub struct Server {
     /// membership) and [`index_row`](Self::index_row) (a whole SQT row
     /// arriving or leaving), rebuilt on restore, never serialized.
     members: BTreeSet<(ObjectId, QueryId)>,
-    /// RQI: per grid cell (flat row-major index), the queries whose
-    /// monitoring region intersects the cell.
-    rqi: Vec<Vec<QueryId>>,
+    rqi: Rqi,
     pending: BTreeMap<ObjectId, Vec<PendingInstall>>,
     next_qid: u32,
     /// Monotone state-change counter. Bumped on every operation that
@@ -197,7 +195,7 @@ impl Server {
             fot: FotTable::default(),
             sqt: BTreeMap::new(),
             members: BTreeSet::new(),
-            rqi: vec![Vec::new(); cells],
+            rqi: Rqi::new(cells),
             pending: BTreeMap::new(),
             next_qid: 0,
             epoch: 0,
@@ -351,7 +349,7 @@ impl Server {
 
     /// Queries whose monitoring region covers the given cell (RQI lookup).
     pub fn nearby_queries(&self, cell: CellId) -> &[QueryId] {
-        &self.rqi[self.config.grid.flat_index(cell)]
+        self.rqi.row(self.config.grid.flat_index(cell))
     }
 
     /// Installs a moving query `(oid, region, filter)`. If the focal
@@ -692,12 +690,14 @@ impl Server {
                 let cell = self.config.grid.clamp_cell(cell);
                 self.cell_sync_reply(oid, cell, net);
             }
-            LogRecord::ExtractFocal(oid) => return OptCluster(self.extract_focal(oid)),
+            LogRecord::ExtractFocal(oid) => {
+                return OptCluster(self.extract_focal(oid).map(Box::new))
+            }
             LogRecord::Cluster(ref msg) => self.apply_cluster_msg(msg),
             LogRecord::ExportCells {
                 ref flats,
                 generation,
-            } => return OptCluster(self.export_cells(flats, generation)),
+            } => return OptCluster(self.export_cells(flats, generation).map(Box::new)),
             LogRecord::PruneStubs => self.prune_stubs(),
             LogRecord::BumpEpoch => return U64(self.bump_epoch()),
             _ => unreachable!("{rec:?} is not a primitive"),
@@ -912,9 +912,9 @@ impl Server {
     /// Replays the authoritative query state of `cell` to a resyncing
     /// object (`cell` is on the grid: the dispatch clamps it).
     fn cell_sync_reply(&mut self, oid: ObjectId, cell: CellId, net: &mut Net) {
-        let row = &self.rqi[self.config.grid.flat_index(cell)];
+        let row = self.rqi.row(self.config.grid.flat_index(cell));
         let infos: Vec<QueryGroupInfo> = if self.config.grouping {
-            let mut sorted = row.clone();
+            let mut sorted = row.to_vec();
             sorted.sort_unstable();
             self.group_queries(&sorted)
                 .into_iter()
@@ -1072,21 +1072,33 @@ impl Server {
         new_cell: CellId,
         net: &mut Net,
     ) {
-        let new_qids = &self.rqi[self.config.grid.flat_index(new_cell)];
-        // Most crossings land in a cell no query monitors: no reply.
-        if new_qids.is_empty() {
+        let idx = self.config.grid.flat_index(new_cell);
+        // Most crossings land in a cell no query monitors: no reply, and
+        // no load of the row array.
+        if !self.rqi.occupied(idx) {
             return;
         }
-        let fresh: Vec<QueryId> = new_qids
-            .iter()
-            .filter(|q| !self.q_mon(**q).is_some_and(|m| m.contains(prev_cell)))
-            .copied()
-            .collect();
-        let infos: Vec<QueryGroupInfo> = self
-            .group_queries(&fresh)
-            .into_iter()
-            .map(|g| self.group_info_for(g[0]))
-            .collect();
+        // One pass over the row: each fresh query's group, once, built
+        // from its first fresh member — the payload `group_queries`
+        // groups would yield, in the same order.
+        let grouping = self.config.grouping;
+        let mut infos: Vec<QueryGroupInfo> = Vec::new();
+        for &qid in self.rqi.row(idx) {
+            let key = self.q_group(qid);
+            if key.is_some_and(|(_, mon)| mon.contains(prev_cell)) {
+                continue;
+            }
+            if grouping {
+                let key = key.expect("grouped query in SQT or stub table");
+                if infos.iter().any(|i| (i.focal, i.mon_region) == key) {
+                    continue;
+                }
+            }
+            infos.push(self.group_info_for(qid));
+        }
+        if grouping {
+            infos.sort_unstable_by_key(|i| (i.focal, i.mon_region));
+        }
         if !infos.is_empty() {
             self.tally.incr(srv_slots::UNICAST_OPS);
             net.send_unicast(oid.node(), Downlink::NewQueries { infos });
@@ -1103,13 +1115,10 @@ impl Server {
         }
         let mut groups: BTreeMap<(ObjectId, GridRect), Vec<QueryId>> = BTreeMap::new();
         for &qid in qids {
-            let (focal, mon) = self
-                .sqt
-                .get(&qid)
-                .map(|e| (e.focal, e.mon_region))
-                .or_else(|| self.stubs.get(&qid).map(|s| (s.focal, s.mon_region)))
+            let key = self
+                .q_group(qid)
                 .expect("grouped query in SQT or stub table");
-            groups.entry((focal, mon)).or_default().push(qid);
+            groups.entry(key).or_default().push(qid);
         }
         groups.into_values().collect()
     }

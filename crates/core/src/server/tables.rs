@@ -468,6 +468,104 @@ impl StubEntry {
     }
 }
 
+/// RQI: per grid cell (flat row-major index), the queries whose
+/// monitoring region intersects the cell, plus one occupancy bit per cell
+/// that says whether the row is non-empty. A cell crossing asks "does any
+/// query monitor the new cell?" of the bitmap (5 KB at 40 000 cells)
+/// instead of loading the row array (24 bytes a cell); every write goes
+/// through this type, so the bit and the row cannot disagree.
+#[derive(Debug, Default)]
+pub(super) struct Rqi {
+    rows: Vec<Vec<QueryId>>,
+    occupied: Vec<u64>,
+}
+
+impl Rqi {
+    pub(super) fn new(cells: usize) -> Self {
+        Rqi {
+            rows: vec![Vec::new(); cells],
+            occupied: vec![0; cells.div_ceil(64)],
+        }
+    }
+
+    /// Number of cells.
+    pub(super) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether any query monitors cell `idx`.
+    #[inline]
+    pub(super) fn occupied(&self, idx: usize) -> bool {
+        self.occupied[idx / 64] & (1 << (idx % 64)) != 0
+    }
+
+    pub(super) fn row(&self, idx: usize) -> &[QueryId] {
+        &self.rows[idx]
+    }
+
+    /// The non-empty rows `(flat index, row)`, ascending.
+    pub(super) fn occupied_rows(&self) -> impl Iterator<Item = (usize, &Vec<QueryId>)> {
+        self.occupied
+            .iter()
+            .enumerate()
+            .flat_map(move |(w, &word)| {
+                let mut bits = word;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let idx = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        (idx, &self.rows[idx])
+                    })
+                })
+            })
+    }
+
+    fn mark(&mut self, idx: usize) {
+        let bit = 1 << (idx % 64);
+        if self.rows[idx].is_empty() {
+            self.occupied[idx / 64] &= !bit;
+        } else {
+            self.occupied[idx / 64] |= bit;
+        }
+    }
+
+    /// Adds `qid` to row `idx` unless it is there already.
+    pub(super) fn insert(&mut self, idx: usize, qid: QueryId) {
+        if !self.rows[idx].contains(&qid) {
+            self.rows[idx].push(qid);
+            self.occupied[idx / 64] |= 1 << (idx % 64);
+        }
+    }
+
+    pub(super) fn remove(&mut self, idx: usize, qid: QueryId) {
+        self.rows[idx].retain(|&q| q != qid);
+        self.mark(idx);
+    }
+
+    /// Empties row `idx`, returning what it held.
+    pub(super) fn take(&mut self, idx: usize) -> Vec<QueryId> {
+        self.occupied[idx / 64] &= !(1 << (idx % 64));
+        std::mem::take(&mut self.rows[idx])
+    }
+
+    /// Replaces row `idx` wholesale.
+    pub(super) fn set(&mut self, idx: usize, row: Vec<QueryId>) {
+        self.rows[idx] = row;
+        self.mark(idx);
+    }
+
+    /// The bitmap agrees with the rows, cell by cell.
+    pub(super) fn check_occupancy(&self) {
+        for (idx, row) in self.rows.iter().enumerate() {
+            assert_eq!(
+                self.occupied(idx),
+                !row.is_empty(),
+                "RQI occupancy bit of cell {idx} disagrees with its row"
+            );
+        }
+    }
+}
+
 impl Server {
     /// Starts logging FOT/SQT key-set changes, seeded with the current
     /// contents (ascending) — so the first drain hands a mirror everything
@@ -607,9 +705,7 @@ impl Server {
                 continue;
             }
             touched += 1;
-            if !self.rqi[idx].contains(&qid) {
-                self.rqi[idx].push(qid);
-            }
+            self.rqi.insert(idx, qid);
         }
         // Partitions tile the grid, so per-query RQI work summed across a
         // cluster equals the single server's `region.len()` exactly.
@@ -626,17 +722,23 @@ impl Server {
                 continue;
             }
             touched += 1;
-            self.rqi[idx].retain(|&q| q != qid);
+            self.rqi.remove(idx, qid);
         }
         self.tally.add(srv_slots::RQI_UPDATES, touched);
     }
 
-    /// Monitoring region of a query, whether homed here or stubbed.
-    pub(super) fn q_mon(&self, qid: QueryId) -> Option<GridRect> {
+    /// Focal object and monitoring region of a query — its
+    /// dissemination group key — whether homed here or stubbed.
+    pub(super) fn q_group(&self, qid: QueryId) -> Option<(ObjectId, GridRect)> {
         self.sqt
             .get(&qid)
-            .map(|e| e.mon_region)
-            .or_else(|| self.stubs.get(&qid).map(|s| s.mon_region))
+            .map(|e| (e.focal, e.mon_region))
+            .or_else(|| self.stubs.get(&qid).map(|s| (s.focal, s.mon_region)))
+    }
+
+    /// Monitoring region of a query, whether homed here or stubbed.
+    pub(super) fn q_mon(&self, qid: QueryId) -> Option<GridRect> {
+        self.q_group(qid).map(|(_, mon)| mon)
     }
 
     /// Seq stamp of a query, whether homed here or stubbed.
@@ -665,7 +767,7 @@ impl Server {
                     continue; // a neighbor partition's RQI row
                 }
                 assert!(
-                    self.rqi[idx].contains(qid),
+                    self.rqi.row(idx).contains(qid),
                     "RQI missing {qid:?} at {cell:?}"
                 );
             }
@@ -678,10 +780,9 @@ impl Server {
                 );
             }
         }
-        for (idx, qids) in self.rqi.iter().enumerate() {
-            if !qids.is_empty() {
-                assert!(Self::owns_flat(idx, &owned), "RQI entry in an unowned cell");
-            }
+        self.rqi.check_occupancy();
+        for (idx, qids) in self.rqi.occupied_rows() {
+            assert!(Self::owns_flat(idx, &owned), "RQI entry in an unowned cell");
             for qid in qids {
                 let mon = self.q_mon(*qid).expect("RQI references live query or stub");
                 let cell = self.config.grid.cell_at(idx);

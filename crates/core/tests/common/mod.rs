@@ -494,7 +494,7 @@ pub fn check_format<T: Wire + PartialEq + Debug>(samples: &[T], seed: u64) {
 /// `None` when `server` does not home it.
 pub fn extract_focal(server: &mut Server, oid: ObjectId, net: &mut Net) -> Option<ClusterMsg> {
     match server.apply(&LogRecord::ExtractFocal(oid), net) {
-        Ok(ReplyPayload::OptCluster(msg)) => msg,
+        Ok(ReplyPayload::OptCluster(msg)) => msg.map(|m| *m),
         other => panic!("ExtractFocal({oid:?}) answered {other:?}"),
     }
 }

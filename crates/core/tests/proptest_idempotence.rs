@@ -381,7 +381,7 @@ fn run_rebalance(case: u64, duplicate: bool, stale_replay: bool) -> (usize, Serv
     let Ok(ReplyPayload::OptCluster(Some(msg))) = p0.apply(&export, &mut net) else {
         panic!("focal's monitoring region occupies reassigned cells");
     };
-    let exported = match &msg {
+    let exported = match &*msg {
         ClusterMsg::RebalanceCells { cells, .. } => cells.len(),
         other => panic!("export_cells produced {other:?}"),
     };

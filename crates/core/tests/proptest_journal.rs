@@ -585,7 +585,7 @@ fn a_partition_journals_each_accepted_record_behind_its_floor() {
         };
         let install = matches!(rec, LogRecord::CompleteInstall { .. });
         match j.apply(rec) {
-            Some(ReplyPayload::OptCluster(Some(msg))) => migrations.push(msg),
+            Some(ReplyPayload::OptCluster(Some(msg))) => migrations.push(*msg),
             Some(_) if install => next_qid += 1,
             _ => {}
         }

@@ -5,7 +5,7 @@ use crate::config::{EngineKind, RecoveryKind, SimConfig, TransportKind};
 use crate::metrics::{sim_keys, RunMetrics};
 use crate::mobility::Mobility;
 use crate::soa::{
-    self, AgentSoa, BcastClass, FlatCellProbe, SoaShard, FLAG_FOCAL, FLAG_LQT, FLAG_OFFLINE,
+    self, AgentSoa, BcastClass, FlatCellProbe, SoaShard, Visit, FLAG_FOCAL, FLAG_LQT, FLAG_OFFLINE,
     FLAG_PENDING, FLAG_SHADOW,
 };
 use crate::transport_run::{ClusterClient, HostedPartitions};
@@ -14,7 +14,7 @@ use crate::workload::Workload;
 use mobieyes_cluster::ClusterServer;
 use mobieyes_core::server::Net;
 use mobieyes_core::{
-    AgentOutbox, Downlink, Filter, MovingObjectAgent, ObjectId, Propagation, Properties,
+    prefetch, AgentOutbox, Downlink, Filter, MovingObjectAgent, ObjectId, Propagation, Properties,
     ProtocolConfig, QueryId, Server,
 };
 use mobieyes_geo::{Grid, LinearMotion, Point, QueryRegion, Vec2};
@@ -26,7 +26,7 @@ use mobieyes_store::{self as store, Store};
 use mobieyes_telemetry::{EventKind, Phase, Telemetry};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The server tier behind a deployment: the plain single server, or the
 /// grid-sharded cluster (`SimConfig::partitions` > 1). Both speak the same
@@ -989,6 +989,7 @@ impl MobiEyesSim {
         let n = self.agents.len();
         let (mut visited, mut offline, mut delivered) = (0, 0, 0);
         if self.shard_out.len() <= 1 || !self.net.fault().is_noop() || self.churn.has_churn() {
+            let start = Instant::now();
             for i in 0..self.agents.len() {
                 if self.skip_now[i] {
                     // Offline: the radio is off; pending downlinks stay
@@ -1008,6 +1009,7 @@ impl MobiEyesSim {
                     &mut self.shard_out[i / chunk],
                 );
             }
+            self.shard_out[0].tally.eval_nanos += start.elapsed().as_nanos() as u64;
             self.work.set_seed_process(visited, offline, delivered);
             return;
         }
@@ -1031,6 +1033,7 @@ impl MobiEyesSim {
             {
                 let base = c * chunk;
                 s.spawn(move || {
+                    let start = Instant::now();
                     rx.clear();
                     let pairs = deliveries.shard(base, agents.len());
                     let mut cur = 0;
@@ -1053,6 +1056,7 @@ impl MobiEyesSim {
                         }
                         agent.tick_process_into(t, inbox.iter().copied(), out);
                     }
+                    out.tally.eval_nanos += start.elapsed().as_nanos() as u64;
                 });
             }
         });
@@ -1109,9 +1113,9 @@ impl MobiEyesSim {
         let shards = agents
             .chunks_mut(chunk)
             .zip(shard_out.iter_mut())
-            .zip(views);
-        self.work.motion_touched = over_shards(shards, |c, ((agents, out), view)| {
-            motion_shard(&ctx, agents, out, view, c * chunk)
+            .zip(views.into_iter().zip(soa.visits.iter_mut()));
+        self.work.motion_touched = over_shards(shards, |c, ((agents, out), (view, visits))| {
+            motion_shard(&ctx, agents, out, view, visits, c * chunk)
         });
     }
 
@@ -1173,9 +1177,9 @@ impl MobiEyesSim {
         let shards = agents
             .chunks_mut(chunk)
             .zip(shard_out.iter_mut())
-            .zip(views);
-        let work: ProcessWork = over_shards(shards, |c, ((agents, out), view)| {
-            process_shard(&ctx, agents, out, view, c * chunk)
+            .zip(views.into_iter().zip(soa.visits.iter_mut()));
+        let work: ProcessWork = over_shards(shards, |c, ((agents, out), (view, visits))| {
+            process_shard(&ctx, agents, out, view, visits, c * chunk)
         });
         // Reception is physical: every delivery is metered at its node,
         // whether the agent went on to process it or dropped it as inert.
@@ -1369,41 +1373,79 @@ struct MotionCtx<'a> {
     tick: u32,
 }
 
+/// How many visits ahead of the running one a fast phase prefetches an
+/// agent's struct, and its heap blocks. The heap pointers live in the
+/// struct, so the struct has to arrive first.
+const PREFETCH_AGENT: usize = 8;
+const PREFETCH_HEAP: usize = 4;
+
+/// Runs `visit` over a shard's visit list in order, prefetching the
+/// agents ahead of it: a random agent load costs a cache miss, and the
+/// list says which agents come next.
+#[inline]
+fn run_visits(
+    agents: &mut [MovingObjectAgent],
+    visits: &[Visit],
+    mut visit: impl FnMut(&mut MovingObjectAgent, &Visit),
+) {
+    for (i, v) in visits.iter().enumerate() {
+        if let Some(ahead) = visits.get(i + PREFETCH_AGENT) {
+            prefetch(&agents[ahead.at as usize]);
+        }
+        if let Some(ahead) = visits.get(i + PREFETCH_HEAP) {
+            agents[ahead.at as usize].prefetch_heap();
+        }
+        visit(&mut agents[v.at as usize], v);
+    }
+}
+
 /// Fast-engine motion phase over one shard (see
-/// [`MobiEyesSim::run_motion_phase_fast`] for the skip argument).
+/// [`MobiEyesSim::run_motion_phase_fast`] for the skip argument): one
+/// scan of the mirror decides the agents to run, then runs them.
 /// Returns how many agents it ran.
 fn motion_shard(
     ctx: &MotionCtx<'_>,
     agents: &mut [MovingObjectAgent],
     out: &mut AgentOutbox,
     mut view: SoaShard<'_>,
+    visits: &mut Vec<Visit>,
     base: usize,
 ) -> usize {
-    let mut touched = 0;
-    for (off, agent) in agents.iter_mut().enumerate() {
+    visits.clear();
+    for off in 0..agents.len() {
         let pos = ctx.positions[base + off];
         let fc = match ctx.probe.get(pos) {
             Some(fc) => fc,
             None => ctx.grid.flat_cell_of(pos) as u32,
         };
-        if fc == view.cells[off] && view.flags[off] & (FLAG_FOCAL | FLAG_OFFLINE) == 0 {
+        let flags = view.flags[off];
+        if fc == view.cells[off] && flags & (FLAG_FOCAL | FLAG_OFFLINE) == 0 {
             continue;
         }
         view.cells[off] = fc;
-        let vel = ctx.velocities[base + off];
-        if view.flags[off] & FLAG_OFFLINE == 0 {
-            agent.tick_motion_into(ctx.t, pos, vel, out);
-        } else if let Some(fresh) = ctx.rejoin[base + off] {
-            agent.reconnect_into(ctx.t, pos, vel, fresh, out);
-        } else {
+        if flags & FLAG_OFFLINE != 0 && ctx.rejoin[base + off].is_none() {
             // Still offline: its cell stays exact, the agent is not run.
             continue;
         }
+        visits.push(Visit {
+            at: off as u32,
+            lo: 0,
+            hi: 0,
+        });
+    }
+    run_visits(agents, visits, |agent, v| {
+        let off = v.at as usize;
+        let (pos, vel) = (ctx.positions[base + off], ctx.velocities[base + off]);
+        if view.flags[off] & FLAG_OFFLINE == 0 {
+            agent.tick_motion_into(ctx.t, pos, vel, out);
+        } else {
+            let fresh = ctx.rejoin[base + off].expect("an offline agent is run only to rejoin");
+            agent.reconnect_into(ctx.t, pos, vel, fresh, out);
+        }
         view.synced_at[off] = ctx.tick;
         view.refresh(off, agent);
-        touched += 1;
-    }
-    touched
+    });
+    visits.len()
 }
 
 /// What every shard of a fast processing phase reads.
@@ -1441,28 +1483,35 @@ impl ProcessCtx<'_> {
 /// Fast-engine processing phase over one shard: walks the shard's
 /// delivery runs and its `flags` bytes in step, visits only agents with a
 /// delivery or `LQT|PENDING` state, applies the safe-period and
-/// inert-delivery whole-agent skips to those, re-syncs the stale
-/// position of agents the motion phase skipped, and accounts everyone it
-/// never looked at with one batched zero LQT-size sample. Offline agents
+/// inert-delivery whole-agent skips to those, and accounts everyone it
+/// never looked at with one batched zero LQT-size sample — all from the
+/// mirror's bytes, building the list of agents to run. Offline agents
 /// (no deliveries left by construction) are stepped over without that
-/// sample: the seed engine records nothing for them.
+/// sample: the seed engine records nothing for them. Then it runs the
+/// list, re-syncing the stale position of agents the motion phase
+/// skipped. The whole pass is timed into `agent.eval_nanos` with one
+/// clock pair.
 fn process_shard(
     ctx: &ProcessCtx<'_>,
     agents: &mut [MovingObjectAgent],
     out: &mut AgentOutbox,
     mut view: SoaShard<'_>,
+    visits: &mut Vec<Visit>,
     base: usize,
 ) -> ProcessWork {
     const ACTIVE: u8 = FLAG_LQT | FLAG_PENDING;
     // Offline rows stop the scan like active ones, so the cold runs in
     // between hold online agents only.
     const STOP: u8 = ACTIVE | FLAG_OFFLINE;
+    let start = Instant::now();
     let n = agents.len();
     let nu = ctx.unicasts.len() as u32;
-    let mut pairs = ctx.deliveries.shard(base, n);
+    let shard_pairs = ctx.deliveries.shard(base, n);
+    let mut pairs = shard_pairs;
     let mut work = ProcessWork::default();
     let mut safe_skips = 0u64;
     let mut off = 0;
+    visits.clear();
     loop {
         // The next agent worth a look: the first with query state, or
         // failing that the next addressee of a delivery.
@@ -1482,6 +1531,7 @@ fn process_shard(
         }
         let node = (base + at) as u32;
         let run = pairs.iter().take_while(|&&(to, _)| to == node).count();
+        let lo = shard_pairs.len() - pairs.len();
         let (inbox, rest) = pairs.split_at(run);
         pairs = rest;
         work.visited += 1;
@@ -1517,22 +1567,30 @@ fn process_shard(
                 continue;
             }
         }
-        let agent = &mut agents[at];
+        visits.push(Visit {
+            at: at as u32,
+            lo: lo as u32,
+            hi: (lo + run) as u32,
+        });
+    }
+    run_visits(agents, visits, |agent, v| {
+        let at = v.at as usize;
         if view.synced_at[at] != ctx.tick {
             // The motion phase skipped this agent — same cell, not focal
             // — so only its internal pos/vel are stale.
             agent.sync_kinematics(ctx.positions[base + at], ctx.velocities[base + at]);
             view.synced_at[at] = ctx.tick;
         }
+        let inbox = &shard_pairs[v.lo as usize..v.hi as usize];
         agent.tick_process_into(ctx.t, inbox.iter().map(|&(_, k)| ctx.downlink(k).0), out);
         view.refresh(at, agent);
-    }
-    // Cold and inert agents: `tick_process` would only have recorded the
-    // eval timer (excluded from protocol equality) and a zero LQT-size
-    // sample.
+    });
+    // Cold and inert agents: `tick_process` would only have recorded a
+    // zero LQT-size sample.
     out.tally
         .observe_lqt_size(0, (work.cold + work.inert) as u64);
     out.tally.skipped_safe_period += safe_skips;
+    out.tally.eval_nanos += start.elapsed().as_nanos() as u64;
     work
 }
 

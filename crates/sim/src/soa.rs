@@ -332,6 +332,20 @@ pub struct AgentSoa {
     /// engine's parallel delivery, replayed into the real network's
     /// per-node meters after the shard scope ends.
     pub rx: Vec<Vec<(u32, usize)>>,
+    /// Per-shard visit lists of the fast phases (see [`Visit`]).
+    pub visits: Vec<Vec<Visit>>,
+}
+
+/// One agent a fast phase runs, decided from the mirror's bytes alone
+/// before any agent is touched: its offset in the shard and its inbox,
+/// the range `lo..hi` of the shard's own slice of the delivery runs
+/// (empty in the motion phase). Knowing the whole list first lets the
+/// phase prefetch agents a few visits ahead of the one it runs.
+#[derive(Clone, Copy, Debug)]
+pub struct Visit {
+    pub at: u32,
+    pub lo: u32,
+    pub hi: u32,
 }
 
 impl AgentSoa {
@@ -348,6 +362,7 @@ impl AgentSoa {
             deliveries: Deliveries::default(),
             bcast_class: Vec::new(),
             rx: vec![Vec::new(); shards],
+            visits: vec![Vec::new(); shards],
         };
         for agent in agents {
             let (flags, lqt_len, safe_until) = classify(agent);

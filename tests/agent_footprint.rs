@@ -19,9 +19,10 @@ const TICKS: usize = 60;
 const STEADY_TICKS: usize = 30;
 
 /// Ceilings are ~1.2x what the flat-table / hot-cold agent layout
-/// measures: 236 B per agent right after construction, 436 B per agent
-/// live after 60 ticks, 2 654 allocations per tick (2 682 at four
-/// threads). The whole deployment is counted — server, network, engine
+/// measures: 236 B per agent right after construction, 435 B per agent
+/// live after 60 ticks, 1 654 allocations per tick (1 666 at four
+/// threads; 2 247 before the server built a `NewQueries` reply in one
+/// pass). The whole deployment is counted — server, network, engine
 /// arrays — of which the agents are 128 B inline plus ~75 B of heap. With
 /// four per-agent B-trees and a telemetry sink per agent the same run read
 /// 428 / 1 405 / 2 405: the trees kept a 1.3 KB leaf per agent that ever
@@ -29,7 +30,7 @@ const STEADY_TICKS: usize = 30;
 /// is why the allocation count is a ceiling and not a gain.
 const CONSTRUCTION_BYTES_PER_AGENT: usize = 285;
 const LIVE_BYTES_PER_AGENT: usize = 525;
-const ALLOCATIONS_PER_TICK: usize = 3_200;
+const ALLOCATIONS_PER_TICK: usize = 2_000;
 
 #[test]
 fn agent_state_stays_small_and_ticks_stay_off_the_allocator() {
