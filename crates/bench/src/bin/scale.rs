@@ -120,7 +120,9 @@ fn main() {
     let largest_objects = samples.last().expect("nonempty sweep").objects;
     let rss_per_object = peak_rss_bytes().map(|b| b / largest_objects as u64);
 
-    let seed_spt = measure(config_for(compare_at, EngineKind::Seed), 2, 3).seconds_per_tick;
+    // The seed engine runs one worker thread (`SimConfig::validate`).
+    let seed_config = config_for(compare_at, EngineKind::Seed).with_threads(1);
+    let seed_spt = measure(seed_config, 2, 3).seconds_per_tick;
     let soa_spt = samples
         .iter()
         .find(|s| s.objects == compare_at)

@@ -385,10 +385,6 @@ impl ClusterServer {
         self.partitions.iter().zip(probes).map(finish).collect()
     }
 
-    pub fn partition_map(&self) -> &PartitionMap {
-        &self.map
-    }
-
     /// Message-bus traffic meter (handoff + stub synchronization).
     pub fn bus_meter(&self) -> MessageMeter {
         self.bus.meter()

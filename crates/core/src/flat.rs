@@ -2,22 +2,30 @@
 //!
 //! An agent's tables hold a handful of rows (the mean LQT is 0.2–2 rows)
 //! and most agents hold none, so the layout is chosen for the empty and
-//! the tiny case: an empty map owns no heap (it releases its buffer when
-//! its last row goes — a `BTreeMap` keeps its 1.3 KB root leaf), a
-//! one-row map owns exactly one row (growth is exact), and iteration is a
-//! contiguous ascending-key scan. Lookups are a binary search; a linear
-//! scan for short tables was measured and did not beat it (DESIGN.md §12).
+//! the tiny case: the handle is one boxed slice (16 bytes: pointer and
+//! length, no capacity), an empty map owns no heap, a one-row map owns
+//! exactly one row — the buffer always holds exactly the rows, so every
+//! insert or removal resizes it — and iteration is a contiguous
+//! ascending-key scan. Lookups are a binary search; a linear scan for
+//! short tables was measured and did not beat it (DESIGN.md §12).
 
-/// Map from `K` to `V` kept as one key-sorted `Vec` of rows. Method names
-/// and return values follow `BTreeMap`; iteration is ascending by key.
+use std::mem::take;
+
+/// Map from `K` to `V` kept as one key-sorted boxed slice of rows.
+/// Method names and return values follow `BTreeMap`; iteration is
+/// ascending by key.
 #[derive(Debug)]
 pub(crate) struct FlatMap<K, V> {
-    rows: Vec<(K, V)>,
+    rows: Box<[(K, V)]>,
 }
+
+const _: () = assert!(std::mem::size_of::<FlatMap<u32, u64>>() == 16);
 
 impl<K, V> Default for FlatMap<K, V> {
     fn default() -> Self {
-        FlatMap { rows: Vec::new() }
+        FlatMap {
+            rows: Box::default(),
+        }
     }
 }
 
@@ -63,17 +71,27 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
         }
     }
 
+    /// Runs `edit` on the rows as a `Vec` whose capacity is their count,
+    /// then boxes them again: one reallocation when `edit` changed the
+    /// count, none otherwise, and none at all for an empty result.
+    fn edit<R>(&mut self, edit: impl FnOnce(&mut Vec<(K, V)>) -> R) -> R {
+        let mut rows = take(&mut self.rows).into_vec();
+        let out = edit(&mut rows);
+        self.rows = rows.into_boxed_slice();
+        out
+    }
+
     /// Growth is exact: a one-row table is one row, not `Vec`'s four.
     fn insert_row(&mut self, at: usize, key: K, value: V) {
-        self.rows.reserve_exact(1);
-        self.rows.insert(at, (key, value));
+        self.edit(|rows| {
+            rows.reserve_exact(1);
+            rows.insert(at, (key, value));
+        });
     }
 
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let i = self.search(key).ok()?;
-        let (_, value) = self.rows.remove(i);
-        self.release_if_empty();
-        Some(value)
+        Some(self.edit(|rows| rows.remove(i).1))
     }
 
     /// Keeps the rows `keep` accepts, visiting them in ascending key order.
@@ -81,12 +99,11 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
         if self.rows.is_empty() {
             return;
         }
-        self.rows.retain_mut(|(k, v)| keep(k, v));
-        self.release_if_empty();
+        self.edit(|rows| rows.retain_mut(|(k, v)| keep(k, v)));
     }
 
     pub fn clear(&mut self) {
-        self.rows = Vec::new();
+        self.rows = Box::default();
     }
 
     /// The first row's address (dangling when empty), for prefetching.
@@ -110,17 +127,11 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
         self.rows.iter().map(|(_, v)| v)
     }
 
-    /// An empty map owns no heap.
-    fn release_if_empty(&mut self) {
-        if self.rows.is_empty() {
-            self.rows = Vec::new();
-        }
-    }
-
-    /// Allocated row slots (tests: zero whenever the map is empty).
+    /// Allocated row slots (tests: always the row count, zero whenever
+    /// the map is empty).
     #[cfg(test)]
     fn capacity(&self) -> usize {
-        self.rows.capacity()
+        std::mem::size_of_val(&*self.rows) / std::mem::size_of::<(K, V)>().max(1)
     }
 }
 

@@ -1,7 +1,10 @@
 //! The moving-object side of the protocol (paper §3.3–§3.6, §4).
 //!
-//! A [`MovingObjectAgent`] owns the object's kinematic state, its local
-//! query table (LQT) and the `hasMQ` flag. Each tick it:
+//! A [`MovingObjectAgent`] owns the object's protocol state: its local
+//! query table (LQT), its registered grid cell and the `hasMQ` flag. The
+//! object's position, velocity and maximum speed ([`Kinematics`]) belong
+//! to whoever moves it and reach the agent with every phase call, as does
+//! the shared [`ProtocolConfig`]. Each tick it:
 //!
 //! 1. processes downlink messages (query installs/updates/removals, focal
 //!    velocity changes, position requests),
@@ -18,12 +21,13 @@
 //!
 //! Most agents of a deployment hold no query, so the struct is laid out
 //! for the quiet case (DESIGN.md §12 "Agent layout"): [`MovingObjectAgent`]
-//! is 128 bytes — kinematics, the LQT and filter-shadow tables, two
-//! pointers — and owns no heap until a query reaches it. The tables are
-//! key-sorted vectors (`crate::flat::FlatMap`) that release their buffer
-//! when they empty, state a quiet tick never reads sits behind a pointer
-//! that stays null until needed, and evaluation scratch belongs to the
-//! caller's [`AgentOutbox`] — one set per shard, not per agent.
+//! is one 64-byte cache line — the registered cell, the id and two flags,
+//! the LQT and filter-shadow tables, two pointers — and owns no heap until
+//! a query reaches it. The tables are key-sorted boxed slices
+//! (`crate::flat::FlatMap`) that hold exactly their rows, state a quiet
+//! tick never reads sits behind a pointer that stays null until needed,
+//! and evaluation scratch belongs to the caller's [`AgentOutbox`] — one
+//! set per shard, not per agent.
 
 use crate::config::{Propagation, ProtocolConfig};
 use crate::flat::FlatMap;
@@ -31,10 +35,10 @@ use crate::messages::{state_digest, Downlink, QueryGroupInfo, Uplink, EMPTY_STAT
 use crate::model::{ObjectId, Properties, QueryId};
 use crate::server::Net;
 use mobieyes_geo::{CellId, GridRect, LinearMotion, Point, QueryRegion, Region, Vec2};
+use mobieyes_net::meter::keys as net_keys;
 use mobieyes_net::NodeId;
 use mobieyes_telemetry::{EventKind, MetricsSnapshot, Telemetry};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// The `agent.*` telemetry keys recorded by [`MovingObjectAgent`].
 pub mod agent_keys {
@@ -119,7 +123,8 @@ impl AgentStats {
 }
 
 /// Plain accumulator for everything agents record while they run: the
-/// `agent.*` counters, the LQT-size samples and the cell-crossing events.
+/// `agent.*` counters, the LQT-size samples, the cell-crossing events and
+/// the bytes they received.
 /// Agents never touch a telemetry lock on their hot path; whoever owns
 /// the tally — a tick engine holds one per shard and phase, the
 /// single-agent convenience calls a local one — publishes it with one
@@ -137,6 +142,9 @@ pub struct AgentTally {
     pub resync_requests: u64,
     pub lqt_syncs: u64,
     pub eval_nanos: u64,
+    /// Downlink bytes the agents physically received (`net.rx.bytes`):
+    /// a tick engine that delivers downlinks itself counts them here.
+    pub rx_bytes: u64,
     /// `lqt_sizes[v]`: how many `agent.lqt_size` samples had value `v`.
     lqt_sizes: Vec<u64>,
     /// Cell crossings `(time, oid)` in occurrence order.
@@ -168,6 +176,7 @@ impl AgentTally {
                 (agent_keys::STALE_DISCARDED, self.stale_discarded),
                 (agent_keys::RESYNC_REQUESTS, self.resync_requests),
                 (agent_keys::LQT_SYNCS, self.lqt_syncs),
+                (net_keys::RX_BYTES, self.rx_bytes),
             ] {
                 if n > 0 {
                     r.add(key, n);
@@ -220,23 +229,46 @@ struct AgentScratch {
     mentioned: Vec<QueryId>,
 }
 
+/// What an object knows of its own motion and the agent does not store:
+/// where it is, how it moves and how fast it can go. Whoever moves the
+/// object — a mobility model's columns, in a simulation — hands it to
+/// every phase call, so there is no second copy to go stale.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Kinematics {
+    pub pos: Point,
+    pub vel: Vec2,
+    /// Maximum speed, for safe periods (§4.2) and the server's
+    /// monitoring regions.
+    pub max_vel: f64,
+}
+
+impl Kinematics {
+    pub fn new(pos: Point, vel: Vec2, max_vel: f64) -> Self {
+        Kinematics { pos, vel, max_vel }
+    }
+
+    /// The motion sample `(pos, vel)` taken at time `t`.
+    fn sample(&self, t: f64) -> LinearMotion {
+        LinearMotion::new(self.pos, self.vel, t)
+    }
+}
+
 /// The moving-object protocol agent.
 ///
-/// The struct itself is the *hot* part: what a quiet tick reads, in 128
-/// contiguous bytes (asserted below). Everything else lives in `AgentCold`
-/// behind one pointer that stays null until first needed.
+/// The struct itself is the *hot* part: what a quiet tick reads, in one
+/// 64-byte cache line (asserted below). Everything else lives in
+/// `AgentCold` behind one pointer that stays null until first needed.
 #[derive(Debug)]
+#[repr(align(64))]
 pub struct MovingObjectAgent {
-    pos: Point,
-    vel: Vec2,
+    /// The cell this agent last registered itself in: the cell of the
+    /// position the last motion phase saw.
     curr_cell: CellId,
     oid: ObjectId,
     has_mq: bool,
     /// Mirrors `!cold.pending_departures.is_empty()` in the hot block's
     /// padding, so a quiet evaluation never dereferences `cold`.
     pending: bool,
-    max_vel: f64,
-    config: Arc<ProtocolConfig>,
     lqt: FlatMap<QueryId, LqtEntry>,
     /// Queries covering our cell whose filter rejected us. Tracked (with
     /// seq and monitoring region) so the heartbeat digest of "queries of
@@ -250,7 +282,8 @@ pub struct MovingObjectAgent {
     cold: Option<Box<AgentCold>>,
 }
 
-const _: () = assert!(std::mem::size_of::<MovingObjectAgent>() <= 128);
+const _: () = assert!(std::mem::size_of::<MovingObjectAgent>() == 64);
+const _: () = assert!(std::mem::align_of::<MovingObjectAgent>() == 64);
 
 /// Agent state a quiet non-focal tick never reads. Allocated on first
 /// need — non-empty properties, a tombstone, a buffered departure, a
@@ -285,15 +318,16 @@ struct AgentCold {
 pub fn prefetch<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
     {
-        // One line per 64 bytes from the start, and the line of the last
-        // byte: a 128-byte agent at an 8-aligned address spans three.
+        // Every 64-byte line from the one holding the first byte to the
+        // one holding the last: one for a line-aligned agent.
         let size = std::mem::size_of::<T>().max(1);
         let bytes = p.cast::<i8>();
-        for off in (0..size).step_by(64).chain([size - 1]) {
+        let first = (p as usize) % 64;
+        for off in (0..first + size).step_by(64) {
             // SAFETY: a prefetch is a hint that never faults, on any address.
             unsafe {
                 use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch::<_MM_HINT_T0>(bytes.wrapping_add(off));
+                _mm_prefetch::<_MM_HINT_T0>(bytes.wrapping_add(off).wrapping_sub(first));
             }
         }
     }
@@ -305,15 +339,8 @@ pub fn prefetch<T>(p: *const T) {
 static NO_PROPERTIES: Properties = Properties::new();
 
 impl MovingObjectAgent {
-    /// Creates an agent at an initial position/velocity at time `t0`.
-    pub fn new(
-        oid: ObjectId,
-        props: Properties,
-        max_vel: f64,
-        pos: Point,
-        vel: Vec2,
-        config: Arc<ProtocolConfig>,
-    ) -> Self {
+    /// Creates an agent registered in the cell of its initial position.
+    pub fn new(oid: ObjectId, props: Properties, config: &ProtocolConfig, pos: Point) -> Self {
         let curr_cell = config.grid.cell_of(pos);
         let cold = (!props.is_empty()).then(|| {
             Box::new(AgentCold {
@@ -322,14 +349,10 @@ impl MovingObjectAgent {
             })
         });
         MovingObjectAgent {
-            pos,
-            vel,
             curr_cell,
             oid,
             has_mq: false,
             pending: false,
-            max_vel,
-            config,
             lqt: FlatMap::default(),
             shadow: FlatMap::default(),
             advertised: None,
@@ -361,10 +384,6 @@ impl MovingObjectAgent {
 
     pub fn oid(&self) -> ObjectId {
         self.oid
-    }
-
-    pub fn position(&self) -> Point {
-        self.pos
     }
 
     pub fn properties(&self) -> &Properties {
@@ -471,19 +490,23 @@ impl MovingObjectAgent {
     /// that the resulting broadcasts reach the other objects within the
     /// same time step — the paper's simulation resolves updates within a
     /// step.
-    pub fn tick_motion(&mut self, t: f64, pos: Point, vel: Vec2, net: &mut Net) {
+    pub fn tick_motion(&mut self, config: &ProtocolConfig, t: f64, k: Kinematics, net: &mut Net) {
         let mut out = AgentOutbox::default();
-        self.tick_motion_into(t, pos, vel, &mut out);
+        self.tick_motion_into(config, t, k, &mut out);
         self.hand_over(out, net);
     }
 
     /// [`tick_motion`](Self::tick_motion) recording into a caller-owned
     /// outbox instead of a network and this agent's telemetry sink — the
     /// form tick engines use, one outbox per shard.
-    pub fn tick_motion_into(&mut self, t: f64, pos: Point, vel: Vec2, out: &mut AgentOutbox) {
-        self.pos = pos;
-        self.vel = vel;
-        let new_cell = self.config.grid.cell_of(pos);
+    pub fn tick_motion_into(
+        &mut self,
+        config: &ProtocolConfig,
+        t: f64,
+        k: Kinematics,
+        out: &mut AgentOutbox,
+    ) {
+        let new_cell = config.grid.cell_of(k.pos);
         if new_cell != self.curr_cell {
             let prev = self.curr_cell;
             self.curr_cell = new_cell;
@@ -516,8 +539,8 @@ impl MovingObjectAgent {
             }
             // Eagerly notify the server; under lazy propagation only focal
             // objects do (that is the whole point of LQP).
-            if self.config.propagation == Propagation::Eager || self.has_mq {
-                let motion = LinearMotion::new(pos, vel, t);
+            if config.propagation == Propagation::Eager || self.has_mq {
+                let motion = k.sample(t);
                 self.send(
                     out,
                     Uplink::CellChange {
@@ -532,11 +555,11 @@ impl MovingObjectAgent {
         } else if self.has_mq {
             // Dead reckoning (focal objects only, §3.4).
             let needs_report = match &self.advertised {
-                Some(adv) => adv.should_report(t, pos, self.config.delta),
+                Some(adv) => adv.should_report(t, k.pos, config.delta),
                 None => true,
             };
             if needs_report {
-                let motion = LinearMotion::new(pos, vel, t);
+                let motion = k.sample(t);
                 self.send(
                     out,
                     Uplink::VelocityReport {
@@ -556,13 +579,19 @@ impl MovingObjectAgent {
     /// Generic over the inbox so callers can hand over a plain
     /// `&[Downlink]` slice or borrow out of `Arc`-shared deliveries
     /// (`inbox.iter().map(|m| &**m)`) without copying messages.
-    pub fn tick_process<'a, I>(&mut self, t: f64, inbox: I, net: &mut Net)
-    where
+    pub fn tick_process<'a, I>(
+        &mut self,
+        config: &ProtocolConfig,
+        t: f64,
+        k: Kinematics,
+        inbox: I,
+        net: &mut Net,
+    ) where
         I: IntoIterator<Item = &'a Downlink>,
     {
         let mut out = AgentOutbox::default();
         let start = std::time::Instant::now();
-        self.tick_process_into(t, inbox, &mut out);
+        self.tick_process_into(config, t, k, inbox, &mut out);
         out.tally.eval_nanos += start.elapsed().as_nanos() as u64;
         self.hand_over(out, net);
     }
@@ -572,18 +601,25 @@ impl MovingObjectAgent {
     /// not time itself: a clock pair costs about as much as a quiet
     /// agent's whole call, so a tick engine times its whole processing
     /// pass into `agent.eval_nanos` instead.
-    pub fn tick_process_into<'a, I>(&mut self, t: f64, inbox: I, out: &mut AgentOutbox)
-    where
+    ///
+    /// `k` is the motion the last motion phase saw: the agent reads its
+    /// queries' cell membership from the cell that phase registered.
+    pub fn tick_process_into<'a, I>(
+        &mut self,
+        config: &ProtocolConfig,
+        t: f64,
+        k: Kinematics,
+        inbox: I,
+        out: &mut AgentOutbox,
+    ) where
         I: IntoIterator<Item = &'a Downlink>,
     {
-        // `curr_cell` is the cell of `pos`: every store to one updates
-        // the other.
         let my_cell = self.curr_cell;
         for msg in inbox {
-            self.handle_downlink(t, my_cell, msg, out);
+            self.handle_downlink(t, &k, my_cell, msg, out);
         }
         if self.needs_process() {
-            self.evaluate(t, out);
+            self.evaluate(config, t, &k, out);
         }
         out.tally.observe_lqt_size(self.lqt.len(), 1);
     }
@@ -601,21 +637,6 @@ impl MovingObjectAgent {
         }
     }
 
-    /// Absorbs a new position and velocity *without* motion-event
-    /// detection. Only for callers that already know the agent stayed in
-    /// its registered cell and is not focal — then
-    /// [`tick_motion`](Self::tick_motion) would store the same two fields
-    /// and do nothing else. The struct-of-arrays engine uses it to
-    /// re-sync agents its motion scan skipped.
-    pub fn sync_kinematics(&mut self, pos: Point, vel: Vec2) {
-        debug_assert!(
-            self.config.grid.cell_of(pos) == self.curr_cell && !self.has_mq,
-            "sync_kinematics would swallow a motion event"
-        );
-        self.pos = pos;
-        self.vel = vel;
-    }
-
     /// Delivers a locally filled outbox: uplinks into `net` in send
     /// order, the tally into this agent's own sink.
     fn hand_over(&mut self, mut out: AgentOutbox, net: &mut Net) {
@@ -629,12 +650,18 @@ impl MovingObjectAgent {
     /// server phase between the two — which lets motion broadcasts take
     /// effect within the same step — call [`tick_motion`](Self::tick_motion)
     /// and [`tick_process`](Self::tick_process) directly.
-    pub fn tick<'a, I>(&mut self, t: f64, pos: Point, vel: Vec2, inbox: I, net: &mut Net)
-    where
+    pub fn tick<'a, I>(
+        &mut self,
+        config: &ProtocolConfig,
+        t: f64,
+        k: Kinematics,
+        inbox: I,
+        net: &mut Net,
+    ) where
         I: IntoIterator<Item = &'a Downlink>,
     {
-        self.tick_motion(t, pos, vel, net);
-        self.tick_process(t, inbox, net);
+        self.tick_motion(config, t, k, net);
+        self.tick_process(config, t, k, inbox, net);
     }
 
     fn send(&self, out: &mut AgentOutbox, msg: Uplink) {
@@ -642,7 +669,14 @@ impl MovingObjectAgent {
         out.uplinks.push((self.oid.node(), msg));
     }
 
-    fn handle_downlink(&mut self, t: f64, my_cell: CellId, msg: &Downlink, out: &mut AgentOutbox) {
+    fn handle_downlink(
+        &mut self,
+        t: f64,
+        k: &Kinematics,
+        my_cell: CellId,
+        msg: &Downlink,
+        out: &mut AgentOutbox,
+    ) {
         let tally = &mut out.tally;
         match msg {
             Downlink::QueryState { info } => self.apply_query_state(my_cell, info, tally),
@@ -713,16 +747,16 @@ impl MovingObjectAgent {
                         tally.resync_requests += 1;
                         let motion = match &self.advertised {
                             Some(adv) if self.has_mq => **adv,
-                            _ => LinearMotion::new(self.pos, self.vel, t),
+                            _ => k.sample(t),
                         };
-                        let (oid, max_vel) = (self.oid, self.max_vel);
+                        let oid = self.oid;
                         self.send(
                             out,
                             Uplink::Resync {
                                 oid,
                                 cell: my_cell,
                                 motion,
-                                max_vel,
+                                max_vel: k.max_vel,
                                 fresh: false,
                             },
                         );
@@ -764,13 +798,13 @@ impl MovingObjectAgent {
                 }
             }
             Downlink::PositionRequest => {
-                let motion = LinearMotion::new(self.pos, self.vel, t);
+                let motion = k.sample(t);
                 self.send(
                     out,
                     Uplink::PositionReply {
                         oid: self.oid,
                         motion,
-                        max_vel: self.max_vel,
+                        max_vel: k.max_vel,
                     },
                 );
                 self.advertise(motion);
@@ -941,9 +975,16 @@ impl MovingObjectAgent {
     /// changed) current cell. Either way the object announces itself with
     /// a `Resync` uplink so the server replays its cell's query state and
     /// completes any installs that were waiting for it.
-    pub fn reconnect(&mut self, t: f64, pos: Point, vel: Vec2, fresh: bool, net: &mut Net) {
+    pub fn reconnect(
+        &mut self,
+        config: &ProtocolConfig,
+        t: f64,
+        k: Kinematics,
+        fresh: bool,
+        net: &mut Net,
+    ) {
         let mut out = AgentOutbox::default();
-        self.reconnect_into(t, pos, vel, fresh, &mut out);
+        self.reconnect_into(config, t, k, fresh, &mut out);
         self.hand_over(out, net);
     }
 
@@ -951,15 +992,13 @@ impl MovingObjectAgent {
     /// outbox (see [`tick_motion_into`](Self::tick_motion_into)).
     pub fn reconnect_into(
         &mut self,
+        config: &ProtocolConfig,
         t: f64,
-        pos: Point,
-        vel: Vec2,
+        k: Kinematics,
         fresh: bool,
         out: &mut AgentOutbox,
     ) {
-        self.pos = pos;
-        self.vel = vel;
-        self.curr_cell = self.config.grid.cell_of(pos);
+        self.curr_cell = config.grid.cell_of(k.pos);
         if fresh {
             self.lqt.clear();
             self.shadow.clear();
@@ -975,16 +1014,16 @@ impl MovingObjectAgent {
             self.drop_lqt_rows(|_, e| e.mon_region.contains(cell), &mut out.tally);
             self.shadow.retain(|_, (_, mon)| mon.contains(cell));
         }
-        let motion = LinearMotion::new(pos, vel, t);
+        let motion = k.sample(t);
         out.tally.resync_requests += 1;
-        let (oid, max_vel, cell) = (self.oid, self.max_vel, self.curr_cell);
+        let (oid, cell) = (self.oid, self.curr_cell);
         self.send(
             out,
             Uplink::Resync {
                 oid,
                 cell,
                 motion,
-                max_vel,
+                max_vel: k.max_vel,
                 fresh,
             },
         );
@@ -992,14 +1031,21 @@ impl MovingObjectAgent {
     }
 
     /// Evaluates all installed queries, reporting containment changes.
-    fn evaluate(&mut self, t: f64, out: &mut AgentOutbox) {
+    fn evaluate(&mut self, config: &ProtocolConfig, t: f64, k: &Kinematics, out: &mut AgentOutbox) {
         // Held by value while `out` takes the uplinks.
         let mut scratch = std::mem::take(&mut out.scratch);
-        self.evaluate_with(t, &mut scratch, out);
+        self.evaluate_with(config, t, k, &mut scratch, out);
         out.scratch = scratch;
     }
 
-    fn evaluate_with(&mut self, t: f64, scratch: &mut AgentScratch, out: &mut AgentOutbox) {
+    fn evaluate_with(
+        &mut self,
+        config: &ProtocolConfig,
+        t: f64,
+        k: &Kinematics,
+        scratch: &mut AgentScratch,
+        out: &mut AgentOutbox,
+    ) {
         scratch.changes.clear();
         if self.pending {
             if let Some(cold) = &mut self.cold {
@@ -1007,12 +1053,12 @@ impl MovingObjectAgent {
             }
             self.pending = false;
         }
-        let grouping = self.config.grouping;
-        let safe_period = self.config.safe_period;
+        let grouping = config.grouping;
+        let safe_period = config.safe_period;
         if grouping {
-            self.evaluate_grouped(t, safe_period, scratch, &mut out.tally);
+            self.evaluate_grouped(t, k, safe_period, scratch, &mut out.tally);
         } else {
-            self.evaluate_plain(t, safe_period, &mut scratch.changes, &mut out.tally);
+            self.evaluate_plain(t, k, safe_period, &mut scratch.changes, &mut out.tally);
         }
 
         if scratch.changes.is_empty() {
@@ -1077,6 +1123,7 @@ impl MovingObjectAgent {
     fn evaluate_plain(
         &mut self,
         t: f64,
+        k: &Kinematics,
         safe_period: bool,
         reported: &mut Vec<(QueryId, bool)>,
         tally: &mut AgentTally,
@@ -1091,12 +1138,12 @@ impl MovingObjectAgent {
             }
             let center = e.motion.predict(t);
             evaluated += 1;
-            let inside = e.region.contains_from(center, self.pos);
+            let inside = e.region.contains_from(center, k.pos);
             if safe_period && !inside {
                 // Worst case: both objects approach head-on at max speed.
-                let closing = self.max_vel + e.focal_max_vel;
+                let closing = k.max_vel + e.focal_max_vel;
                 if closing > 0.0 {
-                    let gap = (self.pos.distance(center) - e.region.reach()).max(0.0);
+                    let gap = (k.pos.distance(center) - e.region.reach()).max(0.0);
                     e.ptm = t + gap / closing;
                 } else {
                     e.ptm = t;
@@ -1119,6 +1166,7 @@ impl MovingObjectAgent {
     fn evaluate_grouped(
         &mut self,
         t: f64,
+        k: &Kinematics,
         safe_period: bool,
         scratch: &mut AgentScratch,
         tally: &mut AgentTally,
@@ -1172,7 +1220,7 @@ impl MovingObjectAgent {
                     false
                 } else {
                     evaluated += 1;
-                    let inside = e.region.contains_from(center, self.pos);
+                    let inside = e.region.contains_from(center, k.pos);
                     if is_circle && !inside {
                         prune_below = Some(e.region.reach());
                     }
@@ -1180,8 +1228,8 @@ impl MovingObjectAgent {
                 };
                 if safe_period && !inside {
                     // Worst case: both objects approach head-on at max speed.
-                    let dist = self.pos.distance(center);
-                    let closing = self.max_vel + e.focal_max_vel;
+                    let dist = k.pos.distance(center);
+                    let closing = k.max_vel + e.focal_max_vel;
                     if closing > 0.0 {
                         let gap = (dist - e.region.reach()).max(0.0);
                         e.ptm = t + gap / closing;
@@ -1218,12 +1266,18 @@ mod tests {
     use crate::messages::QuerySpec;
     use mobieyes_geo::{Grid, Rect};
     use mobieyes_net::BaseStationLayout;
+    use std::sync::Arc;
 
     fn config() -> Arc<ProtocolConfig> {
         Arc::new(ProtocolConfig::new(Grid::new(
             Rect::new(0.0, 0.0, 100.0, 100.0),
             10.0,
         )))
+    }
+
+    /// An object at rest at `(x, y)` with the test fleet's top speed.
+    fn at(x: f64, y: f64) -> Kinematics {
+        Kinematics::new(Point::new(x, y), Vec2::ZERO, 0.03)
     }
 
     fn net() -> Net {
@@ -1252,14 +1306,8 @@ mod tests {
     #[test]
     fn installs_query_when_inside_monitoring_region() {
         let cfg = config();
-        let mut agent = MovingObjectAgent::new(
-            ObjectId(1),
-            Properties::new(),
-            0.03,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
-            Arc::clone(&cfg),
-        );
+        let mut agent =
+            MovingObjectAgent::new(ObjectId(1), Properties::new(), &cfg, Point::new(55.0, 55.0));
         let mut n = net();
         let mon = GridRect {
             x0: 4,
@@ -1269,9 +1317,9 @@ mod tests {
         };
         let info = group_info(0, 3.0, Point::new(55.0, 55.0), mon);
         agent.tick(
+            &cfg,
             0.0,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
+            at(55.0, 55.0),
             &[Downlink::QueryState { info }],
             &mut n,
         );
@@ -1284,14 +1332,8 @@ mod tests {
     #[test]
     fn ignores_query_outside_monitoring_region() {
         let cfg = config();
-        let mut agent = MovingObjectAgent::new(
-            ObjectId(1),
-            Properties::new(),
-            0.03,
-            Point::new(15.0, 15.0),
-            Vec2::ZERO,
-            Arc::clone(&cfg),
-        );
+        let mut agent =
+            MovingObjectAgent::new(ObjectId(1), Properties::new(), &cfg, Point::new(15.0, 15.0));
         let mut n = net();
         let mon = GridRect {
             x0: 4,
@@ -1301,9 +1343,9 @@ mod tests {
         };
         let info = group_info(0, 3.0, Point::new(55.0, 55.0), mon);
         agent.tick(
+            &cfg,
             0.0,
-            Point::new(15.0, 15.0),
-            Vec2::ZERO,
+            at(15.0, 15.0),
             &[Downlink::QueryState { info }],
             &mut n,
         );
@@ -1316,10 +1358,8 @@ mod tests {
         let mut agent = MovingObjectAgent::new(
             ObjectId(1),
             Properties::new().with("color", "blue"),
-            0.03,
+            &cfg,
             Point::new(55.0, 55.0),
-            Vec2::ZERO,
-            Arc::clone(&cfg),
         );
         let mut n = net();
         let mon = GridRect {
@@ -1337,9 +1377,9 @@ mod tests {
             seq: 1,
         }]);
         agent.tick(
+            &cfg,
             0.0,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
+            at(55.0, 55.0),
             &[Downlink::QueryState { info }],
             &mut n,
         );
@@ -1349,14 +1389,8 @@ mod tests {
     #[test]
     fn cell_change_drops_stale_queries_and_notifies() {
         let cfg = config();
-        let mut agent = MovingObjectAgent::new(
-            ObjectId(1),
-            Properties::new(),
-            0.03,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
-            Arc::clone(&cfg),
-        );
+        let mut agent =
+            MovingObjectAgent::new(ObjectId(1), Properties::new(), &cfg, Point::new(55.0, 55.0));
         let mut n = net();
         let mon = GridRect {
             x0: 4,
@@ -1366,16 +1400,16 @@ mod tests {
         };
         let info = group_info(0, 3.0, Point::new(55.0, 55.0), mon);
         agent.tick(
+            &cfg,
             0.0,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
+            at(55.0, 55.0),
             &[Downlink::QueryState { info }],
             &mut n,
         );
         assert_eq!(agent.lqt_len(), 1);
         n.drain_uplinks();
         // Jump far outside the monitoring region.
-        agent.tick(30.0, Point::new(95.0, 95.0), Vec2::ZERO, &[], &mut n);
+        agent.tick(&cfg, 30.0, at(95.0, 95.0), &[], &mut n);
         assert_eq!(
             agent.lqt_len(),
             0,
@@ -1393,36 +1427,24 @@ mod tests {
     fn lazy_non_focal_does_not_report_cell_change() {
         let grid = Grid::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0);
         let cfg = Arc::new(ProtocolConfig::new(grid).with_propagation(Propagation::Lazy));
-        let mut agent = MovingObjectAgent::new(
-            ObjectId(1),
-            Properties::new(),
-            0.03,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
-            cfg,
-        );
+        let mut agent =
+            MovingObjectAgent::new(ObjectId(1), Properties::new(), &cfg, Point::new(55.0, 55.0));
         let mut n = net();
-        agent.tick(0.0, Point::new(95.0, 95.0), Vec2::ZERO, &[], &mut n);
+        agent.tick(&cfg, 0.0, at(95.0, 95.0), &[], &mut n);
         assert_eq!(n.pending_uplinks(), 0, "lazy non-focal must stay silent");
     }
 
     #[test]
     fn focal_dead_reckoning_reports_on_deviation() {
         let cfg = config();
-        let mut agent = MovingObjectAgent::new(
-            ObjectId(1),
-            Properties::new(),
-            0.03,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
-            Arc::clone(&cfg),
-        );
+        let mut agent =
+            MovingObjectAgent::new(ObjectId(1), Properties::new(), &cfg, Point::new(55.0, 55.0));
         let mut n = net();
         // Become focal; the position request seeds the advertised motion.
         agent.tick(
+            &cfg,
             0.0,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
+            at(55.0, 55.0),
             &[
                 Downlink::PositionRequest,
                 Downlink::FocalNotify { is_focal: true },
@@ -1431,10 +1453,10 @@ mod tests {
         );
         n.drain_uplinks();
         // Tiny drift below Δ=0.2: silent.
-        agent.tick(30.0, Point::new(55.05, 55.0), Vec2::ZERO, &[], &mut n);
+        agent.tick(&cfg, 30.0, at(55.05, 55.0), &[], &mut n);
         assert_eq!(n.pending_uplinks(), 0);
         // Larger drift: velocity report.
-        agent.tick(60.0, Point::new(56.0, 55.0), Vec2::ZERO, &[], &mut n);
+        agent.tick(&cfg, 60.0, at(56.0, 55.0), &[], &mut n);
         let ups = n.drain_uplinks();
         assert!(ups
             .iter()
@@ -1444,14 +1466,8 @@ mod tests {
     #[test]
     fn containment_changes_are_differential() {
         let cfg = config();
-        let mut agent = MovingObjectAgent::new(
-            ObjectId(1),
-            Properties::new(),
-            0.03,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
-            Arc::clone(&cfg),
-        );
+        let mut agent =
+            MovingObjectAgent::new(ObjectId(1), Properties::new(), &cfg, Point::new(55.0, 55.0));
         let mut n = net();
         let mon = GridRect {
             x0: 0,
@@ -1461,9 +1477,9 @@ mod tests {
         };
         let info = group_info(0, 3.0, Point::new(55.0, 55.0), mon);
         agent.tick(
+            &cfg,
             0.0,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
+            at(55.0, 55.0),
             &[Downlink::QueryState { info }],
             &mut n,
         );
@@ -1471,10 +1487,10 @@ mod tests {
         let first = n.drain_uplinks();
         assert_eq!(first.len(), 1);
         // Still inside: no new report.
-        agent.tick(30.0, Point::new(55.5, 55.0), Vec2::ZERO, &[], &mut n);
+        agent.tick(&cfg, 30.0, at(55.5, 55.0), &[], &mut n);
         assert_eq!(n.pending_uplinks(), 0);
         // Move outside radius 3 (but stay in the same grid cell).
-        agent.tick(60.0, Point::new(59.0, 55.0), Vec2::ZERO, &[], &mut n);
+        agent.tick(&cfg, 60.0, at(59.0, 55.0), &[], &mut n);
         let ups = n.drain_uplinks();
         assert_eq!(ups.len(), 1);
         match &ups[0].1 {
@@ -1486,14 +1502,8 @@ mod tests {
     #[test]
     fn velocity_change_updates_prediction() {
         let cfg = config();
-        let mut agent = MovingObjectAgent::new(
-            ObjectId(1),
-            Properties::new(),
-            0.03,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
-            Arc::clone(&cfg),
-        );
+        let mut agent =
+            MovingObjectAgent::new(ObjectId(1), Properties::new(), &cfg, Point::new(55.0, 55.0));
         let mut n = net();
         let mon = GridRect {
             x0: 0,
@@ -1503,9 +1513,9 @@ mod tests {
         };
         let info = group_info(0, 3.0, Point::new(55.0, 55.0), mon);
         agent.tick(
+            &cfg,
             0.0,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
+            at(55.0, 55.0),
             &[Downlink::QueryState { info }],
             &mut n,
         );
@@ -1518,7 +1528,7 @@ mod tests {
             qids: vec![QueryId(0)],
             seq: 2,
         };
-        agent.tick(60.0, Point::new(55.0, 55.0), Vec2::ZERO, &[vc], &mut n);
+        agent.tick(&cfg, 60.0, at(55.0, 55.0), &[vc], &mut n);
         assert!(
             !agent.is_target_of(QueryId(0)),
             "prediction must use updated velocity"
@@ -1529,14 +1539,8 @@ mod tests {
     fn safe_period_skips_faraway_queries() {
         let grid = Grid::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0);
         let cfg = Arc::new(ProtocolConfig::new(grid).with_safe_period(true));
-        let mut agent = MovingObjectAgent::new(
-            ObjectId(1),
-            Properties::new(),
-            0.001, // very slow object
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
-            cfg,
-        );
+        let mut agent =
+            MovingObjectAgent::new(ObjectId(1), Properties::new(), &cfg, Point::new(55.0, 55.0));
         let mut n = net();
         let mon = GridRect {
             x0: 0,
@@ -1548,23 +1552,13 @@ mod tests {
         // safe period is huge.
         let mut info = group_info(0, 3.0, Point::new(15.0, 15.0), mon);
         info.max_vel = 0.001;
-        agent.tick(
-            0.0,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
-            &[Downlink::QueryState { info }],
-            &mut n,
-        );
+        // A very slow object.
+        let slow = Kinematics::new(Point::new(55.0, 55.0), Vec2::ZERO, 0.001);
+        agent.tick(&cfg, 0.0, slow, &[Downlink::QueryState { info }], &mut n);
         let evaluated_first = agent.stats().evaluated;
         assert_eq!(evaluated_first, 1);
         for k in 1..=10 {
-            agent.tick(
-                k as f64 * 30.0,
-                Point::new(55.0, 55.0),
-                Vec2::ZERO,
-                &[],
-                &mut n,
-            );
+            agent.tick(&cfg, k as f64 * 30.0, slow, &[], &mut n);
         }
         let s = agent.stats();
         assert_eq!(s.evaluated, 1, "all later evaluations must be skipped");
@@ -1575,14 +1569,8 @@ mod tests {
     fn group_prune_skips_smaller_radii() {
         let grid = Grid::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0);
         let cfg = Arc::new(ProtocolConfig::new(grid).with_grouping(true));
-        let mut agent = MovingObjectAgent::new(
-            ObjectId(1),
-            Properties::new(),
-            0.03,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
-            cfg,
-        );
+        let mut agent =
+            MovingObjectAgent::new(ObjectId(1), Properties::new(), &cfg, Point::new(55.0, 55.0));
         let mut n = net();
         let mon = GridRect {
             x0: 0,
@@ -1615,9 +1603,9 @@ mod tests {
             ]),
         };
         agent.tick(
+            &cfg,
             0.0,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
+            at(55.0, 55.0),
             &[Downlink::QueryState { info }],
             &mut n,
         );
@@ -1632,14 +1620,8 @@ mod tests {
     fn grouped_result_reports_use_bitmaps() {
         let grid = Grid::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0);
         let cfg = Arc::new(ProtocolConfig::new(grid).with_grouping(true));
-        let mut agent = MovingObjectAgent::new(
-            ObjectId(1),
-            Properties::new(),
-            0.03,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
-            cfg,
-        );
+        let mut agent =
+            MovingObjectAgent::new(ObjectId(1), Properties::new(), &cfg, Point::new(55.0, 55.0));
         let mut n = net();
         let mon = GridRect {
             x0: 0,
@@ -1670,9 +1652,9 @@ mod tests {
             ]),
         };
         agent.tick(
+            &cfg,
             0.0,
-            Point::new(56.0, 55.0),
-            Vec2::ZERO,
+            at(56.0, 55.0),
             &[Downlink::QueryState { info }],
             &mut n,
         );
@@ -1697,14 +1679,8 @@ mod tests {
     #[test]
     fn remove_query_downlink_clears_entry() {
         let cfg = config();
-        let mut agent = MovingObjectAgent::new(
-            ObjectId(1),
-            Properties::new(),
-            0.03,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
-            Arc::clone(&cfg),
-        );
+        let mut agent =
+            MovingObjectAgent::new(ObjectId(1), Properties::new(), &cfg, Point::new(55.0, 55.0));
         let mut n = net();
         let mon = GridRect {
             x0: 0,
@@ -1714,17 +1690,17 @@ mod tests {
         };
         let info = group_info(3, 3.0, Point::new(55.0, 55.0), mon);
         agent.tick(
+            &cfg,
             0.0,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
+            at(55.0, 55.0),
             &[Downlink::QueryState { info }],
             &mut n,
         );
         assert_eq!(agent.lqt_len(), 1);
         agent.tick(
+            &cfg,
             30.0,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
+            at(55.0, 55.0),
             &[Downlink::RemoveQuery {
                 qid: QueryId(3),
                 epoch: 2,
@@ -1737,14 +1713,8 @@ mod tests {
     #[test]
     fn duplicate_installs_are_idempotent() {
         let cfg = config();
-        let mut agent = MovingObjectAgent::new(
-            ObjectId(1),
-            Properties::new(),
-            0.03,
-            Point::new(55.0, 55.0),
-            Vec2::ZERO,
-            Arc::clone(&cfg),
-        );
+        let mut agent =
+            MovingObjectAgent::new(ObjectId(1), Properties::new(), &cfg, Point::new(55.0, 55.0));
         let mut n = net();
         let mon = GridRect {
             x0: 0,
@@ -1757,7 +1727,7 @@ mod tests {
             Downlink::QueryState { info: info.clone() },
             Downlink::QueryState { info },
         ];
-        agent.tick(0.0, Point::new(55.0, 55.0), Vec2::ZERO, &msgs, &mut n);
+        agent.tick(&cfg, 0.0, at(55.0, 55.0), &msgs, &mut n);
         assert_eq!(
             agent.lqt_len(),
             1,
@@ -1799,21 +1769,15 @@ mod tests {
             Arc::make_mut(&mut info.queries)[0].seq = seq;
             info
         };
-        let mut agent = MovingObjectAgent::new(
-            ObjectId(1),
-            Properties::new(),
-            0.03,
-            here,
-            Vec2::ZERO,
-            config(),
-        );
+        let cfg = config();
+        let mut agent = MovingObjectAgent::new(ObjectId(1), Properties::new(), &cfg, here);
         let mut out = AgentOutbox::default();
         // Installed and evaluated: a target of query 0, nothing buffered.
         let install = |agent: &mut MovingObjectAgent, out: &mut AgentOutbox, seq: u64| {
             let msg = Downlink::QueryState {
                 info: info(around, seq),
             };
-            agent.tick_process_into(0.0, [&msg], out);
+            agent.tick_process_into(&cfg, 0.0, at(55.0, 55.0), [&msg], out);
             assert!(agent.is_target_of(QueryId(0)));
         };
         install(&mut agent, &mut out, 1);
@@ -1823,9 +1787,9 @@ mod tests {
         let moved = Downlink::QueryState {
             info: info(elsewhere, 2),
         };
-        agent.handle_downlink(1.0, cell, &moved, &mut out);
+        agent.handle_downlink(1.0, &at(55.0, 55.0), cell, &moved, &mut out);
         check(&agent, true, "QueryState outside the region");
-        agent.evaluate(1.0, &mut out);
+        agent.evaluate(&cfg, 1.0, &at(55.0, 55.0), &mut out);
         check(&agent, false, "evaluate");
 
         // A `CellSync` that no longer lists the query.
@@ -1835,17 +1799,17 @@ mod tests {
             epoch: 4,
             infos: Vec::new(),
         };
-        agent.handle_downlink(2.0, cell, &sync, &mut out);
+        agent.handle_downlink(2.0, &at(55.0, 55.0), cell, &sync, &mut out);
         check(&agent, true, "CellSync drop");
-        agent.reconnect_into(3.0, here, Vec2::ZERO, true, &mut out);
+        agent.reconnect_into(&cfg, 3.0, at(55.0, 55.0), true, &mut out);
         check(&agent, false, "fresh reconnect");
 
         // A rejoin in a cell the region no longer covers, then the
         // evaluation that flushes it.
         install(&mut agent, &mut out, 5);
-        agent.reconnect_into(4.0, Point::new(5.0, 5.0), Vec2::ZERO, false, &mut out);
+        agent.reconnect_into(&cfg, 4.0, at(5.0, 5.0), false, &mut out);
         check(&agent, true, "reconnect outside the region");
-        agent.tick_process_into(4.0, [], &mut out);
+        agent.tick_process_into(&cfg, 4.0, at(5.0, 5.0), [], &mut out);
         check(&agent, false, "tick_process");
     }
 }

@@ -13,9 +13,9 @@ mod common;
 use common::{deliver_cluster_msg, extract_focal};
 use mobieyes_core::server::Net;
 use mobieyes_core::{
-    ClusterMsg, Downlink, Filter, LogRecord, MovingObjectAgent, ObjectId, PartitionScope,
-    PartitionTable, Properties, ProtocolConfig, QueryGroupInfo, QueryId, QuerySpec, ReplyPayload,
-    Server, Uplink,
+    ClusterMsg, Downlink, Filter, Kinematics, LogRecord, MovingObjectAgent, ObjectId,
+    PartitionScope, PartitionTable, Properties, ProtocolConfig, QueryGroupInfo, QueryId, QuerySpec,
+    ReplyPayload, Server, Uplink,
 };
 use mobieyes_geo::{CellId, Grid, GridRect, LinearMotion, Point, QueryRegion, Rect, Vec2};
 use mobieyes_net::BaseStationLayout;
@@ -61,15 +61,8 @@ fn config() -> Arc<ProtocolConfig> {
     )))
 }
 
-fn fresh_agent(config: &Arc<ProtocolConfig>, pos: Point) -> MovingObjectAgent {
-    MovingObjectAgent::new(
-        ObjectId(0),
-        Properties::new(),
-        0.08,
-        pos,
-        Vec2::ZERO,
-        Arc::clone(config),
-    )
+fn fresh_agent(config: &ProtocolConfig, pos: Point) -> MovingObjectAgent {
+    MovingObjectAgent::new(ObjectId(0), Properties::new(), config, pos)
 }
 
 /// A group info whose monitoring region covers the agent's cell, so the
@@ -121,8 +114,10 @@ fn fingerprint(agent: &MovingObjectAgent, net: &mut Net) -> Fingerprint {
     (agent.lqt_entries(), ups)
 }
 
-fn deliver(agent: &mut MovingObjectAgent, t: f64, msgs: &[Downlink], net: &mut Net) {
-    agent.tick_process(t, msgs.iter(), net);
+/// Runs the processing phase of an agent at rest at `pos`.
+fn deliver(agent: &mut MovingObjectAgent, pos: Point, t: f64, msgs: &[Downlink], net: &mut Net) {
+    let at_rest = Kinematics::new(pos, Vec2::ZERO, 0.08);
+    agent.tick_process(&config(), t, at_rest, msgs.iter(), net);
 }
 
 #[test]
@@ -146,8 +141,14 @@ fn double_delivery_leaves_lqt_identical() {
         ));
         let mut once = fresh_agent(&config, pos);
         let mut twice = fresh_agent(&config, pos);
-        deliver(&mut once, 30.0, std::slice::from_ref(&once_msg), &mut net_a);
-        deliver(&mut twice, 30.0, &twice_msgs, &mut net_b);
+        deliver(
+            &mut once,
+            pos,
+            30.0,
+            std::slice::from_ref(&once_msg),
+            &mut net_a,
+        );
+        deliver(&mut twice, pos, 30.0, &twice_msgs, &mut net_b);
         assert_eq!(
             fingerprint(&once, &mut net_a),
             fingerprint(&twice, &mut net_b),
@@ -178,7 +179,7 @@ fn removal_and_newer_install_commute() {
                 15.0,
             ));
             let mut agent = fresh_agent(&config, pos);
-            deliver(&mut agent, 30.0, msgs, &mut net);
+            deliver(&mut agent, pos, 30.0, msgs, &mut net);
             (agent.lqt_entries(), net.drain_uplinks().len())
         };
         let (a, _) = run(&[install.clone(), remove.clone()]);
@@ -448,6 +449,7 @@ fn stale_removal_after_crash_does_not_resurrect() {
         let mut agent = fresh_agent(&config, pos);
         deliver(
             &mut agent,
+            pos,
             30.0,
             &[
                 Downlink::QueryState { info: info.clone() },

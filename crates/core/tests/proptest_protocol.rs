@@ -9,8 +9,8 @@ mod common;
 use common::extract_focal;
 use mobieyes_core::server::Net;
 use mobieyes_core::{
-    Filter, HomeChange, LogRecord, MovingObjectAgent, ObjectId, PartitionScope, PartitionTable,
-    Propagation, Properties, ProtocolConfig, QueryId, Server,
+    Filter, HomeChange, Kinematics, LogRecord, MovingObjectAgent, ObjectId, PartitionScope,
+    PartitionTable, Propagation, Properties, ProtocolConfig, QueryId, Server,
 };
 use mobieyes_geo::{Grid, LinearMotion, Point, QueryRegion, Rect, Vec2};
 use mobieyes_net::BaseStationLayout;
@@ -148,16 +148,7 @@ fn run_scenario(case: usize, s: &Scenario) {
     let mut agents: Vec<MovingObjectAgent> = positions
         .iter()
         .enumerate()
-        .map(|(i, &p)| {
-            MovingObjectAgent::new(
-                ObjectId(i as u32),
-                Properties::new(),
-                0.08,
-                p,
-                Vec2::ZERO,
-                Arc::clone(&config),
-            )
-        })
+        .map(|(i, &p)| MovingObjectAgent::new(ObjectId(i as u32), Properties::new(), &config, p))
         .collect();
     let qids: Vec<_> = s
         .queries
@@ -184,14 +175,15 @@ fn run_scenario(case: usize, s: &Scenario) {
             let p = positions[i] + vels[i] * TS;
             positions[i] = Point::new(p.x.clamp(0.0, SIDE), p.y.clamp(0.0, SIDE));
         }
+        let body = |i: usize| Kinematics::new(positions[i], vels[i], 0.08);
         for (i, a) in agents.iter_mut().enumerate() {
-            a.tick_motion(t, positions[i], vels[i], net);
+            a.tick_motion(&config, t, body(i), net);
         }
         server.tick(net);
         for (i, a) in agents.iter_mut().enumerate() {
             let mut inbox = Vec::new();
             net.deliver(ObjectId(i as u32).node(), positions[i], &mut inbox);
-            a.tick_process(t, inbox.iter().map(|m| &**m), net);
+            a.tick_process(&config, t, body(i), inbox.iter().map(|m| &**m), net);
         }
         net.end_tick();
         server.tick(net);

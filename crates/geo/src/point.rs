@@ -65,12 +65,6 @@ impl Vec2 {
         (self.x * self.x + self.y * self.y).sqrt()
     }
 
-    /// Squared length.
-    #[inline]
-    pub fn norm_sq(&self) -> f64 {
-        self.x * self.x + self.y * self.y
-    }
-
     /// Unit vector in the same direction, or zero when the vector is zero.
     pub fn normalized(&self) -> Vec2 {
         let n = self.norm();

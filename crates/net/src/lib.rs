@@ -13,7 +13,7 @@
 //!   closed-loop delivery semantics (a broadcast reaches an object iff the
 //!   object lies inside the transmitting station's coverage circle).
 //! - [`MessageMeter`]: message and byte counts split by direction, plus
-//!   per-node sent/received byte totals.
+//!   the downlink bytes objects received.
 //! - [`RadioModel`]: the GSM/GPRS energy model of the paper (§5.3) turning
 //!   byte counts into per-object communication energy.
 //! - Fault injection (drop/duplicate downlink messages) for robustness

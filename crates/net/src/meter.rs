@@ -5,15 +5,16 @@
 //! uplink messages (object → server) and downlink messages (server →
 //! object(s), either one-to-one or broadcast — a broadcast counts once per
 //! transmitting base station, regardless of how many objects hear it). The
-//! power experiment (Figure 9) additionally needs per-object sent/received
-//! byte totals.
+//! power experiment (Figure 9) additionally needs the mean bytes an object
+//! sends and receives: every uplink byte is sent by an object
+//! (`net.uplink.bytes`), and every copy of a downlink an object hears is
+//! received (`net.rx.bytes`), so two totals divided by the population are
+//! the means.
 //!
-//! Since the telemetry redesign, traffic is recorded into the unified
+//! Traffic is recorded into the unified
 //! [`mobieyes_telemetry::MetricsRegistry`] under the `net.*` counter keys;
-//! `MessageMeter` is now a *view* materialized from those counters (plus
-//! the per-node byte vectors kept by
-//! [`NetworkSim`](crate::NetworkSim)). Build one with
-//! [`NetworkSim::meter`](crate::NetworkSim::meter) or
+//! `MessageMeter` is a *view* materialized from those counters. Build one
+//! with [`NetworkSim::meter`](crate::NetworkSim::meter) or
 //! [`MessageMeter::from_snapshot`].
 
 use mobieyes_telemetry::MetricsSnapshot;
@@ -47,6 +48,10 @@ pub mod keys {
     pub const UNICAST_BYTES: &str = "net.unicast.bytes";
     pub const BROADCAST_MSGS: &str = "net.broadcast.msgs";
     pub const BROADCAST_BYTES: &str = "net.broadcast.bytes";
+    /// Downlink bytes physically received, summed over every object and
+    /// every copy heard (a broadcast heard by ten objects counts ten
+    /// times; a dropped copy not at all).
+    pub const RX_BYTES: &str = "net.rx.bytes";
     pub const FAULT_DROPPED: &str = "net.fault.dropped";
     pub const FAULT_DUPLICATED: &str = "net.fault.duplicated";
     pub const FAULT_UPLINK_DROPPED: &str = "net.fault.uplink_dropped";
@@ -63,11 +68,8 @@ pub struct MessageMeter {
     pub unicast_bytes: u64,
     pub broadcast_msgs: u64,
     pub broadcast_bytes: u64,
-    /// Bytes physically sent per node (uplink transmissions).
-    sent_by_node: Vec<u64>,
-    /// Bytes physically received per node (unicasts addressed to it plus
-    /// every broadcast heard).
-    received_by_node: Vec<u64>,
+    /// Downlink bytes physically received, over all objects.
+    pub rx_bytes: u64,
 }
 
 impl MessageMeter {
@@ -75,14 +77,8 @@ impl MessageMeter {
         Self::default()
     }
 
-    /// Builds the view from a metrics snapshot plus the per-node byte
-    /// vectors (which live outside the registry; pass empty vectors when
-    /// per-node traffic is not needed).
-    pub fn from_snapshot(
-        snapshot: &MetricsSnapshot,
-        sent_by_node: Vec<u64>,
-        received_by_node: Vec<u64>,
-    ) -> Self {
+    /// Builds the view from a metrics snapshot.
+    pub fn from_snapshot(snapshot: &MetricsSnapshot) -> Self {
         MessageMeter {
             uplink_msgs: snapshot.counter(keys::UPLINK_MSGS),
             uplink_bytes: snapshot.counter(keys::UPLINK_BYTES),
@@ -90,17 +86,8 @@ impl MessageMeter {
             unicast_bytes: snapshot.counter(keys::UNICAST_BYTES),
             broadcast_msgs: snapshot.counter(keys::BROADCAST_MSGS),
             broadcast_bytes: snapshot.counter(keys::BROADCAST_BYTES),
-            sent_by_node,
-            received_by_node,
+            rx_bytes: snapshot.counter(keys::RX_BYTES),
         }
-    }
-
-    pub fn node_sent_bytes(&self, node: usize) -> u64 {
-        self.sent_by_node.get(node).copied().unwrap_or(0)
-    }
-
-    pub fn node_received_bytes(&self, node: usize) -> u64 {
-        self.received_by_node.get(node).copied().unwrap_or(0)
     }
 
     /// Total messages on the wireless medium (the paper's headline metric).
@@ -117,15 +104,14 @@ impl MessageMeter {
         self.uplink_bytes + self.unicast_bytes + self.broadcast_bytes
     }
 
-    /// Mean sent/received byte totals over the first `n` nodes; used for
-    /// per-object power (Figure 9).
+    /// Mean sent/received bytes per object over a population of `n`
+    /// objects; used for per-object power (Figure 9).
     pub fn mean_node_traffic(&self, n: usize) -> (f64, f64) {
         if n == 0 {
             return (0.0, 0.0);
         }
-        let sent: u64 = (0..n).map(|i| self.node_sent_bytes(i)).sum();
-        let recv: u64 = (0..n).map(|i| self.node_received_bytes(i)).sum();
-        (sent as f64 / n as f64, recv as f64 / n as f64)
+        let n = n as f64;
+        (self.uplink_bytes as f64 / n, self.rx_bytes as f64 / n)
     }
 }
 
@@ -146,7 +132,9 @@ mod tests {
             tel.incr(msgs_key);
             tel.add(bytes_key, bytes);
         }
-        MessageMeter::from_snapshot(&tel.snapshot(), vec![100, 300], vec![10])
+        // The unicast heard once, the broadcast by four objects.
+        tel.add(keys::RX_BYTES, 5 + 4 * 100);
+        MessageMeter::from_snapshot(&tel.snapshot())
     }
 
     #[test]
@@ -159,24 +147,15 @@ mod tests {
         assert_eq!(m.total_msgs(), 4);
         assert_eq!(m.downlink_msgs(), 2);
         assert_eq!(m.total_bytes(), 135);
-    }
-
-    #[test]
-    fn per_node_accounting() {
-        let m = meter_via_registry();
-        assert_eq!(m.node_sent_bytes(0), 100);
-        assert_eq!(m.node_sent_bytes(1), 300);
-        assert_eq!(m.node_sent_bytes(9), 0);
-        assert_eq!(m.node_received_bytes(0), 10);
-        assert_eq!(m.node_received_bytes(100), 0);
+        assert_eq!(m.rx_bytes, 405);
     }
 
     #[test]
     fn mean_node_traffic() {
         let m = meter_via_registry();
-        let (sent, recv) = m.mean_node_traffic(2);
-        assert_eq!(sent, 200.0);
-        assert_eq!(recv, 5.0);
+        let (sent, recv) = m.mean_node_traffic(5);
+        assert_eq!(sent, 6.0);
+        assert_eq!(recv, 81.0);
         assert_eq!(m.mean_node_traffic(0), (0.0, 0.0));
     }
 }

@@ -15,7 +15,8 @@
 //! Traffic accounting reaches the shared telemetry sink before the send
 //! call returns, one lock acquisition per call: a per-message send
 //! records itself, a bulk [`NetworkSim::send_uplinks`] records the whole
-//! buffer at once. A snapshot of the sink is never behind the network.
+//! buffer at once, and [`NetworkSim::deliver`] records the bytes the
+//! object received. A snapshot of the sink is never behind the network.
 
 use crate::fault::FaultPlan;
 use crate::meter::{keys, Direction, MessageMeter};
@@ -49,11 +50,6 @@ pub struct NetworkSim<U, D> {
     /// reference-counted everywhere else.
     unicasts: Vec<(NodeId, Arc<D>, usize)>,
     broadcasts: Vec<(StationId, Arc<D>, usize)>,
-    /// Bytes physically sent per node (uplink transmissions). Per-node
-    /// traffic is protocol data and stays out of the shared registry.
-    sent_by_node: Vec<u64>,
-    /// Bytes physically received per node.
-    received_by_node: Vec<u64>,
     /// The layout's [`StationsOver`] map for the grid last asked about.
     stations_over: Option<StationsOver>,
 }
@@ -68,8 +64,6 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
             uplinks: Vec::new(),
             unicasts: Vec::new(),
             broadcasts: Vec::new(),
-            sent_by_node: Vec::new(),
-            received_by_node: Vec::new(),
             stations_over: None,
         }
     }
@@ -98,14 +92,9 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
         self.stations_over.as_ref().expect("built above")
     }
 
-    /// Materializes the traffic view from the telemetry counters and the
-    /// per-node byte vectors.
+    /// Materializes the traffic view from the telemetry counters.
     pub fn meter(&self) -> MessageMeter {
-        MessageMeter::from_snapshot(
-            &self.telemetry.snapshot(),
-            self.sent_by_node.clone(),
-            self.received_by_node.clone(),
-        )
+        MessageMeter::from_snapshot(&self.telemetry.snapshot())
     }
 
     /// Counts `msgs` transmissions totalling `bytes` in one direction.
@@ -115,30 +104,6 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
             r.add(msgs_key, msgs);
             r.add(bytes_key, bytes);
         });
-    }
-
-    /// Records that `node` physically received `bytes` downlink. Exposed
-    /// for deployments that perform physical delivery themselves (the
-    /// sharded tick engine).
-    pub fn record_node_received(&mut self, node: usize, bytes: usize) {
-        if self.received_by_node.len() <= node {
-            self.received_by_node.resize(node + 1, 0);
-        }
-        self.received_by_node[node] += bytes as u64;
-    }
-
-    fn record_node_sent(&mut self, node: usize, bytes: usize) {
-        if self.sent_by_node.len() <= node {
-            self.sent_by_node.resize(node + 1, 0);
-        }
-        self.sent_by_node[node] += bytes as u64;
-    }
-
-    /// Clears the per-node byte vectors (experiment warm-up reset; the
-    /// registry counters are reset through [`Telemetry::reset`]).
-    pub fn reset_node_traffic(&mut self) {
-        self.sent_by_node.clear();
-        self.received_by_node.clear();
     }
 
     /// Installs a downlink fault plan (drops/duplicates).
@@ -165,8 +130,9 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
     }
 
     /// Object → server message, subject to the uplink fault plan. The
-    /// object always pays the transmission (metered as sent), but the
-    /// server may see zero, one or two copies. Parallel drivers keep this
+    /// object always pays the transmission (counted in `net.uplink.bytes`
+    /// before the plan runs), but the server may see zero, one or two
+    /// copies. Parallel drivers keep this
     /// deterministic by routing all uplinks through one coordinator
     /// network in shard order.
     pub fn send_uplink(&mut self, from: NodeId, msg: U)
@@ -196,15 +162,15 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
         self.record(Direction::Uplink, msgs, bytes);
     }
 
-    /// Sizes one uplink, charges it to its sender, runs it through the
-    /// uplink fault plan (a stateful RNG consumed once per message) and
-    /// queues what survives. Returns the wire size.
+    /// Sizes one uplink, runs it through the uplink fault plan (a
+    /// stateful RNG consumed once per message) and queues what survives.
+    /// Returns the wire size, which the caller charges whatever the plan
+    /// decided.
     fn enqueue_uplink(&mut self, from: NodeId, msg: U) -> u64
     where
         U: Clone,
     {
         let bytes = msg.wire_size();
-        self.record_node_sent(from.0 as usize, bytes);
         match self.uplink_fault.copies() {
             0 => self.telemetry.incr(keys::FAULT_UPLINK_DROPPED),
             1 => self.uplinks.push((from, msg)),
@@ -305,13 +271,13 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
     /// object. Must be called at most once per object per tick, after the
     /// server phase and before [`end_tick`](Self::end_tick). Delivered
     /// payloads are `Arc` clones of the queued messages — no deep copy per
-    /// recipient.
+    /// recipient. Every copy received counts its bytes in `net.rx.bytes`.
     pub fn deliver(&mut self, node: NodeId, pos: Point, out: &mut Vec<Arc<D>>) {
-        let mut received = Vec::new();
+        let mut received = 0;
         for (to, msg, bytes) in &self.unicasts {
             if *to == node {
                 for _ in 0..Self::fate(&mut self.fault, &self.telemetry, node) {
-                    received.push(*bytes);
+                    received += bytes;
                     out.push(Arc::clone(msg));
                 }
             }
@@ -319,13 +285,13 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
         for (station, msg, bytes) in &self.broadcasts {
             if self.layout.covers(*station, pos) {
                 for _ in 0..Self::fate(&mut self.fault, &self.telemetry, node) {
-                    received.push(*bytes);
+                    received += bytes;
                     out.push(Arc::clone(msg));
                 }
             }
         }
-        for bytes in received {
-            self.record_node_received(node.0 as usize, bytes);
+        if received > 0 {
+            self.telemetry.add(keys::RX_BYTES, received as u64);
         }
     }
 
@@ -340,8 +306,7 @@ impl<U: WireSized, D: WireSized> NetworkSim<U, D> {
     /// Pairs of a node for which `offline` holds are removed without a
     /// draw: its radio is off, exactly like a node `deliver` is never
     /// called for, so every later node sees an unchanged RNG stream.
-    /// Receive accounting stays with the caller
-    /// ([`record_node_received`](Self::record_node_received)).
+    /// Receive accounting (`net.rx.bytes`) stays with the caller.
     pub fn filter_deliveries(
         &mut self,
         pairs: &[(u32, u32)],
@@ -440,7 +405,6 @@ mod tests {
         assert_eq!(n.pending_uplinks(), 0);
         assert_eq!(n.meter().uplink_msgs, 2);
         assert_eq!(n.meter().uplink_bytes, 16);
-        assert_eq!(n.meter().node_sent_bytes(3), 8);
     }
 
     #[test]
@@ -454,8 +418,8 @@ mod tests {
         n.deliver(NodeId(2), Point::new(50.0, 50.0), &mut other);
         assert!(other.is_empty());
         assert_eq!(n.meter().unicast_msgs, 1);
-        assert_eq!(n.meter().node_received_bytes(1), 8);
-        assert_eq!(n.meter().node_received_bytes(2), 0);
+        // Received once, by the addressee.
+        assert_eq!(n.meter().rx_bytes, 8);
     }
 
     #[test]
@@ -570,7 +534,7 @@ mod tests {
         assert_eq!(n.pending_uplinks(), 0, "dropped uplink must not queue");
         // The object transmitted (and pays the energy) regardless.
         assert_eq!(n.meter().uplink_msgs, 1);
-        assert_eq!(n.meter().node_sent_bytes(2), 8);
+        assert_eq!(n.meter().uplink_bytes, 8);
         assert_eq!(
             n.telemetry().snapshot().counter(keys::FAULT_UPLINK_DROPPED),
             1
@@ -606,9 +570,9 @@ mod tests {
     }
 
     /// Everything an uplink forward can change: the counters in the sink
-    /// (read with no queue hand-over in between), the meter view,
-    /// per-node sent bytes and the server-side queue.
-    type ForwardOutcome = (Vec<u64>, [u64; 2], Vec<u64>, Vec<(NodeId, Sized)>);
+    /// (read with no queue hand-over in between), the meter view and the
+    /// server-side queue.
+    type ForwardOutcome = (Vec<u64>, [u64; 2], Vec<(NodeId, Sized)>);
 
     fn forward_outcome(bulk: bool, fault: FaultPlan) -> ForwardOutcome {
         let mut n: NetworkSim<Sized, Msg> = NetworkSim::new(BaseStationLayout::new(
@@ -640,11 +604,9 @@ mod tests {
         .map(|k| snapshot.counter(k))
         .to_vec();
         let meter = n.meter();
-        let sent = (0..10).map(|i| meter.node_sent_bytes(i)).collect();
         (
             counters,
             [meter.uplink_msgs, meter.uplink_bytes],
-            sent,
             n.drain_uplinks(),
         )
     }
@@ -657,7 +619,7 @@ mod tests {
         let bytes = 10 * (11 + 7 + 3 + 40 + 1 + 2);
         assert_eq!(bulk.0, [60, bytes, 0, 0], "sink is current, no drain");
         assert_eq!(bulk.1, [60, bytes]);
-        assert_eq!(bulk.3.len(), 60);
+        assert_eq!(bulk.2.len(), 60);
 
         // An armed plan is a stateful RNG: the bulk call consumes it once
         // per message in send order, like the per-message sends.
@@ -666,7 +628,7 @@ mod tests {
         assert_eq!(faulty, forward_outcome(false, plan()));
         assert!(faulty.0[2] > 0 && faulty.0[3] > 0, "plan must fire");
         assert_eq!(faulty.1, [60, bytes], "the sender pays once per message");
-        assert_ne!(faulty.3.len(), 60, "drops and duplicates reshape the queue");
+        assert_ne!(faulty.2.len(), 60, "drops and duplicates reshape the queue");
     }
 
     /// A 12-node network with a mixed downlink queue (message `k` is
@@ -694,15 +656,13 @@ mod tests {
     const OFFLINE: [u32; 2] = [3, 7];
 
     /// What a round of deliveries leaves behind: per-node inboxes, the
-    /// sink (counters and event order), and the per-node byte meters.
+    /// sink (counters and event order), and the sent and received bytes.
     fn delivery_outcome(
         n: &NetworkSim<Msg, Sized>,
         inboxes: Vec<Vec<u32>>,
-    ) -> (Vec<Vec<u32>>, MetricsSnapshot, Vec<(u64, u64)>) {
+    ) -> (Vec<Vec<u32>>, MetricsSnapshot, (u64, u64)) {
         let meter = n.meter();
-        let bytes = (0..12)
-            .map(|i| (meter.node_sent_bytes(i), meter.node_received_bytes(i)))
-            .collect();
+        let bytes = (meter.uplink_bytes, meter.rx_bytes);
         (inboxes, n.telemetry().snapshot(), bytes)
     }
 
@@ -746,6 +706,7 @@ mod tests {
         let mut kept = Vec::new();
         push.filter_deliveries(&pairs, |node| OFFLINE.contains(&node), &mut kept);
         let mut pushed = vec![Vec::new(); 12];
+        let mut received = 0;
         for &(node, k) in &kept {
             let (msg, bytes) = match unicasts.get(k as usize) {
                 Some((_, msg, bytes)) => (msg, *bytes),
@@ -755,8 +716,9 @@ mod tests {
                 }
             };
             pushed[node as usize].push(msg.0);
-            push.record_node_received(node as usize, bytes);
+            received += bytes as u64;
         }
+        push.telemetry().add(keys::RX_BYTES, received);
         let pushed = delivery_outcome(&push, pushed);
 
         assert_eq!(pushed.0, pulled.0, "per-node inbox sequences");
@@ -764,7 +726,7 @@ mod tests {
             pushed.1.protocol_eq(&pulled.1),
             "counters or event order diverged"
         );
-        assert_eq!(pushed.2, pulled.2, "per-node sent/received bytes");
+        assert_eq!(pushed.2, pulled.2, "sent/received bytes");
         let (dropped, duplicated) = (
             pushed.1.counter(keys::FAULT_DROPPED),
             pushed.1.counter(keys::FAULT_DUPLICATED),

@@ -593,46 +593,6 @@ fn flatten_into<T>(node: Node<T>, out: &mut Vec<LeafEntry<T>>) {
     }
 }
 
-impl<T: std::fmt::Debug> RStarTree<T> {
-    /// Debug representation of the tree structure (tests only).
-    pub fn debug_dump(&self) -> String {
-        fn walk<T: std::fmt::Debug>(node: &Node<T>, depth: usize, out: &mut String) {
-            let pad = "  ".repeat(depth);
-            match node {
-                Node::Leaf(entries) => {
-                    for e in entries {
-                        out.push_str(&format!(
-                            "{}item {:?} @ ({:.3},{:.3},{:.3},{:.3})\n",
-                            pad,
-                            e.item,
-                            e.rect.lx,
-                            e.rect.ly,
-                            e.rect.w(),
-                            e.rect.h()
-                        ));
-                    }
-                }
-                Node::Internal(children) => {
-                    for c in children {
-                        out.push_str(&format!(
-                            "{}child mbr ({:.3},{:.3})-({:.3},{:.3})\n",
-                            pad,
-                            c.rect.lx,
-                            c.rect.ly,
-                            c.rect.hx(),
-                            c.rect.hy()
-                        ));
-                        walk(&c.child, depth + 1, out);
-                    }
-                }
-            }
-        }
-        let mut s = String::new();
-        walk(&self.root, 0, &mut s);
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

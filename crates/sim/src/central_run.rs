@@ -21,7 +21,6 @@ use mobieyes_baselines::{
 use mobieyes_core::{Filter, ObjectId, Properties, QueryId};
 use mobieyes_geo::{LinearMotion, QueryRegion};
 use mobieyes_net::meter::keys as net_keys;
-use mobieyes_net::RadioModel;
 use mobieyes_telemetry::{Phase, Telemetry};
 use std::sync::Arc;
 
@@ -243,8 +242,6 @@ impl MessagingModel {
     }
 
     pub fn run(&mut self) -> RunMetrics {
-        let mut msgs = 0u64;
-        let mut bytes = 0u64;
         let total = self.config.warmup_ticks + self.config.ticks;
         for k in 0..total {
             self.tick_index += 1;
@@ -280,12 +277,10 @@ impl MessagingModel {
             };
             self.telemetry.add(net_keys::UPLINK_MSGS, tick_msgs);
             self.telemetry.add(net_keys::UPLINK_BYTES, tick_bytes);
-            msgs += tick_msgs;
-            bytes += tick_bytes;
         }
         let duration = self.config.measured_seconds();
         let n = self.mobility.len().max(1);
-        let mut m = RunMetrics::from_snapshot(
+        RunMetrics::from_snapshot(
             match self.kind {
                 MessagingKind::Naive => "naive",
                 MessagingKind::CentralOptimal => "central-optimal",
@@ -294,11 +289,7 @@ impl MessagingModel {
             duration,
             n,
             &self.telemetry.snapshot(),
-        );
-        debug_assert_eq!(m.uplink_bytes, bytes);
-        let _ = msgs;
-        m.set_power(&RadioModel::default(), bytes as f64 / n as f64, 0.0);
-        m
+        )
     }
 
     /// One dead-reckoning pass: report objects whose true position drifted

@@ -437,15 +437,16 @@ impl SimConfig {
     }
 
     /// Checks that the simulator can meaningfully run this configuration:
-    /// positive α, area, lengths and time step, probabilities within
-    /// [0, 1], at least one object, tick and partition, no more partitions
-    /// than grid cells, a crash schedule it can carry out, and a parsable
-    /// value in each environment variable the run will read. Every run
-    /// constructor calls it, and `mobieyes` and `mobieyes-serve drive` call
-    /// it right after parsing.
+    /// finite, positive α, area, lengths and time step, probabilities
+    /// within [0, 1], at least one object, tick and partition, no more
+    /// partitions than grid cells, a crash schedule it can carry out, one
+    /// worker thread for the seed engine, and a parsable value in each
+    /// environment variable the run will read. Every run constructor calls
+    /// it, and `mobieyes` and `mobieyes-serve drive` call it right after
+    /// parsing.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        // Written to reject NaN along with non-positive values.
-        let positive = |v: f64| v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
+        // Rejects NaN and infinity along with non-positive values.
+        let positive = |v: f64| v.is_finite() && v > 0.0;
         let err = |msg: String| Err(ConfigError(msg));
         for (name, v) in [
             ("alpha", self.alpha),
@@ -456,7 +457,7 @@ impl SimConfig {
             ("delta", self.delta),
         ] {
             if !positive(v) {
-                return err(format!("{name} must be > 0 (got {v})"));
+                return err(format!("{name} must be finite and > 0 (got {v})"));
             }
         }
         for (name, v) in [
@@ -523,11 +524,21 @@ impl SimConfig {
                 ));
             }
         }
-        if self.threads == 0 {
-            env_threads()?;
-        }
-        if self.engine.is_none() {
-            env_engine()?;
+        let threads = match self.threads {
+            0 => env_threads()?,
+            n => Some(n),
+        };
+        let engine = match self.engine {
+            None => env_engine()?,
+            engine => engine,
+        };
+        // The seed engine is the one-shard oracle the struct-of-arrays
+        // engine is checked against; it has no parallel path.
+        if let (Some(EngineKind::Seed), Some(n @ 2..)) = (engine, threads) {
+            return err(format!(
+                "the seed engine runs one worker thread (got {n}); drop --threads / \
+                 MOBIEYES_THREADS or use the soa engine"
+            ));
         }
         Ok(())
     }
@@ -766,6 +777,38 @@ mod tests {
                 "churn_rate",
             ),
         ]);
+    }
+
+    #[test]
+    fn builder_rejects_infinite_values() {
+        let d = SimConfig::default;
+        let inf = f64::INFINITY;
+        assert_refused(&[
+            (d().with_alpha(inf), "alpha must be finite"),
+            (SimConfig { area: inf, ..d() }, "area must be finite"),
+            (d().with_alen(inf), "alen must be finite"),
+            (
+                SimConfig {
+                    time_step: inf,
+                    ..d()
+                },
+                "time_step must be finite",
+            ),
+            (SimConfig { delta: inf, ..d() }, "delta must be finite"),
+            (d().with_radius_factor(inf), "radius_factor must be finite"),
+        ]);
+    }
+
+    #[test]
+    fn the_seed_engine_runs_one_thread() {
+        let seed = || SimConfig::default().with_engine(EngineKind::Seed);
+        assert_refused(&[
+            (seed().with_threads(2), "seed engine runs one worker thread"),
+            (seed().with_threads(8), "got 8"),
+        ]);
+        assert_eq!(seed().with_threads(1).validate(), Ok(()));
+        let soa = SimConfig::default().with_engine(EngineKind::Soa);
+        assert_eq!(soa.with_threads(8).validate(), Ok(()));
     }
 
     #[test]

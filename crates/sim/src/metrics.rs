@@ -8,7 +8,7 @@
 
 use mobieyes_core::object::agent_keys;
 use mobieyes_net::meter::keys as net_keys;
-use mobieyes_net::RadioModel;
+use mobieyes_net::{MessageMeter, RadioModel};
 use mobieyes_telemetry::MetricsSnapshot;
 
 /// The simulation-harness telemetry keys (ground-truth accounting).
@@ -62,9 +62,10 @@ impl RunMetrics {
     /// the end of a measured run.
     ///
     /// `server_seconds` (the engine's wall time over the measured ticks)
-    /// is taken from the snapshot's `mediation` profiler phase. Power is
-    /// *not* filled in here — it needs per-node traffic, which lives
-    /// outside the registry; call [`set_power`](Self::set_power).
+    /// is taken from the snapshot's `mediation` profiler phase, and the
+    /// per-object power (Figure 9) from the bytes the objects sent
+    /// (`net.uplink.bytes`) and received (`net.rx.bytes`) under the
+    /// default radio model.
     pub fn from_snapshot(
         label: impl Into<String>,
         ticks: usize,
@@ -87,7 +88,8 @@ impl RunMetrics {
             .map(|p| p.nanos)
             .sum();
         let samples = snapshot.counter(sim_keys::TRUTH_ERROR_SAMPLES);
-        RunMetrics {
+        let (sent, received) = MessageMeter::from_snapshot(snapshot).mean_node_traffic(n_objects);
+        let mut m = RunMetrics {
             label: label.into(),
             ticks,
             duration_s,
@@ -114,11 +116,13 @@ impl RunMetrics {
                 0.0
             },
             ..Default::default()
-        }
+        };
+        m.set_power(&RadioModel::default(), sent, received);
+        m
     }
 
     /// Fills the power fields from per-object byte means and a radio model.
-    pub fn set_power(&mut self, radio: &RadioModel, sent: f64, received: f64) {
+    fn set_power(&mut self, radio: &RadioModel, sent: f64, received: f64) {
         self.avg_sent_bytes_per_object = sent;
         self.avg_received_bytes_per_object = received;
         if self.duration_s > 0.0 {

@@ -17,10 +17,9 @@ use mobieyes_core::{
     prefetch, AgentOutbox, Downlink, Filter, MovingObjectAgent, ObjectId, Propagation, Properties,
     ProtocolConfig, QueryId, Server,
 };
-use mobieyes_geo::{Grid, LinearMotion, Point, QueryRegion, Vec2};
+use mobieyes_geo::{Grid, LinearMotion, QueryRegion, Vec2};
 use mobieyes_net::{
-    BaseStationLayout, ChurnPlan, FaultPlan, FramedConn, NodeId, PartitionCrashPlan, RadioModel,
-    StationId,
+    BaseStationLayout, ChurnPlan, FaultPlan, FramedConn, NodeId, PartitionCrashPlan, StationId,
 };
 use mobieyes_store::{self as store, Store};
 use mobieyes_telemetry::{EventKind, Phase, Telemetry};
@@ -153,9 +152,9 @@ pub struct MobiEyesSim {
     /// reference phases it is checked against (see [`crate::soa`] for
     /// the contract between them). One engine runs every step of a run.
     engine: EngineKind,
-    /// The universe grid (cheap clone of the protocol config's) for the
-    /// fast engine's flat-cell computations.
-    grid: Grid,
+    /// The protocol configuration every agent phase call reads (the
+    /// server tier shares it).
+    protocol: Arc<ProtocolConfig>,
     /// Struct-of-arrays scheduling mirror + persistent phase scratch,
     /// mirrored from the agents at build and kept row by row since.
     soa: AgentSoa,
@@ -239,7 +238,6 @@ impl MobiEyesSim {
         let workload = Workload::generate(&config);
         let engine = config.resolved_engine();
         let grid = Grid::new(workload.universe, config.alpha);
-        let grid_copy = grid.clone();
         // Lease durations are configured in ticks; heartbeats fire twice
         // per lease so one lost beacon does not expire a healthy object.
         let lease_secs = config.lease_ticks as f64 * config.time_step;
@@ -312,7 +310,12 @@ impl MobiEyesSim {
             config.mobility,
         );
         let n = workload.objects.len();
-        let threads = config.resolved_threads().min(n.max(1)).max(1);
+        // The seed engine is a one-shard oracle (`SimConfig::validate`
+        // refuses it more threads than one).
+        let threads = match engine {
+            EngineKind::Seed => 1,
+            EngineKind::Soa => config.resolved_threads().min(n.max(1)).max(1),
+        };
         let shard_chunk = n.max(1).div_ceil(threads);
         let shards = n.max(1).div_ceil(shard_chunk);
         let shard_out: Vec<AgentOutbox> = (0..shards).map(|_| AgentOutbox::default()).collect();
@@ -321,14 +324,7 @@ impl MobiEyesSim {
             .iter()
             .enumerate()
             .map(|(i, o)| {
-                MovingObjectAgent::new(
-                    ObjectId(i as u32),
-                    Properties::new(),
-                    o.max_speed,
-                    o.initial_pos,
-                    mobility.velocities[i],
-                    Arc::clone(&pconf),
-                )
+                MovingObjectAgent::new(ObjectId(i as u32), Properties::new(), &pconf, o.initial_pos)
             })
             .collect();
         // Install the full query workload up front; the position-request
@@ -351,7 +347,7 @@ impl MobiEyesSim {
             .map(|q| q.radius)
             .fold(1.0f64, f64::max);
         let truth = GroundTruth::new(&workload, max_radius.max(config.alpha)).with_threads(threads);
-        let soa = AgentSoa::new(&agents, &grid_copy, shards);
+        let soa = AgentSoa::new(&agents, &pconf.grid, shards);
         let crash_plan = match config.partition_crash_ticks {
             0 => PartitionCrashPlan::none(),
             tick => PartitionCrashPlan::seeded(
@@ -390,7 +386,7 @@ impl MobiEyesSim {
             skip_now: vec![false; n],
             frozen: false,
             engine,
-            grid: grid_copy,
+            protocol: pconf,
             soa,
             work: TickWork::default(),
             crash_plan,
@@ -759,11 +755,6 @@ impl MobiEyesSim {
         }
     }
 
-    /// Whether agent `i` is currently disconnected by the churn plan.
-    pub fn agent_offline(&self, i: usize) -> bool {
-        self.offline[i].is_some()
-    }
-
     /// Computes this step's offline/rejoin sets from the churn schedule.
     /// Transitions are driven by the plan's per-object windows; an object
     /// still offline when the plan is cleared rejoins on the next step
@@ -946,136 +937,60 @@ impl MobiEyesSim {
         }
     }
 
-    /// Phase A of the seed engine, over every shard: agents report motion
-    /// events (cell crossings, dead-reckoning violations) into their
+    /// Phase A of the seed engine: every online agent reports its motion
+    /// events (cell crossings, dead-reckoning violations) into the one
     /// shard's outbox.
     fn run_motion_phase(&mut self, t: f64) {
-        let chunk = self.shard_chunk;
-        let positions = &self.mobility.positions;
-        let velocities = &self.mobility.velocities;
-        let rejoin = &self.rejoin_now;
-        let skip = &self.skip_now;
-        let motion = |agents: &mut [MovingObjectAgent], out: &mut AgentOutbox, base: usize| {
-            let mut touched = 0;
-            for (off, agent) in agents.iter_mut().enumerate() {
-                let i = base + off;
-                match rejoin[i] {
-                    Some(fresh) => agent.reconnect_into(t, positions[i], velocities[i], fresh, out),
-                    None if skip[i] => continue,
-                    None => agent.tick_motion_into(t, positions[i], velocities[i], out),
-                }
-                touched += 1;
+        let config = &*self.protocol;
+        let out = &mut self.shard_out[0];
+        let mut touched = 0;
+        for (i, agent) in self.agents.iter_mut().enumerate() {
+            let k = self.mobility.kinematics(i);
+            match self.rejoin_now[i] {
+                Some(fresh) => agent.reconnect_into(config, t, k, fresh, out),
+                None if self.skip_now[i] => continue,
+                None => agent.tick_motion_into(config, t, k, out),
             }
-            touched
-        };
-        let shards = self.agents.chunks_mut(chunk).zip(self.shard_out.iter_mut());
-        self.work.motion_touched =
-            over_shards(shards, |c, (agents, out)| motion(agents, out, c * chunk));
+            touched += 1;
+        }
+        self.work.motion_touched = touched;
     }
 
-    /// Phase B of the seed engine, over every shard: deliver the pending
-    /// downlinks to each agent and run local evaluation; result reports
-    /// buffer in the shard outboxes. The fault plan is a stateful RNG
-    /// consumed per delivery, so fault-injection runs walk the agents
-    /// sequentially, each pulling its inbox through
-    /// `NetworkSim::deliver`; the fault-free path distributes physical
-    /// delivery across the workers (read-only over the `Arc`-shared
-    /// queues, every (agent, broadcast) pair decided by the `covers`
-    /// test) and accounts received bytes after the scope ends. Either
-    /// way it shares no code with the fast engine's push-built,
-    /// pre-filtered runs — which is what makes it their oracle.
+    /// Phase B of the seed engine: every online agent in turn pulls its
+    /// inbox through `NetworkSim::deliver` — which consumes the downlink
+    /// fault plan and counts the received bytes — and runs local
+    /// evaluation; result reports buffer in the one shard's outbox. It
+    /// shares no code with the fast engine's push-built, pre-filtered
+    /// runs, which is what makes it their oracle.
     fn run_process_phase(&mut self, t: f64) {
-        let chunk = self.shard_chunk;
-        let n = self.agents.len();
+        let config = &*self.protocol;
+        let out = &mut self.shard_out[0];
         let (mut visited, mut offline, mut delivered) = (0, 0, 0);
-        if self.shard_out.len() <= 1 || !self.net.fault().is_noop() || self.churn.has_churn() {
-            let start = Instant::now();
-            for i in 0..self.agents.len() {
-                if self.skip_now[i] {
-                    // Offline: the radio is off; pending downlinks stay
-                    // queued in the network and lapse at `end_tick`
-                    // (closed-loop delivery semantics, same as a drop).
-                    offline += 1;
-                    continue;
-                }
-                self.inbox.clear();
-                let pos = self.mobility.positions[i];
-                self.net.deliver(NodeId(i as u32), pos, &mut self.inbox);
-                visited += 1;
-                delivered += self.inbox.len();
-                self.agents[i].tick_process_into(
-                    t,
-                    self.inbox.iter().map(|m| &**m),
-                    &mut self.shard_out[i / chunk],
-                );
+        let start = Instant::now();
+        for (i, agent) in self.agents.iter_mut().enumerate() {
+            if self.skip_now[i] {
+                // Offline: the radio is off; pending downlinks stay
+                // queued in the network and lapse at `end_tick`
+                // (closed-loop delivery semantics, same as a drop).
+                offline += 1;
+                continue;
             }
-            self.shard_out[0].tally.eval_nanos += start.elapsed().as_nanos() as u64;
-            self.work.set_seed_process(visited, offline, delivered);
-            return;
+            self.inbox.clear();
+            let k = self.mobility.kinematics(i);
+            self.net.deliver(NodeId(i as u32), k.pos, &mut self.inbox);
+            visited += 1;
+            delivered += self.inbox.len();
+            agent.tick_process_into(config, t, k, self.inbox.iter().map(|m| &**m), out);
         }
-        let (unicasts, broadcasts) = self.net.take_downlinks();
-        // Sorted (node, queue index) runs, so a worker touches only its
-        // own agents' unicasts while preserving each node's queue order.
-        self.soa
-            .deliveries
-            .build_unicasts(unicasts.iter().map(|(to, _, _)| to.0));
-        let positions = &self.mobility.positions;
-        let layout = &self.layout;
-        let (unicasts, broadcasts) = (&unicasts, &broadcasts);
-        let deliveries = &self.soa.deliveries;
-        std::thread::scope(|s| {
-            for (c, ((agents, out), rx)) in self
-                .agents
-                .chunks_mut(chunk)
-                .zip(self.shard_out.iter_mut())
-                .zip(self.soa.rx.iter_mut())
-                .enumerate()
-            {
-                let base = c * chunk;
-                s.spawn(move || {
-                    let start = Instant::now();
-                    rx.clear();
-                    let pairs = deliveries.shard(base, agents.len());
-                    let mut cur = 0;
-                    let mut inbox: Vec<&Downlink> = Vec::new();
-                    for (off, agent) in agents.iter_mut().enumerate() {
-                        let i = (base + off) as u32;
-                        let pos = positions[base + off];
-                        inbox.clear();
-                        while cur < pairs.len() && pairs[cur].0 == i {
-                            let (_, msg, bytes) = &unicasts[pairs[cur].1 as usize];
-                            rx.push((i, *bytes));
-                            inbox.push(&**msg);
-                            cur += 1;
-                        }
-                        for (station, msg, bytes) in broadcasts.iter() {
-                            if layout.covers(*station, pos) {
-                                rx.push((i, *bytes));
-                                inbox.push(&**msg);
-                            }
-                        }
-                        agent.tick_process_into(t, inbox.iter().copied(), out);
-                    }
-                    out.tally.eval_nanos += start.elapsed().as_nanos() as u64;
-                });
-            }
-        });
-        for rx in &self.soa.rx {
-            delivered += rx.len();
-            for &(node, bytes) in rx {
-                self.net.record_node_received(node as usize, bytes);
-            }
-        }
-        self.work.set_seed_process(n, 0, delivered);
+        out.tally.eval_nanos += start.elapsed().as_nanos() as u64;
+        self.work.set_seed_process(visited, offline, delivered);
     }
 
     /// Phase A, fast engine: scans the flat cell mirror and runs
     /// `tick_motion` only for agents that changed grid cell or are focal
-    /// (dead reckoning can fire without a crossing). Everyone else keeps a
-    /// stale `pos`/`vel` inside the agent struct, which is sound because
-    /// the processing phase re-syncs every agent it runs — and a
-    /// same-cell, non-focal `tick_motion` is a silent store (no messages,
-    /// no telemetry, no state beyond pos/vel). The scan itself is
+    /// (dead reckoning can fire without a crossing). For everyone else a
+    /// same-cell, non-focal `tick_motion` changes nothing: no messages, no
+    /// telemetry, no state. The scan itself is
     /// division-free for agents safely inside a cell ([`FlatCellProbe`]);
     /// only positions on a cell margin or outside the universe pay for
     /// the exact `flat_cell_of`. Either way `soa.cells` is exact for
@@ -1090,24 +1005,21 @@ impl MobiEyesSim {
             shard_out,
             soa,
             mobility,
-            grid,
+            protocol,
             ..
         } = self;
         let ctx = MotionCtx {
-            positions: &mobility.positions,
-            velocities: &mobility.velocities,
+            mobility,
             rejoin: &self.rejoin_now,
-            grid,
-            probe: FlatCellProbe::new(grid),
+            config: protocol,
+            probe: FlatCellProbe::new(&protocol.grid),
             t,
-            tick: self.tick_index as u32,
         };
         let views = soa::shard_views(
             &mut soa.cells,
             &mut soa.flags,
             &mut soa.lqt_len,
             &mut soa.safe_until,
-            &mut soa.synced_at,
             chunk,
         );
         let shards = agents
@@ -1135,7 +1047,7 @@ impl MobiEyesSim {
             soa,
             mobility,
             layout,
-            grid,
+            protocol,
             ..
         } = self;
         soa.deliveries.build(
@@ -1144,7 +1056,7 @@ impl MobiEyesSim {
             &soa.cells,
             &mobility.positions,
             layout,
-            grid,
+            &protocol.grid,
         );
         if self.offline_count > 0 || !self.net.fault().is_noop() {
             let (net, flags) = (&mut self.net, &soa.flags);
@@ -1159,19 +1071,15 @@ impl MobiEyesSim {
             unicasts: &unicasts,
             broadcasts: &broadcasts,
             class: &soa.bcast_class,
-            positions: &mobility.positions,
-            velocities: &mobility.velocities,
-            grid,
-            safe_period: self.config.safe_period,
+            mobility,
+            config: protocol,
             t,
-            tick: self.tick_index as u32,
         };
         let views = soa::shard_views(
             &mut soa.cells,
             &mut soa.flags,
             &mut soa.lqt_len,
             &mut soa.safe_until,
-            &mut soa.synced_at,
             chunk,
         );
         let shards = agents
@@ -1181,14 +1089,7 @@ impl MobiEyesSim {
         let work: ProcessWork = over_shards(shards, |c, ((agents, out), (view, visits))| {
             process_shard(&ctx, agents, out, view, visits, c * chunk)
         });
-        // Reception is physical: every delivery is metered at its node,
-        // whether the agent went on to process it or dropped it as inert.
-        let pairs = ctx.deliveries.pairs();
-        for &(node, k) in pairs {
-            self.net
-                .record_node_received(node as usize, ctx.downlink(k).1);
-        }
-        self.work.set_process(work, pairs.len());
+        self.work.set_process(work, ctx.deliveries.pairs().len());
     }
 
     /// Forwards every shard's buffered uplinks into the real network —
@@ -1211,7 +1112,6 @@ impl MobiEyesSim {
         // Reset the registry after warm-up so installation traffic and
         // transient state do not pollute the measurements.
         self.telemetry.reset();
-        self.net.reset_node_traffic();
 
         for _ in 0..self.config.ticks {
             self.step(true);
@@ -1238,11 +1138,7 @@ impl MobiEyesSim {
             ),
         };
         let snapshot = self.telemetry.snapshot();
-        let mut m = RunMetrics::from_snapshot(label, ticks, duration, n, &snapshot);
-        let meter = self.net.meter();
-        let (sent, recv) = meter.mean_node_traffic(n);
-        m.set_power(&RadioModel::default(), sent, recv);
-        m
+        RunMetrics::from_snapshot(label, ticks, duration, n, &snapshot)
     }
 
     /// Direct access to one agent (tests).
@@ -1362,20 +1258,18 @@ where
 
 /// What every shard of a fast motion phase reads.
 struct MotionCtx<'a> {
-    positions: &'a [Point],
-    velocities: &'a [Vec2],
+    mobility: &'a Mobility,
     /// This step's rejoins (`Some(fresh)`); read only for agents whose
     /// row carries [`FLAG_OFFLINE`].
     rejoin: &'a [Option<bool>],
-    grid: &'a Grid,
+    config: &'a ProtocolConfig,
     probe: FlatCellProbe,
     t: f64,
-    tick: u32,
 }
 
 /// How many visits ahead of the running one a fast phase prefetches an
-/// agent's struct, and its heap blocks. The heap pointers live in the
-/// struct, so the struct has to arrive first.
+/// agent's line, and its heap blocks. The heap pointers live in the
+/// line, so the line has to arrive first.
 const PREFETCH_AGENT: usize = 8;
 const PREFETCH_HEAP: usize = 4;
 
@@ -1412,11 +1306,11 @@ fn motion_shard(
     base: usize,
 ) -> usize {
     visits.clear();
-    for off in 0..agents.len() {
-        let pos = ctx.positions[base + off];
+    let positions = &ctx.mobility.positions[base..base + agents.len()];
+    for (off, &pos) in positions.iter().enumerate() {
         let fc = match ctx.probe.get(pos) {
             Some(fc) => fc,
-            None => ctx.grid.flat_cell_of(pos) as u32,
+            None => ctx.config.grid.flat_cell_of(pos) as u32,
         };
         let flags = view.flags[off];
         if fc == view.cells[off] && flags & (FLAG_FOCAL | FLAG_OFFLINE) == 0 {
@@ -1435,14 +1329,13 @@ fn motion_shard(
     }
     run_visits(agents, visits, |agent, v| {
         let off = v.at as usize;
-        let (pos, vel) = (ctx.positions[base + off], ctx.velocities[base + off]);
+        let k = ctx.mobility.kinematics(base + off);
         if view.flags[off] & FLAG_OFFLINE == 0 {
-            agent.tick_motion_into(ctx.t, pos, vel, out);
+            agent.tick_motion_into(ctx.config, ctx.t, k, out);
         } else {
             let fresh = ctx.rejoin[base + off].expect("an offline agent is run only to rejoin");
-            agent.reconnect_into(ctx.t, pos, vel, fresh, out);
+            agent.reconnect_into(ctx.config, ctx.t, k, fresh, out);
         }
-        view.synced_at[off] = ctx.tick;
         view.refresh(off, agent);
     });
     visits.len()
@@ -1455,12 +1348,9 @@ struct ProcessCtx<'a> {
     broadcasts: &'a [(StationId, Arc<Downlink>, usize)],
     /// Per-broadcast inert-delivery classification, by queue position.
     class: &'a [BcastClass],
-    positions: &'a [Point],
-    velocities: &'a [Vec2],
-    grid: &'a Grid,
-    safe_period: bool,
+    mobility: &'a Mobility,
+    config: &'a ProtocolConfig,
     t: f64,
-    tick: u32,
 }
 
 impl ProcessCtx<'_> {
@@ -1488,9 +1378,10 @@ impl ProcessCtx<'_> {
 /// mirror's bytes, building the list of agents to run. Offline agents
 /// (no deliveries left by construction) are stepped over without that
 /// sample: the seed engine records nothing for them. Then it runs the
-/// list, re-syncing the stale position of agents the motion phase
-/// skipped. The whole pass is timed into `agent.eval_nanos` with one
-/// clock pair.
+/// list. It counts the received bytes of every delivery of the shard —
+/// reception is physical, whether the agent processes the message or
+/// drops it as inert — and times the whole pass into `agent.eval_nanos`
+/// with one clock pair.
 fn process_shard(
     ctx: &ProcessCtx<'_>,
     agents: &mut [MovingObjectAgent],
@@ -1537,7 +1428,7 @@ fn process_shard(
         work.visited += 1;
         let f = view.flags[at];
         if inbox.is_empty() {
-            if ctx.safe_period && f & FLAG_PENDING == 0 && ctx.t < view.safe_until[at] {
+            if ctx.config.safe_period && f & FLAG_PENDING == 0 && ctx.t < view.safe_until[at] {
                 // Every LQT entry is inside its safe period: the seed
                 // evaluation bumps the skip counter per entry, samples
                 // the LQT size, and changes nothing else.
@@ -1553,8 +1444,8 @@ fn process_shard(
             // each message is provably a no-op for such an agent
             // ([`BcastClass`]), drop it without running `tick_process` —
             // the seed run would only record the zero LQT-size sample
-            // batched below. (Reception is still metered, by the caller.)
-            let cell = ctx.grid.cell_at(view.cells[at] as usize);
+            // batched below. (Its received bytes still count, below.)
+            let cell = ctx.config.grid.cell_at(view.cells[at] as usize);
             let inert = inbox
                 .iter()
                 .all(|&(_, k)| match ctx.class[(k - nu) as usize] {
@@ -1575,14 +1466,10 @@ fn process_shard(
     }
     run_visits(agents, visits, |agent, v| {
         let at = v.at as usize;
-        if view.synced_at[at] != ctx.tick {
-            // The motion phase skipped this agent — same cell, not focal
-            // — so only its internal pos/vel are stale.
-            agent.sync_kinematics(ctx.positions[base + at], ctx.velocities[base + at]);
-            view.synced_at[at] = ctx.tick;
-        }
         let inbox = &shard_pairs[v.lo as usize..v.hi as usize];
-        agent.tick_process_into(ctx.t, inbox.iter().map(|&(_, k)| ctx.downlink(k).0), out);
+        let k = ctx.mobility.kinematics(base + at);
+        let inbox = inbox.iter().map(|&(_, m)| ctx.downlink(m).0);
+        agent.tick_process_into(ctx.config, ctx.t, k, inbox, out);
         view.refresh(at, agent);
     });
     // Cold and inert agents: `tick_process` would only have recorded a
@@ -1590,6 +1477,10 @@ fn process_shard(
     out.tally
         .observe_lqt_size(0, (work.cold + work.inert) as u64);
     out.tally.skipped_safe_period += safe_skips;
+    out.tally.rx_bytes += shard_pairs
+        .iter()
+        .map(|&(_, m)| ctx.downlink(m).1 as u64)
+        .sum::<u64>();
     out.tally.eval_nanos += start.elapsed().as_nanos() as u64;
     work
 }

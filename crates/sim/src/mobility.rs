@@ -18,6 +18,7 @@
 
 use crate::rng::Rng;
 use crate::workload::Workload;
+use mobieyes_core::Kinematics;
 use mobieyes_geo::{Point, Rect, Vec2};
 
 /// Which trajectory generator drives the objects.
@@ -116,6 +117,13 @@ impl Mobility {
 
     pub fn is_empty(&self) -> bool {
         self.positions.is_empty()
+    }
+
+    /// Object `i`'s position, velocity and maximum speed: what its agent
+    /// is handed in every phase call.
+    #[inline]
+    pub fn kinematics(&self, i: usize) -> Kinematics {
+        Kinematics::new(self.positions[i], self.velocities[i], self.max_speeds[i])
     }
 
     /// Advances one time step under the configured model, then integrates

@@ -19,13 +19,13 @@
 //! kept row by row from then on: every agent that runs a real tick phase
 //! (or the reconnect handshake) is re-mirrored right after, and nothing
 //! else can change an agent. There is no invalidation — the engine takes
-//! every step, quiet or not. Skipped agents have stale `pos`/`vel` inside
-//! the agent struct; the one ordering rule that keeps this sound is that
-//! any agent about to run `tick_process` is first re-synced
-//! (`sync_kinematics`: for an agent the motion phase skipped — cell
-//! unchanged, not focal — `tick_motion` would be a silent
-//! position/velocity store) — `synced_at` carries the tick stamp that
-//! enforces it.
+//! every step, quiet or not. Skipping an agent leaves nothing stale: an
+//! agent is one 64-byte line of protocol state (its registered cell, its
+//! tables, its flags) and holds no copy of its position or velocity —
+//! every phase call is handed them from the `Mobility` columns — so an
+//! agent the motion phase skipped (cell unchanged, not focal) is exactly
+//! what `tick_motion` would have left, and the processing phase may run
+//! any agent in any order.
 //!
 //! The processing phase is *push-built* ([`Deliveries`]): instead of
 //! every agent probing the stations around it for pending broadcasts, the
@@ -54,12 +54,14 @@
 //! and chaos rows alike): per tick, per shard, the fast path reproduces
 //! the seed path's exact message sequences and metric totals — cold
 //! agents restore their `agent.lqt_size` zero-sample as one batched tally
-//! entry, and safe-period-skipped agents restore their
+//! entry, safe-period-skipped agents restore their
 //! `agent.skipped_safe_period` increment and LQT-size sample without
-//! touching the B-tree. The only deliberately unrestored signal is
-//! `agent.eval_nanos`, a wall-clock timer excluded from protocol
-//! equality. The seed phases share none of this code and run only under
-//! `EngineKind::Seed`: the test oracle and the benchmark's reference twin.
+//! touching the agent, and each shard counts the received bytes of all
+//! its deliveries (`net.rx.bytes`) in one sum. The only deliberately
+//! unrestored signal is `agent.eval_nanos`, a wall-clock timer excluded
+//! from protocol equality. The seed phases share none of this code and
+//! run only under `EngineKind::Seed`, on one shard: the test oracle and
+//! the benchmark's reference twin.
 
 use mobieyes_core::{Downlink, MovingObjectAgent};
 use mobieyes_geo::{Grid, GridRect, Point};
@@ -84,9 +86,6 @@ pub const FLAG_SHADOW: u8 = 1 << 3;
 /// it).
 pub const FLAG_OFFLINE: u8 = 1 << 4;
 
-/// `synced_at` sentinel: agent `pos`/`vel` never synced under this mirror.
-pub const NEVER: u32 = u32::MAX;
-
 /// A shard's mutable window over the parallel vectors; one per worker,
 /// produced by [`shard_views`] with the same chunk size as the agent
 /// slices so `view[off]` and `agents[off]` are the same object.
@@ -95,7 +94,6 @@ pub struct SoaShard<'a> {
     pub flags: &'a mut [u8],
     pub lqt_len: &'a mut [u32],
     pub safe_until: &'a mut [f64],
-    pub synced_at: &'a mut [u32],
 }
 
 impl SoaShard<'_> {
@@ -133,8 +131,8 @@ pub fn classify(agent: &MovingObjectAgent) -> (u8, u32, f64) {
 
 /// Per-tick classification of one broadcast for the inert-delivery skip:
 /// whether an agent with an empty LQT, no pending departures and an empty
-/// shadow table can drop the message unprocessed (bytes still metered —
-/// reception is physical, processing is not).
+/// shadow table can drop the message unprocessed (its bytes still count
+/// as received — reception is physical, processing is not).
 #[derive(Clone, Copy)]
 pub enum BcastClass {
     /// `VelocityChange`: only refreshes installed or shadowed queries, so
@@ -220,22 +218,6 @@ impl Deliveries {
         std::mem::swap(&mut self.pairs, &mut self.spare);
     }
 
-    /// Rebuilds only the unicast runs (the seed engine's parallel path
-    /// scans broadcasts per agent, which is what makes it the oracle).
-    pub fn build_unicasts(&mut self, unicast_to: impl Iterator<Item = u32>) {
-        self.start(unicast_to);
-        self.pairs.sort_unstable();
-    }
-
-    /// Restarts the pair list with the tick's unicasts (unsorted) and
-    /// returns how many there are.
-    fn start(&mut self, unicast_to: impl Iterator<Item = u32>) -> u32 {
-        self.pairs.clear();
-        self.pairs
-            .extend(unicast_to.enumerate().map(|(k, to)| (to, k as u32)));
-        self.pairs.len() as u32
-    }
-
     /// Rebuilds the tick's runs from the addressee of every queued
     /// unicast and the station of every queued broadcast (both in queue
     /// order). `cells[i]` must be agent `i`'s exact clamped flat cell
@@ -256,7 +238,10 @@ impl Deliveries {
         layout: &BaseStationLayout,
         grid: &Grid,
     ) {
-        let nu = self.start(unicast_to);
+        self.pairs.clear();
+        self.pairs
+            .extend(unicast_to.enumerate().map(|(k, to)| (to, k as u32)));
+        let nu = self.pairs.len() as u32;
         self.station_runs.clear();
         self.station_runs
             .extend(broadcast_from.enumerate().map(|(k, s)| (s, k as u32)));
@@ -320,18 +305,11 @@ pub struct AgentSoa {
     /// Earliest safe-period deadline per agent (`-inf` when unarmed);
     /// the whole agent skips evaluation while `t < safe_until`.
     pub safe_until: Vec<f64>,
-    /// Tick stamp of the agent's last `pos`/`vel` sync ([`NEVER`] = not
-    /// yet). Guards the stale-position rule above.
-    pub synced_at: Vec<u32>,
     /// The tick's deliveries (unicast runs + push-built broadcast runs).
     pub deliveries: Deliveries,
     /// Per-broadcast [`BcastClass`] for the tick, indexed by queue
     /// position.
     pub bcast_class: Vec<BcastClass>,
-    /// Per-shard received-byte ledgers `(node, bytes)` of the seed
-    /// engine's parallel delivery, replayed into the real network's
-    /// per-node meters after the shard scope ends.
-    pub rx: Vec<Vec<(u32, usize)>>,
     /// Per-shard visit lists of the fast phases (see [`Visit`]).
     pub visits: Vec<Vec<Visit>>,
 }
@@ -358,10 +336,8 @@ impl AgentSoa {
             flags: Vec::with_capacity(n),
             lqt_len: Vec::with_capacity(n),
             safe_until: Vec::with_capacity(n),
-            synced_at: vec![NEVER; n],
             deliveries: Deliveries::default(),
             bcast_class: Vec::new(),
-            rx: vec![Vec::new(); shards],
             visits: vec![Vec::new(); shards],
         };
         for agent in agents {
@@ -389,7 +365,6 @@ pub fn shard_views<'a>(
     flags: &'a mut [u8],
     lqt_len: &'a mut [u32],
     safe_until: &'a mut [f64],
-    synced_at: &'a mut [u32],
     chunk: usize,
 ) -> Vec<SoaShard<'a>> {
     cells
@@ -397,16 +372,12 @@ pub fn shard_views<'a>(
         .zip(flags.chunks_mut(chunk))
         .zip(lqt_len.chunks_mut(chunk))
         .zip(safe_until.chunks_mut(chunk))
-        .zip(synced_at.chunks_mut(chunk))
-        .map(
-            |((((cells, flags), lqt_len), safe_until), synced_at)| SoaShard {
-                cells,
-                flags,
-                lqt_len,
-                safe_until,
-                synced_at,
-            },
-        )
+        .map(|(((cells, flags), lqt_len), safe_until)| SoaShard {
+            cells,
+            flags,
+            lqt_len,
+            safe_until,
+        })
         .collect()
 }
 
@@ -605,8 +576,22 @@ mod tests {
 
     #[test]
     fn unicast_only_runs_keep_queue_order_per_node() {
+        let universe = Rect::new(0.0, 0.0, 100.0, 100.0);
+        let (grid, layout) = (
+            Grid::new(universe, 10.0),
+            BaseStationLayout::new(universe, 20.0),
+        );
+        let positions = [Point::new(5.0, 5.0); 4];
         let mut d = Deliveries::default();
-        d.build_unicasts([3u32, 1, 3, 0, 1, 3].into_iter());
+        let unicasts = [3u32, 1, 3, 0, 1, 3].into_iter();
+        d.build(
+            unicasts,
+            std::iter::empty(),
+            &[0; 4],
+            &positions,
+            &layout,
+            &grid,
+        );
         assert_eq!(d.pairs(), &[(0, 3), (1, 1), (1, 4), (3, 0), (3, 2), (3, 5)]);
         assert_eq!(d.shard(1, 2), &[(1, 1), (1, 4)]);
     }

@@ -852,7 +852,8 @@ pub fn wipe_dir(dir: &Path) -> io::Result<()> {
 mod tests {
     use super::*;
     use mobieyes_core::{
-        Filter, MovingObjectAgent, ObjectId, Propagation, Properties, ProtocolConfig, Server,
+        Filter, Kinematics, MovingObjectAgent, ObjectId, Propagation, Properties, ProtocolConfig,
+        Server,
     };
     use mobieyes_geo::{Grid, Point, QueryRegion, Rect, Vec2};
     use mobieyes_net::BaseStationLayout;
@@ -1248,14 +1249,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &p)| {
-                MovingObjectAgent::new(
-                    ObjectId(i as u32),
-                    Properties::new(),
-                    0.08,
-                    p,
-                    Vec2::ZERO,
-                    Arc::clone(&config),
-                )
+                MovingObjectAgent::new(ObjectId(i as u32), Properties::new(), &config, p)
             })
             .collect();
         for f in [0usize, 3, 6] {
@@ -1275,14 +1269,15 @@ mod tests {
                 let p = positions[i] + vels[i] * TS;
                 positions[i] = Point::new(p.x.clamp(0.0, SIDE), p.y.clamp(0.0, SIDE));
             }
+            let body = |i: usize| Kinematics::new(positions[i], vels[i], 0.08);
             for (i, a) in agents.iter_mut().enumerate() {
-                a.tick_motion(t, positions[i], vels[i], &mut net);
+                a.tick_motion(&config, t, body(i), &mut net);
             }
             server.tick(&mut net);
             for (i, a) in agents.iter_mut().enumerate() {
                 let mut inbox = Vec::new();
                 net.deliver(ObjectId(i as u32).node(), positions[i], &mut inbox);
-                a.tick_process(t, inbox.iter().map(|m| &**m), &mut net);
+                a.tick_process(&config, t, body(i), inbox.iter().map(|m| &**m), &mut net);
             }
             net.end_tick();
             server.tick(&mut net);

@@ -37,14 +37,7 @@ fn main() {
                 .with("kind", kinds[rng.below(kinds.len())]);
             positions.push(pos);
             velocities.push(dir * speed);
-            MovingObjectAgent::new(
-                ObjectId(i as u32),
-                props,
-                0.015,
-                pos,
-                dir * speed,
-                Arc::clone(&config),
-            )
+            MovingObjectAgent::new(ObjectId(i as u32), props, &config, pos)
         })
         .collect();
 
@@ -94,13 +87,24 @@ fn main() {
             positions[i] = p;
         }
         for (i, agent) in agents.iter_mut().enumerate() {
-            agent.tick_motion(t, positions[i], velocities[i], &mut net);
+            agent.tick_motion(
+                &config,
+                t,
+                Kinematics::new(positions[i], velocities[i], 0.015),
+                &mut net,
+            );
         }
         server.tick(&mut net);
         for (i, agent) in agents.iter_mut().enumerate() {
             let mut inbox = Vec::new();
             net.deliver(agent.oid().node(), positions[i], &mut inbox);
-            agent.tick_process(t, inbox.iter().map(|m| &**m), &mut net);
+            agent.tick_process(
+                &config,
+                t,
+                Kinematics::new(positions[i], velocities[i], 0.015),
+                inbox.iter().map(|m| &**m),
+                &mut net,
+            );
         }
         net.end_tick();
         server.tick(&mut net);

@@ -38,10 +38,8 @@ fn main() {
             MovingObjectAgent::new(
                 ObjectId(i as u32),
                 Properties::new().with("friendly", friendly),
-                0.012,
+                &config,
                 pos,
-                vel,
-                Arc::clone(&config),
             )
         })
         .collect();
@@ -66,13 +64,24 @@ fn main() {
             positions[i] = p;
         }
         for (i, a) in agents.iter_mut().enumerate() {
-            a.tick_motion(t, positions[i], velocities[i], &mut net);
+            a.tick_motion(
+                &config,
+                t,
+                Kinematics::new(positions[i], velocities[i], 0.012),
+                &mut net,
+            );
         }
         server.tick(&mut net);
         for (i, a) in agents.iter_mut().enumerate() {
             let mut inbox = Vec::new();
             net.deliver(ObjectId(i as u32).node(), positions[i], &mut inbox);
-            a.tick_process(t, inbox.iter().map(|m| &**m), &mut net);
+            a.tick_process(
+                &config,
+                t,
+                Kinematics::new(positions[i], velocities[i], 0.012),
+                inbox.iter().map(|m| &**m),
+                &mut net,
+            );
         }
         net.end_tick();
         server.tick(&mut net);

@@ -35,16 +35,7 @@ fn main() {
     let mut agents: Vec<MovingObjectAgent> = positions
         .iter()
         .enumerate()
-        .map(|(i, &p)| {
-            MovingObjectAgent::new(
-                ObjectId(i as u32),
-                Properties::new(),
-                0.02,
-                p,
-                velocities[i],
-                Arc::clone(&config),
-            )
-        })
+        .map(|(i, &p)| MovingObjectAgent::new(ObjectId(i as u32), Properties::new(), &config, p))
         .collect();
 
     // "Everything within 5 miles of object 0, continuously."
@@ -65,7 +56,12 @@ fn main() {
         }
         // Phase A: objects report motion events.
         for (i, agent) in agents.iter_mut().enumerate() {
-            agent.tick_motion(t, positions[i], velocities[i], &mut net);
+            agent.tick_motion(
+                &config,
+                t,
+                Kinematics::new(positions[i], velocities[i], 0.02),
+                &mut net,
+            );
         }
         // Server mediates.
         server.tick(&mut net);
@@ -73,7 +69,13 @@ fn main() {
         for (i, agent) in agents.iter_mut().enumerate() {
             let mut inbox = Vec::new();
             net.deliver(agent.oid().node(), positions[i], &mut inbox);
-            agent.tick_process(t, inbox.iter().map(|m| &**m), &mut net);
+            agent.tick_process(
+                &config,
+                t,
+                Kinematics::new(positions[i], velocities[i], 0.02),
+                inbox.iter().map(|m| &**m),
+                &mut net,
+            );
         }
         net.end_tick();
         server.tick(&mut net);

@@ -49,14 +49,7 @@ fn build(propagation: Propagation, seed: u64) -> World {
                 .with("looking_for_taxi", looking);
             positions.push(pos);
             velocities.push(dir * speed);
-            MovingObjectAgent::new(
-                ObjectId(i as u32),
-                props,
-                0.012,
-                pos,
-                dir * speed,
-                Arc::clone(&config),
-            )
+            MovingObjectAgent::new(ObjectId(i as u32), props, &config, pos)
         })
         .collect();
 
@@ -103,8 +96,10 @@ fn run(world: &mut World, steps: usize, mut rng: Rng, report: bool) {
             }
             world.positions[i] = p;
         }
+        let config = world.server.config_arc();
+        let body = |i: usize| Kinematics::new(world.positions[i], world.velocities[i], 0.012);
         for (i, agent) in world.agents.iter_mut().enumerate() {
-            agent.tick_motion(t, world.positions[i], world.velocities[i], &mut world.net);
+            agent.tick_motion(&config, t, body(i), &mut world.net);
         }
         world.server.tick(&mut world.net);
         for (i, agent) in world.agents.iter_mut().enumerate() {
@@ -112,7 +107,13 @@ fn run(world: &mut World, steps: usize, mut rng: Rng, report: bool) {
             world
                 .net
                 .deliver(agent.oid().node(), world.positions[i], &mut inbox);
-            agent.tick_process(t, inbox.iter().map(|m| &**m), &mut world.net);
+            agent.tick_process(
+                &config,
+                t,
+                body(i),
+                inbox.iter().map(|m| &**m),
+                &mut world.net,
+            );
         }
         world.net.end_tick();
         world.server.tick(&mut world.net);

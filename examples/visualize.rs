@@ -47,14 +47,7 @@ fn main() {
                 Vec2::from_angle(rng.range(0.0, std::f64::consts::TAU)) * rng.range(0.0, 0.02);
             positions.push(pos);
             velocities.push(vel);
-            MovingObjectAgent::new(
-                ObjectId(i as u32),
-                Properties::new(),
-                0.02,
-                pos,
-                vel,
-                Arc::clone(&config),
-            )
+            MovingObjectAgent::new(ObjectId(i as u32), Properties::new(), &config, pos)
         })
         .collect();
 
@@ -83,13 +76,24 @@ fn main() {
             positions[i] = p;
         }
         for (i, a) in agents.iter_mut().enumerate() {
-            a.tick_motion(t, positions[i], velocities[i], &mut net);
+            a.tick_motion(
+                &config,
+                t,
+                Kinematics::new(positions[i], velocities[i], 0.02),
+                &mut net,
+            );
         }
         server.tick(&mut net);
         for (i, a) in agents.iter_mut().enumerate() {
             let mut inbox = Vec::new();
             net.deliver(ObjectId(i as u32).node(), positions[i], &mut inbox);
-            a.tick_process(t, inbox.iter().map(|m| &**m), &mut net);
+            a.tick_process(
+                &config,
+                t,
+                Kinematics::new(positions[i], velocities[i], 0.02),
+                inbox.iter().map(|m| &**m),
+                &mut net,
+            );
         }
         net.end_tick();
         server.tick(&mut net);

@@ -57,7 +57,8 @@ OPTIONS:
     --engine <E>       tick engine: soa | seed; unset = auto from
                        MOBIEYES_ENGINE, else soa. The struct-of-arrays
                        engine skips provably-inert agents; results are
-                       byte-identical either way         [default: soa]
+                       byte-identical either way. The seed engine runs
+                       one worker thread                 [default: soa]
     --rebalance-ticks <N> rebalance the partition map from observed load
                        every N ticks; 0 = off. Never changes results, only
                        the load split                    [default: 0]

@@ -25,7 +25,9 @@
 //! ## Quickstart
 //!
 //! ```
-//! use mobieyes::core::{Filter, MovingObjectAgent, ObjectId, Properties, ProtocolConfig, Server};
+//! use mobieyes::core::{
+//!     Filter, Kinematics, MovingObjectAgent, ObjectId, Properties, ProtocolConfig, Server,
+//! };
 //! use mobieyes::core::server::Net;
 //! use mobieyes::geo::{Grid, Point, QueryRegion, Rect, Vec2};
 //! use mobieyes::net::BaseStationLayout;
@@ -37,12 +39,18 @@
 //! let mut net = Net::new(BaseStationLayout::new(universe, 20.0));
 //! let mut server = Server::new(Arc::clone(&config));
 //!
-//! // Two moving objects: a taxi driver (focal) and a customer.
-//! let mut driver = MovingObjectAgent::new(
-//!     ObjectId(0), Properties::new(), 0.02, Point::new(50.0, 50.0), Vec2::ZERO, Arc::clone(&config));
+//! // Two moving objects at rest: a taxi driver (focal) and a customer.
+//! // The agents hold protocol state only; where each object is and how
+//! // it moves is handed to every call.
+//! let driver_at = Kinematics::new(Point::new(50.0, 50.0), Vec2::ZERO, 0.02);
+//! let customer_at = Kinematics::new(Point::new(52.0, 50.0), Vec2::ZERO, 0.02);
+//! let mut driver = MovingObjectAgent::new(ObjectId(0), Properties::new(), &config, driver_at.pos);
 //! let mut customer = MovingObjectAgent::new(
-//!     ObjectId(1), Properties::new().with("looking_for_taxi", true), 0.02,
-//!     Point::new(52.0, 50.0), Vec2::ZERO, Arc::clone(&config));
+//!     ObjectId(1),
+//!     Properties::new().with("looking_for_taxi", true),
+//!     &config,
+//!     customer_at.pos,
+//! );
 //!
 //! // "Customers looking for a taxi within 5 miles of me."
 //! let qid = server.install_query(
@@ -55,11 +63,10 @@
 //! // Run a few protocol rounds: deliver downlinks, tick agents, tick server.
 //! for step in 0..3 {
 //!     let t = step as f64 * 30.0;
-//!     for agent in [&mut driver, &mut customer] {
+//!     for (agent, k) in [(&mut driver, driver_at), (&mut customer, customer_at)] {
 //!         let mut inbox = Vec::new();
-//!         net.deliver(agent.oid().node(), agent.position(), &mut inbox);
-//!         let (pos, vel) = (agent.position(), Vec2::ZERO);
-//!         agent.tick(t, pos, vel, inbox.iter().map(|m| &**m), &mut net);
+//!         net.deliver(agent.oid().node(), k.pos, &mut inbox);
+//!         agent.tick(&config, t, k, inbox.iter().map(|m| &**m), &mut net);
 //!     }
 //!     net.end_tick();
 //!     server.tick(&mut net);
@@ -133,7 +140,8 @@ pub mod prelude {
     //! The common vocabulary in one import: `use mobieyes::prelude::*;`.
     //!
     //! Re-exports the types almost every program touches — the protocol
-    //! endpoints ([`Server`], [`MovingObjectAgent`]), the socket layer
+    //! endpoints ([`Server`], [`MovingObjectAgent`] and the [`Kinematics`]
+    //! it is driven with), the socket layer
     //! ([`FramedConn`], [`HostedPartitions`], [`ClusterClient`],
     //! [`TransportKind`]), geometry primitives, the simulation drivers and their configuration, the
     //! unified [`Approach`] entry point, and the telemetry sink every layer
@@ -146,8 +154,8 @@ pub mod prelude {
 
     pub use crate::Error;
     pub use mobieyes_core::{
-        Filter, MovingObjectAgent, ObjectId, PropValue, Propagation, Properties, ProtocolConfig,
-        QueryId, Server,
+        Filter, Kinematics, MovingObjectAgent, ObjectId, PropValue, Propagation, Properties,
+        ProtocolConfig, QueryId, Server,
     };
     pub use mobieyes_geo::{CellId, Grid, Point, QueryRegion, Rect, Region, Vec2};
     pub use mobieyes_net::{Endpoint, FramedConn, Listener, TransportError};

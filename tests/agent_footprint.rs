@@ -18,18 +18,21 @@ const TICKS: usize = 60;
 /// Ticks at the end of the run over which allocations are averaged.
 const STEADY_TICKS: usize = 30;
 
-/// Ceilings are ~1.2x what the flat-table / hot-cold agent layout
-/// measures: 236 B per agent right after construction, 435 B per agent
-/// live after 60 ticks, 1 654 allocations per tick (1 666 at four
-/// threads; 2 247 before the server built a `NewQueries` reply in one
-/// pass). The whole deployment is counted — server, network, engine
-/// arrays — of which the agents are 128 B inline plus ~75 B of heap. With
+/// Ceilings are ~1.2x what the one-line agent layout measures: 168 B
+/// per agent right after construction, 342 B per agent live after 60
+/// ticks, 1 723 allocations per tick (1 735 at four threads). The whole
+/// deployment is counted — server, network, engine arrays — of which the
+/// agents are 64 B inline: one cache line, with position, velocity and
+/// maximum speed kept in the mobility columns only. The 128-byte agent
+/// next to per-node byte meters read 236 / 435 / 1 654: its tables kept
+/// spare slots after a removal, where a boxed slice shrinks (one
+/// reallocation). With
 /// four per-agent B-trees and a telemetry sink per agent the same run read
 /// 428 / 1 405 / 2 405: the trees kept a 1.3 KB leaf per agent that ever
 /// held a row, but an emptied table cost no allocation to refill, which
 /// is why the allocation count is a ceiling and not a gain.
-const CONSTRUCTION_BYTES_PER_AGENT: usize = 285;
-const LIVE_BYTES_PER_AGENT: usize = 525;
+const CONSTRUCTION_BYTES_PER_AGENT: usize = 200;
+const LIVE_BYTES_PER_AGENT: usize = 410;
 const ALLOCATIONS_PER_TICK: usize = 2_000;
 
 #[test]

@@ -5,8 +5,8 @@
 
 use mobieyes::core::server::Net;
 use mobieyes::core::{
-    Filter, KnnConfig, KnnCoordinator, MovingObjectAgent, ObjectId, Properties, ProtocolConfig,
-    Server,
+    Filter, Kinematics, KnnConfig, KnnCoordinator, MovingObjectAgent, ObjectId, Properties,
+    ProtocolConfig, Server,
 };
 use mobieyes::geo::{Grid, Point, Rect, Vec2};
 use mobieyes::net::BaseStationLayout;
@@ -40,14 +40,7 @@ fn world(n: usize, seed: u64) -> World {
             let v = Vec2::from_angle(rng.range(0.0, std::f64::consts::TAU)) * rng.range(0.0, 0.01);
             positions.push(p);
             velocities.push(v);
-            MovingObjectAgent::new(
-                ObjectId(i as u32),
-                Properties::new(),
-                0.01,
-                p,
-                v,
-                Arc::clone(&config),
-            )
+            MovingObjectAgent::new(ObjectId(i as u32), Properties::new(), &config, p)
         })
         .collect();
     World {
@@ -77,15 +70,23 @@ impl World {
             }
             self.positions[i] = p;
         }
+        let config = self.server.config_arc();
+        let body = |i: usize| Kinematics::new(self.positions[i], self.velocities[i], 0.01);
         for (i, a) in self.agents.iter_mut().enumerate() {
-            a.tick_motion(t, self.positions[i], self.velocities[i], &mut self.net);
+            a.tick_motion(&config, t, body(i), &mut self.net);
         }
         self.server.tick(&mut self.net);
         for (i, a) in self.agents.iter_mut().enumerate() {
             let mut inbox = Vec::new();
             self.net
                 .deliver(ObjectId(i as u32).node(), self.positions[i], &mut inbox);
-            a.tick_process(t, inbox.iter().map(|m| &**m), &mut self.net);
+            a.tick_process(
+                &config,
+                t,
+                body(i),
+                inbox.iter().map(|m| &**m),
+                &mut self.net,
+            );
         }
         self.net.end_tick();
         self.server.tick(&mut self.net);

@@ -3,7 +3,9 @@
 //! objects with more than 64 queries (bitmap slot exhaustion).
 
 use mobieyes::core::server::Net;
-use mobieyes::core::{Filter, MovingObjectAgent, ObjectId, Properties, ProtocolConfig, Server};
+use mobieyes::core::{
+    Filter, Kinematics, MovingObjectAgent, ObjectId, Properties, ProtocolConfig, Server,
+};
 use mobieyes::geo::{Grid, Point, QueryRegion, Rect, Vec2};
 use mobieyes::net::BaseStationLayout;
 use std::sync::Arc;
@@ -33,16 +35,7 @@ fn stack(n: usize, grouping: bool) -> Stack {
     let agents = positions
         .iter()
         .enumerate()
-        .map(|(i, &p)| {
-            MovingObjectAgent::new(
-                ObjectId(i as u32),
-                Properties::new(),
-                0.05,
-                p,
-                Vec2::ZERO,
-                Arc::clone(&config),
-            )
-        })
+        .map(|(i, &p)| MovingObjectAgent::new(ObjectId(i as u32), Properties::new(), &config, p))
         .collect();
     Stack {
         net,
@@ -61,15 +54,23 @@ impl Stack {
         for i in 0..self.positions.len() {
             self.positions[i] = self.positions[i] + self.velocities[i] * TS;
         }
+        let config = self.server.config_arc();
+        let body = |i: usize| Kinematics::new(self.positions[i], self.velocities[i], 0.05);
         for (i, a) in self.agents.iter_mut().enumerate() {
-            a.tick_motion(t, self.positions[i], self.velocities[i], &mut self.net);
+            a.tick_motion(&config, t, body(i), &mut self.net);
         }
         self.server.tick(&mut self.net);
         for (i, a) in self.agents.iter_mut().enumerate() {
             let mut inbox = Vec::new();
             self.net
                 .deliver(ObjectId(i as u32).node(), self.positions[i], &mut inbox);
-            a.tick_process(t, inbox.iter().map(|m| &**m), &mut self.net);
+            a.tick_process(
+                &config,
+                t,
+                body(i),
+                inbox.iter().map(|m| &**m),
+                &mut self.net,
+            );
         }
         self.net.end_tick();
         self.server.tick(&mut self.net);

@@ -5,7 +5,8 @@
 
 use mobieyes::core::server::Net;
 use mobieyes::core::{
-    Filter, MovingObjectAgent, ObjectId, Propagation, Properties, ProtocolConfig, Server,
+    Filter, Kinematics, MovingObjectAgent, ObjectId, Propagation, Properties, ProtocolConfig,
+    Server,
 };
 use mobieyes::geo::{Grid, Point, QueryRegion, Rect, Vec2};
 use mobieyes::net::BaseStationLayout;
@@ -31,14 +32,16 @@ fn step(
     server: &mut Server,
     net: &mut Net,
 ) {
+    let config = server.config_arc();
+    let body = |i: usize| Kinematics::new(positions[i], velocities[i], 0.1);
     for (i, a) in agents.iter_mut().enumerate() {
-        a.tick_motion(t, positions[i], velocities[i], net);
+        a.tick_motion(&config, t, body(i), net);
     }
     server.tick(net);
     for (i, a) in agents.iter_mut().enumerate() {
         let mut inbox = Vec::new();
         net.deliver(a.oid().node(), positions[i], &mut inbox);
-        a.tick_process(t, inbox.iter().map(|m| &**m), net);
+        a.tick_process(&config, t, body(i), inbox.iter().map(|m| &**m), net);
     }
     net.end_tick();
     server.tick(net);
@@ -56,18 +59,14 @@ fn fast_exit_reports_departure() {
             MovingObjectAgent::new(
                 ObjectId(0),
                 Properties::new(),
-                0.1,
+                &config,
                 Point::new(55.0, 55.0),
-                Vec2::ZERO,
-                Arc::clone(&config),
             ),
             MovingObjectAgent::new(
                 ObjectId(1),
                 Properties::new(),
-                0.1,
+                &config,
                 Point::new(56.0, 55.0),
-                Vec2::ZERO,
-                Arc::clone(&config),
             ),
         ];
         let mut positions = vec![Point::new(55.0, 55.0), Point::new(56.0, 55.0)];
@@ -122,10 +121,8 @@ fn region_shrink_evicts_far_targets() {
             MovingObjectAgent::new(
                 ObjectId(i),
                 Properties::new(),
-                0.1,
+                &config,
                 Point::new(50.0 + 12.0 * i as f64, 55.0),
-                Vec2::ZERO,
-                Arc::clone(&config),
             )
         })
         .collect();
