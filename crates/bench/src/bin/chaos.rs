@@ -64,11 +64,10 @@ fn run_one(seed: u64, propagation: Propagation) -> Sample {
         sim.step(false);
         let truth = sim.ground_truth();
         let qids = sim.query_ids().to_vec();
-        let exact = qids.iter().zip(&truth).all(|(&q, t)| {
-            sim.server()
-                .query_result(q)
-                .map_or(t.is_empty(), |r| r == t)
-        });
+        let exact = qids
+            .iter()
+            .zip(&truth)
+            .all(|(&q, t)| sim.query_result(q).map_or(t.is_empty(), |r| r == t));
         if exact {
             recovery_ticks = k;
             break;

@@ -55,28 +55,19 @@ fn run_one(config: &SimConfig, partitions: usize, ticks: usize) -> Run {
         .map(|&q| sim.query_result(q).cloned().unwrap_or_default())
         .collect();
     let snapshot = sim.telemetry().snapshot();
-    let (per_partition, bus_msgs, bus_bytes) = if partitions > 1 {
-        let c = sim.cluster();
-        let loads = c
-            .load_signals()
-            .into_iter()
-            .enumerate()
-            .map(|(p, (_, queries, stubs))| Load {
-                uplinks_handled: c.partition_ops(p),
-                sqt_entries: queries as usize,
-                stub_entries: stubs as usize,
-            })
-            .collect();
-        let meter = c.bus_meter();
-        (loads, meter.total_msgs(), meter.total_bytes())
-    } else {
-        let single = Load {
-            uplinks_handled: snapshot.counter("srv.uplinks_processed"),
-            sqt_entries: sim.server().num_queries(),
-            stub_entries: 0,
-        };
-        (vec![single], 0, 0)
-    };
+    let c = sim.cluster();
+    let per_partition = c
+        .load_signals()
+        .into_iter()
+        .enumerate()
+        .map(|(p, (_, queries, stubs))| Load {
+            uplinks_handled: c.partition_ops(p),
+            sqt_entries: queries as usize,
+            stub_entries: stubs as usize,
+        })
+        .collect();
+    let meter = c.bus_meter();
+    let (bus_msgs, bus_bytes) = (meter.total_msgs(), meter.total_bytes());
     Run {
         results,
         snapshot,

@@ -87,11 +87,12 @@ fn run_one(seed: u64, mode: Propagation, root: &Path) -> Sample {
         timed_run(bench_config(seed, mode).with_store_dir(log_root.clone()));
 
     // Cold-start drill: the rebuilt server must be byte-identical.
-    let digest_before = sim.server().state_digest();
+    let digest = |sim: &MobiEyesSim| sim.cluster().local_server(0).map(|s| s.state_digest());
+    let digest_before = digest(&sim);
     let t = Instant::now();
-    sim.rebuild_server_from_log();
+    sim.cluster_mut().rebuild_partition_from_log(0);
     let recovery_s = t.elapsed().as_secs_f64();
-    let digest_match = sim.server().state_digest() == digest_before;
+    let digest_match = digest_before.is_some() && digest(&sim) == digest_before;
 
     // The rebuild flushed the store, so the on-disk log is now complete.
     let p0 = log_root.join("p0");

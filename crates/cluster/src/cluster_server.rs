@@ -1,12 +1,13 @@
 //! The cluster coordinator: N partition-scoped [`Server`]s behind the
-//! single-server API.
+//! single-server API — the server tier of every simulated deployment,
+//! the single server being its one-partition case.
 //!
 //! Every entry point runs the single server's own sequence
 //! ([`mobieyes_core::server::mediate`]) through the coordinator's
 //! [`Mediator`] impl: each primitive runs at the partition owning the
 //! state it touches, and the inter-server bus is pumped after every call
-//! so cross-partition state (RQI stubs, migrated FOT/SQT rows) is in place
-//! before the next one reads it. One sequence in one global order is what
+//! that queued an envelope, so cross-partition state (RQI stubs, migrated
+//! FOT/SQT rows) is in place before the next one reads it. One sequence in one global order is what
 //! makes an N-partition run byte-identical to the single server: the same
 //! downlink byte stream on the shared agent network, the same counters
 //! (summed across the per-partition sinks), the same event log. What is
@@ -150,6 +151,13 @@ pub struct ClusterServer {
     /// Per-cell (flat index) count of primary uplinks since the last
     /// rebalance install — the load signal the rebalance planner cuts.
     cell_ops: Vec<u64>,
+    /// The primary cells of the uplinks not yet counted in `cell_ops`.
+    /// An uplink only appends its cell; the tick counts the batch, where
+    /// the scattered increments overlap instead of stalling each uplink.
+    cell_hits: Vec<u32>,
+    /// Reusable uplink drain buffer: a tick takes the agent network's
+    /// queue without leaving it to regrow from empty.
+    uplinks: Vec<(NodeId, Uplink)>,
     /// Coordinator's view of the shared epoch — the same `Arc` every
     /// handle folds its replies into; kept so recovery can construct
     /// replacement partitions.
@@ -266,6 +274,8 @@ impl ClusterServer {
             last_heartbeat: f64::NEG_INFINITY,
             ops: vec![0; n],
             cell_ops: vec![0; cells],
+            cell_hits: Vec::new(),
+            uplinks: Vec::new(),
             epoch: Arc::new(AtomicU64::new(0)),
             alen,
             dead: BTreeSet::new(),
@@ -364,12 +374,32 @@ impl ClusterServer {
         self.fan_out(&PartitionOp::LoadSignal)
     }
 
-    /// One pipelined probe round of a read: every partition has its
-    /// request before the first reply is awaited; results in partition
-    /// order.
+    /// One pipelined probe round of a read: every remote partition has
+    /// its request before the first reply is awaited, and an in-process
+    /// one answers when its turn comes; results in partition order.
     fn fan_out<T: FromPayload + Default>(&self, op: &PartitionOp) -> Vec<T> {
-        let probes: Vec<_> = self.partitions.iter().map(|p| p.start(op)).collect();
-        self.finish_all(probes)
+        let mut answers = Vec::with_capacity(self.partitions.len());
+        self.fan_out_each(op, |_, answer| answers.push(answer));
+        answers
+    }
+
+    /// [`Self::fan_out`], each answer handed to `each` with its partition
+    /// as it arrives. Only remote probes are held between the halves.
+    fn fan_out_each<T: FromPayload + Default>(
+        &self,
+        op: &PartitionOp,
+        mut each: impl FnMut(usize, T),
+    ) {
+        let remote = self.partitions.iter().filter(|h| h.is_remote());
+        let mut started = remote.map(|h| h.start(op)).collect::<Vec<_>>().into_iter();
+        for (p, h) in self.partitions.iter().enumerate() {
+            let probe = if h.is_remote() {
+                started.next().expect("every remote probe was started")
+            } else {
+                h.start(op)
+            };
+            each(p, h.finish(probe));
+        }
     }
 
     /// [`Self::fan_out`] of a mutation.
@@ -506,6 +536,13 @@ impl ClusterServer {
         self.partitions.iter().find_map(|s| s.query_result_ref(qid))
     }
 
+    /// Partition `p`'s server, read-only, when it runs in this process and
+    /// is alive (its tables, its state digest); `None` for a remote or
+    /// dead partition.
+    pub fn local_server(&self, p: usize) -> Option<&Server> {
+        self.partitions[p].local_server()
+    }
+
     /// Owned copy of a query's result set, local or remote, fetched from
     /// the partition homing the query.
     pub fn fetch_query_result(&self, qid: QueryId) -> Option<Vec<ObjectId>> {
@@ -524,6 +561,10 @@ impl ClusterServer {
     /// quiet network. An envelope's call reads its partition's posted
     /// replies first, like any call, and parks them for the lane.
     fn pump_bus(&mut self) {
+        let idle = |h: &PartitionHandle| !h.has_outbox();
+        if self.bus.pending_uplinks() == 0 && self.partitions.iter().all(idle) {
+            return;
+        }
         for p in 0..self.partitions.len() {
             for (to, msg) in self.partitions[p].take_outbox() {
                 self.bus.send_uplink(NodeId(p as u32), Envelope { to, msg });
@@ -554,11 +595,10 @@ impl ClusterServer {
     }
 
     /// The lowest-indexed live partition — the shared-epoch anchor and
-    /// counter home once partition 0 is allowed to die.
-    fn first_live(&self) -> usize {
-        (0..self.partitions.len())
-            .find(|&p| !self.partition_down(p as u32))
-            .expect("at least one partition must survive")
+    /// counter home once partition 0 is allowed to die; `None` once every
+    /// partition is down.
+    fn first_live(&self) -> Option<usize> {
+        (0..self.partitions.len()).find(|&p| !self.partition_down(p as u32))
     }
 
     /// Folds the per-partition sinks into the shared protocol sink, in
@@ -652,11 +692,14 @@ impl ClusterServer {
     /// tick — the shared agent network carries exactly the same uplink
     /// stream, in the same order, as a single-server deployment.
     pub fn tick(&mut self, net: &mut Net) {
-        let uplinks = net.drain_uplinks();
-        for (from, msg) in uplinks {
+        let mut uplinks = std::mem::take(&mut self.uplinks);
+        net.drain_uplinks_into(&mut uplinks);
+        for (from, msg) in uplinks.drain(..) {
             self.uplink(from, &msg, net);
         }
+        self.uplinks = uplinks;
         self.lane.drain(&self.partitions, net);
+        self.count_cell_load();
         self.merge_sinks();
     }
 
@@ -664,6 +707,15 @@ impl ClusterServer {
     pub fn handle_uplink(&mut self, from: NodeId, msg: Uplink, net: &mut Net) {
         self.uplink(from, &msg, net);
         self.lane.drain(&self.partitions, net);
+        self.count_cell_load();
+    }
+
+    /// Counts the primary cells appended since the last call into the
+    /// planner's per-cell load.
+    fn count_cell_load(&mut self) {
+        for flat in self.cell_hits.drain(..) {
+            self.cell_ops[flat as usize] += 1;
+        }
     }
 
     /// [`Self::handle_uplink`] minus the final drain: closed ops are left
@@ -687,7 +739,7 @@ impl ClusterServer {
             })
             .unwrap_or(0);
         if let Some(flat) = primary_flat {
-            self.cell_ops[flat] += 1;
+            self.cell_hits.push(flat as u32);
         }
         self.ops[primary] += 1;
         mediate::uplink(self, primary, from, msg, net);
@@ -957,7 +1009,9 @@ impl ClusterServer {
 
     /// Detects dead partitions and runs the failover fence over every one
     /// not yet fenced. Returns `None` when nothing was fenced: no new
-    /// death, or the fence aborted and retries at the next pass. Call at
+    /// death, the fence aborted and retries at the next pass, or no
+    /// partition survives to adopt the cells — the dead slots then stay
+    /// dead and unfenced, counted once in `rec.crash_detections`. Call at
     /// tick boundaries (next to [`Self::rebalance`]); the per-tick cost
     /// with all partitions healthy is one liveness probe per remote.
     pub fn recover_crashed(&mut self, net: &mut Net) -> Option<RecoveryReport> {
@@ -978,6 +1032,11 @@ impl ClusterServer {
         let alive: Vec<bool> = (0..self.partitions.len() as u32)
             .map(|p| !self.dead.contains(&p))
             .collect();
+        if !alive.contains(&true) {
+            // Nobody can adopt the cells: no fence runs.
+            self.unfenced = newly;
+            return None;
+        }
         let new_bounds = failover_bounds(&old_bounds, &alive);
         let mut report = RecoveryReport {
             partitions: newly,
@@ -1344,10 +1403,10 @@ impl Mediator for ClusterServer {
 
     fn load_memberships(&mut self, oid: ObjectId, into: &mut Vec<(QueryId, usize)>, net: &mut Net) {
         let op = PartitionOp::ObjectMemberships(oid);
-        let per_partition: Vec<Vec<QueryId>> = self.probe_all(net, &op);
-        for (p, qids) in per_partition.into_iter().enumerate() {
+        self.fan_out_each(&op, |p, qids: Vec<QueryId>| {
             into.extend(qids.into_iter().map(|qid| (qid, p)));
-        }
+        });
+        self.lane.replay(&self.partitions, net);
     }
 
     fn expired_leases(&mut self, net: &mut Net) -> Vec<Vec<(ObjectId, Vec<QueryId>)>> {
@@ -1362,14 +1421,16 @@ impl Mediator for ClusterServer {
         self.probe_all(net, &PartitionOp::DigestCells)
     }
 
-    /// Wherever the FOT row is homed. Leases only matter under the
-    /// fault-tolerance layer; without it `last_heard` is never read.
+    /// At the FOT row's home, the one partition whose renewal is not a
+    /// no-op: the mirror names it without a round trip. Leases only
+    /// matter under the fault-tolerance layer; without it `last_heard` is
+    /// never read.
     fn renew_leases(&mut self, oid: ObjectId, net: &mut Net) {
-        if self.config.fault_tolerant() {
-            let renew = LogRecord::RenewLease(oid);
-            for p in 0..self.partitions.len() {
-                self.post(p, &renew, net);
-            }
+        if !self.config.fault_tolerant() {
+            return;
+        }
+        if let Some(home) = self.focal_home(oid) {
+            self.post(home, &LogRecord::RenewLease(oid), net);
         }
     }
 
@@ -1402,8 +1463,12 @@ impl Mediator for ClusterServer {
     }
 
     /// Partitions share the sequencer, so a bump at any live one is global.
+    /// With none alive, the coordinator's view stands.
     fn bump_shared_epoch(&mut self) -> u64 {
-        let p = self.first_live();
+        let view = self.partitions[0].current_epoch();
+        let Some(p) = self.first_live() else {
+            return view;
+        };
         // A dead peer answers 0: the coordinator's view stands.
         let bumped: u64 = self.partitions[p].call(&LogRecord::BumpEpoch, &mut self.quiet);
         bumped.max(self.partitions[p].current_epoch())
@@ -1799,6 +1864,48 @@ mod tests {
             "unclassified store failure: {err}"
         );
         std::fs::remove_file(&root).expect("clean up");
+    }
+
+    /// A one-partition tier — the single server — whose partition dies is
+    /// left dead and counted: no survivor can adopt its cells, so no fence
+    /// runs, and nothing panics, neither the recovery passes nor the
+    /// heartbeats, ticks and reads that follow.
+    #[test]
+    fn the_only_partition_dying_leaves_it_dead_and_counted() {
+        let grid = Grid::new(universe(), 5.0);
+        let config = Arc::new(ProtocolConfig::new(grid).with_lease(10.0, 5.0));
+        let mut cluster = ClusterServer::new(config, 1, Telemetry::new(), None).expect("cluster");
+        let mut net = Net::new(BaseStationLayout::new(universe(), 10.0));
+        let qid = cluster.install_query(
+            ObjectId(7),
+            QueryRegion::circle(2.5),
+            Filter::True,
+            &mut net,
+        );
+        cluster.kill_partition(0);
+        assert_eq!(cluster.recover_crashed(&mut net), None);
+        assert_eq!(cluster.recover_crashed(&mut net), None, "a second pass");
+        assert_eq!(cluster.dead_partitions(), vec![0]);
+        let snap = cluster.bus_telemetry().snapshot();
+        assert_eq!(snap.counter(rec_keys::CRASH_DETECTIONS), 1);
+        assert_eq!(snap.counter(rec_keys::FENCES), 0);
+        cluster.heartbeat(10.0, &mut net);
+        let reply = Uplink::PositionReply {
+            oid: ObjectId(7),
+            motion: LinearMotion::new(Point::new(12.0, 12.0), Vec2::new(0.0, 0.0), 10.0),
+            max_vel: 0.05,
+        };
+        net.send_uplink(ObjectId(7).node(), reply);
+        cluster.tick(&mut net);
+        assert_eq!(cluster.query_result(qid), None);
+        assert_eq!(cluster.fetch_query_result(qid), None);
+        assert!(cluster.query_ids().is_empty());
+        assert!(!cluster.rebalance());
+        assert!(
+            cluster.respawn_partition(0).is_err(),
+            "its span was never recorded"
+        );
+        cluster.check_invariants();
     }
 
     /// Every `rebalance()` outcome is diagnosable from the bus sink: each

@@ -1,11 +1,11 @@
 //! The coordinator's handle on one partition, in process or remote.
 //!
-//! Every partition is a `ServiceState` behind `serve::serve_op`. An
+//! Every partition is a `ServiceState` behind `serve::run_op`. An
 //! in-process handle holds the state and runs each record through
-//! `serve_op` against the coordinator's own network; a remote handle
+//! `run_op` against the coordinator's own network; a remote handle
 //! speaks the [`wire`] RPC protocol to a partition service running the
-//! same `serve_op` behind a framed socket. Both fold every reply into one
-//! coordinator-side `View`: the epoch, the outbox and the homes mirror.
+//! same `run_op` behind a framed socket. Both fold every op's effects into
+//! one coordinator-side `View`: the epoch, the outbox and the homes mirror.
 //!
 //! The handle names no op. A mutation is a [`LogRecord`], run in process
 //! or sent as [`PartitionOp::Apply`]; a read is a [`PartitionOp`],
@@ -71,7 +71,7 @@
 use crate::serve::{self, ServiceState};
 use crate::wire::{self, InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload};
 use mobieyes_core::server::{FromPayload, Net};
-use mobieyes_core::{ClusterMsg, HomeChange, LogRecord, ObjectId, QueryId};
+use mobieyes_core::{ClusterMsg, HomeChange, LogRecord, ObjectId, QueryId, Server};
 use mobieyes_net::{FramedConn, NodeId, StationId, TransportError};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashSet, VecDeque};
@@ -177,9 +177,8 @@ impl View {
         self.counts.set(c);
     }
 
-    /// The one reply fold: raises the shared epoch view to the reply's,
-    /// buffers its outbox envelopes, folds its `homes` into the mirror and
-    /// hands back the rest.
+    /// A reply's fold: its [effects](Self::fold_effects), and the rest
+    /// handed back.
     #[inline(always)]
     fn fold(&self, reply: PartitionReply) -> (Vec<NetAction>, ReplyPayload) {
         let PartitionReply {
@@ -189,8 +188,19 @@ impl View {
             payload,
             homes,
         } = reply;
+        self.fold_effects((epoch, outbox, homes));
+        (net, payload)
+    }
+
+    /// The one effects fold, for both links: raises the shared epoch view
+    /// to the partition's, buffers its outbox envelopes and folds its
+    /// `homes` into the mirror.
+    #[inline(always)]
+    fn fold_effects(&self, (epoch, outbox, homes): serve::Effects) {
         serve::raise(&self.epoch, epoch);
-        self.outbox.borrow_mut().extend(outbox);
+        if !outbox.is_empty() {
+            self.outbox.borrow_mut().extend(outbox);
+        }
         if !homes.is_empty() {
             let mut focals = self.focals.borrow_mut();
             let mut queries = self.queries.borrow_mut();
@@ -203,7 +213,6 @@ impl View {
                 };
             }
         }
-        (net, payload)
     }
 
     /// `payload` as the op's answer type; a reply of the wrong shape
@@ -220,10 +229,10 @@ impl View {
         })
     }
 
-    /// Runs `rec` at an in-process partition against `net` and folds the
-    /// reply; `None` when the partition is dead, or dies of the record —
-    /// its state is then stopped and dropped, as a service whose session
-    /// ended is gone.
+    /// Runs `rec` at an in-process partition against `net` and folds its
+    /// effects — none after a closed record, which `run_op` checked; `None`
+    /// when the partition is dead, or dies of the record — its state is
+    /// then stopped and dropped, as a service whose session ended is gone.
     #[inline(always)]
     fn serve(
         &self,
@@ -234,8 +243,13 @@ impl View {
     ) -> Option<ReplyPayload> {
         let s = state.as_deref_mut().filter(|_| !self.dead())?;
         let floor = self.epoch.load(Ordering::Relaxed);
-        match serve::serve_op(s, net, floor, rec, closed) {
-            Ok(reply) => Some(self.fold(reply).1),
+        match serve::run_op(s, net, floor, rec, closed) {
+            Ok(payload) => {
+                if !closed {
+                    self.fold_effects(s.effects());
+                }
+                Some(payload)
+            }
             Err(e) => {
                 self.kill(e);
                 if let Some(s) = state.take() {
@@ -440,7 +454,7 @@ impl PartitionHandle {
             epoch,
             ..View::default()
         };
-        view.fold(state.reply(ReplyPayload::Unit));
+        view.fold_effects(state.effects());
         let link = Link::InProcess(Some(Box::new(state)));
         PartitionHandle { view, link }
     }
@@ -609,6 +623,11 @@ impl PartitionHandle {
         std::mem::take(&mut *self.view.outbox.borrow_mut())
     }
 
+    /// Whether [`Self::take_outbox`] would hand back an envelope.
+    pub fn has_outbox(&self) -> bool {
+        !self.view.outbox.borrow().is_empty()
+    }
+
     /// Exact whenever no call is outstanding: every epoch movement flows
     /// through a reply this view already folded in.
     pub fn current_epoch(&self) -> u64 {
@@ -637,15 +656,20 @@ impl PartitionHandle {
         self.is_remote().then(|| self.view.counts.take())
     }
 
-    /// Borrowed result set — only an in-process partition can lend one.
-    /// `None` for a remote or dead partition; those callers ask for
-    /// [`PartitionOp::QueryResult`].
-    pub fn query_result_ref(&self, qid: QueryId) -> Option<&BTreeSet<ObjectId>> {
+    /// The partition's server — only an in-process partition can lend
+    /// it. `None` for a remote or dead partition.
+    pub fn local_server(&self) -> Option<&Server> {
         // Two links: a reference cannot cross the socket.
         match &self.link {
-            Link::InProcess(Some(s)) if !self.view.dead() => s.server.query_result(qid),
+            Link::InProcess(Some(s)) if !self.view.dead() => Some(&s.server),
             _ => None,
         }
+    }
+
+    /// Borrowed result set. `None` for a remote or dead partition; those
+    /// callers ask for [`PartitionOp::QueryResult`].
+    pub fn query_result_ref(&self, qid: QueryId) -> Option<&BTreeSet<ObjectId>> {
+        self.local_server()?.query_result(qid)
     }
 
     /// The partition's structural self-check, and the audit of the `homes`

@@ -8,7 +8,7 @@
 //!
 //! 1. raises its local epoch to the request's floor (`fetch_max`), so the
 //!    distributed epoch behaves exactly like one shared atomic counter;
-//! 2. executes the op (`serve_op`) against the `Server` and a
+//! 2. executes the op (`run_op`) against the `Server` and a
 //!    *partition-local* capture network built from the same deterministic
 //!    base-station layout the coordinator uses — so broadcast cover sets
 //!    resolve identically. A mutation goes through [`Server::apply`], the
@@ -20,7 +20,7 @@
 //!
 //! An in-process partition is the same `ServiceState`, built from the
 //! same [`InitConfig`], and its handle runs records through the same
-//! `serve_op` — only the network differs: the coordinator passes the
+//! `run_op` — only the network differs: the coordinator passes the
 //! agent network itself, so nothing is captured, copied or replayed.
 //!
 //! Step 3 is refused — the session ends with a classified protocol error —
@@ -42,7 +42,7 @@
 use crate::partition::PartitionMap;
 use crate::wire::{self, InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload};
 use mobieyes_core::server::Net;
-use mobieyes_core::{Downlink, LogRecord, ProtocolConfig, Server};
+use mobieyes_core::{ClusterMsg, Downlink, HomeChange, LogRecord, ProtocolConfig, Server};
 use mobieyes_net::{BaseStationLayout, Endpoint, FramedConn, Listener, TransportError};
 use mobieyes_store::{self as store, Store};
 use mobieyes_telemetry::Telemetry;
@@ -64,6 +64,11 @@ pub(crate) struct ServiceState {
     store: Option<Store>,
 }
 
+/// What an op leaves behind besides its value and its downlinks: the
+/// partition's epoch after it, the bus envelopes it queued and the FOT/SQT
+/// keys it added or removed.
+pub(crate) type Effects = (u64, Vec<(u32, ClusterMsg)>, Vec<HomeChange>);
+
 /// Raises `epoch` to `to` — after a plain load: it is there already for
 /// most ops, and a locked read-modify-write per op costs for nothing.
 #[inline(always)]
@@ -80,10 +85,13 @@ fn capture_net(init: &InitConfig) -> Net {
 }
 
 impl ServiceState {
-    /// Builds the partition named by `init`, counting into `sink`. A store
-    /// that cannot be wiped, opened or replayed is a classified
-    /// [`TransportError::Io`] naming the path — the session ends and the
-    /// coordinator sees a dead partition — never a panic on disk state.
+    /// Builds the partition named by `init`, counting into `sink`. A log
+    /// it replays rebuilds state, not telemetry: the replay counts into a
+    /// scratch sink, since the work it repeats was counted when it first
+    /// ran. A store that cannot be wiped, opened or replayed is a
+    /// classified [`TransportError::Io`] naming the path — the session
+    /// ends and the coordinator sees a dead partition — never a panic on
+    /// disk state.
     pub(crate) fn build(
         init: &InitConfig,
         sink: Telemetry,
@@ -101,7 +109,7 @@ impl ServiceState {
         let config = Arc::new(config);
         let map = PartitionMap::contiguous(&config.grid, init.num_partitions as usize);
         let epoch = Arc::new(AtomicU64::new(0));
-        let mut server = map.server(&config, init.partition, &epoch, sink.clone());
+        let mut server = map.server(&config, init.partition, &epoch, Telemetry::new());
         let store = match &init.store_dir {
             Some(dir) => {
                 let dir = Path::new(dir);
@@ -123,6 +131,7 @@ impl ServiceState {
         // Switched on after the replay: the seed is the replayed key sets,
         // not the history that produced them. The first reply ships it.
         server.enable_home_log();
+        server.set_telemetry(sink);
         Ok(ServiceState {
             server,
             epoch,
@@ -130,17 +139,29 @@ impl ServiceState {
         })
     }
 
-    /// The reply to the op that just ran: the epoch, the outbox and the
-    /// home log it left behind, around its value. Built right after the
-    /// build, it acknowledges `Init` with the replayed epoch and keys.
+    /// What the ops since the last collection left behind: the epoch, the
+    /// outbox and the home log.
     #[inline(always)]
+    pub(crate) fn effects(&mut self) -> Effects {
+        let epoch = self.epoch.load(Ordering::Relaxed);
+        (
+            epoch,
+            self.server.take_outbox(),
+            self.server.take_home_log(),
+        )
+    }
+
+    /// The reply to the op that just ran: its [effects](Self::effects)
+    /// around its value. Built right after the build, it acknowledges
+    /// `Init` with the replayed epoch and keys.
     pub(crate) fn reply(&mut self, payload: ReplyPayload) -> PartitionReply {
+        let (epoch, outbox, homes) = self.effects();
         PartitionReply {
-            epoch: self.epoch.load(Ordering::Relaxed),
-            outbox: self.server.take_outbox(),
+            epoch,
+            outbox,
             net: Vec::new(),
             payload,
-            homes: self.server.take_home_log(),
+            homes,
         }
     }
 
@@ -206,44 +227,45 @@ fn drain_net_actions(net: &mut Net) -> Vec<NetAction> {
     actions
 }
 
-/// Runs one record against the configured partition and builds its
-/// reply: raise the epoch to the request's floor, apply the record against
-/// `net`, collect what it left behind. The reply carries no downlinks:
-/// they are on `net`. `closed` is whether the record is
+/// Runs one record against the configured partition: raise the epoch to
+/// the request's floor, apply the record against `net` and return its
+/// value. What else it left behind — the epoch, the outbox, the home log —
+/// stays in the state for [`ServiceState::reply`] to collect; its
+/// downlinks are on `net`. `closed` is whether the record is
 /// [`wire::is_closed`] — a parameter so the check below can be tested
 /// against a mis-listed record.
 ///
 /// Closedness is verified here, where it is true or not: the coordinator
 /// posts closed records without waiting, so one that moved the epoch,
 /// queued a bus envelope or changed a FOT/SQT key would be folded in the
-/// wrong order on the other side. Such a reply is never sent; the session
-/// ends with a [`TransportError::Protocol`] naming the op and the
+/// wrong order on the other side. Such an op is never answered; the
+/// session ends with a [`TransportError::Protocol`] naming the op and the
 /// coordinator fences the partition like any other dead peer. So does a
-/// record [`Server::apply`] refuses.
-///
-/// Inlined, like the in-process handle's fold: an op there costs tens of
-/// nanoseconds, and copying the 224-byte reply through each frame doubles
-/// that.
+/// record [`Server::apply`] refuses. A closed op that passes the check
+/// left nothing to collect, so an in-process partition folds nothing
+/// after it.
 #[inline(always)]
-pub(crate) fn serve_op(
+pub(crate) fn run_op(
     s: &mut ServiceState,
     net: &mut Net,
     floor: u64,
     rec: &LogRecord,
     closed: bool,
-) -> Result<PartitionReply, TransportError> {
+) -> Result<ReplyPayload, TransportError> {
     raise(&s.epoch, floor);
     let before = closed.then(|| s.epoch.load(Ordering::Relaxed));
     let payload = s
         .server
         .apply(rec, net)
         .map_err(|e| TransportError::Protocol(format!("refused record: {e}")))?;
-    let reply = s.reply(payload);
     if let Some(epoch) = before {
         let effects = [
-            (reply.epoch != epoch, "moved the epoch"),
-            (!reply.outbox.is_empty(), "queued a bus envelope"),
-            (!reply.homes.is_empty(), "changed what the partition homes"),
+            (s.epoch.load(Ordering::Relaxed) != epoch, "moved the epoch"),
+            (s.server.has_outbox(), "queued a bus envelope"),
+            (
+                s.server.has_home_changes(),
+                "changed what the partition homes",
+            ),
         ];
         if let Some((_, effect)) = effects.iter().find(|(happened, _)| *happened) {
             return Err(TransportError::Protocol(format!(
@@ -251,7 +273,7 @@ pub(crate) fn serve_op(
             )));
         }
     }
-    Ok(reply)
+    Ok(payload)
 }
 
 /// The one dispatch for reads: what the service answers and what an
@@ -321,7 +343,8 @@ pub fn serve_connection(mut conn: FramedConn) -> Result<(), TransportError> {
             (PartitionOp::Shutdown, None) => PartitionReply::default(),
             (op, None) => return Err(TransportError::Protocol(format!("op before Init: {op:?}"))),
             (PartitionOp::Apply(rec), Some((s, net))) => {
-                let mut reply = serve_op(s, net, floor, &rec, wire::is_closed(&rec))?;
+                let payload = run_op(s, net, floor, &rec, wire::is_closed(&rec))?;
+                let mut reply = s.reply(payload);
                 reply.net = drain_net_actions(net);
                 reply
             }
@@ -587,8 +610,8 @@ pub(crate) mod tests {
         capture_net(&init_config(Path::new("unused")))
     }
 
-    /// `serve_op` of `rec` at `floor`, its downlinks drained into the
-    /// reply as the service loop drains them.
+    /// `run_op` of `rec` at `floor` and its reply, the downlinks drained
+    /// into it as the service loop drains them.
     fn apply(
         s: &mut ServiceState,
         floor: u64,
@@ -596,7 +619,8 @@ pub(crate) mod tests {
         closed: bool,
     ) -> Result<PartitionReply, TransportError> {
         let mut net = test_net();
-        let mut reply = serve_op(s, &mut net, floor, rec, closed)?;
+        let payload = run_op(s, &mut net, floor, rec, closed)?;
+        let mut reply = s.reply(payload);
         reply.net = drain_net_actions(&mut net);
         Ok(reply)
     }

@@ -21,7 +21,7 @@
 //! carries nothing the coordinator acts on but downlinks. The wire format
 //! does not mark them: closedness is a property of what the op does at the
 //! partition, listed here and verified there on every execution
-//! (`serve::serve_op`).
+//! (`serve::run_op`).
 //!
 //! Replies also carry every side effect the operation produced:
 //!
@@ -182,7 +182,7 @@ pub fn is_partition_record(rec: &LogRecord) -> bool {
 /// other op must be answered before the next op is issued anywhere. The
 /// list is checked, not trusted: the service refuses to acknowledge a
 /// closed record that moved the epoch, the outbox or the home log
-/// (`serve::serve_op`).
+/// (`serve::run_op`).
 pub fn is_closed(rec: &LogRecord) -> bool {
     matches!(
         rec,

@@ -97,6 +97,13 @@ impl Server {
         std::mem::take(&mut self.outbox)
     }
 
+    /// Whether the outbox holds an envelope [`take_outbox`](Self::take_outbox)
+    /// would drain.
+    #[doc(hidden)]
+    pub fn has_outbox(&self) -> bool {
+        !self.outbox.is_empty()
+    }
+
     /// Evicts a focal object and all its queries for migration to another
     /// partition, returning the `MigrateFocal` payload. Monitoring-region
     /// overlap with our own cells degrades to stubs — RQI rows and their
@@ -499,17 +506,31 @@ impl Server {
     }
 
     /// The other partitions owning a cell of `regions` — where a stub
-    /// message about them goes; none for a single server.
+    /// message about them goes; none for a single server. Partitions own
+    /// ascending runs of flat indices. A region whose first and last cells
+    /// are ours lies wholly in our run. Otherwise each of its rows is a run:
+    /// the row's owners are the partitions from its first cell's owner to
+    /// its last cell's that own any cell at all — two lookups per row,
+    /// whatever the region's width.
     fn peers(&self, regions: &[GridRect]) -> BTreeSet<u32> {
+        let mut owners = BTreeSet::new();
         let Some(scope) = &self.scope else {
-            return BTreeSet::new();
+            return owners;
         };
         let grid = &self.config.grid;
-        let mut owners: BTreeSet<u32> = regions
-            .iter()
-            .flat_map(GridRect::iter)
-            .map(|c| scope.owner_of(grid.flat_index(c)))
-            .collect();
+        let flat = |x, y| grid.flat_index(CellId::new(x, y));
+        let owner = |x, y| scope.owner_of(flat(x, y));
+        let ours = scope.owned_range();
+        for r in regions.iter().filter(|r| !r.is_empty()) {
+            if ours.contains(&flat(r.x0, r.y0)) && ours.contains(&flat(r.x1, r.y1)) {
+                continue;
+            }
+            for y in r.y0..=r.y1 {
+                let (first, last) = (owner(r.x0, y), owner(r.x1, y));
+                let owning = |&p: &u32| !scope.table.owned_range(p).is_empty();
+                owners.extend((first..=last).filter(owning));
+            }
+        }
         owners.remove(&scope.partition());
         owners
     }

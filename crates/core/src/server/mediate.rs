@@ -273,14 +273,18 @@ fn resync<M: Mediator>(
     // A home that lost the row or died since answering leaves no prior
     // state; the lease teardown reclaims the queries.
     let prior = home0.and_then(|home| Some((home, m.focal(home, oid, net)?)));
-    let target = home0.unwrap_or_else(|| m.cell_owner(m.config().grid.cell_of(motion.pos)));
-    let refresh = LogRecord::RefreshFocalMotion {
-        oid,
-        motion,
-        max_vel,
-        insert: has_pending,
-    };
-    m.call::<()>(target, &refresh, net);
+    // An object with no FOT row and no install waiting on it has nothing
+    // to refresh: the record would be a no-op wherever it ran.
+    if home0.is_some() || has_pending {
+        let target = home0.unwrap_or_else(|| m.cell_owner(m.config().grid.cell_of(motion.pos)));
+        let refresh = LogRecord::RefreshFocalMotion {
+            oid,
+            motion,
+            max_vel,
+            insert: has_pending,
+        };
+        m.call::<()>(target, &refresh, net);
+    }
     // Focal repair: a dropped CellChange or VelocityReport leaves the
     // focal stale, and the focal, believing it arrived, never re-sends it.
     // Push whichever piece of the authoritative (cell, motion) disagrees

@@ -866,27 +866,22 @@ impl Server {
             };
             self.fot_insert(oid, row);
         }
-        let mut refreshed: Option<(f64, Vec<QueryId>)> = None;
+        // Keep remote stubs' motion in step (seqs unchanged: a motion
+        // refresh is not a disseminated state change).
+        let mut stamped: Vec<(QueryId, u64)> = Vec::new();
         if let Some(f) = self.fot.get_mut(&oid) {
             if motion.tm >= f.motion.tm {
                 f.motion = motion;
                 f.max_vel = max_vel;
-                if !f.queries.is_empty() {
-                    refreshed = Some((f.max_vel, f.queries.clone()));
+                if self.scope.is_some() {
+                    let seq = |q: &QueryId| self.sqt.get(q).map(|e| (*q, e.seq));
+                    stamped.extend(f.queries.iter().filter_map(seq));
                 }
             }
             f.last_heard = now;
         }
-        // Keep remote stubs' motion in step (seqs unchanged: a motion
-        // refresh is not a disseminated state change).
-        if self.scope.is_some() {
-            if let Some((max_vel, queries)) = refreshed {
-                let stamped: Vec<(QueryId, u64)> = queries
-                    .iter()
-                    .filter_map(|q| self.sqt.get(q).map(|e| (*q, e.seq)))
-                    .collect();
-                self.emit_stub_motion(oid, motion, max_vel, &stamped);
-            }
+        if !stamped.is_empty() {
+            self.emit_stub_motion(oid, motion, max_vel, &stamped);
         }
     }
 

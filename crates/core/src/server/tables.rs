@@ -591,6 +591,11 @@ impl Server {
             .unwrap_or_default()
     }
 
+    /// Whether [`take_home_log`](Self::take_home_log) would drain a change.
+    pub fn has_home_changes(&self) -> bool {
+        self.home_log.as_ref().is_some_and(|log| !log.is_empty())
+    }
+
     #[inline]
     fn note_home(&mut self, change: HomeChange) {
         if let Some(log) = &mut self.home_log {

@@ -220,25 +220,27 @@ pub struct SimConfig {
     /// fault-tolerance layer (leases, heartbeats, soft-state refresh).
     /// Heartbeats fire every `max(1, lease_ticks / 2)` ticks.
     pub lease_ticks: usize,
-    /// Server partitions for the grid-sharded cluster tier (at least 1;
-    /// the default 1 runs the plain single-server path). Results are
+    /// Server partitions for the grid-sharded server tier (at least 1;
+    /// the default 1 is the paper's single server). Results are
     /// byte-identical at every partition count.
     pub partitions: usize,
-    /// Rebalance cadence for the cluster tier: recompute the partition
+    /// Rebalance cadence for the server tier: recompute the partition
     /// map from observed load every `n` ticks; `0` (the default) is off.
-    /// Ignored on the single-server path. Rebalancing never changes query
-    /// results — only the load split.
+    /// One partition has nothing to balance (each round is a counted
+    /// skip). Rebalancing never changes query results — only the load
+    /// split.
     pub rebalance_ticks: usize,
-    /// How the cluster tier reaches its partitions. `None` (the default)
+    /// How the server tier reaches its partitions. `None` (the default)
     /// means lock-step in-process partitions; `tcp` / `uds` host one
     /// partition service per partition on a thread and drive it over a
-    /// socket. Ignored on the single-server path; results are identical
-    /// either way (see [`resolved_transport`](Self::resolved_transport)).
+    /// socket. Results are identical either way (see
+    /// [`resolved_transport`](Self::resolved_transport)).
     pub transport: Option<TransportKind>,
-    /// Agent tick-engine variant. `None` (the default) means auto: the
-    /// `MOBIEYES_ENGINE` environment variable if set, otherwise the
-    /// struct-of-arrays fast path. Results are protocol-identical on
-    /// either engine (see [`resolved_engine`](Self::resolved_engine)).
+    /// Agent tick-engine variant. `None` (the default) means the
+    /// struct-of-arrays fast path; the seed engine is the reference it is
+    /// checked against, chosen by setting this field. Results are
+    /// protocol-identical on either engine (see
+    /// [`resolved_engine`](Self::resolved_engine)).
     pub engine: Option<EngineKind>,
     /// Measured tick at which the crash-injection plan kills partitions
     /// (once per run); `0` (the default) is off. Victims are drawn
@@ -528,13 +530,9 @@ impl SimConfig {
             0 => env_threads()?,
             n => Some(n),
         };
-        let engine = match self.engine {
-            None => env_engine()?,
-            engine => engine,
-        };
         // The seed engine is the one-shard oracle the struct-of-arrays
         // engine is checked against; it has no parallel path.
-        if let (Some(EngineKind::Seed), Some(n @ 2..)) = (engine, threads) {
+        if let (Some(EngineKind::Seed), Some(n @ 2..)) = (self.engine, threads) {
             return err(format!(
                 "the seed engine runs one worker thread (got {n}); drop --threads / \
                  MOBIEYES_THREADS or use the soa engine"
@@ -565,13 +563,10 @@ impl SimConfig {
         self.transport.unwrap_or_default()
     }
 
-    /// Resolves the effective agent tick engine: an explicit `engine`
-    /// wins; otherwise the `MOBIEYES_ENGINE` environment variable;
+    /// Resolves the effective agent tick engine: an explicit `engine`,
     /// otherwise the struct-of-arrays fast path.
     pub fn resolved_engine(&self) -> EngineKind {
-        self.engine
-            .or_else(|| env_engine().ok().flatten())
-            .unwrap_or_default()
+        self.engine.unwrap_or_default()
     }
 
     /// The durable-log root directory, or `None` when persistence is off:
@@ -622,13 +617,6 @@ fn env_threads() -> Result<Option<usize>, ConfigError> {
         v.parse::<usize>().ok()
     })?;
     Ok(count.filter(|&n| n > 0))
-}
-
-/// `MOBIEYES_ENGINE` as a tick engine; `Ok(None)` when unset.
-fn env_engine() -> Result<Option<EngineKind>, ConfigError> {
-    env_knob("MOBIEYES_ENGINE", "soa or seed", |v| {
-        EngineKind::parse(v).ok()
-    })
 }
 
 #[cfg(test)]

@@ -1,5 +1,9 @@
-//! The MobiEyes simulation driver: server + agents + network over a shared
-//! mobility trace, with all the measurements of §5.
+//! The MobiEyes simulation driver: server tier + agents + network over a
+//! shared mobility trace, with all the measurements of §5.
+//!
+//! The server tier is always a [`ClusterServer`]: the paper's single
+//! server is its one-partition deployment, the degenerate case of the
+//! grid-sharded tier, not a second implementation beside it.
 
 use crate::config::{EngineKind, RecoveryKind, SimConfig, TransportKind};
 use crate::metrics::{sim_keys, RunMetrics};
@@ -15,76 +19,16 @@ use mobieyes_cluster::ClusterServer;
 use mobieyes_core::server::Net;
 use mobieyes_core::{
     prefetch, AgentOutbox, Downlink, Filter, MovingObjectAgent, ObjectId, Propagation, Properties,
-    ProtocolConfig, QueryId, Server,
+    ProtocolConfig, QueryId,
 };
 use mobieyes_geo::{Grid, LinearMotion, QueryRegion, Vec2};
 use mobieyes_net::{
     BaseStationLayout, ChurnPlan, FaultPlan, FramedConn, NodeId, PartitionCrashPlan, StationId,
 };
-use mobieyes_store::{self as store, Store};
 use mobieyes_telemetry::{EventKind, Phase, Telemetry};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The server tier behind a deployment: the plain single server, or the
-/// grid-sharded cluster (`SimConfig::partitions` > 1). Both speak the same
-/// agent-facing protocol over the same network; a resolved partition count
-/// of 1 runs the single-server code path literally.
-enum ServerTier {
-    Single(Box<Server>),
-    Cluster(Box<ClusterServer>),
-}
-
-impl ServerTier {
-    fn install_query(
-        &mut self,
-        focal: ObjectId,
-        region: QueryRegion,
-        filter: Filter,
-        net: &mut Net,
-    ) -> QueryId {
-        match self {
-            ServerTier::Single(s) => s.install_query(focal, region, filter, net),
-            ServerTier::Cluster(c) => c.install_query(focal, region, filter, net),
-        }
-    }
-
-    fn heartbeat(&mut self, now: f64, net: &mut Net) {
-        match self {
-            ServerTier::Single(s) => s.heartbeat(now, net),
-            ServerTier::Cluster(c) => c.heartbeat(now, net),
-        }
-    }
-
-    fn tick(&mut self, net: &mut Net) {
-        match self {
-            ServerTier::Single(s) => s.tick(net),
-            ServerTier::Cluster(c) => c.tick(net),
-        }
-    }
-
-    fn query_result(&self, qid: QueryId) -> Option<&BTreeSet<ObjectId>> {
-        match self {
-            ServerTier::Single(s) => s.query_result(qid),
-            ServerTier::Cluster(c) => c.query_result(qid),
-        }
-    }
-
-    /// Owned result fetch: works on every tier, including remote
-    /// partitions that cannot hand out references into another process.
-    fn query_result_owned(&self, qid: QueryId) -> Option<BTreeSet<ObjectId>> {
-        match self {
-            ServerTier::Single(s) => s.query_result(qid).cloned(),
-            ServerTier::Cluster(c) => c.fetch_query_result(qid).map(|v| v.into_iter().collect()),
-        }
-    }
-
-    /// Whether any partition is hosted out-of-process.
-    fn is_remote(&self) -> bool {
-        matches!(self, ServerTier::Cluster(c) if c.has_remote())
-    }
-}
 
 /// A complete MobiEyes deployment under simulation.
 ///
@@ -102,7 +46,9 @@ pub struct MobiEyesSim {
     pub config: SimConfig,
     pub workload: Workload,
     mobility: Mobility,
-    tier: ServerTier,
+    /// The server tier: `SimConfig::partitions` partitions, in process or
+    /// behind sockets.
+    tier: ClusterServer,
     net: Net,
     agents: Vec<MovingObjectAgent>,
     truth: GroundTruth,
@@ -179,12 +125,6 @@ pub struct MobiEyesSim {
     /// and returns a fresh hello-completed connection, or `None` to
     /// retry at the next tick boundary.
     respawn_hook: Option<Box<dyn FnMut(u32) -> Option<FramedConn>>>,
-    /// Durable-log handle for the single-server tier; the cluster tier
-    /// holds its own per-partition handles.
-    store: Option<Store>,
-    /// Root directory of the durable logs (`<root>/p<N>` per partition),
-    /// kept for the single-tier crash-recovery drill.
-    store_root: Option<std::path::PathBuf>,
     /// Checkpoint cadence in ticks (0 = off); resolved once at build so
     /// the environment is read exactly once per run.
     store_checkpoint_ticks: usize,
@@ -204,9 +144,9 @@ impl MobiEyesSim {
     }
 
     /// Builds a deployment whose server, network and agents all record
-    /// into the injected telemetry sink. The server tier follows the
-    /// configuration: `partitions > 1` builds the cluster, and
-    /// [`SimConfig::resolved_transport`] says where its partitions run —
+    /// into the injected telemetry sink. The server tier has
+    /// `SimConfig::partitions` partitions (one is the paper's single
+    /// server), and [`SimConfig::resolved_transport`] says where they run —
     /// in process (lock-step), or as partition services on threads of
     /// this process, driven over loopback TCP or Unix-domain sockets
     /// exactly like `mobieyes-serve` processes.
@@ -254,11 +194,10 @@ impl MobiEyesSim {
         let mut net = Net::new(layout.clone()).with_telemetry(telemetry.clone());
         let partitions = config.partitions;
         let store_root = config.resolved_store_dir();
-        let mut single_store = None;
         let mut hosted = None;
         let transport = config.resolved_transport();
         let remote = match remote {
-            None if partitions > 1 && transport != TransportKind::Lockstep => {
+            None if transport != TransportKind::Lockstep => {
                 let uds = transport == TransportKind::Uds;
                 let services =
                     HostedPartitions::spawn(partitions, uds).expect("spawn partition services");
@@ -269,39 +208,24 @@ impl MobiEyesSim {
             }
             remote => remote,
         };
-        let partition_tier = |cluster: Result<ClusterServer, _>| {
-            let cluster = cluster.unwrap_or_else(|e| panic!("partition tier: {e}"));
-            ServerTier::Cluster(Box::new(cluster))
-        };
         // Every partition opens, replays and journals its own log under
         // `<root>/p<N>` (see mobieyes-cluster::serve), in process or not.
-        let mut tier = match remote {
-            Some(conns) => partition_tier(ClusterServer::new_remote_with_store(
+        let tier = match remote {
+            Some(conns) => ClusterServer::new_remote_with_store(
                 Arc::clone(&pconf),
                 telemetry.clone(),
                 conns,
                 config.alen,
-                store_root.clone(),
-            )),
-            None if partitions > 1 => partition_tier(ClusterServer::new(
+                store_root,
+            ),
+            None => ClusterServer::new(
                 Arc::clone(&pconf),
                 partitions,
                 telemetry.clone(),
-                store_root.clone(),
-            )),
-            None => {
-                let mut server = Server::new(Arc::clone(&pconf)).with_telemetry(telemetry.clone());
-                if let Some(root) = &store_root {
-                    // Attached before the query installs below, so they
-                    // are journaled.
-                    let st =
-                        store::attach(&root.join("p0"), 0, 1, &mut server, &mut net, &telemetry)
-                            .unwrap_or_else(|e| panic!("{e}"));
-                    single_store = Some(st);
-                }
-                ServerTier::Single(Box::new(server))
-            }
+                store_root,
+            ),
         };
+        let mut tier = tier.unwrap_or_else(|e| panic!("partition tier: {e}"));
         let mobility = Mobility::with_kind(
             &workload,
             config.objects_changing_velocity,
@@ -394,8 +318,6 @@ impl MobiEyesSim {
             audit: false,
             crash_hook: None,
             respawn_hook: None,
-            store: single_store,
-            store_root,
             hosted,
         };
         // Fault knobs from the configuration apply for the whole run; the
@@ -440,50 +362,25 @@ impl MobiEyesSim {
         self.tick_index as f64 * self.config.time_step
     }
 
-    /// The single server (panics on a cluster deployment — use
-    /// [`cluster`](Self::cluster) or the tier-agnostic
-    /// [`query_result`](Self::query_result) there).
-    pub fn server(&self) -> &Server {
-        match &self.tier {
-            ServerTier::Single(s) => s,
-            ServerTier::Cluster(_) => {
-                panic!("server(): this deployment is partitioned; use cluster()")
-            }
-        }
-    }
-
-    /// The partitioned server tier (panics on a single-server deployment).
+    /// The server tier.
     pub fn cluster(&self) -> &ClusterServer {
-        match &self.tier {
-            ServerTier::Cluster(c) => c,
-            ServerTier::Single(_) => {
-                panic!("cluster(): this deployment is single-server; use server()")
-            }
-        }
+        &self.tier
     }
 
     /// The coordinator's private bus-sink snapshot (recovery + rebalance
-    /// counters and events, kept out of the protocol snapshot), or `None`
-    /// on a single-server deployment.
+    /// counters and events, kept out of the protocol snapshot).
     pub fn bus_snapshot(&self) -> Option<mobieyes_telemetry::MetricsSnapshot> {
-        match &self.tier {
-            ServerTier::Cluster(c) => Some(c.bus_telemetry().snapshot()),
-            ServerTier::Single(_) => None,
-        }
+        Some(self.tier.bus_telemetry().snapshot())
     }
 
-    /// Mutable access to the partitioned tier (fault-injection tests).
+    /// Mutable access to the server tier (fault-injection tests and the
+    /// rebuild-from-log drill).
     pub fn cluster_mut(&mut self) -> &mut ClusterServer {
-        match &mut self.tier {
-            ServerTier::Cluster(c) => c,
-            ServerTier::Single(_) => {
-                panic!("cluster_mut(): this deployment is single-server")
-            }
-        }
+        &mut self.tier
     }
 
-    /// Current result set of a query, whatever the in-process server tier
-    /// (panics on a remote deployment — use
+    /// Current result set of a query, borrowed from its in-process
+    /// partition (`None` on a remote deployment — use
     /// [`query_result_owned`](Self::query_result_owned) there).
     pub fn query_result(&self, qid: QueryId) -> Option<&BTreeSet<ObjectId>> {
         self.tier.query_result(qid)
@@ -492,7 +389,7 @@ impl MobiEyesSim {
     /// Current result set of a query as an owned set; works on every
     /// deployment, including multi-process ones.
     pub fn query_result_owned(&self, qid: QueryId) -> Option<BTreeSet<ObjectId>> {
-        self.tier.query_result_owned(qid)
+        owned_result(&self.tier, qid)
     }
 
     /// FNV-1a digest over every query's current result set, folding query
@@ -510,7 +407,7 @@ impl MobiEyesSim {
         };
         for &qid in &self.qids {
             eat(&mut h, qid.0 as u64);
-            match self.tier.query_result_owned(qid) {
+            match self.query_result_owned(qid) {
                 Some(set) => {
                     eat(&mut h, set.len() as u64 + 1);
                     for oid in set {
@@ -527,10 +424,8 @@ impl MobiEyesSim {
     /// a final reply, and joins the thread-hosted ones. No-op for
     /// in-process deployments.
     pub fn shutdown(&mut self) {
-        if let ServerTier::Cluster(c) = &mut self.tier {
-            if c.has_remote() {
-                c.shutdown_remote();
-            }
+        if self.tier.has_remote() {
+            self.tier.shutdown_remote();
         }
         if let Some(hosted) = self.hosted.take() {
             hosted
@@ -546,70 +441,25 @@ impl MobiEyesSim {
     /// Whether this deployment journals to a durable store
     /// ([`SimConfig::store_dir`]).
     pub fn has_store(&self) -> bool {
-        match &self.tier {
-            ServerTier::Single(_) => self.store.is_some(),
-            ServerTier::Cluster(c) => c.has_store(),
-        }
+        self.tier.has_store()
     }
 
     /// Checkpoints every live partition's durable log now (snapshot +
     /// segment GC) and returns the per-partition next-sequence numbers.
     /// Empty when the deployment has no store.
     pub fn checkpoint_now(&mut self) -> Vec<u64> {
-        match &mut self.tier {
-            ServerTier::Single(s) => match &self.store {
-                Some(st) => {
-                    st.checkpoint(s.checkpoint_bytes());
-                    vec![st.next_seq()]
-                }
-                None => Vec::new(),
-            },
-            ServerTier::Cluster(c) if c.has_store() => c.checkpoint_all(),
-            ServerTier::Cluster(_) => Vec::new(),
+        if self.tier.has_store() {
+            self.tier.checkpoint_all()
+        } else {
+            Vec::new()
         }
     }
 
     /// Historical trajectory of `oid` over simulated seconds
-    /// `[t0, t1]`, read from the durable logs (merged across partitions
-    /// on a cluster). Empty when the deployment has no store.
+    /// `[t0, t1]`, read from the durable logs (merged across partitions).
+    /// Empty when the deployment has no store.
     pub fn trajectory(&self, oid: ObjectId, t0: f64, t1: f64) -> Vec<LinearMotion> {
-        match &self.tier {
-            ServerTier::Single(_) => match &self.store {
-                Some(st) => st.trajectory(oid, t0, t1).unwrap_or_default(),
-                None => Vec::new(),
-            },
-            ServerTier::Cluster(c) => c.trajectory(oid, t0, t1),
-        }
-    }
-
-    /// Crash-recovery drill for the single-server tier: discards the
-    /// in-memory server and rebuilds it purely from the durable log, as
-    /// a restarted process would (panics without a store; on a cluster
-    /// use [`ClusterServer::rebuild_partition_from_log`]). Replay runs
-    /// against scratch sinks so the drill doesn't perturb run metrics.
-    pub fn rebuild_server_from_log(&mut self) {
-        let (root, st) = match (&self.store_root, &self.store) {
-            (Some(root), Some(st)) => (root.clone(), st.clone()),
-            _ => panic!("rebuild_server_from_log(): this deployment has no durable store"),
-        };
-        let pconf = match &self.tier {
-            ServerTier::Single(s) => s.config_arc(),
-            ServerTier::Cluster(_) => panic!(
-                "rebuild_server_from_log(): partitioned deployment; use \
-                 cluster_mut().rebuild_partition_from_log()"
-            ),
-        };
-        st.flush();
-        let dir = root.join("p0");
-        let scratch_sink = Telemetry::new();
-        let mut twin = Server::new(pconf).with_telemetry(scratch_sink.clone());
-        let mut scratch_net = Net::new(self.layout.clone());
-        store::replay_into(&dir, 0, &mut twin, &mut scratch_net, &scratch_sink)
-            .unwrap_or_else(|e| panic!("replaying store {}: {e}", dir.display()));
-        twin.take_outbox();
-        twin.set_telemetry(self.telemetry.clone());
-        twin.set_journal(Some(Arc::new(st)));
-        self.tier = ServerTier::Single(Box::new(twin));
+        self.tier.trajectory(oid, t0, t1)
     }
 
     /// Installs a downlink fault plan (drops / duplicates) for
@@ -695,7 +545,7 @@ impl MobiEyesSim {
         }
         let victims: Vec<u32> = self.crash_plan.victims_at(self.tick_index as u64).to_vec();
         if !victims.is_empty() {
-            let remote = self.tier.is_remote();
+            let remote = self.tier.has_remote();
             for &p in &victims {
                 if remote {
                     let hook = self
@@ -703,8 +553,8 @@ impl MobiEyesSim {
                         .as_mut()
                         .expect("remote deployments need a crash hook to kill children");
                     hook(p);
-                } else if let ServerTier::Cluster(c) = &mut self.tier {
-                    c.kill_partition(p);
+                } else {
+                    self.tier.kill_partition(p);
                 }
                 if self.recovery == RecoveryKind::Respawn {
                     self.pending_respawn
@@ -715,9 +565,7 @@ impl MobiEyesSim {
         // Detection + failover fence. Runs every boundary while the plan
         // is armed: out-of-process deaths only become visible through the
         // probe/classified-error path, possibly ticks after the kill.
-        if let ServerTier::Cluster(c) = &mut self.tier {
-            c.recover_crashed(&mut self.net);
-        }
+        self.tier.recover_crashed(&mut self.net);
         if self.pending_respawn.is_empty() {
             return;
         }
@@ -729,7 +577,7 @@ impl MobiEyesSim {
             .map(|&(p, _)| p)
             .collect();
         for p in due {
-            let done = if self.tier.is_remote() {
+            let done = if self.tier.has_remote() {
                 let conn = self
                     .respawn_hook
                     .as_mut()
@@ -737,17 +585,12 @@ impl MobiEyesSim {
                     p
                 );
                 match conn {
-                    Some(conn) => match &mut self.tier {
-                        ServerTier::Cluster(c) => c.respawn_remote(p, conn).is_ok(),
-                        ServerTier::Single(_) => unreachable!("remote tier is a cluster"),
-                    },
+                    Some(conn) => self.tier.respawn_remote(p, conn).is_ok(),
                     // Child not back yet; retry at the next boundary.
                     None => false,
                 }
-            } else if let ServerTier::Cluster(c) = &mut self.tier {
-                c.respawn_partition(p).is_ok()
             } else {
-                true
+                self.tier.respawn_partition(p).is_ok()
             };
             if done {
                 self.pending_respawn.retain(|&(q, _)| q != p);
@@ -875,17 +718,15 @@ impl MobiEyesSim {
             self.tier.tick(&mut self.net);
         }
 
-        // Load-aware partition rebalancing (cluster tier only). Runs at
-        // the tick boundary, after ingest, so the observation window the
-        // planner cuts holds whole ticks — and never changes query
-        // results, only the load split (DESIGN.md §10).
+        // Load-aware partition rebalancing. Runs at the tick boundary,
+        // after ingest, so the observation window the planner cuts holds
+        // whole ticks — and never changes query results, only the load
+        // split (DESIGN.md §10).
         if self.rebalance_ticks > 0 && self.tick_index.is_multiple_of(self.rebalance_ticks) {
-            if let ServerTier::Cluster(c) = &mut self.tier {
-                c.rebalance();
-            }
+            self.tier.rebalance();
         }
 
-        // Partition crash injection + recovery (cluster tier only). Kills
+        // Partition crash injection + recovery. Kills
         // fire at the tick boundary so a victim never half-processes a
         // tick; detection, the failover fence and any due respawn run at
         // the same boundary (DESIGN.md §13).
@@ -899,30 +740,20 @@ impl MobiEyesSim {
         {
             self.checkpoint_now();
         }
-        // The single-server store counts its appends plainly: publish the
-        // step's, so the sink is whole between steps (the cluster tier
-        // publishes its stores whenever it folds its sinks).
-        if let Some(st) = &self.store {
-            st.publish();
-        }
 
         if self.audit {
-            match &self.tier {
-                ServerTier::Single(s) => s.check_invariants(),
-                ServerTier::Cluster(c) => c.check_invariants(),
-            }
+            self.tier.check_invariants();
         }
 
         if measured {
             // Result accuracy vs exact ground truth. Remote tiers cannot
             // lend references across the process boundary, so they take
             // the owned fetch; in-process tiers keep the zero-copy path.
-            let remote = self.tier.is_remote();
+            let remote = self.tier.has_remote();
             let truth = self.truth.evaluate(&self.mobility.positions);
             for (q, t_set) in truth.iter().enumerate() {
                 let err = if remote {
-                    self.tier
-                        .query_result_owned(self.qids[q])
+                    owned_result(&self.tier, self.qids[q])
                         .map(|reported| result_error(t_set, &reported))
                 } else {
                     self.tier
@@ -1149,6 +980,17 @@ impl MobiEyesSim {
     /// Exact ground-truth results for the current positions (tests).
     pub fn ground_truth(&mut self) -> Vec<std::collections::BTreeSet<ObjectId>> {
         self.truth.evaluate(&self.mobility.positions).to_vec()
+    }
+}
+
+/// A query's current result set as an owned set: borrowed and cloned from
+/// an in-process partition, fetched from a remote one.
+fn owned_result(tier: &ClusterServer, qid: QueryId) -> Option<BTreeSet<ObjectId>> {
+    if tier.has_remote() {
+        let members = tier.fetch_query_result(qid)?;
+        Some(members.into_iter().collect())
+    } else {
+        tier.query_result(qid).cloned()
     }
 }
 
@@ -1523,7 +1365,7 @@ mod tests {
         let total: usize = sim
             .query_ids()
             .iter()
-            .filter_map(|&q| sim.server().query_result(q))
+            .filter_map(|&q| sim.query_result(q))
             .map(|r| r.len())
             .sum();
         assert!(total > 0, "no query produced any result");

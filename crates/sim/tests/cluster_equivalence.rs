@@ -4,10 +4,15 @@
 //! single-server deployment — at any thread count of the tick engine,
 //! with or without periodic load-driven partition-map rebalancing.
 //!
-//! The reference run is `partitions = 1` (literally the existing
-//! single-server code path); each cluster run is stepped tick by tick
-//! against the reference's captured per-tick result sets, then the final
-//! protocol snapshots are compared with
+//! The reference run is `partitions = 1`, the paper's single server. It
+//! runs the same coordinator as every other row, so this file proves that
+//! the partition count does not matter; that the one-partition reference
+//! still computes what the separate single-server path it replaced
+//! computed is proved by `tests/monolith_pin.rs`, which pins its per-tick
+//! result digests and `srv.*` / `net.*` counters to captured numbers.
+//! Each cluster run is stepped tick by tick against the reference's
+//! captured per-tick result sets, then the final protocol snapshots are
+//! compared with
 //! [`MetricsSnapshot::protocol_eq`](mobieyes_telemetry::MetricsSnapshot::protocol_eq).
 
 use mobieyes_core::server::srv_keys;
@@ -43,13 +48,12 @@ struct Trace {
     /// `results[tick][query]` — every query's result set after each tick.
     results: Vec<Vec<BTreeSet<ObjectId>>>,
     snapshot: MetricsSnapshot,
-    /// Final partition-map generation (0 for single-server runs and for
-    /// cluster runs that never rebalanced).
+    /// Final partition-map generation (0 for runs that never
+    /// rebalanced, the one-partition reference among them).
     map_generation: u64,
 }
 
 fn run_traced(config: SimConfig) -> Trace {
-    let partitions = config.partitions;
     let mut sim = MobiEyesSim::new(config);
     let mut results = Vec::with_capacity(TICKS);
     for _ in 0..TICKS {
@@ -61,11 +65,7 @@ fn run_traced(config: SimConfig) -> Trace {
                 .collect(),
         );
     }
-    let map_generation = if partitions > 1 {
-        sim.cluster().map_generation()
-    } else {
-        0
-    };
+    let map_generation = sim.cluster().map_generation();
     Trace {
         results,
         snapshot: sim.telemetry().snapshot(),

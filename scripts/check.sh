@@ -50,10 +50,13 @@ echo "==> cost model and counter pins (exact)"
 # a store-backed run writes segment files whose sorted concatenation has
 # one checksum, and its `store.appends` counts the measured ticks only
 # (the warm-up's records are published before the warm-up reset clears
-# them). The 4-partition run writes 20 files. The single server's run
-# writes 5: its `Uplink` and `Heartbeat` records, and nothing for the 36
-# lease teardowns nested in those heartbeats — `Server::apply` journals
-# the record it is given and its handlers journal nothing.
+# them). The 4-partition run writes 20 files. The one-partition run (the
+# paper's single server) writes 5: like every partition's log, the
+# primitive records its coordinator sent it (cell changes, result
+# changes, focal lease renewals, the heartbeat's time pushes, epoch bumps
+# and the floors before them), nested lease teardowns included —
+# `Server::apply` journals the record it is given and its handlers
+# journal nothing.
 pin_out=$(mktemp) && pin_store=$(mktemp -d)
 pin() { # <label> <"keys"> <"values">: the keys' values in $pin_out, exactly
   local got="" key
@@ -100,7 +103,7 @@ journal_pin "journal pin (crash drill)" "19 944333207 4489904"
 pin_run --mode lqp --objects 4000 --ticks 40 --seed 7 --uplink-drop 0.1 --downlink-drop 0.1 \
   --dup-rate 0.05 --churn-rate 0.05 --lease-ticks 6 --store-dir "$pin_store" --checkpoint-ticks 10
 pin "counter pin (store, single server)" "store.appends store.bytes srv.leases_expired" \
-  "83812 5127425 36"
+  "108310 4564750 36"
 # The only pinned run with leases is also the beacon path's pin: what the
 # agents ask for on hearing a heartbeat and what the server answers. A
 # digest looked up wrong shows as resyncs; a reconcile walked wrong as
@@ -109,22 +112,23 @@ pin "beacon path pin (single server)" "agent.resync_requests agent.lqt_syncs \
 agent.stale_discarded srv.lqt_syncs srv.resync_replies srv.stale_results_purged srv.heartbeats" \
   "19638 48655 26734 46027 18498 69 13"
 pin "cost model pin (single server chaos)" "$net_bytes" "2662982 7532976 9280532"
-journal_pin "journal pin (single server)" "5 1086384886 3299208"
+journal_pin "journal pin (single server)" "5 1413112932 2972686"
 rm -rf "$pin_out" "$pin_store"
 unset -f pin_run journal_pin
 
-echo "==> configuration (environment holds no knob but threads and engine; misuse is classified)"
+echo "==> configuration (environment holds no knob but threads; misuse is classified)"
 # A run is configured by its flags (SimConfig's fields) alone: the only
-# variables the program reads are MOBIEYES_THREADS, MOBIEYES_ENGINE and
-# the figure harness's MOBIEYES_QUICK. Seven more used to fill knobs left
-# at 0; each is set here to a value that would have reshaped the run (4
-# rebalancing partitions, a crash drill, a durable store), and the run
-# must read exactly like a clean one and create no store. The names are
-# spelled as prefix + suffix so no source line carries them.
+# variables the program reads are MOBIEYES_THREADS and the figure
+# harness's MOBIEYES_QUICK. Eight more used to fill knobs left unset;
+# each is set here to a value that would have reshaped the run (4
+# rebalancing partitions, a crash drill, a durable store) or, for the
+# tick engine, been refused, and the run must read exactly like a clean
+# one and create no store. The names are spelled as prefix + suffix so
+# no source line carries them.
 inert_dir=$(mktemp -d)
 inert_env=()
 for knob in PARTITIONS=4 REBALANCE_TICKS=2 PARTITION_CRASH_TICKS=2 PARTITION_CRASH_KILLS=3 \
-  RECOVERY=respawn STORE_CHECKPOINT_TICKS=1 "STORE_DIR=$inert_dir/store"; do
+  RECOVERY=respawn STORE_CHECKPOINT_TICKS=1 "STORE_DIR=$inert_dir/store" ENGINE=sead; do
   inert_env+=("MOBIEYES_$knob")
 done
 inert_args=(--objects 400 --queries 40 --nmo 40 --ticks 8 --warmup 2 --area 10000 --seed 7)
@@ -150,33 +154,34 @@ refused() { # <label> <command...>: exits non-zero naming the invalid configurat
 }
 refused "--partitions 0" cargo run -q --release --bin mobieyes -- "${inert_args[@]}" --partitions 0
 refused "--alpha 0" cargo run -q --release --bin mobieyes -- "${inert_args[@]}" --alpha 0
-refused "MOBIEYES_ENGINE=sead" env MOBIEYES_ENGINE=sead \
-  cargo run -q --release --bin mobieyes -- "${inert_args[@]}"
 refused "drive --partitions 0" cargo run -q --release --bin mobieyes-serve -- drive --partitions 0
 unset -f refused
 
-echo "==> chaos smoke (seq/parallel + engine equivalence, convergence)"
-# The chaos-recovery bench is fully deterministic; the same scenario must
-# produce byte-identical results and telemetry at 1 and 4 worker threads
-# and under both tick engines (the default SoA engine takes the churned,
-# faulted steps itself; the seed phases are its oracle), and every seed
-# must converge back to exact ground truth (the bench caps recovery at
-# the documented contract bound, so a non-converging seed shows up as
-# recovery_ticks == contract_bound_ticks).
-chaos_out_1=$(mktemp) && chaos_out_4=$(mktemp) && chaos_out_seed=$(mktemp)
+# The bench smokes below write their BENCH_*.json into the working tree,
+# where the committed ones live: those are kept aside here and put back
+# when the script exits, whether it passes or fails.
+bench_kept=$(mktemp -d)
+committed_benches=(BENCH_chaos.json BENCH_cluster.json BENCH_scale.json BENCH_recovery.json
+  BENCH_persist.json)
+cp "${committed_benches[@]}" "$bench_kept"/
+chaos_out_1=$(mktemp) && chaos_out_4=$(mktemp)
 cluster_out_1=$(mktemp) && cluster_out_4=$(mktemp)
-trap 'rm -f "$chaos_out_1" "$chaos_out_4" "$chaos_out_seed" "$cluster_out_1" "$cluster_out_4"' EXIT
+trap 'cp "$bench_kept"/BENCH_*.json . && rm -rf "$bench_kept"
+  rm -f "$chaos_out_1" "$chaos_out_4" "$cluster_out_1" "$cluster_out_4"' EXIT
+
+echo "==> chaos smoke (seq/parallel equivalence, convergence)"
+# The chaos-recovery bench is fully deterministic; the same scenario must
+# produce byte-identical results and telemetry at 1 and 4 worker threads,
+# and every seed must converge back to exact ground truth (the bench caps
+# recovery at the documented contract bound, so a non-converging seed
+# shows up as recovery_ticks == contract_bound_ticks). The seed engine's
+# agreement on churned, faulted steps is tests/engine_equivalence.rs's.
 MOBIEYES_QUICK=1 MOBIEYES_THREADS=1 cargo run -q --release -p mobieyes-bench --bin chaos
 mv BENCH_chaos.json "$chaos_out_1"
 MOBIEYES_QUICK=1 MOBIEYES_THREADS=4 cargo run -q --release -p mobieyes-bench --bin chaos
 mv BENCH_chaos.json "$chaos_out_4"
 diff_benches "$chaos_out_1" "$chaos_out_4" \
   || { echo "chaos smoke: thread counts disagree"; exit 1; }
-MOBIEYES_QUICK=1 MOBIEYES_THREADS=1 MOBIEYES_ENGINE=seed \
-  cargo run -q --release -p mobieyes-bench --bin chaos
-mv BENCH_chaos.json "$chaos_out_seed"
-diff_benches "$chaos_out_1" "$chaos_out_seed" \
-  || { echo "chaos smoke: tick engines disagree"; exit 1; }
 bound=$(assert_json "$chaos_out_1" get contract_bound_ticks)
 assert_json "$chaos_out_1" forbid recovery_ticks "$bound" \
   || { echo "chaos smoke: a seed failed to converge within $bound ticks"; exit 1; }

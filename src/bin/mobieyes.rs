@@ -46,19 +46,14 @@ OPTIONS:
     --safe-period      enable safe-period optimization
     --threads <N>      tick-engine worker threads; 0 = auto from
                        MOBIEYES_THREADS or the host CPU count [default: 0]
-    --partitions <N>   grid-sharded server partitions (at least 1; 1 runs
-                       the single server); results are byte-identical at
-                       every count                       [default: 1]
-    --transport <T>    where partitions run: lockstep | tcp | uds. With
-                       --partitions > 1, tcp / uds host one partition
-                       service per partition on a thread and drive it over
-                       a socket, like mobieyes-serve; results are the same
+    --partitions <N>   grid-sharded server partitions (at least 1; 1 is
+                       the paper's single server); results are
+                       byte-identical at every count     [default: 1]
+    --transport <T>    where partitions run: lockstep | tcp | uds. tcp /
+                       uds host one partition service per partition on a
+                       thread and drive it over a socket, like
+                       mobieyes-serve; results are the same
                        (crash drills: mobieyes-serve drive) [default: lockstep]
-    --engine <E>       tick engine: soa | seed; unset = auto from
-                       MOBIEYES_ENGINE, else soa. The struct-of-arrays
-                       engine skips provably-inert agents; results are
-                       byte-identical either way. The seed engine runs
-                       one worker thread                 [default: soa]
     --rebalance-ticks <N> rebalance the partition map from observed load
                        every N ticks; 0 = off. Never changes results, only
                        the load split                    [default: 0]
@@ -138,10 +133,6 @@ fn parse_args() -> Result<Cli, String> {
             "--transport" => {
                 let t = TransportKind::parse(&value("--transport")?).map_err(|e| e.to_string())?;
                 c.transport = Some(t);
-            }
-            "--engine" => {
-                let e = EngineKind::parse(&value("--engine")?).map_err(|e| e.to_string())?;
-                c.engine = Some(e);
             }
             "--rebalance-ticks" => c.rebalance_ticks = parse(&value("--rebalance-ticks")?)?,
             "--partition-crash-ticks" => {

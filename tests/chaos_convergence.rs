@@ -41,11 +41,9 @@ struct ChaosRun {
 fn converged(sim: &mut MobiEyesSim) -> bool {
     let truth = sim.ground_truth();
     let qids: Vec<QueryId> = sim.query_ids().to_vec();
-    qids.iter().zip(&truth).all(|(&q, t)| {
-        sim.server()
-            .query_result(q)
-            .map_or(t.is_empty(), |r| r == t)
-    })
+    qids.iter()
+        .zip(&truth)
+        .all(|(&q, t)| sim.query_result(q).map_or(t.is_empty(), |r| r == t))
 }
 
 fn run_chaos(seed: u64, propagation: Propagation, threads: usize) -> ChaosRun {
@@ -82,7 +80,7 @@ fn run_chaos(seed: u64, propagation: Propagation, threads: usize) -> ChaosRun {
     let results = sim
         .query_ids()
         .iter()
-        .map(|&q| sim.server().query_result(q).cloned().unwrap_or_default())
+        .map(|&q| sim.query_result(q).cloned().unwrap_or_default())
         .collect();
     ChaosRun {
         converged_at,

@@ -26,7 +26,7 @@ fn run_with_threads(seed: u64, propagation: Propagation, threads: usize) -> Run 
     let results = sim
         .query_ids()
         .iter()
-        .map(|&q| sim.server().query_result(q).cloned().unwrap_or_default())
+        .map(|&q| sim.query_result(q).cloned().unwrap_or_default())
         .collect();
     Run {
         metrics,

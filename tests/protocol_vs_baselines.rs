@@ -76,7 +76,7 @@ fn mobieyes_results_overlap_with_central_results() {
             .result(QueryId(q as u32))
             .cloned()
             .unwrap_or_default();
-        let distributed = sim.server().query_result(qid).cloned().unwrap_or_default();
+        let distributed = sim.query_result(qid).cloned().unwrap_or_default();
         central_total += central.len();
         common += central.intersection(&distributed).count();
     }

@@ -65,7 +65,7 @@ fn results_are_live_and_change_over_time() {
     let snapshot: Vec<_> = sim
         .query_ids()
         .iter()
-        .map(|&q| sim.server().query_result(q).cloned().unwrap_or_default())
+        .map(|&q| sim.query_result(q).cloned().unwrap_or_default())
         .collect();
     for _ in 0..10 {
         sim.step(false);
@@ -73,7 +73,7 @@ fn results_are_live_and_change_over_time() {
     let later: Vec<_> = sim
         .query_ids()
         .iter()
-        .map(|&q| sim.server().query_result(q).cloned().unwrap_or_default())
+        .map(|&q| sim.query_result(q).cloned().unwrap_or_default())
         .collect();
     assert_ne!(
         snapshot, later,

@@ -58,12 +58,8 @@ fn check_combo(seed: u64, mode: Propagation, partitions: usize, checkpoint_ticks
         if tick == SWAP_TICK {
             // Crash drill: throw the in-memory server tier away and
             // rebuild it from nothing but the on-disk journal.
-            if partitions > 1 {
-                for p in 0..partitions as u32 {
-                    interrupted.cluster_mut().rebuild_partition_from_log(p);
-                }
-            } else {
-                interrupted.rebuild_server_from_log();
+            for p in 0..partitions as u32 {
+                interrupted.cluster_mut().rebuild_partition_from_log(p);
             }
             assert_eq!(
                 results(&interrupted),
@@ -84,13 +80,15 @@ fn check_combo(seed: u64, mode: Propagation, partitions: usize, checkpoint_ticks
         twin.result_digest(),
         "[{tag}] final result digest diverged"
     );
-    if partitions == 1 {
-        assert_eq!(
-            interrupted.server().state_digest(),
-            twin.server().state_digest(),
-            "[{tag}] final state digest diverged"
-        );
-    }
+    let digests = |sim: &MobiEyesSim| {
+        let state = |p| sim.cluster().local_server(p).map(|s| s.state_digest());
+        (0..partitions).map(state).collect::<Vec<_>>()
+    };
+    assert_eq!(
+        digests(&interrupted),
+        digests(&twin),
+        "[{tag}] final state digests diverged"
+    );
     let _ = std::fs::remove_dir_all(&root_a);
     let _ = std::fs::remove_dir_all(&root_b);
 }
