@@ -90,7 +90,9 @@ fn run_one(seed: u64, mode: Propagation, root: &Path) -> Sample {
     let digest = |sim: &MobiEyesSim| sim.cluster().local_server(0).map(|s| s.state_digest());
     let digest_before = digest(&sim);
     let t = Instant::now();
-    sim.cluster_mut().rebuild_partition_from_log(0);
+    sim.cluster_mut()
+        .rebuild_partition_from_log(0)
+        .expect("the log replays");
     let recovery_s = t.elapsed().as_secs_f64();
     let digest_match = digest_before.is_some() && digest(&sim) == digest_before;
 

@@ -25,10 +25,8 @@
 //! heartbeat beacon — runs with the lane empty.
 
 use crate::handle::{Lane, PartitionHandle, Probe};
-use crate::partition::{
-    failover_bounds, moved_cells, plan_bounds, readopt_bounds, PartitionMap, Router,
-};
-use crate::serve::ServiceState;
+use crate::partition::{failover_bounds, moved_cells, plan_bounds, readopt_bounds, Router};
+use crate::serve::{self, ServiceState};
 use crate::wire::{InitConfig, PartitionOp};
 use mobieyes_core::server::lqt_sync::LqtSyncScratch;
 use mobieyes_core::server::mediate::{self, Focal, Reinstall};
@@ -36,7 +34,8 @@ use mobieyes_core::server::{
     srv_keys, srv_slots, FromPayload, Mediator, Net, PendingInstall, ServerTally,
 };
 use mobieyes_core::{
-    ClusterMsg, Downlink, Filter, LogRecord, ObjectId, ProtocolConfig, QueryId, Server, Uplink,
+    ClusterMsg, Downlink, Filter, LogRecord, ObjectId, PartitionTable, ProtocolConfig, QueryId,
+    Server, Uplink,
 };
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
 use mobieyes_net::TransportError;
@@ -124,7 +123,9 @@ impl Fence {
 /// a `--partitions N` knob.
 pub struct ClusterServer {
     config: Arc<ProtocolConfig>,
-    map: PartitionMap,
+    /// The authoritative cell-ownership table; every partition holds a
+    /// copy that the fences keep in step with `Bounds` records.
+    map: PartitionTable,
     partitions: Vec<PartitionHandle>,
     /// Per-partition telemetry sinks, drained into the shared protocol
     /// sink in partition order after every coordinator entry point.
@@ -260,7 +261,7 @@ impl ClusterServer {
         ))
         .with_telemetry(bus_sink.clone());
         let mut this = ClusterServer {
-            map: PartitionMap::contiguous(&config.grid, n),
+            map: PartitionTable::contiguous(cells, n),
             config,
             partitions: Vec::with_capacity(n),
             sinks: (0..n).map(|_| Telemetry::new()).collect(),
@@ -378,28 +379,25 @@ impl ClusterServer {
     /// its request before the first reply is awaited, and an in-process
     /// one answers when its turn comes; results in partition order.
     fn fan_out<T: FromPayload + Default>(&self, op: &PartitionOp) -> Vec<T> {
-        let mut answers = Vec::with_capacity(self.partitions.len());
-        self.fan_out_each(op, |_, answer| answers.push(answer));
-        answers
+        let mut started = self.start_remote(op);
+        let answer = |h: &PartitionHandle| {
+            if h.is_remote() {
+                h.finish(started.next().expect("every remote probe was started"))
+            } else {
+                h.ask(op)
+            }
+        };
+        self.partitions.iter().map(answer).collect()
     }
 
-    /// [`Self::fan_out`], each answer handed to `each` with its partition
-    /// as it arrives. Only remote probes are held between the halves.
-    fn fan_out_each<T: FromPayload + Default>(
+    /// The request half of a probe round: `op` started at every remote
+    /// partition, in partition order.
+    fn start_remote<T: FromPayload + Default>(
         &self,
         op: &PartitionOp,
-        mut each: impl FnMut(usize, T),
-    ) {
+    ) -> std::vec::IntoIter<Probe<T>> {
         let remote = self.partitions.iter().filter(|h| h.is_remote());
-        let mut started = remote.map(|h| h.start(op)).collect::<Vec<_>>().into_iter();
-        for (p, h) in self.partitions.iter().enumerate() {
-            let probe = if h.is_remote() {
-                started.next().expect("every remote probe was started")
-            } else {
-                h.start(op)
-            };
-            each(p, h.finish(probe));
-        }
+        remote.map(|h| h.start(op)).collect::<Vec<_>>().into_iter()
     }
 
     /// [`Self::fan_out`] of a mutation.
@@ -470,18 +468,19 @@ impl ClusterServer {
     /// restarted partition service runs (`store_fresh = false`). State
     /// must be byte-identical afterwards (the replay-equivalence tests
     /// assert it); the rebuilt partition resumes journaling into a new
-    /// segment of the same log. Panics without a store, or when the log
-    /// cannot be replayed.
-    pub fn rebuild_partition_from_log(&mut self, p: u32) {
+    /// segment of the same log. Panics without a store. A log that cannot
+    /// be replayed is the error, naming the path: the killed slot stays
+    /// dead, and the next [`Self::recover_crashed`] pass fences it like any
+    /// crash.
+    pub fn rebuild_partition_from_log(&mut self, p: u32) -> Result<(), TransportError> {
         let in_process = !self.partitions[p as usize].is_remote();
         assert!(
             self.has_store() && in_process,
             "rebuild needs a store, in process"
         );
         self.partitions[p as usize].kill();
-        self.partitions[p as usize] = self
-            .build(p, None, false)
-            .unwrap_or_else(|e| panic!("rebuilding partition {p} from its log: {e}"));
+        self.partitions[p as usize] = self.build(p, None, false)?;
+        Ok(())
     }
 
     /// A scratch server rebuilt purely from partition `p`'s durable log,
@@ -494,9 +493,7 @@ impl ClusterServer {
             .as_ref()
             .expect("replay requires a store root")
             .join(format!("p{p}"));
-        let scratch_map = PartitionMap::contiguous(&self.config.grid, self.partitions.len());
-        let epoch = Arc::new(AtomicU64::new(0));
-        let mut scratch = scratch_map.server(&self.config, p, &epoch, Telemetry::new());
+        let mut scratch = serve::partition_server(&self.config, p, self.partitions.len());
         let mut scratch_net =
             Net::new(BaseStationLayout::new(self.config.grid.universe, self.alen));
         store::replay_into(&dir, p, &mut scratch, &mut scratch_net, &Telemetry::new())?;
@@ -729,7 +726,7 @@ impl ClusterServer {
         let primary_flat =
             Router::primary_cell(&self.config.grid, msg).map(|c| self.config.grid.flat_index(c));
         let primary = primary_flat
-            .map(|f| self.map.owner_of_flat(f) as usize)
+            .map(|f| self.map.owner_of(f) as usize)
             .or_else(|| match msg {
                 Uplink::ResultUpdate { changes, .. } => {
                     changes.first().and_then(|(q, _)| self.query_home(*q))
@@ -890,7 +887,7 @@ impl ClusterServer {
             let Some(cell) = self.partitions[p].finish::<Option<CellId>>(pr) else {
                 continue;
             };
-            let to = self.map.owner_of_cell(&self.config.grid, cell);
+            let to = self.map.owner_of(self.config.grid.flat_index(cell));
             if to != p as u32 {
                 rehome.push((p as u32, to, oid));
             }
@@ -1099,7 +1096,7 @@ impl ClusterServer {
                         .first()
                         .map(|q| q.curr_cell)
                         .unwrap_or_else(|| self.config.grid.cell_of(motion.pos));
-                    let to = self.map.owner_of_cell(&self.config.grid, anchor) as usize;
+                    let to = self.cell_owner(anchor);
                     live.iter().copied().filter(|&p| p == to).collect()
                 }
                 ClusterMsg::StubUpdate { .. }
@@ -1367,7 +1364,7 @@ impl Mediator for ClusterServer {
     }
 
     fn cell_owner(&self, cell: CellId) -> usize {
-        self.map.owner_of_cell(&self.config.grid, cell) as usize
+        self.map.owner_of(self.config.grid.flat_index(cell)) as usize
     }
 
     fn homes(&self) -> std::ops::Range<usize> {
@@ -1401,11 +1398,20 @@ impl Mediator for ClusterServer {
         self.lane.ask(&self.partitions, home, &op, net)
     }
 
+    /// A probe round in which a live in-process partition extends `into`
+    /// straight from its server, building no answer; a dead one answers
+    /// nothing.
     fn load_memberships(&mut self, oid: ObjectId, into: &mut Vec<(QueryId, usize)>, net: &mut Net) {
         let op = PartitionOp::ObjectMemberships(oid);
-        self.fan_out_each(&op, |p, qids: Vec<QueryId>| {
-            into.extend(qids.into_iter().map(|qid| (qid, p)));
-        });
+        let mut started = self.start_remote::<Vec<QueryId>>(&op);
+        for (p, h) in self.partitions.iter().enumerate() {
+            if let Some(server) = h.local_server() {
+                into.extend(server.memberships(oid).map(|qid| (qid, p)));
+            } else if h.is_remote() {
+                let qids = h.finish(started.next().expect("every remote probe was started"));
+                into.extend(qids.into_iter().map(|qid| (qid, p)));
+            }
+        }
         self.lane.replay(&self.partitions, net);
     }
 
@@ -1816,7 +1822,9 @@ mod tests {
 
     /// Disk state must not abort the coordinator: a respawn whose store
     /// directory cannot be reopened is a classified error that leaves the
-    /// slot dead with its span kept, and a later respawn succeeds.
+    /// slot dead with its span kept, and a later respawn succeeds. So is a
+    /// rebuild from a log that cannot be replayed: the killed slot stays
+    /// dead until the next recovery pass fences it.
     #[test]
     fn respawn_over_an_unusable_store_dir_leaves_the_slot_dead() {
         let root = std::env::temp_dir().join(format!(
@@ -1842,6 +1850,25 @@ mod tests {
         assert!(cluster.dead_partitions().is_empty());
         assert_eq!(cluster.map.bounds_snapshot(), vec![0, 100, 200, 300, 400]);
         cluster.check_invariants();
+
+        std::fs::remove_dir_all(&dir).expect("drop the live log");
+        std::fs::write(&dir, b"in the way").expect("block the directory");
+        let err = cluster
+            .rebuild_partition_from_log(2)
+            .expect_err("log is unusable");
+        assert!(
+            matches!(&err, TransportError::Io(text) if text.contains(&*dir.to_string_lossy())),
+            "unclassified replay failure: {err}"
+        );
+        assert!(
+            cluster.partitions[2].crashed().is_some(),
+            "the slot is dead"
+        );
+        let report = cluster.recover_crashed(&mut net).expect("fence");
+        assert_eq!(report.partitions, vec![2]);
+        assert_eq!(cluster.dead_partitions(), vec![2]);
+        cluster.check_invariants();
+        std::fs::remove_file(&dir).expect("unblock");
         drop(cluster);
         std::fs::remove_dir_all(&root).expect("clean up");
     }

@@ -197,7 +197,7 @@ impl View {
     /// `homes` into the mirror.
     #[inline(always)]
     fn fold_effects(&self, (epoch, outbox, homes): serve::Effects) {
-        serve::raise(&self.epoch, epoch);
+        mobieyes_core::server::raise(&self.epoch, epoch);
         if !outbox.is_empty() {
             self.outbox.borrow_mut().extend(outbox);
         }

@@ -15,6 +15,6 @@ pub mod wire;
 
 pub use cluster_server::{skip_reason, ClusterServer, Envelope};
 pub use handle::PartitionHandle;
-pub use partition::{plan_bounds, PartitionMap, Router};
+pub use partition::{plan_bounds, Router};
 pub use serve::{dial_partition, serve_connection, serve_partition};
 pub use wire::{InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload};

@@ -1,104 +1,9 @@
-//! Partition map and stateless uplink router for the sharded server tier.
+//! Bounds planners over the partition table and the stateless uplink
+//! router of the sharded server tier.
 
-use mobieyes_core::{PartitionScope, PartitionTable, ProtocolConfig, Server, Uplink};
+use mobieyes_core::{PartitionTable, Uplink};
 use mobieyes_geo::{CellId, Grid};
-use mobieyes_telemetry::Telemetry;
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
-
-/// Assignment of contiguous grid-cell blocks (flat row-major indices) to
-/// partition ids, backed by a shared, versioned [`PartitionTable`].
-///
-/// The table has `N + 1` bounds entries; partition `p` owns flat indices
-/// `[bounds[p], bounds[p+1])`. Contiguity keeps ownership tests a single
-/// comparison and makes the concatenation of per-partition digests (in
-/// partition order) equal the single server's ascending-index scan — for
-/// *any* bounds vector, which is what lets a coordinator re-split the
-/// blocks by observed load without perturbing the protocol (see
-/// DESIGN.md §10).
-#[derive(Debug, Clone)]
-pub struct PartitionMap {
-    table: Arc<PartitionTable>,
-}
-
-impl PartitionMap {
-    /// Splits the grid's cells into `n` near-equal contiguous blocks (the
-    /// first `num_cells % n` partitions get one extra cell). This is
-    /// generation 0; rebalance installs produce later generations.
-    pub fn contiguous(grid: &Grid, n: usize) -> Self {
-        assert!(n >= 1, "at least one partition");
-        let cells = grid.num_cells();
-        assert!(cells >= n, "more partitions than grid cells");
-        let base = cells / n;
-        let rem = cells % n;
-        let mut bounds = Vec::with_capacity(n + 1);
-        let mut at = 0usize;
-        bounds.push(at);
-        for p in 0..n {
-            at += base + usize::from(p < rem);
-            bounds.push(at);
-        }
-        debug_assert_eq!(*bounds.last().unwrap(), cells);
-        PartitionMap {
-            table: Arc::new(PartitionTable::new(bounds)),
-        }
-    }
-
-    pub fn num_partitions(&self) -> usize {
-        self.table.num_partitions()
-    }
-
-    /// The shared partition table (for [`mobieyes_core::PartitionScope`]).
-    pub fn table(&self) -> &Arc<PartitionTable> {
-        &self.table
-    }
-
-    /// An empty server for partition slot `p` of this map, on the shared
-    /// `epoch`, counting into `sink`.
-    pub fn server(
-        &self,
-        config: &Arc<ProtocolConfig>,
-        p: u32,
-        epoch: &Arc<AtomicU64>,
-        sink: Telemetry,
-    ) -> Server {
-        let scope = PartitionScope::new(p, Arc::clone(&self.table), Arc::clone(epoch));
-        Server::new(Arc::clone(config))
-            .with_telemetry(sink)
-            .with_scope(scope)
-    }
-
-    /// The current map generation (0 until the first rebalance install).
-    pub fn generation(&self) -> u64 {
-        self.table.generation()
-    }
-
-    /// A plain copy of the current bounds vector (`N + 1` entries).
-    pub fn bounds_snapshot(&self) -> Vec<usize> {
-        self.table.bounds_snapshot()
-    }
-
-    /// Installs a new bounds vector, bumping the map generation; every
-    /// [`mobieyes_core::PartitionScope`] sharing the table sees the new
-    /// ownership immediately. Returns the new generation.
-    pub fn install(&self, bounds: &[usize]) -> u64 {
-        self.table.install(bounds)
-    }
-
-    pub fn owner_of_flat(&self, flat: usize) -> u32 {
-        self.table.owner_of(flat)
-    }
-
-    pub fn owner_of_cell(&self, grid: &Grid, cell: CellId) -> u32 {
-        self.owner_of_flat(grid.flat_index(cell))
-    }
-
-    /// Number of cells a partition owns.
-    pub fn partition_cells(&self, p: u32) -> usize {
-        self.table.owned_range(p).len()
-    }
-}
 
 /// Computes load-balanced contiguous bounds from per-cell load counts:
 /// cut the prefix-sum of `cell_loads` at the `p/n` quantiles, so each
@@ -223,8 +128,8 @@ impl Router {
     }
 
     /// The partition owning the sender's cell, when the message names one.
-    pub fn primary(map: &PartitionMap, grid: &Grid, msg: &Uplink) -> Option<u32> {
-        Self::primary_cell(grid, msg).map(|cell| map.owner_of_cell(grid, cell))
+    pub fn primary(table: &PartitionTable, grid: &Grid, msg: &Uplink) -> Option<u32> {
+        Self::primary_cell(grid, msg).map(|cell| table.owner_of(grid.flat_index(cell)))
     }
 }
 
@@ -233,50 +138,6 @@ mod tests {
     use super::*;
     use mobieyes_core::ObjectId;
     use mobieyes_geo::{LinearMotion, Point, Rect, Vec2};
-
-    #[test]
-    fn contiguous_blocks_tile_the_grid() {
-        let grid = Grid::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0);
-        for n in [1usize, 2, 3, 4, 7] {
-            let map = PartitionMap::contiguous(&grid, n);
-            assert_eq!(map.num_partitions(), n);
-            let mut total = 0usize;
-            for p in 0..n {
-                total += map.partition_cells(p as u32);
-            }
-            assert_eq!(total, grid.num_cells());
-            for flat in 0..grid.num_cells() {
-                let p = map.owner_of_flat(flat);
-                assert!((p as usize) < n);
-                let lo = map.bounds_snapshot()[p as usize];
-                let hi = map.bounds_snapshot()[p as usize + 1];
-                assert!((lo..hi).contains(&flat));
-            }
-        }
-    }
-
-    #[test]
-    fn remainder_cells_go_to_leading_partitions() {
-        let grid = Grid::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0); // 100 cells
-        let map = PartitionMap::contiguous(&grid, 3);
-        assert_eq!(map.partition_cells(0), 34);
-        assert_eq!(map.partition_cells(1), 33);
-        assert_eq!(map.partition_cells(2), 33);
-    }
-
-    #[test]
-    fn install_shifts_ownership_and_bumps_generation() {
-        let grid = Grid::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0);
-        let map = PartitionMap::contiguous(&grid, 2);
-        assert_eq!(map.generation(), 0);
-        assert_eq!(map.owner_of_flat(49), 0);
-        let gen = map.install(&[0, 30, 100]);
-        assert_eq!(gen, 1);
-        assert_eq!(map.generation(), 1);
-        assert_eq!(map.owner_of_flat(49), 1);
-        assert_eq!(map.partition_cells(0), 30);
-        assert_eq!(map.partition_cells(1), 70);
-    }
 
     #[test]
     fn plan_bounds_splits_load_evenly() {
@@ -424,7 +285,7 @@ mod tests {
         // reports a cell change into the out-of-grid column 10. The
         // router must clamp instead of producing flat index >= 100.
         let grid = Grid::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0);
-        let map = PartitionMap::contiguous(&grid, 4);
+        let table = PartitionTable::contiguous(grid.num_cells(), 4);
         let motion = LinearMotion::new(Point::new(99.5, 42.0), Vec2::new(0.2, 0.0), 0.0);
         let msg = Uplink::CellChange {
             oid: ObjectId(7),
@@ -434,8 +295,8 @@ mod tests {
         };
         let cell = Router::primary_cell(&grid, &msg).unwrap();
         assert_eq!(cell, CellId::new(9, 4));
-        let p = Router::primary(&map, &grid, &msg).unwrap();
-        assert!((p as usize) < map.num_partitions());
+        let p = Router::primary(&table, &grid, &msg).unwrap();
+        assert!((p as usize) < table.num_partitions());
 
         // Same for a resync naming an out-of-grid cell on both axes.
         let resync = Uplink::Resync {

@@ -39,15 +39,17 @@
 //! decomposition depends on one-op-at-a-time execution, and the process
 //! model (one partition per process) is the unit of scaling.
 
-use crate::partition::PartitionMap;
 use crate::wire::{self, InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload};
 use mobieyes_core::server::Net;
-use mobieyes_core::{ClusterMsg, Downlink, HomeChange, LogRecord, ProtocolConfig, Server};
+use mobieyes_core::{
+    ClusterMsg, Downlink, HomeChange, LogRecord, PartitionScope, PartitionTable, ProtocolConfig,
+    Server,
+};
 use mobieyes_net::{BaseStationLayout, Endpoint, FramedConn, Listener, TransportError};
 use mobieyes_store::{self as store, Store};
 use mobieyes_telemetry::Telemetry;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,10 +57,9 @@ use std::time::Duration;
 /// in-process partition handle holds.
 pub(crate) struct ServiceState {
     /// Its scope holds this partition's copy of the cell-ownership table,
-    /// contiguous until a fence installs another.
+    /// contiguous until a fence installs another, and its shard of the
+    /// distributed epoch.
     pub(crate) server: Server,
-    /// This partition's shard of the distributed epoch.
-    epoch: Arc<AtomicU64>,
     /// The partition's durable input journal, when the deployment runs
     /// with a `--store-dir`. Opened (and replayed) before the first op.
     store: Option<Store>,
@@ -69,19 +70,18 @@ pub(crate) struct ServiceState {
 /// keys it added or removed.
 pub(crate) type Effects = (u64, Vec<(u32, ClusterMsg)>, Vec<HomeChange>);
 
-/// Raises `epoch` to `to` — after a plain load: it is there already for
-/// most ops, and a locked read-modify-write per op costs for nothing.
-#[inline(always)]
-pub(crate) fn raise(epoch: &AtomicU64, to: u64) {
-    if epoch.load(Ordering::Relaxed) < to {
-        epoch.fetch_max(to, Ordering::Relaxed);
-    }
-}
-
 /// The partition's network: the layout every agent network of the
 /// deployment has. A service captures its downlinks here.
 fn capture_net(init: &InitConfig) -> Net {
     Net::new(BaseStationLayout::new(init.universe, init.alen))
+}
+
+/// An empty server for partition `p` of `n` contiguous blocks, on a
+/// private epoch.
+pub(crate) fn partition_server(config: &Arc<ProtocolConfig>, p: u32, n: usize) -> Server {
+    let table = PartitionTable::contiguous(config.grid.num_cells(), n);
+    let scope = PartitionScope::new(p, Arc::new(table), Arc::new(AtomicU64::new(0)));
+    Server::new(Arc::clone(config)).with_scope(scope)
 }
 
 impl ServiceState {
@@ -107,9 +107,7 @@ impl ServiceState {
         config.lease_secs = init.lease_secs;
         config.heartbeat_secs = init.heartbeat_secs;
         let config = Arc::new(config);
-        let map = PartitionMap::contiguous(&config.grid, init.num_partitions as usize);
-        let epoch = Arc::new(AtomicU64::new(0));
-        let mut server = map.server(&config, init.partition, &epoch, Telemetry::new());
+        let mut server = partition_server(&config, init.partition, init.num_partitions as usize);
         let store = match &init.store_dir {
             Some(dir) => {
                 let dir = Path::new(dir);
@@ -132,20 +130,15 @@ impl ServiceState {
         // not the history that produced them. The first reply ships it.
         server.enable_home_log();
         server.set_telemetry(sink);
-        Ok(ServiceState {
-            server,
-            epoch,
-            store,
-        })
+        Ok(ServiceState { server, store })
     }
 
     /// What the ops since the last collection left behind: the epoch, the
     /// outbox and the home log.
     #[inline(always)]
     pub(crate) fn effects(&mut self) -> Effects {
-        let epoch = self.epoch.load(Ordering::Relaxed);
         (
-            epoch,
+            self.server.current_epoch(),
             self.server.take_outbox(),
             self.server.take_home_log(),
         )
@@ -169,7 +162,7 @@ impl ServiceState {
     /// `Shutdown`: the reads and the two store ops, after the floor is
     /// raised as for every op (a checkpoint records the epoch).
     pub(crate) fn answer(&self, floor: u64, op: &PartitionOp) -> ReplyPayload {
-        raise(&self.epoch, floor);
+        self.server.raise_epoch(floor);
         match op {
             PartitionOp::Checkpoint => ReplyPayload::U64(self.store.as_ref().map_or(0, |store| {
                 store.checkpoint(self.server.checkpoint_bytes());
@@ -252,15 +245,15 @@ pub(crate) fn run_op(
     rec: &LogRecord,
     closed: bool,
 ) -> Result<ReplyPayload, TransportError> {
-    raise(&s.epoch, floor);
-    let before = closed.then(|| s.epoch.load(Ordering::Relaxed));
+    s.server.raise_epoch(floor);
+    let before = closed.then(|| s.server.current_epoch());
     let payload = s
         .server
         .apply(rec, net)
         .map_err(|e| TransportError::Protocol(format!("refused record: {e}")))?;
     if let Some(epoch) = before {
         let effects = [
-            (s.epoch.load(Ordering::Relaxed) != epoch, "moved the epoch"),
+            (s.server.current_epoch() != epoch, "moved the epoch"),
             (s.server.has_outbox(), "queued a bus envelope"),
             (
                 s.server.has_home_changes(),
@@ -833,7 +826,7 @@ pub(crate) mod tests {
         for round in 0..300u64 {
             for template in &closed {
                 let rec = redraw(template, &mut rng);
-                let epoch = s.epoch.load(Ordering::Relaxed);
+                let epoch = s.server.current_epoch();
                 // Now and then the coordinator's view is ahead.
                 let floor = if round % 7 == 0 { epoch + 2 } else { epoch };
                 let reply = apply(&mut s, floor, &rec, true)
@@ -998,11 +991,11 @@ pub(crate) mod tests {
     /// Refuses `rec` the way the service must: a classified protocol
     /// error, no reply, the partition as it was.
     fn assert_refused(s: &mut ServiceState, rec: LogRecord) {
-        let generation = s.server.scope().expect("scoped").generation();
+        let generation = s.server.scope().generation();
         let digest = s.server.state_digest();
         let err = apply(s, 0, &rec, false).expect_err("refused");
         assert!(matches!(err, TransportError::Protocol(_)), "{rec:?}: {err}");
-        assert_eq!(s.server.scope().expect("scoped").generation(), generation);
+        assert_eq!(s.server.scope().generation(), generation);
         assert_eq!(s.server.state_digest(), digest, "{rec:?} changed state");
     }
 

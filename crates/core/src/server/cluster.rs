@@ -110,8 +110,7 @@ impl Server {
     /// counters are deliberately untouched, the region coverage itself
     /// did not change.
     pub(super) fn extract_focal(&mut self, oid: ObjectId) -> Option<ClusterMsg> {
-        debug_assert!(self.scope.is_some(), "migration needs a scoped server");
-        let owned = self.owned_span();
+        let owned = self.scope.owned_range();
         let grid = self.config.grid.clone();
         let fot = self.fot_remove(oid)?;
         let mut queries = Vec::new();
@@ -127,7 +126,7 @@ impl Server {
             let overlap = e
                 .mon_region
                 .iter()
-                .any(|c| Self::owns_flat(grid.flat_index(c), &owned));
+                .any(|c| owned.contains(&grid.flat_index(c)));
             if overlap {
                 let stub = StubEntry::new(oid, fot.motion, fot.max_vel, e.mon_region, &spec);
                 self.stubs.insert(qid, stub);
@@ -176,7 +175,6 @@ impl Server {
     /// the rows only change hands. Returns `None` when every row is
     /// empty (nothing to transfer).
     pub(super) fn export_cells(&mut self, flats: &[u32], generation: u64) -> Option<ClusterMsg> {
-        debug_assert!(self.scope.is_some(), "rebalance needs a scoped server");
         let mut cells = Vec::new();
         let mut named: BTreeSet<QueryId> = BTreeSet::new();
         for &flat in flats {
@@ -224,9 +222,7 @@ impl Server {
     /// touched — any overlapping rows already left with the rebalance
     /// transfer, so no owned row can still reference a pruned stub.
     pub(super) fn prune_stubs(&mut self) {
-        let Some(owned) = self.owned_span() else {
-            return;
-        };
+        let owned = self.scope.owned_range();
         let grid = self.config.grid.clone();
         self.stubs.retain(|_, s| {
             s.mon_region
@@ -322,11 +318,11 @@ impl Server {
                     self.rqi_remove(spec.qid, old);
                 }
                 self.rqi_insert(spec.qid, mon_region);
-                let owned = self.owned_span();
+                let owned = self.scope.owned_range();
                 let grid = &self.config.grid;
                 let overlap = mon_region
                     .iter()
-                    .any(|c| Self::owns_flat(grid.flat_index(c), &owned));
+                    .any(|c| owned.contains(&grid.flat_index(c)));
                 if overlap {
                     let stub = StubEntry::new(*focal, *motion, *max_vel, *mon_region, spec);
                     self.stubs.insert(spec.qid, stub);
@@ -368,10 +364,7 @@ impl Server {
                 // A transfer is valid only for the exact map generation it
                 // was cut for: anything stale (or replayed across a later
                 // install) is dropped whole.
-                let Some(scope) = &self.scope else {
-                    return;
-                };
-                if *generation != scope.generation() {
+                if *generation != self.scope.generation() {
                     return;
                 }
                 for (flat, qids) in cells {
@@ -401,10 +394,7 @@ impl Server {
                 // An adoption is valid only for the exact map generation
                 // the failover fence installed — stale or replayed copies
                 // are dropped whole, like a rebalance transfer.
-                let Some(scope) = &self.scope else {
-                    return;
-                };
-                if *generation != scope.generation() {
+                if *generation != self.scope.generation() {
                     return;
                 }
                 // The previous owner's rows died with it. Rebuild each
@@ -440,9 +430,6 @@ impl Server {
     /// Queues a `StubUpdate` for every other partition overlapping the
     /// query's (new ∪ old) monitoring region.
     pub(super) fn emit_stub_update(&mut self, qid: QueryId, old_mon: Option<GridRect>) {
-        if self.scope.is_none() {
-            return;
-        }
         let e = &self.sqt[&qid];
         let fot = &self.fot[&e.focal];
         let msg = ClusterMsg::StubUpdate {
@@ -506,7 +493,7 @@ impl Server {
     }
 
     /// The other partitions owning a cell of `regions` — where a stub
-    /// message about them goes; none for a single server. Partitions own
+    /// message about them goes; none on a one-partition table. Partitions own
     /// ascending runs of flat indices. A region whose first and last cells
     /// are ours lies wholly in our run. Otherwise each of its rows is a run:
     /// the row's owners are the partitions from its first cell's owner to
@@ -514,9 +501,7 @@ impl Server {
     /// whatever the region's width.
     fn peers(&self, regions: &[GridRect]) -> BTreeSet<u32> {
         let mut owners = BTreeSet::new();
-        let Some(scope) = &self.scope else {
-            return owners;
-        };
+        let scope = &self.scope;
         let grid = &self.config.grid;
         let flat = |x, y| grid.flat_index(CellId::new(x, y));
         let owner = |x, y| scope.owner_of(flat(x, y));

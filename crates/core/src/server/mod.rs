@@ -19,7 +19,7 @@ use mobieyes_geo::{CellId, GridRect, LinearMotion, QueryRegion, Region};
 use mobieyes_net::{NetworkSim, NodeId};
 use mobieyes_telemetry::{EventKind, MetricsSnapshot, Tally, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 mod checkpoint;
@@ -37,6 +37,15 @@ pub use tables::{HomeChange, PartitionScope, PartitionTable, PendingInstall};
 
 /// The network type the protocol runs over.
 pub type Net = NetworkSim<Uplink, Downlink>;
+
+/// Raises `epoch` to `to` — after a plain load: it is there already for
+/// most ops, and a locked read-modify-write per op costs for nothing.
+#[inline(always)]
+pub fn raise(epoch: &AtomicU64, to: u64) {
+    if epoch.load(Ordering::Relaxed) < to {
+        epoch.fetch_max(to, Ordering::Relaxed);
+    }
+}
 
 /// Deterministic counters of server-side work; the wall-clock server-load
 /// measurements of the figures sit on top of these in `mobieyes-sim`.
@@ -143,10 +152,11 @@ pub struct Server {
     rqi: Rqi,
     pending: BTreeMap<ObjectId, Vec<PendingInstall>>,
     next_qid: u32,
-    /// Monotone state-change counter. Bumped on every operation that
-    /// changes disseminated query state; the bumped value is stamped on
-    /// the affected queries (`SqtEntry::seq`) and on the outgoing
-    /// messages.
+    /// The epoch this server last bumped the scope's sequencer to (the
+    /// checkpoint image carries it). The sequencer is bumped on every
+    /// operation that changes disseminated query state; the bumped value
+    /// is stamped on the affected queries (`SqtEntry::seq`) and on the
+    /// outgoing messages.
     epoch: u64,
     /// Current server time, cached from the driver's heartbeat call; lease
     /// timestamps are taken from it.
@@ -159,10 +169,11 @@ pub struct Server {
     /// [`apply`](Self::apply) leaves that to its caller except at the
     /// tick-boundary records.
     tally: ServerTally,
-    /// `Some` when this server is one partition of a cluster; `None` for
-    /// the classic single-server deployment (whose code paths are
-    /// untouched by the scope machinery).
-    scope: Option<PartitionScope>,
+    /// The partition of the grid this server owns and the epoch sequencer
+    /// it stamps with. A library server ([`new`](Self::new)) is partition
+    /// 0 of one on a private epoch; a cluster partition shares its table
+    /// and epoch with its siblings ([`with_scope`](Self::with_scope)).
+    scope: PartitionScope,
     /// Remote-region stubs for border-straddling queries homed elsewhere.
     stubs: BTreeMap<QueryId, StubEntry>,
     /// Outgoing inter-server messages `(destination partition, msg)`,
@@ -177,8 +188,8 @@ pub struct Server {
     /// the journal step of [`apply`](Self::apply), once per accepted
     /// record.
     journal: Option<Arc<dyn JournalSink>>,
-    /// Last shared-epoch floor written to the journal (scoped servers
-    /// only) — deduplicates [`LogRecord::Floor`] records.
+    /// Last epoch floor written to the journal — deduplicates
+    /// [`LogRecord::Floor`] records.
     journal_floor: u64,
     /// FOT/SQT key-set changes since the last
     /// [`take_home_log`](Self::take_home_log); `None` (the default) keeps
@@ -188,8 +199,12 @@ pub struct Server {
 }
 
 impl Server {
+    /// A server for the whole grid: partition 0 of a one-partition
+    /// [`PartitionTable`], on a private epoch.
     pub fn new(config: Arc<ProtocolConfig>) -> Self {
         let cells = config.grid.num_cells();
+        let table = Arc::new(PartitionTable::contiguous(cells, 1));
+        let scope = PartitionScope::new(0, table, Arc::new(AtomicU64::new(0)));
         Server {
             config,
             fot: FotTable::default(),
@@ -203,7 +218,7 @@ impl Server {
             last_heartbeat: f64::NEG_INFINITY,
             telemetry: Telemetry::new(),
             tally: Tally::new(srv_keys::ALL),
-            scope: None,
+            scope,
             stubs: BTreeMap::new(),
             outbox: Vec::new(),
             uplink_scratch: Vec::new(),
@@ -222,9 +237,10 @@ impl Server {
     }
 
     /// Scopes this server to one partition of a grid-sharded cluster
-    /// (builder style). See [`PartitionScope`].
+    /// (builder style), replacing the one-partition scope it was built
+    /// with. See [`PartitionScope`].
     pub fn with_scope(mut self, scope: PartitionScope) -> Self {
-        self.scope = Some(scope);
+        self.scope = scope;
         self
     }
 
@@ -267,21 +283,17 @@ impl Server {
         self.tally.flush(&self.telemetry);
     }
 
-    /// The partition scope, when this server is part of a cluster.
-    pub fn scope(&self) -> Option<&PartitionScope> {
-        self.scope.as_ref()
+    /// The partition this server owns and the epoch it stamps with.
+    pub fn scope(&self) -> &PartitionScope {
+        &self.scope
     }
 
-    /// Raises the (shared) epoch to at least `floor` — the replay image of
-    /// the per-request `fetch_max` the partition RPC protocol performs,
-    /// driven by [`LogRecord::Floor`] records.
-    fn raise_epoch(&mut self, floor: u64) {
-        match &self.scope {
-            Some(s) => {
-                s.epoch.fetch_max(floor, Ordering::Relaxed);
-            }
-            None => self.epoch = self.epoch.max(floor),
-        }
+    /// Raises the (shared) epoch to at least `floor`: the per-request
+    /// floor of the partition RPC protocol, and its replay image, the
+    /// [`LogRecord::Floor`] records.
+    #[inline(always)]
+    pub fn raise_epoch(&self, floor: u64) {
+        raise(&self.scope.epoch, floor);
     }
 
     /// Number of remote-region stubs currently installed.
@@ -289,22 +301,12 @@ impl Server {
         self.stubs.len()
     }
 
-    /// Bumps the state-change epoch and returns the new value. Scoped
-    /// servers share one atomic sequencer across the cluster so seq
-    /// stamps form a single global order; the single-server path keeps
-    /// its private counter.
+    /// Bumps the state-change epoch and returns the new value. The
+    /// partitions of a cluster share one atomic sequencer, so seq stamps
+    /// form a single global order.
     fn bump_epoch(&mut self) -> u64 {
-        match &self.scope {
-            Some(s) => {
-                let v = s.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-                self.epoch = v;
-                v
-            }
-            None => {
-                self.epoch += 1;
-                self.epoch
-            }
-        }
+        self.epoch = self.scope.epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        self.epoch
     }
 
     pub fn telemetry(&self) -> &Telemetry {
@@ -467,8 +469,8 @@ impl Server {
     ///    nothing and journals nothing. Cells that index the RQI are
     ///    clamped to the grid instead, as the coordinator clamps them.
     /// 2. **Journal** the record, before its effects — the only write to
-    ///    the sink. A scoped server first logs a [`LogRecord::Floor`] when
-    ///    the shared epoch it observes moved since its last record.
+    ///    the sink, behind a [`LogRecord::Floor`] when the (shared) epoch
+    ///    it observes moved since its last record.
     /// 3. **Dispatch** it to its handler and return the handler's value.
     ///    Handlers never journal: a record names everything its handler
     ///    does, nested teardowns included.
@@ -518,9 +520,9 @@ impl Server {
         let off_grid = |flat: &u32| *flat as usize >= self.rqi.len();
         let flat = match rec {
             LogRecord::Bounds { generation, bounds } => {
-                if let Some(s) = &self.scope {
-                    s.table.validate(&usize_bounds(bounds), *generation)?;
-                }
+                self.scope
+                    .table
+                    .validate(&usize_bounds(bounds), *generation)?;
                 None
             }
             LogRecord::CompleteInstall { qid, focal, .. } if !self.fot.contains_key(focal) => {
@@ -542,25 +544,19 @@ impl Server {
         }
     }
 
-    /// Step two of [`apply`](Self::apply). A scoped server first logs the
-    /// shared-epoch floor it observes when that moved since its last
-    /// record: sibling partitions advance the shared sequencer between
-    /// our ops, and the seq stamps we write depend on it.
+    /// Step two of [`apply`](Self::apply). The server first logs the
+    /// epoch floor it observes when that moved since its last record:
+    /// its own ops and sibling partitions advance the sequencer between
+    /// records, and the seq stamps it writes depend on it.
     fn journal_record(&mut self, rec: &LogRecord) {
         let Some(sink) = &self.journal else { return };
         let floor = match rec {
             // The store writes these itself.
             LogRecord::Meta { .. } | LogRecord::Floor(_) | LogRecord::Checkpoint(_) => return,
-            // An unscoped server ignores an install. A scoped one logs no
-            // floor before it: ownership reads no epoch, and the next
-            // op's record logs the floor it observes.
-            LogRecord::Bounds { .. } if self.scope.is_none() => return,
+            // No floor before an install: ownership reads no epoch, and
+            // the next op's record logs the floor it observes.
             LogRecord::Bounds { .. } => None,
-            _ => self
-                .scope
-                .as_ref()
-                .map(|s| s.epoch.load(Ordering::Relaxed))
-                .filter(|&observed| observed != self.journal_floor),
+            _ => Some(self.current_epoch()).filter(|&observed| observed != self.journal_floor),
         };
         if let Some(observed) = floor {
             self.journal_floor = observed;
@@ -611,9 +607,8 @@ impl Server {
                 generation,
                 ref bounds,
             } => {
-                if let Some(s) = &self.scope {
-                    s.table.install_at(&usize_bounds(bounds), generation);
-                }
+                let bounds = usize_bounds(bounds);
+                self.scope.table.install_at(&bounds, generation)
             }
             LogRecord::Checkpoint(ref bytes) => self.restore_checkpoint(bytes)?,
             _ => return Ok(self.primitive(rec, net)),
@@ -873,10 +868,8 @@ impl Server {
             if motion.tm >= f.motion.tm {
                 f.motion = motion;
                 f.max_vel = max_vel;
-                if self.scope.is_some() {
-                    let seq = |q: &QueryId| self.sqt.get(q).map(|e| (*q, e.seq));
-                    stamped.extend(f.queries.iter().filter_map(seq));
-                }
+                let seq = |q: &QueryId| self.sqt.get(q).map(|e| (*q, e.seq));
+                stamped.extend(f.queries.iter().filter_map(seq));
             }
             f.last_heard = now;
         }
@@ -938,10 +931,7 @@ impl Server {
     /// The current server epoch (monotone state-change counter; shared
     /// across the cluster when this server is a partition).
     pub fn current_epoch(&self) -> u64 {
-        match &self.scope {
-            Some(s) => s.epoch.load(Ordering::Relaxed),
-            None => self.epoch,
-        }
+        self.scope.epoch.load(Ordering::Relaxed)
     }
 
     /// A focal object's dead-reckoning report: refresh the FOT and relay to
@@ -966,9 +956,7 @@ impl Server {
                 stamped.push((qid, seq));
             }
         }
-        if self.scope.is_some() {
-            self.emit_stub_motion(oid, motion, max_vel, &stamped);
-        }
+        self.emit_stub_motion(oid, motion, max_vel, &stamped);
         for group in self.group_queries(&queries) {
             let mon_region = self.sqt[&group[0]].mon_region;
             let msg = match self.config.propagation {

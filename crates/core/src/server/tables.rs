@@ -236,13 +236,18 @@ pub struct PendingInstall {
 }
 
 /// The versioned cell→partition assignment shared by every server of a
-/// cluster.
+/// cluster — one partition owning every cell for a single server.
 ///
 /// Partitions own contiguous blocks of flat (row-major) cell indices:
 /// `bounds` has `N + 1` entries and partition `p` owns `[bounds[p],
-/// bounds[p+1])`. The bounds are atomics so a coordinator can *install* a
-/// new split in place — every [`PartitionScope`] holding this table sees
-/// the new ownership immediately — and each install bumps `generation`,
+/// bounds[p+1])`. Contiguity keeps ownership tests a single comparison
+/// and makes the concatenation of per-partition digests (in partition
+/// order) equal the single server's ascending-index scan — for *any*
+/// bounds vector, which is what lets a coordinator re-split the blocks by
+/// observed load without perturbing the protocol (DESIGN.md §10). The
+/// bounds are atomics so a coordinator can *install* a new split in place
+/// — every [`PartitionScope`] holding this table sees the new ownership
+/// immediately — and each install bumps `generation`,
 /// the stamp that makes rebalance state transfers replay-safe: a
 /// [`ClusterMsg::RebalanceCells`](crate::ClusterMsg::RebalanceCells) is valid only for the exact generation
 /// it was cut for.
@@ -269,6 +274,19 @@ impl PartitionTable {
             bounds: bounds.into_iter().map(AtomicUsize::new).collect(),
             generation: AtomicU64::new(0),
         }
+    }
+
+    /// Generation 0 of `n` near-equal contiguous blocks of `cells` flat
+    /// cells (the first `cells % n` partitions get one extra cell).
+    pub fn contiguous(cells: usize, n: usize) -> Self {
+        assert!(n >= 1, "at least one partition");
+        assert!(cells >= n, "more partitions than grid cells");
+        let (base, rem) = (cells / n, cells % n);
+        let mut bounds = vec![0];
+        for p in 0..n {
+            bounds.push(bounds[p] + base + usize::from(p < rem));
+        }
+        PartitionTable::new(bounds)
     }
 
     pub fn num_partitions(&self) -> usize {
@@ -363,16 +381,18 @@ pub(super) fn usize_bounds(bounds: &[u64]) -> Vec<usize> {
     bounds.iter().map(|&b| b as usize).collect()
 }
 
-/// The slice of the α-grid a partitioned server owns, plus the shared
-/// epoch sequencer of the cluster.
+/// The slice of the α-grid a server owns, plus the epoch sequencer it
+/// stamps with. Every [`Server`] has one: a library server owns the whole
+/// grid as partition 0 of a one-partition table on a private epoch.
 ///
-/// A scoped server maintains FOT/SQT rows only for focal objects homed in
-/// its cells, RQI entries only for its own cells, and *stub* rows for
-/// border-straddling queries homed elsewhere. Ownership is resolved
-/// through the shared [`PartitionTable`], which a coordinator may rewrite
-/// between ticks (rebalancing). The epoch counter is shared by all
-/// partitions so seq stamps remain a single global total order — the key
-/// to byte-identical cross-partition runs.
+/// A server maintains FOT/SQT rows only for focal objects homed in its
+/// cells, RQI entries only for its own cells, and *stub* rows for
+/// border-straddling queries homed on another partition. Ownership is
+/// resolved through the [`PartitionTable`], which a coordinator shares
+/// with its partitions and may rewrite between ticks (rebalancing). The
+/// epoch counter is shared by all partitions of a cluster so seq stamps
+/// remain a single global total order — the key to byte-identical
+/// cross-partition runs.
 #[derive(Debug, Clone)]
 pub struct PartitionScope {
     pub(super) partition: u32,
@@ -686,27 +706,13 @@ impl Server {
         }
     }
 
-    /// Whether this server maintains the RQI row at flat index `idx`
-    /// (always true for a single server; owned cells only on a cluster
-    /// partition).
-    pub(super) fn owns_flat(idx: usize, owned: &Option<std::ops::Range<usize>>) -> bool {
-        match owned {
-            None => true,
-            Some(r) => r.contains(&idx),
-        }
-    }
-
-    pub(super) fn owned_span(&self) -> Option<std::ops::Range<usize>> {
-        self.scope.as_ref().map(|s| s.owned_range())
-    }
-
     pub(super) fn rqi_insert(&mut self, qid: QueryId, region: &GridRect) {
-        let owned = self.owned_span();
+        let owned = self.scope.owned_range();
         let grid = &self.config.grid;
         let mut touched = 0u64;
         for cell in region.iter() {
             let idx = grid.flat_index(cell);
-            if !Self::owns_flat(idx, &owned) {
+            if !owned.contains(&idx) {
                 continue;
             }
             touched += 1;
@@ -718,12 +724,12 @@ impl Server {
     }
 
     pub(super) fn rqi_remove(&mut self, qid: QueryId, region: &GridRect) {
-        let owned = self.owned_span();
+        let owned = self.scope.owned_range();
         let grid = &self.config.grid;
         let mut touched = 0u64;
         for cell in region.iter() {
             let idx = grid.flat_index(cell);
-            if !Self::owns_flat(idx, &owned) {
+            if !owned.contains(&idx) {
                 continue;
             }
             touched += 1;
@@ -754,8 +760,8 @@ impl Server {
             .or_else(|| self.stubs.get(&qid).map(|s| s.seq))
             .unwrap_or_else(|| {
                 panic!(
-                    "RQI references {qid:?} on partition {:?} without an SQT row or stub",
-                    self.scope.as_ref().map(|s| s.partition())
+                    "RQI references {qid:?} on partition {} without an SQT row or stub",
+                    self.scope.partition()
                 )
             })
     }
@@ -764,11 +770,11 @@ impl Server {
     /// monitoring regions in the SQT, FOT query lists must match SQT focal
     /// assignments, and slots must be consistent.
     pub fn check_invariants(&self) {
-        let owned = self.owned_span();
+        let owned = self.scope.owned_range();
         for (qid, e) in &self.sqt {
             for cell in e.mon_region.iter() {
                 let idx = self.config.grid.flat_index(cell);
-                if !Self::owns_flat(idx, &owned) {
+                if !owned.contains(&idx) {
                     continue; // a neighbor partition's RQI row
                 }
                 assert!(
@@ -787,15 +793,15 @@ impl Server {
         }
         self.rqi.check_occupancy();
         for (idx, qids) in self.rqi.occupied_rows() {
-            assert!(Self::owns_flat(idx, &owned), "RQI entry in an unowned cell");
+            assert!(owned.contains(&idx), "RQI entry in an unowned cell");
             for qid in qids {
                 let mon = self.q_mon(*qid).expect("RQI references live query or stub");
                 let cell = self.config.grid.cell_at(idx);
                 assert!(
                     mon.contains(cell),
-                    "stale RQI entry for {qid:?} at {cell:?} on partition {:?}: \
+                    "stale RQI entry for {qid:?} at {cell:?} on partition {}: \
                      monitoring region is {mon:?} (homed: {})",
-                    self.scope.as_ref().map(|s| s.partition()),
+                    self.scope.partition(),
                     self.sqt.contains_key(qid)
                 );
             }

@@ -723,3 +723,47 @@ fn each_station_beacons_the_digests_of_the_cells_under_it() {
     }
     assert!(silent > 0, "some station is over empty cells only");
 }
+
+#[test]
+fn contiguous_blocks_tile_the_grid() {
+    let grid = Grid::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0);
+    for n in [1usize, 2, 3, 4, 7] {
+        let table = PartitionTable::contiguous(grid.num_cells(), n);
+        assert_eq!(table.num_partitions(), n);
+        let mut total = 0usize;
+        for p in 0..n {
+            total += table.owned_range(p as u32).len();
+        }
+        assert_eq!(total, grid.num_cells());
+        for flat in 0..grid.num_cells() {
+            let p = table.owner_of(flat);
+            assert!((p as usize) < n);
+            let lo = table.bounds_snapshot()[p as usize];
+            let hi = table.bounds_snapshot()[p as usize + 1];
+            assert!((lo..hi).contains(&flat));
+        }
+    }
+}
+
+#[test]
+fn remainder_cells_go_to_leading_partitions() {
+    let grid = Grid::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0); // 100 cells
+    let table = PartitionTable::contiguous(grid.num_cells(), 3);
+    assert_eq!(table.owned_range(0).len(), 34);
+    assert_eq!(table.owned_range(1).len(), 33);
+    assert_eq!(table.owned_range(2).len(), 33);
+}
+
+#[test]
+fn install_shifts_ownership_and_bumps_generation() {
+    let grid = Grid::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0);
+    let table = PartitionTable::contiguous(grid.num_cells(), 2);
+    assert_eq!(table.generation(), 0);
+    assert_eq!(table.owner_of(49), 0);
+    let gen = table.install(&[0, 30, 100]);
+    assert_eq!(gen, 1);
+    assert_eq!(table.generation(), 1);
+    assert_eq!(table.owner_of(49), 1);
+    assert_eq!(table.owned_range(0).len(), 30);
+    assert_eq!(table.owned_range(1).len(), 70);
+}

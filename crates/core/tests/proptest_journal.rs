@@ -189,13 +189,14 @@ fn a_refused_checkpoint_leaves_the_server_untouched() {
 
 /// A server with a journal the test reads back, and the journal it must
 /// hold: every record `apply` accepted, in order, behind a `Floor`
-/// wherever the shared epoch it observed moved since the last record.
+/// wherever the epoch it observed moved since the last record.
 struct Journaled {
     server: Server,
     sink: Arc<VecSink>,
     net: Net,
-    /// The shared sequencer of a scoped server (the test advances it for
-    /// the sibling partitions); `None` for a single server.
+    /// The sequencer partition 0 of two shares with its sibling (the test
+    /// advances it for the sibling); `None` for a single server, whose
+    /// epoch is private.
     epoch: Option<Arc<AtomicU64>>,
     floor: u64,
     expected: Vec<LogRecord>,
@@ -244,11 +245,11 @@ impl Journaled {
     }
 
     /// Extends the expected journal by `rec`, behind a `Floor` when the
-    /// shared epoch `observed` before it moved since the last record.
-    fn expect(&mut self, observed: Option<u64>, rec: LogRecord) {
-        if let Some(floor) = observed.filter(|&o| o != self.floor) {
-            self.floor = floor;
-            self.expected.push(LogRecord::Floor(floor));
+    /// epoch `observed` before it moved since the last record.
+    fn expect(&mut self, observed: u64, rec: LogRecord) {
+        if observed != self.floor {
+            self.floor = observed;
+            self.expected.push(LogRecord::Floor(observed));
         }
         self.expected.push(rec);
     }
@@ -256,15 +257,14 @@ impl Journaled {
     /// Applies `rec` and extends the expected journal by what it must
     /// write; `None` when the record was refused.
     fn apply(&mut self, rec: LogRecord) -> Option<ReplyPayload> {
-        let observed = self.epoch.as_ref().map(|e| e.load(Ordering::Relaxed));
+        let observed = self.server.current_epoch();
         let reply = self.server.apply(&rec, &mut self.net);
         self.net.take_downlinks();
         match (&reply, &rec) {
             (Err(_), _) => self.refused += 1,
-            (Ok(_), LogRecord::Bounds { .. }) if observed.is_some() => {
-                self.expected.push(rec.clone())
-            }
-            (Ok(_), LogRecord::Bounds { .. } | LogRecord::Meta { .. }) => {}
+            // An install is logged without a floor of its own.
+            (Ok(_), LogRecord::Bounds { .. }) => self.expected.push(rec.clone()),
+            (Ok(_), LogRecord::Meta { .. }) => {}
             (Ok(_), _) => self.expect(observed, rec.clone()),
         }
         let written = self.sink.0.lock().unwrap().len();
@@ -310,9 +310,10 @@ fn motion_in(rng: &mut Rng, max_y: f64, tm: f64) -> LinearMotion {
     LinearMotion::new(p, Vec2::new(rng.range(-0.1, 0.1), rng.range(-0.1, 0.1)), tm)
 }
 
-/// Records no handler can take, on either kind of server.
-fn refused_record(rng: &mut Rng) -> LogRecord {
-    match rng.below(3) {
+/// Records no handler can take on a server of `partitions` partitions:
+/// among them, an install that names one partition more.
+fn refused_record(rng: &mut Rng, partitions: usize) -> LogRecord {
+    match rng.below(4) {
         0 => LogRecord::CompleteInstall {
             qid: QueryId(500),
             focal: ObjectId(999),
@@ -324,6 +325,14 @@ fn refused_record(rng: &mut Rng) -> LogRecord {
             flats: vec![3, u32::MAX],
             generation: 0,
         },
+        2 => LogRecord::Bounds {
+            generation: 1,
+            bounds: PartitionTable::contiguous(36, partitions + 1)
+                .bounds_snapshot()
+                .into_iter()
+                .map(|b| b as u64)
+                .collect(),
+        },
         _ => LogRecord::Cluster(ClusterMsg::RecoverCells {
             generation: 0,
             epoch: 0,
@@ -332,10 +341,11 @@ fn refused_record(rng: &mut Rng) -> LogRecord {
     }
 }
 
-/// The single server: the records its entry points build, plus refused
-/// records and ones it ignores. Heartbeats that expire leases, resyncs
-/// that repair and purge, group result updates and `expire_queries` all
-/// do nested work that must write nothing of its own.
+/// The single server — partition 0 of one: the records its entry points
+/// build, each behind the floor its own last op moved, plus refused
+/// records and installs of its one-partition table. Heartbeats that
+/// expire leases, resyncs that repair and purge, group result updates and
+/// `expire_queries` all do nested work that must write nothing of its own.
 #[test]
 fn a_single_server_journals_each_accepted_record_once() {
     let mut rng = Rng(0x5eed_10c4_0010);
@@ -417,17 +427,24 @@ fn a_single_server_journals_each_accepted_record_once() {
                 },
             ),
             14 => {
-                // An entry point that writes one record per expired query.
+                // An entry point that writes one record per expired query,
+                // each removal bumping the epoch once.
+                let before = j.server.current_epoch();
                 let expired = j.server.expire_queries(now, &mut j.net);
                 expired_seen += expired.len();
-                for qid in expired {
-                    j.expect(None, LogRecord::RemoveQuery(qid));
+                for (i, &qid) in expired.iter().enumerate() {
+                    j.expect(before + i as u64, LogRecord::RemoveQuery(qid));
                 }
+                assert_eq!(j.server.current_epoch(), before + expired.len() as u64);
                 assert_eq!(j.journal(), j.expected, "expire_queries at {now}");
                 continue;
             }
-            15 => refused_record(&mut rng),
-            // Accepted, and ignored by an unscoped server: nothing to log.
+            15 => {
+                let rec = refused_record(&mut rng, 1);
+                assert!(j.apply(rec.clone()).is_none(), "{rec:?} was accepted");
+                continue;
+            }
+            // Accepted and installed on its one-partition table.
             _ => LogRecord::Bounds {
                 generation: 1,
                 bounds: vec![0, 36],
@@ -471,7 +488,7 @@ fn a_partition_journals_each_accepted_record_behind_its_floor() {
         let qid = QueryId(rng.below(u64::from(next_qid) + 2) as u32);
         // Partition 0 owns the rows below y = 30.
         let motion = motion_in(&mut rng, 29.0, now);
-        let generation = j.server.scope().expect("scoped").generation();
+        let generation = j.server.scope().generation();
         let rec = match rng.below(20) {
             0 => {
                 now += 5.0;
@@ -575,7 +592,7 @@ fn a_partition_journals_each_accepted_record_behind_its_floor() {
                     bounds: vec![0, 36],
                 },
             },
-            17 => refused_record(&mut rng),
+            17 => refused_record(&mut rng, 2),
             _ => {
                 // A sibling partition moves the shared sequencer.
                 let e = j.epoch.as_ref().expect("scoped");

@@ -490,7 +490,7 @@ impl SimConfig {
             return err("focal_pool must be > 0 when set".to_string());
         }
         // The cluster tier needs at least one grid cell per partition;
-        // catching this here turns a `PartitionMap::contiguous` panic
+        // catching this here turns a `PartitionTable::contiguous` panic
         // deep inside the run into a clear configuration error.
         let (partitions, cells) = (self.partitions, self.grid_cells());
         if partitions > cells {

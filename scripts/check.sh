@@ -18,6 +18,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> examples (the library server's end-to-end users)"
+# `cargo test` only compiles them. `visualize` is left out: it writes the
+# tracked results/snapshot.svg.
+for example in quickstart knn_tracking taxi_dispatch battlefield; do
+  if ! out=$(cargo run -q --release --example "$example" 2>&1) || grep -q 'panicked' <<<"$out"; then
+    echo "example $example failed:"
+    echo "$out"
+    exit 1
+  fi
+done
+
 echo "==> cargo test -q (MOBIEYES_THREADS=1)"
 MOBIEYES_THREADS=1 cargo test -q --workspace
 

@@ -79,7 +79,9 @@ fn pin(config: SimConfig, rebuild: bool) -> Pin {
     let mut ticks = FNV_SEED;
     for tick in 0..total {
         if rebuild && tick == REBUILD_TICK {
-            sim.cluster_mut().rebuild_partition_from_log(0);
+            sim.cluster_mut()
+                .rebuild_partition_from_log(0)
+                .expect("the log replays");
         }
         sim.step(tick >= warmup);
         fnv(&mut ticks, &sim.result_digest().to_le_bytes());

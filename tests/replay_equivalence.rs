@@ -59,7 +59,10 @@ fn check_combo(seed: u64, mode: Propagation, partitions: usize, checkpoint_ticks
             // Crash drill: throw the in-memory server tier away and
             // rebuild it from nothing but the on-disk journal.
             for p in 0..partitions as u32 {
-                interrupted.cluster_mut().rebuild_partition_from_log(p);
+                interrupted
+                    .cluster_mut()
+                    .rebuild_partition_from_log(p)
+                    .expect("the journal replays");
             }
             assert_eq!(
                 results(&interrupted),
