@@ -4,6 +4,6 @@
 fn main() {
     let table = mobieyes_bench::figures::ablation_delta();
     table.print();
-    table.save().expect("write results/");
+    table.save("results").expect("write results/");
     eprintln!("wrote results/{}.csv and .json", table.id);
 }

@@ -42,5 +42,5 @@ fn main() {
         eprintln!("[ablation_mobility] nmq={nmq} done");
     }
     t.print();
-    t.save().expect("write results/");
+    t.save("results").expect("write results/");
 }

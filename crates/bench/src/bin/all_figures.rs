@@ -16,13 +16,13 @@ fn main() {
     for t in &tables {
         t.print();
         println!();
-        t.save().expect("write results/");
+        t.save("results").expect("write results/");
     }
     let (t5, t6) = figures::fig5_6();
     for t in [&t5, &t6] {
         t.print();
         println!();
-        t.save().expect("write results/");
+        t.save("results").expect("write results/");
     }
     let rest = vec![
         figures::fig7(),
@@ -38,7 +38,7 @@ fn main() {
     for t in &rest {
         t.print();
         println!();
-        t.save().expect("write results/");
+        t.save("results").expect("write results/");
     }
     eprintln!("all figures done in {:.1} s", start.elapsed().as_secs_f64());
 }

@@ -39,5 +39,5 @@ fn main() {
     let optimal = alpha_model::optimal_alpha(&config);
     t.print();
     println!("\nmodel-optimal alpha = {optimal:.2} miles (paper observes [4, 6])");
-    t.save().expect("write results/");
+    t.save("results").expect("write results/");
 }

@@ -5,14 +5,14 @@
 //! $ assert-json BENCH_chaos.json get contract_bound_ticks      # prints 20
 //! $ assert-json BENCH_chaos.json forbid recovery_ticks 20      # fails if present
 //! $ assert-json BENCH_cluster.json require bench cluster-scaling
-//! $ assert-json BENCH_scale.json max seconds_per_tick          # prints largest
-//! $ assert-json BENCH_persist.json min replay_records_per_s    # prints smallest
+//! $ assert-json BENCH_cluster.json max skew_after              # prints largest
+//! $ assert-json BENCH_cluster.json min skew_before             # prints smallest
 //! ```
 //!
 //! Scans for `"<key>": <scalar>` pairs (numbers, strings, booleans) —
 //! exactly the shapes the in-tree bench writers emit. `get` prints the
-//! first value; `max` prints the numerically largest (for budget checks
-//! over series entries); `min` the smallest (for throughput floors);
+//! first value; `max` prints the numerically largest (for ceilings
+//! over series entries); `min` the smallest (for floors);
 //! `forbid` exits non-zero when any pair matches the given value;
 //! `require` exits non-zero unless one does.
 

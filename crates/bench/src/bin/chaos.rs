@@ -104,7 +104,6 @@ fn main() {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"chaos-recovery\",");
-    let _ = writeln!(json, "  {},", mobieyes_bench::host_fields());
     let _ = writeln!(
         json,
         "  \"config\": {{ \"uplink_drop\": {UPLINK_DROP}, \"downlink_drop\": {DOWNLINK_DROP}, \

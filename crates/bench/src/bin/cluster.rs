@@ -190,7 +190,6 @@ fn main() {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"cluster-scaling\",");
-    let _ = writeln!(json, "  {},", mobieyes_bench::host_fields());
     let _ = writeln!(
         json,
         "  \"config\": {{ \"objects\": {}, \"queries\": {}, \"ticks\": {ticks}, \

@@ -6,7 +6,7 @@ fn main() {
     t5.print();
     println!();
     t6.print();
-    t5.save().expect("write results/");
-    t6.save().expect("write results/");
+    t5.save("results").expect("write results/");
+    t6.save("results").expect("write results/");
     eprintln!("wrote results/fig5.* and results/fig6.*");
 }

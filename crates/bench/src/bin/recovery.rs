@@ -112,7 +112,6 @@ fn main() {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"crash-recovery\",");
-    let _ = writeln!(json, "  {},", mobieyes_bench::host_fields());
     let _ = writeln!(
         json,
         "  \"config\": {{ \"lease_ticks\": {LEASE_TICKS}, \"crash_tick\": {CRASH_TICK}, \

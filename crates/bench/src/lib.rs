@@ -1,17 +1,16 @@
-//! Shared machinery for the figure-reproduction binaries and Criterion
-//! benches: result tables (aligned stdout + CSV + JSON), the standard
-//! sweep values, and the quick-mode scaling knob.
+//! Shared machinery for the figure-reproduction binaries: result tables
+//! (aligned stdout + CSV + JSON), the standard sweep values, and the
+//! quick-mode scaling knob.
 //!
 //! Every `fig*` binary regenerates one table/figure of the paper:
 //! `cargo run -p mobieyes-bench --release --bin fig1` (etc.) prints the
-//! series and writes `results/fig1.csv` / `results/fig1.json`.
+//! series and writes `results/fig1.csv` / `results/fig1.json` under the
+//! working directory.
 //! Set `MOBIEYES_QUICK=1` to shrink workloads ~10x for smoke runs.
 
 pub mod figures;
-pub mod harness;
 pub mod table;
 
-pub use harness::Harness;
 pub use table::Table;
 
 use mobieyes_sim::SimConfig;
@@ -21,22 +20,6 @@ pub fn quick() -> bool {
     std::env::var("MOBIEYES_QUICK")
         .map(|v| v == "1" || v == "true")
         .unwrap_or(false)
-}
-
-/// Host-provenance JSON fields every `BENCH_*.json` embeds: the machine's
-/// core count, the `MOBIEYES_THREADS` setting the run used (`"auto"`
-/// when unset) and the transport, always `"lockstep"` (the figures run
-/// in-process partitions). Returned as a fragment — `"host_cores": 8,
-/// "mobieyes_threads": "4", "transport": "lockstep"` — for splicing into
-/// a JSON object.
-pub fn host_fields() -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = std::env::var("MOBIEYES_THREADS").unwrap_or_else(|_| "auto".to_string());
-    format!(
-        "\"host_cores\": {cores}, \"mobieyes_threads\": \"{threads}\", \"transport\": \"lockstep\""
-    )
 }
 
 /// Applies quick-mode scaling to a configuration produced by a sweep. The

@@ -2,7 +2,7 @@
 
 use mobieyes_telemetry::json::Value;
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 
 /// One figure's data: an x column plus one y column per series.
 #[derive(Debug, Clone)]
@@ -70,10 +70,10 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Writes `results/<id>.csv` and `results/<id>.json`.
-    pub fn save(&self) -> std::io::Result<()> {
-        let dir = results_dir();
-        fs::create_dir_all(&dir)?;
+    /// Writes `<dir>/<id>.csv` and `<dir>/<id>.json`, creating `dir`.
+    pub fn save(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
+        let dir = dir.as_ref();
+        fs::create_dir_all(dir)?;
         let mut csv = String::new();
         csv.push_str(&self.xlabel);
         for c in &self.columns {
@@ -141,17 +141,6 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-/// Where figure artifacts land: `<workspace>/results`.
-pub fn results_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench; the workspace root is two up.
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(|p| p.parent())
-        .map(|p| p.join("results"))
-        .unwrap_or_else(|| PathBuf::from("results"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,14 +170,12 @@ mod tests {
     fn save_writes_csv_and_json() {
         let mut t = Table::new("testtable_unit", "Test", "x", "y", &["a"]);
         t.push(1.0, vec![2.0]);
-        t.save().unwrap();
-        let dir = results_dir();
+        let dir = std::env::temp_dir().join(format!("mobieyes-table-{}", std::process::id()));
+        t.save(&dir).unwrap();
         let csv = std::fs::read_to_string(dir.join("testtable_unit.csv")).unwrap();
         assert!(csv.starts_with("x,a\n1,2\n"));
         let json = std::fs::read_to_string(dir.join("testtable_unit.json")).unwrap();
         assert!(json.contains("\"id\": \"testtable_unit\""));
-        // Clean up test artifacts.
-        let _ = std::fs::remove_file(dir.join("testtable_unit.csv"));
-        let _ = std::fs::remove_file(dir.join("testtable_unit.json"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -37,7 +37,7 @@ use crate::server::Net;
 use mobieyes_geo::{CellId, GridRect, LinearMotion, Point, QueryRegion, Region, Vec2};
 use mobieyes_net::meter::keys as net_keys;
 use mobieyes_net::NodeId;
-use mobieyes_telemetry::{EventKind, MetricsSnapshot, Telemetry};
+use mobieyes_telemetry::{EventKind, Telemetry};
 use std::collections::BTreeSet;
 
 /// The `agent.*` telemetry keys recorded by [`MovingObjectAgent`].
@@ -87,39 +87,6 @@ struct LqtEntry {
     /// downlink state (late duplicates, reordered broadcasts) is
     /// discarded; equal state re-applies idempotently.
     seq: u64,
-}
-
-/// Per-agent work counters (drive the paper's Figures 10–13) — a view
-/// over the `agent.*` telemetry counters. When several agents share one
-/// [`Telemetry`] sink the view aggregates across all of them.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AgentStats {
-    /// Containment evaluations actually performed.
-    pub evaluated: u64,
-    /// Evaluations skipped by the safe-period optimization.
-    pub skipped_safe_period: u64,
-    /// Evaluations skipped by nested-radius group pruning.
-    pub skipped_group_prune: u64,
-    /// Containment status flips reported to the server.
-    pub result_changes: u64,
-    /// Uplink messages sent.
-    pub uplinks_sent: u64,
-    /// Nanoseconds spent in LQT processing (the Figure 13 metric).
-    pub eval_nanos: u64,
-}
-
-impl AgentStats {
-    /// Materializes the view from a metrics snapshot.
-    pub fn from_snapshot(snapshot: &MetricsSnapshot) -> Self {
-        AgentStats {
-            evaluated: snapshot.counter(agent_keys::EVALUATED),
-            skipped_safe_period: snapshot.counter(agent_keys::SKIPPED_SAFE_PERIOD),
-            skipped_group_prune: snapshot.counter(agent_keys::SKIPPED_GROUP_PRUNE),
-            result_changes: snapshot.counter(agent_keys::RESULT_CHANGES),
-            uplinks_sent: snapshot.counter(agent_keys::UPLINKS_SENT),
-            eval_nanos: snapshot.wall(agent_keys::EVAL_NANOS),
-        }
-    }
 }
 
 /// Plain accumulator for everything agents record while they run: the
@@ -287,8 +254,7 @@ const _: () = assert!(std::mem::align_of::<MovingObjectAgent>() == 64);
 
 /// Agent state a quiet non-focal tick never reads. Allocated on first
 /// need — non-empty properties, a tombstone, a buffered departure, a
-/// heartbeat, a result push, or use of the agent's private telemetry
-/// sink — and kept from then on.
+/// heartbeat or a result push — and kept from then on.
 #[derive(Debug, Default)]
 struct AgentCold {
     props: Properties,
@@ -306,9 +272,6 @@ struct AgentCold {
     /// per covering base station (plus duplication faults) and must be
     /// answered exactly once.
     last_heartbeat_epoch: u64,
-    /// Private sink of the single-agent convenience calls (`tick` and
-    /// friends); engines record through their [`AgentOutbox`] instead.
-    telemetry: Option<Telemetry>,
 }
 
 /// Asks the CPU to start loading the cache lines `*p` spans into every
@@ -473,17 +436,6 @@ impl MovingObjectAgent {
         self.cold.as_ref()?.own_results.get(&qid)
     }
 
-    /// The agent-side work counters of the single-agent convenience calls
-    /// ([`tick`](Self::tick), [`reconnect`](Self::reconnect)),
-    /// materialized from the agent's private telemetry sink. The `_into`
-    /// entry points record into the caller's outbox instead.
-    pub fn stats(&self) -> AgentStats {
-        let sink = self.cold.as_ref().and_then(|c| c.telemetry.as_ref());
-        sink.map_or_else(AgentStats::default, |s| {
-            AgentStats::from_snapshot(&s.snapshot())
-        })
-    }
-
     /// Phase A of a time step: absorb the new kinematic state and report
     /// significant motion events (grid-cell changes, dead-reckoning
     /// deviations) uplink. Runs *before* the server's mediation phase so
@@ -493,12 +445,12 @@ impl MovingObjectAgent {
     pub fn tick_motion(&mut self, config: &ProtocolConfig, t: f64, k: Kinematics, net: &mut Net) {
         let mut out = AgentOutbox::default();
         self.tick_motion_into(config, t, k, &mut out);
-        self.hand_over(out, net);
+        Self::hand_over(out, net);
     }
 
     /// [`tick_motion`](Self::tick_motion) recording into a caller-owned
-    /// outbox instead of a network and this agent's telemetry sink — the
-    /// form tick engines use, one outbox per shard.
+    /// outbox instead of a network and its telemetry sink — the form tick
+    /// engines use, one outbox per shard.
     pub fn tick_motion_into(
         &mut self,
         config: &ProtocolConfig,
@@ -593,7 +545,7 @@ impl MovingObjectAgent {
         let start = std::time::Instant::now();
         self.tick_process_into(config, t, k, inbox, &mut out);
         out.tally.eval_nanos += start.elapsed().as_nanos() as u64;
-        self.hand_over(out, net);
+        Self::hand_over(out, net);
     }
 
     /// [`tick_process`](Self::tick_process) recording into a caller-owned
@@ -638,11 +590,11 @@ impl MovingObjectAgent {
     }
 
     /// Delivers a locally filled outbox: uplinks into `net` in send
-    /// order, the tally into this agent's own sink.
-    fn hand_over(&mut self, mut out: AgentOutbox, net: &mut Net) {
+    /// order, the tally into the network's telemetry sink — where a tick
+    /// engine's shard tallies go too.
+    fn hand_over(mut out: AgentOutbox, net: &mut Net) {
         net.send_uplinks(&mut out.uplinks);
-        out.tally
-            .flush(self.cold_mut().telemetry.get_or_insert_with(Telemetry::new));
+        out.tally.flush(net.telemetry());
     }
 
     /// Advances the agent one full time step in one call (motion phase
@@ -974,22 +926,8 @@ impl MovingObjectAgent {
     /// entries whose monitoring region no longer covers the (possibly
     /// changed) current cell. Either way the object announces itself with
     /// a `Resync` uplink so the server replays its cell's query state and
-    /// completes any installs that were waiting for it.
-    pub fn reconnect(
-        &mut self,
-        config: &ProtocolConfig,
-        t: f64,
-        k: Kinematics,
-        fresh: bool,
-        net: &mut Net,
-    ) {
-        let mut out = AgentOutbox::default();
-        self.reconnect_into(config, t, k, fresh, &mut out);
-        self.hand_over(out, net);
-    }
-
-    /// [`reconnect`](Self::reconnect) recording into a caller-owned
-    /// outbox (see [`tick_motion_into`](Self::tick_motion_into)).
+    /// completes any installs that were waiting for it. Records into a
+    /// caller-owned outbox (see [`tick_motion_into`](Self::tick_motion_into)).
     pub fn reconnect_into(
         &mut self,
         config: &ProtocolConfig,
@@ -1555,14 +1493,14 @@ mod tests {
         // A very slow object.
         let slow = Kinematics::new(Point::new(55.0, 55.0), Vec2::ZERO, 0.001);
         agent.tick(&cfg, 0.0, slow, &[Downlink::QueryState { info }], &mut n);
-        let evaluated_first = agent.stats().evaluated;
-        assert_eq!(evaluated_first, 1);
+        let count = |n: &Net, key| n.telemetry().snapshot().counter(key);
+        assert_eq!(count(&n, agent_keys::EVALUATED), 1);
         for k in 1..=10 {
             agent.tick(&cfg, k as f64 * 30.0, slow, &[], &mut n);
         }
-        let s = agent.stats();
-        assert_eq!(s.evaluated, 1, "all later evaluations must be skipped");
-        assert_eq!(s.skipped_safe_period, 10);
+        let evaluated = count(&n, agent_keys::EVALUATED);
+        assert_eq!(evaluated, 1, "all later evaluations must be skipped");
+        assert_eq!(count(&n, agent_keys::SKIPPED_SAFE_PERIOD), 10);
     }
 
     #[test]
@@ -1609,9 +1547,10 @@ mod tests {
             &[Downlink::QueryState { info }],
             &mut n,
         );
-        let s = agent.stats();
-        assert_eq!(s.evaluated, 1, "only the largest radius is checked");
-        assert_eq!(s.skipped_group_prune, 1);
+        let s = n.telemetry().snapshot();
+        let evaluated = s.counter(agent_keys::EVALUATED);
+        assert_eq!(evaluated, 1, "only the largest radius is checked");
+        assert_eq!(s.counter(agent_keys::SKIPPED_GROUP_PRUNE), 1);
         assert!(!agent.is_target_of(QueryId(0)));
         assert!(!agent.is_target_of(QueryId(1)));
     }

@@ -17,7 +17,7 @@ use crate::messages::{ClusterMsg, Downlink, QueryGroupInfo, QuerySpec, Uplink};
 use crate::model::{ObjectId, QueryId};
 use mobieyes_geo::{CellId, GridRect, LinearMotion, QueryRegion, Region};
 use mobieyes_net::{NetworkSim, NodeId};
-use mobieyes_telemetry::{EventKind, MetricsSnapshot, Tally, Telemetry};
+use mobieyes_telemetry::{EventKind, Tally, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,23 +45,6 @@ pub fn raise(epoch: &AtomicU64, to: u64) {
     if epoch.load(Ordering::Relaxed) < to {
         epoch.fetch_max(to, Ordering::Relaxed);
     }
-}
-
-/// Deterministic counters of server-side work; the wall-clock server-load
-/// measurements of the figures sit on top of these in `mobieyes-sim`.
-///
-/// Since the telemetry redesign this is a *view* over the `srv.*` counters
-/// of the unified registry; build one with [`Server::stats`] or
-/// [`ServerStats::from_snapshot`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    pub uplinks_processed: u64,
-    pub velocity_reports: u64,
-    pub cell_changes: u64,
-    pub result_updates: u64,
-    pub broadcast_ops: u64,
-    pub unicast_ops: u64,
-    pub rqi_updates: u64,
 }
 
 /// The `srv.*` telemetry counter keys.
@@ -117,21 +100,6 @@ pub mod srv_slots {
 /// one lock per phase: a [`Server`] keeps one, and so does a cluster
 /// coordinator for the counters it records itself.
 pub type ServerTally = Tally<{ srv_keys::ALL.len() }>;
-
-impl ServerStats {
-    /// Materializes the view from a metrics snapshot.
-    pub fn from_snapshot(s: &MetricsSnapshot) -> Self {
-        ServerStats {
-            uplinks_processed: s.counter(srv_keys::UPLINKS),
-            velocity_reports: s.counter(srv_keys::VELOCITY_REPORTS),
-            cell_changes: s.counter(srv_keys::CELL_CHANGES),
-            result_updates: s.counter(srv_keys::RESULT_UPDATES),
-            broadcast_ops: s.counter(srv_keys::BROADCAST_OPS),
-            unicast_ops: s.counter(srv_keys::UNICAST_OPS),
-            rqi_updates: s.counter(srv_keys::RQI_UPDATES),
-        }
-    }
-}
 
 /// The MobiEyes server.
 #[derive(Debug)]
@@ -321,13 +289,6 @@ impl Server {
     /// rebuilt from the durable log must be constructed with.
     pub fn config_arc(&self) -> Arc<ProtocolConfig> {
         Arc::clone(&self.config)
-    }
-
-    /// Server-side work counters, materialized from the telemetry
-    /// registry. When the sink is shared the view aggregates everything
-    /// recorded into it.
-    pub fn stats(&self) -> ServerStats {
-        ServerStats::from_snapshot(&self.telemetry.snapshot())
     }
 
     pub fn num_queries(&self) -> usize {

@@ -200,7 +200,13 @@ fn velocity_report_triggers_region_broadcast() {
         &mut net,
     );
     assert!(net.meter().broadcast_msgs > before);
-    assert_eq!(server.stats().velocity_reports, 1);
+    assert_eq!(
+        server
+            .telemetry()
+            .snapshot()
+            .counter(srv_keys::VELOCITY_REPORTS),
+        1
+    );
 }
 
 #[test]
@@ -676,10 +682,11 @@ fn each_station_beacons_the_digests_of_the_cells_under_it() {
         server.install_query(ObjectId(k), region, Filter::True, &mut net);
     }
     net.end_tick();
-    let before = server.stats().broadcast_ops;
+    let broadcast_ops = |s: &Server| s.telemetry().snapshot().counter(srv_keys::BROADCAST_OPS);
+    let before = broadcast_ops(&server);
     server.heartbeat(10.0, &mut net);
     let stations = net.layout().num_stations();
-    assert_eq!(server.stats().broadcast_ops - before, stations as u64);
+    assert_eq!(broadcast_ops(&server) - before, stations as u64);
 
     let full = CellDigests::new(server.digest_cells());
     assert!(full.is_row_major());

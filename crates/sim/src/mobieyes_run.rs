@@ -91,9 +91,6 @@ pub struct MobiEyesSim {
     /// When set, mobility is frozen: objects stop moving but the protocol
     /// keeps running. Used to measure recovery convergence.
     frozen: bool,
-    /// Rebalance cadence in ticks (0 = off); resolved once at build so
-    /// the environment is read exactly once per run.
-    rebalance_ticks: usize,
     /// Resolved tick engine: the struct-of-arrays engine, or the seed
     /// reference phases it is checked against (see [`crate::soa`] for
     /// the contract between them). One engine runs every step of a run.
@@ -125,9 +122,6 @@ pub struct MobiEyesSim {
     /// and returns a fresh hello-completed connection, or `None` to
     /// retry at the next tick boundary.
     respawn_hook: Option<Box<dyn FnMut(u32) -> Option<FramedConn>>>,
-    /// Checkpoint cadence in ticks (0 = off); resolved once at build so
-    /// the environment is read exactly once per run.
-    store_checkpoint_ticks: usize,
     /// The thread-hosted partition services of a `tcp` / `uds`
     /// deployment, joined by [`shutdown`](Self::shutdown).
     hosted: Option<HostedPartitions>,
@@ -284,9 +278,7 @@ impl MobiEyesSim {
             ),
         };
         let mut sim = MobiEyesSim {
-            rebalance_ticks: config.rebalance_ticks,
             recovery: config.recovery,
-            store_checkpoint_ticks: config.store_checkpoint_ticks,
             config,
             workload,
             mobility,
@@ -722,7 +714,8 @@ impl MobiEyesSim {
         // after ingest, so the observation window the planner cuts holds
         // whole ticks — and never changes query results, only the load
         // split (DESIGN.md §10).
-        if self.rebalance_ticks > 0 && self.tick_index.is_multiple_of(self.rebalance_ticks) {
+        let rebalance = self.config.rebalance_ticks;
+        if rebalance > 0 && self.tick_index.is_multiple_of(rebalance) {
             self.tier.rebalance();
         }
 
@@ -735,9 +728,8 @@ impl MobiEyesSim {
         // Periodic durable-log checkpoint: snapshot + segment GC at the
         // tick boundary, bounding both replay work after a crash and
         // on-disk log size.
-        if self.store_checkpoint_ticks > 0
-            && self.tick_index.is_multiple_of(self.store_checkpoint_ticks)
-        {
+        let checkpoint = self.config.store_checkpoint_ticks;
+        if checkpoint > 0 && self.tick_index.is_multiple_of(checkpoint) {
             self.checkpoint_now();
         }
 

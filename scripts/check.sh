@@ -38,12 +38,6 @@ MOBIEYES_THREADS=4 cargo test -q --workspace
 # JSON field assertions go through the assert-json helper instead of
 # fragile grep -o pipelines.
 assert_json() { cargo run -q --release -p mobieyes-bench --bin assert-json -- "$@"; }
-# The BENCH_*.json files embed host provenance (host_cores,
-# mobieyes_threads) that legitimately differs between the 1- and 4-thread
-# runs; everything else must be byte-identical.
-diff_benches() {
-  diff <(grep -v '"host_cores"' "$1") <(grep -v '"host_cores"' "$2")
-}
 
 echo "==> cost model and counter pins (exact)"
 # The messaging-cost and power results rest on per-message byte counts,
@@ -155,6 +149,13 @@ diff <(grep -v nanos "$inert_dir/clean.json") <(grep -v nanos "$inert_dir/hostil
 [ ! -e "$inert_dir/store" ] \
   || { echo "configuration: a removed variable still attached a durable store"; exit 1; }
 rm -rf "$inert_dir"
+# The same claim read off the source: nothing but the configuration module
+# (MOBIEYES_THREADS) and the figure harness (MOBIEYES_QUICK) reads the
+# environment, at run time or at build time.
+env_readers=$(grep -rlE 'env::var|var_os|env!\(' src crates/*/src \
+  | grep -vxE 'crates/sim/src/config\.rs|crates/bench/src/lib\.rs' || true)
+[ -z "$env_readers" ] \
+  || { echo "configuration: the environment is read in" $env_readers; exit 1; }
 refused() { # <label> <command...>: exits non-zero naming the invalid configuration, no panic
   local label=$1 out
   shift
@@ -168,21 +169,19 @@ refused "--alpha 0" cargo run -q --release --bin mobieyes -- "${inert_args[@]}" 
 refused "drive --partitions 0" cargo run -q --release --bin mobieyes-serve -- drive --partitions 0
 unset -f refused
 
-# The bench smokes below write their BENCH_*.json into the working tree,
-# where the committed ones live: those are kept aside here and put back
-# when the script exits, whether it passes or fails.
+# The smokes below write their BENCH_*.json into the working tree, where
+# the committed ones live: those are kept aside here and put back when the
+# script exits, whether it passes or fails.
 bench_kept=$(mktemp -d)
-committed_benches=(BENCH_chaos.json BENCH_cluster.json BENCH_scale.json BENCH_recovery.json
-  BENCH_persist.json)
-cp "${committed_benches[@]}" "$bench_kept"/
+cp BENCH_chaos.json BENCH_cluster.json BENCH_recovery.json "$bench_kept"/
 chaos_out_1=$(mktemp) && chaos_out_4=$(mktemp)
 cluster_out_1=$(mktemp) && cluster_out_4=$(mktemp)
 trap 'cp "$bench_kept"/BENCH_*.json . && rm -rf "$bench_kept"
   rm -f "$chaos_out_1" "$chaos_out_4" "$cluster_out_1" "$cluster_out_4"' EXIT
 
 echo "==> chaos smoke (seq/parallel equivalence, convergence)"
-# The chaos-recovery bench is fully deterministic; the same scenario must
-# produce byte-identical results and telemetry at 1 and 4 worker threads,
+# The chaos-recovery smoke is fully deterministic; the same scenario must
+# produce byte-identical JSON at 1 and 4 worker threads,
 # and every seed must converge back to exact ground truth (the bench caps
 # recovery at the documented contract bound, so a non-converging seed
 # shows up as recovery_ticks == contract_bound_ticks). The seed engine's
@@ -191,7 +190,7 @@ MOBIEYES_QUICK=1 MOBIEYES_THREADS=1 cargo run -q --release -p mobieyes-bench --b
 mv BENCH_chaos.json "$chaos_out_1"
 MOBIEYES_QUICK=1 MOBIEYES_THREADS=4 cargo run -q --release -p mobieyes-bench --bin chaos
 mv BENCH_chaos.json "$chaos_out_4"
-diff_benches "$chaos_out_1" "$chaos_out_4" \
+cmp "$chaos_out_1" "$chaos_out_4" \
   || { echo "chaos smoke: thread counts disagree"; exit 1; }
 bound=$(assert_json "$chaos_out_1" get contract_bound_ticks)
 assert_json "$chaos_out_1" forbid recovery_ticks "$bound" \
@@ -201,13 +200,13 @@ echo "==> cluster smoke (partitioned-tier equivalence)"
 # The cluster-scaling bench runs the same deployment over 1, 2, 4 and 8
 # partitions and asserts internally that results and protocol telemetry
 # are byte-identical to the single server. Running it at 1 and 4 worker
-# threads and diffing the JSON additionally proves the partitioned tier is
-# thread-count independent.
+# threads and comparing the JSON additionally proves the partitioned tier
+# is thread-count independent.
 MOBIEYES_QUICK=1 MOBIEYES_THREADS=1 cargo run -q --release -p mobieyes-bench --bin cluster
 mv BENCH_cluster.json "$cluster_out_1"
 MOBIEYES_QUICK=1 MOBIEYES_THREADS=4 cargo run -q --release -p mobieyes-bench --bin cluster
 mv BENCH_cluster.json "$cluster_out_4"
-diff_benches "$cluster_out_1" "$cluster_out_4" \
+cmp "$cluster_out_1" "$cluster_out_4" \
   || { echo "cluster smoke: thread counts disagree"; exit 1; }
 assert_json "$cluster_out_1" require bench cluster-scaling
 
@@ -256,37 +255,6 @@ r_before=$(assert_json "$cluster_out_1" min skew_before)
 awk -v a="$r_after" -v b="$r_before" 'BEGIN { exit !(a < b) }' \
   || { echo "remote rebalance smoke: socket skew did not improve ($r_before -> $r_after)"; exit 1; }
 
-echo "==> scale smoke (struct-of-arrays hot path at 20k objects)"
-# The quick scale sweep runs the SoA engine up to 20 000 objects plus the
-# seed head-to-head at the ceiling (engine equivalence is pinned byte for
-# byte by tests/engine_equivalence.rs; this stage guards the wall clock
-# and the activity-proportionality of the processing phase).
-# The budget is ~10x the measured steady state on a slow host — it only
-# catches order-of-magnitude regressions, never timing noise.
-scale_out=$(mktemp)
-MOBIEYES_QUICK=1 cargo run -q --release -p mobieyes-bench --bin scale >/dev/null
-mv BENCH_scale.json "$scale_out"
-assert_json "$scale_out" require bench scale-sweep
-scale_spt=$(assert_json "$scale_out" max seconds_per_tick)
-awk -v spt="$scale_spt" 'BEGIN { exit !(spt < 0.25) }' \
-  || { echo "scale smoke: ${scale_spt}s/tick blows the 0.25s budget"; exit 1; }
-# The deterministic twin of the budget: the share of the population the
-# processing phase looks at per tick (MobiEyesSim::tick_work) is a count,
-# not a timing, so it holds on a noisy host and the ceiling can sit close.
-# It is taken at the largest point of the sweep, the only sparse one
-# (5 % focal objects; the smaller points run 10 % and read ~0.93): 0.737
-# today, and an every-agent scan reads 1.0.
-scale_visited=$(assert_json "$scale_out" get largest_process_visited_per_object_tick)
-awk -v v="$scale_visited" 'BEGIN { exit !(v < 0.78) }' \
-  || { echo "scale smoke: processing visits ${scale_visited} of the population per tick at the largest point (ceiling 0.78) - work no longer follows activity"; exit 1; }
-# Footprint twin: peak resident bytes per object after the largest point
-# (process baseline included). 893 with flat agent tables and the hot/cold
-# split; the per-agent B-tree layout read 1972 on the same host.
-scale_rss=$(assert_json "$scale_out" max rss_bytes_per_object)
-awk -v v="$scale_rss" 'BEGIN { exit !(v < 1200) }' \
-  || { echo "scale smoke: ${scale_rss} resident bytes per object at the largest point (ceiling 1200) - per-agent state grew back"; exit 1; }
-rm -f "$scale_out"
-
 echo "==> recovery smoke (partition crash failover + supervised respawn)"
 # The crash-recovery bench kills seeded partitions mid-run and measures
 # frozen-mobility ticks back to exact ground truth; like the chaos bench
@@ -297,7 +265,7 @@ MOBIEYES_QUICK=1 MOBIEYES_THREADS=1 cargo run -q --release -p mobieyes-bench --b
 mv BENCH_recovery.json "$recovery_out_1"
 MOBIEYES_QUICK=1 MOBIEYES_THREADS=4 cargo run -q --release -p mobieyes-bench --bin recovery
 mv BENCH_recovery.json "$recovery_out_4"
-diff_benches "$recovery_out_1" "$recovery_out_4" \
+cmp "$recovery_out_1" "$recovery_out_4" \
   || { echo "recovery smoke: thread counts disagree"; exit 1; }
 rec_bound=$(assert_json "$recovery_out_1" get contract_bound_ticks)
 assert_json "$recovery_out_1" forbid recovery_ticks "$rec_bound" \
@@ -320,23 +288,12 @@ for rec in failover respawn; do
 done
 rm -f "$recovery_drive"
 
-echo "==> persistence smoke (durable log replay + store-backed failover)"
-# The persistence bench rebuilds a server purely from its journal and
-# demands a byte-identical state digest; the replay-rate floor guards the
-# cold-start path against order-of-magnitude regressions only.
-persist_out=$(mktemp)
-MOBIEYES_QUICK=1 cargo run -q --release -p mobieyes-bench --bin persist >/dev/null
-mv BENCH_persist.json "$persist_out"
-assert_json "$persist_out" require bench persistence
-assert_json "$persist_out" forbid digest_match false \
-  || { echo "persist smoke: a replayed server diverged from the one that wrote its log"; exit 1; }
-replay_rate=$(assert_json "$persist_out" min replay_records_per_s)
-awk -v r="$replay_rate" 'BEGIN { exit !(r >= 100000) }' \
-  || { echo "persist smoke: replay rate ${replay_rate} rec/s under the 100k floor"; exit 1; }
-rm -f "$persist_out"
-# Store-backed kill -9 across a real process boundary: the dead
-# partition's queries must come back via log replay (the fast path, no
-# agent round trip) and the final digest must still match lock-step.
+echo "==> persistence smoke (store-backed failover + trajectory read-back)"
+# Replayed = live is tests/replay_equivalence.rs's and the benchmark's
+# store probe's. Here, store-backed kill -9 across a real process
+# boundary: the dead partition's queries must come back via log replay
+# (the fast path, no agent round trip) and the final digest must still
+# match lock-step.
 # Replies — batched ones included — leave a partition only after the
 # journal records they acknowledge (pinned by the serve.rs unit test), so
 # the replayed log holds everything the coordinator saw complete. Under

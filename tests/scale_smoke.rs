@@ -6,7 +6,7 @@
 //! any host, however noisy. So is its heap: a counting allocator (this
 //! file is its own binary with one test) puts a per-agent ceiling on what
 //! the deployment holds after the ticks. (Wall-clock claims live in
-//! `benchmark/`; see `benchmark/README.md` and the README's before/after
+//! `benchmark/`; see `benchmark/README.md` and the README's benchmark
 //! table.)
 
 mod common;
